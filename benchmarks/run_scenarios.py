@@ -4,9 +4,8 @@
 Runs the seeded scenario grid of :mod:`repro.runtime.scenario` — client
 join/leave churn, Zipf-skewed participation and table sizes,
 duplicate/byzantine answer injection, epoch deadlines against the netsim
-latency models — across six executor configurations (serial, sharded,
-pipelined, process, process+resident, and the staged engine's
-``inline/in-process`` combo spelling) and writes one
+latency models — across ``serial`` plus every single-host driver combination
+of the staged engine (:func:`repro.runtime.cli_smoke_matrix`) and writes one
 ``results/BENCH_scenarios.json`` trajectory: per scenario and executor the
 wall-clock, wire bytes, dropped-late-answer counts, admission rejections and
 estimate error versus the exact answer.
@@ -36,28 +35,18 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.runtime import cli_smoke_matrix  # noqa: E402
 from repro.runtime.scenario import run_scenario, scenario_grid  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-# The executor configurations under test; worker/shard counts are kept
-# small so the full sweep stays laptop- and CI-friendly.  The last entry
-# names its driver combo directly — the staged engine's canonical spelling
-# rather than a legacy alias — so the sweep also gates the registry path.
+# The executor configurations under test: the registry's single-host smoke
+# matrix, so a new driver combo joins the sweep by being registered.
+# Worker/shard counts are kept small so the full sweep stays laptop- and
+# CI-friendly.
 EXECUTOR_CONFIGS = [
-    {"label": "serial", "executor": "serial"},
-    {"label": "sharded", "executor": "sharded", "workers": 2, "shards": 4},
-    {"label": "pipelined", "executor": "pipelined", "workers": 2, "shards": 4},
-    {"label": "process", "executor": "process", "workers": 2, "shards": 4},
-    {
-        "label": "process-resident",
-        "executor": "process",
-        "workers": 2,
-        "shards": 4,
-        "resident": True,
-        "checkpoint_every": 2,
-    },
-    {"label": "inline-engine", "executor": "inline/in-process"},
+    {"executor": executor, "workers": 2, "shards": 4, "checkpoint_every": 2}
+    for executor in cli_smoke_matrix()
 ]
 
 
@@ -68,11 +57,10 @@ def sweep(grid: str) -> dict:
     for spec in specs:
         runs = []
         for config in EXECUTOR_CONFIGS:
-            kwargs = {k: v for k, v in config.items() if k != "label"}
-            run = run_scenario(spec, **kwargs)
+            run = run_scenario(spec, **config)
             runs.append(run)
             print(
-                f"  {spec.name:<20} {run.executor_label:<16}"
+                f"  {spec.name:<20} {run.executor_label:<36}"
                 f" wall={run.total_wall_seconds:7.3f}s"
                 f" wire={run.total_wire_bytes:>9}B"
                 f" late={run.total_late_dropped:>3}"

@@ -123,7 +123,7 @@ def measure_scenario(remote: bool, key_path: str) -> dict:
         if remote:
             run = run_scenario(
                 spec,
-                executor="process",
+                executor="pinned-worker/sealed-tcp-remote",
                 remote_workers=[f"{s.address[0]}:{s.address[1]}" for s in servers],
                 key_file=key_path,
                 checkpoint_every=2,
@@ -131,9 +131,8 @@ def measure_scenario(remote: bool, key_path: str) -> dict:
         else:
             run = run_scenario(
                 spec,
-                executor="process",
+                executor="pinned-worker/framed-wire-local",
                 workers=2,
-                resident=True,
                 checkpoint_every=2,
             )
         wall = time.perf_counter() - start
@@ -206,7 +205,7 @@ def test_remote_transport_overhead(report, tmp_path):
     )
     report.note(
         "The remote executor runs the identical epoch logic "
-        "(RemoteResidentExecutor only swaps the router), so the digest "
+        "(remote_resident_driver only swaps the router), so the digest "
         "contract holds across the socket."
     )
     report.note("")

@@ -71,12 +71,17 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 # comparison is reported but not asserted.
 PROCESS_ASSERT_CORES = 4
 
+# The report keeps short labels; these are the driver combos behind them.
+SHARDED = "thread-pool/in-process"
+PIPELINED = "pipelined-overlap/in-process"
+PROCESS = "pipelined-overlap/framed-wire-local"
+RESIDENT = "pinned-worker/framed-wire-local"
+
 
 def build_system(
     executor: str,
     workers: int = 4,
     shards: int | None = None,
-    resident: bool = False,
     checkpoint_every: int = 4,
 ):
     system = PrivApproxSystem(
@@ -86,7 +91,6 @@ def build_system(
             executor=executor,
             executor_workers=workers,
             executor_shards=shards,
-            executor_resident=resident,
             executor_checkpoint_every=checkpoint_every,
         )
     )
@@ -177,16 +181,16 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
     cpu_count = os.cpu_count() or 1
     configs = [
         ("serial", {"executor": "serial"}),
-        ("sharded w1", {"executor": "sharded", "workers": 1}),
-        ("sharded w2", {"executor": "sharded", "workers": 2}),
-        ("sharded w4", {"executor": "sharded", "workers": 4}),
-        ("sharded w4 s16", {"executor": "sharded", "workers": 4, "shards": 16}),
-        ("pipelined w2", {"executor": "pipelined", "workers": 2}),
-        ("pipelined w4", {"executor": "pipelined", "workers": 4}),
-        ("pipelined w4 s16", {"executor": "pipelined", "workers": 4, "shards": 16}),
-        ("process w2", {"executor": "process", "workers": 2}),
-        ("process w4", {"executor": "process", "workers": 4}),
-        ("process w4 s16", {"executor": "process", "workers": 4, "shards": 16}),
+        ("sharded w1", {"executor": SHARDED, "workers": 1}),
+        ("sharded w2", {"executor": SHARDED, "workers": 2}),
+        ("sharded w4", {"executor": SHARDED, "workers": 4}),
+        ("sharded w4 s16", {"executor": SHARDED, "workers": 4, "shards": 16}),
+        ("pipelined w2", {"executor": PIPELINED, "workers": 2}),
+        ("pipelined w4", {"executor": PIPELINED, "workers": 4}),
+        ("pipelined w4 s16", {"executor": PIPELINED, "workers": 4, "shards": 16}),
+        ("process w2", {"executor": PROCESS, "workers": 2}),
+        ("process w4", {"executor": PROCESS, "workers": 4}),
+        ("process w4 s16", {"executor": PROCESS, "workers": 4, "shards": 16}),
     ]
     stats = {name: measure_epoch_seconds(**config) for name, config in configs}
     serial_median = stats["serial"]["median"]
@@ -268,7 +272,7 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
     assert_faster(
         "sharded w4",
         "serial",
-        {"executor": "sharded", "workers": 4},
+        {"executor": SHARDED, "workers": 4},
         {"executor": "serial"},
         stats["sharded w4"],
         stats["serial"],
@@ -276,8 +280,8 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
     assert_faster(
         "pipelined w4",
         "sharded w4",
-        {"executor": "pipelined", "workers": 4},
-        {"executor": "sharded", "workers": 4},
+        {"executor": PIPELINED, "workers": 4},
+        {"executor": SHARDED, "workers": 4},
         stats["pipelined w4"],
         stats["sharded w4"],
     )
@@ -291,7 +295,7 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
             process_name,
             "pipelined w4",
             dict(configs)[process_name],
-            {"executor": "pipelined", "workers": 4},
+            {"executor": PIPELINED, "workers": 4},
             stats[process_name],
             stats["pipelined w4"],
             tolerance=1.02,
@@ -393,7 +397,7 @@ def build_multi_query_system(executor: str, workers: int = 4):
 
 
 def measure_multi_query_epoch_seconds(
-    shared: bool, executor: str = "sharded", workers: int = 4
+    shared: bool, executor: str = SHARDED, workers: int = 4
 ) -> dict:
     """Wall-clock stats for serving all queries for one epoch (1 warmup).
 
@@ -511,8 +515,8 @@ RESIDENT_EPOCHS = 8  # timed epochs after the bootstrap epoch
 RESIDENT_WIRE_SHRINK_FACTOR = 5.0
 
 
-def measure_resident_epoch_seconds(resident: bool) -> dict:
-    """Per-epoch stats for the process executor with residency on or off.
+def measure_resident_epoch_seconds(executor: str) -> dict:
+    """Per-epoch stats for a framed-wire-local executor (PROCESS or RESIDENT).
 
     Epoch 0 is the warmup/bootstrap epoch (worker spawn, full state install);
     the following RESIDENT_EPOCHS epochs are timed.  Returns the usual timing
@@ -520,7 +524,7 @@ def measure_resident_epoch_seconds(resident: bool) -> dict:
     epoch's bytes and the median steady-state bytes.
     """
     system, query_id = build_system(
-        "process", workers=4, shards=8, resident=resident, checkpoint_every=4
+        executor, workers=4, shards=8, checkpoint_every=4
     )
     system.run_epoch(query_id, 0)  # warmup: workers, bootstrap frames, topics
     times = []
@@ -553,8 +557,8 @@ def test_resident_state_beats_snapshot_shipping(report):
     snapshots both ways; periodic checkpoint epochs included in the ledger).
     """
     stats = {
-        "process (snapshot shipping)": measure_resident_epoch_seconds(resident=False),
-        "process (resident state)": measure_resident_epoch_seconds(resident=True),
+        "process (snapshot shipping)": measure_resident_epoch_seconds(PROCESS),
+        "process (resident state)": measure_resident_epoch_seconds(RESIDENT),
     }
     snapshot = stats["process (snapshot shipping)"]
     resident = stats["process (resident state)"]
@@ -636,8 +640,8 @@ def test_resident_state_beats_snapshot_shipping(report):
     assert_faster(
         "process (resident state)",
         "process (snapshot shipping)",
-        {"resident": True},
-        {"resident": False},
+        {"executor": RESIDENT},
+        {"executor": PROCESS},
         resident,
         snapshot,
         measure=measure_resident_epoch_seconds,

@@ -43,7 +43,11 @@ from repro.datasets import (
     TaxiRideGenerator,
 )
 from repro.netsim import DeviceProfile, OperationKind
-from repro.runtime import EXECUTOR_KINDS
+from repro.runtime import (
+    DEFAULT_CHECKPOINT_EVERY,
+    EXECUTOR_KINDS,
+    validate_executor_options,
+)
 
 
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
@@ -52,17 +56,16 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor", choices=EXECUTOR_KINDS, default="serial",
         help="epoch runtime: 'serial' reference loop, or a staged-engine "
              "driver combination named 'scheduling/transport' (e.g. "
-             "'thread-pool/in-process', 'pipelined-overlap/framed-wire-local'"
-             "). The legacy names 'sharded', 'pipelined' and 'process' "
-             "remain as aliases for their engine configurations",
+             "'thread-pool/in-process', 'pipelined-overlap/framed-wire-local', "
+             "'pinned-worker/framed-wire-local' for worker-resident client "
+             "state)",
     )
     parser.add_argument(
         "--workers", default="4",
         help="worker pool size for the pooled executors (default: 4) — or a "
              "comma-separated list of host:port addresses of separately "
-             "launched TCP workers (requires a remote-capable --executor "
-             "such as 'process' or 'pipelined-overlap/sealed-tcp-remote', "
-             "plus --key-file; see the 'worker' command)",
+             "launched TCP workers (requires a */sealed-tcp-remote "
+             "--executor plus --key-file; see the 'worker' command)",
     )
     parser.add_argument(
         "--key-file", default=None, metavar="PATH",
@@ -71,84 +74,56 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="shard count for the sharded/pipelined executors "
+        help="shard count for the engine executors "
              "(default: one per worker)",
     )
     parser.add_argument(
-        "--resident-state", action="store_true",
-        help="process executor only: keep client state resident in pinned "
-             "worker processes (sticky shard->worker affinity; state is "
-             "bootstrapped once and per-epoch traffic shrinks to deltas "
-             "and acks)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=4,
-        help="with --resident-state: refresh the parent's authoritative "
+        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
+        help="pinned-worker executors: refresh the parent's authoritative "
              "state copy every N epochs per shard (0 = only on "
-             "demand/shutdown; default: 4)",
+             f"demand/shutdown; default: {DEFAULT_CHECKPOINT_EVERY})",
     )
 
 
-def _parse_workers(value: str) -> tuple[int, tuple[str, ...] | None]:
-    """Interpret ``--workers``: a pool size, or remote ``host:port`` addresses.
+def _executor_options(args: argparse.Namespace) -> tuple[int, tuple[str, ...] | None]:
+    """Interpret ``--workers`` and validate it against ``--executor``.
 
-    Returns ``(pool_size, remote_addresses)``; remote addresses are ``None``
-    for the plain integer form.  With addresses the pool size is their count.
+    ``--workers`` is a pool size or remote ``host:port`` addresses; returns
+    ``(pool_size, remote_addresses)`` — addresses are ``None`` for the plain
+    integer form, and with addresses the pool size is their count.
     """
-    if ":" not in value:
+    value = args.workers
+    remote = None
+    if ":" in value:
+        remote = tuple(part.strip() for part in value.split(",") if part.strip())
+        pool_size = len(remote)
+    else:
         try:
-            return int(value), None
+            pool_size = int(value)
         except ValueError:
             raise SystemExit(
                 f"--workers expects an integer pool size or host:port "
                 f"addresses, got {value!r}"
             ) from None
-    addresses = tuple(part.strip() for part in value.split(",") if part.strip())
-    if not addresses:
-        raise SystemExit("--workers names no addresses")
-    from repro.runtime.remote import parse_address
-
-    for address in addresses:
-        try:
-            parse_address(address)
-        except ValueError as exc:
-            raise SystemExit(f"--workers: {exc}") from None
-    return len(addresses), addresses
+    try:
+        validate_executor_options(args.executor, remote, args.key_file)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return pool_size, remote
 
 
 def _system_config(args: argparse.Namespace, **overrides) -> SystemConfig:
     """Build a SystemConfig from the common CLI arguments."""
-    from repro.runtime.executor import executor_requires_remote, executor_supports_remote
-
-    pool_size, remote = _parse_workers(args.workers)
-    if remote is not None:
-        if args.key_file is None:
-            raise SystemExit(
-                "--workers with host:port addresses requires --key-file"
-            )
-        if not executor_supports_remote(args.executor):
-            raise SystemExit(
-                "--workers with host:port addresses requires a remote-capable "
-                "--executor ('process' or a */sealed-tcp-remote spelling)"
-            )
-    else:
-        if executor_requires_remote(args.executor):
-            raise SystemExit(
-                f"--executor {args.executor} needs remote worker addresses "
-                "(--workers host:port,... with a --key-file)"
-            )
-        if args.key_file is not None:
-            raise SystemExit("--key-file only applies with host:port --workers")
+    pool_size, remote = _executor_options(args)
     return SystemConfig(
         num_clients=args.clients,
         seed=args.seed,
         executor=args.executor,
         executor_workers=pool_size,
         executor_shards=args.shards,
-        executor_resident=args.resident_state,
         executor_checkpoint_every=args.checkpoint_every,
         executor_remote_workers=remote,
-        executor_key_file=args.key_file if remote is not None else None,
+        executor_key_file=args.key_file,
         **overrides,
     )
 
@@ -290,25 +265,12 @@ def _cmd_simulate_scenario(args: argparse.Namespace) -> int:
         spec = find_scenario(args.scenario)
     except KeyError as exc:
         raise SystemExit(str(exc)) from exc
-    from repro.runtime.executor import executor_requires_remote
-
-    pool_size, remote = _parse_workers(args.workers)
-    if remote is not None and args.key_file is None:
-        raise SystemExit("--workers with host:port addresses requires --key-file")
-    if remote is None:
-        if executor_requires_remote(args.executor):
-            raise SystemExit(
-                f"--executor {args.executor} needs remote worker addresses "
-                "(--workers host:port,... with a --key-file)"
-            )
-        if args.key_file is not None:
-            raise SystemExit("--key-file only applies with host:port --workers")
+    pool_size, remote = _executor_options(args)
     run = run_scenario(
         spec,
         executor=args.executor,
         workers=pool_size,
         shards=args.shards,
-        resident=args.resident_state,
         checkpoint_every=args.checkpoint_every,
         remote_workers=remote,
         key_file=args.key_file,

@@ -296,7 +296,7 @@ class Client:
     def subscriptions(self) -> dict[str, tuple]:
         """A copy of the active subscriptions: query id → (query, parameters).
 
-        The resident-state runtime diffs this against its recorded baseline
+        The pinned-worker runtime diffs this against its recorded baseline
         to derive per-epoch :class:`~repro.runtime.wire.ClientDelta` frames.
         """
         return dict(self._subscriptions)

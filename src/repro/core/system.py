@@ -42,7 +42,13 @@ from repro.core.proxy import ProxyNetwork
 from repro.core.query import Query
 from repro.core.seeding import derive_query_seed
 from repro.core.validation import AnswerValidator
-from repro.runtime import EXECUTOR_KINDS, EpochContext, QueryContext, make_executor
+from repro.runtime import (
+    DEFAULT_CHECKPOINT_EVERY,
+    EpochContext,
+    QueryContext,
+    make_executor,
+    validate_executor_options,
+)
 
 
 @dataclass(frozen=True)
@@ -56,42 +62,32 @@ class SystemConfig:
     aggregator-side structural checks and the duplicate-answer defense.
 
     ``executor`` selects the epoch runtime (:mod:`repro.runtime`):
-    ``"serial"`` answers clients one-by-one (the reference implementation),
-    ``"sharded"`` partitions them into ``executor_shards`` shards answered by
-    ``executor_workers`` pooled workers (``executor_pool`` of ``"thread"`` or
-    ``"process"``) with per-shard batched broker traffic, ``"pipelined"``
-    additionally overlaps answering, transmission and ingestion through
-    shard-aware proxy topics (thread pool only), and ``"process"`` keeps the
-    pipelined shape but answers each shard in a worker *process* from a
-    serialized self-contained shard task, with shard boundaries adapting to
-    per-shard wall-clock across epochs (``executor_pool`` is ignored — the
-    executor is a process pool by construction).  All executors produce
-    identical results for identical seeds; see ``docs/ARCHITECTURE.md``.
+    ``"serial"`` answers clients one-by-one (the reference implementation);
+    every other name is a ``"scheduling/transport"`` configuration of the
+    staged epoch engine (:class:`~repro.runtime.engine.StagedEpochEngine`),
+    e.g. ``"thread-pool/in-process"`` (shards answered by a barrier worker
+    pool with per-shard batched broker traffic),
+    ``"pipelined-overlap/framed-wire-local"`` (answering in worker
+    *processes* from serialized self-contained shard tasks, overlapped with
+    transmission and ingestion) or ``"pinned-worker/framed-wire-local"``
+    (client state *resident* in pinned worker processes — bootstrap-once /
+    delta-thereafter wire traffic, :mod:`repro.runtime.affinity`).
+    ``repro.runtime.EXECUTOR_KINDS`` lists every accepted name; all of them
+    produce identical results for identical seeds (``docs/ARCHITECTURE.md``).
+    ``executor_workers`` sizes the worker pool and ``executor_shards`` the
+    shard count (default: one per worker).
 
-    Every one of those names is a configuration of the staged epoch engine
-    (:class:`~repro.runtime.engine.StagedEpochEngine`); the engine's driver
-    combinations can also be named directly as ``"scheduling/transport"``
-    spellings — e.g. ``"inline/in-process"``,
-    ``"pipelined-overlap/framed-wire-local"`` (= ``"process"``) or
-    ``"pipelined-overlap/sealed-tcp-remote"`` (stateless snapshot shipping
-    over the sealed TCP transport).  ``repro.runtime.EXECUTOR_KINDS`` lists
-    every accepted name.
+    ``executor_checkpoint_every`` (``pinned-worker`` scheduling only)
+    controls how often the parent's authoritative copy of the resident
+    state is refreshed (``0`` = only on demand/shutdown).
 
-    ``executor_resident`` (process executor only) keeps client state
-    *resident* in pinned worker processes across epochs — sticky
-    shard→worker affinity with bootstrap-once / delta-thereafter wire
-    traffic (:mod:`repro.runtime.affinity`) instead of full snapshot round
-    trips; ``executor_checkpoint_every`` controls how often the parent's
-    authoritative copy is refreshed (``0`` = only on demand/shutdown).
-    Residency changes nothing observable: results stay byte-identical.
-
-    ``executor_remote_workers`` replaces the pinned worker *processes* with
-    separately launched TCP workers (:mod:`repro.runtime.remote`): a tuple
-    of ``host:port`` addresses (one slot per worker; ``executor_workers`` is
-    ignored) plus ``executor_key_file`` naming the pre-shared HMAC keys —
-    one hex key per line, line *i* keying worker *i*.  Remote workers imply
-    residency and require ``executor='process'``.  The transport changes
-    nothing observable either: digests stay byte-identical to serial.
+    ``executor_remote_workers`` places the workers of a
+    ``*/sealed-tcp-remote`` executor on separately launched TCP workers
+    (:mod:`repro.runtime.remote`): a tuple of ``host:port`` addresses (one
+    slot per worker; ``executor_workers`` is ignored) plus
+    ``executor_key_file`` naming the pre-shared HMAC keys — one hex key per
+    line, line *i* keying worker *i*.  The transport changes nothing
+    observable: digests stay byte-identical to serial.
     """
 
     num_clients: int = 100
@@ -105,9 +101,7 @@ class SystemConfig:
     executor: str = "serial"
     executor_workers: int = 4
     executor_shards: int | None = None
-    executor_pool: str = "thread"
-    executor_resident: bool = False
-    executor_checkpoint_every: int = 4
+    executor_checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     executor_remote_workers: tuple[str, ...] | None = None
     executor_key_file: str | None = None
 
@@ -116,62 +110,15 @@ class SystemConfig:
             raise ValueError("need at least one client")
         if self.num_proxies < 2:
             raise ValueError("PrivApprox requires at least two proxies")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
+        validate_executor_options(
+            self.executor, self.executor_remote_workers, self.executor_key_file
+        )
         if self.executor_workers < 1:
             raise ValueError("executor_workers must be positive")
         if self.executor_shards is not None and self.executor_shards < 1:
             raise ValueError("executor_shards must be positive when given")
-        if self.executor == "pipelined" and self.executor_pool != "thread":
-            raise ValueError(
-                "the pipelined executor only supports executor_pool='thread'"
-            )
-        from repro.runtime.executor import (
-            executor_requires_remote,
-            executor_supports_remote,
-            executor_supports_residency,
-        )
-
-        if self.executor_resident and not executor_supports_residency(self.executor):
-            raise ValueError(
-                "executor_resident requires executor='process' "
-                "(resident state lives in its pinned worker processes)"
-            )
         if self.executor_checkpoint_every < 0:
             raise ValueError("executor_checkpoint_every must be non-negative")
-        if self.executor_remote_workers is not None:
-            if not self.executor_remote_workers:
-                raise ValueError(
-                    "executor_remote_workers must name at least one "
-                    "host:port address when given"
-                )
-            if not executor_supports_remote(self.executor):
-                raise ValueError(
-                    "executor_remote_workers requires executor='process' "
-                    "or a sealed-tcp-remote driver spelling "
-                    "(the remote transport speaks the resident protocol)"
-                )
-            if self.executor_key_file is None:
-                raise ValueError(
-                    "executor_remote_workers requires executor_key_file "
-                    "(pre-shared HMAC keys, one hex key per line)"
-                )
-            from repro.runtime.remote import parse_address
-
-            for address in self.executor_remote_workers:
-                parse_address(address)  # raises ValueError on malformed input
-        else:
-            if executor_requires_remote(self.executor):
-                raise ValueError(
-                    f"executor {self.executor!r} needs remote worker addresses "
-                    "(executor_remote_workers plus executor_key_file)"
-                )
-            if self.executor_key_file is not None:
-                raise ValueError(
-                    "executor_key_file only applies with executor_remote_workers"
-                )
 
 
 @dataclass(frozen=True)
@@ -222,8 +169,6 @@ class PrivApproxSystem:
             config.executor,
             workers=config.executor_workers,
             shards=config.executor_shards,
-            pool=config.executor_pool,
-            resident=config.executor_resident,
             checkpoint_every=config.executor_checkpoint_every,
             remote_workers=config.executor_remote_workers,
             key_file=config.executor_key_file,
@@ -374,7 +319,7 @@ class PrivApproxSystem:
         re-subscribed with the query's current parameters.  The client list
         itself never changes shape, which is what keeps shard boundaries,
         resident-worker slices and the seeded-equivalence contract intact;
-        under the resident executor these edits flow to the pinned workers
+        under pinned-worker scheduling these edits flow to the pinned workers
         as ``ClientDelta`` subscription changes inside the next epoch's
         ``ShardDelta`` frames.
 

@@ -15,11 +15,8 @@ runtimes exist:
   ``sealed-tcp-remote``).  :data:`~repro.runtime.executor.DRIVER_COMBOS`
   is the registry of supported combinations.
 
-The historical executor classes — :class:`ShardedExecutor`,
-:class:`PipelinedExecutor`, :class:`ProcessPoolEpochExecutor`,
-:class:`~repro.runtime.affinity.ResidentProcessExecutor`,
-:class:`~repro.runtime.remote.RemoteResidentExecutor` — remain importable
-as thin driver configurations of the engine (deprecation shims).
+:func:`make_executor` builds either from a name: ``"serial"`` or a
+``"scheduling/transport"`` spelling.
 
 See ``docs/ARCHITECTURE.md`` for the staged engine and the driver matrix,
 and the seeded-equivalence contract; ``README.md`` ("Runtime
@@ -28,7 +25,6 @@ architecture") covers executor and worker-count selection from the CLI.
 
 from repro.runtime.affinity import (
     ResidentDriver,
-    ResidentProcessExecutor,
     ResidentShardCache,
     ResidentWorkerError,
     StickyShardRouter,
@@ -38,15 +34,15 @@ from repro.runtime.affinity import (
 from repro.runtime.remote import (
     OverlapSnapshotRemoteDriver,
     RemoteProtocolError,
-    RemoteResidentExecutor,
     RemoteWorkerServer,
     RemoteWorkerTransport,
     RemoteWorkerUnavailable,
     load_keys,
     parse_address,
-    remote_snapshot_engine,
+    remote_resident_driver,
 )
 from repro.runtime.engine import (
+    AdaptiveShardSizer,
     BarrierThreadDriver,
     EpochHandle,
     InlineDriver,
@@ -54,12 +50,13 @@ from repro.runtime.engine import (
     StageDriver,
     StageMetrics,
     StagedEpochEngine,
+    answer_shard,
 )
 from repro.runtime.executor import (
+    DEFAULT_CHECKPOINT_EVERY,
     DRIVER_COMBOS,
     DRIVER_SPELLINGS,
     EXECUTOR_KINDS,
-    LEGACY_EXECUTOR_ALIASES,
     SCHEDULING_KINDS,
     TRANSPORT_KINDS,
     EpochContext,
@@ -72,6 +69,7 @@ from repro.runtime.executor import (
     late_drops_for,
     make_executor,
     validate_driver_combo,
+    validate_executor_options,
 )
 from repro.runtime.scenario import (
     EpochDeadline,
@@ -88,16 +86,12 @@ from repro.runtime.scenario import (
     run_scenario,
     scenario_grid,
 )
-from repro.runtime.pipelined import PipelinedExecutor
 from repro.runtime.process_pool import (
-    AdaptiveShardSizer,
     OverlapSnapshotWireDriver,
-    ProcessPoolEpochExecutor,
     SnapshotWireBarrierDriver,
     answer_shard_task,
 )
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.sharded import ShardedExecutor, answer_shard
 from repro.runtime.sharding import Shard, plan_shards, plan_weighted_shards, shard_span
 from repro.runtime.wire import (
     ClientDelta,
@@ -121,10 +115,10 @@ from repro.runtime.wire import (
 )
 
 __all__ = [
+    "DEFAULT_CHECKPOINT_EVERY",
     "DRIVER_COMBOS",
     "DRIVER_SPELLINGS",
     "EXECUTOR_KINDS",
-    "LEGACY_EXECUTOR_ALIASES",
     "SCHEDULING_KINDS",
     "TRANSPORT_KINDS",
     "AdaptiveShardSizer",
@@ -142,17 +136,13 @@ __all__ = [
     "OverlapSnapshotRemoteDriver",
     "OverlapSnapshotWireDriver",
     "OverlapThreadDriver",
-    "PipelinedExecutor",
-    "ProcessPoolEpochExecutor",
     "QueryContext",
     "QueryEpochOutcome",
     "RemoteProtocolError",
-    "RemoteResidentExecutor",
     "RemoteWorkerServer",
     "RemoteWorkerTransport",
     "RemoteWorkerUnavailable",
     "ResidentDriver",
-    "ResidentProcessExecutor",
     "ScenarioPlan",
     "ScenarioRun",
     "ScenarioSpec",
@@ -169,7 +159,6 @@ __all__ = [
     "ShardBootstrap",
     "ShardDelta",
     "ShardTask",
-    "ShardedExecutor",
     "StickyShardRouter",
     "WireError",
     "answer_shard",
@@ -197,11 +186,12 @@ __all__ = [
     "parse_address",
     "plan_shards",
     "plan_weighted_shards",
-    "remote_snapshot_engine",
+    "remote_resident_driver",
     "run_scenario",
     "scenario_grid",
     "serve_resident_frame",
     "shard_fingerprint",
     "shard_span",
     "validate_driver_combo",
+    "validate_executor_options",
 ]

@@ -1,7 +1,7 @@
 """Worker-resident client state behind sticky shard→worker affinity.
 
-The snapshot-shipping process executor (:mod:`repro.runtime.process_pool`)
-pays for its GIL escape by round-tripping every client's full snapshot across
+The snapshot-shipping drivers (:mod:`repro.runtime.process_pool`) pay for
+their GIL escape by round-tripping every client's full snapshot across
 the process border twice per epoch — ~5 KB per client each way, every epoch,
 even though almost none of it changes between epochs.  This module makes the
 client state live *inside* the workers instead:
@@ -55,19 +55,14 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-# The re-shard hysteresis now lives in the engine's plan stage (re-exported
-# here for compatibility); the resident driver only *reports* its spans.
-from repro.runtime.engine import (  # noqa: F401 — re-exported constants
-    _RESHARD_COOLDOWN_EPOCHS,
-    _RESHARD_IMBALANCE_THRESHOLD,
+from repro.runtime.engine import (
     EpochHandle,
     StageDriver,
-    StagedEpochEngine,
     answer_shard,
     make_shard_arena,
 )
 from repro.sqldb import ShardArena, arena_answering_enabled
-from repro.runtime.executor import EpochContext
+from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY, EpochContext
 from repro.runtime.sharding import Shard, shard_span
 from repro.runtime.wire import (
     ClientDelta,
@@ -559,10 +554,11 @@ class ResidentDriver(StageDriver):
     scheduling = "pinned-worker"
     transport = "framed-wire-local"
     runs_collector = True
+    adaptive = True
 
     def __init__(
         self,
-        checkpoint_every: int = 4,
+        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         router_factory=None,
         transport: str | None = None,
     ):
@@ -578,8 +574,8 @@ class ResidentDriver(StageDriver):
         self._shards: dict[int, _ShardResidency] = {}
         self._last_context: EpochContext | None = None
         self._pending: dict[int, Shard] = {}
-        # Observability: frame counts and fallback events, surfaced on the
-        # executor shims for the benchmark's shrinkage claim.
+        # Observability: frame counts and fallback events (the first two
+        # are surfaced on the engine for the benchmark's shrinkage claim).
         self.bootstrap_frames = 0
         self.delta_frames = 0
         self.sync_frames = 0
@@ -983,77 +979,3 @@ class ResidentDriver(StageDriver):
             # the bootstrap below ships current RNG state with the new tables.
             self._sync_shards(context, [shard.index])
         return self._bootstrap_frame(context, shard, epoch, query_ids)
-
-
-class ResidentProcessExecutor(StagedEpochEngine):
-    """Deprecated shim: pinned-worker scheduling as an engine configuration.
-
-    Same overlap dataflow and adaptive shard sizing as
-    :class:`~repro.runtime.process_pool.ProcessPoolEpochExecutor`, but the
-    per-epoch traffic is bootstrap-once / delta-thereafter (wire v3) instead
-    of full snapshots both ways every epoch.  Satisfies the same
-    seeded-equivalence contract.
-
-    Parameters
-    ----------
-    adaptive:
-        Feed per-shard wall-clock back into the next epoch's boundaries.
-        Boundary moves under residency trigger a state sync + re-bootstrap
-        of exactly the moved shards (hysteresis lives in the engine's plan
-        stage).
-    checkpoint_every:
-        Refresh the parent's authoritative copy every this many acked epochs
-        per shard (``0`` = only on demand: mutation epochs, migration,
-        shutdown).  Smaller values shorten recovery replay at the cost of
-        periodic full-state acks.
-    """
-
-    _consumer_group_prefix = "resident"
-
-    def __init__(
-        self,
-        num_workers: int = 4,
-        num_shards: int | None = None,
-        queue_depth: int | None = None,
-        adaptive: bool = True,
-        checkpoint_every: int = 4,
-    ):
-        super().__init__(
-            ResidentDriver(checkpoint_every=checkpoint_every),
-            num_workers=num_workers,
-            num_shards=num_shards,
-            queue_depth=queue_depth,
-            adaptive=adaptive,
-        )
-
-    # -- observability surface delegated to the driver ------------------------
-
-    @property
-    def checkpoint_every(self) -> int:
-        return self.driver.checkpoint_every
-
-    @property
-    def bootstrap_frames(self) -> int:
-        return self.driver.bootstrap_frames
-
-    @property
-    def delta_frames(self) -> int:
-        return self.driver.delta_frames
-
-    @property
-    def sync_frames(self) -> int:
-        return self.driver.sync_frames
-
-    @property
-    def rebootstraps(self) -> int:
-        return self.driver.rebootstraps
-
-    @property
-    def _router(self):
-        return self.driver._router
-
-    @property
-    def _shards(self) -> dict[int, _ShardResidency]:
-        return self.driver._shards
-
-

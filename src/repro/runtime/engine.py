@@ -1,12 +1,9 @@
 """The staged epoch engine: one dataflow, pluggable stage drivers.
 
-Historically every executor (sharded, pipelined, process-pool, resident,
-remote) re-implemented the same answering epoch — plan shards, answer them,
-deadline-gate, transmit to the proxy brokers, ingest into the aggregators —
-with its own copies of deadline gating, wire accounting, adaptive re-shard
-hysteresis and failure plumbing.  This module collapses that zoo into a
-single :class:`StagedEpochEngine` that decomposes an epoch into explicit
-stages:
+Every parallel runtime runs the same answering epoch — plan shards, answer
+them, deadline-gate, transmit to the proxy brokers, ingest into the
+aggregators.  :class:`StagedEpochEngine` is its single implementation,
+decomposing an epoch into explicit stages:
 
     plan -> answer -> transmit -> ingest -> finalize
 
@@ -22,13 +19,15 @@ and delegates *how the answer stage runs* to a pluggable
   (serialized :mod:`repro.runtime.wire` frames across a process border),
   ``sealed-tcp-remote`` (the same frames in HMAC-sealed envelopes over TCP).
 
-The engine owns everything the drivers used to duplicate:
+The engine owns all policy, so no driver carries its own copy:
 
 * the **single** authoritative deadline-gate call site
   (:func:`~repro.runtime.executor.apply_deadline`) — drivers hand raw
   responses to :meth:`EpochHandle.emit` and never see the gate;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
-  drops, re-shard events) replacing the ad-hoc ``epoch_wire_bytes`` ledgers;
+  drops, re-shard events);
+* the worker pool and the per-query shard-topic consumers, whose offsets
+  persist across epochs;
 * adaptive shard sizing (:class:`AdaptiveShardSizer`) *and* the re-shard
   hysteresis that residency-holding drivers need (moving a boundary costs a
   sync + re-bootstrap, so boundaries move only on sustained imbalance);
@@ -47,8 +46,8 @@ The driver *mechanisms* live next to the machinery they drive: thread-pool
 and in-process drivers here, snapshot-wire drivers in
 :mod:`repro.runtime.process_pool`, the resident driver in
 :mod:`repro.runtime.affinity`, and the sealed-TCP drivers in
-:mod:`repro.runtime.remote`.  The legacy executor classes remain importable
-as thin driver configurations over this engine.
+:mod:`repro.runtime.remote`.  :func:`~repro.runtime.executor.make_executor`
+builds the engine for a ``"scheduling/transport"`` spelling.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.runtime.executor import (
     EpochContext,
+    EpochExecutor,
     EpochOutcome,
-    PooledEpochExecutor,
     QueryEpochOutcome,
     apply_deadline,
     late_drops_for,
@@ -79,6 +78,7 @@ from repro.sqldb import (
 
 if TYPE_CHECKING:
     from repro.core.client import Client, ClientResponse
+    from repro.core.proxy import ProxyNetwork
     from repro.pubsub import Consumer
 
 # Re-sharding hysteresis (engine-owned; drivers only *report* residency):
@@ -362,6 +362,12 @@ class StageDriver:
     #: a result queue, a socket).  False when begin_epoch() schedules tasks
     #: that call emit themselves.
     runs_collector = False
+    #: Whether the engine feeds per-shard answering wall-clock back into the
+    #: next epoch's boundaries (``engine.adaptive`` starts from this).
+    adaptive = False
+    #: Resident-protocol frame counters; stateless drivers send none.
+    bootstrap_frames = 0
+    delta_frames = 0
 
     def bind(self, engine: "StagedEpochEngine") -> None:
         self.engine = engine
@@ -396,7 +402,7 @@ class StageDriver:
         """Release driver-owned resources (routers, caches); idempotent."""
 
 
-class StagedEpochEngine(PooledEpochExecutor):
+class StagedEpochEngine(EpochExecutor):
     """Epoch execution as explicit stages over one pluggable stage driver.
 
     Satisfies the seeded-equivalence contract for every registered driver
@@ -408,11 +414,18 @@ class StagedEpochEngine(PooledEpochExecutor):
     ----------
     driver:
         The answer-stage driver; its ``scheduling``/``transport`` axes are
-        validated against the combo registry.
-    adaptive:
-        Feed per-shard answering wall-clock back into the next epoch's
-        boundaries.  Under a residency-reporting driver, boundary moves are
-        additionally hysteresis-gated.
+        validated against the combo registry.  ``adaptive`` starts from the
+        driver's declaration and stays assignable (tests pin it off to keep
+        frame counts exact).
+    num_workers:
+        Workers in the answering pool.
+    num_shards:
+        Shard count (and shard-aware topic slots per proxy); defaults to
+        ``num_workers``.  More shards than workers gives finer pipelining.
+    queue_depth:
+        Capacity of the bounded hand-off queue feeding the transmitter.
+        Small values apply backpressure when transmission or ingestion falls
+        behind; the default keeps roughly one shard per worker in flight.
     """
 
     _consumer_group_prefix = "engine"
@@ -423,16 +436,30 @@ class StagedEpochEngine(PooledEpochExecutor):
         num_workers: int = 4,
         num_shards: int | None = None,
         queue_depth: int | None = None,
-        adaptive: bool = False,
     ):
-        super().__init__(
-            num_workers=num_workers, num_shards=num_shards, queue_depth=queue_depth
-        )
+        if num_workers < 1:
+            raise ValueError(f"num_workers must be positive, got {num_workers}")
+        if num_shards is not None and num_shards < 1:
+            raise ValueError(f"num_shards must be positive, got {num_shards}")
+        if queue_depth is not None and queue_depth < 1:
+            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
         validate_driver_combo(driver.scheduling, driver.transport)
+        self.num_workers = num_workers
+        self.num_shards = num_shards if num_shards is not None else num_workers
+        self.queue_depth = queue_depth if queue_depth is not None else max(2, num_workers)
         self.driver = driver
         self.scheduling = driver.scheduling
         self.transport = driver.transport
-        self.adaptive = adaptive
+        self.adaptive = driver.adaptive
+        self._pool = None
+        # Shard-topic consumers per (query id, channel), tagged with the
+        # proxy network they were built against; offsets persist across
+        # epochs.  Channel-scoped entries point at the query's own topics,
+        # so a multi-query epoch never cross-reads another query's records.
+        self._consumers: dict[
+            tuple[str, str | None],
+            tuple["ProxyNetwork", list[list["Consumer"]]],
+        ] = {}
         self._sizer = AdaptiveShardSizer(self.num_shards)
         self._epochs_since_reshard = 0
         #: Per-epoch StageMetrics, success and failure alike.
@@ -481,19 +508,32 @@ class StagedEpochEngine(PooledEpochExecutor):
 
     @property
     def epoch_wire_bytes(self) -> dict[int, int]:
-        """Epoch → serialized frame bytes (the legacy ledger view).
+        """Epoch → serialized frame bytes, derived from :attr:`stage_metrics`.
 
-        Derived from :attr:`stage_metrics`; kept for the scenario sweep's
-        wire accounting and the resident-vs-snapshot benchmark claim.
+        Read by the scenario sweep's wire accounting and the
+        resident-vs-snapshot benchmark claim.
         """
         return {
             epoch: metrics.wire_bytes for epoch, metrics in self.stage_metrics.items()
         }
 
-    # -- pool / lifecycle -----------------------------------------------------
+    @property
+    def bootstrap_frames(self) -> int:
+        """``ShardBootstrap`` frames the driver has sent so far."""
+        return self.driver.bootstrap_frames
 
-    def _make_pool(self):
-        return self.driver.make_pool(self.num_workers)
+    @property
+    def delta_frames(self) -> int:
+        """``ShardDelta`` frames the driver has sent so far."""
+        return self.driver.delta_frames
+
+    # -- pool / consumers / lifecycle -----------------------------------------
+
+    def _ensure_pool(self):
+        """The driver's ``concurrent.futures`` pool, built on first use."""
+        if self._pool is None:
+            self._pool = self.driver.make_pool(self.num_workers)
+        return self._pool
 
     def _discard_pool(self) -> None:
         """Drop a (possibly broken) pool so the next epoch builds a fresh one."""
@@ -501,14 +541,46 @@ class StagedEpochEngine(PooledEpochExecutor):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
+    def _consumers_for(self, context: EpochContext) -> list[list[list["Consumer"]]]:
+        """Per-query shard-topic consumers, created on first use.
+
+        Returns one ``[slot][proxy]`` consumer grid per context query, in
+        context order.  The cache is keyed by (query id, channel) but
+        *validated* against the context's proxy network: query ids are
+        deterministic per analyst name, so an executor reused across two
+        deployments would otherwise keep polling the first deployment's
+        brokers and silently ingest nothing.
+        """
+        grids = []
+        for query in context.queries:
+            key = (query.query_id, query.channel)
+            cached = self._consumers.get(key)
+            if cached is not None and cached[0] is context.proxies:
+                grids.append(cached[1])
+                continue
+            group = f"{self._consumer_group_prefix}-{query.query_id}"
+            if query.channel is not None:
+                group = f"{group}-q-{query.channel}"
+            grid = context.proxies.make_shard_consumers(
+                group_id=group,
+                num_slots=self.num_shards,
+                channel=query.channel,
+            )
+            self._consumers[key] = (context.proxies, grid)
+            grids.append(grid)
+        return grids
+
     def close(self) -> None:
-        """Close the driver (export resident state, stop workers), then the
-        shared pool/consumer machinery (idempotent)."""
+        """Close the driver (export resident state, stop workers), then shut
+        the worker pool down and drop cached consumers (idempotent)."""
         try:
             self.driver.close()
         finally:
             self._arenas.clear()
-            super().close()
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+            self._consumers.clear()
 
     # -- plan stage -----------------------------------------------------------
 
@@ -648,7 +720,7 @@ class StagedEpochEngine(PooledEpochExecutor):
         Emits arrive on the caller thread in shard-index order (the driver
         contract for barrier scheduling), so the per-query logs extend in
         serial client order and driver errors propagate naturally from the
-        collect call — exactly the legacy sharded executor's shape.
+        collect call.
         """
         queries = context.queries
         responses_by_shard: list[list | None] = [None] * len(shards)
@@ -811,7 +883,7 @@ class InlineDriver(StageDriver):
 
 
 class BarrierThreadDriver(StageDriver):
-    """``thread-pool`` × ``in-process``: the legacy sharded executor's shape.
+    """``thread-pool`` × ``in-process``: a barrier worker pool on threads.
 
     All occupied shards are submitted to a thread pool up front; collect
     waits in shard-index order (a later shard may finish answering while an
@@ -856,7 +928,7 @@ class BarrierThreadDriver(StageDriver):
 
 
 class OverlapThreadDriver(StageDriver):
-    """``pipelined-overlap`` × ``in-process``: the legacy pipelined executor.
+    """``pipelined-overlap`` × ``in-process``: overlapped stages on threads.
 
     Answer tasks run on a thread pool and emit directly from the worker
     thread — the engine's emit wrapper gates the deadline (the gate locks

@@ -16,45 +16,40 @@ has its own channel topics, its own aggregator and its own consumers, so the
 tenants are isolated end-to-end.  Single-query epochs are the one-element
 case and keep the legacy shared proxy topics.
 
-Four implementations ship with the runtime:
+Two runtimes ship:
 
 * :class:`~repro.runtime.serial.SerialExecutor` — the reference
   implementation: one in-order loop over clients, one transmit per client,
-  per-record ingestion.  This is exactly the pre-runtime behavior.
-* :class:`~repro.runtime.sharded.ShardedExecutor` — partitions clients into
-  contiguous shards, answers each shard in a ``concurrent.futures`` worker
-  pool, batches share transmission into the brokers per shard, and ingests
-  with the aggregator's grouped join.  The three stages still run as
-  barriers: transmit starts per shard only as answering results are
-  collected, and ingestion runs after every shard has transmitted.
-* :class:`~repro.runtime.pipelined.PipelinedExecutor` — removes the barriers:
-  shards answer in a worker pool while a transmitter thread publishes each
-  *completed* shard to shard-aware proxy topics and the caller's thread
-  ingests relayed shards into the aggregator, all concurrently.
-* :class:`~repro.runtime.process_pool.ProcessPoolEpochExecutor` — the
-  pipelined shape with answering in worker *processes*: each worker receives
-  a serialized, self-contained shard task (:mod:`repro.runtime.wire`),
-  reconstructs its clients from seeded-RNG snapshots, and returns a
-  serialized shard batch; shard boundaries adapt to per-shard wall-clock
-  across epochs.  The only executor whose answer stage escapes the GIL.
+  per-record ingestion.  This is exactly the pre-runtime behavior, and the
+  frozen oracle every other configuration must match byte-for-byte.
+* :class:`~repro.runtime.engine.StagedEpochEngine` — one staged dataflow
+  (plan -> answer -> transmit -> ingest -> finalize) whose answer stage is
+  run by a stage driver named ``"scheduling/transport"``: *scheduling*
+  decides where and when shards answer (caller thread, barrier thread pool,
+  overlapped pipeline, pinned long-lived workers), *transport* decides how
+  client state reaches them (shared objects, serialized
+  :mod:`repro.runtime.wire` frames across a local process border, the same
+  frames sealed over TCP).  :data:`DRIVER_COMBOS` registers the supported
+  pairs and :func:`make_executor` is the one way to build them.
 
 Because every client draws from its own seeded RNG and keystream, the work is
 embarrassingly parallel and the merged outcome is independent of shard count
 and worker scheduling; the equivalence test suite pins this property down.
-See ``docs/ARCHITECTURE.md`` for the executors side by side and the
-seeded-equivalence contract each must satisfy.
+See ``docs/ARCHITECTURE.md`` for the driver matrix and the
+seeded-equivalence contract each combination must satisfy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # imported lazily to keep repro.core <-> repro.runtime acyclic
     from repro.core.aggregator import Aggregator
     from repro.core.client import Client
     from repro.core.proxy import ProxyNetwork
     from repro.pubsub import Consumer
+    from repro.runtime.engine import StageDriver
 
 
 @dataclass(frozen=True)
@@ -276,29 +271,20 @@ _COMBO_REJECTIONS = {
     ),
 }
 
-#: Legacy executor names as driver-combo aliases.  ``serial`` is absent on
-#: purpose: SerialExecutor is the frozen engine-free reference.  The sharded
-#: executor's ``pool="process"`` variant maps to thread-pool x
-#: framed-wire-local and is handled by make_executor, not the alias table.
-LEGACY_EXECUTOR_ALIASES = {
-    "sharded": ("thread-pool", "in-process"),
-    "pipelined": ("pipelined-overlap", "in-process"),
-    "process": ("pipelined-overlap", "framed-wire-local"),
-}
-
-#: Every accepted ``--executor`` spelling that names a driver combo:
-#: canonical ``"scheduling/transport"`` forms plus the legacy aliases.
+#: ``"scheduling/transport"`` spelling -> combo, for every registered combo.
 DRIVER_SPELLINGS = {
     f"{scheduling}/{transport}": (scheduling, transport)
     for scheduling, transport in DRIVER_COMBOS
-} | LEGACY_EXECUTOR_ALIASES
+}
 
-# The canonical registry of executor kinds make_executor understands;
-# SystemConfig validation and the CLI choices import this single source.
-# Legacy names first (stable CLI surface), canonical spellings after.
-EXECUTOR_KINDS = ("serial", "sharded", "pipelined", "process") + tuple(
-    f"{scheduling}/{transport}" for scheduling, transport in DRIVER_COMBOS
-)
+#: Every name make_executor accepts; SystemConfig validation and the CLI
+#: choices import this single source.  ``serial`` is the lone special name:
+#: SerialExecutor is the frozen engine-free reference.
+EXECUTOR_KINDS = ("serial",) + tuple(DRIVER_SPELLINGS)
+
+#: Epochs between refreshes of the parent's authoritative state copy under
+#: ``pinned-worker`` scheduling (``0`` = only on demand/shutdown).
+DEFAULT_CHECKPOINT_EVERY = 4
 
 
 def validate_driver_combo(scheduling: str, transport: str) -> tuple[str, str]:
@@ -329,30 +315,50 @@ def validate_driver_combo(scheduling: str, transport: str) -> tuple[str, str]:
     return combo
 
 
-def executor_supports_residency(name: str) -> bool:
-    """Whether this executor spelling can keep client state worker-resident.
+def validate_executor_options(
+    name: str,
+    remote_workers: Sequence[str] | None = None,
+    key_file: str | None = None,
+) -> None:
+    """Check an executor name against its remote-worker options.
 
-    True for the legacy ``"process"`` kind (its resident mode) and for any
-    pinned-worker spelling — pinned workers *are* residency.
+    The transport axis of the spelling decides: ``*/sealed-tcp-remote``
+    needs ``host:port`` worker addresses plus a key file, every other name
+    refuses both.  Raises ``ValueError``; ``SystemConfig`` and
+    :func:`make_executor` call this, the CLI converts it to ``SystemExit``.
     """
-    if name == "process":
-        return True
-    combo = DRIVER_SPELLINGS.get(name)
-    return combo is not None and combo[0] == "pinned-worker"
+    if name not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"unknown executor {name!r} (expected one of {EXECUTOR_KINDS})"
+        )
+    remote_transport = (
+        name != "serial" and DRIVER_SPELLINGS[name][1] == "sealed-tcp-remote"
+    )
+    if remote_workers is None:
+        if remote_transport:
+            raise ValueError(
+                f"executor {name!r} needs remote worker addresses "
+                "(host:port,... plus a key file; see docs/OPERATIONS.md)"
+            )
+        if key_file is not None:
+            raise ValueError("a key file only applies with remote worker addresses")
+        return
+    if not remote_transport:
+        raise ValueError(
+            f"remote worker addresses require a */sealed-tcp-remote executor "
+            f"(got {name!r})"
+        )
+    if not remote_workers:
+        raise ValueError("remote workers must name at least one host:port address")
+    if key_file is None:
+        raise ValueError(
+            "remote worker addresses require a key file (one hex HMAC key "
+            "per line; see docs/OPERATIONS.md)"
+        )
+    from repro.runtime.remote import parse_address
 
-
-def executor_supports_remote(name: str) -> bool:
-    """Whether this executor spelling can drive remote TCP workers."""
-    if name == "process":
-        return True
-    combo = DRIVER_SPELLINGS.get(name)
-    return combo is not None and combo[1] == "sealed-tcp-remote"
-
-
-def executor_requires_remote(name: str) -> bool:
-    """Whether this spelling *only* makes sense with remote worker addresses."""
-    combo = DRIVER_SPELLINGS.get(name)
-    return combo is not None and combo[1] == "sealed-tcp-remote"
+    for address in remote_workers:
+        parse_address(address)  # raises ValueError on malformed input
 
 
 def cli_smoke_matrix() -> tuple[str, ...]:
@@ -388,108 +394,52 @@ class EpochExecutor:
         """Release worker pools or other resources (idempotent no-op here)."""
 
 
-class PooledEpochExecutor(EpochExecutor):
-    """Shared lifecycle for the pipelined-shape executors.
+def _driver_factories() -> dict[tuple[str, str], Callable[..., "StageDriver"]]:
+    """Combo -> ``factory(checkpoint_every, addresses, keys)`` for its driver.
 
-    The pipelined and process-pool executors differ in *where* shards answer
-    (threads vs. processes) but share everything around it: worker/shard/queue
-    validation, the lazily built worker pool, the per-query shard-topic
-    consumers whose offsets persist across epochs, and shutdown.  Subclasses
-    provide :meth:`_make_pool` and a ``_consumer_group_prefix``.
-
-    Parameters
-    ----------
-    num_workers:
-        Workers in the answering pool.
-    num_shards:
-        Shard count (and shard-aware topic slots per proxy); defaults to
-        ``num_workers``.  More shards than workers gives finer pipelining.
-    queue_depth:
-        Capacity of the bounded hand-off queue feeding the transmitter.
-        Small values apply backpressure when transmission or ingestion falls
-        behind; the default keeps roughly one shard per worker in flight.
+    One entry per :data:`DRIVER_COMBOS` pair (a tier-1 test pins the key
+    sets equal).  Built on demand because the driver modules import this
+    one; ``addresses``/``keys`` are ``None`` for the single-host transports.
     """
+    from repro.runtime.affinity import ResidentDriver
+    from repro.runtime.engine import (
+        BarrierThreadDriver,
+        InlineDriver,
+        OverlapThreadDriver,
+    )
+    from repro.runtime.process_pool import (
+        OverlapSnapshotWireDriver,
+        SnapshotWireBarrierDriver,
+    )
+    from repro.runtime.remote import OverlapSnapshotRemoteDriver, remote_resident_driver
 
-    _consumer_group_prefix = "pooled"
-
-    def __init__(
-        self,
-        num_workers: int = 4,
-        num_shards: int | None = None,
-        queue_depth: int | None = None,
-    ):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if num_shards is not None and num_shards < 1:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-        self.num_workers = num_workers
-        self.num_shards = num_shards if num_shards is not None else num_workers
-        self.queue_depth = queue_depth if queue_depth is not None else max(2, num_workers)
-        self._pool = None
-        # Shard-topic consumers per (query id, channel), tagged with the
-        # proxy network they were built against; offsets persist across
-        # epochs.  Channel-scoped entries point at the query's own topics,
-        # so a multi-query epoch never cross-reads another query's records.
-        self._consumers: dict[
-            tuple[str, str | None],
-            tuple["ProxyNetwork", list[list["Consumer"]]],
-        ] = {}
-
-    def _make_pool(self):
-        """Build the ``concurrent.futures`` pool this executor answers on."""
-        raise NotImplementedError
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
-
-    def _consumers_for(self, context: EpochContext) -> list[list[list["Consumer"]]]:
-        """Per-query shard-topic consumers, created on first use.
-
-        Returns one ``[slot][proxy]`` consumer grid per context query, in
-        context order.  The cache is keyed by (query id, channel) but
-        *validated* against the context's proxy network: query ids are
-        deterministic per analyst name, so an executor reused across two
-        deployments would otherwise keep polling the first deployment's
-        brokers and silently ingest nothing.
-        """
-        grids = []
-        for query in context.queries:
-            key = (query.query_id, query.channel)
-            cached = self._consumers.get(key)
-            if cached is not None and cached[0] is context.proxies:
-                grids.append(cached[1])
-                continue
-            group = f"{self._consumer_group_prefix}-{query.query_id}"
-            if query.channel is not None:
-                group = f"{group}-q-{query.channel}"
-            grid = context.proxies.make_shard_consumers(
-                group_id=group,
-                num_slots=self.num_shards,
-                channel=query.channel,
+    return {
+        ("inline", "in-process"): lambda *_: InlineDriver(),
+        ("thread-pool", "in-process"): lambda *_: BarrierThreadDriver(),
+        ("thread-pool", "framed-wire-local"): lambda *_: SnapshotWireBarrierDriver(),
+        ("pipelined-overlap", "in-process"): lambda *_: OverlapThreadDriver(),
+        ("pipelined-overlap", "framed-wire-local"): (
+            lambda *_: OverlapSnapshotWireDriver()
+        ),
+        ("pipelined-overlap", "sealed-tcp-remote"): (
+            lambda _, addresses, keys: OverlapSnapshotRemoteDriver(addresses, keys)
+        ),
+        ("pinned-worker", "framed-wire-local"): (
+            lambda checkpoint_every, *_: ResidentDriver(checkpoint_every)
+        ),
+        ("pinned-worker", "sealed-tcp-remote"): (
+            lambda checkpoint_every, addresses, keys: remote_resident_driver(
+                addresses, keys, checkpoint_every
             )
-            self._consumers[key] = (context.proxies, grid)
-            grids.append(grid)
-        return grids
-
-    def close(self) -> None:
-        """Shut the worker pool down and drop cached consumers (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._consumers.clear()
+        ),
+    }
 
 
 def make_executor(
     name: str,
     workers: int = 4,
     shards: int | None = None,
-    pool: str = "thread",
-    resident: bool = False,
-    checkpoint_every: int = 4,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     remote_workers: Sequence[str] | None = None,
     key_file: str | None = None,
 ) -> EpochExecutor:
@@ -498,132 +448,43 @@ def make_executor(
     Parameters
     ----------
     name:
-        A legacy kind (``"serial"``, ``"sharded"``, ``"pipelined"``,
-        ``"process"``) or a canonical ``"scheduling/transport"`` driver
-        spelling such as ``"pipelined-overlap/framed-wire-local"`` (see
-        :data:`EXECUTOR_KINDS` and :data:`DRIVER_COMBOS`).  Legacy names
-        resolve through :data:`LEGACY_EXECUTOR_ALIASES` to the same engine
-        configurations.
+        ``"serial"`` (the reference loop) or a ``"scheduling/transport"``
+        driver spelling such as ``"pipelined-overlap/framed-wire-local"``
+        (see :data:`EXECUTOR_KINDS` and :data:`DRIVER_COMBOS`); every
+        spelling returns a plain
+        :class:`~repro.runtime.engine.StagedEpochEngine`.
     workers:
-        Worker pool size for the sharded, pipelined and process executors.
+        Worker pool size (threads, processes or pinned workers, as the
+        scheduling axis says).
     shards:
-        Shard count for the sharded, pipelined and process executors;
-        ``None`` means one shard per worker.
-    pool:
-        ``"thread"`` or ``"process"``, sharded executor only — the pipelined
-        executor shares live client/broker state across its stages and
-        therefore only runs on threads, and the ``"process"`` executor is a
-        process pool by construction (its workers answer from serialized
-        shard tasks; see :mod:`repro.runtime.process_pool`).
-    resident:
-        Process executor only: keep client state *resident* in pinned worker
-        processes (sticky shard→worker affinity, bootstrap-once /
-        delta-thereafter wire traffic; :mod:`repro.runtime.affinity`) instead
-        of round-tripping full snapshots every epoch.
+        Shard count; ``None`` means one shard per worker.
     checkpoint_every:
-        Resident mode only: refresh the parent's authoritative state copy
-        every this many epochs per shard (``0`` = only on demand/shutdown).
+        ``pinned-worker`` scheduling only: refresh the parent's
+        authoritative state copy every this many epochs per shard (``0`` =
+        only on demand/shutdown).
     remote_workers:
         ``host:port`` addresses of separately launched TCP workers
-        (:mod:`repro.runtime.remote`).  Implies residency (the remote
-        protocol *is* the resident protocol over sockets) and requires the
-        ``"process"`` executor kind and a ``key_file``.  The pool size is
-        the number of addresses; ``workers`` is ignored.
+        (:mod:`repro.runtime.remote`), required by — and only valid with —
+        the ``sealed-tcp-remote`` transport.  The pool size is the number
+        of addresses; ``workers`` is ignored.
     key_file:
         Path to the pre-shared HMAC keys for ``remote_workers`` — one hex
         key per line (line *i* keys worker *i*), or a single shared key.
     """
-    from repro.runtime.affinity import ResidentProcessExecutor
-    from repro.runtime.pipelined import PipelinedExecutor
-    from repro.runtime.process_pool import ProcessPoolEpochExecutor
-    from repro.runtime.serial import SerialExecutor
-    from repro.runtime.sharded import ShardedExecutor
-
-    combo = DRIVER_SPELLINGS.get(name)
-    if resident and not executor_supports_residency(name):
-        raise ValueError(
-            "resident client state requires the 'process' executor "
-            f"(got {name!r}): only its workers outlive an epoch"
-        )
-    if remote_workers:
-        from repro.runtime.remote import (
-            RemoteResidentExecutor,
-            load_keys,
-            remote_snapshot_engine,
-        )
-
-        if not executor_supports_remote(name):
-            raise ValueError(
-                "remote workers require the 'process' executor "
-                f"(got {name!r}): the remote transport speaks the resident "
-                "protocol"
-            )
-        if key_file is None:
-            raise ValueError(
-                "remote workers require a key file (one hex HMAC key per "
-                "line; see docs/OPERATIONS.md)"
-            )
-        if combo == ("pipelined-overlap", "sealed-tcp-remote"):
-            return remote_snapshot_engine(
-                list(remote_workers),
-                load_keys(key_file),
-                num_shards=shards,
-            )
-        return RemoteResidentExecutor(
-            list(remote_workers),
-            load_keys(key_file),
-            num_shards=shards,
-            checkpoint_every=checkpoint_every,
-        )
-    if key_file is not None:
-        raise ValueError("key_file only applies with remote_workers")
-    if executor_requires_remote(name):
-        raise ValueError(
-            f"executor {name!r} needs remote worker addresses "
-            "(--workers host:port,... with a --key-file; "
-            "see docs/OPERATIONS.md)"
-        )
+    validate_executor_options(name, remote_workers, key_file)
     if name == "serial":
-        return SerialExecutor()
-    if name == "sharded":
-        return ShardedExecutor(num_workers=workers, num_shards=shards, pool=pool)
-    if name == "pipelined":
-        if pool != "thread":
-            raise ValueError(
-                "the pipelined executor only supports pool='thread' "
-                "(use the 'process' executor for cross-process pipelining)"
-            )
-        return PipelinedExecutor(num_workers=workers, num_shards=shards)
-    if name == "process":
-        if resident:
-            return ResidentProcessExecutor(
-                num_workers=workers,
-                num_shards=shards,
-                checkpoint_every=checkpoint_every,
-            )
-        return ProcessPoolEpochExecutor(num_workers=workers, num_shards=shards)
-    if combo is not None:
-        scheduling, transport = combo
-        if combo == ("inline", "in-process"):
-            from repro.runtime.engine import InlineDriver, StagedEpochEngine
+        from repro.runtime.serial import SerialExecutor
 
-            return StagedEpochEngine(
-                InlineDriver(), num_workers=workers, num_shards=shards
-            )
-        if combo == ("thread-pool", "in-process"):
-            return ShardedExecutor(num_workers=workers, num_shards=shards)
-        if combo == ("thread-pool", "framed-wire-local"):
-            return ShardedExecutor(
-                num_workers=workers, num_shards=shards, pool="process"
-            )
-        if combo == ("pipelined-overlap", "in-process"):
-            return PipelinedExecutor(num_workers=workers, num_shards=shards)
-        if combo == ("pipelined-overlap", "framed-wire-local"):
-            return ProcessPoolEpochExecutor(num_workers=workers, num_shards=shards)
-        if combo == ("pinned-worker", "framed-wire-local"):
-            return ResidentProcessExecutor(
-                num_workers=workers,
-                num_shards=shards,
-                checkpoint_every=checkpoint_every,
-            )
-    raise ValueError(f"unknown executor {name!r} (expected one of {EXECUTOR_KINDS})")
+        return SerialExecutor()
+    from repro.runtime.engine import StagedEpochEngine
+
+    addresses = keys = None
+    if remote_workers is not None:
+        from repro.runtime.remote import load_keys
+
+        addresses, keys = list(remote_workers), load_keys(key_file)
+        workers = len(addresses)
+    driver = _driver_factories()[DRIVER_SPELLINGS[name]](
+        checkpoint_every, addresses, keys
+    )
+    return StagedEpochEngine(driver, num_workers=workers, num_shards=shards)

@@ -29,17 +29,18 @@ never truly parallelizes.  The drivers here answer each shard in a
 Two scheduling shapes share that transport:
 
 * :class:`SnapshotWireBarrierDriver` (``thread-pool`` scheduling) collects
-  in shard-index order for the engine's barrier dataflow — this is
-  ``ShardedExecutor(pool="process")``.
+  in shard-index order for the engine's barrier dataflow — the minimal
+  demonstration that shard tasks really are self-contained units that could
+  cross process (and machine) borders.
 * :class:`OverlapSnapshotWireDriver` (``pipelined-overlap`` scheduling)
   collects in completion order on the engine's collector thread while
-  transmission and ingestion overlap — the legacy
-  :class:`ProcessPoolEpochExecutor`, kept here as a deprecation shim.
+  transmission and ingestion overlap.
 
-Adaptive shard sizing (:class:`~repro.runtime.engine.AdaptiveShardSizer`,
-re-exported here for compatibility) and its wall-clock feedback loop live in
-the engine; each batch's reported answering wall-clock feeds the next
-epoch's boundary plan.  Failure handling follows the engine's contract: a
+Adaptive shard sizing (:class:`~repro.runtime.engine.AdaptiveShardSizer`)
+and its wall-clock feedback loop live in the engine; under the overlap
+driver each batch's reported answering wall-clock feeds the next epoch's
+boundary plan (more shards than workers gives the sizer finer rebalancing,
+at more serialization calls).  Failure handling follows the engine's contract: a
 worker exception (or a crashed worker — ``BrokenProcessPool``), a wire
 error, a transmit or ingest failure all surface from ``run_epoch`` after
 the pipeline has drained; a broken pool is discarded so the next epoch gets
@@ -52,13 +53,9 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 
-# AdaptiveShardSizer and answer_shard lived here / in sharded.py before the
-# engine refactor; re-exported for compatibility.
 from repro.runtime.engine import (
-    AdaptiveShardSizer,
     EpochHandle,
     StageDriver,
-    StagedEpochEngine,
     answer_shard,
     make_shard_arena,
 )
@@ -73,9 +70,7 @@ from repro.runtime.wire import (
 )
 
 __all__ = [
-    "AdaptiveShardSizer",
     "OverlapSnapshotWireDriver",
-    "ProcessPoolEpochExecutor",
     "SnapshotWireBarrierDriver",
     "answer_shard_task",
 ]
@@ -97,8 +92,8 @@ def answer_shard_task(task_blob: bytes) -> bytes:
     task = decode_shard_task(task_blob)
     start = time.perf_counter()
     clients = [Client.from_state(state) for state in task.client_states]
-    # The same shard task the thread executors run, so participation
-    # semantics can never drift between the executors.  Snapshot shipping
+    # The same shard task the in-process drivers run, so participation
+    # semantics can never drift between transports.  Snapshot shipping
     # rebuilds Client objects every epoch, so the arena is transient too —
     # built here, used once, discarded with the worker-side clients.
     arena = make_shard_arena(clients)
@@ -179,8 +174,7 @@ class SnapshotWireBarrierDriver(_SnapshotWireDriver):
 
     Results are collected in shard-index order on the caller thread, so the
     engine transmits shards in serial client order and a worker exception
-    surfaces exactly where ``Future.result()`` raises it — the
-    ``ShardedExecutor(pool="process")`` shape.
+    surfaces exactly where ``Future.result()`` raises it.
     """
 
     scheduling = "thread-pool"
@@ -204,6 +198,7 @@ class OverlapSnapshotWireDriver(_SnapshotWireDriver):
 
     scheduling = "pipelined-overlap"
     runs_collector = True
+    adaptive = True
 
     def collect(self, handle: EpochHandle) -> None:
         for future in as_completed(self._futures):
@@ -216,37 +211,3 @@ class OverlapSnapshotWireDriver(_SnapshotWireDriver):
                 handle.emit(shard.index, None, error=exc)
             else:
                 handle.emit(shard.index, responses, wall_seconds=wall_seconds)
-
-
-class ProcessPoolEpochExecutor(StagedEpochEngine):
-    """Deprecated shim: overlap scheduling over the framed-wire transport.
-
-    Worker/shard/queue parameters and the pool/consumer lifecycle are the
-    shared :class:`~repro.runtime.executor.PooledEpochExecutor` machinery;
-    more shards than workers additionally gives the adaptive sizer finer
-    rebalancing, at more serialization calls.
-
-    Parameters
-    ----------
-    adaptive:
-        Feed per-shard wall-clock back into the next epoch's boundaries
-        (default).  Disable to pin balanced-count boundaries, e.g. when
-        comparing against the sharded executor.
-    """
-
-    _consumer_group_prefix = "process"
-
-    def __init__(
-        self,
-        num_workers: int = 4,
-        num_shards: int | None = None,
-        queue_depth: int | None = None,
-        adaptive: bool = True,
-    ):
-        super().__init__(
-            OverlapSnapshotWireDriver(),
-            num_workers=num_workers,
-            num_shards=num_shards,
-            queue_depth=queue_depth,
-            adaptive=adaptive,
-        )

@@ -1,6 +1,6 @@
 """Remote resident workers over TCP: wire v3 leaves the process boundary.
 
-Every executor so far runs its shards in children of one parent process.
+The local transports run their shards in children of one parent process.
 This module ships the resident bootstrap/delta/ack protocol
 (:mod:`repro.runtime.wire`, :mod:`repro.runtime.affinity`) over real TCP
 sockets, so shards run on worker processes that are launched separately —
@@ -17,9 +17,9 @@ on another terminal, another container, another machine:
   connection per worker address, presenting exactly the
   :class:`~repro.runtime.affinity.StickyShardRouter` interface
   (``send``/``recv``/``worker_alive``/``dead_slots``/``replace``), so
-  :class:`RemoteResidentExecutor` is the unchanged
-  :class:`~repro.runtime.affinity.ResidentProcessExecutor` epoch logic with
-  its router swapped for sockets.  Connect failures retry with bounded
+  :func:`remote_resident_driver` is the unchanged
+  :class:`~repro.runtime.affinity.ResidentDriver` protocol logic with its
+  router swapped for sockets.  Connect failures retry with bounded
   exponential backoff; a socket that dies mid-epoch surfaces as a dead
   worker and falls onto the existing checkpoint+replay re-bootstrap path.
 
@@ -69,12 +69,12 @@ import time
 from repro.runtime.affinity import (
     _RECV_POLL_SECONDS,
     ResidentDriver,
-    ResidentProcessExecutor,
     ResidentShardCache,
     ResidentWorkerError,
     serve_resident_frame,
 )
-from repro.runtime.engine import EpochHandle, StageDriver, StagedEpochEngine
+from repro.runtime.engine import EpochHandle, StageDriver
+from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY
 from repro.runtime.sharding import Shard
 from repro.runtime.wire import (
     WIRE_VERSION,
@@ -722,8 +722,8 @@ class RemoteWorkerTransport:
     :class:`~repro.runtime.affinity.StickyShardRouter`: same affinity
     function (``shard_index % num_workers``), same framed-bytes-in /
     ack-bytes-out contract, same liveness surface — so
-    :class:`~repro.runtime.affinity.ResidentProcessExecutor` runs unchanged
-    on top of it.  Differences are confined to what "worker" means:
+    :class:`~repro.runtime.affinity.ResidentDriver` runs unchanged on top
+    of it.  Differences are confined to what "worker" means:
 
     * ``ensure_worker`` connects (with bounded exponential backoff) instead
       of spawning; ``replace`` reconnects instead of respawning.  A worker
@@ -842,62 +842,37 @@ class RemoteWorkerTransport:
                 self._links[slot] = None
 
 
-class RemoteResidentExecutor(ResidentProcessExecutor):
-    """The resident executor with its pinned workers on the far side of TCP.
+def remote_resident_driver(
+    addresses: list[str],
+    keys: list[bytes],
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+) -> ResidentDriver:
+    """``pinned-worker`` × ``sealed-tcp-remote``: pinned workers across TCP.
 
-    Identical epoch logic, recovery semantics and observability counters to
-    :class:`~repro.runtime.affinity.ResidentProcessExecutor` — the same
+    Identical protocol logic, recovery semantics and observability counters
+    to the local pinned workers — the same
     :class:`~repro.runtime.affinity.ResidentDriver` with its router swapped
-    for a :class:`RemoteWorkerTransport` (the ``pinned-worker`` ×
-    ``sealed-tcp-remote`` combination), so the seeded-equivalence contract
+    for a :class:`RemoteWorkerTransport`, so the seeded-equivalence contract
     holds by construction (the workers run the very same
     :func:`~repro.runtime.affinity.serve_resident_frame`).
 
     ``addresses`` are ``host:port`` strings of separately launched workers
-    (CLI ``worker --listen``); ``keys`` carries one pre-shared MAC key per
-    worker (see :func:`keys_for_workers`).
+    (CLI ``worker --listen``) — the engine needs one pool slot per address;
+    ``keys`` carries one pre-shared MAC key per worker (see
+    :func:`keys_for_workers`).
     """
-
-    _consumer_group_prefix = "remote"
-
-    def __init__(
-        self,
-        addresses: list[str],
-        keys: list[bytes],
-        num_shards: int | None = None,
-        queue_depth: int | None = None,
-        adaptive: bool = True,
-        checkpoint_every: int = 4,
-        connect_timeout: float = _CONNECT_TIMEOUT_SECONDS,
-    ):
-        parsed = [parse_address(address) for address in addresses]
-        worker_keys = keys_for_workers(keys, len(parsed))
-        self._worker_addresses = parsed
-        self._worker_keys = worker_keys
-        self._connect_timeout = connect_timeout
-
-        def router_factory(num_workers: int) -> RemoteWorkerTransport:
-            return RemoteWorkerTransport(
-                parsed, worker_keys, connect_timeout=connect_timeout
-            )
-
-        StagedEpochEngine.__init__(
-            self,
-            ResidentDriver(
-                checkpoint_every=checkpoint_every,
-                router_factory=router_factory,
-                transport="sealed-tcp-remote",
-            ),
-            num_workers=len(parsed),
-            num_shards=num_shards,
-            queue_depth=queue_depth,
-            adaptive=adaptive,
-        )
+    parsed = [parse_address(address) for address in addresses]
+    worker_keys = keys_for_workers(keys, len(parsed))
+    return ResidentDriver(
+        checkpoint_every=checkpoint_every,
+        router_factory=lambda num_workers: RemoteWorkerTransport(parsed, worker_keys),
+        transport="sealed-tcp-remote",
+    )
 
 
 class OverlapSnapshotRemoteDriver(StageDriver):
     """``pipelined-overlap`` × ``sealed-tcp-remote``: snapshot shipping over
-    the sealed transport — a combination no legacy executor could express.
+    the sealed transport.
 
     Each epoch, every occupied shard travels to its sticky remote worker as
     a full :class:`~repro.runtime.wire.ShardTask` snapshot and comes back as
@@ -906,8 +881,10 @@ class OverlapSnapshotRemoteDriver(StageDriver):
     statelessly, so unmodified resident workers serve it).  No resident
     state, no checkpoint/replay machinery: a worker that dies mid-epoch
     fails only that epoch, and the next epoch re-ships — the operational
-    trade against :class:`RemoteResidentExecutor` is wire bytes for
-    recovery simplicity.
+    trade against :func:`remote_resident_driver` is wire bytes for recovery
+    simplicity.  Shard boundaries stay balanced (non-adaptive): without
+    resident state there is no benefit to moving them between epochs, and
+    keeping them fixed keeps the snapshot traffic predictable.
     """
 
     scheduling = "pipelined-overlap"
@@ -1024,26 +1001,3 @@ class OverlapSnapshotRemoteDriver(StageDriver):
         if self._router is not None:
             self._router.close()
             self._router = None
-
-
-def remote_snapshot_engine(
-    addresses: list[str],
-    keys: list[bytes],
-    num_shards: int | None = None,
-    queue_depth: int | None = None,
-    connect_timeout: float = _CONNECT_TIMEOUT_SECONDS,
-) -> StagedEpochEngine:
-    """Build the ``pipelined-overlap/sealed-tcp-remote`` engine configuration.
-
-    The ``make_executor`` entry point for that spelling; one pool slot per
-    worker address, balanced (non-adaptive) shard boundaries — without
-    resident state there is no benefit to moving boundaries between epochs,
-    and keeping them fixed keeps the snapshot traffic predictable.
-    """
-    engine = StagedEpochEngine(
-        OverlapSnapshotRemoteDriver(addresses, keys, connect_timeout=connect_timeout),
-        num_workers=len(addresses),
-        num_shards=num_shards,
-        queue_depth=queue_depth,
-    )
-    return engine

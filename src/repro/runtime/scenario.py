@@ -16,8 +16,8 @@ may depend on wall-clock or scheduling:
   The population list never changes shape (client identity and order is what
   aligns shard merges with the serial reference); a client that "leaves"
   unsubscribes from every query and becomes draw-for-draw indistinguishable
-  from an absent device, a client that "joins" re-subscribes.  Under the
-  resident executor these edits flow to the pinned workers as
+  from an absent device, a client that "joins" re-subscribes.  Under
+  ``pinned-worker`` scheduling these edits flow to the pinned workers as
   :class:`~repro.runtime.wire.ClientDelta` subscribe/unsubscribe entries
   inside per-epoch ``ShardDelta`` frames; every other executor sees them as
   plain population edits on the live client list.
@@ -41,7 +41,8 @@ may depend on wall-clock or scheduling:
 drops, admission rejections) plus a digest over the response log, window
 results and drop ledger — two runs agree on the digest iff they agreed on
 every observable byte.  ``benchmarks/run_scenarios.py`` sweeps a seeded grid
-of specs across all five executors and asserts exactly that.
+of specs across ``serial`` and every single-host driver combo and asserts
+exactly that.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.netsim.devices import DeviceKind, DeviceProfile, OperationKind
 from repro.netsim.network import NetworkModel
+from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY
 
 if TYPE_CHECKING:  # lazy imports keep repro.core <-> repro.runtime acyclic
     from repro.core.client import ClientResponse
@@ -504,7 +506,7 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
     # Place the forged records where this executor's ingest actually reads:
     # overlap-scheduled engines stream from shard-aware topics, barrier and
     # serial executors consume the query channel.  (A capability flag, not an
-    # isinstance check — every engine configuration is a PooledEpochExecutor,
+    # isinstance check — every engine configuration is a StagedEpochEngine,
     # but only the overlap schedulers read shard topics.)
     slotted = getattr(system.executor, "uses_shard_topics", False)
     epoch = epoch_plan.epoch
@@ -546,8 +548,7 @@ def run_scenario(
     executor: str = "serial",
     workers: int = 2,
     shards: int | None = None,
-    resident: bool = False,
-    checkpoint_every: int = 2,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     remote_workers: Sequence[str] | None = None,
     key_file: str | None = None,
 ) -> ScenarioRun:
@@ -559,9 +560,10 @@ def run_scenario(
     cross-executor assertion ``benchmarks/run_scenarios.py`` enforces.
 
     ``remote_workers`` runs the shards on separately launched TCP workers
-    (:mod:`repro.runtime.remote`; requires ``executor="process"`` and a
-    ``key_file`` of pre-shared HMAC keys) — the digest contract is
-    unchanged: a remote run must agree byte-for-byte with a serial one.
+    (:mod:`repro.runtime.remote`; requires a ``*/sealed-tcp-remote``
+    ``executor`` and a ``key_file`` of pre-shared HMAC keys) — the digest
+    contract is unchanged: a remote run must agree byte-for-byte with a
+    serial one.
     """
     from repro.analytics import histogram_accuracy_loss
     from repro.core import (
@@ -582,7 +584,6 @@ def run_scenario(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_resident=resident,
         executor_checkpoint_every=checkpoint_every,
         executor_remote_workers=(
             tuple(remote_workers) if remote_workers is not None else None
@@ -702,13 +703,9 @@ def run_scenario(
         for client_id in stats.late_clients:
             digest.update(client_id.encode("utf-8"))
 
-    if remote_workers is not None:
-        label = executor + "-remote"
-    else:
-        label = executor + ("-resident" if resident else "")
     return ScenarioRun(
         spec=spec,
-        executor_label=label,
+        executor_label=executor,
         digest=digest.hexdigest(),
         epochs=tuple(epoch_stats),
         mean_accuracy_loss=(sum(losses) / len(losses)) if losses else None,

@@ -2,9 +2,8 @@
 
 Kept deliberately simple — one pass over the clients, one proxy transmission
 per participating client, per-record ingestion at the aggregator — so it can
-serve as the executable specification that the parallel executors
-(:class:`~repro.runtime.sharded.ShardedExecutor`,
-:class:`~repro.runtime.pipelined.PipelinedExecutor`) must match
+serve as the executable specification that every
+:class:`~repro.runtime.engine.StagedEpochEngine` configuration must match
 result-for-result; ``docs/ARCHITECTURE.md`` spells the contract out.
 
 A multi-query epoch keeps the same shape: the single client loop answers

@@ -2,7 +2,7 @@
 
 Shards are *contiguous* slices of the client list so that concatenating the
 per-shard response logs in shard order reproduces the serial client order
-exactly — that is what makes the sharded executor's merged log byte-for-byte
+exactly — that is what makes the engine's merged log byte-for-byte
 comparable with the serial reference.  Balanced sizing (the first
 ``num_items % num_shards`` shards get one extra client) keeps worker load even
 without any coordination.

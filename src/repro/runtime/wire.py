@@ -24,8 +24,8 @@ executor would place *whole simulated clients* on remote machines (each
 remote worker is a stand-in for a fleet of devices), never relay client
 plaintext through an untrusted hop.
 
-Two message families exist.  The *snapshot-shipping* pair (version 2) round
-trips full client state every epoch:
+Two message families exist.  The *snapshot-shipping* pair round trips full
+client state every epoch:
 
 * :class:`ShardTask` — parent → worker.  A self-contained description of one
   contiguous client shard for one epoch: the query ids served by this
@@ -42,7 +42,7 @@ trips full client state every epoch:
   same random streams; and the shard's answering wall-clock, which feeds the
   adaptive shard sizer.
 
-The *resident-state* triple (version 3) replaces the per-epoch snapshot round
+The *worker-resident* triple replaces the per-epoch snapshot round
 trip with worker-resident client state behind sticky shard→worker affinity
 (:mod:`repro.runtime.affinity`):
 
@@ -62,11 +62,9 @@ trip with worker-resident client state behind sticky shard→worker affinity
   the delta (cache miss or fingerprint mismatch) so the parent falls back to
   a bootstrap frame.
 
-Version negotiation: frames are emitted at version 3, but version-2 bytes
-still decode for the two version-2 kinds — a parent upgraded mid-deployment
-keeps understanding batches from not-yet-upgraded workers.  The resident
-kinds require version 3; version-1 frames and unknown future versions are
-rejected.
+Versioning: every frame kind is emitted and accepted at exactly
+:data:`WIRE_VERSION`; older and unknown future versions are rejected rather
+than silently misread.
 
 The frame is ``magic ("PAWF") + version + kind + payload length + payload``;
 the payload is a pickle of the dataclass (pickle because the snapshots carry
@@ -89,10 +87,8 @@ from repro.pubsub import payload_size
 
 WIRE_MAGIC = b"PAWF"
 # Version 3: worker-resident client state — bootstrap/delta/ack frames carry
-# state once and tiny per-epoch deltas afterwards.  Version 2 (multi-query
-# snapshot shipping: query id *tuples*, one response tuple per query) is
-# still decoded for its two kinds; version-1 (single query id) frames are
-# rejected rather than silently misread.
+# state once and tiny per-epoch deltas afterwards — beside the multi-query
+# snapshot pair (query id *tuples*, one response tuple per query).
 WIRE_VERSION = 3
 
 _KIND_SHARD_TASK = 1
@@ -100,16 +96,6 @@ _KIND_SHARD_BATCH = 2
 _KIND_SHARD_BOOTSTRAP = 3
 _KIND_SHARD_DELTA = 4
 _KIND_SHARD_ACK = 5
-
-# The oldest frame version each kind can be decoded from: the snapshot pair
-# predates residency, the resident triple has never existed below version 3.
-_MIN_VERSION_BY_KIND = {
-    _KIND_SHARD_TASK: 2,
-    _KIND_SHARD_BATCH: 2,
-    _KIND_SHARD_BOOTSTRAP: 3,
-    _KIND_SHARD_DELTA: 3,
-    _KIND_SHARD_ACK: 3,
-}
 
 # magic, version, kind, payload length
 _FRAME_FORMAT = ">4sBBI"
@@ -343,13 +329,11 @@ def _encode(obj, kind: int) -> bytes:
     return struct.pack(_FRAME_FORMAT, WIRE_MAGIC, WIRE_VERSION, kind, len(payload)) + payload
 
 
-def _decode_header(data: bytes) -> tuple[int, int, int]:
-    """Validate the frame header; return ``(version, kind, payload length)``.
+def _decode_header(data: bytes) -> tuple[int, int]:
+    """Validate the frame header; return ``(kind, payload length)``.
 
-    Version negotiation lives here: a frame is accepted when its version is
-    no newer than ours and no older than its kind's introduction version, so
-    version-2 snapshot frames keep decoding while resident-state kinds (and
-    version-1 leftovers) are rejected.
+    A frame is accepted only at exactly :data:`WIRE_VERSION`, whatever its
+    kind — every sender stamps it, so anything else is drift or garbage.
     """
     if len(data) < _FRAME_SIZE:
         raise WireError(
@@ -360,27 +344,18 @@ def _decode_header(data: bytes) -> tuple[int, int, int]:
     magic, version, frame_kind, length = struct.unpack(_FRAME_FORMAT, data[:_FRAME_SIZE])
     if magic != WIRE_MAGIC:
         raise WireError(f"bad magic {magic!r}: not a runtime wire frame", offset=0)
-    if version > WIRE_VERSION:
+    if version != WIRE_VERSION:
         raise WireError(
-            f"unsupported wire version {version} (expected <= {WIRE_VERSION})",
-            kind=frame_kind if frame_kind in _MIN_VERSION_BY_KIND else None,
+            f"unsupported wire version {version} (expected {WIRE_VERSION})",
+            kind=frame_kind if frame_kind in _TYPE_BY_KIND else None,
             declared_length=length,
             offset=4,
         )
-    min_version = _MIN_VERSION_BY_KIND.get(frame_kind)
-    if min_version is None:
+    if frame_kind not in _TYPE_BY_KIND:
         raise WireError(
             f"unknown frame kind {frame_kind}", declared_length=length, offset=5
         )
-    if version < min_version:
-        raise WireError(
-            f"unsupported wire version {version} for frame kind {frame_kind} "
-            f"(requires >= {min_version})",
-            kind=frame_kind,
-            declared_length=length,
-            offset=4,
-        )
-    return version, frame_kind, length
+    return frame_kind, length
 
 
 def _decode_payload(data: bytes, kind: int, length: int, expected_type: type):
@@ -412,7 +387,7 @@ def _decode_payload(data: bytes, kind: int, length: int, expected_type: type):
 
 
 def _decode(data: bytes, kind: int, expected_type: type):
-    _, frame_kind, length = _decode_header(data)
+    frame_kind, length = _decode_header(data)
     if frame_kind != kind:
         raise WireError(
             f"unexpected frame kind {frame_kind} (expected {kind})",
@@ -489,5 +464,5 @@ def decode_frame(data: bytes):
     queue; this is its single entry point.  Raises :class:`WireError` exactly
     like the kind-specific decoders (the header is parsed and validated once).
     """
-    _, frame_kind, length = _decode_header(data)
+    frame_kind, length = _decode_header(data)
     return _decode_payload(data, frame_kind, length, _TYPE_BY_KIND[frame_kind])

@@ -104,7 +104,69 @@ class ColumnVector:
         return len(self._data)
 
 
-class ColumnStore:
+class _IndexedVectors:
+    """The probe surface :class:`ColumnStore` and :class:`ArenaTable` share.
+
+    Both keep one :class:`ColumnVector` per column (``_vectors``, in schema
+    order) plus lazily built secondary indexes over them; the compiled
+    SELECT path reads either through exactly these methods.  Subclasses own
+    construction and maintenance (``sync`` / rebuild / append) and keep
+    ``_count`` current.
+    """
+
+    __slots__ = ("_vectors", "_hash", "_trees", "_count", "rebuilds", "appended_rows")
+
+    @property
+    def count(self) -> int:
+        """Number of rows currently mirrored."""
+        return self._count
+
+    def column(self, name: str) -> ColumnVector:
+        """The parallel array of one column (exact name)."""
+        return self._vectors[name]
+
+    def has_column(self, name: str) -> bool:
+        return name in self._vectors
+
+    def arrays(self) -> dict[str, ColumnVector]:
+        """Column name → vector, the namespace compiled closures evaluate in."""
+        return self._vectors
+
+    def hash_index(self, name: str) -> HashIndex:
+        """The column's hash index, built from the vectors on first use."""
+        index = self._hash.get(name)
+        if index is None:
+            index = HashIndex()
+            for row_id, value in enumerate(self._vectors[name]):
+                index.insert(value, row_id)
+            self._hash[name] = index
+        return index
+
+    def tree_index(self, name: str) -> BPlusTreeIndex:
+        """The column's B+Tree index, built from the vectors on first use."""
+        tree = self._trees.get(name)
+        if tree is None:
+            tree = BPlusTreeIndex()
+            for row_id, value in enumerate(self._vectors[name]):
+                tree.insert(value, row_id)
+            self._trees[name] = tree
+        return tree
+
+    def index_stats(self) -> dict[str, tuple[int, int]]:
+        """Column → (hash entries, tree size); observability for tests."""
+        out: dict[str, tuple[int, int]] = {}
+        for name in self._vectors:
+            hash_index = self._hash.get(name)
+            tree = self._trees.get(name)
+            if hash_index is not None or tree is not None:
+                out[name] = (
+                    len(hash_index) if hash_index is not None else 0,
+                    len(tree) if tree is not None else 0,
+                )
+        return out
+
+
+class ColumnStore(_IndexedVectors):
     """Columnar mirror of one :class:`~repro.sqldb.table.Table` plus indexes.
 
     Derived state: nothing here is part of a client snapshot
@@ -114,18 +176,7 @@ class ColumnStore:
     the two lifecycles answer probes identically.
     """
 
-    __slots__ = (
-        "_names",
-        "_types",
-        "_vectors",
-        "_rows_ref",
-        "_mutations",
-        "_count",
-        "_hash",
-        "_trees",
-        "rebuilds",
-        "appended_rows",
-    )
+    __slots__ = ("_names", "_types", "_rows_ref", "_mutations")
 
     def __init__(self, table: "Table"):
         self._names = [column.name for column in table.columns]
@@ -143,11 +194,6 @@ class ColumnStore:
         self._rebuild(table)
 
     # -- maintenance ---------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Number of rows currently mirrored."""
-        return self._count
 
     def sync(self, table: "Table") -> None:
         """Bring the store up to date with the table's row list.
@@ -204,54 +250,6 @@ class ColumnStore:
         self.appended_rows += len(rows) - start
         self._count = len(rows)
 
-    # -- columnar access -----------------------------------------------------
-
-    def column(self, name: str) -> ColumnVector:
-        """The parallel array of one column (exact name)."""
-        return self._vectors[name]
-
-    def has_column(self, name: str) -> bool:
-        return name in self._vectors
-
-    def arrays(self) -> dict[str, ColumnVector]:
-        """Column name → vector, the namespace compiled closures evaluate in."""
-        return self._vectors
-
-    # -- secondary indexes ---------------------------------------------------
-
-    def hash_index(self, name: str) -> HashIndex:
-        """The column's hash index, built from the vectors on first use."""
-        index = self._hash.get(name)
-        if index is None:
-            index = HashIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                index.insert(value, row_id)
-            self._hash[name] = index
-        return index
-
-    def tree_index(self, name: str) -> BPlusTreeIndex:
-        """The column's B+Tree index, built from the vectors on first use."""
-        tree = self._trees.get(name)
-        if tree is None:
-            tree = BPlusTreeIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                tree.insert(value, row_id)
-            self._trees[name] = tree
-        return tree
-
-    def index_stats(self) -> dict[str, tuple[int, int]]:
-        """Column → (hash entries, tree size); observability for tests."""
-        out: dict[str, tuple[int, int]] = {}
-        for name in self._names:
-            hash_index = self._hash.get(name)
-            tree = self._trees.get(name)
-            if hash_index is not None or tree is not None:
-                out[name] = (
-                    len(hash_index) if hash_index is not None else 0,
-                    len(tree) if tree is not None else 0,
-                )
-        return out
-
 
 # -- shard-wide arenas ---------------------------------------------------------
 
@@ -289,14 +287,13 @@ class _ArenaRows:
 _EXCLUDED_EMPTY = ("x", None)
 
 
-class ArenaTable:
+class ArenaTable(_IndexedVectors):
     """One table name concatenated across every member database of a shard.
 
-    Duck-types as both the *table* (``column_names`` / ``column_index`` /
-    ``rows``) and the *store* (``count`` / ``column`` / ``has_column`` /
-    ``arrays`` / ``hash_index`` / ``tree_index``) that the compiled SELECT
-    path consumes, so probes and result finishing run unchanged against
-    the arena.
+    Duck-types as the *table* (``column_names`` / ``column_index`` /
+    ``rows``) and shares the *store* probe surface with
+    :class:`ColumnStore` (:class:`_IndexedVectors`), so the compiled SELECT
+    path's probes and result finishing run unchanged against the arena.
 
     The schema is *adopted* from the first member that has the table;
     members whose table matches the adopted signature are **included**
@@ -317,15 +314,9 @@ class ArenaTable:
         "columns",
         "_signature",
         "_colindex",
-        "_vectors",
         "row_slot",
         "slot_rows",
         "_sources",
-        "_hash",
-        "_trees",
-        "rebuilds",
-        "appended_rows",
-        "_count",
     )
 
     def __init__(self, name: str, databases: list):
@@ -464,51 +455,6 @@ class ArenaTable:
     def rows(self) -> _ArenaRows:
         """Schema-order row tuples by arena id (select-star projection)."""
         return _ArenaRows([self._vectors[name] for name in self.column_names])
-
-    # -- store duck-typing (probes + aggregates) -----------------------------
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def column(self, name: str) -> ColumnVector:
-        return self._vectors[name]
-
-    def has_column(self, name: str) -> bool:
-        return name in self._vectors
-
-    def arrays(self) -> dict[str, ColumnVector]:
-        return self._vectors
-
-    def hash_index(self, name: str) -> HashIndex:
-        index = self._hash.get(name)
-        if index is None:
-            index = HashIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                index.insert(value, row_id)
-            self._hash[name] = index
-        return index
-
-    def tree_index(self, name: str) -> BPlusTreeIndex:
-        tree = self._trees.get(name)
-        if tree is None:
-            tree = BPlusTreeIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                tree.insert(value, row_id)
-            self._trees[name] = tree
-        return tree
-
-    def index_stats(self) -> dict[str, tuple[int, int]]:
-        out: dict[str, tuple[int, int]] = {}
-        for name in self.column_names:
-            hash_index = self._hash.get(name)
-            tree = self._trees.get(name)
-            if hash_index is not None or tree is not None:
-                out[name] = (
-                    len(hash_index) if hash_index is not None else 0,
-                    len(tree) if tree is not None else 0,
-                )
-        return out
 
     def stats(self) -> dict[str, int]:
         """Observability: the torture suite pins that churn and

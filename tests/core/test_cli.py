@@ -64,7 +64,7 @@ class TestCommands:
                 "-p", "1.0",
                 "-q", "0.5",
                 "--seed", "3",
-                "--executor", "sharded",
+                "--executor", "thread-pool/in-process",
                 "--workers", "2",
             ]
         )

@@ -1,17 +1,18 @@
-"""The staged epoch engine: registry, driver configs, shims, stage metrics.
+"""The staged epoch engine: registry, driver configs, stage metrics.
 
-PR 9 collapsed the executor zoo into one :class:`StagedEpochEngine` whose
-behavior is chosen by a (scheduling, transport) driver combination.  These
-tests pin the refactor's contracts:
+One :class:`StagedEpochEngine` runs every parallel epoch; its behavior is
+chosen by a (scheduling, transport) driver combination.  These tests pin
+its contracts:
 
 * the driver registry validates combinations and explains rejections;
-* every legacy executor name resolves to the documented driver config, and
-  the legacy classes remain importable/constructible as deprecation shims;
+* ``make_executor("scheduling/transport")`` is the only way to name a
+  parallel runtime and always returns a plain engine — removed names and
+  removed options raise;
 * the engine emits one :class:`StageMetrics` per epoch — stage wall-clock,
-  wire bytes, deadline late-drops — replacing the per-executor ledgers;
-* the previously *inexpressible* combination ``pipelined-overlap`` ×
-  ``sealed-tcp-remote`` (stateless snapshot shipping over the sealed TCP
-  transport) satisfies the seeded-equivalence contract against serial.
+  wire bytes, deadline late-drops;
+* ``pipelined-overlap`` × ``sealed-tcp-remote`` (stateless snapshot
+  shipping over the sealed TCP transport) satisfies the seeded-equivalence
+  contract against serial.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ from repro.runtime import (
     DRIVER_COMBOS,
     DRIVER_SPELLINGS,
     EXECUTOR_KINDS,
-    LEGACY_EXECUTOR_ALIASES,
     SCHEDULING_KINDS,
     TRANSPORT_KINDS,
-    PipelinedExecutor,
-    ProcessPoolEpochExecutor,
-    RemoteResidentExecutor,
+    OverlapThreadDriver,
     RemoteWorkerServer,
-    ResidentProcessExecutor,
-    ShardedExecutor,
+    SerialExecutor,
     StageMetrics,
     StagedEpochEngine,
     cli_smoke_matrix,
@@ -50,6 +47,7 @@ from repro.runtime import (
     run_scenario,
     validate_driver_combo,
 )
+from repro.runtime.executor import _driver_factories
 from repro.runtime.scenario import ScenarioSpec
 
 SEED = 20260808
@@ -102,22 +100,14 @@ class TestDriverRegistry:
                     with pytest.raises(ValueError, match="is not available"):
                         validate_driver_combo(scheduling, transport)
 
-    def test_spellings_cover_canonical_forms_and_aliases(self):
-        for scheduling, transport in DRIVER_COMBOS:
-            assert DRIVER_SPELLINGS[f"{scheduling}/{transport}"] == (
-                scheduling,
-                transport,
-            )
-        for alias, combo in LEGACY_EXECUTOR_ALIASES.items():
-            assert DRIVER_SPELLINGS[alias] == combo
-            assert combo in DRIVER_COMBOS
+    def test_spellings_are_exactly_the_canonical_forms(self):
+        assert DRIVER_SPELLINGS == {f"{s}/{t}": (s, t) for s, t in DRIVER_COMBOS}
         assert "serial" not in DRIVER_SPELLINGS  # the frozen reference
 
-    def test_executor_kinds_lists_legacy_then_canonical(self):
-        assert EXECUTOR_KINDS[:4] == ("serial", "sharded", "pipelined", "process")
-        assert set(EXECUTOR_KINDS[4:]) == {
+    def test_executor_kinds_are_serial_plus_the_combos(self):
+        assert EXECUTOR_KINDS == ("serial",) + tuple(
             f"{s}/{t}" for s, t in DRIVER_COMBOS
-        }
+        )
 
     def test_smoke_matrix_is_single_host_only(self):
         matrix = cli_smoke_matrix()
@@ -132,68 +122,45 @@ class TestDriverRegistry:
 
 # -- make_executor driver mapping -------------------------------------------
 
+#: engine.adaptive per combo, pinned to the values the removed per-name
+#: executor classes used to pass.
+ADAPTIVE_COMBOS = {
+    ("pipelined-overlap", "framed-wire-local"),
+    ("pinned-worker", "framed-wire-local"),
+    ("pinned-worker", "sealed-tcp-remote"),
+}
+
 
 class TestMakeExecutorDriverMapping:
-    @pytest.mark.parametrize(
-        "name,expected_type,scheduling,transport",
-        [
-            ("sharded", ShardedExecutor, "thread-pool", "in-process"),
-            ("pipelined", PipelinedExecutor, "pipelined-overlap", "in-process"),
-            (
-                "process",
-                ProcessPoolEpochExecutor,
-                "pipelined-overlap",
-                "framed-wire-local",
-            ),
-            ("inline/in-process", StagedEpochEngine, "inline", "in-process"),
-            ("thread-pool/in-process", ShardedExecutor, "thread-pool", "in-process"),
-            (
-                "thread-pool/framed-wire-local",
-                ShardedExecutor,
-                "thread-pool",
-                "framed-wire-local",
-            ),
-            (
-                "pipelined-overlap/in-process",
-                PipelinedExecutor,
-                "pipelined-overlap",
-                "in-process",
-            ),
-            (
-                "pipelined-overlap/framed-wire-local",
-                ProcessPoolEpochExecutor,
-                "pipelined-overlap",
-                "framed-wire-local",
-            ),
-            (
-                "pinned-worker/framed-wire-local",
-                ResidentProcessExecutor,
-                "pinned-worker",
-                "framed-wire-local",
-            ),
-        ],
-    )
-    def test_names_resolve_to_engine_driver_configs(
-        self, name, expected_type, scheduling, transport
-    ):
-        executor = make_executor(name, workers=2, shards=3)
+    def test_every_combo_has_exactly_one_factory(self):
+        assert set(_driver_factories()) == set(DRIVER_COMBOS)
+
+    @pytest.mark.parametrize("combo", DRIVER_COMBOS, ids="/".join)
+    def test_every_spelling_builds_a_plain_engine(self, combo, tmp_path):
+        kwargs = {}
+        if combo[1] == "sealed-tcp-remote":
+            # Connections are opened on first use, so no server is needed.
+            kwargs = dict(
+                remote_workers=["127.0.0.1:1", "127.0.0.1:2"],
+                key_file=write_key_file(tmp_path),
+            )
+        executor = make_executor("/".join(combo), workers=2, shards=3, **kwargs)
         try:
-            assert isinstance(executor, expected_type)
-            assert isinstance(executor, StagedEpochEngine)
-            assert executor.scheduling == scheduling
-            assert executor.transport == transport
+            assert type(executor) is StagedEpochEngine
+            assert (executor.scheduling, executor.transport) == combo
+            assert executor.adaptive is (combo in ADAPTIVE_COMBOS)
+            assert (executor.num_workers, executor.num_shards) == (2, 3)
         finally:
             executor.close()
 
     def test_serial_stays_engine_free(self):
-        executor = make_executor("serial")
-        assert not isinstance(executor, StagedEpochEngine)
+        assert type(make_executor("serial")) is SerialExecutor
 
-    def test_resident_flag_upgrades_process(self):
-        executor = make_executor("process", workers=2, resident=True)
+    def test_adaptive_stays_assignable(self):
+        executor = make_executor("pinned-worker/framed-wire-local", workers=2)
         try:
-            assert isinstance(executor, ResidentProcessExecutor)
-            assert executor.scheduling == "pinned-worker"
+            executor.adaptive = False
+            assert executor.adaptive is False
         finally:
             executor.close()
 
@@ -201,67 +168,34 @@ class TestMakeExecutorDriverMapping:
         with pytest.raises(ValueError, match="remote worker addresses"):
             make_executor("pipelined-overlap/sealed-tcp-remote")
 
-    def test_sharded_process_pool_is_the_wire_barrier_combo(self):
-        via_legacy = make_executor("sharded", workers=2, pool="process")
-        via_combo = make_executor("thread-pool/framed-wire-local", workers=2)
-        try:
-            assert type(via_legacy) is type(via_combo)
-            assert via_legacy.transport == via_combo.transport == "framed-wire-local"
-            assert via_legacy.pool == via_combo.pool == "process"
-        finally:
-            via_legacy.close()
-            via_combo.close()
 
+class TestRemovedNamesAndOptions:
+    """The pre-engine executor names and the knobs that only told them
+    apart are gone: no alias, no deprecation path — they raise."""
 
-# -- deprecation shims -------------------------------------------------------
+    @pytest.mark.parametrize("name", ["sharded", "pipelined", "process"])
+    def test_legacy_names_raise_everywhere(self, name):
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor(name)
+        with pytest.raises(ValueError, match="unknown executor"):
+            SystemConfig(num_clients=4, executor=name)
+        from repro.cli import build_parser
 
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--executor", name])
 
-class TestDeprecationShims:
-    def test_legacy_modules_still_export_their_names(self):
-        from repro.runtime.affinity import ResidentProcessExecutor as FromAffinity
-        from repro.runtime.pipelined import PipelinedExecutor as FromPipelined
-        from repro.runtime.process_pool import (
-            AdaptiveShardSizer,
-            ProcessPoolEpochExecutor as FromProcessPool,
-            answer_shard_task,
-        )
-        from repro.runtime.remote import RemoteResidentExecutor as FromRemote
-        from repro.runtime.sharded import ShardedExecutor as FromSharded, answer_shard
+    @pytest.mark.parametrize("kwarg", ["pool", "resident", "adaptive"])
+    def test_make_executor_refuses_removed_kwargs(self, kwarg):
+        with pytest.raises(TypeError):
+            make_executor("thread-pool/in-process", **{kwarg: True})
 
-        assert FromSharded is ShardedExecutor
-        assert FromPipelined is PipelinedExecutor
-        assert FromProcessPool is ProcessPoolEpochExecutor
-        assert FromAffinity is ResidentProcessExecutor
-        assert FromRemote is RemoteResidentExecutor
-        assert callable(answer_shard) and callable(answer_shard_task)
-        assert AdaptiveShardSizer(4).plan  # moved to the engine, re-exported
+    def test_engine_refuses_the_adaptive_kwarg(self):
+        with pytest.raises(TypeError):
+            StagedEpochEngine(OverlapThreadDriver(), adaptive=True)
 
-    def test_every_shim_is_an_engine_configuration(self):
-        for shim in (
-            ShardedExecutor,
-            PipelinedExecutor,
-            ProcessPoolEpochExecutor,
-            ResidentProcessExecutor,
-            RemoteResidentExecutor,
-        ):
-            assert issubclass(shim, StagedEpochEngine)
-
-    def test_shims_keep_their_constructor_signatures(self):
-        for executor in (
-            ShardedExecutor(num_workers=2, num_shards=3, pool="thread"),
-            PipelinedExecutor(num_workers=2, num_shards=3, queue_depth=2),
-            ProcessPoolEpochExecutor(num_workers=2, adaptive=False),
-            ResidentProcessExecutor(num_workers=2, checkpoint_every=0),
-        ):
-            executor.close()
-
-    def test_sharded_still_rejects_unknown_pools(self):
-        with pytest.raises(ValueError, match="pool must be one of"):
-            ShardedExecutor(pool="green-threads")
-
-    def test_pipelined_queue_depth_still_validated(self):
-        with pytest.raises(ValueError, match="queue_depth"):
-            PipelinedExecutor(queue_depth=0)
+    def test_run_scenario_refuses_the_resident_kwarg(self):
+        with pytest.raises(TypeError):
+            run_scenario(ScenarioSpec(name="x", seed=1), resident=True)
 
 
 # -- stage metrics -----------------------------------------------------------
@@ -343,15 +277,38 @@ class TestStageMetrics:
             system.close()
 
     def test_wire_transport_epochs_account_every_frame(self):
-        system, query_id = build_system("process")
+        system, query_id = build_system("pipelined-overlap/framed-wire-local")
         try:
             system.run_epoch(query_id, 0)
             metrics = system.executor.stage_metrics[0]
             assert metrics.wire_bytes > 0
-            # The legacy ledger survives as a view over the unified metrics.
+            # The per-epoch ledger is a view over the unified metrics.
             assert system.executor.epoch_wire_bytes == {0: metrics.wire_bytes}
         finally:
             system.close()
+
+    def test_pinned_worker_engine_reports_its_frame_counters(self):
+        """benchmarks/epoch_profile reads these off the engine with
+        ``getattr(..., 0)``: losing them would silently zero
+        ``runtime.affinity.*``."""
+        system, query_id = build_system("pinned-worker/framed-wire-local")
+        try:
+            system.executor.adaptive = False
+            system.run_epoch(query_id, 0)
+            assert system.executor.bootstrap_frames == 4  # one per shard
+            assert system.executor.delta_frames == 0
+            system.run_epoch(query_id, 1)
+            assert system.executor.bootstrap_frames == 4
+            assert system.executor.delta_frames == 4
+        finally:
+            system.close()
+        stateless, query_id = build_system("pipelined-overlap/framed-wire-local")
+        try:
+            stateless.run_epoch(query_id, 0)
+            assert stateless.executor.bootstrap_frames == 0
+            assert stateless.executor.delta_frames == 0
+        finally:
+            stateless.close()
 
     def test_deadline_gate_records_late_drops_in_metrics(self):
         """The engine's single transmit-boundary gate feeds the metrics: the
@@ -404,7 +361,7 @@ class TestStageMetrics:
                 server.stop()
 
     def test_non_adaptive_engines_never_reshard(self):
-        system, query_id = build_system("sharded")
+        system, query_id = build_system("thread-pool/in-process")
         try:
             for epoch in range(3):
                 system.run_epoch(query_id, epoch)
@@ -416,7 +373,7 @@ class TestStageMetrics:
             system.close()
 
 
-# -- the previously-inexpressible combo --------------------------------------
+# -- stateless snapshot shipping over the sealed transport -------------------
 
 
 def start_server() -> RemoteWorkerServer:
@@ -433,9 +390,8 @@ def write_key_file(tmp_path) -> str:
 
 class TestOverlapSealedTcpCombo:
     """``pipelined-overlap`` × ``sealed-tcp-remote``: snapshot tasks out over
-    the sealed transport, batches streamed back in completion order.  The
-    combo no legacy executor could express — and it must still match serial
-    byte-for-byte."""
+    the sealed transport, batches streamed back in completion order — and
+    it must still match serial byte-for-byte."""
 
     def test_scenario_digest_matches_serial(self, tmp_path):
         servers = [start_server(), start_server()]
@@ -463,21 +419,3 @@ class TestOverlapSealedTcpCombo:
         finally:
             for server in servers:
                 server.stop()
-
-    def test_make_executor_builds_the_overlap_remote_engine(self, tmp_path):
-        server = start_server()
-        try:
-            executor = make_executor(
-                "pipelined-overlap/sealed-tcp-remote",
-                remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-                key_file=write_key_file(tmp_path),
-            )
-            try:
-                assert isinstance(executor, StagedEpochEngine)
-                assert not isinstance(executor, ResidentProcessExecutor)
-                assert executor.scheduling == "pipelined-overlap"
-                assert executor.transport == "sealed-tcp-remote"
-            finally:
-                executor.close()
-        finally:
-            server.stop()

@@ -1,12 +1,12 @@
 """Equivalence of the parallel runtimes with the serial reference executor.
 
 The property the runtime guarantees (the seeded-equivalence contract of
-``docs/ARCHITECTURE.md``): for the same system seed, the sharded, pipelined
-and process-pool executors produce *identical* results to the serial
-executor — same participants, same response logs, byte-identical window
-histograms (estimates AND error bounds, since the calibration RNG is seeded
-from the system seed) — regardless of shard count, worker count or pool
-kind.  For the ``process`` executor this additionally pins the wire format:
+``docs/ARCHITECTURE.md``): for the same system seed, every registered
+driver combination produces *identical* results to the serial executor —
+same participants, same response logs, byte-identical window histograms
+(estimates AND error bounds, since the calibration RNG is seeded from the
+system seed) — regardless of shard count, worker count, scheduling or
+transport.  For the wire transports this additionally pins the wire format:
 client state travels to the workers as serialized shard tasks and the
 advanced state ships back, so a multi-epoch run only matches serial if the
 snapshots resume every RNG and keystream mid-stream exactly.
@@ -34,8 +34,20 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
+from repro.runtime import cli_smoke_matrix
 
 SEED = 20260727
+#: Every driver combination that runs without separately launched TCP
+#: workers (the sealed-TCP ones are covered by test_remote.py).
+SINGLE_HOST_COMBOS = cli_smoke_matrix()[1:]
+#: The combinations that run the engine's overlap flow (shard topics).
+OVERLAP_COMBOS = [
+    combo
+    for combo in SINGLE_HOST_COMBOS
+    if combo.startswith(("pipelined-overlap", "pinned-worker"))
+]
+PROCESS = "pipelined-overlap/framed-wire-local"
+RESIDENT = "pinned-worker/framed-wire-local"
 
 
 def run_deployment(
@@ -44,11 +56,9 @@ def run_deployment(
     executor: str = "serial",
     workers: int = 4,
     shards: int | None = None,
-    pool: str = "thread",
     sampling_fraction: float = 0.8,
     num_epochs: int = 2,
     seed: int = SEED,
-    resident: bool = False,
     checkpoint_every: int = 4,
 ):
     """Run a small deployment end-to-end and return its observable outputs."""
@@ -59,8 +69,6 @@ def run_deployment(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_pool=pool,
-        executor_resident=resident,
         executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
@@ -115,18 +123,7 @@ def serialize_responses(responses) -> list[tuple]:
     ]
 
 
-@pytest.mark.parametrize(
-    "executor",
-    [
-        "sharded",
-        "pipelined",
-        "process",
-        # Canonical driver spellings: the engine path the legacy names alias.
-        "inline/in-process",
-        "thread-pool/in-process",
-        "pipelined-overlap/in-process",
-    ],
-)
+@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
 class TestParallelExecutorsMatchSerial:
     @pytest.mark.parametrize("num_clients", [1, 50, 100])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
@@ -198,10 +195,10 @@ class TestPipelinedMatchesSharded:
     def test_pipelined_and_sharded_agree_directly(self):
         """Transitivity check without the serial baseline in the middle."""
         _, sharded_results, sharded_responses = run_deployment(
-            60, executor="sharded", workers=4, shards=6
+            60, executor="thread-pool/in-process", workers=4, shards=6
         )
         _, pipelined_results, pipelined_responses = run_deployment(
-            60, executor="pipelined", workers=3, shards=5
+            60, executor="pipelined-overlap/in-process", workers=3, shards=5
         )
         assert serialize_responses(sharded_responses) == serialize_responses(
             pipelined_responses
@@ -222,7 +219,6 @@ def run_multi_deployment(
     num_epochs: int = 2,
     seed: int = SEED,
     single_query_epochs: bool = False,
-    resident: bool = False,
     checkpoint_every: int = 4,
 ):
     """Run N concurrent queries end-to-end and return per-query outputs.
@@ -239,7 +235,6 @@ def run_multi_deployment(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_resident=resident,
         executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
@@ -286,9 +281,7 @@ def run_multi_deployment(
     return per_query
 
 
-@pytest.mark.parametrize(
-    "executor", ["sharded", "pipelined", "process", "inline/in-process"]
-)
+@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
 @pytest.mark.parametrize("num_queries", [2, 3])
 class TestMultiQueryExecutorsMatchSerial:
     """run_epoch_all: every executor serves N queries from one pass, byte-identically."""
@@ -356,7 +349,7 @@ class TestPerQueryRngIsolation:
         assert shared == sequential
 
 
-@pytest.mark.parametrize("executor", ["pipelined", "process"])
+@pytest.mark.parametrize("executor", OVERLAP_COMBOS)
 class TestMultiQueryFailureIsolation:
     """A failed multi-query epoch must not poison any query's next epoch.
 
@@ -432,7 +425,7 @@ class TestMultiQueryFailureIsolation:
 class TestResidentStateMatchesSerial:
     """Worker-resident state (wire v3) is byte-invisible: residency on ≡ off.
 
-    The resident process executor keeps client state inside pinned workers
+    ``pinned-worker`` scheduling keeps client state inside pinned workers
     and ships deltas/fingerprints instead of snapshots; for a fixed seed its
     outputs must equal the serial reference — across checkpoint cadences
     (every epoch, periodic, on-demand only), multi-epoch runs whose streams
@@ -444,11 +437,10 @@ class TestResidentStateMatchesSerial:
         _, serial_results, serial_responses = run_deployment(30, num_epochs=4)
         _, resident_results, resident_responses = run_deployment(
             30,
-            executor="process",
+            executor=RESIDENT,
             workers=2,
             shards=5,
             num_epochs=4,
-            resident=True,
             checkpoint_every=checkpoint_every,
         )
         assert serialize_responses(serial_responses) == serialize_responses(
@@ -457,12 +449,12 @@ class TestResidentStateMatchesSerial:
         assert serialize_results(serial_results) == serialize_results(resident_results)
 
     def test_residency_on_equals_residency_off(self):
-        """Same executor kind, residency toggled: byte-identical either way."""
+        """Same transport, residency toggled: byte-identical either way."""
         snapshot = run_deployment(
-            25, executor="process", workers=2, shards=4, num_epochs=3
+            25, executor=PROCESS, workers=2, shards=4, num_epochs=3
         )
         resident = run_deployment(
-            25, executor="process", workers=2, shards=4, num_epochs=3, resident=True
+            25, executor=RESIDENT, workers=2, shards=4, num_epochs=3
         )
         assert serialize_responses(snapshot[2]) == serialize_responses(resident[2])
         assert serialize_results(snapshot[1]) == serialize_results(resident[1])
@@ -470,7 +462,7 @@ class TestResidentStateMatchesSerial:
     def test_multi_query_epochs_with_residency(self):
         serial = run_multi_deployment(20, 3, num_epochs=3)
         resident = run_multi_deployment(
-            20, 3, executor="process", workers=2, shards=4, num_epochs=3, resident=True
+            20, 3, executor=RESIDENT, workers=2, shards=4, num_epochs=3
         )
         assert resident == serial
 
@@ -481,33 +473,14 @@ class TestResidentStateMatchesSerial:
         resident = run_multi_deployment(
             15,
             2,
-            executor="process",
+            executor=RESIDENT,
             workers=2,
             shards=6,
             sampling_fraction=0.05,
             num_epochs=3,
-            resident=True,
             checkpoint_every=2,
         )
         assert resident == serial
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_pool_matches_serial(self):
-        """The picklable shard tasks also run (and agree) in a process pool.
-
-        Client state advanced in the workers is shipped back between epochs,
-        so a multi-epoch run must still match the serial reference exactly.
-        """
-        _, serial_results, serial_responses = run_deployment(12, num_epochs=2)
-        _, sharded_results, sharded_responses = run_deployment(
-            12, executor="sharded", workers=2, shards=2, pool="process", num_epochs=2
-        )
-        assert serialize_responses(serial_responses) == serialize_responses(
-            sharded_responses
-        )
-        assert serialize_results(serial_results) == serialize_results(sharded_results)
 
 
 class TestIndexedAnswerPathMatchesScan:
@@ -521,30 +494,15 @@ class TestIndexedAnswerPathMatchesScan:
     process-pool workers because pools fork after the test sets it.)
     """
 
-    CONFIGS = [
-        ("serial", {}),
-        ("sharded", {"workers": 3, "shards": 5}),
-        ("pipelined", {"workers": 3, "shards": 5}),
-        ("process", {"workers": 2, "shards": 4}),
-        (
-            "process-resident",
-            {"workers": 2, "shards": 4, "resident": True, "checkpoint_every": 2},
-        ),
-        ("inline/in-process", {}),
-    ]
-
-    @pytest.mark.parametrize(
-        "label,kwargs", CONFIGS, ids=[label for label, _ in CONFIGS]
-    )
-    def test_digests_identical_to_serial_scan(self, label, kwargs, monkeypatch):
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_digests_identical_to_serial_scan(self, executor, monkeypatch):
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         _, scan_results, scan_responses = run_deployment(
             60, executor="serial", num_epochs=3
         )
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "0")
-        executor = "process" if label == "process-resident" else label
         _, results, responses = run_deployment(
-            60, executor=executor, num_epochs=3, **kwargs
+            60, executor=executor, workers=3, shards=5, num_epochs=3, checkpoint_every=2
         )
         assert serialize_responses(responses) == serialize_responses(scan_responses)
         assert serialize_results(results) == serialize_results(scan_results)

@@ -1,7 +1,7 @@
-"""Edge cases and failure handling of the pipelined epoch executor.
+"""Edge cases and failure handling of ``pipelined-overlap/in-process``.
 
-The equivalence suite (`test_executor_equivalence.py`) pins the pipelined
-executor to the serial reference on ordinary populations; this module covers
+The equivalence suite (`test_executor_equivalence.py`) pins the overlap
+scheduler to the serial reference on ordinary populations; this module covers
 the boundaries — an empty client population, fewer clients than shards, one
 shard — and the failure contract: an exception in any pipeline stage must
 surface from ``run_epoch`` instead of deadlocking the queues.
@@ -25,11 +25,13 @@ from repro.core.client import Client, ClientConfig
 from repro.core.proxy import ProxyNetwork
 from repro.runtime import (
     EpochContext,
-    PipelinedExecutor,
+    OverlapThreadDriver,
     SerialExecutor,
+    StagedEpochEngine,
     make_executor,
 )
 
+PIPELINED = "pipelined-overlap/in-process"
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
 
@@ -78,7 +80,7 @@ def make_system(num_clients: int = 24, shards: int | None = None) -> tuple:
     config = SystemConfig(
         num_clients=num_clients,
         seed=99,
-        executor="pipelined",
+        executor=PIPELINED,
         executor_workers=2,
         executor_shards=shards,
     )
@@ -102,7 +104,7 @@ def make_system(num_clients: int = 24, shards: int | None = None) -> tuple:
 class TestPopulationEdges:
     def test_zero_clients(self):
         """An empty population completes the epoch and produces nothing."""
-        executor = PipelinedExecutor(num_workers=2, num_shards=4)
+        executor = make_executor(PIPELINED, workers=2, shards=4)
         try:
             outcome = executor.run_epoch(make_context(0), epoch=0)
         finally:
@@ -112,7 +114,7 @@ class TestPopulationEdges:
 
     def test_zero_clients_matches_serial(self):
         serial = SerialExecutor()
-        pipelined = PipelinedExecutor(num_workers=2, num_shards=3)
+        pipelined = make_executor(PIPELINED, workers=2, shards=3)
         try:
             serial_outcome = serial.run_epoch(make_context(0), epoch=0)
             pipelined_outcome = pipelined.run_epoch(make_context(0), epoch=0)
@@ -124,7 +126,7 @@ class TestPopulationEdges:
 
     def test_fewer_clients_than_shards(self):
         """Trailing empty shards are simply skipped."""
-        executor = PipelinedExecutor(num_workers=2, num_shards=8)
+        executor = make_executor(PIPELINED, workers=2, shards=8)
         try:
             outcome = executor.run_epoch(make_context(3), epoch=0)
         finally:
@@ -138,7 +140,7 @@ class TestPopulationEdges:
 
     def test_single_shard(self):
         """One shard degenerates to serial answering but still pipelines."""
-        executor = PipelinedExecutor(num_workers=2, num_shards=1)
+        executor = make_executor(PIPELINED, workers=2, shards=1)
         try:
             outcome = executor.run_epoch(make_context(5), epoch=0)
         finally:
@@ -236,7 +238,7 @@ class TestExecutorReuse:
     def test_reuse_across_deployments_rebinds_consumers(self):
         """Query ids are deterministic, so a reused executor must notice a
         new proxy network instead of polling the old deployment's brokers."""
-        executor = PipelinedExecutor(num_workers=2, num_shards=2)
+        executor = make_executor(PIPELINED, workers=2, shards=2)
         try:
             context_a = make_context(6)
             executor.run_epoch(context_a, epoch=0)
@@ -250,24 +252,16 @@ class TestExecutorReuse:
 
 
 class TestConfiguration:
-    def test_process_pool_rejected_by_factory(self):
-        with pytest.raises(ValueError, match="thread"):
-            make_executor("pipelined", pool="process")
-
-    def test_process_pool_rejected_by_system_config(self):
-        with pytest.raises(ValueError, match="thread"):
-            SystemConfig(num_clients=4, executor="pipelined", executor_pool="process")
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            PipelinedExecutor(num_workers=0)
+            make_executor(PIPELINED, workers=0)
         with pytest.raises(ValueError):
-            PipelinedExecutor(num_workers=2, num_shards=0)
+            make_executor(PIPELINED, workers=2, shards=0)
         with pytest.raises(ValueError):
-            PipelinedExecutor(num_workers=2, queue_depth=0)
+            StagedEpochEngine(OverlapThreadDriver(), num_workers=2, queue_depth=0)
 
     def test_close_is_idempotent(self):
-        executor = PipelinedExecutor(num_workers=2)
+        executor = make_executor(PIPELINED, workers=2)
         executor.run_epoch(make_context(4), epoch=0)
         executor.close()
         executor.close()

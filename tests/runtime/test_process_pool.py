@@ -1,6 +1,7 @@
-"""Edge cases and failure handling of the process-pool epoch executor.
+"""Edge cases and failure handling of the framed-wire-local drivers.
 
-The equivalence suite pins the process executor to the serial reference on
+The equivalence suite pins ``pipelined-overlap/framed-wire-local`` (and the
+``pinned-worker`` resident protocol) to the serial reference on
 ordinary populations; this module covers the boundaries (an empty client
 population, fewer clients than shards) and the failure contract: a worker
 exception, a dead worker process, a parent-side pickling failure, a transmit
@@ -30,13 +31,16 @@ from repro.core.proxy import ProxyNetwork
 from repro.runtime import (
     AdaptiveShardSizer,
     EpochContext,
-    ProcessPoolEpochExecutor,
+    OverlapSnapshotWireDriver,
     SerialExecutor,
+    StagedEpochEngine,
     WireError,
     make_executor,
     plan_shards,
 )
 
+PROCESS = "pipelined-overlap/framed-wire-local"
+RESIDENT = "pinned-worker/framed-wire-local"
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
 
@@ -85,7 +89,7 @@ def make_system(num_clients: int = 12, shards: int | None = None) -> tuple:
     config = SystemConfig(
         num_clients=num_clients,
         seed=424,
-        executor="process",
+        executor=PROCESS,
         executor_workers=2,
         executor_shards=shards,
     )
@@ -109,7 +113,7 @@ def make_system(num_clients: int = 12, shards: int | None = None) -> tuple:
 class TestPopulationEdges:
     def test_zero_clients(self):
         """An empty population completes the epoch and produces nothing."""
-        executor = ProcessPoolEpochExecutor(num_workers=2, num_shards=4)
+        executor = make_executor(PROCESS, workers=2, shards=4)
         try:
             outcome = executor.run_epoch(make_context(0), epoch=0)
         finally:
@@ -119,7 +123,7 @@ class TestPopulationEdges:
 
     def test_zero_clients_matches_serial(self):
         serial = SerialExecutor()
-        process = ProcessPoolEpochExecutor(num_workers=2, num_shards=3)
+        process = make_executor(PROCESS, workers=2, shards=3)
         try:
             serial_outcome = serial.run_epoch(make_context(0), epoch=0)
             process_outcome = process.run_epoch(make_context(0), epoch=0)
@@ -131,7 +135,7 @@ class TestPopulationEdges:
 
     def test_fewer_clients_than_shards(self):
         """Trailing empty shards are simply skipped."""
-        executor = ProcessPoolEpochExecutor(num_workers=2, num_shards=8)
+        executor = make_executor(PROCESS, workers=2, shards=8)
         try:
             outcome = executor.run_epoch(make_context(3), epoch=0)
         finally:
@@ -147,7 +151,7 @@ class TestPopulationEdges:
         """Advanced RNG state replaces the parent's clients between epochs."""
         context = make_context(6)
         originals = list(context.clients)
-        executor = ProcessPoolEpochExecutor(num_workers=2, num_shards=2)
+        executor = make_executor(PROCESS, workers=2, shards=2)
         try:
             executor.run_epoch(context, epoch=0)
         finally:
@@ -308,26 +312,24 @@ class TestAdaptiveShardSizer:
 
 class TestConfiguration:
     def test_factory_builds_process_executor(self):
-        executor = make_executor("process", workers=2, shards=5)
-        assert isinstance(executor, ProcessPoolEpochExecutor)
+        executor = make_executor(PROCESS, workers=2, shards=5)
+        assert isinstance(executor.driver, OverlapSnapshotWireDriver)
         assert executor.num_workers == 2
         assert executor.num_shards == 5
         executor.close()
 
-    def test_system_config_accepts_process(self):
-        config = SystemConfig(num_clients=4, executor="process")
-        assert config.executor == "process"
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ProcessPoolEpochExecutor(num_workers=0)
+            make_executor(PROCESS, workers=0)
         with pytest.raises(ValueError):
-            ProcessPoolEpochExecutor(num_workers=2, num_shards=0)
+            make_executor(PROCESS, workers=2, shards=0)
         with pytest.raises(ValueError):
-            ProcessPoolEpochExecutor(num_workers=2, queue_depth=0)
+            StagedEpochEngine(
+                OverlapSnapshotWireDriver(), num_workers=2, queue_depth=0
+            )
 
     def test_close_is_idempotent(self):
-        executor = ProcessPoolEpochExecutor(num_workers=2)
+        executor = make_executor(PROCESS, workers=2)
         executor.run_epoch(make_context(4), epoch=0)
         executor.close()
         executor.close()
@@ -339,14 +341,13 @@ def make_resident_system(
     checkpoint_every: int = 4,
     num_queries: int = 1,
 ) -> tuple:
-    """A resident-state deployment plus a serial twin for byte comparison."""
+    """A worker-resident deployment plus a serial twin for byte comparison."""
     config = SystemConfig(
         num_clients=num_clients,
         seed=868,
-        executor="process",
+        executor=RESIDENT,
         executor_workers=2,
         executor_shards=shards,
-        executor_resident=True,
         executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
@@ -434,14 +435,14 @@ class TestResidentFailureInjection:
         system.run_epoch(query_id, 0)
         system.run_epoch(query_id, 1)
         bootstraps_before = executor.bootstrap_frames
-        replaced_before = executor._router.workers_replaced
+        replaced_before = executor.driver._router.workers_replaced
         # Kill the worker pinned to shards 0 and 2 between epochs.
-        victim = executor._router._workers[executor._router.slot_for(0)].process
+        victim = executor.driver._router._workers[executor.driver._router.slot_for(0)].process
         victim.kill()
         victim.join(timeout=5.0)
         system.run_epoch(query_id, 2)
         system.run_epoch(query_id, 3)
-        assert executor._router.workers_replaced == replaced_before + 1
+        assert executor.driver._router.workers_replaced == replaced_before + 1
         # Exactly the dead worker's shards re-bootstrapped (2 of 4 shards).
         assert executor.bootstrap_frames == bootstraps_before + 2
         resident = serialize_responses(system.responses_log(query_id))
@@ -456,7 +457,7 @@ class TestResidentFailureInjection:
         executor = system.executor
         for epoch in range(3):
             system.run_epoch(query_id, epoch)
-        victim = executor._router._workers[0].process
+        victim = executor.driver._router._workers[0].process
         victim.kill()
         victim.join(timeout=5.0)
         for epoch in range(3, 5):
@@ -474,12 +475,12 @@ class TestResidentFailureInjection:
         executor.adaptive = False
         system.run_epoch(query_id, 0)
         system.run_epoch(query_id, 1)
-        assert executor.rebootstraps == 0
+        assert executor.driver.rebootstraps == 0
         # Simulate a poisoned ShardAck: the recorded fingerprint no longer
         # matches the worker-resident state.
-        executor._shards[1].fingerprint = b"poisoned" * 4
+        executor.driver._shards[1].fingerprint = b"poisoned" * 4
         system.run_epoch(query_id, 2)
-        assert executor.rebootstraps == 1
+        assert executor.driver.rebootstraps == 1
         system.run_epoch(query_id, 3)
         resident = serialize_responses(system.responses_log(query_id))
         system.close()
@@ -543,10 +544,10 @@ class TestResidentFailureInjection:
             system.run_epoch(query_id, epoch)
         fingerprints = {
             index: state.fingerprint
-            for index, state in system.executor._shards.items()
+            for index, state in system.executor.driver._shards.items()
         }
         executor = system.executor
-        shard_states = dict(executor._shards)
+        shard_states = dict(executor.driver._shards)
         system.close()
         from repro.runtime import shard_fingerprint
 
@@ -630,7 +631,7 @@ class TestResidentParentSideMutations:
             query_id = system.clients[0].subscribed_query_ids[0]
             system.clients[0].unsubscribe(query_id)
             if resident:
-                router = system.executor._router
+                router = system.executor.driver._router
                 victim = router._workers[router.slot_for(0)].process
                 victim.kill()
                 victim.join(timeout=5.0)

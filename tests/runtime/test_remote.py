@@ -63,6 +63,8 @@ from repro.runtime.remote import (
 )
 from repro.runtime.scenario import ScenarioSpec
 
+REMOTE_RESIDENT = "pinned-worker/sealed-tcp-remote"
+
 KEY = bytes.fromhex("aa" * 32)
 OTHER_KEY = bytes.fromhex("bb" * 32)
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
@@ -461,7 +463,7 @@ def make_remote_system(addresses, key_path, num_clients=12, shards=4, checkpoint
     config = SystemConfig(
         num_clients=num_clients,
         seed=868,
-        executor="process",
+        executor=REMOTE_RESIDENT,
         executor_shards=shards,
         executor_checkpoint_every=checkpoint_every,
         executor_remote_workers=tuple(addresses),
@@ -533,12 +535,12 @@ class TestRemoteEndToEnd:
             serial = run_scenario(spec, executor="serial")
             remote = run_scenario(
                 spec,
-                executor="process",
+                executor=REMOTE_RESIDENT,
                 remote_workers=[address_of(server) for server in servers],
                 key_file=key_path,
                 checkpoint_every=2,
             )
-            assert remote.executor_label == "process-remote"
+            assert remote.executor_label == REMOTE_RESIDENT
             assert remote.digest == serial.digest
             assert remote.total_wire_bytes > serial.total_wire_bytes
         finally:
@@ -556,7 +558,7 @@ class TestRemoteEndToEnd:
             serial = run_scenario(spec, executor="serial")
             remote = run_scenario(
                 spec,
-                executor="process",
+                executor=REMOTE_RESIDENT,
                 remote_workers=[address_of(server) for server in servers],
                 key_file=key_path,
                 checkpoint_every=2,
@@ -584,14 +586,14 @@ class TestRemoteEndToEnd:
             # both gone) and launch a replacement on the same port.
             victim_port = servers[0].address[1]
             servers[0].stop()
-            wait_until(lambda: not executor._router.worker_alive(0))
+            wait_until(lambda: not executor.driver._router.worker_alive(0))
             replacement = RemoteWorkerServer("127.0.0.1", victim_port, KEY)
             threading.Thread(target=replacement.serve_forever, daemon=True).start()
             system.run_epoch(query_id, 2)
             system.run_epoch(query_id, 3)
             # Exactly the dead worker's shards re-bootstrapped (2 of 4).
             assert executor.bootstrap_frames == bootstraps_before + 2
-            assert executor._router.reconnects == 1
+            assert executor.driver._router.reconnects == 1
             remote = serialize_responses(system.responses_log(query_id))
         finally:
             system.close()
@@ -639,11 +641,11 @@ class TestRemoteEndToEnd:
             system.run_epoch(query_id, 0)
             # Drop the TCP connection out from under the transport; the
             # worker process (and its resident cache) stays up.
-            executor._router._links[0].channel.sock.shutdown(socket.SHUT_RDWR)
-            wait_until(lambda: not executor._router.worker_alive(0))
+            executor.driver._router._links[0].channel.sock.shutdown(socket.SHUT_RDWR)
+            wait_until(lambda: not executor.driver._router.worker_alive(0))
             system.run_epoch(query_id, 1)
             system.run_epoch(query_id, 2)
-            assert executor._router.reconnects == 1
+            assert executor.driver._router.reconnects == 1
             remote = serialize_responses(system.responses_log(query_id))
         finally:
             system.close()

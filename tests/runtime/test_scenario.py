@@ -23,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.network import NetworkModel
+from repro.runtime import cli_smoke_matrix
 from repro.runtime.scenario import (
     EpochDeadline,
     ScenarioSpec,
@@ -34,25 +35,15 @@ from repro.runtime.scenario import (
     scenario_grid,
 )
 
-# The five executor configurations the acceptance criteria range over.
-ALL_EXECUTOR_CONFIGS = [
-    ("serial", False),
-    ("sharded", False),
-    ("pipelined", False),
-    ("process", False),
-    ("process", True),
-]
-CONFIG_IDS = [f"{e}{'-resident' if r else ''}" for e, r in ALL_EXECUTOR_CONFIGS]
+# serial plus every single-host driver combination.
+ALL_EXECUTORS = cli_smoke_matrix()
+PIPELINED = "pipelined-overlap/in-process"
+RESIDENT = "pinned-worker/framed-wire-local"
 
 
-def _run(spec, executor, resident):
+def _run(spec, executor):
     return run_scenario(
-        spec,
-        executor=executor,
-        workers=2,
-        shards=3,
-        resident=resident,
-        checkpoint_every=2,
+        spec, executor=executor, workers=2, shards=3, checkpoint_every=2
     )
 
 
@@ -217,11 +208,11 @@ class TestDeadlineFaultInjection:
         for epoch, late in expected.items():
             assert 0 < len(late) < SLOW_SPEC.num_clients, (epoch, late)
 
-    @pytest.mark.parametrize("executor,resident", ALL_EXECUTOR_CONFIGS, ids=CONFIG_IDS)
-    def test_slow_clients_dropped_and_recorded(self, executor, resident):
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_slow_clients_dropped_and_recorded(self, executor):
         """Every executor drops exactly the modeled-late clients, no deadlock."""
         expected = _expected_late(SLOW_SPEC)
-        run = _run(SLOW_SPEC, executor, resident)
+        run = _run(SLOW_SPEC, executor)
         assert len(run.epochs) == SLOW_SPEC.num_epochs  # completed, didn't hang
         for stats in run.epochs:
             assert stats.late_clients == expected[stats.epoch]
@@ -230,8 +221,7 @@ class TestDeadlineFaultInjection:
 
     def test_deadline_run_digest_is_executor_invariant(self):
         digests = {
-            f"{e}{'-r' if r else ''}": _run(SLOW_SPEC, e, r).digest
-            for e, r in ALL_EXECUTOR_CONFIGS
+            executor: _run(SLOW_SPEC, executor).digest for executor in ALL_EXECUTORS
         }
         assert len(set(digests.values())) == 1, digests
 
@@ -240,15 +230,11 @@ class TestDeadlineFaultInjection:
 
 
 class TestDuplicateInjection:
-    @pytest.mark.parametrize(
-        "executor,resident",
-        [("serial", False), ("pipelined", False), ("process", True)],
-        ids=["serial", "pipelined", "process-resident"],
-    )
-    def test_copies_rejected_exactly_once_admitted(self, executor, resident):
+    @pytest.mark.parametrize("executor", ["serial", PIPELINED, RESIDENT])
+    def test_copies_rejected_exactly_once_admitted(self, executor):
         spec = find_scenario("byzantine-dupes")
         plan = build_plan(spec)
-        run = _run(spec, executor, resident)
+        run = _run(spec, executor)
         for stats, epoch_plan in zip(run.epochs, plan.epochs):
             injections = len(epoch_plan.injections)
             assert injections > 0  # the scenario actually injects
@@ -262,8 +248,7 @@ class TestDuplicateInjection:
     def test_injection_is_executor_invariant(self):
         spec = find_scenario("byzantine-churn")
         digests = {
-            f"{e}{'-r' if r else ''}": _run(spec, e, r).digest
-            for e, r in ALL_EXECUTOR_CONFIGS
+            executor: _run(spec, executor).digest for executor in ALL_EXECUTORS
         }
         assert len(set(digests.values())) == 1, digests
 
@@ -272,11 +257,11 @@ class TestDuplicateInjection:
 
 
 class TestHostileEdgeCases:
-    @pytest.mark.parametrize("executor,resident", ALL_EXECUTOR_CONFIGS, ids=CONFIG_IDS)
-    def test_empty_participation_epoch(self, executor, resident):
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_empty_participation_epoch(self, executor):
         """Zero active clients: epochs complete with no answers and no hang."""
         spec = find_scenario("ghost-town")
-        run = _run(spec, executor, resident)
+        run = _run(spec, executor)
         assert all(stats.active_clients == 0 for stats in run.epochs)
         assert all(stats.responses == 0 for stats in run.epochs)
         assert run.mean_accuracy_loss is None
@@ -291,8 +276,8 @@ class TestHostileEdgeCases:
             for index in range(spec.num_clients)
         )
         assert spec.deadline_seconds < minimum
-        for executor, resident in (("serial", False), ("process", True)):
-            run = _run(spec, executor, resident)
+        for executor in ("serial", RESIDENT):
+            run = _run(spec, executor)
             # Every produced answer was dropped (the sampling coin keeps some
             # clients silent, so the drop ledger tracks participants, not the
             # whole roster) and nothing was delivered.
@@ -315,14 +300,14 @@ class TestHostileEdgeCases:
             p=0.9,
             q=0.5,
         )
-        run = _run(spec, "serial", False)
+        run = _run(spec, "serial")
         assert run.total_late_dropped == 0
 
     def test_churned_out_clients_are_absent_from_ground_truth(self):
         """The population rescale and exact counts track the live roster."""
         spec = find_scenario("mass-exodus")
         plan = build_plan(spec)
-        run = _run(spec, "serial", False)
+        run = _run(spec, "serial")
         sizes = [len(epoch_plan.active) for epoch_plan in plan.epochs]
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] < sizes[0]
         for stats, expected in zip(run.epochs, sizes):

@@ -3,9 +3,9 @@
 The hand-enumerated equivalence cases pin specific configurations; this
 module generalizes them into a property-style harness.  A fixed scenario
 seed generates ~25 random deployments — client count, shard/worker counts,
-1–3 concurrent queries, 1–4 epochs, executor kind, residency on/off with
-random checkpoint cadence, sparse or full participation, and (for the
-process executors) a forced mid-run re-shard — and each must produce
+1–3 concurrent queries, 1–4 epochs, driver combination (threads, snapshot
+wire, worker-resident state with random checkpoint cadence), sparse or full
+participation, and (for the wire transports) a forced mid-run re-shard — and each must produce
 byte-identical per-query responses and window results to the serial
 executor running the very same deployment.
 
@@ -32,6 +32,12 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
+from repro.runtime import cli_smoke_matrix
+
+SHARDED = "thread-pool/in-process"
+PIPELINED = "pipelined-overlap/in-process"
+PROCESS = "pipelined-overlap/framed-wire-local"
+RESIDENT = "pinned-worker/framed-wire-local"
 
 SCENARIO_SEED = 0x7A57E5
 NUM_SCENARIOS = 25
@@ -44,7 +50,6 @@ class Scenario:
 
     index: int
     executor: str
-    resident: bool
     num_clients: int
     num_shards: int
     num_workers: int
@@ -57,10 +62,9 @@ class Scenario:
 
     @property
     def test_id(self) -> str:
-        resident = "-resident" if self.resident else ""
         reshard = "-reshard" if self.reshard_after_epoch is not None else ""
         return (
-            f"torture-{self.index:02d}-{self.executor}{resident}{reshard}"
+            f"torture-{self.index:02d}-{self.executor}{reshard}"
             f"-c{self.num_clients}-s{self.num_shards}-q{self.num_queries}"
             f"-e{self.num_epochs}"
         )
@@ -69,27 +73,20 @@ class Scenario:
 def generate_scenarios() -> list[Scenario]:
     """~25 deterministic scenarios with guaranteed executor coverage."""
     rng = random.Random(SCENARIO_SEED)
-    # Thread executors are cheap, so they carry the bulk of the fuzzing;
-    # every process/resident scenario costs a worker spawn.
-    executor_pool = (
-        ["sharded"] * 8
-        + ["pipelined"] * 7
-        + [("process", False)] * 4
-        + [("process", True)] * 6
-    )
-    rng.shuffle(executor_pool)
+    # Thread drivers are cheap, so they carry the bulk of the fuzzing;
+    # every wire-transport scenario costs a worker spawn.
+    executors = [SHARDED] * 8 + [PIPELINED] * 7 + [PROCESS] * 4 + [RESIDENT] * 6
+    rng.shuffle(executors)
     scenarios = []
-    for index, choice in enumerate(executor_pool[:NUM_SCENARIOS]):
-        executor, resident = choice if isinstance(choice, tuple) else (choice, False)
+    for index, executor in enumerate(executors[:NUM_SCENARIOS]):
         num_epochs = rng.randint(1, 4)
         reshard_after_epoch = None
-        if executor == "process" and num_epochs >= 3 and rng.random() < 0.6:
+        if executor in (PROCESS, RESIDENT) and num_epochs >= 3 and rng.random() < 0.6:
             reshard_after_epoch = rng.randint(1, num_epochs - 2)
         scenarios.append(
             Scenario(
                 index=index,
                 executor=executor,
-                resident=resident,
                 num_clients=rng.randint(1, 24),
                 num_shards=rng.randint(1, 7),
                 num_workers=rng.randint(1, 4),
@@ -146,7 +143,6 @@ def run_scenario(scenario: Scenario, as_serial: bool) -> dict:
         executor="serial" if as_serial else scenario.executor,
         executor_workers=scenario.num_workers,
         executor_shards=None if as_serial else scenario.num_shards,
-        executor_resident=False if as_serial else scenario.resident,
         executor_checkpoint_every=scenario.checkpoint_every,
     )
     system = PrivApproxSystem(config)
@@ -229,11 +225,9 @@ def test_scenario_generation_is_deterministic():
     """Same seed, same scenarios — failures must reproduce by id."""
     assert generate_scenarios() == SCENARIOS
     assert len(SCENARIOS) == NUM_SCENARIOS
-    executors_covered = {(s.executor, s.resident) for s in SCENARIOS}
-    assert ("sharded", False) in executors_covered
-    assert ("pipelined", False) in executors_covered
-    assert ("process", False) in executors_covered
-    assert ("process", True) in executors_covered
+    executors_covered = {s.executor for s in SCENARIOS}
+    assert executors_covered == {SHARDED, PIPELINED, PROCESS, RESIDENT}
+    assert executors_covered <= set(cli_smoke_matrix())
     assert any(s.reshard_after_epoch is not None for s in SCENARIOS)
     assert any(s.num_queries > 1 for s in SCENARIOS)
 
@@ -254,17 +248,8 @@ CHURN_SCENARIO_NAMES = ("churn-mild", "churn-heavy", "zipf-churn", "kitchen-sink
 CHURN_SPECS = [
     spec for spec in scenario_grid("full") if spec.name in CHURN_SCENARIO_NAMES
 ]
-CHURN_EXECUTOR_CONFIGS = [
-    ("sharded", False),
-    ("pipelined", False),
-    ("process", False),
-    ("process", True),
-    # Canonical driver-combo spellings of the staged engine: the cheap
-    # single-thread config and the barrier thread pool, dragged through the
-    # same hostile environments as the legacy names.
-    ("inline/in-process", False),
-    ("thread-pool/in-process", False),
-]
+# Every single-host driver combination.
+CHURN_EXECUTORS = cli_smoke_matrix()[1:]
 
 _serial_digests: dict[str, str] = {}
 
@@ -278,13 +263,9 @@ def _serial_churn_digest(spec) -> str:
     return digest
 
 
-@pytest.mark.parametrize(
-    "executor,resident",
-    CHURN_EXECUTOR_CONFIGS,
-    ids=[f"{e}{'-resident' if r else ''}" for e, r in CHURN_EXECUTOR_CONFIGS],
-)
+@pytest.mark.parametrize("executor", CHURN_EXECUTORS)
 @pytest.mark.parametrize("spec", CHURN_SPECS, ids=[s.name for s in CHURN_SPECS])
-def test_churn_scenario_matches_serial_reference(spec, executor, resident):
+def test_churn_scenario_matches_serial_reference(spec, executor):
     """Seeded join/leave churn between epochs is executor-invariant."""
     assert spec.join_rate > 0 and spec.leave_rate > 0  # really a churn scenario
     run = run_env_scenario(
@@ -292,7 +273,6 @@ def test_churn_scenario_matches_serial_reference(spec, executor, resident):
         executor=executor,
         workers=2,
         shards=3,
-        resident=resident,
         checkpoint_every=2,
     )
     assert run.digest == _serial_churn_digest(spec), (
@@ -308,27 +288,11 @@ def test_churn_scenario_matches_serial_reference(spec, executor, resident):
 # and demands the run digest match serial + SQLDB_FORCE_SCAN — the whole
 # pipeline, not just the SELECT, must be unable to tell the paths apart.
 
-INDEXED_PATH_CONFIGS = [
-    ("serial", False),
-    ("sharded", False),
-    ("pipelined", False),
-    ("process", False),
-    ("process", True),
-    ("inline/in-process", False),
-]
-
-
 @pytest.mark.parametrize(
     "mode", ["arena", "per-client"], ids=["arena", "per-client"]
 )
-@pytest.mark.parametrize(
-    "executor,resident",
-    INDEXED_PATH_CONFIGS,
-    ids=[f"{e}{'-resident' if r else ''}" for e, r in INDEXED_PATH_CONFIGS],
-)
-def test_indexed_answer_path_matches_scan_reference(
-    executor, resident, mode, monkeypatch
-):
+@pytest.mark.parametrize("executor", cli_smoke_matrix())
+def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch):
     """The full differential ladder over one hostile scenario: shard-wide
     arena answering (the default) and the per-client compiled path
     (``SQLDB_FORCE_PER_CLIENT=1``) must both match serial + forced row scan
@@ -346,7 +310,6 @@ def test_indexed_answer_path_matches_scan_reference(
         executor=executor,
         workers=2,
         shards=3,
-        resident=resident,
         checkpoint_every=2,
     )
     assert run.digest == reference_digest, (

@@ -1,6 +1,6 @@
 """The wire format: framed shard tasks/batches and client state snapshots.
 
-The process-pool runtime is only correct if (a) a client restored from its
+The wire transports are only correct if (a) a client restored from its
 snapshot continues the *exact* random streams of the original and (b) the
 framing rejects foreign, truncated or version-drifted bytes instead of
 feeding garbage to a worker.  Both properties are pinned here, independently
@@ -211,7 +211,7 @@ def make_resident_client(seed: int = 99) -> Client:
 
 
 class TestWireV3Framing:
-    """Round trips and rejection behavior of the resident-state frames."""
+    """Round trips and rejection behavior of the worker-resident frames."""
 
     def make_bootstrap(self) -> ShardBootstrap:
         client = make_resident_client()
@@ -320,7 +320,7 @@ class TestWireV3Framing:
 
 
 class TestVersionNegotiation:
-    """Frames are emitted at v3; v2 bytes still decode for the v2 kinds."""
+    """Frames are emitted at v3 and every kind is accepted at v3 only."""
 
     def make_task_blob(self) -> bytes:
         client = make_client()
@@ -337,12 +337,25 @@ class TestVersionNegotiation:
         blob = self.make_task_blob()
         assert blob[4] == WIRE_VERSION == 3
 
-    def test_version_2_snapshot_frames_still_decode(self):
-        blob = self.make_task_blob()
-        downgraded = blob[:4] + bytes([2]) + blob[5:]
-        decoded = decode_shard_task(downgraded)
-        assert decoded.shard_index == 0
-        assert isinstance(decode_frame(downgraded), ShardTask)
+    def test_version_2_snapshot_frames_are_rejected(self):
+        """No sender stamps v2: a v2-stamped ShardTask/ShardBatch is a
+        WireError naming the version, on every decode entry point."""
+        task_blob = self.make_task_blob()
+        batch_blob = encode_shard_batch(
+            ShardBatch(
+                shard_index=0, epoch=0, wall_seconds=0.0, responses=(), client_states=()
+            )
+        )
+        for blob, decode in (
+            (task_blob, decode_shard_task),
+            (batch_blob, decode_shard_batch),
+            (task_blob, decode_frame),
+            (batch_blob, decode_frame),
+        ):
+            downgraded = blob[:4] + bytes([2]) + blob[5:]
+            with pytest.raises(WireError, match="version 2") as excinfo:
+                decode(downgraded)
+            assert excinfo.value.offset == 4  # points at the version byte
 
     def test_version_1_frames_are_rejected(self):
         blob = self.make_task_blob()
@@ -368,7 +381,7 @@ class TestVersionNegotiation:
             )
         )
         downgraded = blob[:4] + bytes([2]) + blob[5:]
-        with pytest.raises(WireError, match="requires >= 3"):
+        with pytest.raises(WireError, match="version 2"):
             decode_shard_delta(downgraded)
 
     def test_unknown_kind_rejected(self):

@@ -8,8 +8,8 @@ it, with nothing mocked:
 2. launch two ``python -m repro.cli worker --listen 127.0.0.1:0`` processes
    and parse their ``worker listening on HOST:PORT`` lines;
 3. run seeded scenarios twice — on the serial reference executor and on
-   ``--executor process --workers host:port,host:port`` — and require the
-   printed digests to be byte-identical;
+   ``--executor pinned-worker/sealed-tcp-remote --workers
+   host:port,host:port`` — and require the printed digests to be byte-identical;
 4. shut the workers down and fail on any worker-side protocol errors.
 
 Exit status is non-zero on any digest mismatch, timeout, or worker failure.
@@ -115,7 +115,7 @@ def main(argv: list[str]) -> int:
             remote = run_digest(
                 [
                     "simulate", "--scenario", scenario,
-                    "--executor", "process",
+                    "--executor", "pinned-worker/sealed-tcp-remote",
                     "--workers", ",".join(addresses),
                     "--key-file", str(key_path),
                     "--checkpoint-every", "2",
