@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analytics.histogram import BucketEstimate, HistogramResult
+from repro.analytics.histogram import HistogramResult
 from repro.core.admission import AnswerAdmissionController
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec
-from repro.core.estimation import ErrorEstimator
+from repro.core.estimation import ErrorEstimator, count_answer_bits, estimate_histogram
 from repro.core.query import Query, QueryAnswer
-from repro.core.randomized_response import estimate_true_yes
 from repro.core.validation import AnswerValidator
 from repro.crypto.xor import MessageShare, join_shares_batch
 from repro.pubsub import Consumer
@@ -324,17 +323,11 @@ class Aggregator:
 
     def _aggregate_window(self, answers: list[QueryAnswer]) -> dict:
         """Window aggregation function handed to the streaming operator."""
-        num_buckets = self.query.num_buckets
-        counts = [0] * num_buckets
-        epochs = set()
-        for answer in answers:
-            epochs.add(answer.epoch)
-            for index, bit in enumerate(answer.bits[:num_buckets]):
-                counts[index] += bit
+        counts, num_epochs = count_answer_bits(answers, self.query.num_buckets)
         return {
             "counts": counts,
             "num_answers": len(answers),
-            "num_epochs": max(1, len(epochs)),
+            "num_epochs": num_epochs,
         }
 
     def _to_window_result(self, record: StreamRecord) -> WindowResult:
@@ -353,50 +346,14 @@ class Aggregator:
     def _estimate_histogram(
         self, window: Window, counts: list[int], num_answers: int, population: int
     ) -> HistogramResult:
-        p = self.parameters.p
-        q = self.parameters.q
-        labels = self.query.answer_spec.labels()
-        histogram = HistogramResult(
-            window=(window.start, window.end), num_answers=num_answers
+        return estimate_histogram(
+            counts,
+            num_answers,
+            population,
+            labels=self.query.answer_spec.labels(),
+            p=self.parameters.p,
+            q=self.parameters.q,
+            estimator=self.error_estimator,
+            confidence_level=self.confidence_level,
+            window=(window.start, window.end),
         )
-        if num_answers == 0:
-            for index, label in enumerate(labels):
-                histogram.add_bucket(
-                    BucketEstimate(
-                        bucket_index=index,
-                        label=label,
-                        estimate=0.0,
-                        error_bound=float("inf") if population > 0 else 0.0,
-                        confidence_level=self.confidence_level,
-                    )
-                )
-            return histogram
-
-        scale = population / num_answers
-        for index, label in enumerate(labels):
-            observed_yes = counts[index]
-            corrected = estimate_true_yes(observed_yes, num_answers, p, q)
-            estimate = scale * corrected
-            # Per-answer corrected contributions: the a_i of Eq. 2, carrying
-            # the randomization noise.  Bits are 0/1, so there are exactly two
-            # distinct corrected values.
-            corrected_one = (1.0 - (1.0 - p) * q) / p
-            corrected_zero = (0.0 - (1.0 - p) * q) / p
-            contributions = [corrected_one] * observed_yes + [corrected_zero] * (
-                num_answers - observed_yes
-            )
-            error = self.error_estimator.bucket_error_bound(
-                corrected_values=contributions,
-                population_size=population,
-                estimated_count=estimate,
-            )
-            histogram.add_bucket(
-                BucketEstimate(
-                    bucket_index=index,
-                    label=label,
-                    estimate=estimate,
-                    error_bound=error,
-                    confidence_level=self.confidence_level,
-                )
-            )
-        return histogram

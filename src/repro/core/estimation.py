@@ -18,9 +18,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
+from repro.analytics.histogram import BucketEstimate, HistogramResult
+from repro.core.query import QueryAnswer
 from repro.core.randomized_response import (
+    estimate_true_yes,
     rr_accuracy_loss,
     simulate_randomized_survey,
 )
@@ -160,6 +164,94 @@ class ErrorEstimator:
         if not math.isfinite(sampling_error):
             return float("inf")
         return combined_error_bound(sampling_error, randomization_error)
+
+
+def count_answer_bits(
+    answers: Iterable[QueryAnswer], num_buckets: int
+) -> tuple[list[int], int]:
+    """Per-bucket "Yes" counts of a window's answers and its epoch count.
+
+    Returns the column sums of the first ``num_buckets`` answer bits and the
+    number of distinct epochs the answers came from (at least 1, so an empty
+    window still scales by one epoch's population).
+    """
+    rows = []
+    epochs = set()
+    for answer in answers:
+        rows.append(answer.bits)
+        epochs.add(answer.epoch)
+    counts = [sum(column) for column in islice(zip(*rows), num_buckets)]
+    if len(counts) < num_buckets:
+        # ``zip`` stops at the shortest row: no answers at all, or one
+        # narrower than the query.  Count what each answer does carry.
+        counts = [0] * num_buckets
+        for bits in rows:
+            for index, bit in enumerate(bits[:num_buckets]):
+                counts[index] += bit
+    return counts, max(1, len(epochs))
+
+
+def estimate_histogram(
+    counts: Sequence[int],
+    num_answers: int,
+    population: int,
+    labels: Sequence[str],
+    p: float,
+    q: float,
+    estimator: ErrorEstimator,
+    confidence_level: float = 0.95,
+    window: tuple[float, float] | None = None,
+) -> HistogramResult:
+    """Turn one window's observed bucket counts into ``estimate +/- bound``.
+
+    Every bucket's count is de-randomized (Eq. 5), scaled by
+    ``population / num_answers`` (Eq. 2) and given the estimator's error
+    bound.  The streaming aggregator and the historical batch job share this
+    routine, so a window and a batch over the same answers agree.
+
+    Within one window ``num_answers``, ``population``, ``p`` and ``q`` are
+    fixed, so the estimate depends on the bucket's observed count alone, and
+    buckets that share a count share one ``(estimate, error_bound)`` pair
+    (a dict local to this call; nothing is remembered across windows).  That
+    skips calls to :meth:`ErrorEstimator.bucket_error_bound` without
+    changing what any call returns or draws: a repeated count has the same
+    Yes fraction, hence the same ``round(yes_fraction, 3)`` key, which the
+    first bucket with that count already put in the estimator's calibration
+    cache.  The skipped call would have been a cache hit that returns the
+    same float and leaves ``estimator.rng`` alone, so calibration misses
+    still happen in the same order and consume the same draws.
+    """
+    histogram = HistogramResult(window=window, num_answers=num_answers)
+    if num_answers == 0:
+        unbounded = float("inf") if population > 0 else 0.0
+        for index, label in enumerate(labels):
+            histogram.add_bucket(
+                BucketEstimate(index, label, 0.0, unbounded, confidence_level)
+            )
+        return histogram
+
+    scale = population / num_answers
+    # Per-answer corrected contributions: the a_i of Eq. 2, carrying the
+    # randomization noise.  Bits are 0/1, so there are exactly two values.
+    corrected_one = (1.0 - (1.0 - p) * q) / p
+    corrected_zero = (0.0 - (1.0 - p) * q) / p
+    by_count: dict[int, tuple[float, float]] = {}
+    for index, label in enumerate(labels):
+        observed_yes = counts[index]
+        pair = by_count.get(observed_yes)
+        if pair is None:
+            estimate = scale * estimate_true_yes(observed_yes, num_answers, p, q)
+            contributions = [corrected_one] * observed_yes + [corrected_zero] * (
+                num_answers - observed_yes
+            )
+            error = estimator.bucket_error_bound(
+                corrected_values=contributions,
+                population_size=population,
+                estimated_count=estimate,
+            )
+            pair = by_count[observed_yes] = (estimate, error)
+        histogram.add_bucket(BucketEstimate(index, label, *pair, confidence_level))
+    return histogram
 
 
 def estimate_randomization_loss_curve(

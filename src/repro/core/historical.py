@@ -19,11 +19,10 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from repro.analytics.histogram import BucketEstimate, HistogramResult
+from repro.analytics.histogram import HistogramResult
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
-from repro.core.estimation import ErrorEstimator
+from repro.core.estimation import ErrorEstimator, count_answer_bits, estimate_histogram
 from repro.core.query import Query, QueryAnswer
-from repro.core.randomized_response import estimate_true_yes
 from repro.storage import BlockStore
 
 
@@ -129,43 +128,18 @@ class HistoricalAnalytics:
                 rng = random.Random(self.seed)
                 stored = [item for item in stored if rng.random() < fraction]
 
-        num_buckets = query.num_buckets
-        counts = [0] * num_buckets
-        epochs = set()
-        for answer, _ in stored:
-            epochs.add(answer.epoch)
-            for index, bit in enumerate(answer.bits[:num_buckets]):
-                counts[index] += bit
-
-        num_answers = len(stored)
-        population = total_clients_per_epoch * max(1, len(epochs))
-        histogram = HistogramResult(window=None, num_answers=num_answers)
-        labels = query.answer_spec.labels()
-        if num_answers == 0:
-            for index, label in enumerate(labels):
-                histogram.add_bucket(
-                    BucketEstimate(index, label, 0.0, float("inf"), confidence_level)
-                )
-            return histogram
-
-        estimator = ErrorEstimator(
-            p=parameters.p, q=parameters.q, confidence_level=confidence_level
+        counts, num_epochs = count_answer_bits(
+            (answer for answer, _ in stored), query.num_buckets
         )
-        scale = population / num_answers
-        p, q = parameters.p, parameters.q
-        corrected_one = (1.0 - (1.0 - p) * q) / p
-        corrected_zero = (0.0 - (1.0 - p) * q) / p
-        for index, label in enumerate(labels):
-            observed = counts[index]
-            corrected = estimate_true_yes(observed, num_answers, p, q)
-            estimate = scale * corrected
-            contributions = [corrected_one] * observed + [corrected_zero] * (num_answers - observed)
-            error = estimator.bucket_error_bound(
-                corrected_values=contributions,
-                population_size=population,
-                estimated_count=estimate,
-            )
-            histogram.add_bucket(
-                BucketEstimate(index, label, estimate, error, confidence_level)
-            )
-        return histogram
+        return estimate_histogram(
+            counts,
+            num_answers=len(stored),
+            population=total_clients_per_epoch * num_epochs,
+            labels=query.answer_spec.labels(),
+            p=parameters.p,
+            q=parameters.q,
+            estimator=ErrorEstimator(
+                p=parameters.p, q=parameters.q, confidence_level=confidence_level
+            ),
+            confidence_level=confidence_level,
+        )

@@ -18,6 +18,7 @@ import hashlib
 import hmac
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -89,14 +90,13 @@ class RangeBuckets(BucketSpec):
             return None
         if math.isnan(number):
             return None
-        if number < self.boundaries[0]:
+        # The last boundary at or below the number opens its bucket.
+        index = bisect_right(self.boundaries, number) - 1
+        if index < 0:
             return None
-        for i in range(len(self.boundaries) - 1):
-            if self.boundaries[i] <= number < self.boundaries[i + 1]:
-                return i
-        if self.open_ended and number >= self.boundaries[-1]:
-            return len(self.boundaries) - 1
-        return None
+        if index == len(self.boundaries) - 1 and not self.open_ended:
+            return None
+        return index
 
     def labels(self) -> list[str]:
         out = [
@@ -175,6 +175,9 @@ class AnswerSpec:
         return self.buckets.encode(value)
 
 
+_BIT_VALUES = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class QueryAnswer:
     """A single client's (truthful or randomized) answer: an n-bit vector.
@@ -191,7 +194,12 @@ class QueryAnswer:
     token: str = ""
 
     def __post_init__(self) -> None:
-        if any(bit not in (0, 1) for bit in self.bits):
+        try:
+            binary = _BIT_VALUES.issuperset(self.bits)
+        except TypeError:
+            # An unhashable bit: compare it the slow way, value by value.
+            binary = not any(bit not in (0, 1) for bit in self.bits)
+        if not binary:
             raise ValueError("answer bits must be 0 or 1")
 
     @property

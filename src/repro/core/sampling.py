@@ -22,6 +22,7 @@ estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -67,8 +68,16 @@ def sample_variance(values: Sequence[float]) -> float:
     return sum((v - mean) ** 2 for v in values) / (n - 1)
 
 
+@functools.lru_cache(maxsize=1024)
 def t_critical(sample_size: int, confidence_level: float = 0.95) -> float:
-    """t-distribution critical value with ``sample_size - 1`` degrees of freedom."""
+    """t-distribution critical value with ``sample_size - 1`` degrees of freedom.
+
+    Memoised on its arguments: every bucket of a window (and every window
+    with the same answer count) asks for the same quantile, and
+    ``scipy.stats.t.ppf`` costs more than the rest of the error bound.  The
+    cached value is the float ``scipy`` returned; a bad ``confidence_level``
+    raises on every call, because exceptions are never cached.
+    """
     if not 0 < confidence_level < 1:
         raise ValueError("confidence level must be in (0, 1)")
     if sample_size < 2:

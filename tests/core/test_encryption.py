@@ -1,5 +1,7 @@
 """Tests for answer encoding and XOR share splitting (Step III)."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,3 +105,88 @@ class TestAnswerCodec:
         assert decrypted.bits == answer.bits
         assert decrypted.query_id == answer.query_id
         assert decrypted.epoch == epoch
+
+    def test_encode_rejects_fields_the_header_cannot_hold(self, codec):
+        """Out-of-range header fields are a ValueError like the qid / token
+        length checks beside them, never a struct.error callers do not catch."""
+        for bad in (
+            QueryAnswer(query_id="q", bits=(0,) * 65_536),
+            QueryAnswer(query_id="q", bits=(1,), epoch=-1),
+            QueryAnswer(query_id="q", bits=(1,), epoch=2**32),
+        ):
+            with pytest.raises(ValueError):
+                codec.encode(bad)
+            with pytest.raises(ValueError):
+                codec.encrypt(bad, num_proxies=2)
+        widest = QueryAnswer(query_id="q", bits=(1, 0) * 32_767 + (1,), epoch=2**32 - 1)
+        assert codec.decode(codec.encode(widest)) == widest
+
+
+def _outcome(function, *args):
+    """What a call returned, or the type of what it raised."""
+    try:
+        return function(*args)
+    except Exception as error:
+        return type(error)
+
+
+class TestBitPackingMatchesScalarReference:
+    """The bit-parallel codec is pinned to the per-bit loops it replaced."""
+
+    @given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_pack_and_unpack_agree_with_the_scalar_loops(self, bits):
+        packed = AnswerCodec._pack_bits(bits)
+        assert packed == AnswerCodec._pack_bits_scalar(bits)
+        assert packed == AnswerCodec._pack_bits(tuple(bits))
+        assert AnswerCodec._unpack_bits(packed, len(bits)) == bits
+        assert AnswerCodec._unpack_bits_scalar(packed, len(bits)) == bits
+        # Trailing bytes beyond the declared width are ignored by both.
+        assert AnswerCodec._unpack_bits(packed + b"\xff", len(bits)) == bits
+
+    @given(
+        packed=st.binary(max_size=40),
+        num_bits=st.integers(min_value=0, max_value=330),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unpack_agrees_on_arbitrary_payloads(self, packed, num_bits):
+        """Pad bits set, payloads too long, payloads too short: same outcome."""
+        assert _outcome(AnswerCodec._unpack_bits, packed, num_bits) == _outcome(
+            AnswerCodec._unpack_bits_scalar, packed, num_bits
+        )
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, None, "1", 0.5])
+    @pytest.mark.parametrize("position", [0, 9, 16])
+    def test_non_binary_values_rejected_alike(self, bad, position):
+        bits = [1, 0] * 8 + [1]
+        bits[position] = bad
+        for pack in (AnswerCodec._pack_bits, AnswerCodec._pack_bits_scalar):
+            with pytest.raises(ValueError):
+                pack(bits)
+            with pytest.raises(ValueError):
+                pack(tuple(bits))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            "1",
+            "01",
+            b"\x01\x00\x01",
+            [True, False, 1.0, 0.0],
+            # a buffer wider than one byte per bit: bytes() would misread it
+            array("i", [1, 0, 1, 1, 0, 0, 0, 0, 1]),
+            7,
+            None,
+        ],
+    )
+    def test_unusual_containers_handled_alike(self, bits):
+        assert _outcome(AnswerCodec._pack_bits, bits) == _outcome(
+            AnswerCodec._pack_bits_scalar, bits
+        )
+
+    @pytest.mark.parametrize("num_bits", [1, 8, 9, 192, 193])
+    def test_short_payload_rejected_alike(self, num_bits):
+        packed = bytes((num_bits + 7) // 8 - 1)
+        for unpack in (AnswerCodec._unpack_bits, AnswerCodec._unpack_bits_scalar):
+            with pytest.raises(ValueError):
+                unpack(packed, num_bits)

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ErrorEstimator, combined_error_bound, sampling_error_bound
 from repro.core.estimation import (
+    count_answer_bits,
+    estimate_histogram,
     estimate_randomization_loss_curve,
     estimated_variance,
 )
+from repro.core.query import QueryAnswer
+from repro.core.randomized_response import estimate_true_yes
 
 
 class TestSamplingErrorBound:
@@ -98,6 +103,117 @@ class TestErrorEstimator:
         small = estimator.randomization_error(100.0, 0.5)
         large = estimator.randomization_error(1_000.0, 0.5)
         assert large == pytest.approx(10 * small)
+
+
+def _per_bucket_reference(counts, num_answers, population, p, q, estimator):
+    """The per-bucket loop :func:`estimate_histogram` replaced: one
+    ``bucket_error_bound`` call (and one contributions list) per bucket."""
+    pairs = []
+    scale = population / num_answers
+    for observed_yes in counts:
+        estimate = scale * estimate_true_yes(observed_yes, num_answers, p, q)
+        corrected_one = (1.0 - (1.0 - p) * q) / p
+        corrected_zero = (0.0 - (1.0 - p) * q) / p
+        contributions = [corrected_one] * observed_yes + [corrected_zero] * (
+            num_answers - observed_yes
+        )
+        pairs.append(
+            (estimate, estimator.bucket_error_bound(contributions, population, estimate))
+        )
+    return pairs
+
+
+class TestSharedHistogramRoutine:
+    """Draw-compatibility of the count-keyed window routine."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        num_answers=st.integers(min_value=1, max_value=60),
+        distinct=st.integers(min_value=1, max_value=6),
+        num_buckets=st.integers(min_value=1, max_value=40),
+        num_windows=st.integers(min_value=1, max_value=3),
+        p=st.sampled_from([0.3, 0.9, 1.0]),
+        q=st.sampled_from([0.0, 0.5, 0.6]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_same_pairs_and_same_rng_state_as_the_per_bucket_loop(
+        self, seed, num_answers, distinct, num_buckets, num_windows, p, q
+    ):
+        """Count vectors with heavy repeats, several windows on one estimator
+        (so its calibration cache carries over): identical estimates, error
+        bounds and calibration-RNG state, window after window."""
+        rng = random.Random(seed)
+        population = num_answers + rng.randrange(0, 3) * 17
+        labels = [f"b{i}" for i in range(num_buckets)]
+        kwargs = dict(p=p, q=q, calibration_trials=2, calibration_size=150)
+        shared = ErrorEstimator(rng=random.Random(seed), **kwargs)
+        reference = ErrorEstimator(rng=random.Random(seed), **kwargs)
+        for _ in range(num_windows):
+            pool = [rng.randint(0, num_answers) for _ in range(distinct)]
+            counts = [rng.choice(pool) for _ in range(num_buckets)]
+            histogram = estimate_histogram(
+                counts, num_answers, population, labels, p, q, shared, 0.9, (0.0, 60.0)
+            )
+            expected = _per_bucket_reference(
+                counts, num_answers, population, p, q, reference
+            )
+            assert [(b.estimate, b.error_bound) for b in histogram.buckets] == expected
+            assert [b.bucket_index for b in histogram.buckets] == list(range(num_buckets))
+            assert histogram.labels() == labels
+            assert shared.rng.getstate() == reference.rng.getstate()
+            assert shared._rr_loss_cache == reference._rr_loss_cache
+        assert histogram.window == (0.0, 60.0)
+        assert histogram.num_answers == num_answers
+        assert {b.confidence_level for b in histogram.buckets} == {0.9}
+
+    def test_repeated_counts_share_one_error_bound_call(self):
+        calls = []
+
+        class Counting(ErrorEstimator):
+            def bucket_error_bound(self, corrected_values, population_size, estimated_count):
+                calls.append(len(corrected_values))
+                return super().bucket_error_bound(
+                    corrected_values, population_size, estimated_count
+                )
+
+        estimator = Counting(p=0.9, q=0.5, rng=random.Random(3))
+        counts = [4, 0, 4, 9, 0, 0, 4, 9]
+        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5, estimator)
+        assert calls == [20, 20, 20]  # one per distinct count: 4, 0, 9
+        # Nothing is remembered across windows: the next one asks again.
+        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5, estimator)
+        assert len(calls) == 6
+
+    def test_empty_window(self):
+        estimator = ErrorEstimator(p=0.9, q=0.5, rng=random.Random(3))
+        state = estimator.rng.getstate()
+        histogram = estimate_histogram([0, 0], 0, 10, ["a", "b"], 0.9, 0.5, estimator)
+        assert histogram.estimates() == [0.0, 0.0]
+        assert histogram.error_bounds() == [float("inf")] * 2
+        assert histogram.window is None
+        assert estimator.rng.getstate() == state
+
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(min_value=0, max_value=1), max_size=7), max_size=12
+        ),
+        num_buckets=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_count_answer_bits_matches_the_per_bit_loop(self, rows, num_buckets):
+        """Column sums equal the per-answer per-bit loop, including answers
+        narrower or wider than the query and an empty window."""
+        answers = [
+            QueryAnswer(query_id="q", bits=tuple(bits), epoch=index % 3)
+            for index, bits in enumerate(rows)
+        ]
+        expected = [0] * num_buckets
+        for answer in answers:
+            for index, bit in enumerate(answer.bits[:num_buckets]):
+                expected[index] += bit
+        counts, num_epochs = count_answer_bits(iter(answers), num_buckets)
+        assert counts == expected
+        assert num_epochs == max(1, len({answer.epoch for answer in answers}))
 
 
 class TestErrorDecomposition:

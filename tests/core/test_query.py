@@ -1,9 +1,32 @@
 """Tests for the query model: buckets, answer vectors, signing."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import AnswerSpec, Query, RangeBuckets, RuleBuckets
 from repro.core.query import QueryAnswer, make_query_id
+
+
+def _bucket_of_by_scan(buckets: RangeBuckets, value):
+    """Reference for :meth:`RangeBuckets.bucket_of`: test every bucket in turn."""
+    if value is None:
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    if math.isnan(number):
+        return None
+    if number < buckets.boundaries[0]:
+        return None
+    for i in range(len(buckets.boundaries) - 1):
+        if buckets.boundaries[i] <= number < buckets.boundaries[i + 1]:
+            return i
+    if buckets.open_ended and number >= buckets.boundaries[-1]:
+        return len(buckets.boundaries) - 1
+    return None
 
 
 class TestRangeBuckets:
@@ -68,6 +91,35 @@ class TestRangeBuckets:
         with pytest.raises(ValueError):
             RangeBuckets.uniform(1.0, 0.0, 3)
 
+    @given(
+        boundaries=st.lists(
+            st.one_of(
+                st.integers(min_value=-50, max_value=50),
+                st.floats(min_value=-50.0, max_value=50.0),
+            ),
+            min_size=2,
+            max_size=12,
+            unique=True,
+        ).map(sorted),
+        open_ended=st.booleans(),
+        probe=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(min_value=-60, max_value=60),
+            st.sampled_from([None, "7", "1e1", " 3 ", "not a number", "", True, b"x"]),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bisect_lookup_matches_the_linear_scan(
+        self, boundaries, open_ended, probe, data
+    ):
+        """The binary search finds the bucket the boundary-by-boundary scan
+        did: exact boundaries, below range, past the end, NaN, non-numeric."""
+        buckets = RangeBuckets(boundaries=tuple(boundaries), open_ended=open_ended)
+        on_boundary = data.draw(st.sampled_from(boundaries))
+        for value in (probe, on_boundary, math.nextafter(on_boundary, -math.inf)):
+            assert buckets.bucket_of(value) == _bucket_of_by_scan(buckets, value)
+
 
 class TestRuleBuckets:
     def test_regex_rules(self):
@@ -111,6 +163,42 @@ class TestQueryAnswer:
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
             QueryAnswer(query_id="q", bits=(0, 2))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            (),
+            (0, 1, 1, 0),
+            [1, 0],
+            (True, False),
+            (1.0, 0.0),
+            b"\x00\x01",
+            (0, 2),
+            (-1,),
+            (256,),
+            (None,),
+            ("1",),
+            "01",
+            (0.5,),
+            (float("nan"),),
+            ([1],),
+            ({0},),
+            None,
+            7,
+        ],
+    )
+    def test_accepts_and_rejects_what_the_per_bit_test_did(self, bits):
+        """The set test is the old ``any(bit not in (0, 1) ...)`` check:
+        same verdict and same exception type, unhashable bits included."""
+        try:
+            expected = not any(bit not in (0, 1) for bit in bits)
+        except TypeError:
+            expected = TypeError
+        if expected is True:
+            assert QueryAnswer(query_id="q", bits=bits).bits is bits
+        else:
+            with pytest.raises(ValueError if expected is False else TypeError):
+                QueryAnswer(query_id="q", bits=bits)
 
 
 class TestQuery:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.core import SimpleRandomSampler, StratifiedSampler, estimate_sum
 from repro.core.sampling import (
@@ -41,6 +42,25 @@ class TestTCritical:
     def test_invalid_confidence_rejected(self):
         with pytest.raises(ValueError):
             t_critical(30, 1.5)
+
+    def test_memo_returns_exactly_what_scipy_returns(self):
+        """The memoised quantile is scipy's float, bit for bit, on a miss and
+        on a hit — error bounds (and every digest over them) depend on it."""
+        t_critical.cache_clear()
+        for sample_size, confidence in [(2, 0.95), (31, 0.9), (320, 0.95), (320, 0.99)]:
+            expected = float(
+                stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, df=sample_size - 1)
+            )
+            assert t_critical(sample_size, confidence) == expected
+            assert t_critical(sample_size, confidence) == expected
+        assert t_critical.cache_info().hits >= 4
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_invalid_confidence_rejected_on_every_call(self, confidence):
+        """Exceptions are not memoised: a repeated bad call raises again."""
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                t_critical(30, confidence)
 
 
 class TestEstimateSum:

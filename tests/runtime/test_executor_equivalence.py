@@ -20,6 +20,7 @@ must be byte-identical whether it runs alone or co-subscribed with others.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 
@@ -316,6 +317,28 @@ class TestMultiQueryExecutorsMatchSerial:
             num_epochs=3,
         )
         assert parallel == serial
+
+
+def test_golden_digest_of_a_three_epoch_two_query_run():
+    """Byte-identity across commits, not only across executors.
+
+    Everything else in this module compares two runs of the *same* commit, so
+    a change that moves a draw on every path at once passes it.  This pins
+    one seeded 3-epoch, two-query serial run (window estimates, error bounds
+    from the seeded calibration estimator, and the response log) to the
+    digest captured at the parent of ISSUE 17's PR (Python 3.11, scipy 1.17).
+    A deliberate draw change re-captures the constant in the same PR.
+    """
+    per_query = run_multi_deployment(40, 2, num_epochs=3)
+    digest = hashlib.sha256()
+    for query_id in sorted(per_query):
+        results, responses = per_query[query_id]
+        digest.update(query_id.encode("utf-8"))
+        digest.update(results)
+        digest.update(repr(responses).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "30ad6774e31287d1ea295bef91989cfb403ace03fd24f2f9d8123bf6c9bf0fa7"
+    )
 
 
 class TestPerQueryRngIsolation:

@@ -39,6 +39,15 @@ from repro.runtime.scenario import (
 ALL_EXECUTORS = cli_smoke_matrix()
 PIPELINED = "pipelined-overlap/in-process"
 RESIDENT = "pinned-worker/framed-wire-local"
+#: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
+#: log, encrypted shares, window estimates *and* error bounds, late-drop
+#: ledger), captured at the parent of the PR that made the answer -> estimate
+#: path share per-window work (ISSUE 17; Python 3.11, scipy 1.17).  A hot-path
+#: change that claims to be draw-compatible must leave it alone; one that
+#: moves draws on purpose re-captures it in the same PR and says so.
+GOLDEN_BYZANTINE_CHURN_DIGEST = (
+    "6d2d2a1d7405b8d7b4e06d0ed57a715c9e3ac710b59821b6b71ee0887d18a813"
+)
 
 
 def _run(spec, executor):
@@ -251,6 +260,8 @@ class TestDuplicateInjection:
             executor: _run(spec, executor).digest for executor in ALL_EXECUTORS
         }
         assert len(set(digests.values())) == 1, digests
+        # ... and invariant across commits: see GOLDEN_BYZANTINE_CHURN_DIGEST.
+        assert digests["serial"] == GOLDEN_BYZANTINE_CHURN_DIGEST
 
 
 # -- hostile edge cases -------------------------------------------------------
