@@ -79,9 +79,10 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        help="pinned-worker executors: refresh the parent's authoritative "
-             "state copy every N epochs per shard (0 = only on "
-             f"demand/shutdown; default: {DEFAULT_CHECKPOINT_EVERY})",
+        help="pinned-worker executors: refresh the parent's copy of the "
+             "resident RNG/keystream state every N epochs per shard (0 = "
+             "only on subscription changes, migration and shutdown; "
+             f"default: {DEFAULT_CHECKPOINT_EVERY})",
     )
 
 

@@ -82,6 +82,26 @@ def _unpack_rng_state(packed: tuple) -> tuple:
     return (version, struct.unpack(f"<{len(blob) // 4}I", blob), gauss_next)
 
 
+def _digest_keystream(digest, state: tuple) -> None:
+    """Feed one ``KeystreamGenerator.getstate()`` triple into a digest."""
+    seed, counter, buffer = state
+    digest.update(seed)
+    digest.update(struct.pack(">Q", counter))
+    digest.update(buffer)
+
+
+# The snapshot fields a pinned worker advances on the parent's behalf — the
+# per-query RNG states, the per-query keystream states and the client-level
+# keystream — in the order Client._stream_state builds them and
+# _stream_values hands them to adopt_rng_state / state_fingerprint.
+STREAM_STATE_FIELDS = ("rng_states", "query_keystream_states", "keystream_state")
+
+
+def _stream_values(state: dict) -> tuple:
+    """A snapshot's stream fields, in :data:`STREAM_STATE_FIELDS` order."""
+    return tuple(state[field] for field in STREAM_STATE_FIELDS)
+
+
 class Client:
     """A client device participating in PrivApprox."""
 
@@ -120,7 +140,34 @@ class Client:
 
     # -- state snapshot (process-pool runtime) --------------------------------
 
-    def export_state(self) -> dict:
+    def _stream_state(self) -> dict:
+        """The advancing streams, packed: one ``getstate()`` per stream.
+
+        The single place that says what a pinned worker advances on the
+        parent's behalf (:data:`STREAM_STATE_FIELDS`); the full snapshot, the
+        stream-only checkpoint form, the graft and the fingerprint all start
+        from this dict.  :meth:`state_fingerprint` calls this rather than
+        :meth:`export_state` so that an ``export_state`` call keeps meaning
+        "a snapshot or checkpoint was taken" to anyone counting them.
+        """
+        return dict(
+            zip(
+                STREAM_STATE_FIELDS,
+                (
+                    {
+                        query_id: _pack_rng_state(rng.getstate())
+                        for query_id, rng in self._rngs.items()
+                    },
+                    {
+                        query_id: keystream.getstate()
+                        for query_id, keystream in self._keystreams.items()
+                    },
+                    self._keystream.getstate(),
+                ),
+            )
+        )
+
+    def export_state(self, *, streams_only: bool = False) -> dict:
         """Capture everything another process needs to *be* this client.
 
         The snapshot is a plain picklable dict: the static config, the
@@ -131,12 +178,21 @@ class Client:
         byte-identical to the serial reference (``repro.runtime.wire`` frames
         these snapshots into shard tasks).
 
+        ``streams_only=True`` is the checkpoint form the worker-resident
+        runtime acks with: just the :data:`STREAM_STATE_FIELDS` that
+        :meth:`adopt_rng_state` grafts — no config, token secret, tables or
+        subscriptions, so its size is O(subscribed queries) however long the
+        local stream has grown.  It cannot be passed to :meth:`from_state`.
+
         Columnar mirrors and secondary indexes are deliberately *not*
         shipped: they are derived state, lazily rebuilt from raw rows on the
         restored side and incrementally maintained from then on — and the
         differential suite asserts the rebuilt and incrementally-maintained
         lifecycles answer identically.
         """
+        state = self._stream_state()
+        if streams_only:
+            return state
         tables = []
         for name in self.database.table_names():
             table = self.database.table(name)
@@ -147,38 +203,26 @@ class Client:
                     tuple(table.rows),
                 )
             )
-        return {
-            "config": self.config,
-            "rng_states": {
-                query_id: _pack_rng_state(rng.getstate())
-                for query_id, rng in self._rngs.items()
-            },
-            "query_keystream_states": {
-                query_id: keystream.getstate()
-                for query_id, keystream in self._keystreams.items()
-            },
-            "keystream_state": self._keystream.getstate(),
-            "token_secret": self._token_secret,
-            "tables": tables,
-            "subscriptions": tuple(
+        state.update(
+            config=self.config,
+            token_secret=self._token_secret,
+            tables=tables,
+            subscriptions=tuple(
                 self._subscriptions[query_id] for query_id in self.subscribed_query_ids
             ),
-        }
+        )
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "Client":
-        """Reconstruct a client from an :meth:`export_state` snapshot.
+        """Reconstruct a client from a full :meth:`export_state` snapshot.
 
         The constructor seeds fresh RNG/keystream instances from the config;
         they are immediately overwritten with the captured mid-stream states,
         so the restored client's next draw equals the original's next draw.
         """
         client = cls(state["config"])
-        for query_id, packed in state["rng_states"].items():
-            client._rng_for(query_id).setstate(_unpack_rng_state(packed))
-        for query_id, keystream_state in state["query_keystream_states"].items():
-            client._keystream_for(query_id).setstate(keystream_state)
-        client._keystream.setstate(state["keystream_state"])
+        client.adopt_rng_state(state)
         client._token_secret = state["token_secret"]
         for name, columns, rows in state["tables"]:
             client.database.create_table(name, list(columns))
@@ -187,6 +231,17 @@ class Client:
             client.subscribe(query, parameters)
         return client
 
+    @staticmethod
+    def holds_stream_state(state) -> bool:
+        """Whether ``state`` carries every field :meth:`adopt_rng_state` reads.
+
+        Lets a caller validate a whole batch of records *before* the first
+        graft, so a malformed checkpoint is refused instead of half-adopted.
+        """
+        return isinstance(state, dict) and all(
+            field in state for field in STREAM_STATE_FIELDS
+        )
+
     def adopt_rng_state(self, state: dict) -> None:
         """Graft a snapshot's RNG/keystream state onto this *live* client.
 
@@ -194,48 +249,51 @@ class Client:
         the parent stays authoritative for tables and subscriptions (it
         mutates them directly), the pinned worker for the advancing
         RNG/keystream streams.  Checkpoints and migrations reunite the two by
-        grafting only the random-stream fields of the worker's exported
-        snapshot onto the parent's live object — tables and subscriptions are
-        deliberately left untouched, so parent-side mutations that postdate
-        the export are never lost.
+        grafting the random-stream fields of the worker's export (the
+        ``streams_only`` form is all a checkpoint ack carries; a full
+        snapshot works too) onto the parent's live object — tables and
+        subscriptions are deliberately left untouched, so parent-side
+        mutations that postdate the export are never lost.
         """
-        for query_id, packed in state["rng_states"].items():
+        rng_states, keystream_states, keystream_state = _stream_values(state)
+        for query_id, packed in rng_states.items():
             self._rng_for(query_id).setstate(_unpack_rng_state(packed))
-        for query_id, keystream_state in state["query_keystream_states"].items():
-            self._keystream_for(query_id).setstate(keystream_state)
-        self._keystream.setstate(state["keystream_state"])
+        for query_id, query_keystream_state in keystream_states.items():
+            self._keystream_for(query_id).setstate(query_keystream_state)
+        self._keystream.setstate(keystream_state)
 
-    def state_fingerprint(self) -> bytes:
+    def state_fingerprint(self, stream_state: dict | None = None) -> bytes:
         """A cheap digest of everything the answering path draws from.
 
-        Covers the per-query RNG states, the per-query and client-level
-        keystream states and the token secret — the exact fields a resident
-        worker advances on the parent's behalf.  Two clients agree on the
-        fingerprint iff their next draws agree, so a
-        :class:`~repro.runtime.wire.ShardAck` can vouch for ~4 KB of state
-        with 32 bytes.  Tables and subscriptions are excluded on purpose:
-        they are parent-authoritative and shipped as deltas, not vouched for
-        by the worker.
+        The digest *of* the stream-only export (per-query RNG states,
+        per-query and client-level keystream states) plus the client id and
+        the token secret — the exact fields a resident worker advances on the
+        parent's behalf.  Two clients agree on the fingerprint iff their next
+        draws agree, so a :class:`~repro.runtime.wire.ShardAck` can vouch for
+        ~4 KB of state with 32 bytes.  Tables and subscriptions are excluded
+        on purpose: they are parent-authoritative and shipped as deltas, not
+        vouched for by the worker.
+
+        ``stream_state`` is an ``export_state(streams_only=True)`` taken from
+        this client just now: a checkpoint that needs both the export and the
+        fingerprint pays for one ``getstate()`` + pack per RNG, not two.
         """
+        if stream_state is None:
+            stream_state = self._stream_state()
+        rng_states, keystream_states, keystream_state = _stream_values(stream_state)
         digest = hashlib.sha256()
         digest.update(self.config.client_id.encode("utf-8"))
         digest.update(self._token_secret)
-        for query_id in sorted(self._rngs):
-            version, blob, gauss_next = _pack_rng_state(self._rngs[query_id].getstate())
+        for query_id in sorted(rng_states):
+            version, blob, gauss_next = rng_states[query_id]
             digest.update(query_id.encode("utf-8"))
             digest.update(struct.pack(">I", version))
             digest.update(blob)
             digest.update(repr(gauss_next).encode("utf-8"))
-        for query_id in sorted(self._keystreams):
-            seed, counter, buffer = self._keystreams[query_id].getstate()
+        for query_id in sorted(keystream_states):
             digest.update(query_id.encode("utf-8"))
-            digest.update(seed)
-            digest.update(struct.pack(">Q", counter))
-            digest.update(buffer)
-        seed, counter, buffer = self._keystream.getstate()
-        digest.update(seed)
-        digest.update(struct.pack(">Q", counter))
-        digest.update(buffer)
+            _digest_keystream(digest, keystream_states[query_id])
+        _digest_keystream(digest, keystream_state)
         return digest.digest()
 
     def apply_delta(self, delta) -> None:

@@ -78,8 +78,9 @@ class SystemConfig:
     shard count (default: one per worker).
 
     ``executor_checkpoint_every`` (``pinned-worker`` scheduling only)
-    controls how often the parent's authoritative copy of the resident
-    state is refreshed (``0`` = only on demand/shutdown).
+    controls how often the parent's copy of the resident RNG/keystream
+    state is refreshed (``0`` = only on subscription changes, migration and
+    shutdown).
 
     ``executor_remote_workers`` places the workers of a
     ``*/sealed-tcp-remote`` executor on separately launched TCP workers

@@ -16,30 +16,35 @@ client state live *inside* the workers instead:
   :class:`~repro.core.client.Client` objects per shard id, installed once
   from a :class:`~repro.runtime.wire.ShardBootstrap` and advanced in place
   epoch after epoch.
-* The steady-state traffic is tiny: a :class:`~repro.runtime.wire.ShardDelta`
-  per shard per epoch (subscription changes and appended stream rows since
-  the last frame — usually nothing) and a :class:`~repro.runtime.wire.ShardAck`
-  back (responses plus a 32-byte state fingerprint instead of full advanced
-  snapshots).
+* The steady-state traffic is proportional to what changed: a
+  :class:`~repro.runtime.wire.ShardDelta` per shard per epoch (subscription
+  changes and the stream rows appended since the last frame — usually
+  nothing) and a :class:`~repro.runtime.wire.ShardAck` back (responses plus
+  a 32-byte state fingerprint instead of advanced snapshots).
 
 **Split authority, lazy reunification.**  The parent stays authoritative for
 tables and subscriptions (its live clients are mutated directly by ingest and
 re-tuning, and the changes ship as deltas); the pinned worker is
 authoritative for the advancing RNG/keystream streams.  The parent's copy of
 those streams is refreshed lazily — `export on demand`: every
-``checkpoint_every`` epochs (the delta sets ``want_state`` and the ack
-carries full snapshots, grafted back via
-:meth:`~repro.core.client.Client.adopt_rng_state`), whenever a delta carries
-mutations (so replay windows never span a parent-side change), and on
-shutdown or shard migration.
+``checkpoint_every`` epochs, whenever a delta changes *subscriptions* (so a
+replay window never spans a subscription change), and on shutdown or shard
+migration.  Such a delta sets ``want_state`` and the ack carries each
+client's stream state and nothing else
+(``Client.export_state(streams_only=True)``, grafted back via
+:meth:`~repro.core.client.Client.adopt_rng_state`): the parent already holds
+the tables and subscriptions, so a checkpoint costs O(clients × queries)
+however long the streams have grown.  Appended rows alone do **not** force a
+checkpoint (see the rule at :meth:`ResidentDriver._frame_for`).
 
 **Recovery = checkpoint + replay.**  Between checkpoints the parent records
 which ``(epoch, query_ids)`` each shard answered.  Because every draw in the
 answering path comes from client-owned seeded RNG/keystream streams — and the
 *number* of draws is content-independent (one sampling coin; randomization
 draws depend only on the first coin; keystream consumption is fixed-length
-per query) — re-answering the logged epochs on the checkpoint copy and
-discarding the responses reproduces the worker's state exactly.  That is how
+per query; SQL consumes no randomness) — re-answering the logged epochs on
+the checkpoint copy and discarding the responses reproduces the worker's
+state exactly, whatever rows were appended in between.  That is how
 a killed worker, a poisoned fingerprint, or a mid-run re-shard falls back:
 fast-forward the parent copy, then send a bootstrap frame for exactly the
 moved/lost shards.  Results stay byte-identical to the serial reference —
@@ -96,7 +101,9 @@ class ResidentWorkerError(RuntimeError):
     """A resident worker failed (worker-side exception or worker death)."""
 
 
-def shard_fingerprint(clients: Sequence["Client"]) -> bytes:
+def shard_fingerprint(
+    clients: Sequence["Client"], stream_states: Sequence[dict] | None = None
+) -> bytes:
     """Digest of a whole shard's answering-relevant state.
 
     The concatenation of every client's
@@ -104,10 +111,14 @@ def shard_fingerprint(clients: Sequence["Client"]) -> bytes:
     the fingerprint stays 32 bytes regardless of shard size.  Parent and
     worker compute it over the same client order, so agreement means the
     worker's resident copy will make exactly the draws the parent expects.
+    ``stream_states`` are the clients' stream-only exports when the caller
+    has just taken them (a checkpoint), so the streams are packed once.
     """
+    if stream_states is None:
+        stream_states = [None] * len(clients)
     digest = hashlib.sha256()
-    for client in clients:
-        digest.update(client.state_fingerprint())
+    for client, stream_state in zip(clients, stream_states):
+        digest.update(client.state_fingerprint(stream_state))
     return digest.digest()
 
 
@@ -120,10 +131,23 @@ class ResidentShardCache:
     returns ``None`` — the caller acks ``bootstrap_required``), and
     ``invalidate`` drops a shard whose state can no longer be trusted (a
     worker-side exception mid-answer leaves it half-advanced).
+
+    **The fingerprint memo.**  Next to a shard's clients the cache remembers
+    the fingerprint the last ack vouched for, so ``lookup`` compares the
+    parent's expectation against it instead of re-deriving it from RNGs
+    nobody touched in between — one fingerprint pass per shard per epoch, not
+    two.  The memo is written in exactly one place (``remember``, called by
+    :func:`_answer_from_residency` with the fingerprint it puts in the ack),
+    consumed by ``lookup`` (the clients it hands out are about to advance)
+    and dropped by ``install`` and ``invalidate``, which every error path
+    goes through.  The rule for future code: *whoever advances a resident
+    client's streams outside* ``_answer_from_residency`` *must drop the
+    memo*; with nothing remembered ``lookup`` recomputes from the clients.
     """
 
     def __init__(self) -> None:
         self._clients: dict[int, list["Client"]] = {}
+        self._fingerprints: dict[int, bytes] = {}
         # Shard id → ShardArena over the resident clients' databases; lives
         # and dies with the residency (bootstrap replaces it, invalidate
         # drops it) and syncs incrementally under ShardDelta traffic.
@@ -131,19 +155,28 @@ class ResidentShardCache:
 
     def install(self, shard_index: int, clients: list["Client"]) -> None:
         self._clients[shard_index] = clients
+        self._fingerprints.pop(shard_index, None)
         self._arenas.pop(shard_index, None)
 
     def lookup(self, shard_index: int, expected_fingerprint: bytes) -> list["Client"] | None:
         clients = self._clients.get(shard_index)
         if clients is None:
             return None
-        if shard_fingerprint(clients) != expected_fingerprint:
+        resident = self._fingerprints.pop(shard_index, None)
+        if resident is None:
+            resident = shard_fingerprint(clients)
+        if resident != expected_fingerprint:
             self.invalidate(shard_index)
             return None
         return clients
 
+    def remember(self, shard_index: int, fingerprint: bytes) -> None:
+        """Record the fingerprint just acked for a resident shard."""
+        self._fingerprints[shard_index] = fingerprint
+
     def invalidate(self, shard_index: int) -> None:
         self._clients.pop(shard_index, None)
+        self._fingerprints.pop(shard_index, None)
         self._arenas.pop(shard_index, None)
 
     def arena_for(self, shard_index: int) -> ShardArena | None:
@@ -188,15 +221,22 @@ def _answer_from_residency(
     else:
         responses = ()
     wall_seconds = time.perf_counter() - start
+    # A checkpoint carries stream state only (the parent holds everything
+    # else) and shares its one getstate() + pack per RNG with the fingerprint.
+    client_states = (
+        tuple(client.export_state(streams_only=True) for client in clients)
+        if want_state
+        else None
+    )
+    fingerprint = shard_fingerprint(clients, client_states)
+    cache.remember(shard_index, fingerprint)
     return ShardAck(
         shard_index=shard_index,
         epoch=epoch,
         wall_seconds=wall_seconds,
         responses=responses,
-        fingerprint=shard_fingerprint(clients),
-        client_states=(
-            tuple(client.export_state() for client in clients) if want_state else None
-        ),
+        fingerprint=fingerprint,
+        client_states=client_states,
     )
 
 
@@ -438,8 +478,8 @@ class _ShardResidency:
     logged epochs actually ran under — replay must restore them, because a
     parent-side unsubscribe or re-tune whose checkpoint ack never landed
     would otherwise change which draws the replay makes.  ``baseline`` is
-    the per-client subscriptions/table-content snapshot deltas are diffed
-    against.
+    the per-client subscriptions + per-table append watermarks deltas are
+    diffed against (:func:`_client_baseline`).
     """
 
     resident: bool = False
@@ -452,22 +492,36 @@ class _ShardResidency:
     epochs_since_checkpoint: int = 0
 
 
+def _column_signature(table) -> tuple:
+    return tuple((column.name, column.sql_type) for column in table.columns)
+
+
 def _client_baseline(client: "Client") -> tuple[dict, dict]:
     """Snapshot the parent-authoritative parts deltas are computed against.
 
-    The table snapshot keeps the *rows themselves* (as a tuple), not just a
-    row count: a delete-and-reinsert or an in-place row edit can leave the
-    length unchanged while the content diverges, and the worker's copy would
-    silently go stale — tables are excluded from the state fingerprint on
-    purpose, so nothing downstream would catch it.  Prefix comparison against
-    the snapshot is a C-speed tuple equality check that short-circuits on the
-    first mismatch.
+    Per table this is the append watermark ``sqldb`` already trusts
+    (:meth:`repro.sqldb.columnar.ColumnStore.sync`,
+    :meth:`~repro.sqldb.columnar.ArenaTable.sync`): the row-list object, its
+    ``_RowList.mutations`` counter and the shipped length, plus the column
+    signature.  Holding the list *reference* (so its identity cannot be
+    recycled) is what makes the triple sound: same list, same counter, not
+    shorter means nothing in the shipped prefix was edited, reordered or
+    removed — a delete-and-reinsert or an in-place row edit keeps the length
+    but moves the counter, and a rebound list is a different object.  No
+    copy of the rows is kept; tables are excluded from the state fingerprint
+    on purpose, so this watermark is the only thing standing between a
+    parent-side edit and a silently stale worker copy.
     """
     tables = {}
     for name in client.database.table_names():
         table = client.database.table(name)
-        columns = tuple((column.name, column.sql_type) for column in table.columns)
-        tables[name] = (columns, tuple(table.rows))
+        rows = table.rows
+        tables[name] = (
+            _column_signature(table),
+            rows,
+            getattr(rows, "mutations", 0),
+            len(rows),
+        )
     return (client.subscriptions, tables)
 
 
@@ -475,9 +529,10 @@ def _delta_since(client: "Client", baseline: tuple[dict, dict]) -> tuple:
     """Diff a live client against its baseline.
 
     Returns ``(delta_or_None, dirty)``: ``dirty`` means the change cannot be
-    expressed as a delta (a table dropped, re-schema'd, shrunk, or edited
-    anywhere in the already-shipped prefix) and the shard must fall back to
-    a full bootstrap.
+    expressed as a delta — a table dropped or re-schema'd, or its row list
+    rebound, shrunk or edited in place (exactly when the shard arena would
+    rebuild rather than append) — and the shard must fall back to a full
+    bootstrap.  Otherwise everything past the watermark is the append.
     """
     base_subs, base_tables = baseline
     subs = client.subscriptions
@@ -496,21 +551,22 @@ def _delta_since(client: "Client", baseline: tuple[dict, dict]) -> tuple:
             return None, True
     for name in names:
         table = client.database.table(name)
-        columns = tuple((column.name, column.sql_type) for column in table.columns)
+        columns = _column_signature(table)
+        rows = table.rows
         base = base_tables.get(name)
         if base is None:
-            append_rows.append((name, columns, tuple(table.rows)))
+            append_rows.append((name, columns, tuple(rows)))
             continue
-        base_columns, base_rows = base
-        base_count = len(base_rows)
+        base_columns, base_rows, base_mutations, base_count = base
         if (
             columns != base_columns
-            or len(table.rows) < base_count
-            or tuple(table.rows[:base_count]) != base_rows
+            or rows is not base_rows
+            or getattr(rows, "mutations", 0) != base_mutations
+            or len(rows) < base_count
         ):
             return None, True
-        if len(table.rows) > base_count:
-            append_rows.append((name, columns, tuple(table.rows[base_count:])))
+        if len(rows) > base_count:
+            append_rows.append((name, columns, tuple(rows[base_count:])))
     if not (subscribe or unsubscribe or append_rows):
         return None, False
     return (
@@ -541,9 +597,9 @@ class ResidentDriver(StageDriver):
     ----------
     checkpoint_every:
         Refresh the parent's authoritative copy every this many acked epochs
-        per shard (``0`` = only on demand: mutation epochs, migration,
+        per shard (``0`` = only on demand: subscription changes, migration,
         shutdown).  Smaller values shorten recovery replay at the cost of
-        periodic full-state acks.
+        periodic stream-state acks.
     router_factory:
         ``num_workers -> router``; defaults to :class:`StickyShardRouter`.
     transport:
@@ -744,17 +800,25 @@ class ResidentDriver(StageDriver):
                 continue
             # Success: adopt the fingerprint (and checkpoint, if present).
             del pending[shard.index]
-            state.fingerprint = ack.fingerprint
-            if ack.client_states is not None:
-                clients = context.clients[state.start : state.stop]
-                for client, snapshot in zip(clients, ack.client_states):
-                    client.adopt_rng_state(snapshot)
-                state.replay_log.clear()
-                state.epochs_since_checkpoint = 0
-                self._capture_replay_subscriptions(context, state)
-            else:
+            if ack.client_states is None:
                 state.replay_log.append((epoch, query_ids))
                 state.epochs_since_checkpoint += 1
+            elif not self._adopt_checkpoint(context, state, ack.client_states):
+                # Nothing was grafted and the replay log is intact, but the
+                # worker advanced through an epoch the parent cannot log
+                # (its responses are refused with the ack): the next epoch
+                # re-bootstraps from the last good checkpoint + replay.
+                fail(
+                    shard,
+                    ResidentWorkerError(
+                        f"shard {shard.index} acked a malformed checkpoint: "
+                        f"{len(ack.client_states)} records for "
+                        f"{state.stop - state.start} clients, or one without "
+                        "the stream-state fields"
+                    ),
+                )
+                continue
+            state.fingerprint = ack.fingerprint
             handle.emit(
                 shard.index,
                 [list(responses) for responses in ack.responses],
@@ -786,11 +850,36 @@ class ResidentDriver(StageDriver):
 
         Called exactly when the replay log resets (bootstrap send, checkpoint
         graft, sync graft): at those moments the live subscriptions equal the
-        resident copy's, and — because mutation deltas force a checkpoint —
-        they stay in force for every epoch the log will accumulate.
+        resident copy's, and — because a delta that changes subscriptions
+        forces a checkpoint (:meth:`_frame_for`) — they stay in force for
+        every epoch the log will accumulate.
         """
         clients = context.clients[state.start : state.stop]
         state.replay_subscriptions = [client.subscriptions for client in clients]
+
+    def _adopt_checkpoint(
+        self, context: EpochContext, state: _ShardResidency, client_states: tuple
+    ) -> bool:
+        """Graft a checkpoint/sync ack's stream records, all or nothing.
+
+        The records are checked — one per client of the shard, each carrying
+        every stream field — *before* the first graft: adopting part of a
+        short ack and then clearing the replay log would leave the parent
+        vouching for a mixed state it can never replay out of.  Returns
+        ``False`` (nothing touched) when the ack is malformed.
+        """
+        clients = context.clients[state.start : state.stop]
+        if len(client_states) != len(clients) or not all(
+            client.holds_stream_state(record)
+            for client, record in zip(clients, client_states)
+        ):
+            return False
+        for client, record in zip(clients, client_states):
+            client.adopt_rng_state(record)
+        state.replay_log.clear()
+        state.epochs_since_checkpoint = 0
+        self._capture_replay_subscriptions(context, state)
+        return True
 
     def _fast_forward(self, context: EpochContext, shard_index: int) -> None:
         """Replay the logged epochs on the parent's checkpoint copy.
@@ -802,7 +891,8 @@ class ResidentDriver(StageDriver):
         whose checkpoint ack never landed (mutation epoch lost to a worker
         death) postdates every logged epoch, and replaying with it applied
         would skip or alter draws the worker actually made.  Table content
-        needs no such pinning — draw counts are content-independent.
+        needs no such pinning — draw counts are content-independent, which
+        is why rows appended since the checkpoint may sit under the replay.
         """
         state = self._residency(shard_index)
         if not state.replay_log:
@@ -832,14 +922,14 @@ class ResidentDriver(StageDriver):
                     state.resident = False
 
     def _sync_shards(self, context: EpochContext, shard_indices: list[int]) -> int:
-        """Pull full state back from workers for the given resident shards.
+        """Pull stream state back from workers for the given resident shards.
 
         Sends sync deltas (no answering, ``want_state``), grafts the exported
         RNG/keystream state onto the parent's live clients, and marks the
         shards non-resident (the callers either re-bootstrap them under new
         boundaries or are shutting down).  Shards whose worker cannot serve
-        the sync (died, fingerprint mismatch) fall back to checkpoint replay.
-        Returns the wire bytes moved.
+        the sync (died, fingerprint mismatch, malformed or undecodable ack)
+        fall back to checkpoint replay.  Returns the wire bytes moved.
         """
         router = self._ensure_router()
         router.drain_stale()
@@ -874,19 +964,27 @@ class ResidentDriver(StageDriver):
             except queue.Empty:
                 continue
             wire_bytes += len(blob)
-            ack = decode_shard_ack(blob)
+            try:
+                ack = decode_shard_ack(blob)
+            except WireError:
+                # Nothing attributes the blob to a shard, so no pending sync
+                # can be trusted to arrive: recover them all like shards of a
+                # dead worker instead of aborting a migration or close()
+                # with their live clients left at the last checkpoint.
+                for shard_index, state in pending.items():
+                    self._fast_forward(context, shard_index)
+                    state.resident = False
+                break
             state = pending.get(ack.shard_index)
             if state is None or ack.epoch != -1:
                 continue  # stale ack from an earlier, failed round
             del pending[ack.shard_index]
-            if ack.error is None and not ack.bootstrap_required and ack.client_states:
-                clients = context.clients[state.start : state.stop]
-                for client, snapshot in zip(clients, ack.client_states):
-                    client.adopt_rng_state(snapshot)
-                state.replay_log.clear()
-                state.epochs_since_checkpoint = 0
-                self._capture_replay_subscriptions(context, state)
-            else:
+            if (
+                ack.error is not None
+                or ack.bootstrap_required
+                or ack.client_states is None
+                or not self._adopt_checkpoint(context, state, ack.client_states)
+            ):
                 self._fast_forward(context, ack.shard_index)
             state.resident = False
         return wire_bytes
@@ -957,7 +1055,24 @@ class ResidentDriver(StageDriver):
                 deltas.append(delta)
             if not dirty:
                 mutated = any(delta is not None for delta in deltas)
-                want_state = mutated or (
+                # When the ack must checkpoint.  A delta that changes
+                # *subscriptions* always does: the replay log runs under one
+                # pinned subscription set (_capture_replay_subscriptions), so
+                # it must reset the epoch the set changes.  Appended rows
+                # alone do not: replay across them is exact because the draws
+                # an epoch makes do not depend on table content (one sampling
+                # coin; randomization draws depend only on the first coin;
+                # keystream consumption is fixed-length per query; SQL
+                # consumes no randomness).  If a query *raises* on appended
+                # content the worker invalidates the shard and error-acks,
+                # the epoch is never logged, and the parent's replay runs
+                # over that same content.  Otherwise only the periodic
+                # ``checkpoint_every`` count (and sync frames) ask for state.
+                resubscribed = any(
+                    delta is not None and (delta.subscribe or delta.unsubscribe)
+                    for delta in deltas
+                )
+                want_state = resubscribed or (
                     self.checkpoint_every > 0
                     and state.epochs_since_checkpoint + 1 >= self.checkpoint_every
                 )
@@ -972,7 +1087,12 @@ class ResidentDriver(StageDriver):
                     )
                 )
                 if mutated:
-                    state.baseline = [_client_baseline(client) for client in clients]
+                    state.baseline = [
+                        baseline if delta is None else _client_baseline(client)
+                        for client, baseline, delta in zip(
+                            clients, state.baseline, deltas
+                        )
+                    ]
                 self.delta_frames += 1
                 return frame
             # A non-append mutation: pull the worker's stream state back so

@@ -459,9 +459,9 @@ def make_executor(
     shards:
         Shard count; ``None`` means one shard per worker.
     checkpoint_every:
-        ``pinned-worker`` scheduling only: refresh the parent's
-        authoritative state copy every this many epochs per shard (``0`` =
-        only on demand/shutdown).
+        ``pinned-worker`` scheduling only: refresh the parent's copy of the
+        resident RNG/keystream state every this many epochs per shard (``0``
+        = only on subscription changes, migration and shutdown).
     remote_workers:
         ``host:port`` addresses of separately launched TCP workers
         (:mod:`repro.runtime.remote`), required by — and only valid with —

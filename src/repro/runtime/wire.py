@@ -53,14 +53,17 @@ trip with worker-resident client state behind sticky shard→worker affinity
   and query ids to answer, one optional :class:`ClientDelta` per client
   (subscription changes, appended stream rows), the fingerprint the parent
   expects the worker's resident state to carry, and whether the ack should
-  return full snapshots (a *checkpoint*).  An empty ``query_ids`` tuple makes
-  the frame a pure state-sync request (no answering).
+  return the clients' stream state (a *checkpoint*: periodic, or because the
+  delta changes subscriptions — appended rows alone never ask for one).  An
+  empty ``query_ids`` tuple makes the frame a pure state-sync request (no
+  answering).
 * :class:`ShardAck` — worker → parent: the responses, a cheap state
   fingerprint (digest of every resident client's RNG/keystream state) in
-  place of full advanced snapshots, full snapshots only when the delta asked
-  for a checkpoint, and ``bootstrap_required`` when the worker cannot serve
-  the delta (cache miss or fingerprint mismatch) so the parent falls back to
-  a bootstrap frame.
+  place of advanced snapshots, each client's stream state — RNG and
+  keystream positions only, never tables or subscriptions — when the delta
+  asked for a checkpoint, and ``bootstrap_required`` when the worker cannot
+  serve the delta (cache miss or fingerprint mismatch) so the parent falls
+  back to a bootstrap frame.
 
 Versioning: every frame kind is emitted and accepted at exactly
 :data:`WIRE_VERSION`; older and unknown future versions are rejected rather
@@ -269,9 +272,9 @@ class ShardDelta:
     (client order); ``expected_fingerprint`` is the shard fingerprint the
     parent recorded from the last ack — the worker refuses (with
     ``bootstrap_required``) rather than answer from state the parent no
-    longer vouches for.  ``want_state`` asks the ack to carry full advanced
-    snapshots (a checkpoint).  An empty ``query_ids`` tuple is a pure sync:
-    apply deltas / export state, answer nothing.
+    longer vouches for.  ``want_state`` asks the ack to carry every client's
+    advanced stream state (a checkpoint).  An empty ``query_ids`` tuple is a
+    pure sync: apply deltas / export state, answer nothing.
     """
 
     shard_index: int
@@ -290,7 +293,11 @@ class ShardAck:
     (empty for sync frames); ``fingerprint`` digests every resident client's
     RNG/keystream state after answering, standing in for the full advanced
     snapshots the snapshot-shipping executor would return; ``client_states``
-    is populated only when the frame asked for a checkpoint.
+    is populated only when the frame asked for a checkpoint, and then holds
+    one stream-only record per client
+    (``Client.export_state(streams_only=True)`` — what
+    :meth:`~repro.core.client.Client.adopt_rng_state` reads, so its size
+    does not grow with the client's tables).
     ``bootstrap_required`` reports a cache miss or fingerprint mismatch (no
     answering happened); ``error`` carries ``(type_name, message)`` of a
     worker-side exception so the parent can surface it without the worker

@@ -12,6 +12,7 @@ It also covers the adaptive shard sizer's feedback loop directly.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -34,7 +35,10 @@ from repro.runtime import (
     OverlapSnapshotWireDriver,
     SerialExecutor,
     StagedEpochEngine,
+    StickyShardRouter,
     WireError,
+    decode_shard_ack,
+    encode_shard_ack,
     make_executor,
     plan_shards,
 )
@@ -414,6 +418,32 @@ def serialize_responses(responses) -> list[tuple]:
     ]
 
 
+class TamperingRouter(StickyShardRouter):
+    """The pinned-worker router, logging every ack and letting a test rewrite one.
+
+    ``tamper(ack, blob) -> blob`` runs on each ack before the driver sees it.
+    """
+
+    def __init__(self, num_workers: int):
+        super().__init__(num_workers)
+        self.acks = []
+        self.tamper = None
+
+    def recv(self, timeout: float) -> bytes:
+        blob = super().recv(timeout)
+        ack = decode_shard_ack(blob)
+        self.acks.append(ack)
+        return blob if self.tamper is None else self.tamper(ack, blob)
+
+    def checkpoints(self, shard_index: int) -> list[int]:
+        """Epochs whose ack for the shard carried state (-1 = a sync)."""
+        return [
+            ack.epoch
+            for ack in self.acks
+            if ack.shard_index == shard_index and ack.client_states is not None
+        ]
+
+
 class TestResidentFailureInjection:
     """Worker death and poisoned fingerprints must re-bootstrap, not corrupt.
 
@@ -566,21 +596,26 @@ class TestResidentParentSideMutations:
     subscriptions the logged epochs actually used).
     """
 
-    def _run_lockstep(self, executor_kind, num_epochs, actions):
+    def _run_lockstep(
+        self, executor_kind, num_epochs, actions, checkpoint_every=0, router=None
+    ):
         """Run epochs with per-epoch mutation callbacks; return the byte log.
 
         ``actions`` maps epoch → callback(system, resident) applied *after*
         that epoch; callbacks receive whether this is the resident run so
-        worker-kill steps can no-op on the serial twin.
+        worker-kill steps can no-op on the serial twin.  ``router`` swaps the
+        resident run's router class (a :class:`TamperingRouter` to observe or
+        rewrite acks).
         """
         resident = executor_kind == "resident"
         if resident:
             system, (query_id,) = make_resident_system(
-                num_clients=10, shards=2, checkpoint_every=0
+                num_clients=10, shards=2, checkpoint_every=checkpoint_every
             )
             # Pin the boundaries: the mutation tests assert exact bootstrap
             # frame counts, which an adaptive re-shard would inflate.
             system.executor.adaptive = False
+            system.executor.driver._router_factory = router
         else:
             config = SystemConfig(num_clients=10, seed=868, executor="serial")
             system = PrivApproxSystem(config)
@@ -644,3 +679,182 @@ class TestResidentParentSideMutations:
         serial_log, _ = self._run_lockstep("serial", 5, actions)
         resident_log, _ = self._run_lockstep("resident", 5, actions)
         assert resident_log == serial_log
+
+    def test_row_list_rebind_reaches_the_worker(self):
+        """A rebound row list is no append, whatever it holds: re-bootstrap."""
+
+        def rebind(system, resident):
+            table = system.clients[3].database.table("private_data")
+            table.rows = [(2.5,)] + list(table.rows[1:])
+
+        serial_log, _ = self._run_lockstep("serial", 4, {1: rebind})
+        resident_log, executor = self._run_lockstep("resident", 4, {1: rebind})
+        assert resident_log == serial_log
+        assert executor.bootstrap_frames == 3
+
+    @staticmethod
+    def _append_everywhere(system, resident):
+        """Every client's stream grows by one row between epochs."""
+        for index, client in enumerate(system.clients):
+            client.ingest([{"value": float((index + client.local_row_count()) % 8)}])
+
+    @pytest.mark.parametrize("checkpoint_every", [4, 0])
+    @pytest.mark.parametrize("fault", ["kill", "poison"])
+    def test_recovery_replays_across_appended_rows(self, checkpoint_every, fault):
+        """Appends no longer checkpoint, so the replay window spans them."""
+        seen = {}
+
+        def append_then_fault(system, resident):
+            self._append_everywhere(system, resident)
+            if not resident:
+                return
+            driver = system.executor.driver
+            seen["replay_log"] = list(driver._shards[0].replay_log)
+            if fault == "kill":
+                router = driver._router
+                victim = router._workers[router.slot_for(0)].process
+                victim.kill()
+                victim.join(timeout=5.0)
+            else:
+                driver._shards[0].fingerprint = b"poisoned" * 4
+
+        # Rows arrive after every epoch; the fault strikes three epochs after
+        # the bootstrap, one short of the checkpoint cadence.
+        actions = dict.fromkeys(range(6), self._append_everywhere)
+        actions[2] = append_then_fault
+        serial_log, _ = self._run_lockstep("serial", 6, actions)
+        resident_log, executor = self._run_lockstep(
+            "resident", 6, actions, checkpoint_every=checkpoint_every
+        )
+        # The append-only epochs left the log in place: replay over appended
+        # rows, not a fresh checkpoint, is what recovers.
+        assert [epoch for epoch, _ in seen["replay_log"]] == [0, 1, 2]
+        assert resident_log == serial_log
+        assert executor.bootstrap_frames == 3
+        assert executor.driver.rebootstraps == (1 if fault == "poison" else 0)
+
+    @pytest.mark.parametrize("checkpoint_every", [4, 0])
+    def test_append_only_epochs_checkpoint_on_the_cadence_alone(self, checkpoint_every):
+        seen = {}
+
+        def step(system, resident):
+            self._append_everywhere(system, resident)
+            seen["router"] = system.executor.driver._router
+
+        _, executor = self._run_lockstep(
+            "resident",
+            9,
+            dict.fromkeys(range(9), step),
+            checkpoint_every=checkpoint_every,
+            router=TamperingRouter,
+        )
+        assert executor.bootstrap_frames == 2 and executor.delta_frames == 16
+        for shard_index in (0, 1):
+            # ⌊9/4⌋ = 2 periodic checkpoints (none at 0), then close()'s sync.
+            assert seen["router"].checkpoints(shard_index) == (
+                [3, 7, -1] if checkpoint_every else [-1]
+            )
+
+    def test_subscription_deltas_still_force_a_checkpoint(self):
+        """Subscribe / unsubscribe / re-tune reset the replay log that epoch."""
+        seen = {"logs": []}
+        retuned = ExecutionParameters(sampling_fraction=1.0, p=0.8, q=0.5)
+
+        def unsubscribe(system):
+            system.clients[0].unsubscribe(system.clients[0].subscribed_query_ids[0])
+
+        def resubscribe(system):
+            system.clients[0].subscribe(next(iter(system._queries.values())), PARAMS)
+
+        def retune(system):
+            system.clients[0].subscribe(next(iter(system._queries.values())), retuned)
+
+        mutations = {0: unsubscribe, 2: resubscribe, 4: retune}
+
+        def step_after(epoch):
+            def step(system, resident):
+                if resident:
+                    driver = system.executor.driver
+                    seen["router"] = driver._router
+                    seen["logs"].append(
+                        [len(driver._shards[index].replay_log) for index in (0, 1)]
+                    )
+                if epoch in mutations:
+                    mutations[epoch](system)
+
+            return step
+
+        actions = {epoch: step_after(epoch) for epoch in range(7)}
+        serial_log, _ = self._run_lockstep("serial", 7, actions)
+        resident_log, _ = self._run_lockstep(
+            "resident", 7, actions, router=TamperingRouter
+        )
+        assert resident_log == serial_log
+        # Shard 0 (client 0's) checkpoints exactly on the epoch after each
+        # subscription change and its replay log restarts there; shard 1
+        # never checkpoints before close() (checkpoint_every=0).
+        assert seen["router"].checkpoints(0) == [1, 3, 5, -1]
+        assert seen["router"].checkpoints(1) == [-1]
+        assert seen["logs"] == [[1, 1], [0, 2], [1, 3], [0, 4], [1, 5], [0, 6], [1, 7]]
+
+
+class TestResidentMalformedAcks:
+    """A checkpoint or sync ack the parent cannot use must not be half-used."""
+
+    def test_short_checkpoint_is_refused_whole(self):
+        from repro.runtime import ResidentWorkerError, shard_fingerprint
+
+        system, (query_id,) = make_resident_system(
+            num_clients=10, shards=2, checkpoint_every=2
+        )
+        executor = system.executor
+        executor.adaptive = False
+        driver = executor.driver
+        driver._router_factory = TamperingRouter
+        at_bootstrap = shard_fingerprint(system.clients[:5])
+        system.run_epoch(query_id, 0)
+
+        def truncate(ack, blob):
+            if ack.shard_index == 0 and ack.client_states is not None:
+                ack = dataclasses.replace(ack, client_states=ack.client_states[:-1])
+                return encode_shard_ack(ack)
+            return blob
+
+        driver._router.tamper = truncate
+        with pytest.raises(ResidentWorkerError, match="malformed checkpoint"):
+            system.run_epoch(query_id, 1)
+        driver._router.tamper = None
+        state = driver._shards[0]
+        # Nothing grafted, nothing forgotten: the live clients are still the
+        # last good checkpoint and the log still reaches it.
+        assert not state.resident
+        assert [epoch for epoch, _ in state.replay_log] == [0]
+        assert shard_fingerprint(system.clients[:5]) == at_bootstrap
+        report = system.run_epoch(query_id, 2)
+        assert report.num_participants == 10
+        assert executor.bootstrap_frames == 3
+        system.close()
+
+    def test_corrupt_sync_ack_does_not_abort_close(self):
+        from repro.runtime import shard_fingerprint
+
+        seen = {}
+
+        def remember(system, resident):
+            seen["resident" if resident else "serial"] = system
+            if resident:
+                system.executor.driver._router.tamper = (
+                    lambda ack, blob: b"garbage"
+                    if ack.epoch == -1 and ack.shard_index == 0
+                    else blob
+                )
+
+        lockstep = TestResidentParentSideMutations()._run_lockstep
+        lockstep("serial", 3, {2: remember})
+        lockstep("resident", 3, {2: remember}, router=TamperingRouter)
+        # close() replayed what it could not graft: every live client ends
+        # where the serial twin's did.
+        for span in (slice(0, 5), slice(5, 10)):
+            assert shard_fingerprint(seen["resident"].clients[span]) == (
+                shard_fingerprint(seen["serial"].clients[span])
+            )

@@ -19,7 +19,7 @@ from repro.core import (
     ExecutionParameters,
     RangeBuckets,
 )
-from repro.core.client import Client, ClientConfig
+from repro.core.client import STREAM_STATE_FIELDS, Client, ClientConfig
 from repro.crypto.prng import KeystreamGenerator
 from repro.pubsub import payload_size
 from repro.runtime import (
@@ -42,6 +42,7 @@ from repro.runtime import (
     encode_shard_delta,
     encode_shard_task,
 )
+from repro.runtime.affinity import ResidentShardCache, serve_resident_frame
 from repro.runtime.wire import WIRE_VERSION
 
 PARAMS = ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5)
@@ -425,6 +426,129 @@ class TestStateFingerprint:
         receiver.adopt_rng_state(donor.export_state())
         assert receiver.state_fingerprint() == donor.state_fingerprint()
         assert receiver.local_row_count() == rows_before
+
+    def test_stream_only_export_round_trips_through_an_ack(self):
+        """What a checkpoint ack carries is exactly what the graft reads."""
+        donor = make_resident_client(3)
+        stream_state = donor.export_state(streams_only=True)
+        assert set(stream_state) == set(STREAM_STATE_FIELDS)
+        assert Client.holds_stream_state(stream_state)
+        assert not Client.holds_stream_state({"rng_states": {}})
+        # One pack serves both: the fingerprint *of* the export is the
+        # client's fingerprint.
+        assert donor.state_fingerprint(stream_state) == donor.state_fingerprint()
+        ack = decode_shard_ack(
+            encode_shard_ack(
+                ShardAck(shard_index=0, epoch=1, client_states=(stream_state,))
+            )
+        )
+        receiver = make_client(seed=3)
+        receiver.adopt_rng_state(ack.client_states[0])
+        assert receiver.state_fingerprint() == donor.state_fingerprint()
+
+    def test_full_export_still_rebuilds_a_client(self):
+        """Bootstrap, ShardTask and ShardBatch keep the full snapshot form."""
+        client = make_resident_client(3)
+        state = client.export_state()
+        assert set(state) == set(STREAM_STATE_FIELDS) | {
+            "config",
+            "token_secret",
+            "tables",
+            "subscriptions",
+        }
+        restored = Client.from_state(state)
+        assert restored.export_state() == state
+        with pytest.raises(KeyError):
+            Client.from_state(client.export_state(streams_only=True))
+
+
+class TestResidentWorkerCache:
+    """serve_resident_frame against a cache: ack size and the fingerprint memo."""
+
+    COLUMNS = (("value", "REAL"),)
+
+    def bootstrap(self, cache, rows_per_client: int = 2, num_clients: int = 3):
+        clients = []
+        for index in range(num_clients):
+            client = make_client(seed=500 + index)
+            client.ingest([{"value": 6.25}] * (rows_per_client - 2))
+            clients.append(client)
+        query_id = clients[0].subscribed_query_ids[0]
+        frame = encode_shard_bootstrap(
+            ShardBootstrap(
+                shard_index=0,
+                epoch=0,
+                query_ids=(query_id,),
+                client_states=tuple(client.export_state() for client in clients),
+            )
+        )
+        ack = decode_shard_ack(serve_resident_frame(cache, frame))
+        assert ack.error is None and ack.client_states is None
+        return query_id, ack.fingerprint
+
+    def delta(self, query_id, fingerprint, *, deltas=(None,) * 3, want_state=False):
+        return encode_shard_delta(
+            ShardDelta(
+                shard_index=0,
+                epoch=1,
+                query_ids=(query_id,),
+                deltas=deltas,
+                expected_fingerprint=fingerprint,
+                want_state=want_state,
+            )
+        )
+
+    def test_checkpoint_ack_size_is_independent_of_stream_length(self):
+        sizes = []
+        for rows_per_client in (16, 1600):
+            cache = ResidentShardCache()
+            query_id, fingerprint = self.bootstrap(cache, rows_per_client)
+            blob = serve_resident_frame(
+                cache, self.delta(query_id, fingerprint, want_state=True)
+            )
+            ack = decode_shard_ack(blob)
+            assert len(ack.client_states) == 3
+            assert all(set(s) == set(STREAM_STATE_FIELDS) for s in ack.client_states)
+            sizes.append(len(blob))
+        assert sizes[0] == sizes[1]
+
+    def test_duplicated_delta_is_refused_the_second_time(self):
+        cache = ResidentShardCache()
+        query_id, fingerprint = self.bootstrap(cache)
+        assert cache._fingerprints[0] == fingerprint
+        frame = self.delta(query_id, fingerprint)
+        first = decode_shard_ack(serve_resident_frame(cache, frame))
+        assert not first.bootstrap_required and first.fingerprint != fingerprint
+        assert cache._fingerprints[0] == first.fingerprint
+        # The replayed frame expects the state *before* the first serve.
+        second = decode_shard_ack(serve_resident_frame(cache, frame))
+        assert second.bootstrap_required and second.responses == ()
+        assert len(cache) == 0 and not cache._fingerprints
+
+    def test_memo_agrees_with_a_recomputed_fingerprint(self):
+        """Dropping the memo changes nothing but the work done."""
+        cache = ResidentShardCache()
+        query_id, fingerprint = self.bootstrap(cache)
+        del cache._fingerprints[0]
+        ack = decode_shard_ack(
+            serve_resident_frame(cache, self.delta(query_id, fingerprint))
+        )
+        assert not ack.bootstrap_required and ack.error is None
+
+    def test_install_invalidate_and_errors_drop_the_memo(self):
+        cache = ResidentShardCache()
+        query_id, fingerprint = self.bootstrap(cache)
+        cache.install(0, cache._clients[0])
+        assert 0 not in cache._fingerprints
+        cache.remember(0, fingerprint)
+        cache.invalidate(0)
+        assert 0 not in cache._fingerprints
+        # A worker-side exception mid-delta: the shard and its memo both go.
+        query_id, fingerprint = self.bootstrap(cache)
+        broken = self.delta(query_id, fingerprint, deltas=("not a delta",) * 3)
+        ack = decode_shard_ack(serve_resident_frame(cache, broken))
+        assert ack.error is not None and ack.error[0] == "AttributeError"
+        assert len(cache) == 0 and 0 not in cache._fingerprints
 
 
 class TestClientDeltaApply:
