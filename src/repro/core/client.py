@@ -388,10 +388,12 @@ class Client:
         byte-identical to answering each query alone.
 
         ``scan_cache`` may be pre-seeded by the shard-wide arena path with
-        this client's per-SQL outcome (a result set, or the exception its
-        own evaluation would raise); entries are consumed only for queries
-        whose sampling coin says participate, exactly as a local pass
-        would be.
+        this client's per-SQL outcome: the exception its own evaluation
+        would raise, or the latest-row form of its result set (the same
+        columns, at most the last row — answering reads only emptiness and
+        that row, see :meth:`_execute_query_locally`).  Entries are consumed
+        only for queries whose sampling coin says participate, exactly as a
+        local pass would be.
         """
         if scan_cache is None:
             scan_cache = {}
@@ -516,6 +518,9 @@ class Client:
         clients are indistinguishable from matching ones.  ``scan_cache``
         (keyed by SQL text) deduplicates the database pass when several
         co-subscribed queries in a multi-query epoch run the same statement.
+        Only ``len(result) > 0``, ``result.columns`` and ``result.rows[-1]``
+        are read, which is why an arena-seeded entry may hold just the last
+        row of what ``database.query`` would return.
         """
         if scan_cache is not None and query.sql in scan_cache:
             result = scan_cache[query.sql]

@@ -134,11 +134,15 @@ def shard_scan_caches(
 ) -> list[dict] | None:
     """Pre-compute per-client scan caches for one epoch via the shard arena.
 
-    Returns one ``{sql: outcome}`` dict per client (outcome is a result
-    set or the exception that client's own evaluation would raise), or
-    ``None`` when the arena is absent or no longer matches the shard's
-    databases (churn replaced a member — the caller answers per-client
-    and the arena owner rebuilds on the next sync).  Statements that fall
+    Returns one ``{sql: outcome}`` dict per client, or ``None`` when the
+    arena is absent or no longer matches the shard's databases (churn
+    replaced a member — the caller answers per-client and the arena owner
+    rebuilds on the next sync).  An outcome is the exception that client's
+    own evaluation would raise, or the *latest-row form* of its result set
+    (:func:`~repro.sqldb.engine.arena_select_per_client` with
+    ``latest=True``): the columns of ``client.database.query(sql)`` and at
+    most its last row — all :meth:`Client.answer
+    <repro.core.client.Client.answer>` reads.  Statements that fall
     back (unparsable, non-SELECT, missing table, compiler fallback) are
     simply absent from every cache; members flagged :data:`ARENA_FALLBACK`
     are absent from that member's cache only.
@@ -158,7 +162,7 @@ def shard_scan_caches(
         if sql is None or sql in seen:
             continue
         seen.add(sql)
-        outcomes = arena_select_per_client(arena, sql)
+        outcomes = arena_select_per_client(arena, sql, latest=True)
         if outcomes is None:
             continue
         for cache, outcome in zip(caches, outcomes):

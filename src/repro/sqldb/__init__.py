@@ -25,7 +25,11 @@ concatenates every co-schema client in a shard into one columnar arena
 so the runtime can answer a whole shard with a single probe
 (:func:`~repro.sqldb.engine.arena_select_per_client`);
 ``SQLDB_FORCE_PER_CLIENT=1`` pins the per-client compiled path as the
-middle rung of the differential ladder.
+middle rung of the differential ladder.  A PrivApprox client answers
+with its *latest* matching reading, so the runtime asks that function
+for the latest-row form (``latest=True``): per member, the same error or
+the same columns over at most the last row of ``member.query(sql)`` —
+found without materialising the rows before it.
 """
 
 from repro.sqldb.columnar import ArenaTable, ColumnStore, ColumnVector, ShardArena

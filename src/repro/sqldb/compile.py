@@ -365,6 +365,9 @@ class CompiledSelect:
         self.schema = schema
         self.probe = None
         self.residual: ValueFn | None = None
+        # Whether the residual provably cannot raise on any row, so a walk
+        # over candidates may stop early (see matching_ids_per_client).
+        self.residual_total = False
         where = statement.where
         if where is not None:
             conjuncts = _split_conjuncts(where)
@@ -386,6 +389,13 @@ class CompiledSelect:
                         return all(bool(fn(arrays, row_id)) for fn in compiled)
 
                 self.residual = residual
+                # Same bar as a probe: a conjunct _probe_for accepts is one
+                # whose scan evaluation is exception-free on every row.  A
+                # plan without a probe never clears it (its first conjunct
+                # is the one _probe_for refused).
+                self.residual_total = all(
+                    _probe_for(conjunct, schema) is not None for conjunct in rest
+                )
 
     def matching_ids(self, store: ColumnStore):
         """Row ids satisfying WHERE, ascending (row order).
@@ -407,7 +417,7 @@ class CompiledSelect:
         residual = self.residual
         return [row_id for row_id in range(store.count) if residual(arrays, row_id)]
 
-    def matching_ids_per_client(self, arena) -> list:
+    def matching_ids_per_client(self, arena, latest: bool = False) -> list:
         """One probe over a whole shard's arena, split back per member slot.
 
         ``arena`` is an :class:`~repro.sqldb.columnar.ArenaTable`.  Returns
@@ -424,30 +434,60 @@ class CompiledSelect:
         residual is then evaluated only on those rows, in each member's
         row order — so per-member results *and* per-member errors match a
         member-by-member evaluation outcome-for-outcome.
+
+        ``latest=True`` is the form the epoch's answer pass asks for: each
+        id sequence holds at most its *last* element (a member's newest
+        matching row — arena ids ascend within a slot, across tail appends
+        too, so max id = last row); exceptions and excluded slots are
+        exactly the full form's.  A bare probe keeps the maximum probe id
+        per slot in one pass.  A probe with a residual walks the candidates
+        from the tail and stops at each slot's first truthy row — but only
+        when :attr:`residual_total` says no residual conjunct can raise;
+        otherwise every candidate is evaluated in row order as in the full
+        form (first error in row order wins) and the last survivor is taken
+        afterwards.
         """
         slot_rows = arena.slot_rows
         if self.statement.where is None:
             # Each member matches all of its own rows; the spans are the
             # answer (read-only aliases of the arena's span table).
+            if latest:
+                return [ids if ids is None else ids[-1:] for ids in slot_rows]
             return list(slot_rows)
         arrays = arena.arrays()
         residual = self.residual
-        if self.probe is not None:
-            row_slot = arena.row_slot
-            buckets: list = [None if ids is None else [] for ids in slot_rows]
-            for row_id in self.probe.ids(arena):
-                buckets[row_slot[row_id]].append(row_id)
-            if residual is None:
-                return buckets
+        if self.probe is None:
             return [
-                bucket
-                if bucket is None
-                else _filter_residual(residual, arrays, bucket)
-                for bucket in buckets
+                ids if ids is None else _filter_residual(residual, arrays, ids, latest)
+                for ids in slot_rows
             ]
+        row_slot = arena.row_slot
+        probed = self.probe.ids(arena)
+        if latest and (residual is None or self.residual_total):
+            # Probe ids ascend (hash postings append in row order, IN and
+            # range probes sort), so per slot the last write is the max id.
+            if residual is None:
+                last = dict(zip(map(row_slot.__getitem__, probed), probed))
+            else:
+                last = {}
+                for row_id in reversed(probed):
+                    slot = row_slot[row_id]
+                    if slot not in last and residual(arrays, row_id):
+                        last[slot] = row_id
+            return [
+                ids if ids is None else [last[slot]] if slot in last else ()
+                for slot, ids in enumerate(slot_rows)
+            ]
+        buckets: list = [None if ids is None else [] for ids in slot_rows]
+        for row_id in probed:
+            buckets[row_slot[row_id]].append(row_id)
+        if residual is None:
+            return buckets
         return [
-            ids if ids is None else _filter_residual(residual, arrays, ids)
-            for ids in slot_rows
+            bucket
+            if bucket is None
+            else _filter_residual(residual, arrays, bucket, latest)
+            for bucket in buckets
         ]
 
     def describe(self) -> str:
@@ -462,18 +502,20 @@ class CompiledSelect:
         return "+".join(parts) if parts else "all"
 
 
-def _filter_residual(residual: ValueFn, arrays: dict, row_ids):
+def _filter_residual(residual: ValueFn, arrays: dict, row_ids, latest: bool = False):
     """Filter one member's candidate ids through the residual closure.
 
-    Returns the surviving ids, or the first exception the residual raised
-    — the same exception, at the same row, that a member-by-member
-    evaluation would surface (the per-member comprehension in
-    :meth:`CompiledSelect.matching_ids` dies at its first error too).
+    Returns the surviving ids (only the last one when ``latest``), or the
+    first exception the residual raised — the same exception, at the same
+    row, that a member-by-member evaluation would surface (the per-member
+    comprehension in :meth:`CompiledSelect.matching_ids` dies at its
+    first error too).
     """
     try:
-        return [row_id for row_id in row_ids if residual(arrays, row_id)]
+        survivors = [row_id for row_id in row_ids if residual(arrays, row_id)]
     except Exception as exc:  # noqa: BLE001 — error parity is the contract
         return exc
+    return survivors[-1:] if latest else survivors
 
 
 # One plan per (statement, schema) per process.  Bounded LRU: a runaway

@@ -582,7 +582,7 @@ def _grouped_compiled(stmt: ast.SelectStatement, store, ids) -> ResultSet:
 _UNSET = object()
 
 
-def arena_select_per_client(arena, sql: str):
+def arena_select_per_client(arena, sql: str, latest: bool = False):
     """Answer one SELECT for every member of a shard in a single pass.
 
     Probes the shard's :class:`~repro.sqldb.columnar.ShardArena` once and
@@ -605,6 +605,19 @@ def arena_select_per_client(arena, sql: str):
     itself.  Draw-neutral by construction — SQL evaluation consumes no
     randomness, so hoisting it shard-wide cannot shift any client's RNG
     or keystream state.
+
+    ``latest=True`` is what the epoch's answer pass asks for (a client
+    reads only whether anything matched and the last matching row):
+    fallback markers and exceptions are exactly the full form's, and
+    every :class:`ResultSet` has the full form's ``columns`` and
+    ``rows == full.rows[-1:]``.  A plain projection (no aggregate, GROUP
+    BY, ORDER BY or LIMIT) gets there without materialising the rest:
+    :meth:`CompiledSelect.matching_ids_per_client
+    <repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` hands
+    back at most one id per slot and the statement-level half of the
+    projection runs once.  Any other shape runs the full finisher and
+    keeps its last row.  Outcomes are read-only: empty slots share one
+    outcome, one-row outcomes share their column list.
     """
     try:
         statement = parse_statement_cached(sql)
@@ -620,11 +633,16 @@ def arena_select_per_client(arena, sql: str):
     except CompileFallback:
         return None
 
-    ids_per_slot = plan.matching_ids_per_client(table)
+    last_row_only = latest and _is_plain_projection(statement)
+    ids_per_slot = plan.matching_ids_per_client(table, latest=last_row_only)
+    finish_row = _one_row_finisher(statement, table) if last_row_only else None
+    # The switch is read once per statement (never cached across
+    # statements); the per-database pin is tested per slot.
+    scan_forced = _env_flag("SQLDB_FORCE_SCAN")
     outcomes: list = []
     empty_outcome = _UNSET
     for db, ids in zip(arena.databases, ids_per_slot):
-        if ids is None or db._scan_forced():
+        if ids is None or scan_forced or db.force_scan:
             outcomes.append(ARENA_FALLBACK)
             continue
         if isinstance(ids, BaseException):
@@ -638,8 +656,46 @@ def arena_select_per_client(arena, sql: str):
                 empty_outcome = _finish_outcome(statement, table, ())
             outcomes.append(empty_outcome)
             continue
-        outcomes.append(_finish_outcome(statement, table, ids))
+        if finish_row is not None:
+            outcomes.append(finish_row(ids[0]))
+            continue
+        outcome = _finish_outcome(statement, table, ids)
+        if latest and isinstance(outcome, ResultSet):
+            outcome.rows = outcome.rows[-1:]
+        outcomes.append(outcome)
     return outcomes
+
+
+def _is_plain_projection(stmt: ast.SelectStatement) -> bool:
+    """Whether a SELECT's last result row is its last matching table row."""
+    return (
+        not stmt.group_by
+        and stmt.order_by is None
+        and stmt.limit is None
+        and not any(isinstance(item, ast.Aggregate) for item in stmt.items)
+    )
+
+
+def _one_row_finisher(stmt: ast.SelectStatement, table):
+    """The statement-level half of finishing a plain projection, done once.
+
+    Returns ``finish(row_id) -> ResultSet`` building a member's one-row
+    result, or ``None`` when a projected column does not resolve by exact
+    name: the error such a statement raises depends on whether the slot
+    matched, so :func:`_finish_compiled_select` keeps deciding it per slot.
+    """
+    if stmt.select_star:
+        out_columns = table.column_names
+        source_columns = out_columns
+    else:
+        out_columns = [item.alias or item.column for item in stmt.items]
+        source_columns = [item.column for item in stmt.items]
+    if not all(table.has_column(column) for column in source_columns):
+        return None
+    vectors = [table.column(column) for column in source_columns]
+    return lambda row_id: ResultSet(
+        out_columns, [tuple(vector[row_id] for vector in vectors)]
+    )
 
 
 def _finish_outcome(stmt: ast.SelectStatement, table, ids):

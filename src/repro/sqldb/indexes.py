@@ -29,6 +29,7 @@ suppressed by the compiler instead (``NULL = NULL`` is false).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Iterator
 
 
@@ -185,7 +186,9 @@ class BPlusTreeIndex:
         """Row ids with ``low (<|<=) key (<|<=) high``, sorted ascending.
 
         ``None`` bounds are open ends.  NULL/NaN rows never appear (the
-        scan engine's comparisons are false for them).
+        scan engine's comparisons are false for them).  Leaves are read
+        by slice: the stop position is one bisect per leaf, never a
+        per-key comparison against ``high``.
         """
         out: list[int] = []
         if low is None:
@@ -197,20 +200,13 @@ class BPlusTreeIndex:
                 position = bisect_left(leaf.keys, low)
             else:
                 position = bisect_right(leaf.keys, low)
+        stop_of = bisect_right if high_inclusive else bisect_left
         while leaf is not None:
-            keys = leaf.keys
-            while position < len(keys):
-                key = keys[position]
-                if high is not None:
-                    if high_inclusive:
-                        if key > high:
-                            out.sort()
-                            return out
-                    elif key >= high:
-                        out.sort()
-                        return out
-                out.extend(leaf.vals[position])
-                position += 1
+            vals = leaf.vals
+            stop = len(vals) if high is None else stop_of(leaf.keys, high)
+            out.extend(chain.from_iterable(vals[position:stop]))
+            if stop < len(vals):
+                break  # the first key past ``high`` lives in this leaf
             leaf = leaf.next
             position = 0
         out.sort()

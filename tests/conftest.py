@@ -69,3 +69,141 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
         parameters=ExecutionParameters(sampling_fraction=0.9, p=0.9, q=0.6),
     )
     return system, analyst, query.query_id
+
+
+# -- the latest-row answer pass: one statement per route ------------------------
+#
+# Shared by tests/sqldb/test_latest_row.py (arena outcome ≡ row-scan
+# ``rows[-1:]``) and tests/runtime/test_torture.py (``answer_shard`` with an
+# arena ≡ without).  ``route`` is how ``arena_select_per_client(latest=True)``
+# must get to a member's last matching row:
+#
+# * ``span-tail``       — no WHERE: the last id of the member's span;
+# * ``probe-max``       — a bare index probe: the maximum probe id per slot;
+# * ``tail-walk``       — probe + residual that provably cannot raise: walk
+#   the candidates from the tail, stop at the first truthy row;
+# * ``every-candidate`` — a residual that may raise (or no probe): evaluate
+#   every candidate in row order, first error wins, keep the last survivor;
+# * ``full-finish``     — not a plain projection: the full finisher runs and
+#   its last row is kept.
+
+LATEST_ROW_COLUMNS = [("value", "REAL"), ("zone", "INTEGER"), ("tag", "TEXT")]
+
+_T = "FROM private_data"
+LATEST_ROW_STATEMENTS = (
+    # (sql, CompiledSelect.describe(), route)
+    (f"SELECT value {_T}", "all", "span-tail"),
+    (f"SELECT value {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2)", "hash-in(zone)", "probe-max"),
+    (f"SELECT value {_T} WHERE value > 2.0", "tree-range(value)", "probe-max"),
+    (
+        f"SELECT value {_T} WHERE value BETWEEN 1.0 AND 3.0",
+        "tree-range(value)",
+        "probe-max",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone IN (1, 2) AND value < 1.0",
+        "hash-in(zone)+residual",
+        "tail-walk",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND value BETWEEN 0.5 AND 4.0"
+        " AND tag IN ('a', 'b')",
+        "hash-eq(zone)+residual",
+        "tail-walk",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND value != 2.0",
+        "hash-eq(zone)+residual",
+        "every-candidate",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND tag LIKE 'a%'",
+        "hash-eq(zone)+residual",
+        "every-candidate",
+    ),
+    # Raises only where a zone-1 row with value <= 3.0 holds a non-NULL tag —
+    # and that member's *last* zone-1 row matches, so an early exit would
+    # return a row where the reference raises.
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
+        "hash-eq(zone)+residual",
+        "every-candidate",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND tag < 5",
+        "hash-eq(zone)+residual",
+        "every-candidate",
+    ),
+    (
+        f"SELECT value {_T} WHERE zone = 1 AND nope = 1",
+        "hash-eq(zone)+residual",
+        "every-candidate",
+    ),
+    (f"SELECT value {_T} WHERE value != 2.0", "residual", "every-candidate"),
+    (f"SELECT value {_T} WHERE tag < 5", "residual", "every-candidate"),
+    (
+        f"SELECT value {_T} WHERE value > 3.0 OR tag < 5",
+        "residual",
+        "every-candidate",
+    ),
+    (f"SELECT * {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    # value_column ("value") absent from the projection: the client reads row[0].
+    (f"SELECT zone, tag {_T} WHERE value > 2.0", "tree-range(value)", "probe-max"),
+    # Case-twisted projection: KeyError only for members that matched.
+    (f"SELECT Value {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    # Unknown projection: SchemaError for every member, matched or not.
+    (f"SELECT nope {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", "hash-eq(zone)", "full-finish"),
+    (
+        f"SELECT value {_T} WHERE zone = 1 ORDER BY value DESC",
+        "hash-eq(zone)",
+        "full-finish",
+    ),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 0", "hash-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 1", "hash-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 3", "hash-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 99", "hash-in(zone)", "full-finish"),
+    (f"SELECT COUNT(*) {_T} WHERE zone = 1", "hash-eq(zone)", "full-finish"),
+    (f"SELECT MAX(value) {_T} WHERE value > 2.0", "tree-range(value)", "full-finish"),
+    (f"SELECT zone, COUNT(*) {_T} GROUP BY zone", "all", "full-finish"),
+)
+
+# One shard's members, by name: (value, zone, tag) rows in insertion order.
+# No member's last row is the answer to every statement, and the members
+# differ in which statements match, raise, or come back empty.
+LATEST_ROW_MEMBERS = {
+    # Tags all NULL: no ordering on ``tag`` can raise here.
+    "plain": [
+        (0.5, 1, None),
+        (4.5, 3, None),
+        (0.7, 2, None),
+        (2.5, 1, None),
+        (0.2, 2, None),
+        (6.0, 1, None),
+        (3.5, 4, None),
+        (5.0, 2, None),
+        (1.0, 6, None),
+    ],
+    # Row 0 makes ``tag < 5`` raise; the later zone-1 rows match ``value > 3.0``.
+    "text-tag": [
+        (1.0, 1, "a"),
+        (5.0, 1, "b"),
+        (2.0, 2, None),
+        (8.0, 1, "abc"),
+        (7.0, 3, "zz"),
+    ],
+    # NULL values demote the arena's REAL vector to a plain list.
+    "null-value": [(None, 1, None), (0.3, 2, "q"), (None, 2, None), (2.2, 1, None)],
+    "empty": [],
+    "no-match": [(9.0, 7, None), (9.5, 7, None)],
+    # The only non-NULL tag sits outside zone 1 and before a matching row.
+    "late-tag": [(1.0, 1, None), (2.0, 4, "x"), (3.3, 1, None)],
+}
+
+
+@pytest.fixture
+def latest_row_cases():
+    """``(columns, statements, members)`` of the latest-row route table."""
+    return LATEST_ROW_COLUMNS, LATEST_ROW_STATEMENTS, LATEST_ROW_MEMBERS

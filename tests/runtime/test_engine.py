@@ -419,3 +419,50 @@ class TestOverlapSealedTcpCombo:
         finally:
             for server in servers:
                 server.stop()
+
+
+# -- the benchmark harness's patch points --------------------------------------
+
+
+def _epoch_profile_tracer():
+    """``benchmarks/epoch_profile/tracer.py`` loaded read-only by path, or a
+    skip when the harness is not checked out beside the tests."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks/epoch_profile/tracer.py"
+    if not path.is_file():
+        pytest.skip("benchmarks/epoch_profile/ is absent")
+    spec = importlib.util.spec_from_file_location("_epoch_profile_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_still_resolves():
+    """The profile patches ~40 functions *by name*; a rename or move used to
+    surface only as a ``KeyError`` in CI's traced smoke.  Also pins the shape
+    ``sqldb.engine.arena_select`` counts: a list aligned with the arena's
+    databases whose fallback entries are the ``ARENA_FALLBACK`` object."""
+    from repro.runtime import engine
+    from repro.sqldb import ARENA_FALLBACK, Database, ShardArena
+
+    tracer = _epoch_profile_tracer()
+    table = tracer.patch_table()
+    for owner, attribute, _ in table:
+        assert callable(vars(owner)[attribute]), (owner, attribute)
+    patched = {(getattr(owner, "__name__", ""), attribute) for owner, attribute, _ in table}
+    assert ("repro.runtime.engine", "arena_select_per_client") in patched
+    assert ("CompiledSelect", "matching_ids_per_client") in patched
+
+    members = []
+    for rows in ([(1.0,), (3.0,)], [(2.0,)], []):
+        db = Database()
+        db.create_table("t", [("x", "REAL")])
+        db.table("t").append_rows(rows)
+        members.append(db)
+    members[1].force_scan = True
+    arena = ShardArena(members)
+    outcomes = engine.arena_select_per_client(arena, "SELECT x FROM t WHERE x > 0.5")
+    assert isinstance(outcomes, list) and len(outcomes) == len(arena.databases)
+    assert [outcome is ARENA_FALLBACK for outcome in outcomes] == [False, True, False]

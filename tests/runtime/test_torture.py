@@ -327,7 +327,7 @@ def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch)
 
 from repro.core.client import Client, ClientConfig  # noqa: E402
 from repro.runtime.affinity import ResidentShardCache  # noqa: E402
-from repro.runtime.engine import answer_shard  # noqa: E402
+from repro.runtime.engine import answer_shard, make_shard_arena  # noqa: E402
 from repro.runtime.wire import ClientDelta  # noqa: E402
 
 
@@ -422,3 +422,80 @@ def test_rebootstrap_replaces_the_arena_with_the_clients():
     assert fresh is not stale
     assert fresh.matches([client.database for client in replacements])
     answer_shard(replacements, [query_id], 1, arena=fresh)
+
+
+def _latest_row_shard(columns, statements, members):
+    """One client per route-table member — plus a mixed-schema member and a
+    ``force_scan`` member, which the arena flags for per-client fallback —
+    each subscribed to one query per statement."""
+    analyst = Analyst("latest-row")
+    params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
+    queries = [
+        analyst.create_query(
+            sql,
+            AnswerSpec(
+                buckets=RangeBuckets.uniform(0.0, 8.0, 8, open_ended=True),
+                value_column="value",
+            ),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        for sql, _, _ in statements
+    ]
+    shard = [(name, columns, rows) for name, rows in members.items()]
+    shard.insert(1, ("mixed-schema", [*columns, ("extra", "REAL")], [(4.0, 1, None, 0.5)]))
+    shard.insert(3, ("force-scan", columns, members["plain"]))
+    clients = []
+    for index, (name, schema, rows) in enumerate(shard):
+        client = Client(ClientConfig(client_id=name, num_proxies=2, seed=700 + index))
+        client.create_table(list(schema))
+        client.database.table("private_data").append_rows(rows)
+        client.database.force_scan = name == "force-scan"
+        for query in queries:
+            client.subscribe(query, params)
+        clients.append(client)
+    return clients, [query.query_id for query in queries]
+
+
+def _shard_outcome(clients, query_id, epoch, arena):
+    """``answer_shard``'s responses in comparable form, or the error it raised."""
+    try:
+        responses_per_query, _ = answer_shard(clients, [query_id], epoch, arena=arena)
+    except Exception as exc:  # noqa: BLE001 — parity includes error behavior
+        return ("error", type(exc).__name__, str(exc))
+    return [
+        (
+            r.client_id,
+            r.query_id,
+            r.epoch,
+            r.truthful_bits,
+            r.randomized_bits,
+            tuple(share.payload for share in r.encrypted.shares),
+        )
+        for r in responses_per_query[0]
+    ]
+
+
+def test_latest_row_arena_answers_equal_per_client_answers(latest_row_cases):
+    """``answer_shard`` with an arena (latest-row outcomes in the scan cache)
+    ≡ without one (every client runs ``Database.query``), response for
+    response — truthful bits included — over the whole route table."""
+    columns, statements, members = latest_row_cases
+    with_arena, query_ids = _latest_row_shard(columns, statements, members)
+    without, _ = _latest_row_shard(columns, statements, members)
+    arena = make_shard_arena(with_arena)
+    assert arena is not None
+    answered = 0
+    for epoch in range(2):
+        for query_id in query_ids:
+            got = _shard_outcome(with_arena, query_id, epoch, arena)
+            assert got == _shard_outcome(without, query_id, epoch, None), query_id
+            if got[0] != "error":
+                assert [row[0] for row in got] == [c.config.client_id for c in with_arena]
+                answered += 1
+        # A newer matching row on one member between epochs, as ShardDelta does.
+        for clients in (with_arena, without):
+            clients[0].database.table("private_data").append_rows([(7.5, 1, None)])
+    assert answered >= len(statements)  # most statements raise for no member
+    assert arena.arena_stats()["private_data"]["rebuilds"] == 1

@@ -453,11 +453,36 @@ def _member_row_subsets(rows, case_seed: int, purpose: str):
     ]
 
 
+def _latest_of(outcome):
+    """What the latest-row form owes for a full `_outcome`: the same error,
+    or the same columns over only the last row."""
+    if outcome[0] == "error":
+        return outcome
+    return ("rows", outcome[1], outcome[2][-1:])
+
+
+def _assert_latest_row_form(arena, members, sql, full_outcomes, expected):
+    """The latest-row axis: fallback markers identical to the full form's,
+    and every other slot equal to `_latest_of` its expected full outcome."""
+    latest = arena_select_per_client(arena, sql, latest=True)
+    if full_outcomes is None:
+        assert latest is None, sql
+        return
+    for index, member in enumerate(members):
+        if full_outcomes[index] is ARENA_FALLBACK:
+            assert latest[index] is ARENA_FALLBACK, sql
+        else:
+            assert latest[index] is not ARENA_FALLBACK, sql
+            got = _arena_outcome(latest[index], member, sql)
+            assert got == _latest_of(expected[index]), sql
+
+
 class TestArenaDifferentialFuzz:
     """Shard-wide arena answering against both frozen oracles."""
 
     def _check(self, arena, members, references, sql):
         outcomes = arena_select_per_client(arena, sql)
+        scanned = []
         for index, (member, reference) in enumerate(zip(members, references)):
             expected = _outcome(reference, sql)  # row-scan oracle
             assert _outcome(member, sql) == expected, sql  # per-client oracle
@@ -466,6 +491,8 @@ class TestArenaDifferentialFuzz:
             else:
                 got = _arena_outcome(outcomes[index], member, sql)
             assert got == expected, sql
+            scanned.append(expected)
+        _assert_latest_row_form(arena, members, sql, outcomes, scanned)
 
     @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
     def test_arena_matches_per_client_and_scan(self, case_seed):
@@ -533,6 +560,9 @@ class TestArenaDifferentialFuzz:
             assert _arena_outcome(outcomes[index], members[index], sql) == _outcome(
                 members[index], sql
             )
+        _assert_latest_row_form(
+            arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
+        )
         # The fallback is an answer-it-yourself marker, not a wrong answer.
         assert _arena_outcome(outcomes[1], odd, sql) == _outcome(odd, sql)
         # Excluded members don't poison incremental maintenance either.
@@ -543,18 +573,26 @@ class TestArenaDifferentialFuzz:
         assert _arena_outcome(outcomes[0], members[0], sql) == _outcome(
             members[0], sql
         )
+        _assert_latest_row_form(
+            arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
+        )
 
     def test_missing_table_everywhere_is_statement_level_fallback(self):
         members = [_make_db([("x", "INTEGER")], [{"x": 1}], force_scan=False)]
         arena = ShardArena(members)
         assert arena_select_per_client(arena, "SELECT x FROM nope") is None
+        assert arena_select_per_client(arena, "SELECT x FROM nope", latest=True) is None
 
     def test_per_database_force_scan_pins_that_member_only(self):
         subsets = [[{"x": 1}], [{"x": 2}], [{"x": 1}]]
         members = [_make_db([("x", "INTEGER")], s, force_scan=False) for s in subsets]
         members[1].force_scan = True
         arena = ShardArena(members)
-        outcomes = arena_select_per_client(arena, "SELECT x FROM t WHERE x = 1")
+        sql = "SELECT x FROM t WHERE x = 1"
+        outcomes = arena_select_per_client(arena, sql)
         assert outcomes[1] is ARENA_FALLBACK
         assert outcomes[0] is not ARENA_FALLBACK
         assert outcomes[2] is not ARENA_FALLBACK
+        _assert_latest_row_form(
+            arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
+        )

@@ -95,6 +95,52 @@ class TestBPlusTreeIndex:
             got = tree.range_ids(low, high, low_inclusive, high_inclusive)
             assert got == expected, (low, high, low_inclusive, high_inclusive)
 
+    @pytest.mark.parametrize("kind", ["int", "float", "text"])
+    def test_sliced_range_scan_on_leaf_boundaries(self, kind):
+        """The range scan reads leaves by slice: bounds below the first key,
+        above the last, between keys and exactly on a leaf's first or last
+        key must all give the brute-force answer, in ascending id order."""
+        rng = random.Random(f"{SEED}-slice-{kind}")
+        draw = {
+            "int": lambda: rng.randint(0, 150),
+            "float": lambda: round(rng.uniform(0.0, 50.0), 1),
+            "text": lambda: "".join(rng.choice("abcd") for _ in range(rng.randint(1, 4))),
+        }[kind]
+        pairs = []
+        for row_id in range(600):
+            roll = rng.random()
+            key = None if roll < 0.05 else math.nan if roll < 0.08 else draw()
+            pairs.append((row_id, key))
+        tree = BPlusTreeIndex(order=32)
+        for row_id, key in pairs:
+            tree.insert(key, row_id)
+        tree.check_invariants()
+        leaves = []
+        leaf = tree._first_leaf()
+        while leaf is not None:
+            leaves.append(leaf)
+            leaf = leaf.next
+        assert len(leaves) > 3
+        keys = tree.keys()
+        assert len(keys) < sum(1 for _, key in pairs if key is not None and key == key)
+        below, above = {
+            "int": (-1, 10**6),
+            "float": (-1.0, 1e6),
+            "text": ("", "zzzz"),
+        }[kind]
+        bounds = [None, below, above, draw(), draw()]
+        for leaf in leaves:
+            bounds += [leaf.keys[0], leaf.keys[-1]]
+        for low in bounds:
+            for high in bounds:
+                for low_inclusive in (True, False):
+                    for high_inclusive in (True, False):
+                        got = tree.range_ids(low, high, low_inclusive, high_inclusive)
+                        assert got == _brute_range(
+                            pairs, low, high, low_inclusive, high_inclusive
+                        ), (low, high, low_inclusive, high_inclusive)
+        tree.check_invariants()
+
     def test_string_keys(self):
         tree = BPlusTreeIndex(order=3)
         words = ["pear", "apple", "fig", "apple", "kiwi", "banana"]
