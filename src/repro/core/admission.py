@@ -24,6 +24,10 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
+#: Characters in a participation token (a truncated hex HMAC-SHA256); the
+#: answer codec sizes a message it is not building from this.
+PARTICIPATION_TOKEN_LENGTH = 32
+
 
 def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
     """Anonymous, epoch-scoped participation token.
@@ -38,7 +42,8 @@ def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     message = f"{query_id}|{epoch}".encode("utf-8")
-    return hmac.new(client_secret, message, hashlib.sha256).hexdigest()[:32]
+    digest = hmac.new(client_secret, message, hashlib.sha256).hexdigest()
+    return digest[:PARTICIPATION_TOKEN_LENGTH]
 
 
 @dataclass(frozen=True)

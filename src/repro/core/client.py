@@ -16,6 +16,7 @@ encrypted shares leave the device.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -64,6 +65,28 @@ class ClientResponse:
     randomized_bits: tuple
 
 
+@dataclass(frozen=True)
+class LateAnswer:
+    """What a participant known to be late leaves instead of a response.
+
+    :meth:`Client.answer` with ``late=True`` advanced the client's streams as
+    a built answer would have and built nothing; the marker names the answer
+    just well enough for the deadline gate to drop and record it
+    (``should_drop`` reads ``client_id`` and ``query_id``).  It carries no
+    shares, so it must never get past the gate.
+    """
+
+    client_id: str
+    query_id: str
+    epoch: int
+
+
+@functools.lru_cache(maxsize=4)
+def _rng_words(count: int) -> struct.Struct:
+    """The little-endian layout of ``count`` Mersenne Twister state words."""
+    return struct.Struct(f"<{count}I")
+
+
 def _pack_rng_state(state: tuple) -> tuple:
     """Pack a ``random.Random`` state's word tuple into raw bytes.
 
@@ -73,13 +96,13 @@ def _pack_rng_state(state: tuple) -> tuple:
     single 2.5 KB bytes blob that copies across the wire untouched.
     """
     version, internal, gauss_next = state
-    return (version, struct.pack(f"<{len(internal)}I", *internal), gauss_next)
+    return (version, _rng_words(len(internal)).pack(*internal), gauss_next)
 
 
 def _unpack_rng_state(packed: tuple) -> tuple:
     """Invert :func:`_pack_rng_state` back into ``random.Random.setstate`` form."""
     version, blob, gauss_next = packed
-    return (version, struct.unpack(f"<{len(blob) // 4}I", blob), gauss_next)
+    return (version, _rng_words(len(blob) // 4).unpack(blob), gauss_next)
 
 
 def _digest_keystream(digest, state: tuple) -> None:
@@ -375,7 +398,9 @@ class Client:
         query_ids: Sequence[str],
         epoch: int = 0,
         scan_cache: dict[str, Any] | None = None,
-    ) -> list[ClientResponse | None]:
+        *,
+        late: bool = False,
+    ) -> list[ClientResponse | LateAnswer | None]:
         """Run one answering epoch for many subscribed queries in one pass.
 
         Returns one entry per query id, ``None`` where the query's sampling
@@ -394,13 +419,70 @@ class Client:
         that row, see :meth:`_execute_query_locally`).  Entries are consumed
         only for queries whose sampling coin says participate, exactly as a
         local pass would be.
+
+        ``late=True`` is for a caller that already knows the epoch's deadline
+        gate will drop whatever this client produces: each participating
+        query reads its SQL outcome (so a statement that raises for this
+        client still raises), advances its streams through
+        :meth:`_advance_query` and comes back as a :class:`LateAnswer` marker
+        instead of a built response.
         """
         if scan_cache is None:
             scan_cache = {}
+        if late:
+            return [
+                LateAnswer(self.config.client_id, query_id, epoch)
+                if self._advance_query(query_id, scan_cache)
+                else None
+                for query_id in query_ids
+            ]
         return [
             self.answer_query(query_id, epoch=epoch, scan_cache=scan_cache)
             for query_id in query_ids
         ]
+
+    def advance(self, query_ids: Sequence[str]) -> list[bool]:
+        """Make the draws :meth:`answer` would make, and nothing else.
+
+        The replay primitive: afterwards :meth:`state_fingerprint` equals
+        what answering ``query_ids`` for any epoch over any table content
+        would have left, but no SQL ran and no answer, token, message or
+        share was built.  Returns which queries participated.
+        """
+        return [self._advance_query(query_id) for query_id in query_ids]
+
+    def _advance_query(
+        self, query_id: str, scan_cache: dict[str, Any] | None = None
+    ) -> bool:
+        """The draw-only twin of :meth:`answer_query`; True for a participant.
+
+        Flips the same sampling coin and, for a participant, makes exactly
+        the draws a built answer makes: the randomized-response draws for
+        ``num_buckets`` bits, then ``num_proxies - 1`` key strings of the
+        encoded message's length off the query's keystream.  Whoever adds a
+        draw to :meth:`answer_query` adds it here in the same commit
+        (``docs/ARCHITECTURE.md``, draw-compatibility rule 6; the property
+        test in ``tests/core/test_properties.py`` fails otherwise).  With a
+        ``scan_cache`` the participant also reads its SQL outcome, between
+        the coin and the draws like :meth:`answer_query`, so a raising
+        statement leaves the same state behind either way.
+        """
+        subscription = self._subscriptions.get(query_id)
+        if subscription is None:
+            return False
+        query, parameters = subscription
+        sampler, responder = self._mechanisms_for(query_id, parameters)
+        if not sampler.should_participate():
+            return False
+        if scan_cache is not None:
+            self._query_outcome(query, scan_cache)
+        num_bits = query.num_buckets
+        responder.advance(num_bits)
+        self._keystream_for(query_id).skip(
+            (self.config.num_proxies - 1)
+            * AnswerCodec.encoded_length(query_id, num_bits)
+        )
+        return True
 
     def answer_query(
         self,
@@ -506,6 +588,26 @@ class Client:
         query, _ = self._subscriptions[query_id]
         return self._execute_query_locally(query)
 
+    def _query_outcome(self, query: Query, scan_cache: dict[str, Any] | None):
+        """This client's result set for the analyst's SQL, raising what it raises.
+
+        ``scan_cache`` (keyed by SQL text) deduplicates the database pass
+        when several co-subscribed queries in a multi-query epoch run the
+        same statement, and may arrive pre-seeded by the shard arena with the
+        latest-row form of the result or the exception to raise.
+        """
+        if scan_cache is not None and query.sql in scan_cache:
+            result = scan_cache[query.sql]
+            if isinstance(result, BaseException):
+                # Arena-precomputed outcome parity: raise exactly what this
+                # client's own evaluation would have raised.
+                raise result
+            return result
+        result = self.database.query(query.sql)
+        if scan_cache is not None:
+            scan_cache[query.sql] = result
+        return result
+
     def _execute_query_locally(
         self, query: Query, scan_cache: dict[str, Any] | None = None
     ) -> list[int]:
@@ -515,23 +617,13 @@ class Client:
         examples — current driving speed, last ride distance, current power
         draw — are all "latest value" readings).  A client with no matching
         rows answers all-zeros, which still gets randomized so non-matching
-        clients are indistinguishable from matching ones.  ``scan_cache``
-        (keyed by SQL text) deduplicates the database pass when several
-        co-subscribed queries in a multi-query epoch run the same statement.
-        Only ``len(result) > 0``, ``result.columns`` and ``result.rows[-1]``
-        are read, which is why an arena-seeded entry may hold just the last
-        row of what ``database.query`` would return.
+        clients are indistinguishable from matching ones.  Only
+        ``len(result) > 0``, ``result.columns`` and ``result.rows[-1]`` of
+        :meth:`_query_outcome`'s result are read, which is why an
+        arena-seeded entry may hold just the last row of what
+        ``database.query`` would return.
         """
-        if scan_cache is not None and query.sql in scan_cache:
-            result = scan_cache[query.sql]
-            if isinstance(result, BaseException):
-                # Arena-precomputed outcome parity: raise exactly what this
-                # client's own evaluation would have raised.
-                raise result
-        else:
-            result = self.database.query(query.sql)
-            if scan_cache is not None:
-                scan_cache[query.sql] = result
+        result = self._query_outcome(query, scan_cache)
         value = None
         if len(result) > 0:
             column = query.answer_spec.value_column

@@ -102,6 +102,20 @@ class RandomizedResponder:
                 append(1 if rand() < q else 0)
         return out
 
+    def advance(self, num_bits: int) -> None:
+        """Make :meth:`randomize_vector`'s draws for ``num_bits`` bits, no answer.
+
+        The draw sequence does not depend on the truthful bits (one
+        ``rng.random()`` per bit, a second only when the first is ``>= p``),
+        so this leaves ``rng`` exactly where randomizing any ``num_bits``-long
+        vector would.
+        """
+        rand = self.rng.random
+        p = self.p
+        for _ in range(num_bits):
+            if rand() >= p:
+                rand()
+
     def randomize_vector_scalar(self, truthful_bits: Sequence[int]) -> list[int]:
         """Per-bit reference implementation of :meth:`randomize_vector`."""
         return [self.randomize_bit(bit) for bit in truthful_bits]

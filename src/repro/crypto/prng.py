@@ -111,6 +111,31 @@ class KeystreamGenerator:
         del self._buffer[:length]
         return out
 
+    def skip(self, length: int) -> None:
+        """Advance past the next ``length`` bytes without producing them.
+
+        Leaves :meth:`getstate` exactly where ``next_bytes(length)`` would,
+        but hashes only the one counter block the new buffer tail comes from
+        (none at all when the skip ends on a block boundary or inside the
+        buffer) — for callers that must keep a stream in step with a peer
+        that *used* the bytes (:meth:`repro.core.client.Client.advance`).
+        """
+        if length < 0:
+            raise ValueError(f"length must be non-negative, got {length}")
+        missing = length - len(self._buffer)
+        if missing <= 0:
+            del self._buffer[:length]
+            return
+        num_blocks = -(-missing // _DIGEST_SIZE)
+        self._counter += num_blocks
+        tail = num_blocks * _DIGEST_SIZE - missing
+        self._buffer.clear()
+        if tail:
+            last_block = hashlib.sha256(
+                self._seed + struct.pack(">Q", self._counter - 1)
+            ).digest()
+            self._buffer += last_block[-tail:]
+
     def next_bits(self, nbits: int) -> int:
         """Return an integer holding the next ``nbits`` bits of the keystream."""
         if nbits < 0:

@@ -19,9 +19,9 @@ This module implements the byte-level primitives:
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, field
 
+from repro.crypto import prng
 from repro.crypto.prng import KeystreamGenerator
 
 
@@ -125,19 +125,7 @@ class XorCipher:
         remaining shares carry the key strings ``MK_i``.  All shares have the
         same length as the message.
         """
-        if message_id is None:
-            message_id = uuid.uuid4().hex
-        keys = [self.keystream.next_bytes(len(message)) for _ in range(self.num_shares - 1)]
-        secret = keys[0]
-        for key in keys[1:]:
-            secret = xor_bytes(secret, key)
-        encrypted = xor_bytes(message, secret)
-        shares = [MessageShare(message_id=message_id, payload=encrypted, index=0)]
-        shares.extend(
-            MessageShare(message_id=message_id, payload=key, index=i + 1)
-            for i, key in enumerate(keys)
-        )
-        return shares
+        return split_message(message, self.num_shares, self.keystream, message_id)
 
     @staticmethod
     def decrypt(shares: list[MessageShare]) -> bytes:
@@ -155,12 +143,27 @@ def split_message(
     keystream: KeystreamGenerator | None = None,
     message_id: str | None = None,
 ) -> list[MessageShare]:
-    """Split ``message`` into one share per proxy (convenience wrapper)."""
-    cipher = XorCipher(
-        num_shares=num_proxies,
-        keystream=keystream if keystream is not None else KeystreamGenerator(),
-    )
-    return cipher.encrypt(message, message_id=message_id)
+    """Split ``message`` into one share per proxy.
+
+    The one split routine (:meth:`XorCipher.encrypt` calls it too): share 0
+    is ``ME``, shares ``1..n-1`` the key strings in the order they were drawn
+    off ``keystream`` (a fresh randomly seeded generator when omitted).  A
+    missing ``message_id`` is 16 bytes of OS entropy as 32 hex characters.
+    """
+    if num_proxies < 2:
+        raise ValueError(f"XOR encryption needs at least 2 shares, got {num_proxies}")
+    if keystream is None:
+        keystream = KeystreamGenerator()
+    if message_id is None:
+        message_id = prng.secure_random_bytes(16).hex()
+    length = len(message)
+    keys = [keystream.next_bytes(length) for _ in range(num_proxies - 1)]
+    encrypted = message
+    for key in keys:
+        encrypted = xor_bytes(encrypted, key)
+    return [MessageShare(message_id, encrypted, 0)] + [
+        MessageShare(message_id, key, index) for index, key in enumerate(keys, 1)
+    ]
 
 
 def join_shares(shares: list[MessageShare]) -> bytes:

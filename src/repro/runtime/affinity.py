@@ -42,13 +42,25 @@ which ``(epoch, query_ids)`` each shard answered.  Because every draw in the
 answering path comes from client-owned seeded RNG/keystream streams — and the
 *number* of draws is content-independent (one sampling coin; randomization
 draws depend only on the first coin; keystream consumption is fixed-length
-per query; SQL consumes no randomness) — re-answering the logged epochs on
-the checkpoint copy and discarding the responses reproduces the worker's
-state exactly, whatever rows were appended in between.  That is how
+per query; SQL consumes no randomness) — making the logged epochs' draws on
+the checkpoint copy reproduces the worker's state exactly, whatever rows
+were appended in between.  Replay answers nothing: it calls
+:meth:`Client.advance <repro.core.client.Client.advance>`, the draw-only
+twin of ``Client.answer`` (no SQL, no answer built, nothing to discard),
+whose equality with the answering path on ``state_fingerprint()`` is a
+tested contract rather than a side effect.  That is how
 a killed worker, a poisoned fingerprint, or a mid-run re-shard falls back:
 fast-forward the parent copy, then send a bootstrap frame for exactly the
 moved/lost shards.  Results stay byte-identical to the serial reference —
 the equivalence and torture suites pin this with residency on and off.
+
+**No late set on the wire (yet).**  The engine's plan stage knows which
+clients an armed deadline gate will drop, and the in-process drivers use it
+to draw those answers instead of building them.  ``ShardDelta`` /
+``ShardBootstrap`` / ``ShardTask`` have no field for it, so resident and
+snapshot workers still build every answer and the parent's gate drops the
+late ones as acks decode — same bytes, same ledger; the field comes with
+the wire-v4 codec.
 """
 
 from __future__ import annotations
@@ -891,8 +903,9 @@ class ResidentDriver(StageDriver):
         whose checkpoint ack never landed (mutation epoch lost to a worker
         death) postdates every logged epoch, and replaying with it applied
         would skip or alter draws the worker actually made.  Table content
-        needs no such pinning — draw counts are content-independent, which
-        is why rows appended since the checkpoint may sit under the replay.
+        needs no such pinning — ``Client.advance`` makes an epoch's draws
+        without reading a row, which is why rows appended since the
+        checkpoint may sit under the replay.
         """
         state = self._residency(shard_index)
         if not state.replay_log:
@@ -903,8 +916,9 @@ class ResidentDriver(StageDriver):
             live_subscriptions = [client.subscriptions for client in clients]
             for client, pinned in zip(clients, state.replay_subscriptions):
                 self._apply_subscriptions(client, pinned)
-        for epoch, query_ids in state.replay_log:
-            answer_shard(clients, query_ids, epoch)
+        for _, query_ids in state.replay_log:
+            for client in clients:
+                client.advance(query_ids)
         if live_subscriptions is not None:
             for client, current in zip(clients, live_subscriptions):
                 self._apply_subscriptions(client, current)

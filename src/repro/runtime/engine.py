@@ -99,6 +99,7 @@ def answer_shard(
     query_ids: Sequence[str],
     epoch: int,
     arena: ShardArena | None = None,
+    late: frozenset[str] = frozenset(),
 ) -> tuple[list[list["ClientResponse"]], list["Client"]]:
     """Answer one shard of clients for one epoch (the picklable shard task).
 
@@ -115,12 +116,24 @@ def answer_shard(
     draw-neutral (SQL consumes no randomness), so responses are
     byte-identical to per-client evaluation.  Members flagged for fallback
     simply keep an empty cache and answer themselves.
+
+    ``late`` names the client ids the epoch's deadline gate is already known
+    to drop (:meth:`StagedEpochEngine._late_clients`): those members *draw*
+    their answers instead of building them (``Client.answer(late=True)``) and
+    their participating queries come back as
+    :class:`~repro.core.client.LateAnswer` markers, in the same list
+    positions a built response would hold, for the gate to drop and record.
     """
     caches = shard_scan_caches(clients, query_ids, arena)
     responses_per_query: list[list["ClientResponse"]] = [[] for _ in query_ids]
     for slot, client in enumerate(clients):
         scan_cache = None if caches is None else caches[slot]
-        answers = client.answer(query_ids, epoch=epoch, scan_cache=scan_cache)
+        answers = client.answer(
+            query_ids,
+            epoch=epoch,
+            scan_cache=scan_cache,
+            late=client.config.client_id in late,
+        )
         for index, response in enumerate(answers):
             if response is not None:
                 responses_per_query[index].append(response)
@@ -184,10 +197,13 @@ def _timed_answer_shard(
     query_ids: Sequence[str],
     epoch: int,
     arena: ShardArena | None = None,
+    late: frozenset[str] = frozenset(),
 ) -> tuple[list[list["ClientResponse"]], list["Client"], float]:
     """:func:`answer_shard` plus its own wall-clock, for stage accounting."""
     started = time.perf_counter()
-    responses, clients = answer_shard(clients, query_ids, epoch, arena=arena)
+    responses, clients = answer_shard(
+        clients, query_ids, epoch, arena=arena, late=late
+    )
     return responses, clients, time.perf_counter() - started
 
 
@@ -310,17 +326,25 @@ class EpochHandle:
     site and the hand-off into the transmit stage; in the overlap flow emit
     may be called from any driver thread (the gate and metrics lock
     internally, and the bounded hand-off queue applies backpressure).
+
+    ``late`` is the plan stage's known-late client-id set
+    (:meth:`StagedEpochEngine._late_clients`).  Drivers that answer in this
+    process hand it to :func:`answer_shard`; wire drivers ignore it (their
+    frames have no field for it yet) and keep building what the gate drops.
     """
 
-    __slots__ = ("context", "epoch", "occupied", "query_ids", "metrics", "emit", "emitted")
+    __slots__ = (
+        "context", "epoch", "occupied", "query_ids", "metrics", "late", "emit", "emitted",
+    )
 
     def __init__(self, context: EpochContext, epoch: int, occupied: list[Shard],
-                 metrics: StageMetrics, emit) -> None:
+                 metrics: StageMetrics, emit, late: frozenset[str] = frozenset()) -> None:
         self.context = context
         self.epoch = epoch
         self.occupied = occupied
         self.query_ids = tuple(context.query_ids)
         self.metrics = metrics
+        self.late = late
         self.emitted: set[int] = set()
         inner = emit
 
@@ -645,10 +669,18 @@ class StagedEpochEngine(EpochExecutor):
         """Deadline-gate one shard's raw responses at the transmit boundary.
 
         The one place :func:`~repro.runtime.executor.apply_deadline` is
-        invoked across every driver combination: late answers were produced
-        (RNG streams advanced exactly as under the serial reference) but
-        never reach the proxies, and the drop count lands in the metrics.
+        invoked across every driver combination: late answers advanced
+        their clients' RNG streams exactly as under the serial reference —
+        built by a wire worker, or only *drawn* (a
+        :class:`~repro.core.client.LateAnswer` marker) by an in-process
+        driver that was handed the plan stage's late set — but never reach
+        the proxies, and the drop count lands in the metrics.  A marker the
+        gate does not drop has no shares to transmit: that is a gate whose
+        ``is_late`` and ``should_drop`` disagree, and it fails the epoch.
         """
+        # Imported here: repro.core imports repro.runtime at package level.
+        from repro.core.client import LateAnswer
+
         gated = apply_deadline(context.deadline, responses_per_query)
         if context.deadline is not None:
             metrics.add_late_drops(
@@ -657,7 +689,32 @@ class StagedEpochEngine(EpochExecutor):
                     for raw, kept in zip(responses_per_query, gated)
                 )
             )
+        for kept in gated:
+            for response in kept:
+                if isinstance(response, LateAnswer):
+                    raise RuntimeError(
+                        f"the deadline gate kept a late marker for client "
+                        f"{response.client_id!r}, query {response.query_id!r}: "
+                        "nothing was built to transmit"
+                    )
         return gated
+
+    @staticmethod
+    def _late_clients(context: EpochContext) -> frozenset[str]:
+        """The client ids this epoch's gate is already known to drop.
+
+        Decided in the plan stage, on the caller thread, from the gate's
+        optional ``is_late(client_id)`` — lateness is a pure function of the
+        modeled network, known before anyone answers.  No gate, or a gate
+        without ``is_late``, means nobody is known late and everything is
+        built as before.  The set lives for one ``run_epoch``.
+        """
+        is_late = getattr(context.deadline, "is_late", None)
+        if is_late is None:
+            return frozenset()
+        return frozenset(
+            filter(is_late, (client.config.client_id for client in context.clients))
+        )
 
     # -- epoch execution ------------------------------------------------------
 
@@ -669,10 +726,11 @@ class StagedEpochEngine(EpochExecutor):
         shards = self._plan_stage(context, metrics)
         metrics.add_wire_bytes(self.driver.migrate(context, shards))
         occupied = [shard for shard in shards if shard.num_items > 0]
+        late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
         if self.uses_shard_topics:
-            return self._run_overlap(context, epoch, shards, occupied, metrics)
-        return self._run_barrier(context, epoch, shards, occupied, metrics)
+            return self._run_overlap(context, epoch, shards, occupied, metrics, late)
+        return self._run_barrier(context, epoch, shards, occupied, metrics, late)
 
     def _finalize(
         self, shards: list[Shard], answer_walls: dict[int, float], metrics: StageMetrics
@@ -718,6 +776,7 @@ class StagedEpochEngine(EpochExecutor):
         shards: list[Shard],
         occupied: list[Shard],
         metrics: StageMetrics,
+        late: frozenset[str],
     ) -> EpochOutcome:
         """Collect in shard order, transmit per shard, ingest after the last.
 
@@ -748,7 +807,7 @@ class StagedEpochEngine(EpochExecutor):
                 "transmit", time.perf_counter() - transmit_started
             )
 
-        handle = EpochHandle(context, epoch, occupied, metrics, emit)
+        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
         try:
             self.driver.begin_epoch(handle)
             self.driver.collect(handle)
@@ -785,6 +844,7 @@ class StagedEpochEngine(EpochExecutor):
         shards: list[Shard],
         occupied: list[Shard],
         metrics: StageMetrics,
+        late: frozenset[str],
     ) -> EpochOutcome:
         """Answer, transmit and ingest concurrently through bounded queues."""
         consumers = self._consumers_for(context)
@@ -795,16 +855,22 @@ class StagedEpochEngine(EpochExecutor):
 
         def emit(shard_index, responses, error=None, wall_seconds=None):
             if error is None:
-                responses_by_shard[shard_index] = self._gate(
-                    context, responses, metrics
-                )
-                if wall_seconds is not None:
-                    answer_walls[shard_index] = wall_seconds
-            else:
+                try:
+                    responses_by_shard[shard_index] = self._gate(
+                        context, responses, metrics
+                    )
+                except Exception as exc:
+                    # Emit runs on driver threads: a gate that raises must
+                    # fail the epoch through the queue, not kill the thread
+                    # and leave the transmitter waiting for this shard.
+                    error = exc
+            if error is not None:
                 responses_by_shard[shard_index] = [[] for _ in context.queries]
+            elif wall_seconds is not None:
+                answer_walls[shard_index] = wall_seconds
             answered.put((shard_index, error))
 
-        handle = EpochHandle(context, epoch, occupied, metrics, emit)
+        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
         # Pre-pipeline: a begin_epoch failure surfaces with nothing
         # transmitted and no pipeline thread started; the partial metrics
         # (frames already encoded/sent) stay recorded for this epoch.
@@ -881,7 +947,7 @@ class InlineDriver(StageDriver):
             clients = handle.context.clients[shard.as_slice()]
             arena = self.engine.arena_for(shard.index, clients)
             responses, _, wall = _timed_answer_shard(
-                clients, handle.query_ids, handle.epoch, arena=arena
+                clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
             )
             handle.emit(shard.index, responses, wall_seconds=wall)
 
@@ -921,6 +987,7 @@ class BarrierThreadDriver(StageDriver):
                         handle.query_ids,
                         handle.epoch,
                         arena=arena,
+                        late=handle.late,
                     ),
                 )
             )
@@ -968,7 +1035,7 @@ class OverlapThreadDriver(StageDriver):
         started = time.perf_counter()
         try:
             responses, _ = answer_shard(
-                clients, handle.query_ids, handle.epoch, arena=arena
+                clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
             )
         except Exception as exc:  # surfaced from run_epoch, never swallowed
             handle.emit(shard.index, None, error=exc)

@@ -114,10 +114,15 @@ class EpochContext:
         self.queries = tuple(queries)
         # Optional epoch-deadline gate (duck-typed; see
         # repro.runtime.scenario.EpochDeadline).  Executors consult it at
-        # the transmit boundary: a response whose client the gate marks late
-        # is produced (RNG streams advance) but never transmitted, and the
-        # drop is recorded per query.  Because the gate decides from modeled
-        # latency, never wall-clock, every executor drops the same answers.
+        # the transmit boundary: ``should_drop(response)`` decides and
+        # records, ``drops_for(query_id)`` reports.  A response whose client
+        # the gate marks late advanced its RNG streams but is never
+        # transmitted, and the drop is recorded per query.  Because the gate
+        # decides from modeled latency, never wall-clock, every executor
+        # drops the same answers — and a gate that also offers the optional
+        # ``is_late(client_id)`` lets the staged engine know the late set
+        # before the answer stage, so in-process drivers only *draw* those
+        # answers (a LateAnswer marker) instead of building them.
         self.deadline = deadline
 
     @property
@@ -201,8 +206,9 @@ def apply_deadline(deadline, responses_per_query: list[list]) -> list[list]:
 
     The shared deadline hook for the shard-shaped executors: called on each
     shard's per-query response lists before they are transmitted, so a late
-    answer never reaches the proxies (it was still *produced*, advancing the
-    client's RNG streams exactly as under the serial reference).  Thread-safe
+    answer never reaches the proxies (it still advanced the client's RNG
+    streams exactly as under the serial reference — built in full, or drawn
+    and standing in the list as a ``LateAnswer`` marker).  Thread-safe
     as long as the gate's ``should_drop`` is (the scenario layer's gate
     locks); a ``None`` deadline passes everything through untouched.
     """

@@ -26,9 +26,10 @@ may depend on wall-clock or scheduling:
   table size plus :class:`~repro.netsim.network.NetworkModel` transfer time
   plus seeded jitter — never against real elapsed time.  Every executor
   therefore drops exactly the same answers: the :class:`EpochDeadline` gate
-  filters a late client's responses out of the transmit path (the answer was
-  produced, advancing the RNG streams, but never arrived) and records the
-  drop per query.
+  filters a late client's responses out of the transmit path (the answer
+  advanced the RNG streams — built in full, or only drawn by a driver that
+  asked :meth:`EpochDeadline.is_late` in its plan stage — but never arrived)
+  and records the drop per query.
 * **Byzantine injection** publishes forged answers straight onto the proxy
   topics before the epoch runs.  Forged tokens are unique per injection and
   repeated ``copies`` times, so admission control admits exactly one copy and
@@ -329,7 +330,9 @@ class EpochDeadline:
     this via ``EpochContext.deadline``: :meth:`should_drop` both decides and
     records (thread-safe: the pipelined answer stage filters from concurrent
     pool workers), :meth:`drops_for` reports one query's dropped client ids
-    in canonical sorted order.
+    in canonical sorted order, and :meth:`is_late` — the optional,
+    side-effect-free member — lets the staged engine learn the late set in
+    its plan stage, before anyone answers.
     """
 
     def __init__(

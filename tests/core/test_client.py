@@ -196,3 +196,68 @@ class TestAnswering:
             if response.randomized_bits != response.truthful_bits:
                 different += 1
         assert different > 10
+
+
+class TestDrawOnly:
+    """``answer(late=True)`` and ``advance``: the draws, nothing built.  (The
+    stream-equality property over arbitrary parameters lives in
+    ``test_properties.py``; these pin what each form reads and returns.)"""
+
+    def _subscribed(self, seed: int = 5) -> tuple[Client, Query]:
+        client = make_client(seed=seed)
+        client.ingest([{"speed": 12.0, "location": "San Francisco"}])
+        query = make_query()
+        client.subscribe(query, ALWAYS)
+        return client, query
+
+    def test_late_answer_is_a_marker_that_read_its_sql_outcome(self):
+        from repro.core.client import LateAnswer
+
+        client, query = self._subscribed()
+        scan_cache: dict = {}
+        marker, unknown = client.answer(
+            [query.query_id, "unknown"], epoch=7, scan_cache=scan_cache, late=True
+        )
+        assert marker == LateAnswer("c-1", query.query_id, 7)
+        assert unknown is None
+        assert list(scan_cache) == [query.sql]  # read, as a built answer reads it
+        assert not hasattr(marker, "encrypted")
+
+    def test_late_answer_raises_what_a_built_answer_raises(self):
+        client, query = self._subscribed()
+        twin, _ = self._subscribed()
+        boom = RuntimeError("this client's statement fails")
+        with pytest.raises(RuntimeError) as built:
+            client.answer([query.query_id], scan_cache={query.sql: boom})
+        with pytest.raises(RuntimeError) as drawn:
+            twin.answer([query.query_id], scan_cache={query.sql: boom}, late=True)
+        assert built.value is drawn.value is boom
+        # ... and at the same point: after the coin, before any other draw.
+        assert twin.state_fingerprint() == client.state_fingerprint()
+
+    def test_advance_runs_no_sql_and_reports_participation(self, monkeypatch):
+        from repro.sqldb import Database
+
+        client, query = self._subscribed()
+        twin, _ = self._subscribed()
+        answered = client.answer([query.query_id, "unknown"], epoch=3)
+
+        def no_sql(self, sql):
+            raise AssertionError(f"advance ran SQL: {sql}")
+
+        monkeypatch.setattr(Database, "query", no_sql)
+        assert twin.advance([query.query_id, "unknown"]) == [True, False]
+        assert [response is not None for response in answered] == [True, False]
+        assert twin.state_fingerprint() == client.state_fingerprint()
+
+    def test_packed_rng_state_is_the_little_endian_word_blob(self):
+        import random
+        import struct
+
+        from repro.core.client import _pack_rng_state, _unpack_rng_state
+
+        state = random.Random(11).getstate()
+        version, blob, gauss_next = _pack_rng_state(state)
+        assert blob == struct.pack(f"<{len(state[1])}I", *state[1])
+        assert (version, gauss_next) == (state[0], state[2])
+        assert _unpack_rng_state((version, blob, gauss_next)) == state

@@ -89,6 +89,42 @@ class TestSplitJoinHelpers:
         shares = split_message(b"hello", num_proxies=3, keystream=KeystreamGenerator(seed=b"s"))
         assert join_shares(shares) == b"hello"
 
+    @pytest.mark.parametrize("num_shares", [2, 3, 4])
+    def test_cipher_and_split_message_are_one_routine(self, num_shares):
+        """Same shares, same order, same indices from either entry point."""
+        message = bytes(range(47))
+        via_cipher = XorCipher(num_shares, KeystreamGenerator(seed=b"s")).encrypt(
+            message, message_id="m"
+        )
+        via_function = split_message(
+            message, num_shares, KeystreamGenerator(seed=b"s"), message_id="m"
+        )
+        assert via_cipher == via_function
+        assert [share.index for share in via_function] == list(range(num_shares))
+        # Key strings come off the keystream in share order.
+        keystream = KeystreamGenerator(seed=b"s")
+        assert [share.payload for share in via_function[1:]] == [
+            keystream.next_bytes(len(message)) for _ in range(num_shares - 1)
+        ]
+
+    def test_split_message_rejects_fewer_than_two_shares(self):
+        with pytest.raises(ValueError, match="at least 2 shares, got 1"):
+            split_message(b"hello", num_proxies=1)
+
+    def test_default_message_id_is_os_entropy_as_hex(self, monkeypatch):
+        """The MID comes through ``prng.secure_random_bytes`` — the one
+        monkeypatch point that module advertises — as 32 lowercase hex chars."""
+        from repro.crypto import prng
+
+        keystream = KeystreamGenerator(seed=b"s")
+        monkeypatch.setattr(prng, "secure_random_bytes", lambda n: bytes(range(n)))
+        shares = split_message(b"hello", num_proxies=2, keystream=keystream)
+        assert {share.message_id for share in shares} == {bytes(range(16)).hex()}
+        monkeypatch.undo()
+        message_id = split_message(b"hello", num_proxies=2)[0].message_id
+        assert len(message_id) == 32 and set(message_id) <= set("0123456789abcdef")
+        assert message_id != split_message(b"hello", num_proxies=2)[0].message_id
+
     def test_join_requires_two_shares(self):
         share = MessageShare(message_id="m", payload=b"abc", index=0)
         with pytest.raises(ValueError):

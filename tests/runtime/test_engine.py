@@ -52,6 +52,13 @@ from repro.runtime.scenario import ScenarioSpec
 
 SEED = 20260808
 KEY = bytes.fromhex("cc" * 32)
+#: The drivers that answer in the coordinator's process: the ones the plan
+#: stage's known-late set reaches.
+IN_PROCESS_EXECUTORS = [
+    f"{scheduling}/{transport}"
+    for scheduling, transport in DRIVER_COMBOS
+    if transport == "in-process"
+]
 
 
 # -- registry ----------------------------------------------------------------
@@ -201,7 +208,12 @@ class TestRemovedNamesAndOptions:
 # -- stage metrics -----------------------------------------------------------
 
 
-def build_system(executor: str, num_clients: int = 16, **config_kwargs):
+def build_system(
+    executor: str,
+    num_clients: int = 16,
+    sql: str = "SELECT value FROM private_data",
+    **config_kwargs,
+):
     config = SystemConfig(
         num_clients=num_clients,
         seed=SEED,
@@ -217,7 +229,7 @@ def build_system(executor: str, num_clients: int = 16, **config_kwargs):
     )
     analyst = Analyst("engine-metrics")
     query = analyst.create_query(
-        "SELECT value FROM private_data",
+        sql,
         AnswerSpec(
             buckets=RangeBuckets.uniform(0.0, 8.0, 4, open_ended=True),
             value_column="value",
@@ -325,6 +337,73 @@ class TestStageMetrics:
             dropped = len(report.late_drops)
             assert dropped == len(late)
             assert system.executor.stage_metrics[0].late_drops == dropped
+        finally:
+            system.close()
+
+    def test_a_late_marker_cannot_pass_the_gate(self):
+        """``_gate`` is the last stop before ``transmit`` and the response
+        log: a drawn-not-built answer that no gate drops is an error there,
+        not an ``AttributeError`` somewhere downstream."""
+        from types import SimpleNamespace
+
+        from repro.core.client import LateAnswer
+
+        engine = make_executor("inline/in-process")
+        metrics = StageMetrics(epoch=0)
+        with pytest.raises(RuntimeError, match="kept a late marker for client 'c-7'"):
+            engine._gate(
+                SimpleNamespace(deadline=None),
+                [[LateAnswer("c-7", "q", 0)]],
+                metrics,
+            )
+        assert metrics.late_drops == 0
+
+    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
+    def test_a_gate_that_contradicts_itself_fails_the_epoch(self, executor):
+        """``is_late`` says late (so the answer is only drawn), ``should_drop``
+        says keep: the epoch raises — from a pool thread too, where an
+        exception escaping emit would leave the transmitter waiting forever."""
+
+        class ContradictoryGate:
+            def is_late(self, client_id):
+                return True
+
+            def should_drop(self, response):
+                return False
+
+            def drops_for(self, query_id):
+                return ()
+
+        system, query_id = build_system(executor)
+        try:
+            system.epoch_deadline = ContradictoryGate()
+            with pytest.raises(RuntimeError, match="kept a late marker"):
+                system.run_epoch(query_id, 0)
+            assert system.responses_log(query_id) == []
+            # The failure is the gate's, not the engine's: disarm it and the
+            # next epoch runs.
+            system.epoch_deadline = None
+            assert system.run_epoch(query_id, 1).num_participants == 16
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
+    def test_a_late_client_whose_statement_raises_still_fails_the_epoch(self, executor):
+        """A known-late client draws instead of building, but it still reads
+        its SQL outcome: what raises under serial raises here."""
+        from repro.runtime.scenario import EpochDeadline
+
+        system, query_id = build_system(
+            executor, sql="SELECT value FROM private_data WHERE value >= 0.0"
+        )
+        try:
+            victim = system.clients[5]
+            victim.database.table("private_data").append_rows([("not a number",)])
+            system.epoch_deadline = EpochDeadline(
+                0, 1.0, {victim.config.client_id: 10.0}
+            )
+            with pytest.raises(TypeError, match="not supported between"):
+                system.run_epoch(query_id, 0)
         finally:
             system.close()
 

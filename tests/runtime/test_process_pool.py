@@ -29,6 +29,7 @@ from repro.core import (
 from repro.core.aggregator import Aggregator
 from repro.core.client import Client, ClientConfig
 from repro.core.proxy import ProxyNetwork
+from repro.sqldb import Database
 from repro.runtime import (
     AdaptiveShardSizer,
     EpochContext,
@@ -700,9 +701,19 @@ class TestResidentParentSideMutations:
 
     @pytest.mark.parametrize("checkpoint_every", [4, 0])
     @pytest.mark.parametrize("fault", ["kill", "poison"])
-    def test_recovery_replays_across_appended_rows(self, checkpoint_every, fault):
-        """Appends no longer checkpoint, so the replay window spans them."""
+    def test_recovery_replays_across_appended_rows(
+        self, checkpoint_every, fault, monkeypatch
+    ):
+        """Appends no longer checkpoint, so the replay window spans them —
+        and replay *draws* the logged epochs (``Client.advance``): it runs no
+        SQL, so the appended rows under it are never even read."""
         seen = {}
+        parent_queries = []
+        query = Database.query
+
+        def spying_query(self, sql):
+            parent_queries.append(sql)  # workers append to their own copy
+            return query(self, sql)
 
         def append_then_fault(system, resident):
             self._append_everywhere(system, resident)
@@ -723,6 +734,7 @@ class TestResidentParentSideMutations:
         actions = dict.fromkeys(range(6), self._append_everywhere)
         actions[2] = append_then_fault
         serial_log, _ = self._run_lockstep("serial", 6, actions)
+        monkeypatch.setattr(Database, "query", spying_query)
         resident_log, executor = self._run_lockstep(
             "resident", 6, actions, checkpoint_every=checkpoint_every
         )
@@ -730,6 +742,7 @@ class TestResidentParentSideMutations:
         # rows, not a fresh checkpoint, is what recovers.
         assert [epoch for epoch, _ in seen["replay_log"]] == [0, 1, 2]
         assert resident_log == serial_log
+        assert parent_queries == []  # the coordinator replayed without SQL
         assert executor.bootstrap_frames == 3
         assert executor.driver.rebootstraps == (1 if fault == "poison" else 0)
 

@@ -275,6 +275,9 @@ class TestHandshake:
                 accept_session(worker_sock, OTHER_KEY)
             except RemoteProtocolError as exc:
                 errors.append(exc)
+                # Hang up like a real worker would, so the coordinator reads
+                # EOF instead of waiting out its socket timeout.
+                worker_sock.close()
 
         thread = threading.Thread(target=worker_side, daemon=True)
         thread.start()
@@ -611,6 +614,10 @@ class TestRemoteEndToEnd:
 
         def evil_worker():
             conn, _ = listener.accept()
+            # One connection only: with the listener gone a reconnect is
+            # refused at once instead of sitting in the accept backlog until
+            # the coordinator's handshake read times out.
+            listener.close()
             conn.settimeout(5.0)
             channel = accept_session(conn, KEY)
             channel.recv_frame()  # swallow the first bootstrap frame...

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.encryption import AnswerCodec
 from repro.netsim.network import NetworkModel
 from repro.runtime import cli_smoke_matrix
+from repro.runtime import scenario as scenario_module
 from repro.runtime.scenario import (
     EpochDeadline,
     ScenarioSpec,
@@ -37,6 +39,8 @@ from repro.runtime.scenario import (
 
 # serial plus every single-host driver combination.
 ALL_EXECUTORS = cli_smoke_matrix()
+# The drivers the plan stage's known-late set reaches (they answer here).
+IN_PROCESS_EXECUTORS = [e for e in ALL_EXECUTORS if e.endswith("/in-process")]
 PIPELINED = "pipelined-overlap/in-process"
 RESIDENT = "pinned-worker/framed-wire-local"
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
@@ -194,6 +198,19 @@ SLOW_SPEC = ScenarioSpec(
 )
 
 
+def _count_encrypted_answers(monkeypatch) -> list[int]:
+    """Count ``AnswerCodec.encrypt`` calls in this process, by answer epoch."""
+    epochs: list[int] = []
+    encrypt = AnswerCodec.encrypt
+
+    def counting(self, answer, *args, **kwargs):
+        epochs.append(answer.epoch)
+        return encrypt(self, answer, *args, **kwargs)
+
+    monkeypatch.setattr(AnswerCodec, "encrypt", counting)
+    return epochs
+
+
 def _expected_late(spec) -> dict[int, tuple[str, ...]]:
     plan = build_plan(spec)
     network = NetworkModel(bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec)
@@ -233,6 +250,42 @@ class TestDeadlineFaultInjection:
             executor: _run(SLOW_SPEC, executor).digest for executor in ALL_EXECUTORS
         }
         assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.parametrize("executor", ["serial", *IN_PROCESS_EXECUTORS])
+    def test_known_late_answers_are_drawn_not_built(self, executor, monkeypatch):
+        """The saving cannot silently regress: with the late set known in the
+        plan stage an in-process driver encrypts ``participants - late``
+        answers an epoch; serial, the build-and-drop oracle, all of them."""
+        built = _count_encrypted_answers(monkeypatch)
+        run = _run(SLOW_SPEC, executor)
+        for stats in run.epochs:
+            participants = stats.active_clients  # sampling_fraction is 1.0
+            late = 0 if executor == "serial" else len(stats.late_clients)
+            assert len(stats.late_clients) > 0
+            assert built.count(stats.epoch) == participants - late
+
+    def test_a_gate_without_is_late_builds_and_drops_as_before(self, monkeypatch):
+        """``is_late`` is an optional member of the duck-typed gate: without
+        it nobody is known late, every answer is built, and the gate's
+        ``should_drop`` alone decides — same ledger, same digest."""
+
+        class OpaqueGate:
+            def __init__(self, gate):
+                self.should_drop = gate.should_drop
+                self.drops_for = gate.drops_for
+
+        reference = _run(SLOW_SPEC, "inline/in-process")
+        built = _count_encrypted_answers(monkeypatch)
+        monkeypatch.setattr(
+            scenario_module,
+            "epoch_deadline_for",
+            lambda *args: OpaqueGate(epoch_deadline_for(*args)),
+        )
+        run = _run(SLOW_SPEC, "inline/in-process")
+        assert run.digest == reference.digest
+        for stats, expected in zip(run.epochs, reference.epochs):
+            assert stats.late_clients == expected.late_clients != ()
+            assert built.count(stats.epoch) == stats.active_clients
 
 
 # -- byzantine duplicate injection -------------------------------------------

@@ -241,6 +241,10 @@ def test_scenario_generation_is_deterministic():
 # same byte-identity with the serial reference (compared via the run digest,
 # which covers the response log, window results and late-drop ledger).
 
+import dataclasses  # noqa: E402
+
+import repro.core  # noqa: E402
+from repro.core.client import ClientResponse  # noqa: E402
 from repro.runtime.scenario import run_scenario as run_env_scenario  # noqa: E402
 from repro.runtime.scenario import scenario_grid  # noqa: E402
 
@@ -248,36 +252,113 @@ CHURN_SCENARIO_NAMES = ("churn-mild", "churn-heavy", "zipf-churn", "kitchen-sink
 CHURN_SPECS = [
     spec for spec in scenario_grid("full") if spec.name in CHURN_SCENARIO_NAMES
 ]
+# kitchen-sink (churn + duplicates + an armed deadline) once more with two
+# co-subscribed queries: the sampling coins differ per query, so the
+# per-query drop ledgers differ too.
+CHURN_SPECS.append(
+    dataclasses.replace(CHURN_SPECS[-1], name="kitchen-sink-two-queries", num_queries=2)
+)
 # Every single-host driver combination.
 CHURN_EXECUTORS = cli_smoke_matrix()[1:]
 
-_serial_digests: dict[str, str] = {}
+
+def _run_churn_ledger(monkeypatch, spec, **executor_options) -> dict:
+    """Run one grid scenario and return everything an epoch leaves behind.
+
+    The run digest, plus the pieces it is made of in directly comparable
+    form: the per-epoch per-query ``late_drops``, the engine's
+    ``StageMetrics.late_drops`` (``None`` under serial, which has no stage
+    ledger) and the response log.  ``run_scenario`` builds and closes its
+    own system, so a recording subclass keeps hold of it.
+    """
+    systems = []
+
+    class RecordingSystem(PrivApproxSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.reports = []
+            systems.append(self)
+
+        def run_epoch_all(self, epoch):
+            reports = super().run_epoch_all(epoch)
+            self.reports.append(reports)
+            return reports
+
+    monkeypatch.setattr(repro.core, "PrivApproxSystem", RecordingSystem)
+    run = run_env_scenario(spec, **executor_options)
+    (system,) = systems
+    stage_metrics = getattr(system.executor, "stage_metrics", None)
+    responses = [
+        response
+        for query_id in system.query_ids()
+        for response in system.responses_log(query_id)
+    ]
+    # A late marker must never outlive the gate.
+    assert all(type(response) is ClientResponse for response in responses)
+    return {
+        "label": run.executor_label,
+        "digest": run.digest,
+        "late_drops": [
+            {query_id: report.late_drops for query_id, report in reports.items()}
+            for reports in system.reports
+        ],
+        "stage_late_drops": None
+        if stage_metrics is None
+        else [stage_metrics[epoch].late_drops for epoch in range(spec.num_epochs)],
+        "responses": [
+            (
+                r.client_id,
+                r.query_id,
+                r.epoch,
+                r.truthful_bits,
+                r.randomized_bits,
+                tuple(share.payload for share in r.encrypted.shares),
+            )
+            for r in responses
+        ],
+    }
 
 
-def _serial_churn_digest(spec) -> str:
-    digest = _serial_digests.get(spec.name)
-    if digest is None:
-        digest = _serial_digests[spec.name] = run_env_scenario(
-            spec, executor="serial"
-        ).digest
-    return digest
+_serial_ledgers: dict[str, dict] = {}
+
+
+def _serial_churn_ledger(monkeypatch, spec) -> dict:
+    ledger = _serial_ledgers.get(spec.name)
+    if ledger is None:
+        ledger = _serial_ledgers[spec.name] = _run_churn_ledger(
+            monkeypatch, spec, executor="serial"
+        )
+    return ledger
 
 
 @pytest.mark.parametrize("executor", CHURN_EXECUTORS)
 @pytest.mark.parametrize("spec", CHURN_SPECS, ids=[s.name for s in CHURN_SPECS])
-def test_churn_scenario_matches_serial_reference(spec, executor):
-    """Seeded join/leave churn between epochs is executor-invariant."""
+def test_churn_scenario_matches_serial_reference(spec, executor, monkeypatch):
+    """Seeded join/leave churn between epochs is executor-invariant — and so
+    is the deadline gate's ledger, whether a driver *built* the late answers
+    it dropped (serial, wire workers) or only *drew* them (in-process
+    drivers handed the plan stage's late set)."""
     assert spec.join_rate > 0 and spec.leave_rate > 0  # really a churn scenario
-    run = run_env_scenario(
+    serial = _serial_churn_ledger(monkeypatch, spec)
+    ledger = _run_churn_ledger(
+        monkeypatch,
         spec,
         executor=executor,
         workers=2,
         shards=3,
         checkpoint_every=2,
     )
-    assert run.digest == _serial_churn_digest(spec), (
-        f"{spec.name} on {run.executor_label} diverged from the serial reference"
+    assert ledger["digest"] == serial["digest"], (
+        f"{spec.name} on {ledger['label']} diverged from the serial reference"
     )
+    assert ledger["late_drops"] == serial["late_drops"]
+    assert ledger["stage_late_drops"] == [
+        sum(len(drops) for drops in epoch_drops.values())
+        for epoch_drops in serial["late_drops"]
+    ]
+    assert ledger["responses"] == serial["responses"]
+    if spec.deadline_seconds is not None:
+        assert sum(ledger["stage_late_drops"]) > 0  # the gate really fired
 
 
 # -- indexed answer path: scan reference vs compiled columnar -----------------
