@@ -88,6 +88,9 @@ class Aggregator:
         if self.admission_retention_epochs < 1:
             raise ValueError("admission_retention_epochs must be at least 1")
         self._codec = AnswerCodec()
+        # The query is fixed for the aggregator's life, so its bucket labels
+        # are formatted once, not once per window result.
+        self._labels = self.query.answer_spec.labels()
         if self.error_estimator is None:
             self.error_estimator = ErrorEstimator(
                 p=self.parameters.p,
@@ -131,8 +134,7 @@ class Aggregator:
         run through the batched loops (:meth:`AnswerValidator.validate_batch`,
         :meth:`AnswerAdmissionController.admit_batch`).  The decoded answers
         and all counters are identical to the per-record reference path; only
-        the constant factor changes.  The sharded and pipelined epoch runtimes
-        use this mode.
+        the constant factor changes.  Every staged-engine flow uses this mode.
         """
         timestamp = self._epoch_timestamp(epoch)
         self.shares_received += len(shares)
@@ -175,13 +177,18 @@ class Aggregator:
         return [self._to_window_result(record) for record in emitted]
 
     def consume_from_proxies(
-        self, consumers: list[Consumer], epoch: int, *, batched: bool = False
+        self, consumers: list[Consumer], epoch: int
     ) -> list[WindowResult]:
-        """Poll the proxy streams and ingest every new share."""
+        """Poll the per-share proxy streams and ingest every new share.
+
+        The serial reference's ingest (per-record join, per-answer checks);
+        the staged engine polls shard batch records itself and calls
+        :meth:`ingest_shares` with ``batched=True``.
+        """
         shares: list[MessageShare] = []
         for consumer in consumers:
             shares.extend(record.value for record in consumer.poll())
-        return self.ingest_shares(shares, epoch, batched=batched)
+        return self.ingest_shares(shares, epoch)
 
     def finish_epoch(self, epoch: int) -> None:
         """Mark one epoch's ingest complete and retire stale admission state.
@@ -350,7 +357,7 @@ class Aggregator:
             counts,
             num_answers,
             population,
-            labels=self.query.answer_spec.labels(),
+            labels=self._labels,
             p=self.parameters.p,
             q=self.parameters.q,
             estimator=self.error_estimator,

@@ -11,15 +11,18 @@ Each :class:`Proxy` is backed by a topic on the in-memory pub/sub broker
 (:mod:`repro.pubsub`), mirroring the Kafka deployment of the paper: one topic
 for the encrypted answer stream and one per key stream.
 
-Two relay granularities coexist:
+Two relay granularities exist, one per runtime:
 
-* the classic per-proxy topic (``proxy-<i>``), written per share or per
-  batched publish — used by the serial and sharded epoch runtimes;
+* the classic per-proxy topic (``proxy-<i>``), one record per share — the
+  serial reference executor's (:meth:`ProxyNetwork.transmit`).  The batched
+  per-share publish (:meth:`ProxyNetwork.transmit_batch`) writes the same
+  records in one call; no runtime uses it any more;
 * *shard-aware* topics (``proxy-<i>-shard-<s>``), one per client shard, each
   carrying one *batch record* per transmission (the record's value is the
-  whole shard's share column) — used by the pipelined epoch runtime so a
-  completed shard can be relayed and ingested while other shards are still
-  answering, without per-share partition routing or record framing.
+  whole shard's share column) — every staged-engine flow's
+  (:meth:`ProxyNetwork.transmit_shard`): no per-share partition routing or
+  record framing, and under the overlap schedulers a completed shard can be
+  relayed and ingested while other shards are still answering.
 
 Both granularities additionally support a per-query *channel*: passing
 ``channel="<query id>"`` scopes the relay to ``proxy-<i>-q-<channel>`` (or
@@ -80,7 +83,7 @@ class Proxy:
         """Accept one share from each of many clients in a single publish.
 
         Same relay semantics and accounting as per-share :meth:`receive_share`
-        but amortized over the batch — used by the sharded epoch runtime.
+        but amortized over the batch.
         """
         if not shares:
             return
@@ -92,7 +95,7 @@ class Proxy:
         self.shares_relayed += len(shares)
         self.bytes_relayed += sum(share.size_bytes() for share in shares)
 
-    # -- shard-aware relay (pipelined runtime) ------------------------------
+    # -- shard-aware relay (staged engine) ----------------------------------
 
     def shard_topic_name(self, slot: int, channel: str | None = None) -> str:
         """Name of the shard-aware relay topic for one shard slot."""
@@ -217,7 +220,7 @@ class ProxyNetwork:
         for index, proxy in enumerate(self.proxies):
             proxy.receive_batch([row[index] for row in share_rows], channel=channel)
 
-    # -- shard-aware relay (pipelined runtime) ------------------------------
+    # -- shard-aware relay (staged engine) ----------------------------------
 
     def ensure_shard_topics(self, num_slots: int, channel: str | None = None) -> None:
         """Create the shard-aware relay topics on every proxy (idempotent)."""
@@ -235,7 +238,7 @@ class ProxyNetwork:
         Like :meth:`transmit_batch` the rows (one per answer) are transposed
         into one column per proxy, but each column lands on the proxy's
         shard-aware topic for ``slot`` as a *single* record whose value is the
-        whole column — the pipelined runtime's relay granularity.  The share
+        whole column — the staged engine's relay granularity.  The share
         multiset reaching the aggregator is identical to per-share
         :meth:`transmit` calls.
         """

@@ -451,7 +451,7 @@ class PrivApproxSystem:
         aggregator = self._aggregators[query_id]
         self._responses_log[query_id].extend(outcome.responses)
         window_results = list(outcome.window_results)
-        self._record_historical(query, aggregator, epoch)
+        self._record_historical(query, aggregator, epoch, outcome.responses)
         self._deliver_and_retune(query_id, window_results)
         aggregator.finish_epoch(epoch)
         return EpochReport(
@@ -510,13 +510,14 @@ class PrivApproxSystem:
 
     # -- internals ------------------------------------------------------------
 
-    def _record_historical(self, query: Query, aggregator: Aggregator, epoch: int) -> None:
+    def _record_historical(
+        self, query: Query, aggregator: Aggregator, epoch: int, responses: Sequence
+    ) -> None:
+        """Persist one epoch's own responses (not a rescan of the whole log)."""
         if self.historical_store is None:
             return
         timestamp = epoch * query.frequency_seconds
-        for response in self._responses_log[query.query_id]:
-            if response.epoch != epoch:
-                continue
+        for response in responses:
             answer = aggregator._codec.decrypt(list(response.encrypted.shares))
             self.historical_store.append_answer(answer, timestamp)
 

@@ -35,7 +35,10 @@ The engine owns all policy, so no driver carries its own copy:
   in shard order, transmit per shard, ingest after the last shard) and the
   **overlap** flow (pipelined-overlap / pinned-worker: a transmitter thread
   and the caller's ingest loop run while shards are still answering, with a
-  bounded hand-off queue for backpressure).
+  bounded hand-off queue for backpressure).  They differ in *when* a shard
+  is relayed and ingested, never in *how*: both publish one batch record
+  per proxy on the shard's topic (:func:`_publish_shard`), poll the same
+  consumer grid (:func:`_poll_shares`) and drain it when an epoch fails.
 
 :class:`~repro.runtime.serial.SerialExecutor` deliberately stays *outside*
 the engine: it is the frozen executable specification every driver
@@ -522,17 +525,12 @@ class StagedEpochEngine(EpochExecutor):
 
     # -- capability surface ---------------------------------------------------
 
-    @property
-    def uses_shard_topics(self) -> bool:
-        """Whether ingestion reads the shard-aware proxy topics.
-
-        The overlap flow streams per-shard batch records through shard
-        topics; the barrier flow publishes per-share records on the query
-        channel and ingests with ``consume_from_proxies``.  The scenario
-        layer's byzantine injector keys off this to place forged records
-        where this executor's ingest actually reads.
-        """
-        return self.scheduling in ("pipelined-overlap", "pinned-worker")
+    #: Every engine flow ingests from the shard-aware proxy topics, so this
+    #: is a constant.  It exists for the scenario layer's byzantine injector,
+    #: whose ``getattr(executor, "uses_shard_topics", False)`` places forged
+    #: records where ingest reads: its *absence* on ``SerialExecutor`` is
+    #: what keeps the serial reference on the query-channel topics.
+    uses_shard_topics = True
 
     @property
     def epoch_wire_bytes(self) -> dict[int, int]:
@@ -728,7 +726,7 @@ class StagedEpochEngine(EpochExecutor):
         occupied = [shard for shard in shards if shard.num_items > 0]
         late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
-        if self.uses_shard_topics:
+        if self.scheduling in ("pipelined-overlap", "pinned-worker"):
             return self._run_overlap(context, epoch, shards, occupied, metrics, late)
         return self._run_barrier(context, epoch, shards, occupied, metrics, late)
 
@@ -783,9 +781,14 @@ class StagedEpochEngine(EpochExecutor):
         Emits arrive on the caller thread in shard-index order (the driver
         contract for barrier scheduling), so the per-query logs extend in
         serial client order and driver errors propagate naturally from the
-        collect call.
+        collect call.  Each gated shard is relayed as it arrives, exactly as
+        the overlap flow relays it, and after the last shard every query is
+        ingested *once* from its ``[slot][proxy]`` consumer grid (one
+        window-operator pass per aggregator per epoch).  Any failure drains
+        every query's grid before it re-raises: what was relayed but never
+        ingested must not reach the next epoch.
         """
-        queries = context.queries
+        consumers = self._consumers_for(context)
         responses_by_shard: list[list | None] = [None] * len(shards)
         answer_walls: dict[int, float] = {}
         answer_started = time.perf_counter()
@@ -798,11 +801,7 @@ class StagedEpochEngine(EpochExecutor):
             if wall_seconds is not None:
                 answer_walls[shard_index] = wall_seconds
             transmit_started = time.perf_counter()
-            for index, query in enumerate(queries):
-                context.proxies.transmit_batch(
-                    [list(response.encrypted.shares) for response in gated[index]],
-                    channel=query.channel,
-                )
+            _publish_shard(context, shard_index, gated)
             metrics.add_stage_seconds(
                 "transmit", time.perf_counter() - transmit_started
             )
@@ -811,27 +810,25 @@ class StagedEpochEngine(EpochExecutor):
         try:
             self.driver.begin_epoch(handle)
             self.driver.collect(handle)
+            ingest_started = time.perf_counter()
+            window_results = [
+                query.aggregator.ingest_shares(_poll_shares(grid), epoch, batched=True)
+                for query, grid in zip(context.queries, consumers)
+            ]
         except Exception as error:
+            for grid in consumers:
+                _drain_consumers(grid)
             self.driver.handle_epoch_error(error)
             raise
+        metrics.ingest_seconds = time.perf_counter() - ingest_started
         if not answer_walls:
             # Wire drivers without per-shard wall-clocks: charge the collect
             # span minus transmit to the answer stage, clamped at zero — the
             # two spans are measured independently, so subtraction could
             # otherwise dip (fractionally) negative and corrupt the ledger.
             metrics.answer_seconds = max(
-                0.0,
-                time.perf_counter() - answer_started - metrics.transmit_seconds,
+                0.0, ingest_started - answer_started - metrics.transmit_seconds
             )
-        ingest_started = time.perf_counter()
-        window_results: list[list] = []
-        for query in queries:
-            window_results.append(
-                query.aggregator.consume_from_proxies(
-                    list(query.consumers), epoch=epoch, batched=True
-                )
-            )
-        metrics.ingest_seconds = time.perf_counter() - ingest_started
         self._finalize(shards, answer_walls, metrics)
         return self._merge_outcome(context, shards, responses_by_shard, window_results)
 
@@ -1058,12 +1055,10 @@ def _transmit_stage(
 ) -> None:
     """Publish finished shards to their shard-aware topics as they arrive.
 
-    Every query's responses for the shard go out as one batch record per
-    proxy on that query's channel.  Consumes exactly ``expected`` items from
-    the answered queue even after a failure (so no answering worker ever
-    blocks on a full hand-off queue), stops publishing once an error is
-    seen, and always terminates the ingest stage with a ``("done", error)``
-    sentinel.
+    Consumes exactly ``expected`` items from the answered queue even after a
+    failure (so no answering worker ever blocks on a full hand-off queue),
+    stops publishing once an error is seen, and always terminates the ingest
+    stage with a ``("done", error)`` sentinel.
     """
     error: Exception | None = None
     for _ in range(expected):
@@ -1076,15 +1071,7 @@ def _transmit_stage(
             continue  # drain without publishing; the epoch already failed
         started = time.perf_counter()
         try:
-            for index, query in enumerate(context.queries):
-                context.proxies.transmit_shard(
-                    shard_index,
-                    [
-                        list(response.encrypted.shares)
-                        for response in responses_by_shard[shard_index][index]
-                    ],
-                    channel=query.channel,
-                )
+            _publish_shard(context, shard_index, responses_by_shard[shard_index])
         except Exception as exc:
             error = exc
             continue
@@ -1136,10 +1123,7 @@ def _ingest_stage(
         started = time.perf_counter()
         try:
             for index, query in enumerate(context.queries):
-                shares = []
-                for consumer in consumers[index][payload]:
-                    for record in consumer.poll():
-                        shares.extend(record.value)
+                shares = _poll_shares([consumers[index][payload]])
                 if shares:
                     window_results[index].extend(
                         query.aggregator.ingest_shares(shares, epoch, batched=True)
@@ -1149,6 +1133,39 @@ def _ingest_stage(
         finally:
             if metrics is not None:
                 metrics.add_stage_seconds("ingest", time.perf_counter() - started)
+
+
+def _publish_shard(
+    context: EpochContext, shard_index: int, gated: list[list["ClientResponse"]]
+) -> None:
+    """Relay one gated shard — the engine's only relay granularity.
+
+    Every query's responses for the shard go out as one batch record per
+    proxy on that query's shard-aware topic (``transmit_shard``); a query
+    with no participant in the shard publishes nothing.
+    """
+    for index, query in enumerate(context.queries):
+        context.proxies.transmit_shard(
+            shard_index,
+            [list(response.encrypted.shares) for response in gated[index]],
+            channel=query.channel,
+        )
+
+
+def _poll_shares(slots: list[list["Consumer"]]) -> list:
+    """Everything pending on some of one query's shard slots, as a share list.
+
+    ``slots`` holds one per-proxy consumer list per shard slot.  Polling is
+    slot-major — all of a slot's proxies before the next slot — so the
+    shares of every ``MID`` arrive in one batch and the aggregator's grouped
+    join never has to buffer across calls.
+    """
+    shares: list = []
+    for slot_consumers in slots:
+        for consumer in slot_consumers:
+            for record in consumer.poll():
+                shares.extend(record.value)
+    return shares
 
 
 def _drain_consumers(consumers: list[list["Consumer"]]) -> None:

@@ -61,6 +61,11 @@ class QueryContext:
     keeps the legacy shared topics, which is correct only while a single
     query is in flight.  Multi-query epochs set ``channel=query_id`` so each
     aggregator only ever polls its own query's records.
+
+    ``consumers`` subscribe to the per-share channel topics and are read by
+    :class:`~repro.runtime.serial.SerialExecutor` only: the staged engine
+    relays shard batch records and polls its own shard-topic consumers
+    (scoped by the same ``channel``).
     """
 
     query_id: str

@@ -493,11 +493,12 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
     Each injection is a structurally valid answer under a forged (unique)
     participation token, sent ``copies`` times with distinct message ids so
     every copy decrypts: admission admits the first and rejects the rest as
-    duplicates.  Executors that ingest from shard-aware topics get the
-    records on slot 0 (always occupied: shard plans never leave the first
-    shard of a non-empty universe empty); channel-topic executors get them
-    on the query channel.  Either way the records sit at earlier offsets
-    than the epoch's real shares, and the admitted multiset is order-free.
+    duplicates.  Every staged-engine configuration ingests from shard-aware
+    topics and gets the records on slot 0 (always occupied: shard plans
+    never leave the first shard of a non-empty universe empty); the serial
+    reference gets them on the query channel.  Either way the records sit
+    at earlier offsets than the epoch's real shares, and the admitted
+    multiset is order-free.
     """
     from repro.core.encryption import AnswerCodec
     from repro.core.query import QueryAnswer
@@ -507,10 +508,9 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
         return
     codec = AnswerCodec()
     # Place the forged records where this executor's ingest actually reads:
-    # overlap-scheduled engines stream from shard-aware topics, barrier and
-    # serial executors consume the query channel.  (A capability flag, not an
-    # isinstance check — every engine configuration is a StagedEpochEngine,
-    # but only the overlap schedulers read shard topics.)
+    # every StagedEpochEngine flow polls shard-aware topics, the serial
+    # reference consumes the query channel.  (A capability flag the engine
+    # declares and SerialExecutor lacks, not an isinstance check.)
     slotted = getattr(system.executor, "uses_shard_topics", False)
     epoch = epoch_plan.epoch
     for query_index, query_id in enumerate(system.query_ids()):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -207,3 +209,48 @@ LATEST_ROW_MEMBERS = {
 def latest_row_cases():
     """``(columns, statements, members)`` of the latest-row route table."""
     return LATEST_ROW_COLUMNS, LATEST_ROW_STATEMENTS, LATEST_ROW_MEMBERS
+
+
+# -- one failed epoch, at a chosen stage ----------------------------------------
+#
+# Shared by the two failed-epoch contracts in tests/runtime/ (single-query in
+# test_pipelined.py, multi-query in test_executor_equivalence.py).  Assumes the
+# deployments those tests build: 12 clients in 3 shards of 4, one REAL column.
+
+
+@contextlib.contextmanager
+def _failing_epoch(system, stage, aggregator):
+    if stage == "answer":
+        # A dropped table travels with the client's state, so the failure also
+        # happens inside a wire worker; client 9 sits in the *last* shard, so
+        # under the barrier flow every earlier shard is relayed before it.
+        victim = system.clients[9]
+        victim.database.drop_table("private_data")
+        try:
+            yield
+        finally:
+            victim.create_table([("value", "REAL")])
+            victim.ingest([{"value": 1.0}])
+    elif stage == "transmit":
+        publish = system.proxies.transmit_shard
+
+        def fail_last_shard(slot, share_rows, channel=None):
+            if slot == 2:
+                raise RuntimeError("injected transmit fault")
+            return publish(slot, share_rows, channel=channel)
+
+        with mock.patch.object(system.proxies, "transmit_shard", fail_last_shard):
+            yield
+    else:
+        assert stage == "ingest"
+        fault = RuntimeError("injected ingest fault")
+        with mock.patch.object(aggregator, "ingest_shares", side_effect=fault):
+            yield
+
+
+@pytest.fixture
+def failing_epoch():
+    """``with failing_epoch(system, stage, aggregator):`` — epochs run inside
+    the block fail at ``stage`` (``"answer"``, ``"transmit"`` or ``"ingest"``
+    of ``aggregator``); leaving it repairs the deployment."""
+    return _failing_epoch

@@ -1,6 +1,7 @@
 """Tests for the end-to-end system wiring."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -282,3 +283,40 @@ class TestHistoricalIntegration:
         reports = system.run_epochs(query.query_id, 2)
         stored = system.historical_store.stored_answer_count(query.query_id)
         assert stored == sum(r.num_participants for r in reports)
+
+    def test_historical_store_records_each_epoch_from_its_own_responses(self):
+        """One ``decrypt`` per participant of *this* epoch — not a rescan of
+        the response log — so a repeated epoch number stores its own answers
+        once instead of every earlier answer that carried the same number."""
+        # An engine spelling: its ingest never calls ``AnswerCodec.decrypt``
+        # (batched join + decode), so every counted call is the recorder's.
+        config = SystemConfig(
+            num_clients=20, seed=13, keep_historical=True, executor="inline/in-process"
+        )
+        system = PrivApproxSystem(config)
+        system.provision_clients([("value", "REAL")], lambda i: [{"value": i % 2 + 0.5}])
+        analyst = Analyst("a")
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(buckets=RangeBuckets(boundaries=(0.0, 1.0), open_ended=True)),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        system.submit_query(
+            analyst,
+            query,
+            QueryBudget(),
+            parameters=ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5),
+        )
+        codec = system.aggregator_for(query.query_id)._codec
+        participants = []
+        with mock.patch.object(codec, "decrypt", wraps=codec.decrypt) as decrypt:
+            for epoch in (0, 1, 2, 2):
+                before = decrypt.call_count
+                report = system.run_epoch(query.query_id, epoch)
+                participants.append(report.num_participants)
+                assert decrypt.call_count - before == report.num_participants > 0
+        stored = system.historical_store.stored_answer_count(query.query_id)
+        assert stored == sum(participants)
+        system.close()

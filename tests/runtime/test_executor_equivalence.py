@@ -36,17 +36,12 @@ from repro.core import (
     SystemConfig,
 )
 from repro.runtime import cli_smoke_matrix
+from repro.runtime.scenario import EpochDeadline
 
 SEED = 20260727
 #: Every driver combination that runs without separately launched TCP
 #: workers (the sealed-TCP ones are covered by test_remote.py).
 SINGLE_HOST_COMBOS = cli_smoke_matrix()[1:]
-#: The combinations that run the engine's overlap flow (shard topics).
-OVERLAP_COMBOS = [
-    combo
-    for combo in SINGLE_HOST_COMBOS
-    if combo.startswith(("pipelined-overlap", "pinned-worker"))
-]
 PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
 
@@ -372,77 +367,118 @@ class TestPerQueryRngIsolation:
         assert shared == sequential
 
 
-@pytest.mark.parametrize("executor", OVERLAP_COMBOS)
+def build_two_query_system(executor):
+    """12 clients at s = 1.0 under two co-subscribed queries, 3 shards of 4."""
+    config = SystemConfig(
+        num_clients=12,
+        seed=SEED,
+        executor=executor,
+        executor_workers=2,
+        executor_shards=3,
+    )
+    system = PrivApproxSystem(config)
+    system.provision_clients(
+        [("value", "REAL")], lambda i: [{"value": float(i % 8)}]
+    )
+    analyst = Analyst("equivalence-multi-failure")
+    query_ids = []
+    for index in range(2):
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(
+                buckets=RangeBuckets.uniform(0.0, 8.0, 4 + index, open_ended=True),
+                value_column="value",
+            ),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        system.submit_query(
+            analyst,
+            query,
+            QueryBudget(),
+            parameters=ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5),
+        )
+        query_ids.append(query.query_id)
+    return system, query_ids
+
+
+@pytest.mark.parametrize("stage", ["answer", "transmit", "ingest"])
+@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
 class TestMultiQueryFailureIsolation:
     """A failed multi-query epoch must not poison any query's next epoch.
 
-    The failure-path consumer drain covers *every* query's shard consumers:
-    records published for queries that never got ingested (because another
-    query's ingest failed first) must not linger and be replayed into the
-    wrong epoch.
+    The failure-path consumer drain — one function, shared by the barrier
+    and overlap flows — covers *every* query's shard consumers: records
+    relayed before the epoch failed (earlier shards, or queries whose ingest
+    never ran because another query's failed first) must not linger and be
+    replayed into the wrong epoch.  The ``answer`` case on the barrier
+    spellings is the regression: shards 0-1 were relayed per share on the
+    query channel before shard 2 raised, and the next epoch ingested them.
     """
 
-    def _build_system(self, executor):
-        config = SystemConfig(
-            num_clients=12,
-            seed=SEED,
-            executor=executor,
-            executor_workers=2,
-            executor_shards=3,
-        )
-        system = PrivApproxSystem(config)
-        system.provision_clients(
-            [("value", "REAL")], lambda i: [{"value": float(i % 8)}]
-        )
-        analyst = Analyst("equivalence-multi-failure")
-        query_ids = []
-        for index in range(2):
-            query = analyst.create_query(
-                "SELECT value FROM private_data",
-                AnswerSpec(
-                    buckets=RangeBuckets.uniform(0.0, 8.0, 4 + index, open_ended=True),
-                    value_column="value",
-                ),
-                frequency_seconds=60.0,
-                window_seconds=60.0,
-                slide_seconds=60.0,
-            )
-            system.submit_query(
-                analyst,
-                query,
-                QueryBudget(),
-                parameters=ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5),
-            )
-            query_ids.append(query.query_id)
-        return system, query_ids
-
-    def test_one_querys_ingest_failure_does_not_disturb_the_others(self, executor):
-        system, query_ids = self._build_system(executor)
-        failing = system.aggregator_for(query_ids[0])
-        healthy = system.aggregator_for(query_ids[1])
-        original = failing.ingest_shares
-        calls = {"count": 0}
-
-        def fail_once(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise RuntimeError("transient ingest fault")
-            return original(*args, **kwargs)
-
-        failing.ingest_shares = fail_once
-        with pytest.raises(RuntimeError, match="transient ingest fault"):
-            system.run_epoch_all(0)
-        failing.ingest_shares = original
+    def test_a_failed_epoch_leaks_nothing_into_the_next(
+        self, executor, stage, failing_epoch
+    ):
+        system, query_ids = build_two_query_system(executor)
+        first, second = (system.aggregator_for(query_id) for query_id in query_ids)
+        with failing_epoch(system, stage, first):
+            with pytest.raises(Exception, match="private_data|injected"):
+                system.run_epoch_all(0)
 
         # Epoch 1 must deliver exactly its own shares to *both* aggregators:
         # with s = 1.0 that is 12 participants x 2 proxies per query.  Any
         # records left over from the failed epoch would inflate the counts.
-        before = (failing.shares_received, healthy.shares_received)
+        before = (first.shares_received, second.shares_received)
         reports = system.run_epoch_all(1)
         assert all(r.num_participants == 12 for r in reports.values())
-        assert failing.shares_received - before[0] == 12 * 2
-        assert healthy.shares_received - before[1] == 12 * 2
+        assert first.shares_received - before[0] == 12 * 2
+        assert second.shares_received - before[1] == 12 * 2
+        assert first.pending_joins() == second.pending_joins() == 0
         system.close()
+
+
+@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
+def test_every_engine_flow_relays_one_batch_record_per_proxy_per_shard(executor):
+    """One relay granularity: after a two-query epoch each occupied shard's
+    topic holds exactly one record per proxy, carrying one share per gated
+    participant; a shard whose participants were all gated away publishes
+    nothing; the per-share channel topics (the serial reference's) stay
+    empty; and the relay accounting equals serial's for the same seed."""
+    # Shard 1 (clients 4-7) is occupied but entirely late; client 0 is late too.
+    late = (0, 4, 5, 6, 7)
+    expected_per_slot = [3, 0, 4]
+    relayed = {}
+    for name in ("serial", executor):
+        system, query_ids = build_two_query_system(name)
+        system.epoch_deadline = EpochDeadline(
+            0, 1.0, {system.clients[index].config.client_id: 10.0 for index in late}
+        )
+        reports = system.run_epoch_all(0)
+        assert all(r.num_participants == 12 - len(late) for r in reports.values())
+        relayed[name] = (
+            system.proxies.total_shares_relayed(),
+            system.proxies.total_bytes_relayed(),
+        )
+        if name == "serial":
+            system.close()
+            continue
+        cluster = system.proxies.cluster
+        for query_id in query_ids:
+            aggregator = system.aggregator_for(query_id)
+            assert aggregator.shares_received == sum(expected_per_slot) * 2
+            assert aggregator.answers_processed == sum(expected_per_slot)
+            for proxy in system.proxies.proxies:
+                channel_topic = cluster.topic(proxy.channel_topic_name(query_id))
+                assert channel_topic.total_records() == 0
+                for slot, expected in enumerate(expected_per_slot):
+                    topic = cluster.topic(proxy.shard_topic_name(slot, query_id))
+                    values = [record.value for record in topic.partitions[0].read(0)]
+                    assert [len(value) for value in values] == (
+                        [expected] if expected else []
+                    ), (proxy.proxy_id, slot)
+        system.close()
+    assert relayed[executor] == relayed["serial"]
 
 
 class TestResidentStateMatchesSerial:

@@ -4,7 +4,10 @@ The equivalence suite (`test_executor_equivalence.py`) pins the overlap
 scheduler to the serial reference on ordinary populations; this module covers
 the boundaries — an empty client population, fewer clients than shards, one
 shard — and the failure contract: an exception in any pipeline stage must
-surface from ``run_epoch`` instead of deadlocking the queues.
+surface from ``run_epoch`` instead of deadlocking the queues.  The two
+contracts the engine's flows share — a failed epoch leaves nothing behind in
+the shard-topic consumers, a reused engine rebinds them — run over every
+single-host engine spelling.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ from repro.runtime import (
     OverlapThreadDriver,
     SerialExecutor,
     StagedEpochEngine,
+    cli_smoke_matrix,
     make_executor,
 )
 
 PIPELINED = "pipelined-overlap/in-process"
+#: Every engine spelling that runs on a single host (serial is not an engine).
+ENGINE_SPELLINGS = cli_smoke_matrix()[1:]
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
 
@@ -76,11 +82,13 @@ def make_context(num_clients: int) -> EpochContext:
     )
 
 
-def make_system(num_clients: int = 24, shards: int | None = None) -> tuple:
+def make_system(
+    num_clients: int = 24, shards: int | None = None, executor: str = PIPELINED
+) -> tuple:
     config = SystemConfig(
         num_clients=num_clients,
         seed=99,
-        executor=PIPELINED,
+        executor=executor,
         executor_workers=2,
         executor_shards=shards,
     )
@@ -187,29 +195,25 @@ class TestFailureSurfacing:
             system.run_epoch(query_id, 0)
         system.close()
 
-    def test_failed_epoch_leaves_no_stale_records(self):
-        """Shards published but never ingested must not leak into epoch t+1.
+    @pytest.mark.parametrize("stage", ["answer", "transmit", "ingest"])
+    @pytest.mark.parametrize("executor", ENGINE_SPELLINGS)
+    def test_failed_epoch_leaves_no_stale_records(
+        self, executor, stage, failing_epoch
+    ):
+        """Shards relayed but never ingested must not leak into epoch t+1.
 
-        An ingest failure on the first shard leaves the later shards'
-        batch records sitting in the shard-topic consumers; without the
-        failure-path drain they would be polled at the next epoch and
-        ingested with the wrong epoch number.
+        Whatever stage fails, on whichever engine spelling, some shard's
+        batch records can be left sitting in the shard-topic consumers (an
+        overlap ingest failure on the first shard strands the later ones; a
+        barrier answer failure in the last shard strands all the earlier
+        ones); without the failure-path drain they would be polled at the
+        next epoch and ingested with the wrong epoch number.
         """
-        system, query_id = make_system(num_clients=12, shards=3)
+        system, query_id = make_system(num_clients=12, shards=3, executor=executor)
         aggregator = system.aggregator_for(query_id)
-        original = aggregator.ingest_shares
-        calls = {"count": 0}
-
-        def fail_once(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise RuntimeError("transient ingest fault")
-            return original(*args, **kwargs)
-
-        aggregator.ingest_shares = fail_once
-        with pytest.raises(RuntimeError, match="transient ingest fault"):
-            system.run_epoch(query_id, 0)
-        aggregator.ingest_shares = original
+        with failing_epoch(system, stage, aggregator):
+            with pytest.raises(Exception, match="private_data|injected"):
+                system.run_epoch(query_id, 0)
         before = aggregator.shares_received
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 12
@@ -235,10 +239,13 @@ class TestFailureSurfacing:
 
 
 class TestExecutorReuse:
-    def test_reuse_across_deployments_rebinds_consumers(self):
+    @pytest.mark.parametrize("spelling", ENGINE_SPELLINGS)
+    def test_reuse_across_deployments_rebinds_consumers(self, spelling):
         """Query ids are deterministic, so a reused executor must notice a
-        new proxy network instead of polling the old deployment's brokers."""
-        executor = make_executor(PIPELINED, workers=2, shards=2)
+        new proxy network instead of polling the old deployment's brokers —
+        under the barrier flow as under the overlap flow, since both read
+        the engine's own shard-topic consumers."""
+        executor = make_executor(spelling, workers=2, shards=2)
         try:
             context_a = make_context(6)
             executor.run_epoch(context_a, epoch=0)
