@@ -30,7 +30,13 @@ import time
 
 from repro.runtime import RemoteWorkerServer, RemoteWorkerTransport, run_scenario
 from repro.runtime.scenario import find_scenario
-from repro.runtime.wire import ShardBootstrap, ShardDelta, encode_shard_bootstrap, encode_shard_delta
+from repro.runtime.wire import (
+    ShardBootstrap,
+    ShardDelta,
+    decode_shard_ack,
+    encode_shard_bootstrap,
+    encode_shard_delta,
+)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 KEY = bytes.fromhex("5c" * 32)
@@ -63,10 +69,10 @@ def measure_frame_rtt() -> dict:
     The shard is bootstrapped once with a single client, then RTT_ROUNDS
     empty deltas (no answering work: ``query_ids=()``) round-trip through
     the sealed channel — so the measurement isolates transport cost, not
-    client answering.
+    client answering.  Each delta expects the token the previous ack carried
+    (the chain a coordinator would follow), encoded outside the timed region.
     """
     from repro.core.client import Client, ClientConfig
-    from repro.runtime.affinity import shard_fingerprint
 
     server = start_servers(1)[0]
     try:
@@ -84,24 +90,25 @@ def measure_frame_rtt() -> dict:
                 )
             ),
         )
-        transport.recv(timeout=10.0)
-        fingerprint = shard_fingerprint([client])
-        delta_frame = encode_shard_delta(
-            ShardDelta(
-                shard_index=0,
-                epoch=0,
-                query_ids=(),
-                deltas=(None,),
-                expected_fingerprint=fingerprint,
-                want_state=False,
-            )
-        )
+        ack = decode_shard_ack(transport.recv(timeout=10.0))
         times = []
         for _ in range(RTT_ROUNDS):
+            delta_frame = encode_shard_delta(
+                ShardDelta(
+                    shard_index=0,
+                    epoch=0,
+                    query_ids=(),
+                    deltas=(None,),
+                    expected_fingerprint=ack.fingerprint,
+                    want_state=False,
+                )
+            )
             start = time.perf_counter()
             transport.send(0, delta_frame)
-            transport.recv(timeout=10.0)
+            blob = transport.recv(timeout=10.0)
             times.append(time.perf_counter() - start)
+            ack = decode_shard_ack(blob)
+            assert ack.error is None and not ack.bootstrap_required
         transport.close()
     finally:
         server.stop()

@@ -285,25 +285,21 @@ class Client:
             self._keystream_for(query_id).setstate(query_keystream_state)
         self._keystream.setstate(keystream_state)
 
-    def state_fingerprint(self, stream_state: dict | None = None) -> bytes:
-        """A cheap digest of everything the answering path draws from.
+    def state_fingerprint(self) -> bytes:
+        """A digest of everything the answering path draws from.
 
         The digest *of* the stream-only export (per-query RNG states,
         per-query and client-level keystream states) plus the client id and
         the token secret — the exact fields a resident worker advances on the
         parent's behalf.  Two clients agree on the fingerprint iff their next
-        draws agree, so a :class:`~repro.runtime.wire.ShardAck` can vouch for
-        ~4 KB of state with 32 bytes.  Tables and subscriptions are excluded
-        on purpose: they are parent-authoritative and shipped as deltas, not
-        vouched for by the worker.
-
-        ``stream_state`` is an ``export_state(streams_only=True)`` taken from
-        this client just now: a checkpoint that needs both the export and the
-        fingerprint pays for one ``getstate()`` + pack per RNG, not two.
+        draws agree; tables and subscriptions are excluded on purpose.  This
+        is the *oracle* tests compare stream positions with (the draw-only
+        twin property, recovery and export tests); no runtime path calls it —
+        the resident protocol vouches for frames, not for state.
         """
-        if stream_state is None:
-            stream_state = self._stream_state()
-        rng_states, keystream_states, keystream_state = _stream_values(stream_state)
+        rng_states, keystream_states, keystream_state = _stream_values(
+            self._stream_state()
+        )
         digest = hashlib.sha256()
         digest.update(self.config.client_id.encode("utf-8"))
         digest.update(self._token_secret)

@@ -29,7 +29,6 @@ from repro.runtime.affinity import (
     ResidentWorkerError,
     StickyShardRouter,
     serve_resident_frame,
-    shard_fingerprint,
 )
 from repro.runtime.remote import (
     OverlapSnapshotRemoteDriver,
@@ -190,7 +189,6 @@ __all__ = [
     "run_scenario",
     "scenario_grid",
     "serve_resident_frame",
-    "shard_fingerprint",
     "shard_span",
     "validate_driver_combo",
     "validate_executor_options",

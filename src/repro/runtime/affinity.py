@@ -20,7 +20,7 @@ client state live *inside* the workers instead:
   :class:`~repro.runtime.wire.ShardDelta` per shard per epoch (subscription
   changes and the stream rows appended since the last frame — usually
   nothing) and a :class:`~repro.runtime.wire.ShardAck` back (responses plus
-  a 32-byte state fingerprint instead of advanced snapshots).
+  the 32-byte hash of the frame served instead of advanced snapshots).
 
 **Split authority, lazy reunification.**  The parent stays authoritative for
 tables and subscriptions (its live clients are mutated directly by ingest and
@@ -49,7 +49,7 @@ were appended in between.  Replay answers nothing: it calls
 twin of ``Client.answer`` (no SQL, no answer built, nothing to discard),
 whose equality with the answering path on ``state_fingerprint()`` is a
 tested contract rather than a side effect.  That is how
-a killed worker, a poisoned fingerprint, or a mid-run re-shard falls back:
+a killed worker, a broken token chain, or a mid-run re-shard falls back:
 fast-forward the parent copy, then send a bootstrap frame for exactly the
 moved/lost shards.  Results stay byte-identical to the serial reference —
 the equivalence and torture suites pin this with residency on and off.
@@ -70,7 +70,7 @@ import multiprocessing
 import queue
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.runtime.engine import (
     EpochHandle,
@@ -113,53 +113,34 @@ class ResidentWorkerError(RuntimeError):
     """A resident worker failed (worker-side exception or worker death)."""
 
 
-def shard_fingerprint(
-    clients: Sequence["Client"], stream_states: Sequence[dict] | None = None
-) -> bytes:
-    """Digest of a whole shard's answering-relevant state.
+def _frame_token(frame: bytes) -> bytes:
+    """The continuity token of one bootstrap or delta frame: its SHA-256.
 
-    The concatenation of every client's
-    :meth:`~repro.core.client.Client.state_fingerprint`, hashed once more so
-    the fingerprint stays 32 bytes regardless of shard size.  Parent and
-    worker compute it over the same client order, so agreement means the
-    worker's resident copy will make exactly the draws the parent expects.
-    ``stream_states`` are the clients' stream-only exports when the caller
-    has just taken them (a checkpoint), so the streams are packed once.
+    The worker acks it, the parent derives it from the bytes it sent, and the
+    next delta embeds it as ``expected_fingerprint`` — a hash chain, so a
+    match vouches for the bootstrap and every delta since, in order (tables,
+    subscriptions and epochs as well as stream position) at O(frame bytes).
     """
-    if stream_states is None:
-        stream_states = [None] * len(clients)
-    digest = hashlib.sha256()
-    for client, stream_state in zip(clients, stream_states):
-        digest.update(client.state_fingerprint(stream_state))
-    return digest.digest()
+    return hashlib.sha256(frame).digest()
 
 
 class ResidentShardCache:
     """The worker-side cache: shard id → live reconstructed clients.
 
     A plain dict with the lifecycle rules made explicit: ``install`` replaces
-    a shard's clients wholesale (bootstrap), ``lookup`` verifies the parent's
-    expected fingerprint before handing the clients out (a mismatch or miss
-    returns ``None`` — the caller acks ``bootstrap_required``), and
-    ``invalidate`` drops a shard whose state can no longer be trusted (a
-    worker-side exception mid-answer leaves it half-advanced).
-
-    **The fingerprint memo.**  Next to a shard's clients the cache remembers
-    the fingerprint the last ack vouched for, so ``lookup`` compares the
-    parent's expectation against it instead of re-deriving it from RNGs
-    nobody touched in between — one fingerprint pass per shard per epoch, not
-    two.  The memo is written in exactly one place (``remember``, called by
-    :func:`_answer_from_residency` with the fingerprint it puts in the ack),
-    consumed by ``lookup`` (the clients it hands out are about to advance)
-    and dropped by ``install`` and ``invalidate``, which every error path
-    goes through.  The rule for future code: *whoever advances a resident
-    client's streams outside* ``_answer_from_residency`` *must drop the
-    memo*; with nothing remembered ``lookup`` recomputes from the clients.
+    a shard's clients wholesale (bootstrap), ``remember`` records the
+    continuity token just acked for them, ``lookup`` hands the clients out
+    only to a delta that expects exactly that token (a mismatch, a miss, or
+    clients with no token remembered return ``None`` — the caller acks
+    ``bootstrap_required``), and ``invalidate`` drops a shard whose state can
+    no longer be trusted (a worker-side exception mid-answer leaves it
+    half-advanced).  ``lookup`` consumes the token: the clients it hands out
+    are about to advance, and only the next ack vouches for them again.
     """
 
     def __init__(self) -> None:
         self._clients: dict[int, list["Client"]] = {}
-        self._fingerprints: dict[int, bytes] = {}
+        self._tokens: dict[int, bytes] = {}
         # Shard id → ShardArena over the resident clients' databases; lives
         # and dies with the residency (bootstrap replaces it, invalidate
         # drops it) and syncs incrementally under ShardDelta traffic.
@@ -167,28 +148,25 @@ class ResidentShardCache:
 
     def install(self, shard_index: int, clients: list["Client"]) -> None:
         self._clients[shard_index] = clients
-        self._fingerprints.pop(shard_index, None)
+        self._tokens.pop(shard_index, None)
         self._arenas.pop(shard_index, None)
 
     def lookup(self, shard_index: int, expected_fingerprint: bytes) -> list["Client"] | None:
         clients = self._clients.get(shard_index)
         if clients is None:
             return None
-        resident = self._fingerprints.pop(shard_index, None)
-        if resident is None:
-            resident = shard_fingerprint(clients)
-        if resident != expected_fingerprint:
+        if self._tokens.pop(shard_index, None) != expected_fingerprint:
             self.invalidate(shard_index)
             return None
         return clients
 
-    def remember(self, shard_index: int, fingerprint: bytes) -> None:
-        """Record the fingerprint just acked for a resident shard."""
-        self._fingerprints[shard_index] = fingerprint
+    def remember(self, shard_index: int, token: bytes) -> None:
+        """Record the token just acked for a resident shard."""
+        self._tokens[shard_index] = token
 
     def invalidate(self, shard_index: int) -> None:
         self._clients.pop(shard_index, None)
-        self._fingerprints.pop(shard_index, None)
+        self._tokens.pop(shard_index, None)
         self._arenas.pop(shard_index, None)
 
     def arena_for(self, shard_index: int) -> ShardArena | None:
@@ -217,37 +195,37 @@ class ResidentShardCache:
 
 def _answer_from_residency(
     cache: ResidentShardCache,
-    shard_index: int,
-    epoch: int,
-    query_ids: tuple,
+    message: ShardBootstrap | ShardDelta,
+    token: bytes,
     want_state: bool,
     clients: list["Client"],
 ) -> ShardAck:
-    """Answer one epoch from resident clients and build the ack."""
+    """Answer one frame's epoch from resident clients and build the ack,
+    which carries the frame's ``token`` once answering succeeded."""
+    shard_index, epoch = message.shard_index, message.epoch
     start = time.perf_counter()
-    if query_ids:
+    if message.query_ids:
         responses_per_query, clients = answer_shard(
-            clients, query_ids, epoch, arena=cache.arena_for(shard_index)
+            clients, message.query_ids, epoch, arena=cache.arena_for(shard_index)
         )
         responses = tuple(tuple(responses) for responses in responses_per_query)
     else:
         responses = ()
     wall_seconds = time.perf_counter() - start
     # A checkpoint carries stream state only (the parent holds everything
-    # else) and shares its one getstate() + pack per RNG with the fingerprint.
+    # else); it is the only per-client pass an ack ever makes.
     client_states = (
         tuple(client.export_state(streams_only=True) for client in clients)
         if want_state
         else None
     )
-    fingerprint = shard_fingerprint(clients, client_states)
-    cache.remember(shard_index, fingerprint)
+    cache.remember(shard_index, token)
     return ShardAck(
         shard_index=shard_index,
         epoch=epoch,
         wall_seconds=wall_seconds,
         responses=responses,
-        fingerprint=fingerprint,
+        fingerprint=token,
         client_states=client_states,
     )
 
@@ -259,7 +237,8 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
     pinned worker loop (:func:`resident_worker_main`) and the TCP worker
     server (:mod:`repro.runtime.remote`): decode the frame, install or look
     up the shard's resident clients, answer, and return the encoded
-    :class:`~repro.runtime.wire.ShardAck`.  Every frame produces exactly one
+    :class:`~repro.runtime.wire.ShardAck`, whose 32 bytes vouch for the frame
+    served (:func:`_frame_token`).  Every frame produces exactly one
     ack — success, ``bootstrap_required``, or a captured worker-side error —
     so the parent's collector never counts itself into a hang.  An exception
     while answering invalidates the shard (its clients may be half-advanced)
@@ -279,7 +258,7 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
             clients = [Client.from_state(state) for state in message.client_states]
             cache.install(shard_index, clients)
             ack = _answer_from_residency(
-                cache, shard_index, epoch, message.query_ids, False, clients
+                cache, message, _frame_token(frame), False, clients
             )
         elif isinstance(message, ShardDelta):
             clients = cache.lookup(shard_index, message.expected_fingerprint)
@@ -298,9 +277,8 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
                         client.database.sync_columnar()
                 ack = _answer_from_residency(
                     cache,
-                    shard_index,
-                    epoch,
-                    message.query_ids,
+                    message,
+                    _frame_token(frame),
                     message.want_state,
                     clients,
                 )
@@ -483,7 +461,9 @@ class _ShardResidency:
     ``start``/``stop`` are the boundaries the resident copy was built for
     (affinity survives boundary moves, resident state does not — a moved
     shard is synced back and re-bootstrapped).  ``fingerprint`` is the last
-    acked state digest the next delta will demand.  ``replay_log`` holds the
+    acked continuity token, which the next delta will demand; ``sent_token``
+    is the :func:`_frame_token` of the frame in flight, which its ack must
+    carry to be adopted.  ``replay_log`` holds the
     ``(epoch, query_ids)`` answered since the parent's copy was last current;
     replaying it on the checkpoint copy reproduces the worker state exactly.
     ``replay_subscriptions`` pins the per-client subscription sets those
@@ -498,6 +478,7 @@ class _ShardResidency:
     start: int = 0
     stop: int = 0
     fingerprint: bytes = b""
+    sent_token: bytes = b""
     replay_log: list = field(default_factory=list)
     replay_subscriptions: list | None = None
     baseline: list | None = None
@@ -520,9 +501,9 @@ def _client_baseline(client: "Client") -> tuple[dict, dict]:
     shorter means nothing in the shipped prefix was edited, reordered or
     removed — a delete-and-reinsert or an in-place row edit keeps the length
     but moves the counter, and a rebound list is a different object.  No
-    copy of the rows is kept; tables are excluded from the state fingerprint
-    on purpose, so this watermark is the only thing standing between a
-    parent-side edit and a silently stale worker copy.
+    copy of the rows is kept; the continuity token covers what was *shipped*,
+    so this watermark is the only thing standing between a parent-side edit
+    that never became a frame and a silently stale worker copy.
     """
     tables = {}
     for name in client.database.table_names():
@@ -648,6 +629,7 @@ class ResidentDriver(StageDriver):
         self.delta_frames = 0
         self.sync_frames = 0
         self.rebootstraps = 0
+        self.token_refusals = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -700,7 +682,9 @@ class ResidentDriver(StageDriver):
 
         Frames are all built *before* any is sent: ``_frame_for`` may need a
         synchronous state sync (dirty tables → export + bootstrap), which is
-        only safe while no epoch acks are in flight on the result queue.
+        only safe while no epoch acks are in flight on the result queue — and
+        hashes each frame, which between sends would queue behind the router's
+        feeder thread (``hashlib`` drops the GIL above 2,047 bytes).
         """
         router = self._ensure_router()
         context, epoch, query_ids = handle.context, handle.epoch, handle.query_ids
@@ -810,8 +794,18 @@ class ResidentDriver(StageDriver):
                     del pending[shard.index]
                     fail(shard, exc)
                 continue
-            # Success: adopt the fingerprint (and checkpoint, if present).
             del pending[shard.index]
+            if self._refuses_token(state, ack):
+                # Nothing is adopted or logged, like a malformed checkpoint.
+                fail(
+                    shard,
+                    ResidentWorkerError(
+                        f"shard {shard.index} acked epoch {epoch} with a token "
+                        "for a frame this coordinator did not send"
+                    ),
+                )
+                continue
+            # Success: adopt the token (and checkpoint, if present).
             if ack.client_states is None:
                 state.replay_log.append((epoch, query_ids))
                 state.epochs_since_checkpoint += 1
@@ -845,6 +839,13 @@ class ResidentDriver(StageDriver):
             state = _ShardResidency()
             self._shards[shard_index] = state
         return state
+
+    def _refuses_token(self, state: _ShardResidency, ack: ShardAck) -> bool:
+        """Count a success ack that does not vouch for the frame last sent:
+        tampered, replayed, or from a worker deriving tokens another way."""
+        refused = ack.fingerprint != state.sent_token
+        self.token_refusals += refused
+        return refused
 
     @staticmethod
     def _apply_subscriptions(client: "Client", subscriptions: dict) -> None:
@@ -942,8 +943,9 @@ class ResidentDriver(StageDriver):
         RNG/keystream state onto the parent's live clients, and marks the
         shards non-resident (the callers either re-bootstrap them under new
         boundaries or are shutting down).  Shards whose worker cannot serve
-        the sync (died, fingerprint mismatch, malformed or undecodable ack)
-        fall back to checkpoint replay.  Returns the wire bytes moved.
+        the sync (died, token mismatch on either side, malformed or
+        undecodable ack) fall back to checkpoint replay.  Returns the wire
+        bytes moved.
         """
         router = self._ensure_router()
         router.drain_stale()
@@ -961,6 +963,7 @@ class ResidentDriver(StageDriver):
                     want_state=True,
                 )
             )
+            state.sent_token = _frame_token(frame)
             self.sync_frames += 1
             wire_bytes += len(frame)
             router.send(shard_index, frame)
@@ -996,6 +999,7 @@ class ResidentDriver(StageDriver):
             if (
                 ack.error is not None
                 or ack.bootstrap_required
+                or self._refuses_token(state, ack)
                 or ack.client_states is None
                 or not self._adopt_checkpoint(context, state, ack.client_states)
             ):
@@ -1045,6 +1049,7 @@ class ResidentDriver(StageDriver):
         state.resident = True
         state.start, state.stop = shard.start, shard.stop
         state.fingerprint = b""
+        state.sent_token = _frame_token(frame)
         state.replay_log.clear()
         state.baseline = [_client_baseline(client) for client in clients]
         state.epochs_since_checkpoint = 0
@@ -1100,6 +1105,7 @@ class ResidentDriver(StageDriver):
                         want_state=want_state,
                     )
                 )
+                state.sent_token = _frame_token(frame)
                 if mutated:
                     state.baseline = [
                         baseline if delta is None else _client_baseline(client)

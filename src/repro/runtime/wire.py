@@ -51,19 +51,19 @@ trip with worker-resident client state behind sticky shard→worker affinity
   snapshots plus the epoch to answer right after installing them.
 * :class:`ShardDelta` — parent → worker, the steady-state frame: the epoch
   and query ids to answer, one optional :class:`ClientDelta` per client
-  (subscription changes, appended stream rows), the fingerprint the parent
-  expects the worker's resident state to carry, and whether the ack should
+  (subscription changes, appended stream rows), the continuity token the
+  parent last adopted for the shard, and whether the ack should
   return the clients' stream state (a *checkpoint*: periodic, or because the
   delta changes subscriptions — appended rows alone never ask for one).  An
   empty ``query_ids`` tuple makes the frame a pure state-sync request (no
   answering).
-* :class:`ShardAck` — worker → parent: the responses, a cheap state
-  fingerprint (digest of every resident client's RNG/keystream state) in
-  place of advanced snapshots, each client's stream state — RNG and
-  keystream positions only, never tables or subscriptions — when the delta
-  asked for a checkpoint, and ``bootstrap_required`` when the worker cannot
-  serve the delta (cache miss or fingerprint mismatch) so the parent falls
-  back to a bootstrap frame.
+* :class:`ShardAck` — worker → parent: the responses, a 32-byte continuity
+  token (the SHA-256 of the frame just served, which the parent checks
+  against the bytes it sent) in place of advanced snapshots, each client's
+  stream state — RNG and keystream positions only, never tables or
+  subscriptions — when the delta asked for a checkpoint, and
+  ``bootstrap_required`` when the worker cannot serve the delta (cache miss
+  or token mismatch) so the parent falls back to a bootstrap frame.
 
 Versioning: every frame kind is emitted and accepted at exactly
 :data:`WIRE_VERSION`; older and unknown future versions are rejected rather
@@ -249,7 +249,7 @@ class ShardBootstrap:
     """Full client snapshots for one shard, plus the epoch to answer.
 
     Sent once per (shard, worker) pairing — and again whenever the parent
-    cannot trust or reuse the worker-resident copy: cache miss, fingerprint
+    cannot trust or reuse the worker-resident copy: cache miss, token
     mismatch, worker replacement, or shard boundaries moved under adaptive
     re-sharding.  An empty ``query_ids`` installs state without answering.
     """
@@ -269,10 +269,10 @@ class ShardDelta:
     """The steady-state parent → worker frame: answer an epoch from residency.
 
     ``deltas`` holds one :class:`ClientDelta` or ``None`` per resident client
-    (client order); ``expected_fingerprint`` is the shard fingerprint the
-    parent recorded from the last ack — the worker refuses (with
-    ``bootstrap_required``) rather than answer from state the parent no
-    longer vouches for.  ``want_state`` asks the ack to carry every client's
+    (client order); ``expected_fingerprint`` is the continuity token the
+    parent adopted from the last ack — the worker refuses (with
+    ``bootstrap_required``) unless it is the token it last acked, which
+    chains the tokens.  ``want_state`` asks the ack to carry every client's
     advanced stream state (a checkpoint).  An empty ``query_ids`` tuple is a
     pure sync: apply deltas / export state, answer nothing.
     """
@@ -290,15 +290,15 @@ class ShardAck:
     """The worker's reply to a bootstrap or delta frame.
 
     ``responses`` holds one tuple of participating responses per frame query
-    (empty for sync frames); ``fingerprint`` digests every resident client's
-    RNG/keystream state after answering, standing in for the full advanced
-    snapshots the snapshot-shipping executor would return; ``client_states``
+    (empty for sync frames); ``fingerprint`` is the continuity token — the
+    SHA-256 of the frame this ack answers, empty when it answered none — in
+    place of the advanced snapshots snapshot shipping returns; ``client_states``
     is populated only when the frame asked for a checkpoint, and then holds
     one stream-only record per client
     (``Client.export_state(streams_only=True)`` — what
     :meth:`~repro.core.client.Client.adopt_rng_state` reads, so its size
     does not grow with the client's tables).
-    ``bootstrap_required`` reports a cache miss or fingerprint mismatch (no
+    ``bootstrap_required`` reports a cache miss or token mismatch (no
     answering happened); ``error`` carries ``(type_name, message)`` of a
     worker-side exception so the parent can surface it without the worker
     process dying.

@@ -396,6 +396,11 @@ def serialize_responses(responses) -> list[tuple]:
     ]
 
 
+def stream_positions(clients) -> list[bytes]:
+    """Every client's stream position, as the oracle digest of its streams."""
+    return [client.state_fingerprint() for client in clients]
+
+
 class TamperingRouter(StickyShardRouter):
     """The pinned-worker router, logging every ack and letting a test rewrite one.
 
@@ -545,23 +550,18 @@ class TestResidentFailureInjection:
 
     def test_close_exports_resident_state_to_live_clients(self):
         """Shutdown is an export-on-demand point: parent clients end current."""
-        system, (query_id,) = make_resident_system(
-            num_clients=6, shards=2, checkpoint_every=0
-        )
-        for epoch in range(3):
-            system.run_epoch(query_id, epoch)
-        fingerprints = {
-            index: state.fingerprint
-            for index, state in system.executor.driver._shards.items()
-        }
-        executor = system.executor
-        shard_states = dict(executor.driver._shards)
-        system.close()
-        from repro.runtime import shard_fingerprint
+        seen = {}
 
-        for index, state in shard_states.items():
-            clients = system.clients[state.start : state.stop]
-            assert shard_fingerprint(clients) == fingerprints[index]
+        def remember(system, resident):
+            seen[resident] = system
+
+        lockstep = TestResidentParentSideMutations()._run_lockstep
+        lockstep("serial", 3, {2: remember})
+        _, executor = lockstep("resident", 3, {2: remember})  # checkpoint_every=0
+        assert executor.driver.sync_frames == 2 and executor.bootstrap_frames == 2
+        assert stream_positions(seen[True].clients) == stream_positions(
+            seen[False].clients
+        )
 
 
 class TestResidentParentSideMutations:
@@ -792,7 +792,7 @@ class TestResidentMalformedAcks:
     """A checkpoint or sync ack the parent cannot use must not be half-used."""
 
     def test_short_checkpoint_is_refused_whole(self):
-        from repro.runtime import ResidentWorkerError, shard_fingerprint
+        from repro.runtime import ResidentWorkerError
 
         system, (query_id,) = make_resident_system(
             num_clients=10, shards=2, checkpoint_every=2
@@ -801,7 +801,7 @@ class TestResidentMalformedAcks:
         executor.adaptive = False
         driver = executor.driver
         driver._router_factory = TamperingRouter
-        at_bootstrap = shard_fingerprint(system.clients[:5])
+        at_bootstrap = stream_positions(system.clients[:5])
         system.run_epoch(query_id, 0)
 
         def truncate(ack, blob):
@@ -819,32 +819,88 @@ class TestResidentMalformedAcks:
         # last good checkpoint and the log still reaches it.
         assert not state.resident
         assert [epoch for epoch, _ in state.replay_log] == [0]
-        assert shard_fingerprint(system.clients[:5]) == at_bootstrap
+        assert stream_positions(system.clients[:5]) == at_bootstrap
+        assert driver.token_refusals == 0  # the token was fine; the records were not
         report = system.run_epoch(query_id, 2)
         assert report.num_participants == 10
         assert executor.bootstrap_frames == 3
         system.close()
 
-    def test_corrupt_sync_ack_does_not_abort_close(self):
-        from repro.runtime import shard_fingerprint
+    @pytest.mark.parametrize("forgery", ["altered", "replayed"])
+    def test_ack_for_a_frame_not_sent_is_refused(self, forgery):
+        """The parent hashes what it sent.  An ack vouching for anything else
+        — an altered token, or last epoch's valid ack re-stamped with this
+        epoch — is refused whole, and the retried epoch re-bootstraps from
+        checkpoint + replay, byte-identical to serial."""
+        from repro.runtime import ResidentWorkerError
 
+        system, (query_id,) = make_resident_system(
+            num_clients=10, shards=2, checkpoint_every=2
+        )
+        executor = system.executor
+        executor.adaptive = False
+        driver = executor.driver
+        driver._router_factory = TamperingRouter
+        at_bootstrap = stream_positions(system.clients)
+        system.run_epoch(query_id, 0)
+        router = driver._router
+        last_epoch = {ack.shard_index: ack for ack in router.acks}
+        adopted = [driver._shards[index].fingerprint for index in (0, 1)]
+
+        def forge(ack, blob):
+            if forgery == "altered":  # epoch 1 checkpoints: it carries state
+                assert ack.client_states is not None
+                return encode_shard_ack(dataclasses.replace(ack, fingerprint=bytes(32)))
+            return encode_shard_ack(
+                dataclasses.replace(last_epoch[ack.shard_index], epoch=ack.epoch)
+            )
+
+        router.tamper = forge
+        with pytest.raises(ResidentWorkerError, match="did not send"):
+            system.run_epoch(query_id, 1)
+        router.tamper = None
+        assert driver.token_refusals == 2 and driver.rebootstraps == 0
+        # Nothing adopted, grafted or logged on either shard.
+        for index in (0, 1):
+            state = driver._shards[index]
+            assert not state.resident and state.fingerprint == adopted[index]
+            assert [epoch for epoch, _ in state.replay_log] == [0]
+        assert stream_positions(system.clients) == at_bootstrap
+        for epoch in range(1, 4):
+            system.run_epoch(query_id, epoch)
+        assert executor.bootstrap_frames == 4 and driver.token_refusals == 2
+        resident = serialize_responses(system.responses_log(query_id))
+        system.close()
+        assert run_serial_twin(10, 4)[query_id] == resident
+
+    @pytest.mark.parametrize("how", ["garbage", "forged"])
+    def test_corrupt_sync_ack_does_not_abort_close(self, how):
         seen = {}
+
+        def corrupt(ack, blob):
+            if ack.epoch != -1 or ack.shard_index != 0:
+                return blob
+            if how == "garbage":
+                return b"garbage"
+            # Well-formed records for the wrong clients under a token the
+            # parent never sent: grafting them would be silent corruption.
+            return encode_shard_ack(
+                dataclasses.replace(
+                    ack, fingerprint=bytes(32), client_states=ack.client_states[::-1]
+                )
+            )
 
         def remember(system, resident):
             seen["resident" if resident else "serial"] = system
             if resident:
-                system.executor.driver._router.tamper = (
-                    lambda ack, blob: b"garbage"
-                    if ack.epoch == -1 and ack.shard_index == 0
-                    else blob
-                )
+                system.executor.driver._router.tamper = corrupt
 
         lockstep = TestResidentParentSideMutations()._run_lockstep
         lockstep("serial", 3, {2: remember})
-        lockstep("resident", 3, {2: remember}, router=TamperingRouter)
+        _, executor = lockstep("resident", 3, {2: remember}, router=TamperingRouter)
         # close() replayed what it could not graft: every live client ends
         # where the serial twin's did.
-        for span in (slice(0, 5), slice(5, 10)):
-            assert shard_fingerprint(seen["resident"].clients[span]) == (
-                shard_fingerprint(seen["serial"].clients[span])
-            )
+        assert stream_positions(seen["resident"].clients) == stream_positions(
+            seen["serial"].clients
+        )
+        assert executor.driver.token_refusals == (how == "forged")

@@ -9,7 +9,9 @@ of any executor.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -434,9 +436,6 @@ class TestStateFingerprint:
         assert set(stream_state) == set(STREAM_STATE_FIELDS)
         assert Client.holds_stream_state(stream_state)
         assert not Client.holds_stream_state({"rng_states": {}})
-        # One pack serves both: the fingerprint *of* the export is the
-        # client's fingerprint.
-        assert donor.state_fingerprint(stream_state) == donor.state_fingerprint()
         ack = decode_shard_ack(
             encode_shard_ack(
                 ShardAck(shard_index=0, epoch=1, client_states=(stream_state,))
@@ -463,7 +462,7 @@ class TestStateFingerprint:
 
 
 class TestResidentWorkerCache:
-    """serve_resident_frame against a cache: ack size and the fingerprint memo."""
+    """serve_resident_frame against a cache: ack size and the continuity token."""
 
     COLUMNS = (("value", "REAL"),)
 
@@ -484,6 +483,8 @@ class TestResidentWorkerCache:
         )
         ack = decode_shard_ack(serve_resident_frame(cache, frame))
         assert ack.error is None and ack.client_states is None
+        # The token is defined over the bytes served, nothing else.
+        assert ack.fingerprint == hashlib.sha256(frame).digest()
         return query_id, ack.fingerprint
 
     def delta(self, query_id, fingerprint, *, deltas=(None,) * 3, want_state=False):
@@ -512,43 +513,66 @@ class TestResidentWorkerCache:
             sizes.append(len(blob))
         assert sizes[0] == sizes[1]
 
+    def test_only_a_checkpoint_walks_the_clients(self, monkeypatch):
+        """The per-client pass cannot return unnoticed: a delta ack is
+        O(frame bytes); a checkpoint packs each RNG exactly once."""
+        calls = {"getstate": 0, "state_fingerprint": 0}
+        getstate, state_fingerprint = random.Random.getstate, Client.state_fingerprint
+
+        def counting_getstate(self):
+            calls["getstate"] += 1
+            return getstate(self)
+
+        def counting_fingerprint(self):
+            calls["state_fingerprint"] += 1
+            return state_fingerprint(self)
+
+        cache = ResidentShardCache()
+        query_id, token = self.bootstrap(cache)
+        monkeypatch.setattr(random.Random, "getstate", counting_getstate)
+        monkeypatch.setattr(Client, "state_fingerprint", counting_fingerprint)
+        ack = decode_shard_ack(serve_resident_frame(cache, self.delta(query_id, token)))
+        assert ack.error is None and not ack.bootstrap_required
+        assert calls == {"getstate": 0, "state_fingerprint": 0}
+        ack = decode_shard_ack(
+            serve_resident_frame(
+                cache, self.delta(query_id, ack.fingerprint, want_state=True)
+            )
+        )
+        assert len(ack.client_states) == 3
+        rngs = sum(len(client._rngs) for client in cache._clients[0])
+        assert rngs == 3 and calls == {"getstate": rngs, "state_fingerprint": 0}
+
     def test_duplicated_delta_is_refused_the_second_time(self):
         cache = ResidentShardCache()
-        query_id, fingerprint = self.bootstrap(cache)
-        assert cache._fingerprints[0] == fingerprint
-        frame = self.delta(query_id, fingerprint)
+        query_id, token = self.bootstrap(cache)
+        frame = self.delta(query_id, token)
         first = decode_shard_ack(serve_resident_frame(cache, frame))
-        assert not first.bootstrap_required and first.fingerprint != fingerprint
-        assert cache._fingerprints[0] == first.fingerprint
-        # The replayed frame expects the state *before* the first serve.
+        assert not first.bootstrap_required and len(first.responses) == 1
+        assert first.fingerprint == hashlib.sha256(frame).digest() != token
+        # The second copy expects the token *before* the first was served.
         second = decode_shard_ack(serve_resident_frame(cache, frame))
         assert second.bootstrap_required and second.responses == ()
-        assert len(cache) == 0 and not cache._fingerprints
+        assert second.fingerprint == b"" and len(cache) == 0
 
-    def test_memo_agrees_with_a_recomputed_fingerprint(self):
-        """Dropping the memo changes nothing but the work done."""
+    def test_clients_without_a_remembered_token_are_not_served(self):
+        """Nothing re-derives a token: residency without one is a miss."""
         cache = ResidentShardCache()
-        query_id, fingerprint = self.bootstrap(cache)
-        del cache._fingerprints[0]
-        ack = decode_shard_ack(
-            serve_resident_frame(cache, self.delta(query_id, fingerprint))
-        )
-        assert not ack.bootstrap_required and ack.error is None
-
-    def test_install_invalidate_and_errors_drop_the_memo(self):
-        cache = ResidentShardCache()
-        query_id, fingerprint = self.bootstrap(cache)
-        cache.install(0, cache._clients[0])
-        assert 0 not in cache._fingerprints
-        cache.remember(0, fingerprint)
+        query_id, token = self.bootstrap(cache)
+        cache.install(0, cache._clients[0])  # clients kept, token dropped
+        ack = decode_shard_ack(serve_resident_frame(cache, self.delta(query_id, token)))
+        assert ack.bootstrap_required and len(cache) == 0
+        # invalidate forgets the token with the clients ...
+        query_id, token = self.bootstrap(cache)
         cache.invalidate(0)
-        assert 0 not in cache._fingerprints
-        # A worker-side exception mid-delta: the shard and its memo both go.
-        query_id, fingerprint = self.bootstrap(cache)
-        broken = self.delta(query_id, fingerprint, deltas=("not a delta",) * 3)
+        assert cache.lookup(0, token) is None
+        # ... and so does a worker-side exception mid-delta.
+        query_id, token = self.bootstrap(cache)
+        broken = self.delta(query_id, token, deltas=("not a delta",) * 3)
         ack = decode_shard_ack(serve_resident_frame(cache, broken))
         assert ack.error is not None and ack.error[0] == "AttributeError"
-        assert len(cache) == 0 and 0 not in cache._fingerprints
+        assert ack.fingerprint == b"" and len(cache) == 0
+        assert cache.lookup(0, token) is None
 
 
 class TestClientDeltaApply:
