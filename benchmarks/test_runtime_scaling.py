@@ -1,4 +1,4 @@
-"""Runtime scaling: sharded, pipelined and process epoch executors vs. serial.
+"""Runtime scaling: pipelined and process epoch executors vs. serial.
 
 Not a paper figure but an acceptance benchmark for the parallel epoch
 runtimes (``repro.runtime``) on a 1000-client deployment with a
@@ -12,13 +12,10 @@ one local table scan across the co-subscribed queries.
 
 Single-query claims:
 
-* the sharded executor must at least match the serial reference — on a
+* the pipelined executor must at least match the serial reference — on a
   single-core box the win comes from per-shard batched broker publishes and
   the grouped aggregator join, on a multi-core box shard answering
   parallelizes on top;
-* the pipelined executor must be at least as fast as the sharded one (its
-  shard-aware topics carry one batch record per shard, and the stages
-  overlap);
 * the process executor must beat the pipelined one *when real cores exist*
   (>= 4): its answer stage escapes the GIL, which is the entire point of
   shipping serialized shard tasks to worker processes.  On fewer cores the
@@ -72,7 +69,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 PROCESS_ASSERT_CORES = 4
 
 # The report keeps short labels; these are the driver combos behind them.
-SHARDED = "thread-pool/in-process"
 PIPELINED = "pipelined-overlap/in-process"
 PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
@@ -181,10 +177,6 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
     cpu_count = os.cpu_count() or 1
     configs = [
         ("serial", {"executor": "serial"}),
-        ("sharded w1", {"executor": SHARDED, "workers": 1}),
-        ("sharded w2", {"executor": SHARDED, "workers": 2}),
-        ("sharded w4", {"executor": SHARDED, "workers": 4}),
-        ("sharded w4 s16", {"executor": SHARDED, "workers": 4, "shards": 16}),
         ("pipelined w2", {"executor": PIPELINED, "workers": 2}),
         ("pipelined w4", {"executor": PIPELINED, "workers": 4}),
         ("pipelined w4 s16", {"executor": PIPELINED, "workers": 4, "shards": 16}),
@@ -249,41 +241,29 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
         rows,
     )
     report.note(
-        "Sharded wins even on one core: per-shard batched publishes and the "
-        "grouped MID join cut per-answer broker/aggregator overhead; results "
-        "are byte-identical to serial (see tests/runtime/)."
-    )
-    report.note(
-        "Pipelined removes the stage barriers and relays each shard as one "
-        "batch record on its shard-aware topics, so it is at least as fast "
-        "as sharded even without free-threading."
+        "Pipelined wins even on one core: it relays each shard as one batch "
+        "record per proxy and ingests it with one grouped MID join, cutting "
+        "per-answer broker/aggregator overhead; results are byte-identical "
+        "to serial (see tests/runtime/)."
     )
     report.note(
         "Process answers shards in worker processes from serialized shard "
         "tasks (repro.runtime.wire): on a single core the state round-trip "
         "is pure overhead, with real cores the answer stage escapes the GIL "
-        f"and overtakes the thread executors (asserted at >= "
+        f"and overtakes the thread executor (asserted at >= "
         f"{PROCESS_ASSERT_CORES} cores)."
     )
     report.note("")
 
     # Acceptance (medians, best-of-3 rounds, tolerance for CI noise):
-    # sharded(w4) at least matches serial, pipelined at least matches sharded.
-    assert_faster(
-        "sharded w4",
-        "serial",
-        {"executor": SHARDED, "workers": 4},
-        {"executor": "serial"},
-        stats["sharded w4"],
-        stats["serial"],
-    )
+    # pipelined(w4) at least matches serial.
     assert_faster(
         "pipelined w4",
-        "sharded w4",
+        "serial",
         {"executor": PIPELINED, "workers": 4},
-        {"executor": SHARDED, "workers": 4},
+        {"executor": "serial"},
         stats["pipelined w4"],
-        stats["sharded w4"],
+        stats["serial"],
     )
     # The GIL-escape claim: with real cores, the process executor's best
     # 4-worker configuration beats the pipelined thread executor outright.
@@ -397,7 +377,7 @@ def build_multi_query_system(executor: str, workers: int = 4):
 
 
 def measure_multi_query_epoch_seconds(
-    shared: bool, executor: str = SHARDED, workers: int = 4
+    shared: bool, executor: str = PIPELINED, workers: int = 4
 ) -> dict:
     """Wall-clock stats for serving all queries for one epoch (1 warmup).
 
@@ -473,7 +453,7 @@ def test_multi_query_shared_pass_beats_sequential_epochs(report):
 
     report.title(
         f"Multi-query epochs ({MULTI_QUERY_CLIENTS} clients x "
-        f"{NUM_ROWS_PER_CLIENT} rows, {MULTI_NUM_QUERIES} queries, sharded w4)"
+        f"{NUM_ROWS_PER_CLIENT} rows, {MULTI_NUM_QUERIES} queries, pipelined w4)"
     )
     report.table(
         ["configuration", "best epoch (ms)", "median (ms)", "mean (ms)", "speedup"],

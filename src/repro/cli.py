@@ -56,7 +56,7 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor", choices=EXECUTOR_KINDS, default="serial",
         help="epoch runtime: 'serial' reference loop, or a staged-engine "
              "driver combination named 'scheduling/transport' (e.g. "
-             "'thread-pool/in-process', 'pipelined-overlap/framed-wire-local', "
+             "'pipelined-overlap/in-process', 'pipelined-overlap/framed-wire-local', "
              "'pinned-worker/framed-wire-local' for worker-resident client "
              "state)",
     )

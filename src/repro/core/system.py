@@ -65,7 +65,7 @@ class SystemConfig:
     ``"serial"`` answers clients one-by-one (the reference implementation);
     every other name is a ``"scheduling/transport"`` configuration of the
     staged epoch engine (:class:`~repro.runtime.engine.StagedEpochEngine`),
-    e.g. ``"thread-pool/in-process"`` (shards answered by a barrier worker
+    e.g. ``"pipelined-overlap/in-process"`` (shards answered on a thread
     pool with per-shard batched broker traffic),
     ``"pipelined-overlap/framed-wire-local"`` (answering in worker
     *processes* from serialized self-contained shard tasks, overlapped with

@@ -10,8 +10,8 @@ runtimes exist:
 * :class:`~repro.runtime.engine.StagedEpochEngine` — one staged epoch
   dataflow (plan → answer → transmit → ingest → finalize) parameterized by
   a pluggable :class:`~repro.runtime.engine.StageDriver` chosen on two
-  axes: *scheduling* (``inline``, ``thread-pool``, ``pipelined-overlap``,
-  ``pinned-worker``) × *transport* (``in-process``, ``framed-wire-local``,
+  axes: *scheduling* (``inline``, ``pipelined-overlap``, ``pinned-worker``)
+  × *transport* (``in-process``, ``framed-wire-local``,
   ``sealed-tcp-remote``).  :data:`~repro.runtime.executor.DRIVER_COMBOS`
   is the registry of supported combinations.
 
@@ -42,7 +42,6 @@ from repro.runtime.remote import (
 )
 from repro.runtime.engine import (
     AdaptiveShardSizer,
-    BarrierThreadDriver,
     EpochHandle,
     InlineDriver,
     OverlapThreadDriver,
@@ -85,11 +84,7 @@ from repro.runtime.scenario import (
     run_scenario,
     scenario_grid,
 )
-from repro.runtime.process_pool import (
-    OverlapSnapshotWireDriver,
-    SnapshotWireBarrierDriver,
-    answer_shard_task,
-)
+from repro.runtime.process_pool import OverlapSnapshotWireDriver, answer_shard_task
 from repro.runtime.serial import SerialExecutor
 from repro.runtime.sharding import Shard, plan_shards, plan_weighted_shards, shard_span
 from repro.runtime.wire import (
@@ -121,7 +116,6 @@ __all__ = [
     "SCHEDULING_KINDS",
     "TRANSPORT_KINDS",
     "AdaptiveShardSizer",
-    "BarrierThreadDriver",
     "ClientDelta",
     "EpochContext",
     "EpochDeadline",
@@ -149,7 +143,6 @@ __all__ = [
     "ResidentWorkerError",
     "SerialExecutor",
     "Shard",
-    "SnapshotWireBarrierDriver",
     "StageDriver",
     "StageMetrics",
     "StagedEpochEngine",

@@ -100,7 +100,7 @@ from repro.runtime.wire import (
 if TYPE_CHECKING:
     from repro.core.client import Client
 
-# How often the parent-side collectors poll the result queue between
+# How often the parent-side collect loops poll the result queue between
 # liveness checks; long enough to stay off the CPU, short enough that a
 # killed worker is noticed promptly.
 _RECV_POLL_SECONDS = 0.05
@@ -240,7 +240,7 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
     :class:`~repro.runtime.wire.ShardAck`, whose 32 bytes vouch for the frame
     served (:func:`_frame_token`).  Every frame produces exactly one
     ack — success, ``bootstrap_required``, or a captured worker-side error —
-    so the parent's collector never counts itself into a hang.  An exception
+    so the parent's collect loop never counts itself into a hang.  An exception
     while answering invalidates the shard (its clients may be half-advanced)
     so the parent re-bootstraps it.
     """
@@ -575,11 +575,11 @@ def _delta_since(client: "Client", baseline: tuple[dict, dict]) -> tuple:
 class ResidentDriver(StageDriver):
     """``pinned-worker`` scheduling: resident state, sticky affinity.
 
-    The engine runs its overlap dataflow; this driver owns the resident
-    protocol — bootstrap-once / delta-thereafter framing, checkpoint +
-    replay recovery, worker healing, shard migration — and reports its
-    per-shard spans so the engine's plan stage can apply re-shard
-    hysteresis.  The transport axis is ``framed-wire-local`` over a
+    The engine relays and ingests each shard as its ack is collected; this
+    driver owns the resident protocol — bootstrap-once / delta-thereafter
+    framing, checkpoint + replay recovery, worker healing, shard migration —
+    and reports its per-shard spans so the engine's plan stage can apply
+    re-shard hysteresis.  The transport axis is ``framed-wire-local`` over a
     :class:`StickyShardRouter` of pinned processes by default; a
     ``router_factory`` swaps in any router speaking the same interface —
     :class:`~repro.runtime.remote.RemoteWorkerTransport` makes this the
@@ -602,7 +602,6 @@ class ResidentDriver(StageDriver):
 
     scheduling = "pinned-worker"
     transport = "framed-wire-local"
-    runs_collector = True
     adaptive = True
 
     def __init__(
@@ -711,9 +710,8 @@ class ResidentDriver(StageDriver):
     def collect(self, handle: EpochHandle) -> None:
         """Decode acks, adopt checkpoints, fall back to bootstrap on demand.
 
-        Runs on the engine's collector thread.  Emits exactly once per
-        pending shard — success, worker error, or worker death — so the
-        transmitter's expected-item count never hangs.  A
+        Emits exactly once per pending shard — success, worker error, or
+        worker death — and returns only when no shard is pending.  A
         ``bootstrap_required`` ack re-sends a bootstrap frame for the same
         epoch (the shard stays pending), bounded by
         ``_MAX_REBOOTSTRAPS_PER_EPOCH``.

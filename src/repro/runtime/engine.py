@@ -11,10 +11,9 @@ and delegates *how the answer stage runs* to a pluggable
 :class:`StageDriver`.  Drivers are classified along two orthogonal axes
 (declared in :mod:`repro.runtime.executor`):
 
-* **scheduling** — ``inline`` (caller thread), ``thread-pool`` (barrier
-  worker pool), ``pipelined-overlap`` (answer/transmit/ingest run
-  concurrently), ``pinned-worker`` (long-lived workers holding resident
-  state);
+* **scheduling** — ``inline`` (caller thread), ``pipelined-overlap``
+  (answer tasks on a pool, collected in completion order),
+  ``pinned-worker`` (long-lived workers holding resident state);
 * **transport** — ``in-process`` (shared objects), ``framed-wire-local``
   (serialized :mod:`repro.runtime.wire` frames across a process border),
   ``sealed-tcp-remote`` (the same frames in HMAC-sealed envelopes over TCP).
@@ -31,22 +30,22 @@ The engine owns all policy, so no driver carries its own copy:
 * adaptive shard sizing (:class:`AdaptiveShardSizer`) *and* the re-shard
   hysteresis that residency-holding drivers need (moving a boundary costs a
   sync + re-bootstrap, so boundaries move only on sustained imbalance);
-* both dataflow shapes: the **barrier** flow (inline / thread-pool: collect
-  in shard order, transmit per shard, ingest after the last shard) and the
-  **overlap** flow (pipelined-overlap / pinned-worker: a transmitter thread
-  and the caller's ingest loop run while shards are still answering, with a
-  bounded hand-off queue for backpressure).  They differ in *when* a shard
-  is relayed and ingested, never in *how*: both publish one batch record
-  per proxy on the shard's topic (:func:`_publish_shard`), poll the same
-  consumer grid (:func:`_poll_shares`) and drain it when an epoch fails.
+* the one epoch flow: the driver's ``begin_epoch`` and ``collect`` run on
+  the caller thread, and each :meth:`EpochHandle.emit` gates, relays (one
+  batch record per proxy on the shard's topic, :func:`_publish_shard`) and
+  ingests (that shard's slot of each query's consumer grid,
+  :func:`_poll_shares`) its shard before it returns.  The engine starts no
+  thread of its own: the only concurrency is the driver's answering pool,
+  worker processes or sockets, which keep answering while the caller
+  relays what has already come back.
 
 :class:`~repro.runtime.serial.SerialExecutor` deliberately stays *outside*
 the engine: it is the frozen executable specification every driver
 combination must match byte-for-byte (``docs/ARCHITECTURE.md``, the
 equivalence and torture suites).
 
-The driver *mechanisms* live next to the machinery they drive: thread-pool
-and in-process drivers here, snapshot-wire drivers in
+The driver *mechanisms* live next to the machinery they drive: the
+in-process drivers here, the snapshot-wire driver in
 :mod:`repro.runtime.process_pool`, the resident driver in
 :mod:`repro.runtime.affinity`, and the sealed-TCP drivers in
 :mod:`repro.runtime.remote`.  :func:`~repro.runtime.executor.make_executor`
@@ -55,10 +54,9 @@ builds the engine for a ``"scheduling/transport"`` spelling.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -201,13 +199,12 @@ def _timed_answer_shard(
     epoch: int,
     arena: ShardArena | None = None,
     late: frozenset[str] = frozenset(),
-) -> tuple[list[list["ClientResponse"]], list["Client"], float]:
-    """:func:`answer_shard` plus its own wall-clock, for stage accounting."""
+) -> tuple[list[list["ClientResponse"]], float]:
+    """:func:`answer_shard`'s responses plus its own wall-clock, for stage
+    accounting (in-process: the clients advanced in place)."""
     started = time.perf_counter()
-    responses, clients = answer_shard(
-        clients, query_ids, epoch, arena=arena, late=late
-    )
-    return responses, clients, time.perf_counter() - started
+    responses, _ = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
+    return responses, time.perf_counter() - started
 
 
 class AdaptiveShardSizer:
@@ -288,9 +285,11 @@ class StageMetrics:
     zero for in-process transports.  ``late_drops`` counts responses the
     engine's deadline gate removed at the transmit boundary.
     ``reshard_events`` counts adopted boundary moves (hysteresis-approved
-    for residency drivers).  Stage seconds measure *active* work: in the
-    overlap flow the stages run concurrently, so they legitimately sum to
-    more than the epoch's wall-clock.
+    for residency drivers).  Stage seconds measure *active* work:
+    ``answer_seconds`` sums the drivers' per-shard answering wall-clocks,
+    which overlap each other (and the caller's transmit and ingest) on pool
+    and worker drivers, so the stages legitimately sum to more than the
+    epoch's wall-clock.
     """
 
     epoch: int
@@ -307,7 +306,7 @@ class StageMetrics:
         self._lock = threading.Lock()
 
     def add_wire_bytes(self, count: int) -> None:
-        """Thread-safe wire accounting (drivers call from any stage thread)."""
+        """Thread-safe wire accounting (a driver may call from any thread)."""
         with self._lock:
             self.wire_bytes += count
 
@@ -324,11 +323,14 @@ class EpochHandle:
     """Everything a driver needs for one epoch, plus the emit contract.
 
     The driver must call :meth:`emit` **exactly once per occupied shard** —
-    success or failure — with the shard's raw (ungated) per-query response
-    lists.  The engine's emit wrapper owns the single deadline-gate call
-    site and the hand-off into the transmit stage; in the overlap flow emit
-    may be called from any driver thread (the gate and metrics lock
-    internally, and the bounded hand-off queue applies backpressure).
+    success or failure — from the caller thread (inside ``collect``), with
+    the shard's raw (ungated) per-query response lists.  ``emit`` returns
+    once the engine has gated, relayed and ingested that shard, and it
+    never raises: the epoch's first error is recorded and every later emit
+    is ignored, so a driver keeps collecting until every answer task it
+    started has finished.  A shard emitted twice, or an occupied shard
+    never emitted, fails the epoch with a ``RuntimeError`` naming the
+    broken emit contract.
 
     ``late`` is the plan stage's known-late client-id set
     (:meth:`StagedEpochEngine._late_clients`).  Drivers that answer in this
@@ -336,9 +338,7 @@ class EpochHandle:
     frames have no field for it yet) and keep building what the gate drops.
     """
 
-    __slots__ = (
-        "context", "epoch", "occupied", "query_ids", "metrics", "late", "emit", "emitted",
-    )
+    __slots__ = ("context", "epoch", "occupied", "query_ids", "metrics", "late", "emit")
 
     def __init__(self, context: EpochContext, epoch: int, occupied: list[Shard],
                  metrics: StageMetrics, emit, late: frozenset[str] = frozenset()) -> None:
@@ -348,14 +348,7 @@ class EpochHandle:
         self.query_ids = tuple(context.query_ids)
         self.metrics = metrics
         self.late = late
-        self.emitted: set[int] = set()
-        inner = emit
-
-        def tracking_emit(shard_index, responses, error=None, wall_seconds=None):
-            self.emitted.add(shard_index)
-            inner(shard_index, responses, error=error, wall_seconds=wall_seconds)
-
-        self.emit = tracking_emit
+        self.emit = emit
 
 
 class StageDriver:
@@ -367,8 +360,8 @@ class StageDriver:
     answer stage.  All policy — deadline gating, metrics, shard planning,
     pool/consumer lifecycle, failure unwinding — stays in the engine.
 
-    Lifecycle hooks (all optional except :meth:`collect` /
-    :meth:`begin_epoch` as the driver's shape requires):
+    Lifecycle hooks, all called on the caller thread (all optional except
+    :meth:`collect`):
 
     * :meth:`prepare` — before planning (heal dead workers, drain stale
       acks);
@@ -376,23 +369,18 @@ class StageDriver:
       engine's hysteresis can avoid invalidating resident state;
     * :meth:`migrate` — after planning, before the epoch starts: move/export
       state for shards whose boundaries changed, returning wire bytes spent;
-    * :meth:`begin_epoch` — runs on the caller thread *before* any pipeline
-      thread starts; a failure here must leave nothing transmitted (the
-      pre-pipeline error contract);
-    * :meth:`collect` — produce one :meth:`EpochHandle.emit` per occupied
-      shard.  ``runs_collector`` drivers do this on a dedicated collector
-      thread; others emit directly from their answer tasks;
-    * :meth:`handle_epoch_error` — after the pipeline has drained on a
-      failed epoch (discard a broken pool, ...).
+    * :meth:`begin_epoch` — start the epoch's answering (submit pool tasks,
+      send frames) before any shard is emitted; a failure here fails the
+      epoch with nothing relayed;
+    * :meth:`collect` — call :meth:`EpochHandle.emit` once per occupied
+      shard as its result comes back, success or failure, and return only
+      after every answer task this epoch started has finished;
+    * :meth:`handle_epoch_error` — after a failed epoch's consumer grids
+      have been drained (discard a broken pool, ...).
     """
 
     scheduling = "inline"
     transport = "in-process"
-    #: True when collect() must run on a dedicated engine-owned collector
-    #: thread (the driver receives results from elsewhere — a process pool,
-    #: a result queue, a socket).  False when begin_epoch() schedules tasks
-    #: that call emit themselves.
-    runs_collector = False
     #: Whether the engine feeds per-shard answering wall-clock back into the
     #: next epoch's boundaries (``engine.adaptive`` starts from this).
     adaptive = False
@@ -420,10 +408,10 @@ class StageDriver:
         return 0
 
     def begin_epoch(self, handle: EpochHandle) -> None:
-        """Start the epoch's answering work (pre-pipeline; may raise cleanly)."""
+        """Start the epoch's answering work (before any emit; may raise)."""
 
     def collect(self, handle: EpochHandle) -> None:
-        """Emit every occupied shard's result (collector-thread drivers)."""
+        """Emit every occupied shard's result, once each."""
         raise NotImplementedError
 
     def handle_epoch_error(self, error: Exception) -> None:
@@ -453,10 +441,6 @@ class StagedEpochEngine(EpochExecutor):
     num_shards:
         Shard count (and shard-aware topic slots per proxy); defaults to
         ``num_workers``.  More shards than workers gives finer pipelining.
-    queue_depth:
-        Capacity of the bounded hand-off queue feeding the transmitter.
-        Small values apply backpressure when transmission or ingestion falls
-        behind; the default keeps roughly one shard per worker in flight.
     """
 
     _consumer_group_prefix = "engine"
@@ -466,18 +450,14 @@ class StagedEpochEngine(EpochExecutor):
         driver: StageDriver,
         num_workers: int = 4,
         num_shards: int | None = None,
-        queue_depth: int | None = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         if num_shards is not None and num_shards < 1:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
         validate_driver_combo(driver.scheduling, driver.transport)
         self.num_workers = num_workers
         self.num_shards = num_shards if num_shards is not None else num_workers
-        self.queue_depth = queue_depth if queue_depth is not None else max(2, num_workers)
         self.driver = driver
         self.scheduling = driver.scheduling
         self.transport = driver.transport
@@ -717,6 +697,25 @@ class StagedEpochEngine(EpochExecutor):
     # -- epoch execution ------------------------------------------------------
 
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
+        """Plan the shards, then gate, relay and ingest each one as it is emitted.
+
+        The driver's ``begin_epoch`` and ``collect`` run on this (the
+        caller's) thread, and so does every :meth:`EpochHandle.emit`: it
+        gates the shard's raw responses (:meth:`_gate`), publishes one batch
+        record per proxy on the shard's topic (:func:`_publish_shard`), then
+        polls that shard's slot of each query's consumer grid and ingests it
+        (``ingest_shares(batched=True)``) before it returns.  Shards arrive
+        in whatever order the driver collects them; the per-query logs are
+        merged in shard-index (= client) order at the end.
+
+        The first error — an error emit, a gate, relay or ingest failure, a
+        driver hook that raises, a shard emitted twice or an occupied shard
+        never emitted — is recorded and every later emit ignored, while the
+        driver keeps collecting until every answer task it started has
+        finished.  Then every query's grid is drained (whatever was relayed
+        but not ingested must not reach the next epoch),
+        ``handle_epoch_error`` runs and the error re-raises.
+        """
         metrics = StageMetrics(epoch=epoch)
         self.stage_metrics[epoch] = metrics
         plan_started = time.perf_counter()
@@ -726,16 +725,73 @@ class StagedEpochEngine(EpochExecutor):
         occupied = [shard for shard in shards if shard.num_items > 0]
         late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
-        if self.scheduling in ("pipelined-overlap", "pinned-worker"):
-            return self._run_overlap(context, epoch, shards, occupied, metrics, late)
-        return self._run_barrier(context, epoch, shards, occupied, metrics, late)
+
+        consumers = self._consumers_for(context)
+        responses_by_shard: list[list | None] = [None] * len(shards)
+        window_results: list[list] = [[] for _ in context.queries]
+        answer_walls: dict[int, float] = {}
+        awaited = {shard.index for shard in occupied}
+        failure: Exception | None = None
+
+        def emit(shard_index, responses, error=None, wall_seconds=None):
+            nonlocal failure
+            if failure is not None:
+                return
+            if shard_index not in awaited:
+                failure = RuntimeError(
+                    f"stage driver broke the emit contract: shard {shard_index} "
+                    "was emitted twice or is not an occupied shard of this epoch"
+                )
+                return
+            awaited.remove(shard_index)
+            if error is not None:
+                failure = error
+                return
+            try:
+                gated = self._gate(context, responses, metrics)
+                relay_started = time.perf_counter()
+                _publish_shard(context, shard_index, gated)
+                ingest_started = time.perf_counter()
+                metrics.add_stage_seconds("transmit", ingest_started - relay_started)
+                for index, query in enumerate(context.queries):
+                    shares = _poll_shares(consumers[index][shard_index])
+                    if shares:
+                        window_results[index].extend(
+                            query.aggregator.ingest_shares(shares, epoch, batched=True)
+                        )
+                metrics.add_stage_seconds("ingest", time.perf_counter() - ingest_started)
+            except Exception as exc:
+                failure = exc
+                return
+            responses_by_shard[shard_index] = gated
+            if wall_seconds is not None:
+                answer_walls[shard_index] = wall_seconds
+
+        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
+        try:
+            self.driver.begin_epoch(handle)
+            self.driver.collect(handle)
+        except Exception as exc:
+            if failure is None:
+                failure = exc
+        if failure is None and awaited:
+            failure = RuntimeError(
+                f"stage driver broke the emit contract: occupied shard(s) "
+                f"{sorted(awaited)} were never emitted"
+            )
+        self._finalize(shards, answer_walls, metrics)
+        if failure is not None:
+            for grid in consumers:
+                _drain_consumers(grid)
+            self.driver.handle_epoch_error(failure)
+            raise failure
+        return self._merge_outcome(context, shards, responses_by_shard, window_results)
 
     def _finalize(
         self, shards: list[Shard], answer_walls: dict[int, float], metrics: StageMetrics
     ) -> None:
         started = time.perf_counter()
-        if answer_walls:
-            metrics.answer_seconds = sum(answer_walls.values())
+        metrics.answer_seconds = sum(answer_walls.values())
         if self.adaptive and answer_walls:
             self._sizer.record(shards, answer_walls)
         metrics.finalize_seconds = time.perf_counter() - started
@@ -765,165 +821,26 @@ class StagedEpochEngine(EpochExecutor):
             )
         return EpochOutcome(per_query=tuple(per_query))
 
-    # -- barrier flow (inline / thread-pool scheduling) -----------------------
-
-    def _run_barrier(
-        self,
-        context: EpochContext,
-        epoch: int,
-        shards: list[Shard],
-        occupied: list[Shard],
-        metrics: StageMetrics,
-        late: frozenset[str],
-    ) -> EpochOutcome:
-        """Collect in shard order, transmit per shard, ingest after the last.
-
-        Emits arrive on the caller thread in shard-index order (the driver
-        contract for barrier scheduling), so the per-query logs extend in
-        serial client order and driver errors propagate naturally from the
-        collect call.  Each gated shard is relayed as it arrives, exactly as
-        the overlap flow relays it, and after the last shard every query is
-        ingested *once* from its ``[slot][proxy]`` consumer grid (one
-        window-operator pass per aggregator per epoch).  Any failure drains
-        every query's grid before it re-raises: what was relayed but never
-        ingested must not reach the next epoch.
-        """
-        consumers = self._consumers_for(context)
-        responses_by_shard: list[list | None] = [None] * len(shards)
-        answer_walls: dict[int, float] = {}
-        answer_started = time.perf_counter()
-
-        def emit(shard_index, responses, error=None, wall_seconds=None):
-            if error is not None:
-                raise error
-            gated = self._gate(context, responses, metrics)
-            responses_by_shard[shard_index] = gated
-            if wall_seconds is not None:
-                answer_walls[shard_index] = wall_seconds
-            transmit_started = time.perf_counter()
-            _publish_shard(context, shard_index, gated)
-            metrics.add_stage_seconds(
-                "transmit", time.perf_counter() - transmit_started
-            )
-
-        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
-        try:
-            self.driver.begin_epoch(handle)
-            self.driver.collect(handle)
-            ingest_started = time.perf_counter()
-            window_results = [
-                query.aggregator.ingest_shares(_poll_shares(grid), epoch, batched=True)
-                for query, grid in zip(context.queries, consumers)
-            ]
-        except Exception as error:
-            for grid in consumers:
-                _drain_consumers(grid)
-            self.driver.handle_epoch_error(error)
-            raise
-        metrics.ingest_seconds = time.perf_counter() - ingest_started
-        if not answer_walls:
-            # Wire drivers without per-shard wall-clocks: charge the collect
-            # span minus transmit to the answer stage, clamped at zero — the
-            # two spans are measured independently, so subtraction could
-            # otherwise dip (fractionally) negative and corrupt the ledger.
-            metrics.answer_seconds = max(
-                0.0, ingest_started - answer_started - metrics.transmit_seconds
-            )
-        self._finalize(shards, answer_walls, metrics)
-        return self._merge_outcome(context, shards, responses_by_shard, window_results)
-
-    # -- overlap flow (pipelined-overlap / pinned-worker scheduling) ----------
-
-    def _run_overlap(
-        self,
-        context: EpochContext,
-        epoch: int,
-        shards: list[Shard],
-        occupied: list[Shard],
-        metrics: StageMetrics,
-        late: frozenset[str],
-    ) -> EpochOutcome:
-        """Answer, transmit and ingest concurrently through bounded queues."""
-        consumers = self._consumers_for(context)
-        responses_by_shard: list[list | None] = [None] * len(shards)
-        answer_walls: dict[int, float] = {}
-        answered: queue.Queue = queue.Queue(maxsize=self.queue_depth)
-        transmitted: queue.Queue = queue.Queue()
-
-        def emit(shard_index, responses, error=None, wall_seconds=None):
-            if error is None:
-                try:
-                    responses_by_shard[shard_index] = self._gate(
-                        context, responses, metrics
-                    )
-                except Exception as exc:
-                    # Emit runs on driver threads: a gate that raises must
-                    # fail the epoch through the queue, not kill the thread
-                    # and leave the transmitter waiting for this shard.
-                    error = exc
-            if error is not None:
-                responses_by_shard[shard_index] = [[] for _ in context.queries]
-            elif wall_seconds is not None:
-                answer_walls[shard_index] = wall_seconds
-            answered.put((shard_index, error))
-
-        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
-        # Pre-pipeline: a begin_epoch failure surfaces with nothing
-        # transmitted and no pipeline thread started; the partial metrics
-        # (frames already encoded/sent) stay recorded for this epoch.
-        try:
-            self.driver.begin_epoch(handle)
-        except Exception as error:
-            self.driver.handle_epoch_error(error)
-            raise
-        collector = None
-        if self.driver.runs_collector:
-            collector = threading.Thread(
-                target=self._run_collector,
-                args=(handle,),
-                name=f"privapprox-{self.scheduling}-collect",
-                daemon=True,
-            )
-            collector.start()
-        transmitter = threading.Thread(
-            target=_transmit_stage,
-            args=(context, len(occupied), responses_by_shard, answered, transmitted),
-            kwargs={"metrics": metrics},
-            name=f"privapprox-{self.scheduling}-transmit",
-            daemon=True,
-        )
-        transmitter.start()
-        window_results, error = _ingest_stage(
-            context, consumers, epoch, transmitted, metrics=metrics
-        )
-        transmitter.join()
-        if collector is not None:
-            collector.join()
-
-        self._finalize(shards, answer_walls, metrics)
-        if error is not None:
-            self.driver.handle_epoch_error(error)
-            raise error
-        return self._merge_outcome(context, shards, responses_by_shard, window_results)
-
-    def _run_collector(self, handle: EpochHandle) -> None:
-        """Run the driver's collect loop; never lets the pipeline hang.
-
-        Drivers' collect implementations convert failures into per-shard
-        error emits; this wrapper is the backstop for a driver bug — any
-        escaped exception is emitted for every not-yet-emitted shard so the
-        transmitter's expected-item count still lands.
-        """
-        try:
-            self.driver.collect(handle)
-        except BaseException as exc:  # noqa: BLE001 — backstop, must not hang
-            error = exc if isinstance(exc, Exception) else RuntimeError(repr(exc))
-            for shard in handle.occupied:
-                if shard.index not in handle.emitted:
-                    handle.emit(shard.index, None, error=error)
-
 
 # -- in-process drivers -------------------------------------------------------
+
+
+def emit_as_completed(handle: EpochHandle, futures: dict[Future, Shard], unpack) -> None:
+    """Emit each shard as its future completes; a failed one emits its error.
+
+    ``unpack(shard, result) -> (responses, wall_seconds)`` turns a finished
+    task's result into the shard's emit; whatever it or the task raised
+    becomes that shard's error emit.  Returns once every future has
+    finished, so no answer task outlives the epoch.
+    """
+    for future in as_completed(futures):
+        shard = futures[future]
+        try:
+            responses, wall_seconds = unpack(shard, future.result())
+        except Exception as exc:
+            handle.emit(shard.index, None, error=exc)
+        else:
+            handle.emit(shard.index, responses, wall_seconds=wall_seconds)
 
 
 class InlineDriver(StageDriver):
@@ -932,8 +849,10 @@ class InlineDriver(StageDriver):
     The minimal engine configuration — no pool, no threads, no serialization
     — and the cheapest way to run the engine's full plan/gate/transmit/
     ingest policy surface.  Useful as a debugging baseline one step above
-    the frozen serial reference (same barrier dataflow as ``thread-pool``
-    scheduling, deterministic by construction).
+    the frozen serial reference: shards answer, relay and ingest one after
+    another in shard order, deterministic by construction.  A shard that
+    fails to answer becomes its error emit and the later shards still
+    answer, as they do on every pool driver.
     """
 
     scheduling = "inline"
@@ -942,71 +861,28 @@ class InlineDriver(StageDriver):
     def collect(self, handle: EpochHandle) -> None:
         for shard in handle.occupied:
             clients = handle.context.clients[shard.as_slice()]
-            arena = self.engine.arena_for(shard.index, clients)
-            responses, _, wall = _timed_answer_shard(
-                clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
-            )
-            handle.emit(shard.index, responses, wall_seconds=wall)
-
-
-class BarrierThreadDriver(StageDriver):
-    """``thread-pool`` × ``in-process``: a barrier worker pool on threads.
-
-    All occupied shards are submitted to a thread pool up front; collect
-    waits in shard-index order (a later shard may finish answering while an
-    earlier one transmits), so emits — and therefore transmits — happen in
-    serial client order and a worker exception surfaces exactly where
-    ``Future.result()`` would have raised it.
-    """
-
-    scheduling = "thread-pool"
-    transport = "in-process"
-
-    def make_pool(self, num_workers: int) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="privapprox-shard"
-        )
-
-    def begin_epoch(self, handle: EpochHandle) -> None:
-        pool = self.engine._ensure_pool()
-        # Arenas are fetched (and possibly synced/rebuilt) on the caller
-        # thread; the disjoint per-shard arenas are then used concurrently.
-        self._futures = []
-        for shard in handle.occupied:
-            clients = handle.context.clients[shard.as_slice()]
-            arena = self.engine.arena_for(shard.index, clients)
-            self._futures.append(
-                (
-                    shard,
-                    pool.submit(
-                        _timed_answer_shard,
-                        clients,
-                        handle.query_ids,
-                        handle.epoch,
-                        arena=arena,
-                        late=handle.late,
-                    ),
+            try:
+                arena = self.engine.arena_for(shard.index, clients)
+                responses, wall = _timed_answer_shard(
+                    clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
                 )
-            )
-
-    def collect(self, handle: EpochHandle) -> None:
-        for shard, future in self._futures:
-            responses, _, wall = future.result()
-            handle.emit(shard.index, responses, wall_seconds=wall)
+            except Exception as exc:
+                handle.emit(shard.index, None, error=exc)
+            else:
+                handle.emit(shard.index, responses, wall_seconds=wall)
 
 
 class OverlapThreadDriver(StageDriver):
-    """``pipelined-overlap`` × ``in-process``: overlapped stages on threads.
+    """``pipelined-overlap`` × ``in-process``: answer tasks on a thread pool.
 
-    Answer tasks run on a thread pool and emit directly from the worker
-    thread — the engine's emit wrapper gates the deadline (the gate locks
-    internally) and the bounded hand-off queue applies backpressure when
-    transmission or ingestion falls behind.
+    Every occupied shard is submitted up front and collected in completion
+    order, so the caller relays and ingests early shards while later ones
+    are still answering.  The pool threads share the GIL: this overlaps the
+    stages, it does not parallelize the answering.
     """
 
     scheduling = "pipelined-overlap"
     transport = "in-process"
-    runs_collector = False
 
     def make_pool(self, num_workers: int) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(
@@ -1015,124 +891,30 @@ class OverlapThreadDriver(StageDriver):
 
     def begin_epoch(self, handle: EpochHandle) -> None:
         pool = self.engine._ensure_pool()
+        # Every arena is fetched (and possibly synced/rebuilt) on the caller
+        # thread before the first task starts; the disjoint per-shard arenas
+        # are then used concurrently.
+        tasks = []
         for shard in handle.occupied:
-            # Fetch the arena on the caller thread so concurrent workers
-            # never sync/rebuild shared engine state.
             clients = handle.context.clients[shard.as_slice()]
-            arena = self.engine.arena_for(shard.index, clients)
-            pool.submit(self._answer_one, handle, shard, clients, arena)
+            tasks.append((shard, clients, self.engine.arena_for(shard.index, clients)))
+        self._futures = {
+            pool.submit(
+                _timed_answer_shard,
+                clients,
+                handle.query_ids,
+                handle.epoch,
+                arena=arena,
+                late=handle.late,
+            ): shard
+            for shard, clients, arena in tasks
+        }
 
-    @staticmethod
-    def _answer_one(
-        handle: EpochHandle,
-        shard: Shard,
-        clients: list["Client"],
-        arena: ShardArena | None,
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            responses, _ = answer_shard(
-                clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
-            )
-        except Exception as exc:  # surfaced from run_epoch, never swallowed
-            handle.emit(shard.index, None, error=exc)
-        else:
-            handle.emit(
-                shard.index, responses, wall_seconds=time.perf_counter() - started
-            )
+    def collect(self, handle: EpochHandle) -> None:
+        emit_as_completed(handle, self._futures, lambda _, result: result)
 
 
-# -- the shared overlap pipeline stages ---------------------------------------
-
-
-def _transmit_stage(
-    context: EpochContext,
-    expected: int,
-    responses_by_shard: list,
-    answered: queue.Queue,
-    transmitted: queue.Queue,
-    metrics: StageMetrics | None = None,
-) -> None:
-    """Publish finished shards to their shard-aware topics as they arrive.
-
-    Consumes exactly ``expected`` items from the answered queue even after a
-    failure (so no answering worker ever blocks on a full hand-off queue),
-    stops publishing once an error is seen, and always terminates the ingest
-    stage with a ``("done", error)`` sentinel.
-    """
-    error: Exception | None = None
-    for _ in range(expected):
-        shard_index, exc = answered.get()
-        if exc is not None:
-            if error is None:
-                error = exc
-            continue
-        if error is not None:
-            continue  # drain without publishing; the epoch already failed
-        started = time.perf_counter()
-        try:
-            _publish_shard(context, shard_index, responses_by_shard[shard_index])
-        except Exception as exc:
-            error = exc
-            continue
-        finally:
-            if metrics is not None:
-                metrics.add_stage_seconds(
-                    "transmit", time.perf_counter() - started
-                )
-        transmitted.put(("shard", shard_index))
-    transmitted.put(("done", error))
-
-
-def _ingest_stage(
-    context: EpochContext,
-    consumers: list[list[list["Consumer"]]],
-    epoch: int,
-    transmitted: queue.Queue,
-    metrics: StageMetrics | None = None,
-) -> tuple[list[list], Exception | None]:
-    """Ingest each relayed shard as soon as its transmission lands.
-
-    ``consumers`` holds one ``[slot][proxy]`` grid per context query.  For
-    every relayed shard each query's consumers are polled across all proxies
-    together, so every batch carries complete ``MID`` groups and takes the
-    grouped-join fast path of that query's aggregator.  Returns one
-    window-result list per query.  Runs until the transmitter's ``done``
-    sentinel and never raises — the first error is returned for
-    ``run_epoch`` to re-raise after the pipeline has fully unwound.
-
-    On a failed epoch, every query's shard consumers are drained (polled and
-    discarded) before returning: records that were published but never
-    ingested must not linger in the cached consumers, or a caller that
-    treats the failure as transient and runs the next epoch would ingest
-    them into the wrong epoch.
-    """
-    window_results: list[list] = [[] for _ in context.queries]
-    error: Exception | None = None
-    while True:
-        kind, payload = transmitted.get()
-        if kind == "done":
-            if error is None:
-                error = payload
-            if error is not None:
-                for grid in consumers:
-                    _drain_consumers(grid)
-            return window_results, error
-        if error is not None:
-            continue  # skip further shards; the final drain discards them
-        started = time.perf_counter()
-        try:
-            for index, query in enumerate(context.queries):
-                shares = _poll_shares([consumers[index][payload]])
-                if shares:
-                    window_results[index].extend(
-                        query.aggregator.ingest_shares(shares, epoch, batched=True)
-                    )
-        except Exception as exc:
-            error = exc
-        finally:
-            if metrics is not None:
-                metrics.add_stage_seconds("ingest", time.perf_counter() - started)
+# -- relay and ingest ---------------------------------------------------------
 
 
 def _publish_shard(
@@ -1152,19 +934,17 @@ def _publish_shard(
         )
 
 
-def _poll_shares(slots: list[list["Consumer"]]) -> list:
-    """Everything pending on some of one query's shard slots, as a share list.
+def _poll_shares(slot_consumers: list["Consumer"]) -> list:
+    """Everything pending on one query's shard slot, as a share list.
 
-    ``slots`` holds one per-proxy consumer list per shard slot.  Polling is
-    slot-major — all of a slot's proxies before the next slot — so the
-    shares of every ``MID`` arrive in one batch and the aggregator's grouped
-    join never has to buffer across calls.
+    ``slot_consumers`` holds the slot's consumer on every proxy; polling
+    them together puts the shares of every ``MID`` in one batch, so the
+    aggregator's grouped join never has to buffer across calls.
     """
     shares: list = []
-    for slot_consumers in slots:
-        for consumer in slot_consumers:
-            for record in consumer.poll():
-                shares.extend(record.value)
+    for consumer in slot_consumers:
+        for record in consumer.poll():
+            shares.extend(record.value)
     return shares
 
 

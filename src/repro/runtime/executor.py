@@ -25,8 +25,8 @@ Two runtimes ship:
 * :class:`~repro.runtime.engine.StagedEpochEngine` — one staged dataflow
   (plan -> answer -> transmit -> ingest -> finalize) whose answer stage is
   run by a stage driver named ``"scheduling/transport"``: *scheduling*
-  decides where and when shards answer (caller thread, barrier thread pool,
-  overlapped pipeline, pinned long-lived workers), *transport* decides how
+  decides where and when shards answer (caller thread, a pool collected in
+  completion order, pinned long-lived workers), *transport* decides how
   client state reaches them (shared objects, serialized
   :mod:`repro.runtime.wire` frames across a local process border, the same
   frames sealed over TCP).  :data:`DRIVER_COMBOS` registers the supported
@@ -240,7 +240,7 @@ def late_drops_for(context: EpochContext, query_id: str) -> tuple:
 # matrix all read this single source.
 
 #: How the answer stage is scheduled.
-SCHEDULING_KINDS = ("inline", "thread-pool", "pipelined-overlap", "pinned-worker")
+SCHEDULING_KINDS = ("inline", "pipelined-overlap", "pinned-worker")
 
 #: How client state and answers cross (or don't cross) a process border.
 TRANSPORT_KINDS = ("in-process", "framed-wire-local", "sealed-tcp-remote")
@@ -250,8 +250,6 @@ TRANSPORT_KINDS = ("in-process", "framed-wire-local", "sealed-tcp-remote")
 #: against SerialExecutor.
 DRIVER_COMBOS = (
     ("inline", "in-process"),
-    ("thread-pool", "in-process"),
-    ("thread-pool", "framed-wire-local"),
     ("pipelined-overlap", "in-process"),
     ("pipelined-overlap", "framed-wire-local"),
     ("pipelined-overlap", "sealed-tcp-remote"),
@@ -270,14 +268,9 @@ _COMBO_REJECTIONS = {
         "inline scheduling has no workers to place at the far end of a "
         "TCP connection"
     ),
-    ("thread-pool", "sealed-tcp-remote"): (
-        "the barrier thread pool collects in shard order from local futures; "
-        "remote workers answer out of order and need the overlap or "
-        "pinned-worker collectors"
-    ),
     ("pinned-worker", "in-process"): (
         "pinned workers exist to hold resident state across a process "
-        "border; in-process state needs no pinning (use thread-pool or "
+        "border; in-process state needs no pinning (use inline or "
         "pipelined-overlap scheduling)"
     ),
 }
@@ -413,21 +406,12 @@ def _driver_factories() -> dict[tuple[str, str], Callable[..., "StageDriver"]]:
     one; ``addresses``/``keys`` are ``None`` for the single-host transports.
     """
     from repro.runtime.affinity import ResidentDriver
-    from repro.runtime.engine import (
-        BarrierThreadDriver,
-        InlineDriver,
-        OverlapThreadDriver,
-    )
-    from repro.runtime.process_pool import (
-        OverlapSnapshotWireDriver,
-        SnapshotWireBarrierDriver,
-    )
+    from repro.runtime.engine import InlineDriver, OverlapThreadDriver
+    from repro.runtime.process_pool import OverlapSnapshotWireDriver
     from repro.runtime.remote import OverlapSnapshotRemoteDriver, remote_resident_driver
 
     return {
         ("inline", "in-process"): lambda *_: InlineDriver(),
-        ("thread-pool", "in-process"): lambda *_: BarrierThreadDriver(),
-        ("thread-pool", "framed-wire-local"): lambda *_: SnapshotWireBarrierDriver(),
         ("pipelined-overlap", "in-process"): lambda *_: OverlapThreadDriver(),
         ("pipelined-overlap", "framed-wire-local"): (
             lambda *_: OverlapSnapshotWireDriver()

@@ -1,10 +1,10 @@
-"""Framed-wire-local stage drivers: answering escapes the GIL.
+"""The framed-wire-local snapshot driver: answering escapes the GIL.
 
 In-process drivers answer on threads: under the GIL they time-slice one
 core, so the CPU-heavy answer stage (SQL → randomize → encrypt per client)
-never truly parallelizes.  The drivers here answer each shard in a
-``concurrent.futures.ProcessPoolExecutor`` worker behind the
-``framed-wire-local`` transport:
+never truly parallelizes.  :class:`OverlapSnapshotWireDriver`
+(``pipelined-overlap`` × ``framed-wire-local``) answers each shard in a
+``concurrent.futures.ProcessPoolExecutor`` worker instead:
 
 1. **Serialize** — the parent snapshots each occupied shard's clients
    (:meth:`~repro.core.client.Client.export_state`) and frames them into a
@@ -13,50 +13,42 @@ never truly parallelizes.  The drivers here answer each shard in a
    carrying the query and randomized-response parameters.  No broker, proxy
    or aggregator state crosses the process border.  Shards are submitted as
    they are encoded (early shards answer while later shards serialize), and
-   all of it happens in the engine's pre-pipeline window: a pickling failure
-   cancels the submitted work and surfaces with nothing transmitted.
+   all of it happens in ``begin_epoch``, before any shard is emitted: a
+   pickling failure cancels the submitted work and surfaces with nothing
+   transmitted.
 2. **Answer (worker process)** — :func:`answer_shard_task` reconstructs the
    shard's clients from their snapshots, answers the epoch with exactly the
    draws the serial reference would make (the restored RNG/keystream resume
    mid-stream), and returns a framed :class:`~repro.runtime.wire.ShardBatch`:
    responses, advanced client snapshots, and the shard's answering
    wall-clock.
-3. **Collect** — the parent decodes batches, writes the advanced client
-   state back into the live client list (so epoch ``t + 1`` continues the
-   same streams) and emits each shard to the engine, which owns deadline
-   gating, transmission and ingestion.
-
-Two scheduling shapes share that transport:
-
-* :class:`SnapshotWireBarrierDriver` (``thread-pool`` scheduling) collects
-  in shard-index order for the engine's barrier dataflow — the minimal
-  demonstration that shard tasks really are self-contained units that could
-  cross process (and machine) borders.
-* :class:`OverlapSnapshotWireDriver` (``pipelined-overlap`` scheduling)
-  collects in completion order on the engine's collector thread while
-  transmission and ingestion overlap.
+3. **Collect** — the parent decodes batches in completion order, writes
+   the advanced client state back into the live client list (so epoch
+   ``t + 1`` continues the same streams) and emits each shard to the
+   engine, which owns deadline gating, transmission and ingestion.
 
 Adaptive shard sizing (:class:`~repro.runtime.engine.AdaptiveShardSizer`)
-and its wall-clock feedback loop live in the engine; under the overlap
-driver each batch's reported answering wall-clock feeds the next epoch's
-boundary plan (more shards than workers gives the sizer finer rebalancing,
-at more serialization calls).  Failure handling follows the engine's contract: a
-worker exception (or a crashed worker — ``BrokenProcessPool``), a wire
-error, a transmit or ingest failure all surface from ``run_epoch`` after
-the pipeline has drained; a broken pool is discarded so the next epoch gets
-a fresh one.
+and its wall-clock feedback loop live in the engine; each batch's reported
+answering wall-clock feeds the next epoch's boundary plan (more shards than
+workers gives the sizer finer rebalancing, at more serialization calls).
+Failure handling follows the engine's contract: a worker exception (or a
+crashed worker — ``BrokenProcessPool``), a wire error, a transmit or ingest
+failure all surface from ``run_epoch`` once every submitted task has
+finished and the consumer grids have drained; a broken pool is discarded
+so the next epoch gets a fresh one.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.runtime.engine import (
     EpochHandle,
     StageDriver,
     answer_shard,
+    emit_as_completed,
     make_shard_arena,
 )
 from repro.runtime.sharding import Shard
@@ -71,7 +63,6 @@ from repro.runtime.wire import (
 
 __all__ = [
     "OverlapSnapshotWireDriver",
-    "SnapshotWireBarrierDriver",
     "answer_shard_task",
 ]
 
@@ -112,10 +103,18 @@ def answer_shard_task(task_blob: bytes) -> bytes:
     )
 
 
-class _SnapshotWireDriver(StageDriver):
-    """Shared snapshot-shipping mechanics for both scheduling shapes."""
+class OverlapSnapshotWireDriver(StageDriver):
+    """``pipelined-overlap`` × ``framed-wire-local``: streaming collection.
 
+    Decodes batches in completion order and emits each shard while later
+    shards are still answering in the worker processes; a failed task
+    becomes that shard's error emit and collection carries on until every
+    submitted task has finished.
+    """
+
+    scheduling = "pipelined-overlap"
     transport = "framed-wire-local"
+    adaptive = True
 
     def make_pool(self, num_workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=num_workers)
@@ -123,9 +122,9 @@ class _SnapshotWireDriver(StageDriver):
     def begin_epoch(self, handle: EpochHandle) -> None:
         """Encode and submit shard by shard (early shards answer while later
         shards still serialize).  A failure cancels what was submitted and
-        raises in the engine's pre-pipeline window — nothing transmitted, no
-        parent state changed, and a broken pool is discarded so the next
-        epoch can run as if this one never started."""
+        raises before any shard is emitted — nothing transmitted, no parent
+        state changed, and a broken pool is discarded so the next epoch can
+        run as if this one never started."""
         pool = self.engine._ensure_pool()
         futures: dict[Future, Shard] = {}
         try:
@@ -164,50 +163,13 @@ class _SnapshotWireDriver(StageDriver):
         ]
         return [list(responses) for responses in batch.responses], batch.wall_seconds
 
+    def collect(self, handle: EpochHandle) -> None:
+        emit_as_completed(
+            handle,
+            self._futures,
+            lambda shard, blob: self._decode_and_adopt(handle, shard, blob),
+        )
+
     def handle_epoch_error(self, error: Exception) -> None:
         if isinstance(error, BrokenProcessPool):
             self.engine._discard_pool()
-
-
-class SnapshotWireBarrierDriver(_SnapshotWireDriver):
-    """``thread-pool`` × ``framed-wire-local``: barrier collection.
-
-    Results are collected in shard-index order on the caller thread, so the
-    engine transmits shards in serial client order and a worker exception
-    surfaces exactly where ``Future.result()`` raises it.
-    """
-
-    scheduling = "thread-pool"
-
-    def collect(self, handle: EpochHandle) -> None:
-        for future, shard in self._futures.items():
-            responses, wall_seconds = self._decode_and_adopt(
-                handle, shard, future.result()
-            )
-            handle.emit(shard.index, responses, wall_seconds=wall_seconds)
-
-
-class OverlapSnapshotWireDriver(_SnapshotWireDriver):
-    """``pipelined-overlap`` × ``framed-wire-local``: streaming collection.
-
-    Runs on the engine's collector thread, decoding batches in completion
-    order and emitting each shard into the overlapped transmit/ingest
-    pipeline; failures become per-shard error emits so the pipeline always
-    drains before the epoch error re-raises.
-    """
-
-    scheduling = "pipelined-overlap"
-    runs_collector = True
-    adaptive = True
-
-    def collect(self, handle: EpochHandle) -> None:
-        for future in as_completed(self._futures):
-            shard = self._futures[future]
-            try:
-                responses, wall_seconds = self._decode_and_adopt(
-                    handle, shard, future.result()
-                )
-            except Exception as exc:  # surfaced from run_epoch, never swallowed
-                handle.emit(shard.index, None, error=exc)
-            else:
-                handle.emit(shard.index, responses, wall_seconds=wall_seconds)

@@ -731,7 +731,7 @@ class RemoteWorkerTransport:
       the epoch fails loudly and the shards re-bootstrap from checkpoint +
       replay once the worker is back.
     * a connection that dies mid-epoch marks its slot dead exactly like a
-      killed pinned process, so the executor's collector, healer and
+      killed pinned process, so the driver's collect loop, healer and
       recovery paths apply verbatim.
     """
 
@@ -889,7 +889,6 @@ class OverlapSnapshotRemoteDriver(StageDriver):
 
     scheduling = "pipelined-overlap"
     transport = "sealed-tcp-remote"
-    runs_collector = True
 
     def __init__(
         self,

@@ -328,8 +328,8 @@ class EpochDeadline:
     Built from *modeled* latencies, so the late set is a pure function of the
     scenario — every executor drops the same answers.  Executors duck-type
     this via ``EpochContext.deadline``: :meth:`should_drop` both decides and
-    records (thread-safe: the pipelined answer stage filters from concurrent
-    pool workers), :meth:`drops_for` reports one query's dropped client ids
+    records (thread-safe, though the staged engine gates on the epoch's
+    caller thread only), :meth:`drops_for` reports one query's dropped client ids
     in canonical sorted order, and :meth:`is_late` — the optional,
     side-effect-free member — lets the staged engine learn the late set in
     its plan stage, before anyone answers.

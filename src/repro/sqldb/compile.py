@@ -523,9 +523,9 @@ def _filter_residual(residual: ValueFn, arrays: dict, row_ids, latest: bool = Fa
 # must not grow the cache without limit, but eviction is oldest-first —
 # the hot steady-state plans (a handful of statements shared by every
 # client, and shard-wide by the arena path) survive any number of cold
-# compilations.  The lock makes lookup/insert safe under the thread-pool
-# and pipelined-overlap schedulers, whose answer tasks compile from
-# worker threads.
+# compilations.  The lock makes lookup/insert safe under the
+# pipelined-overlap/in-process scheduler, whose answer tasks compile from
+# pool threads.
 _PLAN_CACHE: OrderedDict = OrderedDict()
 _PLAN_CACHE_MAX = 512
 _PLAN_CACHE_LOCK = threading.Lock()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import random
 from unittest import mock
@@ -213,9 +214,19 @@ def latest_row_cases():
 
 # -- one failed epoch, at a chosen stage ----------------------------------------
 #
-# Shared by the two failed-epoch contracts in tests/runtime/ (single-query in
+# Shared by the failed-epoch contracts in tests/runtime/ (single-query in
 # test_pipelined.py, multi-query in test_executor_equivalence.py).  Assumes the
 # deployments those tests build: 12 clients in 3 shards of 4, one REAL column.
+
+
+class _FailingGate:
+    """A deadline gate that raises on the first response it is shown."""
+
+    def should_drop(self, response):
+        raise RuntimeError("injected gate fault")
+
+    def drops_for(self, query_id):
+        return ()
 
 
 @contextlib.contextmanager
@@ -223,7 +234,7 @@ def _failing_epoch(system, stage, aggregator):
     if stage == "answer":
         # A dropped table travels with the client's state, so the failure also
         # happens inside a wire worker; client 9 sits in the *last* shard, so
-        # under the barrier flow every earlier shard is relayed before it.
+        # on ``inline`` every earlier shard is relayed and ingested before it.
         victim = system.clients[9]
         victim.database.drop_table("private_data")
         try:
@@ -231,6 +242,13 @@ def _failing_epoch(system, stage, aggregator):
         finally:
             victim.create_table([("value", "REAL")])
             victim.ingest([{"value": 1.0}])
+    elif stage == "gate":
+        # Fails the first shard to reach the gate; the later ones still answer.
+        system.epoch_deadline = _FailingGate()
+        try:
+            yield
+        finally:
+            system.epoch_deadline = None
     elif stage == "transmit":
         publish = system.proxies.transmit_shard
 
@@ -251,6 +269,42 @@ def _failing_epoch(system, stage, aggregator):
 @pytest.fixture
 def failing_epoch():
     """``with failing_epoch(system, stage, aggregator):`` — epochs run inside
-    the block fail at ``stage`` (``"answer"``, ``"transmit"`` or ``"ingest"``
-    of ``aggregator``); leaving it repairs the deployment."""
+    the block fail at ``stage`` (``"answer"``, ``"gate"``, ``"transmit"`` or
+    ``"ingest"`` of ``aggregator``); leaving it repairs the deployment."""
     return _failing_epoch
+
+
+# -- held-back, reversed emits ---------------------------------------------------
+#
+# The pool drivers (``pipelined-overlap/*``) emit each shard as its answer task
+# completes, so the order in which the engine gates, relays and ingests shards
+# is whatever the scheduler made it.  A test marked ``reversed_emits`` pins the
+# opposite extreme: every emit is held back until the epoch's last answer task
+# has finished, then replayed in descending shard order.  The engine merges its
+# outputs by shard index and ingests shard by shard, so nothing a test can
+# observe may change.  The test modules add these cases to their driver
+# matrices as ``<spelling>+reversed-emits``.
+
+
+@pytest.fixture(autouse=True)
+def _reversed_emits(request, monkeypatch):
+    if request.node.get_closest_marker("reversed_emits") is None:
+        yield
+        return
+    from repro.runtime import engine, process_pool
+
+    emit_as_completed = engine.emit_as_completed
+    collected = []
+
+    def emit_in_reverse(handle, futures, unpack):
+        collected.append(len(futures))
+        concurrent.futures.wait(futures)
+        for future, shard in sorted(
+            futures.items(), key=lambda item: item[1].index, reverse=True
+        ):
+            emit_as_completed(handle, {future: shard}, unpack)
+
+    for module in (engine, process_pool):
+        monkeypatch.setattr(module, "emit_as_completed", emit_in_reverse)
+    yield
+    assert collected, "a reversed_emits test never reached a pool driver's collect"

@@ -64,7 +64,7 @@ class TestCommands:
                 "-p", "1.0",
                 "-q", "0.5",
                 "--seed", "3",
-                "--executor", "thread-pool/in-process",
+                "--executor", "pipelined-overlap/in-process",
                 "--workers", "2",
             ]
         )

@@ -59,6 +59,14 @@ IN_PROCESS_EXECUTORS = [
     for scheduling, transport in DRIVER_COMBOS
     if transport == "in-process"
 ]
+#: ``pipelined-overlap/in-process`` once more, with every emit held back to the
+#: end of the epoch and replayed in reverse shard order (``reversed_emits``,
+#: conftest.py).
+REVERSED_IN_PROCESS = pytest.param(
+    "pipelined-overlap/in-process",
+    marks=pytest.mark.reversed_emits,
+    id="pipelined-overlap/in-process+reversed-emits",
+)
 
 
 # -- registry ----------------------------------------------------------------
@@ -78,14 +86,13 @@ class TestDriverRegistry:
 
     def test_unknown_transport_axis_is_named(self):
         with pytest.raises(ValueError, match="unknown transport kind 'carrier-pigeon'"):
-            validate_driver_combo("thread-pool", "carrier-pigeon")
+            validate_driver_combo("inline", "carrier-pigeon")
 
     @pytest.mark.parametrize(
         "scheduling,transport",
         [
             ("inline", "framed-wire-local"),
             ("inline", "sealed-tcp-remote"),
-            ("thread-pool", "sealed-tcp-remote"),
             ("pinned-worker", "in-process"),
         ],
     )
@@ -180,7 +187,16 @@ class TestRemovedNamesAndOptions:
     """The pre-engine executor names and the knobs that only told them
     apart are gone: no alias, no deprecation path — they raise."""
 
-    @pytest.mark.parametrize("name", ["sharded", "pipelined", "process"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "sharded",
+            "pipelined",
+            "process",
+            "thread-pool/in-process",
+            "thread-pool/framed-wire-local",
+        ],
+    )
     def test_legacy_names_raise_everywhere(self, name):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor(name)
@@ -194,11 +210,12 @@ class TestRemovedNamesAndOptions:
     @pytest.mark.parametrize("kwarg", ["pool", "resident", "adaptive"])
     def test_make_executor_refuses_removed_kwargs(self, kwarg):
         with pytest.raises(TypeError):
-            make_executor("thread-pool/in-process", **{kwarg: True})
+            make_executor("inline/in-process", **{kwarg: True})
 
-    def test_engine_refuses_the_adaptive_kwarg(self):
+    @pytest.mark.parametrize("kwarg", ["adaptive", "queue_depth"])
+    def test_engine_refuses_removed_kwargs(self, kwarg):
         with pytest.raises(TypeError):
-            StagedEpochEngine(OverlapThreadDriver(), adaptive=True)
+            StagedEpochEngine(OverlapThreadDriver(), **{kwarg: 2})
 
     def test_run_scenario_refuses_the_resident_kwarg(self):
         with pytest.raises(TypeError):
@@ -266,9 +283,7 @@ class TestStageMetrics:
         assert metrics.late_drops == 4000
         assert metrics.transmit_seconds == pytest.approx(4.0)
 
-    @pytest.mark.parametrize(
-        "executor", ["thread-pool/in-process", "pipelined-overlap/in-process"]
-    )
+    @pytest.mark.parametrize("executor", [*IN_PROCESS_EXECUTORS, REVERSED_IN_PROCESS])
     def test_in_process_epochs_record_stages_without_wire(self, executor):
         system, query_id = build_system(executor)
         try:
@@ -358,11 +373,11 @@ class TestStageMetrics:
             )
         assert metrics.late_drops == 0
 
-    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
+    @pytest.mark.parametrize("executor", [*IN_PROCESS_EXECUTORS, REVERSED_IN_PROCESS])
     def test_a_gate_that_contradicts_itself_fails_the_epoch(self, executor):
         """``is_late`` says late (so the answer is only drawn), ``should_drop``
-        says keep: the epoch raises — from a pool thread too, where an
-        exception escaping emit would leave the transmitter waiting forever."""
+        says keep: the epoch raises on every in-process driver, and the
+        deployment runs the next epoch once the gate is disarmed."""
 
         class ContradictoryGate:
             def is_late(self, client_id):
@@ -412,8 +427,8 @@ class TestStageMetrics:
     )
     def test_stage_seconds_never_negative(self, combo, tmp_path):
         """Ledger invariant for every registered driver combination: no stage
-        wall-clock may ever be negative.  Regression for answer_seconds being
-        derived by subtracting independently measured transmit_seconds from a
+        wall-clock may ever be negative.  Regression for answer_seconds once
+        being derived by subtracting independently measured transmit_seconds from a
         shared span, which could dip below zero and corrupt the ledger."""
         servers = []
         kwargs = {}
@@ -439,8 +454,9 @@ class TestStageMetrics:
             for server in servers:
                 server.stop()
 
-    def test_non_adaptive_engines_never_reshard(self):
-        system, query_id = build_system("thread-pool/in-process")
+    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
+    def test_non_adaptive_engines_never_reshard(self, executor):
+        system, query_id = build_system(executor)
         try:
             for epoch in range(3):
                 system.run_epoch(query_id, epoch)

@@ -42,6 +42,16 @@ SEED = 20260727
 #: Every driver combination that runs without separately launched TCP
 #: workers (the sealed-TCP ones are covered by test_remote.py).
 SINGLE_HOST_COMBOS = cli_smoke_matrix()[1:]
+#: The pool spellings once more, with every emit held back to the end of the
+#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+REVERSED_EMITS = [
+    pytest.param(
+        spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
+    )
+    for spelling in SINGLE_HOST_COMBOS
+    if spelling.startswith("pipelined-overlap/")
+]
+ENGINE_MATRIX = [*SINGLE_HOST_COMBOS, *REVERSED_EMITS]
 PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
 
@@ -119,7 +129,7 @@ def serialize_responses(responses) -> list[tuple]:
     ]
 
 
-@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
+@pytest.mark.parametrize("executor", ENGINE_MATRIX)
 class TestParallelExecutorsMatchSerial:
     @pytest.mark.parametrize("num_clients", [1, 50, 100])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
@@ -187,19 +197,19 @@ class TestParallelExecutorsMatchSerial:
         assert serialize_responses(first[2]) == serialize_responses(second[2])
 
 
-class TestPipelinedMatchesSharded:
-    def test_pipelined_and_sharded_agree_directly(self):
+class TestPipelinedMatchesInline:
+    def test_pipelined_and_inline_agree_directly(self):
         """Transitivity check without the serial baseline in the middle."""
-        _, sharded_results, sharded_responses = run_deployment(
-            60, executor="thread-pool/in-process", workers=4, shards=6
+        _, inline_results, inline_responses = run_deployment(
+            60, executor="inline/in-process", workers=4, shards=6
         )
         _, pipelined_results, pipelined_responses = run_deployment(
             60, executor="pipelined-overlap/in-process", workers=3, shards=5
         )
-        assert serialize_responses(sharded_responses) == serialize_responses(
+        assert serialize_responses(inline_responses) == serialize_responses(
             pipelined_responses
         )
-        assert serialize_results(sharded_results) == serialize_results(
+        assert serialize_results(inline_results) == serialize_results(
             pipelined_results
         )
 
@@ -277,7 +287,7 @@ def run_multi_deployment(
     return per_query
 
 
-@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
+@pytest.mark.parametrize("executor", ENGINE_MATRIX)
 @pytest.mark.parametrize("num_queries", [2, 3])
 class TestMultiQueryExecutorsMatchSerial:
     """run_epoch_all: every executor serves N queries from one pass, byte-identically."""
@@ -404,17 +414,16 @@ def build_two_query_system(executor):
 
 
 @pytest.mark.parametrize("stage", ["answer", "transmit", "ingest"])
-@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
+@pytest.mark.parametrize("executor", ENGINE_MATRIX)
 class TestMultiQueryFailureIsolation:
     """A failed multi-query epoch must not poison any query's next epoch.
 
-    The failure-path consumer drain — one function, shared by the barrier
-    and overlap flows — covers *every* query's shard consumers: records
-    relayed before the epoch failed (earlier shards, or queries whose ingest
-    never ran because another query's failed first) must not linger and be
-    replayed into the wrong epoch.  The ``answer`` case on the barrier
-    spellings is the regression: shards 0-1 were relayed per share on the
-    query channel before shard 2 raised, and the next epoch ingested them.
+    The failure-path consumer drain covers *every* query's shard consumers:
+    records relayed before the epoch failed (a query whose ingest never ran
+    because another query's failed first) must not linger and be replayed
+    into the wrong epoch.  The ``answer`` case was once the regression:
+    shards 0-1 were relayed per share on the query channel before shard 2
+    raised, and the next epoch ingested them.
     """
 
     def test_a_failed_epoch_leaks_nothing_into_the_next(
@@ -438,7 +447,7 @@ class TestMultiQueryFailureIsolation:
         system.close()
 
 
-@pytest.mark.parametrize("executor", SINGLE_HOST_COMBOS)
+@pytest.mark.parametrize("executor", ENGINE_MATRIX)
 def test_every_engine_flow_relays_one_batch_record_per_proxy_per_shard(executor):
     """One relay granularity: after a two-query epoch each occupied shard's
     topic holds exactly one record per proxy, carrying one share per gated
@@ -553,7 +562,7 @@ class TestIndexedAnswerPathMatchesScan:
     process-pool workers because pools fork after the test sets it.)
     """
 
-    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    @pytest.mark.parametrize("executor", ["serial", *ENGINE_MATRIX])
     def test_digests_identical_to_serial_scan(self, executor, monkeypatch):
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         _, scan_results, scan_responses = run_deployment(

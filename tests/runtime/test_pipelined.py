@@ -3,14 +3,18 @@
 The equivalence suite (`test_executor_equivalence.py`) pins the overlap
 scheduler to the serial reference on ordinary populations; this module covers
 the boundaries — an empty client population, fewer clients than shards, one
-shard — and the failure contract: an exception in any pipeline stage must
-surface from ``run_epoch`` instead of deadlocking the queues.  The two
-contracts the engine's flows share — a failed epoch leaves nothing behind in
-the shard-topic consumers, a reused engine rebinds them — run over every
-single-host engine spelling.
+shard — and the failure contract: an exception in any stage surfaces from
+``run_epoch``, but only once every answer task has finished.  The engine-wide
+contracts — a failed epoch leaves nothing behind in the shard-topic
+consumers, a reused engine rebinds them, a driver that breaks the emit
+contract fails the epoch — run over every single-host engine spelling or
+over a hand-built driver.
 """
 
 from __future__ import annotations
+
+import threading
+from unittest import mock
 
 import pytest
 
@@ -28,16 +32,27 @@ from repro.core.client import Client, ClientConfig
 from repro.core.proxy import ProxyNetwork
 from repro.runtime import (
     EpochContext,
-    OverlapThreadDriver,
+    InlineDriver,
     SerialExecutor,
     StagedEpochEngine,
     cli_smoke_matrix,
+    engine,
     make_executor,
 )
 
 PIPELINED = "pipelined-overlap/in-process"
+INLINE = "inline/in-process"
 #: Every engine spelling that runs on a single host (serial is not an engine).
 ENGINE_SPELLINGS = cli_smoke_matrix()[1:]
+#: The pool spellings once more, with every emit held back to the end of the
+#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+REVERSED_EMITS = [
+    pytest.param(
+        spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
+    )
+    for spelling in ENGINE_SPELLINGS
+    if spelling.startswith("pipelined-overlap/")
+]
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
 
@@ -196,17 +211,17 @@ class TestFailureSurfacing:
         system.close()
 
     @pytest.mark.parametrize("stage", ["answer", "transmit", "ingest"])
-    @pytest.mark.parametrize("executor", ENGINE_SPELLINGS)
+    @pytest.mark.parametrize("executor", [*ENGINE_SPELLINGS, *REVERSED_EMITS])
     def test_failed_epoch_leaves_no_stale_records(
         self, executor, stage, failing_epoch
     ):
         """Shards relayed but never ingested must not leak into epoch t+1.
 
         Whatever stage fails, on whichever engine spelling, some shard's
-        batch records can be left sitting in the shard-topic consumers (an
-        overlap ingest failure on the first shard strands the later ones; a
-        barrier answer failure in the last shard strands all the earlier
-        ones); without the failure-path drain they would be polled at the
+        batch records can be left sitting in the shard-topic consumers (a
+        transmit failure on one query's topic strands what was published
+        for the queries before it; an ingest failure strands the shard it
+        polled); without the failure-path drain they would be polled at the
         next epoch and ingested with the wrong epoch number.
         """
         system, query_id = make_system(num_clients=12, shards=3, executor=executor)
@@ -237,14 +252,119 @@ class TestFailureSurfacing:
         assert report.num_participants == 12
         system.close()
 
+    def test_a_failed_epoch_waits_for_every_answer_task(self):
+        """Shard 0 raises while shard 1 is still answering on a pool thread:
+        ``run_epoch`` re-raises only after shard 1's task has finished, so no
+        task keeps advancing the live clients after the epoch has failed."""
+        system, query_id = make_system(num_clients=8, shards=2)
+        in_flight, release = threading.Event(), threading.Event()
+        finished = []
+        blocked = system.clients[4]  # shard 1 = clients 4-7
+        answer = blocked.answer
+
+        def explode(*args, **kwargs):
+            in_flight.wait(5)
+            raise RuntimeError("shard 0 on fire")
+
+        def block(*args, **kwargs):
+            in_flight.set()
+            release.wait(5)
+            finished.append(True)
+            return answer(*args, **kwargs)
+
+        system.clients[0].answer = explode
+        blocked.answer = block
+        raised = []
+
+        def run():
+            try:
+                system.run_epoch(query_id, 0)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        try:
+            assert in_flight.wait(5)
+            runner.join(timeout=0.3)
+            assert runner.is_alive(), "run_epoch returned while shard 1 was answering"
+        finally:
+            release.set()
+            runner.join(5)
+        assert not runner.is_alive()
+        assert finished == [True]
+        assert [str(exc) for exc in raised] == ["shard 0 on fire"]
+        system.close()
+
+    @pytest.mark.parametrize("stage", ["answer", "gate", "transmit", "ingest"])
+    def test_inline_answers_every_shard_once_on_a_failed_epoch(
+        self, stage, failing_epoch
+    ):
+        """Like the pool drivers, ``inline`` keeps answering after a failure,
+        so a failed epoch has advanced every occupied shard exactly once."""
+        system, query_id = make_system(num_clients=12, shards=3, executor=INLINE)
+        aggregator = system.aggregator_for(query_id)
+        counted = mock.patch.object(engine, "answer_shard", wraps=engine.answer_shard)
+        with counted as answer_shard, failing_epoch(system, stage, aggregator):
+            with pytest.raises(Exception, match="private_data|injected"):
+                system.run_epoch(query_id, 0)
+        answered = [
+            [client.config.client_id for client in call.args[0]]
+            for call in answer_shard.call_args_list
+        ]
+        assert answered == [
+            [client.config.client_id for client in system.clients[start:start + 4]]
+            for start in (0, 4, 8)
+        ]
+        system.close()
+
+    @pytest.mark.parametrize("fault", ["skip", "twice"])
+    def test_a_broken_emit_contract_fails_the_epoch(self, fault):
+        """A driver that never emits an occupied shard, or emits one twice,
+        fails the epoch with a named error: no shard is silently dropped,
+        none is ingested twice, and the next epoch starts clean."""
+        driver = _MisbehavingDriver(fault)
+        executor = StagedEpochEngine(driver, num_workers=1, num_shards=3)
+        context = make_context(12)
+        try:
+            with pytest.raises(RuntimeError, match="broke the emit contract"):
+                executor.run_epoch(context, epoch=0)
+            # Shards 0 and 1 were ingested once each; nothing else was.
+            assert context.aggregator.shares_received == 8 * 2
+            driver.fault = None
+            executor.run_epoch(context, epoch=1)
+        finally:
+            executor.close()
+        assert context.aggregator.shares_received == 8 * 2 + 12 * 2
+
+
+class _MisbehavingDriver(InlineDriver):
+    """Answers like ``inline`` but skips shard 2's emit, or emits shard 1
+    twice."""
+
+    def __init__(self, fault: str | None):
+        self.fault = fault
+
+    def collect(self, handle):
+        emit = handle.emit
+
+        def misbehaving_emit(shard_index, responses, **kwargs):
+            if self.fault == "skip" and shard_index == 2:
+                return
+            emit(shard_index, responses, **kwargs)
+            if self.fault == "twice" and shard_index == 1:
+                emit(shard_index, responses, **kwargs)
+
+        handle.emit = misbehaving_emit
+        super().collect(handle)
+
 
 class TestExecutorReuse:
-    @pytest.mark.parametrize("spelling", ENGINE_SPELLINGS)
+    @pytest.mark.parametrize("spelling", [*ENGINE_SPELLINGS, *REVERSED_EMITS])
     def test_reuse_across_deployments_rebinds_consumers(self, spelling):
         """Query ids are deterministic, so a reused executor must notice a
-        new proxy network instead of polling the old deployment's brokers —
-        under the barrier flow as under the overlap flow, since both read
-        the engine's own shard-topic consumers."""
+        new proxy network instead of polling the old deployment's brokers:
+        every spelling reads the engine's own shard-topic consumers."""
         executor = make_executor(spelling, workers=2, shards=2)
         try:
             context_a = make_context(6)
@@ -264,8 +384,6 @@ class TestConfiguration:
             make_executor(PIPELINED, workers=0)
         with pytest.raises(ValueError):
             make_executor(PIPELINED, workers=2, shards=0)
-        with pytest.raises(ValueError):
-            StagedEpochEngine(OverlapThreadDriver(), num_workers=2, queue_depth=0)
 
     def test_close_is_idempotent(self):
         executor = make_executor(PIPELINED, workers=2)

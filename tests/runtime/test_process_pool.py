@@ -5,8 +5,9 @@ The equivalence suite pins ``pipelined-overlap/framed-wire-local`` (and the
 ordinary populations; this module covers the boundaries (an empty client
 population, fewer clients than shards) and the failure contract: a worker
 exception, a dead worker process, a parent-side pickling failure, a transmit
-or ingest error must all surface from ``run_epoch`` without deadlocking the
-pipeline — and the executor must be usable for the next epoch afterwards.
+or ingest error must all surface from ``run_epoch`` without hanging the
+driver's collect loop — and the executor must be usable for the next epoch
+afterwards.
 It also covers the adaptive shard sizer's feedback loop directly.
 """
 
@@ -35,7 +36,6 @@ from repro.runtime import (
     EpochContext,
     OverlapSnapshotWireDriver,
     SerialExecutor,
-    StagedEpochEngine,
     StickyShardRouter,
     WireError,
     decode_shard_ack,
@@ -305,10 +305,6 @@ class TestConfiguration:
             make_executor(PROCESS, workers=0)
         with pytest.raises(ValueError):
             make_executor(PROCESS, workers=2, shards=0)
-        with pytest.raises(ValueError):
-            StagedEpochEngine(
-                OverlapSnapshotWireDriver(), num_workers=2, queue_depth=0
-            )
 
     def test_close_is_idempotent(self):
         executor = make_executor(PROCESS, workers=2)
@@ -435,7 +431,7 @@ class TestResidentFailureInjection:
     must fall back to checkpoint + replay + bootstrap for exactly the
     affected shards, with every subsequent byte equal to the serial
     reference — and the run must terminate (an un-acked shard would
-    otherwise hang the collector).
+    otherwise hang the driver's collect loop).
     """
 
     def test_killed_worker_rebootstraps_byte_identically(self):

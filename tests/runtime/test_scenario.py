@@ -42,6 +42,15 @@ from repro.runtime.scenario import (
 ALL_EXECUTORS = cli_smoke_matrix()
 # The drivers the plan stage's known-late set reaches (they answer here).
 IN_PROCESS_EXECUTORS = [e for e in ALL_EXECUTORS if e.endswith("/in-process")]
+#: The pool spellings once more, with every emit held back to the end of the
+#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+REVERSED_EMITS = {
+    spelling: pytest.param(
+        spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
+    )
+    for spelling in ALL_EXECUTORS
+    if spelling.startswith("pipelined-overlap/")
+}
 PIPELINED = "pipelined-overlap/in-process"
 RESIDENT = "pinned-worker/framed-wire-local"
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
@@ -235,7 +244,7 @@ class TestDeadlineFaultInjection:
         for epoch, late in expected.items():
             assert 0 < len(late) < SLOW_SPEC.num_clients, (epoch, late)
 
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    @pytest.mark.parametrize("executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values()])
     def test_slow_clients_dropped_and_recorded(self, executor):
         """Every executor drops exactly the modeled-late clients, no deadlock."""
         expected = _expected_late(SLOW_SPEC)
@@ -252,7 +261,10 @@ class TestDeadlineFaultInjection:
         }
         assert len(set(digests.values())) == 1, digests
 
-    @pytest.mark.parametrize("executor", ["serial", *IN_PROCESS_EXECUTORS])
+    @pytest.mark.parametrize(
+        "executor",
+        ["serial", *IN_PROCESS_EXECUTORS, REVERSED_EMITS["pipelined-overlap/in-process"]],
+    )
     def test_known_late_answers_are_drawn_not_built(self, executor, monkeypatch):
         """The saving cannot silently regress: with the late set known in the
         plan stage an in-process driver encrypts ``participants - late``
@@ -344,7 +356,7 @@ class TestDuplicateInjection:
 
 
 class TestHostileEdgeCases:
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    @pytest.mark.parametrize("executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values()])
     def test_empty_participation_epoch(self, executor):
         """Zero active clients: epochs complete with no answers and no hang."""
         spec = find_scenario("ghost-town")

@@ -34,7 +34,7 @@ from repro.core import (
 )
 from repro.runtime import cli_smoke_matrix
 
-SHARDED = "thread-pool/in-process"
+INLINE = "inline/in-process"
 PIPELINED = "pipelined-overlap/in-process"
 PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
@@ -73,9 +73,9 @@ class Scenario:
 def generate_scenarios() -> list[Scenario]:
     """~25 deterministic scenarios with guaranteed executor coverage."""
     rng = random.Random(SCENARIO_SEED)
-    # Thread drivers are cheap, so they carry the bulk of the fuzzing;
+    # In-process drivers are cheap, so they carry the bulk of the fuzzing;
     # every wire-transport scenario costs a worker spawn.
-    executors = [SHARDED] * 8 + [PIPELINED] * 7 + [PROCESS] * 4 + [RESIDENT] * 6
+    executors = [INLINE] * 8 + [PIPELINED] * 7 + [PROCESS] * 4 + [RESIDENT] * 6
     rng.shuffle(executors)
     scenarios = []
     for index, executor in enumerate(executors[:NUM_SCENARIOS]):
@@ -226,7 +226,7 @@ def test_scenario_generation_is_deterministic():
     assert generate_scenarios() == SCENARIOS
     assert len(SCENARIOS) == NUM_SCENARIOS
     executors_covered = {s.executor for s in SCENARIOS}
-    assert executors_covered == {SHARDED, PIPELINED, PROCESS, RESIDENT}
+    assert executors_covered == {INLINE, PIPELINED, PROCESS, RESIDENT}
     assert executors_covered <= set(cli_smoke_matrix())
     assert any(s.reshard_after_epoch is not None for s in SCENARIOS)
     assert any(s.num_queries > 1 for s in SCENARIOS)
@@ -258,8 +258,17 @@ CHURN_SPECS = [
 CHURN_SPECS.append(
     dataclasses.replace(CHURN_SPECS[-1], name="kitchen-sink-two-queries", num_queries=2)
 )
-# Every single-host driver combination.
-CHURN_EXECUTORS = cli_smoke_matrix()[1:]
+# Every single-host driver combination, and the pool spellings once more with
+# every emit held back to the end of the epoch and replayed in reverse shard
+# order (``reversed_emits``, conftest.py).
+REVERSED_EMITS = [
+    pytest.param(
+        spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
+    )
+    for spelling in cli_smoke_matrix()
+    if spelling.startswith("pipelined-overlap/")
+]
+CHURN_EXECUTORS = [*cli_smoke_matrix()[1:], *REVERSED_EMITS]
 
 
 def _run_churn_ledger(monkeypatch, spec, **executor_options) -> dict:
@@ -372,7 +381,7 @@ def test_churn_scenario_matches_serial_reference(spec, executor, monkeypatch):
 @pytest.mark.parametrize(
     "mode", ["arena", "per-client"], ids=["arena", "per-client"]
 )
-@pytest.mark.parametrize("executor", cli_smoke_matrix())
+@pytest.mark.parametrize("executor", [*cli_smoke_matrix(), *REVERSED_EMITS])
 def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch):
     """The full differential ladder over one hostile scenario: shard-wide
     arena answering (the default) and the per-client compiled path

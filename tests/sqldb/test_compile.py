@@ -186,8 +186,8 @@ class TestPlanCacheLRU:
             plan_for(statement, columns)
 
     def test_concurrent_lookup_insert_is_safe(self):
-        # The thread-pool and pipelined-overlap schedulers compile from
-        # worker threads; hammer the cache from several threads at once and
+        # The pipelined-overlap/in-process scheduler compiles from pool
+        # threads; hammer the cache from several threads at once and
         # require every thread to resolve every statement to the same plan.
         import threading
 
