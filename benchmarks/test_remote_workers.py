@@ -1,4 +1,4 @@
-"""Remote TCP workers vs in-process pinned workers: the transport tax.
+"""Separately launched TCP workers vs spawned loopback workers.
 
 Not a paper figure but the acceptance benchmark for the remote worker
 transport (:mod:`repro.runtime.remote`).  Three claims on a localhost
@@ -10,10 +10,12 @@ deployment:
 * **Frame RTT** — the per-frame cost of the sealed channel (HMAC-SHA256
   seal + TCP round trip + verify) measured directly with a minimal
   delta/ack exchange, reported as median microseconds per round trip.
-* **Epoch overhead** — per-epoch wall-clock of the resident executor over
-  TCP vs over in-process pinned workers.  The remote transport pays the
-  socket + MAC tax on the same frames, so the overhead must stay a small
-  multiple; the claim asserted is a generous ceiling
+* **Epoch overhead** — per-epoch wall-clock of the resident executor on
+  separately launched workers (here: server threads inside this process,
+  sharing its GIL) vs on the workers ``framed-wire-local`` spawns as child
+  processes.  Both pay the same socket + MAC tax on the same frames, so the
+  overhead must stay a small multiple; the claim asserted is a generous
+  ceiling
   (``REMOTE_OVERHEAD_CEILING``x) because loopback latency on shared CI
   runners varies wildly.
 
@@ -122,7 +124,7 @@ def measure_frame_rtt() -> dict:
 
 
 def measure_scenario(remote: bool, key_path: str) -> dict:
-    """Run the epoch-overhead scenario resident in-process or over TCP."""
+    """Run the epoch-overhead scenario on spawned or separately launched workers."""
     spec = find_scenario(EPOCH_SCENARIO)
     servers = start_servers(2) if remote else []
     try:
@@ -176,7 +178,7 @@ def test_remote_transport_overhead(report, tmp_path):
                 "frame_rtt": rtt,
                 "rows": [
                     {"config": "serial (reference)", "digest": serial.digest},
-                    {"config": "resident in-process", **resident},
+                    {"config": "resident on spawned workers", **resident},
                     {"config": "resident over TCP", **remote},
                 ],
             },
@@ -199,7 +201,7 @@ def test_remote_transport_overhead(report, tmp_path):
                 entry["wire_bytes"],
             ]
             for name, entry in [
-                ("resident in-process", resident),
+                ("resident on spawned workers", resident),
                 ("resident over TCP", remote),
             ]
         ],
@@ -211,8 +213,8 @@ def test_remote_transport_overhead(report, tmp_path):
         "seal (HMAC-SHA256) + TCP round trip + verify + serve."
     )
     report.note(
-        "The remote executor runs the identical epoch logic "
-        "(remote_resident_driver only swaps the router), so the digest "
+        "Both executors run the identical epoch logic over the same sealed "
+        "transport (only who launches the workers differs), so the digest "
         "contract holds across the socket."
     )
     report.note("")
@@ -226,6 +228,6 @@ def test_remote_transport_overhead(report, tmp_path):
         + 0.050  # absolute floor: tiny epochs are dominated by fixed costs
     ), (
         f"remote epoch median {remote['epoch_wall_seconds_median'] * 1e3:.1f} ms "
-        f"exceeded {REMOTE_OVERHEAD_CEILING}x the in-process resident median "
+        f"exceeded {REMOTE_OVERHEAD_CEILING}x the spawned-worker median "
         f"{resident['epoch_wall_seconds_median'] * 1e3:.1f} ms"
     )

@@ -1,4 +1,4 @@
-"""Runtime scaling: pipelined and process epoch executors vs. serial.
+"""Runtime scaling: the pipelined epoch executor vs. serial.
 
 Not a paper figure but an acceptance benchmark for the parallel epoch
 runtimes (``repro.runtime``) on a 1000-client deployment with a
@@ -10,17 +10,11 @@ answering pass (``run_epoch_all``) must beat running four single-query
 epochs, because the shared pass walks the client population once and reuses
 one local table scan across the co-subscribed queries.
 
-Single-query claims:
-
-* the pipelined executor must at least match the serial reference — on a
-  single-core box the win comes from per-shard batched broker publishes and
-  the grouped aggregator join, on a multi-core box shard answering
-  parallelizes on top;
-* the process executor must beat the pipelined one *when real cores exist*
-  (>= 4): its answer stage escapes the GIL, which is the entire point of
-  shipping serialized shard tasks to worker processes.  On fewer cores the
-  serialization round-trip cannot pay for itself and the comparison is
-  reported but not asserted.
+Single-query claim: the pipelined executor must at least match the serial
+reference — on a single-core box the win comes from per-shard batched broker
+publishes and the grouped aggregator join, on a multi-core box shard
+answering parallelizes on top.  (The pinned-worker runtime's cost is
+measured by ``benchmarks/epoch_profile``'s ``stream-append`` workload.)
 
 Timing assertions use **medians over the timed epochs** and re-measure up to
 ``MEASURE_ROUNDS`` times (best-of-medians) with a small tolerance factor, so
@@ -63,23 +57,11 @@ TOLERANCE = 1.05  # allowance for timer noise on loaded CI runners
 SEED = 7
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-# The process executor only parallelizes on real cores; below this count the
-# state-shipping round-trip cannot pay for itself, so the process-vs-pipelined
-# comparison is reported but not asserted.
-PROCESS_ASSERT_CORES = 4
-
-# The report keeps short labels; these are the driver combos behind them.
+# The report keeps short labels; this is the driver combo behind them.
 PIPELINED = "pipelined-overlap/in-process"
-PROCESS = "pipelined-overlap/framed-wire-local"
-RESIDENT = "pinned-worker/framed-wire-local"
 
 
-def build_system(
-    executor: str,
-    workers: int = 4,
-    shards: int | None = None,
-    checkpoint_every: int = 4,
-):
+def build_system(executor: str, workers: int = 4, shards: int | None = None):
     system = PrivApproxSystem(
         SystemConfig(
             num_clients=NUM_CLIENTS,
@@ -87,7 +69,6 @@ def build_system(
             executor=executor,
             executor_workers=workers,
             executor_shards=shards,
-            executor_checkpoint_every=checkpoint_every,
         )
     )
     rng = random.Random(SEED)
@@ -180,9 +161,6 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
         ("pipelined w2", {"executor": PIPELINED, "workers": 2}),
         ("pipelined w4", {"executor": PIPELINED, "workers": 4}),
         ("pipelined w4 s16", {"executor": PIPELINED, "workers": 4, "shards": 16}),
-        ("process w2", {"executor": PROCESS, "workers": 2}),
-        ("process w4", {"executor": PROCESS, "workers": 4}),
-        ("process w4 s16", {"executor": PROCESS, "workers": 4, "shards": 16}),
     ]
     stats = {name: measure_epoch_seconds(**config) for name, config in configs}
     serial_median = stats["serial"]["median"]
@@ -246,13 +224,6 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
         "per-answer broker/aggregator overhead; results are byte-identical "
         "to serial (see tests/runtime/)."
     )
-    report.note(
-        "Process answers shards in worker processes from serialized shard "
-        "tasks (repro.runtime.wire): on a single core the state round-trip "
-        "is pure overhead, with real cores the answer stage escapes the GIL "
-        f"and overtakes the thread executor (asserted at >= "
-        f"{PROCESS_ASSERT_CORES} cores)."
-    )
     report.note("")
 
     # Acceptance (medians, best-of-3 rounds, tolerance for CI noise):
@@ -265,26 +236,6 @@ def test_parallel_executors_beat_serial_on_1000_clients(report):
         stats["pipelined w4"],
         stats["serial"],
     )
-    # The GIL-escape claim: with real cores, the process executor's best
-    # 4-worker configuration beats the pipelined thread executor outright.
-    if cpu_count >= PROCESS_ASSERT_CORES:
-        process_name = min(
-            ("process w4", "process w4 s16"), key=lambda name: stats[name]["median"]
-        )
-        assert_faster(
-            process_name,
-            "pipelined w4",
-            dict(configs)[process_name],
-            {"executor": PIPELINED, "workers": 4},
-            stats[process_name],
-            stats["pipelined w4"],
-            tolerance=1.02,
-        )
-    else:
-        report.note(
-            f"[{cpu_count} core(s)] process-vs-pipelined assertion skipped: "
-            "the process executor needs real cores to pay for state shipping."
-        )
 
 
 def test_staged_engine_overhead_vs_serial(report):
@@ -486,145 +437,6 @@ def test_multi_query_shared_pass_beats_sequential_epochs(report):
         stats["shared pass (run_epoch_all)"],
         stats["4 single-query epochs"],
         measure=measure_multi_query_epoch_seconds,
-    )
-
-
-# -- worker-resident client state (sticky shard→worker affinity) -------------
-
-RESIDENT_EPOCHS = 8  # timed epochs after the bootstrap epoch
-RESIDENT_WIRE_SHRINK_FACTOR = 5.0
-
-
-def measure_resident_epoch_seconds(executor: str) -> dict:
-    """Per-epoch stats for a framed-wire-local executor (PROCESS or RESIDENT).
-
-    Epoch 0 is the warmup/bootstrap epoch (worker spawn, full state install);
-    the following RESIDENT_EPOCHS epochs are timed.  Returns the usual timing
-    stats plus the executor's per-epoch wire-byte ledger: the bootstrap
-    epoch's bytes and the median steady-state bytes.
-    """
-    system, query_id = build_system(
-        executor, workers=4, shards=8, checkpoint_every=4
-    )
-    system.run_epoch(query_id, 0)  # warmup: workers, bootstrap frames, topics
-    times = []
-    for epoch in range(1, RESIDENT_EPOCHS + 1):
-        start = time.perf_counter()
-        system.run_epoch(query_id, epoch)
-        times.append(time.perf_counter() - start)
-    wire = dict(system.executor.epoch_wire_bytes)
-    system.close()
-    steady = [wire[epoch] for epoch in range(1, RESIDENT_EPOCHS + 1)]
-    return {
-        "best": min(times),
-        "median": statistics.median(times),
-        "mean": sum(times) / len(times),
-        "bootstrap_wire_bytes": wire[0],
-        "steady_wire_bytes_median": statistics.median(steady),
-        "steady_wire_bytes": steady,
-    }
-
-
-def test_resident_state_beats_snapshot_shipping(report):
-    """Worker-resident state vs per-epoch snapshot shipping (wire v3 payoff).
-
-    Two claims on a 1000-client, 8-timed-epoch run (median, best-of-3
-    rounds): the resident process executor is faster than the
-    snapshot-shipping process executor — it stops pickling ~5 KB of client
-    state per client per direction per epoch — and after the bootstrap epoch
-    it moves at least RESIDENT_WIRE_SHRINK_FACTOR times fewer bytes across
-    the process border per epoch (deltas + fingerprint acks instead of full
-    snapshots both ways; periodic checkpoint epochs included in the ledger).
-    """
-    stats = {
-        "process (snapshot shipping)": measure_resident_epoch_seconds(PROCESS),
-        "process (resident state)": measure_resident_epoch_seconds(RESIDENT),
-    }
-    snapshot = stats["process (snapshot shipping)"]
-    resident = stats["process (resident state)"]
-
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(
-        os.path.join(RESULTS_DIR, "BENCH_resident_state.json"), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(
-            {
-                "benchmark": "resident_state",
-                "num_clients": NUM_CLIENTS,
-                "rows_per_client": NUM_ROWS_PER_CLIENT,
-                "num_buckets": NUM_BUCKETS,
-                "timed_epochs": RESIDENT_EPOCHS,
-                "checkpoint_every": 4,
-                "cpu_count": os.cpu_count() or 1,
-                "rows": [
-                    {
-                        "config": name,
-                        "best_ms": entry["best"] * 1e3,
-                        "median_ms": entry["median"] * 1e3,
-                        "mean_ms": entry["mean"] * 1e3,
-                        "bootstrap_wire_bytes": entry["bootstrap_wire_bytes"],
-                        "steady_wire_bytes_median": entry["steady_wire_bytes_median"],
-                        "steady_wire_bytes": entry["steady_wire_bytes"],
-                    }
-                    for name, entry in stats.items()
-                ],
-            },
-            handle,
-            indent=2,
-        )
-
-    report.title(
-        f"Worker-resident client state ({NUM_CLIENTS} clients x "
-        f"{NUM_ROWS_PER_CLIENT} rows, {RESIDENT_EPOCHS} timed epochs, "
-        "process w4 s8, checkpoint every 4)"
-    )
-    report.table(
-        [
-            "configuration",
-            "best epoch (ms)",
-            "median (ms)",
-            "wire bytes/epoch (median)",
-        ],
-        [
-            [
-                name,
-                entry["best"] * 1e3,
-                entry["median"] * 1e3,
-                entry["steady_wire_bytes_median"],
-            ]
-            for name, entry in stats.items()
-        ],
-    )
-    shrink = snapshot["steady_wire_bytes_median"] / max(
-        1, resident["steady_wire_bytes_median"]
-    )
-    report.note(
-        "Snapshot shipping round-trips every client's full state each epoch; "
-        "residency bootstraps once "
-        f"({resident['bootstrap_wire_bytes']:,} bytes at epoch 0) and then "
-        "ships deltas + fingerprint acks, with full-state acks only on "
-        f"checkpoint epochs — {shrink:.1f}x fewer bytes per epoch "
-        f"(required: >= {RESIDENT_WIRE_SHRINK_FACTOR}x)."
-    )
-    report.note("")
-
-    # Wire claim first (deterministic), then the timing claim (noisy, so it
-    # gets the best-of-3 re-measurement treatment).
-    assert resident["steady_wire_bytes_median"] * RESIDENT_WIRE_SHRINK_FACTOR <= (
-        snapshot["steady_wire_bytes_median"]
-    ), (
-        f"resident wire bytes/epoch {resident['steady_wire_bytes_median']:,} not "
-        f">= {RESIDENT_WIRE_SHRINK_FACTOR}x below snapshot shipping's "
-        f"{snapshot['steady_wire_bytes_median']:,}"
-    )
-    assert_faster(
-        "process (resident state)",
-        "process (snapshot shipping)",
-        {"executor": RESIDENT},
-        {"executor": PROCESS},
-        resident,
-        snapshot,
-        measure=measure_resident_epoch_seconds,
     )
 
 

@@ -56,9 +56,9 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor", choices=EXECUTOR_KINDS, default="serial",
         help="epoch runtime: 'serial' reference loop, or a staged-engine "
              "driver combination named 'scheduling/transport' (e.g. "
-             "'pipelined-overlap/in-process', 'pipelined-overlap/framed-wire-local', "
+             "'pipelined-overlap/in-process' for a thread pool, "
              "'pinned-worker/framed-wire-local' for worker-resident client "
-             "state)",
+             "state in spawned, sealed loopback workers)",
     )
     parser.add_argument(
         "--workers", default="4",

@@ -161,7 +161,7 @@ class Client:
         else:
             self._token_secret = self._keystream.next_bytes(32)
 
-    # -- state snapshot (process-pool runtime) --------------------------------
+    # -- state snapshot (pinned-worker runtime) -------------------------------
 
     def _stream_state(self) -> dict:
         """The advancing streams, packed: one ``getstate()`` per stream.
@@ -197,9 +197,9 @@ class Client:
         mid-stream RNG and keystream states, the token secret, the local
         tables (schema plus raw rows) and the active subscriptions.  A client
         rebuilt with :meth:`from_state` continues the exact random sequences
-        of the original, which is what keeps the process-pool epoch runtime
+        of the original, which is what keeps the pinned-worker epoch runtime
         byte-identical to the serial reference (``repro.runtime.wire`` frames
-        these snapshots into shard tasks).
+        these snapshots into shard bootstraps).
 
         ``streams_only=True`` is the checkpoint form the worker-resident
         runtime acks with: just the :data:`STREAM_STATE_FIELDS` that

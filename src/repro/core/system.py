@@ -66,12 +66,11 @@ class SystemConfig:
     every other name is a ``"scheduling/transport"`` configuration of the
     staged epoch engine (:class:`~repro.runtime.engine.StagedEpochEngine`),
     e.g. ``"pipelined-overlap/in-process"`` (shards answered on a thread
-    pool with per-shard batched broker traffic),
-    ``"pipelined-overlap/framed-wire-local"`` (answering in worker
-    *processes* from serialized self-contained shard tasks, overlapped with
-    transmission and ingestion) or ``"pinned-worker/framed-wire-local"``
-    (client state *resident* in pinned worker processes — bootstrap-once /
-    delta-thereafter wire traffic, :mod:`repro.runtime.affinity`).
+    pool with per-shard batched broker traffic) or
+    ``"pinned-worker/framed-wire-local"`` (client state *resident* in
+    worker processes the coordinator spawns on loopback — bootstrap-once /
+    delta-thereafter wire traffic in sealed envelopes,
+    :mod:`repro.runtime.affinity`).
     ``repro.runtime.EXECUTOR_KINDS`` lists every accepted name; all of them
     produce identical results for identical seeds (``docs/ARCHITECTURE.md``).
     ``executor_workers`` sizes the worker pool and ``executor_shards`` the

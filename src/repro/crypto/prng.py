@@ -63,9 +63,9 @@ class KeystreamGenerator:
         """Snapshot the full generator state as ``(seed, counter, buffer)``.
 
         Together with :meth:`setstate` this lets a client's keystream travel
-        to another process (the process-pool epoch runtime serializes it into
-        a shard task) and resume mid-stream: a restored generator produces
-        exactly the bytes the original would have produced next.
+        to another process (the pinned-worker epoch runtime serializes it
+        into a shard bootstrap) and resume mid-stream: a restored generator
+        produces exactly the bytes the original would have produced next.
         """
         return (self._seed, self._counter, bytes(self._buffer))
 

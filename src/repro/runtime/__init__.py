@@ -9,11 +9,13 @@ runtimes exist:
   specification every other configuration must match byte-for-byte);
 * :class:`~repro.runtime.engine.StagedEpochEngine` — one staged epoch
   dataflow (plan → answer → transmit → ingest → finalize) parameterized by
-  a pluggable :class:`~repro.runtime.engine.StageDriver` chosen on two
-  axes: *scheduling* (``inline``, ``pipelined-overlap``, ``pinned-worker``)
-  × *transport* (``in-process``, ``framed-wire-local``,
-  ``sealed-tcp-remote``).  :data:`~repro.runtime.executor.DRIVER_COMBOS`
-  is the registry of supported combinations.
+  a pluggable :class:`~repro.runtime.engine.StageDriver` named by its
+  *scheduling* and *transport*: ``inline/in-process``,
+  ``pipelined-overlap/in-process``, and ``pinned-worker`` over sealed
+  loopback workers it spawns (``framed-wire-local``) or over separately
+  launched ones (``sealed-tcp-remote``).
+  :data:`~repro.runtime.executor.DRIVER_COMBOS` is the registry of the four
+  supported combinations.
 
 :func:`make_executor` builds either from a name: ``"serial"`` or a
 ``"scheduling/transport"`` spelling.
@@ -27,18 +29,17 @@ from repro.runtime.affinity import (
     ResidentDriver,
     ResidentShardCache,
     ResidentWorkerError,
-    StickyShardRouter,
     serve_resident_frame,
 )
 from repro.runtime.remote import (
-    OverlapSnapshotRemoteDriver,
+    LocalWorkerTransport,
     RemoteProtocolError,
     RemoteWorkerServer,
     RemoteWorkerTransport,
     RemoteWorkerUnavailable,
     load_keys,
     parse_address,
-    remote_resident_driver,
+    spawn_local_worker,
 )
 from repro.runtime.engine import (
     AdaptiveShardSizer,
@@ -55,8 +56,6 @@ from repro.runtime.executor import (
     DRIVER_COMBOS,
     DRIVER_SPELLINGS,
     EXECUTOR_KINDS,
-    SCHEDULING_KINDS,
-    TRANSPORT_KINDS,
     EpochContext,
     EpochExecutor,
     EpochOutcome,
@@ -84,28 +83,21 @@ from repro.runtime.scenario import (
     run_scenario,
     scenario_grid,
 )
-from repro.runtime.process_pool import OverlapSnapshotWireDriver, answer_shard_task
 from repro.runtime.serial import SerialExecutor
 from repro.runtime.sharding import Shard, plan_shards, plan_weighted_shards, shard_span
 from repro.runtime.wire import (
     ClientDelta,
     ShardAck,
-    ShardBatch,
     ShardBootstrap,
     ShardDelta,
-    ShardTask,
     WireError,
     decode_frame,
     decode_shard_ack,
-    decode_shard_batch,
     decode_shard_bootstrap,
     decode_shard_delta,
-    decode_shard_task,
     encode_shard_ack,
-    encode_shard_batch,
     encode_shard_bootstrap,
     encode_shard_delta,
-    encode_shard_task,
 )
 
 __all__ = [
@@ -113,8 +105,6 @@ __all__ = [
     "DRIVER_COMBOS",
     "DRIVER_SPELLINGS",
     "EXECUTOR_KINDS",
-    "SCHEDULING_KINDS",
-    "TRANSPORT_KINDS",
     "AdaptiveShardSizer",
     "ClientDelta",
     "EpochContext",
@@ -126,8 +116,7 @@ __all__ = [
     "EpochStats",
     "InjectionPlan",
     "InlineDriver",
-    "OverlapSnapshotRemoteDriver",
-    "OverlapSnapshotWireDriver",
+    "LocalWorkerTransport",
     "OverlapThreadDriver",
     "QueryContext",
     "QueryEpochOutcome",
@@ -147,29 +136,21 @@ __all__ = [
     "StageMetrics",
     "StagedEpochEngine",
     "ShardAck",
-    "ShardBatch",
     "ShardBootstrap",
     "ShardDelta",
-    "ShardTask",
-    "StickyShardRouter",
     "WireError",
     "answer_shard",
-    "answer_shard_task",
     "apply_deadline",
     "build_plan",
     "cli_smoke_matrix",
     "client_latency_seconds",
     "decode_frame",
     "decode_shard_ack",
-    "decode_shard_batch",
     "decode_shard_bootstrap",
     "decode_shard_delta",
-    "decode_shard_task",
     "encode_shard_ack",
-    "encode_shard_batch",
     "encode_shard_bootstrap",
     "encode_shard_delta",
-    "encode_shard_task",
     "epoch_deadline_for",
     "find_scenario",
     "late_drops_for",
@@ -178,11 +159,11 @@ __all__ = [
     "parse_address",
     "plan_shards",
     "plan_weighted_shards",
-    "remote_resident_driver",
     "run_scenario",
     "scenario_grid",
     "serve_resident_frame",
     "shard_span",
+    "spawn_local_worker",
     "validate_driver_combo",
     "validate_executor_options",
 ]

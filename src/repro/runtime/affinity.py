@@ -1,17 +1,19 @@
 """Worker-resident client state behind sticky shard→worker affinity.
 
-The snapshot-shipping drivers (:mod:`repro.runtime.process_pool`) pay for
-their GIL escape by round-tripping every client's full snapshot across
-the process border twice per epoch — ~5 KB per client each way, every epoch,
-even though almost none of it changes between epochs.  This module makes the
-client state live *inside* the workers instead:
+Answering is CPU-heavy (SQL → randomize → encrypt per client) and the GIL
+keeps in-process threads on one core, so the ``pinned-worker`` scheduling
+answers in worker processes — and keeps each client's state *inside* the
+worker that answers it, so almost nothing crosses the process border after
+the first epoch:
 
-* :class:`StickyShardRouter` pins each shard id to one long-lived worker
-  process (``shard_index % num_workers``) with a dedicated task queue per
-  worker, so frames for a shard always reach the worker holding its state.
-  Shard *boundaries* may move (adaptive re-sharding); shard *ids* are stable
-  (:func:`repro.runtime.sharding.plan_weighted_shards` always emits ids
-  ``0..num_shards-1``), so affinity survives boundary moves.
+* The router pins each shard id to one worker (``shard_index %
+  num_workers``) over one sealed channel per worker
+  (:class:`~repro.runtime.remote.RemoteWorkerTransport`): locally spawned
+  children on loopback (``framed-wire-local``) or separately launched
+  hosts (``sealed-tcp-remote``) — one router, one protocol, every frame
+  MAC'd.  Shard *boundaries* may move (adaptive re-sharding); shard *ids*
+  are stable (:func:`repro.runtime.sharding.plan_weighted_shards` always
+  emits ids ``0..num_shards-1``), so affinity survives boundary moves.
 * Each worker keeps a :class:`ResidentShardCache` of reconstructed
   :class:`~repro.core.client.Client` objects per shard id, installed once
   from a :class:`~repro.runtime.wire.ShardBootstrap` and advanced in place
@@ -57,42 +59,32 @@ the equivalence and torture suites pin this with residency on and off.
 **No late set on the wire (yet).**  The engine's plan stage knows which
 clients an armed deadline gate will drop, and the in-process drivers use it
 to draw those answers instead of building them.  ``ShardDelta`` /
-``ShardBootstrap`` / ``ShardTask`` have no field for it, so resident and
-snapshot workers still build every answer and the parent's gate drops the
-late ones as acks decode — same bytes, same ledger; the field comes with
-the wire-v4 codec.
+``ShardBootstrap`` have no field for it, so resident workers still build
+every answer and the parent's gate drops the late ones as acks decode —
+same bytes, same ledger; the field comes with the wire-v4 codec.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import queue
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.runtime.engine import (
-    EpochHandle,
-    StageDriver,
-    answer_shard,
-    make_shard_arena,
-)
+from repro.runtime.engine import EpochHandle, StageDriver, answer_shard
 from repro.sqldb import ShardArena, arena_answering_enabled
 from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY, EpochContext
 from repro.runtime.sharding import Shard, shard_span
 from repro.runtime.wire import (
     ClientDelta,
     ShardAck,
-    ShardBatch,
     ShardBootstrap,
     ShardDelta,
-    ShardTask,
     WireError,
     decode_frame,
     decode_shard_ack,
     encode_shard_ack,
-    encode_shard_batch,
     encode_shard_bootstrap,
     encode_shard_delta,
 )
@@ -233,9 +225,9 @@ def _answer_from_residency(
 def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
     """Serve one bootstrap/delta frame against a resident cache.
 
-    The single protocol step both worker front-ends share — the in-process
-    pinned worker loop (:func:`resident_worker_main`) and the TCP worker
-    server (:mod:`repro.runtime.remote`): decode the frame, install or look
+    The single protocol step of every worker — locally spawned or separately
+    launched, both :class:`~repro.runtime.remote.RemoteWorkerServer` behind
+    the envelope MAC: decode the frame, install or look
     up the shard's resident clients, answer, and return the encoded
     :class:`~repro.runtime.wire.ShardAck`, whose 32 bytes vouch for the frame
     served (:func:`_frame_token`).  Every frame produces exactly one
@@ -282,34 +274,6 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
                     message.want_state,
                     clients,
                 )
-        elif isinstance(message, ShardTask):
-            # Snapshot shipping over the resident front-ends: the
-            # pipelined-overlap x sealed-tcp-remote driver sends full client
-            # snapshots every epoch.  Answer statelessly — the resident
-            # cache is never touched, so one worker can serve resident and
-            # snapshot coordinators interchangeably — and return a
-            # ShardBatch (advanced snapshots travel back in the frame).
-            start = time.perf_counter()
-            clients = [Client.from_state(state) for state in message.client_states]
-            responses_per_query, clients = answer_shard(
-                clients,
-                message.query_ids,
-                message.epoch,
-                arena=make_shard_arena(clients),
-            )
-            return encode_shard_batch(
-                ShardBatch(
-                    shard_index=shard_index,
-                    epoch=epoch,
-                    wall_seconds=time.perf_counter() - start,
-                    responses=tuple(
-                        tuple(responses) for responses in responses_per_query
-                    ),
-                    client_states=tuple(
-                        client.export_state() for client in clients
-                    ),
-                )
-            )
         else:
             raise WireError(
                 f"resident worker cannot serve {type(message).__name__} frames"
@@ -322,136 +286,6 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
             error=(type(exc).__name__, str(exc)),
         )
     return encode_shard_ack(ack)
-
-
-def resident_worker_main(task_queue, result_queue) -> None:
-    """The pinned worker loop: bootstrap/delta frames in, ack frames out.
-
-    Runs in a dedicated process until it receives the ``None`` sentinel.
-    State lives in a :class:`ResidentShardCache` for the life of the
-    process; each frame is served by :func:`serve_resident_frame`.
-    """
-    cache = ResidentShardCache()
-    while True:
-        frame = task_queue.get()
-        if frame is None:
-            return
-        result_queue.put(serve_resident_frame(cache, frame))
-
-
-class _WorkerHandle:
-    """One pinned worker: its process and its dedicated task queue."""
-
-    __slots__ = ("process", "task_queue")
-
-    def __init__(self, process, task_queue):
-        self.process = process
-        self.task_queue = task_queue
-
-
-class StickyShardRouter:
-    """Routes shard frames to long-lived pinned worker processes.
-
-    The affinity function is ``shard_index % num_workers`` — deterministic
-    and stable, so a shard's frames always land on the worker caching its
-    state.  Workers read framed bytes from their own task queue and push ack
-    bytes onto one shared result queue; the router only moves bytes, the
-    executor owns all protocol decisions.  Dead workers are detected via
-    ``Process.is_alive`` and replaced with :meth:`replace` (their resident
-    state is gone — the executor re-bootstraps their shards).
-    """
-
-    def __init__(self, num_workers: int, context=None):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        self.num_workers = num_workers
-        self._ctx = context if context is not None else multiprocessing.get_context()
-        self._workers: list[_WorkerHandle | None] = [None] * num_workers
-        self._result_queue = self._ctx.Queue()
-        self.workers_spawned = 0
-        self.workers_replaced = 0
-
-    def slot_for(self, shard_index: int) -> int:
-        """The worker slot a shard id is pinned to (stable across epochs)."""
-        return shard_index % self.num_workers
-
-    def worker_alive(self, slot: int) -> bool:
-        handle = self._workers[slot]
-        return handle is not None and handle.process.is_alive()
-
-    def dead_slots(self) -> list[int]:
-        """Slots whose worker was started but is no longer alive."""
-        return [
-            slot
-            for slot, handle in enumerate(self._workers)
-            if handle is not None and not handle.process.is_alive()
-        ]
-
-    def _spawn(self, slot: int) -> None:
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=resident_worker_main,
-            args=(task_queue, self._result_queue),
-            name=f"privapprox-resident-{slot}",
-            daemon=True,
-        )
-        process.start()
-        self._workers[slot] = _WorkerHandle(process, task_queue)
-        self.workers_spawned += 1
-
-    def ensure_worker(self, slot: int) -> None:
-        if not self.worker_alive(slot):
-            if self._workers[slot] is not None:
-                self.replace(slot)
-            else:
-                self._spawn(slot)
-
-    def replace(self, slot: int) -> None:
-        """Tear down a (dead or live) worker and spawn a fresh one."""
-        handle = self._workers[slot]
-        if handle is not None:
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(timeout=2.0)
-            handle.task_queue.close()
-            self.workers_replaced += 1
-        self._workers[slot] = None
-        self._spawn(slot)
-
-    def send(self, shard_index: int, frame: bytes) -> None:
-        slot = self.slot_for(shard_index)
-        self.ensure_worker(slot)
-        self._workers[slot].task_queue.put(frame)
-
-    def recv(self, timeout: float) -> bytes:
-        """Next ack frame; raises ``queue.Empty`` after ``timeout`` seconds."""
-        return self._result_queue.get(timeout=timeout)
-
-    def drain_stale(self) -> None:
-        """Discard acks left over from a failed epoch or sync round."""
-        while True:
-            try:
-                self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-
-    def close(self) -> None:
-        """Send every live worker its sentinel; terminate stragglers."""
-        for handle in self._workers:
-            if handle is not None and handle.process.is_alive():
-                try:
-                    handle.task_queue.put(None)
-                except (ValueError, OSError):
-                    pass
-        for slot, handle in enumerate(self._workers):
-            if handle is None:
-                continue
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            handle.task_queue.close()
-            self._workers[slot] = None
 
 
 @dataclass
@@ -579,12 +413,13 @@ class ResidentDriver(StageDriver):
     driver owns the resident protocol — bootstrap-once / delta-thereafter
     framing, checkpoint + replay recovery, worker healing, shard migration —
     and reports its per-shard spans so the engine's plan stage can apply
-    re-shard hysteresis.  The transport axis is ``framed-wire-local`` over a
-    :class:`StickyShardRouter` of pinned processes by default; a
-    ``router_factory`` swaps in any router speaking the same interface —
-    :class:`~repro.runtime.remote.RemoteWorkerTransport` makes this the
-    ``sealed-tcp-remote`` combination without changing a single protocol
-    decision.
+    re-shard hysteresis.  Its router is always a
+    :class:`~repro.runtime.remote.RemoteWorkerTransport`: with no
+    ``addresses`` it spawns its own workers on loopback
+    (``framed-wire-local``, :class:`~repro.runtime.remote.LocalWorkerTransport`),
+    with ``addresses`` it dials separately launched ones
+    (``sealed-tcp-remote``) — the same sealed channel and the same protocol
+    decisions either way.
 
     Parameters
     ----------
@@ -593,31 +428,31 @@ class ResidentDriver(StageDriver):
         per shard (``0`` = only on demand: subscription changes, migration,
         shutdown).  Smaller values shorten recovery replay at the cost of
         periodic stream-state acks.
-    router_factory:
-        ``num_workers -> router``; defaults to :class:`StickyShardRouter`.
-    transport:
-        Override the declared transport axis (the remote factory passes
-        ``"sealed-tcp-remote"``).
+    addresses, keys:
+        ``(host, port)`` of each separately launched worker and its
+        pre-shared MAC key (one per address); ``None`` spawns local workers
+        under fresh per-run keys.
     """
 
     scheduling = "pinned-worker"
-    transport = "framed-wire-local"
     adaptive = True
 
     def __init__(
         self,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        router_factory=None,
-        transport: str | None = None,
+        addresses: list[tuple[str, int]] | None = None,
+        keys: list[bytes] | None = None,
     ):
         if checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be non-negative, got {checkpoint_every}"
             )
         self.checkpoint_every = checkpoint_every
-        self._router_factory = router_factory
-        if transport is not None:
-            self.transport = transport
+        self._addresses = addresses
+        self._keys = keys
+        self.transport = (
+            "framed-wire-local" if addresses is None else "sealed-tcp-remote"
+        )
         self._router = None
         self._shards: dict[int, _ShardResidency] = {}
         self._last_context: EpochContext | None = None
@@ -634,10 +469,13 @@ class ResidentDriver(StageDriver):
 
     def _ensure_router(self):
         if self._router is None:
-            if self._router_factory is not None:
-                self._router = self._router_factory(self.engine.num_workers)
+            # Imported here: repro.runtime.remote imports this module.
+            from repro.runtime.remote import LocalWorkerTransport, RemoteWorkerTransport
+
+            if self._addresses is None:
+                self._router = LocalWorkerTransport(self.engine.num_workers)
             else:
-                self._router = StickyShardRouter(self.engine.num_workers)
+                self._router = RemoteWorkerTransport(self._addresses, self._keys)
         return self._router
 
     def close(self) -> None:
@@ -682,8 +520,9 @@ class ResidentDriver(StageDriver):
         Frames are all built *before* any is sent: ``_frame_for`` may need a
         synchronous state sync (dirty tables → export + bootstrap), which is
         only safe while no epoch acks are in flight on the result queue — and
-        hashes each frame, which between sends would queue behind the router's
-        feeder thread (``hashlib`` drops the GIL above 2,047 bytes).
+        hashes each frame, which between sends would queue behind the
+        router's ack-reader threads (``hashlib`` drops the GIL above 2,047
+        bytes).
         """
         router = self._ensure_router()
         context, epoch, query_ids = handle.context, handle.epoch, handle.query_ids

@@ -12,11 +12,12 @@ and delegates *how the answer stage runs* to a pluggable
 (declared in :mod:`repro.runtime.executor`):
 
 * **scheduling** — ``inline`` (caller thread), ``pipelined-overlap``
-  (answer tasks on a pool, collected in completion order),
+  (answer tasks on a thread pool, collected in completion order),
   ``pinned-worker`` (long-lived workers holding resident state);
 * **transport** — ``in-process`` (shared objects), ``framed-wire-local``
-  (serialized :mod:`repro.runtime.wire` frames across a process border),
-  ``sealed-tcp-remote`` (the same frames in HMAC-sealed envelopes over TCP).
+  (:mod:`repro.runtime.wire` frames in HMAC-sealed envelopes to workers
+  spawned on loopback), ``sealed-tcp-remote`` (the same envelopes to
+  separately launched workers).
 
 The engine owns all policy, so no driver carries its own copy:
 
@@ -45,9 +46,8 @@ combination must match byte-for-byte (``docs/ARCHITECTURE.md``, the
 equivalence and torture suites).
 
 The driver *mechanisms* live next to the machinery they drive: the
-in-process drivers here, the snapshot-wire driver in
-:mod:`repro.runtime.process_pool`, the resident driver in
-:mod:`repro.runtime.affinity`, and the sealed-TCP drivers in
+in-process drivers here, the resident driver in
+:mod:`repro.runtime.affinity`, and its sealed transports in
 :mod:`repro.runtime.remote`.  :func:`~repro.runtime.executor.make_executor`
 builds the engine for a ``"scheduling/transport"`` spelling.
 """
@@ -88,9 +88,7 @@ if TYPE_CHECKING:
 # current cut's predicted bottleneck shard exceeds the rebalanced cut's by
 # this factor, and at most once per cooldown window — otherwise per-epoch
 # wall-clock noise would move boundaries every epoch and each move would
-# throw away resident state.  (Snapshot-shipping drivers re-plan freely —
-# their boundaries are free to move because they ship all state every epoch
-# anyway.)
+# throw away resident state.
 _RESHARD_IMBALANCE_THRESHOLD = 2.0
 _RESHARD_COOLDOWN_EPOCHS = 3
 
@@ -102,14 +100,11 @@ def answer_shard(
     arena: ShardArena | None = None,
     late: frozenset[str] = frozenset(),
 ) -> tuple[list[list["ClientResponse"]], list["Client"]]:
-    """Answer one shard of clients for one epoch (the picklable shard task).
+    """Answer one shard of clients for one epoch (every driver's shard task).
 
     Every client answers all of ``query_ids`` in one pass; the return value
     holds one participating-response list per query (client order within
-    each list) together with the clients themselves: in-process (thread)
-    execution returns the very same objects, while a process border returns
-    copies carrying the advanced RNG/keystream state that the parent must
-    adopt for the next epoch.
+    each list) together with the clients themselves, advanced in place.
 
     With a :class:`~repro.sqldb.columnar.ShardArena` over these clients'
     databases, the epoch's SQL is evaluated once shard-wide and each
@@ -184,13 +179,6 @@ def shard_scan_caches(
                 continue
             cache[sql] = outcome
     return caches
-
-
-def make_shard_arena(clients: list["Client"]) -> ShardArena | None:
-    """A fresh arena over a shard's databases, or ``None`` when disabled."""
-    if not clients or not arena_answering_enabled():
-        return None
-    return ShardArena([client.database for client in clients])
 
 
 def _timed_answer_shard(
@@ -281,7 +269,7 @@ class StageMetrics:
     """One epoch's unified stage accounting, emitted by every driver combo.
 
     ``wire_bytes`` counts every serialized frame that crossed a process or
-    socket border this epoch (tasks/deltas out plus batches/acks back) —
+    socket border this epoch (bootstraps/deltas out plus acks back) —
     zero for in-process transports.  ``late_drops`` counts responses the
     engine's deadline gate removed at the transmit boundary.
     ``reshard_events`` counts adopted boundary moves (hysteresis-approved
@@ -374,9 +362,7 @@ class StageDriver:
       epoch with nothing relayed;
     * :meth:`collect` — call :meth:`EpochHandle.emit` once per occupied
       shard as its result comes back, success or failure, and return only
-      after every answer task this epoch started has finished;
-    * :meth:`handle_epoch_error` — after a failed epoch's consumer grids
-      have been drained (discard a broken pool, ...).
+      after every answer task this epoch started has finished.
     """
 
     scheduling = "inline"
@@ -413,9 +399,6 @@ class StageDriver:
     def collect(self, handle: EpochHandle) -> None:
         """Emit every occupied shard's result, once each."""
         raise NotImplementedError
-
-    def handle_epoch_error(self, error: Exception) -> None:
-        """Post-drain cleanup for a failed epoch."""
 
     def close(self) -> None:
         """Release driver-owned resources (routers, caches); idempotent."""
@@ -516,8 +499,7 @@ class StagedEpochEngine(EpochExecutor):
     def epoch_wire_bytes(self) -> dict[int, int]:
         """Epoch → serialized frame bytes, derived from :attr:`stage_metrics`.
 
-        Read by the scenario sweep's wire accounting and the
-        resident-vs-snapshot benchmark claim.
+        Read by the scenario sweep's wire accounting.
         """
         return {
             epoch: metrics.wire_bytes for epoch, metrics in self.stage_metrics.items()
@@ -540,12 +522,6 @@ class StagedEpochEngine(EpochExecutor):
         if self._pool is None:
             self._pool = self.driver.make_pool(self.num_workers)
         return self._pool
-
-    def _discard_pool(self) -> None:
-        """Drop a (possibly broken) pool so the next epoch builds a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
     def _consumers_for(self, context: EpochContext) -> list[list[list["Consumer"]]]:
         """Per-query shard-topic consumers, created on first use.
@@ -594,8 +570,8 @@ class StagedEpochEngine(EpochExecutor):
         """Shard boundaries for this epoch, with re-shard hysteresis.
 
         Without residency (``residency_spans() is None``) the adaptive plan
-        is adopted as-is — snapshot transports ship all state every epoch,
-        so boundary moves are free.  With residency, while the recorded
+        is adopted as-is: no state lives at the old boundaries.  With
+        residency, while the recorded
         boundaries tile the population, the adaptive plan is adopted only
         when it shrinks the predicted bottleneck shard by more than
         ``_RESHARD_IMBALANCE_THRESHOLD`` and the cooldown window since the
@@ -649,7 +625,7 @@ class StagedEpochEngine(EpochExecutor):
         The one place :func:`~repro.runtime.executor.apply_deadline` is
         invoked across every driver combination: late answers advanced
         their clients' RNG streams exactly as under the serial reference —
-        built by a wire worker, or only *drawn* (a
+        built by a pinned worker, or only *drawn* (a
         :class:`~repro.core.client.LateAnswer` marker) by an in-process
         driver that was handed the plan stage's late set — but never reach
         the proxies, and the drop count lands in the metrics.  A marker the
@@ -713,8 +689,8 @@ class StagedEpochEngine(EpochExecutor):
         never emitted — is recorded and every later emit ignored, while the
         driver keeps collecting until every answer task it started has
         finished.  Then every query's grid is drained (whatever was relayed
-        but not ingested must not reach the next epoch),
-        ``handle_epoch_error`` runs and the error re-raises.
+        but not ingested must not reach the next epoch) and the error
+        re-raises.
         """
         metrics = StageMetrics(epoch=epoch)
         self.stage_metrics[epoch] = metrics
@@ -783,7 +759,6 @@ class StagedEpochEngine(EpochExecutor):
         if failure is not None:
             for grid in consumers:
                 _drain_consumers(grid)
-            self.driver.handle_epoch_error(failure)
             raise failure
         return self._merge_outcome(context, shards, responses_by_shard, window_results)
 

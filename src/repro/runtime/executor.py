@@ -25,12 +25,13 @@ Two runtimes ship:
 * :class:`~repro.runtime.engine.StagedEpochEngine` — one staged dataflow
   (plan -> answer -> transmit -> ingest -> finalize) whose answer stage is
   run by a stage driver named ``"scheduling/transport"``: *scheduling*
-  decides where and when shards answer (caller thread, a pool collected in
-  completion order, pinned long-lived workers), *transport* decides how
-  client state reaches them (shared objects, serialized
-  :mod:`repro.runtime.wire` frames across a local process border, the same
-  frames sealed over TCP).  :data:`DRIVER_COMBOS` registers the supported
-  pairs and :func:`make_executor` is the one way to build them.
+  decides where and when shards answer (caller thread, a thread pool
+  collected in completion order, pinned long-lived workers), *transport*
+  decides how client state reaches them (shared objects, or
+  :mod:`repro.runtime.wire` frames in sealed envelopes to workers spawned
+  on loopback or launched on other hosts).  :data:`DRIVER_COMBOS` lists the
+  four supported pairs and :func:`make_executor` is the one way to build
+  them.
 
 Because every client draws from its own seeded RNG and keystream, the work is
 embarrassingly parallel and the merged outcome is independent of shard count
@@ -232,18 +233,12 @@ def late_drops_for(context: EpochContext, query_id: str) -> tuple:
     return context.deadline.drops_for(query_id)
 
 
-# -- the declarative driver registry ------------------------------------------
+# -- the driver registry ------------------------------------------------------
 #
 # Every parallel executor is a StagedEpochEngine (repro.runtime.engine)
-# configured with one stage driver, classified along two orthogonal axes.
+# configured with one stage driver, named by its scheduling and transport.
 # SystemConfig validation, the CLI choices, make_executor and the CI smoke
-# matrix all read this single source.
-
-#: How the answer stage is scheduled.
-SCHEDULING_KINDS = ("inline", "pipelined-overlap", "pinned-worker")
-
-#: How client state and answers cross (or don't cross) a process border.
-TRANSPORT_KINDS = ("in-process", "framed-wire-local", "sealed-tcp-remote")
+# matrix all read this single source; a pair not listed here does not exist.
 
 #: The registered (scheduling, transport) combinations, each backed by a
 #: shipped driver.  Every combo satisfies the seeded-equivalence contract
@@ -251,29 +246,9 @@ TRANSPORT_KINDS = ("in-process", "framed-wire-local", "sealed-tcp-remote")
 DRIVER_COMBOS = (
     ("inline", "in-process"),
     ("pipelined-overlap", "in-process"),
-    ("pipelined-overlap", "framed-wire-local"),
-    ("pipelined-overlap", "sealed-tcp-remote"),
     ("pinned-worker", "framed-wire-local"),
     ("pinned-worker", "sealed-tcp-remote"),
 )
-
-# Structurally impossible combinations, with the reason validation reports.
-_COMBO_REJECTIONS = {
-    ("inline", "framed-wire-local"): (
-        "inline scheduling answers on the caller thread over shared objects; "
-        "a wire transport would serialize state only to hand it back to the "
-        "same process"
-    ),
-    ("inline", "sealed-tcp-remote"): (
-        "inline scheduling has no workers to place at the far end of a "
-        "TCP connection"
-    ),
-    ("pinned-worker", "in-process"): (
-        "pinned workers exist to hold resident state across a process "
-        "border; in-process state needs no pinning (use inline or "
-        "pipelined-overlap scheduling)"
-    ),
-}
 
 #: ``"scheduling/transport"`` spelling -> combo, for every registered combo.
 DRIVER_SPELLINGS = {
@@ -294,29 +269,16 @@ DEFAULT_CHECKPOINT_EVERY = 4
 def validate_driver_combo(scheduling: str, transport: str) -> tuple[str, str]:
     """Check one (scheduling, transport) pair against the registry.
 
-    Raises ``ValueError`` naming the unknown axis value, or — for known axes
-    whose combination is structurally impossible — the recorded reason.
-    Returns the pair unchanged so callers can validate-and-keep in one step.
+    Raises ``ValueError`` listing :data:`EXECUTOR_KINDS` for any pair not in
+    :data:`DRIVER_COMBOS`; returns the pair unchanged so callers can
+    validate-and-keep in one step.
     """
-    if scheduling not in SCHEDULING_KINDS:
+    if (scheduling, transport) not in DRIVER_COMBOS:
         raise ValueError(
-            f"unknown scheduling kind {scheduling!r} "
-            f"(expected one of {SCHEDULING_KINDS})"
+            f"unknown executor {scheduling + '/' + transport!r} "
+            f"(expected one of {EXECUTOR_KINDS})"
         )
-    if transport not in TRANSPORT_KINDS:
-        raise ValueError(
-            f"unknown transport kind {transport!r} "
-            f"(expected one of {TRANSPORT_KINDS})"
-        )
-    combo = (scheduling, transport)
-    if combo not in DRIVER_COMBOS:
-        reason = _COMBO_REJECTIONS.get(
-            combo, "no registered driver implements this combination"
-        )
-        raise ValueError(
-            f"driver combo {scheduling!r} x {transport!r} is not available: {reason}"
-        )
-    return combo
+    return scheduling, transport
 
 
 def validate_executor_options(
@@ -407,26 +369,12 @@ def _driver_factories() -> dict[tuple[str, str], Callable[..., "StageDriver"]]:
     """
     from repro.runtime.affinity import ResidentDriver
     from repro.runtime.engine import InlineDriver, OverlapThreadDriver
-    from repro.runtime.process_pool import OverlapSnapshotWireDriver
-    from repro.runtime.remote import OverlapSnapshotRemoteDriver, remote_resident_driver
 
     return {
         ("inline", "in-process"): lambda *_: InlineDriver(),
         ("pipelined-overlap", "in-process"): lambda *_: OverlapThreadDriver(),
-        ("pipelined-overlap", "framed-wire-local"): (
-            lambda *_: OverlapSnapshotWireDriver()
-        ),
-        ("pipelined-overlap", "sealed-tcp-remote"): (
-            lambda _, addresses, keys: OverlapSnapshotRemoteDriver(addresses, keys)
-        ),
-        ("pinned-worker", "framed-wire-local"): (
-            lambda checkpoint_every, *_: ResidentDriver(checkpoint_every)
-        ),
-        ("pinned-worker", "sealed-tcp-remote"): (
-            lambda checkpoint_every, addresses, keys: remote_resident_driver(
-                addresses, keys, checkpoint_every
-            )
-        ),
+        ("pinned-worker", "framed-wire-local"): ResidentDriver,
+        ("pinned-worker", "sealed-tcp-remote"): ResidentDriver,
     }
 
 
@@ -444,12 +392,12 @@ def make_executor(
     ----------
     name:
         ``"serial"`` (the reference loop) or a ``"scheduling/transport"``
-        driver spelling such as ``"pipelined-overlap/framed-wire-local"``
+        driver spelling such as ``"pinned-worker/framed-wire-local"``
         (see :data:`EXECUTOR_KINDS` and :data:`DRIVER_COMBOS`); every
         spelling returns a plain
         :class:`~repro.runtime.engine.StagedEpochEngine`.
     workers:
-        Worker pool size (threads, processes or pinned workers, as the
+        Worker pool size (threads or pinned worker processes, as the
         scheduling axis says).
     shards:
         Shard count; ``None`` means one shard per worker.
@@ -475,9 +423,10 @@ def make_executor(
 
     addresses = keys = None
     if remote_workers is not None:
-        from repro.runtime.remote import load_keys
+        from repro.runtime.remote import keys_for_workers, load_keys, parse_address
 
-        addresses, keys = list(remote_workers), load_keys(key_file)
+        addresses = [parse_address(address) for address in remote_workers]
+        keys = keys_for_workers(load_keys(key_file), len(addresses))
         workers = len(addresses)
     driver = _driver_factories()[DRIVER_SPELLINGS[name]](
         checkpoint_every, addresses, keys

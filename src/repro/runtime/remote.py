@@ -1,27 +1,30 @@
-"""Remote resident workers over TCP: wire v3 leaves the process boundary.
+"""Resident workers behind a sealed channel: the one worker transport.
 
-The local transports run their shards in children of one parent process.
-This module ships the resident bootstrap/delta/ack protocol
-(:mod:`repro.runtime.wire`, :mod:`repro.runtime.affinity`) over real TCP
-sockets, so shards run on worker processes that are launched separately —
-on another terminal, another container, another machine:
+This module carries the resident bootstrap/delta/ack protocol
+(:mod:`repro.runtime.wire`, :mod:`repro.runtime.affinity`) over TCP sockets,
+so shards run on worker processes that hold their clients' state between
+epochs.  There is one router and one worker loop for every deployment:
 
-* :class:`RemoteWorkerServer` — the worker side.  ``python -m repro.cli
-  worker --listen HOST:PORT --key-file ...`` binds a listening socket,
-  accepts one coordinator session at a time, and serves each sealed frame
-  through the same :func:`~repro.runtime.affinity.serve_resident_frame`
-  step the in-process pinned workers use.  The
+* :class:`RemoteWorkerServer` — the worker side.  It binds a listening
+  socket, accepts one coordinator session at a time, and serves each sealed
+  frame through :func:`~repro.runtime.affinity.serve_resident_frame`, looked
+  up on that module at call time so whatever is installed there (a tracing
+  wrapper, a test double) is what a forked worker runs.  The
   :class:`~repro.runtime.affinity.ResidentShardCache` outlives coordinator
   sessions: a coordinator that reconnects finds the resident state intact.
 * :class:`RemoteWorkerTransport` — the coordinator side.  One authenticated
-  connection per worker address, presenting exactly the
-  :class:`~repro.runtime.affinity.StickyShardRouter` interface
-  (``send``/``recv``/``worker_alive``/``dead_slots``/``replace``), so
-  :func:`remote_resident_driver` is the unchanged
-  :class:`~repro.runtime.affinity.ResidentDriver` protocol logic with its
-  router swapped for sockets.  Connect failures retry with bounded
-  exponential backoff; a socket that dies mid-epoch surfaces as a dead
-  worker and falls onto the existing checkpoint+replay re-bootstrap path.
+  connection per worker address behind the router interface
+  :class:`~repro.runtime.affinity.ResidentDriver` drives
+  (``send``/``recv``/``worker_alive``/``dead_slots``/``replace``).  Connect
+  failures retry with bounded exponential backoff; a socket that dies
+  mid-epoch surfaces as a dead worker and falls onto the checkpoint+replay
+  re-bootstrap path.
+* :class:`LocalWorkerTransport` — ``framed-wire-local``: the same transport
+  over workers it spawns itself, one forked ``RemoteWorkerServer`` child per
+  slot on ``127.0.0.1``, keyed with fresh random keys that never leave the
+  process.  ``sealed-tcp-remote`` dials separately launched workers
+  (``python -m repro.cli worker --listen HOST:PORT --key-file ...``) on
+  another terminal, container or machine instead.
 
 **Authentication: every frame travels sealed.**  The wire-frame payloads are
 pickle — arbitrary code execution on hostile bytes — so nothing reaches
@@ -59,32 +62,18 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import multiprocessing
 import os
 import queue
+import secrets
 import socket
 import struct
 import threading
 import time
 
-from repro.runtime.affinity import (
-    _RECV_POLL_SECONDS,
-    ResidentDriver,
-    ResidentShardCache,
-    ResidentWorkerError,
-    serve_resident_frame,
-)
-from repro.runtime.engine import EpochHandle, StageDriver
-from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY
-from repro.runtime.sharding import Shard
-from repro.runtime.wire import (
-    WIRE_VERSION,
-    ShardAck,
-    ShardBatch,
-    ShardTask,
-    WireError,
-    decode_frame,
-    encode_shard_task,
-)
+from repro.runtime import affinity
+from repro.runtime.affinity import ResidentShardCache, ResidentWorkerError
+from repro.runtime.wire import WIRE_VERSION, WireError
 
 # -- protocol constants -------------------------------------------------------
 
@@ -632,7 +621,9 @@ class RemoteWorkerServer:
                     # EOF at a frame boundary is the session ending cleanly.
                     clean = exc.offset == 0 and "closed" in str(exc)
                     return
-                channel.send_frame(serve_resident_frame(self._cache, frame))
+                # Through the module, at call time: a forked local worker
+                # runs whatever the parent had installed there.
+                channel.send_frame(affinity.serve_resident_frame(self._cache, frame))
                 self.frames_served += 1
             clean = True
         except OSError:
@@ -716,23 +707,22 @@ class _RemoteLink:
 
 
 class RemoteWorkerTransport:
-    """Sticky shard routing to separately launched TCP workers.
+    """Sticky shard routing to resident workers over sealed connections.
 
-    The drop-in socket replacement for
-    :class:`~repro.runtime.affinity.StickyShardRouter`: same affinity
-    function (``shard_index % num_workers``), same framed-bytes-in /
-    ack-bytes-out contract, same liveness surface — so
-    :class:`~repro.runtime.affinity.ResidentDriver` runs unchanged on top
-    of it.  Differences are confined to what "worker" means:
+    The router :class:`~repro.runtime.affinity.ResidentDriver` drives: the
+    affinity function is ``shard_index % num_workers``, frames go out as
+    bytes and acks come back as bytes (each verified against its envelope
+    MAC by the link's reader thread before it is queued), and the driver
+    owns every protocol decision.
 
-    * ``ensure_worker`` connects (with bounded exponential backoff) instead
-      of spawning; ``replace`` reconnects instead of respawning.  A worker
-      that stays unreachable raises :class:`RemoteWorkerUnavailable` —
-      the epoch fails loudly and the shards re-bootstrap from checkpoint +
-      replay once the worker is back.
-    * a connection that dies mid-epoch marks its slot dead exactly like a
-      killed pinned process, so the driver's collect loop, healer and
-      recovery paths apply verbatim.
+    * ``ensure_worker`` connects (with bounded exponential backoff);
+      ``replace`` drops the connection and dials again.  A worker that stays
+      unreachable raises :class:`RemoteWorkerUnavailable` — the epoch fails
+      loudly and the shards re-bootstrap from checkpoint + replay once the
+      worker is back.
+    * a connection that dies (EOF, reset, a frame that fails verification)
+      marks its slot dead, so the driver's collect loop, healer and
+      recovery paths apply.
     """
 
     def __init__(
@@ -763,7 +753,7 @@ class RemoteWorkerTransport:
         self.connects = 0
         self.reconnects = 0
 
-    # -- StickyShardRouter interface ------------------------------------------
+    # -- the router interface --------------------------------------------------
 
     def slot_for(self, shard_index: int) -> int:
         return shard_index % self.num_workers
@@ -773,10 +763,11 @@ class RemoteWorkerTransport:
         return link is not None and link.alive
 
     def dead_slots(self) -> list[int]:
+        """Slots whose worker was reached once but is no longer alive."""
         return [
             slot
             for slot, link in enumerate(self._links)
-            if link is not None and not link.alive
+            if link is not None and not self.worker_alive(slot)
         ]
 
     def _connect(self, slot: int) -> None:
@@ -842,161 +833,79 @@ class RemoteWorkerTransport:
                 self._links[slot] = None
 
 
-def remote_resident_driver(
-    addresses: list[str],
-    keys: list[bytes],
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-) -> ResidentDriver:
-    """``pinned-worker`` × ``sealed-tcp-remote``: pinned workers across TCP.
 
-    Identical protocol logic, recovery semantics and observability counters
-    to the local pinned workers — the same
-    :class:`~repro.runtime.affinity.ResidentDriver` with its router swapped
-    for a :class:`RemoteWorkerTransport`, so the seeded-equivalence contract
-    holds by construction (the workers run the very same
-    :func:`~repro.runtime.affinity.serve_resident_frame`).
 
-    ``addresses`` are ``host:port`` strings of separately launched workers
-    (CLI ``worker --listen``) — the engine needs one pool slot per address;
-    ``keys`` carries one pre-shared MAC key per worker (see
-    :func:`keys_for_workers`).
+def spawn_local_worker(key: bytes) -> tuple[multiprocessing.Process, tuple[str, int]]:
+    """Fork one worker serving a single sealed session on a loopback port.
+
+    The listener is bound *before* the fork, so the returned address is
+    reserved before the child runs (a connection made early waits in the
+    backlog) and the parent closes its copy at once.  Forked on purpose: the
+    child inherits the parent's modules as they stand, so a wrapped
+    ``affinity.serve_resident_frame`` is what it serves, and it touches none
+    of the parent's locks — it serves only its own listener, so the
+    coordinator's ack-reader threads are no hazard.  It exits when its one
+    session ends, cleanly or not.
     """
-    parsed = [parse_address(address) for address in addresses]
-    worker_keys = keys_for_workers(keys, len(parsed))
-    return ResidentDriver(
-        checkpoint_every=checkpoint_every,
-        router_factory=lambda num_workers: RemoteWorkerTransport(parsed, worker_keys),
-        transport="sealed-tcp-remote",
+    server = RemoteWorkerServer("127.0.0.1", 0, key, max_sessions=1)
+    process = multiprocessing.get_context("fork").Process(
+        target=server.serve_forever, name="privapprox-resident", daemon=True
     )
+    try:
+        process.start()
+    finally:
+        server.stop()  # the parent's copy of the listener only
+    return process, server.address
 
 
-class OverlapSnapshotRemoteDriver(StageDriver):
-    """``pipelined-overlap`` × ``sealed-tcp-remote``: snapshot shipping over
-    the sealed transport.
+class LocalWorkerTransport(RemoteWorkerTransport):
+    """``framed-wire-local``: sealed workers this coordinator spawns itself.
 
-    Each epoch, every occupied shard travels to its sticky remote worker as
-    a full :class:`~repro.runtime.wire.ShardTask` snapshot and comes back as
-    a :class:`~repro.runtime.wire.ShardBatch`
-    (:func:`~repro.runtime.affinity.serve_resident_frame` answers the task
-    statelessly, so unmodified resident workers serve it).  No resident
-    state, no checkpoint/replay machinery: a worker that dies mid-epoch
-    fails only that epoch, and the next epoch re-ships — the operational
-    trade against :func:`remote_resident_driver` is wire bytes for recovery
-    simplicity.  Shard boundaries stay balanced (non-adaptive): without
-    resident state there is no benefit to moving them between epochs, and
-    keeping them fixed keeps the snapshot traffic predictable.
+    Each slot is a child from :func:`spawn_local_worker` under a fresh
+    ``secrets.token_bytes(32)`` key that exists only in this process and its
+    children; the workers speak exactly the sealed protocol a separately
+    launched worker does.
+
+    A worker is dead once its socket hits EOF or its child has exited.
+    ``replace`` respawns the child (its resident state died with it) rather
+    than redialing, and ``close`` ends every session — each child serves one
+    session and exits on its clean EOF — then joins the children.
     """
 
-    scheduling = "pipelined-overlap"
-    transport = "sealed-tcp-remote"
+    def __init__(self, num_workers: int):
+        super().__init__(
+            [("127.0.0.1", 0)] * num_workers,
+            [secrets.token_bytes(RECOMMENDED_KEY_BYTES) for _ in range(num_workers)],
+        )
+        self._processes: list[multiprocessing.Process | None] = [None] * num_workers
 
-    def __init__(
-        self,
-        addresses: list[str],
-        keys: list[bytes],
-        connect_timeout: float = _CONNECT_TIMEOUT_SECONDS,
-    ):
-        self._addresses = [parse_address(address) for address in addresses]
-        self._keys = keys_for_workers(keys, len(self._addresses))
-        self._connect_timeout = connect_timeout
-        self._router: RemoteWorkerTransport | None = None
-        self._pending: dict[int, Shard] = {}
+    def worker_alive(self, slot: int) -> bool:
+        process = self._processes[slot]
+        return (
+            process is not None
+            and process.exitcode is None
+            and super().worker_alive(slot)
+        )
 
-    def _ensure_router(self) -> RemoteWorkerTransport:
-        if self._router is None:
-            self._router = RemoteWorkerTransport(
-                self._addresses, self._keys, connect_timeout=self._connect_timeout
-            )
-        return self._router
+    def _connect(self, slot: int) -> None:
+        """Spawn a fresh worker child for the slot, then dial it."""
+        self._stop_process(slot)
+        self._processes[slot], self._addresses[slot] = spawn_local_worker(
+            self._keys[slot]
+        )
+        super()._connect(slot)
 
-    def prepare(self, context, epoch: int) -> None:
-        self._ensure_router().drain_stale()
-
-    def begin_epoch(self, handle: EpochHandle) -> None:
-        router = self._ensure_router()
-        self._pending = {}
-        for shard in handle.occupied:
-            blob = encode_shard_task(
-                ShardTask(
-                    shard_index=shard.index,
-                    epoch=handle.epoch,
-                    query_ids=handle.query_ids,
-                    client_states=tuple(
-                        client.export_state()
-                        for client in handle.context.clients[shard.as_slice()]
-                    ),
-                )
-            )
-            handle.metrics.add_wire_bytes(len(blob))
-            router.send(shard.index, blob)
-            self._pending[shard.index] = shard
-
-    def collect(self, handle: EpochHandle) -> None:
-        from repro.core.client import Client  # deferred: core <-> runtime
-
-        router = self._router
-        pending = self._pending
-        while pending:
-            for shard_index in list(pending):
-                if not router.worker_alive(router.slot_for(shard_index)):
-                    shard = pending.pop(shard_index)
-                    handle.emit(
-                        shard.index,
-                        None,
-                        error=ResidentWorkerError(
-                            f"worker pinned to shard {shard_index} died mid-epoch"
-                        ),
-                    )
-            if not pending:
-                return
-            try:
-                blob = router.recv(timeout=_RECV_POLL_SECONDS)
-            except queue.Empty:
-                continue
-            handle.metrics.add_wire_bytes(len(blob))
-            try:
-                message = decode_frame(blob)
-            except WireError as exc:
-                for shard in list(pending.values()):
-                    handle.emit(shard.index, None, error=exc)
-                pending.clear()
-                return
-            if isinstance(message, ShardBatch):
-                shard = pending.get(message.shard_index)
-                if shard is None or message.epoch != handle.epoch:
-                    continue  # stale batch from an earlier, failed epoch
-                del pending[shard.index]
-                handle.context.clients[shard.as_slice()] = [
-                    Client.from_state(state) for state in message.client_states
-                ]
-                handle.emit(
-                    shard.index,
-                    [list(responses) for responses in message.responses],
-                    wall_seconds=message.wall_seconds,
-                )
-            elif isinstance(message, ShardAck) and message.error is not None:
-                if message.shard_index == -1:
-                    exc = ResidentWorkerError(
-                        f"{message.error[0]}: {message.error[1]}"
-                    )
-                    for shard in list(pending.values()):
-                        handle.emit(shard.index, None, error=exc)
-                    pending.clear()
-                    return
-                shard = pending.get(message.shard_index)
-                if shard is None or message.epoch != handle.epoch:
-                    continue
-                del pending[shard.index]
-                handle.emit(
-                    shard.index,
-                    None,
-                    error=ResidentWorkerError(
-                        f"{message.error[0]}: {message.error[1]}"
-                    ),
-                )
-            # Anything else (a stray resident ack) is stale traffic: skip.
+    def _stop_process(self, slot: int) -> None:
+        process = self._processes[slot]
+        if process is None:
+            return
+        process.join(timeout=2.0)
+        if process.exitcode is None:
+            process.terminate()
+            process.join(timeout=2.0)
+        self._processes[slot] = None
 
     def close(self) -> None:
-        if self._router is not None:
-            self._router.close()
-            self._router = None
+        super().close()
+        for slot in range(self.num_workers):
+            self._stop_process(slot)

@@ -1,18 +1,21 @@
-"""Wire format for shard tasks and shard batches (process-pool runtime).
+"""Wire format for the worker-resident protocol (pinned-worker runtime).
 
-The in-process executors hand live objects between their stages; the
-process-pool executor (:mod:`repro.runtime.process_pool`) cannot — a worker
-process shares nothing with the parent, and a multi-machine deployment would
-share even less.  This module is the serialization boundary: everything that
-crosses a process border travels as one *framed byte blob*, so the same
-encoding would work over a socket or a broker topic unchanged.
+The in-process drivers hand live objects between their stages; the pinned
+workers (:mod:`repro.runtime.affinity`) cannot — a worker process shares
+nothing with the parent, and a multi-machine deployment would share even
+less.  This module is the serialization boundary: everything that crosses a
+process border travels as one *framed byte blob*, and every blob travels
+inside an HMAC-sealed envelope (:mod:`repro.runtime.remote`), whether the
+worker is a local child on loopback or a separately launched host.
 
-**The payload is pickle: decode only bytes you produced.**  The frame header
-authenticates nothing — ``pickle.loads`` on attacker-supplied bytes is
-arbitrary code execution.  That is fine for the in-process worker pool
-(both ends are this program), but moving these frames onto a real socket or
-broker requires an authenticated channel between mutually trusted hosts, or
-replacing the payload with a non-executable codec.
+**The payload is pickle: decode only bytes you authenticated.**  The frame
+header authenticates nothing — ``pickle.loads`` on attacker-supplied bytes
+is arbitrary code execution.  No worker path has an exemption: a worker
+reaches :func:`decode_frame` only with bytes whose envelope MAC verified
+under the session key, and the coordinator decodes acks only after the same
+check.  Moving these frames onto any other transport requires the same
+authenticated channel between mutually trusted hosts, or replacing the
+payload with a non-executable codec.
 
 **This is simulation-harness state transfer, not a client protocol.**  The
 frames carry what the *simulation* holds on behalf of each simulated device:
@@ -24,27 +27,9 @@ executor would place *whole simulated clients* on remote machines (each
 remote worker is a stand-in for a fleet of devices), never relay client
 plaintext through an untrusted hop.
 
-Two message families exist.  The *snapshot-shipping* pair round trips full
-client state every epoch:
-
-* :class:`ShardTask` — parent → worker.  A self-contained description of one
-  contiguous client shard for one epoch: the query ids served by this
-  epoch's shared answering pass, the epoch number, and one state snapshot
-  per client (:meth:`repro.core.client.Client.export_state` — config with
-  seed, mid-stream per-query RNG and keystream states, local tables,
-  subscriptions carrying the queries and randomized-response parameters).
-  No broker, proxy or aggregator state is included; the worker reconstructs
-  the clients from the snapshots and answers with exactly the draws the
-  serial reference would have made.
-* :class:`ShardBatch` — worker → parent.  The shard's participating responses
-  (shares included), one response tuple per task query; the *advanced*
-  client snapshots the parent must adopt so the next epoch continues the
-  same random streams; and the shard's answering wall-clock, which feeds the
-  adaptive shard sizer.
-
-The *worker-resident* triple replaces the per-epoch snapshot round
-trip with worker-resident client state behind sticky shard→worker affinity
-(:mod:`repro.runtime.affinity`):
+The worker-resident triple keeps client state inside pinned workers behind
+sticky shard→worker affinity, so only what changed crosses the border after
+the first epoch:
 
 * :class:`ShardBootstrap` — parent → worker, sent once per shard (and again
   on cache miss, worker replacement or shard migration): full client
@@ -67,14 +52,15 @@ trip with worker-resident client state behind sticky shard→worker affinity
 
 Versioning: every frame kind is emitted and accepted at exactly
 :data:`WIRE_VERSION`; older and unknown future versions are rejected rather
-than silently misread.
+than silently misread.  Kinds 1 and 2 (the retired snapshot-shipping
+pair) are unknown kinds like any other.
 
 The frame is ``magic ("PAWF") + version + kind + payload length + payload``;
 the payload is a pickle of the dataclass (pickle because the snapshots carry
 arbitrary query/answer dataclasses; the frame means the *transport* never
 needs to know that).  Byte accounting reuses the pub/sub payload sizing
-(:func:`repro.pubsub.payload_size`), so a decoded batch and the shard-aware
-broker records the pipelined runtime publishes agree on wire size.
+(:func:`repro.pubsub.payload_size`), so a decoded ack and the shard-aware
+broker records the engine publishes agree on wire size.
 
 All encoding/decoding failures — unpicklable client state, truncated or
 foreign bytes, version drift — surface as :class:`WireError`.
@@ -90,12 +76,10 @@ from repro.pubsub import payload_size
 
 WIRE_MAGIC = b"PAWF"
 # Version 3: worker-resident client state — bootstrap/delta/ack frames carry
-# state once and tiny per-epoch deltas afterwards — beside the multi-query
-# snapshot pair (query id *tuples*, one response tuple per query).
+# state once and tiny per-epoch deltas afterwards.  Kinds 1 and 2 belonged
+# to the retired snapshot-shipping pair and are never reused.
 WIRE_VERSION = 3
 
-_KIND_SHARD_TASK = 1
-_KIND_SHARD_BATCH = 2
 _KIND_SHARD_BOOTSTRAP = 3
 _KIND_SHARD_DELTA = 4
 _KIND_SHARD_ACK = 5
@@ -108,8 +92,6 @@ _FRAME_SIZE = struct.calcsize(_FRAME_FORMAT)
 def _kind_name(kind: int | None) -> str:
     """Human-readable frame-kind label for error messages."""
     names = {
-        _KIND_SHARD_TASK: "ShardTask",
-        _KIND_SHARD_BATCH: "ShardBatch",
         _KIND_SHARD_BOOTSTRAP: "ShardBootstrap",
         _KIND_SHARD_DELTA: "ShardDelta",
         _KIND_SHARD_ACK: "ShardAck",
@@ -156,72 +138,6 @@ class WireError(Exception):
         self.kind = kind
         self.declared_length = declared_length
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One contiguous client shard's worth of answering work for one epoch.
-
-    ``query_ids`` are the queries the shard answers in one shared pass (a
-    single-query epoch is the one-element case).  ``client_states`` holds one
-    :meth:`~repro.core.client.Client.export_state` snapshot per client, in
-    client order.  The task is self-contained: a worker needs nothing but
-    this object (no shared brokers, no aggregator) to produce the shard's
-    responses.
-    """
-
-    shard_index: int
-    epoch: int
-    query_ids: tuple
-    client_states: tuple
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_states)
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.query_ids)
-
-
-@dataclass(frozen=True)
-class ShardBatch:
-    """What one worker returns for one shard task.
-
-    ``responses`` holds one tuple of participating responses per task query
-    (client order within each tuple, query order matching the task's
-    ``query_ids``); ``client_states`` are the advanced snapshots (every
-    client, participant or not) the parent writes back into its live client
-    list; ``wall_seconds`` is the answering wall-clock the adaptive shard
-    sizer feeds on.
-    """
-
-    shard_index: int
-    epoch: int
-    wall_seconds: float
-    responses: tuple
-    client_states: tuple
-
-    def share_rows(self, query_index: int = 0) -> list[list]:
-        """One query's shares, one row per response — the transmit-stage input."""
-        return [
-            list(response.encrypted.shares)
-            for response in self.responses[query_index]
-        ]
-
-    def size_bytes(self) -> int:
-        """Logical wire size of the relayed shares, via the pub/sub sizing.
-
-        Sums over every query's share rows.  This is the size the shard's
-        shares occupy as broker records (what
-        :meth:`repro.pubsub.Record.size_bytes` would charge), not the pickled
-        frame length — the two coexist because the frame also carries client
-        state that never reaches the brokers.
-        """
-        return sum(
-            payload_size(self.share_rows(index))
-            for index in range(len(self.responses))
-        )
 
 
 @dataclass(frozen=True)
@@ -292,7 +208,7 @@ class ShardAck:
     ``responses`` holds one tuple of participating responses per frame query
     (empty for sync frames); ``fingerprint`` is the continuity token — the
     SHA-256 of the frame this ack answers, empty when it answered none — in
-    place of the advanced snapshots snapshot shipping returns; ``client_states``
+    place of advanced client snapshots; ``client_states``
     is populated only when the frame asked for a checkpoint, and then holds
     one stream-only record per client
     (``Client.export_state(streams_only=True)`` — what
@@ -405,26 +321,6 @@ def _decode(data: bytes, kind: int, expected_type: type):
     return _decode_payload(data, kind, length, expected_type)
 
 
-def encode_shard_task(task: ShardTask) -> bytes:
-    """Frame one shard task into self-contained bytes."""
-    return _encode(task, _KIND_SHARD_TASK)
-
-
-def decode_shard_task(data: bytes) -> ShardTask:
-    """Decode bytes produced by :func:`encode_shard_task`."""
-    return _decode(data, _KIND_SHARD_TASK, ShardTask)
-
-
-def encode_shard_batch(batch: ShardBatch) -> bytes:
-    """Frame one shard batch (a worker's result) into bytes."""
-    return _encode(batch, _KIND_SHARD_BATCH)
-
-
-def decode_shard_batch(data: bytes) -> ShardBatch:
-    """Decode bytes produced by :func:`encode_shard_batch`."""
-    return _decode(data, _KIND_SHARD_BATCH, ShardBatch)
-
-
 def encode_shard_bootstrap(bootstrap: ShardBootstrap) -> bytes:
     """Frame one shard bootstrap (full snapshots) into bytes."""
     return _encode(bootstrap, _KIND_SHARD_BOOTSTRAP)
@@ -456,8 +352,6 @@ def decode_shard_ack(data: bytes) -> ShardAck:
 
 
 _TYPE_BY_KIND = {
-    _KIND_SHARD_TASK: ShardTask,
-    _KIND_SHARD_BATCH: ShardBatch,
     _KIND_SHARD_BOOTSTRAP: ShardBootstrap,
     _KIND_SHARD_DELTA: ShardDelta,
     _KIND_SHARD_ACK: ShardAck,
@@ -467,8 +361,8 @@ _TYPE_BY_KIND = {
 def decode_frame(data: bytes):
     """Decode any runtime wire frame, dispatching on its header kind.
 
-    The resident worker loop serves bootstrap and delta frames from one task
-    queue; this is its single entry point.  Raises :class:`WireError` exactly
+    A resident worker serves bootstrap and delta frames from one sealed
+    channel; this is its single entry point.  Raises :class:`WireError` exactly
     like the kind-specific decoders (the header is parsed and validated once).
     """
     frame_kind, length = _decode_header(data)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import random
 from unittest import mock
@@ -276,14 +275,15 @@ def failing_epoch():
 
 # -- held-back, reversed emits ---------------------------------------------------
 #
-# The pool drivers (``pipelined-overlap/*``) emit each shard as its answer task
-# completes, so the order in which the engine gates, relays and ingests shards
-# is whatever the scheduler made it.  A test marked ``reversed_emits`` pins the
-# opposite extreme: every emit is held back until the epoch's last answer task
-# has finished, then replayed in descending shard order.  The engine merges its
-# outputs by shard index and ingests shard by shard, so nothing a test can
-# observe may change.  The test modules add these cases to their driver
-# matrices as ``<spelling>+reversed-emits``.
+# The worker drivers (``pipelined-overlap/in-process`` and the
+# ``pinned-worker`` spellings) emit each shard as its answer comes back, so the
+# order in which the engine gates, relays and ingests shards is whatever the
+# scheduler or the workers made it.  A test marked ``reversed_emits`` pins the
+# opposite extreme: every emit is held back until the driver's collect has
+# seen the epoch's last answer, then replayed in descending shard order.  The
+# engine merges its outputs by shard index and ingests shard by shard, so
+# nothing a test can observe may change.  The test modules add these cases to
+# their driver matrices as ``<spelling>+reversed-emits``.
 
 
 @pytest.fixture(autouse=True)
@@ -291,20 +291,70 @@ def _reversed_emits(request, monkeypatch):
     if request.node.get_closest_marker("reversed_emits") is None:
         yield
         return
-    from repro.runtime import engine, process_pool
+    from repro.runtime.affinity import ResidentDriver
+    from repro.runtime.engine import OverlapThreadDriver
 
-    emit_as_completed = engine.emit_as_completed
     collected = []
 
-    def emit_in_reverse(handle, futures, unpack):
-        collected.append(len(futures))
-        concurrent.futures.wait(futures)
-        for future, shard in sorted(
-            futures.items(), key=lambda item: item[1].index, reverse=True
-        ):
-            emit_as_completed(handle, {future: shard}, unpack)
+    def held_back(collect):
+        def collect_then_replay_in_reverse(self, handle):
+            emit, held = handle.emit, []
+            handle.emit = lambda shard_index, *args, **kwargs: held.append(
+                (shard_index, args, kwargs)
+            )
+            try:
+                collect(self, handle)
+            finally:
+                handle.emit = emit
+            collected.append(len(held))
+            for shard_index, args, kwargs in sorted(
+                held, key=lambda item: item[0], reverse=True
+            ):
+                emit(shard_index, *args, **kwargs)
 
-    for module in (engine, process_pool):
-        monkeypatch.setattr(module, "emit_as_completed", emit_in_reverse)
+        return collect_then_replay_in_reverse
+
+    for driver in (OverlapThreadDriver, ResidentDriver):
+        monkeypatch.setattr(driver, "collect", held_back(driver.collect))
     yield
-    assert collected, "a reversed_emits test never reached a pool driver's collect"
+    assert collected, "a reversed_emits test never reached a worker driver's collect"
+
+
+# -- respawned pinned workers ------------------------------------------------------
+#
+# ``pinned-worker/framed-wire-local`` keeps client state inside its spawned
+# workers between epochs.  A test marked ``respawned_workers`` kills every
+# pinned worker as soon as each epoch's acks are collected, so every later
+# epoch (and the final close) runs the recovery path: a respawned child, the
+# parent's checkpoint fast-forwarded by replay, a fresh bootstrap.  Recovery
+# must be invisible: nothing a test can observe may change.  The test modules
+# add these cases to their driver matrices as ``<spelling>+respawned-workers``.
+
+
+@pytest.fixture(autouse=True)
+def _respawned_workers(request, monkeypatch):
+    if request.node.get_closest_marker("respawned_workers") is None:
+        yield
+        return
+    from repro.runtime.affinity import ResidentDriver
+
+    collect = ResidentDriver.collect
+    collected = []
+
+    def collect_then_kill_the_workers(self, handle):
+        try:
+            collect(self, handle)
+        finally:
+            live = [
+                process
+                for process in self._router._processes
+                if process is not None and process.exitcode is None
+            ]
+            for process in live:
+                process.kill()
+                process.join(timeout=5.0)
+            collected.append(len(live))
+
+    monkeypatch.setattr(ResidentDriver, "collect", collect_then_kill_the_workers)
+    yield
+    assert collected, "a respawned_workers test never reached a resident collect"

@@ -42,18 +42,24 @@ SEED = 20260727
 #: Every driver combination that runs without separately launched TCP
 #: workers (the sealed-TCP ones are covered by test_remote.py).
 SINGLE_HOST_COMBOS = cli_smoke_matrix()[1:]
-#: The pool spellings once more, with every emit held back to the end of the
-#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+RESIDENT = "pinned-worker/framed-wire-local"
+#: The worker-driver spellings once more, with every emit held back to the
+#: end of the epoch and replayed in reverse shard order (``reversed_emits``,
+#: conftest.py).
 REVERSED_EMITS = [
     pytest.param(
         spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
     )
     for spelling in SINGLE_HOST_COMBOS
-    if spelling.startswith("pipelined-overlap/")
+    if not spelling.startswith("inline/")
 ]
-ENGINE_MATRIX = [*SINGLE_HOST_COMBOS, *REVERSED_EMITS]
-PROCESS = "pipelined-overlap/framed-wire-local"
-RESIDENT = "pinned-worker/framed-wire-local"
+#: The resident spelling once more, with every pinned worker killed after each
+#: epoch, so later epochs recover by respawn + replay (``respawned_workers``,
+#: conftest.py).
+RESPAWNED_WORKERS = pytest.param(
+    RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
+)
+ENGINE_MATRIX = [*SINGLE_HOST_COMBOS, *REVERSED_EMITS, RESPAWNED_WORKERS]
 
 
 def run_deployment(
@@ -517,15 +523,16 @@ class TestResidentStateMatchesSerial:
         assert serialize_results(serial_results) == serialize_results(resident_results)
 
     def test_residency_on_equals_residency_off(self):
-        """Same transport, residency toggled: byte-identical either way."""
-        snapshot = run_deployment(
-            25, executor=PROCESS, workers=2, shards=4, num_epochs=3
+        """Same shards, client state kept in pinned workers or in the
+        coordinator: byte-identical either way."""
+        in_process = run_deployment(
+            25, executor="pipelined-overlap/in-process", workers=2, shards=4, num_epochs=3
         )
         resident = run_deployment(
             25, executor=RESIDENT, workers=2, shards=4, num_epochs=3
         )
-        assert serialize_responses(snapshot[2]) == serialize_responses(resident[2])
-        assert serialize_results(snapshot[1]) == serialize_results(resident[1])
+        assert serialize_responses(in_process[2]) == serialize_responses(resident[2])
+        assert serialize_results(in_process[1]) == serialize_results(resident[1])
 
     def test_multi_query_epochs_with_residency(self):
         serial = run_multi_deployment(20, 3, num_epochs=3)
@@ -558,8 +565,8 @@ class TestIndexedAnswerPathMatchesScan:
     interpreter); every executor configuration then runs the same
     deployment on the default compiled path.  Response logs and window
     results must be byte-identical — the fast path may not be observable
-    anywhere above the SQL engine.  (The environment variable reaches
-    process-pool workers because pools fork after the test sets it.)
+    anywhere above the SQL engine.  (The environment variable reaches the
+    pinned workers because they fork after the test sets it.)
     """
 
     @pytest.mark.parametrize("executor", ["serial", *ENGINE_MATRIX])

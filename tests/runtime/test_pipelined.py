@@ -44,15 +44,22 @@ PIPELINED = "pipelined-overlap/in-process"
 INLINE = "inline/in-process"
 #: Every engine spelling that runs on a single host (serial is not an engine).
 ENGINE_SPELLINGS = cli_smoke_matrix()[1:]
-#: The pool spellings once more, with every emit held back to the end of the
-#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+#: The worker-driver spellings once more, with every emit held back to the
+#: end of the epoch and replayed in reverse shard order (``reversed_emits``,
+#: conftest.py).
 REVERSED_EMITS = [
     pytest.param(
         spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
     )
     for spelling in ENGINE_SPELLINGS
-    if spelling.startswith("pipelined-overlap/")
+    if not spelling.startswith("inline/")
 ]
+#: The resident spelling once more, with every pinned worker killed after each
+#: epoch (``respawned_workers``, conftest.py).
+RESIDENT = "pinned-worker/framed-wire-local"
+RESPAWNED_WORKERS = pytest.param(
+    RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
+)
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
 
@@ -211,7 +218,9 @@ class TestFailureSurfacing:
         system.close()
 
     @pytest.mark.parametrize("stage", ["answer", "transmit", "ingest"])
-    @pytest.mark.parametrize("executor", [*ENGINE_SPELLINGS, *REVERSED_EMITS])
+    @pytest.mark.parametrize(
+        "executor", [*ENGINE_SPELLINGS, *REVERSED_EMITS, RESPAWNED_WORKERS]
+    )
     def test_failed_epoch_leaves_no_stale_records(
         self, executor, stage, failing_epoch
     ):
@@ -360,7 +369,9 @@ class _MisbehavingDriver(InlineDriver):
 
 
 class TestExecutorReuse:
-    @pytest.mark.parametrize("spelling", [*ENGINE_SPELLINGS, *REVERSED_EMITS])
+    @pytest.mark.parametrize(
+        "spelling", [*ENGINE_SPELLINGS, *REVERSED_EMITS, RESPAWNED_WORKERS]
+    )
     def test_reuse_across_deployments_rebinds_consumers(self, spelling):
         """Query ids are deterministic, so a reused executor must notice a
         new proxy network instead of polling the old deployment's brokers:

@@ -1,13 +1,14 @@
-"""Edge cases and failure handling of the framed-wire-local drivers.
+"""Edge cases and failure handling of ``pinned-worker/framed-wire-local``.
 
-The equivalence suite pins ``pipelined-overlap/framed-wire-local`` (and the
-``pinned-worker`` resident protocol) to the serial reference on
-ordinary populations; this module covers the boundaries (an empty client
-population, fewer clients than shards) and the failure contract: a worker
-exception, a dead worker process, a parent-side pickling failure, a transmit
-or ingest error must all surface from ``run_epoch`` without hanging the
-driver's collect loop — and the executor must be usable for the next epoch
-afterwards.
+The equivalence suite pins the resident protocol over spawned workers to
+the serial reference on ordinary populations; this module covers the
+boundaries (an empty client population, fewer clients than shards) and the
+failure contract: a worker exception, a dead worker process, a parent-side
+pickling failure, a transmit or ingest error must all surface from
+``run_epoch`` without hanging the driver's collect loop — and the executor
+must be usable for the next epoch afterwards.  A killed worker is respawned
+(a new process, a new pid) and its shards recover by checkpoint + replay,
+byte-identical to serial.
 It also covers the adaptive shard sizer's feedback loop directly.
 """
 
@@ -34,9 +35,9 @@ from repro.sqldb import Database
 from repro.runtime import (
     AdaptiveShardSizer,
     EpochContext,
-    OverlapSnapshotWireDriver,
+    LocalWorkerTransport,
+    ResidentDriver,
     SerialExecutor,
-    StickyShardRouter,
     WireError,
     decode_shard_ack,
     encode_shard_ack,
@@ -44,7 +45,6 @@ from repro.runtime import (
     plan_shards,
 )
 
-PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
 
@@ -94,7 +94,7 @@ def make_system(num_clients: int = 12, shards: int | None = None) -> tuple:
     config = SystemConfig(
         num_clients=num_clients,
         seed=424,
-        executor=PROCESS,
+        executor=RESIDENT,
         executor_workers=2,
         executor_shards=shards,
     )
@@ -118,7 +118,7 @@ def make_system(num_clients: int = 12, shards: int | None = None) -> tuple:
 class TestPopulationEdges:
     def test_zero_clients(self):
         """An empty population completes the epoch and produces nothing."""
-        executor = make_executor(PROCESS, workers=2, shards=4)
+        executor = make_executor(RESIDENT, workers=2, shards=4)
         try:
             outcome = executor.run_epoch(make_context(0), epoch=0)
         finally:
@@ -128,7 +128,7 @@ class TestPopulationEdges:
 
     def test_zero_clients_matches_serial(self):
         serial = SerialExecutor()
-        process = make_executor(PROCESS, workers=2, shards=3)
+        process = make_executor(RESIDENT, workers=2, shards=3)
         try:
             serial_outcome = serial.run_epoch(make_context(0), epoch=0)
             process_outcome = process.run_epoch(make_context(0), epoch=0)
@@ -140,7 +140,7 @@ class TestPopulationEdges:
 
     def test_fewer_clients_than_shards(self):
         """Trailing empty shards are simply skipped."""
-        executor = make_executor(PROCESS, workers=2, shards=8)
+        executor = make_executor(RESIDENT, workers=2, shards=8)
         try:
             outcome = executor.run_epoch(make_context(3), epoch=0)
         finally:
@@ -153,19 +153,18 @@ class TestPopulationEdges:
         ]
 
     def test_state_written_back_to_live_clients(self):
-        """Advanced RNG state replaces the parent's clients between epochs."""
-        context = make_context(6)
+        """Shutdown grafts the workers' advanced streams onto the parent's
+        own client objects: they end where the serial reference's do."""
+        context, reference = make_context(6), make_context(6)
         originals = list(context.clients)
-        executor = make_executor(PROCESS, workers=2, shards=2)
+        executor = make_executor(RESIDENT, workers=2, shards=2)
         try:
             executor.run_epoch(context, epoch=0)
         finally:
             executor.close()
-        # The list now holds *restored* client objects carrying advanced state.
-        assert all(a is not b for a, b in zip(context.clients, originals))
-        assert [c.config.client_id for c in context.clients] == [
-            c.config.client_id for c in originals
-        ]
+        SerialExecutor().run_epoch(reference, epoch=0)
+        assert all(a is b for a, b in zip(context.clients, originals))
+        assert stream_positions(context.clients) == stream_positions(reference.clients)
 
 
 class TestFailureSurfacing:
@@ -179,8 +178,11 @@ class TestFailureSurfacing:
             system.run_epoch(query_id, 0)
         system.close()
 
-    def test_worker_process_death_surfaces_and_pool_recovers(self):
-        """A worker that dies mid-task breaks the pool; the next epoch heals."""
+    def test_worker_process_death_surfaces_and_the_worker_respawns(self):
+        """A worker that dies mid-frame fails the epoch; the next epoch
+        spawns a replacement process and succeeds."""
+        from repro.runtime import ResidentWorkerError
+
         system, query_id = make_system(num_clients=8, shards=2)
 
         class Bomb:
@@ -191,24 +193,30 @@ class TestFailureSurfacing:
 
         table = system.clients[2].database.table("private_data")
         table.rows.append((Bomb(),))
-        with pytest.raises(Exception):  # BrokenProcessPool from the dead worker
+        with pytest.raises(ResidentWorkerError, match="died mid-epoch"):
             system.run_epoch(query_id, 0)
-        # Remove the bomb; the executor must build a fresh pool and succeed.
+        router = system.executor.driver._router
+        victim = router._processes[router.slot_for(0)]
+        assert victim.exitcode == 1
+        # Remove the bomb; the executor must spawn a fresh worker and succeed.
         del table.rows[-1]
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 8
+        assert router._processes[router.slot_for(0)].pid != victim.pid
         system.close()
 
-    def test_unpicklable_client_state_raises_wire_error(self):
-        """A pickling failure surfaces before any pipeline stage starts."""
+    def test_unpicklable_appended_row_raises_wire_error(self):
+        """A pickling failure in a steady-state frame surfaces before any
+        shard is relayed, and leaves the executor usable."""
         system, query_id = make_system(num_clients=6, shards=3)
+        system.run_epoch(query_id, 0)
         table = system.clients[1].database.table("private_data")
         table.rows.append((lambda: None,))  # lambdas cannot pickle
         with pytest.raises(WireError, match="serialize"):
-            system.run_epoch(query_id, 0)
-        # The failure is pre-pipeline: removing it leaves the executor usable.
+            system.run_epoch(query_id, 1)
+        # The failure is pre-relay: removing the row leaves the executor usable.
         del table.rows[-1]
-        report = system.run_epoch(query_id, 1)
+        report = system.run_epoch(query_id, 2)
         assert report.num_participants == 6
         system.close()
 
@@ -293,21 +301,22 @@ class TestAdaptiveShardSizer:
 
 
 class TestConfiguration:
-    def test_factory_builds_process_executor(self):
-        executor = make_executor(PROCESS, workers=2, shards=5)
-        assert isinstance(executor.driver, OverlapSnapshotWireDriver)
+    def test_factory_builds_a_resident_executor_over_spawned_workers(self):
+        executor = make_executor(RESIDENT, workers=2, shards=5)
+        assert isinstance(executor.driver, ResidentDriver)
         assert executor.num_workers == 2
         assert executor.num_shards == 5
+        assert type(executor.driver._ensure_router()) is LocalWorkerTransport
         executor.close()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            make_executor(PROCESS, workers=0)
+            make_executor(RESIDENT, workers=0)
         with pytest.raises(ValueError):
-            make_executor(PROCESS, workers=2, shards=0)
+            make_executor(RESIDENT, workers=2, shards=0)
 
     def test_close_is_idempotent(self):
-        executor = make_executor(PROCESS, workers=2)
+        executor = make_executor(RESIDENT, workers=2)
         executor.run_epoch(make_context(4), epoch=0)
         executor.close()
         executor.close()
@@ -397,8 +406,8 @@ def stream_positions(clients) -> list[bytes]:
     return [client.state_fingerprint() for client in clients]
 
 
-class TamperingRouter(StickyShardRouter):
-    """The pinned-worker router, logging every ack and letting a test rewrite one.
+class TamperingRouter(LocalWorkerTransport):
+    """The spawned-worker router, logging every ack and letting a test rewrite one.
 
     ``tamper(ack, blob) -> blob`` runs on each ack before the driver sees it.
     """
@@ -444,14 +453,18 @@ class TestResidentFailureInjection:
         system.run_epoch(query_id, 0)
         system.run_epoch(query_id, 1)
         bootstraps_before = executor.bootstrap_frames
-        replaced_before = executor.driver._router.workers_replaced
+        router = executor.driver._router
+        replaced_before = router.reconnects
         # Kill the worker pinned to shards 0 and 2 between epochs.
-        victim = executor.driver._router._workers[executor.driver._router.slot_for(0)].process
+        victim = router._processes[router.slot_for(0)]
         victim.kill()
         victim.join(timeout=5.0)
         system.run_epoch(query_id, 2)
         system.run_epoch(query_id, 3)
-        assert executor.driver._router.workers_replaced == replaced_before + 1
+        assert router.reconnects == replaced_before + 1
+        # replace() spawned a new process; the other worker was left alone.
+        assert router._processes[router.slot_for(0)].pid != victim.pid
+        assert router._processes[router.slot_for(1)].exitcode is None
         # Exactly the dead worker's shards re-bootstrapped (2 of 4 shards).
         assert executor.bootstrap_frames == bootstraps_before + 2
         resident = serialize_responses(system.responses_log(query_id))
@@ -466,11 +479,13 @@ class TestResidentFailureInjection:
         executor = system.executor
         for epoch in range(3):
             system.run_epoch(query_id, epoch)
-        victim = executor.driver._router._workers[0].process
+        router = executor.driver._router
+        victim = router._processes[0]
         victim.kill()
         victim.join(timeout=5.0)
         for epoch in range(3, 5):
             system.run_epoch(query_id, epoch)
+        assert router._processes[0].pid != victim.pid
         resident = serialize_responses(system.responses_log(query_id))
         system.close()
         assert run_serial_twin(10, 5)[query_id] == resident
@@ -579,7 +594,7 @@ class TestResidentParentSideMutations:
         that epoch; callbacks receive whether this is the resident run so
         worker-kill steps can no-op on the serial twin.  ``router`` swaps the
         resident run's router class (a :class:`TamperingRouter` to observe or
-        rewrite acks).
+        rewrite acks) before its first epoch.
         """
         resident = executor_kind == "resident"
         if resident:
@@ -589,7 +604,8 @@ class TestResidentParentSideMutations:
             # Pin the boundaries: the mutation tests assert exact bootstrap
             # frame counts, which an adaptive re-shard would inflate.
             system.executor.adaptive = False
-            system.executor.driver._router_factory = router
+            if router is not None:
+                system.executor.driver._router = router(system.executor.num_workers)
         else:
             config = SystemConfig(num_clients=10, seed=868, executor="serial")
             system = PrivApproxSystem(config)
@@ -641,7 +657,7 @@ class TestResidentParentSideMutations:
             system.clients[0].unsubscribe(query_id)
             if resident:
                 router = system.executor.driver._router
-                victim = router._workers[router.slot_for(0)].process
+                victim = router._processes[router.slot_for(0)]
                 victim.kill()
                 victim.join(timeout=5.0)
 
@@ -696,7 +712,7 @@ class TestResidentParentSideMutations:
             seen["replay_log"] = list(driver._shards[0].replay_log)
             if fault == "kill":
                 router = driver._router
-                victim = router._workers[router.slot_for(0)].process
+                victim = router._processes[router.slot_for(0)]
                 victim.kill()
                 victim.join(timeout=5.0)
             else:
@@ -796,7 +812,7 @@ class TestResidentMalformedAcks:
         executor = system.executor
         executor.adaptive = False
         driver = executor.driver
-        driver._router_factory = TamperingRouter
+        driver._router = TamperingRouter(executor.num_workers)
         at_bootstrap = stream_positions(system.clients[:5])
         system.run_epoch(query_id, 0)
 
@@ -836,7 +852,7 @@ class TestResidentMalformedAcks:
         executor = system.executor
         executor.adaptive = False
         driver = executor.driver
-        driver._router_factory = TamperingRouter
+        driver._router = TamperingRouter(executor.num_workers)
         at_bootstrap = stream_positions(system.clients)
         system.run_epoch(query_id, 0)
         router = driver._router

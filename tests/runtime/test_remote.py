@@ -21,6 +21,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,13 +44,16 @@ from repro.runtime import (
     decode_frame,
     decode_shard_ack,
     load_keys,
+    make_executor,
     parse_address,
     run_scenario,
+    spawn_local_worker,
 )
 from repro.runtime.remote import (
     DIRECTION_COORDINATOR,
     DIRECTION_WORKER,
     HELLO_MAGIC,
+    FrameChannel,
     MAX_FRAME_BYTES,
     _HELLO_FORMAT,
     _hello_mac,
@@ -333,85 +337,120 @@ class TestHandshake:
         worker_sock.close()
 
 
+@pytest.fixture(params=["thread", "spawned"])
+def worker(request):
+    """A worker to throw hostile bytes at: a server on a thread of this
+    process (its counters are readable), or a child spawned the way
+    ``pinned-worker/framed-wire-local`` spawns its workers (only its socket
+    and its exit are observable)."""
+    if request.param == "thread":
+        server = start_server()
+        yield SimpleNamespace(address=server.address, server=server, process=None)
+        server.stop()
+        return
+    process, address = spawn_local_worker(KEY)
+    yield SimpleNamespace(address=address, server=None, process=process)
+    process.join(timeout=5.0)
+    if process.exitcode is None:
+        process.terminate()
+        process.join(timeout=5.0)
+
+
+def assert_hung_up(sock: socket.socket) -> None:
+    """The worker closed the connection without sending anything more."""
+    sock.settimeout(5.0)
+    try:
+        assert sock.recv(1 << 16) == b""
+    except ConnectionResetError:
+        pass
+
+
+def assert_session_failed(worker, *, frames_served: int = 0) -> None:
+    """The hostile session ended the worker's session, not the worker's
+    loop: the thread server counts it and keeps serving; the spawned child,
+    whose one session it was, exits cleanly instead of hanging."""
+    if worker.server is not None:
+        wait_until(lambda: worker.server.failed_sessions == 1)
+        assert worker.server.frames_served == frames_served
+    else:
+        worker.process.join(timeout=5.0)
+        assert worker.process.exitcode == 0
+
+
+def open_session(worker) -> tuple[socket.socket, FrameChannel]:
+    sock = socket.create_connection(worker.address, timeout=5.0)
+    sock.settimeout(5.0)
+    return sock, initiate_session(sock, KEY)
+
+
 class TestWorkerServerHostileBytes:
-    """Hostile connections are rejected; the server keeps serving."""
+    """Hostile connections are rejected without a hang, on a thread server
+    and on a spawned loopback worker alike; nothing unverified is decoded."""
 
-    def test_garbage_handshake_rejected_and_server_survives(self):
-        server = start_server()
-        try:
-            with socket.create_connection(server.address, timeout=5.0) as sock:
-                sock.sendall(b"GET / HTTP/1.1\r\n\r\n" * 8)
-            wait_until(lambda: server.rejected_connections == 1)
-            # A legitimate session still works afterwards.
-            sock = socket.create_connection(server.address, timeout=5.0)
-            sock.settimeout(5.0)
-            channel = initiate_session(sock, KEY)
-            channel.send_frame(b"not-a-wire-frame")
-            ack = decode_shard_ack(channel.recv_frame())
-            assert ack.error is not None  # decode failed, but as a clean ack
-            channel.close()
-            wait_until(lambda: server.sessions_served == 1)
-        finally:
-            server.stop()
+    def test_garbage_handshake_rejected(self, worker):
+        with socket.create_connection(worker.address, timeout=5.0) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\n\r\n" * 8)
+            assert_hung_up(sock)
+        if worker.server is None:
+            assert_session_failed(worker)
+            return
+        wait_until(lambda: worker.server.rejected_connections == 1)
+        # A legitimate session still works afterwards.
+        sock, channel = open_session(worker)
+        channel.send_frame(b"not-a-wire-frame")
+        ack = decode_shard_ack(channel.recv_frame())
+        assert ack.error is not None  # decode failed, but as a clean ack
+        channel.close()
+        wait_until(lambda: worker.server.sessions_served == 1)
 
-    def test_wrong_key_connection_rejected(self):
-        server = start_server()
-        try:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            sock.settimeout(5.0)
-            with pytest.raises((RemoteProtocolError, OSError)):
-                initiate_session(sock, OTHER_KEY)
-            sock.close()
-            wait_until(lambda: server.rejected_connections == 1)
-        finally:
-            server.stop()
+    def test_wrong_key_connection_rejected(self, worker):
+        sock = socket.create_connection(worker.address, timeout=5.0)
+        sock.settimeout(5.0)
+        with pytest.raises((RemoteProtocolError, OSError)):
+            initiate_session(sock, OTHER_KEY)
+        sock.close()
+        if worker.server is not None:
+            wait_until(lambda: worker.server.rejected_connections == 1)
+        assert_session_failed(worker)
 
-    def test_truncated_frame_fails_the_session_not_the_server(self):
-        server = start_server()
-        try:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            sock.settimeout(5.0)
-            channel = initiate_session(sock, KEY)
-            sealed = seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"x" * 64)
-            sock.sendall(sealed[: len(sealed) // 2])  # half an envelope, then EOF
-            channel.close()
-            wait_until(lambda: server.failed_sessions == 1)
-            assert server.frames_served == 0  # the bytes never reached decode
-        finally:
-            server.stop()
+    def test_truncated_frame_fails_the_session(self, worker):
+        sock, channel = open_session(worker)
+        sealed = seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"x" * 64)
+        sock.sendall(sealed[: len(sealed) // 2])  # half an envelope, then EOF
+        channel.close()
+        assert_session_failed(worker)  # the bytes never reached decode
 
-    def test_bad_mac_frame_fails_the_session(self):
-        server = start_server()
-        try:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            sock.settimeout(5.0)
-            channel = initiate_session(sock, KEY)
-            sealed = bytearray(
-                seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"y" * 32)
-            )
-            sealed[-5] ^= 0xFF
-            sock.sendall(bytes(sealed))
-            wait_until(lambda: server.failed_sessions == 1)
-            assert server.frames_served == 0
-            channel.close()
-        finally:
-            server.stop()
+    def test_bad_mac_frame_fails_the_session(self, worker):
+        sock, channel = open_session(worker)
+        sealed = bytearray(
+            seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"y" * 32)
+        )
+        sealed[-5] ^= 0xFF
+        sock.sendall(bytes(sealed))
+        assert_hung_up(sock)  # no ack: the frame never reached decode
+        assert_session_failed(worker)
+        channel.close()
 
-    def test_replayed_envelope_fails_the_session(self):
-        server = start_server()
-        try:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            sock.settimeout(5.0)
-            channel = initiate_session(sock, KEY)
-            sealed = seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"z" * 16)
-            sock.sendall(sealed)
-            channel.recv_frame()  # the (error) ack for the first copy
-            sock.sendall(sealed)  # verbatim replay: stale sequence number
-            wait_until(lambda: server.failed_sessions == 1)
-            assert server.frames_served == 1  # the replay never reached decode
-            channel.close()
-        finally:
-            server.stop()
+    def test_replayed_envelope_fails_the_session(self, worker):
+        sock, channel = open_session(worker)
+        sealed = seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"z" * 16)
+        sock.sendall(sealed)
+        channel.recv_frame()  # the (error) ack for the first copy
+        sock.sendall(sealed)  # verbatim replay: stale sequence number
+        assert_hung_up(sock)  # no second ack: the replay never reached decode
+        assert_session_failed(worker, frames_served=1)
+        channel.close()
+
+    def test_reflected_direction_fails_the_session(self, worker):
+        """A frame sealed as if the worker had sent it — a coordinator
+        echoing worker traffic back — verifies under the session key but
+        fails the direction check."""
+        sock, channel = open_session(worker)
+        sealed = seal_frame(channel._session_key, DIRECTION_WORKER, 1, b"w" * 16)
+        sock.sendall(sealed)
+        assert_hung_up(sock)
+        assert_session_failed(worker)
+        channel.close()
 
 
 class TestTransport:
@@ -687,3 +726,76 @@ class TestResidentCachePersistence:
             assert server.resident_shards == 1  # survives the session
         finally:
             server.stop()
+
+
+class TestLocalWorkers:
+    """``pinned-worker/framed-wire-local`` spawns sealed loopback workers."""
+
+    def test_spawned_workers_serve_through_the_patched_module_attribute(
+        self, monkeypatch
+    ):
+        """The worker looks ``affinity.serve_resident_frame`` up at call time,
+        so a forked child runs whatever the parent installed there — the
+        epoch profile's tracer relies on it to see worker-side spans.  The
+        stand-in answers every frame with a tagged error ack; a worker bound
+        to the original by name would answer normally instead."""
+        from repro.runtime import ShardAck, affinity
+
+        tag = "served-by-the-patched-step"
+
+        def tagged_failure(cache, frame):
+            return affinity.encode_shard_ack(
+                ShardAck(shard_index=-1, epoch=-1, error=("TaggedError", tag))
+            )
+
+        monkeypatch.setattr(affinity, "serve_resident_frame", tagged_failure)
+        config = SystemConfig(
+            num_clients=6,
+            seed=868,
+            executor="pinned-worker/framed-wire-local",
+            executor_workers=2,
+            executor_shards=2,
+        )
+        system = PrivApproxSystem(config)
+        system.provision_clients([("value", "REAL")], lambda i: [{"value": 1.0}])
+        analyst = Analyst("local-trace")
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(
+                buckets=RangeBuckets.uniform(0.0, 8.0, 4, open_ended=True),
+                value_column="value",
+            ),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        system.submit_query(analyst, query, QueryBudget(), parameters=PARAMS)
+        try:
+            with pytest.raises(ResidentWorkerError, match=f"TaggedError: {tag}"):
+                system.run_epoch(query.query_id, 0)
+        finally:
+            system.close()
+
+    def test_every_executor_gets_its_own_random_keys(self):
+        first = make_executor("pinned-worker/framed-wire-local", workers=2)
+        second = make_executor("pinned-worker/framed-wire-local", workers=2)
+        try:
+            keys = [
+                executor.driver._ensure_router()._keys for executor in (first, second)
+            ]
+        finally:
+            first.close()
+            second.close()
+        assert all(len(key) == 32 for pair in keys for key in pair)
+        assert len({key for pair in keys for key in pair}) == 4
+
+    def test_close_ends_every_session_and_joins_the_children(self):
+        executor = make_executor("pinned-worker/framed-wire-local", workers=2)
+        router = executor.driver._ensure_router()
+        for slot in range(2):
+            router.ensure_worker(slot)
+        processes = list(router._processes)
+        assert all(process.exitcode is None for process in processes)
+        executor.close()
+        # Each child saw a clean EOF on its one session and exited by itself.
+        assert [process.exitcode for process in processes] == [0, 0]

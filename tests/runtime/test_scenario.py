@@ -42,17 +42,23 @@ from repro.runtime.scenario import (
 ALL_EXECUTORS = cli_smoke_matrix()
 # The drivers the plan stage's known-late set reaches (they answer here).
 IN_PROCESS_EXECUTORS = [e for e in ALL_EXECUTORS if e.endswith("/in-process")]
-#: The pool spellings once more, with every emit held back to the end of the
-#: epoch and replayed in reverse shard order (``reversed_emits``, conftest.py).
+#: The worker-driver spellings once more, with every emit held back to the
+#: end of the epoch and replayed in reverse shard order (``reversed_emits``,
+#: conftest.py).
 REVERSED_EMITS = {
     spelling: pytest.param(
         spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
     )
-    for spelling in ALL_EXECUTORS
-    if spelling.startswith("pipelined-overlap/")
+    for spelling in ALL_EXECUTORS[1:]
+    if not spelling.startswith("inline/")
 }
 PIPELINED = "pipelined-overlap/in-process"
 RESIDENT = "pinned-worker/framed-wire-local"
+#: The resident spelling once more, with every pinned worker killed after each
+#: epoch (``respawned_workers``, conftest.py).
+RESPAWNED_WORKERS = pytest.param(
+    RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
+)
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
 #: log, encrypted shares, window estimates *and* error bounds, late-drop
 #: ledger), captured at the parent of the PR that made the answer -> estimate
@@ -244,7 +250,9 @@ class TestDeadlineFaultInjection:
         for epoch, late in expected.items():
             assert 0 < len(late) < SLOW_SPEC.num_clients, (epoch, late)
 
-    @pytest.mark.parametrize("executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values()])
+    @pytest.mark.parametrize(
+        "executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values(), RESPAWNED_WORKERS]
+    )
     def test_slow_clients_dropped_and_recorded(self, executor):
         """Every executor drops exactly the modeled-late clients, no deadlock."""
         expected = _expected_late(SLOW_SPEC)
@@ -356,7 +364,9 @@ class TestDuplicateInjection:
 
 
 class TestHostileEdgeCases:
-    @pytest.mark.parametrize("executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values()])
+    @pytest.mark.parametrize(
+        "executor", [*ALL_EXECUTORS, *REVERSED_EMITS.values(), RESPAWNED_WORKERS]
+    )
     def test_empty_participation_epoch(self, executor):
         """Zero active clients: epochs complete with no answers and no hang."""
         spec = find_scenario("ghost-town")

@@ -36,7 +36,6 @@ from repro.runtime import cli_smoke_matrix
 
 INLINE = "inline/in-process"
 PIPELINED = "pipelined-overlap/in-process"
-PROCESS = "pipelined-overlap/framed-wire-local"
 RESIDENT = "pinned-worker/framed-wire-local"
 
 SCENARIO_SEED = 0x7A57E5
@@ -74,14 +73,16 @@ def generate_scenarios() -> list[Scenario]:
     """~25 deterministic scenarios with guaranteed executor coverage."""
     rng = random.Random(SCENARIO_SEED)
     # In-process drivers are cheap, so they carry the bulk of the fuzzing;
-    # every wire-transport scenario costs a worker spawn.
-    executors = [INLINE] * 8 + [PIPELINED] * 7 + [PROCESS] * 4 + [RESIDENT] * 6
+    # every pinned-worker scenario costs worker spawns.  (Ten resident slots:
+    # four were snapshot-shipping slots once, and the draws below are
+    # unchanged, so every scenario keeps its shape.)
+    executors = [INLINE] * 8 + [PIPELINED] * 7 + [RESIDENT] * 10
     rng.shuffle(executors)
     scenarios = []
     for index, executor in enumerate(executors[:NUM_SCENARIOS]):
         num_epochs = rng.randint(1, 4)
         reshard_after_epoch = None
-        if executor in (PROCESS, RESIDENT) and num_epochs >= 3 and rng.random() < 0.6:
+        if executor == RESIDENT and num_epochs >= 3 and rng.random() < 0.6:
             reshard_after_epoch = rng.randint(1, num_epochs - 2)
         scenarios.append(
             Scenario(
@@ -226,7 +227,7 @@ def test_scenario_generation_is_deterministic():
     assert generate_scenarios() == SCENARIOS
     assert len(SCENARIOS) == NUM_SCENARIOS
     executors_covered = {s.executor for s in SCENARIOS}
-    assert executors_covered == {INLINE, PIPELINED, PROCESS, RESIDENT}
+    assert executors_covered == {INLINE, PIPELINED, RESIDENT}
     assert executors_covered <= set(cli_smoke_matrix())
     assert any(s.reshard_after_epoch is not None for s in SCENARIOS)
     assert any(s.num_queries > 1 for s in SCENARIOS)
@@ -258,17 +259,22 @@ CHURN_SPECS = [
 CHURN_SPECS.append(
     dataclasses.replace(CHURN_SPECS[-1], name="kitchen-sink-two-queries", num_queries=2)
 )
-# Every single-host driver combination, and the pool spellings once more with
-# every emit held back to the end of the epoch and replayed in reverse shard
-# order (``reversed_emits``, conftest.py).
+# Every single-host driver combination; the worker-driver spellings once more
+# with every emit held back to the end of the epoch and replayed in reverse
+# shard order (``reversed_emits``, conftest.py); and the resident spelling
+# once more with every pinned worker killed after each epoch
+# (``respawned_workers``, conftest.py).
 REVERSED_EMITS = [
     pytest.param(
         spelling, marks=pytest.mark.reversed_emits, id=f"{spelling}+reversed-emits"
     )
-    for spelling in cli_smoke_matrix()
-    if spelling.startswith("pipelined-overlap/")
+    for spelling in cli_smoke_matrix()[1:]
+    if not spelling.startswith("inline/")
 ]
-CHURN_EXECUTORS = [*cli_smoke_matrix()[1:], *REVERSED_EMITS]
+RESPAWNED_WORKERS = pytest.param(
+    RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
+)
+CHURN_EXECUTORS = [*cli_smoke_matrix()[1:], *REVERSED_EMITS, RESPAWNED_WORKERS]
 
 
 def _run_churn_ledger(monkeypatch, spec, **executor_options) -> dict:
@@ -381,7 +387,9 @@ def test_churn_scenario_matches_serial_reference(spec, executor, monkeypatch):
 @pytest.mark.parametrize(
     "mode", ["arena", "per-client"], ids=["arena", "per-client"]
 )
-@pytest.mark.parametrize("executor", [*cli_smoke_matrix(), *REVERSED_EMITS])
+@pytest.mark.parametrize(
+    "executor", [*cli_smoke_matrix(), *REVERSED_EMITS, RESPAWNED_WORKERS]
+)
 def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch):
     """The full differential ladder over one hostile scenario: shard-wide
     arena answering (the default) and the per-client compiled path
@@ -417,8 +425,9 @@ def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch)
 
 from repro.core.client import Client, ClientConfig  # noqa: E402
 from repro.runtime.affinity import ResidentShardCache  # noqa: E402
-from repro.runtime.engine import answer_shard, make_shard_arena  # noqa: E402
+from repro.runtime.engine import answer_shard  # noqa: E402
 from repro.runtime.wire import ClientDelta  # noqa: E402
+from repro.sqldb import ShardArena  # noqa: E402
 
 
 def _arena_clients(count: int = 6) -> tuple[list[Client], str]:
@@ -574,8 +583,7 @@ def test_latest_row_arena_answers_equal_per_client_answers(latest_row_cases):
     columns, statements, members = latest_row_cases
     with_arena, query_ids = _latest_row_shard(columns, statements, members)
     without, _ = _latest_row_shard(columns, statements, members)
-    arena = make_shard_arena(with_arena)
-    assert arena is not None
+    arena = ShardArena([client.database for client in with_arena])
     answered = 0
     for epoch in range(2):
         for query_id in query_ids:

@@ -1,6 +1,6 @@
-"""The wire format: framed shard tasks/batches and client state snapshots.
+"""The wire format: framed resident frames and client state snapshots.
 
-The wire transports are only correct if (a) a client restored from its
+The pinned workers are only correct if (a) a client restored from its
 snapshot continues the *exact* random streams of the original and (b) the
 framing rejects foreign, truncated or version-drifted bytes instead of
 feeding garbage to a worker.  Both properties are pinned here, independently
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
+import struct
 
 import pytest
 
@@ -27,22 +28,16 @@ from repro.pubsub import payload_size
 from repro.runtime import (
     ClientDelta,
     ShardAck,
-    ShardBatch,
     ShardBootstrap,
     ShardDelta,
-    ShardTask,
     WireError,
     decode_frame,
     decode_shard_ack,
-    decode_shard_batch,
     decode_shard_bootstrap,
     decode_shard_delta,
-    decode_shard_task,
     encode_shard_ack,
-    encode_shard_batch,
     encode_shard_bootstrap,
     encode_shard_delta,
-    encode_shard_task,
 )
 from repro.runtime.affinity import ResidentShardCache, serve_resident_frame
 from repro.runtime.wire import WIRE_VERSION
@@ -99,7 +94,7 @@ class TestClientSnapshot:
         ref0 = reference.answer_query(query_id, epoch=0)
         trav0 = traveller.answer_query(query_id, epoch=0)
         assert (ref0 is None) == (trav0 is None)
-        # Round-trip the traveller through its snapshot (as a worker would).
+        # Round-trip the traveller through its snapshot (as a bootstrap does).
         traveller = Client.from_state(pickle.loads(pickle.dumps(traveller.export_state())))
         for epoch in (1, 2, 3):
             ref = reference.answer_query(query_id, epoch=epoch)
@@ -122,17 +117,25 @@ class TestClientSnapshot:
         assert restored.config == client.config
 
 
+def retired_kind_frame(kind: int) -> bytes:
+    """A well-formed v3 header stamped with a retired snapshot-shipping kind
+    (1 = the parent → worker task, 2 = the worker → parent batch) over a
+    payload that would unpickle fine."""
+    payload = pickle.dumps({"client_states": ()})
+    return struct.pack(">4sBBI", b"PAWF", WIRE_VERSION, kind, len(payload)) + payload
+
+
 class TestFraming:
-    def make_task(self) -> ShardTask:
+    def make_bootstrap(self) -> ShardBootstrap:
         client = make_client()
-        return ShardTask(
+        return ShardBootstrap(
             shard_index=3,
             epoch=7,
             query_ids=(client.subscribed_query_ids[0],),
             client_states=(client.export_state(),),
         )
 
-    def make_batch(self) -> ShardBatch:
+    def make_ack(self) -> ShardAck:
         client = make_client(seed=7)
         query_id = client.subscribed_query_ids[0]
         responses = []
@@ -140,71 +143,62 @@ class TestFraming:
             response = client.answer_query(query_id, epoch=epoch)
             if response is not None:
                 responses.append(response)
-        return ShardBatch(
+        return ShardAck(
             shard_index=1,
             epoch=5,
             wall_seconds=0.25,
             responses=(tuple(responses),),
-            client_states=(client.export_state(),),
         )
 
-    def test_task_round_trip(self):
-        task = self.make_task()
-        decoded = decode_shard_task(encode_shard_task(task))
-        assert decoded.shard_index == task.shard_index
-        assert decoded.epoch == task.epoch
-        assert decoded.query_ids == task.query_ids
-        assert decoded.num_clients == 1
-        assert decoded.num_queries == 1
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_retired_snapshot_kinds_are_unknown(self, kind):
+        """Kinds 1 and 2 are rejected at the header like any unknown kind:
+        the payload behind them is never unpickled."""
+        with pytest.raises(WireError, match=f"unknown frame kind {kind}") as excinfo:
+            decode_frame(retired_kind_frame(kind))
+        assert excinfo.value.kind is None and excinfo.value.offset == 5
 
-    def test_batch_round_trip(self):
-        batch = self.make_batch()
-        decoded = decode_shard_batch(encode_shard_batch(batch))
-        assert decoded.responses == batch.responses
-        assert decoded.wall_seconds == batch.wall_seconds
-        assert decoded.share_rows() == batch.share_rows()
-
-    def test_batch_size_matches_pubsub_sizing(self):
-        """A decoded batch and the broker records agree on share byte size."""
-        batch = self.make_batch()
-        assert batch.size_bytes() == payload_size(batch.share_rows(0))
-        assert batch.size_bytes() > 0
+    def test_ack_size_matches_pubsub_sizing(self):
+        """A decoded ack and the broker records agree on share byte size."""
+        ack = decode_shard_ack(encode_shard_ack(self.make_ack()))
+        assert ack.size_bytes() == payload_size(ack.share_rows(0))
+        assert ack.size_bytes() > 0
 
     def test_rejects_truncated_frames(self):
-        blob = encode_shard_task(self.make_task())
+        blob = encode_shard_bootstrap(self.make_bootstrap())
         with pytest.raises(WireError, match="too short"):
-            decode_shard_task(blob[:4])
+            decode_shard_bootstrap(blob[:4])
         with pytest.raises(WireError, match="payload bytes"):
-            decode_shard_task(blob[:-3])
+            decode_shard_bootstrap(blob[:-3])
 
     def test_rejects_foreign_magic_and_version(self):
-        blob = encode_shard_task(self.make_task())
+        blob = encode_shard_bootstrap(self.make_bootstrap())
         with pytest.raises(WireError, match="magic"):
-            decode_shard_task(b"XXXX" + blob[4:])
+            decode_shard_bootstrap(b"XXXX" + blob[4:])
         with pytest.raises(WireError, match="version"):
-            decode_shard_task(blob[:4] + bytes([99]) + blob[5:])
+            decode_shard_bootstrap(blob[:4] + bytes([99]) + blob[5:])
 
     def test_rejects_kind_mismatch(self):
-        task_blob = encode_shard_task(self.make_task())
+        bootstrap_blob = encode_shard_bootstrap(self.make_bootstrap())
         with pytest.raises(WireError, match="kind"):
-            decode_shard_batch(task_blob)
+            decode_shard_ack(bootstrap_blob)
 
     def test_unpicklable_state_raises_wire_error(self):
-        task = ShardTask(
+        bootstrap = ShardBootstrap(
             shard_index=0,
             epoch=0,
             query_ids=("q",),
             client_states=(lambda: None,),  # lambdas cannot pickle
         )
         with pytest.raises(WireError, match="serialize"):
-            encode_shard_task(task)
+            encode_shard_bootstrap(bootstrap)
 
     def test_garbage_payload_raises_wire_error(self):
-        blob = encode_shard_task(self.make_task())
+        blob = encode_shard_bootstrap(self.make_bootstrap())
         header = blob[:10]
         corrupted = header[:6] + len(b"junk!").to_bytes(4, "big") + b"junk!"
         with pytest.raises(WireError, match="deserialize"):
-            decode_shard_task(corrupted)
+            decode_shard_bootstrap(corrupted)
 
 
 def make_resident_client(seed: int = 99) -> Client:
@@ -325,10 +319,10 @@ class TestWireV3Framing:
 class TestVersionNegotiation:
     """Frames are emitted at v3 and every kind is accepted at v3 only."""
 
-    def make_task_blob(self) -> bytes:
+    def make_bootstrap_blob(self) -> bytes:
         client = make_client()
-        return encode_shard_task(
-            ShardTask(
+        return encode_shard_bootstrap(
+            ShardBootstrap(
                 shard_index=0,
                 epoch=0,
                 query_ids=(client.subscribed_query_ids[0],),
@@ -337,23 +331,19 @@ class TestVersionNegotiation:
         )
 
     def test_frames_are_emitted_at_version_3(self):
-        blob = self.make_task_blob()
+        blob = self.make_bootstrap_blob()
         assert blob[4] == WIRE_VERSION == 3
 
-    def test_version_2_snapshot_frames_are_rejected(self):
-        """No sender stamps v2: a v2-stamped ShardTask/ShardBatch is a
-        WireError naming the version, on every decode entry point."""
-        task_blob = self.make_task_blob()
-        batch_blob = encode_shard_batch(
-            ShardBatch(
-                shard_index=0, epoch=0, wall_seconds=0.0, responses=(), client_states=()
-            )
-        )
+    def test_version_2_frames_are_rejected(self):
+        """No sender stamps v2: a v2-stamped bootstrap or ack is a WireError
+        naming the version, on every decode entry point."""
+        bootstrap_blob = self.make_bootstrap_blob()
+        ack_blob = encode_shard_ack(ShardAck(shard_index=0, epoch=0))
         for blob, decode in (
-            (task_blob, decode_shard_task),
-            (batch_blob, decode_shard_batch),
-            (task_blob, decode_frame),
-            (batch_blob, decode_frame),
+            (bootstrap_blob, decode_shard_bootstrap),
+            (ack_blob, decode_shard_ack),
+            (bootstrap_blob, decode_frame),
+            (ack_blob, decode_frame),
         ):
             downgraded = blob[:4] + bytes([2]) + blob[5:]
             with pytest.raises(WireError, match="version 2") as excinfo:
@@ -361,16 +351,16 @@ class TestVersionNegotiation:
             assert excinfo.value.offset == 4  # points at the version byte
 
     def test_version_1_frames_are_rejected(self):
-        blob = self.make_task_blob()
+        blob = self.make_bootstrap_blob()
         ancient = blob[:4] + bytes([1]) + blob[5:]
         with pytest.raises(WireError, match="version 1"):
-            decode_shard_task(ancient)
+            decode_shard_bootstrap(ancient)
 
     def test_future_versions_are_rejected(self):
-        blob = self.make_task_blob()
+        blob = self.make_bootstrap_blob()
         future = blob[:4] + bytes([9]) + blob[5:]
         with pytest.raises(WireError, match="version 9"):
-            decode_shard_task(future)
+            decode_shard_bootstrap(future)
 
     def test_resident_kinds_require_version_3(self):
         client = make_resident_client()
@@ -387,11 +377,15 @@ class TestVersionNegotiation:
         with pytest.raises(WireError, match="version 2"):
             decode_shard_delta(downgraded)
 
-    def test_unknown_kind_rejected(self):
-        blob = self.make_task_blob()
-        mutated = blob[:5] + bytes([77]) + blob[6:]
-        with pytest.raises(WireError, match="unknown frame kind"):
-            decode_frame(mutated)
+    @pytest.mark.parametrize("kind", [1, 2, 77])
+    def test_unknown_kind_rejected(self, kind):
+        """Retired kinds (1, 2) and never-assigned ones fail alike, on the
+        dispatching decoder and on every kind-specific one."""
+        blob = self.make_bootstrap_blob()
+        mutated = blob[:5] + bytes([kind]) + blob[6:]
+        for decode in (decode_frame, decode_shard_bootstrap, decode_shard_ack):
+            with pytest.raises(WireError, match=f"unknown frame kind {kind}"):
+                decode(mutated)
 
 
 class TestStateFingerprint:
@@ -446,7 +440,7 @@ class TestStateFingerprint:
         assert receiver.state_fingerprint() == donor.state_fingerprint()
 
     def test_full_export_still_rebuilds_a_client(self):
-        """Bootstrap, ShardTask and ShardBatch keep the full snapshot form."""
+        """Bootstrap frames keep the full snapshot form."""
         client = make_resident_client(3)
         state = client.export_state()
         assert set(state) == set(STREAM_STATE_FIELDS) | {
