@@ -3,8 +3,10 @@
 Every benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing (which exercises the real code path), each benchmark
 writes the rows/series the paper reports to ``benchmarks/results/<name>.txt``
-so the output can be compared against the published numbers (see
-EXPERIMENTS.md for the side-by-side).
+so the output can be compared against the published numbers.  The
+``benchmarks/results/`` directory is written by the runs and not committed;
+the declared epoch benchmark and its committed baseline are described in
+``benchmarks/epoch_profile/README.md``.
 """
 
 from __future__ import annotations

@@ -16,12 +16,15 @@ encrypted shares leave the device.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
+import itertools
 import random
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.admission import participation_token
 from repro.core.budget import ExecutionParameters
@@ -31,6 +34,7 @@ from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
 from repro.core.seeding import derive_query_seed, derive_query_seed_bytes
 from repro.crypto.prng import KeystreamGenerator, secure_random_bytes
+from repro.crypto.xor import MessageShare
 from repro.sqldb import Database
 
 
@@ -52,17 +56,20 @@ class ClientConfig:
 class ClientResponse:
     """What a participating client produces for one epoch.
 
-    ``encrypted`` carries the shares to transmit.  ``truthful_bits`` is kept
-    *only* for evaluation purposes (computing exact baselines in experiments);
-    it is never placed on the wire by :class:`~repro.core.system.PrivApproxSystem`.
+    ``encrypted`` carries the shares to transmit.  ``truthful_bits`` and
+    ``randomized_bits`` are ``bytes`` holding one 0/1 byte per answer bit.
+    ``truthful_bits`` is kept *only* for evaluation purposes (computing exact
+    baselines in experiments); it is never placed on the wire by
+    :class:`~repro.core.system.PrivApproxSystem`, whose response log packs
+    these fields into bytes blocks (:func:`pack_responses`).
     """
 
     client_id: str
     query_id: str
     epoch: int
     encrypted: EncryptedAnswer
-    truthful_bits: tuple
-    randomized_bits: tuple
+    truthful_bits: bytes
+    randomized_bits: bytes
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,134 @@ class LateAnswer:
     client_id: str
     query_id: str
     epoch: int
+
+
+# The header of a packed response block: response count, epoch, bit width,
+# share count, payload width.
+_BLOCK_HEADER = struct.Struct(">IqHHI")
+
+
+def _block_shape(response: ClientResponse) -> tuple[int, int, int, int]:
+    """The header fields every response in one block shares."""
+    shares = response.encrypted.shares
+    return (response.epoch, len(response.truthful_bits), len(shares), len(shares[0].payload))
+
+
+def _pack_column(values: list[bytes]) -> bytes:
+    return struct.pack(f">{len(values)}H", *map(len, values)) + b"".join(values)
+
+
+def _unpack_column(block: bytes, offset: int, count: int) -> tuple[list[bytes], int]:
+    lengths = struct.unpack_from(f">{count}H", block, offset)
+    offset += 2 * count
+    values = []
+    for length in lengths:
+        values.append(block[offset : offset + length])
+        offset += length
+    return values, offset
+
+
+def pack_responses(responses: Sequence[ClientResponse]) -> list[bytes]:
+    """Pack one query's responses into ``bytes`` blocks, in order.
+
+    A block holds the header (:data:`_BLOCK_HEADER`); the client-id and MID
+    columns, each as its ``>H`` lengths then the UTF-8 bytes; the truthful-bit
+    and randomized-bit columns; and one payload column per share position.
+    Every answer to one query in one epoch has the same width
+    (:meth:`~repro.core.encryption.AnswerCodec.encoded_length`), so an
+    epoch's responses make one block; a response whose epoch or widths differ
+    starts a new block, which keeps the log order.  A share's MID and index
+    are not stored: :func:`~repro.crypto.xor.split_message` gives every share
+    its answer's MID and its position as index.
+    """
+    blocks = []
+    for shape, run in itertools.groupby(responses, _block_shape):
+        run = list(run)
+        parts = [
+            _BLOCK_HEADER.pack(len(run), *shape),
+            _pack_column([response.client_id.encode("utf-8") for response in run]),
+            _pack_column([response.encrypted.message_id.encode("utf-8") for response in run]),
+            b"".join([response.truthful_bits for response in run]),
+            b"".join([response.randomized_bits for response in run]),
+        ]
+        for position in range(shape[2]):
+            column = [response.encrypted.shares[position].payload for response in run]
+            parts.append(b"".join(column))
+        blocks.append(b"".join(parts))
+    return blocks
+
+
+def unpack_responses(block: bytes, query_id: str) -> Iterator[ClientResponse]:
+    """Rebuild a :func:`pack_responses` block's responses one at a time."""
+    count, epoch, width, num_shares, payload_width = _BLOCK_HEADER.unpack_from(block)
+    client_ids, offset = _unpack_column(block, _BLOCK_HEADER.size, count)
+    message_ids, truthful = _unpack_column(block, offset, count)
+    randomized = truthful + count * width
+    first_payload = randomized + count * width
+    payloads = [first_payload + index * count * payload_width for index in range(num_shares)]
+    for row, (client_id, message_id) in enumerate(zip(client_ids, message_ids)):
+        message_id = message_id.decode("utf-8")
+        bits = row * width
+        start = row * payload_width
+        shares = tuple(
+            MessageShare(message_id, block[column + start : column + start + payload_width], index)
+            for index, column in enumerate(payloads)
+        )
+        yield ClientResponse(
+            client_id=client_id.decode("utf-8"),
+            query_id=query_id,
+            epoch=epoch,
+            encrypted=EncryptedAnswer(message_id=message_id, shares=shares),
+            truthful_bits=block[truthful + bits : truthful + bits + width],
+            randomized_bits=block[randomized + bits : randomized + bits + width],
+        )
+
+
+class ResponseLog(Sequence):
+    """A read-only sequence over one query's packed response log.
+
+    Evaluation only: it is what :meth:`PrivApproxSystem.responses_log` hands
+    out.  Indexing and iteration rebuild value-equal :class:`ClientResponse`
+    objects one at a time from the blocks, so reading the log never holds
+    all of it as objects.  It compares equal to any sequence
+    of equal responses (``log == []`` included).
+    """
+
+    def __init__(self, query_id: str, blocks: Sequence[bytes]):
+        self._query_id = query_id
+        self._blocks = tuple(blocks)
+        self._ends = list(
+            itertools.accumulate(_BLOCK_HEADER.unpack_from(block)[0] for block in self._blocks)
+        )
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[ClientResponse]:
+        for block in self._blocks:
+            yield from unpack_responses(block, self._query_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("response log index out of range")
+        block = bisect.bisect_right(self._ends, index)
+        first = self._ends[block - 1] if block else 0
+        rows = unpack_responses(self._blocks[block], self._query_id)
+        return next(itertools.islice(rows, index - first, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ResponseLog({self._query_id!r}, {len(self)} responses)"
 
 
 @functools.lru_cache(maxsize=4)
@@ -502,12 +637,14 @@ class Client:
         if not sampler.should_participate():
             return None
 
-        truthful_bits = self._execute_query_locally(query, scan_cache)
-        randomized_bits = responder.randomize_vector(truthful_bits)
+        truthful = self._execute_query_locally(query, scan_cache)
+        # bytes(bytearray(list)) copies at C speed; bytes(list) iterates.
+        truthful_bits = bytes(bytearray(truthful))
+        randomized_bits = bytes(bytearray(responder.randomize_vector(truthful)))
 
         answer = QueryAnswer(
             query_id=query.query_id,
-            bits=tuple(randomized_bits),
+            bits=randomized_bits,
             epoch=epoch,
             token=participation_token(self._token_secret, query.query_id, epoch),
         )
@@ -521,8 +658,8 @@ class Client:
             query_id=query.query_id,
             epoch=epoch,
             encrypted=encrypted,
-            truthful_bits=tuple(truthful_bits),
-            randomized_bits=tuple(randomized_bits),
+            truthful_bits=truthful_bits,
+            randomized_bits=randomized_bits,
         )
 
     def _rng_for(self, query_id: str) -> random.Random:

@@ -61,6 +61,11 @@ class QueryDistributor:
     def __post_init__(self) -> None:
         self.cluster.ensure_topic(QUERY_TOPIC, num_partitions=1)
         self._producer = Producer(self.cluster, client_id="query-distributor")
+        # A reader that never polls: partitions trim behind their live
+        # readers, and every client feed, however late, must read every
+        # announcement.
+        self._archive = Consumer(self.cluster, group_id="query-archive")
+        self._archive.subscribe([QUERY_TOPIC])
         self.queries_published = 0
 
     # -- aggregator side ----------------------------------------------------

@@ -161,7 +161,7 @@ class Proxy:
 
     def pending_shares(self) -> int:
         """Number of shares currently stored in the relay topic."""
-        return self.cluster.topic(self.topic_name).total_records()
+        return sum(len(partition) for partition in self.cluster.topic(self.topic_name).partitions)
 
     def reset_metrics(self) -> None:
         self.shares_relayed = 0

@@ -182,13 +182,15 @@ _BIT_VALUES = frozenset((0, 1))
 class QueryAnswer:
     """A single client's (truthful or randomized) answer: an n-bit vector.
 
+    ``bits`` holds 0/1 values: a tuple when decoded, ``bytes`` when a client
+    builds its own answer (:meth:`~repro.core.client.Client.answer_query`).
     ``token`` is the anonymous per-epoch participation token used by the
     aggregator's duplicate-answer defense (:mod:`repro.core.admission`); it is
     empty when admission control is not in use.
     """
 
     query_id: str
-    bits: tuple
+    bits: tuple | bytes
     client_tag: str | None = None  # never transmitted; used only in tests/metrics
     epoch: int = 0
     token: str = ""

@@ -34,7 +34,7 @@ from repro.core.admission import AnswerAdmissionController
 from repro.core.aggregator import Aggregator, WindowResult
 from repro.core.analyst import Analyst
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
-from repro.core.client import Client, ClientConfig, ClientResponse
+from repro.core.client import Client, ClientConfig, ResponseLog, pack_responses
 from repro.core.distribution import QueryDistributor
 from repro.core.estimation import ErrorEstimator
 from repro.core.historical import HistoricalStore
@@ -189,7 +189,8 @@ class PrivApproxSystem:
         # per-query proxy topics, so concurrent queries never read each
         # other's records.  Single-query deployments never allocate them.
         self._scoped_consumers: dict[str, list] = {}
-        self._responses_log: dict[str, list[ClientResponse]] = {}
+        # Each query's responses, one packed block per epoch (pack_responses).
+        self._responses_log: dict[str, list[bytes]] = {}
         # Optional epoch-deadline gate (duck-typed; see
         # repro.runtime.scenario.EpochDeadline) handed to the executor with
         # each epoch context.  Scenario runs arm a fresh gate per epoch;
@@ -448,7 +449,7 @@ class PrivApproxSystem:
         """
         query = self._queries[query_id]
         aggregator = self._aggregators[query_id]
-        self._responses_log[query_id].extend(outcome.responses)
+        self._responses_log[query_id].extend(pack_responses(outcome.responses))
         window_results = list(outcome.window_results)
         self._record_historical(query, aggregator, epoch, outcome.responses)
         self._deliver_and_retune(query_id, window_results)
@@ -503,9 +504,14 @@ class PrivApproxSystem:
                 counts[index] += bit
         return counts
 
-    def responses_log(self, query_id: str) -> list[ClientResponse]:
-        """All responses produced so far (evaluation only)."""
-        return list(self._responses_log.get(query_id, []))
+    def responses_log(self, query_id: str) -> ResponseLog:
+        """All responses produced so far, in order (evaluation only).
+
+        A read-only snapshot over the packed log: it rebuilds value-equal
+        :class:`~repro.core.client.ClientResponse` objects (bits as
+        ``bytes``) one at a time and does not see later epochs.
+        """
+        return ResponseLog(query_id, self._responses_log.get(query_id, ()))
 
     # -- internals ------------------------------------------------------------
 

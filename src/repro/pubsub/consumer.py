@@ -15,6 +15,9 @@ class Consumer:
 
     ``poll`` returns new records since the last poll; ``seek_to_beginning``
     rewinds, mirroring the Kafka consumer API surface the aggregator needs.
+    Subscribing registers the consumer (weakly) with every partition of the
+    topic, so it pins the records it has not yet polled; each poll that
+    reads something trims what every live reader has polled past.
     """
 
     cluster: BrokerCluster
@@ -28,9 +31,11 @@ class Consumer:
     def subscribe(self, topics: list[str]) -> None:
         """Subscribe to a list of topics (resets nothing; offsets start at 0)."""
         for name in topics:
-            self.cluster.topic(name)  # validate existence
+            topic = self.cluster.topic(name)  # validates existence
             if name not in self._subscriptions:
                 self._subscriptions.append(name)
+                for partition in topic.partitions:
+                    partition.add_reader(self)
 
     @property
     def subscriptions(self) -> list[str]:
@@ -44,18 +49,24 @@ class Consumer:
         for topic_name in self._subscriptions:
             topic = self.cluster.topic(topic_name)
             for partition in topic.partitions:
-                key = (topic_name, partition.index)
-                offset = self._offsets.get(key, 0)
                 remaining = None if max_records is None else max_records - len(out)
                 if remaining is not None and remaining <= 0:
                     return out
-                records = partition.read(offset, remaining)
-                self._offsets[key] = offset + len(records)
-                out.extend(records)
+                out.extend(self._read(topic_name, partition, remaining))
         return out
 
+    def _read(self, topic_name: str, partition, max_records: int | None) -> list[Record]:
+        """Read one partition from this consumer's position, then trim it."""
+        key = (topic_name, partition.index)
+        start = max(self._offsets.get(key, 0), partition.base_offset)
+        records = partition.read(start, max_records)
+        self._offsets[key] = start + len(records)
+        if records:
+            partition.trim()
+        return records
+
     def seek_to_beginning(self) -> None:
-        """Rewind all partition offsets to zero."""
+        """Rewind every partition to its earliest retained offset."""
         self._offsets = {}
 
     def position(self, topic: str, partition: int) -> int:
@@ -69,7 +80,7 @@ class Consumer:
             topic = self.cluster.topic(topic_name)
             for partition in topic.partitions:
                 consumed = self._offsets.get((topic_name, partition.index), 0)
-                total += partition.end_offset - consumed
+                total += partition.end_offset - max(consumed, partition.base_offset)
         return total
 
 
@@ -98,9 +109,11 @@ class ConsumerGroup:
 
     def subscribe(self, topics: list[str]) -> None:
         for name in topics:
-            self.cluster.topic(name)
+            topic = self.cluster.topic(name)
             if name not in self._topics:
                 self._topics.append(name)
+                for partition in topic.partitions:
+                    partition.add_reader(self.members[partition.index % self.num_members])
 
     def poll_all(self) -> list[Record]:
         """Poll every member and merge results, respecting partition assignment."""
@@ -111,11 +124,6 @@ class ConsumerGroup:
             for topic_name in self._topics:
                 topic = self.cluster.topic(topic_name)
                 for partition in topic.partitions:
-                    if partition.index % self.num_members != member_index:
-                        continue
-                    key = (topic_name, partition.index)
-                    offset = member._offsets.get(key, 0)
-                    records = partition.read(offset)
-                    member._offsets[key] = offset + len(records)
-                    out.extend(records)
+                    if partition.index % self.num_members == member_index:
+                        out.extend(member._read(topic_name, partition, None))
         return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 from repro.pubsub.errors import UnknownPartitionError
@@ -11,15 +12,27 @@ from repro.pubsub.record import Record
 
 @dataclass
 class Partition:
-    """One partition of a topic: an append-only log of records."""
+    """One partition of a topic: an ordered log of records.
+
+    Offsets are absolute: ``records[0]`` sits at ``base_offset``, and
+    ``end_offset`` is the offset the next append gets.  Readers register
+    with :meth:`add_reader` (a :class:`~repro.pubsub.consumer.Consumer` does
+    at ``subscribe``) and are held weakly; :meth:`trim` drops the records
+    every live reader has polled past.  A partition no live reader has
+    registered with keeps everything.
+    """
 
     topic_name: str
     index: int
     records: list[Record] = field(default_factory=list)
+    base_offset: int = 0
+
+    def __post_init__(self) -> None:
+        self._readers: dict[int, weakref.ref] = {}
 
     def append(self, record: Record) -> Record:
         """Append a record and return it annotated with its offset."""
-        positioned = record.with_position(self.topic_name, self.index, len(self.records))
+        positioned = record.with_position(self.topic_name, self.index, self.end_offset)
         self.records.append(positioned)
         return positioned
 
@@ -39,28 +52,56 @@ class Partition:
             headers=headers or {},
             topic=self.topic_name,
             partition=self.index,
-            offset=len(self.records),
+            offset=self.end_offset,
         )
         self.records.append(record)
         return record
 
     def read(self, offset: int = 0, max_records: int | None = None) -> list[Record]:
-        """Read records starting at ``offset`` (up to ``max_records`` of them)."""
+        """Read records starting at ``offset`` (up to ``max_records`` of them).
+
+        An offset below ``base_offset`` reads from the earliest retained record.
+        """
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
-        end = len(self.records) if max_records is None else offset + max_records
-        return self.records[offset:end]
+        start = max(offset - self.base_offset, 0)
+        end = None if max_records is None else start + max_records
+        return self.records[start:end]
+
+    def add_reader(self, reader) -> None:
+        """Let ``reader`` pin this partition's records from its position on.
+
+        ``reader.position(topic_name, index)`` is its next offset to read;
+        the reader is held weakly, so a collected reader stops pinning.
+        """
+        self._readers[id(reader)] = weakref.ref(reader)
+
+    def trim(self) -> None:
+        """Drop the records every live registered reader has polled past."""
+        low = None
+        for key, ref in list(self._readers.items()):
+            reader = ref()
+            if reader is None:
+                del self._readers[key]
+                continue
+            position = reader.position(self.topic_name, self.index)
+            if low is None or position < low:
+                low = position
+        if low is not None and low > self.base_offset:
+            del self.records[: low - self.base_offset]
+            self.base_offset = low
 
     @property
     def end_offset(self) -> int:
         """Offset one past the last record (the next offset to be assigned)."""
-        return len(self.records)
+        return self.base_offset + len(self.records)
 
     def total_bytes(self) -> int:
-        """Total approximate wire size of all records in the partition."""
+        """Total approximate wire size of the records the partition holds."""
         return sum(record.size_bytes() for record in self.records)
 
     def __len__(self) -> int:
+        """Number of records the partition holds (trimmed ones excluded)."""
         return len(self.records)
 
 
@@ -96,14 +137,16 @@ class Topic:
         return self.partitions[index].append(record)
 
     def all_records(self) -> list[Record]:
-        """All records across partitions, ordered by (partition, offset)."""
+        """All retained records across partitions, ordered by (partition, offset)."""
         out: list[Record] = []
         for partition in self.partitions:
             out.extend(partition.records)
         return out
 
     def total_records(self) -> int:
-        return sum(len(p) for p in self.partitions)
+        """Records ever appended, trimmed ones included."""
+        return sum(p.end_offset for p in self.partitions)
 
     def total_bytes(self) -> int:
+        """Approximate wire size of the records the partitions hold."""
         return sum(p.total_bytes() for p in self.partitions)

@@ -97,8 +97,8 @@ class TestAnswering:
         client.subscribe(query, ALWAYS)
         response = client.answer_query(query.query_id, epoch=0)
         assert response is not None
-        assert list(response.randomized_bits) == [0, 1, 0, 0]
-        assert response.truthful_bits == (0, 1, 0, 0)
+        assert response.randomized_bits == bytes([0, 1, 0, 0])
+        assert response.truthful_bits == bytes([0, 1, 0, 0])
 
     def test_zero_sampling_never_participates(self):
         client = make_client()
@@ -128,7 +128,7 @@ class TestAnswering:
         client.subscribe(query, ALWAYS)
         response = client.answer_query(query.query_id, epoch=4)
         decoded = AnswerCodec().decrypt(list(response.encrypted.shares))
-        assert decoded.bits == response.randomized_bits
+        assert bytes(decoded.bits) == response.randomized_bits
         assert decoded.query_id == query.query_id
         assert decoded.epoch == 4
 

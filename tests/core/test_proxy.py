@@ -37,10 +37,11 @@ class TestProxyNetwork:
     def test_each_proxy_stores_only_its_share(self):
         """No proxy ever holds two shares of the same message (non-collusion)."""
         network = ProxyNetwork(num_proxies=2)
+        inspectors = network.make_consumers(group_id="inspect")
         answer = encrypted_answer(num_proxies=2)
         network.transmit(list(answer.shares))
-        for proxy in network.proxies:
-            records = proxy.cluster.topic(proxy.topic_name).all_records()
+        for inspector in inspectors:
+            records = inspector.poll()
             message_ids = [r.value.message_id for r in records]
             assert len(message_ids) == len(set(message_ids)) == 1
 
@@ -60,9 +61,11 @@ class TestProxyNetwork:
         network = ProxyNetwork(num_proxies=2)
         answer = encrypted_answer(num_proxies=2)
         plaintext = AnswerCodec().encode(QueryAnswer(query_id="q", bits=(1, 0, 1)))
+        inspectors = network.make_consumers(group_id="inspect")
         network.transmit(list(answer.shares))
-        for proxy in network.proxies:
-            records = proxy.cluster.topic(proxy.topic_name).all_records()
+        for inspector in inspectors:
+            records = inspector.poll()
+            assert len(records) == 1
             assert all(record.value.payload != plaintext for record in records)
 
     def test_bytes_relayed_accounting(self):

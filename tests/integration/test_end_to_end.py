@@ -28,6 +28,15 @@ def build_system(num_clients: int, seed: int, num_proxies: int = 2) -> PrivAppro
     return system
 
 
+def inspect_relay(system: PrivApproxSystem) -> list:
+    """One consumer per proxy relay topic, subscribed before the epoch runs.
+
+    Partitions trim the records every live reader has polled, so a relay is
+    inspected through a reader of its own rather than read back afterwards.
+    """
+    return [proxy.make_consumer("inspect") for proxy in system.proxies.proxies]
+
+
 def submit(system: PrivApproxSystem, params: ExecutionParameters):
     analyst = Analyst("e2e")
     query = analyst.create_query(
@@ -103,6 +112,7 @@ class TestPrivacyProperties:
         system = build_system(num_clients=100, seed=51)
         params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
         _, query = submit(system, params)
+        inspectors = inspect_relay(system)
         system.run_epoch(query.query_id, 0)
 
         codec = AnswerCodec()
@@ -111,8 +121,10 @@ class TestPrivacyProperties:
             bits = tuple(client.truthful_answer(query.query_id))
             truthful_messages.add(codec.encode(QueryAnswer(query.query_id, bits, epoch=0)))
 
-        for proxy in system.proxies.proxies:
-            for record in proxy.cluster.topic(proxy.topic_name).all_records():
+        for inspector in inspectors:
+            records = inspector.poll()
+            assert len(records) == 100
+            for record in records:
                 assert record.value.payload not in truthful_messages
 
     def test_single_proxy_shares_do_not_decode(self):
@@ -122,11 +134,13 @@ class TestPrivacyProperties:
         system = build_system(num_clients=50, seed=61)
         params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
         _, query = submit(system, params)
+        inspector = inspect_relay(system)[0]
         system.run_epoch(query.query_id, 0)
         codec = AnswerCodec()
-        proxy = system.proxies.proxies[0]
         decodable = 0
-        for record in proxy.cluster.topic(proxy.topic_name).all_records():
+        records = inspector.poll()
+        assert len(records) == 50
+        for record in records:
             try:
                 codec.decode(record.value.payload)
                 decodable += 1
