@@ -81,7 +81,7 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
         help="pinned-worker executors: refresh the parent's copy of the "
              "resident RNG/keystream state every N epochs per shard (0 = "
-             "only on subscription changes, migration and shutdown; "
+             "only on subscription changes and shutdown; "
              f"default: {DEFAULT_CHECKPOINT_EVERY})",
     )
 

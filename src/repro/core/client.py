@@ -406,7 +406,7 @@ class Client:
         The worker-resident runtime splits authority over a client in two:
         the parent stays authoritative for tables and subscriptions (it
         mutates them directly), the pinned worker for the advancing
-        RNG/keystream streams.  Checkpoints and migrations reunite the two by
+        RNG/keystream streams.  Checkpoints and syncs reunite the two by
         grafting the random-stream fields of the worker's export (the
         ``streams_only`` form is all a checkpoint ack carries; a full
         snapshot works too) onto the parent's live object — tables and

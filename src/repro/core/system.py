@@ -78,7 +78,7 @@ class SystemConfig:
 
     ``executor_checkpoint_every`` (``pinned-worker`` scheduling only)
     controls how often the parent's copy of the resident RNG/keystream
-    state is refreshed (``0`` = only on subscription changes, migration and
+    state is refreshed (``0`` = only on subscription changes and
     shutdown).
 
     ``executor_remote_workers`` places the workers of a

@@ -42,7 +42,6 @@ from repro.runtime.remote import (
     spawn_local_worker,
 )
 from repro.runtime.engine import (
-    AdaptiveShardSizer,
     EpochHandle,
     InlineDriver,
     OverlapThreadDriver,
@@ -84,7 +83,7 @@ from repro.runtime.scenario import (
     scenario_grid,
 )
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.sharding import Shard, plan_shards, plan_weighted_shards, shard_span
+from repro.runtime.sharding import Shard, plan_shards, shard_span
 from repro.runtime.wire import (
     ClientDelta,
     ShardAck,
@@ -105,7 +104,6 @@ __all__ = [
     "DRIVER_COMBOS",
     "DRIVER_SPELLINGS",
     "EXECUTOR_KINDS",
-    "AdaptiveShardSizer",
     "ClientDelta",
     "EpochContext",
     "EpochDeadline",
@@ -158,7 +156,6 @@ __all__ = [
     "make_executor",
     "parse_address",
     "plan_shards",
-    "plan_weighted_shards",
     "run_scenario",
     "scenario_grid",
     "serve_resident_frame",

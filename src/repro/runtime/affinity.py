@@ -11,9 +11,9 @@ the first epoch:
   (:class:`~repro.runtime.remote.RemoteWorkerTransport`): locally spawned
   children on loopback (``framed-wire-local``) or separately launched
   hosts (``sealed-tcp-remote``) — one router, one protocol, every frame
-  MAC'd.  Shard *boundaries* may move (adaptive re-sharding); shard *ids*
-  are stable (:func:`repro.runtime.sharding.plan_weighted_shards` always
-  emits ids ``0..num_shards-1``), so affinity survives boundary moves.
+  MAC'd.  Shard boundaries are static
+  (:func:`~repro.runtime.sharding.plan_shards` over the population size), so
+  a shard id names the same clients every epoch of a deployment.
 * Each worker keeps a :class:`ResidentShardCache` of reconstructed
   :class:`~repro.core.client.Client` objects per shard id, installed once
   from a :class:`~repro.runtime.wire.ShardBootstrap` and advanced in place
@@ -30,9 +30,9 @@ re-tuning, and the changes ship as deltas); the pinned worker is
 authoritative for the advancing RNG/keystream streams.  The parent's copy of
 those streams is refreshed lazily — `export on demand`: every
 ``checkpoint_every`` epochs, whenever a delta changes *subscriptions* (so a
-replay window never spans a subscription change), and on shutdown or shard
-migration.  Such a delta sets ``want_state`` and the ack carries each
-client's stream state and nothing else
+replay window never spans a subscription change), on shutdown, and when the
+engine moves on to a new deployment.  Such a delta sets ``want_state`` and
+the ack carries each client's stream state and nothing else
 (``Client.export_state(streams_only=True)``, grafted back via
 :meth:`~repro.core.client.Client.adopt_rng_state`): the parent already holds
 the tables and subscriptions, so a checkpoint costs O(clients × queries)
@@ -50,11 +50,11 @@ were appended in between.  Replay answers nothing: it calls
 :meth:`Client.advance <repro.core.client.Client.advance>`, the draw-only
 twin of ``Client.answer`` (no SQL, no answer built, nothing to discard),
 whose equality with the answering path on ``state_fingerprint()`` is a
-tested contract rather than a side effect.  That is how
-a killed worker, a broken token chain, or a mid-run re-shard falls back:
-fast-forward the parent copy, then send a bootstrap frame for exactly the
-moved/lost shards.  Results stay byte-identical to the serial reference —
-the equivalence and torture suites pin this with residency on and off.
+tested contract rather than a side effect.  That is how a killed worker or a
+broken token chain falls back: fast-forward the parent copy, then send a
+bootstrap frame for exactly the lost shards.  Results stay byte-identical to
+the serial reference — the equivalence and torture suites pin this with
+residency on and off.
 
 **No late set on the wire (yet).**  The engine's plan stage knows which
 clients an armed deadline gate will drop, and the in-process drivers use it
@@ -292,10 +292,10 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
 class _ShardResidency:
     """Parent-side bookkeeping for one shard id.
 
-    ``start``/``stop`` are the boundaries the resident copy was built for
-    (affinity survives boundary moves, resident state does not — a moved
-    shard is synced back and re-bootstrapped).  ``fingerprint`` is the last
-    acked continuity token, which the next delta will demand; ``sent_token``
+    ``start``/``stop`` are the span the resident copy was built for: the
+    parent-side clients that checkpoints graft onto and replay advances.
+    ``fingerprint`` is the last acked continuity token, which the next
+    delta will demand; ``sent_token``
     is the :func:`_frame_token` of the frame in flight, which its ack must
     carry to be adopted.  ``replay_log`` holds the
     ``(epoch, query_ids)`` answered since the parent's copy was last current;
@@ -411,9 +411,9 @@ class ResidentDriver(StageDriver):
 
     The engine relays and ingests each shard as its ack is collected; this
     driver owns the resident protocol — bootstrap-once / delta-thereafter
-    framing, checkpoint + replay recovery, worker healing, shard migration —
-    and reports its per-shard spans so the engine's plan stage can apply
-    re-shard hysteresis.  Its router is always a
+    framing, checkpoint + replay recovery, worker healing, and handing
+    residency back when the engine is reused on a new deployment.  Its
+    router is always a
     :class:`~repro.runtime.remote.RemoteWorkerTransport`: with no
     ``addresses`` it spawns its own workers on loopback
     (``framed-wire-local``, :class:`~repro.runtime.remote.LocalWorkerTransport`),
@@ -425,9 +425,9 @@ class ResidentDriver(StageDriver):
     ----------
     checkpoint_every:
         Refresh the parent's authoritative copy every this many acked epochs
-        per shard (``0`` = only on demand: subscription changes, migration,
-        shutdown).  Smaller values shorten recovery replay at the cost of
-        periodic stream-state acks.
+        per shard (``0`` = only on demand: subscription changes, a new
+        deployment, shutdown).  Smaller values shorten recovery replay at
+        the cost of periodic stream-state acks.
     addresses, keys:
         ``(host, port)`` of each separately launched worker and its
         pre-shared MAC key (one per address); ``None`` spawns local workers
@@ -435,7 +435,6 @@ class ResidentDriver(StageDriver):
     """
 
     scheduling = "pinned-worker"
-    adaptive = True
 
     def __init__(
         self,
@@ -478,16 +477,20 @@ class ResidentDriver(StageDriver):
                 self._router = RemoteWorkerTransport(self._addresses, self._keys)
         return self._router
 
+    def _hand_back(self, context: EpochContext) -> None:
+        """Sync every resident shard back onto ``context``'s clients, then
+        forget all residency: the next frame for any shard is a bootstrap."""
+        resident = [index for index, st in self._shards.items() if st.resident]
+        if resident:
+            self._sync_shards(context, resident)
+        self._shards.clear()
+
     def close(self) -> None:
         """Export resident state back to the parent, then stop the workers."""
         if self._router is not None:
             try:
                 if self._last_context is not None:
-                    resident = [
-                        index for index, st in self._shards.items() if st.resident
-                    ]
-                    if resident:
-                        self._sync_shards(self._last_context, resident)
+                    self._hand_back(self._last_context)
             finally:
                 self._router.close()
                 self._router = None
@@ -497,22 +500,16 @@ class ResidentDriver(StageDriver):
     # -- engine hooks --------------------------------------------------------
 
     def prepare(self, context: EpochContext, epoch: int) -> None:
+        # A different proxy network is a different deployment (the rule
+        # the engine's consumer cache uses): the resident copies belong to
+        # the previous deployment's clients, so hand them back there first.
+        previous = self._last_context
+        if previous is not None and previous.proxies is not context.proxies:
+            self._hand_back(previous)
         self._last_context = context
         router = self._ensure_router()
         router.drain_stale()
         self._heal_workers(context)
-
-    def residency_spans(self) -> dict[int, tuple[int, int]]:
-        """The recorded per-shard spans (kept even for shards that just lost
-        residency — moving their boundary would needlessly invalidate their
-        still-resident neighbors)."""
-        return {
-            index: (state.start, state.stop)
-            for index, state in self._shards.items()
-        }
-
-    def migrate(self, context: EpochContext, shards: list[Shard]) -> int:
-        return self._migrate_moved_shards(context, shards)
 
     def begin_epoch(self, handle: EpochHandle) -> None:
         """Frame and send every occupied shard's bootstrap/delta.
@@ -778,8 +775,8 @@ class ResidentDriver(StageDriver):
 
         Sends sync deltas (no answering, ``want_state``), grafts the exported
         RNG/keystream state onto the parent's live clients, and marks the
-        shards non-resident (the callers either re-bootstrap them under new
-        boundaries or are shutting down).  Shards whose worker cannot serve
+        shards non-resident (the callers either re-bootstrap them with new
+        tables or hand the deployment back).  Shards whose worker cannot serve
         the sync (died, token mismatch on either side, malformed or
         undecodable ack) fall back to checkpoint replay.  Returns the wire
         bytes moved.
@@ -823,8 +820,8 @@ class ResidentDriver(StageDriver):
             except WireError:
                 # Nothing attributes the blob to a shard, so no pending sync
                 # can be trusted to arrive: recover them all like shards of a
-                # dead worker instead of aborting a migration or close()
-                # with their live clients left at the last checkpoint.
+                # dead worker instead of aborting a hand-back with their
+                # live clients left at the last checkpoint.
                 for shard_index, state in pending.items():
                     self._fast_forward(context, shard_index)
                     state.resident = False
@@ -843,28 +840,6 @@ class ResidentDriver(StageDriver):
                 self._fast_forward(context, ack.shard_index)
             state.resident = False
         return wire_bytes
-
-    def _migrate_moved_shards(self, context: EpochContext, shards: list[Shard]) -> int:
-        """Sync back every resident shard whose boundaries are about to move.
-
-        Adaptive re-sharding keeps shard ids stable but moves their client
-        ranges; the resident copies are keyed to the old ranges, so exactly
-        the moved shards are exported and later re-bootstrapped.  Returns the
-        sync wire bytes.
-        """
-        moved = [
-            shard.index
-            for shard in shards
-            if self._shards.get(shard.index) is not None
-            and self._shards[shard.index].resident
-            and shard_span(shard) != (
-                self._shards[shard.index].start,
-                self._shards[shard.index].stop,
-            )
-        ]
-        if not moved:
-            return 0
-        return self._sync_shards(context, moved)
 
     # -- framing -------------------------------------------------------------
 

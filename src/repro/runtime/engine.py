@@ -25,12 +25,12 @@ The engine owns all policy, so no driver carries its own copy:
   (:func:`~repro.runtime.executor.apply_deadline`) — drivers hand raw
   responses to :meth:`EpochHandle.emit` and never see the gate;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
-  drops, re-shard events);
+  drops);
 * the worker pool and the per-query shard-topic consumers, whose offsets
   persist across epochs;
-* adaptive shard sizing (:class:`AdaptiveShardSizer`) *and* the re-shard
-  hysteresis that residency-holding drivers need (moving a boundary costs a
-  sync + re-bootstrap, so boundaries move only on sustained imbalance);
+* static shard boundaries: :func:`~repro.runtime.sharding.plan_shards` over
+  the population size, so a deployment's shards never move and wall-clock
+  reaches the metrics but never the control path;
 * the one epoch flow: the driver's ``begin_epoch`` and ``collect`` run on
   the caller thread, and each :meth:`EpochHandle.emit` gates, relays (one
   batch record per proxy on the shard's topic, :func:`_publish_shard`) and
@@ -69,7 +69,7 @@ from repro.runtime.executor import (
     late_drops_for,
     validate_driver_combo,
 )
-from repro.runtime.sharding import Shard, plan_shards, plan_weighted_shards
+from repro.runtime.sharding import Shard, plan_shards
 from repro.sqldb import (
     ARENA_FALLBACK,
     ShardArena,
@@ -81,16 +81,6 @@ if TYPE_CHECKING:
     from repro.core.client import Client, ClientResponse
     from repro.core.proxy import ProxyNetwork
     from repro.pubsub import Consumer
-
-# Re-sharding hysteresis (engine-owned; drivers only *report* residency):
-# moving a boundary under a residency-holding driver costs a state sync plus
-# a full re-bootstrap of the moved shards, so boundaries only move when the
-# current cut's predicted bottleneck shard exceeds the rebalanced cut's by
-# this factor, and at most once per cooldown window — otherwise per-epoch
-# wall-clock noise would move boundaries every epoch and each move would
-# throw away resident state.
-_RESHARD_IMBALANCE_THRESHOLD = 2.0
-_RESHARD_COOLDOWN_EPOCHS = 3
 
 
 def answer_shard(
@@ -195,75 +185,6 @@ def _timed_answer_shard(
     return responses, time.perf_counter() - started
 
 
-class AdaptiveShardSizer:
-    """Plans shard boundaries from per-shard answering wall-clock feedback.
-
-    Epoch 0 uses balanced :func:`~repro.runtime.sharding.plan_shards`
-    boundaries.  After each epoch :meth:`record` spreads every timed shard's
-    wall-clock evenly over its clients and folds it into a per-client cost
-    EWMA; :meth:`plan` then cuts the next epoch's boundaries so each shard
-    carries roughly equal predicted cost.  A changed population size resets
-    the estimates (client indices no longer line up).
-    """
-
-    def __init__(self, num_shards: int, smoothing: float = 0.5):
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must lie in (0, 1], got {smoothing}")
-        self.num_shards = num_shards
-        self.smoothing = smoothing
-        self._cost_per_client: list[float] | None = None
-
-    def plan(self, num_items: int) -> list[Shard]:
-        """Shard boundaries for the next epoch over ``num_items`` clients."""
-        costs = self._cost_per_client
-        if costs is None or len(costs) != num_items:
-            return plan_shards(num_items, self.num_shards)
-        return plan_weighted_shards(costs, self.num_shards)
-
-    def cost_estimates(self, num_items: int) -> list[float] | None:
-        """The current per-client cost EWMA, or ``None`` if not (yet) usable.
-
-        The engine's re-shard hysteresis consults this to decide whether
-        moving boundaries is worth invalidating worker-resident shards.
-        """
-        costs = self._cost_per_client
-        if costs is None or len(costs) != num_items:
-            return None
-        return list(costs)
-
-    def prime(self, costs: list[float]) -> None:
-        """Seed the per-client cost estimates directly.
-
-        Lets tests (and deployments with offline profiles) force a specific
-        re-sharding decision instead of waiting for wall-clock feedback.
-        """
-        self._cost_per_client = list(costs)
-
-    def record(self, shards: list[Shard], wall_seconds: dict[int, float]) -> None:
-        """Fold one epoch's per-shard timings into the per-client estimates.
-
-        ``wall_seconds`` maps shard index → answering wall-clock; shards that
-        never produced a timing (failed epochs) are simply skipped.
-        """
-        if not shards:
-            return
-        num_items = shards[-1].stop
-        costs = self._cost_per_client
-        if costs is None or len(costs) != num_items:
-            costs = [0.0] * num_items
-        alpha = self.smoothing
-        for shard in shards:
-            if shard.num_items == 0 or shard.index not in wall_seconds:
-                continue
-            per_client = wall_seconds[shard.index] / shard.num_items
-            for i in range(shard.start, shard.stop):
-                previous = costs[i]
-                costs[i] = per_client if previous <= 0.0 else (
-                    (1.0 - alpha) * previous + alpha * per_client
-                )
-        self._cost_per_client = costs
-
-
 @dataclass
 class StageMetrics:
     """One epoch's unified stage accounting, emitted by every driver combo.
@@ -272,9 +193,10 @@ class StageMetrics:
     socket border this epoch (bootstraps/deltas out plus acks back) —
     zero for in-process transports.  ``late_drops`` counts responses the
     engine's deadline gate removed at the transmit boundary.
-    ``reshard_events`` counts adopted boundary moves (hysteresis-approved
-    for residency drivers).  Stage seconds measure *active* work:
-    ``answer_seconds`` sums the drivers' per-shard answering wall-clocks,
+    ``reshard_events`` is always 0 now that shard boundaries are static; it
+    stays only because the ``epoch_profile`` benchmark still reads it, and
+    the next benchmark change retires it.  Stage seconds measure *active*
+    work: ``answer_seconds`` sums the drivers' per-shard answering wall-clocks,
     which overlap each other (and the caller's transmit and ingest) on pool
     and worker drivers, so the stages legitimately sum to more than the
     epoch's wall-clock.
@@ -353,10 +275,6 @@ class StageDriver:
 
     * :meth:`prepare` — before planning (heal dead workers, drain stale
       acks);
-    * :meth:`residency_spans` — report per-shard resident boundaries so the
-      engine's hysteresis can avoid invalidating resident state;
-    * :meth:`migrate` — after planning, before the epoch starts: move/export
-      state for shards whose boundaries changed, returning wire bytes spent;
     * :meth:`begin_epoch` — start the epoch's answering (submit pool tasks,
       send frames) before any shard is emitted; a failure here fails the
       epoch with nothing relayed;
@@ -367,9 +285,6 @@ class StageDriver:
 
     scheduling = "inline"
     transport = "in-process"
-    #: Whether the engine feeds per-shard answering wall-clock back into the
-    #: next epoch's boundaries (``engine.adaptive`` starts from this).
-    adaptive = False
     #: Resident-protocol frame counters; stateless drivers send none.
     bootstrap_frames = 0
     delta_frames = 0
@@ -383,15 +298,6 @@ class StageDriver:
 
     def prepare(self, context: EpochContext, epoch: int) -> None:
         """Pre-plan hook (heal workers, record the context for shutdown)."""
-
-    def residency_spans(self) -> dict[int, tuple[int, int]] | None:
-        """Per-shard resident ``(start, stop)`` spans, or ``None`` if the
-        driver holds no cross-epoch state (boundaries are free to move)."""
-        return None
-
-    def migrate(self, context: EpochContext, shards: list[Shard]) -> int:
-        """Export state for shards whose boundaries moved; returns wire bytes."""
-        return 0
 
     def begin_epoch(self, handle: EpochHandle) -> None:
         """Start the epoch's answering work (before any emit; may raise)."""
@@ -416,14 +322,15 @@ class StagedEpochEngine(EpochExecutor):
     ----------
     driver:
         The answer-stage driver; its ``scheduling``/``transport`` axes are
-        validated against the combo registry.  ``adaptive`` starts from the
-        driver's declaration and stays assignable (tests pin it off to keep
-        frame counts exact).
+        validated against the combo registry.
     num_workers:
         Workers in the answering pool.
     num_shards:
         Shard count (and shard-aware topic slots per proxy); defaults to
         ``num_workers``.  More shards than workers gives finer pipelining.
+        Boundaries are ``plan_shards(len(context.clients), num_shards)``
+        every epoch: a deployment's client list is fixed (churn flips
+        subscriptions, never the list), so its shards never move.
     """
 
     _consumer_group_prefix = "engine"
@@ -444,7 +351,6 @@ class StagedEpochEngine(EpochExecutor):
         self.driver = driver
         self.scheduling = driver.scheduling
         self.transport = driver.transport
-        self.adaptive = driver.adaptive
         self._pool = None
         # Shard-topic consumers per (query id, channel), tagged with the
         # proxy network they were built against; offsets persist across
@@ -454,8 +360,6 @@ class StagedEpochEngine(EpochExecutor):
             tuple[str, str | None],
             tuple["ProxyNetwork", list[list["Consumer"]]],
         ] = {}
-        self._sizer = AdaptiveShardSizer(self.num_shards)
-        self._epochs_since_reshard = 0
         #: Per-epoch StageMetrics, success and failure alike.
         self.stage_metrics: dict[int, StageMetrics] = {}
         #: Shard index → ShardArena for the in-process drivers; reused across
@@ -470,9 +374,9 @@ class StagedEpochEngine(EpochExecutor):
 
         Returns ``None`` (and drops any cached arena) when arena answering
         is disabled or the shard is empty.  Membership is compared by
-        database-object identity — re-sharding or churn that replaces a
-        member rebuilds; stable shards keep their arena and sync it
-        incrementally as ``ShardDelta`` traffic appends rows.  Call only on
+        database-object identity — a new deployment, or a member whose
+        database was replaced, rebuilds; otherwise the shard keeps its arena
+        and syncs it incrementally as rows are appended.  Call only on
         the epoch caller thread (shards are disjoint, so the per-shard
         arenas themselves may then be used concurrently).
         """
@@ -564,57 +468,6 @@ class StagedEpochEngine(EpochExecutor):
                 self._pool = None
             self._consumers.clear()
 
-    # -- plan stage -----------------------------------------------------------
-
-    def _plan_stage(self, context: EpochContext, metrics: StageMetrics) -> list[Shard]:
-        """Shard boundaries for this epoch, with re-shard hysteresis.
-
-        Without residency (``residency_spans() is None``) the adaptive plan
-        is adopted as-is: no state lives at the old boundaries.  With
-        residency, while the recorded
-        boundaries tile the population, the adaptive plan is adopted only
-        when it shrinks the predicted bottleneck shard by more than
-        ``_RESHARD_IMBALANCE_THRESHOLD`` and the cooldown window since the
-        last move has passed.  The recorded spans are kept even for shards
-        that just lost residency (a replaced worker): moving *their*
-        boundary would needlessly invalidate their still-resident neighbors
-        — exactly the lost shards re-bootstrap, nothing else.  A first epoch
-        or a population change takes the plan as-is.
-        """
-        num_clients = len(context.clients)
-        self._epochs_since_reshard += 1
-        if not self.adaptive:
-            return plan_shards(num_clients, self.num_shards)
-        proposed = self._sizer.plan(num_clients)
-        spans = self.driver.residency_spans()
-        if spans is None:
-            return proposed
-        current: list[Shard] = []
-        position = 0
-        for index in range(self.num_shards):
-            span = spans.get(index)
-            if span is None or span[0] != position:
-                return proposed
-            current.append(Shard(index=index, start=span[0], stop=span[1]))
-            position = span[1]
-        if position != num_clients:
-            return proposed
-        if self._epochs_since_reshard < _RESHARD_COOLDOWN_EPOCHS:
-            return current
-        costs = self._sizer.cost_estimates(num_clients)
-        if costs is None:
-            return current
-        prefix = [0.0]
-        for cost in costs:
-            prefix.append(prefix[-1] + cost)
-        current_max = max(prefix[s.stop] - prefix[s.start] for s in current)
-        proposed_max = max(prefix[s.stop] - prefix[s.start] for s in proposed)
-        if proposed_max > 0.0 and current_max > _RESHARD_IMBALANCE_THRESHOLD * proposed_max:
-            self._epochs_since_reshard = 0
-            metrics.reshard_events += 1
-            return proposed
-        return current
-
     # -- the single deadline-gate call site -----------------------------------
 
     def _gate(
@@ -696,8 +549,7 @@ class StagedEpochEngine(EpochExecutor):
         self.stage_metrics[epoch] = metrics
         plan_started = time.perf_counter()
         self.driver.prepare(context, epoch)
-        shards = self._plan_stage(context, metrics)
-        metrics.add_wire_bytes(self.driver.migrate(context, shards))
+        shards = plan_shards(len(context.clients), self.num_shards)
         occupied = [shard for shard in shards if shard.num_items > 0]
         late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
@@ -755,20 +607,17 @@ class StagedEpochEngine(EpochExecutor):
                 f"stage driver broke the emit contract: occupied shard(s) "
                 f"{sorted(awaited)} were never emitted"
             )
-        self._finalize(shards, answer_walls, metrics)
+        self._finalize(answer_walls, metrics)
         if failure is not None:
             for grid in consumers:
                 _drain_consumers(grid)
             raise failure
         return self._merge_outcome(context, shards, responses_by_shard, window_results)
 
-    def _finalize(
-        self, shards: list[Shard], answer_walls: dict[int, float], metrics: StageMetrics
-    ) -> None:
+    @staticmethod
+    def _finalize(answer_walls: dict[int, float], metrics: StageMetrics) -> None:
         started = time.perf_counter()
         metrics.answer_seconds = sum(answer_walls.values())
-        if self.adaptive and answer_walls:
-            self._sizer.record(shards, answer_walls)
         metrics.finalize_seconds = time.perf_counter() - started
 
     def _merge_outcome(

@@ -404,7 +404,7 @@ def make_executor(
     checkpoint_every:
         ``pinned-worker`` scheduling only: refresh the parent's copy of the
         resident RNG/keystream state every this many epochs per shard (``0``
-        = only on subscription changes, migration and shutdown).
+        = only on subscription changes, a new deployment and shutdown).
     remote_workers:
         ``host:port`` addresses of separately launched TCP workers
         (:mod:`repro.runtime.remote`), required by — and only valid with —

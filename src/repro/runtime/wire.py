@@ -32,7 +32,7 @@ sticky shard→worker affinity, so only what changed crosses the border after
 the first epoch:
 
 * :class:`ShardBootstrap` — parent → worker, sent once per shard (and again
-  on cache miss, worker replacement or shard migration): full client
+  on cache miss, worker replacement or a non-append table change): full client
   snapshots plus the epoch to answer right after installing them.
 * :class:`ShardDelta` — parent → worker, the steady-state frame: the epoch
   and query ids to answer, one optional :class:`ClientDelta` per client
@@ -166,8 +166,9 @@ class ShardBootstrap:
 
     Sent once per (shard, worker) pairing — and again whenever the parent
     cannot trust or reuse the worker-resident copy: cache miss, token
-    mismatch, worker replacement, or shard boundaries moved under adaptive
-    re-sharding.  An empty ``query_ids`` installs state without answering.
+    mismatch, worker replacement, a table change that is not an append, or
+    an engine reused on a new deployment.  An empty ``query_ids`` installs
+    state without answering.
     """
 
     shard_index: int

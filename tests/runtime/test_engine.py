@@ -122,14 +122,6 @@ class TestDriverRegistry:
 
 # -- make_executor driver mapping -------------------------------------------
 
-#: engine.adaptive per combo, pinned to the values the removed per-name
-#: executor classes used to pass.
-ADAPTIVE_COMBOS = {
-    ("pinned-worker", "framed-wire-local"),
-    ("pinned-worker", "sealed-tcp-remote"),
-}
-
-
 class TestMakeExecutorDriverMapping:
     def test_every_combo_has_exactly_one_factory(self):
         assert set(_driver_factories()) == set(DRIVER_COMBOS)
@@ -147,21 +139,12 @@ class TestMakeExecutorDriverMapping:
         try:
             assert type(executor) is StagedEpochEngine
             assert (executor.scheduling, executor.transport) == combo
-            assert executor.adaptive is (combo in ADAPTIVE_COMBOS)
             assert (executor.num_workers, executor.num_shards) == (2, 3)
         finally:
             executor.close()
 
     def test_serial_stays_engine_free(self):
         assert type(make_executor("serial")) is SerialExecutor
-
-    def test_adaptive_stays_assignable(self):
-        executor = make_executor("pinned-worker/framed-wire-local", workers=2)
-        try:
-            executor.adaptive = False
-            assert executor.adaptive is False
-        finally:
-            executor.close()
 
     def test_sealed_tcp_spelling_requires_addresses(self):
         with pytest.raises(ValueError, match="remote worker addresses"):
@@ -307,7 +290,6 @@ class TestStageMetrics:
         ``runtime.affinity.*``."""
         system, query_id = build_system("pinned-worker/framed-wire-local")
         try:
-            system.executor.adaptive = False
             system.run_epoch(query_id, 0)
             assert system.executor.bootstrap_frames == 4  # one per shard
             assert system.executor.delta_frames == 0
@@ -440,19 +422,6 @@ class TestStageMetrics:
             system.close()
             for server in servers:
                 server.stop()
-
-    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
-    def test_non_adaptive_engines_never_reshard(self, executor):
-        system, query_id = build_system(executor)
-        try:
-            for epoch in range(3):
-                system.run_epoch(query_id, epoch)
-            assert all(
-                m.reshard_events == 0
-                for m in system.executor.stage_metrics.values()
-            )
-        finally:
-            system.close()
 
 
 # -- resident workers over the sealed transport -------------------------------

@@ -368,6 +368,20 @@ class _MisbehavingDriver(InlineDriver):
         super().collect(handle)
 
 
+def answer_bytes(responses) -> list[tuple]:
+    """Everything seeded in a response log (MIDs are OS entropy)."""
+    return [
+        (
+            r.client_id,
+            r.epoch,
+            r.truthful_bits,
+            r.randomized_bits,
+            tuple(share.payload for share in r.encrypted.shares),
+        )
+        for r in responses
+    ]
+
+
 class TestExecutorReuse:
     @pytest.mark.parametrize(
         "spelling", [*ENGINE_SPELLINGS, *REVERSED_EMITS, RESPAWNED_WORKERS]
@@ -375,7 +389,11 @@ class TestExecutorReuse:
     def test_reuse_across_deployments_rebinds_consumers(self, spelling):
         """Query ids are deterministic, so a reused executor must notice a
         new proxy network instead of polling the old deployment's brokers:
-        every spelling reads the engine's own shard-topic consumers."""
+        every spelling reads the engine's own shard-topic consumers.  A
+        pinned-worker driver must also hand the old deployment's resident
+        streams back to *its* clients rather than graft them onto the new
+        ones: the second deployment answers exactly as a fresh serial run
+        does, and the first one's clients end where serial's do."""
         executor = make_executor(spelling, workers=2, shards=2)
         try:
             context_a = make_context(6)
@@ -387,6 +405,13 @@ class TestExecutorReuse:
         assert outcome.num_participants == 6
         # The second deployment's aggregator really received the shares.
         assert context_b.aggregator.shares_received == 6 * 2
+        reference = make_context(6)
+        expected = SerialExecutor().run_epoch(reference, epoch=0)
+        assert answer_bytes(outcome.responses) == answer_bytes(expected.responses)
+        assert outcome.window_results == expected.window_results
+        assert [client.state_fingerprint() for client in context_a.clients] == [
+            client.state_fingerprint() for client in reference.clients
+        ]
 
 
 class TestConfiguration:

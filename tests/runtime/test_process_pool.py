@@ -9,7 +9,6 @@ pickling failure, a transmit or ingest error must all surface from
 must be usable for the next epoch afterwards.  A killed worker is respawned
 (a new process, a new pid) and its shards recover by checkpoint + replay,
 byte-identical to serial.
-It also covers the adaptive shard sizer's feedback loop directly.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.client import Client, ClientConfig
 from repro.core.proxy import ProxyNetwork
 from repro.sqldb import Database
 from repro.runtime import (
-    AdaptiveShardSizer,
     EpochContext,
     LocalWorkerTransport,
     ResidentDriver,
@@ -42,7 +40,6 @@ from repro.runtime import (
     decode_shard_ack,
     encode_shard_ack,
     make_executor,
-    plan_shards,
 )
 
 RESIDENT = "pinned-worker/framed-wire-local"
@@ -257,49 +254,6 @@ class TestFailureSurfacing:
         system.close()
 
 
-class TestAdaptiveShardSizer:
-    def test_first_plan_is_balanced(self):
-        sizer = AdaptiveShardSizer(num_shards=4)
-        assert sizer.plan(12) == plan_shards(12, 4)
-
-    def test_timings_move_boundaries(self):
-        sizer = AdaptiveShardSizer(num_shards=2)
-        shards = sizer.plan(8)
-        # Shard 0 (clients 0-3) reports 9x the wall-clock of shard 1.
-        sizer.record(shards, {0: 9.0, 1: 1.0})
-        replanned = sizer.plan(8)
-        assert replanned[0].num_items < replanned[1].num_items
-        assert replanned[-1].stop == 8
-
-    def test_population_change_resets_estimates(self):
-        sizer = AdaptiveShardSizer(num_shards=2)
-        sizer.record(sizer.plan(8), {0: 9.0, 1: 1.0})
-        assert sizer.plan(10) == plan_shards(10, 2)
-
-    def test_missing_timings_are_skipped(self):
-        sizer = AdaptiveShardSizer(num_shards=2)
-        sizer.record(sizer.plan(8), {})
-        assert sizer.plan(8) == plan_shards(8, 2)
-
-    def test_ewma_converges_back_after_transient_skew(self):
-        """A one-off slow epoch decays out of the estimates instead of sticking."""
-        sizer = AdaptiveShardSizer(num_shards=2, smoothing=0.5)
-        shards = sizer.plan(8)
-        sizer.record(shards, {0: 9.0, 1: 1.0})  # transient: shard 0 looked slow
-        assert sizer.plan(8)[0].num_items < 4
-        for _ in range(6):  # then epochs where every client costs the same
-            shards = sizer.plan(8)
-            sizer.record(
-                shards,
-                {s.index: float(s.num_items) for s in shards if s.num_items > 0},
-            )
-        assert sizer.plan(8) == plan_shards(8, 2)
-
-    def test_invalid_smoothing_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveShardSizer(num_shards=2, smoothing=0.0)
-
-
 class TestConfiguration:
     def test_factory_builds_a_resident_executor_over_spawned_workers(self):
         executor = make_executor(RESIDENT, workers=2, shards=5)
@@ -446,10 +400,6 @@ class TestResidentFailureInjection:
     def test_killed_worker_rebootstraps_byte_identically(self):
         system, (query_id,) = make_resident_system(num_clients=12, shards=4)
         executor = system.executor
-        # Pin the boundaries: a wall-clock-driven adaptive re-shard would
-        # re-bootstrap moved shards and break the exact frame counts below
-        # (adaptive moves have their own test).
-        executor.adaptive = False
         system.run_epoch(query_id, 0)
         system.run_epoch(query_id, 1)
         bootstraps_before = executor.bootstrap_frames
@@ -494,9 +444,6 @@ class TestResidentFailureInjection:
         """A fingerprint mismatch makes the worker refuse; the parent recovers."""
         system, (query_id,) = make_resident_system(num_clients=12, shards=4)
         executor = system.executor
-        # Pin the boundaries: an adaptive re-shard at epoch 2 would silently
-        # re-bootstrap the poisoned shard before the mismatch could fire.
-        executor.adaptive = False
         system.run_epoch(query_id, 0)
         system.run_epoch(query_id, 1)
         assert executor.driver.rebootstraps == 0
@@ -509,28 +456,6 @@ class TestResidentFailureInjection:
         resident = serialize_responses(system.responses_log(query_id))
         system.close()
         assert run_serial_twin(12, 4)[query_id] == resident
-
-    def test_mid_run_reshard_migrates_and_stays_byte_identical(self):
-        """Forced boundary moves sync state back and re-bootstrap moved shards."""
-        system, query_ids = make_resident_system(
-            num_clients=12, shards=3, num_queries=2
-        )
-        executor = system.executor
-        system.run_epoch_all(0)
-        system.run_epoch_all(1)
-        # Prime the sizer with a spreadable heavy skew (three heavy clients
-        # bunched into shard 0) so the cooldown-guarded replan moves the
-        # boundaries mid-run.
-        executor._sizer.prime([6.0] * 3 + [0.1] * 9)
-        system.run_epoch_all(2)
-        system.run_epoch_all(3)
-        assert executor.bootstrap_frames > 3  # moved shards re-bootstrapped
-        resident = {
-            query_id: serialize_responses(system.responses_log(query_id))
-            for query_id in query_ids
-        }
-        system.close()
-        assert run_serial_twin(12, 4, num_queries=2) == resident
 
     def test_worker_exception_surfaces_and_recovers(self):
         """A worker-side failure arrives as an error ack, not a hang."""
@@ -601,9 +526,6 @@ class TestResidentParentSideMutations:
             system, (query_id,) = make_resident_system(
                 num_clients=10, shards=2, checkpoint_every=checkpoint_every
             )
-            # Pin the boundaries: the mutation tests assert exact bootstrap
-            # frame counts, which an adaptive re-shard would inflate.
-            system.executor.adaptive = False
             if router is not None:
                 system.executor.driver._router = router(system.executor.num_workers)
         else:
@@ -810,7 +732,6 @@ class TestResidentMalformedAcks:
             num_clients=10, shards=2, checkpoint_every=2
         )
         executor = system.executor
-        executor.adaptive = False
         driver = executor.driver
         driver._router = TamperingRouter(executor.num_workers)
         at_bootstrap = stream_positions(system.clients[:5])
@@ -850,7 +771,6 @@ class TestResidentMalformedAcks:
             num_clients=10, shards=2, checkpoint_every=2
         )
         executor = system.executor
-        executor.adaptive = False
         driver = executor.driver
         driver._router = TamperingRouter(executor.num_workers)
         at_bootstrap = stream_positions(system.clients)

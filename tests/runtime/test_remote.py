@@ -620,7 +620,6 @@ class TestRemoteEndToEnd:
         )
         try:
             executor = system.executor
-            executor.adaptive = False  # pin boundaries; moves have their own test
             system.run_epoch(query_id, 0)
             system.run_epoch(query_id, 1)
             bootstraps_before = executor.bootstrap_frames
@@ -683,7 +682,6 @@ class TestRemoteEndToEnd:
         system, query_id = make_remote_system([address_of(server)], key_path, shards=2)
         try:
             executor = system.executor
-            executor.adaptive = False
             system.run_epoch(query_id, 0)
             # Drop the TCP connection out from under the transport; the
             # worker process (and its resident cache) stays up.

@@ -1,6 +1,6 @@
 """Tests for the scenario sweep layer (repro.runtime.scenario).
 
-Four properties carry the layer:
+Five properties carry the layer:
 
 * **Plan determinism** — the same :class:`ScenarioSpec` expands to the same
   epoch-by-epoch churn/participation/injection plan on every call, and after
@@ -16,6 +16,9 @@ Four properties carry the layer:
 * **Hostile edge cases** — empty participation epochs, deadlines below the
   minimum modeled latency, and zero-latency networks neither hang nor skew
   any executor.
+* **Ledger determinism** — two same-seed runs on one executor produce the
+  same :class:`EpochStats` ledger, wire bytes included: shard boundaries
+  depend only on the population size, so only wall-clock may differ.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import pytest
 from repro.core import PrivApproxSystem
 from repro.core.encryption import AnswerCodec
 from repro.netsim.network import NetworkModel
-from repro.runtime import cli_smoke_matrix
+from repro.runtime import StagedEpochEngine, cli_smoke_matrix
 from repro.runtime import scenario as scenario_module
 from repro.runtime.scenario import (
     EpochDeadline,
@@ -422,3 +425,42 @@ class TestHostileEdgeCases:
         for stats, expected in zip(run.epochs, sizes):
             assert stats.active_clients == expected
             assert stats.responses <= expected
+
+
+# -- ledger determinism -------------------------------------------------------
+
+
+class TestLedgerDeterminism:
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_same_seed_runs_give_the_same_ledger(self, executor, monkeypatch):
+        """Nothing but wall-clock may differ between two same-seed runs —
+        not wire bytes, which a boundary moved on timing noise would change
+        by whole state syncs and re-bootstraps — and no engine re-shards."""
+        engines = []
+        init = StagedEpochEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(self)
+
+        monkeypatch.setattr(StagedEpochEngine, "__init__", recording_init)
+        spec = find_scenario("kitchen-sink")
+        runs = [
+            run_scenario(spec, executor=executor, workers=2, shards=7)
+            for _ in range(2)
+        ]
+        ledgers = [
+            [
+                {k: v for k, v in stats.to_dict().items() if k != "wall_seconds"}
+                for stats in run.epochs
+            ]
+            for run in runs
+        ]
+        assert ledgers[0] == ledgers[1]
+        assert runs[0].digest == runs[1].digest
+        assert len(engines) == (0 if executor == "serial" else 2)
+        assert all(
+            metrics.reshard_events == 0
+            for engine in engines
+            for metrics in engine.stage_metrics.values()
+        )

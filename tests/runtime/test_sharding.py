@@ -1,9 +1,9 @@
-"""Tests for the deterministic shard planners (balanced and weighted)."""
+"""Tests for the deterministic shard planner."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime import Shard, plan_shards, plan_weighted_shards
+from repro.runtime import Shard, plan_shards
 
 
 class TestPlanShards:
@@ -54,66 +54,3 @@ class TestPlanShards:
         sizes = [s.num_items for s in shards]
         assert sum(sizes) == num_items
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestPlanWeightedShards:
-    def test_uniform_weights_stay_roughly_balanced(self):
-        shards = plan_weighted_shards([1.0] * 12, 4)
-        assert [s.num_items for s in shards] == [3, 3, 3, 3]
-
-    def test_heavy_stretch_gets_fewer_items(self):
-        # Clients 0-3 are 9x slower than clients 4-11: the slow stretch is
-        # split finer so per-shard predicted cost evens out.
-        weights = [9.0] * 4 + [1.0] * 8
-        shards = plan_weighted_shards(weights, 4)
-        assert [s.num_items for s in shards] == [1, 1, 2, 8]
-        costs = [sum(weights[s.start:s.stop]) for s in shards]
-        # Predicted per-shard cost lands near the ideal 11; the balanced
-        # planner's 3/3/3/3 split would cost [27, 11, 3, 3].
-        assert costs == [9.0, 9.0, 18.0, 8.0]
-
-    def test_heavy_tail_item_does_not_collapse_the_plan(self):
-        """A heavy item at a boundary must not drag every later shard empty.
-
-        Cutting on the near side of the boundary item keeps it isolatable:
-        one pathologically slow client near the tail used to absorb ALL
-        items into shard 0, serializing the next epoch on one worker.
-        """
-        shards = plan_weighted_shards([0.01] * 15 + [5.0], 4)
-        assert [(s.start, s.stop) for s in shards] == [(0, 15), (15, 16), (16, 16), (16, 16)]
-        shards = plan_weighted_shards([1.0, 1.0, 1.0, 10.0], 2)
-        assert [(s.start, s.stop) for s in shards] == [(0, 3), (3, 4)]
-
-    def test_single_dominant_item_isolated(self):
-        shards = plan_weighted_shards([100.0, 1.0, 1.0, 1.0], 2)
-        assert (shards[0].start, shards[0].stop) == (0, 1)
-        assert (shards[1].start, shards[1].stop) == (1, 4)
-
-    def test_zero_or_empty_weights_fall_back_to_balanced(self):
-        assert plan_weighted_shards([0.0] * 6, 3) == plan_shards(6, 3)
-        assert plan_weighted_shards([], 3) == plan_shards(0, 3)
-
-    def test_bad_weights_fall_back_to_balanced(self):
-        assert plan_weighted_shards([1.0, -2.0, 1.0], 2) == plan_shards(3, 2)
-        assert plan_weighted_shards([1.0, float("nan")], 2) == plan_shards(2, 2)
-        assert plan_weighted_shards([1.0, float("inf")], 2) == plan_shards(2, 2)
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            plan_weighted_shards([1.0], 0)
-
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.0, max_value=1e3, allow_nan=False), max_size=200
-        ),
-        num_shards=st.integers(min_value=1, max_value=32),
-    )
-    def test_partition_properties(self, weights, num_shards):
-        """Weighted shards are contiguous, ordered and cover [0, len(weights))."""
-        shards = plan_weighted_shards(weights, num_shards)
-        assert len(shards) == num_shards
-        assert shards[0].start == 0
-        assert shards[-1].stop == len(weights)
-        for left, right in zip(shards, shards[1:]):
-            assert left.stop == right.start
-        assert sum(s.num_items for s in shards) == len(weights)

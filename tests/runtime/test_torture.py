@@ -3,10 +3,9 @@
 The hand-enumerated equivalence cases pin specific configurations; this
 module generalizes them into a property-style harness.  A fixed scenario
 seed generates ~25 random deployments — client count, shard/worker counts,
-1–3 concurrent queries, 1–4 epochs, driver combination (threads, snapshot
-wire, worker-resident state with random checkpoint cadence), sparse or full
-participation, and (for the wire transports) a forced mid-run re-shard — and each must produce
-byte-identical per-query responses and window results to the serial
+1–3 concurrent queries, 1–4 epochs, driver combination (inline, a thread
+pool, worker-resident state with random checkpoint cadence), sparse or full
+participation — and each must produce byte-identical per-query responses and window results to the serial
 executor running the very same deployment.
 
 The scenario list is deterministic (same seed → same 25 scenarios → stable
@@ -56,14 +55,12 @@ class Scenario:
     num_epochs: int
     sampling_fraction: float
     checkpoint_every: int
-    reshard_after_epoch: int | None
     rows_per_client: int
 
     @property
     def test_id(self) -> str:
-        reshard = "-reshard" if self.reshard_after_epoch is not None else ""
         return (
-            f"torture-{self.index:02d}-{self.executor}{reshard}"
+            f"torture-{self.index:02d}-{self.executor}"
             f"-c{self.num_clients}-s{self.num_shards}-q{self.num_queries}"
             f"-e{self.num_epochs}"
         )
@@ -81,9 +78,10 @@ def generate_scenarios() -> list[Scenario]:
     scenarios = []
     for index, executor in enumerate(executors[:NUM_SCENARIOS]):
         num_epochs = rng.randint(1, 4)
-        reshard_after_epoch = None
         if executor == RESIDENT and num_epochs >= 3 and rng.random() < 0.6:
-            reshard_after_epoch = rng.randint(1, num_epochs - 2)
+            # The draws of a retired forced-re-shard knob: kept, so every
+            # scenario keeps its shape.
+            rng.randint(1, num_epochs - 2)
         scenarios.append(
             Scenario(
                 index=index,
@@ -95,7 +93,6 @@ def generate_scenarios() -> list[Scenario]:
                 num_epochs=num_epochs,
                 sampling_fraction=rng.choice([0.05, 0.3, 0.8, 1.0]),
                 checkpoint_every=rng.choice([0, 1, 2, 3]),
-                reshard_after_epoch=reshard_after_epoch,
                 rows_per_client=rng.randint(1, 3),
             )
         )
@@ -184,17 +181,6 @@ def run_scenario(scenario: Scenario, as_serial: bool) -> dict:
             system.run_epoch(query_ids[0], epoch)
         else:
             system.run_epoch_all(epoch)
-        if not as_serial and scenario.reshard_after_epoch == epoch:
-            # Force a mid-run re-shard: a spreadable heavy skew the adaptive
-            # sizer cannot ignore.  Boundary moves must be result-invisible
-            # (and, under residency, must migrate exactly the moved shards).
-            skew_rng = random.Random(scenario.index)
-            heavy = max(1, scenario.num_clients // 3)
-            costs = [6.0] * heavy + [
-                0.1 + 0.01 * skew_rng.random()
-                for _ in range(scenario.num_clients - heavy)
-            ]
-            system.executor._sizer.prime(costs)
     outputs = {}
     for query_id in query_ids:
         system.flush(query_id)
@@ -229,7 +215,6 @@ def test_scenario_generation_is_deterministic():
     executors_covered = {s.executor for s in SCENARIOS}
     assert executors_covered == {INLINE, PIPELINED, RESIDENT}
     assert executors_covered <= set(cli_smoke_matrix())
-    assert any(s.reshard_after_epoch is not None for s in SCENARIOS)
     assert any(s.num_queries > 1 for s in SCENARIOS)
 
 
