@@ -423,6 +423,21 @@ class TestStageMetrics:
             for server in servers:
                 server.stop()
 
+    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
+    def test_non_adaptive_engines_never_reshard(self, executor):
+        """Boundaries are static on every engine, so the re-shard counter
+        the epoch profile still reads stays at zero."""
+        system, query_id = build_system(executor)
+        try:
+            for epoch in range(3):
+                system.run_epoch(query_id, epoch)
+            assert all(
+                m.reshard_events == 0
+                for m in system.executor.stage_metrics.values()
+            )
+        finally:
+            system.close()
+
 
 # -- resident workers over the sealed transport -------------------------------
 

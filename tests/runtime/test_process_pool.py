@@ -40,6 +40,8 @@ from repro.runtime import (
     decode_shard_ack,
     encode_shard_ack,
     make_executor,
+    plan_shards,
+    shard_span,
 )
 
 RESIDENT = "pinned-worker/framed-wire-local"
@@ -276,13 +278,21 @@ class TestConfiguration:
         executor.close()
 
 
+def _one_row(index: int) -> list[dict]:
+    return [{"value": float(index % 8)}]
+
+
 def make_resident_system(
     num_clients: int = 12,
     shards: int | None = 4,
     checkpoint_every: int = 4,
     num_queries: int = 1,
+    rows=None,
 ) -> tuple:
-    """A worker-resident deployment plus a serial twin for byte comparison."""
+    """A worker-resident deployment plus a serial twin for byte comparison.
+
+    ``rows(i)`` gives client ``i``'s initial rows (one row by default).
+    """
     config = SystemConfig(
         num_clients=num_clients,
         seed=868,
@@ -292,7 +302,7 @@ def make_resident_system(
         executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
-    system.provision_clients([("value", "REAL")], lambda i: [{"value": float(i % 8)}])
+    system.provision_clients([("value", "REAL")], rows or _one_row)
     analyst = Analyst("resident-failure")
     query_ids = []
     for index in range(num_queries):
@@ -311,10 +321,12 @@ def make_resident_system(
     return system, query_ids
 
 
-def run_serial_twin(num_clients: int, num_epochs: int, num_queries: int = 1) -> dict:
+def run_serial_twin(
+    num_clients: int, num_epochs: int, num_queries: int = 1, rows=None
+) -> dict:
     config = SystemConfig(num_clients=num_clients, seed=868, executor="serial")
     system = PrivApproxSystem(config)
-    system.provision_clients([("value", "REAL")], lambda i: [{"value": float(i % 8)}])
+    system.provision_clients([("value", "REAL")], rows or _one_row)
     analyst = Analyst("resident-failure")
     query_ids = []
     for index in range(num_queries):
@@ -498,6 +510,77 @@ class TestResidentFailureInjection:
         assert stream_positions(seen[True].clients) == stream_positions(
             seen[False].clients
         )
+
+
+def _skewed_rows(index: int) -> list[dict]:
+    """Five heavy clients (400 rows) among light ones (one row): shard 0
+    answers far slower than the rest every epoch."""
+    count = 400 if index < 5 else 1
+    return [{"value": float((index + row) % 8)} for row in range(count)]
+
+
+class TestStaticResidency:
+    """Shard boundaries are ``plan_shards`` over the population size.
+
+    However unevenly the shards answer, a deployment bootstraps each shard
+    once and sends deltas thereafter: measured answer time reaches the stage
+    metrics and never the plan.
+    """
+
+    NUM_CLIENTS, NUM_SHARDS, NUM_EPOCHS = 40, 4, 4
+
+    def _run_skewed(self, checkpoint_every: int = 4):
+        system, (query_id,) = make_resident_system(
+            num_clients=self.NUM_CLIENTS,
+            shards=self.NUM_SHARDS,
+            checkpoint_every=checkpoint_every,
+            rows=_skewed_rows,
+        )
+        spans = []
+        try:
+            for epoch in range(self.NUM_EPOCHS):
+                system.run_epoch(query_id, epoch)
+                spans.append(
+                    {
+                        index: (state.start, state.stop)
+                        for index, state in system.executor.driver._shards.items()
+                    }
+                )
+            responses = serialize_responses(system.responses_log(query_id))
+            return system.executor, spans, responses, query_id
+        finally:
+            system.close()
+
+    def test_skewed_population_bootstraps_each_shard_once(self):
+        executor, _, responses, query_id = self._run_skewed()
+        assert executor.bootstrap_frames == self.NUM_SHARDS
+        assert executor.delta_frames == self.NUM_SHARDS * (self.NUM_EPOCHS - 1)
+        assert executor.driver.rebootstraps == 0
+        twin = run_serial_twin(self.NUM_CLIENTS, self.NUM_EPOCHS, rows=_skewed_rows)
+        assert responses == twin[query_id]
+
+    def test_resident_spans_are_the_balanced_plan(self):
+        _, spans, _, _ = self._run_skewed()
+        plan = {
+            shard.index: shard_span(shard)
+            for shard in plan_shards(self.NUM_CLIENTS, self.NUM_SHARDS)
+        }
+        assert spans == [plan] * self.NUM_EPOCHS
+
+    def test_answer_time_reaches_metrics_not_the_plan(self):
+        executor, _, _, _ = self._run_skewed()
+        metrics = executor.stage_metrics
+        assert sorted(metrics) == list(range(self.NUM_EPOCHS))
+        assert all(m.answer_seconds > 0.0 for m in metrics.values())
+        assert all(m.reshard_events == 0 for m in metrics.values())
+
+    def test_steady_epochs_cost_the_same_wire_bytes(self):
+        """With no checkpoint cadence and no parent-side edits, every epoch
+        after the bootstrap sends the same delta frames and acks."""
+        executor, _, _, _ = self._run_skewed(checkpoint_every=0)
+        wire = executor.epoch_wire_bytes
+        assert wire[0] > wire[1]
+        assert len({wire[epoch] for epoch in range(1, self.NUM_EPOCHS)}) == 1
 
 
 class TestResidentParentSideMutations:

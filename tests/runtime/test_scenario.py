@@ -436,6 +436,18 @@ class TestLedgerDeterminism:
         """Nothing but wall-clock may differ between two same-seed runs —
         not wire bytes, which a boundary moved on timing noise would change
         by whole state syncs and re-bootstraps — and no engine re-shards."""
+        self._assert_same_ledger("kitchen-sink", executor, monkeypatch)
+
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    @pytest.mark.parametrize("scenario", ["zipf-tables", "churn-heavy"])
+    def test_skew_and_churn_keep_the_ledger(self, scenario, executor, monkeypatch):
+        """Zipf-sized tables make some shards answer far slower than others,
+        and heavy churn flips who answers each epoch; neither may move a
+        boundary, so neither may change the ledger between same-seed runs."""
+        self._assert_same_ledger(scenario, executor, monkeypatch)
+
+    @staticmethod
+    def _assert_same_ledger(scenario: str, executor: str, monkeypatch) -> None:
         engines = []
         init = StagedEpochEngine.__init__
 
@@ -444,7 +456,7 @@ class TestLedgerDeterminism:
             engines.append(self)
 
         monkeypatch.setattr(StagedEpochEngine, "__init__", recording_init)
-        spec = find_scenario("kitchen-sink")
+        spec = find_scenario(scenario)
         runs = [
             run_scenario(spec, executor=executor, workers=2, shards=7)
             for _ in range(2)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime import Shard, plan_shards
+from repro.runtime import Shard, plan_shards, shard_span
 
 
 class TestPlanShards:
@@ -54,3 +54,23 @@ class TestPlanShards:
         sizes = [s.num_items for s in shards]
         assert sum(sizes) == num_items
         assert max(sizes) - min(sizes) <= 1
+
+
+class TestShardSpan:
+    def test_span_is_the_start_stop_pair(self):
+        assert [shard_span(s) for s in plan_shards(10, 3)] == [(0, 4), (4, 7), (7, 10)]
+
+    @given(
+        num_items=st.integers(min_value=0, max_value=500),
+        num_shards=st.integers(min_value=1, max_value=64),
+    )
+    def test_spans_depend_only_on_population_size(self, num_items, num_shards):
+        """Residency keys on these spans: re-planning the same population
+        yields the same spans, and each span covers exactly its shard."""
+        first = plan_shards(num_items, num_shards)
+        again = plan_shards(num_items, num_shards)
+        assert [shard_span(s) for s in first] == [shard_span(s) for s in again]
+        population = list(range(num_items))
+        for shard in first:
+            start, stop = shard_span(shard)
+            assert population[shard.as_slice()] == population[start:stop]
