@@ -45,7 +45,7 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 # Worker/shard counts are kept small so the full sweep stays laptop- and
 # CI-friendly.
 EXECUTOR_CONFIGS = [
-    {"executor": executor, "workers": 2, "shards": 4, "checkpoint_every": 2}
+    {"executor": executor, "workers": 2, "shards": 4}
     for executor in cli_smoke_matrix()
 ]
 

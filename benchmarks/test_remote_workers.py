@@ -102,7 +102,6 @@ def measure_frame_rtt() -> dict:
                     query_ids=(),
                     deltas=(None,),
                     expected_fingerprint=ack.fingerprint,
-                    want_state=False,
                 )
             )
             start = time.perf_counter()
@@ -135,14 +134,12 @@ def measure_scenario(remote: bool, key_path: str) -> dict:
                 executor="pinned-worker/sealed-tcp-remote",
                 remote_workers=[f"{s.address[0]}:{s.address[1]}" for s in servers],
                 key_file=key_path,
-                checkpoint_every=2,
             )
         else:
             run = run_scenario(
                 spec,
                 executor="pinned-worker/framed-wire-local",
                 workers=2,
-                checkpoint_every=2,
             )
         wall = time.perf_counter() - start
     finally:

@@ -43,11 +43,7 @@ from repro.datasets import (
     TaxiRideGenerator,
 )
 from repro.netsim import DeviceProfile, OperationKind
-from repro.runtime import (
-    DEFAULT_CHECKPOINT_EVERY,
-    EXECUTOR_KINDS,
-    validate_executor_options,
-)
+from repro.runtime import EXECUTOR_KINDS, validate_executor_options
 
 
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
@@ -76,13 +72,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--shards", type=int, default=None,
         help="shard count for the engine executors "
              "(default: one per worker)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        help="pinned-worker executors: refresh the parent's copy of the "
-             "resident RNG/keystream state every N epochs per shard (0 = "
-             "only on subscription changes and shutdown; "
-             f"default: {DEFAULT_CHECKPOINT_EVERY})",
     )
 
 
@@ -122,7 +111,6 @@ def _system_config(args: argparse.Namespace, **overrides) -> SystemConfig:
         executor=args.executor,
         executor_workers=pool_size,
         executor_shards=args.shards,
-        executor_checkpoint_every=args.checkpoint_every,
         executor_remote_workers=remote,
         executor_key_file=args.key_file,
         **overrides,
@@ -272,7 +260,6 @@ def _cmd_simulate_scenario(args: argparse.Namespace) -> int:
         executor=args.executor,
         workers=pool_size,
         shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
         remote_workers=remote,
         key_file=args.key_file,
     )

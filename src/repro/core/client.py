@@ -248,10 +248,10 @@ def _digest_keystream(digest, state: tuple) -> None:
     digest.update(buffer)
 
 
-# The snapshot fields a pinned worker advances on the parent's behalf — the
-# per-query RNG states, the per-query keystream states and the client-level
-# keystream — in the order Client._stream_state builds them and
-# _stream_values hands them to adopt_rng_state / state_fingerprint.
+# The snapshot fields that advance as a client answers — the per-query RNG
+# states, the per-query keystream states and the client-level keystream — in
+# the order Client._stream_state builds them and _stream_values hands them to
+# from_state / state_fingerprint.
 STREAM_STATE_FIELDS = ("rng_states", "query_keystream_states", "keystream_state")
 
 
@@ -301,12 +301,12 @@ class Client:
     def _stream_state(self) -> dict:
         """The advancing streams, packed: one ``getstate()`` per stream.
 
-        The single place that says what a pinned worker advances on the
-        parent's behalf (:data:`STREAM_STATE_FIELDS`); the full snapshot, the
-        stream-only checkpoint form, the graft and the fingerprint all start
-        from this dict.  :meth:`state_fingerprint` calls this rather than
-        :meth:`export_state` so that an ``export_state`` call keeps meaning
-        "a snapshot or checkpoint was taken" to anyone counting them.
+        The single place that says what advances as a client answers
+        (:data:`STREAM_STATE_FIELDS`); the snapshot, its restore and the
+        fingerprint all start from this dict.  :meth:`state_fingerprint`
+        calls this rather than :meth:`export_state` so that an
+        ``export_state`` call keeps meaning "a snapshot was taken" to anyone
+        counting them.
         """
         return dict(
             zip(
@@ -325,7 +325,7 @@ class Client:
             )
         )
 
-    def export_state(self, *, streams_only: bool = False) -> dict:
+    def export_state(self) -> dict:
         """Capture everything another process needs to *be* this client.
 
         The snapshot is a plain picklable dict: the static config, the
@@ -336,12 +336,6 @@ class Client:
         byte-identical to the serial reference (``repro.runtime.wire`` frames
         these snapshots into shard bootstraps).
 
-        ``streams_only=True`` is the checkpoint form the worker-resident
-        runtime acks with: just the :data:`STREAM_STATE_FIELDS` that
-        :meth:`adopt_rng_state` grafts — no config, token secret, tables or
-        subscriptions, so its size is O(subscribed queries) however long the
-        local stream has grown.  It cannot be passed to :meth:`from_state`.
-
         Columnar mirrors and secondary indexes are deliberately *not*
         shipped: they are derived state, lazily rebuilt from raw rows on the
         restored side and incrementally maintained from then on — and the
@@ -349,8 +343,6 @@ class Client:
         lifecycles answer identically.
         """
         state = self._stream_state()
-        if streams_only:
-            return state
         tables = []
         for name in self.database.table_names():
             table = self.database.table(name)
@@ -380,7 +372,12 @@ class Client:
         so the restored client's next draw equals the original's next draw.
         """
         client = cls(state["config"])
-        client.adopt_rng_state(state)
+        rng_states, keystream_states, keystream_state = _stream_values(state)
+        for query_id, packed in rng_states.items():
+            client._rng_for(query_id).setstate(_unpack_rng_state(packed))
+        for query_id, query_keystream_state in keystream_states.items():
+            client._keystream_for(query_id).setstate(query_keystream_state)
+        client._keystream.setstate(keystream_state)
         client._token_secret = state["token_secret"]
         for name, columns, rows in state["tables"]:
             client.database.create_table(name, list(columns))
@@ -389,47 +386,16 @@ class Client:
             client.subscribe(query, parameters)
         return client
 
-    @staticmethod
-    def holds_stream_state(state) -> bool:
-        """Whether ``state`` carries every field :meth:`adopt_rng_state` reads.
-
-        Lets a caller validate a whole batch of records *before* the first
-        graft, so a malformed checkpoint is refused instead of half-adopted.
-        """
-        return isinstance(state, dict) and all(
-            field in state for field in STREAM_STATE_FIELDS
-        )
-
-    def adopt_rng_state(self, state: dict) -> None:
-        """Graft a snapshot's RNG/keystream state onto this *live* client.
-
-        The worker-resident runtime splits authority over a client in two:
-        the parent stays authoritative for tables and subscriptions (it
-        mutates them directly), the pinned worker for the advancing
-        RNG/keystream streams.  Checkpoints and syncs reunite the two by
-        grafting the random-stream fields of the worker's export (the
-        ``streams_only`` form is all a checkpoint ack carries; a full
-        snapshot works too) onto the parent's live object — tables and
-        subscriptions are deliberately left untouched, so parent-side
-        mutations that postdate the export are never lost.
-        """
-        rng_states, keystream_states, keystream_state = _stream_values(state)
-        for query_id, packed in rng_states.items():
-            self._rng_for(query_id).setstate(_unpack_rng_state(packed))
-        for query_id, query_keystream_state in keystream_states.items():
-            self._keystream_for(query_id).setstate(query_keystream_state)
-        self._keystream.setstate(keystream_state)
-
     def state_fingerprint(self) -> bytes:
         """A digest of everything the answering path draws from.
 
-        The digest *of* the stream-only export (per-query RNG states,
-        per-query and client-level keystream states) plus the client id and
-        the token secret — the exact fields a resident worker advances on the
-        parent's behalf.  Two clients agree on the fingerprint iff their next
+        The digest of the stream fields (per-query RNG states, per-query and
+        client-level keystream states) plus the client id and the token
+        secret — the exact fields answering advances.  Two clients agree on the fingerprint iff their next
         draws agree; tables and subscriptions are excluded on purpose.  This
         is the *oracle* tests compare stream positions with (the draw-only
-        twin property, recovery and export tests); no runtime path calls it —
+        twin property, replay, recovery and export tests); no runtime path
+        calls it —
         the resident protocol vouches for frames, not for state.
         """
         rng_states, keystream_states, keystream_state = _stream_values(
@@ -575,10 +541,12 @@ class Client:
     def advance(self, query_ids: Sequence[str]) -> list[bool]:
         """Make the draws :meth:`answer` would make, and nothing else.
 
-        The replay primitive: afterwards :meth:`state_fingerprint` equals
-        what answering ``query_ids`` for any epoch over any table content
-        would have left, but no SQL ran and no answer, token, message or
-        share was built.  Returns which queries participated.
+        The replay primitive, with which the pinned-worker coordinator makes
+        each acked epoch's draws on its own copy: afterwards
+        :meth:`state_fingerprint` equals what answering ``query_ids`` for any
+        epoch over any table content would have left, but no SQL ran and no
+        answer, token, message or share was built.  Returns which queries
+        participated.
         """
         return [self._advance_query(query_id) for query_id in query_ids]
 

@@ -43,7 +43,6 @@ from repro.core.query import Query
 from repro.core.seeding import derive_query_seed
 from repro.core.validation import AnswerValidator
 from repro.runtime import (
-    DEFAULT_CHECKPOINT_EVERY,
     EpochContext,
     QueryContext,
     make_executor,
@@ -76,11 +75,6 @@ class SystemConfig:
     ``executor_workers`` sizes the worker pool and ``executor_shards`` the
     shard count (default: one per worker).
 
-    ``executor_checkpoint_every`` (``pinned-worker`` scheduling only)
-    controls how often the parent's copy of the resident RNG/keystream
-    state is refreshed (``0`` = only on subscription changes and
-    shutdown).
-
     ``executor_remote_workers`` places the workers of a
     ``*/sealed-tcp-remote`` executor on separately launched TCP workers
     (:mod:`repro.runtime.remote`): a tuple of ``host:port`` addresses (one
@@ -101,7 +95,6 @@ class SystemConfig:
     executor: str = "serial"
     executor_workers: int = 4
     executor_shards: int | None = None
-    executor_checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     executor_remote_workers: tuple[str, ...] | None = None
     executor_key_file: str | None = None
 
@@ -117,8 +110,6 @@ class SystemConfig:
             raise ValueError("executor_workers must be positive")
         if self.executor_shards is not None and self.executor_shards < 1:
             raise ValueError("executor_shards must be positive when given")
-        if self.executor_checkpoint_every < 0:
-            raise ValueError("executor_checkpoint_every must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,7 +160,6 @@ class PrivApproxSystem:
             config.executor,
             workers=config.executor_workers,
             shards=config.executor_shards,
-            checkpoint_every=config.executor_checkpoint_every,
             remote_workers=config.executor_remote_workers,
             key_file=config.executor_key_file,
         )

@@ -51,7 +51,6 @@ from repro.runtime.engine import (
     answer_shard,
 )
 from repro.runtime.executor import (
-    DEFAULT_CHECKPOINT_EVERY,
     DRIVER_COMBOS,
     DRIVER_SPELLINGS,
     EXECUTOR_KINDS,
@@ -100,7 +99,6 @@ from repro.runtime.wire import (
 )
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_EVERY",
     "DRIVER_COMBOS",
     "DRIVER_SPELLINGS",
     "EXECUTOR_KINDS",

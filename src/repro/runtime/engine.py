@@ -89,12 +89,12 @@ def answer_shard(
     epoch: int,
     arena: ShardArena | None = None,
     late: frozenset[str] = frozenset(),
-) -> tuple[list[list["ClientResponse"]], list["Client"]]:
+) -> list[list["ClientResponse"]]:
     """Answer one shard of clients for one epoch (every driver's shard task).
 
-    Every client answers all of ``query_ids`` in one pass; the return value
-    holds one participating-response list per query (client order within
-    each list) together with the clients themselves, advanced in place.
+    Every client answers all of ``query_ids`` in one pass, advancing in
+    place; the return value holds one participating-response list per query
+    (client order within each list).
 
     With a :class:`~repro.sqldb.columnar.ShardArena` over these clients'
     databases, the epoch's SQL is evaluated once shard-wide and each
@@ -123,7 +123,7 @@ def answer_shard(
         for index, response in enumerate(answers):
             if response is not None:
                 responses_per_query[index].append(response)
-    return responses_per_query, clients
+    return responses_per_query
 
 
 def shard_scan_caches(
@@ -181,7 +181,7 @@ def _timed_answer_shard(
     """:func:`answer_shard`'s responses plus its own wall-clock, for stage
     accounting (in-process: the clients advanced in place)."""
     started = time.perf_counter()
-    responses, _ = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
+    responses = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
     return responses, time.perf_counter() - started
 
 
@@ -457,8 +457,8 @@ class StagedEpochEngine(EpochExecutor):
         return grids
 
     def close(self) -> None:
-        """Close the driver (export resident state, stop workers), then shut
-        the worker pool down and drop cached consumers (idempotent)."""
+        """Close the driver (stop workers), then shut the worker pool down
+        and drop cached consumers (idempotent)."""
         try:
             self.driver.close()
         finally:

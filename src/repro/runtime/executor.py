@@ -261,11 +261,6 @@ DRIVER_SPELLINGS = {
 #: SerialExecutor is the frozen engine-free reference.
 EXECUTOR_KINDS = ("serial",) + tuple(DRIVER_SPELLINGS)
 
-#: Epochs between refreshes of the parent's authoritative state copy under
-#: ``pinned-worker`` scheduling (``0`` = only on demand/shutdown).
-DEFAULT_CHECKPOINT_EVERY = 4
-
-
 def validate_driver_combo(scheduling: str, transport: str) -> tuple[str, str]:
     """Check one (scheduling, transport) pair against the registry.
 
@@ -361,7 +356,7 @@ class EpochExecutor:
 
 
 def _driver_factories() -> dict[tuple[str, str], Callable[..., "StageDriver"]]:
-    """Combo -> ``factory(checkpoint_every, addresses, keys)`` for its driver.
+    """Combo -> ``factory(addresses, keys)`` for its driver.
 
     One entry per :data:`DRIVER_COMBOS` pair (a tier-1 test pins the key
     sets equal).  Built on demand because the driver modules import this
@@ -382,7 +377,6 @@ def make_executor(
     name: str,
     workers: int = 4,
     shards: int | None = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     remote_workers: Sequence[str] | None = None,
     key_file: str | None = None,
 ) -> EpochExecutor:
@@ -401,10 +395,6 @@ def make_executor(
         scheduling axis says).
     shards:
         Shard count; ``None`` means one shard per worker.
-    checkpoint_every:
-        ``pinned-worker`` scheduling only: refresh the parent's copy of the
-        resident RNG/keystream state every this many epochs per shard (``0``
-        = only on subscription changes, a new deployment and shutdown).
     remote_workers:
         ``host:port`` addresses of separately launched TCP workers
         (:mod:`repro.runtime.remote`), required by — and only valid with —
@@ -428,7 +418,5 @@ def make_executor(
         addresses = [parse_address(address) for address in remote_workers]
         keys = keys_for_workers(load_keys(key_file), len(addresses))
         workers = len(addresses)
-    driver = _driver_factories()[DRIVER_SPELLINGS[name]](
-        checkpoint_every, addresses, keys
-    )
+    driver = _driver_factories()[DRIVER_SPELLINGS[name]](addresses, keys)
     return StagedEpochEngine(driver, num_workers=workers, num_shards=shards)

@@ -17,8 +17,8 @@ epochs.  There is one router and one worker loop for every deployment:
   :class:`~repro.runtime.affinity.ResidentDriver` drives
   (``send``/``recv``/``worker_alive``/``dead_slots``/``replace``).  Connect
   failures retry with bounded exponential backoff; a socket that dies
-  mid-epoch surfaces as a dead worker and falls onto the checkpoint+replay
-  re-bootstrap path.
+  mid-epoch surfaces as a dead worker and its shards re-bootstrap from the
+  coordinator's copy, which replayed every acked epoch's draws.
 * :class:`LocalWorkerTransport` — ``framed-wire-local``: the same transport
   over workers it spawns itself, one forked ``RemoteWorkerServer`` child per
   slot on ``127.0.0.1``, keyed with fresh random keys that never leave the
@@ -547,9 +547,8 @@ class RemoteWorkerServer:
     exactly one coordinator; a second connection queues in the listen
     backlog until the current session ends).  The shard cache survives
     across sessions, so a coordinator that reconnects after a network blip
-    — or a replacement coordinator resuming from checkpoints — finds the
-    resident state still warm; only a worker *process* restart loses it,
-    and the coordinator then re-bootstraps via checkpoint + replay.
+    finds the resident state still warm; only a worker *process* restart
+    loses it, and the coordinator then re-bootstraps from its own copy.
 
     A connection that fails the handshake, sends an unverifiable envelope,
     or dies mid-frame is closed and counted in ``rejected_connections`` /
@@ -718,7 +717,7 @@ class RemoteWorkerTransport:
     * ``ensure_worker`` connects (with bounded exponential backoff);
       ``replace`` drops the connection and dials again.  A worker that stays
       unreachable raises :class:`RemoteWorkerUnavailable` — the epoch fails
-      loudly and the shards re-bootstrap from checkpoint + replay once the
+      loudly and the shards re-bootstrap from the coordinator's copy once the
       worker is back.
     * a connection that dies (EOF, reset, a frame that fails verification)
       marks its slot dead, so the driver's collect loop, healer and

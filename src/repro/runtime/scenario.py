@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.netsim.devices import DeviceKind, DeviceProfile, OperationKind
 from repro.netsim.network import NetworkModel
-from repro.runtime.executor import DEFAULT_CHECKPOINT_EVERY
 
 if TYPE_CHECKING:  # lazy imports keep repro.core <-> repro.runtime acyclic
     from repro.core.client import ClientResponse
@@ -551,7 +550,6 @@ def run_scenario(
     executor: str = "serial",
     workers: int = 2,
     shards: int | None = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     remote_workers: Sequence[str] | None = None,
     key_file: str | None = None,
 ) -> ScenarioRun:
@@ -587,7 +585,6 @@ def run_scenario(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_checkpoint_every=checkpoint_every,
         executor_remote_workers=(
             tuple(remote_workers) if remote_workers is not None else None
         ),

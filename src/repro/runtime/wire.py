@@ -36,19 +36,15 @@ the first epoch:
   snapshots plus the epoch to answer right after installing them.
 * :class:`ShardDelta` — parent → worker, the steady-state frame: the epoch
   and query ids to answer, one optional :class:`ClientDelta` per client
-  (subscription changes, appended stream rows), the continuity token the
-  parent last adopted for the shard, and whether the ack should
-  return the clients' stream state (a *checkpoint*: periodic, or because the
-  delta changes subscriptions — appended rows alone never ask for one).  An
-  empty ``query_ids`` tuple makes the frame a pure state-sync request (no
-  answering).
+  (subscription changes, appended stream rows) and the continuity token the
+  parent last adopted for the shard.
 * :class:`ShardAck` — worker → parent: the responses, a 32-byte continuity
   token (the SHA-256 of the frame just served, which the parent checks
-  against the bytes it sent) in place of advanced snapshots, each client's
-  stream state — RNG and keystream positions only, never tables or
-  subscriptions — when the delta asked for a checkpoint, and
-  ``bootstrap_required`` when the worker cannot serve the delta (cache miss
-  or token mismatch) so the parent falls back to a bootstrap frame.
+  against the bytes it sent), and ``bootstrap_required`` when the worker
+  cannot serve the delta (cache miss or token mismatch) so the parent falls
+  back to a bootstrap frame.  No client state ever travels back: the parent
+  replays each acked epoch's draws on its own copy
+  (:mod:`repro.runtime.affinity`).
 
 Versioning: every frame kind is emitted and accepted at exactly
 :data:`WIRE_VERSION`; older and unknown future versions are rejected rather
@@ -189,9 +185,8 @@ class ShardDelta:
     (client order); ``expected_fingerprint`` is the continuity token the
     parent adopted from the last ack — the worker refuses (with
     ``bootstrap_required``) unless it is the token it last acked, which
-    chains the tokens.  ``want_state`` asks the ack to carry every client's
-    advanced stream state (a checkpoint).  An empty ``query_ids`` tuple is a
-    pure sync: apply deltas / export state, answer nothing.
+    chains the tokens.  An empty ``query_ids`` tuple applies the deltas and
+    answers nothing.
     """
 
     shard_index: int
@@ -199,7 +194,6 @@ class ShardDelta:
     query_ids: tuple
     deltas: tuple
     expected_fingerprint: bytes
-    want_state: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,15 +201,9 @@ class ShardAck:
     """The worker's reply to a bootstrap or delta frame.
 
     ``responses`` holds one tuple of participating responses per frame query
-    (empty for sync frames); ``fingerprint`` is the continuity token — the
-    SHA-256 of the frame this ack answers, empty when it answered none — in
-    place of advanced client snapshots; ``client_states``
-    is populated only when the frame asked for a checkpoint, and then holds
-    one stream-only record per client
-    (``Client.export_state(streams_only=True)`` — what
-    :meth:`~repro.core.client.Client.adopt_rng_state` reads, so its size
-    does not grow with the client's tables).
-    ``bootstrap_required`` reports a cache miss or token mismatch (no
+    (empty when the frame named none); ``fingerprint`` is the continuity
+    token — the SHA-256 of the frame this ack answers, empty when it answered
+    none.  ``bootstrap_required`` reports a cache miss or token mismatch (no
     answering happened); ``error`` carries ``(type_name, message)`` of a
     worker-side exception so the parent can surface it without the worker
     process dying.
@@ -226,7 +214,6 @@ class ShardAck:
     wall_seconds: float = 0.0
     responses: tuple = ()
     fingerprint: bytes = b""
-    client_states: tuple | None = None
     bootstrap_required: bool = False
     error: tuple | None = None
 

@@ -325,8 +325,8 @@ def _reversed_emits(request, monkeypatch):
 # ``pinned-worker/framed-wire-local`` keeps client state inside its spawned
 # workers between epochs.  A test marked ``respawned_workers`` kills every
 # pinned worker as soon as each epoch's acks are collected, so every later
-# epoch (and the final close) runs the recovery path: a respawned child, the
-# parent's checkpoint fast-forwarded by replay, a fresh bootstrap.  Recovery
+# epoch runs the recovery path: a respawned child and a fresh bootstrap from
+# the parent's copy, which replayed every acked epoch's draws.  Recovery
 # must be invisible: nothing a test can observe may change.  The test modules
 # add these cases to their driver matrices as ``<spelling>+respawned-workers``.
 

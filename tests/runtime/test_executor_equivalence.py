@@ -71,7 +71,6 @@ def run_deployment(
     sampling_fraction: float = 0.8,
     num_epochs: int = 2,
     seed: int = SEED,
-    checkpoint_every: int = 4,
 ):
     """Run a small deployment end-to-end and return its observable outputs."""
     config = SystemConfig(
@@ -81,7 +80,6 @@ def run_deployment(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
     rng = random.Random(seed)
@@ -232,7 +230,6 @@ def run_multi_deployment(
     num_epochs: int = 2,
     seed: int = SEED,
     single_query_epochs: bool = False,
-    checkpoint_every: int = 4,
 ):
     """Run N concurrent queries end-to-end and return per-query outputs.
 
@@ -248,7 +245,6 @@ def run_multi_deployment(
         executor=executor,
         executor_workers=workers,
         executor_shards=shards,
-        executor_checkpoint_every=checkpoint_every,
     )
     system = PrivApproxSystem(config)
     rng = random.Random(seed)
@@ -512,21 +508,21 @@ class TestResidentStateMatchesSerial:
 
     ``pinned-worker`` scheduling keeps client state inside pinned workers
     and ships deltas/fingerprints instead of snapshots; for a fixed seed its
-    outputs must equal the serial reference — across checkpoint cadences
-    (every epoch, periodic, on-demand only), multi-epoch runs whose streams
-    resume from resident state, and multi-query epochs.
+    outputs must equal the serial reference — across worker/shard layouts,
+    multi-epoch runs whose streams resume from resident state (the
+    coordinator replays every acked epoch's draws on its own copy), and
+    multi-query epochs.
     """
 
-    @pytest.mark.parametrize("checkpoint_every", [0, 1, 3])
-    def test_identical_outputs_across_checkpoint_cadences(self, checkpoint_every):
+    @pytest.mark.parametrize("workers,shards", [(1, 1), (2, 5), (3, 4)])
+    def test_identical_outputs_across_worker_layouts(self, workers, shards):
         _, serial_results, serial_responses = run_deployment(30, num_epochs=4)
         _, resident_results, resident_responses = run_deployment(
             30,
             executor=RESIDENT,
-            workers=2,
-            shards=5,
+            workers=workers,
+            shards=shards,
             num_epochs=4,
-            checkpoint_every=checkpoint_every,
         )
         assert serialize_responses(serial_responses) == serialize_responses(
             resident_responses
@@ -564,7 +560,6 @@ class TestResidentStateMatchesSerial:
             shards=6,
             sampling_fraction=0.05,
             num_epochs=3,
-            checkpoint_every=2,
         )
         assert resident == serial
 
@@ -588,7 +583,7 @@ class TestIndexedAnswerPathMatchesScan:
         )
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "0")
         _, results, responses = run_deployment(
-            60, executor=executor, workers=3, shards=5, num_epochs=3, checkpoint_every=2
+            60, executor=executor, workers=3, shards=5, num_epochs=3
         )
         assert serialize_responses(responses) == serialize_responses(scan_responses)
         assert serialize_results(results) == serialize_results(scan_results)

@@ -390,10 +390,11 @@ class TestExecutorReuse:
         """Query ids are deterministic, so a reused executor must notice a
         new proxy network instead of polling the old deployment's brokers:
         every spelling reads the engine's own shard-topic consumers.  A
-        pinned-worker driver must also hand the old deployment's resident
-        streams back to *its* clients rather than graft them onto the new
-        ones: the second deployment answers exactly as a fresh serial run
-        does, and the first one's clients end where serial's do."""
+        pinned-worker driver must also forget the old deployment's
+        residency rather than send the new clients' epoch to the old
+        clients' worker copies: the second deployment answers exactly as a
+        fresh serial run does, and the first one's clients (which replayed
+        their acked epoch) end where serial's do."""
         executor = make_executor(spelling, workers=2, shards=2)
         try:
             context_a = make_context(6)

@@ -10,8 +10,8 @@ Two properties carry the whole module:
    never a ``pickle.loads`` of attacker bytes.
 2. **The transport changes nothing observable.**  A scenario run on remote
    workers must produce digests byte-identical to the serial reference, and
-   a worker killed mid-run must recover through the same checkpoint+replay
-   path as a dead pinned process.
+   a worker killed mid-run must recover through the same re-bootstrap path
+   as a dead pinned process.
 """
 
 from __future__ import annotations
@@ -501,13 +501,12 @@ class TestTransport:
             server.stop()
 
 
-def make_remote_system(addresses, key_path, num_clients=12, shards=4, checkpoint_every=2):
+def make_remote_system(addresses, key_path, num_clients=12, shards=4):
     config = SystemConfig(
         num_clients=num_clients,
         seed=868,
         executor=REMOTE_RESIDENT,
         executor_shards=shards,
-        executor_checkpoint_every=checkpoint_every,
         executor_remote_workers=tuple(addresses),
         executor_key_file=key_path,
     )
@@ -580,7 +579,6 @@ class TestRemoteEndToEnd:
                 executor=REMOTE_RESIDENT,
                 remote_workers=[address_of(server) for server in servers],
                 key_file=key_path,
-                checkpoint_every=2,
             )
             assert remote.executor_label == REMOTE_RESIDENT
             assert remote.digest == serial.digest
@@ -603,7 +601,6 @@ class TestRemoteEndToEnd:
                 executor=REMOTE_RESIDENT,
                 remote_workers=[address_of(server) for server in servers],
                 key_file=key_path,
-                checkpoint_every=2,
             )
             assert remote.digest == serial.digest
         finally:
@@ -611,7 +608,8 @@ class TestRemoteEndToEnd:
                 server.stop()
 
     def test_killed_worker_recovers_byte_identically(self, tmp_path):
-        """A worker restart between epochs recovers via checkpoint+replay."""
+        """A worker restart between epochs re-bootstraps from the
+        coordinator's copy, which replayed every acked epoch."""
         servers = [start_server(), start_server()]
         replacement = None
         key_path = write_key_file(tmp_path, KEY)

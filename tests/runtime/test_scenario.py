@@ -74,9 +74,7 @@ GOLDEN_BYZANTINE_CHURN_DIGEST = (
 
 
 def _run(spec, executor):
-    return run_scenario(
-        spec, executor=executor, workers=2, shards=3, checkpoint_every=2
-    )
+    return run_scenario(spec, executor=executor, workers=2, shards=3)
 
 
 # -- plan determinism ---------------------------------------------------------

@@ -4,7 +4,7 @@ The hand-enumerated equivalence cases pin specific configurations; this
 module generalizes them into a property-style harness.  A fixed scenario
 seed generates ~25 random deployments — client count, shard/worker counts,
 1–3 concurrent queries, 1–4 epochs, driver combination (inline, a thread
-pool, worker-resident state with random checkpoint cadence), sparse or full
+pool, worker-resident state), sparse or full
 participation — and each must produce byte-identical per-query responses and window results to the serial
 executor running the very same deployment.
 
@@ -54,7 +54,6 @@ class Scenario:
     num_queries: int
     num_epochs: int
     sampling_fraction: float
-    checkpoint_every: int
     rows_per_client: int
 
     @property
@@ -82,18 +81,23 @@ def generate_scenarios() -> list[Scenario]:
             # The draws of a retired forced-re-shard knob: kept, so every
             # scenario keeps its shape.
             rng.randint(1, num_epochs - 2)
+        shape = dict(
+            num_clients=rng.randint(1, 24),
+            num_shards=rng.randint(1, 7),
+            num_workers=rng.randint(1, 4),
+            num_queries=rng.randint(1, 3),
+            sampling_fraction=rng.choice([0.05, 0.3, 0.8, 1.0]),
+        )
+        # The draw of a retired checkpoint-cadence knob: kept, so every
+        # scenario keeps its shape.
+        rng.choice([0, 1, 2, 3])
         scenarios.append(
             Scenario(
                 index=index,
                 executor=executor,
-                num_clients=rng.randint(1, 24),
-                num_shards=rng.randint(1, 7),
-                num_workers=rng.randint(1, 4),
-                num_queries=rng.randint(1, 3),
                 num_epochs=num_epochs,
-                sampling_fraction=rng.choice([0.05, 0.3, 0.8, 1.0]),
-                checkpoint_every=rng.choice([0, 1, 2, 3]),
                 rows_per_client=rng.randint(1, 3),
+                **shape,
             )
         )
     return scenarios
@@ -141,7 +145,6 @@ def run_scenario(scenario: Scenario, as_serial: bool) -> dict:
         executor="serial" if as_serial else scenario.executor,
         executor_workers=scenario.num_workers,
         executor_shards=None if as_serial else scenario.num_shards,
-        executor_checkpoint_every=scenario.checkpoint_every,
     )
     system = PrivApproxSystem(config)
     data_rng = random.Random(DATA_SEED + scenario.index)
@@ -346,7 +349,6 @@ def test_churn_scenario_matches_serial_reference(spec, executor, monkeypatch):
         executor=executor,
         workers=2,
         shards=3,
-        checkpoint_every=2,
     )
     assert ledger["digest"] == serial["digest"], (
         f"{spec.name} on {ledger['label']} diverged from the serial reference"
@@ -393,7 +395,6 @@ def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch)
         executor=executor,
         workers=2,
         shards=3,
-        checkpoint_every=2,
     )
     assert run.digest == reference_digest, (
         f"{mode} path on {run.executor_label} diverged from serial+scan"
@@ -545,7 +546,7 @@ def _latest_row_shard(columns, statements, members):
 def _shard_outcome(clients, query_id, epoch, arena):
     """``answer_shard``'s responses in comparable form, or the error it raised."""
     try:
-        responses_per_query, _ = answer_shard(clients, [query_id], epoch, arena=arena)
+        responses_per_query = answer_shard(clients, [query_id], epoch, arena=arena)
     except Exception as exc:  # noqa: BLE001 — parity includes error behavior
         return ("error", type(exc).__name__, str(exc))
     return [

@@ -235,7 +235,6 @@ class TestWireV3Framing:
                 None,
             ),
             expected_fingerprint=client.state_fingerprint(),
-            want_state=True,
         )
 
     def make_ack(self) -> ShardAck:
@@ -252,7 +251,6 @@ class TestWireV3Framing:
             wall_seconds=0.125,
             responses=(tuple(responses),),
             fingerprint=client.state_fingerprint(),
-            client_states=(client.export_state(),),
         )
 
     def test_bootstrap_round_trip(self):
@@ -271,7 +269,6 @@ class TestWireV3Framing:
         delta = self.make_delta()
         decoded = decode_shard_delta(encode_shard_delta(delta))
         assert decoded.expected_fingerprint == delta.expected_fingerprint
-        assert decoded.want_state is True
         assert decoded.deltas[1] is None
         assert decoded.deltas[0].unsubscribe == ("gone-query",)
         assert decoded.deltas[0].append_rows == delta.deltas[0].append_rows
@@ -413,32 +410,6 @@ class TestStateFingerprint:
         client.ingest([{"value": 9.75}])
         assert client.state_fingerprint() == before
 
-    def test_adopt_rng_state_grafts_streams_only(self):
-        donor = make_resident_client(3)
-        donor.answer_query(donor.subscribed_query_ids[0], epoch=1)
-        receiver = make_resident_client(3)
-        receiver.ingest([{"value": 4.25}])  # parent-side mutation to preserve
-        rows_before = receiver.local_row_count()
-        receiver.adopt_rng_state(donor.export_state())
-        assert receiver.state_fingerprint() == donor.state_fingerprint()
-        assert receiver.local_row_count() == rows_before
-
-    def test_stream_only_export_round_trips_through_an_ack(self):
-        """What a checkpoint ack carries is exactly what the graft reads."""
-        donor = make_resident_client(3)
-        stream_state = donor.export_state(streams_only=True)
-        assert set(stream_state) == set(STREAM_STATE_FIELDS)
-        assert Client.holds_stream_state(stream_state)
-        assert not Client.holds_stream_state({"rng_states": {}})
-        ack = decode_shard_ack(
-            encode_shard_ack(
-                ShardAck(shard_index=0, epoch=1, client_states=(stream_state,))
-            )
-        )
-        receiver = make_client(seed=3)
-        receiver.adopt_rng_state(ack.client_states[0])
-        assert receiver.state_fingerprint() == donor.state_fingerprint()
-
     def test_full_export_still_rebuilds_a_client(self):
         """Bootstrap frames keep the full snapshot form."""
         client = make_resident_client(3)
@@ -451,8 +422,6 @@ class TestStateFingerprint:
         }
         restored = Client.from_state(state)
         assert restored.export_state() == state
-        with pytest.raises(KeyError):
-            Client.from_state(client.export_state(streams_only=True))
 
 
 class TestResidentWorkerCache:
@@ -476,40 +445,59 @@ class TestResidentWorkerCache:
             )
         )
         ack = decode_shard_ack(serve_resident_frame(cache, frame))
-        assert ack.error is None and ack.client_states is None
+        assert ack.error is None
         # The token is defined over the bytes served, nothing else.
         assert ack.fingerprint == hashlib.sha256(frame).digest()
         return query_id, ack.fingerprint
 
-    def delta(self, query_id, fingerprint, *, deltas=(None,) * 3, want_state=False):
+    def delta(self, query_id, fingerprint, *, deltas=(None,) * 3, epoch=1):
         return encode_shard_delta(
             ShardDelta(
                 shard_index=0,
-                epoch=1,
+                epoch=epoch,
                 query_ids=(query_id,),
                 deltas=deltas,
                 expected_fingerprint=fingerprint,
-                want_state=want_state,
             )
         )
 
-    def test_checkpoint_ack_size_is_independent_of_stream_length(self):
+    def test_ack_size_is_independent_of_stream_length(self):
         sizes = []
         for rows_per_client in (16, 1600):
             cache = ResidentShardCache()
             query_id, fingerprint = self.bootstrap(cache, rows_per_client)
-            blob = serve_resident_frame(
-                cache, self.delta(query_id, fingerprint, want_state=True)
-            )
-            ack = decode_shard_ack(blob)
-            assert len(ack.client_states) == 3
-            assert all(set(s) == set(STREAM_STATE_FIELDS) for s in ack.client_states)
+            blob = serve_resident_frame(cache, self.delta(query_id, fingerprint))
+            assert decode_shard_ack(blob).error is None
             sizes.append(len(blob))
         assert sizes[0] == sizes[1]
 
-    def test_only_a_checkpoint_walks_the_clients(self, monkeypatch):
-        """The per-client pass cannot return unnoticed: a delta ack is
-        O(frame bytes); a checkpoint packs each RNG exactly once."""
+    @pytest.mark.parametrize("appended", [False, True])
+    def test_parent_replay_matches_the_worker(self, appended):
+        """What the coordinator does with each adopted ack: ``advance`` its
+        own copies through the frame's query ids.  The copies then hold the
+        worker's streams exactly — over rows the parent never even read."""
+        parents = [make_client(seed=500 + index) for index in range(3)]
+        cache = ResidentShardCache()
+        query_id, token = self.bootstrap(cache)
+        for client in parents:
+            client.advance([query_id])  # the bootstrap's epoch 0
+        rows = ClientDelta(append_rows=(("private_data", self.COLUMNS, ((7.5,),)),))
+        for epoch in range(1, 4):
+            deltas = (rows,) * 3 if appended else (None,) * 3
+            ack = decode_shard_ack(
+                serve_resident_frame(cache, self.delta(query_id, token, deltas=deltas, epoch=epoch))
+            )
+            assert ack.error is None and not ack.bootstrap_required
+            token = ack.fingerprint
+            for client in parents:
+                client.advance([query_id])
+        assert [c.state_fingerprint() for c in parents] == [
+            c.state_fingerprint() for c in cache._clients[0]
+        ]
+
+    def test_no_ack_walks_the_clients(self, monkeypatch):
+        """The per-client pass cannot return unnoticed: an ack is
+        O(frame bytes) and never packs a client's streams."""
         calls = {"getstate": 0, "state_fingerprint": 0}
         getstate, state_fingerprint = random.Random.getstate, Client.state_fingerprint
 
@@ -529,13 +517,10 @@ class TestResidentWorkerCache:
         assert ack.error is None and not ack.bootstrap_required
         assert calls == {"getstate": 0, "state_fingerprint": 0}
         ack = decode_shard_ack(
-            serve_resident_frame(
-                cache, self.delta(query_id, ack.fingerprint, want_state=True)
-            )
+            serve_resident_frame(cache, self.delta(query_id, ack.fingerprint, epoch=2))
         )
-        assert len(ack.client_states) == 3
-        rngs = sum(len(client._rngs) for client in cache._clients[0])
-        assert rngs == 3 and calls == {"getstate": rngs, "state_fingerprint": 0}
+        assert ack.error is None and not ack.bootstrap_required
+        assert calls == {"getstate": 0, "state_fingerprint": 0}
 
     def test_duplicated_delta_is_refused_the_second_time(self):
         cache = ResidentShardCache()

@@ -118,7 +118,6 @@ def main(argv: list[str]) -> int:
                     "--executor", "pinned-worker/sealed-tcp-remote",
                     "--workers", ",".join(addresses),
                     "--key-file", str(key_path),
-                    "--checkpoint-every", "2",
                 ]
             )
             status = "OK" if remote == serial else "MISMATCH"
