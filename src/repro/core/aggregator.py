@@ -22,6 +22,7 @@ from repro.core.admission import AnswerAdmissionController
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec
 from repro.core.estimation import ErrorEstimator, count_answer_bits, estimate_histogram
+from repro.core.proxy import poll_shares
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
 from repro.crypto.xor import MessageShare, join_shares_batch
@@ -179,16 +180,13 @@ class Aggregator:
     def consume_from_proxies(
         self, consumers: list[Consumer], epoch: int
     ) -> list[WindowResult]:
-        """Poll the per-share proxy streams and ingest every new share.
+        """Poll the query's relay consumers and ingest every new share.
 
         The serial reference's ingest (per-record join, per-answer checks);
-        the staged engine polls shard batch records itself and calls
+        the staged engine polls the same consumers per shard and calls
         :meth:`ingest_shares` with ``batched=True``.
         """
-        shares: list[MessageShare] = []
-        for consumer in consumers:
-            shares.extend(record.value for record in consumer.poll())
-        return self.ingest_shares(shares, epoch)
+        return self.ingest_shares(poll_shares(consumers), epoch)
 
     def finish_epoch(self, epoch: int) -> None:
         """Mark one epoch's ingest complete and retire stale admission state.

@@ -7,43 +7,41 @@ the proxies), proxies require no mutual synchronization: the entire per-share
 work is "answer transmission" (Section 6, #VIII), which is why PrivApprox's
 proxy latency is an order of magnitude below SplitX's.
 
-Each :class:`Proxy` is backed by a topic on the in-memory pub/sub broker
-(:mod:`repro.pubsub`), mirroring the Kafka deployment of the paper: one topic
-for the encrypted answer stream and one per key stream.
+Each :class:`Proxy` is backed by topics on the in-memory pub/sub broker
+(:mod:`repro.pubsub`), mirroring the Kafka deployment of the paper: one
+stream per proxy that only forwards shares to the aggregator.
 
-Two relay granularities exist, one per runtime:
+A deployment relays on one topic per proxy per query: passing
+``channel="<query id>"`` scopes the relay to ``proxy-<i>-q-<channel>``, so a
+multi-query epoch keeps each query's share stream on its own topics and
+every aggregator only ever polls its own query's records — no cross-query
+reads, no post-decrypt filtering.  ``channel=None`` names the base topic
+``proxy-<i>``, created on first use, for callers that drive a
+:class:`ProxyNetwork` directly.
 
-* the classic per-proxy topic (``proxy-<i>``), one record per share — the
-  serial reference executor's (:meth:`ProxyNetwork.transmit`).  The batched
-  per-share publish (:meth:`ProxyNetwork.transmit_batch`) writes the same
-  records in one call; no runtime uses it any more;
-* *shard-aware* topics (``proxy-<i>-shard-<s>``), one per client shard, each
-  carrying one *batch record* per transmission (the record's value is the
-  whole shard's share column) — every staged-engine flow's
-  (:meth:`ProxyNetwork.transmit_shard`): no per-share partition routing or
-  record framing, and under the overlap schedulers a completed shard can be
-  relayed and ingested while other shards are still answering.
-
-Both granularities additionally support a per-query *channel*: passing
-``channel="<query id>"`` scopes the relay to ``proxy-<i>-q-<channel>`` (or
-``proxy-<i>-q-<channel>-shard-<s>``), so a multi-query epoch keeps each
-query's share stream on its own topics and every aggregator only ever polls
-its own query's records — no cross-query reads, no post-decrypt filtering.
-``channel=None`` keeps the legacy shared topics of the single-query paths.
+Every relay record's value is a tuple of shares.  The serial reference
+publishes one record per share (:meth:`ProxyNetwork.transmit`, a one-share
+tuple keyed by the share's ``MID``); every staged-engine flow publishes one
+*batch record* per proxy per shard (:meth:`ProxyNetwork.transmit_shard`,
+the whole shard's share column).  Either way :func:`poll_shares` turns what
+a set of consumers polled into one flat share list.  The batched per-share
+publish (:meth:`ProxyNetwork.transmit_batch`) writes the same records as
+:meth:`ProxyNetwork.transmit` in one call; no runtime uses it any more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.crypto.xor import MessageShare
 from repro.netsim.cluster import ClusterTier
-from repro.pubsub import BrokerCluster, Consumer, Producer
+from repro.pubsub import BrokerCluster, Consumer, Producer, UnknownTopicError
 
 
 @dataclass
 class Proxy:
-    """A single proxy: a relay topic plus accounting counters."""
+    """A single proxy: its relay topics plus accounting counters."""
 
     proxy_id: int
     cluster: BrokerCluster
@@ -53,13 +51,12 @@ class Proxy:
     def __post_init__(self) -> None:
         if not self.topic_name:
             self.topic_name = f"proxy-{self.proxy_id}"
-        self.cluster.ensure_topic(self.topic_name, self.num_partitions)
         self._producer = Producer(self.cluster, client_id=f"proxy-{self.proxy_id}-in")
         self.shares_relayed = 0
         self.bytes_relayed = 0
 
     def channel_topic_name(self, channel: str | None) -> str:
-        """The relay topic for one query channel (the shared topic for None)."""
+        """The relay topic for one query channel (the base topic for None)."""
         if channel is None:
             return self.topic_name
         return f"{self.topic_name}-q-{channel}"
@@ -67,13 +64,14 @@ class Proxy:
     def _channel_topic(self, channel: str | None) -> str:
         """Resolve (and lazily create) the relay topic for a channel."""
         name = self.channel_topic_name(channel)
-        if channel is not None:
-            self.cluster.ensure_topic(name, self.num_partitions)
+        self.cluster.ensure_topic(name, self.num_partitions)
         return name
 
     def receive_share(self, share: MessageShare, channel: str | None = None) -> None:
         """Accept one share from a client and publish it for the aggregator."""
-        self._producer.send(self._channel_topic(channel), value=share, key=share.message_id)
+        self._producer.send(
+            self._channel_topic(channel), value=(share,), key=share.message_id
+        )
         self.shares_relayed += 1
         self.bytes_relayed += share.size_bytes()
 
@@ -89,37 +87,14 @@ class Proxy:
             return
         self._producer.send_many(
             self._channel_topic(channel),
-            shares,
+            [(share,) for share in shares],
             keys=[share.message_id for share in shares],
         )
         self.shares_relayed += len(shares)
         self.bytes_relayed += sum(share.size_bytes() for share in shares)
 
-    # -- shard-aware relay (staged engine) ----------------------------------
-
-    def shard_topic_name(self, slot: int, channel: str | None = None) -> str:
-        """Name of the shard-aware relay topic for one shard slot."""
-        return f"{self.channel_topic_name(channel)}-shard-{slot}"
-
-    def ensure_shard_topics(
-        self, num_slots: int, channel: str | None = None
-    ) -> list[str]:
-        """Create the shard-aware relay topics (one single-partition topic each).
-
-        Idempotent: existing topics are kept, so executors can call this every
-        epoch (or per query) without disturbing consumer offsets.
-        """
-        if num_slots < 1:
-            raise ValueError(f"num_slots must be positive, got {num_slots}")
-        names = []
-        for slot in range(num_slots):
-            name = self.shard_topic_name(slot, channel)
-            self.cluster.ensure_topic(name, num_partitions=1)
-            names.append(name)
-        return names
-
     def receive_shard_batch(
-        self, slot: int, shares: list[MessageShare], channel: str | None = None
+        self, shares: list[MessageShare], channel: str | None = None
     ) -> None:
         """Relay one shard's worth of shares as a single batch record.
 
@@ -130,24 +105,9 @@ class Proxy:
         """
         if not shares:
             return
-        self._producer.send(self.shard_topic_name(slot, channel), value=tuple(shares))
+        self._producer.send(self._channel_topic(channel), value=tuple(shares))
         self.shares_relayed += len(shares)
         self.bytes_relayed += sum(share.size_bytes() for share in shares)
-
-    def make_shard_consumer(
-        self, slot: int, group_id: str = "aggregator", channel: str | None = None
-    ) -> Consumer:
-        """Create a consumer over one shard slot's relay topic.
-
-        The topic must exist (see :meth:`ensure_shard_topics`).
-        """
-        consumer = Consumer(
-            self.cluster,
-            group_id=group_id,
-            consumer_id=f"{group_id}-{self.proxy_id}-shard-{slot}",
-        )
-        consumer.subscribe([self.shard_topic_name(slot, channel)])
-        return consumer
 
     def make_consumer(
         self, group_id: str = "aggregator", channel: str | None = None
@@ -159,13 +119,35 @@ class Proxy:
         consumer.subscribe([self._channel_topic(channel)])
         return consumer
 
-    def pending_shares(self) -> int:
-        """Number of shares currently stored in the relay topic."""
-        return sum(len(partition) for partition in self.cluster.topic(self.topic_name).partitions)
+    def pending_shares(self, channel: str | None = None) -> int:
+        """Shares retained on one channel's relay topic (0 before its first use).
+
+        Counts shares, not records: a shard's batch record holds many.
+        """
+        try:
+            topic = self.cluster.topic(self.channel_topic_name(channel))
+        except UnknownTopicError:
+            return 0
+        return sum(len(record.value) for record in topic.all_records())
 
     def reset_metrics(self) -> None:
         self.shares_relayed = 0
         self.bytes_relayed = 0
+
+
+def poll_shares(consumers: Sequence[Consumer]) -> list[MessageShare]:
+    """Everything pending on a set of relay consumers, as one share list.
+
+    The one ingest read: ``consumers`` holds one query's consumer on every
+    proxy, and every relay record's value is a tuple of shares.  Polling
+    them together puts the shares of every ``MID`` in one batch, so the
+    aggregator's grouped join never has to buffer across calls.
+    """
+    shares: list[MessageShare] = []
+    for consumer in consumers:
+        for record in consumer.poll():
+            shares.extend(record.value)
+    return shares
 
 
 @dataclass
@@ -189,8 +171,8 @@ class ProxyNetwork:
     def transmit(self, shares: list[MessageShare], channel: str | None = None) -> None:
         """Send each share of one encrypted answer to its proxy.
 
-        ``channel`` scopes the relay to a query's own topics (multi-query
-        epochs); ``None`` uses the shared per-proxy topic.
+        ``channel`` scopes the relay to a query's own topics; ``None`` uses
+        the base per-proxy topic.
         """
         if len(shares) != self.num_proxies:
             raise ValueError(
@@ -198,6 +180,13 @@ class ProxyNetwork:
             )
         for proxy, share in zip(self.proxies, shares):
             proxy.receive_share(share, channel=channel)
+
+    def _check_rows(self, share_rows: list[list[MessageShare]]) -> None:
+        for row in share_rows:
+            if len(row) != self.num_proxies:
+                raise ValueError(
+                    f"expected {self.num_proxies} shares (one per proxy), got {len(row)}"
+                )
 
     def transmit_batch(
         self, share_rows: list[list[MessageShare]], channel: str | None = None
@@ -212,63 +201,26 @@ class ProxyNetwork:
         """
         if not share_rows:
             return
-        for row in share_rows:
-            if len(row) != self.num_proxies:
-                raise ValueError(
-                    f"expected {self.num_proxies} shares (one per proxy), got {len(row)}"
-                )
+        self._check_rows(share_rows)
         for index, proxy in enumerate(self.proxies):
             proxy.receive_batch([row[index] for row in share_rows], channel=channel)
 
-    # -- shard-aware relay (staged engine) ----------------------------------
-
-    def ensure_shard_topics(self, num_slots: int, channel: str | None = None) -> None:
-        """Create the shard-aware relay topics on every proxy (idempotent)."""
-        for proxy in self.proxies:
-            proxy.ensure_shard_topics(num_slots, channel=channel)
-
     def transmit_shard(
-        self,
-        slot: int,
-        share_rows: list[list[MessageShare]],
-        channel: str | None = None,
+        self, share_rows: list[list[MessageShare]], channel: str | None = None
     ) -> None:
         """Send many answers' shares as one batch record per proxy.
 
         Like :meth:`transmit_batch` the rows (one per answer) are transposed
         into one column per proxy, but each column lands on the proxy's
-        shard-aware topic for ``slot`` as a *single* record whose value is the
-        whole column — the staged engine's relay granularity.  The share
-        multiset reaching the aggregator is identical to per-share
-        :meth:`transmit` calls.
+        channel topic as a *single* record whose value is the whole column —
+        the staged engine's relay granularity.  The share multiset reaching
+        the aggregator is identical to per-share :meth:`transmit` calls.
         """
         if not share_rows:
             return
-        for row in share_rows:
-            if len(row) != self.num_proxies:
-                raise ValueError(
-                    f"expected {self.num_proxies} shares (one per proxy), got {len(row)}"
-                )
+        self._check_rows(share_rows)
         for index, proxy in enumerate(self.proxies):
-            proxy.receive_shard_batch(
-                slot, [row[index] for row in share_rows], channel=channel
-            )
-
-    def make_shard_consumers(
-        self, group_id: str, num_slots: int, channel: str | None = None
-    ) -> list[list[Consumer]]:
-        """Consumers over the shard-aware topics: ``result[slot][proxy]``.
-
-        Creates the topics first so consumers can subscribe immediately.
-        """
-        self.ensure_shard_topics(num_slots, channel=channel)
-        return [
-            [
-                proxy.make_shard_consumer(slot, group_id, channel=channel)
-                for proxy in self.proxies
-            ]
-            for slot in range(num_slots)
-        ]
+            proxy.receive_shard_batch([row[index] for row in share_rows], channel=channel)
 
     def total_shares_relayed(self) -> int:
         return sum(proxy.shares_relayed for proxy in self.proxies)

@@ -173,12 +173,10 @@ class PrivApproxSystem:
         self._parameters: dict[str, ExecutionParameters] = {}
         self._queries: dict[str, Query] = {}
         self._budgets: dict[str, QueryBudget] = {}
+        # One consumer per proxy on each query's channel topic: every
+        # executor relays there and ingests from these, so concurrent
+        # queries never read each other's records.
         self._consumers: dict[str, list] = {}
-        # Channel-scoped consumers for multi-query epochs, created lazily on
-        # first run_epoch_all use: each query's aggregator polls its own
-        # per-query proxy topics, so concurrent queries never read each
-        # other's records.  Single-query deployments never allocate them.
-        self._scoped_consumers: dict[str, list] = {}
         # Each query's responses, one packed block per epoch (pack_responses).
         self._responses_log: dict[str, list[bytes]] = {}
         # Optional epoch-deadline gate (duck-typed; see
@@ -241,7 +239,7 @@ class PrivApproxSystem:
         )
         self._aggregators[query.query_id] = aggregator
         self._consumers[query.query_id] = self.proxies.make_consumers(
-            group_id=f"aggregator-{query.query_id}"
+            group_id=f"aggregator-{query.query_id}", channel=query.query_id
         )
         self._responses_log[query.query_id] = []
         self._distribute_query(query, budget, params)
@@ -343,27 +341,11 @@ class PrivApproxSystem:
     # -- epoch execution ------------------------------------------------------------
 
     def run_epoch(self, query_id: str, epoch: int) -> EpochReport:
-        """Run one answering epoch end-to-end for a query.
+        """Run one answering epoch end-to-end for a single query.
 
-        The answering/transmission/ingestion dataflow is delegated to the
-        configured :class:`~repro.runtime.EpochExecutor`; everything after
-        (historical recording, result delivery, feedback re-tuning, retiring
-        stale admission-control epochs) is executor-agnostic.
+        The one-query case of :meth:`run_epoch_all`.
         """
-        if query_id not in self._queries:
-            raise KeyError(f"unknown query {query_id}")
-        outcome = self.executor.run_epoch(
-            EpochContext(
-                clients=self.clients,
-                proxies=self.proxies,
-                aggregator=self._aggregators[query_id],
-                consumers=self._consumers[query_id],
-                query_id=query_id,
-                deadline=self.epoch_deadline,
-            ),
-            epoch,
-        )
-        return self._finish_query_epoch(query_id, epoch, outcome.per_query[0])
+        return self.run_epoch_all(epoch, [query_id])[query_id]
 
     def run_epoch_all(
         self, epoch: int, query_ids: Sequence[str] | None = None
@@ -400,8 +382,7 @@ class PrivApproxSystem:
                     QueryContext(
                         query_id=query_id,
                         aggregator=self._aggregators[query_id],
-                        consumers=self._scoped_consumers_for(query_id),
-                        channel=query_id,
+                        consumers=self._consumers[query_id],
                     )
                     for query_id in ids
                 ),
@@ -415,21 +396,6 @@ class PrivApproxSystem:
             )
             for query_outcome in outcome.per_query
         }
-
-    def _scoped_consumers_for(self, query_id: str) -> list:
-        """The query's channel-scoped consumers, created on first use.
-
-        Offsets persist across epochs, so the consumers (and the per-query
-        topics they subscribe to) are built once per query — and only for
-        deployments that actually run multi-query epochs.
-        """
-        consumers = self._scoped_consumers.get(query_id)
-        if consumers is None:
-            consumers = self.proxies.make_consumers(
-                group_id=f"aggregator-{query_id}-scoped", channel=query_id
-            )
-            self._scoped_consumers[query_id] = consumers
-        return consumers
 
     def _finish_query_epoch(self, query_id: str, epoch: int, outcome) -> EpochReport:
         """Executor-agnostic per-query epoch postlude.

@@ -10,11 +10,9 @@ def payload_size(value: Any) -> int:
     """Approximate wire size of a record payload.
 
     Understands sized objects (anything with ``size_bytes()``), raw bytes and
-    strings, and — for the shard-batch records the pipelined runtime publishes
-    — lists/tuples of payloads, which are sized as the sum of their elements
-    (batch framing is charged once, at the record level).  The runtime's wire
-    format (``repro.runtime.wire``) reuses this sizing for its shard batches,
-    so a decoded batch and the records it came from agree on byte accounting.
+    strings, and lists/tuples of payloads — every proxy relay record's value
+    is a tuple of shares — which are sized as the sum of their elements
+    (batch framing is charged once, at the record level).
     """
     if hasattr(value, "size_bytes"):
         return value.size_bytes()
@@ -34,8 +32,9 @@ class Record:
     Attributes
     ----------
     value:
-        Arbitrary payload (PrivApprox publishes :class:`~repro.crypto.xor.MessageShare`
-        objects, batches of them, or serialized bytes).
+        Arbitrary payload (PrivApprox's proxies publish tuples of
+        :class:`~repro.crypto.xor.MessageShare` objects; the query
+        distributor publishes announcements).
     key:
         Optional partitioning key; records with the same key land in the same
         partition, preserving per-key order.

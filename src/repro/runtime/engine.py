@@ -26,19 +26,17 @@ The engine owns all policy, so no driver carries its own copy:
   responses to :meth:`EpochHandle.emit` and never see the gate;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
   drops);
-* the worker pool and the per-query shard-topic consumers, whose offsets
-  persist across epochs;
 * static shard boundaries: :func:`~repro.runtime.sharding.plan_shards` over
   the population size, so a deployment's shards never move and wall-clock
   reaches the metrics but never the control path;
 * the one epoch flow: the driver's ``begin_epoch`` and ``collect`` run on
   the caller thread, and each :meth:`EpochHandle.emit` gates, relays (one
-  batch record per proxy on the shard's topic, :func:`_publish_shard`) and
-  ingests (that shard's slot of each query's consumer grid,
-  :func:`_poll_shares`) its shard before it returns.  The engine starts no
-  thread of its own: the only concurrency is the driver's answering pool,
-  worker processes or sockets, which keep answering while the caller
-  relays what has already come back.
+  batch record per proxy on each query's channel topic,
+  :func:`_publish_shard`) and ingests (each query's context consumers,
+  :func:`~repro.core.proxy.poll_shares`) its shard before it returns.  The
+  engine starts no thread of its own: the only concurrency is the driver's
+  answering pool, worker processes or sockets, which keep answering while
+  the caller relays what has already come back.
 
 :class:`~repro.runtime.serial.SerialExecutor` deliberately stays *outside*
 the engine: it is the frozen executable specification every driver
@@ -79,7 +77,6 @@ from repro.sqldb import (
 
 if TYPE_CHECKING:
     from repro.core.client import Client, ClientResponse
-    from repro.core.proxy import ProxyNetwork
     from repro.pubsub import Consumer
 
 
@@ -268,7 +265,7 @@ class StageDriver:
     ``transport``; validated against the registry in
     :mod:`repro.runtime.executor`) and implements the *mechanism* of the
     answer stage.  All policy — deadline gating, metrics, shard planning,
-    pool/consumer lifecycle, failure unwinding — stays in the engine.
+    relay and ingest, failure unwinding — stays in the engine.
 
     Lifecycle hooks, all called on the caller thread (all optional except
     :meth:`collect`):
@@ -292,10 +289,6 @@ class StageDriver:
     def bind(self, engine: "StagedEpochEngine") -> None:
         self.engine = engine
 
-    def make_pool(self, num_workers: int):
-        """The ``concurrent.futures`` pool this driver answers on (or None)."""
-        return None
-
     def prepare(self, context: EpochContext, epoch: int) -> None:
         """Pre-plan hook (heal workers, record the context for shutdown)."""
 
@@ -307,7 +300,7 @@ class StageDriver:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release driver-owned resources (routers, caches); idempotent."""
+        """Release driver-owned resources (pools, routers); idempotent."""
 
 
 class StagedEpochEngine(EpochExecutor):
@@ -326,14 +319,12 @@ class StagedEpochEngine(EpochExecutor):
     num_workers:
         Workers in the answering pool.
     num_shards:
-        Shard count (and shard-aware topic slots per proxy); defaults to
-        ``num_workers``.  More shards than workers gives finer pipelining.
+        Shard count; defaults to ``num_workers``.  More shards than workers
+        gives finer pipelining.
         Boundaries are ``plan_shards(len(context.clients), num_shards)``
         every epoch: a deployment's client list is fixed (churn flips
         subscriptions, never the list), so its shards never move.
     """
-
-    _consumer_group_prefix = "engine"
 
     def __init__(
         self,
@@ -351,15 +342,6 @@ class StagedEpochEngine(EpochExecutor):
         self.driver = driver
         self.scheduling = driver.scheduling
         self.transport = driver.transport
-        self._pool = None
-        # Shard-topic consumers per (query id, channel), tagged with the
-        # proxy network they were built against; offsets persist across
-        # epochs.  Channel-scoped entries point at the query's own topics,
-        # so a multi-query epoch never cross-reads another query's records.
-        self._consumers: dict[
-            tuple[str, str | None],
-            tuple["ProxyNetwork", list[list["Consumer"]]],
-        ] = {}
         #: Per-epoch StageMetrics, success and failure alike.
         self.stage_metrics: dict[int, StageMetrics] = {}
         #: Shard index → ShardArena for the in-process drivers; reused across
@@ -390,14 +372,7 @@ class StagedEpochEngine(EpochExecutor):
             self._arenas[shard_index] = arena
         return arena
 
-    # -- capability surface ---------------------------------------------------
-
-    #: Every engine flow ingests from the shard-aware proxy topics, so this
-    #: is a constant.  It exists for the scenario layer's byzantine injector,
-    #: whose ``getattr(executor, "uses_shard_topics", False)`` places forged
-    #: records where ingest reads: its *absence* on ``SerialExecutor`` is
-    #: what keeps the serial reference on the query-channel topics.
-    uses_shard_topics = True
+    # -- accounting -----------------------------------------------------------
 
     @property
     def epoch_wire_bytes(self) -> dict[int, int]:
@@ -419,54 +394,13 @@ class StagedEpochEngine(EpochExecutor):
         """``ShardDelta`` frames the driver has sent so far."""
         return self.driver.delta_frames
 
-    # -- pool / consumers / lifecycle -----------------------------------------
-
-    def _ensure_pool(self):
-        """The driver's ``concurrent.futures`` pool, built on first use."""
-        if self._pool is None:
-            self._pool = self.driver.make_pool(self.num_workers)
-        return self._pool
-
-    def _consumers_for(self, context: EpochContext) -> list[list[list["Consumer"]]]:
-        """Per-query shard-topic consumers, created on first use.
-
-        Returns one ``[slot][proxy]`` consumer grid per context query, in
-        context order.  The cache is keyed by (query id, channel) but
-        *validated* against the context's proxy network: query ids are
-        deterministic per analyst name, so an executor reused across two
-        deployments would otherwise keep polling the first deployment's
-        brokers and silently ingest nothing.
-        """
-        grids = []
-        for query in context.queries:
-            key = (query.query_id, query.channel)
-            cached = self._consumers.get(key)
-            if cached is not None and cached[0] is context.proxies:
-                grids.append(cached[1])
-                continue
-            group = f"{self._consumer_group_prefix}-{query.query_id}"
-            if query.channel is not None:
-                group = f"{group}-q-{query.channel}"
-            grid = context.proxies.make_shard_consumers(
-                group_id=group,
-                num_slots=self.num_shards,
-                channel=query.channel,
-            )
-            self._consumers[key] = (context.proxies, grid)
-            grids.append(grid)
-        return grids
-
     def close(self) -> None:
-        """Close the driver (stop workers), then shut the worker pool down
-        and drop cached consumers (idempotent)."""
+        """Close the driver (stop workers, shut its pool down) and drop the
+        cached arenas (idempotent)."""
         try:
             self.driver.close()
         finally:
             self._arenas.clear()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self._consumers.clear()
 
     # -- the single deadline-gate call site -----------------------------------
 
@@ -531,8 +465,8 @@ class StagedEpochEngine(EpochExecutor):
         The driver's ``begin_epoch`` and ``collect`` run on this (the
         caller's) thread, and so does every :meth:`EpochHandle.emit`: it
         gates the shard's raw responses (:meth:`_gate`), publishes one batch
-        record per proxy on the shard's topic (:func:`_publish_shard`), then
-        polls that shard's slot of each query's consumer grid and ingests it
+        record per proxy on each query's channel topic (:func:`_publish_shard`),
+        then polls each query's context consumers and ingests what they hold
         (``ingest_shares(batched=True)``) before it returns.  Shards arrive
         in whatever order the driver collects them; the per-query logs are
         merged in shard-index (= client) order at the end.
@@ -541,10 +475,13 @@ class StagedEpochEngine(EpochExecutor):
         driver hook that raises, a shard emitted twice or an occupied shard
         never emitted — is recorded and every later emit ignored, while the
         driver keeps collecting until every answer task it started has
-        finished.  Then every query's grid is drained (whatever was relayed
-        but not ingested must not reach the next epoch) and the error
-        re-raises.
+        finished.  Then every query's consumers are drained (whatever was
+        relayed but not ingested must not reach the next epoch) and the
+        error re-raises.
         """
+        # Imported here: repro.core imports repro.runtime at package level.
+        from repro.core.proxy import poll_shares
+
         metrics = StageMetrics(epoch=epoch)
         self.stage_metrics[epoch] = metrics
         plan_started = time.perf_counter()
@@ -554,7 +491,6 @@ class StagedEpochEngine(EpochExecutor):
         late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
 
-        consumers = self._consumers_for(context)
         responses_by_shard: list[list | None] = [None] * len(shards)
         window_results: list[list] = [[] for _ in context.queries]
         answer_walls: dict[int, float] = {}
@@ -578,11 +514,11 @@ class StagedEpochEngine(EpochExecutor):
             try:
                 gated = self._gate(context, responses, metrics)
                 relay_started = time.perf_counter()
-                _publish_shard(context, shard_index, gated)
+                _publish_shard(context, gated)
                 ingest_started = time.perf_counter()
                 metrics.add_stage_seconds("transmit", ingest_started - relay_started)
                 for index, query in enumerate(context.queries):
-                    shares = _poll_shares(consumers[index][shard_index])
+                    shares = poll_shares(query.consumers)
                     if shares:
                         window_results[index].extend(
                             query.aggregator.ingest_shares(shares, epoch, batched=True)
@@ -609,8 +545,8 @@ class StagedEpochEngine(EpochExecutor):
             )
         self._finalize(answer_walls, metrics)
         if failure is not None:
-            for grid in consumers:
-                _drain_consumers(grid)
+            for query in context.queries:
+                _drain_consumers(query.consumers)
             raise failure
         return self._merge_outcome(context, shards, responses_by_shard, window_results)
 
@@ -702,19 +638,23 @@ class OverlapThreadDriver(StageDriver):
     Every occupied shard is submitted up front and collected in completion
     order, so the caller relays and ingests early shards while later ones
     are still answering.  The pool threads share the GIL: this overlaps the
-    stages, it does not parallelize the answering.
+    stages, it does not parallelize the answering.  The driver owns its pool
+    (``num_workers`` threads, built on the first epoch) and shuts it down
+    in :meth:`close`.
     """
 
     scheduling = "pipelined-overlap"
     transport = "in-process"
 
-    def make_pool(self, num_workers: int) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="privapprox-pipeline"
-        )
+    def __init__(self) -> None:
+        self._pool: ThreadPoolExecutor | None = None
 
     def begin_epoch(self, handle: EpochHandle) -> None:
-        pool = self.engine._ensure_pool()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.engine.num_workers,
+                thread_name_prefix="privapprox-pipeline",
+            )
         # Every arena is fetched (and possibly synced/rebuilt) on the caller
         # thread before the first task starts; the disjoint per-shard arenas
         # are then used concurrently.
@@ -723,7 +663,7 @@ class OverlapThreadDriver(StageDriver):
             clients = handle.context.clients[shard.as_slice()]
             tasks.append((shard, clients, self.engine.arena_for(shard.index, clients)))
         self._futures = {
-            pool.submit(
+            self._pool.submit(
                 _timed_answer_shard,
                 clients,
                 handle.query_ids,
@@ -737,51 +677,38 @@ class OverlapThreadDriver(StageDriver):
     def collect(self, handle: EpochHandle) -> None:
         emit_as_completed(handle, self._futures, lambda _, result: result)
 
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
 
 # -- relay and ingest ---------------------------------------------------------
 
 
-def _publish_shard(
-    context: EpochContext, shard_index: int, gated: list[list["ClientResponse"]]
-) -> None:
+def _publish_shard(context: EpochContext, gated: list[list["ClientResponse"]]) -> None:
     """Relay one gated shard — the engine's only relay granularity.
 
     Every query's responses for the shard go out as one batch record per
-    proxy on that query's shard-aware topic (``transmit_shard``); a query
-    with no participant in the shard publishes nothing.
+    proxy on that query's channel topic (``transmit_shard``); a query with
+    no participant in the shard publishes nothing.
     """
     for index, query in enumerate(context.queries):
         context.proxies.transmit_shard(
-            shard_index,
             [list(response.encrypted.shares) for response in gated[index]],
-            channel=query.channel,
+            channel=query.query_id,
         )
 
 
-def _poll_shares(slot_consumers: list["Consumer"]) -> list:
-    """Everything pending on one query's shard slot, as a share list.
-
-    ``slot_consumers`` holds the slot's consumer on every proxy; polling
-    them together puts the shares of every ``MID`` in one batch, so the
-    aggregator's grouped join never has to buffer across calls.
-    """
-    shares: list = []
-    for consumer in slot_consumers:
-        for record in consumer.poll():
-            shares.extend(record.value)
-    return shares
-
-
-def _drain_consumers(consumers: list[list["Consumer"]]) -> None:
-    """Poll and discard everything pending on one query's shard consumers.
+def _drain_consumers(consumers: Sequence["Consumer"]) -> None:
+    """Poll and discard everything pending on one query's relay consumers.
 
     Best-effort cleanup for failed epochs; a consumer that itself fails to
     poll is skipped (the epoch error already surfaces).
     """
-    for slot_consumers in consumers:
-        for consumer in slot_consumers:
-            try:
-                while consumer.poll():
-                    pass
-            except Exception:
-                continue
+    for consumer in consumers:
+        try:
+            while consumer.poll():
+                pass
+        except Exception:
+            continue

@@ -13,8 +13,8 @@ all of them are served from a single answering pass over the clients (each
 client answers every query it subscribes to in one go, sharing the local
 table scan), while transmission and ingestion stay per query — every query
 has its own channel topics, its own aggregator and its own consumers, so the
-tenants are isolated end-to-end.  Single-query epochs are the one-element
-case and keep the legacy shared proxy topics.
+tenants are isolated end-to-end.  A single-query epoch is the one-element
+case of the same flow.
 
 Two runtimes ship:
 
@@ -55,24 +55,18 @@ if TYPE_CHECKING:  # imported lazily to keep repro.core <-> repro.runtime acycli
 
 @dataclass(frozen=True)
 class QueryContext:
-    """One query's slice of an epoch: its aggregator, consumers and channel.
+    """One query's slice of an epoch: its aggregator and relay consumers.
 
-    ``channel`` names the per-query topic scope on the proxies
-    (:meth:`~repro.core.proxy.ProxyNetwork.transmit` and friends); ``None``
-    keeps the legacy shared topics, which is correct only while a single
-    query is in flight.  Multi-query epochs set ``channel=query_id`` so each
-    aggregator only ever polls its own query's records.
-
-    ``consumers`` subscribe to the per-share channel topics and are read by
-    :class:`~repro.runtime.serial.SerialExecutor` only: the staged engine
-    relays shard batch records and polls its own shard-topic consumers
-    (scoped by the same ``channel``).
+    ``consumers`` holds one consumer per proxy on the query's channel topic
+    (``proxy-<i>-q-<query id>``), the only topics any executor relays on:
+    :class:`~repro.runtime.serial.SerialExecutor` drains them once per epoch,
+    the staged engine polls them after relaying each shard.  They belong to
+    the deployment, so their offsets persist across epochs and executors.
     """
 
     query_id: str
     aggregator: "Aggregator"
     consumers: Sequence["Consumer"]
-    channel: str | None = None
 
 
 class EpochContext:
@@ -82,37 +76,17 @@ class EpochContext:
     client state to other processes must write the advanced state back into
     it so later epochs continue the same RNG streams.  ``queries`` holds one
     :class:`QueryContext` per concurrent query served by this epoch's single
-    answering pass; the single-query constructor keywords (``aggregator``,
-    ``consumers``, ``query_id``) remain as a convenience and build a
-    one-element ``queries`` tuple.
+    answering pass.
     """
 
     def __init__(
         self,
         clients: list["Client"],
         proxies: "ProxyNetwork",
-        queries: Sequence[QueryContext] | None = None,
+        queries: Sequence[QueryContext],
         *,
-        aggregator: "Aggregator | None" = None,
-        consumers: Sequence["Consumer"] | None = None,
-        query_id: str | None = None,
         deadline=None,
     ):
-        if queries is None:
-            if aggregator is None or consumers is None or query_id is None:
-                raise ValueError(
-                    "EpochContext needs either queries=[QueryContext, ...] or "
-                    "the single-query aggregator/consumers/query_id trio"
-                )
-            queries = (
-                QueryContext(
-                    query_id=query_id, aggregator=aggregator, consumers=consumers
-                ),
-            )
-        elif aggregator is not None or consumers is not None or query_id is not None:
-            raise ValueError(
-                "pass either queries= or the single-query trio, not both"
-            )
         if not queries:
             raise ValueError("an epoch needs at least one query context")
         self.clients = clients
@@ -134,27 +108,6 @@ class EpochContext:
     @property
     def query_ids(self) -> list[str]:
         return [query.query_id for query in self.queries]
-
-    # -- single-query conveniences (tests and legacy callers) ---------------
-
-    def _single(self) -> QueryContext:
-        if len(self.queries) != 1:
-            raise ValueError(
-                "this EpochContext carries multiple queries; use .queries"
-            )
-        return self.queries[0]
-
-    @property
-    def query_id(self) -> str:
-        return self._single().query_id
-
-    @property
-    def aggregator(self) -> "Aggregator":
-        return self._single().aggregator
-
-    @property
-    def consumers(self) -> Sequence["Consumer"]:
-        return self._single().consumers
 
 
 @dataclass(frozen=True)

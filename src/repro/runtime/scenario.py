@@ -492,12 +492,10 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
     Each injection is a structurally valid answer under a forged (unique)
     participation token, sent ``copies`` times with distinct message ids so
     every copy decrypts: admission admits the first and rejects the rest as
-    duplicates.  Every staged-engine configuration ingests from shard-aware
-    topics and gets the records on slot 0 (always occupied: shard plans
-    never leave the first shard of a non-empty universe empty); the serial
-    reference gets them on the query channel.  Either way the records sit
-    at earlier offsets than the epoch's real shares, and the admitted
-    multiset is order-free.
+    duplicates.  The records go on the query's channel topics, where every
+    executor ingests: they sit at earlier offsets than the epoch's real
+    shares, so the engine's first emit or the serial reference's single poll
+    ingests them, and the admitted multiset is order-free.
     """
     from repro.core.encryption import AnswerCodec
     from repro.core.query import QueryAnswer
@@ -506,16 +504,9 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
     if not epoch_plan.injections:
         return
     codec = AnswerCodec()
-    # Place the forged records where this executor's ingest actually reads:
-    # every StagedEpochEngine flow polls shard-aware topics, the serial
-    # reference consumes the query channel.  (A capability flag the engine
-    # declares and SerialExecutor lacks, not an isinstance check.)
-    slotted = getattr(system.executor, "uses_shard_topics", False)
     epoch = epoch_plan.epoch
     for query_index, query_id in enumerate(system.query_ids()):
         query = system.query_for(query_id)
-        if slotted:
-            system.proxies.ensure_shard_topics(1, channel=query_id)
         for injection in epoch_plan.injections:
             forge_rng = random.Random(injection.seed * 131 + query_index)
             bits = tuple(
@@ -537,11 +528,7 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
                     keystream=keystream,
                     message_id=f"{token}-copy-{copy}",
                 )
-                shares = list(encrypted.shares)
-                if slotted:
-                    system.proxies.transmit_shard(0, [shares], channel=query_id)
-                else:
-                    system.proxies.transmit(shares, channel=query_id)
+                system.proxies.transmit(list(encrypted.shares), channel=query_id)
 
 
 def run_scenario(

@@ -40,7 +40,7 @@ class SerialExecutor(EpochExecutor):
                     continue  # produced (RNG advanced) but missed the deadline
                 responses_per_query[index].append(response)
                 context.proxies.transmit(
-                    list(response.encrypted.shares), channel=queries[index].channel
+                    list(response.encrypted.shares), channel=query_ids[index]
                 )
         per_query = []
         for index, query in enumerate(queries):

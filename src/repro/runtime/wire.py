@@ -54,9 +54,7 @@ pair) are unknown kinds like any other.
 The frame is ``magic ("PAWF") + version + kind + payload length + payload``;
 the payload is a pickle of the dataclass (pickle because the snapshots carry
 arbitrary query/answer dataclasses; the frame means the *transport* never
-needs to know that).  Byte accounting reuses the pub/sub payload sizing
-(:func:`repro.pubsub.payload_size`), so a decoded ack and the shard-aware
-broker records the engine publishes agree on wire size.
+needs to know that).
 
 All encoding/decoding failures — unpicklable client state, truncated or
 foreign bytes, version drift — surface as :class:`WireError`.
@@ -67,8 +65,6 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-
-from repro.pubsub import payload_size
 
 WIRE_MAGIC = b"PAWF"
 # Version 3: worker-resident client state — bootstrap/delta/ack frames carry
@@ -152,9 +148,6 @@ class ClientDelta:
     unsubscribe: tuple = ()
     append_rows: tuple = ()
 
-    def is_empty(self) -> bool:
-        return not (self.subscribe or self.unsubscribe or self.append_rows)
-
 
 @dataclass(frozen=True)
 class ShardBootstrap:
@@ -171,10 +164,6 @@ class ShardBootstrap:
     epoch: int
     query_ids: tuple
     client_states: tuple
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_states)
 
 
 @dataclass(frozen=True)
@@ -216,20 +205,6 @@ class ShardAck:
     fingerprint: bytes = b""
     bootstrap_required: bool = False
     error: tuple | None = None
-
-    def share_rows(self, query_index: int = 0) -> list[list]:
-        """One query's shares, one row per response — the transmit-stage input."""
-        return [
-            list(response.encrypted.shares)
-            for response in self.responses[query_index]
-        ]
-
-    def size_bytes(self) -> int:
-        """Logical wire size of the relayed shares (pub/sub record sizing)."""
-        return sum(
-            payload_size(self.share_rows(index))
-            for index in range(len(self.responses))
-        )
 
 
 def _encode(obj, kind: int) -> bytes:

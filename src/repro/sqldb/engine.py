@@ -260,11 +260,6 @@ class Database:
         ids = plan.matching_ids(store)
         return _finish_compiled_select(stmt, table, store, ids)
 
-    def _execute_grouped_compiled(
-        self, stmt: ast.SelectStatement, store, ids
-    ) -> ResultSet:
-        return _grouped_compiled(stmt, store, ids)
-
     def _execute_grouped(self, stmt: ast.SelectStatement, rows: list[dict]) -> ResultSet:
         groups: dict[tuple, list[dict]] = {}
         for row in rows:

@@ -249,14 +249,20 @@ def _failing_epoch(system, stage, aggregator):
         finally:
             system.epoch_deadline = None
     elif stage == "transmit":
+        # The third relay call fails: a single-query epoch loses the third
+        # shard emitted; a two-query epoch fails relaying the second shard
+        # emitted for its first query, after the first shard went out for
+        # both.
         publish = system.proxies.transmit_shard
+        calls = []
 
-        def fail_last_shard(slot, share_rows, channel=None):
-            if slot == 2:
+        def fail_third_call(share_rows, channel=None):
+            calls.append(channel)
+            if len(calls) == 3:
                 raise RuntimeError("injected transmit fault")
-            return publish(slot, share_rows, channel=channel)
+            return publish(share_rows, channel=channel)
 
-        with mock.patch.object(system.proxies, "transmit_shard", fail_last_shard):
+        with mock.patch.object(system.proxies, "transmit_shard", fail_third_call):
             yield
     else:
         assert stage == "ingest"

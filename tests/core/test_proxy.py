@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ProxyNetwork
 from repro.core.encryption import AnswerCodec
+from repro.core.proxy import poll_shares
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
 
@@ -42,7 +43,7 @@ class TestProxyNetwork:
         network.transmit(list(answer.shares))
         for inspector in inspectors:
             records = inspector.poll()
-            message_ids = [r.value.message_id for r in records]
+            message_ids = [share.message_id for r in records for share in r.value]
             assert len(message_ids) == len(set(message_ids)) == 1
 
     def test_consumers_receive_relayed_shares(self):
@@ -50,9 +51,7 @@ class TestProxyNetwork:
         consumers = network.make_consumers()
         answer = encrypted_answer(num_proxies=2)
         network.transmit(list(answer.shares))
-        received = []
-        for consumer in consumers:
-            received.extend(record.value for record in consumer.poll())
+        received = poll_shares(consumers)
         assert len(received) == 2
         assert AnswerCodec().decrypt(received).bits == (1, 0, 1)
 
@@ -66,7 +65,7 @@ class TestProxyNetwork:
         for inspector in inspectors:
             records = inspector.poll()
             assert len(records) == 1
-            assert all(record.value.payload != plaintext for record in records)
+            assert all(share.payload != plaintext for share in records[0].value)
 
     def test_bytes_relayed_accounting(self):
         network = ProxyNetwork(num_proxies=2)
@@ -75,10 +74,19 @@ class TestProxyNetwork:
         assert network.total_bytes_relayed() == answer.total_bytes()
 
     def test_pending_shares(self):
+        """Shares, not records: a shard's batch record counts every share,
+        and each channel counts only its own topic."""
         network = ProxyNetwork(num_proxies=2)
+        assert all(proxy.pending_shares() == 0 for proxy in network.proxies)
         answer = encrypted_answer(num_proxies=2)
         network.transmit(list(answer.shares))
         assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
+        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(30)]
+        network.transmit_shard(rows, channel="q")
+        assert all(proxy.pending_shares("q") == 30 for proxy in network.proxies)
+        assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
+        network.transmit_shard(rows)
+        assert all(proxy.pending_shares() == 31 for proxy in network.proxies)
 
     def test_reset_metrics(self):
         network = ProxyNetwork(num_proxies=2)
@@ -100,49 +108,69 @@ class TestProxyPerformanceModel:
         )
 
 
-class TestShardAwareTopics:
-    """The pipelined runtime's per-shard relay topics and batch records."""
+class TestShardBatchRecords:
+    """The staged engine's relay: one batch record per proxy per shard, on
+    the same channel topics the per-share relay uses."""
 
     def test_transmit_shard_relays_every_share(self):
         network = ProxyNetwork(num_proxies=2)
         rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(5)]
-        consumers = network.make_shard_consumers(group_id="t", num_slots=3)
-        network.transmit_shard(1, rows)
-        # One batch record per proxy on slot 1, nothing on other slots.
-        for slot in (0, 2):
-            assert all(not consumer.poll() for consumer in consumers[slot])
-        relayed = []
-        for proxy_index, consumer in enumerate(consumers[1]):
+        consumers = network.make_consumers(group_id="t", channel="q")
+        others = network.make_consumers(group_id="t", channel="other")
+        network.transmit_shard(rows, channel="q")
+        # One batch record per proxy on the channel's topic, nothing elsewhere.
+        assert all(not consumer.poll() for consumer in others)
+        for proxy_index, consumer in enumerate(consumers):
             records = consumer.poll()
             assert len(records) == 1  # one batch record per shard transmission
-            relayed.append(list(records[0].value))
-            assert relayed[-1] == [row[proxy_index] for row in rows]
+            assert list(records[0].value) == [row[proxy_index] for row in rows]
         assert network.total_shares_relayed() == 10
 
     def test_transmit_shard_empty_rows_is_noop(self):
         network = ProxyNetwork(num_proxies=2)
-        network.ensure_shard_topics(2)
-        network.transmit_shard(0, [])
+        network.transmit_shard([], channel="q")
         assert network.total_shares_relayed() == 0
+        assert network.cluster.topic_names() == []
 
     def test_transmit_shard_rejects_wrong_share_count(self):
         network = ProxyNetwork(num_proxies=2)
-        network.ensure_shard_topics(1)
         rows = [list(encrypted_answer(num_proxies=3).shares)]
         with pytest.raises(ValueError):
-            network.transmit_shard(0, rows)
+            network.transmit_shard(rows, channel="q")
 
-    def test_ensure_shard_topics_is_idempotent(self):
+    def test_topics_are_created_on_first_use(self):
+        """No relay topic exists until something publishes or subscribes to
+        it, and a channel's topics are the only ones its relay touches."""
         network = ProxyNetwork(num_proxies=2)
-        network.ensure_shard_topics(2)
-        network.ensure_shard_topics(4)  # growing the slot count is fine
-        names = network.proxies[0].ensure_shard_topics(4)
-        assert names == [f"proxy-0-shard-{slot}" for slot in range(4)]
+        assert network.cluster.topic_names() == []
+        rows = [list(encrypted_answer(num_proxies=2).shares)]
+        network.transmit_shard(rows, channel="q")
+        network.transmit(rows[0], channel="q")
+        assert network.cluster.topic_names() == ["proxy-0-q-q", "proxy-1-q-q"]
+        network.make_consumers(group_id="t")
+        assert network.cluster.topic_names() == [
+            "proxy-0",
+            "proxy-0-q-q",
+            "proxy-1",
+            "proxy-1-q-q",
+        ]
+
+    def test_per_share_and_batch_records_poll_alike(self):
+        """A one-share record keyed by MID and a batch record are both
+        tuples of shares: one poll returns the same share multiset."""
+        network = ProxyNetwork(num_proxies=2)
+        consumers = network.make_consumers(group_id="t", channel="q")
+        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(3)]
+        network.transmit(rows[0], channel="q")
+        network.transmit_shard(rows[1:], channel="q")
+        shares = poll_shares(consumers)
+        assert sorted(id(share) for share in shares) == sorted(
+            id(share) for row in rows for share in row
+        )
 
     def test_byte_accounting_counts_each_share(self):
         network = ProxyNetwork(num_proxies=2)
-        network.ensure_shard_topics(1)
         rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(3)]
-        network.transmit_shard(0, rows)
+        network.transmit_shard(rows)
         expected = sum(share.size_bytes() for row in rows for share in row)
         assert network.total_bytes_relayed() == expected

@@ -28,13 +28,19 @@ def build_system(num_clients: int, seed: int, num_proxies: int = 2) -> PrivAppro
     return system
 
 
-def inspect_relay(system: PrivApproxSystem) -> list:
-    """One consumer per proxy relay topic, subscribed before the epoch runs.
+def inspect_relay(system: PrivApproxSystem, query_id: str) -> list:
+    """One consumer per proxy on the query's relay topic, subscribed before
+    the epoch runs.
 
     Partitions trim the records every live reader has polled, so a relay is
     inspected through a reader of its own rather than read back afterwards.
     """
-    return [proxy.make_consumer("inspect") for proxy in system.proxies.proxies]
+    return system.proxies.make_consumers("inspect", channel=query_id)
+
+
+def relayed_shares(inspector) -> list:
+    """Every share one inspector's proxy relayed: each record is a tuple."""
+    return [share for record in inspector.poll() for share in record.value]
 
 
 def submit(system: PrivApproxSystem, params: ExecutionParameters):
@@ -112,7 +118,7 @@ class TestPrivacyProperties:
         system = build_system(num_clients=100, seed=51)
         params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
         _, query = submit(system, params)
-        inspectors = inspect_relay(system)
+        inspectors = inspect_relay(system, query.query_id)
         system.run_epoch(query.query_id, 0)
 
         codec = AnswerCodec()
@@ -122,10 +128,10 @@ class TestPrivacyProperties:
             truthful_messages.add(codec.encode(QueryAnswer(query.query_id, bits, epoch=0)))
 
         for inspector in inspectors:
-            records = inspector.poll()
-            assert len(records) == 100
-            for record in records:
-                assert record.value.payload not in truthful_messages
+            shares = relayed_shares(inspector)
+            assert len(shares) == 100
+            for share in shares:
+                assert share.payload not in truthful_messages
 
     def test_single_proxy_shares_do_not_decode(self):
         """One proxy's stream alone cannot be decoded into any valid answer."""
@@ -134,15 +140,15 @@ class TestPrivacyProperties:
         system = build_system(num_clients=50, seed=61)
         params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
         _, query = submit(system, params)
-        inspector = inspect_relay(system)[0]
+        inspector = inspect_relay(system, query.query_id)[0]
         system.run_epoch(query.query_id, 0)
         codec = AnswerCodec()
         decodable = 0
-        records = inspector.poll()
-        assert len(records) == 50
-        for record in records:
+        shares = relayed_shares(inspector)
+        assert len(shares) == 50
+        for share in shares:
             try:
-                codec.decode(record.value.payload)
+                codec.decode(share.payload)
                 decodable += 1
             except ValueError:
                 pass

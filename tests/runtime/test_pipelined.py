@@ -5,10 +5,10 @@ scheduler to the serial reference on ordinary populations; this module covers
 the boundaries — an empty client population, fewer clients than shards, one
 shard — and the failure contract: an exception in any stage surfaces from
 ``run_epoch``, but only once every answer task has finished.  The engine-wide
-contracts — a failed epoch leaves nothing behind in the shard-topic
-consumers, a reused engine rebinds them, a driver that breaks the emit
-contract fails the epoch — run over every single-host engine spelling or
-over a hand-built driver.
+contracts — a failed epoch leaves nothing behind in the query's relay
+consumers, a reused engine reads the new deployment's, a driver that breaks
+the emit contract fails the epoch — run over every single-host engine
+spelling or over a hand-built driver.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.core.proxy import ProxyNetwork
 from repro.runtime import (
     EpochContext,
     InlineDriver,
+    QueryContext,
     SerialExecutor,
     StagedEpochEngine,
     cli_smoke_matrix,
@@ -95,12 +96,11 @@ def make_context(num_clients: int) -> EpochContext:
         total_clients=max(1, num_clients),
         num_proxies=2,
     )
+    consumers = proxies.make_consumers(group_id="pipeline-edge", channel=query.query_id)
     return EpochContext(
         clients=clients,
         proxies=proxies,
-        aggregator=aggregator,
-        consumers=proxies.make_consumers(group_id="pipeline-edge"),
-        query_id=query.query_id,
+        queries=[QueryContext(query.query_id, aggregator, consumers)],
     )
 
 
@@ -227,7 +227,7 @@ class TestFailureSurfacing:
         """Shards relayed but never ingested must not leak into epoch t+1.
 
         Whatever stage fails, on whichever engine spelling, some shard's
-        batch records can be left sitting in the shard-topic consumers (a
+        batch records can be left sitting in the query's relay consumers (a
         transmit failure on one query's topic strands what was published
         for the queries before it; an ingest failure strands the shard it
         polled); without the failure-path drain they would be polled at the
@@ -339,12 +339,12 @@ class TestFailureSurfacing:
             with pytest.raises(RuntimeError, match="broke the emit contract"):
                 executor.run_epoch(context, epoch=0)
             # Shards 0 and 1 were ingested once each; nothing else was.
-            assert context.aggregator.shares_received == 8 * 2
+            assert context.queries[0].aggregator.shares_received == 8 * 2
             driver.fault = None
             executor.run_epoch(context, epoch=1)
         finally:
             executor.close()
-        assert context.aggregator.shares_received == 8 * 2 + 12 * 2
+        assert context.queries[0].aggregator.shares_received == 8 * 2 + 12 * 2
 
 
 class _MisbehavingDriver(InlineDriver):
@@ -387,9 +387,9 @@ class TestExecutorReuse:
         "spelling", [*ENGINE_SPELLINGS, *REVERSED_EMITS, RESPAWNED_WORKERS]
     )
     def test_reuse_across_deployments_rebinds_consumers(self, spelling):
-        """Query ids are deterministic, so a reused executor must notice a
-        new proxy network instead of polling the old deployment's brokers:
-        every spelling reads the engine's own shard-topic consumers.  A
+        """Query ids are deterministic, so a reused executor must read the
+        new deployment's brokers, not the old one's: every spelling polls the
+        consumers the epoch context hands it and keeps none of its own.  A
         pinned-worker driver must also forget the old deployment's
         residency rather than send the new clients' epoch to the old
         clients' worker copies: the second deployment answers exactly as a
@@ -405,7 +405,7 @@ class TestExecutorReuse:
             executor.close()
         assert outcome.num_participants == 6
         # The second deployment's aggregator really received the shares.
-        assert context_b.aggregator.shares_received == 6 * 2
+        assert context_b.queries[0].aggregator.shares_received == 6 * 2
         reference = make_context(6)
         expected = SerialExecutor().run_epoch(reference, epoch=0)
         assert answer_bytes(outcome.responses) == answer_bytes(expected.responses)

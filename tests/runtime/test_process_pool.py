@@ -34,6 +34,7 @@ from repro.sqldb import Database
 from repro.runtime import (
     EpochContext,
     LocalWorkerTransport,
+    QueryContext,
     ResidentDriver,
     SerialExecutor,
     WireError,
@@ -80,12 +81,11 @@ def make_context(num_clients: int) -> EpochContext:
         total_clients=max(1, num_clients),
         num_proxies=2,
     )
+    consumers = proxies.make_consumers(group_id="process-edge", channel=query.query_id)
     return EpochContext(
         clients=clients,
         proxies=proxies,
-        aggregator=aggregator,
-        consumers=proxies.make_consumers(group_id="process-edge"),
-        query_id=query.query_id,
+        queries=[QueryContext(query.query_id, aggregator, consumers)],
     )
 
 
