@@ -15,9 +15,11 @@ Two hard assertions ride along, so the sweep doubles as an acceptance gate:
 * every scenario's response log, window results and late-drop ledger must be
   **byte-identical across executors** (compared via sha256 digest) — the
   seeded-equivalence contract extended to hostile environments;
-* a scenario that arms a deadline or injects duplicates must show the
-  corresponding drops/rejections on every executor, so a silently disabled
-  defense cannot pass.
+* a scenario that injects duplicates, or whose deadline makes some active
+  client late in some epoch of the plan (:func:`late_clients_for` meets the
+  epoch's roster), must show the corresponding rejections/drops on every
+  executor, so a silently disabled defense — or a late set that silently
+  comes back empty — cannot pass.
 
 Usage::
 
@@ -36,7 +38,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.runtime import cli_smoke_matrix  # noqa: E402
-from repro.runtime.scenario import run_scenario, scenario_grid  # noqa: E402
+from repro.runtime.scenario import (  # noqa: E402
+    build_plan,
+    late_clients_for,
+    run_scenario,
+    scenario_grid,
+)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -48,6 +55,17 @@ EXECUTOR_CONFIGS = [
     {"executor": executor, "workers": 2, "shards": 4}
     for executor in cli_smoke_matrix()
 ]
+
+
+def deadline_bites(spec) -> bool:
+    """Whether the spec's deadline makes an active client late in some epoch."""
+    plan = build_plan(spec)
+    return any(
+        not late_clients_for(plan, epoch_plan.epoch).isdisjoint(
+            f"client-{index:06d}" for index in epoch_plan.active
+        )
+        for epoch_plan in plan.epochs
+    )
 
 
 def sweep(grid: str) -> dict:
@@ -70,9 +88,8 @@ def sweep(grid: str) -> dict:
         digests = {run.executor_label: run.digest for run in runs}
         if len(set(digests.values())) != 1:
             failures.append((spec.name, digests))
-        if spec.deadline_seconds is not None and spec.name in ("deadline-tight",):
-            if any(run.total_late_dropped == 0 for run in runs):
-                failures.append((spec.name, "deadline armed but nothing dropped"))
+        if deadline_bites(spec) and any(run.total_late_dropped == 0 for run in runs):
+            failures.append((spec.name, "active clients late but nothing dropped"))
         if spec.duplicate_rate > 0 and any(run.total_rejections == 0 for run in runs):
             failures.append((spec.name, "duplicates injected but nothing rejected"))
         scenarios.append(

@@ -78,9 +78,10 @@ class LateAnswer:
 
     :meth:`Client.answer` with ``late=True`` advanced the client's streams as
     a built answer would have and built nothing; the marker names the answer
-    just well enough for the deadline gate to drop and record it
-    (``should_drop`` reads ``client_id`` and ``query_id``).  It carries no
-    shares, so it must never get past the gate.
+    just well enough for the staged engine's gate to drop it and record
+    ``client_id`` in the query's late-drop ledger.  It carries no shares: it
+    is built only for a client in the epoch's late set, which is exactly
+    what the gate drops.
     """
 
     client_id: str
@@ -517,8 +518,8 @@ class Client:
         only for queries whose sampling coin says participate, exactly as a
         local pass would be.
 
-        ``late=True`` is for a caller that already knows the epoch's deadline
-        gate will drop whatever this client produces: each participating
+        ``late=True`` is for a caller that already knows this client is in the
+        epoch's late set, so whatever it produces is dropped: each participating
         query reads its SQL outcome (so a statement that raises for this
         client still raises), advances its streams through
         :meth:`_advance_query` and comes back as a :class:`LateAnswer` marker

@@ -116,9 +116,9 @@ class SystemConfig:
 class EpochReport:
     """Summary of one answering epoch.
 
-    ``late_drops`` names the clients whose answers the epoch's deadline gate
-    (``PrivApproxSystem.epoch_deadline``) dropped for this query, sorted;
-    empty when no deadline was armed.
+    ``late_drops`` names this query's participants whose answers were dropped
+    because they were in ``PrivApproxSystem.late_clients``, sorted; empty
+    when nobody was late.
     """
 
     epoch: int
@@ -179,11 +179,10 @@ class PrivApproxSystem:
         self._consumers: dict[str, list] = {}
         # Each query's responses, one packed block per epoch (pack_responses).
         self._responses_log: dict[str, list[bytes]] = {}
-        # Optional epoch-deadline gate (duck-typed; see
-        # repro.runtime.scenario.EpochDeadline) handed to the executor with
-        # each epoch context.  Scenario runs arm a fresh gate per epoch;
-        # ``None`` (the default) disables deadline enforcement entirely.
-        self.epoch_deadline = None
+        # The next epoch's deadline: ids of the clients whose answers miss it
+        # (EpochContext.late).  Scenario runs set it per epoch from
+        # repro.runtime.scenario.late_clients_for; empty means nobody is late.
+        self.late_clients: frozenset[str] = frozenset()
 
     # -- provisioning -------------------------------------------------------
 
@@ -386,7 +385,7 @@ class PrivApproxSystem:
                     )
                     for query_id in ids
                 ),
-                deadline=self.epoch_deadline,
+                late=self.late_clients,
             ),
             epoch,
         )
@@ -416,7 +415,7 @@ class PrivApproxSystem:
             num_clients=self.config.num_clients,
             window_results=tuple(window_results),
             parameters=self._parameters[query_id],
-            late_drops=getattr(outcome, "late_drops", ()),
+            late_drops=outcome.late_drops,
         )
 
     def run_epochs(self, query_id: str, num_epochs: int) -> list[EpochReport]:

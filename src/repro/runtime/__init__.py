@@ -59,15 +59,12 @@ from repro.runtime.executor import (
     EpochOutcome,
     QueryContext,
     QueryEpochOutcome,
-    apply_deadline,
     cli_smoke_matrix,
-    late_drops_for,
     make_executor,
     validate_driver_combo,
     validate_executor_options,
 )
 from repro.runtime.scenario import (
-    EpochDeadline,
     EpochPlan,
     EpochStats,
     InjectionPlan,
@@ -76,8 +73,8 @@ from repro.runtime.scenario import (
     ScenarioSpec,
     build_plan,
     client_latency_seconds,
-    epoch_deadline_for,
     find_scenario,
+    late_clients_for,
     run_scenario,
     scenario_grid,
 )
@@ -104,7 +101,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "ClientDelta",
     "EpochContext",
-    "EpochDeadline",
     "EpochExecutor",
     "EpochHandle",
     "EpochOutcome",
@@ -136,7 +132,6 @@ __all__ = [
     "ShardDelta",
     "WireError",
     "answer_shard",
-    "apply_deadline",
     "build_plan",
     "cli_smoke_matrix",
     "client_latency_seconds",
@@ -147,9 +142,8 @@ __all__ = [
     "encode_shard_ack",
     "encode_shard_bootstrap",
     "encode_shard_delta",
-    "epoch_deadline_for",
     "find_scenario",
-    "late_drops_for",
+    "late_clients_for",
     "load_keys",
     "make_executor",
     "parse_address",

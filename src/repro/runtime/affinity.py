@@ -50,9 +50,9 @@ copy — so results stay byte-identical to the serial reference; the
 equivalence and torture suites pin this with every worker killed after
 every epoch.
 
-**No late set on the wire (yet).**  The engine's plan stage knows which
-clients an armed deadline gate will drop, and the in-process drivers use it
-to draw those answers instead of building them.  ``ShardDelta`` /
+**No late set on the wire (yet).**  Every epoch's context carries its late
+set (``EpochContext.late``), and the in-process drivers use it to draw
+those answers instead of building them.  ``ShardDelta`` /
 ``ShardBootstrap`` have no field for it, so resident workers still build
 every answer and the parent's gate drops the late ones as acks decode —
 same bytes, same ledger; the field comes with the wire-v4 codec.
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.runtime.engine import EpochHandle, StageDriver, answer_shard
-from repro.sqldb import ShardArena, arena_answering_enabled
+from repro.sqldb import ShardArena, cached_shard_arena
 from repro.runtime.executor import EpochContext
 from repro.runtime.sharding import Shard, shard_span
 from repro.runtime.wire import (
@@ -156,24 +156,14 @@ class ResidentShardCache:
         self._arenas.pop(shard_index, None)
 
     def arena_for(self, shard_index: int) -> ShardArena | None:
-        """The resident shard's arena, built lazily and reused across epochs.
-
-        Returns ``None`` (dropping any cached arena) when arena answering is
-        disabled or the shard is not resident.  Membership is compared by
-        database-object identity, so a re-bootstrap that replaced the client
-        objects rebuilds the arena while ``ShardDelta`` appends sync into it
-        incrementally.
-        """
-        clients = self._clients.get(shard_index)
-        if clients is None or not arena_answering_enabled():
-            self._arenas.pop(shard_index, None)
-            return None
-        databases = [client.database for client in clients]
-        arena = self._arenas.get(shard_index)
-        if arena is None or not arena.matches(databases):
-            arena = ShardArena(databases)
-            self._arenas[shard_index] = arena
-        return arena
+        """The resident shard's cached arena
+        (:func:`~repro.sqldb.cached_shard_arena`; ``None`` when the shard is
+        not resident): a re-bootstrap that replaced the client objects
+        rebuilds it, ``ShardDelta`` appends sync into it incrementally."""
+        clients = self._clients.get(shard_index, ())
+        return cached_shard_arena(
+            self._arenas, shard_index, [client.database for client in clients]
+        )
 
     def __len__(self) -> int:
         return len(self._clients)

@@ -1,7 +1,7 @@
 """The staged epoch engine: one dataflow, pluggable stage drivers.
 
 Every parallel runtime runs the same answering epoch — plan shards, answer
-them, deadline-gate, transmit to the proxy brokers, ingest into the
+them, drop the late answers, transmit to the proxy brokers, ingest into the
 aggregators.  :class:`StagedEpochEngine` is its single implementation,
 decomposing an epoch into explicit stages:
 
@@ -21,9 +21,11 @@ and delegates *how the answer stage runs* to a pluggable
 
 The engine owns all policy, so no driver carries its own copy:
 
-* the **single** authoritative deadline-gate call site
-  (:func:`~repro.runtime.executor.apply_deadline`) — drivers hand raw
-  responses to :meth:`EpochHandle.emit` and never see the gate;
+* the deadline: :meth:`StagedEpochEngine._gate` drops every response whose
+  client is in ``EpochContext.late`` and returns the per-query drop ledger
+  with the outcome — drivers hand raw responses to :meth:`EpochHandle.emit`
+  and at most read the set to draw known-late answers instead of building
+  them;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
   drops);
 * static shard boundaries: :func:`~repro.runtime.sharding.plan_shards` over
@@ -63,16 +65,14 @@ from repro.runtime.executor import (
     EpochExecutor,
     EpochOutcome,
     QueryEpochOutcome,
-    apply_deadline,
-    late_drops_for,
     validate_driver_combo,
 )
 from repro.runtime.sharding import Shard, plan_shards
 from repro.sqldb import (
     ARENA_FALLBACK,
     ShardArena,
-    arena_answering_enabled,
     arena_select_per_client,
+    cached_shard_arena,
 )
 
 if TYPE_CHECKING:
@@ -100,12 +100,12 @@ def answer_shard(
     byte-identical to per-client evaluation.  Members flagged for fallback
     simply keep an empty cache and answer themselves.
 
-    ``late`` names the client ids the epoch's deadline gate is already known
-    to drop (:meth:`StagedEpochEngine._late_clients`): those members *draw*
-    their answers instead of building them (``Client.answer(late=True)``) and
-    their participating queries come back as
+    ``late`` is the epoch's late set (``EpochContext.late``): those members
+    *draw* their answers instead of building them (``Client.answer(late=True)``)
+    and their participating queries come back as
     :class:`~repro.core.client.LateAnswer` markers, in the same list
-    positions a built response would hold, for the gate to drop and record.
+    positions a built response would hold, for the engine's gate to drop and
+    record.
     """
     caches = shard_scan_caches(clients, query_ids, arena)
     responses_per_query: list[list["ClientResponse"]] = [[] for _ in query_ids]
@@ -189,7 +189,8 @@ class StageMetrics:
     ``wire_bytes`` counts every serialized frame that crossed a process or
     socket border this epoch (bootstraps/deltas out plus acks back) —
     zero for in-process transports.  ``late_drops`` counts responses the
-    engine's deadline gate removed at the transmit boundary.
+    engine's gate removed at the transmit boundary because their client was
+    in ``EpochContext.late``.
     ``reshard_events`` is always 0 now that shard boundaries are static; it
     stays only because the ``epoch_profile`` benchmark still reads it, and
     the next benchmark change retires it.  Stage seconds measure *active*
@@ -239,22 +240,20 @@ class EpochHandle:
     never emitted, fails the epoch with a ``RuntimeError`` naming the
     broken emit contract.
 
-    ``late`` is the plan stage's known-late client-id set
-    (:meth:`StagedEpochEngine._late_clients`).  Drivers that answer in this
-    process hand it to :func:`answer_shard`; wire drivers ignore it (their
-    frames have no field for it yet) and keep building what the gate drops.
+    Drivers that answer in this process hand ``context.late`` to
+    :func:`answer_shard`; wire drivers ignore it (their frames have no field
+    for it yet) and keep building what the gate drops.
     """
 
-    __slots__ = ("context", "epoch", "occupied", "query_ids", "metrics", "late", "emit")
+    __slots__ = ("context", "epoch", "occupied", "query_ids", "metrics", "emit")
 
     def __init__(self, context: EpochContext, epoch: int, occupied: list[Shard],
-                 metrics: StageMetrics, emit, late: frozenset[str] = frozenset()) -> None:
+                 metrics: StageMetrics, emit) -> None:
         self.context = context
         self.epoch = epoch
         self.occupied = occupied
         self.query_ids = tuple(context.query_ids)
         self.metrics = metrics
-        self.late = late
         self.emit = emit
 
 
@@ -264,7 +263,7 @@ class StageDriver:
     A driver declares its position on the two axes (``scheduling`` ×
     ``transport``; validated against the registry in
     :mod:`repro.runtime.executor`) and implements the *mechanism* of the
-    answer stage.  All policy — deadline gating, metrics, shard planning,
+    answer stage.  All policy — dropping late answers, metrics, shard planning,
     relay and ingest, failure unwinding — stays in the engine.
 
     Lifecycle hooks, all called on the caller thread (all optional except
@@ -352,25 +351,14 @@ class StagedEpochEngine(EpochExecutor):
     def arena_for(
         self, shard_index: int, clients: list["Client"]
     ) -> ShardArena | None:
-        """The cached arena for a shard, rebuilt when its membership changed.
+        """The shard's cached arena (:func:`~repro.sqldb.cached_shard_arena`).
 
-        Returns ``None`` (and drops any cached arena) when arena answering
-        is disabled or the shard is empty.  Membership is compared by
-        database-object identity — a new deployment, or a member whose
-        database was replaced, rebuilds; otherwise the shard keeps its arena
-        and syncs it incrementally as rows are appended.  Call only on
-        the epoch caller thread (shards are disjoint, so the per-shard
-        arenas themselves may then be used concurrently).
+        Call only on the epoch caller thread (shards are disjoint, so the
+        per-shard arenas themselves may then be used concurrently).
         """
-        if not clients or not arena_answering_enabled():
-            self._arenas.pop(shard_index, None)
-            return None
-        databases = [client.database for client in clients]
-        arena = self._arenas.get(shard_index)
-        if arena is None or not arena.matches(databases):
-            arena = ShardArena(databases)
-            self._arenas[shard_index] = arena
-        return arena
+        return cached_shard_arena(
+            self._arenas, shard_index, [client.database for client in clients]
+        )
 
     # -- accounting -----------------------------------------------------------
 
@@ -402,60 +390,37 @@ class StagedEpochEngine(EpochExecutor):
         finally:
             self._arenas.clear()
 
-    # -- the single deadline-gate call site -----------------------------------
-
-    def _gate(
-        self, context: EpochContext, responses_per_query: list[list], metrics: StageMetrics
-    ) -> list[list]:
-        """Deadline-gate one shard's raw responses at the transmit boundary.
-
-        The one place :func:`~repro.runtime.executor.apply_deadline` is
-        invoked across every driver combination: late answers advanced
-        their clients' RNG streams exactly as under the serial reference —
-        built by a pinned worker, or only *drawn* (a
-        :class:`~repro.core.client.LateAnswer` marker) by an in-process
-        driver that was handed the plan stage's late set — but never reach
-        the proxies, and the drop count lands in the metrics.  A marker the
-        gate does not drop has no shares to transmit: that is a gate whose
-        ``is_late`` and ``should_drop`` disagree, and it fails the epoch.
-        """
-        # Imported here: repro.core imports repro.runtime at package level.
-        from repro.core.client import LateAnswer
-
-        gated = apply_deadline(context.deadline, responses_per_query)
-        if context.deadline is not None:
-            metrics.add_late_drops(
-                sum(
-                    len(raw) - len(kept)
-                    for raw, kept in zip(responses_per_query, gated)
-                )
-            )
-        for kept in gated:
-            for response in kept:
-                if isinstance(response, LateAnswer):
-                    raise RuntimeError(
-                        f"the deadline gate kept a late marker for client "
-                        f"{response.client_id!r}, query {response.query_id!r}: "
-                        "nothing was built to transmit"
-                    )
-        return gated
+    # -- the deadline ---------------------------------------------------------
 
     @staticmethod
-    def _late_clients(context: EpochContext) -> frozenset[str]:
-        """The client ids this epoch's gate is already known to drop.
+    def _gate(
+        late: frozenset[str],
+        responses_per_query: list[list],
+        late_drops: list[list[str]],
+        metrics: StageMetrics,
+    ) -> list[list]:
+        """Drop one shard's late responses at the transmit boundary.
 
-        Decided in the plan stage, on the caller thread, from the gate's
-        optional ``is_late(client_id)`` — lateness is a pure function of the
-        modeled network, known before anyone answers.  No gate, or a gate
-        without ``is_late``, means nobody is known late and everything is
-        built as before.  The set lives for one ``run_epoch``.
+        A response whose client is in ``late`` advanced its client's RNG
+        streams exactly as under the serial reference — built by a pinned
+        worker, or only *drawn* (a :class:`~repro.core.client.LateAnswer`
+        marker) by an in-process driver — but never reaches the proxies: its
+        client id goes on the query's ``late_drops`` list and the count
+        lands in the metrics.
         """
-        is_late = getattr(context.deadline, "is_late", None)
-        if is_late is None:
-            return frozenset()
-        return frozenset(
-            filter(is_late, (client.config.client_id for client in context.clients))
-        )
+        if not late:
+            return responses_per_query
+        gated = []
+        for responses, dropped in zip(responses_per_query, late_drops):
+            kept = []
+            for response in responses:
+                if response.client_id in late:
+                    dropped.append(response.client_id)
+                else:
+                    kept.append(response)
+            gated.append(kept)
+            metrics.add_late_drops(len(responses) - len(kept))
+        return gated
 
     # -- epoch execution ------------------------------------------------------
 
@@ -464,14 +429,14 @@ class StagedEpochEngine(EpochExecutor):
 
         The driver's ``begin_epoch`` and ``collect`` run on this (the
         caller's) thread, and so does every :meth:`EpochHandle.emit`: it
-        gates the shard's raw responses (:meth:`_gate`), publishes one batch
+        drops the shard's late responses (:meth:`_gate`), publishes one batch
         record per proxy on each query's channel topic (:func:`_publish_shard`),
         then polls each query's context consumers and ingests what they hold
         (``ingest_shares(batched=True)``) before it returns.  Shards arrive
         in whatever order the driver collects them; the per-query logs are
         merged in shard-index (= client) order at the end.
 
-        The first error — an error emit, a gate, relay or ingest failure, a
+        The first error — an error emit, a relay or ingest failure, a
         driver hook that raises, a shard emitted twice or an occupied shard
         never emitted — is recorded and every later emit ignored, while the
         driver keeps collecting until every answer task it started has
@@ -488,11 +453,11 @@ class StagedEpochEngine(EpochExecutor):
         self.driver.prepare(context, epoch)
         shards = plan_shards(len(context.clients), self.num_shards)
         occupied = [shard for shard in shards if shard.num_items > 0]
-        late = self._late_clients(context)
         metrics.plan_seconds = time.perf_counter() - plan_started
 
         responses_by_shard: list[list | None] = [None] * len(shards)
         window_results: list[list] = [[] for _ in context.queries]
+        late_drops: list[list[str]] = [[] for _ in context.queries]
         answer_walls: dict[int, float] = {}
         awaited = {shard.index for shard in occupied}
         failure: Exception | None = None
@@ -512,7 +477,7 @@ class StagedEpochEngine(EpochExecutor):
                 failure = error
                 return
             try:
-                gated = self._gate(context, responses, metrics)
+                gated = self._gate(context.late, responses, late_drops, metrics)
                 relay_started = time.perf_counter()
                 _publish_shard(context, gated)
                 ingest_started = time.perf_counter()
@@ -531,7 +496,7 @@ class StagedEpochEngine(EpochExecutor):
             if wall_seconds is not None:
                 answer_walls[shard_index] = wall_seconds
 
-        handle = EpochHandle(context, epoch, occupied, metrics, emit, late)
+        handle = EpochHandle(context, epoch, occupied, metrics, emit)
         try:
             self.driver.begin_epoch(handle)
             self.driver.collect(handle)
@@ -548,7 +513,9 @@ class StagedEpochEngine(EpochExecutor):
             for query in context.queries:
                 _drain_consumers(query.consumers)
             raise failure
-        return self._merge_outcome(context, shards, responses_by_shard, window_results)
+        return self._merge_outcome(
+            context, shards, responses_by_shard, window_results, late_drops
+        )
 
     @staticmethod
     def _finalize(answer_walls: dict[int, float], metrics: StageMetrics) -> None:
@@ -562,8 +529,10 @@ class StagedEpochEngine(EpochExecutor):
         shards: list[Shard],
         responses_by_shard: list,
         window_results: list[list],
+        late_drops: list[list[str]],
     ) -> EpochOutcome:
-        """Merge per-shard logs in shard-index (= client) order."""
+        """Merge per-shard logs in shard-index (= client) order and sort each
+        query's drop ledger (shards arrive in any order)."""
         per_query = []
         for index, query in enumerate(context.queries):
             responses: list = []
@@ -576,7 +545,7 @@ class StagedEpochEngine(EpochExecutor):
                     query_id=query.query_id,
                     responses=tuple(responses),
                     window_results=tuple(window_results[index]),
-                    late_drops=late_drops_for(context, query.query_id),
+                    late_drops=tuple(sorted(late_drops[index])),
                 )
             )
         return EpochOutcome(per_query=tuple(per_query))
@@ -624,7 +593,11 @@ class InlineDriver(StageDriver):
             try:
                 arena = self.engine.arena_for(shard.index, clients)
                 responses, wall = _timed_answer_shard(
-                    clients, handle.query_ids, handle.epoch, arena=arena, late=handle.late
+                    clients,
+                    handle.query_ids,
+                    handle.epoch,
+                    arena=arena,
+                    late=handle.context.late,
                 )
             except Exception as exc:
                 handle.emit(shard.index, None, error=exc)
@@ -669,7 +642,7 @@ class OverlapThreadDriver(StageDriver):
                 handle.query_ids,
                 handle.epoch,
                 arena=arena,
-                late=handle.late,
+                late=handle.context.late,
             ): shard
             for shard, clients, arena in tasks
         }

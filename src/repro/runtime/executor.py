@@ -14,7 +14,9 @@ client answers every query it subscribes to in one go, sharing the local
 table scan), while transmission and ingestion stay per query — every query
 has its own channel topics, its own aggregator and its own consumers, so the
 tenants are isolated end-to-end.  A single-query epoch is the one-element
-case of the same flow.
+case of the same flow.  The context's ``late`` set is the epoch's deadline:
+every executor reads that one immutable set, drops those clients' answers
+before transmission and returns the drops per query with the outcome.
 
 Two runtimes ship:
 
@@ -69,6 +71,7 @@ class QueryContext:
     consumers: Sequence["Consumer"]
 
 
+@dataclass(frozen=True)
 class EpochContext:
     """Everything an executor needs to run one epoch.
 
@@ -77,33 +80,25 @@ class EpochContext:
     it so later epochs continue the same RNG streams.  ``queries`` holds one
     :class:`QueryContext` per concurrent query served by this epoch's single
     answering pass.
+
+    ``late`` is the epoch's deadline: the ids of the clients whose answers
+    miss it.  A late client still answers — its RNG streams advance exactly
+    as if it had not been late — but its responses never reach the proxies,
+    and each query's outcome lists the late participants it dropped.  The
+    set is decided from modeled latency, never wall-clock
+    (:func:`repro.runtime.scenario.late_clients_for`), so every executor
+    drops the same answers; an id that names no client drops nothing.
     """
 
-    def __init__(
-        self,
-        clients: list["Client"],
-        proxies: "ProxyNetwork",
-        queries: Sequence[QueryContext],
-        *,
-        deadline=None,
-    ):
-        if not queries:
+    clients: list["Client"]
+    proxies: "ProxyNetwork"
+    queries: Sequence[QueryContext]
+    late: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not self.queries:
             raise ValueError("an epoch needs at least one query context")
-        self.clients = clients
-        self.proxies = proxies
-        self.queries = tuple(queries)
-        # Optional epoch-deadline gate (duck-typed; see
-        # repro.runtime.scenario.EpochDeadline).  Executors consult it at
-        # the transmit boundary: ``should_drop(response)`` decides and
-        # records, ``drops_for(query_id)`` reports.  A response whose client
-        # the gate marks late advanced its RNG streams but is never
-        # transmitted, and the drop is recorded per query.  Because the gate
-        # decides from modeled latency, never wall-clock, every executor
-        # drops the same answers — and a gate that also offers the optional
-        # ``is_late(client_id)`` lets the staged engine know the late set
-        # before the answer stage, so in-process drivers only *draw* those
-        # answers (a LateAnswer marker) instead of building them.
-        self.deadline = deadline
+        object.__setattr__(self, "queries", tuple(self.queries))
 
     @property
     def query_ids(self) -> list[str]:
@@ -117,8 +112,9 @@ class QueryEpochOutcome:
     ``responses`` holds the query's participating responses in client order
     (the deterministic merge of per-shard logs); ``window_results`` holds the
     window results the query's aggregator emitted while ingesting the epoch.
-    ``late_drops`` names the clients whose answers the epoch's deadline gate
-    dropped for this query, sorted — empty when no deadline was armed.
+    ``late_drops`` names the participants whose answers the epoch dropped
+    because they were in ``EpochContext.late``, sorted — empty when nobody
+    was late.
     """
 
     query_id: str
@@ -133,57 +129,10 @@ class QueryEpochOutcome:
 
 @dataclass(frozen=True)
 class EpochOutcome:
-    """What one executed epoch produced, per query.
-
-    ``per_query`` is aligned with the context's ``queries``.  The
-    ``responses`` / ``window_results`` / ``num_participants`` accessors keep
-    the single-query view for callers that ran a one-query epoch.
-    """
+    """What one executed epoch produced: ``per_query`` is aligned with the
+    context's ``queries``."""
 
     per_query: tuple[QueryEpochOutcome, ...]
-
-    def _single(self) -> QueryEpochOutcome:
-        if len(self.per_query) != 1:
-            raise ValueError("this outcome covers multiple queries; use .per_query")
-        return self.per_query[0]
-
-    @property
-    def responses(self) -> tuple:
-        return self._single().responses
-
-    @property
-    def window_results(self) -> tuple:
-        return self._single().window_results
-
-    @property
-    def num_participants(self) -> int:
-        return self._single().num_participants
-
-
-def apply_deadline(deadline, responses_per_query: list[list]) -> list[list]:
-    """Filter late clients' responses out of one shard's answer lists.
-
-    The shared deadline hook for the shard-shaped executors: called on each
-    shard's per-query response lists before they are transmitted, so a late
-    answer never reaches the proxies (it still advanced the client's RNG
-    streams exactly as under the serial reference — built in full, or drawn
-    and standing in the list as a ``LateAnswer`` marker).  Thread-safe
-    as long as the gate's ``should_drop`` is (the scenario layer's gate
-    locks); a ``None`` deadline passes everything through untouched.
-    """
-    if deadline is None:
-        return responses_per_query
-    return [
-        [response for response in responses if not deadline.should_drop(response)]
-        for responses in responses_per_query
-    ]
-
-
-def late_drops_for(context: EpochContext, query_id: str) -> tuple:
-    """One query's recorded deadline drops, or ``()`` without a gate."""
-    if context.deadline is None:
-        return ()
-    return context.deadline.drops_for(query_id)
 
 
 # -- the driver registry ------------------------------------------------------

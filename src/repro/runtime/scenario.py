@@ -24,12 +24,12 @@ may depend on wall-clock or scheduling:
 * **Deadlines** are enforced against *modeled* client latency —
   :class:`~repro.netsim.devices.DeviceProfile` pipeline cost for the client's
   table size plus :class:`~repro.netsim.network.NetworkModel` transfer time
-  plus seeded jitter — never against real elapsed time.  Every executor
-  therefore drops exactly the same answers: the :class:`EpochDeadline` gate
-  filters a late client's responses out of the transmit path (the answer
-  advanced the RNG streams — built in full, or only drawn by a driver that
-  asked :meth:`EpochDeadline.is_late` in its plan stage — but never arrived)
-  and records the drop per query.
+  plus seeded jitter — never against real elapsed time.  An epoch's deadline
+  is therefore just a set of client ids, :func:`late_clients_for`, which the
+  runner hands every executor as ``EpochContext.late``: each drops exactly
+  the same answers (a late answer advanced the RNG streams — built in full,
+  or only drawn by an in-process driver — but never arrived) and reports
+  the drops per query.
 * **Byzantine injection** publishes forged answers straight onto the proxy
   topics before the epoch runs.  Forged tokens are unique per injection and
   repeated ``copies`` times, so admission control admits exactly one copy and
@@ -51,16 +51,12 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-import threading
 import time
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from repro.netsim.devices import DeviceKind, DeviceProfile, OperationKind
 from repro.netsim.network import NetworkModel
-
-if TYPE_CHECKING:  # lazy imports keep repro.core <-> repro.runtime acyclic
-    from repro.core.client import ClientResponse
 
 # The client answering pipeline whose device cost the deadline model charges
 # per local row (Table 3: SQLite read dominates, so cost scales with rows).
@@ -321,66 +317,24 @@ def client_latency_seconds(
     return compute + transfer + jitter
 
 
-class EpochDeadline:
-    """A deterministic per-epoch deadline gate for the executors.
-
-    Built from *modeled* latencies, so the late set is a pure function of the
-    scenario — every executor drops the same answers.  Executors duck-type
-    this via ``EpochContext.deadline``: :meth:`should_drop` both decides and
-    records (thread-safe, though the staged engine gates on the epoch's
-    caller thread only), :meth:`drops_for` reports one query's dropped client ids
-    in canonical sorted order, and :meth:`is_late` — the optional,
-    side-effect-free member — lets the staged engine learn the late set in
-    its plan stage, before anyone answers.
-    """
-
-    def __init__(
-        self, epoch: int, deadline_seconds: float, latency_by_client: dict[str, float]
-    ):
-        if deadline_seconds < 0.0:
-            raise ValueError("deadline_seconds must be non-negative")
-        self.epoch = epoch
-        self.deadline_seconds = deadline_seconds
-        self._latency = latency_by_client
-        self._lock = threading.Lock()
-        self._drops: dict[str, list[str]] = {}
-
-    def is_late(self, client_id: str) -> bool:
-        """Whether a client's modeled answer misses the epoch deadline."""
-        return self._latency.get(client_id, 0.0) > self.deadline_seconds
-
-    def should_drop(self, response: "ClientResponse") -> bool:
-        """Gate one response at the transmit boundary, recording a drop."""
-        if not self.is_late(response.client_id):
-            return False
-        with self._lock:
-            self._drops.setdefault(response.query_id, []).append(response.client_id)
-        return True
-
-    def drops_for(self, query_id: str) -> tuple[str, ...]:
-        """The client ids dropped for one query, sorted (order-canonical)."""
-        with self._lock:
-            return tuple(sorted(self._drops.get(query_id, ())))
-
-    def total_dropped(self) -> int:
-        with self._lock:
-            return sum(len(drops) for drops in self._drops.values())
-
-
-def epoch_deadline_for(
+def late_clients_for(
     plan: ScenarioPlan, epoch: int, network: NetworkModel | None = None
-) -> EpochDeadline | None:
-    """The armed deadline gate for one epoch (``None`` when the spec has none)."""
+) -> frozenset[str]:
+    """The ids of the clients whose modeled answer misses one epoch's deadline.
+
+    Empty when the spec arms no deadline.  A pure function of the plan, so
+    every executor that is handed it drops the same answers.
+    """
     spec = plan.spec
     if spec.deadline_seconds is None:
-        return None
+        return frozenset()
     if network is None:
         network = NetworkModel(bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec)
-    latency = {
-        f"client-{index:06d}": client_latency_seconds(plan, index, epoch, network)
+    return frozenset(
+        f"client-{index:06d}"
         for index in range(spec.num_clients)
-    }
-    return EpochDeadline(epoch, spec.deadline_seconds, latency)
+        if client_latency_seconds(plan, index, epoch, network) > spec.deadline_seconds
+    )
 
 
 # -- scenario execution ------------------------------------------------------
@@ -617,8 +571,7 @@ def run_scenario(
         for epoch_plan in plan.epochs:
             epoch = epoch_plan.epoch
             system.set_active_clients(epoch_plan.active)
-            deadline = epoch_deadline_for(plan, epoch, network)
-            system.epoch_deadline = deadline
+            system.late_clients = late_clients_for(plan, epoch, network)
             _inject_byzantine_answers(system, plan, epoch_plan)
             exact_by_epoch.append(
                 {query_id: system.exact_bucket_counts(query_id) for query_id in query_ids}
@@ -627,7 +580,6 @@ def run_scenario(
             started = time.perf_counter()
             reports = system.run_epoch_all(epoch)
             wall = time.perf_counter() - started
-            system.epoch_deadline = None
             wire = system.proxies.total_bytes_relayed() - bytes_before
             executor_wire = getattr(system.executor, "epoch_wire_bytes", None)
             if executor_wire is not None:
@@ -666,7 +618,6 @@ def run_scenario(
         for query_id in query_ids:
             system.flush(query_id)
     finally:
-        system.epoch_deadline = None
         system.close()
 
     digest = hashlib.sha256()

@@ -20,7 +20,6 @@ from repro.runtime.executor import (
     EpochExecutor,
     EpochOutcome,
     QueryEpochOutcome,
-    late_drops_for,
 )
 
 
@@ -30,14 +29,17 @@ class SerialExecutor(EpochExecutor):
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
         queries = context.queries
         query_ids = context.query_ids
-        deadline = context.deadline
+        late = context.late
         responses_per_query: list[list] = [[] for _ in queries]
+        late_drops: list[list[str]] = [[] for _ in queries]
         for client in context.clients:
             for index, response in enumerate(client.answer(query_ids, epoch=epoch)):
                 if response is None:
                     continue
-                if deadline is not None and deadline.should_drop(response):
-                    continue  # produced (RNG advanced) but missed the deadline
+                if response.client_id in late:
+                    # Built (RNG advanced) but missed the deadline.
+                    late_drops[index].append(response.client_id)
+                    continue
                 responses_per_query[index].append(response)
                 context.proxies.transmit(
                     list(response.encrypted.shares), channel=query_ids[index]
@@ -52,7 +54,7 @@ class SerialExecutor(EpochExecutor):
                     query_id=query.query_id,
                     responses=tuple(responses_per_query[index]),
                     window_results=tuple(window_results),
-                    late_drops=late_drops_for(context, query.query_id),
+                    late_drops=tuple(sorted(late_drops[index])),
                 )
             )
         return EpochOutcome(per_query=tuple(per_query))

@@ -39,6 +39,7 @@ from repro.sqldb.engine import (
     Database,
     arena_answering_enabled,
     arena_select_per_client,
+    cached_shard_arena,
     per_client_forced,
 )
 from repro.sqldb.errors import ExecutionError, ParseError, SchemaError, SqlError
@@ -56,6 +57,7 @@ __all__ = [
     "ARENA_FALLBACK",
     "arena_select_per_client",
     "arena_answering_enabled",
+    "cached_shard_arena",
     "per_client_forced",
     "HashIndex",
     "BPlusTreeIndex",

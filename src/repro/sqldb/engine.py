@@ -22,6 +22,7 @@ import os
 from typing import Any
 
 from repro.sqldb import ast
+from repro.sqldb.columnar import ShardArena
 from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
 from repro.sqldb.errors import ExecutionError, SchemaError
 from repro.sqldb.parser import parse_statement, parse_statement_cached
@@ -47,6 +48,27 @@ def per_client_forced() -> bool:
 def arena_answering_enabled() -> bool:
     """Whether the shard-wide arena answer path may be used at all."""
     return not per_client_forced() and not _env_flag("SQLDB_FORCE_SCAN")
+
+
+def cached_shard_arena(
+    cache: dict[int, ShardArena], shard_index: int, databases: list[Database]
+) -> ShardArena | None:
+    """The arena ``cache`` holds for one shard, rebuilt when it went stale.
+
+    The one arena cache rule: when arena answering is disabled or the shard
+    has no databases, the cached arena is dropped and ``None`` returned;
+    otherwise the cached arena is reused while it ``matches`` the databases
+    (member identity — a new deployment or a replaced member rebuilds) and
+    keeps syncing incrementally as rows are appended.
+    """
+    if not databases or not arena_answering_enabled():
+        cache.pop(shard_index, None)
+        return None
+    arena = cache.get(shard_index)
+    if arena is None or not arena.matches(databases):
+        arena = ShardArena(databases)
+        cache[shard_index] = arena
+    return arena
 
 
 #: Slot-level fallback marker from :func:`arena_select_per_client`: this

@@ -218,16 +218,6 @@ def latest_row_cases():
 # deployments those tests build: 12 clients in 3 shards of 4, one REAL column.
 
 
-class _FailingGate:
-    """A deadline gate that raises on the first response it is shown."""
-
-    def should_drop(self, response):
-        raise RuntimeError("injected gate fault")
-
-    def drops_for(self, query_id):
-        return ()
-
-
 @contextlib.contextmanager
 def _failing_epoch(system, stage, aggregator):
     if stage == "answer":
@@ -241,28 +231,23 @@ def _failing_epoch(system, stage, aggregator):
         finally:
             victim.create_table([("value", "REAL")])
             victim.ingest([{"value": 1.0}])
-    elif stage == "gate":
-        # Fails the first shard to reach the gate; the later ones still answer.
-        system.epoch_deadline = _FailingGate()
-        try:
-            yield
-        finally:
-            system.epoch_deadline = None
-    elif stage == "transmit":
-        # The third relay call fails: a single-query epoch loses the third
-        # shard emitted; a two-query epoch fails relaying the second shard
-        # emitted for its first query, after the first shard went out for
-        # both.
+    elif stage in ("first-relay", "transmit"):
+        # The first relay call fails the first shard emitted, before anything
+        # was relayed; the later shards still answer.  The third call fails a
+        # single-query epoch's third shard emitted, and a two-query epoch's
+        # second shard emitted for its first query, after the first shard
+        # went out for both.
+        failing_call = 1 if stage == "first-relay" else 3
         publish = system.proxies.transmit_shard
         calls = []
 
-        def fail_third_call(share_rows, channel=None):
+        def fail_one_call(share_rows, channel=None):
             calls.append(channel)
-            if len(calls) == 3:
-                raise RuntimeError("injected transmit fault")
+            if len(calls) == failing_call:
+                raise RuntimeError(f"injected {stage} fault")
             return publish(share_rows, channel=channel)
 
-        with mock.patch.object(system.proxies, "transmit_shard", fail_third_call):
+        with mock.patch.object(system.proxies, "transmit_shard", fail_one_call):
             yield
     else:
         assert stage == "ingest"
@@ -274,7 +259,7 @@ def _failing_epoch(system, stage, aggregator):
 @pytest.fixture
 def failing_epoch():
     """``with failing_epoch(system, stage, aggregator):`` — epochs run inside
-    the block fail at ``stage`` (``"answer"``, ``"gate"``, ``"transmit"`` or
+    the block fail at ``stage`` (``"answer"``, ``"first-relay"``, ``"transmit"`` or
     ``"ingest"`` of ``aggregator``); leaving it repairs the deployment."""
     return _failing_epoch
 

@@ -51,8 +51,8 @@ from repro.runtime.scenario import ScenarioSpec
 
 SEED = 20260808
 KEY = bytes.fromhex("cc" * 32)
-#: The drivers that answer in the coordinator's process: the ones the plan
-#: stage's known-late set reaches.
+#: The drivers that answer in the coordinator's process: the ones the
+#: epoch's late set reaches.
 IN_PROCESS_EXECUTORS = [
     f"{scheduling}/{transport}"
     for scheduling, transport in DRIVER_COMBOS
@@ -309,14 +309,12 @@ class TestStageMetrics:
     def test_deadline_gate_records_late_drops_in_metrics(self):
         """The engine's single transmit-boundary gate feeds the metrics: the
         per-epoch late-drop count equals what the epoch report says."""
-        from repro.runtime.scenario import EpochDeadline
-
         system, query_id = build_system("pipelined-overlap/in-process")
         try:
-            late = {
-                client.config.client_id: 10.0 for client in system.clients[::2]
-            }
-            system.epoch_deadline = EpochDeadline(0, 1.0, late)
+            late = frozenset(
+                client.config.client_id for client in system.clients[::2]
+            )
+            system.late_clients = late
             report = system.run_epoch(query_id, 0)
             dropped = len(report.late_drops)
             assert dropped == len(late)
@@ -324,68 +322,17 @@ class TestStageMetrics:
         finally:
             system.close()
 
-    def test_a_late_marker_cannot_pass_the_gate(self):
-        """``_gate`` is the last stop before ``transmit`` and the response
-        log: a drawn-not-built answer that no gate drops is an error there,
-        not an ``AttributeError`` somewhere downstream."""
-        from types import SimpleNamespace
-
-        from repro.core.client import LateAnswer
-
-        engine = make_executor("inline/in-process")
-        metrics = StageMetrics(epoch=0)
-        with pytest.raises(RuntimeError, match="kept a late marker for client 'c-7'"):
-            engine._gate(
-                SimpleNamespace(deadline=None),
-                [[LateAnswer("c-7", "q", 0)]],
-                metrics,
-            )
-        assert metrics.late_drops == 0
-
-    @pytest.mark.parametrize("executor", [*IN_PROCESS_EXECUTORS, REVERSED_IN_PROCESS])
-    def test_a_gate_that_contradicts_itself_fails_the_epoch(self, executor):
-        """``is_late`` says late (so the answer is only drawn), ``should_drop``
-        says keep: the epoch raises on every in-process driver, and the
-        deployment runs the next epoch once the gate is disarmed."""
-
-        class ContradictoryGate:
-            def is_late(self, client_id):
-                return True
-
-            def should_drop(self, response):
-                return False
-
-            def drops_for(self, query_id):
-                return ()
-
-        system, query_id = build_system(executor)
-        try:
-            system.epoch_deadline = ContradictoryGate()
-            with pytest.raises(RuntimeError, match="kept a late marker"):
-                system.run_epoch(query_id, 0)
-            assert system.responses_log(query_id) == []
-            # The failure is the gate's, not the engine's: disarm it and the
-            # next epoch runs.
-            system.epoch_deadline = None
-            assert system.run_epoch(query_id, 1).num_participants == 16
-        finally:
-            system.close()
-
     @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
     def test_a_late_client_whose_statement_raises_still_fails_the_epoch(self, executor):
         """A known-late client draws instead of building, but it still reads
         its SQL outcome: what raises under serial raises here."""
-        from repro.runtime.scenario import EpochDeadline
-
         system, query_id = build_system(
             executor, sql="SELECT value FROM private_data WHERE value >= 0.0"
         )
         try:
             victim = system.clients[5]
             victim.database.table("private_data").append_rows([("not a number",)])
-            system.epoch_deadline = EpochDeadline(
-                0, 1.0, {victim.config.client_id: 10.0}
-            )
+            system.late_clients = frozenset({victim.config.client_id})
             with pytest.raises(TypeError, match="not supported between"):
                 system.run_epoch(query_id, 0)
         finally:

@@ -36,7 +36,6 @@ from repro.core import (
     SystemConfig,
 )
 from repro.runtime import cli_smoke_matrix
-from repro.runtime.scenario import EpochDeadline
 
 SEED = 20260727
 #: Every driver combination that runs without separately launched TCP
@@ -477,8 +476,8 @@ def test_every_engine_flow_relays_one_batch_record_per_proxy_per_shard(executor)
     relayed = {}
     for name in ("serial", executor):
         system, query_ids = build_two_query_system(name)
-        system.epoch_deadline = EpochDeadline(
-            0, 1.0, {system.clients[index].config.client_id: 10.0 for index in late}
+        system.late_clients = frozenset(
+            system.clients[index].config.client_id for index in late
         )
         inspectors = inspect_channels(system, query_ids)
         reports = system.run_epoch_all(0)
@@ -526,6 +525,35 @@ def test_one_relay_topic_per_proxy_per_query(executor):
         for record in inspector.poll()
     )
     assert seen == system.proxies.total_shares_relayed() == 2 * 2 * 12 * 2
+    system.close()
+
+
+@pytest.mark.parametrize("executor", [*cli_smoke_matrix(), *REVERSED_EMITS])
+def test_each_query_ledgers_only_its_own_late_participants(executor):
+    """Client 1 is late under both queries, client 6 is late but subscribed
+    to the first query only, and the late set also names a client that does
+    not exist: each query's ``late_drops`` lists exactly its own late
+    participants, the unknown id appears nowhere, the engine's late-drop
+    metric is the sum of the two ledgers, and the ledgers do not accumulate
+    across epochs."""
+    system, query_ids = build_two_query_system(executor)
+    first, second = query_ids
+    late_ids = [system.clients[index].config.client_id for index in (1, 6)]
+    system.set_active_clients([i for i in range(12) if i != 6], query_ids=[second])
+    system.late_clients = frozenset([*late_ids, "client-999999"])
+    for epoch in range(2):
+        reports = system.run_epoch_all(epoch)
+        assert reports[first].late_drops == tuple(late_ids)
+        assert reports[second].late_drops == (late_ids[0],)
+        assert reports[first].num_participants == reports[second].num_participants == 10
+        logged = {
+            response.client_id
+            for query_id in query_ids
+            for response in system.responses_log(query_id)
+        }
+        assert logged.isdisjoint(system.late_clients)
+        if executor != "serial":
+            assert system.executor.stage_metrics[epoch].late_drops == 3
     system.close()
 
 

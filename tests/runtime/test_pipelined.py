@@ -136,7 +136,7 @@ class TestPopulationEdges:
         """An empty population completes the epoch and produces nothing."""
         executor = make_executor(PIPELINED, workers=2, shards=4)
         try:
-            outcome = executor.run_epoch(make_context(0), epoch=0)
+            outcome = executor.run_epoch(make_context(0), epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 0
@@ -146,8 +146,8 @@ class TestPopulationEdges:
         serial = SerialExecutor()
         pipelined = make_executor(PIPELINED, workers=2, shards=3)
         try:
-            serial_outcome = serial.run_epoch(make_context(0), epoch=0)
-            pipelined_outcome = pipelined.run_epoch(make_context(0), epoch=0)
+            serial_outcome = serial.run_epoch(make_context(0), epoch=0).per_query[0]
+            pipelined_outcome = pipelined.run_epoch(make_context(0), epoch=0).per_query[0]
         finally:
             serial.close()
             pipelined.close()
@@ -158,7 +158,7 @@ class TestPopulationEdges:
         """Trailing empty shards are simply skipped."""
         executor = make_executor(PIPELINED, workers=2, shards=8)
         try:
-            outcome = executor.run_epoch(make_context(3), epoch=0)
+            outcome = executor.run_epoch(make_context(3), epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 3  # s = 1.0: everyone participates
@@ -172,7 +172,7 @@ class TestPopulationEdges:
         """One shard degenerates to serial answering but still pipelines."""
         executor = make_executor(PIPELINED, workers=2, shards=1)
         try:
-            outcome = executor.run_epoch(make_context(5), epoch=0)
+            outcome = executor.run_epoch(make_context(5), epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 5
@@ -305,7 +305,7 @@ class TestFailureSurfacing:
         assert [str(exc) for exc in raised] == ["shard 0 on fire"]
         system.close()
 
-    @pytest.mark.parametrize("stage", ["answer", "gate", "transmit", "ingest"])
+    @pytest.mark.parametrize("stage", ["answer", "first-relay", "transmit", "ingest"])
     def test_inline_answers_every_shard_once_on_a_failed_epoch(
         self, stage, failing_epoch
     ):
@@ -400,14 +400,14 @@ class TestExecutorReuse:
             context_a = make_context(6)
             executor.run_epoch(context_a, epoch=0)
             context_b = make_context(6)  # same query id, fresh brokers
-            outcome = executor.run_epoch(context_b, epoch=0)
+            outcome = executor.run_epoch(context_b, epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 6
         # The second deployment's aggregator really received the shares.
         assert context_b.queries[0].aggregator.shares_received == 6 * 2
         reference = make_context(6)
-        expected = SerialExecutor().run_epoch(reference, epoch=0)
+        expected = SerialExecutor().run_epoch(reference, epoch=0).per_query[0]
         assert answer_bytes(outcome.responses) == answer_bytes(expected.responses)
         assert outcome.window_results == expected.window_results
         assert [client.state_fingerprint() for client in context_a.clients] == [

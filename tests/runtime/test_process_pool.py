@@ -119,7 +119,7 @@ class TestPopulationEdges:
         """An empty population completes the epoch and produces nothing."""
         executor = make_executor(RESIDENT, workers=2, shards=4)
         try:
-            outcome = executor.run_epoch(make_context(0), epoch=0)
+            outcome = executor.run_epoch(make_context(0), epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 0
@@ -129,8 +129,8 @@ class TestPopulationEdges:
         serial = SerialExecutor()
         process = make_executor(RESIDENT, workers=2, shards=3)
         try:
-            serial_outcome = serial.run_epoch(make_context(0), epoch=0)
-            process_outcome = process.run_epoch(make_context(0), epoch=0)
+            serial_outcome = serial.run_epoch(make_context(0), epoch=0).per_query[0]
+            process_outcome = process.run_epoch(make_context(0), epoch=0).per_query[0]
         finally:
             serial.close()
             process.close()
@@ -141,7 +141,7 @@ class TestPopulationEdges:
         """Trailing empty shards are simply skipped."""
         executor = make_executor(RESIDENT, workers=2, shards=8)
         try:
-            outcome = executor.run_epoch(make_context(3), epoch=0)
+            outcome = executor.run_epoch(make_context(3), epoch=0).per_query[0]
         finally:
             executor.close()
         assert outcome.num_participants == 3  # s = 1.0: everyone participates

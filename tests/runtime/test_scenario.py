@@ -29,21 +29,19 @@ from repro.core import PrivApproxSystem
 from repro.core.encryption import AnswerCodec
 from repro.netsim.network import NetworkModel
 from repro.runtime import StagedEpochEngine, cli_smoke_matrix
-from repro.runtime import scenario as scenario_module
 from repro.runtime.scenario import (
-    EpochDeadline,
     ScenarioSpec,
     build_plan,
     client_latency_seconds,
-    epoch_deadline_for,
     find_scenario,
+    late_clients_for,
     run_scenario,
     scenario_grid,
 )
 
 # serial plus every single-host driver combination.
 ALL_EXECUTORS = cli_smoke_matrix()
-# The drivers the plan stage's known-late set reaches (they answer here).
+# The drivers the epoch's late set reaches (they answer here).
 IN_PROCESS_EXECUTORS = [e for e in ALL_EXECUTORS if e.endswith("/in-process")]
 #: The worker-driver spellings once more, with every emit held back to the
 #: end of the epoch and replayed in reverse shard order (``reversed_emits``,
@@ -155,33 +153,10 @@ class TestPlanDeterminism:
             )
 
 
-# -- the deadline gate --------------------------------------------------------
-
-
-class _FakeResponse:
-    def __init__(self, client_id, query_id):
-        self.client_id = client_id
-        self.query_id = query_id
+# -- the deadline model -------------------------------------------------------
 
 
 class TestEpochDeadline:
-    def test_gate_decides_from_the_latency_map(self):
-        gate = EpochDeadline(0, 0.5, {"a": 0.1, "b": 0.9})
-        assert not gate.is_late("a")
-        assert gate.is_late("b")
-        assert gate.is_late("unknown") is False  # unmodeled clients pass
-
-    def test_should_drop_records_per_query(self):
-        gate = EpochDeadline(0, 0.5, {"a": 0.1, "b": 0.9, "c": 2.0})
-        assert not gate.should_drop(_FakeResponse("a", "q1"))
-        assert gate.should_drop(_FakeResponse("c", "q1"))
-        assert gate.should_drop(_FakeResponse("b", "q1"))
-        assert gate.should_drop(_FakeResponse("b", "q2"))
-        assert gate.drops_for("q1") == ("b", "c")  # sorted, order-canonical
-        assert gate.drops_for("q2") == ("b",)
-        assert gate.drops_for("q3") == ()
-        assert gate.total_dropped() == 3
-
     def test_modeled_latency_is_deterministic(self):
         spec = find_scenario("deadline-tight")
         plan = build_plan(spec)
@@ -191,9 +166,21 @@ class TestEpochDeadline:
             assert first == client_latency_seconds(plan, index, 1, network)
             assert first > 0.0
 
+    def test_late_set_is_every_client_over_the_deadline(self):
+        spec = find_scenario("deadline-tight")
+        plan = build_plan(spec)
+        for epoch in range(spec.num_epochs):
+            late = late_clients_for(plan, epoch)
+            assert late == {
+                f"client-{index:06d}"
+                for index in range(spec.num_clients)
+                if client_latency_seconds(plan, index, epoch) > spec.deadline_seconds
+            }
+            assert 0 < len(late) < spec.num_clients
+
     def test_no_deadline_means_no_gate(self):
         plan = build_plan(find_scenario("steady-state"))
-        assert epoch_deadline_for(plan, 0) is None
+        assert late_clients_for(plan, 0) == frozenset()
 
 
 # -- deadline fault injection across every executor ---------------------------
@@ -285,29 +272,6 @@ class TestDeadlineFaultInjection:
             late = 0 if executor == "serial" else len(stats.late_clients)
             assert len(stats.late_clients) > 0
             assert built.count(stats.epoch) == participants - late
-
-    def test_a_gate_without_is_late_builds_and_drops_as_before(self, monkeypatch):
-        """``is_late`` is an optional member of the duck-typed gate: without
-        it nobody is known late, every answer is built, and the gate's
-        ``should_drop`` alone decides — same ledger, same digest."""
-
-        class OpaqueGate:
-            def __init__(self, gate):
-                self.should_drop = gate.should_drop
-                self.drops_for = gate.drops_for
-
-        reference = _run(SLOW_SPEC, "inline/in-process")
-        built = _count_encrypted_answers(monkeypatch)
-        monkeypatch.setattr(
-            scenario_module,
-            "epoch_deadline_for",
-            lambda *args: OpaqueGate(epoch_deadline_for(*args)),
-        )
-        run = _run(SLOW_SPEC, "inline/in-process")
-        assert run.digest == reference.digest
-        for stats, expected in zip(run.epochs, reference.epochs):
-            assert stats.late_clients == expected.late_clients != ()
-            assert built.count(stats.epoch) == stats.active_clients
 
 
 # -- byzantine duplicate injection -------------------------------------------
