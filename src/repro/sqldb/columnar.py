@@ -15,8 +15,11 @@ appends only the new tail when rows were appended (the only mutation the
 streaming ingest and the resident runtime's
 :class:`~repro.runtime.wire.ShardDelta` frames ever perform), and
 rebuilds from scratch when the row list shrank, was replaced (DELETE),
-or had existing rows edited in place.  Secondary indexes ride along: appends insert into every live
-index, rebuilds drop them to be lazily rebuilt on next probe.
+or had existing rows edited in place.  Both grow a column at a time:
+the new rows are transposed once and each vector takes one
+:meth:`ColumnVector.extend`.  Secondary indexes ride along: appends
+insert the new rows into every live index, row by row; rebuilds drop
+them, and the next probe bulk-loads them from the whole column.
 
 **Typed arrays.**  INTEGER columns live in ``array('q')`` and REAL
 columns in ``array('d')`` while their values fit (no NULLs, no
@@ -42,8 +45,9 @@ is missing or whose schema differs from the adopted signature are
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
+from repro.sqldb.errors import SchemaError
 from repro.sqldb.indexes import BPlusTreeIndex, HashIndex
 
 if TYPE_CHECKING:
@@ -66,7 +70,7 @@ class ColumnVector:
     """One column's values: a typed array while possible, a list after demotion.
 
     Supports exactly the operations the compiled path needs — append,
-    subscript, iteration, length — so swapping the backing storage is
+    extend, subscript, iteration, length — so swapping the backing storage is
     invisible to callers.  Native storage demands the exact Python type
     (``int`` for ``'q'``, ``float`` for ``'d'``): ``array`` would happily
     coerce ``True`` to ``1`` or ``3`` to ``3.0``, and a coerced read-back
@@ -93,6 +97,26 @@ class ColumnVector:
             self._data = list(self._data)
             self.typed = False
         self._data.append(value)
+
+    def extend(self, values: Sequence[Any]) -> None:
+        """Append a batch: one type check, then one ``array.extend``.
+
+        A batch the typed array cannot take whole (NULL, a foreign type,
+        an out-of-range int) goes value by value through :meth:`append`,
+        so demotion happens exactly where it would row by row.
+        """
+        if self.typed and {self._pytype}.issuperset(map(type, values)):
+            mark = len(self._data)
+            try:
+                self._data.extend(values)
+                return
+            except OverflowError:  # not atomic: undo the partial extend
+                del self._data[mark:]
+        if self.typed:
+            for value in values:
+                self.append(value)
+        else:
+            self._data.extend(values)
 
     def __getitem__(self, index: int) -> Any:
         return self._data[index]
@@ -133,24 +157,46 @@ class _IndexedVectors:
         return self._vectors
 
     def hash_index(self, name: str) -> HashIndex:
-        """The column's hash index, built from the vectors on first use."""
+        """The column's hash index, bulk-loaded from its vector on first use."""
         index = self._hash.get(name)
         if index is None:
-            index = HashIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                index.insert(value, row_id)
-            self._hash[name] = index
+            index = self._hash[name] = HashIndex.from_column(self._vectors[name])
         return index
 
     def tree_index(self, name: str) -> BPlusTreeIndex:
-        """The column's B+Tree index, built from the vectors on first use."""
+        """The column's B+Tree index, bulk-loaded from its vector on first use."""
         tree = self._trees.get(name)
         if tree is None:
-            tree = BPlusTreeIndex()
-            for row_id, value in enumerate(self._vectors[name]):
-                tree.insert(value, row_id)
-            self._trees[name] = tree
+            tree = self._trees[name] = BPlusTreeIndex.from_column(self._vectors[name])
         return tree
+
+    def _extend(self, rows: list, first_id: int) -> None:
+        """Append ``rows`` (schema-width tuples) column by column.
+
+        ``_vectors`` is in schema order, so the transposed rows pair up
+        with it.  Each vector grows by one ``extend``; only then are its
+        new values folded, row id by row id, into the indexes already
+        live on that column (absent indexes stay absent until a probe
+        bulk-loads them from the grown vectors).
+        """
+        if not rows:
+            return
+        columns = list(zip(*rows))
+        if len(columns) < len(self._vectors):  # a short row: refuse before anything grows
+            raise SchemaError(
+                f"expected rows of {len(self._vectors)} values, one has {len(columns)}"
+            )
+        for (name, vector), values in zip(self._vectors.items(), columns):
+            vector.extend(values)
+            hash_index = self._hash.get(name)
+            tree = self._trees.get(name)
+            if hash_index is None and tree is None:
+                continue
+            for row_id, value in enumerate(values, first_id):
+                if hash_index is not None:
+                    hash_index.insert(value, row_id)
+                if tree is not None:
+                    tree.insert(value, row_id)
 
     def index_stats(self) -> dict[str, tuple[int, int]]:
         """Column → (hash entries, tree size); observability for tests."""
@@ -229,24 +275,7 @@ class ColumnStore(_IndexedVectors):
         self._append(table.rows, 0)
 
     def _append(self, rows: list, start: int) -> None:
-        vectors = [self._vectors[name] for name in self._names]
-        columns = [
-            (index, name)
-            for index, name in enumerate(self._names)
-            if name in self._hash or name in self._trees
-        ]
-        for row_id in range(start, len(rows)):
-            row = rows[row_id]
-            for vector, value in zip(vectors, row):
-                vector.append(value)
-            for column_index, name in columns:
-                value = row[column_index]
-                hash_index = self._hash.get(name)
-                if hash_index is not None:
-                    hash_index.insert(value, row_id)
-                tree = self._trees.get(name)
-                if tree is not None:
-                    tree.insert(value, row_id)
+        self._extend(rows[start:], start)
         self.appended_rows += len(rows) - start
         self._count = len(rows)
 
@@ -405,32 +434,13 @@ class ArenaTable(_IndexedVectors):
                 self._append_slot(slot, source[1], source[3])
 
     def _append_slot(self, slot: int, rows: list, start: int) -> None:
-        vectors = [self._vectors[column.name] for column in self.columns]
-        indexed = [
-            (index, column.name)
-            for index, column in enumerate(self.columns)
-            if column.name in self._hash or column.name in self._trees
-        ]
-        slot_ids = self.slot_rows[slot]
-        row_slot = self.row_slot
-        arena_id = self._count
-        for local_id in range(start, len(rows)):
-            row = rows[local_id]
-            for vector, value in zip(vectors, row):
-                vector.append(value)
-            row_slot.append(slot)
-            slot_ids.append(arena_id)
-            for column_index, name in indexed:
-                value = row[column_index]
-                hash_index = self._hash.get(name)
-                if hash_index is not None:
-                    hash_index.insert(value, arena_id)
-                tree = self._trees.get(name)
-                if tree is not None:
-                    tree.insert(value, arena_id)
-            arena_id += 1
-        self.appended_rows += len(rows) - start
-        self._count = arena_id
+        new = rows[start:]
+        first_id = self._count
+        self._extend(new, first_id)
+        self.row_slot.extend([slot] * len(new))
+        self.slot_rows[slot].extend(range(first_id, first_id + len(new)))
+        self.appended_rows += len(new)
+        self._count = first_id + len(new)
         self._sources[slot][3] = len(rows)
 
     # -- table duck-typing (the finishing half of the compiled path) ---------
@@ -447,8 +457,6 @@ class ArenaTable(_IndexedVectors):
         lowered = {k.lower(): v for k, v in self._colindex.items()}
         if name.lower() in lowered:
             return lowered[name.lower()]
-        from repro.sqldb.errors import SchemaError
-
         raise SchemaError(f"table {self.name} has no column {name}")
 
     @property

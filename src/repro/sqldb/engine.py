@@ -153,10 +153,16 @@ class Database:
         return sorted(self._tables)
 
     def insert_rows(self, table_name: str, records: list[dict[str, Any]]) -> int:
-        """Bulk-insert dictionaries into a table; returns the number inserted."""
-        table = self.table(table_name)
-        for record in records:
-            table.insert_dict(record)
+        """Bulk-insert dictionaries into a table; returns the number inserted.
+
+        One :meth:`Table.insert_records` call: converters are resolved once
+        and the converted rows join the table in a single append, which a
+        live columnar mirror folds in incrementally (no rebuild).  A record
+        with a bad value or an unknown column raises
+        :class:`~repro.sqldb.errors.SchemaError`; the records before it
+        stay inserted.
+        """
+        self.table(table_name).insert_records(records)
         return len(records)
 
     def sync_columnar(self) -> None:

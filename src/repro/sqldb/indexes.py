@@ -9,12 +9,18 @@ Two index kinds back the compiled answer path
   linked list, serving range probes (``<``, ``<=``, ``>``, ``>=``,
   ``BETWEEN``) in O(log n + k).
 
-Both are built per predicate column on first use by a
-:class:`~repro.sqldb.columnar.ColumnStore` and maintained *incrementally*
-as rows append (the resident runtime streams rows into client tables via
-:class:`~repro.runtime.wire.ShardDelta` frames); the differential suite
-asserts an incrementally maintained index answers every probe exactly
-like one rebuilt from scratch.
+Both are *bulk-loaded* from a whole column (``from_column``) the first
+time a probe needs them — per predicate column, by a
+:class:`~repro.sqldb.columnar.ColumnStore` or a shard
+:class:`~repro.sqldb.columnar.ArenaTable` — and after that maintained
+*incrementally* (``insert``), one appended row at a time, as rows
+append to the live table (the resident runtime streams rows into client
+tables via :class:`~repro.runtime.wire.ShardDelta` frames).  A rebuild
+drops an index; the next probe bulk-loads it again.  A bulk-loaded index
+holds exactly what incremental insertion of the same column stores (same
+keys, same key objects, same ascending row-id lists), and the test suite
+asserts every probe answers alike on both, including after further
+incremental appends to a bulk-loaded tree.
 
 NULL handling mirrors the row-scan engine's comparison semantics
 (:func:`repro.sqldb.engine._compare`): ``NULL`` never satisfies a
@@ -29,8 +35,9 @@ suppressed by the compiler instead (``NULL = NULL`` is false).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
-from typing import Any, Iterator
+from itertools import chain, islice
+from operator import eq
+from typing import Any, Iterable, Iterator
 
 
 class HashIndex:
@@ -45,6 +52,20 @@ class HashIndex:
     def __init__(self) -> None:
         self._rows: dict[Any, list[int]] = {}
         self.entries = 0
+
+    @classmethod
+    def from_column(cls, values: Iterable[Any]) -> "HashIndex":
+        """Index a whole column in one pass; ``values[i]`` is row ``i``'s key."""
+        index = cls()
+        rows = index._rows
+        for row_id, key in enumerate(values):
+            ids = rows.get(key)
+            if ids is None:
+                rows[key] = [row_id]
+            else:
+                ids.append(row_id)
+        index.entries = sum(map(len, rows.values()))
+        return index
 
     def insert(self, key: Any, row_id: int) -> None:
         rows = self._rows.get(key)
@@ -63,6 +84,18 @@ class HashIndex:
 
     def __len__(self) -> int:
         return self.entries
+
+
+def _even_runs(count: int, most: int) -> Iterator[tuple[int, int]]:
+    """Split ``range(count)`` into the fewest runs of at most ``most``
+    items whose lengths differ by at most one; yield ``(start, stop)``."""
+    runs = -(-count // most)
+    base, extra = divmod(count, runs)
+    start = 0
+    for run in range(runs):
+        stop = start + base + (run < extra)
+        yield start, stop
+        start = stop
 
 
 class _Leaf:
@@ -106,6 +139,65 @@ class BPlusTreeIndex:
         # None and NaN keys: never comparable, never returned by a probe.
         self._unordered: list[int] = []
         self.size = 0
+
+    @classmethod
+    def from_column(cls, values: Iterable[Any], order: int = 32) -> "BPlusTreeIndex":
+        """Bulk-load a whole column bottom-up; ``values[i]`` is row ``i``'s key.
+
+        Stores exactly what inserting every row in row order would: each
+        slot keeps the first (in row order) of its equal keys and their
+        row ids ascending, NULL/NaN rows sit in ``_unordered`` in row
+        order.  Only the node shapes differ — leaves are packed evenly
+        with at most ``order`` keys and the inner levels are built over
+        them with min-key separators — so every probe answers alike.
+        """
+        tree = cls(order)
+        keys = list(values)
+        ordered = []
+        for row_id, key in enumerate(keys):
+            if key is None or key != key:  # noqa: PLR0124
+                tree._unordered.append(row_id)
+            else:
+                ordered.append(row_id)
+        ordered.sort(key=keys.__getitem__)  # stable: equal keys stay in row order
+        sorted_keys = [keys[row_id] for row_id in ordered]
+        if any(map(eq, sorted_keys, islice(sorted_keys, 1, None))):
+            slot_keys: list = []
+            slot_ids: list = []
+            for row_id, key in zip(ordered, sorted_keys):
+                if slot_keys and slot_keys[-1] == key:
+                    slot_ids[-1].append(row_id)
+                else:
+                    slot_keys.append(key)
+                    slot_ids.append([row_id])
+        else:
+            slot_keys = sorted_keys
+            slot_ids = [[row_id] for row_id in ordered]
+        tree.size = len(ordered)
+        if not slot_keys:
+            return tree
+        leaves = [
+            _Leaf(slot_keys[start:stop], slot_ids[start:stop], None)
+            for start, stop in _even_runs(len(slot_keys), order)
+        ]
+        for left, right in zip(leaves, leaves[1:]):
+            left.next = right
+        # (node, its smallest key) pairs; a parent's separators are the
+        # smallest keys of its children after the first.
+        nodes = [(leaf, leaf.keys[0]) for leaf in leaves]
+        while len(nodes) > 1:
+            nodes = [
+                (
+                    _Inner(
+                        [low for _, low in nodes[start + 1 : stop]],
+                        [node for node, _ in nodes[start:stop]],
+                    ),
+                    nodes[start][1],
+                )
+                for start, stop in _even_runs(len(nodes), order)
+            ]
+        tree._root = nodes[0][0]
+        return tree
 
     # -- maintenance ---------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.sqldb.errors import SchemaError
 
@@ -43,9 +43,13 @@ class Column:
         try:
             return converter(value)
         except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"cannot convert {value!r} to {self.sql_type} for column {self.name}"
-            ) from exc
+            raise self.conversion_error(value) from exc
+
+    def conversion_error(self, value: Any) -> SchemaError:
+        """The error for a value this column's type cannot hold."""
+        return SchemaError(
+            f"cannot convert {value!r} to {self.sql_type} for column {self.name}"
+        )
 
 
 class _RowList(list):
@@ -142,32 +146,68 @@ class Table:
                     f"table {self.name} expects {len(self.columns)} values, got {len(values)}"
                 )
             row = tuple(col.convert(v) for col, v in zip(self.columns, values))
-        else:
-            if len(values) != len(column_names):
-                raise SchemaError("column list and value list lengths differ")
-            row_map = {name: value for name, value in zip(column_names, values)}
-            row = tuple(
-                col.convert(row_map[col.name]) if col.name in row_map else None
-                for col in self.columns
-            )
-            unknown = set(row_map) - set(self.column_names)
-            if unknown:
-                raise SchemaError(f"unknown columns in INSERT: {sorted(unknown)}")
-        self.rows.append(row)
+            self.rows.append(row)
+            return
+        if len(values) != len(column_names):
+            raise SchemaError("column list and value list lengths differ")
+        self.insert_records([dict(zip(column_names, values))])
 
     def insert_dict(self, record: dict[str, Any]) -> None:
         """Insert one row from a column-name → value mapping."""
-        self.insert(list(record.values()), column_names=list(record.keys()))
+        self.insert_records([record])
+
+    def insert_records(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Insert one row per column-name → value mapping, in order.
+
+        Each record is coerced column by column in schema order (a
+        missing column is NULL), then checked for unknown columns; the
+        first record that fails raises :class:`SchemaError` and the
+        records before it stay inserted.  The converters are resolved
+        once per call and the converted rows join the table in one
+        ``extend``, an append the columnar mirror folds in incrementally.
+        """
+        columns = [
+            (column.name, _TYPE_CONVERTERS[column.sql_type.upper()], column)
+            for column in self.columns
+        ]
+        known = self._index.keys()
+        converted: list[tuple] = []
+        try:
+            for record in records:
+                row = []
+                for name, converter, column in columns:
+                    value = record.get(name)
+                    if value is not None:
+                        try:
+                            value = converter(value)
+                        except (TypeError, ValueError) as exc:
+                            raise column.conversion_error(value) from exc
+                    row.append(value)
+                if not known >= record.keys():
+                    raise SchemaError(
+                        f"unknown columns in INSERT: {sorted(record.keys() - known)}"
+                    )
+                converted.append(tuple(row))
+        finally:
+            self.rows.extend(converted)
 
     def append_rows(self, rows: list[tuple]) -> None:
         """Extend the row list with already-coerced tuples, in place.
 
         The single bulk-append entry point for snapshot restore and
-        :class:`~repro.runtime.wire.ShardDelta` streams.  Appending in
-        place (rather than rebinding ``self.rows``) is what lets the
-        columnar store recognize the mutation as an incremental append
-        instead of a rebuild.
+        :class:`~repro.runtime.wire.ShardDelta` streams.  Every row must
+        have one value per column; otherwise :class:`SchemaError` is
+        raised and nothing is appended.  Appending in place (rather than
+        rebinding ``self.rows``) is what lets the columnar store
+        recognize the mutation as an incremental append instead of a
+        rebuild.
         """
+        width = len(self.columns)
+        for row in rows:
+            if len(row) != width:
+                raise SchemaError(
+                    f"table {self.name} expects {width} values, got {len(row)}"
+                )
         self.rows.extend(rows)
 
     def scan(

@@ -1,7 +1,10 @@
 """Unit tests for the columnar store: typed vectors, incremental sync,
 index maintenance, and the Table.scan projection fast path."""
 
+import pytest
+
 from repro.sqldb import ColumnVector, Database
+from repro.sqldb.errors import SchemaError
 
 
 def _make_db(rows=200):
@@ -57,6 +60,30 @@ class TestColumnVector:
     def test_text_and_boolean_are_plain_lists(self):
         assert not ColumnVector("TEXT").typed
         assert not ColumnVector("BOOLEAN").typed
+
+    @pytest.mark.parametrize(
+        "sql_type, head, batch",
+        [
+            ("INTEGER", [1], [2, 3, 4]),
+            ("INTEGER", [1], [2, None, 4]),
+            ("INTEGER", [1], [2, True, 4]),
+            ("INTEGER", [1], [2, 2**70, 4]),  # array.extend fails after appending 2
+            ("INTEGER", [None], [2, 3]),
+            ("REAL", [0.5], [1.5, 3, -0.0]),
+            ("REAL", [], [1.5, float("nan")]),
+            ("TEXT", ["a"], ["b", None]),
+        ],
+    )
+    def test_extend_equals_appending_one_by_one(self, sql_type, head, batch):
+        by_value, batched = ColumnVector(sql_type), ColumnVector(sql_type)
+        for value in head:
+            by_value.append(value)
+            batched.append(value)
+        for value in batch:
+            by_value.append(value)
+        batched.extend(tuple(batch))
+        assert batched.typed == by_value.typed
+        assert [(type(v), repr(v)) for v in batched] == [(type(v), repr(v)) for v in by_value]
 
 
 class TestColumnStoreSync:
@@ -140,6 +167,39 @@ class TestColumnStoreSync:
         table.sync_store()
         assert store.index_stats() == {}  # lazily rebuilt on next probe
         assert store.hash_index("x").lookup(0) == []
+
+    @pytest.mark.parametrize("force_scan", ["0", "1"])
+    def test_short_row_is_refused_before_anything_grows(self, force_scan, monkeypatch):
+        """A row narrower than the schema used to pass ``append_rows``: the
+        compiled path then died inside the store with its vectors half
+        grown, while the forced scan failed differently.  Now both refuse
+        the whole batch up front and keep answering from the old rows."""
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", force_scan)
+        db = Database()
+        db.create_table("t", [("value", "REAL"), ("zone", "INTEGER")])
+        db.insert_rows("t", [{"value": float(i), "zone": i % 3} for i in range(9)])
+        table = db.table("t")
+        store = table.column_store
+        store.hash_index("zone")  # live: an append must fold into it
+        sql = "SELECT value FROM t WHERE zone = 1"
+        before = db.query(sql).rows
+        with pytest.raises(SchemaError, match="expects 2 values, got 1"):
+            table.append_rows([(9.0, 1), (5.0,)])
+        assert len(table.rows) == 9 and table.rows.mutations == 0
+        assert db.query(sql).rows == before == [(1.0,), (4.0,), (7.0,)]
+        assert table.column_store is store
+        assert (store.count, store.rebuilds, store.appended_rows) == (9, 1, 9)
+        assert [len(store.column(name)) for name in ("value", "zone")] == [9, 9]
+
+    def test_store_refuses_a_short_row_it_did_not_see_checked(self):
+        db = _make_db(rows=4)
+        table = db.table("t")
+        store = table.column_store
+        table.rows.append((1, 2.0))  # bypasses Table.append_rows
+        with pytest.raises(SchemaError):
+            table.sync_store()
+        assert [len(store.column(name)) for name in ("x", "y", "tag")] == [4, 4, 4]
+        assert store.count == 4
 
     def test_database_sync_columnar_skips_lazy_tables(self):
         db = _make_db()

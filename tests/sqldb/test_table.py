@@ -81,3 +81,71 @@ class TestTable:
         assert len(table) == 0
         table.insert([1, "x"])
         assert len(table) == 1
+
+
+class TestInsertRecords:
+    """Bulk ingest (one insert_records call) must behave exactly like the
+    per-record insert_dict loop: same rows, same first error, same prefix."""
+
+    def _table(self) -> Table:
+        return Table(name="t", columns=[Column("a", "INTEGER"), Column("b", "TEXT")])
+
+    def _ingest(self, records, bulk):
+        """(table, the SchemaError raised or None) after ingesting ``records``."""
+        table = self._table()
+        try:
+            if bulk:
+                table.insert_records(records)
+            else:
+                for record in records:
+                    table.insert_dict(record)
+        except SchemaError as exc:
+            return table, exc
+        return table, None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"a": "x", "b": 1},
+            {"a": 1, "zzz": 2},
+            {"zzz": 2, "a": "x"},  # conversion runs before the unknown-column check
+            {"a": [1]},
+        ],
+        ids=["bad-value", "unknown-column", "both", "type-error"],
+    )
+    def test_failure_mid_batch_matches_the_per_record_loop(self, bad):
+        records = [{"a": 1, "b": "x"}, {"a": "2"}, bad, {"a": 4, "b": "y"}]
+        bulk, bulk_error = self._ingest(records, bulk=True)
+        loop, loop_error = self._ingest(records, bulk=False)
+        assert bulk_error is not None and loop_error is not None
+        assert str(bulk_error) == str(loop_error)
+        assert bulk.rows == loop.rows == [(1, "x"), (2, None)]
+        assert bulk.rows.mutations == 0
+
+    def test_missing_keys_become_null(self):
+        records = [{"a": 1}, {"b": 7}, {}, {"a": None, "b": None}]
+        bulk, error = self._ingest(records, bulk=True)
+        assert error is None
+        assert bulk.rows == [(1, None), (None, "7"), (None, None), (None, None)]
+        assert bulk.rows == self._ingest(records, bulk=False)[0].rows
+        assert bulk.rows.mutations == 0
+
+    def test_error_messages(self):
+        table = self._table()
+        with pytest.raises(SchemaError, match=r"cannot convert 'x' to INTEGER for column a"):
+            table.insert_records([{"a": "x"}])
+        with pytest.raises(SchemaError, match=r"unknown columns in INSERT: \['y', 'z'\]"):
+            table.insert_records([{"z": 1, "y": 2}])
+        assert table.rows == []
+
+    def test_ingest_into_a_live_store_is_an_append(self):
+        table = self._table()
+        table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50)])
+        store = table.column_store
+        store.hash_index("b")
+        store.tree_index("a")
+        table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50, 80)])
+        assert table.column_store is store
+        assert store.rebuilds == 1 and store.appended_rows == 80 and store.count == 80
+        assert store.hash_index("b").lookup("1") == list(range(1, 80, 3))
+        assert store.tree_index("a").range_ids(45, 55) == list(range(45, 56))
