@@ -103,7 +103,7 @@ def measure_epoch_seconds(
 ) -> dict:
     """Epoch wall-clock stats over TIMED_EPOCHS epochs (1 warmup)."""
     system, query_id = build_system(executor, workers=workers, shards=shards)
-    system.run_epoch(query_id, 0)  # warmup: pools, worker imports, calibration
+    system.run_epoch(query_id, 0)  # warmup: pools, worker imports
     times = []
     for epoch in range(1, TIMED_EPOCHS + 1):
         start = time.perf_counter()
@@ -344,7 +344,7 @@ def measure_multi_query_epoch_seconds(
             for query_id in query_ids:
                 system.run_epoch(query_id, epoch)
 
-    run(0)  # warmup: pools, topics, calibration
+    run(0)  # warmup: pools, topics
     times = []
     for epoch in range(1, TIMED_EPOCHS + 1):
         start = time.perf_counter()

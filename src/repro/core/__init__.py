@@ -55,7 +55,6 @@ from repro.core.privacy import (
 from repro.core.estimation import (
     sampling_error_bound,
     estimated_variance,
-    combined_error_bound,
     ErrorEstimator,
 )
 from repro.core.encryption import AnswerCodec, EncryptedAnswer
@@ -99,7 +98,6 @@ __all__ = [
     "PrivacyAccountant",
     "sampling_error_bound",
     "estimated_variance",
-    "combined_error_bound",
     "ErrorEstimator",
     "AnswerCodec",
     "EncryptedAnswer",

@@ -5,7 +5,7 @@ shares of each message identifier ``MID``, XOR-decrypts them to recover the
 randomized answers, and processes the answers as sliding windows: for every
 window it inverts the randomization (Eq. 5), scales the per-window counts by
 ``U / U'`` to account for sampling (Eq. 2), estimates the error bound of each
-bucket (Eq. 3 plus the empirical randomization error), and emits
+bucket (the closed-form sampling + randomization variance), and emits
 ``queryResult +/- errorBound`` per bucket.
 
 The windowed dataflow is built on the streaming substrate: a keyed join
@@ -15,13 +15,14 @@ decrypted answers into the query's sliding windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analytics.histogram import HistogramResult
 from repro.core.admission import AnswerAdmissionController
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec
-from repro.core.estimation import ErrorEstimator, count_answer_bits, estimate_histogram
+from repro.core.estimation import count_answer_bits, estimate_histogram
 from repro.core.proxy import poll_shares
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
@@ -58,7 +59,10 @@ class Aggregator:
         The analyst's query (provides bucket labels, window length and slide).
     parameters:
         The execution parameters in force (``s, p, q``), needed to invert the
-        randomization and to scale for sampling.
+        randomization and to scale for sampling.  The feedback loop may
+        replace them between epochs; each epoch's ingest remembers the set it
+        ran under, and a window is estimated and bounded at the set of the
+        newest epoch it covers.
     total_clients:
         ``U`` — the number of clients subscribed to the query per epoch.
     confidence_level:
@@ -70,7 +74,6 @@ class Aggregator:
     total_clients: int
     num_proxies: int = 2
     confidence_level: float = 0.95
-    error_estimator: ErrorEstimator | None = None
     validator: AnswerValidator | None = None
     admission: AnswerAdmissionController | None = None
     allowed_lateness_seconds: float = 0.0
@@ -92,12 +95,6 @@ class Aggregator:
         # The query is fixed for the aggregator's life, so its bucket labels
         # are formatted once, not once per window result.
         self._labels = self.query.answer_spec.labels()
-        if self.error_estimator is None:
-            self.error_estimator = ErrorEstimator(
-                p=self.parameters.p,
-                q=self.parameters.q,
-                confidence_level=self.confidence_level,
-            )
         self._assigner = SlidingWindowAssigner(
             window_length=self.query.window_seconds,
             slide_interval=self.query.slide_seconds,
@@ -108,6 +105,9 @@ class Aggregator:
             aggregate_fn=self._aggregate_window,
             allowed_lateness=self.allowed_lateness_seconds,
         )
+        # The parameters each recent epoch was ingested under; only epochs no
+        # older than the last closed window's newest one are kept.
+        self._epoch_parameters: dict[int, ExecutionParameters] = {}
         self.answers_processed = 0
         self.shares_received = 0
         self.malformed_messages = 0
@@ -138,6 +138,7 @@ class Aggregator:
         the constant factor changes.  Every staged-engine flow uses this mode.
         """
         timestamp = self._epoch_timestamp(epoch)
+        self._epoch_parameters.setdefault(epoch, self.parameters)
         self.shares_received += len(shares)
         if batched:
             joined = self._join_grouped(shares, timestamp)
@@ -340,7 +341,16 @@ class Aggregator:
         counts = aggregate["counts"]
         num_answers = aggregate["num_answers"]
         population = self.total_clients * aggregate["num_epochs"]
-        histogram = self._estimate_histogram(window, counts, num_answers, population)
+        # The last epoch whose ingest timestamp falls inside the window.
+        newest = math.ceil(window.end / self.query.frequency_seconds) - 1
+        parameters = self._epoch_parameters.get(newest, self.parameters)
+        # Windows close in end-time order: no later window needs an older
+        # epoch's entry.
+        for epoch in [epoch for epoch in self._epoch_parameters if epoch < newest]:
+            del self._epoch_parameters[epoch]
+        histogram = self._estimate_histogram(
+            window, counts, num_answers, population, parameters
+        )
         return WindowResult(
             window=window,
             histogram=histogram,
@@ -349,16 +359,20 @@ class Aggregator:
         )
 
     def _estimate_histogram(
-        self, window: Window, counts: list[int], num_answers: int, population: int
+        self,
+        window: Window,
+        counts: list[int],
+        num_answers: int,
+        population: int,
+        parameters: ExecutionParameters,
     ) -> HistogramResult:
         return estimate_histogram(
             counts,
             num_answers,
             population,
             labels=self._labels,
-            p=self.parameters.p,
-            q=self.parameters.q,
-            estimator=self.error_estimator,
+            p=parameters.p,
+            q=parameters.q,
             confidence_level=self.confidence_level,
             window=(window.start, window.end),
         )

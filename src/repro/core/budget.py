@@ -144,9 +144,7 @@ class BudgetPlanner:
         s = self.accountant.sampling_fraction_for_target(
             p=min_p, q=params.q, epsilon_target=max_epsilon
         )
-        return ExecutionParameters(
-            sampling_fraction=max(s, self.min_sampling_fraction), p=min_p, q=params.q
-        )
+        return ExecutionParameters(sampling_fraction=s, p=min_p, q=params.q)
 
     def _apply_latency_budget(
         self, params: ExecutionParameters, budget: QueryBudget
@@ -163,7 +161,9 @@ class BudgetPlanner:
             if latency.total_seconds <= budget.max_latency_seconds:
                 return params.with_sampling_fraction(fraction)
             fraction = max(self.min_sampling_fraction, fraction * 0.8)
-        return params.with_sampling_fraction(self.min_sampling_fraction)
+        # Never above the fraction it was given: privacy may have capped it
+        # below the floor.
+        return params.with_sampling_fraction(fraction)
 
     def _apply_accuracy_target(
         self, params: ExecutionParameters, target_loss: float
@@ -194,13 +194,16 @@ class BudgetPlanner:
         params: ExecutionParameters,
         observed_relative_error: float,
         target_accuracy_loss: float,
+        max_epsilon: float | None = None,
     ) -> ExecutionParameters:
         """Adjust parameters after a window whose error exceeded the target.
 
         The feedback mechanism raises the sampling fraction (more participants
         next epoch) and, if sampling is already saturated, raises ``p``.  When
         the observed error is comfortably inside the target the planner lowers
-        the sampling fraction again to save resources.
+        the sampling fraction again to save resources.  Whatever it proposes
+        is then capped by ``max_epsilon`` exactly as :meth:`plan` caps it:
+        when the accuracy target and the privacy budget conflict, privacy wins.
         """
         if observed_relative_error < 0:
             raise ValueError("observed error must be non-negative")
@@ -210,11 +213,14 @@ class BudgetPlanner:
         if observed_relative_error > target_accuracy_loss:
             if params.sampling_fraction < 1.0:
                 grown = min(1.0, params.sampling_fraction * 1.25)
-                return params.with_sampling_fraction(grown)
-            return params.with_p(min(1.0, params.p + 0.1))
-        if observed_relative_error < 0.5 * target_accuracy_loss:
+                params = params.with_sampling_fraction(grown)
+            else:
+                params = params.with_p(min(1.0, params.p + 0.1))
+        elif observed_relative_error < 0.5 * target_accuracy_loss:
             shrunk = max(self.min_sampling_fraction, params.sampling_fraction * 0.9)
-            return params.with_sampling_fraction(shrunk)
+            params = params.with_sampling_fraction(shrunk)
+        if max_epsilon is not None:
+            params = self._apply_privacy_budget(params, max_epsilon)
         return params
 
     # -- historical analytics ------------------------------------------------------

@@ -2,32 +2,28 @@
 
 Section 3.2.4 decomposes the accuracy loss into the part caused by sampling and
 the part caused by randomized response, shows the two are statistically
-independent, and sums the independently estimated errors to form the total
-error bound reported with each query result (``queryResult +/- errorBound``).
+independent, and reports ``queryResult +/- errorBound`` with each result.
 
-* The sampling error is analytical: the t-distribution confidence interval of
+* The sampling error alone is the t-distribution confidence interval of
   Equations 2-4 (:func:`sampling_error_bound`).
-* The randomized-response error is estimated empirically, by running a short
-  calibration ("several micro-benchmarks at the beginning of the query
-  answering process") without sampling and measuring Eq. 6
-  (:meth:`ErrorEstimator.calibrate_randomized_response`).
+* A bucket estimate carries both sources.  :func:`bucket_variance` gives
+  its variance in closed form -- sampling part under the finite-population
+  factor, randomized-response part without it -- and the two add as
+  variances, not as margins (the paper sums the errors; see
+  ``docs/PRIVACY.md``).  :meth:`ErrorEstimator.bucket_error_bound` turns it
+  into a margin at the confidence level.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
 from repro.analytics.histogram import BucketEstimate, HistogramResult
 from repro.core.query import QueryAnswer
-from repro.core.randomized_response import (
-    estimate_true_yes,
-    rr_accuracy_loss,
-    simulate_randomized_survey,
-)
+from repro.core.randomized_response import estimate_true_yes
 from repro.core.sampling import sample_variance, t_critical
 
 
@@ -66,104 +62,83 @@ def sampling_error_bound(
     return t_value * math.sqrt(variance)
 
 
-def combined_error_bound(sampling_error: float, randomization_error: float) -> float:
-    """Total error bound: the two independent error components added (Section 3.2.4)."""
-    if sampling_error < 0 or randomization_error < 0:
-        raise ValueError("error components must be non-negative")
-    return sampling_error + randomization_error
+def bucket_variance(
+    observed_yes: float, num_answers: float, population: float, p: float, q: float
+) -> float:
+    """Variance of one bucket's scaled estimate (sampling + randomized response).
 
+    ``observed_yes`` of the ``num_answers`` randomized bits are Yes; the
+    estimate scales their de-randomized sum to ``population`` clients (Eqs.
+    2 and 5).  With ``f = n / U``:
 
-@dataclass
-class ErrorEstimator:
-    """Produces the per-bucket error bound attached to every query result.
+    * ``s_a^2 = k (n - k) / (p^2 n (n - 1))`` is the sample variance of the
+      corrected contributions (the ``a_i`` of Eq. 2), which take two values;
+    * ``v_rr = (y pi_1 (1 - pi_1) + (1 - y) pi_0 (1 - pi_0)) / p^2`` is the
+      per-answer randomized-response variance at the de-randomized Yes
+      fraction ``y`` (clamped to [0, 1]), with ``pi_1 = p + (1 - p) q`` and
+      ``pi_0 = (1 - p) q`` the Yes probabilities of a true Yes / No;
+    * ``Var = (U^2 / n) ((1 - f) s_a^2 + f v_rr)``: the finite-population
+      factor applies to the sampling part only, and the two independent
+      sources add as variances.
 
-    Parameters
-    ----------
-    p, q:
-        Randomization parameters in force for the query.
-    confidence_level:
-        Confidence level of the sampling error bound (default 95%).
-    calibration_trials / calibration_size:
-        Number and size of the synthetic randomized-response calibration runs
-        used to estimate the randomization error empirically.
-    rng:
-        Randomness source for the calibration runs.
+    Counts may be fractional (expected values), which is how
+    :func:`expected_accuracy_loss` reuses it.  Needs ``num_answers >= 2``.
     """
+    n, k = num_answers, observed_yes
+    fraction = min(1.0, n / population) if population > 0 else 1.0
+    pi_0 = (1.0 - p) * q
+    pi_1 = p + pi_0
+    yes_fraction = min(1.0, max(0.0, (k / n - pi_0) / p))
+    contribution_variance = k * (n - k) / (p * p * n * (n - 1))
+    rr_variance = (
+        yes_fraction * pi_1 * (1.0 - pi_1) + (1.0 - yes_fraction) * pi_0 * (1.0 - pi_0)
+    ) / (p * p)
+    return (population * population / n) * (
+        (1.0 - fraction) * contribution_variance + fraction * rr_variance
+    )
 
-    p: float
-    q: float
+
+def expected_accuracy_loss(
+    sampling_fraction: float, p: float, q: float, population: int, yes_fraction: float
+) -> float:
+    """Expected Eq. 6 loss of a scaled count: ``sqrt(2 / pi) * sigma / mu``.
+
+    ``mu = U y`` is the true count and ``sigma`` the square root of
+    :func:`bucket_variance` at ``n = s U`` answers with the expected number
+    of observed Yes bits; an unbiased, normal estimate's mean absolute error
+    is ``sqrt(2 / pi) sigma``.
+    """
+    num_answers = sampling_fraction * population
+    pi_0 = (1.0 - p) * q
+    observed_yes = num_answers * (pi_0 + p * yes_fraction)
+    variance = bucket_variance(observed_yes, num_answers, population, p, q)
+    return math.sqrt(2.0 / math.pi) * math.sqrt(variance) / (population * yes_fraction)
+
+
+@dataclass(frozen=True)
+class ErrorEstimator:
+    """Produces the per-bucket error bound attached to every query result."""
+
     confidence_level: float = 0.95
-    calibration_trials: int = 10
-    calibration_size: int = 2_000
-    rng: random.Random = field(default_factory=random.Random)
-
-    def __post_init__(self) -> None:
-        self._rr_loss_cache: dict[float, float] = {}
-
-    # -- randomized response error (empirical) -----------------------------
-
-    def calibrate_randomized_response(self, yes_fraction: float) -> float:
-        """Mean accuracy loss of randomized response at a given Yes fraction.
-
-        Runs ``calibration_trials`` synthetic surveys of ``calibration_size``
-        answers with the current ``(p, q)`` and no sampling, and returns the
-        mean Eq. 6 loss.  Results are cached per Yes fraction (rounded) since
-        the estimate is reused for every window.
-        """
-        if not 0.0 <= yes_fraction <= 1.0:
-            raise ValueError("yes_fraction must lie in [0, 1]")
-        key = round(yes_fraction, 3)
-        if key in self._rr_loss_cache:
-            return self._rr_loss_cache[key]
-        losses = []
-        true_yes = round(self.calibration_size * yes_fraction)
-        for _ in range(self.calibration_trials):
-            _, estimate = simulate_randomized_survey(
-                true_yes=true_yes,
-                total=self.calibration_size,
-                p=self.p,
-                q=self.q,
-                rng=self.rng,
-            )
-            if true_yes > 0:
-                losses.append(rr_accuracy_loss(true_yes, estimate))
-            else:
-                losses.append(abs(estimate) / self.calibration_size)
-        loss = sum(losses) / len(losses)
-        self._rr_loss_cache[key] = loss
-        return loss
-
-    def randomization_error(self, estimated_count: float, yes_fraction: float) -> float:
-        """Absolute randomization error bound for one bucket estimate."""
-        relative_loss = self.calibrate_randomized_response(yes_fraction)
-        return abs(estimated_count) * relative_loss
-
-    # -- combined error --------------------------------------------------------
 
     def bucket_error_bound(
-        self,
-        corrected_values: Sequence[float],
-        population_size: int,
-        estimated_count: float,
+        self, observed_yes: int, num_answers: int, population: int, p: float, q: float
     ) -> float:
-        """Total error bound for one bucket of one window.
+        """``t_{n-1}(level) * sqrt(Var)`` for one bucket of one window.
 
-        ``corrected_values`` are the per-answer contributions after inverting
-        the randomization (the ``a_i`` of Eq. 2, which already contain the
-        randomization noise); ``population_size`` is the total client count
-        ``U``; ``estimated_count`` is the scaled bucket estimate.
+        ``p`` and ``q`` are the randomization parameters the estimate was
+        inverted with; ``Var`` is :func:`bucket_variance`.  An empty window
+        is unbounded (zero when there is no population), and so is a window
+        of one answer, whose sample variance is undefined.
         """
-        sample_size = len(corrected_values)
-        sampling_error = sampling_error_bound(
-            corrected_values, population_size, self.confidence_level
-        )
-        yes_fraction = 0.0
-        if sample_size > 0:
-            yes_fraction = min(1.0, max(0.0, estimated_count / max(population_size, 1)))
-        randomization_error = self.randomization_error(estimated_count, yes_fraction)
-        if not math.isfinite(sampling_error):
+        if num_answers == 0:
+            return float("inf") if population > 0 else 0.0
+        t_value = t_critical(num_answers, self.confidence_level)
+        if not math.isfinite(t_value):
             return float("inf")
-        return combined_error_bound(sampling_error, randomization_error)
+        return t_value * math.sqrt(
+            bucket_variance(observed_yes, num_answers, population, p, q)
+        )
 
 
 def count_answer_bits(
@@ -198,28 +173,21 @@ def estimate_histogram(
     labels: Sequence[str],
     p: float,
     q: float,
-    estimator: ErrorEstimator,
     confidence_level: float = 0.95,
     window: tuple[float, float] | None = None,
 ) -> HistogramResult:
     """Turn one window's observed bucket counts into ``estimate +/- bound``.
 
     Every bucket's count is de-randomized (Eq. 5), scaled by
-    ``population / num_answers`` (Eq. 2) and given the estimator's error
-    bound.  The streaming aggregator and the historical batch job share this
-    routine, so a window and a batch over the same answers agree.
+    ``population / num_answers`` (Eq. 2) and given its error bound at the
+    same ``p`` and ``q``.  The streaming aggregator and the historical batch
+    job share this routine, so a window and a batch over the same answers
+    agree.
 
     Within one window ``num_answers``, ``population``, ``p`` and ``q`` are
-    fixed, so the estimate depends on the bucket's observed count alone, and
-    buckets that share a count share one ``(estimate, error_bound)`` pair
-    (a dict local to this call; nothing is remembered across windows).  That
-    skips calls to :meth:`ErrorEstimator.bucket_error_bound` without
-    changing what any call returns or draws: a repeated count has the same
-    Yes fraction, hence the same ``round(yes_fraction, 3)`` key, which the
-    first bucket with that count already put in the estimator's calibration
-    cache.  The skipped call would have been a cache hit that returns the
-    same float and leaves ``estimator.rng`` alone, so calibration misses
-    still happen in the same order and consume the same draws.
+    fixed, so ``(estimate, error_bound)`` depends on the bucket's observed
+    count alone: buckets that share a count share one pair (a dict local to
+    this call; nothing is remembered across windows).
     """
     histogram = HistogramResult(window=window, num_answers=num_answers)
     if num_answers == 0:
@@ -231,52 +199,16 @@ def estimate_histogram(
         return histogram
 
     scale = population / num_answers
-    # Per-answer corrected contributions: the a_i of Eq. 2, carrying the
-    # randomization noise.  Bits are 0/1, so there are exactly two values.
-    corrected_one = (1.0 - (1.0 - p) * q) / p
-    corrected_zero = (0.0 - (1.0 - p) * q) / p
+    estimator = ErrorEstimator(confidence_level)
     by_count: dict[int, tuple[float, float]] = {}
     for index, label in enumerate(labels):
         observed_yes = counts[index]
         pair = by_count.get(observed_yes)
         if pair is None:
             estimate = scale * estimate_true_yes(observed_yes, num_answers, p, q)
-            contributions = [corrected_one] * observed_yes + [corrected_zero] * (
-                num_answers - observed_yes
-            )
             error = estimator.bucket_error_bound(
-                corrected_values=contributions,
-                population_size=population,
-                estimated_count=estimate,
+                observed_yes, num_answers, population, p, q
             )
             pair = by_count[observed_yes] = (estimate, error)
         histogram.add_bucket(BucketEstimate(index, label, *pair, confidence_level))
     return histogram
-
-
-def estimate_randomization_loss_curve(
-    p: float,
-    q: float,
-    yes_fractions: Sequence[float],
-    num_answers: int = 10_000,
-    trials: int = 5,
-    seed: int | None = None,
-) -> list[float]:
-    """Empirical accuracy-loss curve of randomized response across Yes fractions.
-
-    This is the measurement behind Figure 5(a)'s native-query curve and the
-    randomized-response component of Figure 4(b).
-    """
-    rng = random.Random(seed)
-    losses = []
-    for fraction in yes_fractions:
-        true_yes = round(num_answers * fraction)
-        trial_losses = []
-        for _ in range(trials):
-            _, estimate = simulate_randomized_survey(true_yes, num_answers, p, q, rng)
-            if true_yes > 0:
-                trial_losses.append(rr_accuracy_loss(true_yes, estimate))
-            else:
-                trial_losses.append(abs(estimate) / num_answers)
-        losses.append(sum(trial_losses) / len(trial_losses))
-    return losses

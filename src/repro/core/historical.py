@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analytics.histogram import HistogramResult
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
-from repro.core.estimation import ErrorEstimator, count_answer_bits, estimate_histogram
+from repro.core.estimation import count_answer_bits, estimate_histogram
 from repro.core.query import Query, QueryAnswer
 from repro.storage import BlockStore
 
@@ -138,8 +138,5 @@ class HistoricalAnalytics:
             labels=query.answer_spec.labels(),
             p=parameters.p,
             q=parameters.q,
-            estimator=ErrorEstimator(
-                p=parameters.p, q=parameters.q, confidence_level=confidence_level
-            ),
             confidence_level=confidence_level,
         )

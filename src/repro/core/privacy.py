@@ -177,6 +177,9 @@ class PrivacyAccountant:
         base = randomized_response_epsilon(p, q)
         if base <= epsilon_target:
             return 1.0
-        # Invert epsilon_s = ln(1 + s (e^base - 1)) for s.
-        s = (math.exp(epsilon_target) - 1.0) / (math.exp(base) - 1.0)
-        return max(0.0, min(1.0, s))
+        # Invert epsilon_s = ln(1 + s (e^base - 1)) for s.  Rounding can land
+        # a few ulps above the target; step down until the target is met.
+        s = max(0.0, min(1.0, math.expm1(epsilon_target) / math.expm1(base)))
+        while s > 0.0 and not self.satisfies(p, q, s, epsilon_target):
+            s = math.nextafter(s, 0.0)
+        return s

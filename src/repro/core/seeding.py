@@ -1,10 +1,9 @@
 """Deterministic per-query seed derivation, shared across components.
 
-Several components need an independent random stream *per query* that is
-still reproducible from one deployment seed: the client's per-query
-sampling/randomization RNGs and encryption keystreams, and the system's
-per-query error-calibration estimators.  They must all use the same mixing
-formula so the derivation is defined in exactly one place.
+A client needs an independent random stream *per query* that is still
+reproducible from one deployment seed: its per-query sampling/randomization
+RNG and its encryption keystream.  Both use the same mixing formula, so the
+derivation is defined in exactly one place.
 """
 
 from __future__ import annotations

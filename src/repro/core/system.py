@@ -36,11 +36,9 @@ from repro.core.analyst import Analyst
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
 from repro.core.client import Client, ClientConfig, ResponseLog, pack_responses
 from repro.core.distribution import QueryDistributor
-from repro.core.estimation import ErrorEstimator
 from repro.core.historical import HistoricalStore
 from repro.core.proxy import ProxyNetwork
 from repro.core.query import Query
-from repro.core.seeding import derive_query_seed
 from repro.core.validation import AnswerValidator
 from repro.runtime import (
     EpochContext,
@@ -118,7 +116,10 @@ class EpochReport:
 
     ``late_drops`` names this query's participants whose answers were dropped
     because they were in ``PrivApproxSystem.late_clients``, sorted; empty
-    when nobody was late.
+    when nobody was late.  ``accuracy_target_unmet`` is set when one of this
+    epoch's windows missed the budget's accuracy target and the planner
+    could not raise ``s`` or ``p`` any further (both at 1, or capped by the
+    budget's ``max_epsilon``, which always wins).
     """
 
     epoch: int
@@ -127,6 +128,7 @@ class EpochReport:
     window_results: tuple
     parameters: ExecutionParameters
     late_drops: tuple = ()
+    accuracy_target_unmet: bool = False
 
     @property
     def participation_rate(self) -> float:
@@ -230,7 +232,6 @@ class PrivApproxSystem:
             parameters=params,
             total_clients=self.config.num_clients,
             num_proxies=self.config.num_proxies,
-            error_estimator=self._make_error_estimator(query, params),
             validator=AnswerValidator(query) if self.config.enable_validation else None,
             admission=(
                 AnswerAdmissionController() if self.config.enable_admission_control else None
@@ -243,22 +244,6 @@ class PrivApproxSystem:
         self._responses_log[query.query_id] = []
         self._distribute_query(query, budget, params)
         return params
-
-    def _make_error_estimator(
-        self, query: Query, params: ExecutionParameters
-    ) -> ErrorEstimator | None:
-        """A calibration estimator seeded from the system seed (when set).
-
-        Seeding makes the empirical randomization-error calibration — and so
-        the full window results, error bounds included — reproducible for a
-        given system seed, which is what lets the executor-equivalence tests
-        demand byte-identical results.  Unseeded systems keep the default
-        fresh-entropy estimator.
-        """
-        if self.config.seed is None:
-            return None
-        derived = derive_query_seed(self.config.seed, query.query_id)
-        return ErrorEstimator(p=params.p, q=params.q, rng=random.Random(derived))
 
     def _distribute_query(
         self, query: Query, budget: QueryBudget, params: ExecutionParameters
@@ -407,7 +392,7 @@ class PrivApproxSystem:
         self._responses_log[query_id].extend(pack_responses(outcome.responses))
         window_results = list(outcome.window_results)
         self._record_historical(query, aggregator, epoch, outcome.responses)
-        self._deliver_and_retune(query_id, window_results)
+        target_unmet = self._deliver_and_retune(query_id, window_results)
         aggregator.finish_epoch(epoch)
         return EpochReport(
             epoch=epoch,
@@ -416,6 +401,7 @@ class PrivApproxSystem:
             window_results=tuple(window_results),
             parameters=self._parameters[query_id],
             late_drops=outcome.late_drops,
+            accuracy_target_unmet=target_unmet,
         )
 
     def run_epochs(self, query_id: str, num_epochs: int) -> list[EpochReport]:
@@ -481,9 +467,11 @@ class PrivApproxSystem:
             answer = aggregator._codec.decrypt(list(response.encrypted.shares))
             self.historical_store.append_answer(answer, timestamp)
 
-    def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> None:
+    def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> bool:
+        """Deliver each window and re-tune on it; True if a target went unmet."""
         budget = self._budgets[query_id]
         params = self._parameters[query_id]
+        target_unmet = False
         for result in window_results:
             if self.analyst is not None:
                 self.analyst.deliver_result(query_id, result)
@@ -492,7 +480,11 @@ class PrivApproxSystem:
             observed = self._observed_relative_error(result)
             if observed is None:
                 continue
-            new_params = self.planner.retune(params, observed, budget.target_accuracy_loss)
+            new_params = self.planner.retune(
+                params, observed, budget.target_accuracy_loss, budget.max_epsilon
+            )
+            if observed > budget.target_accuracy_loss and new_params == params:
+                target_unmet = True
             if new_params != params:
                 params = new_params
                 self._parameters[query_id] = new_params
@@ -502,9 +494,10 @@ class PrivApproxSystem:
                     # resurrected by a parameter re-tune.
                     if client.is_subscribed(query_id):
                         client.subscribe(self._queries[query_id], new_params)
-                # The aggregator keeps the original estimator for already
-                # ingested epochs; new epochs use the re-tuned parameters.
+                # From the next epoch's ingest on; windows of earlier epochs
+                # keep the parameters their answers were produced under.
                 self._aggregators[query_id].parameters = new_params
+        return target_unmet
 
     @staticmethod
     def _observed_relative_error(result: WindowResult) -> float | None:

@@ -1,6 +1,7 @@
 """Tests for the execution-budget interface and the feedback planner."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import BudgetPlanner, ExecutionParameters, QueryBudget
 from repro.core.privacy import zero_knowledge_epsilon
@@ -138,3 +139,51 @@ class TestBatchSamplingFraction:
     def test_invalid_stored_answers(self):
         with pytest.raises(ValueError):
             BudgetPlanner().batch_sampling_fraction(QueryBudget(), stored_answers=0)
+
+
+class TestPrivacyBudgetHoldsOnEveryEpoch:
+    """``max_epsilon`` is a hard guarantee: whatever ``plan`` returns, and
+    whatever the feedback loop makes of it, stays within the budget."""
+
+    unit = st.floats(min_value=0.01, max_value=1.0)
+
+    @given(
+        max_epsilon=st.floats(min_value=0.001, max_value=5.0),
+        target=st.floats(min_value=0.001, max_value=0.9),
+        plan_for_target=st.booleans(),
+        latency=st.none() | st.floats(min_value=0.01, max_value=100.0),
+        explicit=st.none() | st.builds(ExecutionParameters, unit, unit, unit),
+        observed=st.lists(st.floats(min_value=0.0, max_value=2.0), max_size=25),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planned_and_retuned_parameters_satisfy_max_epsilon(
+        self, max_epsilon, target, plan_for_target, latency, explicit, observed
+    ):
+        planner = BudgetPlanner()
+        budget = QueryBudget(
+            target_accuracy_loss=target if plan_for_target else None,
+            max_epsilon=max_epsilon,
+            max_latency_seconds=latency,
+        )
+        planned = planner.plan(budget)
+        assert planned.epsilon_zk <= max_epsilon
+        # Explicit parameters bypass the planner at submit time; the first
+        # re-tune brings them inside the budget.
+        params = explicit or planned
+        for error in observed:
+            params = planner.retune(params, error, target, max_epsilon)
+            assert params.epsilon_zk <= max_epsilon
+
+    def test_no_coin_bias_cannot_meet_a_budget(self):
+        # q = 0 makes epsilon infinite for every p < 1 and every s > 0.
+        with pytest.raises(ValueError, match="sampling fraction"):
+            BudgetPlanner().retune(ExecutionParameters(0.5, 0.5, 0.0), 0.0, 0.1, 1.0)
+
+    def test_retune_from_the_budget_edge_does_not_breach(self):
+        """A plan sitting at its epsilon cap: a missed target cannot raise p."""
+        planner = BudgetPlanner()
+        budget = QueryBudget(target_accuracy_loss=0.05, max_epsilon=1.5)
+        params = planner.plan(budget).with_sampling_fraction(1.0)
+        params = planner.retune(params, 0.2, 0.05, 1.5)
+        assert params.epsilon_zk <= 1.5
+        assert planner.retune(params, 0.2, 0.05, 1.5) == params

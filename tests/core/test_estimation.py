@@ -1,19 +1,33 @@
 """Tests for error-bound estimation (Section 3.2.4)."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ErrorEstimator, combined_error_bound, sampling_error_bound
+from repro.core import (
+    Analyst,
+    AnswerSpec,
+    ErrorEstimator,
+    ExecutionParameters,
+    PrivApproxSystem,
+    QueryBudget,
+    RangeBuckets,
+    SystemConfig,
+    sampling_error_bound,
+)
 from repro.core.estimation import (
+    bucket_variance,
     count_answer_bits,
     estimate_histogram,
-    estimate_randomization_loss_curve,
     estimated_variance,
+    expected_accuracy_loss,
 )
 from repro.core.query import QueryAnswer
 from repro.core.randomized_response import estimate_true_yes
+from repro.core.sampling import t_critical
 
 
 class TestSamplingErrorBound:
@@ -52,146 +66,212 @@ class TestSamplingErrorBound:
             estimated_variance([1.0, 2.0], population_size=1)
 
 
-class TestCombinedErrorBound:
-    def test_sum_of_components(self):
-        assert combined_error_bound(2.0, 3.0) == 5.0
+class TestBucketErrorBound:
+    """Closed-form pins of the per-bucket bound ``t * sqrt(Var)``."""
 
-    def test_negative_component_rejected(self):
-        with pytest.raises(ValueError):
-            combined_error_bound(-1.0, 2.0)
+    def test_full_census_without_randomization_is_exact(self):
+        # s = p = 1: every client answered truthfully.
+        estimator = ErrorEstimator()
+        for observed_yes in (0, 1, 37, 100):
+            assert estimator.bucket_error_bound(observed_yes, 100, 100, 1.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("observed_yes, num_answers", [(0, 40), (13, 40), (300, 1_000)])
+    def test_without_randomization_it_is_the_sampling_bound(self, observed_yes, num_answers):
+        bits = [1.0] * observed_yes + [0.0] * (num_answers - observed_yes)
+        bound = ErrorEstimator(0.9).bucket_error_bound(observed_yes, num_answers, 2_000, 1.0, 0.6)
+        assert bound == pytest.approx(sampling_error_bound(bits, 2_000, 0.9), rel=1e-12)
 
-class TestErrorEstimator:
-    def test_calibration_loss_reasonable(self):
-        estimator = ErrorEstimator(p=0.3, q=0.6, rng=random.Random(5))
-        loss = estimator.calibrate_randomized_response(0.6)
-        # Table 1: accuracy loss for p=0.3, q=0.6 around 2-3%.
-        assert 0.0 < loss < 0.15
+    def test_full_participation_leaves_the_randomization_margin_only(self):
+        # s = 1: the sampling part has no weight; the margin is t * sqrt(U v_rr).
+        # 600 Yes bits of 1,000 de-randomize to y = (0.6 - 0.42) / 0.3 = 0.6.
+        p, q, population = 0.3, 0.6, 1_000
+        pi_1, pi_0 = p + (1 - p) * q, (1 - p) * q
+        v_rr = (0.6 * pi_1 * (1 - pi_1) + 0.4 * pi_0 * (1 - pi_0)) / p**2
+        expected = t_critical(population, 0.95) * math.sqrt(population * v_rr)
+        bound = ErrorEstimator().bucket_error_bound(600, population, population, p, q)
+        assert bound == pytest.approx(expected, rel=1e-12)
 
-    def test_calibration_cached(self):
-        estimator = ErrorEstimator(p=0.3, q=0.6, rng=random.Random(5))
-        first = estimator.calibrate_randomized_response(0.6)
-        second = estimator.calibrate_randomized_response(0.6)
-        assert first == second
+    def test_fewer_than_two_answers_is_unbounded(self):
+        estimator = ErrorEstimator()
+        assert estimator.bucket_error_bound(1, 1, 100, 0.9, 0.6) == float("inf")
+        assert estimator.bucket_error_bound(0, 0, 100, 0.9, 0.6) == float("inf")
+        assert estimator.bucket_error_bound(0, 0, 0, 0.9, 0.6) == 0.0
 
-    def test_calibration_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            ErrorEstimator(p=0.5, q=0.5).calibrate_randomized_response(1.5)
-
-    def test_higher_p_gives_smaller_calibrated_loss(self):
-        low = ErrorEstimator(p=0.3, q=0.6, rng=random.Random(7)).calibrate_randomized_response(0.6)
-        high = ErrorEstimator(p=0.9, q=0.6, rng=random.Random(7)).calibrate_randomized_response(0.6)
-        assert high < low
-
-    def test_bucket_error_bound_positive_and_finite(self):
-        estimator = ErrorEstimator(p=0.9, q=0.6, rng=random.Random(9))
-        contributions = [1.0] * 300 + [0.0] * 700
-        bound = estimator.bucket_error_bound(
-            corrected_values=contributions, population_size=2_000, estimated_count=600.0
-        )
+    def test_positive_and_finite(self):
+        bound = ErrorEstimator().bucket_error_bound(300, 1_000, 2_000, 0.9, 0.6)
         assert 0.0 < bound < float("inf")
 
-    def test_bucket_error_bound_empty_sample_is_infinite(self):
-        estimator = ErrorEstimator(p=0.9, q=0.6)
-        assert (
-            estimator.bucket_error_bound([], population_size=100, estimated_count=0.0)
-            == float("inf")
-        )
-
-    def test_randomization_error_scales_with_estimate(self):
-        estimator = ErrorEstimator(p=0.6, q=0.6, rng=random.Random(11))
-        small = estimator.randomization_error(100.0, 0.5)
-        large = estimator.randomization_error(1_000.0, 0.5)
-        assert large == pytest.approx(10 * small)
+    def test_randomization_adds_variance(self):
+        """RR variance comes on top of the (finite-population corrected) sampling part."""
+        n, population, p, q = 400, 1_000, 0.6, 0.5
+        sampling_only = bucket_variance(120, n, population, 1.0, q)
+        randomized = bucket_variance(120, n, population, p, q)
+        assert randomized > sampling_only > 0.0
 
 
-def _per_bucket_reference(counts, num_answers, population, p, q, estimator):
+#: One-hot answers: each client's value falls in one of eight buckets.
+COVERAGE_SHARES = (0.3, 0.2, 0.15, 0.1, 0.1, 0.08, 0.05, 0.02)
+COVERAGE_CLIENTS = 1_000
+COVERAGE_SEEDS = 200
+COVERAGE_LEVEL = 0.95
+
+
+def _coverage_window(seed, s, p, q):
+    """One seeded window: exact counts, estimates and bounds of 8 buckets."""
+    rng = np.random.default_rng(seed)
+    buckets = rng.choice(len(COVERAGE_SHARES), size=COVERAGE_CLIENTS, p=COVERAGE_SHARES)
+    truth = np.zeros((COVERAGE_CLIENTS, len(COVERAGE_SHARES)), dtype=np.int8)
+    truth[np.arange(COVERAGE_CLIENTS), buckets] = 1
+    sampled = truth[rng.random(COVERAGE_CLIENTS) < s]  # each client's coin
+    keep = rng.random(sampled.shape) < p
+    second_coin = (rng.random(sampled.shape) < q).astype(np.int8)
+    bits = np.where(keep, sampled, second_coin)
+    histogram = estimate_histogram(
+        bits.sum(axis=0).tolist(),
+        len(bits),
+        COVERAGE_CLIENTS,
+        [str(i) for i in range(len(COVERAGE_SHARES))],
+        p,
+        q,
+        COVERAGE_LEVEL,
+    )
+    return truth.sum(axis=0), np.array(histogram.estimates()), np.array(histogram.error_bounds())
+
+
+class TestCoverage:
+    """``estimate +/- error_bound`` covers the exact count at its level.
+
+    Buckets of one window share one sample, so seeds are the independent
+    unit: the tolerance treats each seed's eight buckets as one Bernoulli
+    trial (the most conservative design effect) and allows a one-sided
+    3.09 standard errors, a 1e-3 false-failure rate.  A bound cannot pass by
+    being huge: its mean stays within 1.5x the empirical 95th percentile of
+    the absolute error.
+    """
+
+    @pytest.mark.parametrize(
+        "s, p, q",
+        [
+            (0.6, 0.6, 0.6),
+            (0.3, 0.3, 0.6),
+            (0.9, 0.9, 0.5),
+            (1.0, 0.3, 0.6),
+            (1.0, 0.9, 0.5),
+            (0.6, 1.0, 0.5),
+            (1.0, 1.0, 0.5),
+        ],
+    )
+    def test_bounds_cover_their_level(self, s, p, q):
+        per_seed, bounds, errors = [], [], []
+        for seed in range(COVERAGE_SEEDS):
+            exact, estimates, bound = _coverage_window(seed, s, p, q)
+            error = np.abs(estimates - exact)
+            per_seed.append(np.mean(error <= bound))
+            bounds.extend(bound)
+            errors.extend(error)
+        tolerance = 3.09 * math.sqrt(COVERAGE_LEVEL * (1 - COVERAGE_LEVEL) / COVERAGE_SEEDS)
+        assert np.mean(per_seed) >= COVERAGE_LEVEL - tolerance
+        assert np.mean(bounds) <= 1.5 * np.percentile(errors, 95)
+
+
+def _per_bucket_reference(counts, num_answers, population, p, q, confidence_level):
     """The per-bucket loop :func:`estimate_histogram` replaced: one
-    ``bucket_error_bound`` call (and one contributions list) per bucket."""
-    pairs = []
+    ``bucket_error_bound`` call per bucket."""
+    estimator = ErrorEstimator(confidence_level)
     scale = population / num_answers
-    for observed_yes in counts:
-        estimate = scale * estimate_true_yes(observed_yes, num_answers, p, q)
-        corrected_one = (1.0 - (1.0 - p) * q) / p
-        corrected_zero = (0.0 - (1.0 - p) * q) / p
-        contributions = [corrected_one] * observed_yes + [corrected_zero] * (
-            num_answers - observed_yes
+    return [
+        (
+            scale * estimate_true_yes(observed_yes, num_answers, p, q),
+            estimator.bucket_error_bound(observed_yes, num_answers, population, p, q),
         )
-        pairs.append(
-            (estimate, estimator.bucket_error_bound(contributions, population, estimate))
-        )
-    return pairs
+        for observed_yes in counts
+    ]
 
 
 class TestSharedHistogramRoutine:
-    """Draw-compatibility of the count-keyed window routine."""
+    """The count-keyed window routine."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
         num_answers=st.integers(min_value=1, max_value=60),
         distinct=st.integers(min_value=1, max_value=6),
         num_buckets=st.integers(min_value=1, max_value=40),
-        num_windows=st.integers(min_value=1, max_value=3),
         p=st.sampled_from([0.3, 0.9, 1.0]),
         q=st.sampled_from([0.0, 0.5, 0.6]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_same_pairs_and_same_rng_state_as_the_per_bucket_loop(
-        self, seed, num_answers, distinct, num_buckets, num_windows, p, q
+    def test_same_pairs_as_the_per_bucket_loop(
+        self, seed, num_answers, distinct, num_buckets, p, q
     ):
-        """Count vectors with heavy repeats, several windows on one estimator
-        (so its calibration cache carries over): identical estimates, error
-        bounds and calibration-RNG state, window after window."""
+        """Count vectors with heavy repeats: identical estimates and bounds."""
         rng = random.Random(seed)
         population = num_answers + rng.randrange(0, 3) * 17
         labels = [f"b{i}" for i in range(num_buckets)]
-        kwargs = dict(p=p, q=q, calibration_trials=2, calibration_size=150)
-        shared = ErrorEstimator(rng=random.Random(seed), **kwargs)
-        reference = ErrorEstimator(rng=random.Random(seed), **kwargs)
-        for _ in range(num_windows):
-            pool = [rng.randint(0, num_answers) for _ in range(distinct)]
-            counts = [rng.choice(pool) for _ in range(num_buckets)]
-            histogram = estimate_histogram(
-                counts, num_answers, population, labels, p, q, shared, 0.9, (0.0, 60.0)
-            )
-            expected = _per_bucket_reference(
-                counts, num_answers, population, p, q, reference
-            )
-            assert [(b.estimate, b.error_bound) for b in histogram.buckets] == expected
-            assert [b.bucket_index for b in histogram.buckets] == list(range(num_buckets))
-            assert histogram.labels() == labels
-            assert shared.rng.getstate() == reference.rng.getstate()
-            assert shared._rr_loss_cache == reference._rr_loss_cache
+        pool = [rng.randint(0, num_answers) for _ in range(distinct)]
+        counts = [rng.choice(pool) for _ in range(num_buckets)]
+        histogram = estimate_histogram(
+            counts, num_answers, population, labels, p, q, 0.9, (0.0, 60.0)
+        )
+        expected = _per_bucket_reference(counts, num_answers, population, p, q, 0.9)
+        assert [(b.estimate, b.error_bound) for b in histogram.buckets] == expected
+        assert [b.bucket_index for b in histogram.buckets] == list(range(num_buckets))
+        assert histogram.labels() == labels
         assert histogram.window == (0.0, 60.0)
         assert histogram.num_answers == num_answers
         assert {b.confidence_level for b in histogram.buckets} == {0.9}
 
-    def test_repeated_counts_share_one_error_bound_call(self):
+    def test_repeated_counts_share_one_error_bound_call(self, monkeypatch):
         calls = []
+        bound = ErrorEstimator.bucket_error_bound
 
-        class Counting(ErrorEstimator):
-            def bucket_error_bound(self, corrected_values, population_size, estimated_count):
-                calls.append(len(corrected_values))
-                return super().bucket_error_bound(
-                    corrected_values, population_size, estimated_count
-                )
+        def counting(self, observed_yes, num_answers, population, p, q):
+            calls.append(observed_yes)
+            return bound(self, observed_yes, num_answers, population, p, q)
 
-        estimator = Counting(p=0.9, q=0.5, rng=random.Random(3))
+        monkeypatch.setattr(ErrorEstimator, "bucket_error_bound", counting)
         counts = [4, 0, 4, 9, 0, 0, 4, 9]
-        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5, estimator)
-        assert calls == [20, 20, 20]  # one per distinct count: 4, 0, 9
+        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5)
+        assert calls == [4, 0, 9]  # one per distinct count
         # Nothing is remembered across windows: the next one asks again.
-        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5, estimator)
+        estimate_histogram(counts, 20, 40, [str(i) for i in range(8)], 0.9, 0.5)
         assert len(calls) == 6
 
+    def test_unseeded_systems_report_identical_bounds_over_the_same_answers(self):
+        """The bound is a function of the window's counts: no RNG, no seed."""
+        analyst = Analyst("a")
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(buckets=RangeBuckets.uniform(0.0, 4.0, 6), value_column="value"),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        systems = []
+        for _ in range(2):
+            system = PrivApproxSystem(SystemConfig(num_clients=200))
+            system.provision_clients([("value", "REAL")], lambda i: [{"value": i % 5 + 0.5}])
+            system.submit_query(
+                analyst, query, QueryBudget(), parameters=ExecutionParameters(0.8, 0.6, 0.6)
+            )
+            systems.append(system)
+        systems[0].run_epoch(query.query_id, 0)
+        shares = [
+            share
+            for response in systems[0].responses_log(query.query_id)
+            for share in response.encrypted.shares
+        ]
+        replica = systems[1].aggregator_for(query.query_id)
+        replica.ingest_shares(shares, epoch=0)
+        ours, theirs = systems[0].flush(query.query_id), replica.flush()
+        assert len(ours) == len(theirs) == 1
+        assert ours[0].histogram.estimates() == theirs[0].histogram.estimates()
+        assert ours[0].histogram.error_bounds() == theirs[0].histogram.error_bounds()
+
     def test_empty_window(self):
-        estimator = ErrorEstimator(p=0.9, q=0.5, rng=random.Random(3))
-        state = estimator.rng.getstate()
-        histogram = estimate_histogram([0, 0], 0, 10, ["a", "b"], 0.9, 0.5, estimator)
+        histogram = estimate_histogram([0, 0], 0, 10, ["a", "b"], 0.9, 0.5)
         assert histogram.estimates() == [0.0, 0.0]
         assert histogram.error_bounds() == [float("inf")] * 2
         assert histogram.window is None
-        assert estimator.rng.getstate() == state
 
     @given(
         rows=st.lists(
@@ -219,11 +299,15 @@ class TestSharedHistogramRoutine:
 class TestErrorDecomposition:
     """Figure 4(b): sampling and randomization errors are independent and additive."""
 
-    def test_loss_curve_decreases_with_p(self):
-        fractions = [0.2, 0.5, 0.8]
-        loose = estimate_randomization_loss_curve(0.3, 0.6, fractions, num_answers=5_000, seed=1)
-        tight = estimate_randomization_loss_curve(0.9, 0.6, fractions, num_answers=5_000, seed=1)
-        assert sum(tight) < sum(loose)
+    def test_expected_loss_falls_with_p_and_with_s(self):
+        loose = expected_accuracy_loss(1.0, 0.3, 0.6, 10_000, 0.6)
+        tight = expected_accuracy_loss(1.0, 0.9, 0.6, 10_000, 0.6)
+        assert tight < loose
+        sparse = expected_accuracy_loss(0.1, 0.3, 0.6, 10_000, 0.6)
+        assert sparse > loose
+
+    def test_expected_loss_without_noise_is_zero(self):
+        assert expected_accuracy_loss(1.0, 1.0, 0.5, 10_000, 0.6) == 0.0
 
     def test_combined_loss_close_to_sum_of_components(self):
         """Run sampling-only, RR-only and combined pipelines; the combined

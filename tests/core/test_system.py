@@ -14,6 +14,8 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
+from repro.core.estimation import estimate_histogram
+from repro.runtime import cli_smoke_matrix
 
 
 class TestSystemConfig:
@@ -320,3 +322,106 @@ class TestHistoricalIntegration:
         stored = system.historical_store.stored_answer_count(query.query_id)
         assert stored == sum(participants)
         system.close()
+
+
+# -- the analyst's promises: privacy budget and honest bounds -------------------
+
+QUICKSTART_BUCKETS = RangeBuckets(
+    boundaries=(0.0, 1.0, 11.0, 21.0, 31.0, 41.0, 51.0, 61.0, 71.0, 81.0, 91.0, 101.0),
+    open_ended=True,
+)
+
+
+def quickstart_deployment(executor="serial", budget=None):
+    """``examples/quickstart.py``'s deployment: 500 clients, max epsilon 1.5,
+    5 % accuracy target.  Returns (system, analyst, query_id)."""
+    system = PrivApproxSystem(
+        SystemConfig(num_clients=500, seed=7, executor=executor, executor_shards=4)
+    )
+    rng = random.Random(7)
+    system.provision_clients(
+        [("speed", "REAL"), ("location", "TEXT")],
+        lambda i: [{"speed": rng.uniform(0.0, 110.0), "location": "San Francisco"}],
+    )
+    analyst = Analyst("quickstart-analyst")
+    query = analyst.create_query(
+        sql="SELECT speed FROM private_data WHERE location = 'San Francisco'",
+        answer_spec=AnswerSpec(buckets=QUICKSTART_BUCKETS, value_column="speed"),
+        frequency_seconds=60.0,
+        window_seconds=60.0,
+        slide_seconds=60.0,
+    )
+    budget = budget or QueryBudget(
+        target_accuracy_loss=0.05,
+        max_epsilon=1.5,
+        expected_clients=500,
+        answer_bits=QUICKSTART_BUCKETS.num_buckets,
+    )
+    system.submit_query(analyst, query, budget)
+    return system, analyst, query.query_id
+
+
+def observed_counts(system, query_id, epoch):
+    """Per-bucket Yes counts and answer count of one epoch's responses."""
+    responses = [r for r in system.responses_log(query_id) if r.epoch == epoch]
+    counts = [sum(column) for column in zip(*(r.randomized_bits for r in responses))]
+    return counts, len(responses)
+
+
+class TestPrivacyBudgetAcrossEpochs:
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_feedback_loop_never_exceeds_max_epsilon(self, executor):
+        """The accuracy target asks for more than epsilon 1.5 allows: the
+        budget wins on every epoch, and the reports say the target is unmet."""
+        system, _, query_id = quickstart_deployment(executor)
+        try:
+            reports = system.run_epochs(query_id, 12)
+        finally:
+            system.close()
+        for report in reports:
+            assert report.parameters.epsilon_zk <= 1.5
+        assert system.parameters_for(query_id).epsilon_zk <= 1.5
+        assert any(report.accuracy_target_unmet for report in reports)
+
+    def test_met_target_is_not_reported_unmet(self):
+        budget = QueryBudget(target_accuracy_loss=0.9, max_epsilon=1.5, expected_clients=500)
+        system, _, query_id = quickstart_deployment(budget=budget)
+        reports = system.run_epochs(query_id, 6)
+        assert sum(len(report.window_results) for report in reports) == 5
+        assert not any(report.accuracy_target_unmet for report in reports)
+
+
+class TestErrorBoundsUseTheParametersInForce:
+    def test_bounds_after_a_retune_match_the_closed_form(self):
+        """Each window is estimated *and* bounded at the p, q its answers were
+        produced under, including after the feedback loop raised p.  A window
+        closes during the next epoch's ingest, after that epoch's re-tune has
+        already reached the aggregator."""
+        budget = QueryBudget(target_accuracy_loss=0.05, expected_clients=500)
+        system, _, query_id = quickstart_deployment(budget=budget)
+        submitted = system.parameters_for(query_id)
+        reports = system.run_epochs(query_id, 6)
+        # What each epoch answered under: the parameters after the previous
+        # epoch's re-tune.
+        answered_under = [submitted] + [report.parameters for report in reports]
+        checked_after_retune = 0
+        for report in reports:
+            for result in report.window_results:
+                epoch = int(result.window.start // 60.0)
+                in_force = answered_under[epoch]
+                counts, num_answers = observed_counts(system, query_id, epoch)
+                expected = estimate_histogram(
+                    counts,
+                    num_answers,
+                    result.population,
+                    QUICKSTART_BUCKETS.labels(),
+                    in_force.p,
+                    in_force.q,
+                    window=result.histogram.window,
+                )
+                assert result.histogram.error_bounds() == expected.error_bounds()
+                assert result.histogram.estimates() == expected.estimates()
+                checked_after_retune += in_force.p != submitted.p
+        assert checked_after_retune > 0
+        # Only the epochs an open window may still need are remembered.
+        assert len(system.aggregator_for(query_id)._epoch_parameters) <= 2

@@ -4,8 +4,8 @@ The property the runtime guarantees (the seeded-equivalence contract of
 ``docs/ARCHITECTURE.md``): for the same system seed, every registered
 driver combination produces *identical* results to the serial executor —
 same participants, same response logs, byte-identical window histograms
-(estimates AND error bounds, since the calibration RNG is seeded from the
-system seed) — regardless of shard count, worker count, scheduling or
+(estimates AND error bounds, which are a closed-form function of the
+window's counts) — regardless of shard count, worker count, scheduling or
 transport.  For the wire transports this additionally pins the wire format:
 client state travels to the workers as serialized shard tasks and the
 advanced state ships back, so a multi-epoch run only matches serial if the
@@ -331,10 +331,11 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
 
     Everything else in this module compares two runs of the *same* commit, so
     a change that moves a draw on every path at once passes it.  This pins
-    one seeded 3-epoch, two-query serial run (window estimates, error bounds
-    from the seeded calibration estimator, and the response log) to the
-    digest captured at the parent of ISSUE 17's PR (Python 3.11, scipy 1.17).
-    A deliberate draw change re-captures the constant in the same PR.
+    one seeded 3-epoch, two-query serial run (window estimates, closed-form
+    error bounds, and the response log), re-captured when the bounds became
+    the closed-form variance (estimates unchanged; Python 3.11, scipy 1.17).
+    A deliberate draw or bound change re-captures the constant in the same
+    change.
     """
     per_query = run_multi_deployment(40, 2, num_epochs=3)
     digest = hashlib.sha256()
@@ -344,7 +345,7 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
         digest.update(results)
         digest.update(repr(responses).encode("utf-8"))
     assert digest.hexdigest() == (
-        "30ad6774e31287d1ea295bef91989cfb403ace03fd24f2f9d8123bf6c9bf0fa7"
+        "2a5128a4e5a0f4f1264490e4ba6c92f1fccb426528595b18a3c2c376d1046cbb"
     )
 
 

@@ -62,12 +62,12 @@ RESPAWNED_WORKERS = pytest.param(
 )
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
 #: log, encrypted shares, window estimates *and* error bounds, late-drop
-#: ledger), captured at the parent of the PR that made the answer -> estimate
-#: path share per-window work (ISSUE 17; Python 3.11, scipy 1.17).  A hot-path
-#: change that claims to be draw-compatible must leave it alone; one that
-#: moves draws on purpose re-captures it in the same PR and says so.
+#: ledger), re-captured when the error bounds became the closed-form variance
+#: (the estimates did not move; Python 3.11, scipy 1.17).  A hot-path change
+#: that claims to be draw-compatible must leave it alone; one that moves
+#: draws or bounds on purpose re-captures it in the same change and says so.
 GOLDEN_BYZANTINE_CHURN_DIGEST = (
-    "6d2d2a1d7405b8d7b4e06d0ed57a715c9e3ac710b59821b6b71ee0887d18a813"
+    "da6c75697c46646f2a106a94796e9c5fc0b98c87f3c2601c0354a1321e4d923d"
 )
 
 
