@@ -5,12 +5,18 @@ analyst to the aggregator (which converts the budget into system parameters)
 and onward to every client via the proxies.  In the paper this uses the same
 Kafka infrastructure as the answer path; here the :class:`QueryDistributor`
 publishes signed query announcements to a dedicated ``queries`` topic on each
-proxy's broker and clients subscribe to it.
+proxy's broker.
 
-Clients must not execute forged or tampered queries, so every announcement
-carries the analyst's signature and clients verify it against the analyst's
-registered key before subscribing (the threat model makes analysts potentially
-malicious, and proxies could try to tamper with queries in transit).
+Each announcement is read off that topic once, by the distributor's own
+consumer (:meth:`QueryDistributor.poll_announcements`), and exactly those new
+announcements are handed to every client.  Clients must not execute forged or
+tampered queries, so every announcement carries the analyst's signature and
+each client verifies it against the analyst's registered key before
+subscribing (:meth:`QueryDistributor.deliver_to_client`; the threat model makes
+analysts potentially malicious, and proxies could try to tamper with queries in
+transit).  An announcement is delivered once: a later query never re-delivers
+an earlier one, so it cannot undo a churned-out client's unsubscription or a
+re-tune's parameters.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class QueryAnnouncement:
 
 @dataclass
 class QueryDistributor:
-    """Publishes query announcements and lets clients pick them up.
+    """Publishes query announcements and hands new ones to the clients.
 
     Parameters
     ----------
@@ -61,11 +67,8 @@ class QueryDistributor:
     def __post_init__(self) -> None:
         self.cluster.ensure_topic(QUERY_TOPIC, num_partitions=1)
         self._producer = Producer(self.cluster, client_id="query-distributor")
-        # A reader that never polls: partitions trim behind their live
-        # readers, and every client feed, however late, must read every
-        # announcement.
-        self._archive = Consumer(self.cluster, group_id="query-archive")
-        self._archive.subscribe([QUERY_TOPIC])
+        self._feed = Consumer(self.cluster, group_id="query-distributor")
+        self._feed.subscribe([QUERY_TOPIC])
         self.queries_published = 0
 
     # -- aggregator side ----------------------------------------------------
@@ -85,29 +88,26 @@ class QueryDistributor:
         self.queries_published += 1
         return announcement
 
-    # -- client side ----------------------------------------------------------
+    def poll_announcements(self) -> list[QueryAnnouncement]:
+        """The announcements published since the previous call, read once."""
+        return [record.value for record in self._feed.poll()]
 
-    def make_subscription_feed(self, client_id: str) -> Consumer:
-        """A consumer a client uses to receive query announcements."""
-        consumer = Consumer(self.cluster, group_id=f"client-{client_id}", consumer_id=client_id)
-        consumer.subscribe([QUERY_TOPIC])
-        return consumer
+    # -- client side ----------------------------------------------------------
 
     @staticmethod
     def deliver_to_client(
         client: Client,
-        feed: Consumer,
+        announcements: list[QueryAnnouncement],
         analyst_keys: dict[str, bytes],
     ) -> list[QueryAnnouncement]:
-        """Pull pending announcements and subscribe the client to valid ones.
+        """Subscribe the client to every announcement whose signature verifies.
 
         ``analyst_keys`` maps analyst ids to their signature-verification keys;
         announcements whose signature does not verify (unknown analyst, forged
         or tampered query) are ignored.  Returns the announcements accepted.
         """
         accepted: list[QueryAnnouncement] = []
-        for record in feed.poll():
-            announcement: QueryAnnouncement = record.value
+        for announcement in announcements:
             key = analyst_keys.get(announcement.query.analyst_id)
             if key is None or not announcement.query.verify_signature(key):
                 continue

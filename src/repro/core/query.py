@@ -60,9 +60,12 @@ class RangeBuckets(BucketSpec):
     open_ended: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) < 2:
+        # A tuple, so a list the caller still holds cannot change the layout
+        # (or a signed query's cached canonical form) behind our back.
+        values = tuple(self.boundaries)
+        object.__setattr__(self, "boundaries", values)
+        if len(values) < 2:
             raise ValueError("RangeBuckets needs at least two boundary points")
-        values = list(self.boundaries)
         if any(nxt <= prev for prev, nxt in zip(values, values[1:])):
             raise ValueError("boundaries must be strictly increasing")
 
@@ -119,6 +122,8 @@ class RuleBuckets(BucketSpec):
     rules: tuple  # of (label, pattern-or-callable)
 
     def __post_init__(self) -> None:
+        # Tuples all the way down, for the same reason as RangeBuckets.
+        object.__setattr__(self, "rules", tuple((label, rule) for label, rule in self.rules))
         if not self.rules:
             raise ValueError("RuleBuckets needs at least one rule")
 
@@ -212,6 +217,10 @@ class QueryAnswer:
         return list(self.bits)
 
 
+# The instance attribute memoizing Query.canonical_bytes().
+_CANONICAL = "_canonical_bytes"
+
+
 @dataclass(frozen=True)
 class Query:
     """The analyst's streaming query (Section 3.1, Equation 1).
@@ -260,17 +269,33 @@ class Query:
         return self.answer_spec.num_buckets
 
     def canonical_bytes(self) -> bytes:
-        """Canonical serialization of the signed fields."""
-        parts = [
-            self.query_id,
-            self.sql,
-            "|".join(self.answer_spec.labels()),
-            repr(self.frequency_seconds),
-            repr(self.window_seconds),
-            repr(self.slide_seconds),
-            self.analyst_id,
-        ]
-        return "\x1f".join(parts).encode("utf-8")
+        """Canonical serialization of the signed fields, built once per object.
+
+        Every client verifies the same announced object, so the form (two
+        float ``repr`` per range bucket) is memoized on it.  The fields are
+        frozen down to the bucket tuples, so the memo cannot go stale; a
+        ``dataclasses.replace`` copy starts without one.
+        """
+        cached = self.__dict__.get(_CANONICAL)
+        if cached is None:
+            parts = [
+                self.query_id,
+                self.sql,
+                "|".join(self.answer_spec.labels()),
+                repr(self.frequency_seconds),
+                repr(self.window_seconds),
+                repr(self.slide_seconds),
+                self.analyst_id,
+            ]
+            cached = "\x1f".join(parts).encode("utf-8")
+            object.__setattr__(self, _CANONICAL, cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The memo is not a field: keep it off the wire (pickle, copy).
+        state = dict(self.__dict__)
+        state.pop(_CANONICAL, None)
+        return state
 
     def sign(self, signing_key: bytes) -> "Query":
         """Return a copy carrying an HMAC-SHA256 signature (non-repudiation)."""

@@ -251,9 +251,9 @@ class PrivApproxSystem:
         """Deliver the query to every client, via the proxies when possible."""
         if self.config.distribute_queries_via_proxies and query.signature is not None:
             self.query_distributor.publish(query, budget, parameters=params)
+            announcements = self.query_distributor.poll_announcements()
             for client in self.clients:
-                feed = self.query_distributor.make_subscription_feed(client.config.client_id)
-                QueryDistributor.deliver_to_client(client, feed, self._analyst_keys)
+                QueryDistributor.deliver_to_client(client, announcements, self._analyst_keys)
             return
         for client in self.clients:
             client.subscribe(query, params)

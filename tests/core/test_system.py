@@ -425,3 +425,60 @@ class TestErrorBoundsUseTheParametersInForce:
         assert checked_after_retune > 0
         # Only the epochs an open window may still need are remembered.
         assert len(system.aggregator_for(query_id)._epoch_parameters) <= 2
+
+
+class TestLaterSubmitsLeaveEarlierSubscriptions:
+    """Submitting a query delivers only its own announcement: it neither
+    re-subscribes churned-out clients to an earlier query nor puts them back
+    on that query's first announced parameters."""
+
+    @staticmethod
+    def speed_query(analyst):
+        return analyst.create_query(
+            "SELECT speed FROM private_data",
+            AnswerSpec(buckets=QUICKSTART_BUCKETS, value_column="speed"),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_churned_out_clients_stay_out(self, executor):
+        system = PrivApproxSystem(
+            SystemConfig(num_clients=4, seed=5, executor=executor, executor_shards=2)
+        )
+        try:
+            system.provision_clients([("speed", "REAL")], lambda i: [{"speed": 5.0 * i}])
+            analyst = Analyst("acme")
+            first = self.speed_query(analyst)
+            everyone = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
+            system.submit_query(analyst, first, QueryBudget(), parameters=everyone)
+            system.set_active_clients([0])
+            held = [c.is_subscribed(first.query_id) for c in system.clients]
+            assert held == [True, False, False, False]
+            second = self.speed_query(analyst)
+            system.submit_query(analyst, second, QueryBudget(), parameters=everyone)
+            assert [c.is_subscribed(first.query_id) for c in system.clients] == held
+            assert all(c.is_subscribed(second.query_id) for c in system.clients)
+            reports = system.run_epoch_all(0)
+        finally:
+            system.close()
+        assert reports[first.query_id].num_participants == 1
+        assert reports[second.query_id].num_participants == 4
+
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_a_retune_survives_the_next_submit(self, executor):
+        system, analyst, query_id = quickstart_deployment(executor)
+        try:
+            announced = system.parameters_for(query_id)
+            system.run_epochs(query_id, 3)
+            retuned = system.parameters_for(query_id)
+            assert retuned.sampling_fraction == 1.0 != announced.sampling_fraction
+            system.submit_query(analyst, self.speed_query(analyst), QueryBudget())
+            held = {c.subscriptions[query_id][1] for c in system.clients}
+            assert held == {retuned} == {system.aggregator_for(query_id).parameters}
+            report = system.run_epoch(query_id, 3)
+        finally:
+            system.close()
+        # s = 1: every client answers, as the aggregator assumes when it inverts.
+        assert report.num_participants == len(system.clients)
