@@ -21,29 +21,29 @@ coordination is required.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass
 
-#: Characters in a participation token (a truncated hex HMAC-SHA256); the
-#: answer codec sizes a message it is not building from this.
+#: Characters in a participation token (a 16-byte keyed BLAKE2b, in hex).
 PARTICIPATION_TOKEN_LENGTH = 32
 
 
 def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
     """Anonymous, epoch-scoped participation token.
 
-    The token is an HMAC over (query id, epoch) keyed with the client's local
-    secret: stable for one epoch (so duplicates collide), but different and
-    unlinkable across epochs and queries (so the aggregator cannot track a
-    client over time).
+    The token is a MAC over (query id, epoch) — keyed BLAKE2b under the
+    client's local secret (at most 64 bytes), the primitive behind every
+    client draw (:mod:`repro.core.seeding`): stable for one epoch (so
+    duplicates collide), but different and unlinkable across epochs and
+    queries (so the aggregator cannot track a client over time).
     """
     if not client_secret:
         raise ValueError("client secret must not be empty")
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     message = f"{query_id}|{epoch}".encode("utf-8")
-    digest = hmac.new(client_secret, message, hashlib.sha256).hexdigest()
-    return digest[:PARTICIPATION_TOKEN_LENGTH]
+    return hashlib.blake2b(
+        message, key=client_secret, digest_size=PARTICIPATION_TOKEN_LENGTH // 2
+    ).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ class Aggregator:
         newest epoch it covers.
     total_clients:
         ``U`` — the number of clients subscribed to the query per epoch.
+        Churn may change it between epochs; like the parameters, each epoch's
+        ingest remembers the roster size it ran under, so a window closed
+        after a roster change is still scaled by its own epochs' roster.
     confidence_level:
         Confidence level of the reported error bounds.
     """
@@ -105,9 +108,10 @@ class Aggregator:
             aggregate_fn=self._aggregate_window,
             allowed_lateness=self.allowed_lateness_seconds,
         )
-        # The parameters each recent epoch was ingested under; only epochs no
-        # older than the last closed window's newest one are kept.
-        self._epoch_parameters: dict[int, ExecutionParameters] = {}
+        # The parameters and roster size each recent epoch was ingested
+        # under; only epochs no older than the last closed window's newest
+        # one are kept.
+        self._epoch_parameters: dict[int, tuple[ExecutionParameters, int]] = {}
         self.answers_processed = 0
         self.shares_received = 0
         self.malformed_messages = 0
@@ -138,7 +142,7 @@ class Aggregator:
         the constant factor changes.  Every staged-engine flow uses this mode.
         """
         timestamp = self._epoch_timestamp(epoch)
-        self._epoch_parameters.setdefault(epoch, self.parameters)
+        self._epoch_parameters.setdefault(epoch, (self.parameters, self.total_clients))
         self.shares_received += len(shares)
         if batched:
             joined = self._join_grouped(shares, timestamp)
@@ -340,10 +344,12 @@ class Aggregator:
         window, aggregate = record.value
         counts = aggregate["counts"]
         num_answers = aggregate["num_answers"]
-        population = self.total_clients * aggregate["num_epochs"]
         # The last epoch whose ingest timestamp falls inside the window.
         newest = math.ceil(window.end / self.query.frequency_seconds) - 1
-        parameters = self._epoch_parameters.get(newest, self.parameters)
+        parameters, total_clients = self._epoch_parameters.get(
+            newest, (self.parameters, self.total_clients)
+        )
+        population = total_clients * aggregate["num_epochs"]
         # Windows close in end-time order: no later window needs an older
         # epoch's entry.
         for epoch in [epoch for epoch in self._epoch_parameters if epoch < newest]:

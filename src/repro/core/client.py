@@ -17,10 +17,7 @@ encrypted shares leave the device.
 from __future__ import annotations
 
 import bisect
-import functools
-import hashlib
 import itertools
-import random
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -32,8 +29,7 @@ from repro.core.encryption import AnswerCodec, EncryptedAnswer
 from repro.core.query import Query, QueryAnswer
 from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
-from repro.core.seeding import derive_query_seed, derive_query_seed_bytes
-from repro.crypto.prng import KeystreamGenerator, secure_random_bytes
+from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secret
 from repro.crypto.xor import MessageShare
 from repro.sqldb import Database
 
@@ -72,23 +68,6 @@ class ClientResponse:
     randomized_bits: bytes
 
 
-@dataclass(frozen=True)
-class LateAnswer:
-    """What a participant known to be late leaves instead of a response.
-
-    :meth:`Client.answer` with ``late=True`` advanced the client's streams as
-    a built answer would have and built nothing; the marker names the answer
-    just well enough for the staged engine's gate to drop it and record
-    ``client_id`` in the query's late-drop ledger.  It carries no shares: it
-    is built only for a client in the epoch's late set, which is exactly
-    what the gate drops.
-    """
-
-    client_id: str
-    query_id: str
-    epoch: int
-
-
 # The header of a packed response block: response count, epoch, bit width,
 # share count, payload width.
 _BLOCK_HEADER = struct.Struct(">IqHHI")
@@ -120,10 +99,10 @@ def pack_responses(responses: Sequence[ClientResponse]) -> list[bytes]:
     A block holds the header (:data:`_BLOCK_HEADER`); the client-id and MID
     columns, each as its ``>H`` lengths then the UTF-8 bytes; the truthful-bit
     and randomized-bit columns; and one payload column per share position.
-    Every answer to one query in one epoch has the same width
-    (:meth:`~repro.core.encryption.AnswerCodec.encoded_length`), so an
-    epoch's responses make one block; a response whose epoch or widths differ
-    starts a new block, which keeps the log order.  A share's MID and index
+    Every answer to one query in one epoch has the same width (header, query
+    id, token and the bits packed eight to a byte), so an epoch's responses
+    make one block; a response whose epoch or widths differ starts a new
+    block, which keeps the log order.  A share's MID and index
     are not stored: :func:`~repro.crypto.xor.split_message` gives every share
     its answer's MID and its position as index.
     """
@@ -217,125 +196,47 @@ class ResponseLog(Sequence):
         return f"ResponseLog({self._query_id!r}, {len(self)} responses)"
 
 
-@functools.lru_cache(maxsize=4)
-def _rng_words(count: int) -> struct.Struct:
-    """The little-endian layout of ``count`` Mersenne Twister state words."""
-    return struct.Struct(f"<{count}I")
-
-
-def _pack_rng_state(state: tuple) -> tuple:
-    """Pack a ``random.Random`` state's word tuple into raw bytes.
-
-    The Mersenne Twister state is 625 machine words; pickled as a tuple of
-    Python ints it dominates a client snapshot (~3.8 KB of ~4.7 KB) and costs
-    625 object allocations to unpickle.  Packed with :mod:`struct` it is a
-    single 2.5 KB bytes blob that copies across the wire untouched.
-    """
-    version, internal, gauss_next = state
-    return (version, _rng_words(len(internal)).pack(*internal), gauss_next)
-
-
-def _unpack_rng_state(packed: tuple) -> tuple:
-    """Invert :func:`_pack_rng_state` back into ``random.Random.setstate`` form."""
-    version, blob, gauss_next = packed
-    return (version, _rng_words(len(blob) // 4).unpack(blob), gauss_next)
-
-
-def _digest_keystream(digest, state: tuple) -> None:
-    """Feed one ``KeystreamGenerator.getstate()`` triple into a digest."""
-    seed, counter, buffer = state
-    digest.update(seed)
-    digest.update(struct.pack(">Q", counter))
-    digest.update(buffer)
-
-
-# The snapshot fields that advance as a client answers — the per-query RNG
-# states, the per-query keystream states and the client-level keystream — in
-# the order Client._stream_state builds them and _stream_values hands them to
-# from_state / state_fingerprint.
-STREAM_STATE_FIELDS = ("rng_states", "query_keystream_states", "keystream_state")
-
-
-def _stream_values(state: dict) -> tuple:
-    """A snapshot's stream fields, in :data:`STREAM_STATE_FIELDS` order."""
-    return tuple(state[field] for field in STREAM_STATE_FIELDS)
-
-
 class Client:
     """A client device participating in PrivApprox."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
         self.database = Database(name=f"client-{config.client_id}")
-        self._keystream = KeystreamGenerator(
-            seed=None if config.seed is None else config.seed.to_bytes(8, "big", signed=True)
-        )
         self._codec = AnswerCodec()
         self._subscriptions: dict[str, tuple[Query, ExecutionParameters]] = {}
-        # One independent seeded RNG and encryption keystream per subscribed
-        # query, created lazily on first answer.  Sharing a single RNG or
-        # keystream between subscriptions would let a co-subscribed query
-        # perturb another query's sampling, randomization or pad draws; with
-        # per-query streams a query's responses — encrypted shares included —
-        # are byte-identical whether or not other queries ride the same
-        # epoch.  (self._keystream remains the client-level stream behind the
-        # token secret.)
-        self._rngs: dict[str, random.Random] = {}
-        self._keystreams: dict[str, KeystreamGenerator] = {}
-        # Sampler/responder pairs cached per (query, parameter set): both only
-        # hold the (p, q, s) constants plus a reference to that query's RNG,
-        # so reuse across epochs draws exactly the same random sequence as
-        # fresh instances while avoiding two allocations per answer.
+        self._use_key(client_key(config.seed))
+
+    def _use_key(self, key: bytes) -> None:
+        """Install the client's PRF key and everything derived from it.
+
+        Every draw is a keyed function of ``(key, query, epoch)``
+        (:mod:`repro.core.seeding`), so the key is the client's whole random
+        state.  The token secret behind the anonymous per-epoch participation
+        tokens is derived from it and never leaves the device.  Per query the
+        client caches, for the parameter set it was subscribed with, the
+        sampler and responder (they hold only the ``s, p, q`` constants) and
+        the query's PRF prefix.
+        """
+        self._key = key
+        self._token_secret = token_secret(key)
         self._mechanisms: dict[
-            tuple[str, ExecutionParameters],
-            tuple[SimpleRandomSampler, RandomizedResponder],
+            str,
+            tuple[ExecutionParameters, SimpleRandomSampler, RandomizedResponder, bytes],
         ] = {}
-        # Local secret behind the anonymous per-epoch participation tokens;
-        # it never leaves the device.
-        if config.seed is None:
-            self._token_secret = secure_random_bytes(32)
-        else:
-            self._token_secret = self._keystream.next_bytes(32)
 
     # -- state snapshot (pinned-worker runtime) -------------------------------
-
-    def _stream_state(self) -> dict:
-        """The advancing streams, packed: one ``getstate()`` per stream.
-
-        The single place that says what advances as a client answers
-        (:data:`STREAM_STATE_FIELDS`); the snapshot, its restore and the
-        fingerprint all start from this dict.  :meth:`state_fingerprint`
-        calls this rather than :meth:`export_state` so that an
-        ``export_state`` call keeps meaning "a snapshot was taken" to anyone
-        counting them.
-        """
-        return dict(
-            zip(
-                STREAM_STATE_FIELDS,
-                (
-                    {
-                        query_id: _pack_rng_state(rng.getstate())
-                        for query_id, rng in self._rngs.items()
-                    },
-                    {
-                        query_id: keystream.getstate()
-                        for query_id, keystream in self._keystreams.items()
-                    },
-                    self._keystream.getstate(),
-                ),
-            )
-        )
 
     def export_state(self) -> dict:
         """Capture everything another process needs to *be* this client.
 
         The snapshot is a plain picklable dict: the static config, the
-        mid-stream RNG and keystream states, the token secret, the local
-        tables (schema plus raw rows) and the active subscriptions.  A client
-        rebuilt with :meth:`from_state` continues the exact random sequences
-        of the original, which is what keeps the pinned-worker epoch runtime
-        byte-identical to the serial reference (``repro.runtime.wire`` frames
-        these snapshots into shard bootstraps).
+        32-byte PRF key, the local tables (schema plus raw rows) and the
+        active subscriptions.  Draws are addressed by ``(query, epoch)``, not
+        by position in a stream, so a client rebuilt with :meth:`from_state`
+        answers any epoch exactly as the original would — which is what keeps
+        the pinned-worker epoch runtime byte-identical to the serial
+        reference (``repro.runtime.wire`` frames these snapshots into shard
+        bootstraps).
 
         Columnar mirrors and secondary indexes are deliberately *not*
         shipped: they are derived state, lazily rebuilt from raw rows on the
@@ -343,7 +244,6 @@ class Client:
         differential suite asserts the rebuilt and incrementally-maintained
         lifecycles answer identically.
         """
-        state = self._stream_state()
         tables = []
         for name in self.database.table_names():
             table = self.database.table(name)
@@ -354,68 +254,26 @@ class Client:
                     tuple(table.rows),
                 )
             )
-        state.update(
-            config=self.config,
-            token_secret=self._token_secret,
-            tables=tables,
-            subscriptions=tuple(
+        return {
+            "config": self.config,
+            "key": self._key,
+            "tables": tables,
+            "subscriptions": tuple(
                 self._subscriptions[query_id] for query_id in self.subscribed_query_ids
             ),
-        )
-        return state
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "Client":
-        """Reconstruct a client from a full :meth:`export_state` snapshot.
-
-        The constructor seeds fresh RNG/keystream instances from the config;
-        they are immediately overwritten with the captured mid-stream states,
-        so the restored client's next draw equals the original's next draw.
-        """
+        """Reconstruct a client from a full :meth:`export_state` snapshot."""
         client = cls(state["config"])
-        rng_states, keystream_states, keystream_state = _stream_values(state)
-        for query_id, packed in rng_states.items():
-            client._rng_for(query_id).setstate(_unpack_rng_state(packed))
-        for query_id, query_keystream_state in keystream_states.items():
-            client._keystream_for(query_id).setstate(query_keystream_state)
-        client._keystream.setstate(keystream_state)
-        client._token_secret = state["token_secret"]
+        client._use_key(state["key"])
         for name, columns, rows in state["tables"]:
             client.database.create_table(name, list(columns))
             client.database.table(name).append_rows(rows)
         for query, parameters in state["subscriptions"]:
             client.subscribe(query, parameters)
         return client
-
-    def state_fingerprint(self) -> bytes:
-        """A digest of everything the answering path draws from.
-
-        The digest of the stream fields (per-query RNG states, per-query and
-        client-level keystream states) plus the client id and the token
-        secret — the exact fields answering advances.  Two clients agree on the fingerprint iff their next
-        draws agree; tables and subscriptions are excluded on purpose.  This
-        is the *oracle* tests compare stream positions with (the draw-only
-        twin property, replay, recovery and export tests); no runtime path
-        calls it —
-        the resident protocol vouches for frames, not for state.
-        """
-        rng_states, keystream_states, keystream_state = _stream_values(
-            self._stream_state()
-        )
-        digest = hashlib.sha256()
-        digest.update(self.config.client_id.encode("utf-8"))
-        digest.update(self._token_secret)
-        for query_id in sorted(rng_states):
-            version, blob, gauss_next = rng_states[query_id]
-            digest.update(query_id.encode("utf-8"))
-            digest.update(struct.pack(">I", version))
-            digest.update(blob)
-            digest.update(repr(gauss_next).encode("utf-8"))
-        for query_id in sorted(keystream_states):
-            digest.update(query_id.encode("utf-8"))
-            _digest_keystream(digest, keystream_states[query_id])
-        _digest_keystream(digest, keystream_state)
-        return digest.digest()
 
     def apply_delta(self, delta) -> None:
         """Apply a parent-side :class:`~repro.runtime.wire.ClientDelta`.
@@ -498,17 +356,17 @@ class Client:
         scan_cache: dict[str, Any] | None = None,
         *,
         late: bool = False,
-    ) -> list[ClientResponse | LateAnswer | None]:
+    ) -> list[ClientResponse | str | None]:
         """Run one answering epoch for many subscribed queries in one pass.
 
         Returns one entry per query id, ``None`` where the query's sampling
         coin said not to participate (or the query is unknown).  The local
         table scan is shared: queries with the same SQL reuse a single
         database pass, which is what makes a multi-query epoch cheaper than
-        answering each query in its own full pass.  Randomness stays
-        per-query (each query id owns its seeded RNG *and* encryption
-        keystream), so the responses — encrypted shares included — are
-        byte-identical to answering each query alone.
+        answering each query in its own full pass.  Every draw is addressed
+        by ``(query, epoch)`` (:mod:`repro.core.seeding`), so the responses —
+        encrypted shares included — are byte-identical to answering each
+        query alone.
 
         ``scan_cache`` may be pre-seeded by the shard-wide arena path with
         this client's per-SQL outcome: the exception its own evaluation
@@ -519,70 +377,26 @@ class Client:
         local pass would be.
 
         ``late=True`` is for a caller that already knows this client is in the
-        epoch's late set, so whatever it produces is dropped: each participating
-        query reads its SQL outcome (so a statement that raises for this
-        client still raises), advances its streams through
-        :meth:`_advance_query` and comes back as a :class:`LateAnswer` marker
+        epoch's late set, so whatever it produces is dropped: each query flips
+        only its coin, a participating one reads its SQL outcome (so a
+        statement that raises for this client still raises) and comes back
+        as the client id — all the engine's gate needs to ledger the drop —
         instead of a built response.
         """
         if scan_cache is None:
             scan_cache = {}
         if late:
-            return [
-                LateAnswer(self.config.client_id, query_id, epoch)
-                if self._advance_query(query_id, scan_cache)
-                else None
-                for query_id in query_ids
-            ]
+            entries = []
+            for query_id in query_ids:
+                flipped = self._flip_coin(query_id, epoch)
+                if flipped is not None:
+                    self._query_outcome(flipped[0], scan_cache)
+                entries.append(None if flipped is None else self.config.client_id)
+            return entries
         return [
             self.answer_query(query_id, epoch=epoch, scan_cache=scan_cache)
             for query_id in query_ids
         ]
-
-    def advance(self, query_ids: Sequence[str]) -> list[bool]:
-        """Make the draws :meth:`answer` would make, and nothing else.
-
-        The replay primitive, with which the pinned-worker coordinator makes
-        each acked epoch's draws on its own copy: afterwards
-        :meth:`state_fingerprint` equals what answering ``query_ids`` for any
-        epoch over any table content would have left, but no SQL ran and no
-        answer, token, message or share was built.  Returns which queries
-        participated.
-        """
-        return [self._advance_query(query_id) for query_id in query_ids]
-
-    def _advance_query(
-        self, query_id: str, scan_cache: dict[str, Any] | None = None
-    ) -> bool:
-        """The draw-only twin of :meth:`answer_query`; True for a participant.
-
-        Flips the same sampling coin and, for a participant, makes exactly
-        the draws a built answer makes: the randomized-response draws for
-        ``num_buckets`` bits, then ``num_proxies - 1`` key strings of the
-        encoded message's length off the query's keystream.  Whoever adds a
-        draw to :meth:`answer_query` adds it here in the same commit
-        (``docs/ARCHITECTURE.md``, draw-compatibility rule 6; the property
-        test in ``tests/core/test_properties.py`` fails otherwise).  With a
-        ``scan_cache`` the participant also reads its SQL outcome, between
-        the coin and the draws like :meth:`answer_query`, so a raising
-        statement leaves the same state behind either way.
-        """
-        subscription = self._subscriptions.get(query_id)
-        if subscription is None:
-            return False
-        query, parameters = subscription
-        sampler, responder = self._mechanisms_for(query_id, parameters)
-        if not sampler.should_participate():
-            return False
-        if scan_cache is not None:
-            self._query_outcome(query, scan_cache)
-        num_bits = query.num_buckets
-        responder.advance(num_bits)
-        self._keystream_for(query_id).skip(
-            (self.config.num_proxies - 1)
-            * AnswerCodec.encoded_length(query_id, num_bits)
-        )
-        return True
 
     def answer_query(
         self,
@@ -598,18 +412,14 @@ class Client:
         ``scan_cache`` (SQL text → result set) lets a multi-query epoch share
         one table scan across co-subscribed queries; see :meth:`answer`.
         """
-        if query_id not in self._subscriptions:
+        flipped = self._flip_coin(query_id, epoch)
+        if flipped is None:
             return None
-        query, parameters = self._subscriptions[query_id]
+        query, responder, draws = flipped
 
-        sampler, responder = self._mechanisms_for(query_id, parameters)
-        if not sampler.should_participate():
-            return None
-
-        truthful = self._execute_query_locally(query, scan_cache)
         # bytes(bytearray(list)) copies at C speed; bytes(list) iterates.
-        truthful_bits = bytes(bytearray(truthful))
-        randomized_bits = bytes(bytearray(responder.randomize_vector(truthful)))
+        truthful_bits = bytes(bytearray(self._execute_query_locally(query, scan_cache)))
+        randomized_bits = responder.randomize_vector(truthful_bits, draws)
 
         answer = QueryAnswer(
             query_id=query.query_id,
@@ -618,9 +428,7 @@ class Client:
             token=participation_token(self._token_secret, query.query_id, epoch),
         )
         encrypted = self._codec.encrypt(
-            answer,
-            num_proxies=self.config.num_proxies,
-            keystream=self._keystream_for(query_id),
+            answer, num_proxies=self.config.num_proxies, draws=draws
         )
         return ClientResponse(
             client_id=self.config.client_id,
@@ -631,53 +439,32 @@ class Client:
             randomized_bits=randomized_bits,
         )
 
-    def _rng_for(self, query_id: str) -> random.Random:
-        """The query's own RNG stream, derived from the client seed.
+    def _flip_coin(
+        self, query_id: str, epoch: int
+    ) -> tuple[Query, RandomizedResponder, EpochDraws] | None:
+        """Flip the query's sampling coin for ``epoch`` (Step I).
 
-        The derivation (:func:`~repro.core.seeding.derive_query_seed`) is the
-        same one :mod:`repro.core.system` uses to seed per-query error
-        estimators: base seed mixed with a CRC of the query id.  An unseeded
-        client gets an independent fresh-entropy stream per query.
+        ``None`` for a non-participant or an unknown query; for a participant
+        the query, its responder and the answer's draws.
         """
-        rng = self._rngs.get(query_id)
-        if rng is None:
-            if self.config.seed is None:
-                rng = random.Random()
-            else:
-                rng = random.Random(derive_query_seed(self.config.seed, query_id))
-            self._rngs[query_id] = rng
-        return rng
-
-    def _keystream_for(self, query_id: str) -> KeystreamGenerator:
-        """The query's own encryption keystream, derived like :meth:`_rng_for`.
-
-        A shared keystream would let one query's encryption shift a
-        co-subscribed query's pad bytes; per-query keystreams keep even the
-        encrypted shares byte-identical with and without co-subscription.
-        """
-        keystream = self._keystreams.get(query_id)
-        if keystream is None:
-            if self.config.seed is None:
-                keystream = KeystreamGenerator(seed=None)
-            else:
-                keystream = KeystreamGenerator(
-                    seed=derive_query_seed_bytes(self.config.seed, query_id)
-                )
-            self._keystreams[query_id] = keystream
-        return keystream
-
-    def _mechanisms_for(
-        self, query_id: str, parameters: ExecutionParameters
-    ) -> tuple[SimpleRandomSampler, RandomizedResponder]:
-        cached = self._mechanisms.get((query_id, parameters))
-        if cached is None:
-            rng = self._rng_for(query_id)
+        subscription = self._subscriptions.get(query_id)
+        if subscription is None:
+            return None
+        query, parameters = subscription
+        cached = self._mechanisms.get(query_id)
+        if cached is None or cached[0] is not parameters:
             cached = (
-                SimpleRandomSampler(parameters.sampling_fraction, rng=rng),
-                RandomizedResponder(p=parameters.p, q=parameters.q, rng=rng),
+                parameters,
+                SimpleRandomSampler(parameters.sampling_fraction, rng=None),
+                RandomizedResponder(p=parameters.p, q=parameters.q, rng=None),
+                query_prefix(self._key, query_id),
             )
-            self._mechanisms[(query_id, parameters)] = cached
-        return cached
+            self._mechanisms[query_id] = cached
+        _, sampler, responder, prefix = cached
+        draws = EpochDraws(prefix, epoch)
+        if not sampler.should_participate(draws.coin()):
+            return None
+        return query, responder, draws
 
     def truthful_answer(self, query_id: str) -> list[int]:
         """The truthful (pre-randomization) answer vector.

@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.core.admission import PARTICIPATION_TOKEN_LENGTH
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
 from repro.crypto.xor import MessageShare, join_shares, split_message
@@ -78,23 +77,6 @@ class AnswerCodec:
         packed_bits = self._pack_bits(answer.bits)
         return header + qid_bytes + token_bytes + packed_bits
 
-    @staticmethod
-    def encoded_length(query_id: str, num_bits: int) -> int:
-        """``len(encode(answer))`` for a client's answer, without building it.
-
-        For an answer to ``query_id`` with ``num_bits`` bits carrying a
-        :func:`~repro.core.admission.participation_token`: header, query id,
-        token, bits packed eight to a byte.  The only other place that knows
-        :meth:`encode`'s layout — it tells a draw-only client how much
-        keystream the answer it is not building would have consumed.
-        """
-        return (
-            _HEADER_SIZE
-            + len(query_id.encode("utf-8"))
-            + PARTICIPATION_TOKEN_LENGTH
-            + (num_bits + 7) // 8
-        )
-
     def decode(self, message: bytes) -> QueryAnswer:
         """Parse a decrypted message ``M`` back into a :class:`QueryAnswer`."""
         if len(message) < _HEADER_SIZE:
@@ -120,11 +102,22 @@ class AnswerCodec:
         num_proxies: int,
         keystream: KeystreamGenerator | None = None,
         message_id: str | None = None,
+        *,
+        draws=None,
     ) -> EncryptedAnswer:
-        """Encode and split an answer into one share per proxy."""
+        """Encode and split an answer into one share per proxy.
+
+        With ``draws`` (the answer's :class:`~repro.core.seeding.EpochDraws`)
+        the pad's keystream is seeded from the client's PRF over the encoded
+        message itself: the same message always gets the same pad, two
+        different messages never share one.
+        """
         if num_proxies < 2:
             raise ValueError("PrivApprox requires at least two proxies")
-        shares = split_message(self.encode(answer), num_proxies, keystream, message_id)
+        message = self.encode(answer)
+        if draws is not None:
+            keystream = KeystreamGenerator(seed=draws.pad_seed(message))
+        shares = split_message(message, num_proxies, keystream, message_id)
         return EncryptedAnswer(message_id=shares[0].message_id, shares=tuple(shares))
 
     def decrypt(self, shares: list[MessageShare]) -> QueryAnswer:

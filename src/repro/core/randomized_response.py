@@ -23,6 +23,8 @@ lives in :mod:`repro.core.privacy`.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +41,47 @@ from repro.analytics.metrics import accuracy_loss
 _BINOMIAL_FAST_PATH_MIN_TOTAL = 128
 
 
+@functools.lru_cache(maxsize=64)
+def _byte_tables(p: float, q: float) -> tuple[int, int, bytes, bytes, bytes]:
+    """The thresholds for ``(p, q)`` and what each high byte of ``u`` decides.
+
+    ``keep_below = ceil(p * 2**32)`` and ``one_below = ceil((p + (1-p) q) *
+    2**32)``, so ``P(keep) = keep_below / 2**32`` is within ``2**-32`` of
+    ``p`` and likewise for the answer rates.  A high byte ``h`` covers
+    ``u in [h * 2**24, (h + 1) * 2**24)``; unless a threshold falls strictly
+    inside that range, the byte alone decides the bit, and the three tables
+    (for ``bytes.translate``) mark the bytes that decide "keep", "answer 1",
+    or nothing yet.
+    """
+    scale = 1 << 32
+    keep_below = math.ceil(p * scale)
+    one_below = min(scale, math.ceil((p + (1.0 - p) * q) * scale))
+    keep, one, undecided = bytearray(256), bytearray(256), bytearray(256)
+    for high in range(256):
+        low_end, high_end = high << 24, (high + 1) << 24
+        if low_end < keep_below < high_end or low_end < one_below < high_end:
+            undecided[high] = 1
+        elif low_end < keep_below:
+            keep[high] = 1
+        elif low_end < one_below:
+            one[high] = 1
+    return keep_below, one_below, bytes(keep), bytes(one), bytes(undecided)
+
+
+class _RngDraws:
+    """The two reads :meth:`RandomizedResponder.randomize_vector` makes, off
+    a ``random.Random`` — for a responder used outside a client."""
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+
+    def rr_high(self, num_bits: int) -> bytes:
+        return self._rng.randbytes(num_bits)
+
+    def rr_low(self, num_bits: int, count: int) -> bytes:
+        return self._rng.randbytes(3 * count)
+
+
 @dataclass
 class RandomizedResponder:
     """The two-coin randomized response mechanism.
@@ -50,18 +93,22 @@ class RandomizedResponder:
     q:
         Probability the second coin comes up heads (forced "Yes").
     rng:
-        Source of randomness; seed it for reproducible tests.
+        Source of randomness for :meth:`randomize_bit` and for
+        :meth:`randomize_vector` without draws; a client's responder has
+        none (every draw arrives with the answer).
     """
 
     p: float
     q: float
-    rng: random.Random = field(default_factory=random.Random)
+    rng: random.Random | None = field(default_factory=random.Random)
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        self._tables = _byte_tables(self.p, self.q)
 
     def randomize_bit(self, truthful_bit: int) -> int:
         """Randomize a single answer bit."""
@@ -71,54 +118,46 @@ class RandomizedResponder:
             return truthful_bit
         return 1 if self.rng.random() < self.q else 0
 
-    def randomize_vector(self, truthful_bits: Sequence[int]) -> list[int]:
-        """Randomize every bit of an answer vector independently (batched).
+    def randomize_vector(self, truthful_bits: Sequence[int], draws=None) -> bytes:
+        """Randomize every bit of an answer vector independently.
 
         Independent per-bucket randomization is what lets the aggregator apply
-        the Eq. 5 estimator bucket by bucket.
+        the Eq. 5 estimator bucket by bucket.  Returns one 0/1 byte per bit.
 
-        This is the batched fast path of the per-bit loop: the RNG method and
-        the ``(p, q)`` constants are bound once for the whole vector instead
-        of being re-resolved per bit.  It is *draw-compatible* with
-        :meth:`randomize_bit` — it consumes exactly the same ``rng.random()``
-        sequence in the same order (one draw per bit, plus a second draw only
-        when the first coin lands tails) — so a seeded client produces
-        byte-identical answers whichever path runs;
-        :meth:`randomize_vector_scalar` keeps the per-bit reference and the
-        regression test in ``tests/core/test_randomized_response.py`` pins the
-        two together.
+        Each bit ``i`` has one 32-bit uniform ``u``: ``u < p`` (scaled to
+        ``2**32``) keeps the truthful bit, else ``u < p + (1 - p) q`` answers
+        1, else 0 — the two coins of Section 3.2.2 read off one draw.  The
+        high bytes of all ``u`` come in one read (``draws.rr_high``) and decide
+        almost every bit at C speed through ``bytes.translate``; only the bits
+        whose high byte straddles a threshold (at most 2 of 256 values) need
+        their low 24 bits, read for all of them at once (``draws.rr_low``).
+        ``draws`` is the answer's :class:`~repro.core.seeding.EpochDraws`;
+        without it ``rng`` supplies the bytes.
         """
-        rand = self.rng.random
-        p = self.p
-        q = self.q
-        out = []
-        append = out.append
-        for bit in truthful_bits:
-            if bit != 0 and bit != 1:
-                raise ValueError(f"truthful bit must be 0 or 1, got {bit}")
-            if rand() < p:
-                append(bit)
-            else:
-                append(1 if rand() < q else 0)
-        return out
-
-    def advance(self, num_bits: int) -> None:
-        """Make :meth:`randomize_vector`'s draws for ``num_bits`` bits, no answer.
-
-        The draw sequence does not depend on the truthful bits (one
-        ``rng.random()`` per bit, a second only when the first is ``>= p``),
-        so this leaves ``rng`` exactly where randomizing any ``num_bits``-long
-        vector would.
-        """
-        rand = self.rng.random
-        p = self.p
-        for _ in range(num_bits):
-            if rand() >= p:
-                rand()
-
-    def randomize_vector_scalar(self, truthful_bits: Sequence[int]) -> list[int]:
-        """Per-bit reference implementation of :meth:`randomize_vector`."""
-        return [self.randomize_bit(bit) for bit in truthful_bits]
+        truthful = bytes(truthful_bits)
+        if truthful.translate(None, b"\x00\x01"):
+            raise ValueError("truthful bits must be 0 or 1")
+        if draws is None:
+            draws = _RngDraws(self.rng)
+        num_bits = len(truthful)
+        keep_below, one_below, keep, one, undecided = self._tables
+        high = draws.rr_high(num_bits)
+        decided = (
+            int.from_bytes(truthful, "little") & int.from_bytes(high.translate(keep), "little")
+            | int.from_bytes(high.translate(one), "little")
+        ).to_bytes(num_bits, "little")
+        pending = high.translate(undecided)
+        count = pending.count(1)
+        if not count:
+            return decided
+        lows = draws.rr_low(num_bits, count)
+        out = bytearray(decided)
+        index = -1
+        for offset in range(0, 3 * count, 3):
+            index = pending.find(1, index + 1)
+            uniform = high[index] << 24 | int.from_bytes(lows[offset : offset + 3], "big")
+            out[index] = truthful[index] if uniform < keep_below else uniform < one_below
+        return bytes(out)
 
     def response_probability(self, truthful_bit: int) -> float:
         """Probability that the randomized response is 1 given the truthful bit."""

@@ -133,26 +133,33 @@ def estimate_sum(
 class SimpleRandomSampler:
     """Client-side participation coin flip with probability ``s``.
 
-    Each client holds one sampler (or shares one seeded instance in tests);
     :meth:`should_participate` is the coin flip from Section 3.2.1 and
     :meth:`select` draws a whole sample from an indexed population at once,
-    which the analytical benchmarks use.
+    which the analytical benchmarks use.  A client's sampler has no ``rng``:
+    it passes each epoch's coin uniform in
+    (:meth:`repro.core.seeding.EpochDraws.coin`).
     """
 
     sampling_fraction: float
-    rng: random.Random = field(default_factory=random.Random)
+    rng: random.Random | None = field(default_factory=random.Random)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sampling_fraction <= 1.0:
             raise ValueError("sampling fraction must lie in [0, 1]")
 
-    def should_participate(self) -> bool:
-        """One coin flip: True with probability ``s``."""
+    def should_participate(self, uniform: float | None = None) -> bool:
+        """One coin flip: True with probability ``s``.
+
+        ``uniform`` is the coin's draw in ``[0, 1)``; without it ``rng``
+        draws one.
+        """
         if self.sampling_fraction >= 1.0:
             return True
         if self.sampling_fraction <= 0.0:
             return False
-        return self.rng.random() < self.sampling_fraction
+        if uniform is None:
+            uniform = self.rng.random()
+        return uniform < self.sampling_fraction
 
     def select(self, population: Sequence) -> list:
         """Independently include each member of ``population`` with probability ``s``."""

@@ -1,36 +1,133 @@
-"""Deterministic per-query seed derivation, shared across components.
+"""Epoch-addressed client randomness: every client draw is a keyed PRF.
 
-A client needs an independent random stream *per query* that is still
-reproducible from one deployment seed: its per-query sampling/randomization
-RNG and its encryption keystream.  Both use the same mixing formula, so the
-derivation is defined in exactly one place.
+In every answering epoch a client flips fresh coins (Section 3.2, Steps
+I-III): the sampling coin, the randomized-response coins of every answer
+bit and a one-time pad.  Each of those draws is read from one PRF — BLAKE2b
+over the client's 32-byte key followed by the draw's coordinates ``(query
+id, epoch, stream, block)`` — so a draw depends only on the answer it
+belongs to, never on what the client answered before: there is no stream
+position to keep, ship or replay, and a client rebuilt from its key, tables
+and subscriptions draws exactly what the original would.  (BLAKE2b has no
+length extension, so key-prefixed hashing is a PRF.)
+
+The two streams at one ``(query, epoch)``, each a sequence of 64-byte
+blocks:
+
+* :data:`MAIN` — bytes 0-3 are the sampling coin's 32-bit uniform; for an
+  ``n``-bit answer, byte ``4 + i`` is the high byte of bit ``i``'s 32-bit
+  randomized-response uniform, and the 3 bytes from ``4 + n + 3k`` are the
+  low 24 bits of the ``k``-th bit whose high byte did not decide it (the
+  bytes are independent of the high bytes, so every bit's uniform is
+  still uniform);
+* :data:`PAD` — the XOR pad: the client's
+  :class:`~repro.crypto.prng.KeystreamGenerator` seeded with the
+  coordinates *and the encoded message* (SIV-style: re-answering with the
+  same message gives the same shares, and two different messages never
+  share a pad).
+
+A seeded client's key is a hash of its seed; an unseeded client gets 32
+bytes of OS entropy.  Token secrets are derived from the key, so the key is
+all of a client's randomness that ever needs to travel.
 """
 
 from __future__ import annotations
 
-import zlib
+import hashlib
+import struct
 
-# A prime multiplier spreads consecutive base seeds apart before the query
-# hash is mixed in (the same constant the system uses to derive per-client
-# seeds from the deployment seed).
-_SEED_STRIDE = 1_000_003
+from repro.crypto.prng import secure_random_bytes
+
+KEY_BYTES = 32
+BLOCK_BYTES = hashlib.blake2b().digest_size
+
+MAIN = 0
+PAD = 1
+
+# stream, epoch, block index
+_COORDINATES = struct.Struct(">BQI")
+_UNIFORM_SCALE = 1.0 / (1 << 32)
 
 
-def derive_query_seed(seed: int, query_id: str) -> int:
-    """An integer seed unique to (base seed, query id), deterministically.
+def client_key(seed: int | None) -> bytes:
+    """A client's PRF key: a hash of ``seed``, or OS entropy when unseeded."""
+    if seed is None:
+        return secure_random_bytes(KEY_BYTES)
+    return hashlib.blake2b(
+        str(seed).encode("ascii"), digest_size=KEY_BYTES, person=b"privapprox-key"
+    ).digest()
 
-    Mixes the base seed with a CRC of the query id, so two queries on the
-    same client (or two clients on the same query) get unrelated streams
-    while a fixed deployment seed reproduces every stream exactly.
+
+def token_secret(key: bytes) -> bytes:
+    """The secret behind a client's participation tokens, derived from its key.
+
+    A separate BLAKE2b personalization keeps it independent of every draw.
     """
-    return seed * _SEED_STRIDE + zlib.crc32(query_id.encode("utf-8"))
+    return hashlib.blake2b(
+        key=key, digest_size=KEY_BYTES, person=b"privapprox-token"
+    ).digest()
 
 
-def derive_query_seed_bytes(seed: int, query_id: str) -> bytes:
-    """The :func:`derive_query_seed` value as bytes (keystream seeding).
+def query_prefix(key: bytes, query_id: str) -> bytes:
+    """The client query key: the PRF input every draw of one query starts with.
 
-    16 bytes: the derived value can exceed 64 bits for large base seeds
-    (the system multiplies twice by ``_SEED_STRIDE`` on the way to a
-    client's query seed).
+    The key, then the length-prefixed query id, so ``(query id,
+    coordinates)`` stays unambiguous.
     """
-    return derive_query_seed(seed, query_id).to_bytes(16, "big", signed=True)
+    encoded = query_id.encode("utf-8")
+    return key + len(encoded).to_bytes(4, "big") + encoded
+
+
+class EpochDraws:
+    """Every draw of one answer: a query's PRF read at one epoch.
+
+    The :data:`MAIN` stream is computed a block at a time and kept: its
+    first block (the coin, the high bytes of the first 60 answer bits)
+    on construction — a client builds one of these exactly when it flips a
+    coin — and later blocks when a read reaches them.
+    """
+
+    __slots__ = ("_prefix", "_epoch", "_main")
+
+    def __init__(self, prefix: bytes, epoch: int):
+        self._prefix = prefix
+        self._epoch = epoch
+        self._main = self._block(0)
+
+    def _block(self, index: int) -> bytes:
+        """Block ``index`` of the :data:`MAIN` stream."""
+        return hashlib.blake2b(
+            self._prefix + _COORDINATES.pack(MAIN, self._epoch, index)
+        ).digest()
+
+    def read(self, length: int, start: int = 0) -> bytes:
+        """``length`` bytes of the :data:`MAIN` stream from byte ``start`` on."""
+        end = start + length
+        main = self._main
+        if end > len(main):
+            main += b"".join(
+                [
+                    self._block(index)
+                    for index in range(len(main) // BLOCK_BYTES, -(-end // BLOCK_BYTES))
+                ]
+            )
+            self._main = main
+        return main[start:end]
+
+    def coin(self) -> float:
+        """The sampling coin's uniform in ``[0, 1)``, on a grid of ``2**-32``."""
+        return int.from_bytes(self._main[:4], "big") * _UNIFORM_SCALE
+
+    def rr_high(self, num_bits: int) -> bytes:
+        """The high byte of each answer bit's randomized-response uniform."""
+        return self.read(num_bits, 4)
+
+    def rr_low(self, num_bits: int, count: int) -> bytes:
+        """The low 24 bits of the ``count`` undecided bits' uniforms, 3 bytes
+        each, in bit order."""
+        return self.read(3 * count, 4 + num_bits)
+
+    def pad_seed(self, message: bytes) -> bytes:
+        """The keystream seed of the XOR pad for ``message``: the PRF input
+        of the :data:`PAD` stream, message included (the keystream hashes
+        it with a block counter)."""
+        return self._prefix + _COORDINATES.pack(PAD, self._epoch, 0) + message

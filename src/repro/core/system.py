@@ -19,7 +19,7 @@ historical store so batch analytics can run over longer periods.
 Concurrent queries (many analysts over one client population) are served by
 :meth:`PrivApproxSystem.run_epoch_all`: one answering pass per epoch covers
 every submitted query — clients answer all their subscriptions in one go with
-per-query RNG streams, and each query's shares travel on its own channel
+per-query draws, and each query's shares travel on its own channel
 topics into its own aggregator — so results are byte-identical to running
 each query alone, at a fraction of the cost.
 """
@@ -288,7 +288,7 @@ class PrivApproxSystem:
         universe: a client outside ``active_indices`` is unsubscribed from
         the given queries (all submitted queries by default) and becomes
         indistinguishable from an absent device — it answers nothing and
-        draws nothing from its RNG streams — while a client rejoining is
+        draws nothing — while a client rejoining is
         re-subscribed with the query's current parameters.  The client list
         itself never changes shape, which is what keeps shard boundaries,
         resident-worker slices and the seeded-equivalence contract intact;
@@ -298,7 +298,8 @@ class PrivApproxSystem:
 
         Each query's aggregator is rescaled to the new population
         (``total_clients = max(1, len(active))``) so estimate inversion
-        reflects who could actually have answered.
+        reflects who could actually have answered; windows of earlier epochs
+        keep the roster their epochs were ingested under.
         """
         ids = list(query_ids) if query_ids is not None else list(self._queries)
         for query_id in ids:
@@ -338,8 +339,8 @@ class PrivApproxSystem:
 
         Every query is served from a single answering pass over the clients:
         each client answers all its subscriptions in one go (sharing the
-        local table scan, with per-query RNG streams keeping the draws
-        isolated), and transmission/ingestion run on per-query channel
+        local table scan, with every draw addressed by its query keeping the
+        queries isolated), and transmission/ingestion run on per-query channel
         topics into per-query aggregators.  For a fixed seed each query's
         results are byte-identical to running it alone — the multi-query
         epoch is a pure batching optimization.
@@ -352,7 +353,7 @@ class PrivApproxSystem:
             raise ValueError("no queries submitted; nothing to run")
         if len(set(ids)) != len(ids):
             # A duplicated id would answer the query twice in one pass
-            # (advancing its RNG streams twice) and run the epoch postlude
+            # (two messages under one token) and run the epoch postlude
             # twice — corrupting state rather than failing loudly.
             raise ValueError("query_ids contains duplicates")
         for query_id in ids:

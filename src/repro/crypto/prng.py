@@ -3,8 +3,8 @@
 The paper requires each client to generate ``n - 1`` random bit strings using a
 "cryptographic pseudo-random number generator (PRNG) seeded with a
 cryptographically strong random number" (Section 3.2.3).  We provide a
-:class:`KeystreamGenerator` built on SHA-256 in counter mode, which is a
-standard construction for deriving an arbitrary-length keystream from a short
+:class:`KeystreamGenerator` built on BLAKE2b in counter mode, which is a
+standard construction for deriving an arbitrary-length keystream from a
 seed, plus a small helper for obtaining strong random seeds from the operating
 system.
 """
@@ -15,7 +15,7 @@ import hashlib
 import os
 import struct
 
-_DIGEST_SIZE = hashlib.sha256().digest_size
+_DIGEST_SIZE = hashlib.blake2b().digest_size
 
 
 def secure_random_bytes(length: int) -> bytes:
@@ -31,12 +31,16 @@ def secure_random_bytes(length: int) -> bytes:
 
 
 class KeystreamGenerator:
-    """SHA-256 counter-mode keystream generator.
+    """BLAKE2b counter-mode keystream generator: block ``i`` is
+    ``BLAKE2b(seed || i)``, 64 bytes.
 
     The generator produces a deterministic byte stream from a seed.  Two
     generators created with the same seed yield identical streams, which is
     what makes the XOR one-time-pad shares reproducible in tests while still
-    being unpredictable to an attacker who does not know the seed.
+    being unpredictable to an attacker who does not know the seed.  A client
+    seeds a fresh one for every message it encrypts, with its PRF key, the
+    answer's coordinates and the message itself
+    (:meth:`repro.core.seeding.EpochDraws.pad_seed`).
 
     Parameters
     ----------
@@ -59,29 +63,6 @@ class KeystreamGenerator:
         """The seed this generator was created with."""
         return self._seed
 
-    def getstate(self) -> tuple[bytes, int, bytes]:
-        """Snapshot the full generator state as ``(seed, counter, buffer)``.
-
-        Together with :meth:`setstate` this lets a client's keystream travel
-        to another process (the pinned-worker epoch runtime serializes it
-        into a shard bootstrap) and resume mid-stream: a restored generator
-        produces exactly the bytes the original would have produced next.
-        """
-        return (self._seed, self._counter, bytes(self._buffer))
-
-    def setstate(self, state: tuple[bytes, int, bytes]) -> None:
-        """Restore a state captured by :meth:`getstate`."""
-        seed, counter, buffer = state
-        if not isinstance(seed, (bytes, bytearray)):
-            raise TypeError("state seed must be bytes")
-        if not isinstance(counter, int) or counter < 0:
-            raise ValueError(f"state counter must be a non-negative int, got {counter!r}")
-        if not isinstance(buffer, (bytes, bytearray)):
-            raise TypeError("state buffer must be bytes")
-        self._seed = bytes(seed)
-        self._counter = counter
-        self._buffer = bytearray(buffer)
-
     def _refill(self, min_bytes: int = 1) -> None:
         """Extend the buffer with however many counter-mode blocks are needed.
 
@@ -94,7 +75,7 @@ class KeystreamGenerator:
         counter = self._counter
         self._buffer.extend(
             b"".join(
-                hashlib.sha256(seed + struct.pack(">Q", counter + i)).digest()
+                hashlib.blake2b(seed + struct.pack(">Q", counter + i)).digest()
                 for i in range(num_blocks)
             )
         )
@@ -110,31 +91,6 @@ class KeystreamGenerator:
         out = bytes(self._buffer[:length])
         del self._buffer[:length]
         return out
-
-    def skip(self, length: int) -> None:
-        """Advance past the next ``length`` bytes without producing them.
-
-        Leaves :meth:`getstate` exactly where ``next_bytes(length)`` would,
-        but hashes only the one counter block the new buffer tail comes from
-        (none at all when the skip ends on a block boundary or inside the
-        buffer) — for callers that must keep a stream in step with a peer
-        that *used* the bytes (:meth:`repro.core.client.Client.advance`).
-        """
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        missing = length - len(self._buffer)
-        if missing <= 0:
-            del self._buffer[:length]
-            return
-        num_blocks = -(-missing // _DIGEST_SIZE)
-        self._counter += num_blocks
-        tail = num_blocks * _DIGEST_SIZE - missing
-        self._buffer.clear()
-        if tail:
-            last_block = hashlib.sha256(
-                self._seed + struct.pack(">Q", self._counter - 1)
-            ).digest()
-            self._buffer += last_block[-tail:]
 
     def next_bits(self, nbits: int) -> int:
         """Return an integer holding the next ``nbits`` bits of the keystream."""

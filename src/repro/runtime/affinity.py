@@ -16,43 +16,34 @@ the first epoch:
   a shard id names the same clients every epoch of a deployment.
 * Each worker keeps a :class:`ResidentShardCache` of reconstructed
   :class:`~repro.core.client.Client` objects per shard id, installed once
-  from a :class:`~repro.runtime.wire.ShardBootstrap` and advanced in place
-  epoch after epoch.
+  from a :class:`~repro.runtime.wire.ShardBootstrap` and kept current by
+  deltas epoch after epoch.
 * The steady-state traffic is proportional to what changed: a
   :class:`~repro.runtime.wire.ShardDelta` per shard per epoch (subscription
   changes and the stream rows appended since the last frame — usually
   nothing) and a :class:`~repro.runtime.wire.ShardAck` back (responses plus
   the 32-byte hash of the frame served).
 
-**The parent replays every acked epoch's draws.**  The parent stays
-authoritative for tables and subscriptions (its live clients are mutated
-directly by ingest and re-tuning, and the changes ship as deltas), and it
-keeps its own copy of every client's RNG/keystream streams current: when it
-adopts a shard's ack, it makes that epoch's draws on the shard's live
-clients with :meth:`Client.advance <repro.core.client.Client.advance>`, the
-draw-only twin of ``Client.answer`` (no SQL, no answer built).  Every draw
-in the answering path comes from client-owned seeded streams and the
-*number* of draws is content-independent (one sampling coin; randomization
-draws depend only on the first coin; keystream consumption is fixed-length
-per query; SQL consumes no randomness), so afterwards the parent's streams
-are exactly the worker's, whatever rows the worker's SQL read — a tested
-contract (``state_fingerprint()`` equality with the answering path), not a
-side effect.  The draws run on the caller thread as each ack arrives, while
-the other workers are still answering.  No stream state ever travels back:
-no checkpoint, no sync frame, no replay log.
+**Nothing to keep in step.**  The parent stays authoritative for tables
+and subscriptions: its live clients are mutated directly by ingest and
+re-tuning, and the changes ship as deltas.  Client randomness has no
+position to keep: every draw is a keyed function of the client's key, the
+query and the epoch (:mod:`repro.core.seeding`), so the parent's copy of a
+client (key, tables, subscriptions) answers any epoch exactly as the
+worker's does, whichever epochs the worker has answered.  No client state
+travels back and nothing is replayed.
 
 **Recovery = bootstrap.**  A killed worker, a broken token chain, a refused
-ack or a table change that is not an append all end the same way: the
-parent's copy is current as of the last adopted ack, so the shard is sent a
-fresh bootstrap built from it.  An epoch that failed for a shard was never
-adopted — whatever the worker drew for it is discarded with the worker's
-copy — so results stay byte-identical to the serial reference; the
-equivalence and torture suites pin this with every worker killed after
-every epoch.
+ack or a table change that is not an append all end the same way: the shard
+is sent a fresh bootstrap built from the parent's clients.  An epoch that
+failed for a shard was never adopted, and what the worker drew for it
+depends on that epoch alone, so results stay byte-identical to the serial
+reference; the equivalence and torture suites pin this with every worker
+killed after every epoch.
 
 **No late set on the wire (yet).**  Every epoch's context carries its late
-set (``EpochContext.late``), and the in-process drivers use it to draw
-those answers instead of building them.  ``ShardDelta`` /
+set (``EpochContext.late``), and the in-process drivers use it to flip only
+those clients' coins instead of building their answers.  ``ShardDelta`` /
 ``ShardBootstrap`` have no field for it, so resident workers still build
 every answer and the parent's gate drops the late ones as acks decode —
 same bytes, same ledger; the field comes with the wire-v4 codec.
@@ -105,7 +96,7 @@ def _frame_token(frame: bytes) -> bytes:
     The worker acks it, the parent derives it from the bytes it sent, and the
     next delta embeds it as ``expected_fingerprint`` — a hash chain, so a
     match vouches for the bootstrap and every delta since, in order (tables,
-    subscriptions and epochs as well as stream position) at O(frame bytes).
+    subscriptions and epochs) at O(frame bytes).
     """
     return hashlib.sha256(frame).digest()
 
@@ -119,9 +110,10 @@ class ResidentShardCache:
     only to a delta that expects exactly that token (a mismatch, a miss, or
     clients with no token remembered return ``None`` — the caller acks
     ``bootstrap_required``), and ``invalidate`` drops a shard whose state can
-    no longer be trusted (a worker-side exception mid-answer leaves it
-    half-advanced).  ``lookup`` consumes the token: the clients it hands out
-    are about to advance, and only the next ack vouches for them again.
+    no longer be trusted (a worker-side exception mid-answer may leave a
+    delta half-applied).  ``lookup`` consumes the token: the clients it
+    hands out are about to take the frame's deltas, and only the next ack
+    vouches for them again.
     """
 
     def __init__(self) -> None:
@@ -208,8 +200,8 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
     served (:func:`_frame_token`).  Every frame produces exactly one
     ack — success, ``bootstrap_required``, or a captured worker-side error —
     so the parent's collect loop never counts itself into a hang.  An exception
-    while answering invalidates the shard (its clients may be half-advanced)
-    so the parent re-bootstraps it.
+    while answering invalidates the shard (a delta may be half-applied) so
+    the parent re-bootstraps it.
     """
     # Imported here: repro.core imports repro.runtime at package level, so a
     # module-level import would be cyclic.
@@ -369,9 +361,8 @@ class ResidentDriver(StageDriver):
 
     The engine relays and ingests each shard as its ack is collected; this
     driver owns the resident protocol — bootstrap-once / delta-thereafter
-    framing, replaying each adopted epoch's draws on the parent's clients,
-    worker healing, and forgetting residency when the engine is reused on a
-    new deployment.  Its router is always a
+    framing, the token chain, worker healing, and forgetting residency when
+    the engine is reused on a new deployment.  Its router is always a
     :class:`~repro.runtime.remote.RemoteWorkerTransport`: with no
     ``addresses`` it spawns its own workers on loopback
     (``framed-wire-local``, :class:`~repro.runtime.remote.LocalWorkerTransport`),
@@ -424,7 +415,7 @@ class ResidentDriver(StageDriver):
         return self._router
 
     def close(self) -> None:
-        """Stop the workers; the parent's clients are already current."""
+        """Stop the workers; the parent's clients are authoritative."""
         if self._router is not None:
             self._router.close()
             self._router = None
@@ -464,9 +455,9 @@ class ResidentDriver(StageDriver):
                 router.send(shard.index, frame)
                 self._pending[shard.index] = shard
         except Exception:
-            # Workers already holding this epoch's frames may answer them and
-            # advance state the parent never adopts; residency cannot be
-            # trusted for any shard this epoch touched, so every occupied
+            # Workers already holding this epoch's frames may apply their
+            # deltas and ack tokens the parent never adopts; residency cannot
+            # be trusted for any shard this epoch touched, so every occupied
             # shard re-bootstraps next epoch.  (The engine keeps the partial
             # wire bytes recorded.)
             for shard in handle.occupied:
@@ -474,7 +465,7 @@ class ResidentDriver(StageDriver):
             raise
 
     def collect(self, handle: EpochHandle) -> None:
-        """Decode acks, replay their draws, fall back to bootstrap on demand.
+        """Decode and adopt acks, fall back to bootstrap on demand.
 
         Emits exactly once per pending shard — success, worker error, or
         worker death — and returns only when no shard is pending.  A
@@ -494,9 +485,8 @@ class ResidentDriver(StageDriver):
         while pending:
             for shard_index in list(pending):
                 if not router.worker_alive(router.slot_for(shard_index)):
-                    # The resident copy died with the worker; the parent's
-                    # copy is at the last adopted epoch, so the next epoch
-                    # re-bootstraps from it.
+                    # The resident copy died with the worker; the next epoch
+                    # re-bootstraps the shard from the parent's copy.
                     fail(
                         pending.pop(shard_index),
                         ResidentWorkerError(
@@ -559,7 +549,7 @@ class ResidentDriver(StageDriver):
             del pending[shard.index]
             state = self._shards[shard.index]
             if self._refuses_token(state, ack):
-                # Nothing is adopted or drawn: the worker's copy is discarded.
+                # Nothing is adopted: the worker's copy is discarded.
                 fail(
                     shard,
                     ResidentWorkerError(
@@ -568,11 +558,7 @@ class ResidentDriver(StageDriver):
                     ),
                 )
                 continue
-            # Success: adopt the token and make the epoch's draws on the
-            # parent's copy, which then equals the worker's again.
             state.fingerprint = ack.fingerprint
-            for client in context.clients[shard.as_slice()]:
-                client.advance(query_ids)
             handle.emit(
                 shard.index,
                 [list(responses) for responses in ack.responses],
@@ -629,7 +615,7 @@ class ResidentDriver(StageDriver):
         A delta needs a resident copy of exactly this span and a change that
         :func:`_delta_since` can express; anything else — a table dropped,
         re-schema'd, rebound or edited in place — bootstraps the shard with
-        the parent's current tables and streams.
+        the parent's current tables.
         """
         state = self._shards.get(shard.index)
         if state is not None and (state.start, state.stop) == shard_span(shard):

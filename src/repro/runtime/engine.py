@@ -24,8 +24,8 @@ The engine owns all policy, so no driver carries its own copy:
 * the deadline: :meth:`StagedEpochEngine._gate` drops every response whose
   client is in ``EpochContext.late`` and returns the per-query drop ledger
   with the outcome — drivers hand raw responses to :meth:`EpochHandle.emit`
-  and at most read the set to draw known-late answers instead of building
-  them;
+  and at most read the set to flip only the coins of known-late clients
+  instead of building their answers;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
   drops);
 * static shard boundaries: :func:`~repro.runtime.sharding.plan_shards` over
@@ -101,10 +101,9 @@ def answer_shard(
     simply keep an empty cache and answer themselves.
 
     ``late`` is the epoch's late set (``EpochContext.late``): those members
-    *draw* their answers instead of building them (``Client.answer(late=True)``)
-    and their participating queries come back as
-    :class:`~repro.core.client.LateAnswer` markers, in the same list
-    positions a built response would hold, for the engine's gate to drop and
+    flip only their coins (``Client.answer(late=True)``) and each
+    participating query contributes the bare client id, in the same list
+    position a built response would hold, for the engine's gate to drop and
     record.
     """
     caches = shard_scan_caches(clients, query_ids, arena)
@@ -176,7 +175,7 @@ def _timed_answer_shard(
     late: frozenset[str] = frozenset(),
 ) -> tuple[list[list["ClientResponse"]], float]:
     """:func:`answer_shard`'s responses plus its own wall-clock, for stage
-    accounting (in-process: the clients advanced in place)."""
+    accounting."""
     started = time.perf_counter()
     responses = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
     return responses, time.perf_counter() - started
@@ -401,12 +400,12 @@ class StagedEpochEngine(EpochExecutor):
     ) -> list[list]:
         """Drop one shard's late responses at the transmit boundary.
 
-        A response whose client is in ``late`` advanced its client's RNG
-        streams exactly as under the serial reference — built by a pinned
-        worker, or only *drawn* (a :class:`~repro.core.client.LateAnswer`
-        marker) by an in-process driver — but never reaches the proxies: its
-        client id goes on the query's ``late_drops`` list and the count
-        lands in the metrics.
+        A participant whose client is in ``late`` — a response built in full
+        by a pinned worker, or just the client id from an in-process driver
+        that flipped only the coin — never reaches the proxies: its client
+        id goes on the query's ``late_drops`` list and the count lands in the
+        metrics.  Draws are addressed by ``(client, query, epoch)``, so what
+        a late client did or did not build changes none of its later answers.
         """
         if not late:
             return responses_per_query
@@ -414,8 +413,9 @@ class StagedEpochEngine(EpochExecutor):
         for responses, dropped in zip(responses_per_query, late_drops):
             kept = []
             for response in responses:
-                if response.client_id in late:
-                    dropped.append(response.client_id)
+                client_id = response if isinstance(response, str) else response.client_id
+                if client_id in late:
+                    dropped.append(client_id)
                 else:
                     kept.append(response)
             gated.append(kept)

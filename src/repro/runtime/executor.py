@@ -35,9 +35,10 @@ Two runtimes ship:
   four supported pairs and :func:`make_executor` is the one way to build
   them.
 
-Because every client draws from its own seeded RNG and keystream, the work is
-embarrassingly parallel and the merged outcome is independent of shard count
-and worker scheduling; the equivalence test suite pins this property down.
+Because every client draw is a keyed function of (client, query, epoch)
+(:mod:`repro.core.seeding`), the work is embarrassingly parallel and the
+merged outcome is independent of shard count and worker scheduling; the
+equivalence test suite pins this property down.
 See ``docs/ARCHITECTURE.md`` for the driver matrix and the
 seeded-equivalence contract each combination must satisfy.
 """
@@ -75,15 +76,15 @@ class QueryContext:
 class EpochContext:
     """Everything an executor needs to run one epoch.
 
-    ``clients`` is the system's *live* client list: executors that move
-    client state to other processes must write the advanced state back into
-    it so later epochs continue the same RNG streams.  ``queries`` holds one
+    ``clients`` is the system's *live* client list, authoritative for tables
+    and subscriptions; answering changes no client state, so nothing ever
+    has to be written back into it.  ``queries`` holds one
     :class:`QueryContext` per concurrent query served by this epoch's single
     answering pass.
 
     ``late`` is the epoch's deadline: the ids of the clients whose answers
-    miss it.  A late client still answers — its RNG streams advance exactly
-    as if it had not been late — but its responses never reach the proxies,
+    miss it.  A late client still flips its sampling coins, exactly as if it
+    had not been late, but its responses never reach the proxies,
     and each query's outcome lists the late participants it dropped.  The
     set is decided from modeled latency, never wall-clock
     (:func:`repro.runtime.scenario.late_clients_for`), so every executor

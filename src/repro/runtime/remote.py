@@ -18,7 +18,7 @@ epochs.  There is one router and one worker loop for every deployment:
   (``send``/``recv``/``worker_alive``/``dead_slots``/``replace``).  Connect
   failures retry with bounded exponential backoff; a socket that dies
   mid-epoch surfaces as a dead worker and its shards re-bootstrap from the
-  coordinator's copy, which replayed every acked epoch's draws.
+  coordinator's copy, which answering never changes.
 * :class:`LocalWorkerTransport` — ``framed-wire-local``: the same transport
   over workers it spawns itself, one forked ``RemoteWorkerServer`` child per
   slot on ``127.0.0.1``, keyed with fresh random keys that never leave the

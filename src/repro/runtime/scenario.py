@@ -27,9 +27,9 @@ may depend on wall-clock or scheduling:
   plus seeded jitter — never against real elapsed time.  An epoch's deadline
   is therefore just a set of client ids, :func:`late_clients_for`, which the
   runner hands every executor as ``EpochContext.late``: each drops exactly
-  the same answers (a late answer advanced the RNG streams — built in full,
-  or only drawn by an in-process driver — but never arrived) and reports
-  the drops per query.
+  the same answers (a late participant flipped its coin — and was built in
+  full by a pinned worker — but never arrived) and reports the drops per
+  query.
 * **Byzantine injection** publishes forged answers straight onto the proxy
   topics before the epoch runs.  Forged tokens are unique per injection and
   repeated ``copies`` times, so admission control admits exactly one copy and

@@ -8,7 +8,7 @@ result-for-result; ``docs/ARCHITECTURE.md`` spells the contract out.
 
 A multi-query epoch keeps the same shape: the single client loop answers
 every context query from one :meth:`~repro.core.client.Client.answer` pass
-(shared table scan, per-query RNG streams), transmits each query's shares on
+(shared table scan, per-query draws), transmits each query's shares on
 that query's channel, and then ingests query by query.  This is the
 reference the multi-query equivalence suite pins the parallel executors to.
 """
@@ -37,7 +37,7 @@ class SerialExecutor(EpochExecutor):
                 if response is None:
                     continue
                 if response.client_id in late:
-                    # Built (RNG advanced) but missed the deadline.
+                    # Built but missed the deadline.
                     late_drops[index].append(response.client_id)
                     continue
                 responses_per_query[index].append(response)

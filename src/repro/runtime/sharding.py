@@ -37,7 +37,7 @@ def shard_span(shard: Shard) -> tuple[int, int]:
     :func:`plan_shards` depends only on the population size, so a
     deployment's spans never move.  The sticky shard→worker affinity of
     :mod:`repro.runtime.affinity` keys residency on the shard id and checks
-    the span before sending a delta: a resident copy is only ever advanced
+    the span before sending a delta: a resident copy only ever takes deltas
     for the clients it was bootstrapped with.
     """
     return (shard.start, shard.stop)

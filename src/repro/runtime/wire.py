@@ -19,7 +19,7 @@ payload with a non-executable codec.
 
 **This is simulation-harness state transfer, not a client protocol.**  The
 frames carry what the *simulation* holds on behalf of each simulated device:
-raw private table rows, RNG secrets, truthful answer bits.  In the paper's
+raw private table rows, PRF keys, truthful answer bits.  In the paper's
 threat model none of that may ever leave a real client — the only deployable
 client-to-proxy wire is the randomized, XOR-encrypted shares
 (:mod:`repro.core.encryption`).  A real multi-machine deployment of this
@@ -42,8 +42,9 @@ the first epoch:
   token (the SHA-256 of the frame just served, which the parent checks
   against the bytes it sent), and ``bootstrap_required`` when the worker
   cannot serve the delta (cache miss or token mismatch) so the parent falls
-  back to a bootstrap frame.  No client state ever travels back: the parent
-  replays each acked epoch's draws on its own copy
+  back to a bootstrap frame.  No client state ever travels back: answering
+  changes none (every draw is addressed by client, query and epoch,
+  :mod:`repro.core.seeding`), so the parent's copy stays current
   (:mod:`repro.runtime.affinity`).
 
 Versioning: every frame kind is emitted and accepted at exactly
@@ -152,6 +153,9 @@ class ClientDelta:
 @dataclass(frozen=True)
 class ShardBootstrap:
     """Full client snapshots for one shard, plus the epoch to answer.
+
+    A snapshot (:meth:`repro.core.client.Client.export_state`) is the
+    client's config, its 32-byte PRF key, its tables and its subscriptions.
 
     Sent once per (shard, worker) pairing — and again whenever the parent
     cannot trust or reuse the worker-resident copy: cache miss, token

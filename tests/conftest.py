@@ -317,7 +317,7 @@ def _reversed_emits(request, monkeypatch):
 # workers between epochs.  A test marked ``respawned_workers`` kills every
 # pinned worker as soon as each epoch's acks are collected, so every later
 # epoch runs the recovery path: a respawned child and a fresh bootstrap from
-# the parent's copy, which replayed every acked epoch's draws.  Recovery
+# the parent's copy, which answering never changes.  Recovery
 # must be invisible: nothing a test can observe may change.  The test modules
 # add these cases to their driver matrices as ``<spelling>+respawned-workers``.
 

@@ -33,6 +33,15 @@ class TestParticipationToken:
         with pytest.raises(ValueError):
             participation_token(b"s", "q1", -1)
 
+    def test_token_is_a_keyed_blake2b_of_query_and_epoch(self):
+        import hashlib
+
+        secret = b"k" * 64  # the longest key BLAKE2b takes
+        expected = hashlib.blake2b(b"q1|5", key=secret, digest_size=16).hexdigest()
+        assert participation_token(secret, "q1", 5) == expected
+        with pytest.raises(ValueError):
+            participation_token(b"k" * 65, "q1", 5)
+
     @given(
         secret=st.binary(min_size=1, max_size=32),
         epoch_a=st.integers(min_value=0, max_value=1_000),

@@ -198,10 +198,8 @@ class TestAnswering:
         assert different > 10
 
 
-class TestDrawOnly:
-    """``answer(late=True)`` and ``advance``: the draws, nothing built.  (The
-    stream-equality property over arbitrary parameters lives in
-    ``test_properties.py``; these pin what each form reads and returns.)"""
+class TestLatePath:
+    """``answer(late=True)``: the coin and the SQL outcome, nothing built."""
 
     def _subscribed(self, seed: int = 5) -> tuple[Client, Query]:
         client = make_client(seed=seed)
@@ -210,18 +208,15 @@ class TestDrawOnly:
         client.subscribe(query, ALWAYS)
         return client, query
 
-    def test_late_answer_is_a_marker_that_read_its_sql_outcome(self):
-        from repro.core.client import LateAnswer
-
+    def test_late_answer_is_the_client_id_after_reading_its_sql_outcome(self):
         client, query = self._subscribed()
         scan_cache: dict = {}
-        marker, unknown = client.answer(
+        entry, unknown = client.answer(
             [query.query_id, "unknown"], epoch=7, scan_cache=scan_cache, late=True
         )
-        assert marker == LateAnswer("c-1", query.query_id, 7)
+        assert entry == "c-1"
         assert unknown is None
         assert list(scan_cache) == [query.sql]  # read, as a built answer reads it
-        assert not hasattr(marker, "encrypted")
 
     def test_late_answer_raises_what_a_built_answer_raises(self):
         client, query = self._subscribed()
@@ -229,35 +224,68 @@ class TestDrawOnly:
         boom = RuntimeError("this client's statement fails")
         with pytest.raises(RuntimeError) as built:
             client.answer([query.query_id], scan_cache={query.sql: boom})
-        with pytest.raises(RuntimeError) as drawn:
+        with pytest.raises(RuntimeError) as late:
             twin.answer([query.query_id], scan_cache={query.sql: boom}, late=True)
-        assert built.value is drawn.value is boom
-        # ... and at the same point: after the coin, before any other draw.
-        assert twin.state_fingerprint() == client.state_fingerprint()
+        assert built.value is late.value is boom
 
-    def test_advance_runs_no_sql_and_reports_participation(self, monkeypatch):
-        from repro.sqldb import Database
+    def test_late_answer_flips_only_the_coin(self, monkeypatch):
+        from repro.core import client as client_module
+        from repro.core.encryption import AnswerCodec
+        from repro.core.randomized_response import RandomizedResponder
+        from repro.core.sampling import SimpleRandomSampler
 
         client, query = self._subscribed()
-        twin, _ = self._subscribed()
-        answered = client.answer([query.query_id, "unknown"], epoch=3)
+        calls = []
+        coin = SimpleRandomSampler.should_participate
 
-        def no_sql(self, sql):
-            raise AssertionError(f"advance ran SQL: {sql}")
+        def counting_coin(self, uniform=None):
+            calls.append("coin")
+            return coin(self, uniform)
 
-        monkeypatch.setattr(Database, "query", no_sql)
-        assert twin.advance([query.query_id, "unknown"]) == [True, False]
-        assert [response is not None for response in answered] == [True, False]
-        assert twin.state_fingerprint() == client.state_fingerprint()
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"a late answer called {name}")
 
-    def test_packed_rng_state_is_the_little_endian_word_blob(self):
-        import random
-        import struct
+            return fail
 
-        from repro.core.client import _pack_rng_state, _unpack_rng_state
+        monkeypatch.setattr(SimpleRandomSampler, "should_participate", counting_coin)
+        monkeypatch.setattr(RandomizedResponder, "randomize_vector", forbidden("randomize"))
+        monkeypatch.setattr(AnswerCodec, "encrypt", forbidden("encrypt"))
+        monkeypatch.setattr(client_module, "participation_token", forbidden("token"))
+        assert client.answer([query.query_id], epoch=2, late=True) == ["c-1"]
+        assert calls == ["coin"]
 
-        state = random.Random(11).getstate()
-        version, blob, gauss_next = _pack_rng_state(state)
-        assert blob == struct.pack(f"<{len(state[1])}I", *state[1])
-        assert (version, gauss_next) == (state[0], state[2])
-        assert _unpack_rng_state((version, blob, gauss_next)) == state
+
+class TestPadDerivation:
+    """The XOR pad is a keyed function of the answer's coordinates *and* its
+    message, so re-answering one ``(query, epoch)`` never reuses a pad."""
+
+    def _answer_over(self, speed: float):
+        client = make_client(seed=21)
+        client.ingest([{"speed": speed, "location": "San Francisco"}])
+        query = make_query()
+        client.subscribe(query, ALWAYS)
+        return client.answer_query(query.query_id, epoch=3)
+
+    def test_answering_twice_over_different_rows_shares_no_pad(self):
+        from repro.core.encryption import AnswerCodec
+        from repro.crypto.xor import xor_bytes
+
+        first, second = self._answer_over(12.0), self._answer_over(25.0)
+        codec = AnswerCodec()
+        messages = [
+            codec.encode(codec.decrypt(list(response.encrypted.shares)))
+            for response in (first, second)
+        ]
+        assert messages[0] != messages[1]
+        encrypted = [response.encrypted.shares[0].payload for response in (first, second)]
+        # With a reused pad, ME1 ^ ME2 == M1 ^ M2 would hand a proxy the XOR
+        # of the two plaintexts.
+        assert xor_bytes(*encrypted) != xor_bytes(*messages)
+        assert first.encrypted.shares[1].payload != second.encrypted.shares[1].payload
+
+    def test_answering_twice_over_the_same_rows_gives_identical_shares(self):
+        first, second = self._answer_over(12.0), self._answer_over(12.0)
+        assert [share.payload for share in first.encrypted.shares] == [
+            share.payload for share in second.encrypted.shares
+        ]

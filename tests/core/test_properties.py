@@ -13,8 +13,7 @@ from repro.core import (
     zero_knowledge_epsilon,
     randomized_response_epsilon,
 )
-from repro.core.admission import participation_token
-from repro.core.client import Client, ClientConfig, LateAnswer
+from repro.core.client import Client, ClientConfig
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query, QueryAnswer
 from repro.core.sampling import estimate_sum
@@ -130,34 +129,31 @@ class TestRandomizedVectorProperties:
         assert all(bit in (0, 1) for bit in randomized)
 
 
-# -- the draw-only twin is pinned to the path it mirrors ----------------------
+# -- every draw is addressed by (client, query, epoch) ------------------------
 #
-# Client.advance / Client.answer(late=True) make answer_query's draws without
-# building an answer (known-late clients, recovery replay).  They are a second
-# description of those draws; these properties are what keeps the two from
-# drifting (docs/ARCHITECTURE.md, draw-compatibility rule 6).
+# Nothing a client answered before moves its later draws: an answer is a
+# function of its coordinates, the rows and the parameters.  That is what
+# lets a known-late client flip only its coin and a restored client answer
+# without any replay.
 
 _QUERY_IDS = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12
 )
 
 
-def _twin_clients(seed, num_proxies, subscriptions):
-    """Two same-seed clients holding the same rows and subscriptions."""
-    twins = []
-    for _ in range(2):
-        client = Client(
-            ClientConfig(client_id="twin", num_proxies=num_proxies, seed=seed)
-        )
-        client.create_table([("value", "REAL")])
-        client.ingest([{"value": 1.5}, {"value": 6.5}])
-        for query, parameters in subscriptions:
-            client.subscribe(query, parameters)
-        twins.append(client)
-    return twins
+def _answer_bytes(response):
+    """A response without its message id (OS entropy per message)."""
+    if response is None:
+        return None
+    return (
+        response.query_id,
+        response.epoch,
+        response.randomized_bits,
+        tuple(share.payload for share in response.encrypted.shares),
+    )
 
 
-class TestDrawOnlyTwin:
+class TestEpochAddressedDraws:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         sampling_fraction=st.floats(min_value=0.01, max_value=1.0),
@@ -170,104 +166,42 @@ class TestDrawOnlyTwin:
             max_size=3,
             unique_by=lambda pair: pair[0],
         ),
-        num_epochs=st.integers(min_value=1, max_value=4),
-        late=st.booleans(),
+        history=st.lists(st.integers(min_value=0, max_value=6), max_size=6),
+        epoch=st.integers(min_value=0, max_value=6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_streams_end_where_answering_leaves_them(
-        self, seed, sampling_fraction, p, q, num_proxies, queries, num_epochs, late
+    def test_an_answer_depends_only_on_its_coordinates(
+        self, seed, sampling_fraction, p, q, num_proxies, queries, history, epoch
     ):
-        """``advance`` (replay) and ``answer(late=True)`` (known-late) leave
-        ``state_fingerprint()`` equal to ``answer``'s after every epoch and
-        agree with it on which queries participated."""
+        """A client that answered (or was late for) any other epochs first,
+        and a copy restored from its snapshot, answer ``epoch`` exactly as a
+        fresh client does; the late path agrees on who participated."""
         parameters = ExecutionParameters(sampling_fraction=sampling_fraction, p=p, q=q)
-        subscriptions = [
-            (
-                Query(
+        query_ids = [query_id for query_id, _ in queries] + ["\x00 nobody holds this"]
+
+        def make_client():
+            client = Client(ClientConfig(client_id="c", num_proxies=num_proxies, seed=seed))
+            client.create_table([("value", "REAL")])
+            client.ingest([{"value": 1.5}, {"value": 6.5}])
+            for query_id, num_buckets in queries:
+                query = Query(
                     query_id=query_id,
                     sql="SELECT value FROM private_data",
                     answer_spec=AnswerSpec(
                         buckets=RangeBuckets.uniform(0.0, 8.0, num_buckets),
                         value_column="value",
                     ),
-                ),
-                parameters,
-            )
-            for query_id, num_buckets in queries
-        ]
-        built, drawn = _twin_clients(seed, num_proxies, subscriptions)
-        query_ids = [query_id for query_id, _ in queries] + ["\x00 nobody holds this"]
-        for epoch in range(num_epochs):
-            answers = built.answer(query_ids, epoch=epoch)
-            if late:
-                markers = drawn.answer(query_ids, epoch=epoch, late=True)
-                assert [
-                    None if marker is None else (marker.query_id, marker.epoch)
-                    for marker in markers
-                ] == [
-                    None if answer is None else (answer.query_id, answer.epoch)
-                    for answer in answers
-                ]
-                assert all(
-                    marker is None or isinstance(marker, LateAnswer)
-                    for marker in markers
                 )
-            else:
-                participated = drawn.advance(query_ids)
-                assert participated == [answer is not None for answer in answers]
-            assert drawn.state_fingerprint() == built.state_fingerprint()
+                client.subscribe(query, parameters)
+            return client
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        p=st.floats(min_value=0.01, max_value=1.0),
-        q=st.floats(min_value=0.0, max_value=1.0),
-        num_bits=st.integers(min_value=0, max_value=256),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_responder_advance_draws_what_randomize_vector_draws(
-        self, seed, p, q, num_bits
-    ):
-        randomizing = RandomizedResponder(p=p, q=q, rng=random.Random(seed))
-        advancing = RandomizedResponder(p=p, q=q, rng=random.Random(seed))
-        randomizing.randomize_vector([0] * num_bits)
-        advancing.advance(num_bits)
-        assert advancing.rng.getstate() == randomizing.rng.getstate()
-
-    @given(
-        query_id=_QUERY_IDS,
-        bits=st.lists(st.integers(min_value=0, max_value=1), max_size=256),
-        epoch=st.integers(min_value=0, max_value=2**32 - 1),
-        secret=st.binary(min_size=1, max_size=32),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_encoded_length_is_the_length_of_the_encoding(
-        self, query_id, bits, epoch, secret
-    ):
-        answer = QueryAnswer(
-            query_id=query_id,
-            bits=tuple(bits),
-            epoch=epoch,
-            token=participation_token(secret, query_id, epoch),
-        )
-        assert len(AnswerCodec().encode(answer)) == AnswerCodec.encoded_length(
-            query_id, len(bits)
-        )
-
-    @given(
-        seed=st.binary(min_size=1, max_size=16),
-        lengths=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=8),
-        skipped=st.lists(st.booleans(), min_size=8, max_size=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_keystream_skip_lands_where_next_bytes_lands(self, seed, lengths, skipped):
-        """Any interleaving of ``skip`` and ``next_bytes`` keeps the state (and
-        so every later byte) equal to a stream that only ever read."""
-        reading = KeystreamGenerator(seed=seed)
-        skipping = KeystreamGenerator(seed=seed)
-        for length, skip in zip(lengths, skipped):
-            expected = reading.next_bytes(length)
-            if skip:
-                skipping.skip(length)
-            else:
-                assert skipping.next_bytes(length) == expected
-            assert skipping.getstate() == reading.getstate()
+        fresh = make_client().answer(query_ids, epoch=epoch)
+        used = make_client()
+        for index, earlier in enumerate(history):
+            used.answer(query_ids, epoch=earlier, late=index % 2 == 1)
+        restored = Client.from_state(used.export_state())
+        expected = [_answer_bytes(response) for response in fresh]
+        assert [_answer_bytes(r) for r in used.answer(query_ids, epoch=epoch)] == expected
+        assert [_answer_bytes(r) for r in restored.answer(query_ids, epoch=epoch)] == expected
+        late = used.answer(query_ids, epoch=epoch, late=True)
+        assert late == [None if response is None else "c" for response in fresh]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import RandomizedResponder, estimate_true_yes, rr_accuracy_loss
 from repro.core.randomized_response import (
+    _byte_tables,
     estimate_true_counts,
     simulate_randomized_survey,
 )
@@ -162,31 +163,86 @@ class TestPaperMicrobenchmarkShape:
         assert mean_loss(0.9) < mean_loss(0.1)
 
 
-class TestBatchedRandomizeVector:
-    """The batched vector path must be draw-compatible with the per-bit loop."""
+class _Uniforms:
+    """Hands ``randomize_vector`` fixed 32-bit uniforms: their high bytes,
+    then the low 24 bits of the bits whose high byte is in ``straddling``,
+    recording how many it asks for."""
 
-    def test_batched_matches_scalar_reference(self):
+    def __init__(self, uniforms, straddling):
+        self.uniforms = uniforms
+        self.straddling = straddling
+        self.low_reads = []
+
+    def rr_high(self, num_bits):
+        return bytes(u >> 24 for u in self.uniforms[:num_bits])
+
+    def rr_low(self, num_bits, count):
+        self.low_reads.append(count)
+        lows = [u & 0xFFFFFF for u in self.uniforms[:num_bits] if u >> 24 in self.straddling]
+        return b"".join(low.to_bytes(3, "big") for low in lows[:count])
+
+
+class TestRandomizeVector:
+    """One 32-bit uniform per bit, decided by its high byte where it can be."""
+
+    @given(
+        p=st.floats(min_value=0.01, max_value=1.0),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        cells=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 2**32 - 1)), max_size=64
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_two_coin_rule_on_the_full_uniform(self, p, q, cells):
+        """``u < p`` keeps the bit, else ``u < p + (1-p) q`` answers 1 —
+        whatever the high bytes decided alone; only undecided bits read
+        their low 24 bits."""
+        bits = [bit for bit, _ in cells]
+        keep_below, one_below, *_ = _byte_tables(p, q)
+        straddling = {
+            high
+            for high in range(256)
+            if any(high << 24 < t < (high + 1) << 24 for t in (keep_below, one_below))
+        }
+        uniforms = _Uniforms([u for _, u in cells], straddling)
+        expected = bytes(
+            bit if u < keep_below else int(u < one_below) for bit, u in cells
+        )
+        assert RandomizedResponder(p=p, q=q, rng=None).randomize_vector(bits, uniforms) == expected
+        undecided = sum(1 for _, u in cells if u >> 24 in straddling)
+        assert uniforms.low_reads == ([undecided] if undecided else [])
+
+    @given(
+        p=st.floats(min_value=0.01, max_value=1.0),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rates_are_within_two_to_the_minus_32(self, p, q):
+        """Counted exactly over all 2**32 uniforms through the byte tables:
+        ``|P(truthful) - p| <= 2**-32`` and the same for both answer rates."""
+        keep_below, one_below, keep, one, undecided = _byte_tables(p, q)
+        kept = ones = 0
+        for high in range(256):
+            start, end = high << 24, (high + 1) << 24
+            if keep[high]:
+                kept += 1 << 24
+            elif one[high]:
+                ones += 1 << 24
+            elif undecided[high]:
+                kept += max(0, min(end, keep_below) - start)
+                ones += max(0, min(end, one_below) - max(start, keep_below))
+        scale = 2.0**32
+        assert abs(kept / scale - p) <= 2**-32
+        assert abs((kept + ones) / scale - (p + (1 - p) * q)) <= 2**-32
+        assert abs(ones / scale - (1 - p) * q) <= 2**-32
+
+    def test_without_draws_the_rng_supplies_them(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0] * 8
-        batched = RandomizedResponder(p=0.7, q=0.4, rng=random.Random(42))
-        scalar = RandomizedResponder(p=0.7, q=0.4, rng=random.Random(42))
-        assert batched.randomize_vector(bits) == scalar.randomize_vector_scalar(bits)
+        a = RandomizedResponder(p=0.7, q=0.4, rng=random.Random(42)).randomize_vector(bits)
+        b = RandomizedResponder(p=0.7, q=0.4, rng=random.Random(42)).randomize_vector(bits)
+        assert a == b and len(a) == len(bits) and set(a) <= {0, 1}
 
-    def test_batched_consumes_identical_draw_sequence(self):
-        """After randomizing, both RNGs sit at exactly the same stream position."""
-        bits = [1, 0, 0, 1, 1, 0, 1, 1, 0, 0]
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        RandomizedResponder(p=0.6, q=0.3, rng=rng_a).randomize_vector(bits)
-        RandomizedResponder(p=0.6, q=0.3, rng=rng_b).randomize_vector_scalar(bits)
-        assert rng_a.getstate() == rng_b.getstate()
-
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=64), st.integers())
-    @settings(max_examples=50, deadline=None)
-    def test_property_equivalence(self, bits, seed):
-        batched = RandomizedResponder(p=0.5, q=0.5, rng=random.Random(seed))
-        scalar = RandomizedResponder(p=0.5, q=0.5, rng=random.Random(seed))
-        assert batched.randomize_vector(bits) == scalar.randomize_vector_scalar(bits)
-
-    def test_batched_rejects_non_binary_bits(self):
+    def test_rejects_non_binary_bits(self):
         responder = RandomizedResponder(p=0.9, q=0.5, rng=random.Random(1))
         with pytest.raises(ValueError):
             responder.randomize_vector([0, 1, 2])

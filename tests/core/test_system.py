@@ -482,3 +482,42 @@ class TestLaterSubmitsLeaveEarlierSubscriptions:
             system.close()
         # s = 1: every client answers, as the aggregator assumes when it inverts.
         assert report.num_participants == len(system.clients)
+
+
+class TestWindowsAreScaledByTheirOwnRoster:
+    """Churn rescales a query's population from the next epoch on.  A window
+    closes during the *next* epoch's ingest — after ``set_active_clients``
+    already rescaled the aggregator for that epoch — and must still be scaled
+    by the roster its own epoch ran under."""
+
+    @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
+    def test_a_roster_change_reaches_only_later_windows(self, executor):
+        system = PrivApproxSystem(
+            SystemConfig(num_clients=8, seed=5, executor=executor, executor_shards=2)
+        )
+        try:
+            system.provision_clients([("speed", "REAL")], lambda i: [{"speed": 5.0 * i}])
+            analyst = Analyst("acme")
+            query = analyst.create_query(
+                "SELECT speed FROM private_data",
+                AnswerSpec(buckets=QUICKSTART_BUCKETS, value_column="speed"),
+                frequency_seconds=60.0,
+                window_seconds=60.0,
+                slide_seconds=60.0,
+            )
+            everyone = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.6)
+            system.submit_query(analyst, query, QueryBudget(), parameters=everyone)
+            system.run_epoch(query.query_id, 0)
+            system.set_active_clients([0, 1])
+            first = system.run_epoch(query.query_id, 1)
+            system.set_active_clients(range(8))
+            second = system.run_epoch(query.query_id, 2)
+        finally:
+            system.close()
+        (closed_in_epoch_1,) = first.window_results
+        (closed_in_epoch_2,) = second.window_results
+        assert closed_in_epoch_1.window.start == 0.0
+        assert closed_in_epoch_1.population == 8  # epoch 0's roster, not epoch 1's
+        assert closed_in_epoch_2.window.start == 60.0
+        assert closed_in_epoch_2.population == 2
+        assert first.num_participants == 2 and second.num_participants == 8

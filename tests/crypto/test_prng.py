@@ -1,6 +1,5 @@
-"""Tests for the SHA-256 counter-mode keystream generator."""
+"""Tests for the BLAKE2b counter-mode keystream generator."""
 
-import hashlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,42 +55,6 @@ class TestKeystreamGenerator:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             KeystreamGenerator(seed=b"s").next_bytes(-5)
-
-    def test_skip_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            KeystreamGenerator(seed=b"s").skip(-1)
-
-    @pytest.mark.parametrize("buffered", [0, 5])
-    @pytest.mark.parametrize("length", [0, 5, 27, 32, 33, 64, 200])
-    def test_skip_leaves_the_state_next_bytes_leaves(self, buffered, length):
-        """Inside the buffer, across it, and ending on a block boundary."""
-        reading = KeystreamGenerator(seed=b"skip")
-        skipping = KeystreamGenerator(seed=b"skip")
-        for generator in (reading, skipping):
-            generator.next_bytes(32 - buffered)  # leaves `buffered` bytes behind
-        reading.next_bytes(length)
-        skipping.skip(length)
-        assert skipping.getstate() == reading.getstate()
-        assert skipping.next_bytes(40) == reading.next_bytes(40)
-
-    def test_skip_hashes_at_most_the_block_the_tail_comes_from(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from repro.crypto import prng
-
-        hashed = []
-
-        def counting_sha256(data):
-            hashed.append(data)
-            return hashlib.sha256(data)
-
-        generator = KeystreamGenerator(seed=b"skip")
-        monkeypatch.setattr(prng, "hashlib", SimpleNamespace(sha256=counting_sha256))
-        generator.skip(1000)  # 32 blocks, 24 bytes of the last one left over
-        assert len(hashed) == 1
-        generator.skip(24)  # served from the buffer
-        generator.skip(64)  # ends on a block boundary: nothing to keep
-        assert len(hashed) == 1
 
     def test_next_bits_range(self):
         gen = KeystreamGenerator(seed=b"bits")

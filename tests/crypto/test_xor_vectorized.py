@@ -18,11 +18,11 @@ from repro.crypto.xor import xor_bytes, xor_bytes_scalar, xor_many
 
 
 def reference_keystream(seed: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode stream, one block at a time (the old _refill)."""
+    """BLAKE2b counter-mode stream, one block at a time (the old _refill)."""
     out = bytearray()
     counter = 0
     while len(out) < length:
-        out.extend(hashlib.sha256(seed + struct.pack(">Q", counter)).digest())
+        out.extend(hashlib.blake2b(seed + struct.pack(">Q", counter)).digest())
         counter += 1
     return bytes(out[:length])
 

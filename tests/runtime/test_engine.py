@@ -324,8 +324,9 @@ class TestStageMetrics:
 
     @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
     def test_a_late_client_whose_statement_raises_still_fails_the_epoch(self, executor):
-        """A known-late client draws instead of building, but it still reads
-        its SQL outcome: what raises under serial raises here."""
+        """A known-late client flips only its coin instead of building, but
+        it still reads its SQL outcome: what raises under serial raises
+        here."""
         system, query_id = build_system(
             executor, sql="SELECT value FROM private_data WHERE value >= 0.0"
         )
@@ -337,6 +338,36 @@ class TestStageMetrics:
                 system.run_epoch(query_id, 0)
         finally:
             system.close()
+
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_coins_flipped_in_the_coordinator(self, executor, monkeypatch):
+        """What the epoch profile's ``core.sampling.coin_calls`` counts:
+        ``SimpleRandomSampler.should_participate`` calls in the coordinator's
+        process.  Answering in process flips exactly one coin per subscribed
+        (client, query) per epoch — a late client too, an unsubscribed one
+        never; the pinned-worker coordinator flips none (its workers do)."""
+        from repro.core.sampling import SimpleRandomSampler
+
+        calls = []
+        coin = SimpleRandomSampler.should_participate
+
+        def counting_coin(self, uniform=None):
+            calls.append(uniform)
+            return coin(self, uniform)
+
+        monkeypatch.setattr(SimpleRandomSampler, "should_participate", counting_coin)
+        system, query_id = build_system(executor)
+        try:
+            system.set_active_clients(range(12))
+            system.late_clients = frozenset(
+                client.config.client_id for client in system.clients[::3]
+            )
+            for epoch in range(3):
+                system.run_epoch(query_id, epoch)
+        finally:
+            system.close()
+        in_coordinator = not executor.startswith("pinned-worker/")
+        assert len(calls) == (12 * 3 if in_coordinator else 0)
 
     @pytest.mark.parametrize(
         "combo", sorted(f"{s}/{t}" for s, t in DRIVER_COMBOS)

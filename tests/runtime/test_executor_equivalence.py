@@ -7,15 +7,15 @@ same participants, same response logs, byte-identical window histograms
 (estimates AND error bounds, which are a closed-form function of the
 window's counts) — regardless of shard count, worker count, scheduling or
 transport.  For the wire transports this additionally pins the wire format:
-client state travels to the workers as serialized shard tasks and the
-advanced state ships back, so a multi-epoch run only matches serial if the
-snapshots resume every RNG and keystream mid-stream exactly.
+client state travels to the workers as bootstrap snapshots (config, PRF
+key, tables, subscriptions) and deltas, so a multi-epoch run only matches
+serial if a restored client answers every epoch exactly as the original.
 
 Multi-query epochs extend the contract twice over: ``run_epoch_all`` must
 produce, per query, exactly what the serial executor produces for the same
 multi-query epoch (any executor, any shard count), *and* — because every
-client holds one independent seeded RNG per query — each query's results
-must be byte-identical whether it runs alone or co-subscribed with others.
+client draw is addressed by its query — each query's results must be
+byte-identical whether it runs alone or co-subscribed with others.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ REVERSED_EMITS = [
     if not spelling.startswith("inline/")
 ]
 #: The resident spelling once more, with every pinned worker killed after each
-#: epoch, so later epochs recover by respawn + replay (``respawned_workers``,
-#: conftest.py).
+#: epoch, so later epochs recover by respawn + re-bootstrap
+#: (``respawned_workers``, conftest.py).
 RESPAWNED_WORKERS = pytest.param(
     RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
 )
@@ -332,10 +332,10 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
     Everything else in this module compares two runs of the *same* commit, so
     a change that moves a draw on every path at once passes it.  This pins
     one seeded 3-epoch, two-query serial run (window estimates, closed-form
-    error bounds, and the response log), re-captured when the bounds became
-    the closed-form variance (estimates unchanged; Python 3.11, scipy 1.17).
-    A deliberate draw or bound change re-captures the constant in the same
-    change.
+    error bounds, and the response log), re-captured when every client draw
+    became a keyed function of (client, query, epoch) (Python 3.11, scipy
+    1.17).  A deliberate draw or bound change re-captures the constant in the
+    same change.
     """
     per_query = run_multi_deployment(40, 2, num_epochs=3)
     digest = hashlib.sha256()
@@ -345,7 +345,7 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
         digest.update(results)
         digest.update(repr(responses).encode("utf-8"))
     assert digest.hexdigest() == (
-        "2a5128a4e5a0f4f1264490e4ba6c92f1fccb426528595b18a3c2c376d1046cbb"
+        "1b48ad45ab47bfee971bb5b6f686a40572abf2c3bbed388d51b7609f07c083c2"
     )
 
 
@@ -564,9 +564,8 @@ class TestResidentStateMatchesSerial:
     ``pinned-worker`` scheduling keeps client state inside pinned workers
     and ships deltas/fingerprints instead of snapshots; for a fixed seed its
     outputs must equal the serial reference — across worker/shard layouts,
-    multi-epoch runs whose streams resume from resident state (the
-    coordinator replays every acked epoch's draws on its own copy), and
-    multi-query epochs.
+    multi-epoch runs answered from resident state (the coordinator's copy
+    never needs to follow it), and multi-query epochs.
     """
 
     @pytest.mark.parametrize("workers,shards", [(1, 1), (2, 5), (3, 4)])

@@ -310,7 +310,7 @@ class TestFailureSurfacing:
         self, stage, failing_epoch
     ):
         """Like the pool drivers, ``inline`` keeps answering after a failure,
-        so a failed epoch has advanced every occupied shard exactly once."""
+        so a failed epoch has answered every occupied shard exactly once."""
         system, query_id = make_system(num_clients=12, shards=3, executor=INLINE)
         aggregator = system.aggregator_for(query_id)
         counted = mock.patch.object(engine, "answer_shard", wraps=engine.answer_shard)
@@ -393,8 +393,8 @@ class TestExecutorReuse:
         pinned-worker driver must also forget the old deployment's
         residency rather than send the new clients' epoch to the old
         clients' worker copies: the second deployment answers exactly as a
-        fresh serial run does, and the first one's clients (which replayed
-        their acked epoch) end where serial's do."""
+        fresh serial run does, and the first one's clients (never touched by
+        answering) equal serial's."""
         executor = make_executor(spelling, workers=2, shards=2)
         try:
             context_a = make_context(6)
@@ -410,8 +410,8 @@ class TestExecutorReuse:
         expected = SerialExecutor().run_epoch(reference, epoch=0).per_query[0]
         assert answer_bytes(outcome.responses) == answer_bytes(expected.responses)
         assert outcome.window_results == expected.window_results
-        assert [client.state_fingerprint() for client in context_a.clients] == [
-            client.state_fingerprint() for client in reference.clients
+        assert [client.export_state() for client in context_a.clients] == [
+            client.export_state() for client in reference.clients
         ]
 
 

@@ -8,13 +8,14 @@ pickling failure, a transmit or ingest error must all surface from
 ``run_epoch`` without hanging the driver's collect loop — and the executor
 must be usable for the next epoch afterwards.  A killed worker is respawned
 (a new process, a new pid) and its shards re-bootstrap from the parent's
-clients, which replayed every acked epoch's draws — byte-identical to serial.
+clients, which answering never changes — byte-identical to serial.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 
 import pytest
 
@@ -151,11 +152,12 @@ class TestPopulationEdges:
             "edge-002",
         ]
 
-    def test_state_written_back_to_live_clients(self):
-        """Shutdown grafts the workers' advanced streams onto the parent's
-        own client objects: they end where the serial reference's do."""
+    def test_live_clients_need_no_write_back(self):
+        """Answering changes no client state, so the parent's own client
+        objects are untouched by a resident run and equal serial's."""
         context, reference = make_context(6), make_context(6)
         originals = list(context.clients)
+        before = client_states(context.clients)
         executor = make_executor(RESIDENT, workers=2, shards=2)
         try:
             executor.run_epoch(context, epoch=0)
@@ -163,7 +165,7 @@ class TestPopulationEdges:
             executor.close()
         SerialExecutor().run_epoch(reference, epoch=0)
         assert all(a is b for a, b in zip(context.clients, originals))
-        assert stream_positions(context.clients) == stream_positions(reference.clients)
+        assert client_states(context.clients) == before == client_states(reference.clients)
 
 
 class TestFailureSurfacing:
@@ -367,9 +369,9 @@ def serialize_responses(responses) -> list[tuple]:
     ]
 
 
-def stream_positions(clients) -> list[bytes]:
-    """Every client's stream position, as the oracle digest of its streams."""
-    return [client.state_fingerprint() for client in clients]
+def client_states(clients) -> list[bytes]:
+    """Every client's snapshot (key, tables, subscriptions), pickled."""
+    return [pickle.dumps(client.export_state()) for client in clients]
 
 
 class TamperingRouter(LocalWorkerTransport):
@@ -393,8 +395,8 @@ class TamperingRouter(LocalWorkerTransport):
 class TestResidentFailureInjection:
     """Worker death and poisoned fingerprints must re-bootstrap, not corrupt.
 
-    The parent replays every acked epoch's draws on its own clients, so its
-    copy is always current as of the last adopted ack; killing a pinned
+    The parent's clients are authoritative and answering never changes
+    them, so its copy is always current; killing a pinned
     worker or poisoning the expected fingerprint must fall back to a
     bootstrap from that copy for exactly the affected shards, with every
     subsequent byte equal to the serial reference — and the run must
@@ -490,13 +492,13 @@ class TestResidentFailureInjection:
         system.close()
 
     def test_parent_clients_are_current_after_every_epoch(self):
-        """The parent replays each adopted epoch: its live clients match the
-        serial twin's after every epoch, with no frame beyond one bootstrap
-        per shard and one delta per shard per later epoch."""
+        """The parent's live clients match the serial twin's after every
+        epoch, with no frame beyond one bootstrap per shard and one delta per
+        shard per later epoch."""
         positions = {True: [], False: []}
 
         def remember(system, resident):
-            positions[resident].append(stream_positions(system.clients))
+            positions[resident].append(client_states(system.clients))
 
         lockstep = TestResidentParentSideMutations()._run_lockstep
         actions = dict.fromkeys(range(3), remember)
@@ -580,8 +582,7 @@ class TestResidentParentSideMutations:
     Two regressions: an in-place row edit that keeps the table length (a
     count-only baseline would ship no delta and leave the worker reading
     stale rows), and a subscription change the pinned worker never saw
-    because it died (the bootstrap must ship the new subscriptions with the
-    parent's current streams).
+    because it died (the bootstrap must ship the new subscriptions).
     """
 
     def _run_lockstep(self, executor_kind, num_epochs, actions, router=None):
@@ -643,7 +644,7 @@ class TestResidentParentSideMutations:
 
     def test_unacked_unsubscribe_survives_worker_death(self):
         """The bootstrap after a death ships the subscriptions the dead
-        worker never saw, with streams that made every acked epoch's draws."""
+        worker never saw."""
 
         def unsubscribe_and_kill(system, resident):
             query_id = system.clients[0].subscribed_query_ids[0]
@@ -684,8 +685,8 @@ class TestResidentParentSideMutations:
     @pytest.mark.parametrize("fault", ["kill", "poison", "edit", "rebind"])
     def test_recovery_across_appended_rows(self, fault, monkeypatch):
         """Rows arrive every epoch and a fault strikes after epoch 2: the
-        parent's clients already made every acked epoch's draws — without
-        running SQL — so the re-bootstrap is byte-identical to serial."""
+        coordinator never answers (no SQL, no draw), and the re-bootstrap
+        from its clients is byte-identical to serial."""
         positions = {}
         parent_queries = []
         query = Database.query
@@ -696,7 +697,7 @@ class TestResidentParentSideMutations:
 
         def append_then_fault(system, resident):
             self._append_everywhere(system, resident)
-            positions[resident] = stream_positions(system.clients)
+            positions[resident] = client_states(system.clients)
             table = system.clients[3].database.table("private_data")
             if fault == "edit":
                 table.rows[0] = (7.25,)
@@ -717,33 +718,35 @@ class TestResidentParentSideMutations:
         resident_log, executor = self._run_lockstep("resident", 6, actions)
         assert positions[True] == positions[False]
         assert resident_log == serial_log
-        assert parent_queries == []  # the coordinator drew without SQL
+        assert parent_queries == []  # the coordinator answers nothing
         assert executor.bootstrap_frames == 3
         assert executor.driver.rebootstraps == (1 if fault == "poison" else 0)
 
     @pytest.mark.parametrize("num_epochs", [3, 9])
-    def test_each_adopted_shard_is_replayed_once(self, num_epochs, monkeypatch):
-        """One ``Client.advance`` per parent client per acked epoch — the
-        whole of the coordinator's recovery bookkeeping — whatever the run
-        length, and appended rows never add a frame."""
+    def test_the_coordinator_flips_no_coin(self, num_epochs, monkeypatch):
+        """Adopting an ack touches no client on the coordinator — no answer,
+        no coin — whatever the run length, and appended rows never add a
+        frame.  (The spawned workers are separate processes; their calls
+        never reach this list.)"""
+        from repro.core.sampling import SimpleRandomSampler
+
         calls = []
-        advance = Client.advance
+        coin = SimpleRandomSampler.should_participate
 
-        def counting_advance(self, query_ids):
-            calls.append(self.config.client_id)
-            return advance(self, query_ids)
+        def counting_coin(self, uniform=None):
+            calls.append(uniform)
+            return coin(self, uniform)
 
-        monkeypatch.setattr(Client, "advance", counting_advance)
+        monkeypatch.setattr(SimpleRandomSampler, "should_participate", counting_coin)
         actions = dict.fromkeys(range(num_epochs), self._append_everywhere)
         _, executor = self._run_lockstep("resident", num_epochs, actions)
-        assert len(calls) == 10 * num_epochs
-        assert sorted(set(calls)) == [f"client-{i:06d}" for i in range(10)]
+        assert calls == []
         assert executor.bootstrap_frames == 2
         assert executor.delta_frames == 2 * (num_epochs - 1)
 
     def test_subscription_changes_ride_plain_deltas(self):
         """Subscribe / unsubscribe / re-tune travel as deltas: nothing
-        re-bootstraps, and the parent's streams track serial's every epoch."""
+        re-bootstraps, and the parent's clients track serial's every epoch."""
         positions = {True: [], False: []}
         retuned = ExecutionParameters(sampling_fraction=1.0, p=0.8, q=0.5)
 
@@ -760,7 +763,7 @@ class TestResidentParentSideMutations:
 
         def step_after(epoch):
             def step(system, resident):
-                positions[resident].append(stream_positions(system.clients))
+                positions[resident].append(client_states(system.clients))
                 if epoch in mutations:
                     mutations[epoch](system)
 
@@ -775,11 +778,11 @@ class TestResidentParentSideMutations:
 
 
 class TestResidentRefusedAcks:
-    """An ack the parent does not adopt leaves the parent's copy untouched."""
+    """An ack the parent does not adopt ends the shard's residency."""
 
-    def test_error_ack_is_not_replayed(self):
-        """A shard whose ack is an error fails the epoch, and its clients stay
-        at the last adopted epoch; the next epoch re-bootstraps it."""
+    def test_error_ack_fails_the_shard_and_rebootstraps(self):
+        """A shard whose ack is an error fails the epoch and loses its
+        residency; the next epoch re-bootstraps it."""
         from repro.runtime import ResidentWorkerError
 
         system, (query_id,) = make_resident_system(num_clients=10, shards=2)
@@ -787,7 +790,6 @@ class TestResidentRefusedAcks:
         driver = executor.driver
         driver._router = TamperingRouter(executor.num_workers)
         system.run_epoch(query_id, 0)
-        after_epoch_0 = stream_positions(system.clients)
 
         def inject_error(ack, blob):
             if ack.shard_index == 0:
@@ -802,8 +804,6 @@ class TestResidentRefusedAcks:
             system.run_epoch(query_id, 1)
         driver._router.tamper = None
         assert 0 not in driver._shards and 1 in driver._shards
-        assert stream_positions(system.clients[:5]) == after_epoch_0[:5]
-        assert stream_positions(system.clients[5:]) != after_epoch_0[5:]
         assert driver.token_refusals == 0
         report = system.run_epoch(query_id, 2)
         assert report.num_participants == 10
@@ -814,9 +814,8 @@ class TestResidentRefusedAcks:
     def test_ack_for_a_frame_not_sent_is_refused(self, forgery):
         """The parent hashes what it sent.  An ack vouching for anything else
         — an altered token, or last epoch's valid ack re-stamped with this
-        epoch — is refused whole: nothing is replayed on the parent, and the
-        retried epoch re-bootstraps from the parent's copy, byte-identical to
-        serial."""
+        epoch — is refused whole, and the retried epoch re-bootstraps from the
+        parent's copy, byte-identical to serial."""
         from repro.runtime import ResidentWorkerError
 
         system, (query_id,) = make_resident_system(num_clients=10, shards=2)
@@ -824,7 +823,6 @@ class TestResidentRefusedAcks:
         driver = executor.driver
         driver._router = TamperingRouter(executor.num_workers)
         system.run_epoch(query_id, 0)
-        after_epoch_0 = stream_positions(system.clients)
         router = driver._router
         last_epoch = {ack.shard_index: ack for ack in router.acks}
 
@@ -840,9 +838,8 @@ class TestResidentRefusedAcks:
             system.run_epoch(query_id, 1)
         router.tamper = None
         assert driver.token_refusals == 2 and driver.rebootstraps == 0
-        # Nothing adopted or replayed on either shard.
+        # Nothing adopted on either shard.
         assert driver._shards == {}
-        assert stream_positions(system.clients) == after_epoch_0
         for epoch in range(1, 4):
             system.run_epoch(query_id, epoch)
         assert executor.bootstrap_frames == 4 and driver.token_refusals == 2
@@ -852,14 +849,13 @@ class TestResidentRefusedAcks:
 
     @pytest.mark.parametrize("how", ["garbage", "forged"])
     def test_corrupt_ack_fails_the_epoch_and_recovers(self, how):
-        """An undecodable or forged ack fails its shard without replaying it;
-        the next epochs run normally."""
+        """An undecodable or forged ack fails its shard; the next epochs run
+        normally."""
         system, (query_id,) = make_resident_system(num_clients=10, shards=2)
         executor = system.executor
         driver = executor.driver
         driver._router = TamperingRouter(executor.num_workers)
         system.run_epoch(query_id, 0)
-        after_epoch_0 = stream_positions(system.clients)
 
         def corrupt(ack, blob):
             if ack.shard_index != 0:
@@ -872,7 +868,6 @@ class TestResidentRefusedAcks:
         with pytest.raises(Exception, match="did not send|magic|too short"):
             system.run_epoch(query_id, 1)
         driver._router.tamper = None
-        assert stream_positions(system.clients[:5]) == after_epoch_0[:5]
         assert driver.token_refusals == (how == "forged")
         for epoch in range(2, 4):
             assert system.run_epoch(query_id, epoch).num_participants == 10

@@ -609,7 +609,7 @@ class TestRemoteEndToEnd:
 
     def test_killed_worker_recovers_byte_identically(self, tmp_path):
         """A worker restart between epochs re-bootstraps from the
-        coordinator's copy, which replayed every acked epoch."""
+        coordinator's copy, which answering never changes."""
         servers = [start_server(), start_server()]
         replacement = None
         key_path = write_key_file(tmp_path, KEY)

@@ -62,12 +62,12 @@ RESPAWNED_WORKERS = pytest.param(
 )
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
 #: log, encrypted shares, window estimates *and* error bounds, late-drop
-#: ledger), re-captured when the error bounds became the closed-form variance
-#: (the estimates did not move; Python 3.11, scipy 1.17).  A hot-path change
+#: ledger), re-captured when every client draw became a keyed function of
+#: (client, query, epoch) (Python 3.11, scipy 1.17).  A hot-path change
 #: that claims to be draw-compatible must leave it alone; one that moves
 #: draws or bounds on purpose re-captures it in the same change and says so.
 GOLDEN_BYZANTINE_CHURN_DIGEST = (
-    "da6c75697c46646f2a106a94796e9c5fc0b98c87f3c2601c0354a1321e4d923d"
+    "6c3f7de7a2c6cd8dfcd1df82dd40fcef2d052c86743844b15d301a0029cbba66"
 )
 
 

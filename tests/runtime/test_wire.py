@@ -1,7 +1,7 @@
 """The wire format: framed resident frames and client state snapshots.
 
 The pinned workers are only correct if (a) a client restored from its
-snapshot continues the *exact* random streams of the original and (b) the
+snapshot answers every epoch exactly as the original and (b) the
 framing rejects foreign, truncated or version-drifted bytes instead of
 feeding garbage to a worker.  Both properties are pinned here, independently
 of any executor.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import random
 import struct
 
 import pytest
@@ -22,8 +21,7 @@ from repro.core import (
     ExecutionParameters,
     RangeBuckets,
 )
-from repro.core.client import STREAM_STATE_FIELDS, Client, ClientConfig
-from repro.crypto.prng import KeystreamGenerator
+from repro.core.client import Client, ClientConfig
 from repro.runtime import (
     ClientDelta,
     ShardAck,
@@ -63,24 +61,6 @@ def make_client(seed: int = 4242) -> Client:
     client.ingest([{"value": 3.5}, {"value": 6.25}])
     client.subscribe(make_query(), PARAMS)
     return client
-
-
-class TestKeystreamState:
-    def test_restored_stream_resumes_mid_stream(self):
-        original = KeystreamGenerator(seed=b"wire-state")
-        original.next_bytes(100)  # advance past a few blocks
-        clone = KeystreamGenerator(seed=b"other")
-        clone.setstate(original.getstate())
-        assert clone.next_bytes(64) == original.next_bytes(64)
-
-    def test_setstate_validates(self):
-        generator = KeystreamGenerator(seed=b"x")
-        with pytest.raises(TypeError):
-            generator.setstate(("not-bytes", 0, b""))
-        with pytest.raises(ValueError):
-            generator.setstate((b"seed", -1, b""))
-        with pytest.raises(TypeError):
-            generator.setstate((b"seed", 0, "not-bytes"))
 
 
 class TestClientSnapshot:
@@ -196,8 +176,12 @@ class TestFraming:
 
 def make_resident_client(seed: int = 99) -> Client:
     client = make_client(seed=seed)
-    client.answer_query(client.subscribed_query_ids[0], epoch=0)  # warm the streams
+    client.answer_query(client.subscribed_query_ids[0], epoch=0)
     return client
+
+
+# Any 32-byte continuity token (the SHA-256 of some frame).
+TOKEN = hashlib.sha256(b"some frame").digest()
 
 
 class TestWireV3Framing:
@@ -227,7 +211,7 @@ class TestWireV3Framing:
                 ),
                 None,
             ),
-            expected_fingerprint=client.state_fingerprint(),
+            expected_fingerprint=TOKEN,
         )
 
     def make_ack(self) -> ShardAck:
@@ -243,7 +227,7 @@ class TestWireV3Framing:
             epoch=5,
             wall_seconds=0.125,
             responses=(tuple(responses),),
-            fingerprint=client.state_fingerprint(),
+            fingerprint=TOKEN,
         )
 
     def test_bootstrap_round_trip(self):
@@ -254,9 +238,7 @@ class TestWireV3Framing:
         assert decoded.query_ids == bootstrap.query_ids
         assert len(decoded.client_states) == 1
         restored = Client.from_state(decoded.client_states[0])
-        assert restored.state_fingerprint() == Client.from_state(
-            bootstrap.client_states[0]
-        ).state_fingerprint()
+        assert restored.export_state() == bootstrap.client_states[0]
 
     def test_delta_round_trip(self):
         delta = self.make_delta()
@@ -357,7 +339,7 @@ class TestVersionNegotiation:
                 epoch=0,
                 query_ids=(),
                 deltas=(),
-                expected_fingerprint=client.state_fingerprint(),
+                expected_fingerprint=TOKEN,
             )
         )
         downgraded = blob[:4] + bytes([2]) + blob[5:]
@@ -375,43 +357,31 @@ class TestVersionNegotiation:
                 decode(mutated)
 
 
-class TestStateFingerprint:
-    """The cheap digest must move with the streams and nothing else."""
-
-    def test_equal_states_equal_fingerprints(self):
-        a, b = make_resident_client(3), make_resident_client(3)
-        assert a.state_fingerprint() == b.state_fingerprint()
-
-    def test_answering_changes_the_fingerprint(self):
-        client = make_resident_client(3)
-        before = client.state_fingerprint()
-        client.answer_query(client.subscribed_query_ids[0], epoch=1)
-        assert client.state_fingerprint() != before
-
-    def test_restored_snapshot_preserves_the_fingerprint(self):
-        client = make_resident_client(3)
-        restored = Client.from_state(pickle.loads(pickle.dumps(client.export_state())))
-        assert restored.state_fingerprint() == client.state_fingerprint()
-
-    def test_table_appends_do_not_change_the_fingerprint(self):
-        """Tables are parent-authoritative: shipped as deltas, not vouched for."""
-        client = make_resident_client(3)
-        before = client.state_fingerprint()
-        client.ingest([{"value": 9.75}])
-        assert client.state_fingerprint() == before
+class TestSnapshotContents:
+    """A snapshot is the config, the PRF key, the tables and the
+    subscriptions: no RNG or keystream state, nothing answering changes."""
 
     def test_full_export_still_rebuilds_a_client(self):
-        """Bootstrap frames keep the full snapshot form."""
         client = make_resident_client(3)
         state = client.export_state()
-        assert set(state) == set(STREAM_STATE_FIELDS) | {
-            "config",
-            "token_secret",
-            "tables",
-            "subscriptions",
-        }
-        restored = Client.from_state(state)
+        assert set(state) == {"config", "key", "tables", "subscriptions"}
+        assert len(state["key"]) == 32
+        restored = Client.from_state(pickle.loads(pickle.dumps(state)))
         assert restored.export_state() == state
+
+    def test_answering_leaves_the_snapshot_unchanged(self):
+        client = make_resident_client(3)
+        before = pickle.dumps(client.export_state())
+        for epoch in range(1, 6):
+            client.answer(client.subscribed_query_ids, epoch=epoch)
+            client.answer(client.subscribed_query_ids, epoch=epoch, late=True)
+        assert pickle.dumps(client.export_state()) == before
+
+    def test_unseeded_clients_draw_a_random_key(self):
+        a = Client(ClientConfig(client_id="a", seed=None))
+        b = Client(ClientConfig(client_id="a", seed=None))
+        assert a.export_state()["key"] != b.export_state()["key"]
+        assert Client.from_state(a.export_state()).export_state() == a.export_state()
 
 
 class TestResidentWorkerCache:
@@ -462,55 +432,59 @@ class TestResidentWorkerCache:
         assert sizes[0] == sizes[1]
 
     @pytest.mark.parametrize("appended", [False, True])
-    def test_parent_replay_matches_the_worker(self, appended):
-        """What the coordinator does with each adopted ack: ``advance`` its
-        own copies through the frame's query ids.  The copies then hold the
-        worker's streams exactly — over rows the parent never even read."""
+    def test_parent_copy_answers_like_the_worker(self, appended):
+        """The coordinator's copies are never advanced or replayed: after the
+        worker served epochs 0-3, they answer epoch 4 exactly as it does."""
         parents = [make_client(seed=500 + index) for index in range(3)]
         cache = ResidentShardCache()
         query_id, token = self.bootstrap(cache)
-        for client in parents:
-            client.advance([query_id])  # the bootstrap's epoch 0
         rows = ClientDelta(append_rows=(("private_data", self.COLUMNS, ((7.5,),)),))
-        for epoch in range(1, 4):
+        for epoch in range(1, 5):
             deltas = (rows,) * 3 if appended else (None,) * 3
+            if appended:
+                for client in parents:
+                    client.ingest([{"value": 7.5}])
             ack = decode_shard_ack(
                 serve_resident_frame(cache, self.delta(query_id, token, deltas=deltas, epoch=epoch))
             )
             assert ack.error is None and not ack.bootstrap_required
             token = ack.fingerprint
-            for client in parents:
-                client.advance([query_id])
-        assert [c.state_fingerprint() for c in parents] == [
-            c.state_fingerprint() for c in cache._clients[0]
+        expected = [
+            response
+            for client in parents
+            if (response := client.answer_query(query_id, epoch=4)) is not None
         ]
+        (served,) = ack.responses
+
+        def answer_bytes(responses):
+            return [
+                (r.client_id, r.truthful_bits, r.randomized_bits)
+                + tuple(s.payload for s in r.encrypted.shares)
+                for r in responses
+            ]
+
+        assert answer_bytes(served) == answer_bytes(expected)
 
     def test_no_ack_walks_the_clients(self, monkeypatch):
         """The per-client pass cannot return unnoticed: an ack is
-        O(frame bytes) and never packs a client's streams."""
-        calls = {"getstate": 0, "state_fingerprint": 0}
-        getstate, state_fingerprint = random.Random.getstate, Client.state_fingerprint
+        O(frame bytes) and never snapshots a client."""
+        calls = []
+        export_state = Client.export_state
 
-        def counting_getstate(self):
-            calls["getstate"] += 1
-            return getstate(self)
-
-        def counting_fingerprint(self):
-            calls["state_fingerprint"] += 1
-            return state_fingerprint(self)
+        def counting_export(self):
+            calls.append(self.config.client_id)
+            return export_state(self)
 
         cache = ResidentShardCache()
         query_id, token = self.bootstrap(cache)
-        monkeypatch.setattr(random.Random, "getstate", counting_getstate)
-        monkeypatch.setattr(Client, "state_fingerprint", counting_fingerprint)
+        monkeypatch.setattr(Client, "export_state", counting_export)
         ack = decode_shard_ack(serve_resident_frame(cache, self.delta(query_id, token)))
         assert ack.error is None and not ack.bootstrap_required
-        assert calls == {"getstate": 0, "state_fingerprint": 0}
         ack = decode_shard_ack(
             serve_resident_frame(cache, self.delta(query_id, ack.fingerprint, epoch=2))
         )
         assert ack.error is None and not ack.bootstrap_required
-        assert calls == {"getstate": 0, "state_fingerprint": 0}
+        assert calls == []
 
     def test_duplicated_delta_is_refused_the_second_time(self):
         cache = ResidentShardCache()
