@@ -165,7 +165,7 @@ def test_answer_path_speedup(report):
 # The PR-10 acceptance benchmark: one ShardArena concatenating every client
 # in a shard answers the selective analyst SELECT with a single probe plus
 # span-table splitting, against the same clients each probing their own
-# ColumnStore.  Swept at 10^2..10^4 clients per shard; the claim under test
+# one-slot arena.  Swept at 10^2..10^4 clients per shard; the claim under test
 # is **>= 3x median speedup at 10^4 clients/shard**.  Results append into
 # BENCH_answer_path.json next to the per-client-vs-scan rows (read-modify-
 # write, so either test can run alone without clobbering the other).
@@ -217,7 +217,7 @@ def test_arena_vs_per_client_sweep(report):
         databases = _build_shard(num_clients)
         arena = ShardArena(databases)
 
-        # Warm both paths: per-client stores+indexes and the arena+indexes.
+        # Warm both paths: one-slot arenas+indexes and the shard arena+indexes.
         per_client_results = [db.query(ARENA_SQL).rows for db in databases]
         arena_build_start = time.perf_counter()
         arena_results = arena_select_per_client(arena, ARENA_SQL)

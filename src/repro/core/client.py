@@ -238,11 +238,11 @@ class Client:
         reference (``repro.runtime.wire`` frames these snapshots into shard
         bootstraps).
 
-        Columnar mirrors and secondary indexes are deliberately *not*
-        shipped: they are derived state, lazily rebuilt from raw rows on the
-        restored side and incrementally maintained from then on — and the
-        differential suite asserts the rebuilt and incrementally-maintained
-        lifecycles answer identically.
+        The database's one-slot columnar arena and its secondary indexes
+        are deliberately *not* shipped: they are derived state, lazily
+        rebuilt from raw rows on the restored side and incrementally
+        maintained from then on — and the differential suite asserts the
+        rebuilt and incrementally-maintained lifecycles answer identically.
         """
         tables = []
         for name in self.database.table_names():

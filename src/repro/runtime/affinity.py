@@ -228,7 +228,7 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
                     if delta is not None:
                         client.apply_delta(delta)
                         # Delta-driven index maintenance: fold the
-                        # appended rows into any live columnar mirrors
+                        # appended rows into any live columnar tables
                         # now, at ingest, keeping the rebuild/append
                         # work off the answer critical path.
                         client.database.sync_columnar()
@@ -277,8 +277,7 @@ def _client_baseline(client: "Client") -> tuple[dict, dict]:
     """Snapshot the parent-authoritative parts deltas are computed against.
 
     Per table this is the append watermark ``sqldb`` already trusts
-    (:meth:`repro.sqldb.columnar.ColumnStore.sync`,
-    :meth:`~repro.sqldb.columnar.ArenaTable.sync`): the row-list object, its
+    (:meth:`repro.sqldb.columnar.ArenaTable.sync`): the row-list object, its
     ``_RowList.mutations`` counter and the shipped length, plus the column
     signature.  Holding the list *reference* (so its identity cannot be
     recycled) is what makes the triple sound: same list, same counter, not

@@ -16,23 +16,25 @@ rows, and to let Table 3's "database read" cost be measured on a real code
 path rather than a stub.
 
 SELECTs run on an index-backed columnar fast path by default — typed
-parallel arrays per table (:mod:`repro.sqldb.columnar`) with hash/B+Tree
-indexes (:mod:`repro.sqldb.indexes`) probed by compiled predicates
+parallel arrays (:mod:`repro.sqldb.columnar`) with hash/B+Tree indexes
+(:mod:`repro.sqldb.indexes`) probed by compiled predicates
 (:mod:`repro.sqldb.compile`).  The original row-scan interpreter remains
-the frozen reference; set ``SQLDB_FORCE_SCAN=1`` to pin it.  On top of
-the per-client path, :class:`~repro.sqldb.columnar.ShardArena`
-concatenates every co-schema client in a shard into one columnar arena
+the frozen reference; set ``SQLDB_FORCE_SCAN=1`` to pin it.  There is one
+columnar layout: a :class:`~repro.sqldb.columnar.ShardArena` concatenates
+every co-schema client in a shard into one :class:`ArenaTable` per table
 so the runtime can answer a whole shard with a single probe
-(:func:`~repro.sqldb.engine.arena_select_per_client`);
-``SQLDB_FORCE_PER_CLIENT=1`` pins the per-client compiled path as the
-middle rung of the differential ladder.  A PrivApprox client answers
+(:func:`~repro.sqldb.engine.arena_select_per_client`), and a database
+answering on its own does the same over its one-slot arena
+(:attr:`Database.arena`).  ``SQLDB_FORCE_PER_CLIENT=1`` turns shard
+arenas off — every client answers on its one-slot arena — as the middle
+rung of the differential ladder.  A PrivApprox client answers
 with its *latest* matching reading, so the runtime asks that function
 for the latest-row form (``latest=True``): per member, the same error or
 the same columns over at most the last row of ``member.query(sql)`` —
 found without materialising the rows before it.
 """
 
-from repro.sqldb.columnar import ArenaTable, ColumnStore, ColumnVector, ShardArena
+from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena
 from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
 from repro.sqldb.engine import (
     ARENA_FALLBACK,
@@ -50,7 +52,6 @@ __all__ = [
     "Database",
     "Table",
     "Column",
-    "ColumnStore",
     "ColumnVector",
     "ArenaTable",
     "ShardArena",

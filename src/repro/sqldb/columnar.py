@@ -2,24 +2,41 @@
 
 The row-scan engine materializes one dict per row per query
 (:meth:`repro.sqldb.table.Table.scan`); at 10⁵–10⁶ clients × multi-query
-epochs that dict churn dominates the answer stage.  A
-:class:`ColumnStore` keeps the same table as typed parallel arrays — one
+epochs that dict churn dominates the answer stage.  An
+:class:`ArenaTable` keeps one table name as typed parallel arrays — one
 :class:`ColumnVector` per column — plus on-demand secondary indexes
 (:mod:`repro.sqldb.indexes`) on predicate columns.
 
-**Incremental by construction.**  The store records which row list (by
-identity), its in-place mutation counter (``Table.rows`` is a
-``_RowList`` that counts every non-append edit), and how many rows it
-was built from.  :meth:`ColumnStore.sync` is O(1) when nothing changed,
-appends only the new tail when rows were appended (the only mutation the
-streaming ingest and the resident runtime's
-:class:`~repro.runtime.wire.ShardDelta` frames ever perform), and
-rebuilds from scratch when the row list shrank, was replaced (DELETE),
-or had existing rows edited in place.  Both grow a column at a time:
-the new rows are transposed once and each vector takes one
-:meth:`ColumnVector.extend`.  Secondary indexes ride along: appends
-insert the new rows into every live index, row by row; rebuilds drop
-them, and the next probe bulk-loads them from the whole column.
+**One layout for a shard and for a client.**  A PrivApprox shard holds
+many co-schema clients answering the *same* statements, so probing 10⁴
+tiny per-client copies would run 10⁴ identical probes.  A
+:class:`ShardArena` therefore concatenates one table name across every
+member database into a single :class:`ArenaTable`, with a ``row_slot``
+column (arena row id → member slot) and a per-slot row-span table
+(``slot_rows``), and builds hash/B+Tree indexes once per shard;
+:meth:`CompiledSelect.matching_ids_per_client
+<repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` probes the
+arena once and splits the matches back per client.  A database answering
+on its own (:meth:`repro.sqldb.engine.Database.query`) is the same
+structure with one slot: its lazily built one-slot :class:`ShardArena`,
+where arena row ids are the table's own row ids.  Members whose table is
+missing or whose schema differs from the adopted signature are
+*excluded* (their span is ``None``) and answer per-client.
+
+**Incremental by construction.**  Per member, the arena records the
+table object, its row list (by identity), the list's in-place mutation
+counter (``Table.rows`` is a ``_RowList`` that counts every non-append
+edit) and how many rows it was built from.  :meth:`ArenaTable.sync` is
+O(members) when nothing changed, appends only the new tails when rows
+were appended (the only mutation the streaming ingest and the resident
+runtime's :class:`~repro.runtime.wire.ShardDelta` frames ever perform),
+and rebuilds from scratch when a row list shrank, was replaced (DELETE),
+had existing rows edited in place, or its table was dropped and
+recreated.  Both grow a column at a time: the new rows are transposed
+once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
+indexes ride along: appends insert the new rows into every live index,
+row by row; rebuilds drop them, and the next probe bulk-loads them from
+the whole column.
 
 **Typed arrays.**  INTEGER columns live in ``array('q')`` and REAL
 columns in ``array('d')`` while their values fit (no NULLs, no
@@ -28,30 +45,16 @@ the first time a value cannot be stored natively.  Reads are
 value-identical either way — ``array('d')`` round-trips any Python float
 and ``array('q')`` any 64-bit int — which the differential suite
 (:mod:`tests.sqldb.test_engine_properties`) relies on.
-
-**Shard-wide arenas.**  A PrivApprox shard holds many co-schema clients
-answering the *same* statements, so probing 10⁴ tiny per-client stores
-runs 10⁴ identical probes.  :class:`ShardArena` concatenates one table
-name across every member database into a single set of typed parallel
-arrays plus a ``row_slot`` column (arena row id → member slot) and a
-per-slot row-span table (``slot_rows``), with hash/B+Tree indexes built
-once per shard; :meth:`CompiledSelect.matching_ids_per_client
-<repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` probes the
-arena once and splits the matches back per client.  Members whose table
-is missing or whose schema differs from the adopted signature are
-*excluded* (their span is ``None``) and answer per-client.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
+from repro.sqldb.compile import schema_signature
 from repro.sqldb.errors import SchemaError
 from repro.sqldb.indexes import BPlusTreeIndex, HashIndex
-
-if TYPE_CHECKING:
-    from repro.sqldb.table import Table
 
 # SQL type → array.array typecode for the native fast path.  TEXT and
 # BOOLEAN stay as lists: strings have no fixed-width typecode, and a
@@ -121,6 +124,11 @@ class ColumnVector:
     def __getitem__(self, index: int) -> Any:
         return self._data[index]
 
+    def take(self, row_ids) -> list:
+        """The values at ``row_ids``, in that order."""
+        data = self._data
+        return [data[row_id] for row_id in row_ids]
+
     def __iter__(self) -> Iterator[Any]:
         return iter(self._data)
 
@@ -128,47 +136,144 @@ class ColumnVector:
         return len(self._data)
 
 
-class _IndexedVectors:
-    """The probe surface :class:`ColumnStore` and :class:`ArenaTable` share.
+# Excluded-slot source sentinel: the slot had no table when last examined.
+_EXCLUDED_EMPTY = ("x", None)
 
-    Both keep one :class:`ColumnVector` per column (``_vectors``, in schema
-    order) plus lazily built secondary indexes over them; the compiled
-    SELECT path reads either through exactly these methods.  Subclasses own
-    construction and maintenance (``sync`` / rebuild / append) and keep
-    ``_count`` current.
+
+class ArenaTable:
+    """One table name concatenated across every member database.
+
+    Duck-types as the *table* (``column_names`` / ``column_index``) and
+    offers the probe surface (``count`` / ``column`` / ``arrays`` /
+    ``hash_index`` / ``tree_index``) the compiled SELECT path reads, so one
+    probe and one result finisher serve a whole shard and a lone database
+    (a one-slot arena) alike.
+
+    The schema is *adopted* from the first member that has the table;
+    members whose table matches the adopted signature are **included**
+    (their rows live in the arena, their span in :attr:`slot_rows`),
+    everyone else is **excluded** (``slot_rows[slot] is None`` — the
+    caller answers those members per-client).  Per-member tail appends
+    (the only mutation ``ShardDelta`` frames perform) extend the vectors,
+    the span table and any live indexes in place; everything else — a
+    replaced or mutated row list, a dropped/recreated table, a table
+    appearing on a previously excluded member — rebuilds the whole arena
+    and drops its indexes to be lazily rebuilt on the next probe.
     """
 
-    __slots__ = ("_vectors", "_hash", "_trees", "_count", "rebuilds", "appended_rows")
+    __slots__ = (
+        "name",
+        "_databases",
+        "columns",
+        "_signature",
+        "_colindex",
+        "_vectors",
+        "_hash",
+        "_trees",
+        "_count",
+        "row_slot",
+        "slot_rows",
+        "_sources",
+        "rebuilds",
+        "appended_rows",
+    )
 
-    @property
-    def count(self) -> int:
-        """Number of rows currently mirrored."""
-        return self._count
+    def __init__(self, name: str, databases: list):
+        self.name = name
+        self._databases = databases
+        # Observability: the maintenance tests pin that append streams
+        # never trigger a rebuild.
+        self.rebuilds = 0
+        self.appended_rows = 0
+        self._rebuild()
 
-    def column(self, name: str) -> ColumnVector:
-        """The parallel array of one column (exact name)."""
-        return self._vectors[name]
+    # -- maintenance ---------------------------------------------------------
 
-    def has_column(self, name: str) -> bool:
-        return name in self._vectors
+    def _rebuild(self) -> None:
+        adopted = None
+        for db in self._databases:
+            table = db.get_table(self.name)
+            if table is not None:
+                adopted = table
+                break
+        self.columns = None if adopted is None else list(adopted.columns)
+        self._signature = None if adopted is None else schema_signature(adopted.columns)
+        names = [] if self.columns is None else [c.name for c in self.columns]
+        types = [] if self.columns is None else [c.sql_type for c in self.columns]
+        self._colindex = {name: i for i, name in enumerate(names)}
+        self._vectors = {n: ColumnVector(t) for n, t in zip(names, types)}
+        self.row_slot = array("q")
+        self.slot_rows: list = [None] * len(self._databases)
+        self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
+        self._hash: dict[str, HashIndex] = {}
+        self._trees: dict[str, BPlusTreeIndex] = {}
+        self._count = 0
+        self.rebuilds += 1
+        if self.columns is None:
+            return
+        for slot, db in enumerate(self._databases):
+            table = db.get_table(self.name)
+            if table is None:
+                continue
+            if schema_signature(table.columns) != self._signature:
+                self._sources[slot] = ("x", table)
+                continue
+            rows = table.rows
+            self.slot_rows[slot] = array("q")
+            self._sources[slot] = [table, rows, getattr(rows, "mutations", 0), 0]
+            self._append_slot(slot, rows, 0)
 
-    def arrays(self) -> dict[str, ColumnVector]:
-        """Column name → vector, the namespace compiled closures evaluate in."""
-        return self._vectors
+    def sync(self) -> None:
+        """Bring the arena up to date with every member's table.
 
-    def hash_index(self, name: str) -> HashIndex:
-        """The column's hash index, bulk-loaded from its vector on first use."""
-        index = self._hash.get(name)
-        if index is None:
-            index = self._hash[name] = HashIndex.from_column(self._vectors[name])
-        return index
+        One pass over the members detects any structural change — a
+        member's table replaced, its row list rebound/shrunk/edited in
+        place, or a table with the adopted signature appearing on an
+        excluded member — and rebuilds the whole arena; only when no member
+        changed structurally are the grown members' tail appends folded in
+        incrementally.
+        """
+        name = self.name
+        grown = []
+        for slot, (db, source) in enumerate(zip(self._databases, self._sources)):
+            table = db.get_table(name)
+            if isinstance(source, list):
+                rows = table.rows if table is source[0] else None
+                if (
+                    rows is not source[1]
+                    or getattr(rows, "mutations", 0) != source[2]
+                    or len(rows) < source[3]
+                ):
+                    self._rebuild()
+                    return
+                if len(rows) > source[3]:
+                    grown.append(slot)
+            else:
+                if table is source[1]:
+                    continue
+                if table is None:
+                    self._sources[slot] = _EXCLUDED_EMPTY
+                    continue
+                if (
+                    self.columns is None
+                    or schema_signature(table.columns) == self._signature
+                ):
+                    self._rebuild()
+                    return
+                self._sources[slot] = ("x", table)
+        for slot in grown:
+            source = self._sources[slot]
+            self._append_slot(slot, source[1], source[3])
 
-    def tree_index(self, name: str) -> BPlusTreeIndex:
-        """The column's B+Tree index, bulk-loaded from its vector on first use."""
-        tree = self._trees.get(name)
-        if tree is None:
-            tree = self._trees[name] = BPlusTreeIndex.from_column(self._vectors[name])
-        return tree
+    def _append_slot(self, slot: int, rows: list, start: int) -> None:
+        new = rows[start:]
+        first_id = self._count
+        self._extend(new, first_id)
+        self.row_slot.extend([slot] * len(new))
+        self.slot_rows[slot].extend(range(first_id, first_id + len(new)))
+        self.appended_rows += len(new)
+        self._count = first_id + len(new)
+        self._sources[slot][3] = len(rows)
 
     def _extend(self, rows: list, first_id: int) -> None:
         """Append ``rows`` (schema-width tuples) column by column.
@@ -198,6 +303,38 @@ class _IndexedVectors:
                 if tree is not None:
                     tree.insert(value, row_id)
 
+    # -- probe surface (the selecting half of the compiled path) -------------
+
+    @property
+    def count(self) -> int:
+        """Number of rows currently mirrored, across every included slot."""
+        return self._count
+
+    def column(self, name: str) -> ColumnVector:
+        """The parallel array of one column (exact name)."""
+        return self._vectors[name]
+
+    def has_column(self, name: str) -> bool:
+        return name in self._vectors
+
+    def arrays(self) -> dict[str, ColumnVector]:
+        """Column name → vector, the namespace compiled closures evaluate in."""
+        return self._vectors
+
+    def hash_index(self, name: str) -> HashIndex:
+        """The column's hash index, bulk-loaded from its vector on first use."""
+        index = self._hash.get(name)
+        if index is None:
+            index = self._hash[name] = HashIndex.from_column(self._vectors[name])
+        return index
+
+    def tree_index(self, name: str) -> BPlusTreeIndex:
+        """The column's B+Tree index, bulk-loaded from its vector on first use."""
+        tree = self._trees.get(name)
+        if tree is None:
+            tree = self._trees[name] = BPlusTreeIndex.from_column(self._vectors[name])
+        return tree
+
     def index_stats(self) -> dict[str, tuple[int, int]]:
         """Column → (hash entries, tree size); observability for tests."""
         out: dict[str, tuple[int, int]] = {}
@@ -210,238 +347,6 @@ class _IndexedVectors:
                     len(tree) if tree is not None else 0,
                 )
         return out
-
-
-class ColumnStore(_IndexedVectors):
-    """Columnar mirror of one :class:`~repro.sqldb.table.Table` plus indexes.
-
-    Derived state: nothing here is part of a client snapshot
-    (:meth:`repro.core.client.Client.export_state` ships raw rows only) —
-    a restored client's store rebuilds lazily on first query and then
-    maintains itself incrementally, and the differential suite asserts
-    the two lifecycles answer probes identically.
-    """
-
-    __slots__ = ("_names", "_types", "_rows_ref", "_mutations")
-
-    def __init__(self, table: "Table"):
-        self._names = [column.name for column in table.columns]
-        self._types = [column.sql_type for column in table.columns]
-        self._vectors: dict[str, ColumnVector] = {}
-        self._rows_ref: list | None = None
-        self._mutations = 0
-        self._count = 0
-        self._hash: dict[str, HashIndex] = {}
-        self._trees: dict[str, BPlusTreeIndex] = {}
-        # Observability: the maintenance tests pin that append streams
-        # never trigger a rebuild.
-        self.rebuilds = 0
-        self.appended_rows = 0
-        self._rebuild(table)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def sync(self, table: "Table") -> None:
-        """Bring the store up to date with the table's row list.
-
-        O(1) when clean.  Appends (same list object, untouched mutation
-        counter, larger) extend the vectors and live indexes
-        incrementally; anything else — the list replaced (DELETE),
-        shrunk, or edited in place (the ``_RowList`` mutation counter
-        moved) — rebuilds from scratch.
-        """
-        rows = table.rows
-        if rows is self._rows_ref and getattr(rows, "mutations", 0) == self._mutations:
-            if len(rows) == self._count:
-                return
-            if len(rows) > self._count:
-                self._append(rows, self._count)
-                return
-        self._rebuild(table)
-
-    def _rebuild(self, table: "Table") -> None:
-        self._vectors = {
-            name: ColumnVector(sql_type)
-            for name, sql_type in zip(self._names, self._types)
-        }
-        # Indexes are dropped, not replayed: the next probe rebuilds them
-        # from the fresh vectors in one pass.
-        self._hash.clear()
-        self._trees.clear()
-        self._rows_ref = table.rows
-        self._mutations = getattr(table.rows, "mutations", 0)
-        self._count = 0
-        self.rebuilds += 1
-        self._append(table.rows, 0)
-
-    def _append(self, rows: list, start: int) -> None:
-        self._extend(rows[start:], start)
-        self.appended_rows += len(rows) - start
-        self._count = len(rows)
-
-
-# -- shard-wide arenas ---------------------------------------------------------
-
-
-def _schema_signature(columns) -> tuple:
-    """Hashable schema identity: ordered (name, upper-cased type) pairs.
-
-    Mirrors :func:`repro.sqldb.compile.schema_signature` — inlined here
-    because :mod:`repro.sqldb.compile` imports this module.
-    """
-    return tuple((column.name, column.sql_type.upper()) for column in columns)
-
-
-class _ArenaRows:
-    """Read-only row-tuple view over arena vectors.
-
-    Stands in for ``Table.rows`` in the shared SELECT-finishing code:
-    ``rows[i]`` materializes the arena row as a schema-order tuple, which
-    is value-identical to the tuple the member table stores.
-    """
-
-    __slots__ = ("_vectors",)
-
-    def __init__(self, vectors: list[ColumnVector]):
-        self._vectors = vectors
-
-    def __getitem__(self, index: int) -> tuple:
-        return tuple(vector[index] for vector in self._vectors)
-
-    def __len__(self) -> int:
-        return len(self._vectors[0]) if self._vectors else 0
-
-
-# Excluded-slot source sentinel: the slot had no table when last examined.
-_EXCLUDED_EMPTY = ("x", None)
-
-
-class ArenaTable(_IndexedVectors):
-    """One table name concatenated across every member database of a shard.
-
-    Duck-types as the *table* (``column_names`` / ``column_index`` /
-    ``rows``) and shares the *store* probe surface with
-    :class:`ColumnStore` (:class:`_IndexedVectors`), so the compiled SELECT
-    path's probes and result finishing run unchanged against the arena.
-
-    The schema is *adopted* from the first member that has the table;
-    members whose table matches the adopted signature are **included**
-    (their rows live in the arena, their span in :attr:`slot_rows`),
-    everyone else is **excluded** (``slot_rows[slot] is None`` — the
-    caller answers those members per-client).  Maintenance follows
-    :class:`ColumnStore`: per-member tail appends (the only mutation
-    ``ShardDelta`` frames perform) extend the vectors, the span table and
-    any live indexes in place; everything else — a replaced or mutated
-    row list, a dropped/recreated table, a table appearing on a
-    previously excluded member — rebuilds the whole arena and drops its
-    indexes to be lazily rebuilt on the next probe.
-    """
-
-    __slots__ = (
-        "name",
-        "_databases",
-        "columns",
-        "_signature",
-        "_colindex",
-        "row_slot",
-        "slot_rows",
-        "_sources",
-    )
-
-    def __init__(self, name: str, databases: list):
-        self.name = name
-        self._databases = databases
-        self.rebuilds = 0
-        self.appended_rows = 0
-        self._rebuild()
-
-    # -- maintenance ---------------------------------------------------------
-
-    def _rebuild(self) -> None:
-        adopted = None
-        for db in self._databases:
-            table = db.get_table(self.name)
-            if table is not None:
-                adopted = table
-                break
-        self.columns = None if adopted is None else list(adopted.columns)
-        self._signature = None if adopted is None else _schema_signature(adopted.columns)
-        names = [] if self.columns is None else [c.name for c in self.columns]
-        types = [] if self.columns is None else [c.sql_type for c in self.columns]
-        self._colindex = {name: i for i, name in enumerate(names)}
-        self._vectors = {n: ColumnVector(t) for n, t in zip(names, types)}
-        self.row_slot = array("q")
-        self.slot_rows: list = [None] * len(self._databases)
-        self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
-        self._hash: dict[str, HashIndex] = {}
-        self._trees: dict[str, BPlusTreeIndex] = {}
-        self._count = 0
-        self.rebuilds += 1
-        if self.columns is None:
-            return
-        for slot, db in enumerate(self._databases):
-            table = db.get_table(self.name)
-            if table is None:
-                continue
-            if _schema_signature(table.columns) != self._signature:
-                self._sources[slot] = ("x", table)
-                continue
-            rows = table.rows
-            self.slot_rows[slot] = array("q")
-            self._sources[slot] = [table, rows, getattr(rows, "mutations", 0), 0]
-            self._append_slot(slot, rows, 0)
-
-    def sync(self) -> None:
-        """Bring the arena up to date with every member's table.
-
-        Two passes, mirroring :meth:`ColumnStore.sync` per member: the
-        first detects any structural change — a member's table replaced,
-        its row list rebound/shrunk/edited in place, or a table with the
-        adopted signature appearing on an excluded member — and rebuilds
-        the whole arena; only when no member changed structurally does
-        the second pass fold per-member tail appends in incrementally.
-        """
-        for slot, db in enumerate(self._databases):
-            table = db.get_table(self.name)
-            source = self._sources[slot]
-            if isinstance(source, list):
-                if table is not source[0]:
-                    self._rebuild()
-                    return
-                rows = table.rows
-                if (
-                    rows is not source[1]
-                    or getattr(rows, "mutations", 0) != source[2]
-                    or len(rows) < source[3]
-                ):
-                    self._rebuild()
-                    return
-            else:
-                if table is source[1]:
-                    continue
-                if table is None:
-                    self._sources[slot] = _EXCLUDED_EMPTY
-                    continue
-                if (
-                    self.columns is None
-                    or _schema_signature(table.columns) == self._signature
-                ):
-                    self._rebuild()
-                    return
-                self._sources[slot] = ("x", table)
-        for slot, source in enumerate(self._sources):
-            if isinstance(source, list) and len(source[1]) > source[3]:
-                self._append_slot(slot, source[1], source[3])
-
-    def _append_slot(self, slot: int, rows: list, start: int) -> None:
-        new = rows[start:]
-        first_id = self._count
-        self._extend(new, first_id)
-        self.row_slot.extend([slot] * len(new))
-        self.slot_rows[slot].extend(range(first_id, first_id + len(new)))
-        self.appended_rows += len(new)
-        self._count = first_id + len(new)
-        self._sources[slot][3] = len(rows)
 
     # -- table duck-typing (the finishing half of the compiled path) ---------
 
@@ -458,11 +363,6 @@ class ArenaTable(_IndexedVectors):
         if name.lower() in lowered:
             return lowered[name.lower()]
         raise SchemaError(f"table {self.name} has no column {name}")
-
-    @property
-    def rows(self) -> _ArenaRows:
-        """Schema-order row tuples by arena id (select-star projection)."""
-        return _ArenaRows([self._vectors[name] for name in self.column_names])
 
     def stats(self) -> dict[str, int]:
         """Observability: the torture suite pins that churn and
@@ -482,7 +382,8 @@ class ShardArena:
     order); :meth:`matches` lets a caller verify a cached arena still
     describes the exact databases it is about to answer for.  Tables are
     built lazily on first use and synced incrementally on every
-    subsequent use.
+    subsequent use.  A database answering on its own holds a one-slot
+    arena over itself (:attr:`repro.sqldb.engine.Database.arena`).
     """
 
     def __init__(self, databases: list):
@@ -515,6 +416,11 @@ class ShardArena:
         if arena.columns is None:
             return None
         return arena
+
+    def sync(self) -> None:
+        """Sync every table built so far; tables never asked for stay lazy."""
+        for arena in self._tables.values():
+            arena.sync()
 
     def arena_stats(self) -> dict[str, dict[str, int]]:
         """Table name → :meth:`ArenaTable.stats`, for tests and operators."""

@@ -42,11 +42,13 @@ import fnmatch
 import operator
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sqldb import ast
-from repro.sqldb.columnar import ColumnStore
 from repro.sqldb.errors import ExecutionError
+
+if TYPE_CHECKING:
+    from repro.sqldb.columnar import ArenaTable
 
 
 class CompileFallback(Exception):
@@ -217,7 +219,7 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
 class _EmptyProbe:
     """A probe that can never match (e.g. ``col = NULL``)."""
 
-    def ids(self, store: ColumnStore) -> list[int]:
+    def ids(self, arena: "ArenaTable") -> list[int]:
         return []
 
     def describe(self) -> str:
@@ -231,8 +233,8 @@ class _EqProbe:
         self.column = column
         self.value = value
 
-    def ids(self, store: ColumnStore) -> list[int]:
-        return store.hash_index(self.column).lookup(self.value)
+    def ids(self, arena: "ArenaTable") -> list[int]:
+        return arena.hash_index(self.column).lookup(self.value)
 
     def describe(self) -> str:
         return f"hash-eq({self.column})"
@@ -245,8 +247,8 @@ class _InProbe:
         self.column = column
         self.choices = choices
 
-    def ids(self, store: ColumnStore) -> list[int]:
-        index = store.hash_index(self.column)
+    def ids(self, arena: "ArenaTable") -> list[int]:
+        index = arena.hash_index(self.column)
         matched: set[int] = set()
         for choice in self.choices:
             matched.update(index.lookup(choice))
@@ -266,8 +268,8 @@ class _RangeProbe:
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
 
-    def ids(self, store: ColumnStore) -> list[int]:
-        return store.tree_index(self.column).range_ids(
+    def ids(self, arena: "ArenaTable") -> list[int]:
+        return arena.tree_index(self.column).range_ids(
             self.low, self.high, self.low_inclusive, self.high_inclusive
         )
 
@@ -355,9 +357,9 @@ class CompiledSelect:
     """One statement's lowered row-selection plan, bound to a schema.
 
     Stateless with respect to any particular table *instance*: the plan
-    captures column names and closures only, so every client database
-    sharing the schema evaluates the same plan over its own
-    :class:`~repro.sqldb.columnar.ColumnStore`.
+    captures column names and closures only, so every arena sharing the
+    schema — a shard's, or a lone database's one-slot arena — evaluates
+    the same plan (:class:`~repro.sqldb.columnar.ArenaTable`).
     """
 
     def __init__(self, statement: ast.SelectStatement, schema: _SchemaView):
@@ -397,26 +399,6 @@ class CompiledSelect:
                     _probe_for(conjunct, schema) is not None for conjunct in rest
                 )
 
-    def matching_ids(self, store: ColumnStore):
-        """Row ids satisfying WHERE, ascending (row order).
-
-        Returns a ``range`` for match-all clauses; otherwise a list.  The
-        list may alias index internals when a bare probe matches — treat
-        it as read-only.
-        """
-        if self.statement.where is None:
-            return range(store.count)
-        if self.probe is not None:
-            ids = self.probe.ids(store)
-            if self.residual is None:
-                return ids
-            arrays = store.arrays()
-            residual = self.residual
-            return [row_id for row_id in ids if residual(arrays, row_id)]
-        arrays = store.arrays()
-        residual = self.residual
-        return [row_id for row_id in range(store.count) if residual(arrays, row_id)]
-
     def matching_ids_per_client(self, arena, latest: bool = False) -> list:
         """One probe over a whole shard's arena, split back per member slot.
 
@@ -427,13 +409,15 @@ class CompiledSelect:
         would have raised (residual errors stay per-member: a bad row in
         one member's table must not poison its neighbors), or ``None`` for
         excluded slots (missing table / mixed schema — answered
-        per-client by the caller).
+        per-client by the caller).  Id sequences are read-only: they may
+        alias the arena's span table or an index's postings.
 
-        Probe semantics are exactly :meth:`matching_ids` per member: the
+        Probe semantics are exactly a member-by-member evaluation's: the
         probe selects the rows on which the first conjunct is truthy, the
         residual is then evaluated only on those rows, in each member's
-        row order — so per-member results *and* per-member errors match a
-        member-by-member evaluation outcome-for-outcome.
+        row order — so per-member results *and* per-member errors match
+        what each member's own one-slot arena answers, outcome for
+        outcome.
 
         ``latest=True`` is the form the epoch's answer pass asks for: each
         id sequence holds at most its *last* element (a member's newest
@@ -478,9 +462,12 @@ class CompiledSelect:
                 ids if ids is None else [last[slot]] if slot in last else ()
                 for slot, ids in enumerate(slot_rows)
             ]
-        buckets: list = [None if ids is None else [] for ids in slot_rows]
-        for row_id in probed:
-            buckets[row_slot[row_id]].append(row_id)
+        if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own
+            buckets = [None if slot_rows[0] is None else probed]
+        else:
+            buckets = [None if ids is None else [] for ids in slot_rows]
+            for row_id in probed:
+                buckets[row_slot[row_id]].append(row_id)
         if residual is None:
             return buckets
         return [
@@ -507,9 +494,8 @@ def _filter_residual(residual: ValueFn, arrays: dict, row_ids, latest: bool = Fa
 
     Returns the surviving ids (only the last one when ``latest``), or the
     first exception the residual raised — the same exception, at the same
-    row, that a member-by-member evaluation would surface (the per-member
-    comprehension in :meth:`CompiledSelect.matching_ids` dies at its
-    first error too).
+    row, that the member's own row scan would surface (it dies at its first
+    error too).
     """
     try:
         survivors = [row_id for row_id in row_ids if residual(arrays, row_id)]

@@ -4,9 +4,11 @@ Two SELECT paths share one semantics:
 
 * the **row scan** (:meth:`Database._execute_select_scan`) — the frozen
   reference, interpreting the WHERE AST per row dict; and
-* the **compiled columnar** path (:meth:`Database._execute_select_compiled`)
-  — index probes plus closures from :mod:`repro.sqldb.compile` evaluated
-  over each table's :class:`~repro.sqldb.columnar.ColumnStore`.
+* the **compiled columnar** path (:func:`_select_per_slot`) — index probes
+  plus closures from :mod:`repro.sqldb.compile` evaluated over an
+  :class:`~repro.sqldb.columnar.ArenaTable`: a whole shard's
+  (:func:`arena_select_per_client`) or a lone database's one-slot arena
+  (:meth:`Database.query`).
 
 The compiled path is the default; ``SQLDB_FORCE_SCAN=1`` in the
 environment (or ``Database.force_scan = True``) pins the reference, and
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import fnmatch
 import os
+import weakref
 from typing import Any
 
 from repro.sqldb import ast
 from repro.sqldb.columnar import ShardArena
-from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
+from repro.sqldb.compile import CompileFallback, plan_for
 from repro.sqldb.errors import ExecutionError, SchemaError
 from repro.sqldb.parser import parse_statement, parse_statement_cached
 from repro.sqldb.table import Column, Table
@@ -38,9 +41,10 @@ def _env_flag(name: str) -> bool:
 def per_client_forced() -> bool:
     """Whether ``SQLDB_FORCE_PER_CLIENT`` pins the per-client compiled path.
 
-    The middle oracle of the differential ladder: arena answering is
-    disabled, but each client still answers on its own compiled columnar
-    path (``SQLDB_FORCE_SCAN`` pins the row-scan reference below both).
+    The middle oracle of the differential ladder: shard arenas are
+    disabled, but each client still answers on the compiled columnar path,
+    over its own one-slot arena (``SQLDB_FORCE_SCAN`` pins the row-scan
+    reference below both).
     """
     return _env_flag("SQLDB_FORCE_PER_CLIENT")
 
@@ -119,6 +123,7 @@ class Database:
         # Pins the row-scan reference path for this database regardless of
         # the SQLDB_FORCE_SCAN environment switch.
         self.force_scan = False
+        self._arena: ShardArena | None = None
 
     # -- schema management ---------------------------------------------------
 
@@ -157,7 +162,7 @@ class Database:
 
         One :meth:`Table.insert_records` call: converters are resolved once
         and the converted rows join the table in a single append, which a
-        live columnar mirror folds in incrementally (no rebuild).  A record
+        live columnar copy folds in incrementally (no rebuild).  A record
         with a bad value or an unknown column raises
         :class:`~repro.sqldb.errors.SchemaError`; the records before it
         stay inserted.
@@ -165,16 +170,28 @@ class Database:
         self.table(table_name).insert_records(records)
         return len(records)
 
-    def sync_columnar(self) -> None:
-        """Incrementally sync every existing columnar mirror with its table.
+    @property
+    def arena(self) -> ShardArena:
+        """This database's one-slot arena, the columnar copy its compiled
+        SELECTs read (built on first use; its tables build on first query).
 
-        Tables whose mirror has not been built yet are skipped — they
-        stay lazy until first queried.  The resident runtime calls this
-        after applying each ``ShardDelta`` so index maintenance happens
-        at ingest time, off the answer critical path.
+        The arena holds a weak proxy of the database, so the two form no
+        reference cycle and a dropped database is freed at once.
         """
-        for table in self._tables.values():
-            table.sync_store()
+        if self._arena is None:
+            self._arena = ShardArena([weakref.proxy(self)])
+        return self._arena
+
+    def sync_columnar(self) -> None:
+        """Incrementally sync every columnar table already built.
+
+        Tables never queried are skipped — they stay lazy until first
+        queried.  The resident runtime calls this after applying each
+        ``ShardDelta`` so index maintenance happens at ingest time, off
+        the answer critical path.
+        """
+        if self._arena is not None:
+            self._arena.sync()
 
     def _scan_forced(self) -> bool:
         """Whether the row-scan reference path is pinned.
@@ -195,12 +212,13 @@ class Database:
         SELECT returns a :class:`ResultSet`; INSERT/DELETE return the number of
         affected rows; CREATE/DROP return 0.
         """
-        if self._scan_forced():
+        scan_forced = self._scan_forced()
+        if scan_forced:
             statement = parse_statement(sql)
         else:
             statement = parse_statement_cached(sql)
         if isinstance(statement, ast.SelectStatement):
-            return self._execute_select(statement)
+            return self._execute_select(statement, scan_forced)
         if isinstance(statement, ast.InsertStatement):
             return self._execute_insert(statement)
         if isinstance(statement, ast.CreateTableStatement):
@@ -222,15 +240,18 @@ class Database:
 
     # -- SELECT ------------------------------------------------------------------
 
-    def _execute_select(self, stmt: ast.SelectStatement) -> ResultSet:
+    def _execute_select(self, stmt: ast.SelectStatement, scan_forced: bool) -> ResultSet:
         table = self.table(stmt.table)
-        if self._scan_forced():
-            return self._execute_select_scan(stmt, table)
-        try:
-            plan = plan_for(stmt, table.columns)
-        except CompileFallback:
-            return self._execute_select_scan(stmt, table)
-        return self._execute_select_compiled(stmt, plan, table)
+        if not scan_forced:
+            outcomes = _select_per_slot(self.arena, stmt, scan_forced=False)
+            # None: the compiler cannot lower the statement; ARENA_FALLBACK:
+            # a force_scan pin.  Both answer on the row scan.
+            if outcomes is not None and outcomes[0] is not ARENA_FALLBACK:
+                (outcome,) = outcomes
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                return outcome
+        return self._execute_select_scan(stmt, table)
 
     def _execute_select_scan(self, stmt: ast.SelectStatement, table: Table) -> ResultSet:
         """The frozen row-scan reference: one dict per row, AST walked per row."""
@@ -279,14 +300,6 @@ class Database:
         if stmt.limit is not None:
             projected = projected[: stmt.limit]
         return ResultSet(columns=out_columns, rows=projected)
-
-    def _execute_select_compiled(
-        self, stmt: ast.SelectStatement, plan: CompiledSelect, table: Table
-    ) -> ResultSet:
-        """Evaluate a compiled plan over the table's columnar store."""
-        store = table.column_store
-        ids = plan.matching_ids(store)
-        return _finish_compiled_select(stmt, table, store, ids)
 
     def _execute_grouped(self, stmt: ast.SelectStatement, rows: list[dict]) -> ResultSet:
         groups: dict[tuple, list[dict]] = {}
@@ -430,8 +443,8 @@ def _aggregate_label(item: ast.Aggregate) -> str:
     return f"{item.function.lower()}({argument})"
 
 
-def _compute_aggregate_columnar(item: ast.Aggregate, store, ids) -> Any:
-    """:func:`_compute_aggregate` over a ColumnStore and matching row ids.
+def _compute_aggregate_columnar(item: ast.Aggregate, arena, ids) -> Any:
+    """:func:`_compute_aggregate` over an arena and matching row ids.
 
     Mirrors the reference exactly: the argument column is read by exact
     name (``row.get`` semantics — an unknown or case-mismatched column
@@ -442,10 +455,9 @@ def _compute_aggregate_columnar(item: ast.Aggregate, store, ids) -> Any:
     if item.function == "COUNT" and item.argument is None:
         return len(ids)
     argument = item.argument
-    if argument is None or not store.has_column(argument):
+    if argument is None or not arena.has_column(argument):
         return 0 if item.function == "COUNT" else None
-    vector = store.column(argument)
-    values = [vector[i] for i in ids if vector[i] is not None]
+    values = [value for value in arena.column(argument).take(ids) if value is not None]
     if item.function == "COUNT":
         return len(values)
     if not values:
@@ -480,16 +492,12 @@ def _compute_aggregate(item: ast.Aggregate, rows: list[dict]):
     raise ExecutionError(f"unsupported aggregate: {item.function}")
 
 
-def _finish_compiled_select(
-    stmt: ast.SelectStatement, table, store, ids
-) -> ResultSet:
+def _finish_compiled_select(stmt: ast.SelectStatement, arena, ids) -> ResultSet:
     """Turn matching row ids into a :class:`ResultSet` for a compiled SELECT.
 
-    Shared by the per-client compiled path (``table`` is a
-    :class:`~repro.sqldb.table.Table`, ``store`` its ``ColumnStore``) and
-    the shard-wide arena path (both are the same
-    :class:`~repro.sqldb.columnar.ArenaTable`, whose per-slot ids address
-    arena rows directly).  Every branch mirrors
+    ``arena`` is the :class:`~repro.sqldb.columnar.ArenaTable` the ids
+    address (a shard's, or a lone database's one-slot arena, whose ids are
+    the table's own row ids).  Every branch mirrors
     :meth:`Database._execute_select_scan` exactly — including its error
     behavior: projection and ORDER BY read columns by *exact* name from
     the row dict (``KeyError`` when absent and rows matched), after
@@ -498,7 +506,7 @@ def _finish_compiled_select(
     column → ``None``).
     """
     if stmt.group_by:
-        return _grouped_compiled(stmt, store, ids)
+        return _grouped_compiled(stmt, arena, ids)
 
     has_aggregate = any(isinstance(item, ast.Aggregate) for item in stmt.items)
     if has_aggregate:
@@ -508,36 +516,33 @@ def _finish_compiled_select(
             )
         columns = [_aggregate_label(item) for item in stmt.items]
         values = tuple(
-            _compute_aggregate_columnar(item, store, ids) for item in stmt.items
+            _compute_aggregate_columnar(item, arena, ids) for item in stmt.items
         )
         return ResultSet(columns=columns, rows=[values])
 
     if stmt.select_star:
-        out_columns = table.column_names
-        # Stored row tuples are already in schema order: reuse them.
-        source_rows = table.rows
-        projected = [source_rows[i] for i in ids]
+        out_columns = source_columns = arena.column_names
     else:
         out_columns = [item.alias or item.column for item in stmt.items]
         source_columns = [item.column for item in stmt.items]
         for column in source_columns:
-            table.column_index(column)  # validate existence
-        if ids:
-            for column in source_columns:
-                if not store.has_column(column):
-                    raise KeyError(column)  # exact-name row access, as the scan does
-            vectors = [store.column(column) for column in source_columns]
-            projected = [tuple(vector[i] for vector in vectors) for i in ids]
-        else:
-            projected = []
+            arena.column_index(column)  # validate existence
+    projected = []
+    if ids:
+        for column in source_columns:
+            if not arena.has_column(column):
+                raise KeyError(column)  # exact-name row access, as the scan does
+        # Gathered a column at a time, then zipped into row tuples.
+        columns = [arena.column(column).take(ids) for column in source_columns]
+        projected = list(zip(*columns)) if columns else [()] * len(ids)
 
     if stmt.order_by is not None:
         order_column = stmt.order_by.column
         if stmt.select_star or order_column in out_columns:
-            if projected and not store.has_column(order_column):
+            if projected and not arena.has_column(order_column):
                 raise KeyError(order_column)
             if projected:
-                order_vector = store.column(order_column)
+                order_vector = arena.column(order_column)
                 pairs = sorted(
                     zip(projected, ids),
                     key=lambda pair: _sort_key(order_vector[pair[1]]),
@@ -546,7 +551,7 @@ def _finish_compiled_select(
                 projected = [pair[0] for pair in pairs]
         else:
             order_vector = (
-                store.column(order_column) if store.has_column(order_column) else None
+                arena.column(order_column) if arena.has_column(order_column) else None
             )
             pairs = sorted(
                 zip(projected, ids),
@@ -562,9 +567,9 @@ def _finish_compiled_select(
     return ResultSet(columns=out_columns, rows=projected)
 
 
-def _grouped_compiled(stmt: ast.SelectStatement, store, ids) -> ResultSet:
+def _grouped_compiled(stmt: ast.SelectStatement, arena, ids) -> ResultSet:
     group_vectors = [
-        store.column(column) if store.has_column(column) else None
+        arena.column(column) if arena.has_column(column) else None
         for column in stmt.group_by
     ]
     groups: dict[tuple, list[int]] = {}
@@ -594,14 +599,14 @@ def _grouped_compiled(stmt: ast.SelectStatement, store, ids) -> ResultSet:
             if isinstance(item, ast.SelectItem):
                 values.append(key[stmt.group_by.index(item.column)])
             else:
-                values.append(_compute_aggregate_columnar(item, store, group_ids))
+                values.append(_compute_aggregate_columnar(item, arena, group_ids))
         result_rows.append(tuple(values))
     if stmt.limit is not None:
         result_rows = result_rows[: stmt.limit]
     return ResultSet(columns=out_columns, rows=result_rows)
 
 
-#: Lazily-computed shared-empty-outcome marker in :func:`arena_select_per_client`.
+#: Lazily-computed shared-empty-outcome marker in :func:`_select_per_slot`.
 _UNSET = object()
 
 
@@ -648,6 +653,23 @@ def arena_select_per_client(arena, sql: str, latest: bool = False):
         return None
     if not isinstance(statement, ast.SelectStatement):
         return None
+    # The switch is read once per statement (never cached across statements).
+    return _select_per_slot(arena, statement, _env_flag("SQLDB_FORCE_SCAN"), latest)
+
+
+def _select_per_slot(
+    arena, statement: ast.SelectStatement, scan_forced: bool, latest: bool = False
+):
+    """:func:`arena_select_per_client` after parsing: one compiled SELECT
+    over a :class:`~repro.sqldb.columnar.ShardArena`, one outcome per slot.
+
+    The one compiled dispatcher: a shard answers through it, and so does a
+    lone database over its one-slot arena (:meth:`Database.query`).
+    ``scan_forced`` (the ``SQLDB_FORCE_SCAN`` switch) and a member's own
+    ``force_scan`` pin mark slots :data:`ARENA_FALLBACK`.  Returns ``None``
+    when no member defines the table or the compiler cannot lower the
+    statement.
+    """
     table = arena.table(statement.table)
     if table is None:
         return None
@@ -659,9 +681,6 @@ def arena_select_per_client(arena, sql: str, latest: bool = False):
     last_row_only = latest and _is_plain_projection(statement)
     ids_per_slot = plan.matching_ids_per_client(table, latest=last_row_only)
     finish_row = _one_row_finisher(statement, table) if last_row_only else None
-    # The switch is read once per statement (never cached across
-    # statements); the per-database pin is tested per slot.
-    scan_forced = _env_flag("SQLDB_FORCE_SCAN")
     outcomes: list = []
     empty_outcome = _UNSET
     for db, ids in zip(arena.databases, ids_per_slot):
@@ -724,6 +743,6 @@ def _one_row_finisher(stmt: ast.SelectStatement, table):
 def _finish_outcome(stmt: ast.SelectStatement, table, ids):
     """Finish one member's result, capturing the error instead of raising."""
     try:
-        return _finish_compiled_select(stmt, table, table, ids)
+        return _finish_compiled_select(stmt, table, ids)
     except Exception as exc:  # noqa: BLE001 - outcome parity with per-client
         return exc

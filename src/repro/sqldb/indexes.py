@@ -10,9 +10,9 @@ Two index kinds back the compiled answer path
   ``BETWEEN``) in O(log n + k).
 
 Both are *bulk-loaded* from a whole column (``from_column``) the first
-time a probe needs them — per predicate column, by a
-:class:`~repro.sqldb.columnar.ColumnStore` or a shard
-:class:`~repro.sqldb.columnar.ArenaTable` — and after that maintained
+time a probe needs them — per predicate column, by an
+:class:`~repro.sqldb.columnar.ArenaTable` (a shard's, or a lone
+database's one-slot arena) — and after that maintained
 *incrementally* (``insert``), one appended row at a time, as rows
 append to the live table (the resident runtime streams rows into client
 tables via :class:`~repro.runtime.wire.ShardDelta` frames).  A rebuild

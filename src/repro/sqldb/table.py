@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.sqldb.errors import SchemaError
-
-if TYPE_CHECKING:
-    from repro.sqldb.columnar import ColumnStore
 
 # SQL type name -> python conversion callable.
 _TYPE_CONVERTERS = {
@@ -53,12 +50,12 @@ class Column:
 
 
 class _RowList(list):
-    """Row storage that makes in-place edits visible to the columnar mirror.
+    """Row storage that makes in-place edits visible to the columnar copy.
 
     Pure appends (``append``/``extend``/``+=``) stay at C speed — growth
     is detectable from the length alone — but any operation that edits,
     reorders, or removes existing rows bumps ``mutations``, which
-    :meth:`~repro.sqldb.columnar.ColumnStore.sync` reads to know its
+    :meth:`~repro.sqldb.columnar.ArenaTable.sync` reads to know its
     arrays and indexes are stale and must rebuild.
     """
 
@@ -110,7 +107,7 @@ class Table:
     def __setattr__(self, name: str, value: Any) -> None:
         # Every row-list ever bound to the table is wrapped, so later
         # in-place edits (``table.rows[0] = ...``) are observable by the
-        # columnar mirror's sync no matter how the list arrived.
+        # columnar copy's sync no matter how the list arrived.
         if name == "rows" and not isinstance(value, _RowList):
             value = _RowList(value)
         super().__setattr__(name, value)
@@ -120,10 +117,6 @@ class Table:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in table {self.name}")
         self._index = {c.name: i for i, c in enumerate(self.columns)}
-        # Columnar mirror + secondary indexes, built lazily on first use by
-        # the compiled answer path (repro.sqldb.compile).  Derived state:
-        # never serialized, rebuilt on demand after snapshot restore.
-        self._store: "ColumnStore | None" = None
 
     @property
     def column_names(self) -> list[str]:
@@ -164,7 +157,7 @@ class Table:
         first record that fails raises :class:`SchemaError` and the
         records before it stay inserted.  The converters are resolved
         once per call and the converted rows join the table in one
-        ``extend``, an append the columnar mirror folds in incrementally.
+        ``extend``, an append the columnar copy folds in incrementally.
         """
         columns = [
             (column.name, _TYPE_CONVERTERS[column.sql_type.upper()], column)
@@ -198,7 +191,7 @@ class Table:
         :class:`~repro.runtime.wire.ShardDelta` streams.  Every row must
         have one value per column; otherwise :class:`SchemaError` is
         raised and nothing is appended.  Appending in place (rather than
-        rebinding ``self.rows``) is what lets the columnar store
+        rebinding ``self.rows``) is what lets the columnar copy
         recognize the mutation as an incremental append instead of a
         rebuild.
         """
@@ -233,29 +226,6 @@ class Table:
         names = self.column_names
         for row in self.rows:
             yield dict(zip(names, row))
-
-    # -- columnar mirror -----------------------------------------------------
-
-    @property
-    def column_store(self) -> "ColumnStore":
-        """The table's columnar mirror, created on first use, synced on every use."""
-        from repro.sqldb.columnar import ColumnStore
-
-        if self._store is None:
-            self._store = ColumnStore(self)
-        else:
-            self._store.sync(self)
-        return self._store
-
-    def sync_store(self) -> None:
-        """Bring an existing columnar mirror up to date (no-op when absent).
-
-        Called eagerly by the resident runtime after applying
-        ``ShardDelta`` appends, keeping index maintenance off the answer
-        critical path; the mirror stays lazy until the first query needs it.
-        """
-        if self._store is not None:
-            self._store.sync(self)
 
     def __len__(self) -> int:
         return len(self.rows)

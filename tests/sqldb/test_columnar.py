@@ -1,5 +1,6 @@
-"""Unit tests for the columnar store: typed vectors, incremental sync,
-index maintenance, and the Table.scan projection fast path."""
+"""Unit tests for the columnar layout: typed vectors, one-slot and
+shard-wide arena sync, index maintenance, and the Table.scan projection
+fast path."""
 
 import pytest
 
@@ -86,33 +87,42 @@ class TestColumnVector:
         assert [(type(v), repr(v)) for v in batched] == [(type(v), repr(v)) for v in by_value]
 
 
-class TestColumnStoreSync:
+def _own(db, name="t"):
+    """The database's own one-slot arena table, synced (what its SELECTs read)."""
+    return db.arena.table(name)
+
+
+class TestOneSlotArenaSync:
+    """A lone database answers over a one-slot arena: the same sync rules as a
+    shard's, pinned on the sequences a client's table goes through."""
+
     def test_sync_is_noop_when_clean(self):
-        table = _make_db().table("t")
-        store = table.column_store
+        db = _make_db()
+        store = _own(db)
         assert store.rebuilds == 1
         before = store.appended_rows
-        table.sync_store()
-        table.sync_store()
+        db.sync_columnar()
+        db.sync_columnar()
         assert store.rebuilds == 1 and store.appended_rows == before
 
     def test_append_rows_extends_incrementally(self):
         db = _make_db()
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         table.append_rows([(1, 2.0, "a"), (2, 3.0, "bb")])
-        store = table.column_store  # property syncs
+        assert _own(db) is store  # fetching syncs
         assert store.rebuilds == 1
         assert store.count == len(table.rows) == 202
         assert store.column("tag")[201] == "bb"
+        assert list(store.slot_rows[0]) == list(range(202))  # arena ids = row ids
 
     def test_delete_triggers_rebuild(self):
         db = _make_db()
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         assert store.rebuilds == 1
         db.execute("DELETE FROM t WHERE x < 5")
-        store = table.column_store
+        store = _own(db)
         assert store.rebuilds == 2
         assert store.count == len(table.rows)
 
@@ -122,10 +132,10 @@ class TestColumnStoreSync:
         must not be answered from stale columnar arrays or indexes."""
         db = _make_db()
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         store.hash_index("x")
         table.rows[0] = (999, -1.0, "edited")
-        store = table.column_store  # property syncs
+        store = _own(db)
         assert store.rebuilds == 2
         assert store.column("x")[0] == 999
         assert store.index_stats() == {}  # stale indexes dropped
@@ -135,22 +145,35 @@ class TestColumnStoreSync:
     def test_row_removal_triggers_rebuild(self):
         db = _make_db()
         table = db.table("t")
-        store = table.column_store
+        _own(db)
         del table.rows[3]
         table.rows.pop()
-        store = table.column_store
+        store = _own(db)
         assert store.rebuilds >= 2
         assert store.count == len(table.rows) == 198
+
+    def test_drop_and_recreate_rebuilds_on_the_new_schema(self):
+        db = _make_db()
+        store = _own(db)
+        store.hash_index("x")
+        db.execute("DROP TABLE t")
+        db.create_table("t", [("x", "TEXT")])
+        db.insert_rows("t", [{"x": "a"}, {"x": "b"}, {"x": "a"}])
+        store = _own(db)
+        assert store.rebuilds == 2
+        assert store.column_names == ["x"] and store.count == 3
+        assert store.index_stats() == {}
+        assert db.query("SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
 
     def test_append_maintains_live_indexes(self):
         db = _make_db()
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         hash_index = store.hash_index("x")
         tree = store.tree_index("x")
         hits_before = len(hash_index.lookup(3))
         table.append_rows([(3, 0.0, "a")])
-        table.sync_store()
+        db.sync_columnar()
         assert len(store.hash_index("x").lookup(3)) == hits_before + 1
         assert store.hash_index("x") is hash_index  # maintained, not rebuilt
         assert store.tree_index("x") is tree
@@ -159,19 +182,18 @@ class TestColumnStoreSync:
 
     def test_rebuild_drops_indexes(self):
         db = _make_db()
-        table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         store.hash_index("x")
         assert "x" in store.index_stats()
         db.execute("DELETE FROM t WHERE x = 0")
-        table.sync_store()
+        db.sync_columnar()
         assert store.index_stats() == {}  # lazily rebuilt on next probe
         assert store.hash_index("x").lookup(0) == []
 
     @pytest.mark.parametrize("force_scan", ["0", "1"])
     def test_short_row_is_refused_before_anything_grows(self, force_scan, monkeypatch):
         """A row narrower than the schema used to pass ``append_rows``: the
-        compiled path then died inside the store with its vectors half
+        compiled path then died inside the arena with its vectors half
         grown, while the forced scan failed differently.  Now both refuse
         the whole batch up front and keep answering from the old rows."""
         monkeypatch.setenv("SQLDB_FORCE_SCAN", force_scan)
@@ -179,7 +201,7 @@ class TestColumnStoreSync:
         db.create_table("t", [("value", "REAL"), ("zone", "INTEGER")])
         db.insert_rows("t", [{"value": float(i), "zone": i % 3} for i in range(9)])
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         store.hash_index("zone")  # live: an append must fold into it
         sql = "SELECT value FROM t WHERE zone = 1"
         before = db.query(sql).rows
@@ -187,29 +209,46 @@ class TestColumnStoreSync:
             table.append_rows([(9.0, 1), (5.0,)])
         assert len(table.rows) == 9 and table.rows.mutations == 0
         assert db.query(sql).rows == before == [(1.0,), (4.0,), (7.0,)]
-        assert table.column_store is store
+        assert _own(db) is store
         assert (store.count, store.rebuilds, store.appended_rows) == (9, 1, 9)
         assert [len(store.column(name)) for name in ("value", "zone")] == [9, 9]
 
     def test_store_refuses_a_short_row_it_did_not_see_checked(self):
         db = _make_db(rows=4)
         table = db.table("t")
-        store = table.column_store
+        store = _own(db)
         table.rows.append((1, 2.0))  # bypasses Table.append_rows
         with pytest.raises(SchemaError):
-            table.sync_store()
+            db.sync_columnar()
         assert [len(store.column(name)) for name in ("x", "y", "tag")] == [4, 4, 4]
         assert store.count == 4
 
     def test_database_sync_columnar_skips_lazy_tables(self):
         db = _make_db()
         db.create_table("untouched", [("a", "INTEGER")])
-        db.sync_columnar()  # must not build a store for 'untouched'
-        assert db.table("untouched")._store is None
-        store = db.table("t").column_store
+        db.sync_columnar()  # must not build an arena table for 'untouched'
+        assert db.arena.arena_stats() == {}
+        store = _own(db)
         db.table("t").append_rows([(1, 1.0, "a")])
         db.sync_columnar()
         assert store.count == 201
+        assert set(db.arena.arena_stats()) == {"t"}
+
+    def test_no_reference_cycle_with_the_database(self):
+        """The arena holds a weak proxy of its database: dropping the last
+        reference frees the database at once, with no collector pass."""
+        import gc
+        import weakref
+
+        db = _make_db(rows=8)
+        db.query("SELECT x FROM t WHERE x = 3")
+        alive = weakref.ref(db)
+        gc.disable()
+        try:
+            del db
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestScanProjection:
@@ -251,6 +290,10 @@ class TestScanProjection:
         assert len(projected) == 500
 
 
+def _arena_row(arena_table, arena_id):
+    return tuple(arena_table.column(name)[arena_id] for name in arena_table.column_names)
+
+
 class TestShardArena:
     def _shard(self, sizes=(3, 5, 2)):
         from repro.sqldb import ShardArena
@@ -267,7 +310,7 @@ class TestShardArena:
         for slot, member in enumerate(members):
             local_rows = member.table("t").rows
             for local_id, arena_id in enumerate(table.slot_rows[slot]):
-                assert table.rows[arena_id] == tuple(local_rows[local_id])
+                assert _arena_row(table, arena_id) == tuple(local_rows[local_id])
 
     def test_initial_build_counts_as_one_rebuild(self):
         _, arena = self._shard()
@@ -288,7 +331,7 @@ class TestShardArena:
         assert stats["span_rows"] == 11
         # The new row landed at the arena tail, mapped to slot 1.
         assert table.row_slot[-1] == 1
-        assert table.rows[10] == (77, 7.0, "odd")
+        assert _arena_row(table, 10) == (77, 7.0, "odd")
 
     def test_live_indexes_are_maintained_on_append(self):
         members, arena = self._shard()

@@ -92,7 +92,7 @@ class TestProbeResults:
     def test_matching_ids_are_row_ordered(self):
         db = _db()
         plan = _plan(db, "SELECT * FROM t WHERE x = 2")
-        ids = plan.matching_ids(db.table("t").column_store)
+        (ids,) = plan.matching_ids_per_client(db.arena.table("t"))
         assert list(ids) == [1, 2]
 
 
@@ -225,8 +225,8 @@ class TestForceScan:
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         assert db._scan_forced()
         assert db.query("SELECT x FROM t WHERE x = 2").column("x") == [2, 2]
-        # The reference path must not have built a columnar mirror.
-        assert db.table("t")._store is None
+        # The reference path must not have built a columnar copy.
+        assert db._arena is None
 
     @pytest.mark.parametrize("value", ["", "0", "false", "False"])
     def test_falsey_env_values_keep_the_compiled_path(self, value, monkeypatch):
@@ -240,7 +240,7 @@ class TestForceScan:
         db.force_scan = True
         assert db._scan_forced()
         db.query("SELECT x FROM t WHERE x = 2")
-        assert db.table("t")._store is None
+        assert db._arena is None
 
     def test_both_paths_agree_mid_process_flip(self, monkeypatch):
         db = _db()

@@ -363,13 +363,14 @@ class TestDifferentialFuzz:
 
     @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
     def test_incremental_indexes_equal_rebuilt(self, case_seed):
-        """After the append stream, an incrementally-maintained store answers
-        every probe exactly like one rebuilt from scratch over the final rows."""
+        """After the append stream, an incrementally-maintained one-slot arena
+        answers every probe exactly like one rebuilt from scratch over the
+        final rows."""
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
         incremental = _make_db(schema, rows, force_scan=False)
-        for sql in queries:  # builds the store + indexes over the initial rows
+        for sql in queries:  # builds the arena + indexes over the initial rows
             _outcome(incremental, sql)
-        store = incremental.table("t").column_store
+        store = incremental.arena.table("t")
         rebuilds_before = store.rebuilds
         for batch in batches:
             incremental.insert_rows("t", batch)
@@ -383,7 +384,7 @@ class TestDifferentialFuzz:
         # Appends must have been folded in place, never via rebuild.
         assert store.rebuilds == rebuilds_before
         # Structural equality of the maintained indexes vs fresh ones.
-        fresh_store = rebuilt.table("t").column_store
+        fresh_store = rebuilt.arena.table("t")
         for name, _ in schema:
             if name in store.index_stats():
                 tree = store._trees.get(name)

@@ -176,12 +176,17 @@ class TestTailAppends:
         ],
         ids=["span-tail", "hash-probe", "tree-probe", "tail-walk", "every-candidate"],
     )
+    @pytest.mark.parametrize("one_slot", [False, True], ids=["shard", "one-slot"])
     def test_appended_row_becomes_the_answer_without_a_rebuild(
-        self, latest_row_cases, where
+        self, latest_row_cases, where, one_slot
     ):
         columns, _, members = latest_row_cases
         databases, _ = _shard(columns, members)
-        arena = ShardArena(databases)
+        if one_slot:  # the first member's own arena, the one its SELECTs read
+            databases = databases[:1]
+            arena = databases[0].arena
+        else:
+            arena = ShardArena(databases)
         sql = f"SELECT value, tag FROM {TABLE}{where}"
         before = arena_select_per_client(arena, sql, latest=True)
         assert before[0].rows != [(7.5, "new")]
@@ -192,8 +197,8 @@ class TestTailAppends:
         for slot in range(1, len(databases)):
             assert _arena_outcome(after[slot]) == _arena_outcome(before[slot])
         assert arena.arena_stats()[TABLE]["rebuilds"] == 1
-        assert arena.arena_stats()[TABLE]["appended_rows"] == 1 + sum(
-            len(rows) for rows in members.values()
+        assert arena.arena_stats()[TABLE]["appended_rows"] == sum(
+            len(db.table(TABLE)) for db in databases
         )
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sqldb import Database
 from repro.sqldb.errors import SchemaError
 from repro.sqldb.table import Column, Table
 
@@ -138,14 +139,15 @@ class TestInsertRecords:
             table.insert_records([{"z": 1, "y": 2}])
         assert table.rows == []
 
-    def test_ingest_into_a_live_store_is_an_append(self):
-        table = self._table()
+    def test_ingest_into_a_live_arena_is_an_append(self):
+        db = Database()
+        table = db.create_table("t", [("a", "INTEGER"), ("b", "TEXT")])
         table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50)])
-        store = table.column_store
+        store = db.arena.table("t")
         store.hash_index("b")
         store.tree_index("a")
         table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50, 80)])
-        assert table.column_store is store
+        assert db.arena.table("t") is store
         assert store.rebuilds == 1 and store.appended_rows == 80 and store.count == 80
         assert store.hash_index("b").lookup("1") == list(range(1, 80, 3))
         assert store.tree_index("a").range_ids(45, 55) == list(range(45, 56))
