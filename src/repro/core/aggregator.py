@@ -8,25 +8,34 @@ window it inverts the randomization (Eq. 5), scales the per-window counts by
 bucket (the closed-form sampling + randomization variance), and emits
 ``queryResult +/- errorBound`` per bucket.
 
-The windowed dataflow is built on the streaming substrate: a keyed join
-operator pairs shares by ``MID`` and a window-aggregate operator groups
-decrypted answers into the query's sliding windows.
+The engine relays a shard's answers to a query as one block: each proxy's
+:class:`~repro.crypto.xor.ShareColumn` (the block's ``MID`` column plus that
+proxy's payload column).  The aggregator pairs the columns that carry one
+``MID`` column, XORs each payload column once, reads every row against the
+header prefix of a well-formed answer and counts the admitted rows' bits
+without building a per-answer object.  Loose shares — the serial
+reference's, forged ones — and whatever a block cannot vouch for go through
+the streaming substrate's keyed join operator, by ``MID``.  Either way the
+admitted answers reach the window-aggregate operator as per-bucket counts
+(:class:`WindowPartial`), which it sums per sliding window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from repro.analytics.histogram import HistogramResult
-from repro.core.admission import AnswerAdmissionController
+from repro.core.admission import PARTICIPATION_TOKEN_LENGTH, AnswerAdmissionController
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec
 from repro.core.estimation import count_answer_bits, estimate_histogram
 from repro.core.proxy import poll_shares
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
-from repro.crypto.xor import MessageShare, join_shares_batch
+from repro.crypto.xor import MessageShare, ShareColumn, join_shares_batch, xor_many
 from repro.pubsub import Consumer
 from repro.streaming.operators import KeyedJoinOperator, WindowAggregateOperator
 from repro.streaming.records import StreamRecord
@@ -107,6 +116,7 @@ class Aggregator:
             assigner=self._assigner,
             aggregate_fn=self._aggregate_window,
             allowed_lateness=self.allowed_lateness_seconds,
+            weight=attrgetter("num_answers"),
         )
         # The parameters and roster size each recent epoch was ingested
         # under; only epochs no older than the last closed window's newest
@@ -125,61 +135,37 @@ class Aggregator:
     # -- ingestion ----------------------------------------------------------
 
     def ingest_shares(
-        self, shares: list[MessageShare], epoch: int, *, batched: bool = False
+        self, shares: list[MessageShare | ShareColumn], epoch: int, *, batched: bool = False
     ) -> list[WindowResult]:
-        """Ingest a batch of shares belonging to one epoch.
+        """Ingest one batch of relayed shares belonging to one epoch.
 
-        Returns the results of any windows that became complete (their end
-        time passed the watermark) as a consequence of this batch.
+        ``shares`` is what :func:`~repro.core.proxy.poll_shares` returns:
+        loose :class:`~repro.crypto.xor.MessageShare` s and
+        :class:`~repro.crypto.xor.ShareColumn` s, in arrival order.  Returns
+        the results of any windows that became complete (their end time
+        passed the watermark) as a consequence of this batch.
 
-        With ``batched=True`` the join runs in grouped mode: shares are
-        bucketed by ``MID`` in one dictionary pass and complete groups skip
-        the per-record join operator entirely (incomplete or cross-epoch
-        groups still go through its keyed buffer), and validation/admission
-        run through the batched loops (:meth:`AnswerValidator.validate_batch`,
-        :meth:`AnswerAdmissionController.admit_batch`).  The decoded answers
-        and all counters are identical to the per-record reference path; only
-        the constant factor changes.  Every staged-engine flow uses this mode.
+        With ``batched=False`` (the serial reference) every share goes
+        through the keyed ``MID`` join one record at a time (a column as its
+        rows) and every answer through :meth:`_accept`.  With
+        ``batched=True`` (every staged-engine flow) blocks take
+        :meth:`_ingest_block` and everything else the grouped ``MID`` join
+        (:meth:`_ingest_grouped`).  Either way the admitted answers reach
+        the window as per-bucket counts, one partial per event timestamp,
+        and every counter matches the per-record path.
         """
         timestamp = self._epoch_timestamp(epoch)
         self._epoch_parameters.setdefault(epoch, (self.parameters, self.total_clients))
-        self.shares_received += len(shares)
+        self.shares_received += sum(
+            item.rows if isinstance(item, ShareColumn) else 1 for item in shares
+        )
+        tally = _Tally(self.query.num_buckets)
         if batched:
-            joined = self._join_grouped(shares, timestamp)
-            candidates = self._decrypt_batch(joined)
+            self._ingest_grouped(shares, epoch, timestamp, tally)
         else:
-            records = [
-                StreamRecord(value=share, timestamp=timestamp, key=share.message_id)
-                for share in shares
-            ]
-            joined = self._join.process(records)
-            candidates = []
-            for record in joined:
-                try:
-                    answer = self._decrypt(record.value)
-                except ValueError:
-                    # A malformed or maliciously crafted message: dropping it
-                    # only loses that client's (invalid) answer and cannot
-                    # poison the window (Section 2.2 threat model — malicious
-                    # clients).
-                    self.malformed_messages += 1
-                    continue
-                candidates.append((record, answer))
-        if batched:
-            verdicts = self._accept_batch([answer for _, answer in candidates], epoch)
-            decoded = [
-                record.with_value(answer)
-                for (record, answer), ok in zip(candidates, verdicts)
-                if ok
-            ]
-        else:
-            decoded = [
-                record.with_value(answer)
-                for record, answer in candidates
-                if self._accept(answer, epoch)
-            ]
-        self.answers_processed += len(decoded)
-        emitted = self._window_op.process(decoded)
+            self._ingest_per_record(_loose_shares(shares), epoch, timestamp, tally)
+        self.answers_processed += tally.num_answers
+        emitted = self._window_op.process(tally.records())
         return [self._to_window_result(record) for record in emitted]
 
     def consume_from_proxies(
@@ -223,26 +209,170 @@ class Aggregator:
 
     # -- internals -------------------------------------------------------------
 
+    def _ingest_per_record(
+        self, shares: list[MessageShare], epoch: int, timestamp: float, tally: "_Tally"
+    ) -> None:
+        """The reference ingest: the keyed join and the checks, one at a time."""
+        records = [
+            StreamRecord(value=share, timestamp=timestamp, key=share.message_id)
+            for share in shares
+        ]
+        for record in self._join.process(records):
+            try:
+                answer = self._decrypt(record.value)
+            except ValueError:
+                # A malformed or maliciously crafted message: dropping it
+                # only loses that client's (invalid) answer and cannot
+                # poison the window (Section 2.2 threat model — malicious
+                # clients).
+                self.malformed_messages += 1
+                continue
+            if self._accept(answer, epoch):
+                tally.add_answers(record.timestamp, [answer])
+
+    def _ingest_grouped(
+        self,
+        items: list[MessageShare | ShareColumn],
+        epoch: int,
+        timestamp: float,
+        tally: "_Tally",
+    ) -> None:
+        """Blocks through :meth:`_ingest_block`, everything else by ``MID``.
+
+        The columns that carry one ``MID`` column are a block.  Loose
+        shares, a block missing a column, and a block row whose ``MID`` is
+        pending in the join or among the loose shares take the grouped join
+        (:meth:`_join_grouped`).  Answers are admitted in the order the
+        grouped join always used — complete loose groups, then the blocks,
+        then whatever the keyed join completes — so duplicate decisions
+        match the per-record path.
+        """
+        expected = self._expected_shares()
+        blocks: dict[bytes, list[ShareColumn]] = {}
+        loose_ids: set[str] = set()
+        for item in items:
+            if isinstance(item, ShareColumn):
+                blocks.setdefault(item.message_ids, []).append(item)
+            else:
+                loose_ids.add(item.message_id)
+        # MID column -> the rows that must take the keyed join instead.
+        keyed_rows: dict[bytes, Sequence[int]] = {}
+        for mids, columns in blocks.items():
+            rows = columns[0].rows
+            if len(columns) != expected or len({column.width for column in columns}) != 1:
+                keyed_rows[mids] = range(rows)
+            elif loose_ids or self._join.pending_keys():
+                clashes = [
+                    row
+                    for row in range(rows)
+                    if (mid := columns[0].message_id(row)) in loose_ids
+                    or self._join.has_pending(mid)
+                ]
+                if clashes:
+                    keyed_rows[mids] = clashes
+        loose: list[MessageShare] = []
+        for item in items:
+            if not isinstance(item, ShareColumn):
+                loose.append(item)
+            elif item.message_ids in keyed_rows:
+                loose.extend(item.shares(keyed_rows[item.message_ids]))
+        complete, joined = self._join_grouped(loose, timestamp) if loose else ([], [])
+        self._admit_decrypted(self._decrypt_batch(complete), epoch, tally)
+        for mids, columns in blocks.items():
+            rows = keyed_rows.get(mids, ())
+            if len(rows) < columns[0].rows:
+                self._ingest_block(columns, frozenset(rows), epoch, timestamp, tally)
+        self._admit_decrypted(self._decrypt_batch(joined), epoch, tally)
+
+    def _ingest_block(
+        self,
+        columns: list[ShareColumn],
+        skip: frozenset[int],
+        epoch: int,
+        timestamp: float,
+        tally: "_Tally",
+    ) -> None:
+        """Decrypt, check, admit and count one block's rows (but ``skip``).
+
+        The payload columns XOR into the column of messages in one pass.  A
+        row that starts with the header prefix of this query at this epoch,
+        with its bit count and a participation token's length
+        (:meth:`AnswerCodec.parse_column`), is well formed by construction:
+        its token goes to admission and its packed bits to the count as
+        they are.  Any other row is decoded and validated like a loose
+        answer.  Admission sees the rows in block order.
+        """
+        width = columns[0].width
+        plain = xor_many([column.payload for column in columns])
+        query_id, num_bits = self.query.query_id, self.query.num_buckets
+        parsed = self._codec.parse_column(
+            plain, width, query_id, epoch, num_bits, PARTICIPATION_TOKEN_LENGTH
+        )
+        fast: list[tuple[int, str, bytes]] = []
+        slow: list[tuple[int, QueryAnswer]] = []
+        for row, fields in enumerate(parsed):
+            if row in skip:
+                continue
+            if fields is not None:
+                fast.append((row, *fields))
+                continue
+            try:
+                slow.append((row, self._codec.decode(plain[row * width : (row + 1) * width])))
+            except ValueError:
+                self.malformed_messages += 1
+        if self.validator is not None:
+            fast_ok = self.validator.validate_uniform(
+                query_id, num_bits, epoch, epoch, [bits for _, _, bits in fast]
+            )
+            slow_ok = self.validator.validate_batch([answer for _, answer in slow], epoch)
+            self.invalid_answers += fast_ok.count(False) + slow_ok.count(False)
+            if False in fast_ok:
+                fast = [entry for entry, ok in zip(fast, fast_ok) if ok]
+            slow = [entry for entry, ok in zip(slow, slow_ok) if ok]
+        # (row, epoch, token, packed bits or the decoded answer), block order.
+        candidates = [(row, epoch, token, bits) for row, token, bits in fast]
+        if slow:
+            candidates.extend((row, a.epoch, a.token, a) for row, a in slow)
+            candidates.sort(key=lambda candidate: candidate[0])
+        if self.admission is not None:
+            verdicts = self.admission.admit_batch(
+                query_id, [(answer_epoch, token) for _, answer_epoch, token, _ in candidates]
+            )
+            self.rejected_duplicates += verdicts.count(False)
+            if False in verdicts:
+                candidates = [entry for entry, ok in zip(candidates, verdicts) if ok]
+        packed = [entry[3] for entry in candidates if type(entry[3]) is bytes]
+        if packed:
+            tally.add_counts(
+                timestamp, self._codec.count_packed_bits(b"".join(packed), num_bits),
+                len(packed), epoch,
+            )
+        if len(packed) < len(candidates):
+            tally.add_answers(
+                timestamp, [entry[3] for entry in candidates if type(entry[3]) is not bytes]
+            )
+
     def _join_grouped(
         self, shares: list[MessageShare], timestamp: float
-    ) -> list[StreamRecord]:
-        """Group-by-``MID`` join over one ingest batch.
+    ) -> tuple[list[StreamRecord], list[StreamRecord]]:
+        """Group-by-``MID`` join over one ingest batch's loose shares.
 
         A group that holds exactly the expected number of shares and has no
         shares buffered from earlier batches joins immediately without
-        touching the keyed operator; everything else falls back to the
-        operator so cross-epoch stragglers and malformed surpluses behave
-        exactly as in the reference path.
+        touching the keyed operator (the first list returned); everything
+        else goes through the operator, so cross-epoch stragglers and
+        malformed surpluses behave exactly as in the reference path (the
+        second list: the joins the operator completed).
         """
         groups: dict[str, list[MessageShare]] = {}
         for share in shares:
             groups.setdefault(share.message_id, []).append(share)
         expected = self._expected_shares()
-        joined: list[StreamRecord] = []
+        complete: list[StreamRecord] = []
         leftovers: list[StreamRecord] = []
         for message_id, group in groups.items():
             if len(group) == expected and not self._join.has_pending(message_id):
-                joined.append(
+                complete.append(
                     StreamRecord(value=group, timestamp=timestamp, key=message_id)
                 )
             else:
@@ -250,9 +380,7 @@ class Aggregator:
                     StreamRecord(value=share, timestamp=timestamp, key=message_id)
                     for share in group
                 )
-        if leftovers:
-            joined.extend(self._join.process(leftovers))
-        return joined
+        return complete, self._join.process(leftovers) if leftovers else []
 
     def _epoch_timestamp(self, epoch: int) -> float:
         return epoch * self.query.frequency_seconds
@@ -261,16 +389,16 @@ class Aggregator:
         return self._codec.decrypt(shares)
 
     def _decrypt_batch(self, joined: list[StreamRecord]) -> list[tuple]:
-        """XOR-decrypt a whole ingest batch of joined share groups at once.
+        """XOR-decrypt joined share groups at once.
 
         The batched counterpart of the per-record :meth:`_decrypt` loop: all
-        of a shard's share groups are XOR-ed in one
-        :func:`~repro.crypto.xor.join_shares_batch` pass (within one epoch
-        every answer to the query has the same encoded length, so the whole
-        shard vectorizes into a single big-integer XOR per share position).
-        Returns ``(record, answer)`` pairs in arrival order; malformed groups
-        are dropped and counted exactly as on the reference path.
+        groups are XOR-ed in one :func:`~repro.crypto.xor.join_shares_batch`
+        pass.  Returns ``(record, answer)`` pairs in arrival order;
+        malformed groups are dropped and counted exactly as on the reference
+        path.
         """
+        if not joined:
+            return []
         candidates = []
         plaintexts = join_shares_batch([record.value for record in joined])
         for record, plaintext in zip(joined, plaintexts):
@@ -284,6 +412,13 @@ class Aggregator:
                 continue
             candidates.append((record, answer))
         return candidates
+
+    def _admit_decrypted(self, candidates: list[tuple], epoch: int, tally: "_Tally") -> None:
+        """Check ``(record, answer)`` pairs in order and count the admitted."""
+        verdicts = self._accept_batch([answer for _, answer in candidates], epoch)
+        for (record, answer), ok in zip(candidates, verdicts):
+            if ok:
+                tally.add_answers(record.timestamp, [answer])
 
     def _accept(self, answer: QueryAnswer, arrival_epoch: int) -> bool:
         """Apply structural validation and duplicate admission control."""
@@ -331,13 +466,20 @@ class Aggregator:
             verdicts.append(decision)
         return verdicts
 
-    def _aggregate_window(self, answers: list[QueryAnswer]) -> dict:
-        """Window aggregation function handed to the streaming operator."""
-        counts, num_epochs = count_answer_bits(answers, self.query.num_buckets)
+    def _aggregate_window(self, partials: list[WindowPartial]) -> dict:
+        """Window aggregation function handed to the streaming operator:
+        the sum of the window's partials (integer counts, so exact)."""
+        counts = [0] * self.query.num_buckets
+        num_answers = 0
+        epochs: set[int] = set()
+        for partial in partials:
+            counts = [total + count for total, count in zip(counts, partial.counts)]
+            num_answers += partial.num_answers
+            epochs |= partial.epochs
         return {
             "counts": counts,
-            "num_answers": len(answers),
-            "num_epochs": num_epochs,
+            "num_answers": num_answers,
+            "num_epochs": max(1, len(epochs)),
         }
 
     def _to_window_result(self, record: StreamRecord) -> WindowResult:
@@ -382,3 +524,62 @@ class Aggregator:
             confidence_level=self.confidence_level,
             window=(window.start, window.end),
         )
+
+
+class WindowPartial(NamedTuple):
+    """Admitted answers of one ingest batch at one event time, as a window
+    value: per-bucket Yes counts, how many answers, and their epochs."""
+
+    counts: list
+    num_answers: int
+    epochs: frozenset
+
+
+class _Tally:
+    """One ingest batch's admitted answers, summed per event timestamp."""
+
+    def __init__(self, num_buckets: int):
+        self._num_buckets = num_buckets
+        # timestamp -> [counts or None, answers counted, epochs, decoded answers]
+        self._parts: dict[float, list] = {}
+        self.num_answers = 0
+
+    def _part(self, timestamp: float) -> list:
+        part = self._parts.get(timestamp)
+        if part is None:
+            part = self._parts[timestamp] = [None, 0, set(), []]
+        return part
+
+    def add_counts(self, timestamp: float, counts: list[int], num_answers: int, epoch: int) -> None:
+        part = self._part(timestamp)
+        part[0] = counts if part[0] is None else [a + b for a, b in zip(part[0], counts)]
+        part[1] += num_answers
+        part[2].add(epoch)
+        self.num_answers += num_answers
+
+    def add_answers(self, timestamp: float, answers: list[QueryAnswer]) -> None:
+        self._part(timestamp)[3].extend(answers)
+        self.num_answers += len(answers)
+
+    def records(self) -> list[StreamRecord]:
+        """One window record per timestamp, in first-seen order."""
+        records = []
+        for timestamp, (counts, num_answers, epochs, answers) in self._parts.items():
+            if answers:
+                decoded, _ = count_answer_bits(answers, self._num_buckets)
+                counts = decoded if counts is None else [a + b for a, b in zip(counts, decoded)]
+                epochs.update(answer.epoch for answer in answers)
+            partial = WindowPartial(counts, num_answers + len(answers), frozenset(epochs))
+            records.append(StreamRecord(value=partial, timestamp=timestamp))
+        return records
+
+
+def _loose_shares(items: list[MessageShare | ShareColumn]) -> list[MessageShare]:
+    """Every share of ``items`` as a loose share, in arrival order."""
+    shares: list[MessageShare] = []
+    for item in items:
+        if isinstance(item, ShareColumn):
+            shares.extend(item.shares())
+        else:
+            shares.append(item)
+    return shares

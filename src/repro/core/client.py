@@ -7,10 +7,13 @@ to queries.  In every answering epoch a client (Section 3.2):
 2. executes the analyst's SQL against its local database and buckets the
    resulting value into the n-bit truthful answer vector;
 3. randomizes the vector with the two-coin randomized response (Step II);
-4. encodes ``<QID, randomized answer>`` and splits it into XOR shares, one per
-   proxy (Step III).
+4. encodes ``<QID, randomized answer>`` and reads the pad keys that split it
+   into XOR shares, one per proxy (Step III).
 
-The client never transmits its truthful answer: only the randomized,
+A client's answer to one query is an :class:`AnswerRow`; a shard's rows for
+one query become one :class:`ResponseBlock`, which does the XOR split for
+all of them a column at a time and is what the runtime relays, ships and
+logs.  The client never transmits its truthful answer: only the randomized,
 encrypted shares leave the device.
 """
 
@@ -20,17 +23,19 @@ import bisect
 import itertools
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Any, NamedTuple
 
 from repro.core.admission import participation_token
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec, EncryptedAnswer
-from repro.core.query import Query, QueryAnswer
+from repro.core.query import Query
 from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
 from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secret
-from repro.crypto.xor import MessageShare
+from repro.crypto import prng
+from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns, xor_many
 from repro.sqldb import Database
 
 
@@ -50,14 +55,15 @@ class ClientConfig:
 
 @dataclass(frozen=True)
 class ClientResponse:
-    """What a participating client produces for one epoch.
+    """One participant's response as an object: a row of a :class:`ResponseBlock`.
 
-    ``encrypted`` carries the shares to transmit.  ``truthful_bits`` and
+    ``encrypted`` carries the shares.  ``truthful_bits`` and
     ``randomized_bits`` are ``bytes`` holding one 0/1 byte per answer bit.
     ``truthful_bits`` is kept *only* for evaluation purposes (computing exact
-    baselines in experiments); it is never placed on the wire by
-    :class:`~repro.core.system.PrivApproxSystem`, whose response log packs
-    these fields into bytes blocks (:func:`pack_responses`).
+    baselines in experiments); it is never placed on the wire.  The runtime
+    never builds these: they are the per-answer view
+    (:meth:`ResponseBlock.response`) that :class:`ResponseLog` and
+    :meth:`Client.answer_query` hand out.
     """
 
     client_id: str
@@ -68,110 +74,284 @@ class ClientResponse:
     randomized_bits: bytes
 
 
-# The header of a packed response block: response count, epoch, bit width,
-# share count, payload width.
+class AnswerRow(NamedTuple):
+    """One participant's answer to one query, before its shard's block splits it.
+
+    ``message`` is the encoded ``M`` (:meth:`AnswerCodec.encode_message
+    <repro.core.encryption.AnswerCodec.encode_message>`) and ``keys`` its
+    ``n - 1`` pad key strings (:meth:`AnswerCodec.pad_keys
+    <repro.core.encryption.AnswerCodec.pad_keys>`):
+    :meth:`ResponseBlock.from_rows` XOR-splits a shard's messages with them
+    a column at a time.  The bits are ``bytes`` with one 0/1 byte per bit.
+    """
+
+    client_id: str
+    truthful_bits: bytes
+    randomized_bits: bytes
+    message: bytes
+    keys: tuple
+
+
+# The header of a packed response block: row count, epoch, bit width, share
+# count, payload width.
 _BLOCK_HEADER = struct.Struct(">IqHHI")
 
 
-def _block_shape(response: ClientResponse) -> tuple[int, int, int, int]:
-    """The header fields every response in one block shares."""
-    shares = response.encrypted.shares
-    return (response.epoch, len(response.truthful_bits), len(shares), len(shares[0].payload))
+@dataclass(frozen=True)
+class ResponseBlock:
+    """One shard's responses to one query in one epoch, as columns.
 
+    Row ``i`` is one participant: ``client_ids[i]``, its 16-byte ``MID`` at
+    ``message_ids[16 i:16 (i + 1)]``, its ``num_bits`` truthful and
+    randomized bits (one 0/1 byte each) and, in every one of the
+    ``num_shares`` payload columns, its ``width``-byte share — column 0 the
+    encrypted messages ``ME``, the others the key strings.  A proxy relays
+    its payload column with the ``MID`` column as one
+    :class:`~repro.crypto.xor.ShareColumn` (:meth:`share_columns`).
 
-def _pack_column(values: list[bytes]) -> bytes:
-    return struct.pack(f">{len(values)}H", *map(len, values)) + b"".join(values)
+    ``truthful_bits`` is evaluation-only, as it was on
+    :class:`ClientResponse`: no proxy ever sees it.  ``late_ids`` names
+    participants the answering side already knew were late: they flipped
+    their coins and built nothing, and the engine's gate ledgers and clears
+    them.
 
-
-def _unpack_column(block: bytes, offset: int, count: int) -> tuple[list[bytes], int]:
-    lengths = struct.unpack_from(f">{count}H", block, offset)
-    offset += 2 * count
-    values = []
-    for length in lengths:
-        values.append(block[offset : offset + length])
-        offset += length
-    return values, offset
-
-
-def pack_responses(responses: Sequence[ClientResponse]) -> list[bytes]:
-    """Pack one query's responses into ``bytes`` blocks, in order.
-
-    A block holds the header (:data:`_BLOCK_HEADER`); the client-id and MID
-    columns, each as its ``>H`` lengths then the UTF-8 bytes; the truthful-bit
-    and randomized-bit columns; and one payload column per share position.
-    Every answer to one query in one epoch has the same width (header, query
-    id, token and the bits packed eight to a byte), so an epoch's responses
-    make one block; a response whose epoch or widths differ starts a new
-    block, which keeps the log order.  A share's MID and index
-    are not stored: :func:`~repro.crypto.xor.split_message` gives every share
-    its answer's MID and its position as index.
+    The shape is checked whenever a block is built, unpickling included:
+    one ``MID`` and one bit row per client id, at least two payload
+    columns, every one ``rows * width`` bytes.
     """
-    blocks = []
-    for shape, run in itertools.groupby(responses, _block_shape):
-        run = list(run)
-        parts = [
-            _BLOCK_HEADER.pack(len(run), *shape),
-            _pack_column([response.client_id.encode("utf-8") for response in run]),
-            _pack_column([response.encrypted.message_id.encode("utf-8") for response in run]),
-            b"".join([response.truthful_bits for response in run]),
-            b"".join([response.randomized_bits for response in run]),
+
+    query_id: str
+    epoch: int
+    client_ids: tuple
+    message_ids: bytes
+    num_bits: int
+    truthful_bits: bytes
+    randomized_bits: bytes
+    width: int
+    payloads: tuple
+    late_ids: tuple = ()
+
+    def __post_init__(self) -> None:
+        rows = len(self.client_ids)
+        problem = None
+        columns = (self.message_ids, self.truthful_bits, self.randomized_bits, *self.payloads)
+        if not all(type(column) is bytes for column in columns):
+            problem = "every column must be bytes"
+        elif len(self.message_ids) != MID_BYTES * rows:
+            problem = f"{len(self.message_ids)} MID bytes for {rows} rows"
+        elif not len(self.truthful_bits) == len(self.randomized_bits) == rows * self.num_bits:
+            problem = f"bit columns are not {rows} rows of {self.num_bits} bits"
+        elif len(self.payloads) < 2:
+            problem = f"{len(self.payloads)} payload column(s), one per proxy needs two or more"
+        elif any(len(payload) != rows * self.width for payload in self.payloads):
+            problem = f"a payload column is not {rows} rows of {self.width} bytes"
+        if problem is not None:
+            raise ValueError(f"malformed response block for {self.query_id!r}: {problem}")
+
+    def __reduce__(self):
+        # Unpickling goes through __init__, so a block read off the wire is
+        # shape-checked exactly like one built here.
+        return (ResponseBlock, tuple(getattr(self, f.name) for f in fields(self)))
+
+    @classmethod
+    def from_rows(
+        cls,
+        query_id: str,
+        epoch: int,
+        rows: Sequence[AnswerRow],
+        num_proxies: int,
+        late_ids: tuple = (),
+    ) -> "ResponseBlock":
+        """Split ``rows`` into one block, drawing every row's ``MID`` at once.
+
+        One :func:`~repro.crypto.xor.split_columns` call XORs every message
+        with its keys (one big-integer XOR per key position), and one
+        ``secure_random_bytes`` call draws the whole ``MID`` column.  Every
+        message must have the same width.
+        """
+        if not rows:
+            return cls(query_id, epoch, (), b"", 0, b"", b"", 0, (b"",) * num_proxies, late_ids)
+        messages = [row.message for row in rows]
+        if len({len(message) for message in messages}) != 1:
+            raise ValueError("one response block holds messages of one width")
+        if {len(row.keys) for row in rows} != {num_proxies - 1}:
+            raise ValueError(f"every row of the block needs {num_proxies - 1} pad keys")
+        keys = [
+            b"".join([row.keys[position] for row in rows])
+            for position in range(num_proxies - 1)
         ]
-        for position in range(shape[2]):
-            column = [response.encrypted.shares[position].payload for response in run]
-            parts.append(b"".join(column))
-        blocks.append(b"".join(parts))
-    return blocks
-
-
-def unpack_responses(block: bytes, query_id: str) -> Iterator[ClientResponse]:
-    """Rebuild a :func:`pack_responses` block's responses one at a time."""
-    count, epoch, width, num_shares, payload_width = _BLOCK_HEADER.unpack_from(block)
-    client_ids, offset = _unpack_column(block, _BLOCK_HEADER.size, count)
-    message_ids, truthful = _unpack_column(block, offset, count)
-    randomized = truthful + count * width
-    first_payload = randomized + count * width
-    payloads = [first_payload + index * count * payload_width for index in range(num_shares)]
-    for row, (client_id, message_id) in enumerate(zip(client_ids, message_ids)):
-        message_id = message_id.decode("utf-8")
-        bits = row * width
-        start = row * payload_width
-        shares = tuple(
-            MessageShare(message_id, block[column + start : column + start + payload_width], index)
-            for index, column in enumerate(payloads)
-        )
-        yield ClientResponse(
-            client_id=client_id.decode("utf-8"),
+        return cls(
             query_id=query_id,
             epoch=epoch,
-            encrypted=EncryptedAnswer(message_id=message_id, shares=shares),
-            truthful_bits=block[truthful + bits : truthful + bits + width],
-            randomized_bits=block[randomized + bits : randomized + bits + width],
+            client_ids=tuple([row.client_id for row in rows]),
+            message_ids=prng.secure_random_bytes(MID_BYTES * len(rows)),
+            num_bits=len(rows[0].randomized_bits),
+            truthful_bits=b"".join([row.truthful_bits for row in rows]),
+            randomized_bits=b"".join([row.randomized_bits for row in rows]),
+            width=len(messages[0]),
+            payloads=tuple(split_columns(b"".join(messages), keys)),
+            late_ids=late_ids,
         )
+
+    def __len__(self) -> int:
+        return len(self.client_ids)
+
+    @property
+    def num_shares(self) -> int:
+        return len(self.payloads)
+
+    def select(self, rows: Sequence[int]) -> "ResponseBlock":
+        """The listed rows, in the order given, as a block (no late ids)."""
+        nb, width = self.num_bits, self.width
+        mids = self.message_ids
+        return ResponseBlock(
+            query_id=self.query_id,
+            epoch=self.epoch,
+            client_ids=tuple([self.client_ids[row] for row in rows]),
+            message_ids=b"".join([mids[row * MID_BYTES : (row + 1) * MID_BYTES] for row in rows]),
+            num_bits=nb,
+            truthful_bits=b"".join([self.truthful_bits[row * nb : (row + 1) * nb] for row in rows]),
+            randomized_bits=b"".join(
+                [self.randomized_bits[row * nb : (row + 1) * nb] for row in rows]
+            ),
+            width=width,
+            payloads=tuple(
+                b"".join([payload[row * width : (row + 1) * width] for row in rows])
+                for payload in self.payloads
+            ),
+        )
+
+    def share_columns(self) -> list[ShareColumn]:
+        """One :class:`~repro.crypto.xor.ShareColumn` per proxy, in share order."""
+        return [
+            ShareColumn(self.message_ids, payload, index)
+            for index, payload in enumerate(self.payloads)
+        ]
+
+    def shares(self, row: int) -> list[MessageShare]:
+        """Row ``row``'s shares as loose :class:`~repro.crypto.xor.MessageShare` s."""
+        message_id = self.message_ids[row * MID_BYTES : (row + 1) * MID_BYTES].hex()
+        start, end = row * self.width, (row + 1) * self.width
+        return [
+            MessageShare(message_id, payload[start:end], index)
+            for index, payload in enumerate(self.payloads)
+        ]
+
+    def messages(self) -> list[bytes]:
+        """Every row's decrypted message ``M`` (the XOR of its shares)."""
+        if not self.client_ids:
+            return []
+        plain = xor_many(list(self.payloads))
+        width = self.width
+        return [plain[start : start + width] for start in range(0, len(plain), width)]
+
+    def response(self, row: int) -> ClientResponse:
+        """Row ``row`` as a value-equal :class:`ClientResponse`."""
+        nb = self.num_bits
+        shares = self.shares(row)
+        return ClientResponse(
+            client_id=self.client_ids[row],
+            query_id=self.query_id,
+            epoch=self.epoch,
+            encrypted=EncryptedAnswer(message_id=shares[0].message_id, shares=tuple(shares)),
+            truthful_bits=self.truthful_bits[row * nb : (row + 1) * nb],
+            randomized_bits=self.randomized_bits[row * nb : (row + 1) * nb],
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes, query_id: str) -> "ResponseBlock":
+        """Rebuild a :func:`pack_blocks` entry of ``query_id``'s log."""
+        rows, epoch, num_bits, num_shares, width = _BLOCK_HEADER.unpack_from(data)
+        offset = _BLOCK_HEADER.size
+        lengths = struct.unpack_from(f">{rows}H", data, offset)
+        offset += 2 * rows
+        client_ids = []
+        for length in lengths:
+            client_ids.append(data[offset : offset + length].decode("utf-8"))
+            offset += length
+        columns = []
+        bits = rows * num_bits
+        for size in (MID_BYTES * rows, bits, bits, *[rows * width] * num_shares):
+            columns.append(data[offset : offset + size])
+            offset += size
+        mids, truthful, randomized, *payloads = columns
+        return cls(
+            query_id, epoch, tuple(client_ids), mids, num_bits, truthful, randomized,
+            width, tuple(payloads),
+        )
+
+
+def pack_blocks(blocks: Sequence[ResponseBlock]) -> list[bytes]:
+    """One query's epoch of blocks as ``bytes`` log entries, in order.
+
+    An entry is the header (:data:`_BLOCK_HEADER`); the client ids as their
+    ``>H`` lengths then their UTF-8 bytes; the raw ``MID`` column; the
+    truthful-bit and randomized-bit columns; the payload columns.
+    Consecutive non-empty blocks of one shape — within an epoch that is all
+    of them — make one entry; a shape change starts a new one, which keeps
+    the log order.
+    """
+    entries = []
+    shape = attrgetter("epoch", "num_bits", "num_shares", "width")
+    for (epoch, num_bits, num_shares, width), run in itertools.groupby(
+        (block for block in blocks if len(block)), shape
+    ):
+        run = list(run)
+        client_ids = [client_id.encode("utf-8") for b in run for client_id in b.client_ids]
+        entries.append(
+            b"".join(
+                [
+                    _BLOCK_HEADER.pack(len(client_ids), epoch, num_bits, num_shares, width),
+                    struct.pack(f">{len(client_ids)}H", *map(len, client_ids)),
+                    *client_ids,
+                    *[block.message_ids for block in run],
+                    *[block.truthful_bits for block in run],
+                    *[block.randomized_bits for block in run],
+                    *[block.payloads[index] for index in range(num_shares) for block in run],
+                ]
+            )
+        )
+    return entries
 
 
 class ResponseLog(Sequence):
-    """A read-only sequence over one query's packed response log.
+    """A read-only sequence over one query's response blocks.
 
-    Evaluation only: it is what :meth:`PrivApproxSystem.responses_log` hands
-    out.  Indexing and iteration rebuild value-equal :class:`ClientResponse`
-    objects one at a time from the blocks, so reading the log never holds
-    all of it as objects.  It compares equal to any sequence
-    of equal responses (``log == []`` included).
+    Evaluation only: it is what :meth:`PrivApproxSystem.responses_log` (over
+    the packed log, :func:`pack_blocks`) and
+    :attr:`QueryEpochOutcome.responses
+    <repro.runtime.executor.QueryEpochOutcome.responses>` (over an epoch's
+    blocks) hand out.  Indexing and iteration rebuild value-equal
+    :class:`ClientResponse` objects one at a time, so reading the log never
+    holds all of it as objects.  It compares equal to any sequence of equal
+    responses (``log == []`` included).
     """
 
-    def __init__(self, query_id: str, blocks: Sequence[bytes]):
+    def __init__(self, query_id: str, blocks: Sequence[bytes | ResponseBlock]):
         self._query_id = query_id
         self._blocks = tuple(blocks)
         self._ends = list(
-            itertools.accumulate(_BLOCK_HEADER.unpack_from(block)[0] for block in self._blocks)
+            itertools.accumulate(
+                len(block) if isinstance(block, ResponseBlock)
+                else _BLOCK_HEADER.unpack_from(block)[0]
+                for block in self._blocks
+            )
         )
+
+    def _block(self, index: int) -> ResponseBlock:
+        block = self._blocks[index]
+        if isinstance(block, ResponseBlock):
+            return block
+        return ResponseBlock.from_bytes(block, self._query_id)
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator[ClientResponse]:
-        for block in self._blocks:
-            yield from unpack_responses(block, self._query_id)
+        for index in range(len(self._blocks)):
+            block = self._block(index)
+            for row in range(len(block)):
+                yield block.response(row)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -182,8 +362,7 @@ class ResponseLog(Sequence):
             raise IndexError("response log index out of range")
         block = bisect.bisect_right(self._ends, index)
         first = self._ends[block - 1] if block else 0
-        rows = unpack_responses(self._blocks[block], self._query_id)
-        return next(itertools.islice(rows, index - first, None))
+        return self._block(block).response(index - first)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -356,17 +535,18 @@ class Client:
         scan_cache: dict[str, Any] | None = None,
         *,
         late: bool = False,
-    ) -> list[ClientResponse | str | None]:
+    ) -> list[AnswerRow | str | None]:
         """Run one answering epoch for many subscribed queries in one pass.
 
-        Returns one entry per query id, ``None`` where the query's sampling
-        coin said not to participate (or the query is unknown).  The local
+        Returns one entry per query id: ``None`` where the query's sampling
+        coin said not to participate (or the query is unknown), otherwise
+        the query's :class:`AnswerRow` (:meth:`answer_row`).  The local
         table scan is shared: queries with the same SQL reuse a single
         database pass, which is what makes a multi-query epoch cheaper than
         answering each query in its own full pass.  Every draw is addressed
-        by ``(query, epoch)`` (:mod:`repro.core.seeding`), so the responses —
-        encrypted shares included — are byte-identical to answering each
-        query alone.
+        by ``(query, epoch)`` (:mod:`repro.core.seeding`), so the rows —
+        pad keys included — are byte-identical to answering each query
+        alone.
 
         ``scan_cache`` may be pre-seeded by the shard-wide arena path with
         this client's per-SQL outcome: the exception its own evaluation
@@ -381,7 +561,7 @@ class Client:
         only its coin, a participating one reads its SQL outcome (so a
         statement that raises for this client still raises) and comes back
         as the client id — all the engine's gate needs to ledger the drop —
-        instead of a built response.
+        instead of a row.
         """
         if scan_cache is None:
             scan_cache = {}
@@ -394,23 +574,25 @@ class Client:
                 entries.append(None if flipped is None else self.config.client_id)
             return entries
         return [
-            self.answer_query(query_id, epoch=epoch, scan_cache=scan_cache)
+            self.answer_row(query_id, epoch=epoch, scan_cache=scan_cache)
             for query_id in query_ids
         ]
 
-    def answer_query(
+    def answer_row(
         self,
         query_id: str,
         epoch: int = 0,
         *,
         scan_cache: dict[str, Any] | None = None,
-    ) -> ClientResponse | None:
-        """Run one answering epoch for a subscribed query.
+    ) -> AnswerRow | None:
+        """Answer one subscribed query for ``epoch``: Steps I-III up to the split.
 
-        Returns ``None`` when the sampling coin says not to participate (or
-        when the query is unknown), otherwise the encrypted response.
-        ``scan_cache`` (SQL text → result set) lets a multi-query epoch share
-        one table scan across co-subscribed queries; see :meth:`answer`.
+        ``None`` when the sampling coin says not to participate (or when the
+        query is unknown); otherwise the truthful and randomized bits, the
+        encoded message and its pad keys, which a :class:`ResponseBlock`
+        turns into shares.  ``scan_cache`` (SQL text → result set) lets a
+        multi-query epoch share one table scan across co-subscribed queries;
+        see :meth:`answer`.
         """
         flipped = self._flip_coin(query_id, epoch)
         if flipped is None:
@@ -420,24 +602,39 @@ class Client:
         # bytes(bytearray(list)) copies at C speed; bytes(list) iterates.
         truthful_bits = bytes(bytearray(self._execute_query_locally(query, scan_cache)))
         randomized_bits = responder.randomize_vector(truthful_bits, draws)
+        message = self._codec.encode_message(
+            query.query_id,
+            epoch,
+            participation_token(self._token_secret, query.query_id, epoch),
+            randomized_bits,
+        )
+        return AnswerRow(
+            self.config.client_id,
+            truthful_bits,
+            randomized_bits,
+            message,
+            self._codec.pad_keys(message, self.config.num_proxies, draws),
+        )
 
-        answer = QueryAnswer(
-            query_id=query.query_id,
-            bits=randomized_bits,
-            epoch=epoch,
-            token=participation_token(self._token_secret, query.query_id, epoch),
-        )
-        encrypted = self._codec.encrypt(
-            answer, num_proxies=self.config.num_proxies, draws=draws
-        )
-        return ClientResponse(
-            client_id=self.config.client_id,
-            query_id=query.query_id,
-            epoch=epoch,
-            encrypted=encrypted,
-            truthful_bits=truthful_bits,
-            randomized_bits=randomized_bits,
-        )
+    def answer_query(
+        self,
+        query_id: str,
+        epoch: int = 0,
+        *,
+        scan_cache: dict[str, Any] | None = None,
+    ) -> ClientResponse | None:
+        """:meth:`answer_row` as a one-row block's :class:`ClientResponse`.
+
+        The per-answer form, for callers that want one response object (the
+        runtime never does); its shares are those
+        :meth:`AnswerCodec.encrypt <repro.core.encryption.AnswerCodec.encrypt>`
+        gives the same answer.
+        """
+        row = self.answer_row(query_id, epoch=epoch, scan_cache=scan_cache)
+        if row is None:
+            return None
+        block = ResponseBlock.from_rows(query_id, epoch, [row], self.config.num_proxies)
+        return block.response(0)
 
     def _flip_coin(
         self, query_id: str, epoch: int

@@ -9,7 +9,13 @@ to recover ``M``.
 
 The :class:`AnswerCodec` owns the byte-level message layout; it is the single
 place that knows how to serialize and parse ``M``, so the client and the
-aggregator cannot drift apart.
+aggregator cannot drift apart.  Besides the per-answer :meth:`~AnswerCodec.encrypt`
+/ :meth:`~AnswerCodec.decode` pair it speaks the column form a shard's block
+uses: a client encodes its message and reads its pad keys
+(:meth:`~AnswerCodec.encode_message`, :meth:`~AnswerCodec.pad_keys`), and the
+aggregator reads a decrypted column of messages against the header prefix
+every well-formed answer of one query and epoch starts with
+(:meth:`~AnswerCodec.parse_column`, :meth:`~AnswerCodec.count_packed_bits`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.query import QueryAnswer
-from repro.crypto.prng import KeystreamGenerator
+from repro.crypto.prng import KeystreamGenerator, keystream
 from repro.crypto.xor import MessageShare, join_shares, split_message
 
 _MAGIC = b"PA"
@@ -60,22 +66,114 @@ class AnswerCodec:
 
     def encode(self, answer: QueryAnswer) -> bytes:
         """Serialize ``<QID, RandomizedAnswer>`` into the message ``M``."""
-        qid_bytes = answer.query_id.encode("utf-8")
+        return self.encode_message(answer.query_id, answer.epoch, answer.token, answer.bits)
+
+    def encode_message(self, query_id: str, epoch: int, token: str, bits) -> bytes:
+        """:meth:`encode` from the answer's fields, without building the answer.
+
+        ``M`` is :meth:`prefix` (the header, then the query id), the token,
+        then the bits packed eight to a byte.
+        """
+        token_bytes = token.encode("utf-8")
+        prefix = self.prefix(query_id, epoch, len(bits), len(token_bytes))
+        return prefix + token_bytes + self._pack_bits(bits)
+
+    @staticmethod
+    def prefix(query_id: str, epoch: int, num_bits: int, token_length: int) -> bytes:
+        """The bytes every message with these header fields starts with."""
+        qid_bytes = query_id.encode("utf-8")
         if len(qid_bytes) > 0xFFFF:
             raise ValueError("query id too long")
-        token_bytes = answer.token.encode("utf-8")
-        if len(token_bytes) > 0xFF:
+        if token_length > 0xFF:
             raise ValueError("participation token too long")
-        num_bits = len(answer.bits)
         if num_bits > 0xFFFF:
             raise ValueError("too many answer bits")
-        if not 0 <= answer.epoch <= 0xFFFFFFFF:
+        if not 0 <= epoch <= 0xFFFFFFFF:
             raise ValueError("epoch out of range")
         header = struct.pack(
-            _HEADER_FORMAT, _MAGIC, len(qid_bytes), answer.epoch, num_bits, len(token_bytes)
+            _HEADER_FORMAT, _MAGIC, len(qid_bytes), epoch, num_bits, token_length
         )
-        packed_bits = self._pack_bits(answer.bits)
-        return header + qid_bytes + token_bytes + packed_bits
+        return header + qid_bytes
+
+    @staticmethod
+    def pad_keys(message: bytes, num_proxies: int, draws) -> tuple[bytes, ...]:
+        """The ``n - 1`` key strings of ``message``'s pad, in share order.
+
+        Read in one call off the keystream :meth:`encrypt` seeds from
+        ``draws`` (the answer's :class:`~repro.core.seeding.EpochDraws`), so
+        splitting the message with these keys
+        (:func:`~repro.crypto.xor.split_columns`) gives exactly the payloads
+        :meth:`encrypt` gives.
+        """
+        length = len(message)
+        stream = keystream(draws.pad_seed(message), length * (num_proxies - 1))
+        return tuple(stream[i * length : (i + 1) * length] for i in range(num_proxies - 1))
+
+    def parse_column(
+        self,
+        column: bytes,
+        width: int,
+        query_id: str,
+        epoch: int,
+        num_bits: int,
+        token_length: int,
+    ) -> list[tuple[str, bytes] | None]:
+        """Read a column of ``width``-byte decrypted messages, row by row.
+
+        A row that is a well-formed answer to ``query_id`` at ``epoch`` with
+        ``num_bits`` bits and a ``token_length``-byte token — it starts with
+        :meth:`prefix` and is exactly as long as such a message — reads as
+        ``(token, packed bits)``; every other row reads as ``None``, for the
+        caller to :meth:`decode` (which parses it, or says why it cannot).
+        """
+        rows = len(column) // width if width else 0
+        try:
+            prefix = self.prefix(query_id, epoch, num_bits, token_length)
+        except ValueError:
+            return [None] * rows
+        token_start = len(prefix)
+        bits_start = token_start + token_length
+        if width != bits_start + (num_bits + 7) // 8:
+            return [None] * rows
+        parsed: list[tuple[str, bytes] | None] = []
+        append = parsed.append
+        for start in range(0, rows * width, width):
+            if not column.startswith(prefix, start):
+                append(None)
+                continue
+            try:
+                token = column[start + token_start : start + bits_start].decode("utf-8")
+            except UnicodeDecodeError:
+                append(None)
+                continue
+            append((token, column[start + bits_start : start + width]))
+        return parsed
+
+    @staticmethod
+    def count_packed_bits(packed: bytes, num_bits: int) -> list[int]:
+        """Per-bit Yes counts over rows of packed bits laid end to end.
+
+        Each row is ``num_bits`` bits in :meth:`_pack_bits` layout (first bit
+        high, pad bits ignored); the counts are what summing the unpacked
+        rows bit by bit gives, from one big-integer conversion.
+        """
+        if num_bits <= 0:
+            return []
+        stride = 8 * ((num_bits + 7) // 8)
+        counts = [0] * stride
+        if packed:
+            digits = format(int.from_bytes(packed, "big"), f"0{len(packed) * 8}b")
+            bits = digits.encode("ascii").translate(_DIGITS_TO_BITS)
+            # Each row's bits as one integer with a byte per bit: adding up
+            # to 255 rows carries nothing across bytes, so each byte of the
+            # sum is that bit's count.
+            for chunk in range(0, len(bits), 255 * stride):
+                total = sum(
+                    int.from_bytes(bits[start : start + stride], "little")
+                    for start in range(chunk, min(len(bits), chunk + 255 * stride), stride)
+                )
+                counts = [a + b for a, b in zip(counts, total.to_bytes(stride, "little"))]
+        return counts[:num_bits]
 
     def decode(self, message: bytes) -> QueryAnswer:
         """Parse a decrypted message ``M`` back into a :class:`QueryAnswer`."""

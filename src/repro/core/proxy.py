@@ -19,24 +19,31 @@ reads, no post-decrypt filtering.  ``channel=None`` names the base topic
 ``proxy-<i>``, created on first use, for callers that drive a
 :class:`ProxyNetwork` directly.
 
-Every relay record's value is a tuple of shares.  The serial reference
-publishes one record per share (:meth:`ProxyNetwork.transmit`, a one-share
-tuple keyed by the share's ``MID``); every staged-engine flow publishes one
-*batch record* per proxy per shard (:meth:`ProxyNetwork.transmit_shard`,
-the whole shard's share column).  Either way :func:`poll_shares` turns what
-a set of consumers polled into one flat share list.  The batched per-share
-publish (:meth:`ProxyNetwork.transmit_batch`) writes the same records as
+A relay record's value is one of two things.  The serial reference (and
+the scenario layer's forged answers) publishes one record per share
+(:meth:`ProxyNetwork.transmit`): a one-share tuple keyed by the share's
+``MID``.  Every staged-engine flow publishes one record per proxy per shard
+(:meth:`ProxyNetwork.transmit_shard`): the proxy's
+:class:`~repro.crypto.xor.ShareColumn` of the shard's
+:class:`~repro.core.client.ResponseBlock` — the block's 16-byte ``MID``
+column plus that proxy's payload column, ``rows * (width + 16)`` bytes,
+exactly what the ``rows`` shares would weigh.  :func:`poll_shares` hands
+the aggregator both kinds in arrival order.  The batched per-share publish
+(:meth:`ProxyNetwork.transmit_batch`) writes the same records as
 :meth:`ProxyNetwork.transmit` in one call; no runtime uses it any more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.crypto.xor import MessageShare
+from repro.crypto.xor import MessageShare, ShareColumn
 from repro.netsim.cluster import ClusterTier
 from repro.pubsub import BrokerCluster, Consumer, Producer, UnknownTopicError
+
+if TYPE_CHECKING:
+    from repro.core.client import ResponseBlock
 
 
 @dataclass
@@ -93,21 +100,16 @@ class Proxy:
         self.shares_relayed += len(shares)
         self.bytes_relayed += sum(share.size_bytes() for share in shares)
 
-    def receive_shard_batch(
-        self, shares: list[MessageShare], channel: str | None = None
-    ) -> None:
-        """Relay one shard's worth of shares as a single batch record.
+    def receive_column(self, column: ShareColumn, channel: str | None = None) -> None:
+        """Relay one shard's column of shares as a single record.
 
-        The record's value is the tuple of shares, so the broker handles one
-        append per shard instead of one per client; the relay accounting still
-        counts every individual share so proxy throughput numbers stay
-        comparable with the per-share paths.
+        The broker handles one append per shard instead of one per client;
+        the relay accounting still counts every share the column holds, so
+        proxy throughput numbers stay comparable with the per-share paths.
         """
-        if not shares:
-            return
-        self._producer.send(self._channel_topic(channel), value=tuple(shares))
-        self.shares_relayed += len(shares)
-        self.bytes_relayed += sum(share.size_bytes() for share in shares)
+        self._producer.send(self._channel_topic(channel), value=column)
+        self.shares_relayed += column.rows
+        self.bytes_relayed += column.size_bytes()
 
     def make_consumer(
         self, group_id: str = "aggregator", channel: str | None = None
@@ -122,7 +124,7 @@ class Proxy:
     def pending_shares(self, channel: str | None = None) -> int:
         """Shares retained on one channel's relay topic (0 before its first use).
 
-        Counts shares, not records: a shard's batch record holds many.
+        Counts shares, not records: a shard's column record holds many.
         """
         try:
             topic = self.cluster.topic(self.channel_topic_name(channel))
@@ -135,19 +137,25 @@ class Proxy:
         self.bytes_relayed = 0
 
 
-def poll_shares(consumers: Sequence[Consumer]) -> list[MessageShare]:
-    """Everything pending on a set of relay consumers, as one share list.
+def poll_shares(consumers: Sequence[Consumer]) -> list[MessageShare | ShareColumn]:
+    """Everything pending on a set of relay consumers, in arrival order.
 
     The one ingest read: ``consumers`` holds one query's consumer on every
-    proxy, and every relay record's value is a tuple of shares.  Polling
-    them together puts the shares of every ``MID`` in one batch, so the
-    aggregator's grouped join never has to buffer across calls.
+    proxy.  A record holding a tuple of loose shares contributes its
+    shares, a column record its :class:`~repro.crypto.xor.ShareColumn`.
+    Polling every proxy together puts all shares of every ``MID`` — and
+    all columns of every block — in one batch, so the aggregator's join
+    never has to buffer across calls.
     """
-    shares: list[MessageShare] = []
+    items: list[MessageShare | ShareColumn] = []
     for consumer in consumers:
         for record in consumer.poll():
-            shares.extend(record.value)
-    return shares
+            value = record.value
+            if isinstance(value, ShareColumn):
+                items.append(value)
+            else:
+                items.extend(value)
+    return items
 
 
 @dataclass
@@ -205,22 +213,25 @@ class ProxyNetwork:
         for index, proxy in enumerate(self.proxies):
             proxy.receive_batch([row[index] for row in share_rows], channel=channel)
 
-    def transmit_shard(
-        self, share_rows: list[list[MessageShare]], channel: str | None = None
-    ) -> None:
-        """Send many answers' shares as one batch record per proxy.
+    def transmit_shard(self, block: "ResponseBlock", channel: str | None = None) -> None:
+        """Send a shard's block as one column record per proxy.
 
-        Like :meth:`transmit_batch` the rows (one per answer) are transposed
-        into one column per proxy, but each column lands on the proxy's
-        channel topic as a *single* record whose value is the whole column —
-        the staged engine's relay granularity.  The share multiset reaching
-        the aggregator is identical to per-share :meth:`transmit` calls.
+        Proxy ``i`` publishes the block's ``i``-th
+        :class:`~repro.crypto.xor.ShareColumn` as a *single* record on its
+        channel topic — the staged engine's relay granularity.  The shares
+        reaching the aggregator, and the relay counters, are those of
+        per-share :meth:`transmit` calls for every row; an empty block
+        publishes nothing.
         """
-        if not share_rows:
+        if not len(block):
             return
-        self._check_rows(share_rows)
-        for index, proxy in enumerate(self.proxies):
-            proxy.receive_shard_batch([row[index] for row in share_rows], channel=channel)
+        columns = block.share_columns()
+        if len(columns) != self.num_proxies:
+            raise ValueError(
+                f"expected {self.num_proxies} share columns (one per proxy), got {len(columns)}"
+            )
+        for proxy, column in zip(self.proxies, columns):
+            proxy.receive_column(column, channel=channel)
 
     def total_shares_relayed(self) -> int:
         return sum(proxy.shares_relayed for proxy in self.proxies)

@@ -34,7 +34,7 @@ from repro.core.admission import AnswerAdmissionController
 from repro.core.aggregator import Aggregator, WindowResult
 from repro.core.analyst import Analyst
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
-from repro.core.client import Client, ClientConfig, ResponseLog, pack_responses
+from repro.core.client import Client, ClientConfig, ResponseLog, pack_blocks
 from repro.core.distribution import QueryDistributor
 from repro.core.historical import HistoricalStore
 from repro.core.proxy import ProxyNetwork
@@ -179,7 +179,7 @@ class PrivApproxSystem:
         # executor relays there and ingests from these, so concurrent
         # queries never read each other's records.
         self._consumers: dict[str, list] = {}
-        # Each query's responses, one packed block per epoch (pack_responses).
+        # Each query's responses, one packed block per epoch (pack_blocks).
         self._responses_log: dict[str, list[bytes]] = {}
         # The next epoch's deadline: ids of the clients whose answers miss it
         # (EpochContext.late).  Scenario runs set it per epoch from
@@ -390,9 +390,9 @@ class PrivApproxSystem:
         """
         query = self._queries[query_id]
         aggregator = self._aggregators[query_id]
-        self._responses_log[query_id].extend(pack_responses(outcome.responses))
+        self._responses_log[query_id].extend(pack_blocks(outcome.blocks))
         window_results = list(outcome.window_results)
-        self._record_historical(query, aggregator, epoch, outcome.responses)
+        self._record_historical(query, aggregator, epoch, outcome.blocks)
         target_unmet = self._deliver_and_retune(query_id, window_results)
         aggregator.finish_epoch(epoch)
         return EpochReport(
@@ -458,15 +458,15 @@ class PrivApproxSystem:
     # -- internals ------------------------------------------------------------
 
     def _record_historical(
-        self, query: Query, aggregator: Aggregator, epoch: int, responses: Sequence
+        self, query: Query, aggregator: Aggregator, epoch: int, blocks: Sequence
     ) -> None:
         """Persist one epoch's own responses (not a rescan of the whole log)."""
         if self.historical_store is None:
             return
         timestamp = epoch * query.frequency_seconds
-        for response in responses:
-            answer = aggregator._codec.decrypt(list(response.encrypted.shares))
-            self.historical_store.append_answer(answer, timestamp)
+        for block in blocks:
+            for message in block.messages():
+                self.historical_store.append_answer(aggregator._codec.decode(message), timestamp)
 
     def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> bool:
         """Deliver each window and re-tune on it; True if a target went unmet."""

@@ -101,6 +101,55 @@ class AnswerValidator:
         self.accepted += accepted
         return verdicts
 
+    def validate_uniform(
+        self,
+        query_id: str,
+        num_bits: int,
+        epoch: int,
+        arrival_epoch: int,
+        packed_bits: list[bytes],
+    ) -> list[bool]:
+        """Check many answers that share their query id, bit count and epoch.
+
+        ``packed_bits`` holds each answer's bits packed eight to a byte (the
+        :class:`~repro.core.encryption.AnswerCodec` layout, first bit high).
+        Decision-for-decision and counter-for-counter identical to
+        :meth:`validate_batch` over the decoded answers, but the shared
+        fields are checked once and only a set-bit cap reads the bits —
+        unpacked bits are binary by construction.
+        """
+        count = len(packed_bits)
+        if not count:
+            return []
+        if query_id != self.query.query_id:
+            reason = "wrong query id"
+        elif num_bits != self.query.num_buckets:
+            reason = "wrong answer length"
+        elif epoch < 0:
+            reason = "negative epoch"
+        elif abs(epoch - arrival_epoch) > self.max_epoch_drift:
+            reason = "epoch drift"
+        elif self.max_set_bits is None:
+            self.accepted += count
+            return [True] * count
+        else:
+            reason = None
+        if reason is not None:
+            self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + count
+            return [False] * count
+        verdicts = []
+        for bits in packed_bits:
+            set_bits = (int.from_bytes(bits, "big") >> (8 * len(bits) - num_bits)).bit_count()
+            verdicts.append(set_bits <= self.max_set_bits)
+        accepted = verdicts.count(True)
+        self.accepted += accepted
+        if accepted < count:
+            reason = "too many set bits"
+            self.rejected_by_reason[reason] = (
+                self.rejected_by_reason.get(reason, 0) + count - accepted
+            )
+        return verdicts
+
     def _check(self, answer: QueryAnswer, arrival_epoch: int) -> ValidationResult:
         if answer.query_id != self.query.query_id:
             return ValidationResult(False, "wrong query id")

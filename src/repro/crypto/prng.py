@@ -16,6 +16,7 @@ import os
 import struct
 
 _DIGEST_SIZE = hashlib.blake2b().digest_size
+_COUNTER = struct.Struct(">Q")
 
 
 def secure_random_bytes(length: int) -> bytes:
@@ -28,6 +29,25 @@ def secure_random_bytes(length: int) -> bytes:
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     return os.urandom(length)
+
+
+def _blocks(seed: bytes, first: int, count: int) -> bytes:
+    """Counter-mode blocks ``first .. first + count - 1`` of ``seed``'s stream."""
+    return b"".join(
+        [hashlib.blake2b(seed + _COUNTER.pack(first + i)).digest() for i in range(count)]
+    )
+
+
+def keystream(seed: bytes, length: int) -> bytes:
+    """The first ``length`` bytes of ``seed``'s keystream, in one call.
+
+    Exactly what ``KeystreamGenerator(seed).next_bytes(length)`` returns,
+    without building a generator: the form a client reads a message's pad
+    in (:meth:`repro.core.encryption.AnswerCodec.pad_keys`).
+    """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    return _blocks(seed, 0, -(-length // _DIGEST_SIZE))[:length]
 
 
 class KeystreamGenerator:
@@ -71,15 +91,8 @@ class KeystreamGenerator:
         identical to refilling one block at a time.
         """
         num_blocks = max(1, -(-min_bytes // _DIGEST_SIZE))
-        seed = self._seed
-        counter = self._counter
-        self._buffer.extend(
-            b"".join(
-                hashlib.blake2b(seed + struct.pack(">Q", counter + i)).digest()
-                for i in range(num_blocks)
-            )
-        )
-        self._counter = counter + num_blocks
+        self._buffer.extend(_blocks(self._seed, self._counter, num_blocks))
+        self._counter += num_blocks
 
     def next_bytes(self, length: int) -> bytes:
         """Return the next ``length`` bytes of the keystream."""

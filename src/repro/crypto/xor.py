@@ -13,16 +13,23 @@ This module implements the byte-level primitives:
 
 * :func:`xor_bytes` — constant-helper bitwise XOR of equal-length byte strings.
 * :class:`XorCipher` — a stateful cipher bound to a set of key shares.
-* :func:`split_message` / :func:`join_shares` — the share-splitting protocol
-  used by clients and the aggregator.
+* :func:`split_columns` — the one XOR split routine, over a column of
+  equal-width messages; :func:`split_message` is its one-row case;
+* :func:`join_shares` — the aggregator's join of one message's shares;
+* :class:`ShareColumn` — one proxy's shares of a block of messages as two
+  columns (16-byte MIDs, payloads): what a proxy relays for a shard.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.crypto import prng
 from repro.crypto.prng import KeystreamGenerator
+
+#: Bytes in a message identifier ``MID`` drawn by a client.
+MID_BYTES = 16
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -92,7 +99,63 @@ class MessageShare:
 
     def size_bytes(self) -> int:
         """Wire size of this share (payload plus a 16-byte MID)."""
-        return len(self.payload) + 16
+        return len(self.payload) + MID_BYTES
+
+
+@dataclass(frozen=True)
+class ShareColumn:
+    """One proxy's shares of ``rows`` equal-width messages, as two columns.
+
+    ``message_ids`` holds each row's ``MID`` as 16 raw bytes and ``payload``
+    each row's share, ``width`` bytes apiece, in the same row order;
+    ``index`` is the share position every row holds (0 for ``ME``).  The
+    wire size is exactly that of the ``rows`` :class:`MessageShare` objects
+    it stands for, and :meth:`shares` rebuilds them (the ``MID`` as 32 hex
+    characters).
+    """
+
+    message_ids: bytes
+    payload: bytes
+    index: int
+
+    def __post_init__(self) -> None:
+        rows, extra = divmod(len(self.message_ids), MID_BYTES)
+        if extra or (rows and len(self.payload) % rows) or (not rows and self.payload):
+            raise ValueError(
+                f"a share column needs {MID_BYTES} MID bytes and one equal-width "
+                f"payload per row, got {len(self.message_ids)} MID and "
+                f"{len(self.payload)} payload bytes"
+            )
+
+    @property
+    def rows(self) -> int:
+        return len(self.message_ids) // MID_BYTES
+
+    def __len__(self) -> int:
+        """Shares in the column, as for a tuple of loose shares."""
+        return self.rows
+
+    @property
+    def width(self) -> int:
+        rows = self.rows
+        return len(self.payload) // rows if rows else 0
+
+    def size_bytes(self) -> int:
+        """Wire size: every row's payload plus its 16-byte MID."""
+        return len(self.payload) + len(self.message_ids)
+
+    def message_id(self, row: int) -> str:
+        """Row ``row``'s MID in the hex form loose shares carry."""
+        return self.message_ids[row * MID_BYTES : (row + 1) * MID_BYTES].hex()
+
+    def shares(self, rows: Sequence[int] | None = None) -> list[MessageShare]:
+        """The column's rows (all, or those listed) as :class:`MessageShare` s."""
+        width = self.width
+        payload = self.payload
+        return [
+            MessageShare(self.message_id(row), payload[row * width : (row + 1) * width], self.index)
+            for row in (range(self.rows) if rows is None else rows)
+        ]
 
 
 @dataclass
@@ -137,6 +200,22 @@ class XorCipher:
         return join_shares(shares)
 
 
+def split_columns(messages: bytes, keys: Sequence[bytes]) -> list[bytes]:
+    """XOR-split a column of messages into one payload column per proxy.
+
+    The one split routine.  ``messages`` is any number of messages laid end
+    to end and ``keys`` holds ``n - 1`` key columns of the same length (row
+    ``i`` of each key column is message ``i``'s key string).  Column 0 is
+    ``ME`` (the messages XOR every key, one big-integer XOR per key
+    column), columns ``1..n-1`` are the keys themselves.
+    """
+    if not keys:
+        raise ValueError("XOR encryption needs at least 2 shares, got 1")
+    if any(len(key) != len(messages) for key in keys):
+        raise ValueError("every key column must be as long as the message column")
+    return [xor_many([messages, *keys]), *keys]
+
+
 def split_message(
     message: bytes,
     num_proxies: int,
@@ -145,24 +224,22 @@ def split_message(
 ) -> list[MessageShare]:
     """Split ``message`` into one share per proxy.
 
-    The one split routine (:meth:`XorCipher.encrypt` calls it too): share 0
-    is ``ME``, shares ``1..n-1`` the key strings in the order they were drawn
-    off ``keystream`` (a fresh randomly seeded generator when omitted).  A
-    missing ``message_id`` is 16 bytes of OS entropy as 32 hex characters.
+    The one-row case of :func:`split_columns` (:meth:`XorCipher.encrypt`
+    calls it too): share 0 is ``ME``, shares ``1..n-1`` the key strings in
+    the order they were drawn off ``keystream`` (a fresh randomly seeded
+    generator when omitted).  A missing ``message_id`` is 16 bytes of OS
+    entropy as 32 hex characters.
     """
     if num_proxies < 2:
         raise ValueError(f"XOR encryption needs at least 2 shares, got {num_proxies}")
     if keystream is None:
         keystream = KeystreamGenerator()
     if message_id is None:
-        message_id = prng.secure_random_bytes(16).hex()
-    length = len(message)
-    keys = [keystream.next_bytes(length) for _ in range(num_proxies - 1)]
-    encrypted = message
-    for key in keys:
-        encrypted = xor_bytes(encrypted, key)
-    return [MessageShare(message_id, encrypted, 0)] + [
-        MessageShare(message_id, key, index) for index, key in enumerate(keys, 1)
+        message_id = prng.secure_random_bytes(MID_BYTES).hex()
+    keys = [keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)]
+    return [
+        MessageShare(message_id, payload, index)
+        for index, payload in enumerate(split_columns(message, keys))
     ]
 
 

@@ -21,8 +21,9 @@ the first epoch:
 * The steady-state traffic is proportional to what changed: a
   :class:`~repro.runtime.wire.ShardDelta` per shard per epoch (subscription
   changes and the stream rows appended since the last frame — usually
-  nothing) and a :class:`~repro.runtime.wire.ShardAck` back (responses plus
-  the 32-byte hash of the frame served).
+  nothing) and a :class:`~repro.runtime.wire.ShardAck` back (one
+  :class:`~repro.core.client.ResponseBlock` per query plus the 32-byte
+  hash of the frame served).
 
 **Nothing to keep in step.**  The parent stays authoritative for tables
 and subscriptions: its live clients are mutated directly by ingest and
@@ -45,8 +46,8 @@ killed after every epoch.
 set (``EpochContext.late``), and the in-process drivers use it to flip only
 those clients' coins instead of building their answers.  ``ShardDelta`` /
 ``ShardBootstrap`` have no field for it, so resident workers still build
-every answer and the parent's gate drops the late ones as acks decode —
-same bytes, same ledger; the field comes with the wire-v4 codec.
+every answer and the parent's gate slices the late rows out of each acked
+block — same bytes, same ledger; the field comes with the wire-v5 codec.
 """
 
 from __future__ import annotations
@@ -172,10 +173,9 @@ def _answer_from_residency(
     shard_index, epoch = message.shard_index, message.epoch
     start = time.perf_counter()
     if message.query_ids:
-        responses_per_query = answer_shard(
-            clients, message.query_ids, epoch, arena=cache.arena_for(shard_index)
+        responses = tuple(
+            answer_shard(clients, message.query_ids, epoch, arena=cache.arena_for(shard_index))
         )
-        responses = tuple(tuple(responses) for responses in responses_per_query)
     else:
         responses = ()
     wall_seconds = time.perf_counter() - start
@@ -558,11 +558,7 @@ class ResidentDriver(StageDriver):
                 )
                 continue
             state.fingerprint = ack.fingerprint
-            handle.emit(
-                shard.index,
-                [list(responses) for responses in ack.responses],
-                wall_seconds=ack.wall_seconds,
-            )
+            handle.emit(shard.index, list(ack.responses), wall_seconds=ack.wall_seconds)
 
     # -- recovery helpers ----------------------------------------------------
 

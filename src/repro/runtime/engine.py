@@ -21,9 +21,9 @@ and delegates *how the answer stage runs* to a pluggable
 
 The engine owns all policy, so no driver carries its own copy:
 
-* the deadline: :meth:`StagedEpochEngine._gate` drops every response whose
+* the deadline: :meth:`StagedEpochEngine._gate` drops every answer whose
   client is in ``EpochContext.late`` and returns the per-query drop ledger
-  with the outcome — drivers hand raw responses to :meth:`EpochHandle.emit`
+  with the outcome — drivers hand raw blocks to :meth:`EpochHandle.emit`
   and at most read the set to flip only the coins of known-late clients
   instead of building their answers;
 * per-epoch :class:`StageMetrics` (stage wall-clocks, wire bytes, late
@@ -33,7 +33,7 @@ The engine owns all policy, so no driver carries its own copy:
   reaches the metrics but never the control path;
 * the one epoch flow: the driver's ``begin_epoch`` and ``collect`` run on
   the caller thread, and each :meth:`EpochHandle.emit` gates, relays (one
-  batch record per proxy on each query's channel topic,
+  column record per proxy on each query's channel topic,
   :func:`_publish_shard`) and ingests (each query's context consumers,
   :func:`~repro.core.proxy.poll_shares`) its shard before it returns.  The
   engine starts no thread of its own: the only concurrency is the driver's
@@ -57,7 +57,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.runtime.executor import (
@@ -76,7 +76,7 @@ from repro.sqldb import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.client import Client, ClientResponse
+    from repro.core.client import Client, ResponseBlock
     from repro.pubsub import Consumer
 
 
@@ -86,12 +86,15 @@ def answer_shard(
     epoch: int,
     arena: ShardArena | None = None,
     late: frozenset[str] = frozenset(),
-) -> list[list["ClientResponse"]]:
+) -> list["ResponseBlock"]:
     """Answer one shard of clients for one epoch (every driver's shard task).
 
-    Every client answers all of ``query_ids`` in one pass, advancing in
-    place; the return value holds one participating-response list per query
-    (client order within each list).
+    Every client answers all of ``query_ids`` in one pass; the return value
+    holds one :class:`~repro.core.client.ResponseBlock` per query, its rows
+    the participants in client order (empty when nobody in the shard
+    participates).  Each block XOR-splits all of its rows' messages at once
+    (:meth:`ResponseBlock.from_rows
+    <repro.core.client.ResponseBlock.from_rows>`).
 
     With a :class:`~repro.sqldb.columnar.ShardArena` over these clients'
     databases, the epoch's SQL is evaluated once shard-wide and each
@@ -102,24 +105,35 @@ def answer_shard(
 
     ``late`` is the epoch's late set (``EpochContext.late``): those members
     flip only their coins (``Client.answer(late=True)``) and each
-    participating query contributes the bare client id, in the same list
-    position a built response would hold, for the engine's gate to drop and
-    record.
+    participating query names the client in its block's ``late_ids``
+    instead of holding a row, for the engine's gate to record.
     """
+    # Imported here: repro.core imports repro.runtime at package level.
+    from repro.core.client import ResponseBlock
+
     caches = shard_scan_caches(clients, query_ids, arena)
-    responses_per_query: list[list["ClientResponse"]] = [[] for _ in query_ids]
+    rows_per_query: list[list] = [[] for _ in query_ids]
+    late_per_query: list[list[str]] = [[] for _ in query_ids]
     for slot, client in enumerate(clients):
         scan_cache = None if caches is None else caches[slot]
-        answers = client.answer(
+        entries = client.answer(
             query_ids,
             epoch=epoch,
             scan_cache=scan_cache,
             late=client.config.client_id in late,
         )
-        for index, response in enumerate(answers):
-            if response is not None:
-                responses_per_query[index].append(response)
-    return responses_per_query
+        for index, entry in enumerate(entries):
+            if entry is None:
+                continue
+            if isinstance(entry, str):
+                late_per_query[index].append(entry)
+            else:
+                rows_per_query[index].append(entry)
+    num_proxies = clients[0].config.num_proxies if clients else 2
+    return [
+        ResponseBlock.from_rows(query_id, epoch, rows, num_proxies, late_ids=tuple(late_ids))
+        for query_id, rows, late_ids in zip(query_ids, rows_per_query, late_per_query)
+    ]
 
 
 def shard_scan_caches(
@@ -173,12 +187,12 @@ def _timed_answer_shard(
     epoch: int,
     arena: ShardArena | None = None,
     late: frozenset[str] = frozenset(),
-) -> tuple[list[list["ClientResponse"]], float]:
-    """:func:`answer_shard`'s responses plus its own wall-clock, for stage
+) -> tuple[list["ResponseBlock"], float]:
+    """:func:`answer_shard`'s blocks plus its own wall-clock, for stage
     accounting."""
     started = time.perf_counter()
-    responses = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
-    return responses, time.perf_counter() - started
+    blocks = answer_shard(clients, query_ids, epoch, arena=arena, late=late)
+    return blocks, time.perf_counter() - started
 
 
 @dataclass
@@ -187,7 +201,7 @@ class StageMetrics:
 
     ``wire_bytes`` counts every serialized frame that crossed a process or
     socket border this epoch (bootstraps/deltas out plus acks back) —
-    zero for in-process transports.  ``late_drops`` counts responses the
+    zero for in-process transports.  ``late_drops`` counts answers the
     engine's gate removed at the transmit boundary because their client was
     in ``EpochContext.late``.
     ``reshard_events`` is always 0 now that shard boundaries are static; it
@@ -231,7 +245,8 @@ class EpochHandle:
 
     The driver must call :meth:`emit` **exactly once per occupied shard** —
     success or failure — from the caller thread (inside ``collect``), with
-    the shard's raw (ungated) per-query response lists.  ``emit`` returns
+    the shard's raw (ungated) per-query
+    :class:`~repro.core.client.ResponseBlock` s.  ``emit`` returns
     once the engine has gated, relayed and ingested that shard, and it
     never raises: the epoch's first error is recorded and every later emit
     is ignored, so a driver keeps collecting until every answer task it
@@ -241,7 +256,7 @@ class EpochHandle:
 
     Drivers that answer in this process hand ``context.late`` to
     :func:`answer_shard`; wire drivers ignore it (their frames have no field
-    for it yet) and keep building what the gate drops.
+    for it yet) and keep building the rows the gate drops.
     """
 
     __slots__ = ("context", "epoch", "occupied", "query_ids", "metrics", "emit")
@@ -394,32 +409,33 @@ class StagedEpochEngine(EpochExecutor):
     @staticmethod
     def _gate(
         late: frozenset[str],
-        responses_per_query: list[list],
+        blocks: list["ResponseBlock"],
         late_drops: list[list[str]],
         metrics: StageMetrics,
-    ) -> list[list]:
-        """Drop one shard's late responses at the transmit boundary.
+    ) -> list["ResponseBlock"]:
+        """Drop one shard's late answers at the transmit boundary.
 
-        A participant whose client is in ``late`` — a response built in full
-        by a pinned worker, or just the client id from an in-process driver
-        that flipped only the coin — never reaches the proxies: its client
-        id goes on the query's ``late_drops`` list and the count lands in the
-        metrics.  Draws are addressed by ``(client, query, epoch)``, so what
-        a late client did or did not build changes none of its later answers.
+        A participant whose client is in ``late`` never reaches the proxies:
+        an in-process driver that flipped only its coin named it in the
+        block's ``late_ids``, a pinned worker built its row in full and the
+        block is sliced by client id.  Either way its client id goes on the
+        query's ``late_drops`` list and the count lands in the metrics.
+        Draws are addressed by ``(client, query, epoch)``, so what a late
+        client did or did not build changes none of its later answers.
         """
         if not late:
-            return responses_per_query
+            return blocks
         gated = []
-        for responses, dropped in zip(responses_per_query, late_drops):
-            kept = []
-            for response in responses:
-                client_id = response if isinstance(response, str) else response.client_id
-                if client_id in late:
-                    dropped.append(client_id)
-                else:
-                    kept.append(response)
-            gated.append(kept)
-            metrics.add_late_drops(len(responses) - len(kept))
+        for block, dropped in zip(blocks, late_drops):
+            kept = [row for row, client_id in enumerate(block.client_ids) if client_id not in late]
+            metrics.add_late_drops(len(block.late_ids) + len(block) - len(kept))
+            dropped.extend(block.late_ids)
+            if len(kept) < len(block):
+                dropped.extend(client_id for client_id in block.client_ids if client_id in late)
+                block = block.select(kept)
+            elif block.late_ids:
+                block = replace(block, late_ids=())
+            gated.append(block)
         return gated
 
     # -- epoch execution ------------------------------------------------------
@@ -429,11 +445,11 @@ class StagedEpochEngine(EpochExecutor):
 
         The driver's ``begin_epoch`` and ``collect`` run on this (the
         caller's) thread, and so does every :meth:`EpochHandle.emit`: it
-        drops the shard's late responses (:meth:`_gate`), publishes one batch
+        drops the shard's late answers (:meth:`_gate`), publishes one column
         record per proxy on each query's channel topic (:func:`_publish_shard`),
         then polls each query's context consumers and ingests what they hold
         (``ingest_shares(batched=True)``) before it returns.  Shards arrive
-        in whatever order the driver collects them; the per-query logs are
+        in whatever order the driver collects them; the per-query blocks are
         merged in shard-index (= client) order at the end.
 
         The first error — an error emit, a relay or ingest failure, a
@@ -455,14 +471,14 @@ class StagedEpochEngine(EpochExecutor):
         occupied = [shard for shard in shards if shard.num_items > 0]
         metrics.plan_seconds = time.perf_counter() - plan_started
 
-        responses_by_shard: list[list | None] = [None] * len(shards)
+        blocks_by_shard: list[list | None] = [None] * len(shards)
         window_results: list[list] = [[] for _ in context.queries]
         late_drops: list[list[str]] = [[] for _ in context.queries]
         answer_walls: dict[int, float] = {}
         awaited = {shard.index for shard in occupied}
         failure: Exception | None = None
 
-        def emit(shard_index, responses, error=None, wall_seconds=None):
+        def emit(shard_index, blocks, error=None, wall_seconds=None):
             nonlocal failure
             if failure is not None:
                 return
@@ -477,7 +493,7 @@ class StagedEpochEngine(EpochExecutor):
                 failure = error
                 return
             try:
-                gated = self._gate(context.late, responses, late_drops, metrics)
+                gated = self._gate(context.late, blocks, late_drops, metrics)
                 relay_started = time.perf_counter()
                 _publish_shard(context, gated)
                 ingest_started = time.perf_counter()
@@ -492,7 +508,7 @@ class StagedEpochEngine(EpochExecutor):
             except Exception as exc:
                 failure = exc
                 return
-            responses_by_shard[shard_index] = gated
+            blocks_by_shard[shard_index] = gated
             if wall_seconds is not None:
                 answer_walls[shard_index] = wall_seconds
 
@@ -514,7 +530,7 @@ class StagedEpochEngine(EpochExecutor):
                 _drain_consumers(query.consumers)
             raise failure
         return self._merge_outcome(
-            context, shards, responses_by_shard, window_results, late_drops
+            context, shards, blocks_by_shard, window_results, late_drops
         )
 
     @staticmethod
@@ -527,23 +543,23 @@ class StagedEpochEngine(EpochExecutor):
         self,
         context: EpochContext,
         shards: list[Shard],
-        responses_by_shard: list,
+        blocks_by_shard: list,
         window_results: list[list],
         late_drops: list[list[str]],
     ) -> EpochOutcome:
-        """Merge per-shard logs in shard-index (= client) order and sort each
-        query's drop ledger (shards arrive in any order)."""
+        """Merge per-shard blocks in shard-index (= client) order and sort
+        each query's drop ledger (shards arrive in any order)."""
         per_query = []
         for index, query in enumerate(context.queries):
-            responses: list = []
-            for shard in shards:
-                shard_responses = responses_by_shard[shard.index]
-                if shard_responses:
-                    responses.extend(shard_responses[index])
+            blocks = [
+                shard_blocks[index]
+                for shard_blocks in (blocks_by_shard[shard.index] for shard in shards)
+                if shard_blocks and len(shard_blocks[index])
+            ]
             per_query.append(
                 QueryEpochOutcome(
                     query_id=query.query_id,
-                    responses=tuple(responses),
+                    blocks=tuple(blocks),
                     window_results=tuple(window_results[index]),
                     late_drops=tuple(sorted(late_drops[index])),
                 )
@@ -557,7 +573,7 @@ class StagedEpochEngine(EpochExecutor):
 def emit_as_completed(handle: EpochHandle, futures: dict[Future, Shard], unpack) -> None:
     """Emit each shard as its future completes; a failed one emits its error.
 
-    ``unpack(shard, result) -> (responses, wall_seconds)`` turns a finished
+    ``unpack(shard, result) -> (blocks, wall_seconds)`` turns a finished
     task's result into the shard's emit; whatever it or the task raised
     becomes that shard's error emit.  Returns once every future has
     finished, so no answer task outlives the epoch.
@@ -565,11 +581,11 @@ def emit_as_completed(handle: EpochHandle, futures: dict[Future, Shard], unpack)
     for future in as_completed(futures):
         shard = futures[future]
         try:
-            responses, wall_seconds = unpack(shard, future.result())
+            blocks, wall_seconds = unpack(shard, future.result())
         except Exception as exc:
             handle.emit(shard.index, None, error=exc)
         else:
-            handle.emit(shard.index, responses, wall_seconds=wall_seconds)
+            handle.emit(shard.index, blocks, wall_seconds=wall_seconds)
 
 
 class InlineDriver(StageDriver):
@@ -592,7 +608,7 @@ class InlineDriver(StageDriver):
             clients = handle.context.clients[shard.as_slice()]
             try:
                 arena = self.engine.arena_for(shard.index, clients)
-                responses, wall = _timed_answer_shard(
+                blocks, wall = _timed_answer_shard(
                     clients,
                     handle.query_ids,
                     handle.epoch,
@@ -602,7 +618,7 @@ class InlineDriver(StageDriver):
             except Exception as exc:
                 handle.emit(shard.index, None, error=exc)
             else:
-                handle.emit(shard.index, responses, wall_seconds=wall)
+                handle.emit(shard.index, blocks, wall_seconds=wall)
 
 
 class OverlapThreadDriver(StageDriver):
@@ -659,18 +675,15 @@ class OverlapThreadDriver(StageDriver):
 # -- relay and ingest ---------------------------------------------------------
 
 
-def _publish_shard(context: EpochContext, gated: list[list["ClientResponse"]]) -> None:
+def _publish_shard(context: EpochContext, gated: list["ResponseBlock"]) -> None:
     """Relay one gated shard — the engine's only relay granularity.
 
-    Every query's responses for the shard go out as one batch record per
+    Every query's block for the shard goes out as one column record per
     proxy on that query's channel topic (``transmit_shard``); a query with
     no participant in the shard publishes nothing.
     """
-    for index, query in enumerate(context.queries):
-        context.proxies.transmit_shard(
-            [list(response.encrypted.shares) for response in gated[index]],
-            channel=query.query_id,
-        )
+    for block, query in zip(gated, context.queries):
+        context.proxies.transmit_shard(block, channel=query.query_id)
 
 
 def _drain_consumers(consumers: Sequence["Consumer"]) -> None:

@@ -110,22 +110,32 @@ class EpochContext:
 class QueryEpochOutcome:
     """One query's share of an executed epoch.
 
-    ``responses`` holds the query's participating responses in client order
-    (the deterministic merge of per-shard logs); ``window_results`` holds the
-    window results the query's aggregator emitted while ingesting the epoch.
+    ``blocks`` holds the query's participating responses as
+    :class:`~repro.core.client.ResponseBlock` s in client order (one per
+    shard with participants, merged in shard order; the serial reference
+    builds one for the whole epoch); ``window_results`` holds the window
+    results the query's aggregator emitted while ingesting the epoch.
     ``late_drops`` names the participants whose answers the epoch dropped
     because they were in ``EpochContext.late``, sorted — empty when nobody
     was late.
     """
 
     query_id: str
-    responses: tuple
+    blocks: tuple
     window_results: tuple
     late_drops: tuple = ()
 
     @property
     def num_participants(self) -> int:
-        return len(self.responses)
+        return sum(len(block) for block in self.blocks)
+
+    @property
+    def responses(self):
+        """The blocks' rows as a lazy sequence of ``ClientResponse`` views
+        (:class:`~repro.core.client.ResponseLog`), for evaluation."""
+        from repro.core.client import ResponseLog
+
+        return ResponseLog(self.query_id, self.blocks)
 
 
 @dataclass(frozen=True)

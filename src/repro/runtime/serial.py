@@ -24,37 +24,52 @@ from repro.runtime.executor import (
 
 
 class SerialExecutor(EpochExecutor):
-    """Answers every client one-by-one in a single in-process loop."""
+    """Answers every client one-by-one in a single in-process loop.
+
+    Each query's rows become one :class:`~repro.core.client.ResponseBlock`
+    for the outcome, but the relay and the ingest stay per answer: every
+    row's shares go out through :meth:`ProxyNetwork.transmit
+    <repro.core.proxy.ProxyNetwork.transmit>` and the aggregator joins them
+    one record at a time — the reference the engine's column relay and
+    block ingest are checked against.
+    """
 
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
+        # Imported here: repro.core imports repro.runtime at package level.
+        from repro.core.client import ResponseBlock
+
         queries = context.queries
         query_ids = context.query_ids
         late = context.late
-        responses_per_query: list[list] = [[] for _ in queries]
+        rows_per_query: list[list] = [[] for _ in queries]
         late_drops: list[list[str]] = [[] for _ in queries]
         for client in context.clients:
-            for index, response in enumerate(client.answer(query_ids, epoch=epoch)):
-                if response is None:
+            for index, row in enumerate(client.answer(query_ids, epoch=epoch)):
+                if row is None:
                     continue
-                if response.client_id in late:
+                if row.client_id in late:
                     # Built but missed the deadline.
-                    late_drops[index].append(response.client_id)
+                    late_drops[index].append(row.client_id)
                     continue
-                responses_per_query[index].append(response)
-                context.proxies.transmit(
-                    list(response.encrypted.shares), channel=query_ids[index]
-                )
+                rows_per_query[index].append(row)
+        blocks = [
+            ResponseBlock.from_rows(query_id, epoch, rows, context.proxies.num_proxies)
+            for query_id, rows in zip(query_ids, rows_per_query)
+        ]
+        for query_id, block in zip(query_ids, blocks):
+            for row in range(len(block)):
+                context.proxies.transmit(block.shares(row), channel=query_id)
         per_query = []
-        for index, query in enumerate(queries):
+        for query, block, dropped in zip(queries, blocks, late_drops):
             window_results = query.aggregator.consume_from_proxies(
                 list(query.consumers), epoch=epoch
             )
             per_query.append(
                 QueryEpochOutcome(
                     query_id=query.query_id,
-                    responses=tuple(responses_per_query[index]),
+                    blocks=(block,) if len(block) else (),
                     window_results=tuple(window_results),
-                    late_drops=tuple(sorted(late_drops[index])),
+                    late_drops=tuple(sorted(dropped)),
                 )
             )
         return EpochOutcome(per_query=tuple(per_query))

@@ -38,7 +38,8 @@ the first epoch:
   and query ids to answer, one optional :class:`ClientDelta` per client
   (subscription changes, appended stream rows) and the continuity token the
   parent last adopted for the shard.
-* :class:`ShardAck` — worker → parent: the responses, a 32-byte continuity
+* :class:`ShardAck` — worker → parent: one
+  :class:`~repro.core.client.ResponseBlock` per query, a 32-byte continuity
   token (the SHA-256 of the frame just served, which the parent checks
   against the bytes it sent), and ``bootstrap_required`` when the worker
   cannot serve the delta (cache miss or token mismatch) so the parent falls
@@ -58,7 +59,8 @@ arbitrary query/answer dataclasses; the frame means the *transport* never
 needs to know that).
 
 All encoding/decoding failures — unpicklable client state, truncated or
-foreign bytes, version drift — surface as :class:`WireError`.
+foreign bytes, version drift, a response block whose columns do not fit its
+rows — surface as :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ WIRE_MAGIC = b"PAWF"
 # Version 3: worker-resident client state — bootstrap/delta/ack frames carry
 # state once and tiny per-epoch deltas afterwards.  Kinds 1 and 2 belonged
 # to the retired snapshot-shipping pair and are never reused.
-WIRE_VERSION = 3
+# Version 4: an ack carries one shape-checked ResponseBlock per query
+# instead of a tuple of per-answer responses.
+WIRE_VERSION = 4
 
 _KIND_SHARD_BOOTSTRAP = 3
 _KIND_SHARD_DELTA = 4
@@ -193,8 +197,9 @@ class ShardDelta:
 class ShardAck:
     """The worker's reply to a bootstrap or delta frame.
 
-    ``responses`` holds one tuple of participating responses per frame query
-    (empty when the frame named none); ``fingerprint`` is the continuity
+    ``responses`` holds one :class:`~repro.core.client.ResponseBlock` per
+    frame query, its rows the shard's participants (empty when the frame
+    named none); ``fingerprint`` is the continuity
     token — the SHA-256 of the frame this ack answers, empty when it answered
     none.  ``bootstrap_required`` reports a cache miss or token mismatch (no
     answering happened); ``error`` carries ``(type_name, message)`` of a
@@ -314,8 +319,28 @@ def encode_shard_ack(ack: ShardAck) -> bytes:
 
 
 def decode_shard_ack(data: bytes) -> ShardAck:
-    """Decode bytes produced by :func:`encode_shard_ack`."""
-    return _decode(data, _KIND_SHARD_ACK, ShardAck)
+    """Decode bytes produced by :func:`encode_shard_ack`.
+
+    Every block in ``responses`` was shape-checked as it unpickled; a block
+    that fails the check, or an entry that is not a block, is a
+    :class:`WireError`, so a bad ack fails its shard and never reaches the
+    engine's gate.
+    """
+    # Imported here: repro.core imports repro.runtime at package level.
+    from repro.core.client import ResponseBlock
+
+    ack = _decode(data, _KIND_SHARD_ACK, ShardAck)
+    blocks = ack.responses
+    if not isinstance(blocks, tuple) or not all(
+        isinstance(block, ResponseBlock) for block in blocks
+    ):
+        raise WireError(
+            "ShardAck.responses must hold one ResponseBlock per query",
+            kind=_KIND_SHARD_ACK,
+            declared_length=len(data) - _FRAME_SIZE,
+            offset=_FRAME_SIZE,
+        )
+    return ack
 
 
 _TYPE_BY_KIND = {

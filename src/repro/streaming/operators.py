@@ -135,12 +135,16 @@ class WindowAggregateOperator(Operator):
     watermark; records for windows that already fired outside that grace
     period are dropped and counted in ``late_records_dropped``, so a late
     answer can never silently re-open a window the analyst already received.
+    ``weight`` says how many input elements a record's value stands for
+    (the aggregator's values are partial counts over many answers); a
+    dropped record adds its weight, 1 when ``weight`` is ``None``.
     """
 
     assigner: SlidingWindowAssigner
     aggregate_fn: Callable[[list], Any]
     allowed_lateness: float = 0.0
     name: str = "window_aggregate"
+    weight: Callable[[Any], int] | None = None
 
     def __post_init__(self) -> None:
         if self.allowed_lateness < 0:
@@ -159,7 +163,9 @@ class WindowAggregateOperator(Operator):
                     and window not in self._window_buffers
                 )
                 if window in self._emitted_windows or is_past_due:
-                    self.late_records_dropped += 1
+                    self.late_records_dropped += (
+                        1 if self.weight is None else self.weight(record.value)
+                    )
                     continue
                 self._window_buffers.setdefault(window, []).append(record.value)
         emitted = self._emit(

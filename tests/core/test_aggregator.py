@@ -1,13 +1,17 @@
 """Tests for the aggregator (join, decrypt, window aggregation, error bounds)."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.core import Aggregator, AnswerSpec, ExecutionParameters, RangeBuckets
+from repro.core.admission import AnswerAdmissionController
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query, QueryAnswer
+from repro.core.validation import AnswerValidator
 from repro.crypto.prng import KeystreamGenerator
+from repro.crypto.xor import MessageShare, ShareColumn, split_columns
 
 
 def make_query(window: float = 60.0, slide: float = 60.0) -> Query:
@@ -184,12 +188,28 @@ class TestSlidingWindows:
         assert starts == sorted(starts)
 
 
-class TestBatchedDecryptMatchesReference:
-    """The shard-batched XOR decrypt must keep the per-record path's bytes.
+def as_columns(shares: list[MessageShare]) -> list:
+    """Loose shares of 32-hex-character MIDs, regrouped as one block's
+    columns (one per share index) where every MID carries a full set."""
+    by_index: dict[int, list[MessageShare]] = {}
+    for share in shares:
+        by_index.setdefault(share.index, []).append(share)
+    return [
+        ShareColumn(
+            b"".join(bytes.fromhex(share.message_id) for share in column),
+            b"".join(share.payload for share in column),
+            index,
+        )
+        for index, column in sorted(by_index.items())
+    ]
 
-    ``ingest_shares(batched=True)`` now decrypts the whole grouped batch in
-    one vectorized pass (``join_shares_batch``); its decoded answers,
-    window results and malformed counters must equal the per-record
+
+class TestBatchedDecryptMatchesReference:
+    """The batched ingest must keep the per-record path's bytes.
+
+    ``ingest_shares(batched=True)`` decrypts loose shares in one grouped
+    pass (``join_shares_batch``) and a block's columns a column at a time;
+    either way its window results and counters must equal the per-record
     reference path on the same shares — corrupted groups included.
     """
 
@@ -200,31 +220,33 @@ class TestBatchedDecryptMatchesReference:
             for r in results
         ]
 
-    def _run(self, shares_by_epoch, batched):
+    def _run(self, shares_by_epoch, batched, columns=False):
         aggregator = Aggregator(query=make_query(), parameters=NOISELESS, total_clients=8)
         emitted = []
         for epoch, shares in enumerate(shares_by_epoch):
-            emitted.extend(aggregator.ingest_shares(shares, epoch=epoch, batched=batched))
+            items = as_columns(shares) if columns else shares
+            emitted.extend(aggregator.ingest_shares(items, epoch=epoch, batched=batched))
         emitted.extend(aggregator.flush())
         return aggregator, emitted
 
-    def test_clean_multi_epoch_stream(self):
+    @pytest.mark.parametrize("columns", [False, True], ids=["loose", "block"])
+    def test_clean_multi_epoch_stream(self, columns):
         shares_by_epoch = [
             encrypt_answers([[1, 0, 0], [0, 1, 0], [0, 0, 1]], epoch=0),
             encrypt_answers([[1, 1, 0], [0, 0, 0]], epoch=1),
         ]
         reference, ref_results = self._run(shares_by_epoch, batched=False)
-        batched, batch_results = self._run(shares_by_epoch, batched=True)
+        batched, batch_results = self._run(shares_by_epoch, batched=True, columns=columns)
         assert self._window_bytes(batch_results) == self._window_bytes(ref_results)
         assert batched.answers_processed == reference.answers_processed
         assert batched.malformed_messages == reference.malformed_messages == 0
 
-    def test_corrupted_group_counts_identically(self):
+    @pytest.mark.parametrize("columns", [False, True], ids=["loose", "block"])
+    def test_corrupted_group_counts_identically(self, columns):
         clean = encrypt_answers([[1, 0, 0], [0, 1, 0]], epoch=0)
         # Corrupt one message's payload bytes: the group still joins (equal
         # lengths, same MID) but decodes to garbage -> malformed on both paths.
         bad = encrypt_answers([[0, 0, 1]], epoch=0)
-        from repro.crypto.xor import MessageShare
         corrupted = [
             MessageShare(
                 message_id=share.message_id,
@@ -237,7 +259,154 @@ class TestBatchedDecryptMatchesReference:
         ]
         shares_by_epoch = [clean + corrupted]
         reference, ref_results = self._run(shares_by_epoch, batched=False)
-        batched, batch_results = self._run(shares_by_epoch, batched=True)
+        batched, batch_results = self._run(shares_by_epoch, batched=True, columns=columns)
         assert self._window_bytes(batch_results) == self._window_bytes(ref_results)
         assert batched.malformed_messages == reference.malformed_messages == 1
         assert batched.answers_processed == reference.answers_processed == 2
+
+
+# -- hostile blocks -------------------------------------------------------------
+
+QUERY_ID = "analyst-00000001"
+
+
+def hostile_message(bits, epoch, tag, query_id=QUERY_ID) -> bytes:
+    token = f"token-{tag:026d}"  # a participation token's 32 characters
+    return AnswerCodec().encode(
+        QueryAnswer(query_id=query_id, bits=tuple(bits), epoch=epoch, token=token)
+    )
+
+
+def hostile_mid(tag: int) -> bytes:
+    return hashlib.sha256(f"mid-{tag}".encode()).digest()[:16]
+
+
+def hostile_block(messages, tags, seed: bytes) -> list[ShareColumn]:
+    """Two proxies' columns of one block: ``ME`` and the key column."""
+    keystream = KeystreamGenerator(seed=seed)
+    joined = b"".join(messages)
+    payloads = split_columns(joined, [keystream.next_bytes(len(joined))])
+    mids = b"".join(hostile_mid(tag) for tag in tags)
+    return [ShareColumn(mids, payload, index) for index, payload in enumerate(payloads)]
+
+
+def hostile_batches() -> list[tuple[int, list]]:
+    """Three ingest calls, as ``(arrival epoch, polled items)``.
+
+    Epoch 1: a loose share reusing row 2's MID; a block whose rows carry
+    two good answers, that reused row, a wrong query id (same length), an
+    epoch within drift, a foreign bit count (same width), a bad magic and a
+    duplicate of row 0's token; and the first column of a two-row block
+    whose partner was lost.  Epoch 3: a clean block, which closes epoch 1's
+    window.  Epoch 1 again: a stale block for that closed window.
+    """
+    good = [1, 0, 0]
+    rows = [
+        hostile_message(good, 1, 0),
+        hostile_message([0, 1, 0], 1, 1),
+        hostile_message([0, 0, 1], 1, 2),
+        hostile_message(good, 1, 3, query_id="analyst-00000002"),
+        hostile_message([0, 1, 0], 0, 4),
+        hostile_message([1, 0, 1, 1, 0], 1, 5),
+        b"XX" + hostile_message(good, 1, 6)[2:],
+        hostile_message([0, 0, 1], 1, 0),
+    ]
+    block = hostile_block(rows, range(8), b"block")
+    orphan, _ = hostile_block(
+        [hostile_message(good, 1, 20), hostile_message([0, 1, 1], 1, 21)], (20, 21), b"lost"
+    )
+    reused = MessageShare(hostile_mid(2).hex(), bytes(len(rows[2])), 0)
+    later = hostile_block([hostile_message([1, 1, 0], 3, 30 + i) for i in range(3)], (30, 31, 32),
+                          b"later")
+    stale = hostile_block([hostile_message([0, 1, 0], 1, 40 + i) for i in range(2)], (40, 41),
+                          b"stale")
+    # Proxy 0's consumer polls first, then proxy 1's.
+    return [(1, [reused, block[0], orphan, block[1]]), (3, later), (1, stale)]
+
+
+#: What the per-share ingest (the only one before blocks existed) counts for
+#: the same share multiset: the columns exploded into their rows' shares, in
+#: arrival order.
+HOSTILE_COUNTERS = {
+    "answers_processed": 8,
+    "malformed_messages": 2,
+    "invalid_answers": 2,
+    "rejected_by_reason": {"wrong answer length": 1, "wrong query id": 1},
+    "rejected_duplicates": 1,
+    "pending_joins": 3,
+    "late_answers_dropped": 2,
+    "shares_received": 29,
+}
+
+
+def explode(items) -> list[MessageShare]:
+    return [
+        share
+        for item in items
+        for share in (item.shares() if isinstance(item, ShareColumn) else [item])
+    ]
+
+
+class TestHostileBlockParity:
+    """Whatever a block carries, its ingest counts what the per-share ingest
+    counts for the same shares."""
+
+    def _run(self, batched: bool, loose: bool):
+        query = make_query()
+        aggregator = Aggregator(
+            query=query,
+            parameters=NOISELESS,
+            total_clients=10,
+            validator=AnswerValidator(query),
+            admission=AnswerAdmissionController(),
+        )
+        results = []
+        for epoch, items in hostile_batches():
+            items = explode(items) if loose else items
+            results.extend(aggregator.ingest_shares(items, epoch, batched=batched))
+        results.extend(aggregator.flush())
+        counters = {
+            "answers_processed": aggregator.answers_processed,
+            "malformed_messages": aggregator.malformed_messages,
+            "invalid_answers": aggregator.invalid_answers,
+            "rejected_by_reason": aggregator.validator.rejected_by_reason,
+            "rejected_duplicates": aggregator.rejected_duplicates,
+            "pending_joins": aggregator.pending_joins(),
+            "late_answers_dropped": aggregator.late_answers_dropped,
+            "shares_received": aggregator.shares_received,
+        }
+        windows = [
+            (r.window.start, r.num_answers, tuple(b.estimate for b in r.histogram.buckets))
+            for r in results
+        ]
+        return counters, windows
+
+    @pytest.mark.parametrize(
+        "batched, loose",
+        [(True, False), (True, True), (False, False), (False, True)],
+        ids=["block", "grouped-loose", "per-record-columns", "per-record-loose"],
+    )
+    def test_counters_match_the_per_share_ingest(self, batched, loose):
+        counters, windows = self._run(batched, loose)
+        assert counters == HOSTILE_COUNTERS
+        assert windows == self._run(batched=False, loose=True)[1]
+        # Epoch 1's window holds rows 0, 1 and 4; the stale rows were counted
+        # as answers, then dropped late.
+        assert [num_answers for _, num_answers, _ in windows] == [3, 3]
+
+    def test_a_clean_block_decodes_no_answer(self, monkeypatch):
+        """Well-formed rows are read off the prefix: ``decode`` only sees
+        the rows that fail it."""
+        decoded = []
+        decode = AnswerCodec.decode
+
+        def counting(self, message):
+            decoded.append(message[:2])
+            return decode(self, message)
+
+        monkeypatch.setattr(AnswerCodec, "decode", counting)
+        self._run(batched=True, loose=False)
+        # The wrong query id, the drifted epoch, the foreign bit count and
+        # the bad magic of the hostile block; the reused row's first two
+        # shares join into garbage through the keyed path.
+        assert len(decoded) == 5

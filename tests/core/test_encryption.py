@@ -190,3 +190,36 @@ class TestBitPackingMatchesScalarReference:
         for unpack in (AnswerCodec._unpack_bits, AnswerCodec._unpack_bits_scalar):
             with pytest.raises(ValueError):
                 unpack(packed, num_bits)
+
+
+class TestColumnForm:
+    """The column-form helpers agree with the per-answer codec."""
+
+    @given(
+        rows=st.lists(st.lists(st.integers(0, 1), min_size=13, max_size=13), max_size=300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_packed_bits_sums_the_unpacked_rows(self, rows):
+        codec = AnswerCodec()
+        packed = b"".join(codec._pack_bits(row) for row in rows)
+        expected = [sum(column) for column in zip(*rows)] if rows else [0] * 13
+        assert codec.count_packed_bits(packed, 13) == expected
+
+    def test_pad_bits_are_not_counted(self):
+        assert AnswerCodec.count_packed_bits(b"\xff\xff", 3) == [2, 2, 2]
+
+    def test_parse_column_reads_well_formed_rows_and_flags_the_rest(self):
+        codec = AnswerCodec()
+        good = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=4, token="t" * 32))
+        other_epoch = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=5, token="u" * 32))
+        other_query = codec.encode(QueryAnswer("q-2", (1, 0, 1), epoch=4, token="v" * 32))
+        column = good + other_epoch + other_query
+        parsed = codec.parse_column(column, len(good), "q-1", 4, 3, 32)
+        assert parsed == [("t" * 32, codec._pack_bits((1, 0, 1))), None, None]
+        # A width that cannot be this query's answer: every row is decoded.
+        assert codec.parse_column(column, len(good), "q-1", 4, 9, 32) == [None] * 3
+
+    def test_encode_message_is_encode(self):
+        codec = AnswerCodec()
+        answer = QueryAnswer("q-1", (0, 1, 1, 0), epoch=2, token="tok")
+        assert codec.encode_message("q-1", 2, "tok", (0, 1, 1, 0)) == codec.encode(answer)

@@ -141,16 +141,12 @@ _QUERY_IDS = st.text(
 )
 
 
-def _answer_bytes(response):
-    """A response without its message id (OS entropy per message)."""
-    if response is None:
+def _answer_bytes(row):
+    """An answer row's bytes: its bits, its message (query id and epoch
+    included) and its pad keys — everything but the MID its block draws."""
+    if row is None:
         return None
-    return (
-        response.query_id,
-        response.epoch,
-        response.randomized_bits,
-        tuple(share.payload for share in response.encrypted.shares),
-    )
+    return (row.truthful_bits, row.randomized_bits, row.message, row.keys)
 
 
 class TestEpochAddressedDraws:
@@ -205,3 +201,92 @@ class TestEpochAddressedDraws:
         assert [_answer_bytes(r) for r in restored.answer(query_ids, epoch=epoch)] == expected
         late = used.answer(query_ids, epoch=epoch, late=True)
         assert late == [None if response is None else "c" for response in fresh]
+
+
+class TestBlockMatchesPerAnswer:
+    """A shard's block is the per-answer path, a column at a time."""
+
+    @given(
+        num_bits=st.integers(min_value=1, max_value=300),
+        num_proxies=st.integers(min_value=2, max_value=4),
+        epoch=st.integers(min_value=0, max_value=5),
+        token_length=st.sampled_from([0, 5, 32]),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),  # bits
+                st.integers(min_value=0, max_value=3),  # token (duplicates on purpose)
+                st.integers(min_value=0, max_value=2),  # epoch offset (drift)
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_columns_and_ingest_match_the_per_answer_path(
+        self, num_bits, num_proxies, epoch, token_length, rows
+    ):
+        from repro.core import Aggregator
+        from repro.core.admission import AnswerAdmissionController
+        from repro.core.client import AnswerRow, ResponseBlock
+        from repro.core.seeding import EpochDraws, client_key, query_prefix
+        from repro.core.validation import AnswerValidator
+
+        query = Query(
+            query_id="block-parity",
+            sql="SELECT value FROM private_data",
+            answer_spec=AnswerSpec(buckets=RangeBuckets.uniform(0.0, 1.0, num_bits)),
+        )
+        codec = AnswerCodec()
+        answers, answer_rows, draws = [], [], []
+        for index, (pattern, token, drift) in enumerate(rows):
+            bit_source = random.Random(pattern)
+            bits = tuple(bit_source.getrandbits(1) for _ in range(num_bits))
+            answer = QueryAnswer(
+                query_id=query.query_id,
+                bits=bits,
+                epoch=epoch + drift,
+                token=(f"{token}" * token_length)[:token_length],
+            )
+            row_draws = EpochDraws(query_prefix(client_key(index), query.query_id), epoch)
+            message = codec.encode_message(answer.query_id, answer.epoch, answer.token, bits)
+            answers.append(answer)
+            draws.append(row_draws)
+            answer_rows.append(
+                AnswerRow(
+                    f"c{index}", bytes(bits), bytes(bits), message,
+                    codec.pad_keys(message, num_proxies, row_draws),
+                )
+            )
+        block = ResponseBlock.from_rows(query.query_id, epoch, answer_rows, num_proxies)
+
+        width = block.width
+        for row, (answer, row_draws) in enumerate(zip(answers, draws)):
+            expected = codec.encrypt(answer, num_proxies=num_proxies, draws=row_draws)
+            assert [payload[row * width : (row + 1) * width] for payload in block.payloads] == [
+                share.payload for share in expected.shares
+            ]
+
+        def ingest(items, batched):
+            aggregator = Aggregator(
+                query=query,
+                parameters=ExecutionParameters(sampling_fraction=1.0, p=1.0, q=0.5),
+                total_clients=len(rows),
+                num_proxies=num_proxies,
+                validator=AnswerValidator(query, max_epoch_drift=1),
+                admission=AnswerAdmissionController(),
+            )
+            results = aggregator.ingest_shares(items, epoch, batched=batched)
+            results += aggregator.flush()
+            return (
+                [(r.num_answers, tuple(r.histogram.estimates())) for r in results],
+                aggregator.answers_processed,
+                aggregator.malformed_messages,
+                aggregator.invalid_answers,
+                aggregator.validator.rejected_by_reason,
+                aggregator.rejected_duplicates,
+                aggregator.pending_joins(),
+                aggregator.shares_received,
+            )
+
+        loose = [share for row in range(len(block)) for share in block.shares(row)]
+        assert ingest(block.share_columns(), batched=True) == ingest(loose, batched=False)

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import ProxyNetwork
+from repro.core.client import AnswerRow, ResponseBlock
 from repro.core.encryption import AnswerCodec
 from repro.core.proxy import poll_shares
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
+from repro.crypto.xor import ShareColumn
 
 
 def encrypted_answer(num_proxies: int = 2, bits=(1, 0, 1)):
@@ -15,6 +17,27 @@ def encrypted_answer(num_proxies: int = 2, bits=(1, 0, 1)):
         num_proxies=num_proxies,
         keystream=KeystreamGenerator(seed=b"t"),
     )
+
+
+def answer_block(rows: int, num_proxies: int = 2, bits=(1, 0, 1)) -> ResponseBlock:
+    """``rows`` answers to query ``q`` as one shard's block."""
+    message = AnswerCodec().encode_message("q", 0, "t" * 32, bits)
+    keystream = KeystreamGenerator(seed=b"t")
+    answer_rows = [
+        AnswerRow(
+            f"c{row}",
+            bytes(bits),
+            bytes(bits),
+            message,
+            tuple(keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)),
+        )
+        for row in range(rows)
+    ]
+    return ResponseBlock.from_rows("q", 0, answer_rows, num_proxies)
+
+
+def share_fields(shares):
+    return sorted((share.message_id, share.payload, share.index) for share in shares)
 
 
 class TestProxyNetwork:
@@ -81,11 +104,11 @@ class TestProxyNetwork:
         answer = encrypted_answer(num_proxies=2)
         network.transmit(list(answer.shares))
         assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
-        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(30)]
-        network.transmit_shard(rows, channel="q")
+        block = answer_block(30)
+        network.transmit_shard(block, channel="q")
         assert all(proxy.pending_shares("q") == 30 for proxy in network.proxies)
         assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
-        network.transmit_shard(rows)
+        network.transmit_shard(block)
         assert all(proxy.pending_shares() == 31 for proxy in network.proxies)
 
     def test_reset_metrics(self):
@@ -109,43 +132,47 @@ class TestProxyPerformanceModel:
 
 
 class TestShardBatchRecords:
-    """The staged engine's relay: one batch record per proxy per shard, on
+    """The staged engine's relay: one column record per proxy per shard, on
     the same channel topics the per-share relay uses."""
 
     def test_transmit_shard_relays_every_share(self):
         network = ProxyNetwork(num_proxies=2)
-        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(5)]
+        block = answer_block(5)
         consumers = network.make_consumers(group_id="t", channel="q")
         others = network.make_consumers(group_id="t", channel="other")
-        network.transmit_shard(rows, channel="q")
-        # One batch record per proxy on the channel's topic, nothing elsewhere.
+        network.transmit_shard(block, channel="q")
+        # One column record per proxy on the channel's topic, nothing elsewhere.
         assert all(not consumer.poll() for consumer in others)
         for proxy_index, consumer in enumerate(consumers):
             records = consumer.poll()
-            assert len(records) == 1  # one batch record per shard transmission
-            assert list(records[0].value) == [row[proxy_index] for row in rows]
+            assert len(records) == 1  # one column record per shard transmission
+            column = records[0].value
+            assert isinstance(column, ShareColumn) and len(column) == 5
+            assert column.shares() == [block.shares(row)[proxy_index] for row in range(5)]
+            assert records[0].size_bytes() == 16 + sum(
+                share.size_bytes() for share in column.shares()
+            )
         assert network.total_shares_relayed() == 10
 
     def test_transmit_shard_empty_rows_is_noop(self):
         network = ProxyNetwork(num_proxies=2)
-        network.transmit_shard([], channel="q")
+        network.transmit_shard(answer_block(0), channel="q")
         assert network.total_shares_relayed() == 0
         assert network.cluster.topic_names() == []
 
     def test_transmit_shard_rejects_wrong_share_count(self):
         network = ProxyNetwork(num_proxies=2)
-        rows = [list(encrypted_answer(num_proxies=3).shares)]
         with pytest.raises(ValueError):
-            network.transmit_shard(rows, channel="q")
+            network.transmit_shard(answer_block(1, num_proxies=3), channel="q")
 
     def test_topics_are_created_on_first_use(self):
         """No relay topic exists until something publishes or subscribes to
         it, and a channel's topics are the only ones its relay touches."""
         network = ProxyNetwork(num_proxies=2)
         assert network.cluster.topic_names() == []
-        rows = [list(encrypted_answer(num_proxies=2).shares)]
-        network.transmit_shard(rows, channel="q")
-        network.transmit(rows[0], channel="q")
+        block = answer_block(1)
+        network.transmit_shard(block, channel="q")
+        network.transmit(block.shares(0), channel="q")
         assert network.cluster.topic_names() == ["proxy-0-q-q", "proxy-1-q-q"]
         network.make_consumers(group_id="t")
         assert network.cluster.topic_names() == [
@@ -156,21 +183,29 @@ class TestShardBatchRecords:
         ]
 
     def test_per_share_and_batch_records_poll_alike(self):
-        """A one-share record keyed by MID and a batch record are both
-        tuples of shares: one poll returns the same share multiset."""
+        """One poll returns each proxy's one-share record as its share and
+        its column record as the column, which holds the rest of the shares."""
         network = ProxyNetwork(num_proxies=2)
         consumers = network.make_consumers(group_id="t", channel="q")
-        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(3)]
-        network.transmit(rows[0], channel="q")
-        network.transmit_shard(rows[1:], channel="q")
-        shares = poll_shares(consumers)
-        assert sorted(id(share) for share in shares) == sorted(
-            id(share) for row in rows for share in row
+        block = answer_block(3)
+        network.transmit(block.shares(0), channel="q")
+        network.transmit_shard(block.select([1, 2]), channel="q")
+        items = poll_shares(consumers)
+        assert sorted(type(item).__name__ for item in items) == [
+            "MessageShare", "MessageShare", "ShareColumn", "ShareColumn"
+        ]
+        loose = [
+            share
+            for item in items
+            for share in (item.shares() if isinstance(item, ShareColumn) else [item])
+        ]
+        assert share_fields(loose) == share_fields(
+            share for row in range(3) for share in block.shares(row)
         )
 
     def test_byte_accounting_counts_each_share(self):
         network = ProxyNetwork(num_proxies=2)
-        rows = [list(encrypted_answer(num_proxies=2).shares) for _ in range(3)]
-        network.transmit_shard(rows)
-        expected = sum(share.size_bytes() for row in rows for share in row)
+        block = answer_block(3)
+        network.transmit_shard(block)
+        expected = sum(share.size_bytes() for row in range(3) for share in block.shares(row))
         assert network.total_bytes_relayed() == expected

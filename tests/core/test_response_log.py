@@ -16,30 +16,31 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
-from repro.core.client import ClientResponse, ResponseLog, pack_responses
+from repro.core.client import AnswerRow, ResponseBlock, ResponseLog, pack_blocks
 from repro.core.encryption import AnswerCodec
-from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
 from repro.runtime.scenario import _digest_update_responses
 
 QUERY_ID = "q-log"
 
 
-def make_response(client_id: str, epoch: int, bits: tuple, num_proxies: int = 2):
+def make_block(client_id: str, epoch: int, bits: tuple, num_proxies: int = 2):
+    """A one-row block: ``client_id``'s answer with rotated bits."""
     randomized = bits[1:] + bits[:1]
-    encrypted = AnswerCodec().encrypt(
-        QueryAnswer(query_id=QUERY_ID, bits=randomized, epoch=epoch, token="t" * 32),
-        num_proxies=num_proxies,
-        keystream=KeystreamGenerator(seed=client_id.encode("utf-8")),
+    message = AnswerCodec().encode_message(QUERY_ID, epoch, "t" * 32, randomized)
+    keystream = KeystreamGenerator(seed=client_id.encode("utf-8"))
+    row = AnswerRow(
+        client_id,
+        bytes(bits),
+        bytes(randomized),
+        message,
+        tuple(keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)),
     )
-    return ClientResponse(
-        client_id=client_id,
-        query_id=QUERY_ID,
-        epoch=epoch,
-        encrypted=encrypted,
-        truthful_bits=bytes(bits),
-        randomized_bits=bytes(randomized),
-    )
+    return ResponseBlock.from_rows(QUERY_ID, epoch, [row], num_proxies)
+
+
+def responses_of(blocks):
+    return [block.response(row) for block in blocks for row in range(len(block))]
 
 
 def digest_of(responses) -> str:
@@ -65,37 +66,42 @@ def assert_same_fields(rebuilt, original) -> None:
 
 class TestPacking:
     def test_one_block_per_uniform_run(self):
-        responses = [make_response(f"c{i}", 3, (0, 1, 0, 0)) for i in range(5)]
-        (block,) = pack_responses(responses)
-        assert isinstance(block, bytes)
-        log = ResponseLog(QUERY_ID, [block])
-        for rebuilt, original in zip(log, responses, strict=True):
+        blocks = [make_block(f"c{i}", 3, (0, 1, 0, 0)) for i in range(5)]
+        (entry,) = pack_blocks(blocks)
+        assert isinstance(entry, bytes)
+        log = ResponseLog(QUERY_ID, [entry])
+        for rebuilt, original in zip(log, responses_of(blocks), strict=True):
             assert_same_fields(rebuilt, original)
 
     def test_a_width_change_starts_a_new_block_and_keeps_order(self):
-        responses = [
-            make_response("a", 1, (1, 0, 0, 0)),
-            make_response("b", 1, (0, 1, 0, 0)),
-            make_response("wide", 1, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
-            make_response("c", 1, (0, 0, 1, 0)),
-            make_response("three-way", 1, (0, 0, 0, 1), num_proxies=3),
+        blocks = [
+            make_block("a", 1, (1, 0, 0, 0)),
+            make_block("b", 1, (0, 1, 0, 0)),
+            make_block("wide", 1, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            make_block("c", 1, (0, 0, 1, 0)),
+            make_block("three-way", 1, (0, 0, 0, 1), num_proxies=3),
         ]
-        blocks = pack_responses(responses)
-        assert len(blocks) == 4
-        log = ResponseLog(QUERY_ID, blocks)
+        entries = pack_blocks(blocks)
+        assert len(entries) == 4
+        log = ResponseLog(QUERY_ID, entries)
         assert [response.client_id for response in log] == ["a", "b", "wide", "c", "three-way"]
-        for rebuilt, original in zip(log, responses, strict=True):
+        for rebuilt, original in zip(log, responses_of(blocks), strict=True):
             assert_same_fields(rebuilt, original)
 
     def test_an_empty_epoch_packs_to_nothing(self):
-        assert pack_responses([]) == []
-        assert ResponseLog(QUERY_ID, pack_responses([])) == []
+        empty = ResponseBlock.from_rows(QUERY_ID, 0, [], num_proxies=2)
+        assert pack_blocks([]) == pack_blocks([empty]) == []
+        assert ResponseLog(QUERY_ID, pack_blocks([])) == []
+
+    def test_a_log_over_blocks_reads_like_one_over_bytes(self):
+        blocks = [make_block(f"c{i}", 2, (1, 1, 0)) for i in range(3)]
+        assert ResponseLog(QUERY_ID, blocks) == ResponseLog(QUERY_ID, pack_blocks(blocks))
 
     def test_len_indexing_and_slicing_cross_blocks(self):
-        first = [make_response(f"e0-{i}", 0, (1, 0, 0)) for i in range(3)]
-        second = [make_response(f"e1-{i}", 1, (0, 1, 0)) for i in range(4)]
-        log = ResponseLog(QUERY_ID, pack_responses(first) + pack_responses(second))
-        everything = first + second
+        first = [make_block(f"e0-{i}", 0, (1, 0, 0)) for i in range(3)]
+        second = [make_block(f"e1-{i}", 1, (0, 1, 0)) for i in range(4)]
+        log = ResponseLog(QUERY_ID, pack_blocks(first) + pack_blocks(second))
+        everything = responses_of(first + second)
         assert len(log) == 7
         for index in range(-7, 7):
             assert_same_fields(log[index], everything[index])
@@ -107,17 +113,18 @@ class TestPacking:
             log[-8]
 
     def test_equality_with_sequences(self):
-        responses = [make_response(f"c{i}", 0, (0, 1)) for i in range(3)]
-        log = ResponseLog(QUERY_ID, pack_responses(responses))
+        blocks = [make_block(f"c{i}", 0, (0, 1)) for i in range(3)]
+        responses = responses_of(blocks)
+        log = ResponseLog(QUERY_ID, pack_blocks(blocks))
         assert log == responses and log == tuple(responses)
         assert log != responses[:2] and log != []
         assert ResponseLog(QUERY_ID, []) == []
         assert log != "not a log"
 
     def test_the_digest_is_the_same_over_both_forms(self):
-        responses = [make_response(f"c{i}", i % 2, (0, 1, 1)) for i in range(6)]
-        packed = ResponseLog(QUERY_ID, pack_responses(responses))
-        assert digest_of(packed) == digest_of(responses)
+        blocks = [make_block(f"c{i}", i % 2, (0, 1, 1)) for i in range(6)]
+        packed = ResponseLog(QUERY_ID, pack_blocks(blocks))
+        assert digest_of(packed) == digest_of(responses_of(blocks))
 
 
 def build_system(num_queries: int) -> tuple[PrivApproxSystem, list[str]]:

@@ -287,11 +287,11 @@ class TestHistoricalIntegration:
         assert stored == sum(r.num_participants for r in reports)
 
     def test_historical_store_records_each_epoch_from_its_own_responses(self):
-        """One ``decrypt`` per participant of *this* epoch — not a rescan of
+        """One ``decode`` per participant of *this* epoch — not a rescan of
         the response log — so a repeated epoch number stores its own answers
         once instead of every earlier answer that carried the same number."""
-        # An engine spelling: its ingest never calls ``AnswerCodec.decrypt``
-        # (batched join + decode), so every counted call is the recorder's.
+        # An engine spelling: its block ingest decodes no well-formed answer,
+        # so every counted call is the recorder's.
         config = SystemConfig(
             num_clients=20, seed=13, keep_historical=True, executor="inline/in-process"
         )
@@ -313,12 +313,12 @@ class TestHistoricalIntegration:
         )
         codec = system.aggregator_for(query.query_id)._codec
         participants = []
-        with mock.patch.object(codec, "decrypt", wraps=codec.decrypt) as decrypt:
+        with mock.patch.object(codec, "decode", wraps=codec.decode) as decode:
             for epoch in (0, 1, 2, 2):
-                before = decrypt.call_count
+                before = decode.call_count
                 report = system.run_epoch(query.query_id, epoch)
                 participants.append(report.num_participants)
-                assert decrypt.call_count - before == report.num_participants > 0
+                assert decode.call_count - before == report.num_participants > 0
         stored = system.historical_store.stored_answer_count(query.query_id)
         assert stored == sum(participants)
         system.close()

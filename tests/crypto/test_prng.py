@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.prng import KeystreamGenerator, secure_random_bytes
+from repro.crypto.prng import KeystreamGenerator, keystream, secure_random_bytes
 
 
 class TestSecureRandomBytes:
@@ -97,3 +97,13 @@ class TestKeystreamGenerator:
         ones = sum(bin(byte).count("1") for byte in data)
         total_bits = len(data) * 8
         assert 0.45 < ones / total_bits < 0.55
+
+
+class TestOneShotKeystream:
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 200])
+    def test_matches_a_fresh_generator(self, length):
+        assert keystream(b"seed", length) == KeystreamGenerator(seed=b"seed").next_bytes(length)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            keystream(b"seed", -1)

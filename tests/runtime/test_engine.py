@@ -234,6 +234,45 @@ def build_system(
     return system, query.query_id
 
 
+class TestNoPerAnswerObjects:
+    """A count guard, not a timer: an engine epoch moves every real answer
+    as a block, from the client's row to the window's counts."""
+
+    @pytest.mark.parametrize("executor", [e for e in cli_smoke_matrix() if e != "serial"])
+    def test_an_engine_epoch_builds_no_per_answer_object(self, executor, monkeypatch):
+        from repro.core.client import ClientResponse
+        from repro.core.encryption import EncryptedAnswer
+        from repro.core.query import QueryAnswer
+        from repro.crypto.xor import MessageShare
+
+        built: dict[str, int] = {}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built[cls.__name__] = built.get(cls.__name__, 0) + 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        system, query_id = build_system(executor)
+        try:
+            # Late clients too: the in-process drivers skip their rows, the
+            # pinned-worker gate slices them out of the acked block.
+            system.late_clients = frozenset(
+                client.config.client_id for client in system.clients[::4]
+            )
+            for cls in (MessageShare, EncryptedAnswer, ClientResponse, QueryAnswer):
+                monkeypatch.setattr(cls, "__init__", counting(cls))
+            report = system.run_epoch(query_id, 0)
+        finally:
+            system.close()
+        assert report.num_participants == 12 and len(report.late_drops) == 4
+        assert system.aggregator_for(query_id).answers_processed == 12
+        assert built == {}
+
+
 class TestStageMetrics:
     def test_accumulators_are_thread_safe(self):
         metrics = StageMetrics(epoch=0)

@@ -66,6 +66,7 @@ from repro.runtime.remote import (
     seal_frame,
 )
 from repro.runtime.scenario import ScenarioSpec
+from repro.runtime.wire import WIRE_VERSION
 
 REMOTE_RESIDENT = "pinned-worker/sealed-tcp-remote"
 
@@ -220,14 +221,14 @@ class TestWireErrorContext:
         assert exc_info.value.offset == 0
 
     def test_payload_mismatch_names_kind_and_length(self):
-        header = struct.pack(">4sBBI", b"PAWF", 3, 4, 100)  # ShardDelta, 100 bytes
+        header = struct.pack(">4sBBI", b"PAWF", WIRE_VERSION, 4, 100)  # ShardDelta, 100 bytes
         with pytest.raises(WireError, match=r"kind=ShardDelta\(4\)") as exc_info:
             decode_frame(header + b"only-a-few")
         assert exc_info.value.kind == 4
         assert exc_info.value.declared_length == 100
 
     def test_garbage_payload_names_the_payload_offset(self):
-        header = struct.pack(">4sBBI", b"PAWF", 3, 5, 5)  # ShardAck, 5 bytes
+        header = struct.pack(">4sBBI", b"PAWF", WIRE_VERSION, 5, 5)  # ShardAck, 5 bytes
         with pytest.raises(WireError, match="deserialize") as exc_info:
             decode_shard_ack(header + b"junk!")
         assert exc_info.value.offset == 10  # corruption starts at the payload
@@ -293,7 +294,7 @@ class TestHandshake:
         worker_sock.close()
 
     def test_version_mismatch_rejected(self):
-        """A peer stuck below wire v3 cannot carry resident frames."""
+        """A peer stuck below wire v4 cannot carry resident frames."""
         coordinator_sock, worker_sock = socket.socketpair()
         coordinator_sock.settimeout(5.0)
         worker_sock.settimeout(5.0)
@@ -308,7 +309,7 @@ class TestHandshake:
 
         thread = threading.Thread(target=ancient_worker, daemon=True)
         thread.start()
-        with pytest.raises(RemoteProtocolError, match="requires >= 3"):
+        with pytest.raises(RemoteProtocolError, match="requires >= 4"):
             initiate_session(coordinator_sock, KEY)
         thread.join(timeout=5.0)
         coordinator_sock.close()

@@ -203,15 +203,16 @@ SLOW_SPEC = ScenarioSpec(
 
 
 def _count_encrypted_answers(monkeypatch) -> list[int]:
-    """Count ``AnswerCodec.encrypt`` calls in this process, by answer epoch."""
+    """Count ``AnswerCodec.encode_message`` calls in this process (one per
+    answer a client builds), by answer epoch."""
     epochs: list[int] = []
-    encrypt = AnswerCodec.encrypt
+    encode_message = AnswerCodec.encode_message
 
-    def counting(self, answer, *args, **kwargs):
-        epochs.append(answer.epoch)
-        return encrypt(self, answer, *args, **kwargs)
+    def counting(self, query_id, epoch, *args, **kwargs):
+        epochs.append(epoch)
+        return encode_message(self, query_id, epoch, *args, **kwargs)
 
-    monkeypatch.setattr(AnswerCodec, "encrypt", counting)
+    monkeypatch.setattr(AnswerCodec, "encode_message", counting)
     return epochs
 
 
@@ -263,7 +264,7 @@ class TestDeadlineFaultInjection:
     )
     def test_known_late_answers_are_drawn_not_built(self, executor, monkeypatch):
         """The saving cannot silently regress: with the late set known in the
-        plan stage an in-process driver encrypts ``participants - late``
+        plan stage an in-process driver builds ``participants - late``
         answers an epoch; serial, the build-and-drop oracle, all of them."""
         built = _count_encrypted_answers(monkeypatch)
         run = _run(SLOW_SPEC, executor)

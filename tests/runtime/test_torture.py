@@ -546,7 +546,7 @@ def _latest_row_shard(columns, statements, members):
 def _shard_outcome(clients, query_id, epoch, arena):
     """``answer_shard``'s responses in comparable form, or the error it raised."""
     try:
-        responses_per_query = answer_shard(clients, [query_id], epoch, arena=arena)
+        (block,) = answer_shard(clients, [query_id], epoch, arena=arena)
     except Exception as exc:  # noqa: BLE001 — parity includes error behavior
         return ("error", type(exc).__name__, str(exc))
     return [
@@ -558,7 +558,7 @@ def _shard_outcome(clients, query_id, epoch, arena):
             r.randomized_bits,
             tuple(share.payload for share in r.encrypted.shares),
         )
-        for r in responses_per_query[0]
+        for r in map(block.response, range(len(block)))
     ]
 
 

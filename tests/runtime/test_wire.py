@@ -9,9 +9,12 @@ of any executor.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
+import socket
 import struct
+import threading
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.core import (
     ExecutionParameters,
     RangeBuckets,
 )
-from repro.core.client import Client, ClientConfig
+from repro.core.client import Client, ClientConfig, ResponseBlock
 from repro.runtime import (
     ClientDelta,
     ShardAck,
@@ -37,6 +40,15 @@ from repro.runtime import (
     encode_shard_delta,
 )
 from repro.runtime.affinity import ResidentShardCache, serve_resident_frame
+from repro.runtime.remote import (
+    _HELLO_FORMAT,
+    DIRECTION_WORKER,
+    HELLO_MAGIC,
+    RemoteProtocolError,
+    _hello_mac,
+    _recv_exact,
+    initiate_session,
+)
 from repro.runtime.wire import WIRE_VERSION
 
 PARAMS = ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5)
@@ -61,6 +73,13 @@ def make_client(seed: int = 4242) -> Client:
     client.ingest([{"value": 3.5}, {"value": 6.25}])
     client.subscribe(make_query(), PARAMS)
     return client
+
+
+def block_of(clients: list[Client], epoch: int) -> ResponseBlock:
+    """The clients' answers to their first query at ``epoch``, as one block."""
+    query_id = clients[0].subscribed_query_ids[0]
+    rows = [row for client in clients if (row := client.answer_row(query_id, epoch=epoch))]
+    return ResponseBlock.from_rows(query_id, epoch, rows, num_proxies=2)
 
 
 class TestClientSnapshot:
@@ -115,18 +134,11 @@ class TestFraming:
         )
 
     def make_ack(self) -> ShardAck:
-        client = make_client(seed=7)
-        query_id = client.subscribed_query_ids[0]
-        responses = []
-        for epoch in range(6):  # collect a couple of participating epochs
-            response = client.answer_query(query_id, epoch=epoch)
-            if response is not None:
-                responses.append(response)
         return ShardAck(
             shard_index=1,
             epoch=5,
             wall_seconds=0.25,
-            responses=(tuple(responses),),
+            responses=(block_of([make_client(seed=seed) for seed in range(6)], epoch=5),),
         )
 
     @pytest.mark.parametrize("kind", [1, 2])
@@ -215,18 +227,12 @@ class TestWireV3Framing:
         )
 
     def make_ack(self) -> ShardAck:
-        client = make_resident_client(seed=7)
-        query_id = client.subscribed_query_ids[0]
-        responses = [
-            response
-            for epoch in range(1, 5)
-            if (response := client.answer_query(query_id, epoch=epoch)) is not None
-        ]
+        clients = [make_resident_client(seed=seed) for seed in range(4)]
         return ShardAck(
             shard_index=2,
             epoch=5,
             wall_seconds=0.125,
-            responses=(tuple(responses),),
+            responses=(block_of(clients, epoch=5),),
             fingerprint=TOKEN,
         )
 
@@ -286,7 +292,7 @@ class TestWireV3Framing:
 
 
 class TestVersionNegotiation:
-    """Frames are emitted at v3 and every kind is accepted at v3 only."""
+    """Frames are emitted at v4 and every kind is accepted at v4 only."""
 
     def make_bootstrap_blob(self) -> bytes:
         client = make_client()
@@ -299,9 +305,9 @@ class TestVersionNegotiation:
             )
         )
 
-    def test_frames_are_emitted_at_version_3(self):
+    def test_frames_are_emitted_at_version_4(self):
         blob = self.make_bootstrap_blob()
-        assert blob[4] == WIRE_VERSION == 3
+        assert blob[4] == WIRE_VERSION == 4
 
     def test_version_2_frames_are_rejected(self):
         """No sender stamps v2: a v2-stamped bootstrap or ack is a WireError
@@ -355,6 +361,82 @@ class TestVersionNegotiation:
         for decode in (decode_frame, decode_shard_bootstrap, decode_shard_ack):
             with pytest.raises(WireError, match=f"unknown frame kind {kind}"):
                 decode(mutated)
+
+
+def unchecked(block: ResponseBlock, **changes) -> ResponseBlock:
+    """A copy of ``block`` with ``changes`` applied behind the shape check,
+    the way a forged or corrupted ack would carry it."""
+    forged = object.__new__(ResponseBlock)
+    for field in dataclasses.fields(ResponseBlock):
+        object.__setattr__(forged, field.name, changes.get(field.name, getattr(block, field.name)))
+    return forged
+
+
+class TestShapeCheckedBlocks:
+    """A block's columns must fit its rows when it is built and when it is
+    unpickled, so a bad ack is a WireError before the engine ever sees it."""
+
+    def block(self) -> ResponseBlock:
+        block = block_of([make_client(seed=seed) for seed in range(6)], epoch=3)
+        assert len(block) >= 2
+        return block
+
+    def ack_with(self, block: ResponseBlock) -> bytes:
+        return encode_shard_ack(ShardAck(shard_index=0, epoch=3, responses=(block,)))
+
+    def test_a_good_block_round_trips(self):
+        block = self.block()
+        (decoded,) = decode_shard_ack(self.ack_with(block)).responses
+        assert decoded == block
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda b: {"payloads": (b.payloads[0][:-1], *b.payloads[1:])},
+                         id="truncated-payload-column"),
+            pytest.param(lambda b: {"client_ids": b.client_ids + ("extra",)},
+                         id="ids-outnumber-rows"),
+            pytest.param(lambda b: {"payloads": b.payloads[:1]}, id="one-payload-column"),
+            pytest.param(lambda b: {"message_ids": b.message_ids[:-16]}, id="short-mid-column"),
+            pytest.param(lambda b: {"randomized_bits": b.randomized_bits + b"\x01"},
+                         id="long-bit-column"),
+        ],
+    )
+    def test_a_misshapen_block_is_a_wire_error(self, corrupt):
+        block = self.block()
+        with pytest.raises(ValueError, match="malformed response block"):
+            ResponseBlock(**{**dataclasses.asdict(block), **corrupt(block)})
+        with pytest.raises(WireError, match="malformed response block"):
+            decode_shard_ack(self.ack_with(unchecked(block, **corrupt(block))))
+
+    def test_responses_must_be_blocks(self):
+        blob = encode_shard_ack(ShardAck(shard_index=0, epoch=3, responses=(("not", "a block"),)))
+        with pytest.raises(WireError, match="one ResponseBlock per query"):
+            decode_shard_ack(blob)
+
+    def test_a_v3_peer_is_refused_at_hello(self):
+        """A v3 worker would ack with per-answer tuples: the handshake refuses
+        it before any frame is exchanged."""
+        key = bytes.fromhex("ab" * 32)
+        coordinator_sock, worker_sock = socket.socketpair()
+        coordinator_sock.settimeout(5.0)
+        worker_sock.settimeout(5.0)
+
+        def v3_worker():
+            hello = _recv_exact(worker_sock, struct.calcsize(_HELLO_FORMAT) + 32)
+            coordinator_nonce = struct.unpack(_HELLO_FORMAT, hello[:-32])[3]
+            reply = struct.pack(_HELLO_FORMAT, HELLO_MAGIC, DIRECTION_WORKER, 3, b"n" * 16)
+            worker_sock.sendall(reply + _hello_mac(key, reply, coordinator_nonce))
+
+        thread = threading.Thread(target=v3_worker, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(RemoteProtocolError, match="requires >= 4"):
+                initiate_session(coordinator_sock, key)
+        finally:
+            thread.join(timeout=5.0)
+            coordinator_sock.close()
+            worker_sock.close()
 
 
 class TestSnapshotContents:
@@ -463,6 +545,7 @@ class TestResidentWorkerCache:
                 for r in responses
             ]
 
+        served = [served.response(row) for row in range(len(served))]
         assert answer_bytes(served) == answer_bytes(expected)
 
     def test_no_ack_walks_the_clients(self, monkeypatch):
