@@ -92,6 +92,13 @@ class AnswerRow(NamedTuple):
     keys: tuple
 
 
+#: A participating coin for one query and epoch (:meth:`Client.flip_coins`):
+#: ``(query, responder, draws)``, what building the answer needs once the
+#: coin has said participate.  A plain tuple: the answer pass makes one per
+#: participant per query.
+Participation = tuple[Query, RandomizedResponder, EpochDraws]
+
+
 # The header of a packed response block: row count, epoch, bit width, share
 # count, payload width.
 _BLOCK_HEADER = struct.Struct(">IqHHI")
@@ -522,11 +529,25 @@ class Client:
     def query_sql(self, query_id: str) -> str | None:
         """The SQL text of a subscribed query, or ``None`` if unknown.
 
-        Lets the shard-wide arena answer path discover which statements an
-        epoch will run without touching subscription internals.
+        Lets the epoch profile count the statements an answer read without
+        touching subscription internals.
         """
         subscription = self._subscriptions.get(query_id)
         return None if subscription is None else subscription[0].sql
+
+    def flip_coins(
+        self, query_ids: Sequence[str], epoch: int = 0
+    ) -> list[Participation | None]:
+        """Flip every query's sampling coin for ``epoch`` (Step I), in order.
+
+        One entry per query id: ``None`` for a non-participant or an unknown
+        query, otherwise its :data:`Participation`.  A coin is a pure
+        function of ``(key, query, epoch)``, so flipping it before, or apart
+        from, answering changes nothing: the shard answer pass flips a whole
+        shard's coins first and asks the arena only for the participants'
+        SQL outcomes.
+        """
+        return [self._flip_coin(query_id, epoch) for query_id in query_ids]
 
     def answer(
         self,
@@ -535,6 +556,7 @@ class Client:
         scan_cache: dict[str, Any] | None = None,
         *,
         late: bool = False,
+        coins: Sequence[Participation | None] | None = None,
     ) -> list[AnswerRow | str | None]:
         """Run one answering epoch for many subscribed queries in one pass.
 
@@ -547,6 +569,10 @@ class Client:
         by ``(query, epoch)`` (:mod:`repro.core.seeding`), so the rows —
         pad keys included — are byte-identical to answering each query
         alone.
+
+        ``coins`` is :meth:`flip_coins` for the same ``query_ids`` and
+        ``epoch``, when the caller already flipped them; by default the
+        coins are flipped here.
 
         ``scan_cache`` may be pre-seeded by the shard-wide arena path with
         this client's per-SQL outcome: the exception its own evaluation
@@ -565,17 +591,18 @@ class Client:
         """
         if scan_cache is None:
             scan_cache = {}
+        if coins is None:
+            coins = self.flip_coins(query_ids, epoch)
         if late:
             entries = []
-            for query_id in query_ids:
-                flipped = self._flip_coin(query_id, epoch)
-                if flipped is not None:
-                    self._query_outcome(flipped[0], scan_cache)
-                entries.append(None if flipped is None else self.config.client_id)
+            for coin in coins:
+                if coin is not None:
+                    self._query_outcome(coin[0], scan_cache)
+                entries.append(None if coin is None else self.config.client_id)
             return entries
         return [
-            self.answer_row(query_id, epoch=epoch, scan_cache=scan_cache)
-            for query_id in query_ids
+            None if coin is None else self.build_row(coin, epoch, scan_cache)
+            for coin in coins
         ]
 
     def answer_row(
@@ -588,17 +615,28 @@ class Client:
         """Answer one subscribed query for ``epoch``: Steps I-III up to the split.
 
         ``None`` when the sampling coin says not to participate (or when the
-        query is unknown); otherwise the truthful and randomized bits, the
-        encoded message and its pad keys, which a :class:`ResponseBlock`
-        turns into shares.  ``scan_cache`` (SQL text → result set) lets a
-        multi-query epoch share one table scan across co-subscribed queries;
-        see :meth:`answer`.
+        query is unknown); otherwise :meth:`build_row` for the participating
+        coin.  ``scan_cache`` (SQL text → result set) lets a multi-query
+        epoch share one table scan across co-subscribed queries; see
+        :meth:`answer`.
         """
-        flipped = self._flip_coin(query_id, epoch)
-        if flipped is None:
+        coin = self._flip_coin(query_id, epoch)
+        if coin is None:
             return None
-        query, responder, draws = flipped
+        return self.build_row(coin, epoch, scan_cache)
 
+    def build_row(
+        self,
+        coin: Participation,
+        epoch: int,
+        scan_cache: dict[str, Any] | None = None,
+    ) -> AnswerRow:
+        """Steps II-III for a participating coin, up to the split.
+
+        The truthful and randomized bits, the encoded message and its pad
+        keys, which a :class:`ResponseBlock` turns into shares.
+        """
+        query, responder, draws = coin
         # bytes(bytearray(list)) copies at C speed; bytes(list) iterates.
         truthful_bits = bytes(bytearray(self._execute_query_locally(query, scan_cache)))
         randomized_bits = responder.randomize_vector(truthful_bits, draws)
@@ -636,13 +674,11 @@ class Client:
         block = ResponseBlock.from_rows(query_id, epoch, [row], self.config.num_proxies)
         return block.response(0)
 
-    def _flip_coin(
-        self, query_id: str, epoch: int
-    ) -> tuple[Query, RandomizedResponder, EpochDraws] | None:
+    def _flip_coin(self, query_id: str, epoch: int) -> Participation | None:
         """Flip the query's sampling coin for ``epoch`` (Step I).
 
-        ``None`` for a non-participant or an unknown query; for a participant
-        the query, its responder and the answer's draws.
+        ``None`` for a non-participant or an unknown query, else its
+        :data:`Participation`.
         """
         subscription = self._subscriptions.get(query_id)
         if subscription is None:

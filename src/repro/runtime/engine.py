@@ -96,22 +96,30 @@ def answer_shard(
     (:meth:`ResponseBlock.from_rows
     <repro.core.client.ResponseBlock.from_rows>`).
 
-    With a :class:`~repro.sqldb.columnar.ShardArena` over these clients'
-    databases, the epoch's SQL is evaluated once shard-wide and each
-    client's pre-computed outcome is injected through its ``scan_cache`` —
-    draw-neutral (SQL consumes no randomness), so responses are
-    byte-identical to per-client evaluation.  Members flagged for fallback
-    simply keep an empty cache and answer themselves.
+    Coins first: every member's coins for every query are flipped before
+    any SQL runs (:meth:`Client.flip_coins
+    <repro.core.client.Client.flip_coins>`; a coin is a pure function of
+    ``(key, query, epoch)``, so this is draw-neutral).  With a
+    :class:`~repro.sqldb.columnar.ShardArena` over these clients'
+    databases, each statement is then answered once shard-wide for its
+    participants only (:func:`shard_scan_caches`) and each participant's
+    outcome is injected through its ``scan_cache`` — draw-neutral too (SQL
+    consumes no randomness), so responses are byte-identical to
+    per-client evaluation.  Members flagged for fallback simply keep an
+    empty cache and answer themselves.
 
     ``late`` is the epoch's late set (``EpochContext.late``): those members
     flip only their coins (``Client.answer(late=True)``) and each
     participating query names the client in its block's ``late_ids``
-    instead of holding a row, for the engine's gate to record.
+    instead of holding a row, for the engine's gate to record.  A late
+    participant still reads its SQL outcome, so it stays in the arena's
+    slot set.
     """
     # Imported here: repro.core imports repro.runtime at package level.
     from repro.core.client import ResponseBlock
 
-    caches = shard_scan_caches(clients, query_ids, arena)
+    coins = [client.flip_coins(query_ids, epoch) for client in clients]
+    caches = shard_scan_caches(clients, coins, arena)
     rows_per_query: list[list] = [[] for _ in query_ids]
     late_per_query: list[list[str]] = [[] for _ in query_ids]
     for slot, client in enumerate(clients):
@@ -121,6 +129,7 @@ def answer_shard(
             epoch=epoch,
             scan_cache=scan_cache,
             late=client.config.client_id in late,
+            coins=coins[slot],
         )
         for index, entry in enumerate(entries):
             if entry is None:
@@ -138,46 +147,48 @@ def answer_shard(
 
 def shard_scan_caches(
     clients: list["Client"],
-    query_ids: Sequence[str],
+    coins: list[list],
     arena: ShardArena | None,
 ) -> list[dict] | None:
-    """Pre-compute per-client scan caches for one epoch via the shard arena.
+    """Pre-compute the participants' scan caches for one epoch via the arena.
 
+    ``coins`` holds each client's :meth:`Client.flip_coins
+    <repro.core.client.Client.flip_coins>` for the epoch's queries.
     Returns one ``{sql: outcome}`` dict per client, or ``None`` when the
     arena is absent or no longer matches the shard's databases (churn
     replaced a member — the caller answers per-client and the arena owner
-    rebuilds on the next sync).  An outcome is the exception that client's
-    own evaluation would raise, or the *latest-row form* of its result set
+    rebuilds on the next sync).  Each statement is asked once, for the
+    slots of every client with a participating coin on a query that runs
+    it; an outcome is the exception that client's own evaluation would
+    raise, or the *latest-row form* of its result set
     (:func:`~repro.sqldb.engine.arena_select_per_client` with
     ``latest=True``): the columns of ``client.database.query(sql)`` and at
     most its last row — all :meth:`Client.answer
     <repro.core.client.Client.answer>` reads.  Statements that fall
     back (unparsable, non-SELECT, missing table, compiler fallback) are
     simply absent from every cache; members flagged :data:`ARENA_FALLBACK`
-    are absent from that member's cache only.
+    (and non-participants) are absent from that member's cache only.
     """
     if arena is None or not clients:
         return None
     if not arena.matches([client.database for client in clients]):
         return None
+    slots_per_sql: dict[str, list[int]] = {}
+    for slot, flipped in enumerate(coins):
+        for coin in flipped:
+            if coin is None:
+                continue
+            slots = slots_per_sql.setdefault(coin[0].sql, [])
+            if not slots or slots[-1] != slot:
+                slots.append(slot)
     caches: list[dict] = [{} for _ in clients]
-    seen: set[str] = set()
-    for query_id in query_ids:
-        sql = None
-        for client in clients:
-            sql = client.query_sql(query_id)
-            if sql is not None:
-                break
-        if sql is None or sql in seen:
-            continue
-        seen.add(sql)
-        outcomes = arena_select_per_client(arena, sql, latest=True)
+    for sql, slots in slots_per_sql.items():
+        outcomes = arena_select_per_client(arena, sql, latest=True, slots=slots)
         if outcomes is None:
             continue
-        for cache, outcome in zip(caches, outcomes):
-            if outcome is ARENA_FALLBACK:
-                continue
-            cache[sql] = outcome
+        for slot in slots:
+            if outcomes[slot] is not ARENA_FALLBACK:
+                caches[slot][sql] = outcomes[slot]
     return caches
 
 

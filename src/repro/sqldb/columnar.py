@@ -36,7 +36,12 @@ recreated.  Both grow a column at a time: the new rows are transposed
 once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
 indexes ride along: appends insert the new rows into every live index,
 row by row; rebuilds drop them, and the next probe bulk-loads them from
-the whole column.
+the whole column.  Standing answers ride along the same way: each table
+keeps, per compiled plan, every slot's latest matching row id
+(:meth:`ArenaTable.standing_latest`) — the latest-row answer a standing
+query asks for every epoch.  Appends are folded forward into it at the next
+ask, testing only the new rows; a rebuild drops it, and the next ask fills
+it afresh.  An LRU at the plan cache's size bounds it.
 
 **Typed arrays.**  INTEGER columns live in ``array('q')`` and REAL
 columns in ``array('d')`` while their values fit (no NULLs, no
@@ -50,9 +55,10 @@ and ``array('q')`` any 64-bit int — which the differential suite
 from __future__ import annotations
 
 from array import array
+from collections import OrderedDict
 from typing import Any, Iterator, Sequence
 
-from repro.sqldb.compile import schema_signature
+from repro.sqldb.compile import _PLAN_CACHE_MAX, schema_signature
 from repro.sqldb.errors import SchemaError
 from repro.sqldb.indexes import BPlusTreeIndex, HashIndex
 
@@ -174,6 +180,7 @@ class ArenaTable:
         "row_slot",
         "slot_rows",
         "_sources",
+        "_standing",
         "rebuilds",
         "appended_rows",
     )
@@ -207,6 +214,7 @@ class ArenaTable:
         self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
         self._hash: dict[str, HashIndex] = {}
         self._trees: dict[str, BPlusTreeIndex] = {}
+        self._standing: OrderedDict = OrderedDict()
         self._count = 0
         self.rebuilds += 1
         if self.columns is None:
@@ -303,6 +311,35 @@ class ArenaTable:
                 if tree is not None:
                     tree.insert(value, row_id)
 
+    # -- standing answers ------------------------------------------------------
+
+    def standing_latest(self, plan) -> list:
+        """``plan``'s latest-row answer per slot, kept across asks.
+
+        The first ask fills it (:meth:`CompiledSelect.latest_ids_per_client
+        <repro.sqldb.compile.CompiledSelect.latest_ids_per_client>`); later
+        asks fold in only the rows appended since
+        (:meth:`~repro.sqldb.compile.CompiledSelect.fold_latest`), so a
+        standing query over unchanged tables costs nothing per ask.  A
+        rebuild drops every answer, and at most ``_PLAN_CACHE_MAX`` plans
+        keep one (least recently asked goes first).  The list is read-only
+        to callers.
+        """
+        standing = self._standing
+        entry = standing.get(plan)
+        if entry is None:
+            entry = standing[plan] = [plan.latest_ids_per_client(self), self._count]
+            if len(standing) > _PLAN_CACHE_MAX:
+                standing.popitem(last=False)
+            return entry[0]
+        standing.move_to_end(plan)
+        if entry[1] < self._count:
+            # A fold that raises leaves the count behind; folding the same
+            # rows again is idempotent, so the next ask simply retries.
+            plan.fold_latest(self, entry[0], entry[1])
+            entry[1] = self._count
+        return entry[0]
+
     # -- probe surface (the selecting half of the compiled path) -------------
 
     @property
@@ -372,6 +409,7 @@ class ArenaTable:
             "appended_rows": self.appended_rows,
             "span_rows": self._count,
             "included_slots": sum(1 for ids in self.slot_rows if ids is not None),
+            "standing_plans": len(self._standing),
         }
 
 

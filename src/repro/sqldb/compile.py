@@ -366,6 +366,9 @@ class CompiledSelect:
         self.statement = statement
         self.schema = schema
         self.probe = None
+        # The probe's conjunct as a row predicate: tests the rows a standing
+        # answer folds in (fold_latest) without re-probing the index.
+        self.probe_row: ValueFn | None = None
         self.residual: ValueFn | None = None
         # Whether the residual provably cannot raise on any row, so a walk
         # over candidates may stop early (see matching_ids_per_client).
@@ -374,6 +377,8 @@ class CompiledSelect:
         if where is not None:
             conjuncts = _split_conjuncts(where)
             self.probe = _probe_for(conjuncts[0], schema)
+            if self.probe is not None:
+                self.probe_row = _compile_value(conjuncts[0], schema)
             rest = conjuncts[1:] if self.probe is not None else conjuncts
             if rest:
                 compiled = [_compile_value(conjunct, schema) for conjunct in rest]
@@ -476,6 +481,58 @@ class CompiledSelect:
             else _filter_residual(residual, arrays, bucket, latest)
             for bucket in buckets
         ]
+
+    def latest_ids_per_client(self, arena) -> list:
+        """The standing form of ``matching_ids_per_client(arena, latest=True)``.
+
+        One entry per member slot: the slot's latest matching arena row id,
+        ``-1`` when nothing matches, the ``Exception`` the slot raises, or
+        ``None`` for an excluded slot.
+        """
+        latest = []
+        for ids in self.matching_ids_per_client(arena, latest=True):
+            if ids is not None and not isinstance(ids, BaseException):
+                ids = ids[-1] if len(ids) else -1
+            latest.append(ids)
+        return latest
+
+    def fold_latest(self, arena, latest: list, start: int) -> None:
+        """Fold the arena rows appended since ``start`` into ``latest``.
+
+        ``latest`` is a :meth:`latest_ids_per_client` list, updated in place
+        to what a fresh call would return now.  Tail appends are the only
+        change an arena makes without a rebuild, and arena ids ascend within
+        a slot, so every new row is newer than anything ``latest`` holds:
+        per slot, the new rows pass the probe conjunct (:attr:`probe_row`)
+        and then the residual exactly as the probe-then-residual pass would
+        treat them.  A slot's error is terminal — the first error in row
+        order wins, and every new row comes after it.  A total residual is
+        walked from the newest candidate and stops at its first truthy row,
+        as :meth:`matching_ids_per_client`'s tail walk does.
+        """
+        row_slot = arena.row_slot
+        arrays = arena.arrays()
+        new_ids: dict[int, list[int]] = {}
+        for row_id in range(start, arena.count):
+            new_ids.setdefault(row_slot[row_id], []).append(row_id)
+        probe_row, residual = self.probe_row, self.residual
+        for slot, ids in new_ids.items():
+            if isinstance(latest[slot], BaseException):
+                continue
+            if probe_row is not None:
+                ids = [row_id for row_id in ids if probe_row(arrays, row_id)]
+            if residual is None:
+                newest = ids[-1] if ids else None
+            elif self.residual_total:
+                newest = next((i for i in reversed(ids) if residual(arrays, i)), None)
+            else:
+                survivors = _filter_residual(residual, arrays, ids, latest=True)
+                if isinstance(survivors, BaseException):
+                    latest[slot] = survivors
+                    continue
+                newest = survivors[0] if survivors else None
+            if newest is not None:
+                latest[slot] = newest
 
     def describe(self) -> str:
         """Human-readable plan shape (tests and debugging)."""

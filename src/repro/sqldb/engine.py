@@ -610,7 +610,7 @@ def _grouped_compiled(stmt: ast.SelectStatement, arena, ids) -> ResultSet:
 _UNSET = object()
 
 
-def arena_select_per_client(arena, sql: str, latest: bool = False):
+def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     """Answer one SELECT for every member of a shard in a single pass.
 
     Probes the shard's :class:`~repro.sqldb.columnar.ShardArena` once and
@@ -625,7 +625,11 @@ def arena_select_per_client(arena, sql: str, latest: bool = False):
       slot; finishing errors likewise);
     * :data:`ARENA_FALLBACK` — this member must answer itself (its table
       is missing or schema-mismatched against the arena, or the database
-      pins ``force_scan``).
+      pins ``force_scan``), or it was not asked for.
+
+    ``slots`` (an iterable of slot indices, ascending) restricts the
+    answer to those members — the epoch's participants: every other
+    entry is :data:`ARENA_FALLBACK` and is never finished.
 
     Returns ``None`` for statement-level fallbacks (unparsable SQL,
     non-SELECT, no member defines the table, or the compiler cannot
@@ -639,11 +643,12 @@ def arena_select_per_client(arena, sql: str, latest: bool = False):
     fallback markers and exceptions are exactly the full form's, and
     every :class:`ResultSet` has the full form's ``columns`` and
     ``rows == full.rows[-1:]``.  A plain projection (no aggregate, GROUP
-    BY, ORDER BY or LIMIT) gets there without materialising the rest:
-    :meth:`CompiledSelect.matching_ids_per_client
-    <repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` hands
-    back at most one id per slot and the statement-level half of the
-    projection runs once.  Any other shape runs the full finisher and
+    BY, ORDER BY or LIMIT) is a *standing* answer: the arena table keeps
+    each slot's latest matching row id per plan
+    (:meth:`ArenaTable.standing_latest
+    <repro.sqldb.columnar.ArenaTable.standing_latest>`) and folds in only
+    the rows appended since the last ask, and the statement-level half of
+    the projection runs once.  Any other shape runs the full finisher and
     keeps its last row.  Outcomes are read-only: empty slots share one
     outcome, one-row outcomes share their column list.
     """
@@ -654,11 +659,17 @@ def arena_select_per_client(arena, sql: str, latest: bool = False):
     if not isinstance(statement, ast.SelectStatement):
         return None
     # The switch is read once per statement (never cached across statements).
-    return _select_per_slot(arena, statement, _env_flag("SQLDB_FORCE_SCAN"), latest)
+    return _select_per_slot(
+        arena, statement, _env_flag("SQLDB_FORCE_SCAN"), latest, slots
+    )
 
 
 def _select_per_slot(
-    arena, statement: ast.SelectStatement, scan_forced: bool, latest: bool = False
+    arena,
+    statement: ast.SelectStatement,
+    scan_forced: bool,
+    latest: bool = False,
+    slots=None,
 ):
     """:func:`arena_select_per_client` after parsing: one compiled SELECT
     over a :class:`~repro.sqldb.columnar.ShardArena`, one outcome per slot.
@@ -666,9 +677,9 @@ def _select_per_slot(
     The one compiled dispatcher: a shard answers through it, and so does a
     lone database over its one-slot arena (:meth:`Database.query`).
     ``scan_forced`` (the ``SQLDB_FORCE_SCAN`` switch) and a member's own
-    ``force_scan`` pin mark slots :data:`ARENA_FALLBACK`.  Returns ``None``
-    when no member defines the table or the compiler cannot lower the
-    statement.
+    ``force_scan`` pin mark slots :data:`ARENA_FALLBACK` before anything is
+    probed or a standing answer is built or folded.  Returns ``None`` when
+    no member defines the table or the compiler cannot lower the statement.
     """
     table = arena.table(statement.table)
     if table is None:
@@ -678,17 +689,45 @@ def _select_per_slot(
     except CompileFallback:
         return None
 
-    last_row_only = latest and _is_plain_projection(statement)
-    ids_per_slot = plan.matching_ids_per_client(table, latest=last_row_only)
-    finish_row = _one_row_finisher(statement, table) if last_row_only else None
-    outcomes: list = []
+    databases = arena.databases
+    outcomes: list = [ARENA_FALLBACK] * len(databases)
+    if scan_forced:
+        return outcomes
+    asked = [
+        slot
+        for slot in (range(len(databases)) if slots is None else slots)
+        if not databases[slot].force_scan
+    ]
+    if not asked:
+        return outcomes
     empty_outcome = _UNSET
-    for db, ids in zip(arena.databases, ids_per_slot):
-        if ids is None or scan_forced or db.force_scan:
-            outcomes.append(ARENA_FALLBACK)
+    if latest and _is_plain_projection(statement):
+        standing = table.standing_latest(plan)
+        finish_row = _one_row_finisher(statement, table)
+        for slot in asked:
+            row_id = standing[slot]
+            if row_id is None:
+                continue
+            if isinstance(row_id, BaseException):
+                # Handed out afresh: a raise must not grow a held traceback.
+                outcomes[slot] = row_id.with_traceback(None)
+            elif row_id < 0:
+                if empty_outcome is _UNSET:
+                    empty_outcome = _finish_outcome(statement, table, ())
+                outcomes[slot] = empty_outcome
+            elif finish_row is not None:
+                outcomes[slot] = finish_row(row_id)
+            else:
+                outcomes[slot] = _finish_outcome(statement, table, [row_id])
+        return outcomes
+
+    ids_per_slot = plan.matching_ids_per_client(table)
+    for slot in asked:
+        ids = ids_per_slot[slot]
+        if ids is None:
             continue
         if isinstance(ids, BaseException):
-            outcomes.append(ids)
+            outcomes[slot] = ids
             continue
         if len(ids) == 0:
             # The empty-ids outcome is a pure function of (statement,
@@ -696,15 +735,12 @@ def _select_per_slot(
             # empty member — decisive at sparse selectivities.
             if empty_outcome is _UNSET:
                 empty_outcome = _finish_outcome(statement, table, ())
-            outcomes.append(empty_outcome)
-            continue
-        if finish_row is not None:
-            outcomes.append(finish_row(ids[0]))
+            outcomes[slot] = empty_outcome
             continue
         outcome = _finish_outcome(statement, table, ids)
         if latest and isinstance(outcome, ResultSet):
             outcome.rows = outcome.rows[-1:]
-        outcomes.append(outcome)
+        outcomes[slot] = outcome
     return outcomes
 
 

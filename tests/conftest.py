@@ -88,6 +88,9 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
 #   every candidate in row order, first error wins, keep the last survivor;
 # * ``full-finish``     — not a plain projection: the full finisher runs and
 #   its last row is kept.
+#
+# The first four routes are how a plain projection's first ask fills the arena
+# table's standing answer; later asks fold appended rows into it instead.
 
 LATEST_ROW_COLUMNS = [("value", "REAL"), ("zone", "INTEGER"), ("tag", "TEXT")]
 

@@ -199,6 +199,7 @@ def build_system(
     executor: str,
     num_clients: int = 16,
     sql: str = "SELECT value FROM private_data",
+    sampling_fraction: float = 1.0,
     **config_kwargs,
 ):
     config = SystemConfig(
@@ -229,7 +230,7 @@ def build_system(
         analyst,
         query,
         QueryBudget(),
-        parameters=ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5),
+        parameters=ExecutionParameters(sampling_fraction=sampling_fraction, p=0.9, q=0.5),
     )
     return system, query.query_id
 
@@ -407,6 +408,61 @@ class TestStageMetrics:
             system.close()
         in_coordinator = not executor.startswith("pinned-worker/")
         assert len(calls) == (12 * 3 if in_coordinator else 0)
+
+    @pytest.mark.parametrize("executor", IN_PROCESS_EXECUTORS)
+    def test_the_arena_is_asked_only_for_participants(self, executor, monkeypatch):
+        """Coins first: each shard asks the arena for exactly the members whose
+        coin participates, late ones included (they still read their SQL
+        outcome), and nobody else's answer is finished — what the profile's
+        ``sqldb.engine.result_use_ratio`` of 1.0 reads."""
+        from repro.runtime import engine
+        from repro.sqldb import ARENA_FALLBACK
+
+        asked = []
+        select = engine.arena_select_per_client
+
+        def recording(arena, sql, latest=False, slots=None):
+            outcomes = select(arena, sql, latest, slots)
+            asked.append((arena.databases, list(slots), outcomes))
+            return outcomes
+
+        monkeypatch.setattr(engine, "arena_select_per_client", recording)
+        system, query_id = build_system(
+            executor,
+            num_clients=24,
+            sql="SELECT value FROM private_data WHERE value > 2.0",
+            sampling_fraction=0.5,
+        )
+        owner = {id(client.database): client for client in system.clients}
+        try:
+            system.late_clients = frozenset(
+                client.config.client_id for client in system.clients[::3]
+            )
+            for epoch in range(3):
+                asked.clear()
+                system.run_epoch(query_id, epoch)
+                seen = set()
+                for databases, slots, outcomes in asked:
+                    members = [owner[id(db)] for db in databases]
+                    assert slots == [
+                        slot
+                        for slot, client in enumerate(members)
+                        if client.flip_coins([query_id], epoch)[0] is not None
+                    ]
+                    assert [o is ARENA_FALLBACK for o in outcomes] == [
+                        slot not in slots for slot in range(len(members))
+                    ]
+                    seen.update(members[slot].config.client_id for slot in slots)
+                participants = {
+                    client.config.client_id
+                    for client in system.clients
+                    if client.flip_coins([query_id], epoch)[0] is not None
+                }
+                assert seen == participants
+                assert 0 < len(participants) < 24
+                assert participants & system.late_clients
+        finally:
+            system.close()
 
     @pytest.mark.parametrize(
         "combo", sorted(f"{s}/{t}" for s, t in DRIVER_COMBOS)

@@ -11,6 +11,7 @@ same comparison over random schemas).
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqldb import (
     ARENA_FALLBACK,
@@ -21,6 +22,7 @@ from repro.sqldb import (
 )
 from repro.sqldb.engine import _is_plain_projection
 from repro.sqldb.parser import parse_statement
+from tests.conftest import LATEST_ROW_COLUMNS, LATEST_ROW_MEMBERS, LATEST_ROW_STATEMENTS
 
 TABLE = "private_data"
 
@@ -289,3 +291,231 @@ class TestWorkPerSlot:
         outcomes = arena_select_per_client(arena, sql, latest=True)
         assert all(o is ARENA_FALLBACK for o in outcomes)
         assert reads.count("SQLDB_FORCE_SCAN") == 2
+
+
+# -- standing answers ----------------------------------------------------------
+
+
+def _plain_statements(statements):
+    """The statements the standing answer serves: latest-row plain projections."""
+    return [sql for sql, _, route in statements if route != "full-finish"]
+
+
+def _outcome(entry):
+    if entry is ARENA_FALLBACK:
+        return ("fallback",)
+    return _arena_outcome(entry)
+
+
+class TestStandingAnswers:
+    """``latest=True`` on a plain projection answers from state the arena
+    table keeps per plan: filled once, folded forward on tail appends."""
+
+    def test_tail_appends_fold_without_a_probe(self, monkeypatch, latest_row_cases):
+        from repro.sqldb.compile import CompiledSelect
+
+        columns, statements, members = latest_row_cases
+        databases, references = _shard(columns, members)
+        arena = ShardArena(databases)
+        plain = _plain_statements(statements)
+        for sql in plain:
+            arena_select_per_client(arena, sql, latest=True)
+        probes = []
+        probe = CompiledSelect.matching_ids_per_client
+
+        def counting(self, table, latest=False):
+            probes.append(self.statement)
+            return probe(self, table, latest)
+
+        monkeypatch.setattr(CompiledSelect, "matching_ids_per_client", counting)
+        for slot in (0, 1, 3, 0):
+            for db in (databases[slot], references[slot]):
+                db.table(TABLE).append_rows([(2.8, 1, None), (6.0, 1, None), (1.5, 2, "abc")])
+        for sql in plain:
+            outcomes = arena_select_per_client(arena, sql, latest=True)
+            for name, entry, reference in zip(members, outcomes, references):
+                assert _arena_outcome(entry) == _reference_outcome(reference, sql), (
+                    sql,
+                    name,
+                )
+        assert probes == []
+        stats = arena.arena_stats()[TABLE]
+        assert stats["rebuilds"] == 1
+        assert stats["standing_plans"] == len(plain)
+
+    def test_a_rebuild_drops_every_standing_answer(self, latest_row_cases):
+        columns, statements, members = latest_row_cases
+        databases, references = _shard(columns, members)
+        arena = ShardArena(databases)
+        plain = _plain_statements(statements)
+        for sql in plain:
+            arena_select_per_client(arena, sql, latest=True)
+        assert arena.arena_stats()[TABLE]["standing_plans"] == len(plain)
+        for db in (databases[2], references[2]):
+            db.table(TABLE).rows[0] = (9.9, 1, None)  # an in-place edit
+        sql = plain[1]
+        outcomes = arena_select_per_client(arena, sql, latest=True)
+        stats = arena.arena_stats()[TABLE]
+        assert (stats["rebuilds"], stats["standing_plans"]) == (2, 1)
+        assert [_arena_outcome(o) for o in outcomes] == [
+            _reference_outcome(reference, sql) for reference in references
+        ]
+
+    def test_distinct_statements_never_grow_the_state_past_the_plan_cache(self):
+        """A fuzz-style stream of distinct statements: the per-table state is
+        an LRU at the plan cache's size, so a statement asked every time
+        keeps its answer while cold ones are evicted oldest-first."""
+        from repro.sqldb.compile import _PLAN_CACHE_MAX
+
+        db = _database([("value", "REAL")], [(float(i),) for i in range(8)])
+        arena = ShardArena([db])
+        hot = f"SELECT value FROM {TABLE} WHERE value < 3.0"
+        table = arena.table(TABLE)
+        for i in range(_PLAN_CACHE_MAX + 40):
+            (cold,) = arena_select_per_client(
+                arena, f"SELECT value FROM {TABLE} WHERE value > {i}.5", latest=True
+            )
+            assert cold.rows == ([(7.0,)] if i < 7 else [])
+            (warm,) = arena_select_per_client(arena, hot, latest=True)
+            assert warm.rows == [(2.0,)]
+            assert table.stats()["standing_plans"] <= _PLAN_CACHE_MAX
+        assert table.stats()["standing_plans"] == _PLAN_CACHE_MAX
+        hot_plan = plan_for(parse_statement(hot), table.columns)
+        assert hot_plan in table._standing
+
+    def test_the_oracle_path_builds_no_standing_state(self, monkeypatch, latest_row_cases):
+        columns, statements, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        arena = ShardArena(databases)
+        plain = _plain_statements(statements)
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
+        for sql in plain:
+            outcomes = arena_select_per_client(arena, sql, latest=True)
+            assert all(o is ARENA_FALLBACK for o in outcomes)
+        assert arena.arena_stats()[TABLE]["standing_plans"] == 0
+        monkeypatch.delenv("SQLDB_FORCE_SCAN")
+        # Asking only members that pin the row scan builds nothing either.
+        databases[0].force_scan = databases[2].force_scan = True
+        for sql in plain:
+            outcomes = arena_select_per_client(arena, sql, latest=True, slots=[0, 2])
+            assert all(o is ARENA_FALLBACK for o in outcomes)
+        assert arena.arena_stats()[TABLE]["standing_plans"] == 0
+        outcomes = arena_select_per_client(arena, plain[0], latest=True, slots=[0, 1])
+        assert [o is ARENA_FALLBACK for o in outcomes] == [True, False] + [True] * (
+            len(databases) - 2
+        )
+        assert arena.arena_stats()[TABLE]["standing_plans"] == 1
+
+    def test_unasked_slots_are_never_finished(self, monkeypatch, latest_row_cases):
+        from repro.sqldb import engine
+
+        columns, _, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        arena = ShardArena(databases)
+        finished = []
+        finish = engine._one_row_finisher
+
+        def counting_finisher(stmt, table):
+            inner = finish(stmt, table)
+
+            def finish_row(row_id):
+                finished.append(row_id)
+                return inner(row_id)
+
+            return finish_row
+
+        monkeypatch.setattr(engine, "_one_row_finisher", counting_finisher)
+        sql = f"SELECT value FROM {TABLE}"
+        outcomes = arena_select_per_client(arena, sql, latest=True, slots=[1])
+        assert [o is ARENA_FALLBACK for o in outcomes] == [
+            slot != 1 for slot in range(len(databases))
+        ]
+        assert finished == [arena.table(TABLE).slot_rows[1][-1]]
+
+
+# The fold property's inputs.  Members are LATEST_ROW_MEMBERS' six, then one
+# pinned to the row scan, one with a mismatched schema and one without the
+# table.  ``tag`` holds text, so ordering it against a number raises; NULLs
+# sit in every column.
+_PLAIN = _plain_statements(LATEST_ROW_STATEMENTS)
+_GATE = _PLAIN.index(f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)")
+_ROWS = st.tuples(
+    st.one_of(st.none(), st.sampled_from([0.2, 0.5, 1.0, 2.0, 2.5, 3.3, 4.5, 6.0])),
+    st.one_of(st.none(), st.sampled_from([1, 2, 3])),
+    st.sampled_from([None, None, "a", "b", "abc", "x"]),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "append", "append", "edit", "none"]),
+        st.integers(min_value=0, max_value=7),  # appended/edited: a member or the pinned/odd one
+        st.lists(_ROWS, min_size=1, max_size=4),
+        st.sets(st.integers(min_value=0, max_value=len(_PLAIN) - 1)),  # asked statements
+        st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=8))),  # slots
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestStandingFoldProperty:
+    """Random interleavings of asks and tail appends: after every step each
+    standing answer asked equals a fresh arena's and the row scan's
+    ``rows[-1:]``, error for error, and the participant-restricted form is
+    the full form on the asked slots and a fallback marker elsewhere."""
+
+    @given(steps=_STEPS)
+    # "text-tag" raises on the gate statement; a later row that matches it
+    # without raising must not replace the error (the first one wins).
+    @example(
+        steps=[
+            ("none", 0, [(None, None, None)], {_GATE}, None),
+            ("append", 1, [(6.0, 1, None)], {_GATE}, {1}),
+        ]
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_standing_answers_equal_fresh_and_reference(self, steps):
+        columns = LATEST_ROW_COLUMNS
+        plain = _PLAIN
+        databases = [_database(columns, rows) for rows in LATEST_ROW_MEMBERS.values()]
+        pinned = _database(columns, [(1.0, 1, None)], force_scan=True)
+        odd = _database([*columns, ("extra", "REAL")], [(1.0, 1, None, 2.0)])
+        databases += [pinned, odd, Database()]  # pinned, mismatched, no table
+        # Appends go to the six members, the pinned one, or the mismatched one.
+        targets = [*range(6), 6, 7]
+        arena = ShardArena(databases)
+        for op, member, rows, asked, slots in steps:
+            db = databases[targets[member]]
+            table = db.table(TABLE)
+            if op == "append":
+                extra = (0.0,) if db is odd else ()
+                table.append_rows([row + extra for row in rows])
+            elif op == "edit" and len(table):
+                table.rows[-1] = table.rows[0]  # in place: forces a rebuild
+            fresh = ShardArena(databases)
+            for index in sorted(asked):
+                sql = plain[index]
+                if slots is not None:
+                    restricted = arena_select_per_client(
+                        arena, sql, latest=True, slots=sorted(slots)
+                    )
+                outcomes = arena_select_per_client(arena, sql, latest=True)
+                expected = arena_select_per_client(fresh, sql, latest=True)
+                assert [_outcome(o) for o in outcomes] == [_outcome(o) for o in expected]
+                for slot, entry in enumerate(outcomes):
+                    if entry is ARENA_FALLBACK:
+                        continue
+                    reference = _reference_outcome(_pinned_twin(databases[slot]), sql)
+                    assert _arena_outcome(entry) == reference, (sql, slot)
+                if slots is not None:
+                    assert [_outcome(o) for o in restricted] == [
+                        _outcome(o) if slot in slots else ("fallback",)
+                        for slot, o in enumerate(outcomes)
+                    ]
+        for stats in arena.arena_stats().values():
+            assert stats["standing_plans"] <= len(plain)
+
+
+def _pinned_twin(db: Database) -> Database:
+    """A row-scan copy of ``db``'s table (the reference answer)."""
+    table = db.table(TABLE)
+    return _database([(c.name, c.sql_type) for c in table.columns], list(table.rows), True)
