@@ -28,9 +28,7 @@ the scenario layer's forged answers) publishes one record per share
 :class:`~repro.core.client.ResponseBlock` — the block's 16-byte ``MID``
 column plus that proxy's payload column, ``rows * (width + 16)`` bytes,
 exactly what the ``rows`` shares would weigh.  :func:`poll_shares` hands
-the aggregator both kinds in arrival order.  The batched per-share publish
-(:meth:`ProxyNetwork.transmit_batch`) writes the same records as
-:meth:`ProxyNetwork.transmit` in one call; no runtime uses it any more.
+the aggregator both kinds in arrival order.
 """
 
 from __future__ import annotations
@@ -81,24 +79,6 @@ class Proxy:
         )
         self.shares_relayed += 1
         self.bytes_relayed += share.size_bytes()
-
-    def receive_batch(
-        self, shares: list[MessageShare], channel: str | None = None
-    ) -> None:
-        """Accept one share from each of many clients in a single publish.
-
-        Same relay semantics and accounting as per-share :meth:`receive_share`
-        but amortized over the batch.
-        """
-        if not shares:
-            return
-        self._producer.send_many(
-            self._channel_topic(channel),
-            [(share,) for share in shares],
-            keys=[share.message_id for share in shares],
-        )
-        self.shares_relayed += len(shares)
-        self.bytes_relayed += sum(share.size_bytes() for share in shares)
 
     def receive_column(self, column: ShareColumn, channel: str | None = None) -> None:
         """Relay one shard's column of shares as a single record.
@@ -189,29 +169,16 @@ class ProxyNetwork:
         for proxy, share in zip(self.proxies, shares):
             proxy.receive_share(share, channel=channel)
 
-    def _check_rows(self, share_rows: list[list[MessageShare]]) -> None:
-        for row in share_rows:
-            if len(row) != self.num_proxies:
-                raise ValueError(
-                    f"expected {self.num_proxies} shares (one per proxy), got {len(row)}"
-                )
-
     def transmit_batch(
         self, share_rows: list[list[MessageShare]], channel: str | None = None
     ) -> None:
-        """Send the shares of many encrypted answers, batched per proxy.
+        """Send the shares of many encrypted answers: one :meth:`transmit` per row.
 
-        ``share_rows`` holds one row per answer (``num_proxies`` shares each);
-        the rows are transposed into one column per proxy so every proxy
-        receives its whole shard's worth of shares in a single publish.  The
-        relayed stream is record-for-record identical to calling
-        :meth:`transmit` once per row.
+        No runtime relays per share in batches any more; the name stays
+        because the epoch profile's tracer patches it.
         """
-        if not share_rows:
-            return
-        self._check_rows(share_rows)
-        for index, proxy in enumerate(self.proxies):
-            proxy.receive_batch([row[index] for row in share_rows], channel=channel)
+        for shares in share_rows:
+            self.transmit(shares, channel=channel)
 
     def transmit_shard(self, block: "ResponseBlock", channel: str | None = None) -> None:
         """Send a shard's block as one column record per proxy.

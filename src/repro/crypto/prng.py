@@ -104,34 +104,3 @@ class KeystreamGenerator:
         out = bytes(self._buffer[:length])
         del self._buffer[:length]
         return out
-
-    def next_bits(self, nbits: int) -> int:
-        """Return an integer holding the next ``nbits`` bits of the keystream."""
-        if nbits < 0:
-            raise ValueError(f"nbits must be non-negative, got {nbits}")
-        if nbits == 0:
-            return 0
-        nbytes = (nbits + 7) // 8
-        value = int.from_bytes(self.next_bytes(nbytes), "big")
-        return value >> (nbytes * 8 - nbits)
-
-    def randint_below(self, upper: int) -> int:
-        """Return a uniformly distributed integer in ``[0, upper)``.
-
-        Uses rejection sampling over the keystream so the result is unbiased.
-        """
-        if upper <= 0:
-            raise ValueError(f"upper must be positive, got {upper}")
-        nbits = upper.bit_length()
-        while True:
-            candidate = self.next_bits(nbits)
-            if candidate < upper:
-                return candidate
-
-    def random_fraction(self) -> float:
-        """Return a float uniformly distributed in ``[0, 1)``.
-
-        53 bits of keystream are used, matching the precision of a Python
-        float mantissa.
-        """
-        return self.next_bits(53) / (1 << 53)

@@ -28,11 +28,6 @@ class Broker:
         self.records_handled += 1
         self.bytes_handled += record.size_bytes()
 
-    def account_batch(self, num_records: int, num_bytes: int) -> None:
-        """Record a whole batch of handled records with one counter update."""
-        self.records_handled += num_records
-        self.bytes_handled += num_bytes
-
     def reset_metrics(self) -> None:
         self.records_handled = 0
         self.bytes_handled = 0
@@ -102,39 +97,6 @@ class BrokerCluster:
         leader = self.leader_for(topic_name, positioned.partition)
         leader.account(positioned)
         return positioned
-
-    def publish_values(
-        self,
-        topic_name: str,
-        values: list,
-        keys: list[str | None],
-        timestamps: list[float],
-    ) -> list[Record]:
-        """Append many values to one topic with aggregated accounting.
-
-        Equivalent to wrapping each value in a :class:`Record` and calling
-        :meth:`publish` once per record (same partition routing, same
-        round-robin progression, same counters) but with one topic lookup,
-        a single record construction per value, and one accounting update per
-        partition leader — the fast path the sharded epoch runtime batches
-        into.
-        """
-        topic = self.topic(topic_name)
-        round_robin = self._round_robin
-        positioned_batch: list[Record] = []
-        per_partition: dict[int, list[int]] = {}
-        for value, key, timestamp in zip(values, keys, timestamps):
-            round_robin += 1
-            index = topic.partition_for(key, round_robin)
-            positioned = topic.partitions[index].append_value(value, key, timestamp)
-            positioned_batch.append(positioned)
-            stats = per_partition.setdefault(index, [0, 0])
-            stats[0] += 1
-            stats[1] += positioned.size_bytes()
-        self._round_robin = round_robin
-        for index, (count, num_bytes) in per_partition.items():
-            self.leader_for(topic_name, index).account_batch(count, num_bytes)
-        return positioned_batch
 
     def fetch(
         self,

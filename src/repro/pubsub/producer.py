@@ -53,21 +53,13 @@ class Producer:
     def send_many(
         self, topic: str, values: list[Any], keys: list[str] | None = None
     ) -> list[Record]:
-        """Publish many values in one broker round-trip (per-value keys).
+        """Publish many values with per-value keys: one :meth:`send` per value.
 
-        Behaves exactly like calling :meth:`send` once per value — the same
-        producer clock progression, partition routing and byte accounting —
-        but goes through :meth:`BrokerCluster.publish_values`, which is what
-        makes per-shard transmission cheaper than per-client sends.
+        No runtime publishes through it any more; the name stays because
+        the epoch profile's tracer patches it.
         """
         if keys is not None and len(keys) != len(values):
             raise ValueError("send_many needs one key per value")
         if keys is None:
             keys = [None] * len(values)
-        clock = self._clock
-        timestamps = [clock + offset for offset in range(1, len(values) + 1)]
-        self._clock = clock + len(values)
-        positioned_batch = self.cluster.publish_values(topic, values, keys, timestamps)
-        self.records_sent += len(positioned_batch)
-        self.bytes_sent += sum(record.size_bytes() for record in positioned_batch)
-        return positioned_batch
+        return [self.send(topic, value, key=key) for value, key in zip(values, keys)]

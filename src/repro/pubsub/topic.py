@@ -36,27 +36,6 @@ class Partition:
         self.records.append(positioned)
         return positioned
 
-    def append_value(
-        self, value, key: str | None, timestamp: float, headers: dict | None = None
-    ) -> Record:
-        """Construct a record directly at its committed position and append it.
-
-        Equivalent to building an unpositioned :class:`Record` and calling
-        :meth:`append`, but with a single dataclass construction — the batch
-        publish path uses this to halve per-record allocation.
-        """
-        record = Record(
-            value=value,
-            key=key,
-            timestamp=timestamp,
-            headers=headers or {},
-            topic=self.topic_name,
-            partition=self.index,
-            offset=self.end_offset,
-        )
-        self.records.append(record)
-        return record
-
     def read(self, offset: int = 0, max_records: int | None = None) -> list[Record]:
         """Read records starting at ``offset`` (up to ``max_records`` of them).
 

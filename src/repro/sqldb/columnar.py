@@ -37,11 +37,12 @@ once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
 indexes ride along: appends insert the new rows into every live index,
 row by row; rebuilds drop them, and the next probe bulk-loads them from
 the whole column.  Standing answers ride along the same way: each table
-keeps, per compiled plan, every slot's latest matching row id
-(:meth:`ArenaTable.standing_latest`) — the latest-row answer a standing
-query asks for every epoch.  Appends are folded forward into it at the next
-ask, testing only the new rows; a rebuild drops it, and the next ask fills
-it afresh.  An LRU at the plan cache's size bounds it.
+keeps, per compiled plan, every slot's latest matching row id and the row
+count it covers (:meth:`ArenaTable.standing_latest`) — the latest-row
+answer a standing query asks for every epoch.  Every ask runs one matching
+pass from that count: the first from row 0 through the index, later ones
+over only the rows appended since.  A rebuild drops the answers, and the
+next ask fills them afresh.  An LRU at the plan cache's size bounds them.
 
 **Typed arrays.**  INTEGER columns live in ``array('q')`` and REAL
 columns in ``array('d')`` while their values fit (no NULLs, no
@@ -316,29 +317,38 @@ class ArenaTable:
     def standing_latest(self, plan) -> list:
         """``plan``'s latest-row answer per slot, kept across asks.
 
-        The first ask fills it (:meth:`CompiledSelect.latest_ids_per_client
-        <repro.sqldb.compile.CompiledSelect.latest_ids_per_client>`); later
-        asks fold in only the rows appended since
-        (:meth:`~repro.sqldb.compile.CompiledSelect.fold_latest`), so a
-        standing query over unchanged tables costs nothing per ask.  A
-        rebuild drops every answer, and at most ``_PLAN_CACHE_MAX`` plans
-        keep one (least recently asked goes first).  The list is read-only
-        to callers.
+        One entry per slot: the slot's latest matching arena row id, ``-1``
+        when nothing matches, the exception the slot raises, or ``None``
+        for an excluded slot.  The answer remembers the row count it
+        covers, and each ask folds in one
+        :meth:`~repro.sqldb.compile.CompiledSelect.matching_ids_per_client`
+        pass started from that count: the first ask starts at 0 (through
+        the index when the plan has a probe), later asks read only the rows
+        appended since, so a standing query over unchanged tables costs
+        nothing per ask.  Arena ids ascend within a slot, so a slot's last
+        new match is its latest; a slot's error stays, since the first error
+        in row order wins and every new row comes after it.  A rebuild drops
+        every answer, and at most ``_PLAN_CACHE_MAX`` plans keep one (least
+        recently asked goes first).  The list is read-only to callers.
         """
         standing = self._standing
         entry = standing.get(plan)
         if entry is None:
-            entry = standing[plan] = [plan.latest_ids_per_client(self), self._count]
+            latest = [None if ids is None else -1 for ids in self.slot_rows]
+            entry = standing[plan] = [latest, 0]
             if len(standing) > _PLAN_CACHE_MAX:
                 standing.popitem(last=False)
-            return entry[0]
-        standing.move_to_end(plan)
-        if entry[1] < self._count:
-            # A fold that raises leaves the count behind; folding the same
-            # rows again is idempotent, so the next ask simply retries.
-            plan.fold_latest(self, entry[0], entry[1])
+        else:
+            standing.move_to_end(plan)
+        latest, start = entry
+        if start < self._count:
+            # A pass that raises leaves the count behind; the next ask retries.
+            for slot, ids in enumerate(plan.matching_ids_per_client(self, start)):
+                if not ids or isinstance(latest[slot], BaseException):
+                    continue
+                latest[slot] = ids if isinstance(ids, BaseException) else ids[-1]
             entry[1] = self._count
-        return entry[0]
+        return latest
 
     # -- probe surface (the selecting half of the compiled path) -------------
 

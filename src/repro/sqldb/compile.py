@@ -366,13 +366,11 @@ class CompiledSelect:
         self.statement = statement
         self.schema = schema
         self.probe = None
-        # The probe's conjunct as a row predicate: tests the rows a standing
-        # answer folds in (fold_latest) without re-probing the index.
+        # The probe's conjunct as a row predicate: selects among the rows a
+        # standing answer folds in (matching_ids_per_client's ``start``)
+        # without probing the index.
         self.probe_row: ValueFn | None = None
         self.residual: ValueFn | None = None
-        # Whether the residual provably cannot raise on any row, so a walk
-        # over candidates may stop early (see matching_ids_per_client).
-        self.residual_total = False
         where = statement.where
         if where is not None:
             conjuncts = _split_conjuncts(where)
@@ -396,16 +394,9 @@ class CompiledSelect:
                         return all(bool(fn(arrays, row_id)) for fn in compiled)
 
                 self.residual = residual
-                # Same bar as a probe: a conjunct _probe_for accepts is one
-                # whose scan evaluation is exception-free on every row.  A
-                # plan without a probe never clears it (its first conjunct
-                # is the one _probe_for refused).
-                self.residual_total = all(
-                    _probe_for(conjunct, schema) is not None for conjunct in rest
-                )
 
-    def matching_ids_per_client(self, arena, latest: bool = False) -> list:
-        """One probe over a whole shard's arena, split back per member slot.
+    def matching_ids_per_client(self, arena, start: int = 0) -> list:
+        """One pass over a whole shard's arena, split back per member slot.
 
         ``arena`` is an :class:`~repro.sqldb.columnar.ArenaTable`.  Returns
         one entry per member slot: a list/array of arena row ids satisfying
@@ -424,115 +415,46 @@ class CompiledSelect:
         what each member's own one-slot arena answers, outcome for
         outcome.
 
-        ``latest=True`` is the form the epoch's answer pass asks for: each
-        id sequence holds at most its *last* element (a member's newest
-        matching row — arena ids ascend within a slot, across tail appends
-        too, so max id = last row); exceptions and excluded slots are
-        exactly the full form's.  A bare probe keeps the maximum probe id
-        per slot in one pass.  A probe with a residual walks the candidates
-        from the tail and stops at each slot's first truthy row — but only
-        when :attr:`residual_total` says no residual conjunct can raise;
-        otherwise every candidate is evaluated in row order as in the full
-        form (first error in row order wins) and the last survivor is taken
-        afterwards.
+        ``start`` restricts the pass to arena rows ``start..count-1`` —
+        the tail appends a standing answer folds in
+        (:meth:`ArenaTable.standing_latest
+        <repro.sqldb.columnar.ArenaTable.standing_latest>`).  Those rows
+        are tested with the probe conjunct as a row predicate
+        (:attr:`probe_row`) instead of the index, then the residual runs on
+        them exactly as above.
         """
         slot_rows = arena.slot_rows
-        if self.statement.where is None:
-            # Each member matches all of its own rows; the spans are the
-            # answer (read-only aliases of the arena's span table).
-            if latest:
-                return [ids if ids is None else ids[-1:] for ids in slot_rows]
-            return list(slot_rows)
         arrays = arena.arrays()
-        residual = self.residual
-        if self.probe is None:
-            return [
-                ids if ids is None else _filter_residual(residual, arrays, ids, latest)
-                for ids in slot_rows
-            ]
-        row_slot = arena.row_slot
-        probed = self.probe.ids(arena)
-        if latest and (residual is None or self.residual_total):
-            # Probe ids ascend (hash postings append in row order, IN and
-            # range probes sort), so per slot the last write is the max id.
-            if residual is None:
-                last = dict(zip(map(row_slot.__getitem__, probed), probed))
-            else:
-                last = {}
-                for row_id in reversed(probed):
-                    slot = row_slot[row_id]
-                    if slot not in last and residual(arrays, row_id):
-                        last[slot] = row_id
-            return [
-                ids if ids is None else [last[slot]] if slot in last else ()
+        if start:
+            probe_row = self.probe_row
+            row_slot = arena.row_slot
+            appended: dict[int, list[int]] = {}
+            for row_id in range(start, arena.count):
+                if probe_row is None or probe_row(arrays, row_id):
+                    appended.setdefault(row_slot[row_id], []).append(row_id)
+            buckets = [
+                ids if ids is None else appended.get(slot, ())
                 for slot, ids in enumerate(slot_rows)
             ]
-        if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own
-            buckets = [None if slot_rows[0] is None else probed]
+        elif self.probe is not None:
+            probed = self.probe.ids(arena)
+            if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own
+                buckets = [None if slot_rows[0] is None else probed]
+            else:
+                row_slot = arena.row_slot
+                buckets = [None if ids is None else [] for ids in slot_rows]
+                for row_id in probed:
+                    buckets[row_slot[row_id]].append(row_id)
         else:
-            buckets = [None if ids is None else [] for ids in slot_rows]
-            for row_id in probed:
-                buckets[row_slot[row_id]].append(row_id)
+            # Every member's candidates are all of its own rows (read-only
+            # aliases of the arena's span table).
+            buckets = list(slot_rows)
+        residual = self.residual
         if residual is None:
             return buckets
         return [
-            bucket
-            if bucket is None
-            else _filter_residual(residual, arrays, bucket, latest)
-            for bucket in buckets
+            ids if not ids else _filter_residual(residual, arrays, ids) for ids in buckets
         ]
-
-    def latest_ids_per_client(self, arena) -> list:
-        """The standing form of ``matching_ids_per_client(arena, latest=True)``.
-
-        One entry per member slot: the slot's latest matching arena row id,
-        ``-1`` when nothing matches, the ``Exception`` the slot raises, or
-        ``None`` for an excluded slot.
-        """
-        latest = []
-        for ids in self.matching_ids_per_client(arena, latest=True):
-            if ids is not None and not isinstance(ids, BaseException):
-                ids = ids[-1] if len(ids) else -1
-            latest.append(ids)
-        return latest
-
-    def fold_latest(self, arena, latest: list, start: int) -> None:
-        """Fold the arena rows appended since ``start`` into ``latest``.
-
-        ``latest`` is a :meth:`latest_ids_per_client` list, updated in place
-        to what a fresh call would return now.  Tail appends are the only
-        change an arena makes without a rebuild, and arena ids ascend within
-        a slot, so every new row is newer than anything ``latest`` holds:
-        per slot, the new rows pass the probe conjunct (:attr:`probe_row`)
-        and then the residual exactly as the probe-then-residual pass would
-        treat them.  A slot's error is terminal — the first error in row
-        order wins, and every new row comes after it.  A total residual is
-        walked from the newest candidate and stops at its first truthy row,
-        as :meth:`matching_ids_per_client`'s tail walk does.
-        """
-        row_slot = arena.row_slot
-        arrays = arena.arrays()
-        new_ids: dict[int, list[int]] = {}
-        for row_id in range(start, arena.count):
-            new_ids.setdefault(row_slot[row_id], []).append(row_id)
-        probe_row, residual = self.probe_row, self.residual
-        for slot, ids in new_ids.items():
-            if isinstance(latest[slot], BaseException):
-                continue
-            if probe_row is not None:
-                ids = [row_id for row_id in ids if probe_row(arrays, row_id)]
-            if residual is None:
-                newest = ids[-1] if ids else None
-            elif self.residual_total:
-                newest = next((i for i in reversed(ids) if residual(arrays, i)), None)
-            else:
-                survivors = _filter_residual(residual, arrays, ids, latest=True)
-                if isinstance(survivors, BaseException):
-                    latest[slot] = survivors
-                    continue
-                newest = survivors[0] if survivors else None
-            if newest is not None:
-                latest[slot] = newest
 
     def describe(self) -> str:
         """Human-readable plan shape (tests and debugging)."""
@@ -546,19 +468,17 @@ class CompiledSelect:
         return "+".join(parts) if parts else "all"
 
 
-def _filter_residual(residual: ValueFn, arrays: dict, row_ids, latest: bool = False):
+def _filter_residual(residual: ValueFn, arrays: dict, row_ids):
     """Filter one member's candidate ids through the residual closure.
 
-    Returns the surviving ids (only the last one when ``latest``), or the
-    first exception the residual raised — the same exception, at the same
-    row, that the member's own row scan would surface (it dies at its first
-    error too).
+    Returns the surviving ids, or the first exception the residual raised —
+    the same exception, at the same row, that the member's own row scan
+    would surface (it dies at its first error too).
     """
     try:
-        survivors = [row_id for row_id in row_ids if residual(arrays, row_id)]
+        return [row_id for row_id in row_ids if residual(arrays, row_id)]
     except Exception as exc:  # noqa: BLE001 — error parity is the contract
         return exc
-    return survivors[-1:] if latest else survivors
 
 
 # One plan per (statement, schema) per process.  Bounded LRU: a runaway

@@ -73,59 +73,53 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
     return system, analyst, query.query_id
 
 
-# -- the latest-row answer pass: one statement per route ------------------------
+# -- the latest-row answer pass: one statement per plan shape ------------------
 #
 # Shared by tests/sqldb/test_latest_row.py (arena outcome ≡ row-scan
 # ``rows[-1:]``) and tests/runtime/test_torture.py (``answer_shard`` with an
 # arena ≡ without).  ``route`` is how ``arena_select_per_client(latest=True)``
-# must get to a member's last matching row:
+# gets to a member's last matching row:
 #
-# * ``span-tail``       — no WHERE: the last id of the member's span;
-# * ``probe-max``       — a bare index probe: the maximum probe id per slot;
-# * ``tail-walk``       — probe + residual that provably cannot raise: walk
-#   the candidates from the tail, stop at the first truthy row;
-# * ``every-candidate`` — a residual that may raise (or no probe): evaluate
-#   every candidate in row order, first error wins, keep the last survivor;
-# * ``full-finish``     — not a plain projection: the full finisher runs and
-#   its last row is kept.
-#
-# The first four routes are how a plain projection's first ask fills the arena
-# table's standing answer; later asks fold appended rows into it instead.
+# * ``standing``    — a plain projection: the arena table's standing answer,
+#   kept by one matching pass per ask (the first from row 0 through the
+#   index, later ones over only the rows appended since);
+# * ``full-finish`` — not a plain projection: the full finisher runs and its
+#   last row is kept.
 
 LATEST_ROW_COLUMNS = [("value", "REAL"), ("zone", "INTEGER"), ("tag", "TEXT")]
 
 _T = "FROM private_data"
 LATEST_ROW_STATEMENTS = (
     # (sql, CompiledSelect.describe(), route)
-    (f"SELECT value {_T}", "all", "span-tail"),
-    (f"SELECT value {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2)", "hash-in(zone)", "probe-max"),
-    (f"SELECT value {_T} WHERE value > 2.0", "tree-range(value)", "probe-max"),
+    (f"SELECT value {_T}", "all", "standing"),
+    (f"SELECT value {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2)", "hash-in(zone)", "standing"),
+    (f"SELECT value {_T} WHERE value > 2.0", "tree-range(value)", "standing"),
     (
         f"SELECT value {_T} WHERE value BETWEEN 1.0 AND 3.0",
         "tree-range(value)",
-        "probe-max",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone IN (1, 2) AND value < 1.0",
         "hash-in(zone)+residual",
-        "tail-walk",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value BETWEEN 0.5 AND 4.0"
         " AND tag IN ('a', 'b')",
         "hash-eq(zone)+residual",
-        "tail-walk",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value != 2.0",
         "hash-eq(zone)+residual",
-        "every-candidate",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag LIKE 'a%'",
         "hash-eq(zone)+residual",
-        "every-candidate",
+        "standing",
     ),
     # Raises only where a zone-1 row with value <= 3.0 holds a non-NULL tag —
     # and that member's *last* zone-1 row matches, so an early exit would
@@ -133,33 +127,33 @@ LATEST_ROW_STATEMENTS = (
     (
         f"SELECT value {_T} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
         "hash-eq(zone)+residual",
-        "every-candidate",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag < 5",
         "hash-eq(zone)+residual",
-        "every-candidate",
+        "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND nope = 1",
         "hash-eq(zone)+residual",
-        "every-candidate",
+        "standing",
     ),
-    (f"SELECT value {_T} WHERE value != 2.0", "residual", "every-candidate"),
-    (f"SELECT value {_T} WHERE tag < 5", "residual", "every-candidate"),
+    (f"SELECT value {_T} WHERE value != 2.0", "residual", "standing"),
+    (f"SELECT value {_T} WHERE tag < 5", "residual", "standing"),
     (
         f"SELECT value {_T} WHERE value > 3.0 OR tag < 5",
         "residual",
-        "every-candidate",
+        "standing",
     ),
-    (f"SELECT * {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
-    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT * {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
+    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
     # value_column ("value") absent from the projection: the client reads row[0].
-    (f"SELECT zone, tag {_T} WHERE value > 2.0", "tree-range(value)", "probe-max"),
+    (f"SELECT zone, tag {_T} WHERE value > 2.0", "tree-range(value)", "standing"),
     # Case-twisted projection: KeyError only for members that matched.
-    (f"SELECT Value {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT Value {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
     # Unknown projection: SchemaError for every member, matched or not.
-    (f"SELECT nope {_T} WHERE zone = 1", "hash-eq(zone)", "probe-max"),
+    (f"SELECT nope {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
     (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", "hash-eq(zone)", "full-finish"),
     (
         f"SELECT value {_T} WHERE zone = 1 ORDER BY value DESC",

@@ -56,33 +56,6 @@ class TestKeystreamGenerator:
         with pytest.raises(ValueError):
             KeystreamGenerator(seed=b"s").next_bytes(-5)
 
-    def test_next_bits_range(self):
-        gen = KeystreamGenerator(seed=b"bits")
-        for nbits in (1, 5, 8, 13, 64):
-            value = gen.next_bits(nbits)
-            assert 0 <= value < (1 << nbits)
-
-    def test_next_bits_zero(self):
-        assert KeystreamGenerator(seed=b"s").next_bits(0) == 0
-
-    def test_randint_below_range(self):
-        gen = KeystreamGenerator(seed=b"randint")
-        values = [gen.randint_below(10) for _ in range(200)]
-        assert all(0 <= v < 10 for v in values)
-        assert len(set(values)) > 5  # should hit most residues
-
-    def test_randint_below_one_is_zero(self):
-        assert KeystreamGenerator(seed=b"s").randint_below(1) == 0
-
-    def test_randint_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            KeystreamGenerator(seed=b"s").randint_below(0)
-
-    def test_random_fraction_in_unit_interval(self):
-        gen = KeystreamGenerator(seed=b"frac")
-        values = [gen.random_fraction() for _ in range(100)]
-        assert all(0.0 <= v < 1.0 for v in values)
-
     @given(st.binary(min_size=1, max_size=64), st.integers(min_value=0, max_value=512))
     def test_determinism_property(self, seed, length):
         assert (

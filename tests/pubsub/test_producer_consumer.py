@@ -207,15 +207,16 @@ class TestRetention:
         assert slow.position("log", 0) == 4
         assert [r.offset for r in slow.poll()] == [4, 5, 6]
 
-    def test_append_value_offsets_continue_after_a_trim(self, log):
+    def test_send_offsets_continue_after_a_trim(self, log):
         producer = Producer(log)
         reader = Consumer(log)
         reader.subscribe(["log"])
-        producer.send_many("log", [b"a", b"b", b"c"])
+        for value in (b"a", b"b", b"c"):
+            producer.send("log", value)
         reader.poll()
         partition = self.partition(log)
         assert (partition.base_offset, len(partition)) == (3, 0)
-        record = partition.append_value(b"d", key=None, timestamp=1.0)
+        record = producer.send("log", b"d")
         assert record.offset == 3 == partition.base_offset + len(partition) - 1
 
     def test_group_members_pin_their_own_partitions(self, cluster):

@@ -4,10 +4,11 @@
 runtime asks for: per member, the full form's error or fallback marker,
 else the full form's columns over only its last row.  These tests pin
 which route each statement shape takes, that every route equals the
-row-scan reference's ``rows[-1:]``, that early exit happens only behind
-the compile-time totality gate, and that the work per slot stays O(1)-ish
-(the differential fuzzer in ``test_engine_properties.py`` carries the
-same comparison over random schemas).
+row-scan reference's ``rows[-1:]``, that the one matching pass evaluates
+every candidate in row order, and that a standing answer filled at once
+equals one folded forward over tail appends (the differential fuzzer in
+``test_engine_properties.py`` carries the same comparison over random
+schemas).
 """
 
 import pytest
@@ -60,16 +61,7 @@ def _route(sql: str, columns) -> tuple[str, str]:
     """(plan shape, route) as the latest-row form dispatches on them."""
     statement = parse_statement(sql)
     plan = plan_for(statement, columns)
-    if not _is_plain_projection(statement):
-        route = "full-finish"
-    elif statement.where is None:
-        route = "span-tail"
-    elif plan.probe is not None and plan.residual is None:
-        route = "probe-max"
-    elif plan.probe is not None and plan.residual_total:
-        route = "tail-walk"
-    else:
-        route = "every-candidate"
+    route = "standing" if _is_plain_projection(statement) else "full-finish"
     return plan.describe(), route
 
 
@@ -80,37 +72,7 @@ class TestRouteTable:
         got = [(sql, *_route(sql, schema)) for sql, _, _ in statements]
         assert got == list(statements)
         routes = {route for _, _, route in statements}
-        assert routes == {
-            "span-tail",
-            "probe-max",
-            "tail-walk",
-            "every-candidate",
-            "full-finish",
-        }
-
-    def test_totality_reuses_the_probe_soundness_bar(self, latest_row_cases):
-        columns, _, _ = latest_row_cases
-        schema = _database(columns, []).table(TABLE).columns
-
-        def total(where: str) -> bool:
-            return plan_for(
-                parse_statement(f"SELECT value FROM {TABLE} WHERE {where}"), schema
-            ).residual_total
-
-        assert total("zone = 1 AND value < 1.0")
-        assert total("zone = 1 AND 1.0 > value AND tag = 'a' AND zone IN (1, NULL)")
-        assert total("zone = 1 AND tag BETWEEN 'a' AND 'b'")
-        assert total("zone = NULL AND value = 'text'")  # equality never raises
-        # Anything a probe would refuse keeps the walk exhaustive.
-        assert not total("zone = 1 AND value < 'a'")  # literal not comparable
-        assert not total("zone = 1 AND tag BETWEEN 1 AND 'b'")
-        assert not total("zone = 1 AND value != 1.0")
-        assert not total("zone = 1 AND value IS NULL")
-        assert not total("zone = 1 AND NOT value < 1.0")
-        assert not total("zone = 1 AND value < zone")
-        assert not total("zone = 1 AND value < 1.0 AND nope = 1")
-        assert not total("value < 1.0 OR zone = 1")  # no probe, never total
-        assert not total("zone = 1")  # no residual at all
+        assert routes == {"standing", "full-finish"}
 
     def test_latest_row_equals_scan_reference_last_row(self, latest_row_cases):
         columns, statements, members = latest_row_cases
@@ -134,9 +96,9 @@ class TestRouteTable:
                 else:
                     assert len(entry.rows) <= 1
                     assert entry.rows == full_entry.rows[-1:]
-        # The totality gate's witnesses: the reference raises for exactly the
-        # member holding a non-NULL tag among its candidates, though a later
-        # candidate matches; its neighbours answer normally.
+        # Witnesses that no candidate is skipped: the reference raises for
+        # exactly the member holding a non-NULL tag among its candidates,
+        # though a later candidate matches; its neighbours answer normally.
         gate = f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)"
         assert {name for sql, name in raised if sql == gate} == {"text-tag"}
         ungated = f"SELECT value FROM {TABLE} WHERE value > 3.0 OR tag < 5"
@@ -176,7 +138,7 @@ class TestTailAppends:
             " WHERE zone IN (1, 2) AND value < 10.0",
             " WHERE zone = 1 AND value != 2.0",
         ],
-        ids=["span-tail", "hash-probe", "tree-probe", "tail-walk", "every-candidate"],
+        ids=["no-where", "hash-probe", "tree-probe", "probe+residual", "probe+ne-residual"],
     )
     @pytest.mark.parametrize("one_slot", [False, True], ids=["shard", "one-slot"])
     def test_appended_row_becomes_the_answer_without_a_rebuild(
@@ -204,21 +166,54 @@ class TestTailAppends:
         )
 
 
-class TestWorkPerSlot:
-    """The pin that keeps the gain from silently regressing."""
+def _residual_statements():
+    return [
+        sql for sql, shape, _ in LATEST_ROW_STATEMENTS if shape.endswith("residual")
+    ]
 
-    def _counted(self, monkeypatch, arena, sql):
-        table = arena.table(TABLE)
+
+class TestWorkPerSlot:
+    """What the one matching pass evaluates, slot by slot."""
+
+    @pytest.mark.parametrize("sql", _residual_statements())
+    # 9: past the first member's rows, as if the rest had been appended.
+    @pytest.mark.parametrize("start", [0, 9], ids=["fill", "fold"])
+    def test_every_residual_evaluates_every_candidate_in_row_order(
+        self, monkeypatch, latest_row_cases, sql, start
+    ):
+        """No early exit, total residual or not: per slot the residual runs
+        on each candidate in row order up to the slot's first error, from
+        the index probe at ``start=0`` and from the probe conjunct as a row
+        predicate over rows ``start..`` otherwise."""
+        columns, _, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        table = ShardArena(databases).table(TABLE)
         plan = plan_for(parse_statement(sql), table.columns)
-        candidates: dict[int, list[int]] = {}
-        for row_id in plan.probe.ids(table):
-            candidates.setdefault(table.row_slot[row_id], []).append(row_id)
         arrays = table.arrays()
+        if start:
+            candidate_ids = [
+                row_id
+                for row_id in range(start, table.count)
+                if plan.probe_row is None or plan.probe_row(arrays, row_id)
+            ]
+        elif plan.probe is not None:
+            candidate_ids = plan.probe.ids(table)
+        else:
+            candidate_ids = range(table.count)
         residual = plan.residual
-        truthy = {
-            slot: [row_id for row_id in ids if residual(arrays, row_id)]
-            for slot, ids in candidates.items()
-        }
+        expected: dict[int, list[int]] = {}
+        outcome: dict[int, object] = {}
+        for row_id in candidate_ids:
+            slot = table.row_slot[row_id]
+            if isinstance(outcome.get(slot), BaseException):
+                continue
+            expected.setdefault(slot, []).append(row_id)
+            survivors = outcome.setdefault(slot, [])
+            try:
+                if residual(arrays, row_id):
+                    survivors.append(row_id)
+            except Exception as exc:  # noqa: BLE001 — the slot's first error
+                outcome[slot] = exc
         evaluated: dict[int, list[int]] = {}
 
         def counting(arrays, row_id):
@@ -226,44 +221,14 @@ class TestWorkPerSlot:
             return residual(arrays, row_id)
 
         monkeypatch.setattr(plan, "residual", counting)
-        ids_per_slot = plan.matching_ids_per_client(table, latest=True)
-        return candidates, truthy, evaluated, ids_per_slot
-
-    def test_total_residual_stops_at_each_slots_last_match(
-        self, monkeypatch, latest_row_cases
-    ):
-        columns, _, members = latest_row_cases
-        databases, _ = _shard(columns, members)
-        arena = ShardArena(databases)
-        sql = f"SELECT value FROM {TABLE} WHERE zone IN (1, 2) AND value < 1.0"
-        candidates, truthy, evaluated, ids_per_slot = self._counted(
-            monkeypatch, arena, sql
-        )
-        assert any(truthy.values()) and candidates
-        for slot, ids in candidates.items():
-            if truthy[slot]:
-                after_last_match = [i for i in ids if i > truthy[slot][-1]]
-                assert len(evaluated[slot]) == len(after_last_match) + 1
-                assert list(ids_per_slot[slot]) == truthy[slot][-1:]
+        ids_per_slot = plan.matching_ids_per_client(table, start)
+        assert evaluated == expected
+        for slot, ids in enumerate(ids_per_slot):
+            want = outcome.get(slot, [])
+            if isinstance(want, BaseException):
+                assert (type(ids), str(ids)) == (type(want), str(want)), (sql, slot)
             else:
-                assert sorted(evaluated[slot]) == ids
-                assert len(ids_per_slot[slot]) == 0
-        # "plain" has two candidates after its last match: the walk saw three.
-        assert len(evaluated[0]) == 3 < len(candidates[0])
-
-    def test_non_total_residual_evaluates_every_candidate_in_row_order(
-        self, monkeypatch, latest_row_cases
-    ):
-        columns, _, members = latest_row_cases
-        databases, _ = _shard(columns, members)
-        arena = ShardArena(databases)
-        sql = f"SELECT value FROM {TABLE} WHERE zone = 1 AND value != 2.0"
-        candidates, truthy, evaluated, ids_per_slot = self._counted(
-            monkeypatch, arena, sql
-        )
-        assert evaluated == candidates
-        for slot, ids in truthy.items():
-            assert list(ids_per_slot[slot]) == ids[-1:]
+                assert list(ids) == want, (sql, slot)
 
     def test_force_scan_switch_is_read_once_per_statement(
         self, monkeypatch, latest_row_cases
@@ -312,7 +277,7 @@ class TestStandingAnswers:
     table keeps per plan: filled once, folded forward on tail appends."""
 
     def test_tail_appends_fold_without_a_probe(self, monkeypatch, latest_row_cases):
-        from repro.sqldb.compile import CompiledSelect
+        from repro.sqldb import compile as compile_module
 
         columns, statements, members = latest_row_cases
         databases, references = _shard(columns, members)
@@ -320,14 +285,29 @@ class TestStandingAnswers:
         plain = _plain_statements(statements)
         for sql in plain:
             arena_select_per_client(arena, sql, latest=True)
-        probes = []
-        probe = CompiledSelect.matching_ids_per_client
+        covered = arena.table(TABLE).count
+        probes, starts = [], []
+        for probe_class in (
+            compile_module._EmptyProbe,
+            compile_module._EqProbe,
+            compile_module._InProbe,
+            compile_module._RangeProbe,
+        ):
 
-        def counting(self, table, latest=False):
-            probes.append(self.statement)
-            return probe(self, table, latest)
+            def counting_ids(self, table, ids=probe_class.ids):
+                probes.append(self.describe())
+                return ids(self, table)
 
-        monkeypatch.setattr(CompiledSelect, "matching_ids_per_client", counting)
+            monkeypatch.setattr(probe_class, "ids", counting_ids)
+        matching = compile_module.CompiledSelect.matching_ids_per_client
+
+        def counting_pass(self, table, start=0):
+            starts.append(start)
+            return matching(self, table, start)
+
+        monkeypatch.setattr(
+            compile_module.CompiledSelect, "matching_ids_per_client", counting_pass
+        )
         for slot in (0, 1, 3, 0):
             for db in (databases[slot], references[slot]):
                 db.table(TABLE).append_rows([(2.8, 1, None), (6.0, 1, None), (1.5, 2, "abc")])
@@ -338,7 +318,10 @@ class TestStandingAnswers:
                     sql,
                     name,
                 )
+        # Every fold is one pass from the count the answer covered; none
+        # touches an index.
         assert probes == []
+        assert starts == [covered] * len(plain)
         stats = arena.arena_stats()[TABLE]
         assert stats["rebuilds"] == 1
         assert stats["standing_plans"] == len(plain)
@@ -431,6 +414,31 @@ class TestStandingAnswers:
             slot != 1 for slot in range(len(databases))
         ]
         assert finished == [arena.table(TABLE).slot_rows[1][-1]]
+
+
+@pytest.mark.parametrize("sql", _plain_statements(LATEST_ROW_STATEMENTS))
+@pytest.mark.parametrize("batch", [1, 2, 3], ids=["by-1", "by-2", "by-3"])
+def test_fill_and_fold_agree(sql, batch):
+    """One arena holds every member's rows at its first ask; a second gets
+    them in tail batches of ``batch`` rows, asked after each batch.  The
+    standing answers agree error for error, and equal the row scan's
+    ``rows[-1:]``."""
+    columns, members = LATEST_ROW_COLUMNS, LATEST_ROW_MEMBERS
+    whole, references = _shard(columns, members)
+    batched = [_database(columns, []) for _ in members]
+    whole_arena, batched_arena = ShardArena(whole), ShardArena(batched)
+    filled = arena_select_per_client(whole_arena, sql, latest=True)
+    longest = max(len(rows) for rows in members.values())
+    for first in range(0, longest, batch):
+        for db, rows in zip(batched, members.values()):
+            db.table(TABLE).append_rows(rows[first : first + batch])
+        folded = arena_select_per_client(batched_arena, sql, latest=True)
+    assert [_arena_outcome(o) for o in folded] == [_arena_outcome(o) for o in filled]
+    assert [_arena_outcome(o) for o in folded] == [
+        _reference_outcome(reference, sql) for reference in references
+    ]
+    stats = batched_arena.arena_stats()[TABLE]
+    assert (stats["rebuilds"], stats["standing_plans"]) == (1, 1)
 
 
 # The fold property's inputs.  Members are LATEST_ROW_MEMBERS' six, then one
