@@ -10,11 +10,15 @@ to queries.  In every answering epoch a client (Section 3.2):
 4. encodes ``<QID, randomized answer>`` and reads the pad keys that split it
    into XOR shares, one per proxy (Step III).
 
-A client's answer to one query is an :class:`AnswerRow`; a shard's rows for
-one query become one :class:`ResponseBlock`, which does the XOR split for
-all of them a column at a time and is what the runtime relays, ships and
-logs.  The client never transmits its truthful answer: only the randomized,
-encrypted shares leave the device.
+Steps 1-2 are per client: :meth:`Client.answer` gives each participating
+query's coin and bucket.  Steps 3-4 run a column at a time:
+:meth:`ResponseBlock.build` turns a shard's participants in one query into
+one :class:`ResponseBlock` — one truthful column from their buckets, one
+randomization call, one header prefix, one packing, one XOR split — and only
+the PRF reads (the randomized-response bytes, the token, the pad) stay per
+row, each keyed by the row's own client.  The block is what the runtime
+relays, ships and logs.  The client never transmits its truthful answer:
+only the randomized, encrypted shares leave the device.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, NamedTuple
+from typing import Any
 
 from repro.core.admission import participation_token
 from repro.core.budget import ExecutionParameters
@@ -37,6 +41,8 @@ from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secre
 from repro.crypto import prng
 from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns, xor_many
 from repro.sqldb import Database
+
+_CODEC = AnswerCodec()
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,7 @@ class ClientResponse:
     ``truthful_bits`` is kept *only* for evaluation purposes (computing exact
     baselines in experiments); it is never placed on the wire.  The runtime
     never builds these: they are the per-answer view
-    (:meth:`ResponseBlock.response`) that :class:`ResponseLog` and
-    :meth:`Client.answer_query` hand out.
+    (:meth:`ResponseBlock.response`) that :class:`ResponseLog` hands out.
     """
 
     client_id: str
@@ -74,29 +79,16 @@ class ClientResponse:
     randomized_bits: bytes
 
 
-class AnswerRow(NamedTuple):
-    """One participant's answer to one query, before its shard's block splits it.
-
-    ``message`` is the encoded ``M`` (:meth:`AnswerCodec.encode_message
-    <repro.core.encryption.AnswerCodec.encode_message>`) and ``keys`` its
-    ``n - 1`` pad key strings (:meth:`AnswerCodec.pad_keys
-    <repro.core.encryption.AnswerCodec.pad_keys>`):
-    :meth:`ResponseBlock.from_rows` XOR-splits a shard's messages with them
-    a column at a time.  The bits are ``bytes`` with one 0/1 byte per bit.
-    """
-
-    client_id: str
-    truthful_bits: bytes
-    randomized_bits: bytes
-    message: bytes
-    keys: tuple
-
-
 #: A participating coin for one query and epoch (:meth:`Client.flip_coins`):
 #: ``(query, responder, draws)``, what building the answer needs once the
 #: coin has said participate.  A plain tuple: the answer pass makes one per
 #: participant per query.
 Participation = tuple[Query, RandomizedResponder, EpochDraws]
+
+#: A participant's answer to one query (:meth:`Client.answer`): its
+#: :data:`Participation` and the bucket its latest matching value falls in
+#: (``None``: no bucket, the all-zero vector).
+Answer = tuple[Participation, int | None]
 
 
 # The header of a packed response block: row count, epoch, bit width, share
@@ -161,40 +153,68 @@ class ResponseBlock:
         return (ResponseBlock, tuple(getattr(self, f.name) for f in fields(self)))
 
     @classmethod
-    def from_rows(
+    def build(
         cls,
         query_id: str,
         epoch: int,
-        rows: Sequence[AnswerRow],
+        answers: Sequence[tuple["Client", Answer]],
         num_proxies: int,
         late_ids: tuple = (),
     ) -> "ResponseBlock":
-        """Split ``rows`` into one block, drawing every row's ``MID`` at once.
+        """Steps II-III for every ``(client, answer)`` of one query, as one block.
 
-        One :func:`~repro.crypto.xor.split_columns` call XORs every message
-        with its keys (one big-integer XOR per key position), and one
-        ``secure_random_bytes`` call draws the whole ``MID`` column.  Every
-        message must have the same width.
+        Rows keep the order given.  The truthful column is built from the
+        answers' buckets; one :meth:`RandomizedResponder.randomize_vector
+        <repro.core.randomized_response.RandomizedResponder.randomize_vector>`
+        call randomizes all of it — one per run of rows whose responders
+        hold equal ``p, q``: the system subscribes every client with the
+        query's parameters, so a deployment's block is one run, but
+        :meth:`Client.subscribe` can re-tune a single client, and its row
+        then keeps its own rates; :meth:`AnswerCodec.encode_rows
+        <repro.core.encryption.AnswerCodec.encode_rows>` packs every row
+        under one header prefix; :func:`~repro.crypto.xor.split_columns`
+        XORs the message column with its key columns; one
+        ``secure_random_bytes`` call draws the whole ``MID`` column.  Per row
+        are only the PRF reads, under the row's own client key: its
+        randomized-response bytes, its participation token and its pad.
         """
-        if not rows:
+        if not answers:
             return cls(query_id, epoch, (), b"", 0, b"", b"", 0, (b"",) * num_proxies, late_ids)
-        messages = [row.message for row in rows]
-        if len({len(message) for message in messages}) != 1:
-            raise ValueError("one response block holds messages of one width")
-        if {len(row.keys) for row in rows} != {num_proxies - 1}:
-            raise ValueError(f"every row of the block needs {num_proxies - 1} pad keys")
-        keys = [
-            b"".join([row.keys[position] for row in rows])
-            for position in range(num_proxies - 1)
-        ]
+        coins = [coin for _, (coin, _) in answers]
+        num_bits = coins[0][0].answer_spec.num_buckets
+        truthful = bytearray(len(answers) * num_bits)
+        for start, (_, (_, bucket)) in zip(range(0, len(truthful), num_bits), answers):
+            if bucket is not None:
+                if not 0 <= bucket < num_bits:
+                    raise ValueError(f"bucket {bucket} outside a {num_bits}-bit answer")
+                truthful[start + bucket] = 1
+        truthful = bytes(truthful)
+        draws = [coin[2] for coin in coins]
+        runs, start = [], 0
+        for _, run in itertools.groupby(coins, key=lambda coin: (coin[1].p, coin[1].q)):
+            end = start + len(list(run))
+            runs.append(
+                coins[start][1].randomize_vector(
+                    truthful[start * num_bits : end * num_bits], draws[start:end]
+                )
+            )
+            start = end
+        randomized = b"".join(runs)
+        messages = _CODEC.encode_rows(
+            query_id,
+            epoch,
+            [participation_token(client._token_secret, query_id, epoch) for client, _ in answers],
+            randomized,
+        )
+        keys = _CODEC.pad_columns(messages, num_proxies, draws)
         return cls(
             query_id=query_id,
             epoch=epoch,
-            client_ids=tuple([row.client_id for row in rows]),
-            message_ids=prng.secure_random_bytes(MID_BYTES * len(rows)),
-            num_bits=len(rows[0].randomized_bits),
-            truthful_bits=b"".join([row.truthful_bits for row in rows]),
-            randomized_bits=b"".join([row.randomized_bits for row in rows]),
+            client_ids=tuple([client.config.client_id for client, _ in answers]),
+            message_ids=prng.secure_random_bytes(MID_BYTES * len(answers)),
+            num_bits=num_bits,
+            truthful_bits=truthful,
+            randomized_bits=randomized,
             width=len(messages[0]),
             payloads=tuple(split_columns(b"".join(messages), keys)),
             late_ids=late_ids,
@@ -388,7 +408,6 @@ class Client:
     def __init__(self, config: ClientConfig):
         self.config = config
         self.database = Database(name=f"client-{config.client_id}")
-        self._codec = AnswerCodec()
         self._subscriptions: dict[str, tuple[Query, ExecutionParameters]] = {}
         self._use_key(client_key(config.seed))
 
@@ -557,18 +576,21 @@ class Client:
         *,
         late: bool = False,
         coins: Sequence[Participation | None] | None = None,
-    ) -> list[AnswerRow | str | None]:
-        """Run one answering epoch for many subscribed queries in one pass.
+    ) -> list[Answer | str | None]:
+        """Step I and the SQL read for many subscribed queries in one pass.
 
         Returns one entry per query id: ``None`` where the query's sampling
         coin said not to participate (or the query is unknown), otherwise
-        the query's :class:`AnswerRow` (:meth:`answer_row`).  The local
-        table scan is shared: queries with the same SQL reuse a single
-        database pass, which is what makes a multi-query epoch cheaper than
-        answering each query in its own full pass.  Every draw is addressed
-        by ``(query, epoch)`` (:mod:`repro.core.seeding`), so the rows —
-        pad keys included — are byte-identical to answering each query
-        alone.
+        the participant's :data:`Answer` — its coin and the bucket of its
+        latest matching value — for :meth:`ResponseBlock.build` to turn into
+        a row.  The local table scan is shared: queries with the same SQL
+        reuse a single database pass, which is what makes a multi-query epoch
+        cheaper than answering each query in its own full pass.  Every draw
+        is addressed by ``(query, epoch)`` (:mod:`repro.core.seeding`), so
+        the rows built from these answers — pad keys included — are
+        byte-identical to answering each query alone.  Every participant's
+        SQL outcome is read here, query by query, so the first statement
+        that raises for this client raises before anything is built.
 
         ``coins`` is :meth:`flip_coins` for the same ``query_ids`` and
         ``epoch``, when the caller already flipped them; by default the
@@ -578,16 +600,16 @@ class Client:
         this client's per-SQL outcome: the exception its own evaluation
         would raise, or the latest-row form of its result set (the same
         columns, at most the last row — answering reads only emptiness and
-        that row, see :meth:`_execute_query_locally`).  Entries are consumed
-        only for queries whose sampling coin says participate, exactly as a
-        local pass would be.
+        that row, see :meth:`_latest_value`).  Entries are consumed only for
+        queries whose sampling coin says participate, exactly as a local
+        pass would be.
 
         ``late=True`` is for a caller that already knows this client is in the
         epoch's late set, so whatever it produces is dropped: each query flips
         only its coin, a participating one reads its SQL outcome (so a
         statement that raises for this client still raises) and comes back
         as the client id — all the engine's gate needs to ledger the drop —
-        instead of a row.
+        instead of an answer.
         """
         if scan_cache is None:
             scan_cache = {}
@@ -600,79 +622,15 @@ class Client:
                     self._query_outcome(coin[0], scan_cache)
                 entries.append(None if coin is None else self.config.client_id)
             return entries
-        return [
-            None if coin is None else self.build_row(coin, epoch, scan_cache)
-            for coin in coins
-        ]
-
-    def answer_row(
-        self,
-        query_id: str,
-        epoch: int = 0,
-        *,
-        scan_cache: dict[str, Any] | None = None,
-    ) -> AnswerRow | None:
-        """Answer one subscribed query for ``epoch``: Steps I-III up to the split.
-
-        ``None`` when the sampling coin says not to participate (or when the
-        query is unknown); otherwise :meth:`build_row` for the participating
-        coin.  ``scan_cache`` (SQL text → result set) lets a multi-query
-        epoch share one table scan across co-subscribed queries; see
-        :meth:`answer`.
-        """
-        coin = self._flip_coin(query_id, epoch)
-        if coin is None:
-            return None
-        return self.build_row(coin, epoch, scan_cache)
-
-    def build_row(
-        self,
-        coin: Participation,
-        epoch: int,
-        scan_cache: dict[str, Any] | None = None,
-    ) -> AnswerRow:
-        """Steps II-III for a participating coin, up to the split.
-
-        The truthful and randomized bits, the encoded message and its pad
-        keys, which a :class:`ResponseBlock` turns into shares.
-        """
-        query, responder, draws = coin
-        # bytes(bytearray(list)) copies at C speed; bytes(list) iterates.
-        truthful_bits = bytes(bytearray(self._execute_query_locally(query, scan_cache)))
-        randomized_bits = responder.randomize_vector(truthful_bits, draws)
-        message = self._codec.encode_message(
-            query.query_id,
-            epoch,
-            participation_token(self._token_secret, query.query_id, epoch),
-            randomized_bits,
-        )
-        return AnswerRow(
-            self.config.client_id,
-            truthful_bits,
-            randomized_bits,
-            message,
-            self._codec.pad_keys(message, self.config.num_proxies, draws),
-        )
-
-    def answer_query(
-        self,
-        query_id: str,
-        epoch: int = 0,
-        *,
-        scan_cache: dict[str, Any] | None = None,
-    ) -> ClientResponse | None:
-        """:meth:`answer_row` as a one-row block's :class:`ClientResponse`.
-
-        The per-answer form, for callers that want one response object (the
-        runtime never does); its shares are those
-        :meth:`AnswerCodec.encrypt <repro.core.encryption.AnswerCodec.encrypt>`
-        gives the same answer.
-        """
-        row = self.answer_row(query_id, epoch=epoch, scan_cache=scan_cache)
-        if row is None:
-            return None
-        block = ResponseBlock.from_rows(query_id, epoch, [row], self.config.num_proxies)
-        return block.response(0)
+        answers: list[Answer | None] = []
+        for coin in coins:
+            if coin is None:
+                answers.append(None)
+                continue
+            query = coin[0]
+            value = self._latest_value(query, scan_cache)
+            answers.append((coin, query.answer_spec.buckets.bucket_of(value)))
+        return answers
 
     def _flip_coin(self, query_id: str, epoch: int) -> Participation | None:
         """Flip the query's sampling coin for ``epoch`` (Step I).
@@ -708,7 +666,7 @@ class Client:
         if query_id not in self._subscriptions:
             raise KeyError(f"client is not subscribed to query {query_id}")
         query, _ = self._subscriptions[query_id]
-        return self._execute_query_locally(query)
+        return query.encode_value(self._latest_value(query))
 
     def _query_outcome(self, query: Query, scan_cache: dict[str, Any] | None):
         """This client's result set for the analyst's SQL, raising what it raises.
@@ -730,28 +688,25 @@ class Client:
             scan_cache[query.sql] = result
         return result
 
-    def _execute_query_locally(
-        self, query: Query, scan_cache: dict[str, Any] | None = None
-    ) -> list[int]:
-        """Run the analyst's SQL on the local database and bucket the result.
+    def _latest_value(self, query: Query, scan_cache: dict[str, Any] | None = None) -> Any:
+        """The value the client answers with: the analyst's SQL on the local
+        database, the answer column of its last row.
 
         The client answers with the most recent matching row (the paper's
         examples — current driving speed, last ride distance, current power
         draw — are all "latest value" readings).  A client with no matching
-        rows answers all-zeros, which still gets randomized so non-matching
-        clients are indistinguishable from matching ones.  Only
-        ``len(result) > 0``, ``result.columns`` and ``result.rows[-1]`` of
-        :meth:`_query_outcome`'s result are read, which is why an
-        arena-seeded entry may hold just the last row of what
-        ``database.query`` would return.
+        rows answers ``None``, which no bucket holds: its all-zero vector
+        still gets randomized, so non-matching clients are
+        indistinguishable from matching ones.  Only ``len(result) > 0``,
+        ``result.columns`` and ``result.rows[-1]`` of :meth:`_query_outcome`'s
+        result are read, which is why an arena-seeded entry may hold just
+        the last row of what ``database.query`` would return.
         """
         result = self._query_outcome(query, scan_cache)
-        value = None
-        if len(result) > 0:
-            column = query.answer_spec.value_column
-            row = result.rows[-1]
-            if column is not None and column in result.columns:
-                value = row[result.columns.index(column)]
-            else:
-                value = row[0]
-        return query.encode_value(value)
+        if len(result) == 0:
+            return None
+        column = query.answer_spec.value_column
+        row = result.rows[-1]
+        if column is not None and column in result.columns:
+            return row[result.columns.index(column)]
+        return row[0]

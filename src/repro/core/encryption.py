@@ -11,10 +11,12 @@ The :class:`AnswerCodec` owns the byte-level message layout; it is the single
 place that knows how to serialize and parse ``M``, so the client and the
 aggregator cannot drift apart.  Besides the per-answer :meth:`~AnswerCodec.encrypt`
 / :meth:`~AnswerCodec.decode` pair it speaks the column form a shard's block
-uses: a client encodes its message and reads its pad keys
-(:meth:`~AnswerCodec.encode_message`, :meth:`~AnswerCodec.pad_keys`), and the
-aggregator reads a decrypted column of messages against the header prefix
-every well-formed answer of one query and epoch starts with
+uses: a shard's messages to one query are encoded under one header prefix
+and their pad keys read row by row (:meth:`~AnswerCodec.encode_rows`, whose
+one-row case :meth:`~AnswerCodec.encode` uses, and
+:meth:`~AnswerCodec.pad_columns`), and the aggregator reads a decrypted
+column of messages against the header prefix every well-formed answer of
+one query and epoch starts with
 (:meth:`~AnswerCodec.parse_column`, :meth:`~AnswerCodec.count_packed_bits`).
 """
 
@@ -69,14 +71,34 @@ class AnswerCodec:
         return self.encode_message(answer.query_id, answer.epoch, answer.token, answer.bits)
 
     def encode_message(self, query_id: str, epoch: int, token: str, bits) -> bytes:
-        """:meth:`encode` from the answer's fields, without building the answer.
+        """:meth:`encode` from the answer's fields: the one-row case of
+        :meth:`encode_rows`."""
+        return self.encode_rows(query_id, epoch, [token], bits)[0]
 
-        ``M`` is :meth:`prefix` (the header, then the query id), the token,
-        then the bits packed eight to a byte.
+    def encode_rows(self, query_id: str, epoch: int, tokens, bits) -> list[bytes]:
+        """Every row's message ``M``, from its token and its row of ``bits``.
+
+        ``bits`` holds ``len(tokens)`` equally long rows of 0/1 values laid
+        end to end.  Message ``i`` is :meth:`prefix` (the header, then the
+        query id), ``tokens[i]``, then row ``i`` packed eight to a byte; the
+        prefix is built once and every row is packed in one conversion.  The
+        tokens must be equally long, so every message has one width.
         """
-        token_bytes = token.encode("utf-8")
-        prefix = self.prefix(query_id, epoch, len(bits), len(token_bytes))
-        return prefix + token_bytes + self._pack_bits(bits)
+        if not tokens:
+            return []
+        num_bits, extra = divmod(len(bits), len(tokens))
+        if extra:
+            raise ValueError(f"{len(bits)} answer bits are not {len(tokens)} equal rows")
+        token_bytes = [token.encode("utf-8") for token in tokens]
+        if len(set(map(len, token_bytes))) != 1:
+            raise ValueError("one column holds messages of one width")
+        prefix = self.prefix(query_id, epoch, num_bits, len(token_bytes[0]))
+        packed = self._pack_bits(bits, num_bits)
+        stride = (num_bits + 7) // 8
+        return [
+            prefix + token + packed[row * stride : (row + 1) * stride]
+            for row, token in enumerate(token_bytes)
+        ]
 
     @staticmethod
     def prefix(query_id: str, epoch: int, num_bits: int, token_length: int) -> bytes:
@@ -96,18 +118,27 @@ class AnswerCodec:
         return header + qid_bytes
 
     @staticmethod
-    def pad_keys(message: bytes, num_proxies: int, draws) -> tuple[bytes, ...]:
-        """The ``n - 1`` key strings of ``message``'s pad, in share order.
+    def pad_columns(messages, num_proxies: int, draws) -> list[bytes]:
+        """The ``n - 1`` key columns of the messages' pads, in share order.
 
-        Read in one call off the keystream :meth:`encrypt` seeds from
-        ``draws`` (the answer's :class:`~repro.core.seeding.EpochDraws`), so
-        splitting the message with these keys
-        (:func:`~repro.crypto.xor.split_columns`) gives exactly the payloads
-        :meth:`encrypt` gives.
+        ``messages`` are equally wide and ``draws[i]`` is message ``i``'s
+        :class:`~repro.core.seeding.EpochDraws`.  Row ``i`` of every column
+        is read in one call off the keystream :meth:`encrypt` seeds from
+        ``draws[i]`` and message ``i``, so splitting the message column with
+        these keys (:func:`~repro.crypto.xor.split_columns`) gives exactly
+        the payloads :meth:`encrypt` gives each message.
         """
-        length = len(message)
-        stream = keystream(draws.pad_seed(message), length * (num_proxies - 1))
-        return tuple(stream[i * length : (i + 1) * length] for i in range(num_proxies - 1))
+        if not messages:
+            return [b""] * (num_proxies - 1)
+        width = len(messages[0])
+        streams = [
+            keystream(row_draws.pad_seed(message), width * (num_proxies - 1))
+            for message, row_draws in zip(messages, draws)
+        ]
+        return [
+            b"".join([stream[start : start + width] for stream in streams])
+            for start in range(0, width * (num_proxies - 1), width)
+        ]
 
     def parse_column(
         self,
@@ -225,27 +256,37 @@ class AnswerCodec:
     # -- bit packing ---------------------------------------------------------
 
     @staticmethod
-    def _pack_bits(bits) -> bytes:
-        """Pack 0/1 values eight to a byte, first bit in the high position.
+    def _pack_bits(bits, num_bits: int | None = None) -> bytes:
+        """Pack rows of ``num_bits`` 0/1 values eight to a byte, first bit in
+        the high position, each row padded to a whole byte.
 
-        The whole vector goes through one big-integer conversion instead of
-        one shift per bit; :meth:`_pack_bits_scalar` is the per-bit reference
-        and takes over for anything ``bytes()`` cannot represent one byte per
-        bit (``None``, ``-1``, ``256``, floats, a string, a wide buffer), so
-        both accept and reject exactly the same inputs.
+        ``num_bits`` defaults to all of ``bits`` as one row.  Every row goes
+        through one big-integer conversion instead of one shift per bit;
+        :meth:`_pack_bits_scalar` is the per-bit reference and takes over
+        for a row ``bytes()`` cannot represent one byte per bit (``None``,
+        ``-1``, ``256``, floats, a string, a wide buffer), so both accept and
+        reject exactly the same inputs.
         """
-        num_bits = len(bits)
+        if num_bits is None:
+            num_bits = len(bits)
         try:
             raw = bytes(bits)
         except (TypeError, ValueError):
-            return AnswerCodec._pack_bits_scalar(bits)
-        if len(raw) != num_bits:
+            raw = None
+        if raw is None or len(raw) != len(bits):
+            if num_bits != len(bits):
+                raise ValueError("rows of answer bits must be bytes-like")
             return AnswerCodec._pack_bits_scalar(bits)
         if raw.translate(None, b"\x00\x01"):
             raise ValueError("answer bits must be 0 or 1")
         if not raw:
             return b""
-        digits = raw.translate(_BITS_TO_DIGITS) + b"0" * (-num_bits % 8)
+        digits = raw.translate(_BITS_TO_DIGITS)
+        padding = b"0" * (-num_bits % 8)
+        if padding:
+            digits = padding.join(
+                [digits[start : start + num_bits] for start in range(0, len(digits), num_bits)]
+            ) + padding
         return int(digits, 2).to_bytes(len(digits) // 8, "big")
 
     @staticmethod

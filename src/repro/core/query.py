@@ -187,8 +187,10 @@ _BIT_VALUES = frozenset((0, 1))
 class QueryAnswer:
     """A single client's (truthful or randomized) answer: an n-bit vector.
 
-    ``bits`` holds 0/1 values: a tuple when decoded, ``bytes`` when a client
-    builds its own answer (:meth:`~repro.core.client.Client.answer_query`).
+    ``bits`` holds 0/1 values: a tuple when decoded, or whatever 0/1
+    sequence a caller encrypts one answer from (:meth:`AnswerCodec.encrypt
+    <repro.core.encryption.AnswerCodec.encrypt>`); clients build theirs a
+    shard's column at a time and never make one.
     ``token`` is the anonymous per-epoch participation token used by the
     aggregator's duplicate-answer defense (:mod:`repro.core.admission`); it is
     empty when admission control is not in use.

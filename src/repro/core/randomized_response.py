@@ -119,44 +119,59 @@ class RandomizedResponder:
         return 1 if self.rng.random() < self.q else 0
 
     def randomize_vector(self, truthful_bits: Sequence[int], draws=None) -> bytes:
-        """Randomize every bit of an answer vector independently.
+        """Randomize every bit of one or more answer vectors independently.
 
         Independent per-bucket randomization is what lets the aggregator apply
         the Eq. 5 estimator bucket by bucket.  Returns one 0/1 byte per bit.
 
+        ``draws`` is a list of :class:`~repro.core.seeding.EpochDraws`, one
+        per answer: ``truthful_bits`` is then that many equally long rows laid
+        end to end, and row ``i`` reads only ``draws[i]`` — a shard's column
+        of answers to one query in one call.  A single draws object is the
+        one-row case; without draws ``rng`` supplies the one row's bytes.
+
         Each bit ``i`` has one 32-bit uniform ``u``: ``u < p`` (scaled to
         ``2**32``) keeps the truthful bit, else ``u < p + (1 - p) q`` answers
         1, else 0 — the two coins of Section 3.2.2 read off one draw.  The
-        high bytes of all ``u`` come in one read (``draws.rr_high``) and decide
-        almost every bit at C speed through ``bytes.translate``; only the bits
-        whose high byte straddles a threshold (at most 2 of 256 values) need
-        their low 24 bits, read for all of them at once (``draws.rr_low``).
-        ``draws`` is the answer's :class:`~repro.core.seeding.EpochDraws`;
-        without it ``rng`` supplies the bytes.
+        high bytes of a row's ``u`` come in one read (``draws.rr_high``);
+        laid end to end, every row's high bytes decide almost every bit at C
+        speed through one ``bytes.translate`` and one big-integer AND/OR.
+        Only the bits whose high byte straddles a threshold (at most 2 of
+        256 values) need their low 24 bits, read for all of one row's at
+        once (``draws.rr_low``), and only rows holding such a bit read them.
         """
         truthful = bytes(truthful_bits)
         if truthful.translate(None, b"\x00\x01"):
             raise ValueError("truthful bits must be 0 or 1")
         if draws is None:
             draws = _RngDraws(self.rng)
-        num_bits = len(truthful)
+        rows = draws if isinstance(draws, list) else [draws]
+        if not rows:
+            if truthful:
+                raise ValueError("truthful bits for no rows")
+            return b""
+        num_bits, extra = divmod(len(truthful), len(rows))
+        if extra:
+            raise ValueError(f"{len(truthful)} truthful bits are not {len(rows)} equal rows")
         keep_below, one_below, keep, one, undecided = self._tables
-        high = draws.rr_high(num_bits)
+        high = b"".join([row.rr_high(num_bits) for row in rows])
         decided = (
             int.from_bytes(truthful, "little") & int.from_bytes(high.translate(keep), "little")
             | int.from_bytes(high.translate(one), "little")
-        ).to_bytes(num_bits, "little")
+        ).to_bytes(len(truthful), "little")
         pending = high.translate(undecided)
-        count = pending.count(1)
-        if not count:
+        index = pending.find(1)
+        if index < 0:
             return decided
-        lows = draws.rr_low(num_bits, count)
         out = bytearray(decided)
-        index = -1
-        for offset in range(0, 3 * count, 3):
-            index = pending.find(1, index + 1)
-            uniform = high[index] << 24 | int.from_bytes(lows[offset : offset + 3], "big")
-            out[index] = truthful[index] if uniform < keep_below else uniform < one_below
+        while index >= 0:
+            row = index // num_bits
+            count = pending.count(1, index, (row + 1) * num_bits)
+            lows = rows[row].rr_low(num_bits, count)
+            for offset in range(0, 3 * count, 3):
+                uniform = high[index] << 24 | int.from_bytes(lows[offset : offset + 3], "big")
+                out[index] = truthful[index] if uniform < keep_below else uniform < one_below
+                index = pending.find(1, index + 1)
         return bytes(out)
 
     def response_probability(self, truthful_bit: int) -> float:

@@ -43,7 +43,7 @@ def keystream(seed: bytes, length: int) -> bytes:
 
     Exactly what ``KeystreamGenerator(seed).next_bytes(length)`` returns,
     without building a generator: the form a client reads a message's pad
-    in (:meth:`repro.core.encryption.AnswerCodec.pad_keys`).
+    in (:meth:`repro.core.encryption.AnswerCodec.pad_columns`).
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")

@@ -92,9 +92,14 @@ def answer_shard(
     Every client answers all of ``query_ids`` in one pass; the return value
     holds one :class:`~repro.core.client.ResponseBlock` per query, its rows
     the participants in client order (empty when nobody in the shard
-    participates).  Each block XOR-splits all of its rows' messages at once
-    (:meth:`ResponseBlock.from_rows
-    <repro.core.client.ResponseBlock.from_rows>`).
+    participates).  Each client's :meth:`Client.answer
+    <repro.core.client.Client.answer>` gives its participating queries'
+    coins and buckets, and each query's block is then built a column at a
+    time — randomized, encoded and XOR-split for all of its rows at once
+    (:meth:`ResponseBlock.build <repro.core.client.ResponseBlock.build>`).
+    Every member answers before any block is built, so the first
+    ``(client, query)`` whose statement raises raises first, as under
+    serial.
 
     Coins first: every member's coins for every query are flipped before
     any SQL runs (:meth:`Client.flip_coins
@@ -120,7 +125,7 @@ def answer_shard(
 
     coins = [client.flip_coins(query_ids, epoch) for client in clients]
     caches = shard_scan_caches(clients, coins, arena)
-    rows_per_query: list[list] = [[] for _ in query_ids]
+    answers_per_query: list[list] = [[] for _ in query_ids]
     late_per_query: list[list[str]] = [[] for _ in query_ids]
     for slot, client in enumerate(clients):
         scan_cache = None if caches is None else caches[slot]
@@ -137,11 +142,11 @@ def answer_shard(
             if isinstance(entry, str):
                 late_per_query[index].append(entry)
             else:
-                rows_per_query[index].append(entry)
+                answers_per_query[index].append((client, entry))
     num_proxies = clients[0].config.num_proxies if clients else 2
     return [
-        ResponseBlock.from_rows(query_id, epoch, rows, num_proxies, late_ids=tuple(late_ids))
-        for query_id, rows, late_ids in zip(query_ids, rows_per_query, late_per_query)
+        ResponseBlock.build(query_id, epoch, answers, num_proxies, late_ids=tuple(late_ids))
+        for query_id, answers, late_ids in zip(query_ids, answers_per_query, late_per_query)
     ]
 
 

@@ -26,12 +26,13 @@ from repro.runtime.executor import (
 class SerialExecutor(EpochExecutor):
     """Answers every client one-by-one in a single in-process loop.
 
-    Each query's rows become one :class:`~repro.core.client.ResponseBlock`
-    for the outcome, but the relay and the ingest stay per answer: every
-    row's shares go out through :meth:`ProxyNetwork.transmit
-    <repro.core.proxy.ProxyNetwork.transmit>` and the aggregator joins them
-    one record at a time — the reference the engine's column relay and
-    block ingest are checked against.
+    Each client reads its own SQL; each query's on-time answers then
+    become one :class:`~repro.core.client.ResponseBlock` (a late
+    participant answers, is ledgered and is never built).  The relay and
+    the ingest stay per answer: every row's shares go out through
+    :meth:`ProxyNetwork.transmit <repro.core.proxy.ProxyNetwork.transmit>`
+    and the aggregator joins them one record at a time — the reference the
+    engine's column relay and block ingest are checked against.
     """
 
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
@@ -41,20 +42,21 @@ class SerialExecutor(EpochExecutor):
         queries = context.queries
         query_ids = context.query_ids
         late = context.late
-        rows_per_query: list[list] = [[] for _ in queries]
+        answers_per_query: list[list] = [[] for _ in queries]
         late_drops: list[list[str]] = [[] for _ in queries]
         for client in context.clients:
-            for index, row in enumerate(client.answer(query_ids, epoch=epoch)):
-                if row is None:
+            client_id = client.config.client_id
+            for index, entry in enumerate(client.answer(query_ids, epoch=epoch)):
+                if entry is None:
                     continue
-                if row.client_id in late:
-                    # Built but missed the deadline.
-                    late_drops[index].append(row.client_id)
+                if client_id in late:
+                    # Answered but missed the deadline.
+                    late_drops[index].append(client_id)
                     continue
-                rows_per_query[index].append(row)
+                answers_per_query[index].append((client, entry))
         blocks = [
-            ResponseBlock.from_rows(query_id, epoch, rows, context.proxies.num_proxies)
-            for query_id, rows in zip(query_ids, rows_per_query)
+            ResponseBlock.build(query_id, epoch, answers, context.proxies.num_proxies)
+            for query_id, answers in zip(query_ids, answers_per_query)
         ]
         for query_id, block in zip(query_ids, blocks):
             for row in range(len(block)):

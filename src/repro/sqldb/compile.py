@@ -7,9 +7,10 @@ statement.  This module lowers each statement *once* into a
 :class:`CompiledSelect` — an index probe plan plus a residual closure —
 cached globally by ``(statement, schema)``, so every client sharing a
 schema (all of them, in a PrivApprox deployment) reuses one compilation.
-This is the same batch-vs-scalar-reference discipline used for
-``randomize_vector`` and ``join_shares_batch``: the scan engine stays the
-frozen reference, and the differential suite proves the compiled path
+This is the same batch-vs-scalar-reference discipline used for the block
+builder (``ResponseBlock.build``, pinned row by row to the per-answer
+``AnswerCodec.encrypt``) and ``join_shares_batch``: the scan engine stays
+the frozen reference, and the differential suite proves the compiled path
 equal row-for-row.
 
 **Probe selection.**  The WHERE clause is split into its top-level AND

@@ -17,6 +17,47 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
+from repro.core.client import ResponseBlock
+from repro.crypto.prng import secure_random_bytes
+from repro.crypto.xor import MID_BYTES, split_columns
+
+# -- answers and blocks outside a deployment ------------------------------------
+
+
+def answer_one(client, query_id: str, epoch: int = 0, scan_cache=None):
+    """``client``'s answer to one query as a :class:`ClientResponse`, or
+    ``None`` for a non-participant: the one-row case of the block builder."""
+    (entry,) = client.answer([query_id], epoch=epoch, scan_cache=scan_cache)
+    if entry is None:
+        return None
+    block = ResponseBlock.build(query_id, epoch, [(client, entry)], client.config.num_proxies)
+    return block.response(0)
+
+
+def forge_block(query_id: str, epoch: int, rows, num_proxies: int = 2) -> ResponseBlock:
+    """A block of arbitrary rows ``(client id, truthful bits, randomized
+    bits, message, pad keys)``, which no client would build: the dataclass,
+    with its payloads from :func:`split_columns` and fresh random ``MID`` s.
+    Every message must have one width and ``num_proxies - 1`` keys."""
+    if not rows:
+        return ResponseBlock.build(query_id, epoch, [], num_proxies)
+    client_ids, truthful, randomized, messages, keys = zip(*rows)
+    return ResponseBlock(
+        query_id=query_id,
+        epoch=epoch,
+        client_ids=client_ids,
+        message_ids=secure_random_bytes(MID_BYTES * len(rows)),
+        num_bits=len(randomized[0]),
+        truthful_bits=b"".join(map(bytes, truthful)),
+        randomized_bits=b"".join(map(bytes, randomized)),
+        width=len(messages[0]),
+        payloads=tuple(
+            split_columns(
+                b"".join(messages),
+                [b"".join(row[position] for row in keys) for position in range(num_proxies - 1)],
+            )
+        ),
+    )
 
 
 @pytest.fixture

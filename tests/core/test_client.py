@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import AnswerSpec, Client, ClientConfig, ExecutionParameters, RangeBuckets
+from repro.core.client import ResponseBlock
+from repro.core.encryption import AnswerCodec
 from repro.core.query import Query
+from tests.conftest import answer_one
 
 
 def make_client(seed: int = 1, num_proxies: int = 2) -> Client:
@@ -57,7 +60,7 @@ class TestSubscription:
         assert client.subscribed_query_ids == []
 
     def test_answer_unknown_query_returns_none(self):
-        assert make_client().answer_query("unknown") is None
+        assert answer_one(make_client(), "unknown") is None
 
     def test_truthful_answer_requires_subscription(self):
         with pytest.raises(KeyError):
@@ -95,7 +98,7 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = client.answer_query(query.query_id, epoch=0)
+        response = answer_one(client, query.query_id, epoch=0)
         assert response is not None
         assert response.randomized_bits == bytes([0, 1, 0, 0])
         assert response.truthful_bits == bytes([0, 1, 0, 0])
@@ -107,7 +110,7 @@ class TestAnswering:
         client.subscribe(
             query, ExecutionParameters(sampling_fraction=0.001, p=1.0, q=0.5)
         )
-        responses = [client.answer_query(query.query_id, epoch=e) for e in range(50)]
+        responses = [answer_one(client, query.query_id, epoch=e) for e in range(50)]
         assert sum(r is not None for r in responses) <= 2
 
     def test_sampling_rate_respected(self):
@@ -115,7 +118,7 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ExecutionParameters(sampling_fraction=0.5, p=1.0, q=0.5))
-        responses = [client.answer_query(query.query_id, epoch=e) for e in range(400)]
+        responses = [answer_one(client, query.query_id, epoch=e) for e in range(400)]
         participation = sum(r is not None for r in responses) / 400
         assert 0.4 < participation < 0.6
 
@@ -126,7 +129,7 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = client.answer_query(query.query_id, epoch=4)
+        response = answer_one(client, query.query_id, epoch=4)
         decoded = AnswerCodec().decrypt(list(response.encrypted.shares))
         assert bytes(decoded.bits) == response.randomized_bits
         assert decoded.query_id == query.query_id
@@ -138,7 +141,7 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = client.answer_query(query.query_id)
+        response = answer_one(client, query.query_id)
         assert response.encrypted.num_shares == 3
 
     def test_cosubscription_does_not_perturb_other_queries(self):
@@ -172,17 +175,17 @@ class TestAnswering:
         together.subscribe(query_b, params)
         alone = provision(make_client(seed=99))
         alone.subscribe(query_b, params)
+        def row(client, entry, epoch):
+            block = ResponseBlock.build(query_b.query_id, epoch, [(client, entry)], 2)
+            return block.truthful_bits, block.randomized_bits, block.payloads
+
         for epoch in range(20):
-            _, co_response = together.answer(
-                [query_a.query_id, query_b.query_id], epoch=epoch
-            )
-            (solo_response,) = alone.answer([query_b.query_id], epoch=epoch)
-            assert (co_response is None) == (solo_response is None)
-            if co_response is None:
+            _, co_entry = together.answer([query_a.query_id, query_b.query_id], epoch=epoch)
+            (solo_entry,) = alone.answer([query_b.query_id], epoch=epoch)
+            assert (co_entry is None) == (solo_entry is None)
+            if co_entry is None:
                 continue
-            assert co_response.randomized_bits == solo_response.randomized_bits
-            assert co_response.message == solo_response.message
-            assert co_response.keys == solo_response.keys
+            assert row(together, co_entry, epoch) == row(alone, solo_entry, epoch)
 
     def test_randomization_changes_answers_with_low_p(self):
         client = make_client(seed=11)
@@ -191,10 +194,38 @@ class TestAnswering:
         client.subscribe(query, ExecutionParameters(sampling_fraction=1.0, p=0.1, q=0.5))
         different = 0
         for epoch in range(50):
-            response = client.answer_query(query.query_id, epoch=epoch)
+            response = answer_one(client, query.query_id, epoch=epoch)
             if response.randomized_bits != response.truthful_bits:
                 different += 1
         assert different > 10
+
+
+class TestBlockBuild:
+    def test_rows_with_different_rates_are_their_one_row_blocks(self):
+        """Participants of one query holding different ``p, q`` (a client
+        re-tuned on its own through ``subscribe``) still share a block: each
+        run of equal rates is randomized on its own, and every row is what
+        its one-row block holds."""
+        rates = [(0.3, 0.5), (0.3, 0.5), (0.9, 0.2), (0.3, 0.5)]
+        query = make_query()
+        answers = []
+        for index, (p, q) in enumerate(rates):
+            client = make_client(seed=40 + index)
+            client.ingest([{"speed": 4.0 + 9.0 * index, "location": "San Francisco"}])
+            client.subscribe(query, ExecutionParameters(sampling_fraction=1.0, p=p, q=q))
+            (entry,) = client.answer([query.query_id], epoch=6)
+            answers.append((client, entry))
+        block = ResponseBlock.build(query.query_id, 6, answers, 2)
+        for row, answer in enumerate(answers):
+            alone = ResponseBlock.build(query.query_id, 6, [answer], 2)
+            assert block.select([row]).payloads == alone.payloads
+            assert block.response(row).randomized_bits == alone.randomized_bits
+
+    def test_an_empty_block_has_one_empty_column_per_proxy(self):
+        block = ResponseBlock.build("q", 3, [], num_proxies=3)
+        assert len(block) == 0 and block.payloads == (b"", b"", b"")
+        for num_proxies in (2, 3, 5):
+            assert AnswerCodec.pad_columns([], num_proxies, []) == [b""] * (num_proxies - 1)
 
 
 class TestLatePath:
@@ -264,7 +295,7 @@ class TestPadDerivation:
         client.ingest([{"speed": speed, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        return client.answer_query(query.query_id, epoch=3)
+        return answer_one(client, query.query_id, epoch=3)
 
     def test_answering_twice_over_different_rows_shares_no_pad(self):
         from repro.core.encryption import AnswerCodec

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import (
     AnswerSpec,
@@ -13,11 +13,12 @@ from repro.core import (
     zero_knowledge_epsilon,
     randomized_response_epsilon,
 )
-from repro.core.client import Client, ClientConfig
+from repro.core.client import Client, ClientConfig, ResponseBlock
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query, QueryAnswer
 from repro.core.sampling import estimate_sum
 from repro.crypto.prng import KeystreamGenerator
+from tests.core.test_randomized_response import _Uniforms
 
 
 class TestEndToEndEncodingProperties:
@@ -141,12 +142,18 @@ _QUERY_IDS = st.text(
 )
 
 
-def _answer_bytes(row):
-    """An answer row's bytes: its bits, its message (query id and epoch
-    included) and its pad keys — everything but the MID its block draws."""
-    if row is None:
-        return None
-    return (row.truthful_bits, row.randomized_bits, row.message, row.keys)
+def _answer_bytes(client, query_ids, epoch):
+    """Each query's answer as its one-row block holds it: the bits and the
+    payloads (the message, query id and epoch included, XOR its pad keys,
+    and the keys) — everything but the MID the block draws."""
+    rows = []
+    for query_id, entry in zip(query_ids, client.answer(query_ids, epoch=epoch)):
+        if entry is None:
+            rows.append(None)
+            continue
+        block = ResponseBlock.build(query_id, epoch, [(client, entry)], client.config.num_proxies)
+        rows.append((block.truthful_bits, block.randomized_bits, block.payloads))
+    return rows
 
 
 class TestEpochAddressedDraws:
@@ -191,20 +198,116 @@ class TestEpochAddressedDraws:
                 client.subscribe(query, parameters)
             return client
 
-        fresh = make_client().answer(query_ids, epoch=epoch)
+        expected = _answer_bytes(make_client(), query_ids, epoch)
         used = make_client()
         for index, earlier in enumerate(history):
             used.answer(query_ids, epoch=earlier, late=index % 2 == 1)
         restored = Client.from_state(used.export_state())
-        expected = [_answer_bytes(response) for response in fresh]
-        assert [_answer_bytes(r) for r in used.answer(query_ids, epoch=epoch)] == expected
-        assert [_answer_bytes(r) for r in restored.answer(query_ids, epoch=epoch)] == expected
+        assert _answer_bytes(used, query_ids, epoch) == expected
+        assert _answer_bytes(restored, query_ids, epoch) == expected
         late = used.answer(query_ids, epoch=epoch, late=True)
-        assert late == [None if response is None else "c" for response in fresh]
+        assert late == [None if row is None else "c" for row in expected]
+
+
+class _ChosenUniforms(_Uniforms):
+    """One row's draws with chosen randomized-response uniforms
+    (:class:`_Uniforms`) and the real pad seed of ``draws``."""
+
+    def __init__(self, draws, uniforms, straddling):
+        super().__init__(uniforms, straddling)
+        self.draws = draws
+
+    def pad_seed(self, message):
+        return self.draws.pad_seed(message)
 
 
 class TestBlockMatchesPerAnswer:
     """A shard's block is the per-answer path, a column at a time."""
+
+    @given(
+        num_bits=st.sampled_from([1, 7, 9, 128, 300]),
+        num_rows=st.sampled_from([0, 1, 50]),
+        num_proxies=st.integers(min_value=2, max_value=4),
+        epoch=st.integers(min_value=0, max_value=5),
+        p=st.floats(min_value=0.01, max_value=0.99),
+        q=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_builder_rows_are_the_per_answer_encryption_of_the_two_coin_rule(
+        self, num_bits, num_rows, num_proxies, epoch, p, q, seed
+    ):
+        """Every row of :meth:`ResponseBlock.build` is what encrypting that
+        participant's answer alone gives, its bits decided by the two coins
+        on the full 32-bit uniform; only rows holding a bit whose high byte
+        straddles a threshold read low bytes, once each."""
+        from repro.core.admission import participation_token
+        from repro.core.randomized_response import _byte_tables
+        from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secret
+
+        keep_below, one_below, *_ = _byte_tables(p, q)
+        straddling = {
+            high
+            for high in range(256)
+            if any(high << 24 < t < (high + 1) << 24 for t in (keep_below, one_below))
+        }
+        assume(straddling)
+        query = Query(
+            query_id="block-parity",
+            sql="SELECT value FROM private_data",
+            answer_spec=AnswerSpec(buckets=RangeBuckets.uniform(0.0, 1.0, num_bits)),
+        )
+        responder = RandomizedResponder(p=p, q=q, rng=None)
+        source = random.Random(seed)
+        answers, expected_rows = [], []
+        for row in range(num_rows):
+            client = Client(ClientConfig(client_id=f"c{row}", num_proxies=num_proxies, seed=row))
+            uniforms = []
+            for bit in range(num_bits):
+                if (bit == 0 and row % 2 == 0) or source.random() < 0.25:
+                    high = source.choice(sorted(straddling))
+                    uniforms.append(high << 24 | source.getrandbits(24))
+                else:
+                    uniforms.append(source.getrandbits(32))
+            draws = _ChosenUniforms(
+                EpochDraws(query_prefix(client_key(row), query.query_id), epoch),
+                uniforms,
+                straddling,
+            )
+            bucket = source.choice([None, *range(num_bits)])
+            answers.append((client, ((query, responder, draws), bucket)))
+            truthful = [int(bit == bucket) for bit in range(num_bits)]
+            randomized = bytes(
+                bit if u < keep_below else int(u < one_below)
+                for bit, u in zip(truthful, uniforms)
+            )
+            token = participation_token(token_secret(client_key(row)), query.query_id, epoch)
+            answer = QueryAnswer(query.query_id, randomized, epoch=epoch, token=token)
+            expected = AnswerCodec().encrypt(answer, num_proxies, draws=draws)
+            expected_rows.append(
+                (f"c{row}", bytes(truthful), randomized, [s.payload for s in expected.shares])
+            )
+
+        block = ResponseBlock.build(query.query_id, epoch, answers, num_proxies)
+
+        assert len(block) == num_rows and block.num_shares == num_proxies
+        width = block.width
+        rows = [
+            (
+                block.client_ids[row],
+                block.truthful_bits[row * num_bits : (row + 1) * num_bits],
+                block.randomized_bits[row * num_bits : (row + 1) * num_bits],
+                [payload[row * width : (row + 1) * width] for payload in block.payloads],
+            )
+            for row in range(num_rows)
+        ]
+        assert rows == expected_rows
+        reading = [row for row, (_, (coin, _)) in enumerate(answers) if coin[2].low_reads]
+        for _, ((_, _, draws), _) in answers:
+            undecided = sum(1 for u in draws.uniforms if u >> 24 in straddling)
+            assert draws.low_reads == ([undecided] if undecided else [])
+        if num_rows == 50:
+            assert len(reading) >= 25  # straddling bits in several rows of one block
 
     @given(
         num_bits=st.integers(min_value=1, max_value=300),
@@ -225,11 +328,14 @@ class TestBlockMatchesPerAnswer:
     def test_block_columns_and_ingest_match_the_per_answer_path(
         self, num_bits, num_proxies, epoch, token_length, rows
     ):
+        """A block of arbitrary messages (duplicate tokens, drifted epochs)
+        holds each row's per-answer payloads and ingests exactly as its
+        loose shares do."""
         from repro.core import Aggregator
         from repro.core.admission import AnswerAdmissionController
-        from repro.core.client import AnswerRow, ResponseBlock
         from repro.core.seeding import EpochDraws, client_key, query_prefix
         from repro.core.validation import AnswerValidator
+        from tests.conftest import forge_block
 
         query = Query(
             query_id="block-parity",
@@ -252,12 +358,12 @@ class TestBlockMatchesPerAnswer:
             answers.append(answer)
             draws.append(row_draws)
             answer_rows.append(
-                AnswerRow(
-                    f"c{index}", bytes(bits), bytes(bits), message,
-                    codec.pad_keys(message, num_proxies, row_draws),
+                (
+                    f"c{index}", bits, bits, message,
+                    codec.pad_columns([message], num_proxies, [row_draws]),
                 )
             )
-        block = ResponseBlock.from_rows(query.query_id, epoch, answer_rows, num_proxies)
+        block = forge_block(query.query_id, epoch, answer_rows, num_proxies)
 
         width = block.width
         for row, (answer, row_draws) in enumerate(zip(answers, draws)):

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core import ProxyNetwork
-from repro.core.client import AnswerRow, ResponseBlock
+from repro.core.client import ResponseBlock
 from repro.core.encryption import AnswerCodec
 from repro.core.proxy import poll_shares
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
 from repro.crypto.xor import ShareColumn
+from tests.conftest import forge_block
 
 
 def encrypted_answer(num_proxies: int = 2, bits=(1, 0, 1)):
@@ -24,16 +25,16 @@ def answer_block(rows: int, num_proxies: int = 2, bits=(1, 0, 1)) -> ResponseBlo
     message = AnswerCodec().encode_message("q", 0, "t" * 32, bits)
     keystream = KeystreamGenerator(seed=b"t")
     answer_rows = [
-        AnswerRow(
+        (
             f"c{row}",
-            bytes(bits),
-            bytes(bits),
+            bits,
+            bits,
             message,
             tuple(keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)),
         )
         for row in range(rows)
     ]
-    return ResponseBlock.from_rows("q", 0, answer_rows, num_proxies)
+    return forge_block("q", 0, answer_rows, num_proxies)
 
 
 def share_fields(shares):

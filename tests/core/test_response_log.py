@@ -16,10 +16,11 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
-from repro.core.client import AnswerRow, ResponseBlock, ResponseLog, pack_blocks
+from repro.core.client import ResponseBlock, ResponseLog, pack_blocks
 from repro.core.encryption import AnswerCodec
 from repro.crypto.prng import KeystreamGenerator
 from repro.runtime.scenario import _digest_update_responses
+from tests.conftest import forge_block
 
 QUERY_ID = "q-log"
 
@@ -29,14 +30,14 @@ def make_block(client_id: str, epoch: int, bits: tuple, num_proxies: int = 2):
     randomized = bits[1:] + bits[:1]
     message = AnswerCodec().encode_message(QUERY_ID, epoch, "t" * 32, randomized)
     keystream = KeystreamGenerator(seed=client_id.encode("utf-8"))
-    row = AnswerRow(
+    row = (
         client_id,
-        bytes(bits),
-        bytes(randomized),
+        bits,
+        randomized,
         message,
         tuple(keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)),
     )
-    return ResponseBlock.from_rows(QUERY_ID, epoch, [row], num_proxies)
+    return forge_block(QUERY_ID, epoch, [row], num_proxies)
 
 
 def responses_of(blocks):
@@ -89,7 +90,7 @@ class TestPacking:
             assert_same_fields(rebuilt, original)
 
     def test_an_empty_epoch_packs_to_nothing(self):
-        empty = ResponseBlock.from_rows(QUERY_ID, 0, [], num_proxies=2)
+        empty = ResponseBlock.build(QUERY_ID, 0, [], num_proxies=2)
         assert pack_blocks([]) == pack_blocks([empty]) == []
         assert ResponseLog(QUERY_ID, pack_blocks([])) == []
 

@@ -273,6 +273,127 @@ class TestNoPerAnswerObjects:
         assert system.aggregator_for(query_id).answers_processed == 12
         assert built == {}
 
+    @pytest.mark.parametrize("num_clients", [1, 7, 50])
+    def test_each_block_randomizes_and_builds_its_prefix_once(self, num_clients, monkeypatch):
+        """Steps II-III run once per non-empty block, whatever its row count:
+        one ``randomize_vector`` call and one header prefix.  A per-row path
+        would count one per participant."""
+        from repro.core.encryption import AnswerCodec
+        from repro.core.randomized_response import RandomizedResponder
+        from repro.runtime import answer_shard
+
+        system, query_id = build_system("serial", num_clients=num_clients, sampling_fraction=0.6)
+        system.close()
+        calls = {"randomize_vector": 0, "prefix": 0}
+        randomize_vector, prefix = RandomizedResponder.randomize_vector, AnswerCodec.prefix
+
+        def counting_randomize(self, *args, **kwargs):
+            calls["randomize_vector"] += 1
+            return randomize_vector(self, *args, **kwargs)
+
+        def counting_prefix(*args, **kwargs):
+            calls["prefix"] += 1
+            return prefix(*args, **kwargs)
+
+        monkeypatch.setattr(RandomizedResponder, "randomize_vector", counting_randomize)
+        monkeypatch.setattr(AnswerCodec, "prefix", staticmethod(counting_prefix))
+        late = frozenset(client.config.client_id for client in system.clients[1::3])
+        blocks = []
+        for epoch in range(4):
+            blocks += answer_shard(system.clients, [query_id], epoch, late=late)
+        built = sum(1 for block in blocks if len(block))
+        assert built > 0
+        if num_clients > 1:
+            assert max(len(block) for block in blocks) > 1
+        assert calls == {"randomize_vector": built, "prefix": built}
+
+    def test_serial_randomizes_once_per_query(self, monkeypatch):
+        """Serial builds its one block per query with one call, over the
+        on-time participants only (a late participant is never built)."""
+        from repro.core.randomized_response import RandomizedResponder
+
+        calls = []
+        randomize_vector = RandomizedResponder.randomize_vector
+
+        def counting(self, truthful_bits, draws=None):
+            calls.append(len(draws))
+            return randomize_vector(self, truthful_bits, draws)
+
+        system, query_id = build_system("serial")
+        try:
+            system.late_clients = frozenset(
+                client.config.client_id for client in system.clients[::4]
+            )
+            monkeypatch.setattr(RandomizedResponder, "randomize_vector", counting)
+            report = system.run_epoch(query_id, 0)
+        finally:
+            system.close()
+        assert len(report.late_drops) == 4
+        assert calls == [report.num_participants] == [12]
+
+
+def _two_raising_statements(executor: str, late: bool):
+    """A deployment whose two queries' statements raise for different
+    clients of one shard (clients 4-7 of 16 in 4 shards): the first query's
+    for client 7, the second's for client 5."""
+    system, first = build_system(
+        executor, sql="SELECT value FROM private_data WHERE value < 15.0 OR value >= 'x'"
+    )
+    analyst = Analyst("engine-errors")
+    query = analyst.create_query(
+        "SELECT value FROM private_data WHERE value < 9.0 OR value > 15.0 OR value <= 'x'",
+        AnswerSpec(
+            buckets=RangeBuckets.uniform(0.0, 8.0, 4, open_ended=True), value_column="value"
+        ),
+        frequency_seconds=60.0,
+        window_seconds=60.0,
+        slide_seconds=60.0,
+    )
+    system.submit_query(
+        analyst,
+        query,
+        QueryBudget(),
+        parameters=ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5),
+    )
+    system.clients[5].database.table("private_data").append_rows([(10.0,)])
+    system.clients[7].database.table("private_data").append_rows([(20.0,)])
+    if late:
+        system.late_clients = frozenset({"client-000005", "client-000007"})
+    return system, (first, query.query_id)
+
+
+class TestErrorOrder:
+    """Every participant's SQL outcome is read before any block is built,
+    client by client, so the first ``(client, query)`` that raises under
+    serial raises on every executor — late participants included, since
+    they still read their outcome."""
+
+    def test_the_statements_raise_for_different_clients(self):
+        system, (first, second) = _two_raising_statements("serial", late=False)
+        system.close()
+        with pytest.raises(TypeError, match="'>='"):
+            system.clients[7].answer([first, second])
+        with pytest.raises(TypeError, match="'<='"):
+            system.clients[5].answer([first, second])
+
+    @pytest.mark.parametrize("late", [False, True], ids=["on-time", "late"])
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_every_executor_raises_what_serial_raises(self, executor, late):
+        raised = {}
+        for name in ("serial", executor):
+            system, _ = _two_raising_statements(name, late)
+            try:
+                with pytest.raises(Exception) as error:
+                    system.run_epoch_all(0)
+            finally:
+                system.close()
+            raised[name] = error.value
+        expected, got = raised["serial"], raised[executor]
+        assert isinstance(expected, TypeError) and "'<='" in str(expected)
+        # A pinned worker's error comes back as "TypeError: <message>".
+        assert type(got) is TypeError or str(got).startswith("TypeError: ")
+        assert str(expected) in str(got)
+
 
 class TestStageMetrics:
     def test_accumulators_are_thread_safe(self):

@@ -189,7 +189,7 @@ class TestFailureSurfacing:
         def explode(*args, **kwargs):
             raise RuntimeError("client device on fire")
 
-        system.clients[13].build_row = explode
+        system.clients[13].answer = explode
         with pytest.raises(RuntimeError, match="client device on fire"):
             system.run_epoch(query_id, 0)
         system.close()
@@ -248,15 +248,15 @@ class TestFailureSurfacing:
     def test_executor_survives_for_the_next_epoch(self):
         """After a failed epoch the pool is intact and can run again."""
         system, query_id = make_system(num_clients=12, shards=3)
-        original = system.clients[5].build_row
+        original = system.clients[5].answer
 
         def explode(*args, **kwargs):
             raise RuntimeError("transient fault")
 
-        system.clients[5].build_row = explode
+        system.clients[5].answer = explode
         with pytest.raises(RuntimeError, match="transient fault"):
             system.run_epoch(query_id, 0)
-        system.clients[5].build_row = original
+        system.clients[5].answer = original
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 12
         system.close()

@@ -203,16 +203,16 @@ SLOW_SPEC = ScenarioSpec(
 
 
 def _count_encrypted_answers(monkeypatch) -> list[int]:
-    """Count ``AnswerCodec.encode_message`` calls in this process (one per
-    answer a client builds), by answer epoch."""
+    """Count the messages ``AnswerCodec.encode_rows`` encodes in this process
+    (one per answer a client builds), by answer epoch."""
     epochs: list[int] = []
-    encode_message = AnswerCodec.encode_message
+    encode_rows = AnswerCodec.encode_rows
 
-    def counting(self, query_id, epoch, *args, **kwargs):
-        epochs.append(epoch)
-        return encode_message(self, query_id, epoch, *args, **kwargs)
+    def counting(self, query_id, epoch, tokens, *args, **kwargs):
+        epochs.extend([epoch] * len(tokens))
+        return encode_rows(self, query_id, epoch, tokens, *args, **kwargs)
 
-    monkeypatch.setattr(AnswerCodec, "encode_message", counting)
+    monkeypatch.setattr(AnswerCodec, "encode_rows", counting)
     return epochs
 
 
@@ -265,14 +265,14 @@ class TestDeadlineFaultInjection:
     def test_known_late_answers_are_drawn_not_built(self, executor, monkeypatch):
         """The saving cannot silently regress: with the late set known in the
         plan stage an in-process driver builds ``participants - late``
-        answers an epoch; serial, the build-and-drop oracle, all of them."""
+        answers an epoch, and so does serial, which ledgers a late
+        participant after its SQL read without building it."""
         built = _count_encrypted_answers(monkeypatch)
         run = _run(SLOW_SPEC, executor)
         for stats in run.epochs:
             participants = stats.active_clients  # sampling_fraction is 1.0
-            late = 0 if executor == "serial" else len(stats.late_clients)
             assert len(stats.late_clients) > 0
-            assert built.count(stats.epoch) == participants - late
+            assert built.count(stats.epoch) == participants - len(stats.late_clients)
 
 
 # -- byzantine duplicate injection -------------------------------------------

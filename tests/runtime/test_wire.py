@@ -31,6 +31,7 @@ from repro.runtime import (
     ShardBootstrap,
     ShardDelta,
     WireError,
+    answer_shard,
     decode_frame,
     decode_shard_ack,
     decode_shard_bootstrap,
@@ -50,6 +51,7 @@ from repro.runtime.remote import (
     initiate_session,
 )
 from repro.runtime.wire import WIRE_VERSION
+from tests.conftest import answer_one
 
 PARAMS = ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5)
 
@@ -78,8 +80,8 @@ def make_client(seed: int = 4242) -> Client:
 def block_of(clients: list[Client], epoch: int) -> ResponseBlock:
     """The clients' answers to their first query at ``epoch``, as one block."""
     query_id = clients[0].subscribed_query_ids[0]
-    rows = [row for client in clients if (row := client.answer_row(query_id, epoch=epoch))]
-    return ResponseBlock.from_rows(query_id, epoch, rows, num_proxies=2)
+    (block,) = answer_shard(clients, [query_id], epoch)
+    return block
 
 
 class TestClientSnapshot:
@@ -89,14 +91,14 @@ class TestClientSnapshot:
         traveller = make_client()
         query_id = reference.subscribed_query_ids[0]
         # Epoch 0 on both, identically seeded.
-        ref0 = reference.answer_query(query_id, epoch=0)
-        trav0 = traveller.answer_query(query_id, epoch=0)
+        ref0 = answer_one(reference, query_id, epoch=0)
+        trav0 = answer_one(traveller, query_id, epoch=0)
         assert (ref0 is None) == (trav0 is None)
         # Round-trip the traveller through its snapshot (as a bootstrap does).
         traveller = Client.from_state(pickle.loads(pickle.dumps(traveller.export_state())))
         for epoch in (1, 2, 3):
-            ref = reference.answer_query(query_id, epoch=epoch)
-            trav = traveller.answer_query(query_id, epoch=epoch)
+            ref = answer_one(reference, query_id, epoch=epoch)
+            trav = answer_one(traveller, query_id, epoch=epoch)
             if ref is None:
                 assert trav is None
                 continue
@@ -188,7 +190,7 @@ class TestFraming:
 
 def make_resident_client(seed: int = 99) -> Client:
     client = make_client(seed=seed)
-    client.answer_query(client.subscribed_query_ids[0], epoch=0)
+    answer_one(client, client.subscribed_query_ids[0], epoch=0)
     return client
 
 
@@ -534,7 +536,7 @@ class TestResidentWorkerCache:
         expected = [
             response
             for client in parents
-            if (response := client.answer_query(query_id, epoch=4)) is not None
+            if (response := answer_one(client, query_id, epoch=4)) is not None
         ]
         (served,) = ack.responses
 
