@@ -100,8 +100,9 @@ class AnswerAdmissionController:
         Decision-for-decision and counter-for-counter identical to calling
         :meth:`admit` once per item, but the per-epoch seen-set and admitted
         count are resolved once per distinct epoch instead of once per answer
-        and no :class:`AdmissionDecision` is allocated — the batched admission
-        loop of the aggregator's grouped ingest path.
+        and no :class:`AdmissionDecision` is allocated.  The aggregator's one
+        ingest path admits through this; :meth:`admit` stays as the
+        per-answer reference the tests compare it against.
         """
         max_answers = self.max_answers_per_epoch
         seen_cache: dict[tuple[str, int], set[str]] = {}

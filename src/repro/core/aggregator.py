@@ -13,10 +13,12 @@ The engine relays a shard's answers to a query as one block: each proxy's
 proxy's payload column).  The aggregator pairs the columns that carry one
 ``MID`` column, XORs each payload column once, reads every row against the
 header prefix of a well-formed answer and counts the admitted rows' bits
-without building a per-answer object.  Loose shares — the serial
-reference's, forged ones — and whatever a block cannot vouch for go through
-the streaming substrate's keyed join operator, by ``MID``.  Either way the
-admitted answers reach the window-aggregate operator as per-bucket counts
+without building a per-answer object.  Loose shares — serial's one-answer
+records, forged ones — and whatever a block cannot vouch for are grouped by
+``MID``: a complete group joins at once, anything else goes through the
+streaming substrate's keyed join operator.  Every executor ingests through
+this one path (:meth:`Aggregator.ingest_shares`), and the admitted answers
+reach the window-aggregate operator as per-bucket counts
 (:class:`WindowPartial`), which it sums per sliding window.
 """
 
@@ -32,14 +34,19 @@ from repro.core.admission import PARTICIPATION_TOKEN_LENGTH, AnswerAdmissionCont
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec
 from repro.core.estimation import count_answer_bits, estimate_histogram
-from repro.core.proxy import poll_shares
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
 from repro.crypto.xor import MessageShare, ShareColumn, join_shares_batch, xor_many
-from repro.pubsub import Consumer
 from repro.streaming.operators import KeyedJoinOperator, WindowAggregateOperator
 from repro.streaming.records import StreamRecord
 from repro.streaming.windows import SlidingWindowAssigner, Window
+
+#: How many recent epochs of duplicate-suppression state an aggregator keeps
+#: once an epoch's ingest completes: the current epoch and the one before it
+#: (stragglers admitted late must still collide with their epoch's token
+#: set).  Without retirement the per-epoch token sets grow without bound in a
+#: long-running stream; see :meth:`Aggregator.finish_epoch`.
+ADMISSION_RETENTION_EPOCHS = 2
 
 
 @dataclass(frozen=True)
@@ -88,21 +95,12 @@ class Aggregator:
     confidence_level: float = 0.95
     validator: AnswerValidator | None = None
     admission: AnswerAdmissionController | None = None
-    allowed_lateness_seconds: float = 0.0
-    # How many recent epochs of duplicate-suppression state to keep once an
-    # epoch's ingest completes: the current epoch plus retention - 1 earlier
-    # ones (stragglers admitted late must still collide with their epoch's
-    # token set).  Without retirement the per-epoch token sets grow without
-    # bound in a long-running stream; see finish_epoch.
-    admission_retention_epochs: int = 2
 
     def __post_init__(self) -> None:
         if self.total_clients <= 0:
             raise ValueError("total_clients must be positive")
         if self.num_proxies < 2:
             raise ValueError("PrivApprox requires at least two proxies")
-        if self.admission_retention_epochs < 1:
-            raise ValueError("admission_retention_epochs must be at least 1")
         self._codec = AnswerCodec()
         # The query is fixed for the aggregator's life, so its bucket labels
         # are formatted once, not once per window result.
@@ -111,11 +109,11 @@ class Aggregator:
             window_length=self.query.window_seconds,
             slide_interval=self.query.slide_seconds,
         )
-        self._join = KeyedJoinOperator(expected_per_key=self._expected_shares())
+        # One encrypted share plus one key share per additional proxy.
+        self._join = KeyedJoinOperator(expected_per_key=self.num_proxies)
         self._window_op = WindowAggregateOperator(
             assigner=self._assigner,
             aggregate_fn=self._aggregate_window,
-            allowed_lateness=self.allowed_lateness_seconds,
             weight=attrgetter("num_answers"),
         )
         # The parameters and roster size each recent epoch was ingested
@@ -128,14 +126,10 @@ class Aggregator:
         self.invalid_answers = 0
         self.rejected_duplicates = 0
 
-    def _expected_shares(self) -> int:
-        # One encrypted share plus one key share per additional proxy.
-        return max(2, self.num_proxies)
-
     # -- ingestion ----------------------------------------------------------
 
     def ingest_shares(
-        self, shares: list[MessageShare | ShareColumn], epoch: int, *, batched: bool = False
+        self, shares: list[MessageShare | ShareColumn], epoch: int
     ) -> list[WindowResult]:
         """Ingest one batch of relayed shares belonging to one epoch.
 
@@ -145,14 +139,10 @@ class Aggregator:
         the results of any windows that became complete (their end time
         passed the watermark) as a consequence of this batch.
 
-        With ``batched=False`` (the serial reference) every share goes
-        through the keyed ``MID`` join one record at a time (a column as its
-        rows) and every answer through :meth:`_accept`.  With
-        ``batched=True`` (every staged-engine flow) blocks take
-        :meth:`_ingest_block` and everything else the grouped ``MID`` join
-        (:meth:`_ingest_grouped`).  Either way the admitted answers reach
-        the window as per-bucket counts, one partial per event timestamp,
-        and every counter matches the per-record path.
+        The one ingest of every executor: blocks take :meth:`_ingest_block`
+        and everything else the grouped ``MID`` join (:meth:`_ingest_grouped`).
+        The admitted answers reach the window as per-bucket counts, one
+        partial per event timestamp.
         """
         timestamp = self._epoch_timestamp(epoch)
         self._epoch_parameters.setdefault(epoch, (self.parameters, self.total_clients))
@@ -160,37 +150,23 @@ class Aggregator:
             item.rows if isinstance(item, ShareColumn) else 1 for item in shares
         )
         tally = _Tally(self.query.num_buckets)
-        if batched:
-            self._ingest_grouped(shares, epoch, timestamp, tally)
-        else:
-            self._ingest_per_record(_loose_shares(shares), epoch, timestamp, tally)
+        self._ingest_grouped(shares, epoch, timestamp, tally)
         self.answers_processed += tally.num_answers
         emitted = self._window_op.process(tally.records())
         return [self._to_window_result(record) for record in emitted]
 
-    def consume_from_proxies(
-        self, consumers: list[Consumer], epoch: int
-    ) -> list[WindowResult]:
-        """Poll the query's relay consumers and ingest every new share.
-
-        The serial reference's ingest (per-record join, per-answer checks);
-        the staged engine polls the same consumers per shard and calls
-        :meth:`ingest_shares` with ``batched=True``.
-        """
-        return self.ingest_shares(poll_shares(consumers), epoch)
-
     def finish_epoch(self, epoch: int) -> None:
         """Mark one epoch's ingest complete and retire stale admission state.
 
-        Keeps the ``admission_retention_epochs`` most recent epochs' token
-        sets and drops everything older, so ``admission.tracked_epochs()``
+        Keeps the :data:`ADMISSION_RETENTION_EPOCHS` most recent epochs'
+        token sets and drops everything older, so ``admission.tracked_epochs()``
         stays bounded over an unbounded stream.  Idempotent and safe to call
         even when admission control is disabled.
         """
         if self.admission is None:
             return
         self.admission.forget_epochs_before(
-            self.query.query_id, epoch - self.admission_retention_epochs + 1
+            self.query.query_id, epoch - ADMISSION_RETENTION_EPOCHS + 1
         )
 
     def flush(self) -> list[WindowResult]:
@@ -209,27 +185,6 @@ class Aggregator:
 
     # -- internals -------------------------------------------------------------
 
-    def _ingest_per_record(
-        self, shares: list[MessageShare], epoch: int, timestamp: float, tally: "_Tally"
-    ) -> None:
-        """The reference ingest: the keyed join and the checks, one at a time."""
-        records = [
-            StreamRecord(value=share, timestamp=timestamp, key=share.message_id)
-            for share in shares
-        ]
-        for record in self._join.process(records):
-            try:
-                answer = self._decrypt(record.value)
-            except ValueError:
-                # A malformed or maliciously crafted message: dropping it
-                # only loses that client's (invalid) answer and cannot
-                # poison the window (Section 2.2 threat model — malicious
-                # clients).
-                self.malformed_messages += 1
-                continue
-            if self._accept(answer, epoch):
-                tally.add_answers(record.timestamp, [answer])
-
     def _ingest_grouped(
         self,
         items: list[MessageShare | ShareColumn],
@@ -242,12 +197,11 @@ class Aggregator:
         The columns that carry one ``MID`` column are a block.  Loose
         shares, a block missing a column, and a block row whose ``MID`` is
         pending in the join or among the loose shares take the grouped join
-        (:meth:`_join_grouped`).  Answers are admitted in the order the
-        grouped join always used — complete loose groups, then the blocks,
-        then whatever the keyed join completes — so duplicate decisions
-        match the per-record path.
+        (:meth:`_join_grouped`).  Answers are admitted in one fixed order —
+        complete loose groups, then the blocks, then whatever the keyed join
+        completes.  Duplicate decisions depend on that order; the tests pin
+        them to what a share-by-share join of the same shares decided.
         """
-        expected = self._expected_shares()
         blocks: dict[bytes, list[ShareColumn]] = {}
         loose_ids: set[str] = set()
         for item in items:
@@ -259,7 +213,7 @@ class Aggregator:
         keyed_rows: dict[bytes, Sequence[int]] = {}
         for mids, columns in blocks.items():
             rows = columns[0].rows
-            if len(columns) != expected or len({column.width for column in columns}) != 1:
+            if len(columns) != self.num_proxies or len({c.width for c in columns}) != 1:
                 keyed_rows[mids] = range(rows)
             elif loose_ids or self._join.pending_keys():
                 clashes = [
@@ -277,12 +231,12 @@ class Aggregator:
             elif item.message_ids in keyed_rows:
                 loose.extend(item.shares(keyed_rows[item.message_ids]))
         complete, joined = self._join_grouped(loose, timestamp) if loose else ([], [])
-        self._admit_decrypted(self._decrypt_batch(complete), epoch, tally)
+        self._accept_batch(self._decrypt_batch(complete), epoch, tally)
         for mids, columns in blocks.items():
             rows = keyed_rows.get(mids, ())
             if len(rows) < columns[0].rows:
                 self._ingest_block(columns, frozenset(rows), epoch, timestamp, tally)
-        self._admit_decrypted(self._decrypt_batch(joined), epoch, tally)
+        self._accept_batch(self._decrypt_batch(joined), epoch, tally)
 
     def _ingest_block(
         self,
@@ -361,17 +315,16 @@ class Aggregator:
         shares buffered from earlier batches joins immediately without
         touching the keyed operator (the first list returned); everything
         else goes through the operator, so cross-epoch stragglers and
-        malformed surpluses behave exactly as in the reference path (the
+        malformed surpluses join share by share, in arrival order (the
         second list: the joins the operator completed).
         """
         groups: dict[str, list[MessageShare]] = {}
         for share in shares:
             groups.setdefault(share.message_id, []).append(share)
-        expected = self._expected_shares()
         complete: list[StreamRecord] = []
         leftovers: list[StreamRecord] = []
         for message_id, group in groups.items():
-            if len(group) == expected and not self._join.has_pending(message_id):
+            if len(group) == self.num_proxies and not self._join.has_pending(message_id):
                 complete.append(
                     StreamRecord(value=group, timestamp=timestamp, key=message_id)
                 )
@@ -385,17 +338,14 @@ class Aggregator:
     def _epoch_timestamp(self, epoch: int) -> float:
         return epoch * self.query.frequency_seconds
 
-    def _decrypt(self, shares: list[MessageShare]) -> QueryAnswer:
-        return self._codec.decrypt(shares)
-
     def _decrypt_batch(self, joined: list[StreamRecord]) -> list[tuple]:
         """XOR-decrypt joined share groups at once.
 
-        The batched counterpart of the per-record :meth:`_decrypt` loop: all
-        groups are XOR-ed in one :func:`~repro.crypto.xor.join_shares_batch`
-        pass.  Returns ``(record, answer)`` pairs in arrival order;
-        malformed groups are dropped and counted exactly as on the reference
-        path.
+        All groups are XOR-ed in one :func:`~repro.crypto.xor.join_shares_batch`
+        pass.  Returns ``(record, answer)`` pairs in arrival order; a group
+        that does not join or decode is dropped and counted as malformed (it
+        only loses that client's answer and cannot poison the window:
+        Section 2.2's malicious clients).
         """
         if not joined:
             return []
@@ -413,58 +363,26 @@ class Aggregator:
             candidates.append((record, answer))
         return candidates
 
-    def _admit_decrypted(self, candidates: list[tuple], epoch: int, tally: "_Tally") -> None:
-        """Check ``(record, answer)`` pairs in order and count the admitted."""
-        verdicts = self._accept_batch([answer for _, answer in candidates], epoch)
-        for (record, answer), ok in zip(candidates, verdicts):
-            if ok:
-                tally.add_answers(record.timestamp, [answer])
+    def _accept_batch(self, candidates: list[tuple], arrival_epoch: int, tally: "_Tally") -> None:
+        """Validate, admit and count decrypted ``(record, answer)`` pairs.
 
-    def _accept(self, answer: QueryAnswer, arrival_epoch: int) -> bool:
-        """Apply structural validation and duplicate admission control."""
-        if self.validator is not None:
-            if not self.validator.validate(answer, arrival_epoch).valid:
-                self.invalid_answers += 1
-                return False
-        if self.admission is not None:
-            decision = self.admission.admit(self.query.query_id, answer.epoch, answer.token)
-            if not decision.admitted:
-                self.rejected_duplicates += 1
-                return False
-        return True
-
-    def _accept_batch(self, answers: list[QueryAnswer], arrival_epoch: int) -> list[bool]:
-        """Batched validation + admission with per-answer decisions.
-
-        Identical decisions and counters to calling :meth:`_accept` once per
-        answer: every answer is validated first, and only the validation
-        survivors reach the admission controller, in arrival order.
+        Every answer is validated first, and only the validation survivors
+        reach the admission controller, in arrival order — the decisions and
+        counters of :meth:`AnswerValidator.validate` then
+        :meth:`AnswerAdmissionController.admit` once per answer.
         """
-        if not answers:
-            return []
-        if self.validator is not None:
-            valid = self.validator.validate_batch(answers, arrival_epoch)
+        if self.validator is not None and candidates:
+            valid = self.validator.validate_batch([a for _, a in candidates], arrival_epoch)
             self.invalid_answers += valid.count(False)
-        else:
-            valid = [True] * len(answers)
-        if self.admission is None:
-            return valid
-        admitted = iter(
-            self.admission.admit_batch(
-                self.query.query_id,
-                [(a.epoch, a.token) for a, ok in zip(answers, valid) if ok],
+            candidates = [entry for entry, ok in zip(candidates, valid) if ok]
+        if self.admission is not None and candidates:
+            verdicts = self.admission.admit_batch(
+                self.query.query_id, [(a.epoch, a.token) for _, a in candidates]
             )
-        )
-        verdicts = []
-        for ok in valid:
-            if not ok:
-                verdicts.append(False)
-                continue
-            decision = next(admitted)
-            if not decision:
-                self.rejected_duplicates += 1
-            verdicts.append(decision)
-        return verdicts
+            self.rejected_duplicates += verdicts.count(False)
+            candidates = [entry for entry, ok in zip(candidates, verdicts) if ok]
+        for record, answer in candidates:
+            tally.add_answers(record.timestamp, [answer])
 
     def _aggregate_window(self, partials: list[WindowPartial]) -> dict:
         """Window aggregation function handed to the streaming operator:
@@ -573,13 +491,3 @@ class _Tally:
             records.append(StreamRecord(value=partial, timestamp=timestamp))
         return records
 
-
-def _loose_shares(items: list[MessageShare | ShareColumn]) -> list[MessageShare]:
-    """Every share of ``items`` as a loose share, in arrival order."""
-    shares: list[MessageShare] = []
-    for item in items:
-        if isinstance(item, ShareColumn):
-            shares.extend(item.shares())
-        else:
-            shares.append(item)
-    return shares

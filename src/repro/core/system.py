@@ -52,11 +52,12 @@ from repro.runtime import (
 class SystemConfig:
     """Deployment-level configuration.
 
-    ``distribute_queries_via_proxies`` routes signed query announcements
-    through the proxies' broker (the paper's "submitting queries" phase);
-    unsigned queries fall back to direct subscription.
-    ``enable_validation`` and ``enable_admission_control`` turn on the
-    aggregator-side structural checks and the duplicate-answer defense.
+    Signed query announcements always travel through the proxies' broker
+    (the paper's "submitting queries" phase); unsigned queries fall back to
+    direct subscription.  Every query's aggregator runs the structural
+    checks (:class:`~repro.core.validation.AnswerValidator`) and the
+    duplicate-answer defense
+    (:class:`~repro.core.admission.AnswerAdmissionController`).
 
     ``executor`` selects the epoch runtime (:mod:`repro.runtime`):
     ``"serial"`` answers clients one-by-one (the reference implementation);
@@ -85,11 +86,7 @@ class SystemConfig:
     num_clients: int = 100
     num_proxies: int = 2
     seed: int | None = None
-    table_name: str = "private_data"
     keep_historical: bool = False
-    distribute_queries_via_proxies: bool = True
-    enable_validation: bool = True
-    enable_admission_control: bool = True
     executor: str = "serial"
     executor_workers: int = 4
     executor_shards: int | None = None
@@ -153,7 +150,6 @@ class PrivApproxSystem:
                     ClientConfig(
                         client_id=f"client-{index:06d}",
                         num_proxies=config.num_proxies,
-                        table_name=config.table_name,
                         seed=seed,
                     )
                 )
@@ -232,10 +228,8 @@ class PrivApproxSystem:
             parameters=params,
             total_clients=self.config.num_clients,
             num_proxies=self.config.num_proxies,
-            validator=AnswerValidator(query) if self.config.enable_validation else None,
-            admission=(
-                AnswerAdmissionController() if self.config.enable_admission_control else None
-            ),
+            validator=AnswerValidator(query),
+            admission=AnswerAdmissionController(),
         )
         self._aggregators[query.query_id] = aggregator
         self._consumers[query.query_id] = self.proxies.make_consumers(
@@ -249,7 +243,7 @@ class PrivApproxSystem:
         self, query: Query, budget: QueryBudget, params: ExecutionParameters
     ) -> None:
         """Deliver the query to every client, via the proxies when possible."""
-        if self.config.distribute_queries_via_proxies and query.signature is not None:
+        if query.signature is not None:
             self.query_distributor.publish(query, budget, parameters=params)
             announcements = self.query_distributor.poll_announcements()
             for client in self.clients:

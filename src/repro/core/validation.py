@@ -68,8 +68,10 @@ class AnswerValidator:
 
         Decision-for-decision and counter-for-counter identical to calling
         :meth:`validate` once per answer, but with the query constants bound
-        once and without a :class:`ValidationResult` allocation per answer —
-        the batched admission loop of the aggregator's grouped ingest path.
+        once and without a :class:`ValidationResult` allocation per answer.
+        The aggregator's one ingest path validates loose and undecodable
+        block rows through this; :meth:`validate` stays as the per-answer
+        reference the tests compare it against.
         """
         query_id = self.query.query_id
         num_buckets = self.query.num_buckets

@@ -268,8 +268,9 @@ def _group_is_joinable(shares: list[MessageShare]) -> bool:
 def join_shares_batch(groups: list[list[MessageShare]]) -> list[bytes | None]:
     """Join many complete share groups in one vectorized XOR pass.
 
-    The batched counterpart of calling :func:`join_shares` per group — the
-    decrypt hot loop of the aggregator's grouped ``MID`` join.  Groups with
+    The batched counterpart of calling :func:`join_shares` per group — how
+    the aggregator's one ingest path decrypts its loose share groups (the
+    ``MID`` groups a block cannot vouch for).  Groups with
     the same share count and payload length (within one epoch's shard that is
     *all* of them: every answer to one query has the same encoded length) are
     concatenated per share position and XOR-ed as single big integers, so a

@@ -464,9 +464,9 @@ class StagedEpochEngine(EpochExecutor):
         drops the shard's late answers (:meth:`_gate`), publishes one column
         record per proxy on each query's channel topic (:func:`_publish_shard`),
         then polls each query's context consumers and ingests what they hold
-        (``ingest_shares(batched=True)``) before it returns.  Shards arrive
-        in whatever order the driver collects them; the per-query blocks are
-        merged in shard-index (= client) order at the end.
+        (the aggregator's one ``ingest_shares``) before it returns.  Shards
+        arrive in whatever order the driver collects them; the per-query
+        blocks are merged in shard-index (= client) order at the end.
 
         The first error — an error emit, a relay or ingest failure, a
         driver hook that raises, a shard emitted twice or an occupied shard
@@ -518,7 +518,7 @@ class StagedEpochEngine(EpochExecutor):
                     shares = poll_shares(query.consumers)
                     if shares:
                         window_results[index].extend(
-                            query.aggregator.ingest_shares(shares, epoch, batched=True)
+                            query.aggregator.ingest_shares(shares, epoch)
                         )
                 metrics.add_stage_seconds("ingest", time.perf_counter() - ingest_started)
             except Exception as exc:

@@ -22,8 +22,8 @@ Two runtimes ship:
 
 * :class:`~repro.runtime.serial.SerialExecutor` — the reference
   implementation: one in-order loop over clients, one transmit per client,
-  per-record ingestion.  This is exactly the pre-runtime behavior, and the
-  frozen oracle every other configuration must match byte-for-byte.
+  one ingest per query through the aggregator's one ingest path.  This is
+  the frozen oracle every other configuration must match byte-for-byte.
 * :class:`~repro.runtime.engine.StagedEpochEngine` — one staged dataflow
   (plan -> answer -> transmit -> ingest -> finalize) whose answer stage is
   run by a stage driver named ``"scheduling/transport"``: *scheduling*

@@ -1,7 +1,7 @@
 """The serial reference executor: the pre-runtime epoch loop, verbatim.
 
 Kept deliberately simple — one pass over the clients, one proxy transmission
-per participating client, per-record ingestion at the aggregator — so it can
+per participating client, one ingest per query at the aggregator — so it can
 serve as the executable specification that every
 :class:`~repro.runtime.engine.StagedEpochEngine` configuration must match
 result-for-result; ``docs/ARCHITECTURE.md`` spells the contract out.
@@ -28,16 +28,18 @@ class SerialExecutor(EpochExecutor):
 
     Each client reads its own SQL; each query's on-time answers then
     become one :class:`~repro.core.client.ResponseBlock` (a late
-    participant answers, is ledgered and is never built).  The relay and
-    the ingest stay per answer: every row's shares go out through
+    participant answers, is ledgered and is never built).  The relay stays
+    per answer: every row's shares go out through
     :meth:`ProxyNetwork.transmit <repro.core.proxy.ProxyNetwork.transmit>`
-    and the aggregator joins them one record at a time — the reference the
-    engine's column relay and block ingest are checked against.
+    and never as a column, so the aggregator's one ingest joins them by
+    ``MID`` — the reference the engine's column relay and block ingest are
+    checked against.
     """
 
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
         # Imported here: repro.core imports repro.runtime at package level.
         from repro.core.client import ResponseBlock
+        from repro.core.proxy import poll_shares
 
         queries = context.queries
         query_ids = context.query_ids
@@ -63,8 +65,8 @@ class SerialExecutor(EpochExecutor):
                 context.proxies.transmit(block.shares(row), channel=query_id)
         per_query = []
         for query, block, dropped in zip(queries, blocks, late_drops):
-            window_results = query.aggregator.consume_from_proxies(
-                list(query.consumers), epoch=epoch
+            window_results = query.aggregator.ingest_shares(
+                poll_shares(query.consumers), epoch
             )
             per_query.append(
                 QueryEpochOutcome(

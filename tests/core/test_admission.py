@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AnswerAdmissionController, participation_token
+from repro.core.aggregator import ADMISSION_RETENTION_EPOCHS
 
 
 class TestParticipationToken:
@@ -177,9 +178,8 @@ class TestAdmissionStateStaysBounded:
         )
         system.run_epochs(query.query_id, num_epochs)
         admission = system.aggregator_for(query.query_id).admission
-        retention = system.aggregator_for(query.query_id).admission_retention_epochs
         system.close()
-        return admission, retention
+        return admission, ADMISSION_RETENTION_EPOCHS
 
     def test_tracked_epochs_bounded_over_many_epochs(self):
         admission, retention = self._run_epochs(25)

@@ -46,13 +46,6 @@ class TestAggregatorBasics:
             Aggregator(query=make_query(), parameters=NOISELESS, total_clients=0)
         with pytest.raises(ValueError):
             Aggregator(query=make_query(), parameters=NOISELESS, total_clients=10, num_proxies=1)
-        with pytest.raises(ValueError):
-            Aggregator(
-                query=make_query(),
-                parameters=NOISELESS,
-                total_clients=10,
-                admission_retention_epochs=0,
-            )
 
     def test_noiseless_single_window_matches_truth(self):
         aggregator = Aggregator(query=make_query(), parameters=NOISELESS, total_clients=4)
@@ -204,13 +197,25 @@ def as_columns(shares: list[MessageShare]) -> list:
     ]
 
 
-class TestBatchedDecryptMatchesReference:
-    """The batched ingest must keep the per-record path's bytes.
+#: What the share-by-share keyed join (the aggregator's only ingest before
+#: blocks and grouped joins existed) emitted for the two streams below:
+#: ``(start, end, answers, ((estimate, error bound) per bucket))`` per window.
+CLEAN_STREAM_WINDOWS = [
+    (0.0, 60.0, 3, ((2.6666666666666665, 9.070788404499478),) * 3),
+    (60.0, 120.0, 2, ((4.0, 44.01558434885374), (4.0, 44.01558434885374), (0.0, 0.0))),
+]
+CORRUPTED_STREAM_WINDOWS = [
+    (0.0, 60.0, 2, ((4.0, 44.01558434885374), (4.0, 44.01558434885374), (0.0, 0.0))),
+]
 
-    ``ingest_shares(batched=True)`` decrypts loose shares in one grouped
-    pass (``join_shares_batch``) and a block's columns a column at a time;
-    either way its window results and counters must equal the per-record
-    reference path on the same shares — corrupted groups included.
+
+class TestBatchedDecryptMatchesReference:
+    """The one ingest keeps the share-by-share join's bytes.
+
+    ``ingest_shares`` decrypts loose shares in one grouped pass
+    (``join_shares_batch``) and a block's columns a column at a time;
+    either way its window results and counters must equal what joining the
+    same shares one record at a time produced — corrupted groups included.
     """
 
     def _window_bytes(self, results):
@@ -220,14 +225,14 @@ class TestBatchedDecryptMatchesReference:
             for r in results
         ]
 
-    def _run(self, shares_by_epoch, batched, columns=False):
+    def _run(self, shares_by_epoch, columns):
         aggregator = Aggregator(query=make_query(), parameters=NOISELESS, total_clients=8)
         emitted = []
         for epoch, shares in enumerate(shares_by_epoch):
             items = as_columns(shares) if columns else shares
-            emitted.extend(aggregator.ingest_shares(items, epoch=epoch, batched=batched))
+            emitted.extend(aggregator.ingest_shares(items, epoch=epoch))
         emitted.extend(aggregator.flush())
-        return aggregator, emitted
+        return aggregator, self._window_bytes(emitted)
 
     @pytest.mark.parametrize("columns", [False, True], ids=["loose", "block"])
     def test_clean_multi_epoch_stream(self, columns):
@@ -235,17 +240,16 @@ class TestBatchedDecryptMatchesReference:
             encrypt_answers([[1, 0, 0], [0, 1, 0], [0, 0, 1]], epoch=0),
             encrypt_answers([[1, 1, 0], [0, 0, 0]], epoch=1),
         ]
-        reference, ref_results = self._run(shares_by_epoch, batched=False)
-        batched, batch_results = self._run(shares_by_epoch, batched=True, columns=columns)
-        assert self._window_bytes(batch_results) == self._window_bytes(ref_results)
-        assert batched.answers_processed == reference.answers_processed
-        assert batched.malformed_messages == reference.malformed_messages == 0
+        aggregator, windows = self._run(shares_by_epoch, columns)
+        assert windows == CLEAN_STREAM_WINDOWS
+        assert aggregator.answers_processed == 5
+        assert aggregator.malformed_messages == 0
 
     @pytest.mark.parametrize("columns", [False, True], ids=["loose", "block"])
     def test_corrupted_group_counts_identically(self, columns):
         clean = encrypt_answers([[1, 0, 0], [0, 1, 0]], epoch=0)
         # Corrupt one message's payload bytes: the group still joins (equal
-        # lengths, same MID) but decodes to garbage -> malformed on both paths.
+        # lengths, same MID) but decodes to garbage -> malformed.
         bad = encrypt_answers([[0, 0, 1]], epoch=0)
         corrupted = [
             MessageShare(
@@ -257,12 +261,10 @@ class TestBatchedDecryptMatchesReference:
             else share
             for share in bad
         ]
-        shares_by_epoch = [clean + corrupted]
-        reference, ref_results = self._run(shares_by_epoch, batched=False)
-        batched, batch_results = self._run(shares_by_epoch, batched=True, columns=columns)
-        assert self._window_bytes(batch_results) == self._window_bytes(ref_results)
-        assert batched.malformed_messages == reference.malformed_messages == 1
-        assert batched.answers_processed == reference.answers_processed == 2
+        aggregator, windows = self._run([clean + corrupted], columns)
+        assert windows == CORRUPTED_STREAM_WINDOWS
+        assert aggregator.malformed_messages == 1
+        assert aggregator.answers_processed == 2
 
 
 # -- hostile blocks -------------------------------------------------------------
@@ -324,9 +326,9 @@ def hostile_batches() -> list[tuple[int, list]]:
     return [(1, [reused, block[0], orphan, block[1]]), (3, later), (1, stale)]
 
 
-#: What the per-share ingest (the only one before blocks existed) counts for
-#: the same share multiset: the columns exploded into their rows' shares, in
-#: arrival order.
+#: What the share-by-share keyed join (the only ingest before blocks existed)
+#: counts for the same share multiset: the columns exploded into their rows'
+#: shares, in arrival order.
 HOSTILE_COUNTERS = {
     "answers_processed": 8,
     "malformed_messages": 2,
@@ -337,6 +339,11 @@ HOSTILE_COUNTERS = {
     "late_answers_dropped": 2,
     "shares_received": 29,
 }
+#: ... and the windows it emitted: ``(start, answers, estimates)``.
+HOSTILE_WINDOWS = [
+    (60.0, 3, (6.666666666666667, 13.333333333333334, 0.0)),
+    (180.0, 3, (10.0, 10.0, 0.0)),
+]
 
 
 def explode(items) -> list[MessageShare]:
@@ -347,49 +354,48 @@ def explode(items) -> list[MessageShare]:
     ]
 
 
-class TestHostileBlockParity:
-    """Whatever a block carries, its ingest counts what the per-share ingest
-    counts for the same shares."""
-
-    def _run(self, batched: bool, loose: bool):
-        query = make_query()
-        aggregator = Aggregator(
-            query=query,
-            parameters=NOISELESS,
-            total_clients=10,
-            validator=AnswerValidator(query),
-            admission=AnswerAdmissionController(),
-        )
-        results = []
-        for epoch, items in hostile_batches():
-            items = explode(items) if loose else items
-            results.extend(aggregator.ingest_shares(items, epoch, batched=batched))
-        results.extend(aggregator.flush())
-        counters = {
-            "answers_processed": aggregator.answers_processed,
-            "malformed_messages": aggregator.malformed_messages,
-            "invalid_answers": aggregator.invalid_answers,
-            "rejected_by_reason": aggregator.validator.rejected_by_reason,
-            "rejected_duplicates": aggregator.rejected_duplicates,
-            "pending_joins": aggregator.pending_joins(),
-            "late_answers_dropped": aggregator.late_answers_dropped,
-            "shares_received": aggregator.shares_received,
-        }
-        windows = [
-            (r.window.start, r.num_answers, tuple(b.estimate for b in r.histogram.buckets))
-            for r in results
-        ]
-        return counters, windows
-
-    @pytest.mark.parametrize(
-        "batched, loose",
-        [(True, False), (True, True), (False, False), (False, True)],
-        ids=["block", "grouped-loose", "per-record-columns", "per-record-loose"],
+def run_hostile(batches, loose: bool):
+    """Ingest ``(arrival epoch, items)`` batches, the items as they are or
+    exploded into loose shares; returns the counters and the windows."""
+    query = make_query()
+    aggregator = Aggregator(
+        query=query,
+        parameters=NOISELESS,
+        total_clients=10,
+        validator=AnswerValidator(query),
+        admission=AnswerAdmissionController(),
     )
-    def test_counters_match_the_per_share_ingest(self, batched, loose):
-        counters, windows = self._run(batched, loose)
+    results = []
+    for epoch, items in batches:
+        items = explode(items) if loose else items
+        results.extend(aggregator.ingest_shares(items, epoch))
+    results.extend(aggregator.flush())
+    counters = {
+        "answers_processed": aggregator.answers_processed,
+        "malformed_messages": aggregator.malformed_messages,
+        "invalid_answers": aggregator.invalid_answers,
+        "rejected_by_reason": aggregator.validator.rejected_by_reason,
+        "rejected_duplicates": aggregator.rejected_duplicates,
+        "pending_joins": aggregator.pending_joins(),
+        "late_answers_dropped": aggregator.late_answers_dropped,
+        "shares_received": aggregator.shares_received,
+    }
+    windows = [
+        (r.window.start, r.num_answers, tuple(b.estimate for b in r.histogram.buckets))
+        for r in results
+    ]
+    return counters, windows
+
+
+class TestHostileBlockParity:
+    """Whatever a block carries, its ingest counts what the share-by-share
+    join counted for the same shares."""
+
+    @pytest.mark.parametrize("loose", [False, True], ids=["block", "loose"])
+    def test_counters_match_the_per_share_ingest(self, loose):
+        counters, windows = run_hostile(hostile_batches(), loose)
         assert counters == HOSTILE_COUNTERS
-        assert windows == self._run(batched=False, loose=True)[1]
+        assert windows == HOSTILE_WINDOWS
         # Epoch 1's window holds rows 0, 1 and 4; the stale rows were counted
         # as answers, then dropped late.
         assert [num_answers for _, num_answers, _ in windows] == [3, 3]
@@ -405,8 +411,66 @@ class TestHostileBlockParity:
             return decode(self, message)
 
         monkeypatch.setattr(AnswerCodec, "decode", counting)
-        self._run(batched=True, loose=False)
+        run_hostile(hostile_batches(), loose=False)
         # The wrong query id, the drifted epoch, the foreign bit count and
         # the bad magic of the hostile block; the reused row's first two
         # shares join into garbage through the keyed path.
         assert len(decoded) == 5
+
+
+#: What the share-by-share keyed join counted for the pending-clash stream
+#: below, exploded into loose shares.
+CLASH_COUNTERS = {
+    "answers_processed": 2,
+    "malformed_messages": 1,
+    "invalid_answers": 0,
+    "rejected_by_reason": {},
+    "rejected_duplicates": 0,
+    "pending_joins": 1,
+    "late_answers_dropped": 0,
+    "shares_received": 7,
+}
+CLASH_WINDOWS = [(60.0, 2, (5.0, 5.0, 0.0))]
+
+
+class TestPendingClashAcrossCalls:
+    """A block row whose ``MID`` an earlier call left pending in the join.
+
+    Call 1 is a lone zero share under row 2's ``MID``.  In call 2 that row
+    takes the keyed join — three shares under one ``MID``: the lone share
+    and the block's first share join into garbage, the second is left
+    pending — while rows 0 and 1 take the block path.
+    """
+
+    @staticmethod
+    def batches() -> list[tuple[int, list]]:
+        rows = [
+            hostile_message([1, 0, 0], 1, 0),
+            hostile_message([0, 1, 0], 1, 1),
+            hostile_message([0, 0, 1], 1, 2),
+        ]
+        lone = MessageShare(hostile_mid(2).hex(), bytes(len(rows[2])), 0)
+        return [(1, [lone]), (1, hostile_block(rows, range(3), b"clash"))]
+
+    @pytest.mark.parametrize("loose", [False, True], ids=["block", "loose"])
+    def test_counts_match_the_per_share_ingest(self, loose):
+        assert run_hostile(self.batches(), loose) == (CLASH_COUNTERS, CLASH_WINDOWS)
+
+    def test_only_the_pending_row_leaves_the_block(self, monkeypatch):
+        skipped, decoded = [], []
+        ingest_block, decode = Aggregator._ingest_block, AnswerCodec.decode
+
+        def recording_block(self, columns, skip, *args):
+            skipped.append(sorted(skip))
+            return ingest_block(self, columns, skip, *args)
+
+        def counting(self, message):
+            decoded.append(message)
+            return decode(self, message)
+
+        monkeypatch.setattr(Aggregator, "_ingest_block", recording_block)
+        monkeypatch.setattr(AnswerCodec, "decode", counting)
+        run_hostile(self.batches(), loose=False)
+        assert skipped == [[2]]
+        # The garbage join of row 2; rows 0 and 1 are read off the prefix.
+        assert len(decoded) == 1

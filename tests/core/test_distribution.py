@@ -199,9 +199,7 @@ class TestCanonicalForm:
 
 class TestSystemIntegration:
     def test_system_distributes_queries_via_proxies(self):
-        system = PrivApproxSystem(
-            SystemConfig(num_clients=10, seed=3, distribute_queries_via_proxies=True)
-        )
+        system = PrivApproxSystem(SystemConfig(num_clients=10, seed=3))
         system.provision_clients([("value", "REAL")], lambda i: [{"value": 0.5}])
         analyst = Analyst("acme", signing_key=b"k")
         query = analyst.create_query("SELECT value FROM private_data", SPEC)

@@ -330,7 +330,7 @@ class TestBlockMatchesPerAnswer:
     ):
         """A block of arbitrary messages (duplicate tokens, drifted epochs)
         holds each row's per-answer payloads and ingests exactly as its
-        loose shares do."""
+        loose shares do, with the per-answer checks' decisions."""
         from repro.core import Aggregator
         from repro.core.admission import AnswerAdmissionController
         from repro.core.seeding import EpochDraws, client_key, query_prefix
@@ -372,7 +372,7 @@ class TestBlockMatchesPerAnswer:
                 share.payload for share in expected.shares
             ]
 
-        def ingest(items, batched):
+        def ingest(items):
             aggregator = Aggregator(
                 query=query,
                 parameters=ExecutionParameters(sampling_fraction=1.0, p=1.0, q=0.5),
@@ -381,7 +381,7 @@ class TestBlockMatchesPerAnswer:
                 validator=AnswerValidator(query, max_epoch_drift=1),
                 admission=AnswerAdmissionController(),
             )
-            results = aggregator.ingest_shares(items, epoch, batched=batched)
+            results = aggregator.ingest_shares(items, epoch)
             results += aggregator.flush()
             return (
                 [(r.num_answers, tuple(r.histogram.estimates())) for r in results],
@@ -395,4 +395,22 @@ class TestBlockMatchesPerAnswer:
             )
 
         loose = [share for row in range(len(block)) for share in block.shares(row)]
-        assert ingest(block.share_columns(), batched=True) == ingest(loose, batched=False)
+        outcome = ingest(block.share_columns())
+        assert outcome == ingest(loose)
+        # The per-answer references, row by row in block order: decrypt,
+        # validate, then admit the valid ones.
+        validator = AnswerValidator(query, max_epoch_drift=1)
+        admission = AnswerAdmissionController()
+        valid = [
+            answer
+            for answer in (codec.decrypt(block.shares(row)) for row in range(len(block)))
+            if validator.validate(answer, epoch).valid
+        ]
+        verdicts = [
+            admission.admit(query.query_id, answer.epoch, answer.token).admitted
+            for answer in valid
+        ]
+        assert outcome[1:6] == (
+            verdicts.count(True), 0, len(rows) - len(valid), validator.rejected_by_reason,
+            verdicts.count(False),
+        )

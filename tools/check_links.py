@@ -9,14 +9,24 @@ link.  Links into Markdown files (and pure in-page anchors like
 must equal the GitHub-style slug of some heading in the target file.
 External links (``http://``, ``https://``, ``mailto:``) are not fetched.
 
-Exit status is non-zero when any intra-repo link is broken, listing each as
-``file:line: target``.  Run from anywhere inside the repository:
+A second pass catches stale code names: every backticked ``Class.attr`` in
+``README.md`` and ``docs/*.md`` whose ``Class`` is a class defined under
+``src/`` must name something that class (or a base class defined under
+``src/``) defines — a method, a class-level assignment or annotation, or a
+``self.attr`` store.  The classes are read with :mod:`ast`, so nothing is
+imported or installed.  ``ROADMAP.md`` and ``CHANGES.md`` are not scanned:
+they name deleted code on purpose.
+
+Exit status is non-zero when any intra-repo link is broken or any code name
+is stale, listing each as ``file:line: target``.  Run from anywhere inside
+the repository:
 
     python tools/check_links.py
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -28,6 +38,12 @@ HEADING_PATTERN = re.compile(r"^(#{1,6})\s+(.+?)\s*#*\s*$")
 INLINE_LINK_TEXT = re.compile(r"\[([^\]]*)\]\([^)\s]*\)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 SKIP_DIR_NAMES = {".git", "__pycache__", ".pytest_cache", "node_modules", ".venv"}
+# An inline code span, and a ``Class.attr`` inside one.
+CODE_SPAN = re.compile(r"`([^`]+)`")
+CLASS_ATTR = re.compile(r"(?<!\w)([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
+FENCE = re.compile(r"^\s*(```|~~~).*?^\s*\1", re.MULTILINE | re.DOTALL)
+# Bases that add no attribute a doc would name.
+TRIVIAL_BASES = {"object", "Generic", "Protocol", "ABC"}
 
 
 def repo_root() -> Path:
@@ -110,22 +126,132 @@ def check_file(path: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
     return broken
 
 
+def _base_name(node: ast.expr) -> str:
+    """A base's name; a dotted one (``threading.Thread``) is never a key of
+    :func:`source_classes`, so it counts as a base from outside ``src/``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else ast.unparse(node)
+
+
+def _assigned_names(target: ast.expr) -> list[str]:
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for element in target.elts for name in _assigned_names(element)]
+    return []
+
+
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """What a class body defines, ``self.attr`` stores in its methods included."""
+    members: set[str] = set()
+    for statement in node.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            members.update(name for target in statement.targets for name in _assigned_names(target))
+        elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+            members.update(_assigned_names(statement.target))
+    for statement in node.body:
+        if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(statement):
+            if (
+                isinstance(inner, ast.Attribute)
+                and isinstance(inner.ctx, ast.Store)
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == "self"
+            ):
+                members.add(inner.attr)
+    return members
+
+
+def source_classes(src: Path) -> dict[str, tuple[set[str], set[str]]]:
+    """Every class under ``src``: name -> (members, base names).
+
+    Classes sharing a name in different modules are merged, so a doc name
+    is stale only if no class of that name defines it.
+    """
+    classes: dict[str, tuple[set[str], set[str]]] = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                members, bases = classes.setdefault(node.name, (set(), set()))
+                members.update(_class_members(node))
+                bases.update(_base_name(base) for base in node.bases)
+    return classes
+
+
+def defines(classes: dict[str, tuple[set[str], set[str]]], name: str, attr: str) -> bool:
+    """Whether class ``name`` or a base of it defines ``attr``.
+
+    A base not defined under ``src/`` may define anything, so a class with
+    one is never contradicted.
+    """
+    pending, seen = [name], set()
+    while pending:
+        current = pending.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        if current not in classes:
+            if current not in TRIVIAL_BASES:
+                return True
+            continue
+        members, bases = classes[current]
+        if attr in members:
+            return True
+        pending.extend(bases)
+    return attr.startswith("__")
+
+
+def stale_code_names(
+    path: Path, classes: dict[str, tuple[set[str], set[str]]]
+) -> list[str]:
+    """``line_number: Class.attr`` for every backticked name ``classes`` lacks."""
+    text = path.read_text(encoding="utf-8")
+    # Blank out fenced blocks, keeping their newlines for the line numbers.
+    text = FENCE.sub(lambda match: "\n" * match.group(0).count("\n"), text)
+    stale = []
+    for span in CODE_SPAN.finditer(text):
+        for match in CLASS_ATTR.finditer(span.group(1)):
+            name, attr = match.groups()
+            if name in classes and not defines(classes, name, attr):
+                line_number = text.count("\n", 0, span.start() + match.start()) + 1
+                stale.append(f"{line_number}: {name}.{attr}")
+    return stale
+
+
 def main() -> int:
     root = repo_root()
     files = markdown_files(root)
     anchor_cache: dict[Path, set[str]] = {}
-    failures = 0
-    for path in files:
-        for entry in check_file(path, anchor_cache):
-            print(f"{path.relative_to(root)}:{entry}", file=sys.stderr)
-            failures += 1
+    broken = [
+        f"{path.relative_to(root)}:{entry}"
+        for path in files
+        for entry in check_file(path, anchor_cache)
+    ]
+    classes = source_classes(root / "src")
+    documents = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    stale = [
+        f"{path.relative_to(root)}:{entry} (no such attribute under src/)"
+        for path in documents
+        for entry in stale_code_names(path, classes)
+    ]
+    for entry in broken + stale:
+        print(entry, file=sys.stderr)
     checked = len(files)
-    if failures:
-        print(f"FAIL: {failures} broken intra-repo link(s) across {checked} Markdown files", file=sys.stderr)
-        return 1
-    print(f"OK: intra-repo links valid across {checked} Markdown files")
-    return 0
-
+    if broken:
+        print(f"FAIL: {len(broken)} broken intra-repo link(s) across {checked} Markdown files",
+              file=sys.stderr)
+    else:
+        print(f"OK: intra-repo links valid across {checked} Markdown files")
+    if stale:
+        print(f"FAIL: {len(stale)} stale code name(s) across {len(documents)} documents",
+              file=sys.stderr)
+    else:
+        print(f"OK: backticked Class.attr names resolve across {len(documents)} documents")
+    return 1 if broken or stale else 0
 
 if __name__ == "__main__":
     sys.exit(main())
