@@ -22,10 +22,10 @@ import random
 import pytest
 
 from repro.crypto import (
-    XorCipher,
     generate_gm_keypair,
     generate_paillier_keypair,
     generate_rsa_keypair,
+    split_message,
 )
 from repro.crypto.prng import KeystreamGenerator
 from repro.netsim import DeviceProfile, OperationKind
@@ -51,8 +51,8 @@ def paillier_keys():
 
 @pytest.mark.benchmark(group="table2-local")
 def test_xor_encryption_local(benchmark):
-    cipher = XorCipher(num_shares=2, keystream=KeystreamGenerator(seed=b"bench"))
-    result = benchmark(cipher.encrypt, MESSAGE)
+    keystream = KeystreamGenerator(seed=b"bench")
+    result = benchmark(split_message, MESSAGE, 2, keystream)
     assert len(result) == 2
 
 

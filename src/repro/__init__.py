@@ -8,10 +8,12 @@ Strufe — USENIX ATC 2017), including every substrate the paper builds on:
   randomized response, XOR share splitting through non-colluding proxies,
   window aggregation with error estimation, query inversion, historical
   analytics and the adaptive execution-budget interface.
-* :mod:`repro.streaming` — a Flink-like dataflow engine (sliding windows,
-  keyed joins) the aggregator runs on.
-* :mod:`repro.pubsub` — a Kafka-like topic/partition broker the proxies run on.
-* :mod:`repro.sqldb` — a SQLite-like SQL engine for client-local private data.
+* :mod:`repro.streaming` — a Flink-like dataflow engine cut to the two
+  operators the aggregator runs: a keyed join and a sliding-window aggregate.
+* :mod:`repro.pubsub` — a Kafka-like topic/partition broker the proxies
+  publish to and poll.
+* :mod:`repro.sqldb` — a SQLite-like, SELECT-only SQL engine for
+  client-local private data.
 * :mod:`repro.crypto` — the XOR one-time pad plus the RSA / Goldwasser-Micali
   / Paillier comparators.
 * :mod:`repro.netsim` — device, cluster and network cost models replacing the

@@ -58,12 +58,6 @@ class WindowResult:
     num_answers: int
     population: int
 
-    @property
-    def sampling_fraction_observed(self) -> float:
-        if self.population == 0:
-            return 0.0
-        return self.num_answers / self.population
-
 
 @dataclass
 class Aggregator:

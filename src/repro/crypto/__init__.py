@@ -13,7 +13,6 @@ integers and a ``keygen`` routine; see each module for details.
 
 from repro.crypto.prng import KeystreamGenerator, secure_random_bytes
 from repro.crypto.xor import (
-    XorCipher,
     split_message,
     join_shares,
     xor_bytes,
@@ -25,7 +24,6 @@ from repro.crypto.paillier import PaillierKeyPair, generate_paillier_keypair
 __all__ = [
     "KeystreamGenerator",
     "secure_random_bytes",
-    "XorCipher",
     "split_message",
     "join_shares",
     "xor_bytes",

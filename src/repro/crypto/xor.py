@@ -12,7 +12,6 @@ learns anything about the answer, and no proxy coordination is needed.
 This module implements the byte-level primitives:
 
 * :func:`xor_bytes` — constant-helper bitwise XOR of equal-length byte strings.
-* :class:`XorCipher` — a stateful cipher bound to a set of key shares.
 * :func:`split_columns` — the one XOR split routine, over a column of
   equal-width messages; :func:`split_message` is its one-row case;
 * :func:`join_shares` — the aggregator's join of one message's shares;
@@ -23,7 +22,7 @@ This module implements the byte-level primitives:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto import prng
 from repro.crypto.prng import KeystreamGenerator
@@ -158,48 +157,6 @@ class ShareColumn:
         ]
 
 
-@dataclass
-class XorCipher:
-    """One-time-pad cipher over a fixed number of key shares.
-
-    Parameters
-    ----------
-    num_shares:
-        Total number of shares ``n`` (encrypted message plus ``n - 1`` keys).
-        The paper requires at least two proxies, hence ``n >= 2``.
-    keystream:
-        Optional deterministic keystream generator (used by tests); a fresh
-        randomly seeded generator is created when omitted.
-    """
-
-    num_shares: int = 2
-    keystream: KeystreamGenerator = field(default_factory=KeystreamGenerator)
-
-    def __post_init__(self) -> None:
-        if self.num_shares < 2:
-            raise ValueError(
-                f"XOR encryption needs at least 2 shares, got {self.num_shares}"
-            )
-
-    def encrypt(self, message: bytes, message_id: str | None = None) -> list[MessageShare]:
-        """Split ``message`` into ``num_shares`` shares.
-
-        The first returned share carries the encrypted payload ``ME``; the
-        remaining shares carry the key strings ``MK_i``.  All shares have the
-        same length as the message.
-        """
-        return split_message(message, self.num_shares, self.keystream, message_id)
-
-    @staticmethod
-    def decrypt(shares: list[MessageShare]) -> bytes:
-        """Recover the original message from all shares of one ``MID``.
-
-        The aggregator "just XORs all the n received messages" (Section 3.2.4):
-        it cannot and need not distinguish ``ME`` from the key shares.
-        """
-        return join_shares(shares)
-
-
 def split_columns(messages: bytes, keys: Sequence[bytes]) -> list[bytes]:
     """XOR-split a column of messages into one payload column per proxy.
 
@@ -224,10 +181,9 @@ def split_message(
 ) -> list[MessageShare]:
     """Split ``message`` into one share per proxy.
 
-    The one-row case of :func:`split_columns` (:meth:`XorCipher.encrypt`
-    calls it too): share 0 is ``ME``, shares ``1..n-1`` the key strings in
-    the order they were drawn off ``keystream`` (a fresh randomly seeded
-    generator when omitted).  A missing ``message_id`` is 16 bytes of OS
+    The one-row case of :func:`split_columns`: share 0 is ``ME``, shares
+    ``1..n-1`` the key strings in the order they were drawn off
+    ``keystream`` (a fresh randomly seeded generator when omitted).  A missing ``message_id`` is 16 bytes of OS
     entropy as 32 hex characters.
     """
     if num_proxies < 2:

@@ -2,15 +2,16 @@
 
 PrivApprox proxies are implemented on Kafka: clients publish their encrypted
 answer shares and key shares to two topics ("answer" and "key"), and the
-aggregator consumes both (Section 5, "Proxies").  This package reproduces the
-parts of Kafka the system relies on:
+aggregator consumes both (Section 5, "Proxies").  The proxies only publish
+and poll, so this package reproduces just the parts of Kafka that needs:
 
-* topics split into partitions, each an append-only ordered log;
+* topics split into partitions, each an append-only ordered log that drops
+  what every live reader has polled past;
 * brokers hosting partitions, grouped in a :class:`BrokerCluster` so that
   partition leadership can be spread over several nodes;
 * producers that publish records (optionally keyed, for stable partitioning);
-* consumers and consumer groups with per-partition offsets, supporting both
-  "read everything so far" batch consumption and incremental polling.
+* consumers with per-partition offsets that poll what is new since their
+  last poll.
 
 The implementation is single-process and synchronous; the simulated cluster in
 :mod:`repro.netsim` supplies the throughput model for the scalability
@@ -22,7 +23,7 @@ from repro.pubsub.record import Record, payload_size
 from repro.pubsub.topic import Topic, Partition
 from repro.pubsub.broker import Broker, BrokerCluster
 from repro.pubsub.producer import Producer
-from repro.pubsub.consumer import Consumer, ConsumerGroup
+from repro.pubsub.consumer import Consumer
 from repro.pubsub.errors import PubSubError, UnknownTopicError
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "BrokerCluster",
     "Producer",
     "Consumer",
-    "ConsumerGroup",
     "PubSubError",
     "UnknownTopicError",
 ]

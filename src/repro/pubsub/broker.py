@@ -77,9 +77,6 @@ class BrokerCluster:
             raise UnknownTopicError(f"unknown topic: {name}")
         return self._topics[name]
 
-    def topic_names(self) -> list[str]:
-        return sorted(self._topics)
-
     def leader_for(self, topic_name: str, partition_index: int) -> Broker:
         """The broker leading a given partition."""
         key = (topic_name, partition_index)
@@ -87,7 +84,7 @@ class BrokerCluster:
             raise UnknownTopicError(f"unknown topic/partition: {key}")
         return self.brokers[self._leaders[key]]
 
-    # -- produce / consume --------------------------------------------------
+    # -- produce --------------------------------------------------
 
     def publish(self, topic_name: str, record: Record) -> Record:
         """Append a record to the topic, accounting it to the partition leader."""
@@ -97,16 +94,6 @@ class BrokerCluster:
         leader = self.leader_for(topic_name, positioned.partition)
         leader.account(positioned)
         return positioned
-
-    def fetch(
-        self,
-        topic_name: str,
-        partition_index: int,
-        offset: int,
-        max_records: int | None = None,
-    ) -> list[Record]:
-        """Read records from one partition starting at ``offset``."""
-        return self.topic(topic_name).partition(partition_index).read(offset, max_records)
 
     # -- metrics ----------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.pubsub.broker import BrokerCluster
@@ -21,34 +21,13 @@ class Producer:
     client_id: str = "producer"
     records_sent: int = 0
     bytes_sent: int = 0
-    _clock: float = field(default=0.0, repr=False)
 
-    def send(
-        self,
-        topic: str,
-        value: Any,
-        key: str | None = None,
-        timestamp: float | None = None,
-        headers: dict | None = None,
-    ) -> Record:
+    def send(self, topic: str, value: Any, key: str | None = None) -> Record:
         """Publish one record and return it with its assigned position."""
-        if timestamp is None:
-            self._clock += 1.0
-            timestamp = self._clock
-        record = Record(
-            value=value,
-            key=key,
-            timestamp=timestamp,
-            headers=headers or {},
-        )
-        positioned = self.cluster.publish(topic, record)
+        positioned = self.cluster.publish(topic, Record(value=value, key=key))
         self.records_sent += 1
         self.bytes_sent += positioned.size_bytes()
         return positioned
-
-    def send_batch(self, topic: str, values: list[Any], key: str | None = None) -> list[Record]:
-        """Publish a list of values in order."""
-        return [self.send(topic, value, key=key) for value in values]
 
     def send_many(
         self, topic: str, values: list[Any], keys: list[str] | None = None

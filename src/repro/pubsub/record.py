@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -38,18 +38,12 @@ class Record:
     key:
         Optional partitioning key; records with the same key land in the same
         partition, preserving per-key order.
-    timestamp:
-        Logical event time in seconds, assigned by the producer.
-    headers:
-        Optional metadata attached by the producer.
     offset / partition / topic:
         Assigned by the broker when the record is appended.
     """
 
     value: Any
     key: str | None = None
-    timestamp: float = 0.0
-    headers: dict = field(default_factory=dict)
     topic: str | None = None
     partition: int | None = None
     offset: int | None = None
@@ -59,8 +53,6 @@ class Record:
         return Record(
             value=self.value,
             key=self.key,
-            timestamp=self.timestamp,
-            headers=self.headers,
             topic=topic,
             partition=partition,
             offset=offset,
@@ -69,4 +61,4 @@ class Record:
     def size_bytes(self) -> int:
         """Approximate wire size of the record, used by the network model."""
         key_size = len(self.key.encode("utf-8")) if self.key else 0
-        return payload_size(self.value) + key_size + 16  # 16 bytes framing/timestamp
+        return payload_size(self.value) + key_size + 16  # 16 bytes framing

@@ -36,16 +36,14 @@ class Partition:
         self.records.append(positioned)
         return positioned
 
-    def read(self, offset: int = 0, max_records: int | None = None) -> list[Record]:
-        """Read records starting at ``offset`` (up to ``max_records`` of them).
+    def read(self, offset: int = 0) -> list[Record]:
+        """Read every record from ``offset`` on.
 
         An offset below ``base_offset`` reads from the earliest retained record.
         """
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
-        start = max(offset - self.base_offset, 0)
-        end = None if max_records is None else start + max_records
-        return self.records[start:end]
+        return self.records[max(offset - self.base_offset, 0):]
 
     def add_reader(self, reader) -> None:
         """Let ``reader`` pin this partition's records from its position on.

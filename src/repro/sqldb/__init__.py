@@ -1,14 +1,17 @@
 """A miniature in-memory SQL database, standing in for SQLite at the clients.
 
 PrivApprox clients store their private data locally in SQLite and execute the
-analyst's SQL query against it (Section 5, "Clients").  This package provides
-the subset of SQL the query model needs:
+analyst's SQL query against it (Section 5, "Clients").  A client only
+*reads* its data with that query, so the one statement this package parses
+is a read:
 
-* ``CREATE TABLE name (col TYPE, ...)``
-* ``INSERT INTO name VALUES (...)`` / ``INSERT INTO name (cols) VALUES (...)``
-* ``SELECT cols FROM name [WHERE predicate] [ORDER BY col [DESC]] [LIMIT n]``
-  with ``COUNT/SUM/AVG/MIN/MAX`` aggregates, ``AND``/``OR``/``NOT`` and the
-  usual comparison operators.
+* ``SELECT cols FROM name [WHERE predicate] [GROUP BY cols]
+  [ORDER BY col [DESC]] [LIMIT n]`` with ``COUNT/SUM/AVG/MIN/MAX``
+  aggregates, ``AND``/``OR``/``NOT`` and the usual comparison operators.
+
+Any other statement is a :class:`ParseError` before a table is touched.
+Tables are provisioned through the API instead —
+:meth:`Database.create_table` and :meth:`Database.insert_rows`.
 
 The engine is deliberately small but fully functional and tested; its purpose
 is to let the client-side "query answering" module run real SQL over local

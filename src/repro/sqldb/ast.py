@@ -115,27 +115,3 @@ class SelectStatement:
     order_by: OrderBy | None = None
     limit: int | None = None
     select_star: bool = False
-
-
-@dataclass(frozen=True)
-class InsertStatement:
-    table: str
-    columns: tuple | None
-    values: tuple
-
-
-@dataclass(frozen=True)
-class CreateTableStatement:
-    table: str
-    columns: tuple  # of (name, sql_type)
-
-
-@dataclass(frozen=True)
-class DeleteStatement:
-    table: str
-    where: Expression | None = None
-
-
-@dataclass(frozen=True)
-class DropTableStatement:
-    table: str

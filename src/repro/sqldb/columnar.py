@@ -30,7 +30,7 @@ edit) and how many rows it was built from.  :meth:`ArenaTable.sync` is
 O(members) when nothing changed, appends only the new tails when rows
 were appended (the only mutation the streaming ingest and the resident
 runtime's :class:`~repro.runtime.wire.ShardDelta` frames ever perform),
-and rebuilds from scratch when a row list shrank, was replaced (DELETE),
+and rebuilds from scratch when a row list shrank, was rebound,
 had existing rows edited in place, or its table was dropped and
 recreated.  Both grow a column at a time: the new rows are transposed
 once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
@@ -441,10 +441,6 @@ class ShardArena:
     @property
     def databases(self) -> list:
         return self._databases
-
-    @property
-    def num_slots(self) -> int:
-        return len(self._databases)
 
     def matches(self, databases: list) -> bool:
         """Whether this arena was built over exactly these database objects."""

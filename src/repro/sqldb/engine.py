@@ -206,37 +206,19 @@ class Database:
 
     # -- statement execution ---------------------------------------------------
 
-    def execute(self, sql: str) -> ResultSet | int:
-        """Execute one SQL statement.
+    def query(self, sql: str) -> ResultSet:
+        """Run one SELECT and return its result set.
 
-        SELECT returns a :class:`ResultSet`; INSERT/DELETE return the number of
-        affected rows; CREATE/DROP return 0.
+        The parser accepts nothing but a SELECT, so any other statement
+        raises :class:`~repro.sqldb.errors.ParseError` before a table is
+        touched.
         """
         scan_forced = self._scan_forced()
         if scan_forced:
             statement = parse_statement(sql)
         else:
             statement = parse_statement_cached(sql)
-        if isinstance(statement, ast.SelectStatement):
-            return self._execute_select(statement, scan_forced)
-        if isinstance(statement, ast.InsertStatement):
-            return self._execute_insert(statement)
-        if isinstance(statement, ast.CreateTableStatement):
-            self.create_table(statement.table, list(statement.columns))
-            return 0
-        if isinstance(statement, ast.DeleteStatement):
-            return self._execute_delete(statement)
-        if isinstance(statement, ast.DropTableStatement):
-            self.drop_table(statement.table)
-            return 0
-        raise ExecutionError(f"unsupported statement type: {type(statement).__name__}")
-
-    def query(self, sql: str) -> ResultSet:
-        """Execute a SELECT and return its result set."""
-        result = self.execute(sql)
-        if not isinstance(result, ResultSet):
-            raise ExecutionError("query() requires a SELECT statement")
-        return result
+        return self._execute_select(statement, scan_forced)
 
     # -- SELECT ------------------------------------------------------------------
 
@@ -331,28 +313,6 @@ class Database:
         if stmt.limit is not None:
             result_rows = result_rows[: stmt.limit]
         return ResultSet(columns=out_columns, rows=result_rows)
-
-    # -- INSERT / DELETE -----------------------------------------------------------
-
-    def _execute_insert(self, stmt: ast.InsertStatement) -> int:
-        table = self.table(stmt.table)
-        columns = list(stmt.columns) if stmt.columns is not None else None
-        table.insert(list(stmt.values), column_names=columns)
-        return 1
-
-    def _execute_delete(self, stmt: ast.DeleteStatement) -> int:
-        table = self.table(stmt.table)
-        names = table.column_names
-        kept: list[tuple] = []
-        deleted = 0
-        for row_tuple in table.rows:
-            row = dict(zip(names, row_tuple))
-            if _evaluate(stmt.where, row):
-                deleted += 1
-            else:
-                kept.append(row_tuple)
-        table.rows = kept
-        return deleted
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -631,8 +591,8 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     answer to those members — the epoch's participants: every other
     entry is :data:`ARENA_FALLBACK` and is never finished.
 
-    Returns ``None`` for statement-level fallbacks (unparsable SQL,
-    non-SELECT, no member defines the table, or the compiler cannot
+    Returns ``None`` for statement-level fallbacks (SQL that does not
+    parse as a SELECT, no member defines the table, or the compiler cannot
     lower the statement): the caller must let every member answer
     itself.  Draw-neutral by construction — SQL evaluation consumes no
     randomness, so hoisting it shard-wide cannot shift any client's RNG
@@ -655,8 +615,6 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     try:
         statement = parse_statement_cached(sql)
     except Exception:  # noqa: BLE001 - parse errors fall back per client
-        return None
-    if not isinstance(statement, ast.SelectStatement):
         return None
     # The switch is read once per statement (never cached across statements).
     return _select_per_slot(

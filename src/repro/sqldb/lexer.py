@@ -7,6 +7,9 @@ from enum import Enum, auto
 
 from repro.sqldb.errors import ParseError
 
+# The parser only accepts SELECT; the other statements' keywords stay
+# reserved so that every SELECT tokenizes as before (a column named
+# ``drop`` is still refused).
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO", "VALUES",
     "CREATE", "TABLE", "ORDER", "BY", "ASC", "DESC", "LIMIT", "GROUP",

@@ -12,7 +12,7 @@ _AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
 class Parser:
-    """Parses a single SQL statement into an AST node."""
+    """Parses a single SELECT statement into an AST node."""
 
     def __init__(self, sql: str):
         self._sql = sql
@@ -62,21 +62,15 @@ class Parser:
 
     # -- entry point --------------------------------------------------------
 
-    def parse(self):
-        """Parse the statement and return the corresponding AST node."""
-        token = self._peek()
-        if token.matches_keyword("SELECT"):
-            statement = self._parse_select()
-        elif token.matches_keyword("INSERT"):
-            statement = self._parse_insert()
-        elif token.matches_keyword("CREATE"):
-            statement = self._parse_create()
-        elif token.matches_keyword("DELETE"):
-            statement = self._parse_delete()
-        elif token.matches_keyword("DROP"):
-            statement = self._parse_drop()
-        else:
+    def parse(self) -> ast.SelectStatement:
+        """Parse the statement; a SELECT is the only statement accepted.
+
+        Anything else raises :class:`ParseError` here, before a caller
+        can touch a table with it.
+        """
+        if not self._peek().matches_keyword("SELECT"):
             raise ParseError(f"unsupported statement: {self._sql}")
+        statement = self._parse_select()
         self._accept_punct(";")
         if self._peek().type is not TokenType.EOF:
             raise ParseError(f"trailing tokens after statement: {self._sql}")
@@ -155,57 +149,6 @@ class Parser:
         if self._accept_keyword("AS"):
             return self._expect_identifier()
         return None
-
-    def _parse_insert(self) -> ast.InsertStatement:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_identifier()
-        columns = None
-        if self._accept_punct("("):
-            names = [self._expect_identifier()]
-            while self._accept_punct(","):
-                names.append(self._expect_identifier())
-            self._expect_punct(")")
-            columns = tuple(names)
-        self._expect_keyword("VALUES")
-        self._expect_punct("(")
-        values = [self._parse_literal_value()]
-        while self._accept_punct(","):
-            values.append(self._parse_literal_value())
-        self._expect_punct(")")
-        return ast.InsertStatement(table=table, columns=columns, values=tuple(values))
-
-    def _parse_create(self) -> ast.CreateTableStatement:
-        self._expect_keyword("CREATE")
-        self._expect_keyword("TABLE")
-        table = self._expect_identifier()
-        self._expect_punct("(")
-        columns = [self._parse_column_def()]
-        while self._accept_punct(","):
-            columns.append(self._parse_column_def())
-        self._expect_punct(")")
-        return ast.CreateTableStatement(table=table, columns=tuple(columns))
-
-    def _parse_column_def(self) -> tuple[str, str]:
-        name = self._expect_identifier()
-        token = self._advance()
-        if token.type not in (TokenType.IDENTIFIER, TokenType.KEYWORD):
-            raise ParseError(f"expected column type after {name}, got {token.value!r}")
-        return name, token.value.upper()
-
-    def _parse_delete(self) -> ast.DeleteStatement:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_identifier()
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_expression()
-        return ast.DeleteStatement(table=table, where=where)
-
-    def _parse_drop(self) -> ast.DropTableStatement:
-        self._expect_keyword("DROP")
-        self._expect_keyword("TABLE")
-        return ast.DropTableStatement(table=self._expect_identifier())
 
     # -- expressions ----------------------------------------------------------
 
@@ -293,13 +236,13 @@ class Parser:
         raise ParseError(f"expected a literal, got {token.value!r} in: {self._sql}")
 
 
-def parse_statement(sql: str):
-    """Parse a single SQL statement string into its AST node."""
+def parse_statement(sql: str) -> ast.SelectStatement:
+    """Parse one SELECT statement string into its AST node."""
     return Parser(sql).parse()
 
 
 @lru_cache(maxsize=256)
-def parse_statement_cached(sql: str):
+def parse_statement_cached(sql: str) -> ast.SelectStatement:
     """Memoized :func:`parse_statement` for the compiled answer path.
 
     AST nodes are frozen dataclasses, so a cached statement is safe to

@@ -32,16 +32,6 @@ class Column:
         if self.sql_type.upper() not in _TYPE_CONVERTERS:
             raise SchemaError(f"unsupported column type: {self.sql_type}")
 
-    def convert(self, value: Any) -> Any:
-        """Coerce ``value`` to this column's type (None passes through)."""
-        if value is None:
-            return None
-        converter = _TYPE_CONVERTERS[self.sql_type.upper()]
-        try:
-            return converter(value)
-        except (TypeError, ValueError) as exc:
-            raise self.conversion_error(value) from exc
-
     def conversion_error(self, value: Any) -> SchemaError:
         """The error for a value this column's type cannot hold."""
         return SchemaError(
@@ -130,24 +120,6 @@ class Table:
         if name.lower() in lowered:
             return lowered[name.lower()]
         raise SchemaError(f"table {self.name} has no column {name}")
-
-    def insert(self, values: list[Any], column_names: list[str] | None = None) -> None:
-        """Insert one row, coercing values to the declared column types."""
-        if column_names is None:
-            if len(values) != len(self.columns):
-                raise SchemaError(
-                    f"table {self.name} expects {len(self.columns)} values, got {len(values)}"
-                )
-            row = tuple(col.convert(v) for col, v in zip(self.columns, values))
-            self.rows.append(row)
-            return
-        if len(values) != len(column_names):
-            raise SchemaError("column list and value list lengths differ")
-        self.insert_records([dict(zip(column_names, values))])
-
-    def insert_dict(self, record: dict[str, Any]) -> None:
-        """Insert one row from a column-name → value mapping."""
-        self.insert_records([record])
 
     def insert_records(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Insert one row per column-name → value mapping, in order.

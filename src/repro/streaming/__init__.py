@@ -1,17 +1,12 @@
 """A small dataflow stream-processing engine, standing in for Apache Flink.
 
-The PrivApprox aggregator is built on Flink: it joins the encrypted-answer
-stream with the key stream, decrypts, and aggregates the randomized answers
-per sliding window (Sections 3.2.4 and 5).  This package provides the pieces
-that behaviour needs:
+The PrivApprox aggregator is one Flink job: it joins the answer shares by
+message id, decrypts, and aggregates the randomized answers per sliding
+window (Sections 3.2.4 and 5).  This package provides exactly those pieces:
 
 * :class:`~repro.streaming.records.StreamRecord` — a timestamped element;
-* sliding/tumbling window assignment over event time
-  (:mod:`repro.streaming.windows`);
-* dataflow operators — map, filter, key-by, keyed join, window aggregation
-  (:mod:`repro.streaming.operators`);
-* a :class:`~repro.streaming.pipeline.StreamPipeline` that chains operators
-  and runs them over bounded or unbounded (epoch-by-epoch) sources.
+* sliding-window assignment over event time (:mod:`repro.streaming.windows`);
+* the keyed join and the window aggregate (:mod:`repro.streaming.operators`).
 
 The engine is deterministic and single-process; it executes the same dataflow
 graph the paper's Flink job describes, which is what the correctness and
@@ -20,26 +15,13 @@ by :mod:`repro.netsim`.
 """
 
 from repro.streaming.records import StreamRecord
-from repro.streaming.windows import Window, SlidingWindowAssigner, TumblingWindowAssigner
-from repro.streaming.operators import (
-    MapOperator,
-    FilterOperator,
-    KeyByOperator,
-    KeyedJoinOperator,
-    WindowAggregateOperator,
-)
-from repro.streaming.pipeline import StreamPipeline, StreamSource
+from repro.streaming.windows import Window, SlidingWindowAssigner
+from repro.streaming.operators import KeyedJoinOperator, WindowAggregateOperator
 
 __all__ = [
     "StreamRecord",
     "Window",
     "SlidingWindowAssigner",
-    "TumblingWindowAssigner",
-    "MapOperator",
-    "FilterOperator",
-    "KeyByOperator",
     "KeyedJoinOperator",
     "WindowAggregateOperator",
-    "StreamPipeline",
-    "StreamSource",
 ]

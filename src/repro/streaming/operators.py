@@ -1,92 +1,36 @@
-"""Dataflow operators for the mini stream-processing engine.
+"""The two dataflow operators the aggregator runs (Section 3.2.4).
 
-Each operator transforms a list of :class:`~repro.streaming.records.StreamRecord`
-into another list.  Operators are deliberately stateless between calls unless
-they carry explicit state (the keyed join buffers unmatched records), so a
-pipeline can be run epoch-by-epoch over an unbounded stream.
+A keyed join pairs a message's shares by ``MID`` and a window aggregate
+counts the joined answers per sliding window.  Each maps a list of
+:class:`~repro.streaming.records.StreamRecord` to another list and keeps
+its state across calls (the join's unmatched records, the open window
+buffers), so the aggregator feeds them epoch by epoch over an unbounded
+stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.streaming.records import StreamRecord
 from repro.streaming.windows import SlidingWindowAssigner, Window
 
 
-class Operator:
-    """Base class: an operator maps a batch of records to a batch of records."""
-
-    def process(self, records: list[StreamRecord]) -> list[StreamRecord]:
-        raise NotImplementedError
-
-
 @dataclass
-class MapOperator(Operator):
-    """Applies a function to every record's value."""
-
-    fn: Callable[[Any], Any]
-    name: str = "map"
-
-    def process(self, records: list[StreamRecord]) -> list[StreamRecord]:
-        return [record.with_value(self.fn(record.value)) for record in records]
-
-
-@dataclass
-class FilterOperator(Operator):
-    """Keeps only the records whose value satisfies a predicate."""
-
-    predicate: Callable[[Any], bool]
-    name: str = "filter"
-
-    def process(self, records: list[StreamRecord]) -> list[StreamRecord]:
-        return [record for record in records if self.predicate(record.value)]
-
-
-@dataclass
-class FlatMapOperator(Operator):
-    """Applies a function returning an iterable; emits one record per element."""
-
-    fn: Callable[[Any], list]
-    name: str = "flat_map"
-
-    def process(self, records: list[StreamRecord]) -> list[StreamRecord]:
-        out: list[StreamRecord] = []
-        for record in records:
-            for value in self.fn(record.value):
-                out.append(record.with_value(value))
-        return out
-
-
-@dataclass
-class KeyByOperator(Operator):
-    """Assigns each record a key extracted from its value."""
-
-    key_fn: Callable[[Any], Any]
-    name: str = "key_by"
-
-    def process(self, records: list[StreamRecord]) -> list[StreamRecord]:
-        return [record.with_key(self.key_fn(record.value)) for record in records]
-
-
-@dataclass
-class KeyedJoinOperator(Operator):
-    """Joins two logical streams on their key, buffering unmatched records.
+class KeyedJoinOperator:
+    """Joins records on their key, buffering unmatched records.
 
     The aggregator uses this to pair the encrypted-answer share with all of its
-    key shares: records arrive tagged (via ``stream_of``) as belonging to one
-    of the two input streams; once ``expected_per_key`` records with the same
-    key have arrived, the join fires and emits a single record whose value is
-    the list of joined values (ordered by arrival).
+    key shares, keyed by message id: once ``expected_per_key`` records with
+    the same key have arrived, the join fires and emits a single record whose
+    value is the list of joined values (ordered by arrival).
 
     Buffered state is kept across ``process`` calls so shares arriving in
     different epochs still join, as they would in Flink's keyed state.
     """
 
     expected_per_key: int = 2
-    stream_of: Callable[[Any], str] = field(default=lambda value: "default")
-    name: str = "keyed_join"
 
     def __post_init__(self) -> None:
         if self.expected_per_key < 2:
@@ -97,7 +41,7 @@ class KeyedJoinOperator(Operator):
         out: list[StreamRecord] = []
         for record in records:
             if record.key is None:
-                raise ValueError("KeyedJoinOperator requires keyed records (use KeyByOperator)")
+                raise ValueError("KeyedJoinOperator requires keyed records")
             bucket = self._buffer.setdefault(record.key, [])
             bucket.append(record)
             if len(bucket) >= self.expected_per_key:
@@ -117,7 +61,7 @@ class KeyedJoinOperator(Operator):
 
 
 @dataclass
-class WindowAggregateOperator(Operator):
+class WindowAggregateOperator:
     """Aggregates record values per sliding window.
 
     ``aggregate_fn`` receives the list of values falling inside a window and
@@ -131,10 +75,10 @@ class WindowAggregateOperator(Operator):
     remaining windows regardless of the watermark — used at end of stream.
 
     Out-of-order (late) records are accepted as long as their window has not
-    fired yet or the record arrives within ``allowed_lateness`` seconds of the
-    watermark; records for windows that already fired outside that grace
-    period are dropped and counted in ``late_records_dropped``, so a late
-    answer can never silently re-open a window the analyst already received.
+    fired yet; records for windows that already fired (or whose end the
+    watermark has passed) are dropped and counted in
+    ``late_records_dropped``, so a late answer can never silently re-open a
+    window the analyst already received.
     ``weight`` says how many input elements a record's value stands for
     (the aggregator's values are partial counts over many answers); a
     dropped record adds its weight, 1 when ``weight`` is ``None``.
@@ -142,13 +86,9 @@ class WindowAggregateOperator(Operator):
 
     assigner: SlidingWindowAssigner
     aggregate_fn: Callable[[list], Any]
-    allowed_lateness: float = 0.0
-    name: str = "window_aggregate"
     weight: Callable[[Any], int] | None = None
 
     def __post_init__(self) -> None:
-        if self.allowed_lateness < 0:
-            raise ValueError("allowed_lateness must be non-negative")
         self._window_buffers: dict[Window, list] = {}
         self._emitted_windows: set[Window] = set()
         self._watermark = float("-inf")
@@ -159,8 +99,7 @@ class WindowAggregateOperator(Operator):
             self._watermark = max(self._watermark, record.timestamp)
             for window in self.assigner.assign(record.timestamp):
                 is_past_due = (
-                    window.end + self.allowed_lateness <= self._watermark
-                    and window not in self._window_buffers
+                    window.end <= self._watermark and window not in self._window_buffers
                 )
                 if window in self._emitted_windows or is_past_due:
                     self.late_records_dropped += (
@@ -168,15 +107,13 @@ class WindowAggregateOperator(Operator):
                     )
                     continue
                 self._window_buffers.setdefault(window, []).append(record.value)
-        emitted = self._emit(
-            lambda window: window.end + self.allowed_lateness <= self._watermark
-        )
+        emitted = self._emit(lambda window: window.end <= self._watermark)
         self._prune_emitted_state()
         return emitted
 
     def _prune_emitted_state(self) -> None:
-        """Forget emitted windows far below the lateness horizon (bounded memory)."""
-        horizon = self._watermark - self.allowed_lateness - self.assigner.window_length
+        """Forget emitted windows far below the watermark (bounded memory)."""
+        horizon = self._watermark - self.assigner.window_length
         self._emitted_windows = {w for w in self._emitted_windows if w.end >= horizon}
 
     def flush(self) -> list[StreamRecord]:

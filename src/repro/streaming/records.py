@@ -18,17 +18,10 @@ class StreamRecord:
         Event time in seconds.  Window assignment uses this, not arrival
         order, matching Flink's event-time semantics.
     key:
-        Optional key set by a key-by operator (or the source).
+        Optional key; the keyed join groups records by it.
     """
 
     value: Any
     timestamp: float = 0.0
     key: Any = None
 
-    def with_value(self, value: Any) -> "StreamRecord":
-        """A copy of this record carrying a new value."""
-        return StreamRecord(value=value, timestamp=self.timestamp, key=self.key)
-
-    def with_key(self, key: Any) -> "StreamRecord":
-        """A copy of this record carrying a new key."""
-        return StreamRecord(value=self.value, timestamp=self.timestamp, key=key)

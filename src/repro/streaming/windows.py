@@ -1,4 +1,4 @@
-"""Event-time window assignment: sliding and tumbling windows.
+"""Event-time window assignment: sliding windows.
 
 The analyst's query carries a window length ``w`` and a sliding interval ``δ``
 (Section 3.1).  A record with timestamp ``t`` belongs to every window
@@ -19,10 +19,6 @@ class Window:
 
     start: float
     end: float
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
     def contains(self, timestamp: float) -> bool:
         return self.start <= timestamp < self.end
@@ -95,23 +91,3 @@ class SlidingWindowAssigner:
             index += 1
         return out
 
-
-@dataclass(frozen=True)
-class TumblingWindowAssigner:
-    """Non-overlapping windows: a sliding window whose slide equals its length."""
-
-    window_length: float
-
-    def __post_init__(self) -> None:
-        if self.window_length <= 0:
-            raise ValueError("window_length must be positive")
-
-    def assign(self, timestamp: float) -> list[Window]:
-        start = math.floor(timestamp / self.window_length) * self.window_length
-        return [Window(start=start, end=start + self.window_length)]
-
-    def as_sliding(self) -> SlidingWindowAssigner:
-        """The equivalent sliding assigner (slide == length)."""
-        return SlidingWindowAssigner(
-            window_length=self.window_length, slide_interval=self.window_length
-        )

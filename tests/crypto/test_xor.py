@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.crypto.prng import KeystreamGenerator
 from repro.crypto.xor import (
     MessageShare,
-    XorCipher,
     join_shares,
     join_shares_batch,
     split_message,
@@ -35,81 +34,43 @@ class TestXorBytes:
             xor_many([])
 
 
-class TestXorCipher:
-    def test_roundtrip_two_shares(self):
-        cipher = XorCipher(num_shares=2, keystream=KeystreamGenerator(seed=b"k"))
-        shares = cipher.encrypt(b"private answer")
-        assert len(shares) == 2
-        assert XorCipher.decrypt(shares) == b"private answer"
+class TestSplitJoinHelpers:
+    @pytest.mark.parametrize("num_proxies", [2, 3, 4])
+    def test_roundtrip_carries_the_mid_and_draws_keys_in_share_order(self, num_proxies):
+        message = bytes(range(47))
+        shares = split_message(
+            message, num_proxies, KeystreamGenerator(seed=b"s"), message_id="mid-1"
+        )
+        assert len(shares) == num_proxies
+        assert join_shares(shares) == message
+        assert [share.index for share in shares] == list(range(num_proxies))
+        assert {share.message_id for share in shares} == {"mid-1"}
+        assert all(len(share.payload) == len(message) for share in shares)
+        # Key strings come off the keystream in share order.
+        keystream = KeystreamGenerator(seed=b"s")
+        assert [share.payload for share in shares[1:]] == [
+            keystream.next_bytes(len(message)) for _ in range(num_proxies - 1)
+        ]
 
-    @pytest.mark.parametrize("num_shares", [2, 3, 4, 5])
-    def test_roundtrip_many_shares(self, num_shares):
-        cipher = XorCipher(num_shares=num_shares, keystream=KeystreamGenerator(seed=b"k"))
-        message = b"M" * 37
-        shares = cipher.encrypt(message)
-        assert len(shares) == num_shares
-        assert XorCipher.decrypt(shares) == message
+    @pytest.mark.parametrize("num_proxies", [0, 1])
+    def test_split_message_rejects_fewer_than_two_shares(self, num_proxies):
+        with pytest.raises(ValueError, match=f"at least 2 shares, got {num_proxies}"):
+            split_message(b"hello", num_proxies=num_proxies)
 
-    def test_rejects_fewer_than_two_shares(self):
-        with pytest.raises(ValueError):
-            XorCipher(num_shares=1)
-
-    def test_shares_share_message_id(self):
-        shares = XorCipher(num_shares=3).encrypt(b"payload", message_id="mid-1")
-        assert {s.message_id for s in shares} == {"mid-1"}
-
-    def test_share_indices_are_sequential(self):
-        shares = XorCipher(num_shares=4).encrypt(b"payload")
-        assert [s.index for s in shares] == [0, 1, 2, 3]
+    def test_empty_message_roundtrip(self):
+        assert join_shares(split_message(b"", num_proxies=2)) == b""
 
     def test_no_single_share_reveals_message(self):
         """Every individual share must differ from the plaintext (overwhelmingly likely)."""
         message = b"the secret answer vector!"
-        shares = XorCipher(num_shares=3, keystream=KeystreamGenerator(seed=b"x")).encrypt(message)
+        shares = split_message(message, 3, KeystreamGenerator(seed=b"x"))
         for share in shares:
             assert share.payload != message
 
     def test_missing_share_does_not_decrypt(self):
         message = b"confidential"
-        shares = XorCipher(num_shares=3, keystream=KeystreamGenerator(seed=b"y")).encrypt(message)
+        shares = split_message(message, 3, KeystreamGenerator(seed=b"y"))
         assert join_shares(shares[:2]) != message
-
-    def test_shares_have_message_length(self):
-        message = b"0123456789"
-        shares = XorCipher(num_shares=2).encrypt(message)
-        assert all(len(s.payload) == len(message) for s in shares)
-
-    def test_empty_message_roundtrip(self):
-        shares = XorCipher(num_shares=2).encrypt(b"")
-        assert XorCipher.decrypt(shares) == b""
-
-
-class TestSplitJoinHelpers:
-    def test_split_message_roundtrip(self):
-        shares = split_message(b"hello", num_proxies=3, keystream=KeystreamGenerator(seed=b"s"))
-        assert join_shares(shares) == b"hello"
-
-    @pytest.mark.parametrize("num_shares", [2, 3, 4])
-    def test_cipher_and_split_message_are_one_routine(self, num_shares):
-        """Same shares, same order, same indices from either entry point."""
-        message = bytes(range(47))
-        via_cipher = XorCipher(num_shares, KeystreamGenerator(seed=b"s")).encrypt(
-            message, message_id="m"
-        )
-        via_function = split_message(
-            message, num_shares, KeystreamGenerator(seed=b"s"), message_id="m"
-        )
-        assert via_cipher == via_function
-        assert [share.index for share in via_function] == list(range(num_shares))
-        # Key strings come off the keystream in share order.
-        keystream = KeystreamGenerator(seed=b"s")
-        assert [share.payload for share in via_function[1:]] == [
-            keystream.next_bytes(len(message)) for _ in range(num_shares - 1)
-        ]
-
-    def test_split_message_rejects_fewer_than_two_shares(self):
-        with pytest.raises(ValueError, match="at least 2 shares, got 1"):
-            split_message(b"hello", num_proxies=1)
 
     def test_default_message_id_is_os_entropy_as_hex(self, monkeypatch):
         """The MID comes through ``prng.secure_random_bytes`` — the one

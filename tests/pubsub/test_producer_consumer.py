@@ -4,8 +4,13 @@ import gc
 
 import pytest
 
-from repro.pubsub import BrokerCluster, Consumer, ConsumerGroup, Producer
+from repro.pubsub import BrokerCluster, Consumer, Producer
 from repro.pubsub.errors import PubSubError
+
+
+def publish(producer: Producer, values: list) -> None:
+    for value in values:
+        producer.send("log", value)
 
 
 @pytest.fixture
@@ -23,24 +28,30 @@ class TestProducer:
         assert producer.records_sent == 1
         assert producer.bytes_sent > 0
 
-    def test_send_batch_preserves_order_per_key(self, cluster):
+    def test_one_key_preserves_order(self, cluster):
         producer = Producer(cluster)
-        producer.send_batch("answers", [b"a", b"b", b"c"], key="same")
+        for value in (b"a", b"b", b"c"):
+            producer.send("answers", value, key="same")
         consumer = Consumer(cluster)
         consumer.subscribe(["answers"])
         values = [r.value for r in consumer.poll()]
         assert values == [b"a", b"b", b"c"]
 
-    def test_timestamps_increase_when_not_provided(self, cluster):
+    def test_send_many_routes_each_value_by_its_key(self, cluster):
         producer = Producer(cluster)
-        first = producer.send("answers", b"a")
-        second = producer.send("answers", b"b")
-        assert second.timestamp > first.timestamp
+        sent = producer.send_many("answers", [b"a", b"b", b"c"], keys=["k1", "k2", "k1"])
+        topic = cluster.topic("answers")
+        assert [r.partition for r in sent] == [
+            topic.partition_for(key, 0) for key in ("k1", "k2", "k1")
+        ]
+        assert producer.records_sent == 3
+        assert producer.bytes_sent == sum(r.size_bytes() for r in sent)
 
-    def test_explicit_timestamp_used(self, cluster):
+    def test_send_many_needs_one_key_per_value(self, cluster):
         producer = Producer(cluster)
-        record = producer.send("answers", b"a", timestamp=123.5)
-        assert record.timestamp == 123.5
+        with pytest.raises(ValueError, match="one key per value"):
+            producer.send_many("answers", [b"a", b"b"], keys=["k1"])
+        assert producer.records_sent == 0
 
 
 class TestConsumer:
@@ -67,25 +78,6 @@ class TestConsumer:
         values = {r.value for r in consumer.poll()}
         assert values == {b"a", b"k"}
 
-    def test_seek_to_beginning_rewinds_to_the_earliest_retained_offset(self, cluster):
-        producer = Producer(cluster)
-        consumer = Consumer(cluster)
-        laggard = Consumer(cluster)
-        consumer.subscribe(["answers"])
-        laggard.subscribe(["answers"])
-        producer.send("answers", b"a")
-        consumer.poll()
-        consumer.seek_to_beginning()
-        # The laggard still pins b"a", so the rewind reads it again ...
-        assert [r.value for r in consumer.poll()] == [b"a"]
-        laggard.poll()
-        producer.send("answers", b"b")
-        consumer.poll()
-        laggard.poll()
-        consumer.seek_to_beginning()
-        # ... but once both have read past a record it is gone for good.
-        assert consumer.poll() == []
-
     def test_lag(self, cluster):
         producer = Producer(cluster)
         consumer = Consumer(cluster)
@@ -96,48 +88,22 @@ class TestConsumer:
         consumer.poll()
         assert consumer.lag() == 0
 
-    def test_max_records_limits_poll(self, cluster):
+    def test_each_consumer_reads_every_record_at_its_own_pace(self, cluster):
         producer = Producer(cluster)
-        consumer = Consumer(cluster)
-        consumer.subscribe(["answers"])
-        for i in range(10):
-            producer.send("answers", bytes([i]))
-        assert len(consumer.poll(max_records=4)) == 4
-        assert len(consumer.poll()) == 6
+        first, second = Consumer(cluster), Consumer(cluster)
+        first.subscribe(["answers"])
+        second.subscribe(["answers"])
+        for i in range(4):
+            producer.send("answers", i, key=f"key-{i}")
+        assert sorted(r.value for r in first.poll()) == [0, 1, 2, 3]
+        producer.send("answers", 4)
+        assert sorted(r.value for r in second.poll()) == [0, 1, 2, 3, 4]
+        assert [r.value for r in first.poll()] == [4]
 
     def test_subscribe_unknown_topic_rejected(self, cluster):
         consumer = Consumer(cluster)
         with pytest.raises(Exception):
             consumer.subscribe(["missing"])
-
-
-class TestConsumerGroup:
-    def test_members_split_partitions(self, cluster):
-        producer = Producer(cluster)
-        for i in range(30):
-            producer.send("answers", value=i, key=f"key-{i}")
-        group = ConsumerGroup(cluster, group_id="g", num_members=3)
-        group.subscribe(["answers"])
-        records = group.poll_all()
-        assert len(records) == 30
-
-    def test_poll_all_does_not_duplicate(self, cluster):
-        producer = Producer(cluster)
-        for i in range(10):
-            producer.send("answers", value=i)
-        group = ConsumerGroup(cluster, group_id="g", num_members=2)
-        group.subscribe(["answers"])
-        assert len(group.poll_all()) == 10
-        assert group.poll_all() == []
-
-    def test_requires_members(self, cluster):
-        with pytest.raises(PubSubError):
-            ConsumerGroup(cluster, group_id="g", num_members=0)
-
-    def test_poll_before_subscribe_rejected(self, cluster):
-        group = ConsumerGroup(cluster, group_id="g", num_members=1)
-        with pytest.raises(PubSubError):
-            group.poll_all()
 
 
 class TestRetention:
@@ -158,9 +124,10 @@ class TestRetention:
         fast, slow = Consumer(log), Consumer(log)
         fast.subscribe(["log"])
         slow.subscribe(["log"])
-        producer.send_batch("log", [bytes([i]) for i in range(5)])
+        publish(producer, [bytes([i]) for i in range(2)])
+        assert len(slow.poll()) == 2
+        publish(producer, [bytes([i]) for i in range(2, 5)])
         assert len(fast.poll()) == 5
-        assert len(slow.poll(max_records=2)) == 2
         partition = self.partition(log)
         assert partition.base_offset == 2
         assert [r.offset for r in partition.records] == [2, 3, 4]
@@ -172,7 +139,7 @@ class TestRetention:
         reader, idle = Consumer(log), Consumer(log)
         reader.subscribe(["log"])
         idle.subscribe(["log"])
-        producer.send_batch("log", [b"a", b"b"])
+        publish(producer, [b"a", b"b"])
         reader.poll()
         assert len(self.partition(log)) == 2  # idle has read nothing yet
         del idle
@@ -183,7 +150,7 @@ class TestRetention:
 
     def test_a_partition_without_readers_keeps_everything(self, log):
         producer = Producer(log)
-        producer.send_batch("log", [bytes([i]) for i in range(5)])
+        publish(producer, [bytes([i]) for i in range(5)])
         assert len(self.partition(log)) == 5
         late = Consumer(log)
         late.subscribe(["log"])
@@ -194,13 +161,13 @@ class TestRetention:
         fast, slow = Consumer(log), Consumer(log)
         fast.subscribe(["log"])
         slow.subscribe(["log"])
-        producer.send_batch("log", [bytes([i]) for i in range(6)])
-        slow.poll(max_records=3)
+        publish(producer, [bytes([i]) for i in range(4)])
+        slow.poll()
+        publish(producer, [bytes([i]) for i in range(4, 6)])
         before = (fast.lag(), slow.lag(), self.partition(log).end_offset, log.total_records())
         fast.poll()
-        slow.poll(max_records=1)
         assert self.partition(log).base_offset == 4
-        assert (fast.lag() + 6, slow.lag() + 1) == before[:2]
+        assert (fast.lag() + 6, slow.lag()) == before[:2] == (6, 2)
         assert (self.partition(log).end_offset, log.total_records()) == before[2:] == (6, 6)
         appended = producer.send("log", b"next")
         assert appended.offset == 6 and self.partition(log).end_offset == 7
@@ -218,14 +185,3 @@ class TestRetention:
         assert (partition.base_offset, len(partition)) == (3, 0)
         record = producer.send("log", b"d")
         assert record.offset == 3 == partition.base_offset + len(partition) - 1
-
-    def test_group_members_pin_their_own_partitions(self, cluster):
-        producer = Producer(cluster)
-        group = ConsumerGroup(cluster, group_id="g", num_members=3)
-        group.subscribe(["answers"])
-        for i in range(12):
-            producer.send("answers", value=i)
-        assert len(group.poll_all()) == 12
-        topic = cluster.topic("answers")
-        assert topic.total_records() == 12
-        assert all(len(partition) == 0 for partition in topic.partitions)

@@ -21,11 +21,18 @@ class TestPartition:
         values = [r.value for r in partition.read(offset=2)]
         assert values == [2, 3, 4]
 
-    def test_read_with_max_records(self):
+    def test_read_at_the_end_offset_is_empty(self):
+        partition = Partition(topic_name="t", index=0)
+        partition.append(Record(value="a"))
+        assert partition.read(offset=partition.end_offset) == []
+
+    def test_read_below_the_base_offset_starts_at_the_earliest_retained(self):
         partition = Partition(topic_name="t", index=0)
         for i in range(5):
             partition.append(Record(value=i))
-        assert len(partition.read(offset=0, max_records=3)) == 3
+        del partition.records[:3]
+        partition.base_offset = 3
+        assert [r.offset for r in partition.read(offset=1)] == [3, 4]
 
     def test_read_negative_offset_rejected(self):
         with pytest.raises(ValueError):
@@ -93,9 +100,8 @@ class TestRecord:
         assert Record(value=Sized()).size_bytes() == 100 + 16
 
     def test_with_position_preserves_value(self):
-        record = Record(value="v", key="k", timestamp=3.0)
+        record = Record(value="v", key="k")
         positioned = record.with_position("topic", 1, 7)
         assert positioned.value == "v"
         assert positioned.key == "k"
-        assert positioned.timestamp == 3.0
         assert (positioned.topic, positioned.partition, positioned.offset) == ("topic", 1, 7)

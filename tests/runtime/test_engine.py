@@ -48,6 +48,7 @@ from repro.runtime import (
 )
 from repro.runtime.executor import _driver_factories
 from repro.runtime.scenario import ScenarioSpec
+from repro.sqldb import ParseError
 
 SEED = 20260808
 KEY = bytes.fromhex("cc" * 32)
@@ -392,6 +393,44 @@ class TestErrorOrder:
         assert isinstance(expected, TypeError) and "'<='" in str(expected)
         # A pinned worker's error comes back as "TypeError: <message>".
         assert type(got) is TypeError or str(got).startswith("TypeError: ")
+        assert str(expected) in str(got)
+
+
+class TestAnalystSqlIsReadOnly:
+    """A client runs the analyst's signed SQL against its private tables.
+    A statement other than SELECT fails the epoch on every executor as it
+    does under serial, and no client's tables change: the SQL is parsed as
+    a SELECT before any table is touched."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "DELETE FROM private_data",
+            "DROP TABLE private_data",
+            "INSERT INTO private_data VALUES (9.0)",
+        ],
+        ids=["delete", "drop", "insert"],
+    )
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_a_write_raises_what_serial_raises_and_changes_no_table(self, executor, sql):
+        raised = {}
+        for name in ("serial", executor):
+            system, _ = build_system(name, num_clients=4, sql=sql)
+            for client in system.clients:
+                client.database.insert_rows("private_data", [{"value": 1.0}])
+            tables = [client.database.table_names() for client in system.clients]
+            try:
+                with pytest.raises(Exception) as error:
+                    system.run_epoch_all(0)
+            finally:
+                system.close()
+            assert [client.database.table_names() for client in system.clients] == tables
+            assert [client.local_row_count() for client in system.clients] == [2, 2, 2, 2]
+            raised[name] = error.value
+        expected, got = raised["serial"], raised[executor]
+        assert isinstance(expected, ParseError) and "unsupported statement" in str(expected)
+        # A pinned worker's error comes back as "ParseError: <message>".
+        assert type(got) is ParseError or str(got).startswith("ParseError: ")
         assert str(expected) in str(got)
 
 

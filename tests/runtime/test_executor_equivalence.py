@@ -514,9 +514,7 @@ def test_one_relay_topic_per_proxy_per_query(executor):
     inspectors = inspect_channels(system, query_ids)
     for epoch in range(2):
         system.run_epoch_all(epoch)
-    topics = [
-        name for name in system.proxies.cluster.topic_names() if name.startswith("proxy-")
-    ]
+    topics = [name for name in sorted(system.proxies.cluster._topics) if name.startswith("proxy-")]
     assert topics == sorted(
         f"proxy-{proxy}-q-{query_id}" for proxy in range(2) for query_id in query_ids
     )

@@ -116,12 +116,12 @@ class TestOneSlotArenaSync:
         assert store.column("tag")[201] == "bb"
         assert list(store.slot_rows[0]) == list(range(202))  # arena ids = row ids
 
-    def test_delete_triggers_rebuild(self):
+    def test_rebound_rows_trigger_rebuild(self):
         db = _make_db()
         table = db.table("t")
         store = _own(db)
         assert store.rebuilds == 1
-        db.execute("DELETE FROM t WHERE x < 5")
+        table.rows = [row for row in table.rows if not row[0] < 5]
         store = _own(db)
         assert store.rebuilds == 2
         assert store.count == len(table.rows)
@@ -156,7 +156,7 @@ class TestOneSlotArenaSync:
         db = _make_db()
         store = _own(db)
         store.hash_index("x")
-        db.execute("DROP TABLE t")
+        db.drop_table("t")
         db.create_table("t", [("x", "TEXT")])
         db.insert_rows("t", [{"x": "a"}, {"x": "b"}, {"x": "a"}])
         store = _own(db)
@@ -185,7 +185,8 @@ class TestOneSlotArenaSync:
         store = _own(db)
         store.hash_index("x")
         assert "x" in store.index_stats()
-        db.execute("DELETE FROM t WHERE x = 0")
+        table = db.table("t")
+        table.rows = [row for row in table.rows if row[0] != 0]
         db.sync_columnar()
         assert store.index_stats() == {}  # lazily rebuilt on next probe
         assert store.hash_index("x").lookup(0) == []
@@ -348,7 +349,8 @@ class TestShardArena:
     def test_in_place_member_edit_triggers_rebuild(self):
         members, arena = self._shard()
         arena.table("t")
-        members[0].execute("DELETE FROM t WHERE x = 1")
+        table = members[0].table("t")
+        table.rows = [row for row in table.rows if row[0] != 1]
         stats = arena.table("t").stats()
         assert stats["rebuilds"] == 2
         assert stats["span_rows"] == 9

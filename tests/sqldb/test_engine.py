@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.sqldb import Database, ExecutionError, SchemaError
+from repro.sqldb import Database, ExecutionError, ParseError, SchemaError
 
 
 @pytest.fixture
 def rides_db() -> Database:
     db = Database()
-    db.execute("CREATE TABLE rides (distance REAL, fare REAL, borough TEXT, city TEXT)")
+    db.create_table(
+        "rides",
+        [("distance", "REAL"), ("fare", "REAL"), ("borough", "TEXT"), ("city", "TEXT")],
+    )
     rows = [
         (0.8, 5.0, "Manhattan", "New York"),
         (1.5, 8.5, "Brooklyn", "New York"),
@@ -17,39 +20,35 @@ def rides_db() -> Database:
         (12.3, 45.0, "Queens", "New York"),
         (3.1, 13.0, "Manhattan", "Boston"),
     ]
-    for row in rows:
-        db.execute(
-            "INSERT INTO rides VALUES "
-            f"({row[0]}, {row[1]}, '{row[2]}', '{row[3]}')"
-        )
+    db.insert_rows(
+        "rides",
+        [dict(zip(("distance", "fare", "borough", "city"), row)) for row in rows],
+    )
     return db
 
 
-class TestDdlAndInsert:
+class TestSchemaAndInsert:
     def test_create_and_list_tables(self):
         db = Database()
-        db.execute("CREATE TABLE t (a INTEGER)")
+        db.create_table("t", [("a", "INTEGER")])
         assert db.table_names() == ["t"]
 
     def test_duplicate_create_rejected(self):
         db = Database()
-        db.execute("CREATE TABLE t (a INTEGER)")
+        db.create_table("t", [("a", "INTEGER")])
         with pytest.raises(SchemaError):
-            db.execute("CREATE TABLE t (a INTEGER)")
+            db.create_table("t", [("a", "INTEGER")])
 
     def test_drop_table(self):
         db = Database()
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.execute("DROP TABLE t")
+        db.create_table("t", [("a", "INTEGER")])
+        db.drop_table("t")
         assert db.table_names() == []
 
-    def test_insert_returns_row_count(self, rides_db):
-        assert rides_db.execute("INSERT INTO rides VALUES (1, 2, 'Bronx', 'New York')") == 1
-
-    def test_insert_with_column_list(self):
+    def test_missing_column_is_null(self):
         db = Database()
-        db.execute("CREATE TABLE t (a INTEGER, b TEXT)")
-        db.execute("INSERT INTO t (b) VALUES ('only-b')")
+        db.create_table("t", [("a", "INTEGER"), ("b", "TEXT")])
+        db.insert_rows("t", [{"b": "only-b"}])
         assert db.query("SELECT * FROM t").rows == [(None, "only-b")]
 
     def test_insert_rows_bulk(self):
@@ -60,7 +59,59 @@ class TestDdlAndInsert:
 
     def test_unknown_table_rejected(self):
         with pytest.raises(SchemaError):
-            Database().execute("SELECT * FROM nothing")
+            Database().query("SELECT * FROM nothing")
+
+
+class TestOnlySelectRuns:
+    """A client runs the analyst's SQL against its private tables, so
+    ``query`` must refuse anything but a SELECT before touching them."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "DELETE FROM rides",
+            "DROP TABLE rides",
+            "INSERT INTO rides VALUES (1, 1, 'a', 'b')",
+            "CREATE TABLE other (a INTEGER)",
+            "INSERT INTO rides (fare, city) VALUES (1.0, 'x')",
+            "DELETE FROM rides WHERE borough = 'Queens'",
+            "delete from rides",
+        ],
+        ids=[
+            "delete", "drop", "insert", "create",
+            "insert-with-columns", "delete-with-where", "lowercase-delete",
+        ],
+    )
+    @pytest.mark.parametrize("force_scan", ["0", "1"], ids=["compiled", "scan"])
+    def test_other_statements_raise_before_touching_a_table(
+        self, rides_db, sql, force_scan, monkeypatch
+    ):
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", force_scan)
+        before = list(rides_db.table("rides").rows)
+        with pytest.raises(ParseError, match="unsupported statement"):
+            rides_db.query(sql)
+        assert rides_db.table_names() == ["rides"]
+        assert list(rides_db.table("rides").rows) == before
+
+    @pytest.mark.parametrize("force_scan", ["0", "1"], ids=["compiled", "scan"])
+    def test_a_write_after_a_select_is_refused(self, rides_db, force_scan, monkeypatch):
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", force_scan)
+        with pytest.raises(ParseError, match="trailing tokens"):
+            rides_db.query("SELECT * FROM rides; DELETE FROM rides")
+        assert len(rides_db.table("rides")) == 6
+
+    @pytest.mark.parametrize("force_scan", ["0", "1"], ids=["compiled", "scan"])
+    def test_a_refused_write_leaves_the_next_select_whole(
+        self, rides_db, force_scan, monkeypatch
+    ):
+        """The refusal is raised before any plan or columnar state is
+        touched, so the same database answers its next SELECT in full."""
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", force_scan)
+        expected = rides_db.query("SELECT borough, fare FROM rides WHERE fare > 10").rows
+        with pytest.raises(ParseError):
+            rides_db.query("DELETE FROM rides WHERE fare > 10")
+        assert rides_db.query("SELECT borough, fare FROM rides WHERE fare > 10").rows == expected
+        assert rides_db.query("SELECT COUNT(*) FROM rides").scalar() == 6
 
 
 class TestSelect:
@@ -123,10 +174,6 @@ class TestSelect:
         result = rides_db.query("SELECT distance AS miles FROM rides LIMIT 1")
         assert result.columns == ["miles"]
 
-    def test_query_requires_select(self, rides_db):
-        with pytest.raises(ExecutionError):
-            rides_db.query("INSERT INTO rides VALUES (1, 1, 'a', 'b')")
-
     def test_where_on_missing_rows_returns_empty(self, rides_db):
         result = rides_db.query("SELECT distance FROM rides WHERE city = 'Paris'")
         assert len(result) == 0
@@ -182,18 +229,6 @@ class TestAggregates:
     def test_aggregate_alias(self, rides_db):
         result = rides_db.query("SELECT COUNT(*) AS n FROM rides")
         assert result.columns == ["n"]
-
-
-class TestDelete:
-    def test_delete_with_where(self, rides_db):
-        deleted = rides_db.execute("DELETE FROM rides WHERE city = 'Boston'")
-        assert deleted == 1
-        assert rides_db.query("SELECT COUNT(*) FROM rides").scalar() == 5
-
-    def test_delete_all(self, rides_db):
-        deleted = rides_db.execute("DELETE FROM rides")
-        assert deleted == 6
-        assert rides_db.query("SELECT COUNT(*) FROM rides").scalar() == 0
 
 
 class TestResultSet:

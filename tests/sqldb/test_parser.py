@@ -54,6 +54,10 @@ class TestSelectParsing:
         assert isinstance(stmt.where, ast.InOp)
         assert stmt.where.choices == ("NYC", "SF")
 
+    def test_literal_kinds(self):
+        stmt = parse_statement("SELECT a FROM t WHERE x IN (1, 'a', 2.5, NULL, TRUE)")
+        assert stmt.where.choices == (1, "a", 2.5, None, True)
+
     def test_where_is_null(self):
         stmt = parse_statement("SELECT a FROM t WHERE x IS NULL")
         assert isinstance(stmt.where, ast.IsNullOp)
@@ -110,34 +114,30 @@ class TestSelectParsing:
 
 
 class TestOtherStatements:
-    def test_insert_values(self):
-        stmt = parse_statement("INSERT INTO t VALUES (1, 'a', 2.5, NULL, TRUE)")
-        assert isinstance(stmt, ast.InsertStatement)
-        assert stmt.values == (1, "a", 2.5, None, True)
-        assert stmt.columns is None
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (1, 'a', 2.5, NULL, TRUE)",
+            "CREATE TABLE rides (distance REAL, city TEXT, fare REAL)",
+            "DELETE FROM t WHERE x < 0",
+            "DROP TABLE t",
+            "INSERT INTO t (a, b) VALUES (1, 'x')",
+            "DELETE FROM t",
+        ],
+        ids=["insert", "create", "delete", "drop", "insert-with-columns", "delete-all"],
+    )
+    def test_only_select_parses(self, sql):
+        with pytest.raises(ParseError, match="unsupported statement"):
+            parse_statement(sql)
 
-    def test_insert_with_columns(self):
-        stmt = parse_statement("INSERT INTO t (a, b) VALUES (1, 2)")
-        assert stmt.columns == ("a", "b")
-
-    def test_create_table(self):
-        stmt = parse_statement("CREATE TABLE rides (distance REAL, city TEXT, fare REAL)")
-        assert isinstance(stmt, ast.CreateTableStatement)
-        assert stmt.columns == (("distance", "REAL"), ("city", "TEXT"), ("fare", "REAL"))
-
-    def test_delete_with_where(self):
-        stmt = parse_statement("DELETE FROM t WHERE x < 0")
-        assert isinstance(stmt, ast.DeleteStatement)
-        assert stmt.where is not None
-
-    def test_delete_without_where(self):
-        stmt = parse_statement("DELETE FROM t")
-        assert stmt.where is None
-
-    def test_drop_table(self):
-        stmt = parse_statement("DROP TABLE t")
-        assert isinstance(stmt, ast.DropTableStatement)
-        assert stmt.table == "t"
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT a FROM t; DELETE FROM t", "SELECT a FROM t DROP TABLE t"],
+        ids=["after-semicolon", "run-on"],
+    )
+    def test_a_second_statement_after_a_select_is_refused(self, sql):
+        with pytest.raises(ParseError, match="trailing tokens"):
+            parse_statement(sql)
 
     def test_unsupported_statement_rejected(self):
         with pytest.raises(ParseError):

@@ -8,61 +8,63 @@ from repro.sqldb.table import Column, Table
 
 
 class TestColumn:
-    def test_integer_conversion(self):
-        assert Column("x", "INTEGER").convert("5") == 5
-
-    def test_real_conversion(self):
-        assert Column("x", "REAL").convert("2.5") == 2.5
-
-    def test_text_conversion(self):
-        assert Column("x", "TEXT").convert(10) == "10"
-
-    def test_none_passes_through(self):
-        assert Column("x", "INTEGER").convert(None) is None
+    @pytest.mark.parametrize(
+        "sql_type, value, stored",
+        [
+            ("INTEGER", "5", 5),
+            ("REAL", "2.5", 2.5),
+            ("TEXT", 10, "10"),
+            ("INTEGER", None, None),
+            ("integer", "7", 7),
+        ],
+        ids=["integer", "real", "text", "none-passes-through", "case-insensitive-type"],
+    )
+    def test_insert_coerces_to_the_column_type(self, sql_type, value, stored):
+        table = Table(name="t", columns=[Column("x", sql_type)])
+        table.insert_records([{"x": value}])
+        assert table.rows == [(stored,)]
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(SchemaError):
             Column("x", "BLOB")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(SchemaError):
-            Column("x", "INTEGER").convert("not-a-number")
-
-    def test_case_insensitive_type(self):
-        assert Column("x", "integer").convert("7") == 7
+        table = Table(name="t", columns=[Column("x", "INTEGER")])
+        with pytest.raises(SchemaError, match="cannot convert"):
+            table.insert_records([{"x": "not-a-number"}])
 
 
 class TestTable:
     def _table(self) -> Table:
         return Table(name="t", columns=[Column("a", "INTEGER"), Column("b", "TEXT")])
 
-    def test_insert_positional(self):
-        table = self._table()
-        table.insert([1, "x"])
-        assert table.rows == [(1, "x")]
-
-    def test_insert_wrong_arity_rejected(self):
+    def test_append_rows_wrong_arity_rejected(self):
         with pytest.raises(SchemaError):
-            self._table().insert([1])
+            self._table().append_rows([(1,)])
 
-    def test_insert_with_columns_fills_missing_with_none(self):
+    def test_append_rows_is_all_or_nothing(self):
         table = self._table()
-        table.insert(["hello"], column_names=["b"])
-        assert table.rows == [(None, "hello")]
+        with pytest.raises(SchemaError, match="expects 2 values, got 1"):
+            table.append_rows([(1, "x"), (2,)])
+        assert table.rows == []
+
+    def test_insert_records_stores_values_in_schema_order(self):
+        table = self._table()
+        table.insert_records([{"b": "x", "a": 1}, {"b": "y"}])
+        assert table.rows == [(1, "x"), (None, "y")]
 
     def test_insert_unknown_column_rejected(self):
         with pytest.raises(SchemaError):
-            self._table().insert([1], column_names=["zzz"])
+            self._table().insert_records([{"zzz": 1}])
 
-    def test_insert_dict(self):
+    def test_insert_records_coerces_to_column_types(self):
         table = self._table()
-        table.insert_dict({"a": "3", "b": 9})
+        table.insert_records([{"a": "3", "b": 9}])
         assert table.rows == [(3, "9")]
 
     def test_scan_yields_dicts(self):
         table = self._table()
-        table.insert([1, "x"])
-        table.insert([2, "y"])
+        table.append_rows([(1, "x"), (2, "y")])
         assert list(table.scan()) == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
 
     def test_column_index_case_insensitive(self):
@@ -80,13 +82,13 @@ class TestTable:
     def test_len(self):
         table = self._table()
         assert len(table) == 0
-        table.insert([1, "x"])
+        table.append_rows([(1, "x")])
         assert len(table) == 1
 
 
 class TestInsertRecords:
-    """Bulk ingest (one insert_records call) must behave exactly like the
-    per-record insert_dict loop: same rows, same first error, same prefix."""
+    """Bulk ingest (one insert_records call) must behave exactly like a
+    loop of one-record calls: same rows, same first error, same prefix."""
 
     def _table(self) -> Table:
         return Table(name="t", columns=[Column("a", "INTEGER"), Column("b", "TEXT")])
@@ -99,7 +101,7 @@ class TestInsertRecords:
                 table.insert_records(records)
             else:
                 for record in records:
-                    table.insert_dict(record)
+                    table.insert_records([record])
         except SchemaError as exc:
             return table, exc
         return table, None

@@ -3,15 +3,11 @@
 import pytest
 
 from repro.streaming import (
-    FilterOperator,
-    KeyByOperator,
     KeyedJoinOperator,
-    MapOperator,
     SlidingWindowAssigner,
     StreamRecord,
     WindowAggregateOperator,
 )
-from repro.streaming.operators import FlatMapOperator
 
 
 def records(values, timestamps=None, keys=None):
@@ -21,28 +17,6 @@ def records(values, timestamps=None, keys=None):
         StreamRecord(value=v, timestamp=float(t), key=k)
         for v, t, k in zip(values, timestamps, keys)
     ]
-
-
-class TestBasicOperators:
-    def test_map(self):
-        out = MapOperator(fn=lambda x: x * 2).process(records([1, 2, 3]))
-        assert [r.value for r in out] == [2, 4, 6]
-
-    def test_map_preserves_timestamps(self):
-        out = MapOperator(fn=str).process(records([1], timestamps=[42.0]))
-        assert out[0].timestamp == 42.0
-
-    def test_filter(self):
-        out = FilterOperator(predicate=lambda x: x % 2 == 0).process(records([1, 2, 3, 4]))
-        assert [r.value for r in out] == [2, 4]
-
-    def test_flat_map(self):
-        out = FlatMapOperator(fn=lambda x: [x, x]).process(records(["a"]))
-        assert [r.value for r in out] == ["a", "a"]
-
-    def test_key_by(self):
-        out = KeyByOperator(key_fn=lambda x: x["id"]).process(records([{"id": "k1"}]))
-        assert out[0].key == "k1"
 
 
 class TestKeyedJoinOperator:
@@ -79,6 +53,14 @@ class TestKeyedJoinOperator:
         join.process(records(["early"], keys=["m"]))
         out = join.process(records(["late"], keys=["m"]))
         assert len(out) == 1
+
+    def test_has_pending_tracks_a_key_until_it_joins(self):
+        join = KeyedJoinOperator(expected_per_key=2)
+        assert not join.has_pending("m")
+        join.process(records(["a"], keys=["m"]))
+        assert join.has_pending("m") and not join.has_pending("other")
+        join.process(records(["b"], keys=["m"]))
+        assert not join.has_pending("m")
 
     def test_unkeyed_record_rejected(self):
         with pytest.raises(ValueError):
@@ -140,11 +122,10 @@ class TestWindowAggregateOperator:
 
 
 class TestLateDataHandling:
-    def _operator(self, lateness=0.0):
+    def _operator(self):
         return WindowAggregateOperator(
             assigner=SlidingWindowAssigner(window_length=60.0, slide_interval=60.0),
             aggregate_fn=sum,
-            allowed_lateness=lateness,
         )
 
     def test_late_record_for_fired_window_is_dropped(self):
@@ -160,23 +141,16 @@ class TestLateDataHandling:
         remaining = op.flush()
         assert all(aggregate != 100 for _, aggregate in (r.value for r in remaining))
 
-    def test_allowed_lateness_keeps_window_open(self):
-        op = self._operator(lateness=30.0)
+    def test_a_dropped_record_counts_its_weight(self):
+        op = WindowAggregateOperator(
+            assigner=SlidingWindowAssigner(window_length=60.0, slide_interval=60.0),
+            aggregate_fn=sum,
+            weight=lambda value: value,
+        )
         op.process(records([1], timestamps=[10.0]))
-        # Watermark 70 < window end 60 + lateness 30, so the window stays open.
-        assert op.process(records([2], timestamps=[70.0])) == []
-        # The late record is still accepted into the open window.
-        op.process(records([5], timestamps=[20.0]))
-        assert op.late_records_dropped == 0
-        fired = op.process(records([3], timestamps=[95.0]))
-        window_sums = {r.value[0].start: r.value[1] for r in fired}
-        assert window_sums[0.0] == 6
-
-    def test_invalid_lateness_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            self._operator(lateness=-1.0)
+        op.process(records([2], timestamps=[70.0]))
+        op.process(records([5, 4], timestamps=[20.0, 30.0]))
+        assert op.late_records_dropped == 9
 
     def test_very_old_record_is_dropped_even_if_window_never_buffered(self):
         op = self._operator()
@@ -185,3 +159,48 @@ class TestLateDataHandling:
         assert op.late_records_dropped == 1
         flushed = op.flush()
         assert all(aggregate != 9 for _, aggregate in (r.value for r in flushed))
+
+
+class TestJoinThenWindow:
+    """The aggregator's dataflow: a keyed join on the message id feeding a
+    window aggregate over the joined records."""
+
+    def _chain(self, shares=2):
+        join = KeyedJoinOperator(expected_per_key=shares)
+        window = WindowAggregateOperator(
+            assigner=SlidingWindowAssigner(window_length=10.0, slide_interval=10.0),
+            aggregate_fn=len,
+        )
+        return join, window
+
+    def test_each_joined_message_counts_once_in_its_window(self):
+        join, window = self._chain()
+        shares = records(
+            ["a0", "b0", "a1", "c0", "b1", "c1"],
+            timestamps=[1, 2, 3, 4, 12, 13],
+            keys=["a", "b", "a", "c", "b", "c"],
+        )
+        out = window.process(join.process(shares)) + window.flush()
+        assert {r.value[0].start: r.value[1] for r in out} == {0.0: 1, 10.0: 2}
+
+    def test_window_state_survives_across_epochs(self):
+        join, window = self._chain()
+        first = window.process(join.process(records(["x", "y"], [1, 2], ["m", "m"])))
+        assert first == []  # window [0, 10) has not seen its watermark yet
+        second = window.process(join.process(records(["p", "q"], [11, 12], ["n", "n"])))
+        assert [(r.value[0].start, r.value[1]) for r in second] == [(0.0, 1)]
+
+    def test_a_message_lands_in_the_window_of_its_last_share(self):
+        join, window = self._chain()
+        window.process(join.process(records(["early"], [8], ["m"])))
+        window.process(join.process(records(["late"], [14], ["m"])))
+        out = window.flush()
+        assert [(r.value[0].start, r.value[1]) for r in out] == [(10.0, 1)]
+
+    def test_flush_emits_only_completed_joins(self):
+        join, window = self._chain(shares=3)
+        shares = records(["a", "b", "c", "d"], [1, 2, 3, 4], ["m", "m", "m", "n"])
+        window.process(join.process(shares))
+        out = window.flush()
+        assert [r.value[1] for r in out] == [1]
+        assert join.pending_keys() == 1

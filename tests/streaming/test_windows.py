@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.streaming import SlidingWindowAssigner, TumblingWindowAssigner, Window
+from repro.streaming import SlidingWindowAssigner, Window
 
 
 class TestWindow:
@@ -14,9 +14,6 @@ class TestWindow:
         assert not window.contains(10.0)
         assert not window.contains(-0.1)
 
-    def test_length(self):
-        assert Window(start=5.0, end=15.0).length == 10.0
-
     def test_ordering(self):
         assert Window(0.0, 10.0) < Window(5.0, 15.0)
 
@@ -26,6 +23,18 @@ class TestSlidingWindowAssigner:
         assigner = SlidingWindowAssigner(window_length=60.0, slide_interval=60.0)
         windows = assigner.assign(75.0)
         assert windows == [Window(start=60.0, end=120.0)]
+
+    @pytest.mark.parametrize("timestamp", [0.0, 29.9, 30.0, 61.0, 1234.5])
+    def test_tumbling_case_assigns_the_window_that_starts_at_the_floor(self, timestamp):
+        assigner = SlidingWindowAssigner(window_length=30.0, slide_interval=30.0)
+        start = (timestamp // 30.0) * 30.0
+        assert assigner.assign(timestamp) == [Window(start=start, end=start + 30.0)]
+
+    def test_every_window_spans_the_window_length(self):
+        assigner = SlidingWindowAssigner(window_length=90.0, slide_interval=30.0)
+        windows = assigner.assign(100.0) + assigner.windows_between(0.0, 300.0)
+        assert windows
+        assert all(w.end - w.start == 90.0 for w in windows)
 
     def test_overlapping_windows(self):
         # 10-minute window sliding every minute: each timestamp is in 10 windows.
@@ -107,18 +116,3 @@ class TestSlidingWindowAssigner:
             assert 4 <= len(windows) <= 5
             assert all(w.contains(k * 0.1) for w in windows)
 
-
-class TestTumblingWindowAssigner:
-    def test_assigns_exactly_one_window(self):
-        assigner = TumblingWindowAssigner(window_length=30.0)
-        assert assigner.assign(65.0) == [Window(start=60.0, end=90.0)]
-
-    def test_as_sliding_equivalent(self):
-        tumbling = TumblingWindowAssigner(window_length=30.0)
-        sliding = tumbling.as_sliding()
-        for timestamp in (0.0, 29.9, 30.0, 61.0, 1234.5):
-            assert tumbling.assign(timestamp) == sliding.assign(timestamp)
-
-    def test_invalid_length_rejected(self):
-        with pytest.raises(ValueError):
-            TumblingWindowAssigner(window_length=0)
