@@ -37,7 +37,14 @@ from repro.core.encryption import AnswerCodec, EncryptedAnswer
 from repro.core.query import Query
 from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
-from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secret
+from repro.core.seeding import (
+    EpochDraws,
+    client_key,
+    coin_uniform,
+    first_block_reader,
+    query_prefix,
+    token_secret,
+)
 from repro.crypto import prng
 from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns, xor_many
 from repro.sqldb import Database
@@ -565,8 +572,37 @@ class Client:
         from, answering changes nothing: the shard answer pass flips a whole
         shard's coins first and asks the arena only for the participants'
         SQL outcomes.
+
+        A coin is one hash: the query's :data:`~repro.core.seeding.MAIN`
+        block 0, whose first four bytes are the coin.  Only a participant
+        gets an :class:`~repro.core.seeding.EpochDraws`, seeded with that
+        block, so its randomized-response reads never hash it again.
         """
-        return [self._flip_coin(query_id, epoch) for query_id in query_ids]
+        subscriptions = self._subscriptions
+        mechanisms = self._mechanisms
+        first_block_of = first_block_reader(epoch)
+        coins: list[Participation | None] = []
+        for query_id in query_ids:
+            subscription = subscriptions.get(query_id)
+            if subscription is None:
+                coins.append(None)
+                continue
+            query, parameters = subscription
+            cached = mechanisms.get(query_id)
+            if cached is None or cached[0] is not parameters:
+                cached = mechanisms[query_id] = (
+                    parameters,
+                    SimpleRandomSampler(parameters.sampling_fraction, rng=None),
+                    RandomizedResponder(p=parameters.p, q=parameters.q, rng=None),
+                    query_prefix(self._key, query_id),
+                )
+            _, sampler, responder, prefix = cached
+            first_block = first_block_of(prefix)
+            if sampler.should_participate(coin_uniform(first_block)):
+                coins.append((query, responder, EpochDraws(prefix, epoch, first_block)))
+            else:
+                coins.append(None)
+        return coins
 
     def answer(
         self,
@@ -631,31 +667,6 @@ class Client:
             value = self._latest_value(query, scan_cache)
             answers.append((coin, query.answer_spec.buckets.bucket_of(value)))
         return answers
-
-    def _flip_coin(self, query_id: str, epoch: int) -> Participation | None:
-        """Flip the query's sampling coin for ``epoch`` (Step I).
-
-        ``None`` for a non-participant or an unknown query, else its
-        :data:`Participation`.
-        """
-        subscription = self._subscriptions.get(query_id)
-        if subscription is None:
-            return None
-        query, parameters = subscription
-        cached = self._mechanisms.get(query_id)
-        if cached is None or cached[0] is not parameters:
-            cached = (
-                parameters,
-                SimpleRandomSampler(parameters.sampling_fraction, rng=None),
-                RandomizedResponder(p=parameters.p, q=parameters.q, rng=None),
-                query_prefix(self._key, query_id),
-            )
-            self._mechanisms[query_id] = cached
-        _, sampler, responder, prefix = cached
-        draws = EpochDraws(prefix, epoch)
-        if not sampler.should_participate(draws.coin()):
-            return None
-        return query, responder, draws
 
     def truthful_answer(self, query_id: str) -> list[int]:
         """The truthful (pre-randomization) answer vector.

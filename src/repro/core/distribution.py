@@ -66,8 +66,8 @@ class QueryDistributor:
 
     def __post_init__(self) -> None:
         self.cluster.ensure_topic(QUERY_TOPIC, num_partitions=1)
-        self._producer = Producer(self.cluster, client_id="query-distributor")
-        self._feed = Consumer(self.cluster, group_id="query-distributor")
+        self._producer = Producer(self.cluster)
+        self._feed = Consumer(self.cluster)
         self._feed.subscribe([QUERY_TOPIC])
         self.queries_published = 0
 

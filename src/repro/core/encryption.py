@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.query import QueryAnswer
-from repro.crypto.prng import KeystreamGenerator, keystream
+from repro.crypto.prng import KeystreamGenerator, keystreams
 from repro.crypto.xor import MessageShare, join_shares, split_message
 
 _MAGIC = b"PA"
@@ -123,18 +123,19 @@ class AnswerCodec:
 
         ``messages`` are equally wide and ``draws[i]`` is message ``i``'s
         :class:`~repro.core.seeding.EpochDraws`.  Row ``i`` of every column
-        is read in one call off the keystream :meth:`encrypt` seeds from
-        ``draws[i]`` and message ``i``, so splitting the message column with
-        these keys (:func:`~repro.crypto.xor.split_columns`) gives exactly
-        the payloads :meth:`encrypt` gives each message.
+        is read off the keystream :meth:`encrypt` seeds from ``draws[i]``
+        and message ``i`` (every row's stream in one
+        :func:`~repro.crypto.prng.keystreams` call), so splitting the
+        message column with these keys (:func:`~repro.crypto.xor.split_columns`)
+        gives exactly the payloads :meth:`encrypt` gives each message.
         """
         if not messages:
             return [b""] * (num_proxies - 1)
         width = len(messages[0])
-        streams = [
-            keystream(row_draws.pad_seed(message), width * (num_proxies - 1))
-            for message, row_draws in zip(messages, draws)
-        ]
+        streams = keystreams(
+            [row_draws.pad_seed(message) for message, row_draws in zip(messages, draws)],
+            width * (num_proxies - 1),
+        )
         return [
             b"".join([stream[start : start + width] for stream in streams])
             for start in range(0, width * (num_proxies - 1), width)

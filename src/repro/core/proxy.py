@@ -56,7 +56,7 @@ class Proxy:
     def __post_init__(self) -> None:
         if not self.topic_name:
             self.topic_name = f"proxy-{self.proxy_id}"
-        self._producer = Producer(self.cluster, client_id=f"proxy-{self.proxy_id}-in")
+        self._producer = Producer(self.cluster)
         self.shares_relayed = 0
         self.bytes_relayed = 0
 
@@ -91,13 +91,9 @@ class Proxy:
         self.shares_relayed += column.rows
         self.bytes_relayed += column.size_bytes()
 
-    def make_consumer(
-        self, group_id: str = "aggregator", channel: str | None = None
-    ) -> Consumer:
+    def make_consumer(self, channel: str | None = None) -> Consumer:
         """Create a consumer the aggregator uses to pull this proxy's stream."""
-        consumer = Consumer(
-            self.cluster, group_id=group_id, consumer_id=f"{group_id}-{self.proxy_id}"
-        )
+        consumer = Consumer(self.cluster)
         consumer.subscribe([self._channel_topic(channel)])
         return consumer
 
@@ -206,11 +202,9 @@ class ProxyNetwork:
     def total_bytes_relayed(self) -> int:
         return sum(proxy.bytes_relayed for proxy in self.proxies)
 
-    def make_consumers(
-        self, group_id: str = "aggregator", channel: str | None = None
-    ) -> list:
+    def make_consumers(self, channel: str | None = None) -> list:
         """One consumer per proxy stream, for the aggregator."""
-        return [proxy.make_consumer(group_id, channel=channel) for proxy in self.proxies]
+        return [proxy.make_consumer(channel=channel) for proxy in self.proxies]
 
     # -- performance model ------------------------------------------------------
 

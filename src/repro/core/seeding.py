@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Callable
 
 from repro.crypto.prng import secure_random_bytes
 
@@ -45,6 +46,8 @@ PAD = 1
 
 # stream, epoch, block index
 _COORDINATES = struct.Struct(">BQI")
+# The sampling coin: the first four bytes of MAIN block 0, big-endian.
+_COIN = struct.Struct(">I")
 _UNIFORM_SCALE = 1.0 / (1 << 32)
 
 
@@ -77,21 +80,38 @@ def query_prefix(key: bytes, query_id: str) -> bytes:
     return key + len(encoded).to_bytes(4, "big") + encoded
 
 
+def first_block_reader(epoch: int) -> Callable[[bytes], bytes]:
+    """A query prefix's :data:`MAIN` block 0 at ``epoch``, the block the
+    coin is read from, with the coordinates packed once: what flipping many
+    coins at one epoch calls, one hash per coin."""
+    coordinates = _COORDINATES.pack(MAIN, epoch, 0)
+    blake2b = hashlib.blake2b
+    return lambda prefix: blake2b(prefix + coordinates).digest()
+
+
+def coin_uniform(first_block: bytes) -> float:
+    """The sampling coin's uniform in ``[0, 1)`` read off :data:`MAIN` block
+    0, on a grid of ``2**-32``."""
+    return _COIN.unpack_from(first_block)[0] * _UNIFORM_SCALE
+
+
 class EpochDraws:
     """Every draw of one answer: a query's PRF read at one epoch.
 
     The :data:`MAIN` stream is computed a block at a time and kept: its
     first block (the coin, the high bytes of the first 60 answer bits)
-    on construction — a client builds one of these exactly when it flips a
-    coin — and later blocks when a read reaches them.
+    on construction — or handed in as ``first_block`` by a client that
+    already hashed it to flip the coin (:func:`first_block_reader`), so a
+    participant hashes it once — and later blocks when a read reaches
+    them.
     """
 
     __slots__ = ("_prefix", "_epoch", "_main")
 
-    def __init__(self, prefix: bytes, epoch: int):
+    def __init__(self, prefix: bytes, epoch: int, first_block: bytes | None = None):
         self._prefix = prefix
         self._epoch = epoch
-        self._main = self._block(0)
+        self._main = self._block(0) if first_block is None else first_block
 
     def _block(self, index: int) -> bytes:
         """Block ``index`` of the :data:`MAIN` stream."""
@@ -115,7 +135,7 @@ class EpochDraws:
 
     def coin(self) -> float:
         """The sampling coin's uniform in ``[0, 1)``, on a grid of ``2**-32``."""
-        return int.from_bytes(self._main[:4], "big") * _UNIFORM_SCALE
+        return coin_uniform(self._main)
 
     def rr_high(self, num_bits: int) -> bytes:
         """The high byte of each answer bit's randomized-response uniform."""

@@ -232,9 +232,7 @@ class PrivApproxSystem:
             admission=AnswerAdmissionController(),
         )
         self._aggregators[query.query_id] = aggregator
-        self._consumers[query.query_id] = self.proxies.make_consumers(
-            group_id=f"aggregator-{query.query_id}", channel=query.query_id
-        )
+        self._consumers[query.query_id] = self.proxies.make_consumers(channel=query.query_id)
         self._responses_log[query.query_id] = []
         self._distribute_query(query, budget, params)
         return params

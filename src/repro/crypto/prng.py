@@ -42,12 +42,34 @@ def keystream(seed: bytes, length: int) -> bytes:
     """The first ``length`` bytes of ``seed``'s keystream, in one call.
 
     Exactly what ``KeystreamGenerator(seed).next_bytes(length)`` returns,
-    without building a generator: the form a client reads a message's pad
-    in (:meth:`repro.core.encryption.AnswerCodec.pad_columns`).
+    without building a generator; the one-seed reference for
+    :func:`keystreams`.
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     return _blocks(seed, 0, -(-length // _DIGEST_SIZE))[:length]
+
+
+def keystreams(seeds, length: int) -> list[bytes]:
+    """``[keystream(seed, length) for seed in seeds]``, one hash call per block.
+
+    The counter blocks are packed once for every seed, and each seed's
+    blocks are hashed directly: the form a shard reads its rows' pads in
+    (:meth:`repro.core.encryption.AnswerCodec.pad_columns`), where a
+    per-seed :func:`keystream` call would cost more than its hashing.
+    """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    counters = [_COUNTER.pack(i) for i in range(-(-length // _DIGEST_SIZE))]
+    blake2b = hashlib.blake2b
+    if len(counters) == 1:
+        # The usual pad (a narrow message, two proxies): no per-seed join.
+        (counter,) = counters
+        return [blake2b(seed + counter).digest()[:length] for seed in seeds]
+    return [
+        b"".join([blake2b(seed + counter).digest() for counter in counters])[:length]
+        for seed in seeds
+    ]
 
 
 class KeystreamGenerator:

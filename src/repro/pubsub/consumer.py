@@ -21,8 +21,6 @@ class Consumer:
     """
 
     cluster: BrokerCluster
-    group_id: str = "default"
-    consumer_id: str = "consumer"
 
     def __post_init__(self) -> None:
         self._offsets: dict[tuple[str, int], int] = {}

@@ -18,7 +18,6 @@ class Producer:
     """
 
     cluster: BrokerCluster
-    client_id: str = "producer"
     records_sent: int = 0
     bytes_sent: int = 0
 

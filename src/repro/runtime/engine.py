@@ -162,10 +162,14 @@ def shard_scan_caches(
     Returns one ``{sql: outcome}`` dict per client, or ``None`` when the
     arena is absent or no longer matches the shard's databases (churn
     replaced a member — the caller answers per-client and the arena owner
-    rebuilds on the next sync).  Each statement is asked once, for the
-    slots of every client with a participating coin on a query that runs
-    it; an outcome is the exception that client's own evaluation would
-    raise, or the *latest-row form* of its result set
+    rebuilds on the next sync).  The arena is synced once, before the
+    first ask (:meth:`ShardArena.sync
+    <repro.sqldb.columnar.ShardArena.sync>`): client SQL only reads, so
+    nothing changes a member's tables between two asks of one pass.  Each
+    statement is asked once, for the slots of every client with a
+    participating coin on a query that runs it; an outcome is the
+    exception that client's own evaluation would raise, or the
+    *latest-row form* of its result set
     (:func:`~repro.sqldb.engine.arena_select_per_client` with
     ``latest=True``): the columns of ``client.database.query(sql)`` and at
     most its last row — all :meth:`Client.answer
@@ -187,6 +191,8 @@ def shard_scan_caches(
             if not slots or slots[-1] != slot:
                 slots.append(slot)
     caches: list[dict] = [{} for _ in clients]
+    if slots_per_sql:
+        arena.sync()
     for sql, slots in slots_per_sql.items():
         outcomes = arena_select_per_client(arena, sql, latest=True, slots=slots)
         if outcomes is None:
@@ -660,9 +666,9 @@ class OverlapThreadDriver(StageDriver):
                 max_workers=self.engine.num_workers,
                 thread_name_prefix="privapprox-pipeline",
             )
-        # Every arena is fetched (and possibly synced/rebuilt) on the caller
-        # thread before the first task starts; the disjoint per-shard arenas
-        # are then used concurrently.
+        # Every arena is fetched (replaced when its members changed) on the
+        # caller thread before the first task starts; each task then syncs
+        # and asks its own shard's arena, and the shards are disjoint.
         tasks = []
         for shard in handle.occupied:
             clients = handle.context.clients[shard.as_slice()]

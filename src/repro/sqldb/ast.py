@@ -72,7 +72,8 @@ class IsNullOp:
 
 @dataclass(frozen=True)
 class LikeOp:
-    """``expr LIKE pattern`` with ``%`` and ``_`` wildcards."""
+    """``expr LIKE pattern`` with ``%`` and ``_`` wildcards, ASCII
+    case-insensitive (:func:`repro.sqldb.compile.like_matcher`)."""
 
     operand: "Expression"
     pattern: str

@@ -37,9 +37,10 @@ once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
 indexes ride along: appends insert the new rows into every live index,
 row by row; rebuilds drop them, and the next probe bulk-loads them from
 the whole column.  Standing answers ride along the same way: each table
-keeps, per compiled plan, every slot's latest matching row id and the row
-count it covers (:meth:`ArenaTable.standing_latest`) — the latest-row
-answer a standing query asks for every epoch.  Every ask runs one matching
+keeps, per compiled plan, every slot's latest matching row id, the row
+count it covers and the finished one-row outcome built for that id
+(:meth:`ArenaTable.standing_latest`) — the latest-row answer a standing
+query asks for every epoch.  Every ask runs one matching
 pass from that count: the first from row 0 through the index, later ones
 over only the rows appended since.  A rebuild drops the answers, and the
 next ask fills them afresh.  An LRU at the plan cache's size bounds them.
@@ -314,7 +315,7 @@ class ArenaTable:
 
     # -- standing answers ------------------------------------------------------
 
-    def standing_latest(self, plan) -> list:
+    def standing_latest(self, plan) -> tuple[list, list]:
         """``plan``'s latest-row answer per slot, kept across asks.
 
         One entry per slot: the slot's latest matching arena row id, ``-1``
@@ -329,26 +330,34 @@ class ArenaTable:
         new match is its latest; a slot's error stays, since the first error
         in row order wins and every new row comes after it.  A rebuild drops
         every answer, and at most ``_PLAN_CACHE_MAX`` plans keep one (least
-        recently asked goes first).  The list is read-only to callers.
+        recently asked goes first).
+
+        Returns ``(latest, finished)``.  ``latest`` is read-only to callers.
+        ``finished`` is one slot per member for the caller's finished
+        outcome of ``latest[slot]``: it starts ``None`` and goes back to
+        ``None`` whenever the slot's latest row id moves, so whatever the
+        caller stores there is handed out again only while the id is
+        unchanged, and it goes with the answer on a rebuild or an eviction.
         """
         standing = self._standing
         entry = standing.get(plan)
         if entry is None:
             latest = [None if ids is None else -1 for ids in self.slot_rows]
-            entry = standing[plan] = [latest, 0]
+            entry = standing[plan] = [latest, 0, [None] * len(latest)]
             if len(standing) > _PLAN_CACHE_MAX:
                 standing.popitem(last=False)
         else:
             standing.move_to_end(plan)
-        latest, start = entry
+        latest, start, finished = entry
         if start < self._count:
             # A pass that raises leaves the count behind; the next ask retries.
             for slot, ids in enumerate(plan.matching_ids_per_client(self, start)):
                 if not ids or isinstance(latest[slot], BaseException):
                     continue
                 latest[slot] = ids if isinstance(ids, BaseException) else ids[-1]
+                finished[slot] = None
             entry[1] = self._count
-        return latest
+        return latest, finished
 
     # -- probe surface (the selecting half of the compiled path) -------------
 
@@ -429,9 +438,14 @@ class ShardArena:
     Bound to a fixed member-database list (one per client slot, in shard
     order); :meth:`matches` lets a caller verify a cached arena still
     describes the exact databases it is about to answer for.  Tables are
-    built lazily on first use and synced incrementally on every
-    subsequent use.  A database answering on its own holds a one-slot
-    arena over itself (:attr:`repro.sqldb.engine.Database.arena`).
+    built lazily on first use and synced incrementally by :meth:`sync`,
+    which the owner calls once before a pass of asks: the shard answer pass
+    once per shard per epoch
+    (:func:`~repro.runtime.engine.shard_scan_caches`), a lone database
+    once per statement.  Asking reads the arena as last synced — client
+    SQL only reads, so nothing changes a member's tables within one pass.
+    A database answering on its own holds a one-slot arena over itself
+    (:attr:`repro.sqldb.engine.Database.arena`).
     """
 
     def __init__(self, databases: list):
@@ -449,17 +463,13 @@ class ShardArena:
         return all(a is b for a, b in zip(databases, self._databases))
 
     def table(self, name: str) -> ArenaTable | None:
-        """The synced arena for one table name, or ``None`` when no member
-        has the table (the statement falls back per-client)."""
+        """The arena for one table name as of the last :meth:`sync` (built
+        here on first ask), or ``None`` when no member has the table (the
+        statement falls back per-client)."""
         arena = self._tables.get(name)
         if arena is None:
-            arena = ArenaTable(name, self._databases)
-            self._tables[name] = arena
-        else:
-            arena.sync()
-        if arena.columns is None:
-            return None
-        return arena
+            arena = self._tables[name] = ArenaTable(name, self._databases)
+        return None if arena.columns is None else arena
 
     def sync(self) -> None:
         """Sync every table built so far; tables never asked for stay lazy."""

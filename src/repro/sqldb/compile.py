@@ -39,8 +39,9 @@ columnar arrays with *identical* semantics to the scan evaluator,
 
 from __future__ import annotations
 
-import fnmatch
+import functools
 import operator
+import re
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -65,6 +66,23 @@ _COMPARISONS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+
+@functools.lru_cache(maxsize=256)
+def like_matcher(pattern: str) -> Callable[[str], Any]:
+    """SQLite's ``LIKE`` for one pattern, as a compiled regex's ``fullmatch``.
+
+    ``%`` matches any run of characters (newlines included) and ``_`` any
+    one character; every other character matches itself, ``*``, ``?`` and
+    ``[`` included.  ASCII letters match either case, every other character
+    only itself — SQLite's default, the same on every platform.  The row
+    scan and the compiled path both call this, so they cannot drift apart.
+    """
+    regex = "".join(
+        ".*" if char == "%" else "." if char == "_" else re.escape(char) for char in pattern
+    )
+    return re.compile(regex, re.DOTALL | re.IGNORECASE | re.ASCII).fullmatch
+
 
 # Operator flips for ``literal op column`` probes: ``5 < x`` is ``x > 5``.
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!=", "<>": "<>"}
@@ -200,15 +218,13 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
         return lambda arrays, row_id: value_fn(arrays, row_id) is None
     if isinstance(node, ast.LikeOp):
         value_fn = _compile_value(node.operand, schema)
-        pattern = node.pattern.replace("%", "*").replace("_", "?")
+        match = like_matcher(node.pattern)
 
         def compiled_like(arrays: dict, row_id: int) -> bool:
             value = value_fn(arrays, row_id)
             if value is None:
                 return False
-            # Same call as the reference (not a pre-translated regex):
-            # fnmatch's platform case-folding must match exactly.
-            return fnmatch.fnmatch(str(value), pattern)
+            return match(str(value)) is not None
 
         return compiled_like
     raise CompileFallback(f"unsupported expression node: {type(node).__name__}")

@@ -19,14 +19,13 @@ two paths row-for-row equal.
 
 from __future__ import annotations
 
-import fnmatch
 import os
 import weakref
 from typing import Any
 
 from repro.sqldb import ast
 from repro.sqldb.columnar import ShardArena
-from repro.sqldb.compile import CompileFallback, plan_for
+from repro.sqldb.compile import CompileFallback, like_matcher, plan_for
 from repro.sqldb.errors import ExecutionError, SchemaError
 from repro.sqldb.parser import parse_statement, parse_statement_cached
 from repro.sqldb.table import Column, Table
@@ -225,7 +224,9 @@ class Database:
     def _execute_select(self, stmt: ast.SelectStatement, scan_forced: bool) -> ResultSet:
         table = self.table(stmt.table)
         if not scan_forced:
-            outcomes = _select_per_slot(self.arena, stmt, scan_forced=False)
+            arena = self.arena
+            arena.sync()
+            outcomes = _select_per_slot(arena, stmt, scan_forced=False)
             # None: the compiler cannot lower the statement; ARENA_FALLBACK:
             # a force_scan pin.  Both answer on the row scan.
             if outcomes is not None and outcomes[0] is not ARENA_FALLBACK:
@@ -362,8 +363,7 @@ def _evaluate_value(node, row: dict[str, Any]):
         value = _evaluate_value(node.operand, row)
         if value is None:
             return False
-        pattern = node.pattern.replace("%", "*").replace("_", "?")
-        return fnmatch.fnmatch(str(value), pattern)
+        return like_matcher(node.pattern)(str(value)) is not None
     raise ExecutionError(f"unsupported expression node: {type(node).__name__}")
 
 
@@ -575,7 +575,10 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
 
     Probes the shard's :class:`~repro.sqldb.columnar.ShardArena` once and
     splits the matching arena row ids back into per-member outcomes via
-    the span table.  Returns a list aligned with ``arena.databases``
+    the span table.  It reads the arena as last synced: a caller whose
+    members' tables changed calls :meth:`ShardArena.sync
+    <repro.sqldb.columnar.ShardArena.sync>` first, once for any number of
+    asks.  Returns a list aligned with ``arena.databases``
     where each entry is one of:
 
     * a :class:`ResultSet` — the member's answer, identical (row-for-row
@@ -608,9 +611,12 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     (:meth:`ArenaTable.standing_latest
     <repro.sqldb.columnar.ArenaTable.standing_latest>`) and folds in only
     the rows appended since the last ask, and the statement-level half of
-    the projection runs once.  Any other shape runs the full finisher and
-    keeps its last row.  Outcomes are read-only: empty slots share one
-    outcome, one-row outcomes share their column list.
+    the projection runs once.  A slot's one-row outcome is kept with its
+    standing row id and handed out again, the same object, until the id
+    moves; an exception outcome is never kept.  Any other shape runs the
+    full finisher and keeps its last row.  Outcomes are read-only: empty
+    slots share one outcome, one-row outcomes share their column list and
+    outlive the ask.
     """
     try:
         statement = parse_statement_cached(sql)
@@ -660,23 +666,34 @@ def _select_per_slot(
         return outcomes
     empty_outcome = _UNSET
     if latest and _is_plain_projection(statement):
-        standing = table.standing_latest(plan)
-        finish_row = _one_row_finisher(statement, table)
+        standing, finished = table.standing_latest(plan)
+        finish_row = _UNSET
         for slot in asked:
+            outcome = finished[slot]
+            if outcome is not None:
+                outcomes[slot] = outcome
+                continue
             row_id = standing[slot]
             if row_id is None:
                 continue
             if isinstance(row_id, BaseException):
                 # Handed out afresh: a raise must not grow a held traceback.
                 outcomes[slot] = row_id.with_traceback(None)
-            elif row_id < 0:
+                continue
+            if row_id < 0:
                 if empty_outcome is _UNSET:
                     empty_outcome = _finish_outcome(statement, table, ())
                 outcomes[slot] = empty_outcome
-            elif finish_row is not None:
-                outcomes[slot] = finish_row(row_id)
+                continue
+            if finish_row is _UNSET:
+                finish_row = _one_row_finisher(statement, table)
+            if finish_row is not None:
+                outcome = finish_row(row_id)
             else:
-                outcomes[slot] = _finish_outcome(statement, table, [row_id])
+                outcome = _finish_outcome(statement, table, [row_id])
+            if isinstance(outcome, ResultSet):
+                finished[slot] = outcome
+            outcomes[slot] = outcome
         return outcomes
 
     ids_per_slot = plan.matching_ids_per_client(table)

@@ -286,6 +286,60 @@ class TestLatePath:
         assert calls == ["coin"]
 
 
+class TestCoinDraws:
+    """A coin is one hash of :data:`~repro.core.seeding.MAIN` block 0, and a
+    participant's draws are seeded with that block: every read equals a
+    fresh ``EpochDraws(prefix, epoch)``'s, and a coin says participate
+    exactly when the fresh draws' coin does."""
+
+    # 1e-9: the least s a parameter set takes (s = 0 is not a valid one).
+    @pytest.mark.parametrize("s", [1e-9, 0.6, 1.0], ids=["s~0", "s=0.6", "s=1"])
+    def test_coins_and_draws_equal_fresh_epoch_draws(self, s):
+        from repro.core.sampling import SimpleRandomSampler
+        from repro.core.seeding import EpochDraws, client_key, query_prefix
+
+        query = make_query()
+        parameters = ExecutionParameters(sampling_fraction=s, p=0.5, q=0.5)
+        sampler = SimpleRandomSampler(s, rng=None)
+        seen = set()
+        for seed in range(30):
+            client = make_client(seed=seed)
+            client.subscribe(query, parameters)
+            prefix = query_prefix(client_key(seed), query.query_id)
+            for epoch in range(3):
+                (coin,) = client.flip_coins([query.query_id], epoch)
+                fresh = EpochDraws(prefix, epoch)
+                participates = sampler.should_participate(fresh.coin())
+                assert (coin is not None) == participates, (seed, epoch)
+                seen.add(participates)
+                if coin is None:
+                    continue
+                draws = coin[2]
+                assert draws.coin() == fresh.coin()
+                assert draws.rr_high(4) == fresh.rr_high(4)
+                assert draws.rr_low(4, 5) == fresh.rr_low(4, 5)
+                assert draws.rr_high(130) == fresh.rr_high(130)  # past block 0
+        assert seen == {1e-9: {False}, 0.6: {False, True}, 1.0: {True}}[s]
+
+    def test_every_coin_goes_through_the_sampler(self, monkeypatch):
+        """The epoch profile counts coins through ``should_participate``."""
+        from repro.core.sampling import SimpleRandomSampler
+
+        calls = []
+        coin = SimpleRandomSampler.should_participate
+
+        def counting_coin(self, uniform=None):
+            calls.append(uniform)
+            return coin(self, uniform)
+
+        monkeypatch.setattr(SimpleRandomSampler, "should_participate", counting_coin)
+        client = make_client()
+        query = make_query()
+        client.subscribe(query, ExecutionParameters(sampling_fraction=0.5, p=0.5, q=0.5))
+        client.flip_coins([query.query_id, "unknown", query.query_id], epoch=4)
+        assert len(calls) == 2 and calls[0] == calls[1]
+
+
 class TestPadDerivation:
     """The XOR pad is a keyed function of the answer's coordinates *and* its
     message, so re-answering one ``(query, epoch)`` never reuses a pad."""

@@ -223,3 +223,26 @@ class TestColumnForm:
         codec = AnswerCodec()
         answer = QueryAnswer("q-1", (0, 1, 1, 0), epoch=2, token="tok")
         assert codec.encode_message("q-1", 2, "tok", (0, 1, 1, 0)) == codec.encode(answer)
+
+
+class TestPadColumns:
+    """``pad_columns`` reads each row's pad off its own keystream: row ``i``
+    of key column ``k`` is bytes ``k * width`` to ``(k + 1) * width`` of
+    ``keystream(draws[i].pad_seed(messages[i]))``."""
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("num_proxies", [2, 3, 4, 5])
+    def test_rows_equal_the_reference_keystream(self, width, num_proxies):
+        from repro.core.seeding import EpochDraws, client_key, query_prefix
+        from repro.crypto.prng import keystream
+
+        draws = [EpochDraws(query_prefix(client_key(row), "q-1"), 9) for row in range(5)]
+        messages = [bytes([row]) * width for row in range(5)]
+        columns = AnswerCodec.pad_columns(messages, num_proxies, draws)
+        assert len(columns) == num_proxies - 1
+        for row, (message, row_draws) in enumerate(zip(messages, draws)):
+            stream = keystream(row_draws.pad_seed(message), width * (num_proxies - 1))
+            for index, column in enumerate(columns):
+                assert column[row * width : (row + 1) * width] == stream[
+                    index * width : (index + 1) * width
+                ], (row, index)

@@ -62,7 +62,7 @@ class TestProxyNetwork:
     def test_each_proxy_stores_only_its_share(self):
         """No proxy ever holds two shares of the same message (non-collusion)."""
         network = ProxyNetwork(num_proxies=2)
-        inspectors = network.make_consumers(group_id="inspect")
+        inspectors = network.make_consumers()
         answer = encrypted_answer(num_proxies=2)
         network.transmit(list(answer.shares))
         for inspector in inspectors:
@@ -84,7 +84,7 @@ class TestProxyNetwork:
         network = ProxyNetwork(num_proxies=2)
         answer = encrypted_answer(num_proxies=2)
         plaintext = AnswerCodec().encode(QueryAnswer(query_id="q", bits=(1, 0, 1)))
-        inspectors = network.make_consumers(group_id="inspect")
+        inspectors = network.make_consumers()
         network.transmit(list(answer.shares))
         for inspector in inspectors:
             records = inspector.poll()
@@ -139,8 +139,8 @@ class TestShardBatchRecords:
     def test_transmit_shard_relays_every_share(self):
         network = ProxyNetwork(num_proxies=2)
         block = answer_block(5)
-        consumers = network.make_consumers(group_id="t", channel="q")
-        others = network.make_consumers(group_id="t", channel="other")
+        consumers = network.make_consumers(channel="q")
+        others = network.make_consumers(channel="other")
         network.transmit_shard(block, channel="q")
         # One column record per proxy on the channel's topic, nothing elsewhere.
         assert all(not consumer.poll() for consumer in others)
@@ -175,7 +175,7 @@ class TestShardBatchRecords:
         network.transmit_shard(block, channel="q")
         network.transmit(block.shares(0), channel="q")
         assert sorted(network.cluster._topics) == ["proxy-0-q-q", "proxy-1-q-q"]
-        network.make_consumers(group_id="t")
+        network.make_consumers()
         assert sorted(network.cluster._topics) == [
             "proxy-0",
             "proxy-0-q-q",
@@ -187,7 +187,7 @@ class TestShardBatchRecords:
         """One poll returns each proxy's one-share record as its share and
         its column record as the column, which holds the rest of the shares."""
         network = ProxyNetwork(num_proxies=2)
-        consumers = network.make_consumers(group_id="t", channel="q")
+        consumers = network.make_consumers(channel="q")
         block = answer_block(3)
         network.transmit(block.shares(0), channel="q")
         network.transmit_shard(block.select([1, 2]), channel="q")

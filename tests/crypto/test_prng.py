@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.prng import KeystreamGenerator, keystream, secure_random_bytes
+from repro.crypto.prng import KeystreamGenerator, keystream, keystreams, secure_random_bytes
 
 
 class TestSecureRandomBytes:
@@ -80,3 +80,17 @@ class TestOneShotKeystream:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             keystream(b"seed", -1)
+
+
+class TestManySeeds:
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128, 200])
+    def test_each_stream_is_its_seeds_keystream(self, length):
+        seeds = [b"", b"seed", bytes(range(150))]
+        assert keystreams(seeds, length) == [keystream(seed, length) for seed in seeds]
+
+    def test_no_seeds_no_streams(self):
+        assert keystreams([], 64) == []
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            keystreams([b"seed"], -1)

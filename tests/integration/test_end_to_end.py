@@ -35,7 +35,7 @@ def inspect_relay(system: PrivApproxSystem, query_id: str) -> list:
     Partitions trim the records every live reader has polled, so a relay is
     inspected through a reader of its own rather than read back afterwards.
     """
-    return system.proxies.make_consumers("inspect", channel=query_id)
+    return system.proxies.make_consumers(channel=query_id)
 
 
 def relayed_shares(inspector) -> list:

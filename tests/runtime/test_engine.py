@@ -333,6 +333,54 @@ class TestNoPerAnswerObjects:
         assert calls == [report.num_participants] == [12]
 
 
+class TestOneArenaSyncPerShard:
+    """The shard answer pass syncs its arena once, before its first ask,
+    however many statements it asks: client SQL only reads, so nothing
+    changes a member's tables within the pass."""
+
+    def test_each_answer_pass_syncs_the_arena_once(self, monkeypatch):
+        import dataclasses
+
+        from repro.runtime import answer_shard
+        from repro.sqldb import ShardArena
+        from repro.sqldb.columnar import ArenaTable
+
+        system, query_id = build_system("serial", num_clients=8)
+        system.close()
+        clients = system.clients
+        query, parameters = clients[0].subscriptions[query_id]
+        query_ids = [query_id]
+        for index, where in enumerate(("value > 2.0", "value < 6.0")):
+            other = dataclasses.replace(
+                query, query_id=f"{query_id}-{index}", sql=f"{query.sql} WHERE {where}"
+            )
+            for client in clients:
+                client.subscribe(other, parameters)
+            query_ids.append(other.query_id)
+        arena = ShardArena([client.database for client in clients])
+        syncs = []
+        sync = ArenaTable.sync
+
+        def counting_sync(self):
+            syncs.append(self.name)
+            sync(self)
+
+        monkeypatch.setattr(ArenaTable, "sync", counting_sync)
+        rows = random.Random(SEED)
+        for epoch in range(4):
+            syncs.clear()
+            blocks = answer_shard(clients, query_ids, epoch, arena=arena)
+            # The first pass builds the table; every later one syncs it once.
+            assert syncs == ([] if epoch == 0 else ["private_data"])
+            # ...and still sees every row appended before the pass.
+            alone = answer_shard(clients, query_ids, epoch)
+            assert [
+                (b.client_ids, b.truthful_bits, b.randomized_bits, b.payloads) for b in blocks
+            ] == [(b.client_ids, b.truthful_bits, b.randomized_bits, b.payloads) for b in alone]
+            for client in clients[::3]:
+                client.ingest([{"value": rows.uniform(0.0, 8.0)}])
+
+
 def _two_raising_statements(executor: str, late: bool):
     """A deployment whose two queries' statements raise for different
     clients of one shard (clients 4-7 of 16 in 4 shards): the first query's

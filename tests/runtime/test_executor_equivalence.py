@@ -458,7 +458,7 @@ def inspect_channels(system, query_ids) -> dict:
     are inspected through consumers subscribed before the epoch runs.
     """
     return {
-        (query_id, proxy.proxy_id): proxy.make_consumer("inspect", channel=query_id)
+        (query_id, proxy.proxy_id): proxy.make_consumer(channel=query_id)
         for query_id in query_ids
         for proxy in system.proxies.proxies
     }

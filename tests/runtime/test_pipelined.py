@@ -96,7 +96,7 @@ def make_context(num_clients: int) -> EpochContext:
         total_clients=max(1, num_clients),
         num_proxies=2,
     )
-    consumers = proxies.make_consumers(group_id="pipeline-edge", channel=query.query_id)
+    consumers = proxies.make_consumers(channel=query.query_id)
     return EpochContext(
         clients=clients,
         proxies=proxies,

@@ -89,7 +89,14 @@ class TestColumnVector:
 
 def _own(db, name="t"):
     """The database's own one-slot arena table, synced (what its SELECTs read)."""
+    db.sync_columnar()
     return db.arena.table(name)
+
+
+def _synced(arena, name="t"):
+    """A shard arena's table after the one sync an answer pass runs first."""
+    arena.sync()
+    return arena.table(name)
 
 
 class TestOneSlotArenaSync:
@@ -110,7 +117,7 @@ class TestOneSlotArenaSync:
         table = db.table("t")
         store = _own(db)
         table.append_rows([(1, 2.0, "a"), (2, 3.0, "bb")])
-        assert _own(db) is store  # fetching syncs
+        assert _own(db) is store  # syncing extends in place
         assert store.rebuilds == 1
         assert store.count == len(table.rows) == 202
         assert store.column("tag")[201] == "bb"
@@ -325,7 +332,7 @@ class TestShardArena:
         members, arena = self._shard()
         table = arena.table("t")
         members[1].insert_rows("t", [{"x": 77, "y": 7.0, "tag": "odd"}])
-        table = arena.table("t")  # re-fetch syncs
+        table = _synced(arena)
         stats = table.stats()
         assert stats["rebuilds"] == 1  # no spurious rebuild
         assert stats["appended_rows"] == 11
@@ -340,7 +347,7 @@ class TestShardArena:
         hash_index = table.hash_index("x")
         tree_index = table.tree_index("y")
         members[2].insert_rows("t", [{"x": 0, "y": 99.5, "tag": "even"}])
-        synced = arena.table("t")
+        synced = _synced(arena)
         assert synced.hash_index("x") is hash_index  # maintained, not rebuilt
         assert 10 in hash_index.lookup(0)
         assert 10 in tree_index.range_ids(99.0, 100.0)
@@ -351,7 +358,7 @@ class TestShardArena:
         arena.table("t")
         table = members[0].table("t")
         table.rows = [row for row in table.rows if row[0] != 1]
-        stats = arena.table("t").stats()
+        stats = _synced(arena).stats()
         assert stats["rebuilds"] == 2
         assert stats["span_rows"] == 9
 
@@ -378,7 +385,7 @@ class TestShardArena:
         assert table.slot_rows[1] is None
         members[1].create_table("t", [("x", "INTEGER"), ("y", "REAL"), ("tag", "TEXT")])
         members[1].insert_rows("t", [{"x": 5, "y": 0.5, "tag": "odd"}])
-        table = arena.table("t")  # sync notices the new table and rebuilds
+        table = _synced(arena)  # sync notices the new table and rebuilds
         assert table.slot_rows[1] is not None
         assert table.count == 3
 

@@ -513,6 +513,7 @@ class TestArenaDifferentialFuzz:
                 if subset:
                     member.insert_rows("t", subset)
                     reference.insert_rows("t", subset)
+            arena.sync()  # once per pass, as the shard answer pass does
             for sql in queries[:2]:
                 self._check(arena, members, references, sql)
         for sql in post_queries:
@@ -569,6 +570,7 @@ class TestArenaDifferentialFuzz:
         # Excluded members don't poison incremental maintenance either.
         odd.insert_rows("t", [{"x": "9", "extra": 0.0}])
         matching[0].insert_rows("t", [{"x": 2, "tag": "zz"}])
+        arena.sync()
         outcomes = arena_select_per_client(arena, sql)
         assert outcomes[1] is ARENA_FALLBACK
         assert _arena_outcome(outcomes[0], members[0], sql) == _outcome(

@@ -21,7 +21,7 @@ from repro.sqldb import (
     arena_select_per_client,
     plan_for,
 )
-from repro.sqldb.engine import _is_plain_projection
+from repro.sqldb.engine import ResultSet, _is_plain_projection
 from repro.sqldb.parser import parse_statement
 from tests.conftest import LATEST_ROW_COLUMNS, LATEST_ROW_MEMBERS, LATEST_ROW_STATEMENTS
 
@@ -156,6 +156,7 @@ class TestTailAppends:
         assert before[0].rows != [(7.5, "new")]
         # Slot 0's new row lands at the arena tail, past every other slot's ids.
         databases[0].table(TABLE).append_rows([(7.5, 1, "new")])
+        arena.sync()
         after = arena_select_per_client(arena, sql, latest=True)
         assert after[0].rows == [(7.5, "new")]
         for slot in range(1, len(databases)):
@@ -311,6 +312,7 @@ class TestStandingAnswers:
         for slot in (0, 1, 3, 0):
             for db in (databases[slot], references[slot]):
                 db.table(TABLE).append_rows([(2.8, 1, None), (6.0, 1, None), (1.5, 2, "abc")])
+        arena.sync()
         for sql in plain:
             outcomes = arena_select_per_client(arena, sql, latest=True)
             for name, entry, reference in zip(members, outcomes, references):
@@ -336,6 +338,7 @@ class TestStandingAnswers:
         assert arena.arena_stats()[TABLE]["standing_plans"] == len(plain)
         for db in (databases[2], references[2]):
             db.table(TABLE).rows[0] = (9.9, 1, None)  # an in-place edit
+        arena.sync()
         sql = plain[1]
         outcomes = arena_select_per_client(arena, sql, latest=True)
         stats = arena.arena_stats()[TABLE]
@@ -416,6 +419,89 @@ class TestStandingAnswers:
         assert finished == [arena.table(TABLE).slot_rows[1][-1]]
 
 
+class TestStandingOutcomes:
+    """A slot's finished one-row outcome is kept with its standing row id:
+    the same object is handed out until that id moves, and it goes with the
+    standing answer on a rebuild or an eviction.  An error is never kept."""
+
+    SQL = f"SELECT value, tag FROM {TABLE} WHERE zone = 1"
+
+    def _ask(self, arena, sql=SQL):
+        arena.sync()  # once per pass, as the shard answer pass does
+        return arena_select_per_client(arena, sql, latest=True)
+
+    def _arena(self, latest_row_cases):
+        columns, _, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        return databases, ShardArena(databases)
+
+    def test_unchanged_epochs_hand_out_the_same_object(self, latest_row_cases):
+        _, arena = self._arena(latest_row_cases)
+        first = self._ask(arena)
+        one_row = [slot for slot, o in enumerate(first) if len(o.rows) == 1]
+        assert one_row
+        for _ in range(3):
+            again = self._ask(arena)
+            assert all(again[slot] is first[slot] for slot in one_row)
+
+    def test_a_tail_append_that_moves_the_latest_match_replaces_it(self, latest_row_cases):
+        databases, arena = self._arena(latest_row_cases)
+        before = self._ask(arena)
+        databases[0].table(TABLE).append_rows([(7.5, 1, "new")])  # matches
+        databases[1].table(TABLE).append_rows([(7.5, 9, "off")])  # does not
+        after = self._ask(arena)
+        assert after[0] is not before[0] and after[0].rows == [(7.5, "new")]
+        assert after[1] is before[1]
+        assert self._ask(arena)[0] is after[0]
+
+    def test_a_rebuild_drops_it(self, latest_row_cases):
+        databases, arena = self._arena(latest_row_cases)
+        before = self._ask(arena)
+        rows = databases[2].table(TABLE).rows
+        rows[0] = rows[0]  # an in-place edit
+        after = self._ask(arena)
+        assert arena.arena_stats()[TABLE]["rebuilds"] == 2
+        assert [_arena_outcome(o) for o in after] == [_arena_outcome(o) for o in before]
+        assert all(a is not b for a, b in zip(after, before) if len(b.rows) == 1)
+
+    def test_an_eviction_drops_it(self):
+        from repro.sqldb.compile import _PLAN_CACHE_MAX
+
+        arena = ShardArena([_database([("value", "REAL")], [(1.0,), (2.0,)])])
+        hot = f"SELECT value FROM {TABLE} WHERE value < 3.0"
+        (first,) = self._ask(arena, hot)
+        assert self._ask(arena, hot)[0] is first
+        for i in range(_PLAN_CACHE_MAX):
+            self._ask(arena, f"SELECT value FROM {TABLE} WHERE value > {i}.5")
+        (again,) = self._ask(arena, hot)
+        assert again is not first and again.rows == first.rows == [(2.0,)]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # The residual raises on "text-tag"'s rows: a standing error.
+            f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
+            # Resolves only case-insensitively: finishing a matched slot raises.
+            f"SELECT VALUE FROM {TABLE} WHERE zone = 1",
+        ],
+        ids=["standing-error", "finish-error"],
+    )
+    def test_an_erroring_slot_is_never_cached(self, latest_row_cases, sql):
+        _, arena = self._arena(latest_row_cases)
+        first = self._ask(arena, sql)
+        errors = [slot for slot, o in enumerate(first) if isinstance(o, BaseException)]
+        assert errors
+        table = arena.table(TABLE)
+        _, finished = table.standing_latest(plan_for(parse_statement(sql), table.columns))
+        assert all(finished[slot] is None for slot in errors)
+        again = self._ask(arena, sql)
+        assert all(isinstance(again[slot], BaseException) for slot in errors)
+        # Exactly the one-row outcomes are kept.
+        assert finished == [
+            o if isinstance(o, ResultSet) and len(o.rows) == 1 else None for o in again
+        ]
+
+
 @pytest.mark.parametrize("sql", _plain_statements(LATEST_ROW_STATEMENTS))
 @pytest.mark.parametrize("batch", [1, 2, 3], ids=["by-1", "by-2", "by-3"])
 def test_fill_and_fold_agree(sql, batch):
@@ -432,6 +518,7 @@ def test_fill_and_fold_agree(sql, batch):
     for first in range(0, longest, batch):
         for db, rows in zip(batched, members.values()):
             db.table(TABLE).append_rows(rows[first : first + batch])
+        batched_arena.sync()
         folded = arena_select_per_client(batched_arena, sql, latest=True)
     assert [_arena_outcome(o) for o in folded] == [_arena_outcome(o) for o in filled]
     assert [_arena_outcome(o) for o in folded] == [
@@ -499,6 +586,7 @@ class TestStandingFoldProperty:
                 table.append_rows([row + extra for row in rows])
             elif op == "edit" and len(table):
                 table.rows[-1] = table.rows[0]  # in place: forces a rebuild
+            arena.sync()  # once per step, as the shard answer pass does
             fresh = ShardArena(databases)
             for index in sorted(asked):
                 sql = plain[index]

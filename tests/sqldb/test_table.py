@@ -149,6 +149,7 @@ class TestInsertRecords:
         store.hash_index("b")
         store.tree_index("a")
         table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50, 80)])
+        db.sync_columnar()
         assert db.arena.table("t") is store
         assert store.rebuilds == 1 and store.appended_rows == 80 and store.count == 80
         assert store.hash_index("b").lookup("1") == list(range(1, 80, 3))
