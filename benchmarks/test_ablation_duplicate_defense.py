@@ -58,12 +58,14 @@ def run_attack(with_defense: bool):
     shares = []
     for i in range(NUM_HONEST):
         bits = (1, 0, 0) if i % 2 == 0 else (0, 1, 0)
-        answer = QueryAnswer(query_id=query.query_id, bits=bits, epoch=0, token=f"honest-{i}")
+        answer = QueryAnswer(
+            query_id=query.query_id, bits=bits, epoch=0, token=f"honest-{i}".encode()
+        )
         shares.extend(codec.encrypt(answer, num_proxies=2, keystream=keystream).shares)
     # The attacker controls one client and replays its bucket-2 answer.
     for _ in range(NUM_REPLAYS):
         malicious = QueryAnswer(
-            query_id=query.query_id, bits=(0, 0, 1), epoch=0, token="attacker"
+            query_id=query.query_id, bits=(0, 0, 1), epoch=0, token=b"attacker"
         )
         shares.extend(codec.encrypt(malicious, num_proxies=2, keystream=keystream).shares)
     aggregator.ingest_shares(shares, epoch=0)

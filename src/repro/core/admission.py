@@ -5,10 +5,10 @@ times in an attempt to distort the query result", and points at the answer
 splitting technique of SplitX as a remedy.  The defense implemented here keeps
 the synchronization-free property of PrivApprox:
 
-* every client attaches a **per-epoch participation token** to its message id;
-  the token is the keyed hash of a per-client secret and the epoch, so it is
-  stable within an epoch, unlinkable across epochs, and reveals nothing about
-  the client's identity to the aggregator;
+* every client puts a **per-epoch participation token** in its message ``M``:
+  16 raw bytes of keyed BLAKE2b over the query id and the epoch, under a
+  per-client secret, so it is stable within an epoch, unlinkable across
+  epochs, and reveals nothing about the client's identity to the aggregator;
 * the aggregator's :class:`AnswerAdmissionController` admits at most one
   answer per (query, epoch, token) and tracks how many duplicates it refused;
 * a global per-epoch rate limit bounds the damage of a flood of fabricated
@@ -23,18 +23,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-#: Characters in a participation token (a 16-byte keyed BLAKE2b, in hex).
-PARTICIPATION_TOKEN_LENGTH = 32
+#: Bytes in a participation token: a 16-byte keyed BLAKE2b, sent raw.
+PARTICIPATION_TOKEN_LENGTH = 16
 
 
-def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
+def participation_token(client_secret: bytes, query_id: str, epoch: int) -> bytes:
     """Anonymous, epoch-scoped participation token.
 
     The token is a MAC over (query id, epoch) — keyed BLAKE2b under the
     client's local secret (at most 64 bytes), the primitive behind every
     client draw (:mod:`repro.core.seeding`): stable for one epoch (so
     duplicates collide), but different and unlinkable across epochs and
-    queries (so the aggregator cannot track a client over time).
+    queries (so the aggregator cannot track a client over time).  It is the
+    raw 16-byte digest, the form the message ``M`` carries it in.
     """
     if not client_secret:
         raise ValueError("client secret must not be empty")
@@ -42,8 +43,8 @@ def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
         raise ValueError("epoch must be non-negative")
     message = f"{query_id}|{epoch}".encode("utf-8")
     return hashlib.blake2b(
-        message, key=client_secret, digest_size=PARTICIPATION_TOKEN_LENGTH // 2
-    ).hexdigest()
+        message, key=client_secret, digest_size=PARTICIPATION_TOKEN_LENGTH
+    ).digest()
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,12 @@ class AnswerAdmissionController:
     max_answers_per_epoch: int | None = None
 
     def __post_init__(self) -> None:
-        self._seen: dict[tuple[str, int], set[str]] = {}
+        self._seen: dict[tuple[str, int], set[bytes]] = {}
         self._admitted_counts: dict[tuple[str, int], int] = {}
         self.duplicates_rejected = 0
         self.rate_limited = 0
 
-    def admit(self, query_id: str, epoch: int, token: str) -> AdmissionDecision:
+    def admit(self, query_id: str, epoch: int, token: bytes) -> AdmissionDecision:
         """Decide whether to accept one answer for aggregation."""
         if not token:
             return AdmissionDecision(admitted=False, reason="missing token")
@@ -93,7 +94,7 @@ class AnswerAdmissionController:
         return AdmissionDecision(admitted=True)
 
     def admit_batch(
-        self, query_id: str, items: list[tuple[int, str]]
+        self, query_id: str, items: list[tuple[int, bytes]]
     ) -> list[bool]:
         """Admit many ``(epoch, token)`` answers in arrival order.
 
@@ -105,7 +106,7 @@ class AnswerAdmissionController:
         per-answer reference the tests compare it against.
         """
         max_answers = self.max_answers_per_epoch
-        seen_cache: dict[tuple[str, int], set[str]] = {}
+        seen_cache: dict[tuple[str, int], set[bytes]] = {}
         count_cache: dict[tuple[str, int], int] = {}
         verdicts = []
         append = verdicts.append

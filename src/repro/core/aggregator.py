@@ -256,7 +256,7 @@ class Aggregator:
         parsed = self._codec.parse_column(
             plain, width, query_id, epoch, num_bits, PARTICIPATION_TOKEN_LENGTH
         )
-        fast: list[tuple[int, str, bytes]] = []
+        fast: list[tuple[int, bytes, bytes]] = []
         slow: list[tuple[int, QueryAnswer]] = []
         for row, fields in enumerate(parsed):
             if row in skip:

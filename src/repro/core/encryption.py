@@ -64,13 +64,20 @@ class EncryptedAnswer:
 
 
 class AnswerCodec:
-    """Serialize, encrypt, decrypt and parse randomized answers."""
+    """Serialize, encrypt, decrypt and parse randomized answers.
+
+    A message ``M`` is the ``>2sHIHB`` header (magic ``PA``, query id
+    length, epoch, bit count, token length), the UTF-8 query id, the raw
+    participation token (16 bytes from
+    :func:`~repro.core.admission.participation_token`, never text) and the
+    answer bits packed eight to a byte, first bit high.
+    """
 
     def encode(self, answer: QueryAnswer) -> bytes:
         """Serialize ``<QID, RandomizedAnswer>`` into the message ``M``."""
         return self.encode_message(answer.query_id, answer.epoch, answer.token, answer.bits)
 
-    def encode_message(self, query_id: str, epoch: int, token: str, bits) -> bytes:
+    def encode_message(self, query_id: str, epoch: int, token: bytes, bits) -> bytes:
         """:meth:`encode` from the answer's fields: the one-row case of
         :meth:`encode_rows`."""
         return self.encode_rows(query_id, epoch, [token], bits)[0]
@@ -80,24 +87,24 @@ class AnswerCodec:
 
         ``bits`` holds ``len(tokens)`` equally long rows of 0/1 values laid
         end to end.  Message ``i`` is :meth:`prefix` (the header, then the
-        query id), ``tokens[i]``, then row ``i`` packed eight to a byte; the
-        prefix is built once and every row is packed in one conversion.  The
-        tokens must be equally long, so every message has one width.
+        query id), the raw bytes ``tokens[i]``, then row ``i`` packed eight
+        to a byte; the prefix is built once and every row is packed in one
+        conversion.  The tokens must be equally long, so every message has
+        one width.
         """
         if not tokens:
             return []
         num_bits, extra = divmod(len(bits), len(tokens))
         if extra:
             raise ValueError(f"{len(bits)} answer bits are not {len(tokens)} equal rows")
-        token_bytes = [token.encode("utf-8") for token in tokens]
-        if len(set(map(len, token_bytes))) != 1:
+        if len(set(map(len, tokens))) != 1:
             raise ValueError("one column holds messages of one width")
-        prefix = self.prefix(query_id, epoch, num_bits, len(token_bytes[0]))
+        prefix = self.prefix(query_id, epoch, num_bits, len(tokens[0]))
         packed = self._pack_bits(bits, num_bits)
         stride = (num_bits + 7) // 8
         return [
             prefix + token + packed[row * stride : (row + 1) * stride]
-            for row, token in enumerate(token_bytes)
+            for row, token in enumerate(tokens)
         ]
 
     @staticmethod
@@ -149,14 +156,14 @@ class AnswerCodec:
         epoch: int,
         num_bits: int,
         token_length: int,
-    ) -> list[tuple[str, bytes] | None]:
+    ) -> list[tuple[bytes, bytes] | None]:
         """Read a column of ``width``-byte decrypted messages, row by row.
 
         A row that is a well-formed answer to ``query_id`` at ``epoch`` with
         ``num_bits`` bits and a ``token_length``-byte token — it starts with
         :meth:`prefix` and is exactly as long as such a message — reads as
-        ``(token, packed bits)``; every other row reads as ``None``, for the
-        caller to :meth:`decode` (which parses it, or says why it cannot).
+        ``(raw token, packed bits)``; every other row reads as ``None``, for
+        the caller to :meth:`decode` (which parses it, or says why it cannot).
         """
         rows = len(column) // width if width else 0
         try:
@@ -167,19 +174,12 @@ class AnswerCodec:
         bits_start = token_start + token_length
         if width != bits_start + (num_bits + 7) // 8:
             return [None] * rows
-        parsed: list[tuple[str, bytes] | None] = []
-        append = parsed.append
-        for start in range(0, rows * width, width):
-            if not column.startswith(prefix, start):
-                append(None)
-                continue
-            try:
-                token = column[start + token_start : start + bits_start].decode("utf-8")
-            except UnicodeDecodeError:
-                append(None)
-                continue
-            append((token, column[start + bits_start : start + width]))
-        return parsed
+        return [
+            (column[at + token_start : at + bits_start], column[at + bits_start : at + width])
+            if column.startswith(prefix, at)
+            else None
+            for at in range(0, rows * width, width)
+        ]
 
     @staticmethod
     def count_packed_bits(packed: bytes, num_bits: int) -> list[int]:
@@ -221,7 +221,7 @@ class AnswerCodec:
         if len(message) < token_end:
             raise ValueError("message truncated inside the header fields")
         query_id = message[_HEADER_SIZE:qid_end].decode("utf-8")
-        token = message[qid_end:token_end].decode("utf-8")
+        token = message[qid_end:token_end]
         packed = message[token_end:]
         bits = self._unpack_bits(packed, num_bits)
         return QueryAnswer(query_id=query_id, bits=tuple(bits), epoch=epoch, token=token)

@@ -191,16 +191,16 @@ class QueryAnswer:
     sequence a caller encrypts one answer from (:meth:`AnswerCodec.encrypt
     <repro.core.encryption.AnswerCodec.encrypt>`); clients build theirs a
     shard's column at a time and never make one.
-    ``token`` is the anonymous per-epoch participation token used by the
-    aggregator's duplicate-answer defense (:mod:`repro.core.admission`); it is
-    empty when admission control is not in use.
+    ``token`` is the anonymous per-epoch participation token (raw bytes) used
+    by the aggregator's duplicate-answer defense (:mod:`repro.core.admission`);
+    it is empty when admission control is not in use.
     """
 
     query_id: str
     bits: tuple | bytes
     client_tag: str | None = None  # never transmitted; used only in tests/metrics
     epoch: int = 0
-    token: str = ""
+    token: bytes = b""
 
     def __post_init__(self) -> None:
         try:

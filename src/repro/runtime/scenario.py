@@ -466,9 +466,9 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
             bits = tuple(
                 1 if forge_rng.random() < 0.5 else 0 for _ in range(query.num_buckets)
             )
-            token = f"byz-{epoch}-{injection.seed:08x}-{query_index}"
+            label = f"byz-{epoch}-{injection.seed:08x}-{query_index}"
             answer = QueryAnswer(
-                query_id=query_id, bits=bits, epoch=epoch, token=token
+                query_id=query_id, bits=bits, epoch=epoch, token=label.encode("ascii")
             )
             keystream = KeystreamGenerator(
                 seed=(injection.seed * 2_654_435_761 + query_index).to_bytes(
@@ -480,7 +480,7 @@ def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan)
                     answer,
                     num_proxies=system.config.num_proxies,
                     keystream=keystream,
-                    message_id=f"{token}-copy-{copy}",
+                    message_id=f"{label}-copy-{copy}",
                 )
                 system.proxies.transmit(list(encrypted.shares), channel=query_id)
 

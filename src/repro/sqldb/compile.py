@@ -40,6 +40,7 @@ columnar arrays with *identical* semantics to the scan evaluator,
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 import threading
@@ -82,6 +83,34 @@ def like_matcher(pattern: str) -> Callable[[str], Any]:
         ".*" if char == "%" else "." if char == "_" else re.escape(char) for char in pattern
     )
     return re.compile(regex, re.DOTALL | re.IGNORECASE | re.ASCII).fullmatch
+
+
+def like_text(value: Any) -> str:
+    """A non-NULL value as the text SQLite's ``LIKE`` matches it against.
+
+    TEXT is itself, a BOOLEAN reads ``1`` / ``0`` and an INTEGER its
+    decimal digits.  A REAL takes SQLite's ``%!.15g`` form: 15 significant
+    digits, always a decimal point (``1.0``, ``1.0e+16``), ``0.0`` for
+    either zero and ``Inf`` / ``-Inf`` past the range.  The last digit is
+    rounded correctly here; SQLite rounds in its platform's ``long
+    double``, so when the digits past the 15th are (within that error) a
+    tie, its last digit may differ.  The row scan and the compiled path
+    both call this before :func:`like_matcher`.
+    """
+    if type(value) is str:
+        return value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if not isinstance(value, float) or math.isnan(value):
+        return str(value)
+    if value == 0:
+        return "0.0"
+    if math.isinf(value):
+        return "Inf" if value > 0 else "-Inf"
+    mantissa, exponent_mark, exponent = f"{value:.15g}".partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return mantissa + exponent_mark + exponent
 
 
 # Operator flips for ``literal op column`` probes: ``5 < x`` is ``x > 5``.
@@ -224,7 +253,7 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
             value = value_fn(arrays, row_id)
             if value is None:
                 return False
-            return match(str(value)) is not None
+            return match(like_text(value)) is not None
 
         return compiled_like
     raise CompileFallback(f"unsupported expression node: {type(node).__name__}")

@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.sqldb import ast
 from repro.sqldb.columnar import ShardArena
-from repro.sqldb.compile import CompileFallback, like_matcher, plan_for
+from repro.sqldb.compile import CompileFallback, like_matcher, like_text, plan_for
 from repro.sqldb.errors import ExecutionError, SchemaError
 from repro.sqldb.parser import parse_statement, parse_statement_cached
 from repro.sqldb.table import Column, Table
@@ -363,7 +363,7 @@ def _evaluate_value(node, row: dict[str, Any]):
         value = _evaluate_value(node.operand, row)
         if value is None:
             return False
-        return like_matcher(node.pattern)(str(value)) is not None
+        return like_matcher(node.pattern)(like_text(value)) is not None
     raise ExecutionError(f"unsupported expression node: {type(node).__name__}")
 
 

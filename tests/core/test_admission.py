@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AnswerAdmissionController, participation_token
+from repro.core.admission import PARTICIPATION_TOKEN_LENGTH
 from repro.core.aggregator import ADMISSION_RETENTION_EPOCHS
 
 
@@ -25,8 +26,9 @@ class TestParticipationToken:
 
     def test_token_reveals_nothing_obvious(self):
         token = participation_token(b"secret", "q1", 5)
-        assert "q1" not in token
-        assert len(token) == 32
+        assert b"q1" not in token
+        assert type(token) is bytes
+        assert len(token) == PARTICIPATION_TOKEN_LENGTH == 16  # raw, not hex
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -38,7 +40,7 @@ class TestParticipationToken:
         import hashlib
 
         secret = b"k" * 64  # the longest key BLAKE2b takes
-        expected = hashlib.blake2b(b"q1|5", key=secret, digest_size=16).hexdigest()
+        expected = hashlib.blake2b(b"q1|5", key=secret, digest_size=16).digest()
         assert participation_token(secret, "q1", 5) == expected
         with pytest.raises(ValueError):
             participation_token(b"k" * 65, "q1", 5)
@@ -58,76 +60,76 @@ class TestParticipationToken:
 class TestAnswerAdmissionController:
     def test_first_answer_admitted(self):
         controller = AnswerAdmissionController()
-        assert controller.admit("q", 0, "token-a").admitted
+        assert controller.admit("q", 0, b"token-a").admitted
 
     def test_duplicate_rejected(self):
         controller = AnswerAdmissionController()
-        controller.admit("q", 0, "token-a")
-        decision = controller.admit("q", 0, "token-a")
+        controller.admit("q", 0, b"token-a")
+        decision = controller.admit("q", 0, b"token-a")
         assert not decision.admitted
         assert decision.reason == "duplicate token"
         assert controller.duplicates_rejected == 1
 
     def test_same_token_allowed_in_next_epoch(self):
         controller = AnswerAdmissionController()
-        controller.admit("q", 0, "token-a")
-        assert controller.admit("q", 1, "token-a").admitted
+        controller.admit("q", 0, b"token-a")
+        assert controller.admit("q", 1, b"token-a").admitted
 
     def test_same_token_allowed_for_other_query(self):
         controller = AnswerAdmissionController()
-        controller.admit("q1", 0, "token-a")
-        assert controller.admit("q2", 0, "token-a").admitted
+        controller.admit("q1", 0, b"token-a")
+        assert controller.admit("q2", 0, b"token-a").admitted
 
     def test_missing_token_rejected(self):
-        assert not AnswerAdmissionController().admit("q", 0, "").admitted
+        assert not AnswerAdmissionController().admit("q", 0, b"").admitted
 
     def test_rate_limit(self):
         controller = AnswerAdmissionController(max_answers_per_epoch=2)
-        assert controller.admit("q", 0, "a").admitted
-        assert controller.admit("q", 0, "b").admitted
-        decision = controller.admit("q", 0, "c")
+        assert controller.admit("q", 0, b"a").admitted
+        assert controller.admit("q", 0, b"b").admitted
+        decision = controller.admit("q", 0, b"c")
         assert not decision.admitted
         assert decision.reason == "epoch rate limit"
         assert controller.rate_limited == 1
 
     def test_rate_limit_is_per_epoch(self):
         controller = AnswerAdmissionController(max_answers_per_epoch=1)
-        controller.admit("q", 0, "a")
-        assert controller.admit("q", 1, "b").admitted
+        controller.admit("q", 0, b"a")
+        assert controller.admit("q", 1, b"b").admitted
 
     def test_admitted_count(self):
         controller = AnswerAdmissionController()
-        controller.admit("q", 0, "a")
-        controller.admit("q", 0, "b")
-        controller.admit("q", 0, "a")  # duplicate
+        controller.admit("q", 0, b"a")
+        controller.admit("q", 0, b"b")
+        controller.admit("q", 0, b"a")  # duplicate
         assert controller.admitted_count("q", 0) == 2
 
     def test_forget_epoch_releases_state(self):
         controller = AnswerAdmissionController()
-        controller.admit("q", 0, "a")
+        controller.admit("q", 0, b"a")
         assert controller.tracked_epochs() == 1
         controller.forget_epoch("q", 0)
         assert controller.tracked_epochs() == 0
         # After forgetting, the same token is admitted again (the window is closed anyway).
-        assert controller.admit("q", 0, "a").admitted
+        assert controller.admit("q", 0, b"a").admitted
 
     def test_forget_epochs_before_drops_only_older_epochs(self):
         controller = AnswerAdmissionController()
         for epoch in range(5):
-            controller.admit("q", epoch, f"token-{epoch}")
-        controller.admit("other", 0, "token")
+            controller.admit("q", epoch, f"token-{epoch}".encode())
+        controller.admit("other", 0, b"token")
         assert controller.forget_epochs_before("q", 3) == 3
         assert controller.tracked_epochs() == 3  # q@3, q@4, other@0
         # Retained epochs still deduplicate.
-        assert not controller.admit("q", 3, "token-3").admitted
-        assert not controller.admit("q", 4, "token-4").admitted
+        assert not controller.admit("q", 3, b"token-3").admitted
+        assert not controller.admit("q", 4, b"token-4").admitted
         # Other queries' state is untouched.
-        assert not controller.admit("other", 0, "token").admitted
+        assert not controller.admit("other", 0, b"token").admitted
 
     def test_forget_epochs_before_is_idempotent(self):
         controller = AnswerAdmissionController()
-        controller.admit("q", 0, "a")
-        controller.admit("q", 1, "b")
+        controller.admit("q", 0, b"a")
+        controller.admit("q", 1, b"b")
         assert controller.forget_epochs_before("q", 1) == 1
         assert controller.forget_epochs_before("q", 1) == 0
         assert controller.tracked_epochs() == 1
@@ -227,13 +229,13 @@ class TestAdmissionInsideAggregator:
         # Nine honest clients answer bucket 0 once each.
         for i in range(9):
             honest = QueryAnswer(
-                query_id=query.query_id, bits=(1, 0, 0), epoch=0, token=f"honest-{i}"
+                query_id=query.query_id, bits=(1, 0, 0), epoch=0, token=f"honest-{i}".encode()
             )
             shares.extend(codec.encrypt(honest, num_proxies=2, keystream=keystream).shares)
         # One malicious client replays a bucket-2 answer 50 times with one token.
         for _ in range(50):
             malicious = QueryAnswer(
-                query_id=query.query_id, bits=(0, 0, 1), epoch=0, token="malicious"
+                query_id=query.query_id, bits=(0, 0, 1), epoch=0, token=b"malicious"
             )
             shares.extend(codec.encrypt(malicious, num_proxies=2, keystream=keystream).shares)
         aggregator.ingest_shares(shares, epoch=0)
@@ -249,9 +251,9 @@ class TestAdmitBatch:
 
     def _items(self):
         return (
-            [(0, f"token-{i}") for i in range(5)]
-            + [(0, "token-2"), (0, "token-2")]          # in-batch duplicates
-            + [(1, "token-2"), (0, ""), (1, "fresh")]   # new epoch, missing token
+            [(0, f"token-{i}".encode()) for i in range(5)]
+            + [(0, b"token-2"), (0, b"token-2")]            # in-batch duplicates
+            + [(1, b"token-2"), (0, b""), (1, b"fresh")]    # new epoch, missing token
         )
 
     def test_batch_matches_per_answer_reference(self):
@@ -267,8 +269,8 @@ class TestAdmitBatch:
 
     def test_batch_sees_duplicates_from_earlier_calls(self):
         controller = AnswerAdmissionController()
-        assert controller.admit("q", 0, "token-0").admitted
-        assert controller.admit_batch("q", [(0, "token-0"), (0, "token-1")]) == [
+        assert controller.admit("q", 0, b"token-0").admitted
+        assert controller.admit_batch("q", [(0, b"token-0"), (0, b"token-1")]) == [
             False,
             True,
         ]
@@ -277,7 +279,7 @@ class TestAdmitBatch:
     def test_batch_rate_limit_in_order(self):
         batched = AnswerAdmissionController(max_answers_per_epoch=3)
         reference = AnswerAdmissionController(max_answers_per_epoch=3)
-        items = [(0, f"token-{i}") for i in range(6)]
+        items = [(0, f"token-{i}".encode()) for i in range(6)]
         assert batched.admit_batch("q", items) == [
             reference.admit("q", e, t).admitted for e, t in items
         ]

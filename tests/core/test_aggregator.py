@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import Aggregator, AnswerSpec, ExecutionParameters, RangeBuckets
-from repro.core.admission import AnswerAdmissionController
+from repro.core.admission import PARTICIPATION_TOKEN_LENGTH, AnswerAdmissionController
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
@@ -273,7 +273,7 @@ QUERY_ID = "analyst-00000001"
 
 
 def hostile_message(bits, epoch, tag, query_id=QUERY_ID) -> bytes:
-    token = f"token-{tag:026d}"  # a participation token's 32 characters
+    token = f"token-{tag:010d}".encode()  # a participation token's 16 bytes
     return AnswerCodec().encode(
         QueryAnswer(query_id=query_id, bits=tuple(bits), epoch=epoch, token=token)
     )
@@ -416,6 +416,32 @@ class TestHostileBlockParity:
         # the bad magic of the hostile block; the reused row's first two
         # shares join into garbage through the keyed path.
         assert len(decoded) == 5
+
+
+class TestRawTokens:
+    """The participation token is 16 raw bytes, any 16 bytes: one that is
+    not UTF-8 text is read off the block's prefix like any other, admitted
+    once and its duplicate refused (not counted malformed)."""
+
+    @pytest.mark.parametrize("loose", [False, True], ids=["block", "loose"])
+    def test_a_non_utf8_token_round_trips_and_is_admitted_once(self, loose):
+        token = b"\xff" * PARTICIPATION_TOKEN_LENGTH
+        codec = AnswerCodec()
+        messages = codec.encode_rows(QUERY_ID, 1, [token, token], (1, 0, 0, 0, 1, 0))
+        width = len(messages[0])
+        assert codec.parse_column(
+            b"".join(messages), width, QUERY_ID, 1, 3, PARTICIPATION_TOKEN_LENGTH
+        ) == [(token, codec._pack_bits((1, 0, 0))), (token, codec._pack_bits((0, 1, 0)))]
+        assert codec.decode(messages[1]) == QueryAnswer(QUERY_ID, (0, 1, 0), epoch=1, token=token)
+
+        counters, windows = run_hostile(
+            [(1, hostile_block(messages, [0, 1], b"raw-token"))], loose
+        )
+        assert counters["answers_processed"] == 1
+        assert counters["rejected_duplicates"] == 1
+        assert counters["malformed_messages"] == 0
+        # The first row's bucket 0, scaled up to run_hostile's 10 clients.
+        assert windows == [(60.0, 1, (10.0, 0.0, 0.0))]
 
 
 #: What the share-by-share keyed join counted for the pending-clash stream

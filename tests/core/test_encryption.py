@@ -1,11 +1,12 @@
 """Tests for answer encoding and XOR share splitting (Step III)."""
 
+import math
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AnswerCodec
+from repro.core import AnswerCodec, participation_token
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
 
@@ -29,13 +30,24 @@ class TestAnswerCodec:
         # header (11 bytes) + qid (1) + empty token (0) + ceil(12 / 8) = 2 bytes of bits
         assert len(message) == 11 + 1 + 2
 
+    @pytest.mark.parametrize("num_bits", [1, 8, 9, 64, 300])
+    @pytest.mark.parametrize("query_id", ["q", "analyst-00000001", "é" * 33])
+    def test_message_carries_the_raw_token(self, codec, query_id, num_bits):
+        """Header, query id, the token's 16 raw bytes, then the packed bits."""
+        token = participation_token(b"secret", query_id, 3)
+        bits = tuple(i % 2 for i in range(num_bits))
+        message = codec.encode_message(query_id, 3, token, bits)
+        qid_bytes = query_id.encode()
+        assert len(message) == 11 + len(qid_bytes) + 16 + math.ceil(len(bits) / 8)
+        assert message[11 + len(qid_bytes) : 11 + len(qid_bytes) + 16] == token
+
     def test_token_roundtrip(self, codec):
-        answer = QueryAnswer(query_id="q", bits=(1, 0), epoch=2, token="abc123" * 4)
+        answer = QueryAnswer(query_id="q", bits=(1, 0), epoch=2, token=b"abc123" * 4)
         decoded = codec.decode(codec.encode(answer))
-        assert decoded.token == "abc123" * 4
+        assert decoded.token == b"abc123" * 4
 
     def test_overlong_token_rejected(self, codec):
-        answer = QueryAnswer(query_id="q", bits=(1,), token="x" * 300)
+        answer = QueryAnswer(query_id="q", bits=(1,), token=b"x" * 300)
         with pytest.raises(ValueError):
             codec.encode(answer)
 
@@ -210,19 +222,19 @@ class TestColumnForm:
 
     def test_parse_column_reads_well_formed_rows_and_flags_the_rest(self):
         codec = AnswerCodec()
-        good = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=4, token="t" * 32))
-        other_epoch = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=5, token="u" * 32))
-        other_query = codec.encode(QueryAnswer("q-2", (1, 0, 1), epoch=4, token="v" * 32))
+        good = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=4, token=b"t" * 16))
+        other_epoch = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=5, token=b"u" * 16))
+        other_query = codec.encode(QueryAnswer("q-2", (1, 0, 1), epoch=4, token=b"v" * 16))
         column = good + other_epoch + other_query
-        parsed = codec.parse_column(column, len(good), "q-1", 4, 3, 32)
-        assert parsed == [("t" * 32, codec._pack_bits((1, 0, 1))), None, None]
+        parsed = codec.parse_column(column, len(good), "q-1", 4, 3, 16)
+        assert parsed == [(b"t" * 16, codec._pack_bits((1, 0, 1))), None, None]
         # A width that cannot be this query's answer: every row is decoded.
-        assert codec.parse_column(column, len(good), "q-1", 4, 9, 32) == [None] * 3
+        assert codec.parse_column(column, len(good), "q-1", 4, 9, 16) == [None] * 3
 
     def test_encode_message_is_encode(self):
         codec = AnswerCodec()
-        answer = QueryAnswer("q-1", (0, 1, 1, 0), epoch=2, token="tok")
-        assert codec.encode_message("q-1", 2, "tok", (0, 1, 1, 0)) == codec.encode(answer)
+        answer = QueryAnswer("q-1", (0, 1, 1, 0), epoch=2, token=b"tok")
+        assert codec.encode_message("q-1", 2, b"tok", (0, 1, 1, 0)) == codec.encode(answer)
 
 
 class TestPadColumns:

@@ -22,7 +22,7 @@ def encrypted_answer(num_proxies: int = 2, bits=(1, 0, 1)):
 
 def answer_block(rows: int, num_proxies: int = 2, bits=(1, 0, 1)) -> ResponseBlock:
     """``rows`` answers to query ``q`` as one shard's block."""
-    message = AnswerCodec().encode_message("q", 0, "t" * 32, bits)
+    message = AnswerCodec().encode_message("q", 0, b"t" * 32, bits)
     keystream = KeystreamGenerator(seed=b"t")
     answer_rows = [
         (

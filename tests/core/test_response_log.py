@@ -28,7 +28,7 @@ QUERY_ID = "q-log"
 def make_block(client_id: str, epoch: int, bits: tuple, num_proxies: int = 2):
     """A one-row block: ``client_id``'s answer with rotated bits."""
     randomized = bits[1:] + bits[:1]
-    message = AnswerCodec().encode_message(QUERY_ID, epoch, "t" * 32, randomized)
+    message = AnswerCodec().encode_message(QUERY_ID, epoch, b"t" * 32, randomized)
     keystream = KeystreamGenerator(seed=client_id.encode("utf-8"))
     row = (
         client_id,

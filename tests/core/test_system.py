@@ -324,6 +324,36 @@ class TestHistoricalIntegration:
         system.close()
 
 
+class TestRelayBytes:
+    def test_each_answer_relays_its_mid_and_message_per_proxy(self):
+        """An answer costs every proxy a 16-byte MID plus the message: the
+        11-byte header, the query id, the 16-byte raw token, packed bits."""
+        config = SystemConfig(num_clients=20, seed=13, executor="inline/in-process")
+        system = PrivApproxSystem(config)
+        system.provision_clients([("value", "REAL")], lambda i: [{"value": i % 11 + 0.5}])
+        analyst = Analyst("a")
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(buckets=RangeBuckets.uniform(0.0, 11.0, 11), value_column="value"),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        system.submit_query(
+            analyst,
+            query,
+            QueryBudget(),
+            parameters=ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5),
+        )
+        report = system.run_epoch(query.query_id, 0)
+        system.close()
+        width = 11 + len(query.query_id.encode()) + 16 + 2
+        assert report.num_participants > 0
+        assert system.proxies.total_bytes_relayed() == (
+            report.num_participants * config.num_proxies * (16 + width)
+        )
+
+
 # -- the analyst's promises: privacy budget and honest bounds -------------------
 
 QUICKSTART_BUCKETS = RangeBuckets(

@@ -62,12 +62,13 @@ RESPAWNED_WORKERS = pytest.param(
 )
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
 #: log, encrypted shares, window estimates *and* error bounds, late-drop
-#: ledger), re-captured when every client draw became a keyed function of
-#: (client, query, epoch) (Python 3.11, scipy 1.17).  A hot-path change
+#: ledger), re-captured when the participation token went into the message
+#: as 16 raw bytes instead of 32 hex characters, which moves every payload
+#: and nothing else (Python 3.11, scipy 1.17).  A hot-path change
 #: that claims to be draw-compatible must leave it alone; one that moves
 #: draws or bounds on purpose re-captures it in the same change and says so.
 GOLDEN_BYZANTINE_CHURN_DIGEST = (
-    "6c3f7de7a2c6cd8dfcd1df82dd40fcef2d052c86743844b15d301a0029cbba66"
+    "54f310cc4871f0a45bbdb5a24cb631657ec813cc78485e2b72913f5eb36302ab"
 )
 
 

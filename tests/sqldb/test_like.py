@@ -12,7 +12,7 @@ import sqlite3
 import pytest
 
 from repro.sqldb import Database
-from repro.sqldb.compile import like_matcher
+from repro.sqldb.compile import like_matcher, like_text
 
 NAMES = [
     "abc",
@@ -98,3 +98,91 @@ def test_null_never_matches():
         db = _database(force_scan)
         result = db.query("SELECT id FROM t WHERE name LIKE '%'")
         assert NAMES.index(None) not in [row[0] for row in result.rows]
+
+
+# -- non-TEXT values: LIKE reads SQLite's text form of the value ---------------
+
+#: ``(flag BOOLEAN, n INTEGER, x REAL)`` rows: BOOLEAN reads ``1`` / ``0``,
+#: INTEGER its digits and REAL SQLite's 15-significant-digit form.
+TYPED_ROWS = [
+    (True, 0, 1e16),
+    (False, -7, 1 / 3),
+    (None, 12345678901234, 1.0),
+    (True, None, -0.0),
+    (False, 1, 1.5e-7),
+    (True, 100, 100.0),
+    (None, 10**15, 123456789.125),
+    (False, 2, None),
+]
+
+TYPED_PATTERNS = [
+    "1",
+    "0",
+    "True",
+    "1.0e+16",
+    "1e+16",
+    "%e+16",
+    "0.333333333333333",
+    "%3333333333333333%",
+    "1.0",
+    "0.0",
+    "-0.0",
+    "1.5e-07",
+    "100.0",
+    "100",
+    "-7",
+    "%2345%",
+    "1000000000000000",
+    "123456789.125",
+    "_",
+    "%.0",
+]
+
+
+def _sqlite_typed_matches(column: str, pattern: str) -> list:
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute("CREATE TABLE t (id INTEGER, flag BOOLEAN, n INTEGER, x REAL)")
+        connection.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?)",
+            [(i, *row) for i, row in enumerate(TYPED_ROWS)],
+        )
+        rows = connection.execute(
+            f"SELECT id FROM t WHERE {column} LIKE ? ORDER BY id", (pattern,)
+        ).fetchall()
+    finally:
+        connection.close()
+    return [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("force_scan", [True, False], ids=["row-scan", "compiled"])
+@pytest.mark.parametrize("column", ["flag", "n", "x"])
+@pytest.mark.parametrize("pattern", TYPED_PATTERNS)
+def test_like_over_non_text_matches_sqlite(pattern, column, force_scan):
+    db = Database()
+    db.force_scan = force_scan
+    db.create_table(
+        "t", [("id", "INTEGER"), ("flag", "BOOLEAN"), ("n", "INTEGER"), ("x", "REAL")]
+    )
+    db.insert_rows(
+        "t",
+        [
+            {"id": i, "flag": flag, "n": n, "x": x}
+            for i, (flag, n, x) in enumerate(TYPED_ROWS)
+        ],
+    )
+    result = db.query(f"SELECT id FROM t WHERE {column} LIKE '{pattern}'")
+    assert [row[0] for row in result.rows] == _sqlite_typed_matches(column, pattern)
+
+
+def test_like_text_is_sqlites_text_form():
+    connection = sqlite3.connect(":memory:")
+    try:
+        for value in [True, False, 0, -7, 10**15, *(x for *_, x in TYPED_ROWS if x is not None)]:
+            (expected,) = connection.execute("SELECT CAST(? AS TEXT)", (value,)).fetchone()
+            assert like_text(value) == expected, value
+    finally:
+        connection.close()
+    assert [like_text(v) for v in (1e16, 1 / 3, 1.0, -0.0)] == [
+        "1.0e+16", "0.333333333333333", "1.0", "0.0",
+    ]
