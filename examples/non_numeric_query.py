@@ -7,8 +7,7 @@ regular expression" (Section 2.2).  This example runs a web-analytics style
 query — "which browser family do users run?" — where each client's locally
 stored user-agent string is matched against per-bucket regular expressions,
 then flows through the same sampling / randomized response / XOR pipeline as
-every other query.  It also prints the operational metrics snapshot an
-operator would watch.
+every other query.
 
 Run with:  python examples/non_numeric_query.py
 """
@@ -26,7 +25,6 @@ from repro.core import (
     RuleBuckets,
     SystemConfig,
 )
-from repro.core.metrics import SystemMetrics
 
 NUM_CLIENTS = 800
 # Rule order matters: the first matching rule wins, and Edge's user agent also
@@ -74,8 +72,7 @@ def main() -> None:
     parameters = ExecutionParameters(sampling_fraction=0.9, p=0.9, q=0.3)
     system.submit_query(analyst, query, QueryBudget(), parameters=parameters)
 
-    metrics = SystemMetrics(system)
-    metrics.run_and_record(query.query_id, epoch=0)
+    system.run_epoch(query.query_id, epoch=0)
     result = system.flush(query.query_id)[0]
     exact = system.exact_bucket_counts(query.query_id)
 
@@ -83,9 +80,6 @@ def main() -> None:
     print(f"{'family':>8}  {'estimate':>9}  {'error bound':>12}  {'exact':>6}")
     for bucket, truth in zip(result.histogram.buckets, exact):
         print(f"{bucket.label:>8}  {bucket.estimate:>9.1f}  ±{bucket.error_bound:>11.1f}  {truth:>6d}")
-
-    print("\nOperational metrics:")
-    print(metrics.format_snapshot(query.query_id))
 
 
 if __name__ == "__main__":

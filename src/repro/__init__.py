@@ -17,7 +17,10 @@ Strufe — USENIX ATC 2017), including every substrate the paper builds on:
 * :mod:`repro.crypto` — the XOR one-time pad plus the RSA / Goldwasser-Micali
   / Paillier comparators.
 * :mod:`repro.netsim` — device, cluster and network cost models replacing the
-  paper's physical testbed.
+  paper's physical testbed (for the figures, the latency budget and the
+  scenario deadlines; the proxies relay without one).
+* :mod:`repro.runtime` — the epoch executors: the serial reference and the
+  staged engine with its in-process and worker drivers.
 * :mod:`repro.storage` — an HDFS-like block store for historical analytics.
 * :mod:`repro.baselines` — RAPPOR and SplitX comparison models.
 * :mod:`repro.datasets` — synthetic NYC-taxi and household-electricity
@@ -61,4 +64,5 @@ __all__ = [
     "baselines",
     "datasets",
     "analytics",
+    "runtime",
 ]

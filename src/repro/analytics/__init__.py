@@ -1,4 +1,4 @@
-"""Analytics helpers: histogram results, utility metrics, distribution tools.
+"""Analytics helpers: histogram results and utility metrics.
 
 PrivApprox expresses every query result as counts within histogram buckets
 (Section 2.2), and its evaluation repeatedly compares an estimated histogram
@@ -14,7 +14,6 @@ from repro.analytics.metrics import (
     histogram_accuracy_loss,
     relative_error,
 )
-from repro.analytics.distributions import empirical_fractions, normalize
 
 __all__ = [
     "HistogramResult",
@@ -23,6 +22,4 @@ __all__ = [
     "mean_accuracy_loss",
     "histogram_accuracy_loss",
     "relative_error",
-    "empirical_fractions",
-    "normalize",
 ]

@@ -9,19 +9,24 @@ paper:
 * the **execution budget** interface that converts an analyst budget into the
   sampling parameter ``s`` and randomization parameters ``p, q``
   (:mod:`repro.core.budget`);
-* **Step I** — client-side simple random sampling and stratified sampling
-  (:mod:`repro.core.sampling`);
+* **Step I** — client-side simple random sampling, plus
+  :class:`~repro.core.sampling.StratifiedSampler` for populations whose
+  strata differ (:mod:`repro.core.sampling`);
 * **Step II** — randomized response and its estimator
   (:mod:`repro.core.randomized_response`), with the differential-privacy and
   zero-knowledge-privacy accounting in :mod:`repro.core.privacy`;
 * **Step III** — XOR-based share splitting and transmission through proxies
-  (:mod:`repro.core.encryption`, :mod:`repro.core.client`,
-  :mod:`repro.core.proxy`);
+  that relay and count, with no cost model (:mod:`repro.core.encryption`,
+  :mod:`repro.core.client`, :mod:`repro.core.proxy`);
 * **Step IV** — joining, decrypting, window aggregation and error estimation
   at the aggregator (:mod:`repro.core.aggregator`,
   :mod:`repro.core.estimation`);
+* query distribution to the clients (:mod:`repro.core.distribution`) and
+  the aggregator's admission and validation of answers
+  (:mod:`repro.core.admission`, :mod:`repro.core.validation`);
 * the practical enhancements — query inversion (:mod:`repro.core.inversion`)
-  and historical/batch analytics (:mod:`repro.core.historical`);
+  and historical/batch analytics over each epoch's stored randomized bits
+  (:mod:`repro.core.historical`);
 * :mod:`repro.core.system`, which wires clients, proxies, the aggregator and
   the analyst into a runnable end-to-end deployment.
 """
@@ -67,13 +72,7 @@ from repro.core.historical import HistoricalStore, HistoricalAnalytics
 from repro.core.distribution import QueryDistributor, QueryAnnouncement
 from repro.core.admission import AnswerAdmissionController, participation_token
 from repro.core.validation import AnswerValidator, ValidationResult
-from repro.core.stratification import (
-    StratifiedDeployment,
-    StratumSpec,
-    combine_stratum_histograms,
-)
 from repro.core.system import PrivApproxSystem, SystemConfig, EpochReport
-from repro.core.metrics import SystemMetrics, QueryMetrics
 
 __all__ = [
     "Query",
@@ -120,12 +119,7 @@ __all__ = [
     "participation_token",
     "AnswerValidator",
     "ValidationResult",
-    "StratifiedDeployment",
-    "StratumSpec",
-    "combine_stratum_histograms",
     "PrivApproxSystem",
     "SystemConfig",
     "EpochReport",
-    "SystemMetrics",
-    "QueryMetrics",
 ]

@@ -46,7 +46,7 @@ from repro.core.seeding import (
     token_secret,
 )
 from repro.crypto import prng
-from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns, xor_many
+from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns
 from repro.sqldb import Database
 
 _CODEC = AnswerCodec()
@@ -270,14 +270,6 @@ class ResponseBlock:
             MessageShare(message_id, payload[start:end], index)
             for index, payload in enumerate(self.payloads)
         ]
-
-    def messages(self) -> list[bytes]:
-        """Every row's decrypted message ``M`` (the XOR of its shares)."""
-        if not self.client_ids:
-            return []
-        plain = xor_many(list(self.payloads))
-        width = self.width
-        return [plain[start : start + width] for start in range(0, len(plain), width)]
 
     def response(self, row: int) -> ClientResponse:
         """Row ``row`` as a value-equal :class:`ClientResponse`."""

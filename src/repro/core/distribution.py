@@ -42,11 +42,6 @@ class QueryAnnouncement:
 
     query: Query
     parameters: ExecutionParameters
-    epoch_offset: int = 0
-
-    def size_bytes(self) -> int:
-        """Approximate wire size of the announcement."""
-        return len(self.query.sql.encode("utf-8")) + 64
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from repro.analytics.histogram import HistogramResult
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
@@ -40,20 +41,24 @@ class HistoricalStore:
     def _file_for(self, query_id: str) -> str:
         return f"answers/{query_id}.jsonl"
 
-    def append_answer(self, answer: QueryAnswer, epoch_timestamp: float) -> None:
-        """Persist one randomized answer with its epoch timestamp."""
-        payload = {
-            "query_id": answer.query_id,
-            "bits": list(answer.bits),
-            "epoch": answer.epoch,
-            "timestamp": epoch_timestamp,
-        }
-        line = json.dumps(payload, separators=(",", ":")) + "\n"
-        self.block_store.append(self._file_for(answer.query_id), line.encode("utf-8"))
-
-    def append_batch(self, answers: list[QueryAnswer], epoch_timestamp: float) -> None:
-        for answer in answers:
-            self.append_answer(answer, epoch_timestamp)
+    def append_rows(
+        self, query_id: str, epoch: int, rows: Iterable[Sequence[int]], epoch_timestamp: float
+    ) -> None:
+        """Persist one epoch's randomized answers, one bit row each, in one append."""
+        lines = [
+            json.dumps(
+                {
+                    "query_id": query_id,
+                    "bits": list(bits),
+                    "epoch": epoch,
+                    "timestamp": epoch_timestamp,
+                },
+                separators=(",", ":"),
+            )
+            + "\n"
+            for bits in rows
+        ]
+        self.block_store.append(self._file_for(query_id), "".join(lines).encode("utf-8"))
 
     def read_answers(
         self,
@@ -81,9 +86,6 @@ class HistoricalStore:
             )
             out.append((answer, timestamp))
         return out
-
-    def stored_answer_count(self, query_id: str) -> int:
-        return len(self.read_answers(query_id))
 
 
 @dataclass

@@ -70,22 +70,6 @@ def zero_knowledge_epsilon(p: float, q: float, sampling_fraction: float) -> floa
     return amplify_epsilon_by_sampling(randomized_response_epsilon(p, q), sampling_fraction)
 
 
-def rappor_epsilon(f: float, num_hash_functions: int = 1) -> float:
-    """Differential-privacy level of basic one-time RAPPOR.
-
-    RAPPOR's permanent randomized response with parameter ``f`` and ``h`` hash
-    functions satisfies ``epsilon = 2 h ln((1 - f/2) / (f/2))`` (Erlingsson et
-    al., CCS 2014).  The paper's comparison (Figure 5c) maps ``p = 1 - f`` and
-    ``q = 0.5`` with ``h = 1`` so both systems share the same randomized
-    response process; PrivApprox then additionally benefits from sampling.
-    """
-    if not 0.0 < f < 2.0:
-        raise ValueError("RAPPOR's f must lie in (0, 2)")
-    if num_hash_functions < 1:
-        raise ValueError("need at least one hash function")
-    return 2.0 * num_hash_functions * math.log((1.0 - 0.5 * f) / (0.5 * f))
-
-
 def privapprox_epsilon_for_rappor_mapping(f: float, sampling_fraction: float) -> float:
     """PrivApprox's DP level under the Figure 5(c) parameter mapping.
 

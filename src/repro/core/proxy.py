@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.crypto.xor import MessageShare, ShareColumn
-from repro.netsim.cluster import ClusterTier
-from repro.pubsub import BrokerCluster, Consumer, Producer, UnknownTopicError
+from repro.pubsub import BrokerCluster, Consumer, Producer
 
 if TYPE_CHECKING:
     from repro.core.client import ResponseBlock
@@ -97,21 +96,6 @@ class Proxy:
         consumer.subscribe([self._channel_topic(channel)])
         return consumer
 
-    def pending_shares(self, channel: str | None = None) -> int:
-        """Shares retained on one channel's relay topic (0 before its first use).
-
-        Counts shares, not records: a shard's column record holds many.
-        """
-        try:
-            topic = self.cluster.topic(self.channel_topic_name(channel))
-        except UnknownTopicError:
-            return 0
-        return sum(len(record.value) for record in topic.all_records())
-
-    def reset_metrics(self) -> None:
-        self.shares_relayed = 0
-        self.bytes_relayed = 0
-
 
 def poll_shares(consumers: Sequence[Consumer]) -> list[MessageShare | ShareColumn]:
     """Everything pending on a set of relay consumers, in arrival order.
@@ -139,13 +123,12 @@ class ProxyNetwork:
     """The set of non-colluding proxies a deployment uses (at least two).
 
     The network fans a client's shares out so that share ``i`` goes to proxy
-    ``i``; it also owns the throughput model used by the scalability and
-    latency experiments (Figures 5b, 6 and 8).
+    ``i``.  It relays and counts; the proxy tier's throughput and latency
+    models (Figures 5b, 6 and 8) are :class:`repro.netsim.cluster.ClusterTier`'s.
     """
 
     num_proxies: int = 2
     cluster: BrokerCluster = field(default_factory=lambda: BrokerCluster(num_brokers=2))
-    tier_model: ClusterTier = field(default_factory=lambda: ClusterTier.proxy_tier(num_nodes=4))
 
     def __post_init__(self) -> None:
         if self.num_proxies < 2:
@@ -205,18 +188,3 @@ class ProxyNetwork:
     def make_consumers(self, channel: str | None = None) -> list:
         """One consumer per proxy stream, for the aggregator."""
         return [proxy.make_consumer(channel=channel) for proxy in self.proxies]
-
-    # -- performance model ------------------------------------------------------
-
-    def modelled_throughput(self, message_size_bytes: int) -> float:
-        """Relay throughput (shares/sec) predicted by the tier model."""
-        return self.tier_model.throughput(message_size_bytes).throughput_msgs_per_sec
-
-    def modelled_latency(self, num_shares: int, message_size_bytes: int) -> float:
-        """Seconds to relay ``num_shares`` shares of a given size.
-
-        PrivApprox proxies only transmit; there is no noise addition,
-        intersection or shuffling phase (contrast with the SplitX model in
-        :mod:`repro.baselines.splitx`).
-        """
-        return self.tier_model.processing_latency(num_shares, message_size_bytes)

@@ -198,13 +198,6 @@ def estimate_true_yes(observed_yes: float, total: int, p: float, q: float) -> fl
     return (observed_yes - (1.0 - p) * q * total) / p
 
 
-def estimate_true_counts(
-    observed_counts: Sequence[float], total: int, p: float, q: float
-) -> list[float]:
-    """Apply the Eq. 5 estimator to every bucket of a histogram."""
-    return [estimate_true_yes(count, total, p, q) for count in observed_counts]
-
-
 def rr_accuracy_loss(actual_yes: float, estimated_yes: float) -> float:
     """Accuracy loss eta of the randomized-response estimate (Eq. 6)."""
     return accuracy_loss(actual_yes, estimated_yes)

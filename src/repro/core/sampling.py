@@ -243,11 +243,3 @@ class StratifiedSampler:
             sample_size=total_sample,
             confidence_level=confidence_level,
         )
-
-
-def minimum_sample_size_for_normality() -> int:
-    """Sample size above which the CLT normal approximation is considered valid.
-
-    Section 3.2.4 uses the conventional threshold of 30 observations.
-    """
-    return 30

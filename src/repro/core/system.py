@@ -13,7 +13,7 @@ proxies, aggregator and analyst — into a runnable system:
    error bounds, and delivers results to the analyst; a feedback loop re-tunes
    the parameters when the observed error exceeds the budget.
 
-The system also (optionally) persists every decrypted randomized answer to the
+The system also (optionally) persists every randomized answer to the
 historical store so batch analytics can run over longer periods.
 
 Concurrent queries (many analysts over one client population) are served by
@@ -384,7 +384,7 @@ class PrivApproxSystem:
         aggregator = self._aggregators[query_id]
         self._responses_log[query_id].extend(pack_blocks(outcome.blocks))
         window_results = list(outcome.window_results)
-        self._record_historical(query, aggregator, epoch, outcome.blocks)
+        self._record_historical(query, epoch, outcome.blocks)
         target_unmet = self._deliver_and_retune(query_id, window_results)
         aggregator.finish_epoch(epoch)
         return EpochReport(
@@ -400,12 +400,6 @@ class PrivApproxSystem:
     def run_epochs(self, query_id: str, num_epochs: int) -> list[EpochReport]:
         """Run several consecutive epochs."""
         return [self.run_epoch(query_id, epoch) for epoch in range(num_epochs)]
-
-    def run_epochs_all(
-        self, num_epochs: int, query_ids: Sequence[str] | None = None
-    ) -> list[dict[str, EpochReport]]:
-        """Run several consecutive multi-query epochs (see :meth:`run_epoch_all`)."""
-        return [self.run_epoch_all(epoch, query_ids) for epoch in range(num_epochs)]
 
     def close(self) -> None:
         """Release executor resources (worker pools); safe to call twice."""
@@ -449,16 +443,22 @@ class PrivApproxSystem:
 
     # -- internals ------------------------------------------------------------
 
-    def _record_historical(
-        self, query: Query, aggregator: Aggregator, epoch: int, blocks: Sequence
-    ) -> None:
-        """Persist one epoch's own responses (not a rescan of the whole log)."""
+    def _record_historical(self, query: Query, epoch: int, blocks: Sequence) -> None:
+        """Persist one epoch's own responses (not a rescan of the whole log).
+
+        Each row's randomized bits are read off its block's column, under the
+        block's query id and epoch: the messages were already checked at
+        ingest and are not decrypted again.
+        """
         if self.historical_store is None:
             return
         timestamp = epoch * query.frequency_seconds
         for block in blocks:
-            for message in block.messages():
-                self.historical_store.append_answer(aggregator._codec.decode(message), timestamp)
+            if not len(block):
+                continue
+            bits, width = block.randomized_bits, block.num_bits
+            rows = [bits[start : start + width] for start in range(0, len(bits), width)]
+            self.historical_store.append_rows(block.query_id, block.epoch, rows, timestamp)
 
     def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> bool:
         """Deliver each window and re-tune on it; True if a target went unmet."""

@@ -43,39 +43,3 @@ def generate_binary_answers(
     if shuffle:
         random.Random(seed).shuffle(answers)
     return SyntheticAnswers(answers=tuple(answers), yes_fraction=yes_fraction)
-
-
-def generate_bucketed_answers(
-    total: int,
-    bucket_fractions: list[float],
-    seed: int | None = None,
-) -> list[int]:
-    """Generate bucket indices following a target fraction per bucket.
-
-    Used to synthesize multi-bucket populations (e.g. a histogram query with a
-    known ground-truth distribution).  The counts are assigned largest-remainder
-    style so they sum exactly to ``total``.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if not bucket_fractions:
-        raise ValueError("need at least one bucket")
-    if any(f < 0 for f in bucket_fractions):
-        raise ValueError("bucket fractions must be non-negative")
-    weight = sum(bucket_fractions)
-    if weight == 0:
-        raise ValueError("bucket fractions must not all be zero")
-    normalized = [f / weight for f in bucket_fractions]
-    exact = [total * f for f in normalized]
-    counts = [int(x) for x in exact]
-    remainder = total - sum(counts)
-    fractional = sorted(
-        range(len(exact)), key=lambda i: exact[i] - counts[i], reverse=True
-    )
-    for i in range(remainder):
-        counts[fractional[i % len(fractional)]] += 1
-    indices: list[int] = []
-    for bucket, count in enumerate(counts):
-        indices.extend([bucket] * count)
-    random.Random(seed).shuffle(indices)
-    return indices

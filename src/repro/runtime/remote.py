@@ -242,8 +242,7 @@ def _verify_envelope(
     header: bytes,
     frame: bytes,
     mac: bytes,
-    *,
-    offset: int = 0,
+    offset: int,
 ) -> None:
     """Validate one received envelope; raises with stream context on failure.
 
@@ -282,41 +281,6 @@ def _verify_envelope(
         )
 
 
-def open_frame(
-    session_key: bytes, direction: int, sequence: int, data: bytes
-) -> bytes:
-    """Open one sealed envelope held fully in memory (the non-stream form).
-
-    The streaming receive path (:class:`FrameChannel`) shares the same
-    verification core; this function exists for tests and for transports
-    that already have whole messages (a broker, a datagram).
-    """
-    if len(data) < _ENVELOPE_SIZE + _MAC_SIZE:
-        raise RemoteProtocolError(
-            f"sealed envelope too short: {len(data)} bytes", offset=len(data)
-        )
-    header = data[:_ENVELOPE_SIZE]
-    length = struct.unpack(_ENVELOPE_FORMAT, header)[3]
-    if length > MAX_FRAME_BYTES:
-        raise RemoteProtocolError(
-            f"envelope declares {length} frame bytes, exceeding the "
-            f"{MAX_FRAME_BYTES}-byte ceiling",
-            declared_length=length,
-            offset=9,
-        )
-    if len(data) != _ENVELOPE_SIZE + length + _MAC_SIZE:
-        raise RemoteProtocolError(
-            f"envelope declares {length} frame bytes, got "
-            f"{len(data) - _ENVELOPE_SIZE - _MAC_SIZE}",
-            declared_length=length,
-            offset=len(data),
-        )
-    frame = data[_ENVELOPE_SIZE : _ENVELOPE_SIZE + length]
-    mac = data[_ENVELOPE_SIZE + length :]
-    _verify_envelope(session_key, direction, sequence, header, frame, mac)
-    return frame
-
-
 # -- socket plumbing ------------------------------------------------------------
 
 
@@ -328,10 +292,14 @@ def _recv_exact(
     sock: socket.socket,
     count: int,
     *,
+    offset: int = 0,
     idle_ok: bool = False,
     mid_message: bool = False,
 ) -> bytes:
     """Read exactly ``count`` bytes from a socket.
+
+    ``offset`` is the stream position of the first byte to read, so an
+    error names the stream byte where the read broke off.
 
     EOF mid-message is death and raises :class:`RemoteProtocolError`.  A
     timeout before the first byte raises :class:`_IdleTimeout` when
@@ -353,18 +321,18 @@ def _recv_exact(
                     raise _IdleTimeout() from None
                 raise RemoteProtocolError(
                     f"read timed out before any of {count} bytes arrived",
-                    offset=0,
+                    offset=offset,
                 ) from None
             if time.monotonic() - last_progress < _READ_STALL_SECONDS:
                 continue
             raise RemoteProtocolError(
                 f"read stalled after {received} of {count} bytes",
-                offset=received,
+                offset=offset + received,
             ) from None
         if not chunk:
             raise RemoteProtocolError(
                 f"connection closed after {received} of {count} bytes",
-                offset=received,
+                offset=offset + received,
             )
         chunks.append(chunk)
         received += len(chunk)
@@ -377,10 +345,13 @@ class FrameChannel:
 
     Built by the handshake helpers (:func:`initiate_session` /
     :func:`accept_session`).  ``send_frame`` seals with the side's send
-    direction and next send sequence; ``recv_frame`` reads one envelope and
-    verifies MAC, direction and sequence before returning the frame bytes.
-    ``bytes_received`` counts the stream offset so decode errors name the
-    position of the corruption.
+    direction and next send sequence.  ``recv_frame`` is the only place an
+    envelope is opened: it reads the header, refuses a declared length
+    above :data:`MAX_FRAME_BYTES` before reading the body, treats EOF
+    inside an envelope as a protocol error, and verifies MAC, direction
+    and sequence before returning the frame bytes.  ``bytes_received``
+    counts the stream offset so decode errors name the position of the
+    corruption.
     """
 
     def __init__(
@@ -414,7 +385,7 @@ class FrameChannel:
     def recv_frame(self, *, idle_ok: bool = False) -> bytes:
         """Read, verify and return the next frame (blocking)."""
         offset = self.bytes_received
-        header = _recv_exact(self.sock, _ENVELOPE_SIZE, idle_ok=idle_ok)
+        header = _recv_exact(self.sock, _ENVELOPE_SIZE, offset=offset, idle_ok=idle_ok)
         length = struct.unpack(_ENVELOPE_FORMAT, header)[3]
         if length > MAX_FRAME_BYTES:
             raise RemoteProtocolError(
@@ -423,8 +394,9 @@ class FrameChannel:
                 declared_length=length,
                 offset=offset + 9,
             )
-        frame = _recv_exact(self.sock, length, mid_message=True)
-        mac = _recv_exact(self.sock, _MAC_SIZE, mid_message=True)
+        body = offset + _ENVELOPE_SIZE
+        frame = _recv_exact(self.sock, length, offset=body, mid_message=True)
+        mac = _recv_exact(self.sock, _MAC_SIZE, offset=body + length, mid_message=True)
         self._recv_sequence += 1
         _verify_envelope(
             self._session_key,
@@ -433,9 +405,9 @@ class FrameChannel:
             header,
             frame,
             mac,
-            offset=offset,
+            offset,
         )
-        self.bytes_received = offset + _ENVELOPE_SIZE + length + _MAC_SIZE
+        self.bytes_received = body + length + _MAC_SIZE
         return frame
 
     def close(self) -> None:
@@ -619,7 +591,9 @@ class RemoteWorkerServer:
                     continue
                 except RemoteProtocolError as exc:
                     # EOF at a frame boundary is the session ending cleanly.
-                    clean = exc.offset == 0 and "closed" in str(exc)
+                    clean = (
+                        exc.offset == channel.bytes_received and "closed" in str(exc)
+                    )
                     return
                 # Through the module, at call time: a forked local worker
                 # runs whatever the parent had installed there.

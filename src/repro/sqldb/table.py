@@ -125,7 +125,8 @@ class Table:
         """Insert one row per column-name → value mapping, in order.
 
         Each record is coerced column by column in schema order (a
-        missing column is NULL), then checked for unknown columns; the
+        missing column is NULL, and so is a ``NaN`` in a column of any
+        type, as SQLite binds it), then checked for unknown columns; the
         first record that fails raises :class:`SchemaError` and the
         records before it stay inserted.  The converters are resolved
         once per call and the converted rows join the table in one
@@ -142,7 +143,9 @@ class Table:
                 row = []
                 for name, converter, column in columns:
                     value = record.get(name)
-                    if value is not None:
+                    if value != value:  # NaN: SQLite binds it as NULL
+                        value = None
+                    elif value is not None:
                         try:
                             value = converter(value)
                         except (TypeError, ValueError) as exc:

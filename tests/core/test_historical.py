@@ -31,11 +31,8 @@ NOISELESS = ExecutionParameters(sampling_fraction=1.0, p=1.0, q=0.5)
 
 def populate(store: HistoricalStore, per_epoch: int = 10, epochs: int = 3) -> None:
     for epoch in range(epochs):
-        answers = []
-        for i in range(per_epoch):
-            bits = (1, 0, 0) if i % 2 == 0 else (0, 1, 0)
-            answers.append(QueryAnswer(query_id="analyst-00000001", bits=bits, epoch=epoch))
-        store.append_batch(answers, epoch_timestamp=epoch * 60.0)
+        rows = [(1, 0, 0) if i % 2 == 0 else (0, 1, 0) for i in range(per_epoch)]
+        store.append_rows("analyst-00000001", epoch, rows, epoch_timestamp=epoch * 60.0)
 
 
 class TestHistoricalStore:
@@ -45,6 +42,10 @@ class TestHistoricalStore:
         answers = store.read_answers("analyst-00000001")
         assert len(answers) == 30
         assert all(isinstance(a, QueryAnswer) for a, _ in answers)
+        assert [(a.query_id, a.bits, a.epoch, t) for a, t in answers[9:11]] == [
+            ("analyst-00000001", (0, 1, 0), 0, 0.0),
+            ("analyst-00000001", (1, 0, 0), 1, 60.0),
+        ]
 
     def test_read_missing_query_returns_empty(self):
         assert HistoricalStore().read_answers("missing") == []
@@ -55,11 +56,6 @@ class TestHistoricalStore:
         answers = store.read_answers("analyst-00000001", start_time=60.0, end_time=120.0)
         assert len(answers) == 10
         assert all(timestamp == 60.0 for _, timestamp in answers)
-
-    def test_stored_answer_count(self):
-        store = HistoricalStore()
-        populate(store, per_epoch=5, epochs=2)
-        assert store.stored_answer_count("analyst-00000001") == 10
 
 
 class TestHistoricalAnalytics:

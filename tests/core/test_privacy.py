@@ -14,7 +14,6 @@ from repro.core import (
 from repro.core.privacy import (
     epsilon_from_probabilities,
     privapprox_epsilon_for_rappor_mapping,
-    rappor_epsilon,
 )
 
 
@@ -103,15 +102,6 @@ class TestZeroKnowledgeEpsilon:
 
 
 class TestRapporComparison:
-    def test_rappor_epsilon_formula(self):
-        assert rappor_epsilon(0.5, 1) == pytest.approx(2 * math.log(0.75 / 0.25))
-
-    def test_rappor_invalid_f_rejected(self):
-        with pytest.raises(ValueError):
-            rappor_epsilon(0.0)
-        with pytest.raises(ValueError):
-            rappor_epsilon(2.0)
-
     def test_privapprox_never_weaker_than_rappor_mapping(self):
         """Figure 5(c): PrivApprox's epsilon <= the shared RR epsilon for all s."""
         f = 0.5

@@ -97,40 +97,6 @@ class TestProxyNetwork:
         network.transmit(list(answer.shares))
         assert network.total_bytes_relayed() == answer.total_bytes()
 
-    def test_pending_shares(self):
-        """Shares, not records: a shard's batch record counts every share,
-        and each channel counts only its own topic."""
-        network = ProxyNetwork(num_proxies=2)
-        assert all(proxy.pending_shares() == 0 for proxy in network.proxies)
-        answer = encrypted_answer(num_proxies=2)
-        network.transmit(list(answer.shares))
-        assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
-        block = answer_block(30)
-        network.transmit_shard(block, channel="q")
-        assert all(proxy.pending_shares("q") == 30 for proxy in network.proxies)
-        assert all(proxy.pending_shares() == 1 for proxy in network.proxies)
-        network.transmit_shard(block)
-        assert all(proxy.pending_shares() == 31 for proxy in network.proxies)
-
-    def test_reset_metrics(self):
-        network = ProxyNetwork(num_proxies=2)
-        network.transmit(list(encrypted_answer().shares))
-        for proxy in network.proxies:
-            proxy.reset_metrics()
-        assert network.total_shares_relayed() == 0
-
-
-class TestProxyPerformanceModel:
-    def test_throughput_falls_with_message_size(self):
-        network = ProxyNetwork(num_proxies=2)
-        assert network.modelled_throughput(64) >= network.modelled_throughput(4096)
-
-    def test_latency_linear_in_share_count(self):
-        network = ProxyNetwork(num_proxies=2)
-        assert network.modelled_latency(2_000_000, 64) == pytest.approx(
-            2 * network.modelled_latency(1_000_000, 64)
-        )
-
 
 class TestShardBatchRecords:
     """The staged engine's relay: one column record per proxy per shard, on

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import RandomizedResponder, estimate_true_yes, rr_accuracy_loss
 from repro.core.randomized_response import (
     _byte_tables,
-    estimate_true_counts,
     simulate_randomized_survey,
 )
 
@@ -75,11 +74,6 @@ class TestEstimator:
         ]
         mean_estimate = sum(estimates) / len(estimates)
         assert mean_estimate == pytest.approx(true_yes, rel=0.02)
-
-    def test_estimate_true_counts_per_bucket(self):
-        counts = estimate_true_counts([720, 120], total=1000, p=0.6, q=0.3)
-        assert counts[0] == pytest.approx((720 - 0.12 * 1000) / 0.6)
-        assert counts[1] == pytest.approx((120 - 0.12 * 1000) / 0.6)
 
     def test_estimator_rejects_invalid_p(self):
         with pytest.raises(ValueError):

@@ -186,7 +186,8 @@ class TestSystemLog:
     def test_a_query_with_zero_participants_logs_nothing(self):
         system, (kept, silent) = build_system(num_queries=2)
         system.set_active_clients([], query_ids=[silent])
-        system.run_epochs_all(3)
+        for epoch in range(3):
+            system.run_epoch_all(epoch)
         system.close()
         assert system.responses_log(silent) == []
         assert len(system.responses_log(silent)) == 0

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repro.core import SimpleRandomSampler, StratifiedSampler, estimate_sum
-from repro.core.sampling import (
-    minimum_sample_size_for_normality,
-    sample_variance,
-    t_critical,
-)
+from repro.core.sampling import sample_variance, t_critical
 
 
 class TestSampleVariance:
@@ -192,7 +188,3 @@ class TestStratifiedSampler:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
             StratifiedSampler(0.0)
-
-
-def test_normality_threshold_is_thirty():
-    assert minimum_sample_size_for_normality() == 30

@@ -1,7 +1,6 @@
 """Tests for the end-to-end system wiring."""
 
 import random
-from unittest import mock
 
 import pytest
 
@@ -223,18 +222,6 @@ class TestMultiQueryEpochs:
             system.run_epoch_all(0)
         system.close()
 
-    def test_run_epochs_all_runs_consecutive_epochs(self):
-        system, _, query_ids = self._build(num_queries=2)
-        rounds = system.run_epochs_all(3)
-        assert len(rounds) == 3
-        for epoch, reports in enumerate(rounds):
-            assert all(report.epoch == epoch for report in reports.values())
-        assert all(
-            len(system.responses_log(query_id)) > 0 for query_id in query_ids
-        )
-        system.close()
-
-
 class TestFeedbackLoop:
     def test_feedback_raises_sampling_when_error_exceeds_budget(self):
         config = SystemConfig(num_clients=30, num_proxies=2, seed=3)
@@ -283,18 +270,16 @@ class TestHistoricalIntegration:
             parameters=ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5),
         )
         reports = system.run_epochs(query.query_id, 2)
-        stored = system.historical_store.stored_answer_count(query.query_id)
-        assert stored == sum(r.num_participants for r in reports)
+        stored = system.historical_store.read_answers(query.query_id)
+        assert len(stored) == sum(r.num_participants for r in reports)
 
-    def test_historical_store_records_each_epoch_from_its_own_responses(self):
-        """One ``decode`` per participant of *this* epoch — not a rescan of
-        the response log — so a repeated epoch number stores its own answers
-        once instead of every earlier answer that carried the same number."""
-        # An engine spelling: its block ingest decodes no well-formed answer,
-        # so every counted call is the recorder's.
-        config = SystemConfig(
-            num_clients=20, seed=13, keep_historical=True, executor="inline/in-process"
-        )
+    @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
+    def test_historical_store_records_each_epoch_from_its_own_responses(self, executor):
+        """Each epoch stores its own blocks' randomized rows, in order, under
+        the block's query id and epoch — not a rescan of the response log —
+        so a repeated epoch number stores its own answers once instead of
+        every earlier answer that carried the same number."""
+        config = SystemConfig(num_clients=20, seed=13, keep_historical=True, executor=executor)
         system = PrivApproxSystem(config)
         system.provision_clients([("value", "REAL")], lambda i: [{"value": i % 2 + 0.5}])
         analyst = Analyst("a")
@@ -311,17 +296,24 @@ class TestHistoricalIntegration:
             QueryBudget(),
             parameters=ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5),
         )
-        codec = system.aggregator_for(query.query_id)._codec
         participants = []
-        with mock.patch.object(codec, "decode", wraps=codec.decode) as decode:
-            for epoch in (0, 1, 2, 2):
-                before = decode.call_count
-                report = system.run_epoch(query.query_id, epoch)
-                participants.append(report.num_participants)
-                assert decode.call_count - before == report.num_participants > 0
-        stored = system.historical_store.stored_answer_count(query.query_id)
-        assert stored == sum(participants)
+        for epoch in (0, 1, 2, 2):
+            report = system.run_epoch(query.query_id, epoch)
+            assert report.num_participants > 0
+            participants.append(report.num_participants)
         system.close()
+        stored = system.historical_store.read_answers(query.query_id)
+        log = system.responses_log(query.query_id)
+        assert len(stored) == len(log) == sum(participants)
+        assert [answer.bits for answer, _ in stored] == [
+            tuple(response.randomized_bits) for response in log
+        ]
+        assert [(answer.query_id, answer.epoch, timestamp) for answer, timestamp in stored] == [
+            (query.query_id, response.epoch, response.epoch * 60.0) for response in log
+        ]
+        assert [response.epoch for response in log] == [
+            epoch for epoch, count in zip((0, 1, 2, 2), participants) for _ in range(count)
+        ]
 
 
 class TestRelayBytes:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate_binary_answers
-from repro.datasets.synthetic import generate_bucketed_answers
 
 
 class TestBinaryAnswers:
@@ -41,30 +40,3 @@ class TestBinaryAnswers:
         answers = generate_binary_answers(total, fraction, seed=3)
         assert answers.true_yes == round(total * fraction)
         assert answers.total == total
-
-
-class TestBucketedAnswers:
-    def test_counts_sum_to_total(self):
-        indices = generate_bucketed_answers(1_000, [0.5, 0.3, 0.2], seed=1)
-        assert len(indices) == 1_000
-        assert set(indices) <= {0, 1, 2}
-
-    def test_fractions_respected_exactly(self):
-        indices = generate_bucketed_answers(1_000, [0.5, 0.3, 0.2], seed=2)
-        counts = [indices.count(i) for i in range(3)]
-        assert counts == [500, 300, 200]
-
-    def test_unnormalized_weights_accepted(self):
-        indices = generate_bucketed_answers(100, [5, 3, 2], seed=3)
-        counts = [indices.count(i) for i in range(3)]
-        assert counts == [50, 30, 20]
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            generate_bucketed_answers(10, [])
-        with pytest.raises(ValueError):
-            generate_bucketed_answers(10, [0.0, 0.0])
-        with pytest.raises(ValueError):
-            generate_bucketed_answers(10, [-1.0, 2.0])
-        with pytest.raises(ValueError):
-            generate_bucketed_answers(-5, [1.0])

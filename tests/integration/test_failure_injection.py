@@ -100,10 +100,7 @@ class TestMaliciousClients:
 class TestStorageFailures:
     def test_historical_answers_survive_storage_node_failure(self):
         store = HistoricalStore(block_store=BlockStore(num_nodes=3, replication=2, block_size=256))
-        answers = [
-            QueryAnswer(query_id="analyst-00000001", bits=(1, 0, 0), epoch=0) for _ in range(20)
-        ]
-        store.append_batch(answers, epoch_timestamp=0.0)
+        store.append_rows("analyst-00000001", 0, [(1, 0, 0)] * 20, epoch_timestamp=0.0)
         store.block_store.fail_node(1)
         recovered = store.read_answers("analyst-00000001")
         assert len(recovered) == 20
@@ -112,10 +109,7 @@ class TestStorageFailures:
         from repro.storage import StorageError
 
         store = HistoricalStore(block_store=BlockStore(num_nodes=2, replication=1, block_size=64))
-        answers = [
-            QueryAnswer(query_id="analyst-00000001", bits=(1, 0, 0), epoch=0) for _ in range(20)
-        ]
-        store.append_batch(answers, epoch_timestamp=0.0)
+        store.append_rows("analyst-00000001", 0, [(1, 0, 0)] * 20, epoch_timestamp=0.0)
         store.block_store.fail_node(0)
         store.block_store.fail_node(1)
         with pytest.raises(StorageError):

@@ -62,7 +62,6 @@ from repro.runtime.remote import (
     derive_session_key,
     initiate_session,
     keys_for_workers,
-    open_frame,
     seal_frame,
 )
 from repro.runtime.scenario import ScenarioSpec
@@ -145,65 +144,118 @@ class TestAddressesAndKeys:
 
 
 class TestSealedEnvelope:
+    """Every envelope check, on the one receive path: a :class:`FrameChannel`
+    reading what the other end of a ``socket.socketpair()`` wrote."""
+
     SESSION = derive_session_key(KEY, b"c" * 16, b"w" * 16)
+
+    @pytest.fixture(autouse=True)
+    def close_channels(self):
+        self.channels = []
+        yield
+        for channel in self.channels:
+            channel.close()
 
     def seal(self, frame: bytes = b"frame-bytes", sequence: int = 1) -> bytes:
         return seal_frame(self.SESSION, DIRECTION_COORDINATOR, sequence, frame)
 
+    def receive(self, *envelopes, session=SESSION, direction=DIRECTION_COORDINATOR):
+        """Write the envelopes, hang up, and return a worker-side channel
+        reading them (the hang-up turns a short envelope into EOF, not a wait)."""
+        writer, reader = socket.socketpair()
+        writer.sendall(b"".join(bytes(envelope) for envelope in envelopes))
+        writer.close()
+        reader.settimeout(5.0)
+        channel = FrameChannel(reader, session, DIRECTION_WORKER, direction)
+        self.channels.append(channel)
+        return channel
+
     def test_round_trip(self):
-        sealed = self.seal()
-        assert open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, sealed) == b"frame-bytes"
+        writer, reader = socket.socketpair()
+        sender = FrameChannel(writer, self.SESSION, DIRECTION_COORDINATOR, DIRECTION_WORKER)
+        receiver = FrameChannel(reader, self.SESSION, DIRECTION_WORKER, DIRECTION_COORDINATOR)
+        self.channels += [sender, receiver]
+        sizes = [sender.send_frame(frame) for frame in (b"frame-bytes", b"", b"more")]
+        assert [receiver.recv_frame() for _ in sizes] == [b"frame-bytes", b"", b"more"]
+        assert receiver.bytes_received == sender.bytes_sent == sum(sizes)
 
     def test_tampered_payload_fails_the_mac(self):
         sealed = bytearray(self.seal())
         sealed[20] ^= 0x01  # one bit inside the frame bytes
         with pytest.raises(RemoteProtocolError, match="MAC"):
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, bytes(sealed))
+            self.receive(sealed).recv_frame()
 
     def test_tampered_mac_fails(self):
         sealed = bytearray(self.seal())
         sealed[-1] ^= 0x80
         with pytest.raises(RemoteProtocolError, match="MAC"):
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, bytes(sealed))
+            self.receive(sealed).recv_frame()
 
     def test_reflected_direction_rejected(self):
         """A frame echoed back verbatim must not verify in the other direction."""
-        sealed = self.seal()
         with pytest.raises(RemoteProtocolError, match="direction"):
-            open_frame(self.SESSION, DIRECTION_WORKER, 1, sealed)
+            self.receive(self.seal(), direction=DIRECTION_WORKER).recv_frame()
 
     def test_replayed_sequence_rejected(self):
         sealed = self.seal(sequence=1)
-        assert open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, sealed)
+        channel = self.receive(sealed, sealed)
+        assert channel.recv_frame() == b"frame-bytes"
         with pytest.raises(RemoteProtocolError, match="sequence"):
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 2, sealed)
+            channel.recv_frame()
 
     def test_cross_session_replay_rejected(self):
         """Same pre-shared key, different handshake nonces → different MAC key."""
         other_session = derive_session_key(KEY, b"c" * 16, b"x" * 16)
-        sealed = self.seal()
         with pytest.raises(RemoteProtocolError, match="MAC"):
-            open_frame(other_session, DIRECTION_COORDINATOR, 1, sealed)
+            self.receive(self.seal(), session=other_session).recv_frame()
 
     def test_truncated_envelope_rejected(self):
         sealed = self.seal()
-        with pytest.raises(RemoteProtocolError, match="too short"):
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, sealed[:10])
-        with pytest.raises(RemoteProtocolError, match="declares"):
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, sealed[:-4])
+        with pytest.raises(RemoteProtocolError, match="closed after 10 of 17"):
+            self.receive(sealed[:10]).recv_frame()
+        with pytest.raises(RemoteProtocolError, match="closed after 28 of 32"):
+            self.receive(sealed[:-4]).recv_frame()
 
     def test_forged_length_hits_the_ceiling(self):
-        sealed = bytearray(self.seal())
-        struct.pack_into(">I", sealed, 13, MAX_FRAME_BYTES + 1)
+        """Refused off the header alone: no body bytes are sent or read."""
+        header = bytearray(self.seal()[:17])
+        struct.pack_into(">I", header, 13, MAX_FRAME_BYTES + 1)
         with pytest.raises(RemoteProtocolError, match="ceiling") as exc_info:
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, bytes(sealed))
+            self.receive(header).recv_frame()
         assert exc_info.value.declared_length == MAX_FRAME_BYTES + 1
+        assert exc_info.value.offset == 9
 
     def test_errors_carry_stream_context(self):
+        first = self.seal(b"first", sequence=1)
+        second = bytearray(self.seal(b"second", sequence=2))
+        second[20] ^= 0x01
+        channel = self.receive(first, second)
+        assert channel.recv_frame() == b"first"
         with pytest.raises(RemoteProtocolError) as exc_info:
-            open_frame(self.SESSION, DIRECTION_COORDINATOR, 1, b"abc")
-        assert exc_info.value.offset == 3
+            channel.recv_frame()
+        assert exc_info.value.offset == len(first)
         assert isinstance(exc_info.value, WireError)
+
+    @pytest.mark.parametrize(
+        "cut, reason",
+        [
+            (10, "closed after 10 of 17"),  # inside the header
+            (17, "closed after 0 of 6"),  # the header alone
+            (20, "closed after 3 of 6"),  # inside the frame bytes
+            (23, "closed after 0 of 32"),  # header and frame, no MAC
+            (51, "closed after 28 of 32"),  # inside the MAC
+        ],
+    )
+    def test_eof_names_the_stream_offset(self, cut, reason):
+        """An envelope cut short after a good one reports the stream byte
+        where the stream ended, like the MAC / direction / sequence errors."""
+        first = self.seal(b"first", sequence=1)
+        second = self.seal(b"second", sequence=2)
+        channel = self.receive(first, second[:cut])
+        assert channel.recv_frame() == b"first"
+        with pytest.raises(RemoteProtocolError, match=reason) as exc_info:
+            channel.recv_frame()
+        assert exc_info.value.offset == len(first) + cut
 
 
 class TestWireErrorContext:
@@ -420,6 +472,17 @@ class TestWorkerServerHostileBytes:
         sock.sendall(sealed[: len(sealed) // 2])  # half an envelope, then EOF
         channel.close()
         assert_session_failed(worker)  # the bytes never reached decode
+
+    def test_envelope_cut_after_its_header_fails_the_session(self, worker):
+        """EOF at a frame boundary ends a session cleanly; EOF after a header,
+        before any of the frame it declares, is a truncated envelope."""
+        sock, channel = open_session(worker)
+        sealed = seal_frame(channel._session_key, DIRECTION_COORDINATOR, 1, b"h" * 24)
+        sock.sendall(sealed[:17])
+        channel.close()
+        assert_session_failed(worker)
+        if worker.server is not None:
+            assert worker.server.sessions_served == 0
 
     def test_bad_mac_frame_fails_the_session(self, worker):
         sock, channel = open_session(worker)
