@@ -6,9 +6,9 @@ databases of 256 rows each answer the same analyst SELECT, once with
 ``force_scan`` pinning the frozen row-scan interpreter and once on the
 default compiled path, across a selectivity sweep (~1%, 10%, 50%, 100% of
 rows matching).  The claim under test: **>= 3x speedup on the selective
-predicate** (the B+Tree range probe touches a handful of rows instead of
-interpreting the WHERE AST over 256 row dicts per client), with results
-byte-identical to the scan on every database.
+predicate** (the sorted index's range probe bisects to a handful of rows
+instead of interpreting the WHERE AST over 256 row dicts per client), with
+results byte-identical to the scan on every database.
 
 Steady-state is what matters — a deployment builds each client's columnar
 store once, then reuses it across every epoch — so the compiled path is

@@ -442,11 +442,11 @@ class Client:
         reference (``repro.runtime.wire`` frames these snapshots into shard
         bootstraps).
 
-        The database's one-slot columnar arena and its secondary indexes
+        The database's one-slot columnar arena and its sorted indexes
         are deliberately *not* shipped: they are derived state, lazily
-        rebuilt from raw rows on the restored side and incrementally
-        maintained from then on — and the differential suite asserts the
-        rebuilt and incrementally-maintained lifecycles answer identically.
+        rebuilt from raw rows on the restored side and grown by appends
+        from then on — and the differential suite asserts the rebuilt and
+        appended-to lifecycles answer identically.
         """
         tables = []
         for name in self.database.table_names():

@@ -28,10 +28,6 @@ class Broker:
         self.records_handled += 1
         self.bytes_handled += record.size_bytes()
 
-    def reset_metrics(self) -> None:
-        self.records_handled = 0
-        self.bytes_handled = 0
-
 
 @dataclass
 class BrokerCluster:
@@ -102,7 +98,3 @@ class BrokerCluster:
 
     def total_bytes(self) -> int:
         return sum(topic.total_bytes() for topic in self._topics.values())
-
-    def reset_metrics(self) -> None:
-        for broker in self.brokers:
-            broker.reset_metrics()

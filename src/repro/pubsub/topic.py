@@ -113,13 +113,6 @@ class Topic:
         index = self.partition_for(record.key, round_robin_counter)
         return self.partitions[index].append(record)
 
-    def all_records(self) -> list[Record]:
-        """All retained records across partitions, ordered by (partition, offset)."""
-        out: list[Record] = []
-        for partition in self.partitions:
-            out.extend(partition.records)
-        return out
-
     def total_records(self) -> int:
         """Records ever appended, trimmed ones included."""
         return sum(p.end_offset for p in self.partitions)

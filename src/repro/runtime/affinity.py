@@ -227,11 +227,6 @@ def serve_resident_frame(cache: ResidentShardCache, frame: bytes) -> bytes:
                 for client, delta in zip(clients, message.deltas):
                     if delta is not None:
                         client.apply_delta(delta)
-                        # Delta-driven index maintenance: fold the
-                        # appended rows into any live columnar tables
-                        # now, at ingest, keeping the rebuild/append
-                        # work off the answer critical path.
-                        client.database.sync_columnar()
                 ack = _answer_from_residency(
                     cache, message, _frame_token(frame), clients
                 )

@@ -19,8 +19,8 @@ rows, and to let Table 3's "database read" cost be measured on a real code
 path rather than a stub.
 
 SELECTs run on an index-backed columnar fast path by default — typed
-parallel arrays (:mod:`repro.sqldb.columnar`) with hash/B+Tree indexes
-(:mod:`repro.sqldb.indexes`) probed by compiled predicates
+parallel arrays (:mod:`repro.sqldb.columnar`) with one sorted index per
+predicate column, probed by compiled predicates
 (:mod:`repro.sqldb.compile`).  The original row-scan interpreter remains
 the frozen reference; set ``SQLDB_FORCE_SCAN=1`` to pin it.  There is one
 columnar layout: a :class:`~repro.sqldb.columnar.ShardArena` concatenates
@@ -37,7 +37,7 @@ the same columns over at most the last row of ``member.query(sql)`` —
 found without materialising the rows before it.
 """
 
-from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena
+from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena, SortedIndex
 from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
 from repro.sqldb.engine import (
     ARENA_FALLBACK,
@@ -48,7 +48,6 @@ from repro.sqldb.engine import (
     per_client_forced,
 )
 from repro.sqldb.errors import ExecutionError, ParseError, SchemaError, SqlError
-from repro.sqldb.indexes import BPlusTreeIndex, HashIndex
 from repro.sqldb.table import Column, Table
 
 __all__ = [
@@ -63,8 +62,7 @@ __all__ = [
     "arena_answering_enabled",
     "cached_shard_arena",
     "per_client_forced",
-    "HashIndex",
-    "BPlusTreeIndex",
+    "SortedIndex",
     "CompiledSelect",
     "CompileFallback",
     "plan_for",

@@ -4,8 +4,8 @@ The row-scan engine materializes one dict per row per query
 (:meth:`repro.sqldb.table.Table.scan`); at 10⁵–10⁶ clients × multi-query
 epochs that dict churn dominates the answer stage.  An
 :class:`ArenaTable` keeps one table name as typed parallel arrays — one
-:class:`ColumnVector` per column — plus on-demand secondary indexes
-(:mod:`repro.sqldb.indexes`) on predicate columns.
+:class:`ColumnVector` per column — plus one on-demand
+:class:`SortedIndex` per predicate column.
 
 **One layout for a shard and for a client.**  A PrivApprox shard holds
 many co-schema clients answering the *same* statements, so probing 10⁴
@@ -13,7 +13,7 @@ tiny per-client copies would run 10⁴ identical probes.  A
 :class:`ShardArena` therefore concatenates one table name across every
 member database into a single :class:`ArenaTable`, with a ``row_slot``
 column (arena row id → member slot) and a per-slot row-span table
-(``slot_rows``), and builds hash/B+Tree indexes once per shard;
+(``slot_rows``), and builds each column's sorted index once per shard;
 :meth:`CompiledSelect.matching_ids_per_client
 <repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` probes the
 arena once and splits the matches back per client.  A database answering
@@ -33,10 +33,12 @@ runtime's :class:`~repro.runtime.wire.ShardDelta` frames ever perform),
 and rebuilds from scratch when a row list shrank, was rebound,
 had existing rows edited in place, or its table was dropped and
 recreated.  Both grow a column at a time: the new rows are transposed
-once and each vector takes one :meth:`ColumnVector.extend`.  Secondary
-indexes ride along: appends insert the new rows into every live index,
-row by row; rebuilds drop them, and the next probe bulk-loads them from
-the whole column.  Standing answers ride along the same way: each table
+once and each vector takes one :meth:`ColumnVector.extend`.  Indexes are
+not maintained: any change to the rows, an append as well as a rebuild,
+drops them, and the next probe sorts the grown column afresh.  The
+traffic that probes again and again is a full pass over static tables;
+a standing answer probes once and then folds in tail rows without the
+index.  Standing answers ride along the arena: each table
 keeps, per compiled plan, every slot's latest matching row id, the row
 count it covers and the finished one-row outcome built for that id
 (:meth:`ArenaTable.standing_latest`) — the latest-row answer a standing
@@ -57,12 +59,12 @@ and ``array('q')`` any 64-bit int — which the differential suite
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Any, Iterator, Sequence
 
 from repro.sqldb.compile import _PLAN_CACHE_MAX, schema_signature
 from repro.sqldb.errors import SchemaError
-from repro.sqldb.indexes import BPlusTreeIndex, HashIndex
 
 # SQL type → array.array typecode for the native fast path.  TEXT and
 # BOOLEAN stay as lists: strings have no fixed-width typecode, and a
@@ -144,6 +146,62 @@ class ColumnVector:
         return len(self._data)
 
 
+class SortedIndex:
+    """One column's row ids sorted stably by value; every probe is a bisect.
+
+    ``keys`` holds the column's values ascending and ``ids`` their row ids
+    in the same order.  The sort is stable, so equal keys (``1``, ``1.0``
+    and ``True`` among them) keep row order.  NULL rows sit apart in
+    ``nulls``: no comparison matches them, but ``IN (NULL, ...)`` does
+    under the scan engine's ``value in choices``.  NaN rows appear nowhere,
+    since NaN satisfies no comparison and would break the order.  Probes
+    assume the bound orders against the column's values without a
+    ``TypeError``; the compiler probes only when the column's declared type
+    guarantees it (:func:`repro.sqldb.compile._literal_comparable`).
+    """
+
+    __slots__ = ("keys", "ids", "nulls")
+
+    def __init__(self, values: Sequence[Any]):
+        data = list(values)
+        ordered = [
+            row_id
+            for row_id, key in enumerate(data)
+            if key is not None and key == key  # noqa: PLR0124 — NaN is not self-equal
+        ]
+        self.nulls = (
+            [row_id for row_id, key in enumerate(data) if key is None]
+            if len(ordered) < len(data)
+            else []
+        )
+        ordered.sort(key=data.__getitem__)
+        self.ids = ordered
+        self.keys = [data[row_id] for row_id in ordered]
+
+    def range_ids(
+        self,
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> list[int]:
+        """Row ids with ``low (<|<=) key (<|<=) high``, ascending.
+
+        ``None`` bounds are open ends; a point probe is ``low == high``,
+        both inclusive.
+        """
+        keys = self.keys
+        start = 0
+        if low is not None:
+            start = (bisect_left if low_inclusive else bisect_right)(keys, low)
+        stop = len(keys)
+        if high is not None:
+            stop = (bisect_right if high_inclusive else bisect_left)(keys, high, start)
+        ids = self.ids[start:stop]
+        ids.sort()
+        return ids
+
+
 # Excluded-slot source sentinel: the slot had no table when last examined.
 _EXCLUDED_EMPTY = ("x", None)
 
@@ -153,7 +211,7 @@ class ArenaTable:
 
     Duck-types as the *table* (``column_names`` / ``column_index``) and
     offers the probe surface (``count`` / ``column`` / ``arrays`` /
-    ``hash_index`` / ``tree_index``) the compiled SELECT path reads, so one
+    ``index``) the compiled SELECT path reads, so one
     probe and one result finisher serve a whole shard and a lone database
     (a one-slot arena) alike.
 
@@ -162,11 +220,11 @@ class ArenaTable:
     (their rows live in the arena, their span in :attr:`slot_rows`),
     everyone else is **excluded** (``slot_rows[slot] is None`` — the
     caller answers those members per-client).  Per-member tail appends
-    (the only mutation ``ShardDelta`` frames perform) extend the vectors,
-    the span table and any live indexes in place; everything else — a
-    replaced or mutated row list, a dropped/recreated table, a table
-    appearing on a previously excluded member — rebuilds the whole arena
-    and drops its indexes to be lazily rebuilt on the next probe.
+    (the only mutation ``ShardDelta`` frames perform) extend the vectors
+    and the span table in place; everything else — a replaced or mutated
+    row list, a dropped/recreated table, a table appearing on a previously
+    excluded member — rebuilds the whole arena.  Either drops the indexes,
+    to be built again by the next probe.
     """
 
     __slots__ = (
@@ -176,8 +234,7 @@ class ArenaTable:
         "_signature",
         "_colindex",
         "_vectors",
-        "_hash",
-        "_trees",
+        "_indexes",
         "_count",
         "row_slot",
         "slot_rows",
@@ -214,8 +271,7 @@ class ArenaTable:
         self.row_slot = array("q")
         self.slot_rows: list = [None] * len(self._databases)
         self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
-        self._hash: dict[str, HashIndex] = {}
-        self._trees: dict[str, BPlusTreeIndex] = {}
+        self._indexes: dict[str, SortedIndex] = {}
         self._standing: OrderedDict = OrderedDict()
         self._count = 0
         self.rebuilds += 1
@@ -271,47 +327,33 @@ class ArenaTable:
                     self._rebuild()
                     return
                 self._sources[slot] = ("x", table)
+        if grown:
+            self._indexes.clear()
         for slot in grown:
             source = self._sources[slot]
             self._append_slot(slot, source[1], source[3])
 
     def _append_slot(self, slot: int, rows: list, start: int) -> None:
+        """Append a member's rows from ``start`` on, a column at a time.
+
+        ``_vectors`` is in schema order, so the transposed rows pair up
+        with it, and each vector grows by one ``extend``.
+        """
         new = rows[start:]
+        if new:
+            columns = list(zip(*new))
+            if len(columns) < len(self._vectors):  # a short row: refuse before anything grows
+                raise SchemaError(
+                    f"expected rows of {len(self._vectors)} values, one has {len(columns)}"
+                )
+            for vector, values in zip(self._vectors.values(), columns):
+                vector.extend(values)
         first_id = self._count
-        self._extend(new, first_id)
         self.row_slot.extend([slot] * len(new))
         self.slot_rows[slot].extend(range(first_id, first_id + len(new)))
         self.appended_rows += len(new)
         self._count = first_id + len(new)
         self._sources[slot][3] = len(rows)
-
-    def _extend(self, rows: list, first_id: int) -> None:
-        """Append ``rows`` (schema-width tuples) column by column.
-
-        ``_vectors`` is in schema order, so the transposed rows pair up
-        with it.  Each vector grows by one ``extend``; only then are its
-        new values folded, row id by row id, into the indexes already
-        live on that column (absent indexes stay absent until a probe
-        bulk-loads them from the grown vectors).
-        """
-        if not rows:
-            return
-        columns = list(zip(*rows))
-        if len(columns) < len(self._vectors):  # a short row: refuse before anything grows
-            raise SchemaError(
-                f"expected rows of {len(self._vectors)} values, one has {len(columns)}"
-            )
-        for (name, vector), values in zip(self._vectors.items(), columns):
-            vector.extend(values)
-            hash_index = self._hash.get(name)
-            tree = self._trees.get(name)
-            if hash_index is None and tree is None:
-                continue
-            for row_id, value in enumerate(values, first_id):
-                if hash_index is not None:
-                    hash_index.insert(value, row_id)
-                if tree is not None:
-                    tree.insert(value, row_id)
 
     # -- standing answers ------------------------------------------------------
 
@@ -377,32 +419,13 @@ class ArenaTable:
         """Column name → vector, the namespace compiled closures evaluate in."""
         return self._vectors
 
-    def hash_index(self, name: str) -> HashIndex:
-        """The column's hash index, bulk-loaded from its vector on first use."""
-        index = self._hash.get(name)
+    def index(self, name: str) -> SortedIndex:
+        """The column's sorted index, built from its vector on first use
+        after the last change to the rows."""
+        index = self._indexes.get(name)
         if index is None:
-            index = self._hash[name] = HashIndex.from_column(self._vectors[name])
+            index = self._indexes[name] = SortedIndex(self._vectors[name])
         return index
-
-    def tree_index(self, name: str) -> BPlusTreeIndex:
-        """The column's B+Tree index, bulk-loaded from its vector on first use."""
-        tree = self._trees.get(name)
-        if tree is None:
-            tree = self._trees[name] = BPlusTreeIndex.from_column(self._vectors[name])
-        return tree
-
-    def index_stats(self) -> dict[str, tuple[int, int]]:
-        """Column → (hash entries, tree size); observability for tests."""
-        out: dict[str, tuple[int, int]] = {}
-        for name in self._vectors:
-            hash_index = self._hash.get(name)
-            tree = self._trees.get(name)
-            if hash_index is not None or tree is not None:
-                out[name] = (
-                    len(hash_index) if hash_index is not None else 0,
-                    len(tree) if tree is not None else 0,
-                )
-        return out
 
     # -- table duck-typing (the finishing half of the compiled path) ---------
 
@@ -422,13 +445,16 @@ class ArenaTable:
 
     def stats(self) -> dict[str, int]:
         """Observability: the torture suite pins that churn and
-        ``ShardDelta`` append streams never trigger spurious rebuilds."""
+        ``ShardDelta`` append streams never trigger spurious rebuilds;
+        ``indexes`` counts the live sorted indexes, which any change to the
+        rows drops."""
         return {
             "rebuilds": self.rebuilds,
             "appended_rows": self.appended_rows,
             "span_rows": self._count,
             "included_slots": sum(1 for ids in self.slot_rows if ids is not None),
             "standing_plans": len(self._standing),
+            "indexes": len(self._indexes),
         }
 
 

@@ -20,16 +20,20 @@ conjunct may become an index probe: the scan engine stops evaluating a
 row at its first false conjunct, so skipping later conjuncts for rows
 the probe rejects is exactly what the reference does — whereas probing a
 *later* conjunct would skip evaluations the reference performs (and
-with them any per-row errors it would raise).  Probes:
+with them any per-row errors it would raise).  Every probe reads the
+column's :class:`~repro.sqldb.columnar.SortedIndex`:
 
-* ``col = literal`` / ``literal = col`` → :class:`HashIndex` lookup
-* ``col IN (...)`` → hash lookups unioned (``NULL`` choices match NULL
+* ``col = literal`` / ``literal = col`` → a point range
+* ``col IN (...)`` → point ranges unioned (``NULL`` choices match NULL
   rows, as ``value in choices`` does under the scan engine)
-* ``col < | <= | > | >= literal`` and ``col BETWEEN lit AND lit`` →
-  :class:`BPlusTreeIndex` range scan, only when the literal's type is
-  comparable with the column's declared type — a mismatched pair must
-  fall through to the residual closure so it raises the same
-  ``TypeError`` the reference raises
+* ``col < | <= | > | >= literal`` and ``col BETWEEN lit AND lit`` → a
+  range
+
+A probe bisects the column's ordered values, so it is compiled only when
+every literal orders against the column's declared type.  A mismatched
+literal falls through to the residual closure, which returns what the
+reference returns: no rows for ``=`` and ``IN``, and the same
+``TypeError`` for an ordering.
 
 Everything else — the remaining conjuncts, or the whole clause when the
 first conjunct is not probeable — compiles to nested closures over the
@@ -150,13 +154,13 @@ class _SchemaView:
 
 
 def _literal_comparable(sql_type: str, value: Any) -> bool:
-    """Whether ordering ``column-value op literal`` can never raise.
+    """Whether ``value`` orders against every value of the column.
 
-    Range probes skip the scan engine's per-row evaluation entirely, so
-    they are only legal when that evaluation is provably exception-free:
-    the column's declared type and the literal must order under Python
-    without a ``TypeError``.  (Equality and ``IN`` never raise, so they
-    need no gate.)  NaN literals cannot be produced by the SQL lexer.
+    The one gate for every probe: a probe bisects the column's sorted
+    values with the literal, and skips the scan engine's per-row
+    evaluation, so the column's declared type and the literal must order
+    under Python without a ``TypeError``.  NaN literals cannot be produced
+    by the SQL lexer.
     """
     if sql_type in _NUMERIC_TYPES:
         return isinstance(value, (int, float))
@@ -272,40 +276,28 @@ class _EmptyProbe:
         return "empty"
 
 
-class _EqProbe:
-    """``col = literal`` via the column's hash index."""
-
-    def __init__(self, column: str, value: Any):
-        self.column = column
-        self.value = value
-
-    def ids(self, arena: "ArenaTable") -> list[int]:
-        return arena.hash_index(self.column).lookup(self.value)
-
-    def describe(self) -> str:
-        return f"hash-eq({self.column})"
-
-
 class _InProbe:
-    """``col IN (...)`` via unioned hash lookups."""
+    """``col IN (...)``: the choices' point ranges unioned, plus the NULL
+    rows when a choice is ``NULL``."""
 
     def __init__(self, column: str, choices: tuple):
         self.column = column
-        self.choices = choices
+        self.keys = [choice for choice in choices if choice is not None]
+        self.nulls = len(self.keys) < len(choices)
 
     def ids(self, arena: "ArenaTable") -> list[int]:
-        index = arena.hash_index(self.column)
-        matched: set[int] = set()
-        for choice in self.choices:
-            matched.update(index.lookup(choice))
+        index = arena.index(self.column)
+        matched = set(index.nulls) if self.nulls else set()
+        for key in self.keys:
+            matched.update(index.range_ids(key, key))
         return sorted(matched)
 
     def describe(self) -> str:
-        return f"hash-in({self.column})"
+        return f"index-in({self.column})"
 
 
 class _RangeProbe:
-    """Range comparison / BETWEEN via the column's B+Tree index."""
+    """A comparison, ``BETWEEN`` or ``=`` (a point) on the column's index."""
 
     def __init__(self, column, low, high, low_inclusive, high_inclusive):
         self.column = column
@@ -315,12 +307,13 @@ class _RangeProbe:
         self.high_inclusive = high_inclusive
 
     def ids(self, arena: "ArenaTable") -> list[int]:
-        return arena.tree_index(self.column).range_ids(
+        return arena.index(self.column).range_ids(
             self.low, self.high, self.low_inclusive, self.high_inclusive
         )
 
     def describe(self) -> str:
-        return f"tree-range({self.column})"
+        kind = "eq" if self.low == self.high else "range"
+        return f"index-{kind}({self.column})"
 
 
 def _split_conjuncts(node: Any) -> list:
@@ -356,17 +349,15 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
         if match is None:
             return None
         column, op, value = match
+        if op == "=" and value is None:
+            return _EmptyProbe()  # NULL = NULL is false under _compare
+        if not _literal_comparable(schema.sql_type(column), value):
+            return None
         if op == "=":
-            if value is None:
-                return _EmptyProbe()  # NULL = NULL is false under _compare
-            return _EqProbe(column, value)
+            return _RangeProbe(column, value, value, True, True)
         if op in ("<", "<="):
-            if not _literal_comparable(schema.sql_type(column), value):
-                return None
             return _RangeProbe(column, None, value, True, op == "<=")
         if op in (">", ">="):
-            if not _literal_comparable(schema.sql_type(column), value):
-                return None
             return _RangeProbe(column, value, None, op == ">=", True)
         return None  # != benefits nothing from an index
     if isinstance(conjunct, ast.BetweenOp):
@@ -391,6 +382,13 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
             return None
         storage = schema.resolve(conjunct.operand.name)
         if storage is None:
+            return None
+        sql_type = schema.sql_type(storage)
+        if not all(
+            _literal_comparable(sql_type, choice)
+            for choice in conjunct.choices
+            if choice is not None
+        ):
             return None
         return _InProbe(storage, conjunct.choices)
     return None
@@ -452,7 +450,7 @@ class CompiledSelect:
         one member's table must not poison its neighbors), or ``None`` for
         excluded slots (missing table / mixed schema — answered
         per-client by the caller).  Id sequences are read-only: they may
-        alias the arena's span table or an index's postings.
+        alias the arena's span table.
 
         Probe semantics are exactly a member-by-member evaluation's: the
         probe selects the rows on which the first conjunct is truthy, the
@@ -471,7 +469,24 @@ class CompiledSelect:
         """
         slot_rows = arena.slot_rows
         arrays = arena.arrays()
-        if start:
+        probed = None
+        if self.probe is not None and not start:
+            try:
+                probed = self.probe.ids(arena)
+            except TypeError:
+                # Rows that skipped ingest coercion (``Table.append_rows``
+                # takes them as given) can leave a column with no order to
+                # bisect: test the probe conjunct row by row, as the scan does.
+                pass
+        if probed is not None:
+            if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own
+                buckets = [None if slot_rows[0] is None else probed]
+            else:
+                row_slot = arena.row_slot
+                buckets = [None if ids is None else [] for ids in slot_rows]
+                for row_id in probed:
+                    buckets[row_slot[row_id]].append(row_id)
+        elif start or self.probe is not None:
             probe_row = self.probe_row
             row_slot = arena.row_slot
             appended: dict[int, list[int]] = {}
@@ -482,15 +497,6 @@ class CompiledSelect:
                 ids if ids is None else appended.get(slot, ())
                 for slot, ids in enumerate(slot_rows)
             ]
-        elif self.probe is not None:
-            probed = self.probe.ids(arena)
-            if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own
-                buckets = [None if slot_rows[0] is None else probed]
-            else:
-                row_slot = arena.row_slot
-                buckets = [None if ids is None else [] for ids in slot_rows]
-                for row_id in probed:
-                    buckets[row_slot[row_id]].append(row_id)
         else:
             # Every member's candidates are all of its own rows (read-only
             # aliases of the arena's span table).

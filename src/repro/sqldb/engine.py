@@ -185,9 +185,10 @@ class Database:
         """Incrementally sync every columnar table already built.
 
         Tables never queried are skipped — they stay lazy until first
-        queried.  The resident runtime calls this after applying each
-        ``ShardDelta`` so index maintenance happens at ingest time, off
-        the answer critical path.
+        queried.  :meth:`query` syncs before it asks, so no caller needs
+        this to get a fresh answer; it stays as the one entry point a test
+        or a profiler (``benchmarks/epoch_profile/tracer.py`` traces it as
+        ``sqldb.columnar.sync``) calls to sync a database on its own.
         """
         if self._arena is not None:
             self._arena.sync()

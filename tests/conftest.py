@@ -133,33 +133,33 @@ _T = "FROM private_data"
 LATEST_ROW_STATEMENTS = (
     # (sql, CompiledSelect.describe(), route)
     (f"SELECT value {_T}", "all", "standing"),
-    (f"SELECT value {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2)", "hash-in(zone)", "standing"),
-    (f"SELECT value {_T} WHERE value > 2.0", "tree-range(value)", "standing"),
+    (f"SELECT value {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2)", "index-in(zone)", "standing"),
+    (f"SELECT value {_T} WHERE value > 2.0", "index-range(value)", "standing"),
     (
         f"SELECT value {_T} WHERE value BETWEEN 1.0 AND 3.0",
-        "tree-range(value)",
+        "index-range(value)",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone IN (1, 2) AND value < 1.0",
-        "hash-in(zone)+residual",
+        "index-in(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value BETWEEN 0.5 AND 4.0"
         " AND tag IN ('a', 'b')",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value != 2.0",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag LIKE 'a%'",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     # Raises only where a zone-1 row with value <= 3.0 holds a non-NULL tag —
@@ -167,17 +167,17 @@ LATEST_ROW_STATEMENTS = (
     # return a row where the reference raises.
     (
         f"SELECT value {_T} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag < 5",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND nope = 1",
-        "hash-eq(zone)+residual",
+        "index-eq(zone)+residual",
         "standing",
     ),
     (f"SELECT value {_T} WHERE value != 2.0", "residual", "standing"),
@@ -187,26 +187,26 @@ LATEST_ROW_STATEMENTS = (
         "residual",
         "standing",
     ),
-    (f"SELECT * {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
-    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
+    (f"SELECT * {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
+    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
     # value_column ("value") absent from the projection: the client reads row[0].
-    (f"SELECT zone, tag {_T} WHERE value > 2.0", "tree-range(value)", "standing"),
+    (f"SELECT zone, tag {_T} WHERE value > 2.0", "index-range(value)", "standing"),
     # Case-twisted projection: KeyError only for members that matched.
-    (f"SELECT Value {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
+    (f"SELECT Value {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
     # Unknown projection: SchemaError for every member, matched or not.
-    (f"SELECT nope {_T} WHERE zone = 1", "hash-eq(zone)", "standing"),
-    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", "hash-eq(zone)", "full-finish"),
+    (f"SELECT nope {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
+    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", "index-eq(zone)", "full-finish"),
     (
         f"SELECT value {_T} WHERE zone = 1 ORDER BY value DESC",
-        "hash-eq(zone)",
+        "index-eq(zone)",
         "full-finish",
     ),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 0", "hash-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 1", "hash-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 3", "hash-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 99", "hash-in(zone)", "full-finish"),
-    (f"SELECT COUNT(*) {_T} WHERE zone = 1", "hash-eq(zone)", "full-finish"),
-    (f"SELECT MAX(value) {_T} WHERE value > 2.0", "tree-range(value)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 0", "index-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 1", "index-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 3", "index-in(zone)", "full-finish"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 99", "index-in(zone)", "full-finish"),
+    (f"SELECT COUNT(*) {_T} WHERE zone = 1", "index-eq(zone)", "full-finish"),
+    (f"SELECT MAX(value) {_T} WHERE value > 2.0", "index-range(value)", "full-finish"),
     (f"SELECT zone, COUNT(*) {_T} GROUP BY zone", "all", "full-finish"),
 )
 

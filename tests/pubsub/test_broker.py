@@ -50,15 +50,6 @@ class TestBrokerCluster:
         assert handled == 10
         assert cluster.total_records() == 10
 
-    def test_reset_metrics(self):
-        cluster = BrokerCluster(num_brokers=1)
-        cluster.create_topic("t")
-        cluster.publish("t", Record(value="x"))
-        cluster.reset_metrics()
-        assert all(b.records_handled == 0 for b in cluster.brokers)
-        # The stored records remain; only the counters reset.
-        assert cluster.total_records() == 1
-
     def test_needs_at_least_one_broker(self):
         with pytest.raises(PubSubError):
             BrokerCluster(num_brokers=0)

@@ -1,5 +1,5 @@
 """Unit tests for the columnar layout: typed vectors, one-slot and
-shard-wide arena sync, index maintenance, and the Table.scan projection
+shard-wide arena sync, the index lifecycle, and the Table.scan projection
 fast path."""
 
 import pytest
@@ -140,13 +140,13 @@ class TestOneSlotArenaSync:
         db = _make_db()
         table = db.table("t")
         store = _own(db)
-        store.hash_index("x")
+        store.index("x")
         table.rows[0] = (999, -1.0, "edited")
         store = _own(db)
         assert store.rebuilds == 2
         assert store.column("x")[0] == 999
-        assert store.index_stats() == {}  # stale indexes dropped
-        assert store.hash_index("x").lookup(999) == [0]
+        assert store.stats()["indexes"] == 0  # stale indexes dropped
+        assert store.index("x").range_ids(999, 999) == [0]
         assert db.query("SELECT tag FROM t WHERE x = 999").rows == [("edited",)]
 
     def test_row_removal_triggers_rebuild(self):
@@ -162,41 +162,41 @@ class TestOneSlotArenaSync:
     def test_drop_and_recreate_rebuilds_on_the_new_schema(self):
         db = _make_db()
         store = _own(db)
-        store.hash_index("x")
+        store.index("x")
         db.drop_table("t")
         db.create_table("t", [("x", "TEXT")])
         db.insert_rows("t", [{"x": "a"}, {"x": "b"}, {"x": "a"}])
         store = _own(db)
         assert store.rebuilds == 2
         assert store.column_names == ["x"] and store.count == 3
-        assert store.index_stats() == {}
+        assert store.stats()["indexes"] == 0
         assert db.query("SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
 
-    def test_append_maintains_live_indexes(self):
+    def test_append_drops_the_index_and_the_next_probe_sees_the_grown_column(self):
         db = _make_db()
         table = db.table("t")
         store = _own(db)
-        hash_index = store.hash_index("x")
-        tree = store.tree_index("x")
-        hits_before = len(hash_index.lookup(3))
+        index = store.index("x")
+        hits_before = len(index.range_ids(3, 3))
         table.append_rows([(3, 0.0, "a")])
         db.sync_columnar()
-        assert len(store.hash_index("x").lookup(3)) == hits_before + 1
-        assert store.hash_index("x") is hash_index  # maintained, not rebuilt
-        assert store.tree_index("x") is tree
-        tree.check_invariants()
-        assert store.tree_index("x").range_ids(3, 3, True, True)[-1] == 200
+        assert store.stats()["indexes"] == 0  # dropped, not maintained
+        assert store.rebuilds == 1
+        rebuilt = store.index("x")
+        assert rebuilt is not index
+        assert len(rebuilt.range_ids(3, 3)) == hits_before + 1
+        assert rebuilt.range_ids(3, 3)[-1] == 200
 
     def test_rebuild_drops_indexes(self):
         db = _make_db()
         store = _own(db)
-        store.hash_index("x")
-        assert "x" in store.index_stats()
+        store.index("x")
+        assert store.stats()["indexes"] == 1
         table = db.table("t")
         table.rows = [row for row in table.rows if row[0] != 0]
         db.sync_columnar()
-        assert store.index_stats() == {}  # lazily rebuilt on next probe
-        assert store.hash_index("x").lookup(0) == []
+        assert store.stats()["indexes"] == 0  # built again on the next probe
+        assert store.index("x").range_ids(0, 0) == []
 
     @pytest.mark.parametrize("force_scan", ["0", "1"])
     def test_short_row_is_refused_before_anything_grows(self, force_scan, monkeypatch):
@@ -210,7 +210,7 @@ class TestOneSlotArenaSync:
         db.insert_rows("t", [{"value": float(i), "zone": i % 3} for i in range(9)])
         table = db.table("t")
         store = _own(db)
-        store.hash_index("zone")  # live: an append must fold into it
+        store.index("zone")  # live: a refused append must leave it answering
         sql = "SELECT value FROM t WHERE zone = 1"
         before = db.query(sql).rows
         with pytest.raises(SchemaError, match="expects 2 values, got 1"):
@@ -341,16 +341,16 @@ class TestShardArena:
         assert table.row_slot[-1] == 1
         assert _arena_row(table, 10) == (77, 7.0, "odd")
 
-    def test_live_indexes_are_maintained_on_append(self):
+    def test_append_drops_the_shard_indexes(self):
         members, arena = self._shard()
         table = arena.table("t")
-        hash_index = table.hash_index("x")
-        tree_index = table.tree_index("y")
+        table.index("x")
+        table.index("y")
         members[2].insert_rows("t", [{"x": 0, "y": 99.5, "tag": "even"}])
         synced = _synced(arena)
-        assert synced.hash_index("x") is hash_index  # maintained, not rebuilt
-        assert 10 in hash_index.lookup(0)
-        assert 10 in tree_index.range_ids(99.0, 100.0)
+        assert synced.stats()["indexes"] == 0  # dropped, not maintained
+        assert 10 in synced.index("x").range_ids(0, 0)
+        assert synced.index("y").range_ids(99.0, 100.0) == [10]
         assert synced.stats()["rebuilds"] == 1
 
     def test_in_place_member_edit_triggers_rebuild(self):

@@ -34,14 +34,14 @@ class TestProbeSelection:
         ("sql", "expected"),
         [
             ("SELECT * FROM t", "all"),
-            ("SELECT * FROM t WHERE x = 2", "hash-eq(x)"),
-            ("SELECT * FROM t WHERE 2 = x", "hash-eq(x)"),
-            ("SELECT * FROM t WHERE tag IN ('a', 'bb')", "hash-in(tag)"),
-            ("SELECT * FROM t WHERE x BETWEEN 1 AND 5", "tree-range(x)"),
-            ("SELECT * FROM t WHERE x > 3", "tree-range(x)"),
-            ("SELECT * FROM t WHERE 3 > x", "tree-range(x)"),
-            ("SELECT * FROM t WHERE tag < 'm'", "tree-range(tag)"),
-            ("SELECT * FROM t WHERE x = 2 AND y > 0", "hash-eq(x)+residual"),
+            ("SELECT * FROM t WHERE x = 2", "index-eq(x)"),
+            ("SELECT * FROM t WHERE 2 = x", "index-eq(x)"),
+            ("SELECT * FROM t WHERE tag IN ('a', 'bb')", "index-in(tag)"),
+            ("SELECT * FROM t WHERE x BETWEEN 1 AND 5", "index-range(x)"),
+            ("SELECT * FROM t WHERE x > 3", "index-range(x)"),
+            ("SELECT * FROM t WHERE 3 > x", "index-range(x)"),
+            ("SELECT * FROM t WHERE tag < 'm'", "index-range(tag)"),
+            ("SELECT * FROM t WHERE x = 2 AND y > 0", "index-eq(x)+residual"),
             ("SELECT * FROM t WHERE x != 2", "residual"),
             ("SELECT * FROM t WHERE x IS NULL", "residual"),
             ("SELECT * FROM t WHERE x = NULL", "empty"),
@@ -59,23 +59,29 @@ class TestProbeSelection:
             "residual"
         )
         assert _plan(db, "SELECT * FROM t WHERE x = 2 AND y IS NULL").describe() == (
-            "hash-eq(x)+residual"
+            "index-eq(x)+residual"
         )
 
-    def test_range_probe_requires_type_compatible_literal(self):
+    def test_every_probe_requires_type_compatible_literal(self):
         # TEXT < 5 raises TypeError row by row under the scan engine; the
         # residual path must be the one to reproduce that, so no probe.
         db = _db()
         assert _plan(db, "SELECT * FROM t WHERE tag < 5").describe() == "residual"
         assert _plan(db, "SELECT * FROM t WHERE x < 'm'").describe() == "residual"
-        # Equality never raises, so it probes regardless of literal type.
-        assert _plan(db, "SELECT * FROM t WHERE x = 'm'").describe() == "hash-eq(x)"
+        # Equality and IN never raise, but the sorted index would have to
+        # order 'm' against ints to find it, so they fall to the residual
+        # too, which matches nothing as the scan does.
+        assert _plan(db, "SELECT * FROM t WHERE x = 'm'").describe() == "residual"
+        assert _plan(db, "SELECT * FROM t WHERE x IN (1, 'm')").describe() == "residual"
+        assert _plan(db, "SELECT * FROM t WHERE x IN (1, NULL)").describe() == "index-in(x)"
+        assert db.query("SELECT x FROM t WHERE x = 'm'").rows == []
+        assert db.query("SELECT x FROM t WHERE x IN (2, 'm')").rows == [(2,), (2,)]
 
     def test_unknown_probe_column_falls_to_residual(self):
         assert _plan(_db(), "SELECT * FROM t WHERE nope = 1").describe() == "residual"
 
     def test_case_insensitive_probe_column(self):
-        assert _plan(_db(), "SELECT * FROM t WHERE X = 2").describe() == "hash-eq(x)"
+        assert _plan(_db(), "SELECT * FROM t WHERE X = 2").describe() == "index-eq(x)"
 
 
 class TestProbeResults:

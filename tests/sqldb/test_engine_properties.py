@@ -7,8 +7,8 @@ Two harnesses live here:
 * the seeded differential fuzzer (``TestDifferentialFuzz``) that
   generates random schemas, tables, append streams and queries and holds
   the compiled columnar path (:mod:`repro.sqldb.compile`) equal to the
-  frozen row-scan reference — result rows *and* raised errors — plus
-  incrementally-maintained indexes equal to rebuilt-from-scratch ones.
+  frozen row-scan reference — result rows *and* raised errors — plus an
+  arena grown by appends answering like one rebuilt from scratch.
 """
 
 import math
@@ -120,8 +120,8 @@ def _fuzz_value(rng: random.Random, sql_type: str):
     """A random typed value (or NULL).  NaN is deliberately excluded: its
     identity-sensitive behavior in dict keys and ``in`` makes any two ways
     of materializing the same row diverge, so it is outside the engine
-    contract (the B+Tree still quarantines it defensively; see
-    tests/sqldb/test_indexes.py)."""
+    contract (the sorted index still keeps it out defensively; see
+    tests/sqldb/test_sorted_index.py)."""
     if rng.random() < 0.15:
         return None
     if sql_type == "INTEGER":
@@ -214,7 +214,7 @@ def _fuzz_where(rng: random.Random, schema) -> str:
     if rng.random() < 0.12:
         return ""
     # Half the time lead with a probe-shaped conjunct (column op literal)
-    # so the fuzzer actually walks the hash/tree index paths.
+    # so the fuzzer actually walks the index probes.
     if rng.random() < 0.5:
         column, sql_type = schema[rng.randrange(len(schema))]
         kind = rng.random()
@@ -362,10 +362,10 @@ class TestDifferentialFuzz:
             assert _outcome(reference, sql) == _outcome(compiled, sql), sql
 
     @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
-    def test_incremental_indexes_equal_rebuilt(self, case_seed):
-        """After the append stream, an incrementally-maintained one-slot arena
-        answers every probe exactly like one rebuilt from scratch over the
-        final rows."""
+    def test_incremental_arena_equals_rebuilt(self, case_seed):
+        """After the append stream, a one-slot arena grown by appends answers
+        every statement exactly like one rebuilt from scratch over the final
+        rows."""
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
         incremental = _make_db(schema, rows, force_scan=False)
         for sql in queries:  # builds the arena + indexes over the initial rows
@@ -383,25 +383,12 @@ class TestDifferentialFuzz:
             assert _outcome(incremental, sql) == _outcome(rebuilt, sql), sql
         # Appends must have been folded in place, never via rebuild.
         assert store.rebuilds == rebuilds_before
-        # Structural equality of the maintained indexes vs fresh ones.
-        fresh_store = rebuilt.arena.table("t")
-        for name, _ in schema:
-            if name in store.index_stats():
-                tree = store._trees.get(name)
-                if tree is not None:
-                    tree.check_invariants()
-                    assert tree.keys() == fresh_store.tree_index(name).keys()
-                hash_index = store._hash.get(name)
-                if hash_index is not None:
-                    fresh_hash = fresh_store.hash_index(name)
-                    for key in hash_index.keys():
-                        assert hash_index.lookup(key) == fresh_hash.lookup(key)
 
     def test_fuzzer_exercises_index_probes(self):
         """Guard the generator itself: a healthy share of fuzzed queries must
-        compile to hash or tree probes, or the differential suite would be
+        compile to index probes, or the differential suite would be
         silently testing only the residual path."""
-        probe_kinds = {"hash-eq": 0, "hash-in": 0, "tree-range": 0, "other": 0}
+        probe_kinds = {"index-eq": 0, "index-in": 0, "index-range": 0, "other": 0}
         total = 0
         for case_seed in range(FUZZ_CASES):
             schema, _, queries, _, post_queries = _fuzz_case(case_seed)
@@ -413,16 +400,16 @@ class TestDifferentialFuzz:
                     continue
                 total += 1
                 description = plan.describe()
-                for kind in ("hash-eq", "hash-in", "tree-range"):
+                for kind in ("index-eq", "index-in", "index-range"):
                     if kind in description:
                         probe_kinds[kind] += 1
                         break
                 else:
                     probe_kinds["other"] += 1
         assert total >= 200, "fuzzer should generate at least 200 compilable queries"
-        assert probe_kinds["hash-eq"] >= 20
-        assert probe_kinds["hash-in"] >= 10
-        assert probe_kinds["tree-range"] >= 20
+        assert probe_kinds["index-eq"] >= 20
+        assert probe_kinds["index-in"] >= 10
+        assert probe_kinds["index-range"] >= 20
 
 
 # -- shard-arena differential axis --------------------------------------------

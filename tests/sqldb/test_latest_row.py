@@ -138,7 +138,7 @@ class TestTailAppends:
             " WHERE zone IN (1, 2) AND value < 10.0",
             " WHERE zone = 1 AND value != 2.0",
         ],
-        ids=["no-where", "hash-probe", "tree-probe", "probe+residual", "probe+ne-residual"],
+        ids=["no-where", "eq-probe", "range-probe", "probe+residual", "probe+ne-residual"],
     )
     @pytest.mark.parametrize("one_slot", [False, True], ids=["shard", "one-slot"])
     def test_appended_row_becomes_the_answer_without_a_rebuild(
@@ -290,7 +290,6 @@ class TestStandingAnswers:
         probes, starts = [], []
         for probe_class in (
             compile_module._EmptyProbe,
-            compile_module._EqProbe,
             compile_module._InProbe,
             compile_module._RangeProbe,
         ):
@@ -327,6 +326,37 @@ class TestStandingAnswers:
         stats = arena.arena_stats()[TABLE]
         assert stats["rebuilds"] == 1
         assert stats["standing_plans"] == len(plain)
+
+    def test_a_standing_fold_builds_no_index_and_a_full_finish_rebuilds_it(
+        self, monkeypatch, latest_row_cases
+    ):
+        """What a stream of appends saves: an append drops the arena's
+        indexes instead of maintaining them, the standing answers fold the
+        tail rows in without building one, and only a full-finish ask sorts
+        a column again — answering as the forced row scan does."""
+        columns, statements, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        arena = ShardArena(databases)
+        plain = _plain_statements(statements)
+        full = [sql for sql, _, route in statements if route == "full-finish"]
+        for sql in plain + full:
+            arena_select_per_client(arena, sql, latest=True)
+        table = arena.table(TABLE)
+        assert table.stats()["indexes"] > 0
+        for db in databases:
+            db.table(TABLE).append_rows([(2.8, 1, None), (1.5, 2, "abc")])
+        arena.sync()
+        assert table.stats()["indexes"] == 0
+        for sql in plain:
+            arena_select_per_client(arena, sql, latest=True)
+        assert table.stats()["indexes"] == 0
+        answers = {sql: arena_select_per_client(arena, sql, latest=True) for sql in full}
+        assert table.stats()["indexes"] > 0
+        assert table.stats()["rebuilds"] == 1
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
+        for sql, outcomes in answers.items():
+            for db, entry in zip(databases, outcomes):
+                assert _arena_outcome(entry) == _reference_outcome(db, sql), sql
 
     def test_a_rebuild_drops_every_standing_answer(self, latest_row_cases):
         columns, statements, members = latest_row_cases

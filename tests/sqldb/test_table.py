@@ -146,11 +146,12 @@ class TestInsertRecords:
         table = db.create_table("t", [("a", "INTEGER"), ("b", "TEXT")])
         table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50)])
         store = db.arena.table("t")
-        store.hash_index("b")
-        store.tree_index("a")
+        store.index("b")
+        store.index("a")
         table.insert_records([{"a": i, "b": str(i % 3)} for i in range(50, 80)])
         db.sync_columnar()
         assert db.arena.table("t") is store
         assert store.rebuilds == 1 and store.appended_rows == 80 and store.count == 80
-        assert store.hash_index("b").lookup("1") == list(range(1, 80, 3))
-        assert store.tree_index("a").range_ids(45, 55) == list(range(45, 56))
+        assert store.stats()["indexes"] == 0
+        assert store.index("b").range_ids("1", "1") == list(range(1, 80, 3))
+        assert store.index("a").range_ids(45, 55) == list(range(45, 56))
