@@ -29,11 +29,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-try:  # numpy accelerates the synthetic surveys; the scalar loop remains the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the environment ships numpy
-    _np = None
-
 from repro.analytics.metrics import accuracy_loss
 
 # Below this many answers the per-bit loop is cheap enough that spinning up a
@@ -226,8 +221,12 @@ def simulate_randomized_survey(
         raise ValueError("true_yes must lie in [0, total]")
     rng = rng or random.Random()
     responder = RandomizedResponder(p=p, q=q, rng=rng)  # validates p, q
-    if _np is not None and total >= _BINOMIAL_FAST_PATH_MIN_TOTAL:
-        generator = _np.random.default_rng(rng.getrandbits(64))
+    if total >= _BINOMIAL_FAST_PATH_MIN_TOTAL:
+        # Imported here: the simulator is numpy's only user, and the running
+        # system (clients, proxies, aggregator, workers) never loads it.
+        import numpy
+
+        generator = numpy.random.default_rng(rng.getrandbits(64))
         observed = int(
             generator.binomial(true_yes, responder.response_probability(1))
             + generator.binomial(total - true_yes, responder.response_probability(0))

@@ -26,9 +26,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,10 @@ def sample_variance(values: Sequence[float]) -> float:
 def t_critical(sample_size: int, confidence_level: float = 0.95) -> float:
     """t-distribution critical value with ``sample_size - 1`` degrees of freedom.
 
-    Memoised on its arguments: every bucket of a window (and every window
-    with the same answer count) asks for the same quantile.  It calls
-    ``scipy.special.stdtrit`` directly -- the function ``scipy.stats.t.ppf``
-    evaluates, so the same float, without the ~100 us of distribution
-    argument handling around it.  A bad ``confidence_level`` raises on every
-    call, because exceptions are never cached.
+    The two-sided quantile: ``P(|T| <= t) = confidence_level``.  Memoised on
+    its arguments: every bucket of a window (and every window with the same
+    answer count) asks for the same quantile.  A bad ``confidence_level``
+    raises on every call, because exceptions are never cached.
     """
     if not 0 < confidence_level < 1:
         raise ValueError("confidence level must be in (0, 1)")
@@ -85,8 +82,135 @@ def t_critical(sample_size: int, confidence_level: float = 0.95) -> float:
         # With fewer than two observations the t quantile is undefined; the
         # error bound is effectively unbounded, which we cap for usability.
         return float("inf")
-    alpha = 1.0 - confidence_level
-    return float(special.stdtrit(sample_size - 1, 1.0 - alpha / 2.0))
+    return _t_quantile(sample_size - 1, confidence_level)
+
+
+def _t_quantile(df: int, confidence: float) -> float:
+    """The ``t > 0`` with ``P(|T| <= t) = confidence`` for ``df`` degrees of freedom.
+
+    Starts from the Cornish-Fisher expansion in ``1/df`` (Abramowitz &
+    Stegun 26.7.5, five terms), which is the answer outright once its last
+    term is below double precision (``df`` above ~1,300 at 95 %, ~30,000 at
+    the far tail).  Otherwise a safeguarded Newton solve runs on whichever
+    mass is computed directly: the central mass ``I_y(1/2, df/2)`` by its
+    power series, or, when ``df * (1 - confidence) < 5``, the tail
+    ``I_x(df/2, 1/2)`` by its continued fraction once ``t`` is past the
+    fraction's switch point (in log-log form, where the tail is nearly a
+    power of ``t``).  The series misses a tail by about ``eps / tail``
+    relative and the fraction by about ``df * eps / 5``, so the rule bounds
+    the error by ~1e-12 wherever the expansion has not converged; measured
+    against a 40-digit reference it is within 4e-15 at confidences from
+    1e-9 to ``1 - 2**-52``.  One to four steps of ~5-25 us each.
+    """
+    alpha = 1.0 - confidence
+    z = -NormalDist().inv_cdf(0.5 * alpha)  # the far tail keeps its digits
+    z2 = z * z
+    g1 = (z2 + 1.0) * z / 4.0
+    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
+    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
+    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
+    g5 = (
+        ((((27.0 * z2 + 339.0) * z2 + 930.0) * z2 - 1782.0) * z2 - 765.0) * z2 + 17955.0
+    ) * z / 368640.0
+    v = 1.0 / df
+    last = g5 * v**5
+    t = z + v * (g1 + v * (g2 + v * (g3 + v * g4))) + last
+    if last <= 1e-16 * t and confidence >= 0.5:
+        # The expansion is exact to double precision here (what it leaves out
+        # is ~1/df of its last term), and no mass is computed that closely.
+        # Below 0.5, ``alpha`` has lost digits of ``confidence``: Newton's
+        # central mass takes the confidence itself.
+        return t
+    half = 0.5 * df
+    density_scale = 2.0 * _half_gamma_ratio(half) / math.sqrt(df * math.pi)
+    tail_from = 3.0 * df / (df + 2.0) if df * alpha < 5.0 else math.inf
+    low, high = 0.0, math.inf
+    for _ in range(100):
+        t2 = t * t
+        # d/dt P(|T| <= t), twice the density; the masses share its factors.
+        slope = density_scale * math.exp(-(half + 0.5) * math.log1p(t2 / df))
+        if slope == 0.0:  # far past any quantile a float confidence names
+            high = t
+            t = 0.5 * (low + high)
+            continue
+        if t2 > tail_from:
+            tail = t * slope / df * _tail_fraction(half, df / (df + t2))
+            if tail > alpha:
+                low = t
+            else:
+                high = t
+            t_next = t * math.exp(math.log(tail / alpha) * tail / (t * slope)) if tail else 0.0
+        else:
+            miss = t * slope * _central_series(half, t2 / (df + t2)) - confidence
+            if miss < 0.0:
+                low = t
+            else:
+                high = t
+            t_next = t - miss / slope
+        if abs(t_next - t) <= 1e-9 * t:
+            # Quadratic convergence: this step leaves ~1e-18 of error.
+            return t_next
+        if not low < t_next < high:
+            t_next = 2.0 * t if high == math.inf else 0.5 * (low + high)
+        t = t_next
+    return t
+
+
+def _half_gamma_ratio(z: float) -> float:
+    """``Gamma(z + 1/2) / Gamma(z)`` for ``z`` a multiple of 1/2."""
+    if z >= 32.0:
+        # log of the ratio: (1/2) log z - 1/(8z) + 1/(192z^3) - ..., the
+        # Bernoulli-polynomial series, truncated below 1e-17 at z >= 32.
+        w = 1.0 / (z * z)
+        log_ratio = (
+            -1.0 / 8.0
+            + w * (1.0 / 192.0 + w * (-1.0 / 640.0 + w * (17.0 / 14336.0 - w * 31.0 / 18432.0)))
+        ) / z
+        return math.sqrt(z) * math.exp(log_ratio)
+    if z % 1.0:
+        ratio, k = 1.0 / math.sqrt(math.pi), 0.5
+    else:
+        ratio, k = math.sqrt(math.pi) / 2.0, 1.0
+    while k < z:
+        ratio *= (k + 0.5) / k
+        k += 1.0
+    return ratio
+
+
+def _central_series(half: float, y: float) -> float:
+    """``sum_n ((df+1)/2)_n / (3/2)_n y^n``: ``I_y(1/2, df/2)`` without its
+    prefactor (``half = df / 2``)."""
+    rising = half + 0.5
+    total = term = 1.0
+    n = 0.0
+    while term > 1e-17 * total:
+        term *= (rising + n) / (1.5 + n) * y
+        total += term
+        n += 1.0
+    return total
+
+
+def _tail_fraction(a: float, x: float) -> float:
+    """Lentz's evaluation of the continued fraction of ``I_x(a, 1/2)``
+    without its prefactor (Numerical Recipes' ``betacf`` with ``b = 1/2``)."""
+    c = 1.0
+    d = 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+    fraction = d
+    m = 1.0
+    while m <= 300.0:
+        m2 = m + m
+        numerator = m * (0.5 - m) * x / ((a - 1.0 + m2) * (a + m2))
+        d = 1.0 / (1.0 + numerator * d)
+        c = 1.0 + numerator / c
+        fraction *= d * c
+        numerator = -(a + m) * (a + 0.5 + m) * x / ((a + m2) * (a + 1.0 + m2))
+        d = 1.0 / (1.0 + numerator * d)
+        c = 1.0 + numerator / c
+        fraction *= d * c
+        if abs(d * c - 1.0) <= 1e-16:
+            break
+        m += 1.0
+    return fraction
 
 
 def estimate_sum(

@@ -470,6 +470,9 @@ class CompiledSelect:
         slot_rows = arena.slot_rows
         arrays = arena.arrays()
         probed = None
+        # slot -> (row id, exception) of the slot's first row whose probe
+        # conjunct raised: the member's own scan dies there, for itself only.
+        raised: dict[int, tuple[int, Exception]] = {}
         if self.probe is not None and not start:
             try:
                 probed = self.probe.ids(arena)
@@ -491,8 +494,15 @@ class CompiledSelect:
             row_slot = arena.row_slot
             appended: dict[int, list[int]] = {}
             for row_id in range(start, arena.count):
-                if probe_row is None or probe_row(arrays, row_id):
-                    appended.setdefault(row_slot[row_id], []).append(row_id)
+                try:
+                    if probe_row is not None and not probe_row(arrays, row_id):
+                        continue
+                except Exception as exc:  # noqa: BLE001 — error parity is the contract
+                    raised.setdefault(row_slot[row_id], (row_id, exc))
+                    continue
+                appended.setdefault(row_slot[row_id], []).append(row_id)
+            for slot, (row_id, _) in raised.items():
+                appended[slot] = [early for early in appended.get(slot, ()) if early < row_id]
             buckets = [
                 ids if ids is None else appended.get(slot, ())
                 for slot, ids in enumerate(slot_rows)
@@ -502,11 +512,15 @@ class CompiledSelect:
             # aliases of the arena's span table).
             buckets = list(slot_rows)
         residual = self.residual
-        if residual is None:
-            return buckets
-        return [
-            ids if not ids else _filter_residual(residual, arrays, ids) for ids in buckets
-        ]
+        if residual is not None:
+            buckets = [
+                ids if not ids else _filter_residual(residual, arrays, ids) for ids in buckets
+            ]
+        for slot, (_, exc) in raised.items():
+            # The residual's error on an earlier row comes first in the scan.
+            if buckets[slot] is not None and not isinstance(buckets[slot], Exception):
+                buckets[slot] = exc
+        return buckets
 
     def describe(self) -> str:
         """Human-readable plan shape (tests and debugging)."""

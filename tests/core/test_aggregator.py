@@ -200,12 +200,16 @@ def as_columns(shares: list[MessageShare]) -> list:
 #: What the share-by-share keyed join (the aggregator's only ingest before
 #: blocks and grouped joins existed) emitted for the two streams below:
 #: ``(start, end, answers, ((estimate, error bound) per bucket))`` per window.
+#: The bounds' last digits were re-captured when the t quantile became the
+#: stdlib routine in ``repro.core.sampling`` (1 and 2 degrees of freedom:
+#: 12.706204736174701 and 4.302652729749461, where ``scipy.special.stdtrit``
+#: gives ...694 and ...462); estimates and counts are the join's.
 CLEAN_STREAM_WINDOWS = [
-    (0.0, 60.0, 3, ((2.6666666666666665, 9.070788404499478),) * 3),
-    (60.0, 120.0, 2, ((4.0, 44.01558434885374), (4.0, 44.01558434885374), (0.0, 0.0))),
+    (0.0, 60.0, 3, ((2.6666666666666665, 9.070788404499476),) * 3),
+    (60.0, 120.0, 2, ((4.0, 44.015584348853764), (4.0, 44.015584348853764), (0.0, 0.0))),
 ]
 CORRUPTED_STREAM_WINDOWS = [
-    (0.0, 60.0, 2, ((4.0, 44.01558434885374), (4.0, 44.01558434885374), (0.0, 0.0))),
+    (0.0, 60.0, 2, ((4.0, 44.015584348853764), (4.0, 44.015584348853764), (0.0, 0.0))),
 ]
 
 

@@ -1,6 +1,8 @@
 """Tests for client-side sampling and the sum estimator (Eqs. 2-4)."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,17 +41,71 @@ class TestTCritical:
         with pytest.raises(ValueError):
             t_critical(30, 1.5)
 
-    def test_memo_returns_exactly_what_scipy_returns(self):
-        """The memoised quantile is scipy's float, bit for bit, on a miss and
-        on a hit — error bounds (and every digest over them) depend on it."""
+    def test_memo_returns_the_routines_float(self):
+        """A miss, a hit and the unmemoised routine return the same float, bit
+        for bit — error bounds (and every digest over them) depend on it."""
         t_critical.cache_clear()
         for sample_size, confidence in [(2, 0.95), (31, 0.9), (320, 0.95), (320, 0.99)]:
-            expected = float(
-                stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, df=sample_size - 1)
-            )
-            assert t_critical(sample_size, confidence) == expected
-            assert t_critical(sample_size, confidence) == expected
-        assert t_critical.cache_info().hits >= 4
+            unmemoised = t_critical.__wrapped__(sample_size, confidence)
+            miss = t_critical(sample_size, confidence)
+            hit = t_critical(sample_size, confidence)
+            assert miss.hex() == hit.hex() == unmemoised.hex()
+        assert t_critical.cache_info().hits == 4
+        assert t_critical.cache_info().misses == 4
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_matches_scipy_to_1e12(self, confidence):
+        """``scipy.stats.t.ppf`` is the reference (tests only; the running
+        system imports no scipy)."""
+        dfs = list(range(1, 2001)) + [10**4, 10**5, 10**6]
+        expected = stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, dfs)
+        quantile = t_critical.__wrapped__
+        worst = max(
+            abs(quantile(df + 1, confidence) - reference) / reference
+            for df, reference in zip(dfs, expected)
+        )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("confidence", [1e-9, 0.3, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12])
+    def test_closed_forms_at_one_and_two_degrees_of_freedom(self, confidence):
+        """Far tails too: one degree of freedom is Cauchy, two has a closed form."""
+        alpha = 1.0 - confidence
+        if confidence < 0.5:  # alpha has lost digits of a small confidence
+            cauchy = math.tan(0.5 * math.pi * confidence)
+        else:
+            cauchy = 1.0 / math.tan(0.5 * math.pi * alpha)
+        two = confidence * math.sqrt(2.0 / (alpha * (1.0 + confidence)))
+        assert t_critical.__wrapped__(2, confidence) == pytest.approx(cauchy, rel=1e-12)
+        assert t_critical.__wrapped__(3, confidence) == pytest.approx(two, rel=1e-12)
+
+    @given(
+        st.integers(min_value=2, max_value=10**7),
+        st.floats(min_value=1e-6, max_value=1 - 1e-9),
+        st.floats(min_value=1e-6, max_value=1 - 1e-9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_confidence_and_sample_size(self, sample_size, first, second):
+        """Up to the routine's precision: neighbours may swap their last bits."""
+        low, high = sorted((first, second))
+        quantile = t_critical.__wrapped__
+        rounding = 1.0 + 1e-12
+        assert 0.0 < quantile(sample_size, low) <= quantile(sample_size, high) * rounding
+        assert quantile(sample_size + 1, high) <= quantile(sample_size, high) * rounding
+
+    def test_an_uncached_call_costs_under_a_tenth_of_a_millisecond(self):
+        quantile = t_critical.__wrapped__
+        calls = [
+            (df + 1, confidence)
+            for df in list(range(1, 2001, 37)) + [10**4, 10**5, 10**6]
+            for confidence in (0.90, 0.95, 0.99)
+        ]
+        best = math.inf
+        for _ in range(5):
+            started = time.perf_counter()
+            for sample_size, confidence in calls:
+                quantile(sample_size, confidence)
+            best = min(best, (time.perf_counter() - started) / len(calls))
+        assert best < 1e-4
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_invalid_confidence_rejected_on_every_call(self, confidence):

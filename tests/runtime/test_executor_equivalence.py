@@ -332,10 +332,10 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
     Everything else in this module compares two runs of the *same* commit, so
     a change that moves a draw on every path at once passes it.  This pins
     one seeded 3-epoch, two-query serial run (window estimates, closed-form
-    error bounds, and the response log), re-captured when every client draw
-    became a keyed function of (client, query, epoch) (Python 3.11, scipy
-    1.17).  A deliberate draw or bound change re-captures the constant in the
-    same change.
+    error bounds, and the response log), re-captured when the t quantile
+    became the stdlib routine in ``repro.core.sampling``, which moved the last
+    bits of the error bounds and nothing else (Python 3.11).  A deliberate
+    draw or bound change re-captures the constant in the same change.
     """
     per_query = run_multi_deployment(40, 2, num_epochs=3)
     digest = hashlib.sha256()
@@ -345,7 +345,7 @@ def test_golden_digest_of_a_three_epoch_two_query_run():
         digest.update(results)
         digest.update(repr(responses).encode("utf-8"))
     assert digest.hexdigest() == (
-        "1b48ad45ab47bfee971bb5b6f686a40572abf2c3bbed388d51b7609f07c083c2"
+        "adc08779b6f1de591e4f2424461b2262a79c8c32c5e4a752b12650eae6367a15"
     )
 
 

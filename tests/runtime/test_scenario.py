@@ -62,13 +62,13 @@ RESPAWNED_WORKERS = pytest.param(
 )
 #: ``ScenarioRun.digest`` of the seeded ``byzantine-churn`` scenario (responses
 #: log, encrypted shares, window estimates *and* error bounds, late-drop
-#: ledger), re-captured when the participation token went into the message
-#: as 16 raw bytes instead of 32 hex characters, which moves every payload
-#: and nothing else (Python 3.11, scipy 1.17).  A hot-path change
+#: ledger), re-captured when the t quantile became the stdlib routine in
+#: ``repro.core.sampling``, which moves the last bits of error bounds and
+#: nothing else (Python 3.11).  A hot-path change
 #: that claims to be draw-compatible must leave it alone; one that moves
 #: draws or bounds on purpose re-captures it in the same change and says so.
 GOLDEN_BYZANTINE_CHURN_DIGEST = (
-    "54f310cc4871f0a45bbdb5a24cb631657ec813cc78485e2b72913f5eb36302ab"
+    "36ca0798a977b5ff00c094d3bd02d334b2d072414b724702a19d485303678c7d"
 )
 
 

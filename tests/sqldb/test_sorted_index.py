@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sqldb import Database, SortedIndex, plan_for
+from repro.sqldb import Database, ShardArena, SortedIndex, arena_select_per_client, plan_for
 from repro.sqldb.compile import _InProbe
 from repro.sqldb.parser import parse_statement
 
@@ -258,3 +258,70 @@ def test_uncoerced_rows_fall_back_to_the_probe_conjunct():
             ]
         )
     assert outcomes[0] == outcomes[1] == [[(0,), (2,)], [(0,), (2,), (3,)], [(2,)]]
+
+
+_UNCOERCED_STATEMENTS = (
+    "SELECT x FROM t WHERE x > 0",
+    # The residual raises on an earlier row than the probe conjunct does.
+    "SELECT x FROM t WHERE x > 0 AND n < 5",
+)
+
+
+def _uncoerced_database(rows, force_scan=False):
+    db = Database()
+    db.force_scan = force_scan
+    db.create_table("t", [("x", "INTEGER"), ("n", "INTEGER")])
+    db.table("t").append_rows(rows)
+    return db
+
+
+def _comparable(outcome, latest):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome.rows[-1:] if latest else outcome.rows
+
+
+def _own_scan(rows, sql, latest):
+    try:
+        return _comparable(_uncoerced_database(rows, force_scan=True).query(sql), latest)
+    except Exception as exc:  # noqa: BLE001 — the member's own error is the expectation
+        return _comparable(exc, latest)
+
+
+@pytest.mark.parametrize("latest", [False, True])
+def test_an_uncoerced_member_raises_only_for_itself(latest):
+    """When the probe cannot order a column, the row-by-row fallback keeps
+    errors per slot: a member whose own scan raises gets that error, and
+    its neighbours still get their rows."""
+    members = [[(1, "b"), ("a", 0)], [(2, 1), (3, 9)], [("a", 0), (1, 0)]]
+    arena = ShardArena([_uncoerced_database(rows) for rows in members])
+    neighbour = {_UNCOERCED_STATEMENTS[0]: [(2,), (3,)], _UNCOERCED_STATEMENTS[1]: [(2,)]}
+    for sql in _UNCOERCED_STATEMENTS:
+        outcomes = arena_select_per_client(arena, sql, latest=latest)
+        expected = [_own_scan(rows, sql, latest) for rows in members]
+        assert [_comparable(o, latest) for o in outcomes] == expected, sql
+        assert expected[1] == (neighbour[sql][-1:] if latest else neighbour[sql])
+        assert isinstance(expected[0][0], type) and isinstance(expected[2][0], type)
+
+
+def test_a_standing_fold_over_an_uncoerced_append_raises_only_for_its_member():
+    """The fold over tail appends (``start > 0``) keeps errors per slot too."""
+    members = [[(1, 0)], [(2, 1)]]
+    databases = [_uncoerced_database(rows) for rows in members]
+    arena = ShardArena(databases)
+    for sql in _UNCOERCED_STATEMENTS:
+        assert [o.rows for o in arena_select_per_client(arena, sql, latest=True)] == [
+            [(1,)],
+            [(2,)],
+        ]
+    appended = [[("a", 0), (5, 0)], [(3, 2), (4, 9)]]
+    for db, rows, tail in zip(databases, members, appended):
+        db.table("t").append_rows(tail)
+        rows.extend(tail)
+    arena.sync()
+    for sql in _UNCOERCED_STATEMENTS:
+        outcomes = arena_select_per_client(arena, sql, latest=True)
+        expected = [_own_scan(rows, sql, True) for rows in members]
+        assert [_comparable(o, True) for o in outcomes] == expected, sql
+        assert expected[1] == {_UNCOERCED_STATEMENTS[0]: [(4,)], _UNCOERCED_STATEMENTS[1]: [(3,)]}[sql]
+        assert isinstance(expected[0][0], type)
