@@ -5,13 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BucketEstimate:
     """The estimate for one answer bucket: a value and its error bound.
 
     The aggregator reports ``estimate ± error_bound`` for every bucket
     (Section 3.2.4); ``confidence_level`` records the significance level the
-    bound was computed at (e.g. 0.95).
+    bound was computed at (e.g. 0.95).  Slotted: the analyst keeps one per
+    bucket per window, so an estimate is one allocation with no ``__dict__``.
     """
 
     bucket_index: int

@@ -14,7 +14,7 @@ Steps 1-2 are per client: :meth:`Client.answer` gives each participating
 query's coin and bucket.  Steps 3-4 run a column at a time:
 :meth:`ResponseBlock.build` turns a shard's participants in one query into
 one :class:`ResponseBlock` — one truthful column from their buckets, one
-randomization call, one header prefix, one packing, one XOR split — and only
+randomization call, one packing, one header prefix, one XOR split — and only
 the PRF reads (the randomized-response bytes, the token, the pad) stay per
 row, each keyed by the row's own client.  The block is what the runtime
 relays, ships and logs.  The client never transmits its truthful answer:
@@ -102,6 +102,13 @@ Answer = tuple[Participation, int | None]
 # count, payload width.
 _BLOCK_HEADER = struct.Struct(">IqHHI")
 
+# For a row of ``used`` bits in its last byte (1-7): the byte values whose
+# pad bits, the low ``8 - used``, are all clear.
+_CLEAN_LAST_BYTES = {
+    used: bytes(value for value in range(256) if not value & ((1 << (8 - used)) - 1))
+    for used in range(1, 8)
+}
+
 
 @dataclass(frozen=True)
 class ResponseBlock:
@@ -109,10 +116,14 @@ class ResponseBlock:
 
     Row ``i`` is one participant: ``client_ids[i]``, its 16-byte ``MID`` at
     ``message_ids[16 i:16 (i + 1)]``, its ``num_bits`` truthful and
-    randomized bits (one 0/1 byte each) and, in every one of the
-    ``num_shares`` payload columns, its ``width``-byte share — column 0 the
-    encrypted messages ``ME``, the others the key strings.  A proxy relays
-    its payload column with the ``MID`` column as one
+    randomized bits and, in every one of the ``num_shares`` payload columns,
+    its ``width``-byte share — column 0 the encrypted messages ``ME``, the
+    others the key strings.  The two bit columns hold their rows in the
+    message's packed layout (:meth:`AnswerCodec._pack_bits
+    <repro.core.encryption.AnswerCodec._pack_bits>`): ``⌈num_bits / 8⌉``
+    bytes a row, first bit high, pad bits clear.  Only the per-answer view
+    unpacks them (:meth:`bit_row`, :meth:`response`).  A proxy relays its
+    payload column with the ``MID`` column as one
     :class:`~repro.crypto.xor.ShareColumn` (:meth:`share_columns`).
 
     ``truthful_bits`` is evaluation-only, as it was on
@@ -122,8 +133,9 @@ class ResponseBlock:
     them.
 
     The shape is checked whenever a block is built, unpickling included:
-    one ``MID`` and one bit row per client id, at least two payload
-    columns, every one ``rows * width`` bytes.
+    one ``MID`` and one packed bit row per client id, no pad bit set (so a
+    row of bits has one byte form), at least two payload columns, every one
+    ``rows * width`` bytes.
     """
 
     query_id: str
@@ -140,13 +152,20 @@ class ResponseBlock:
     def __post_init__(self) -> None:
         rows = len(self.client_ids)
         problem = None
-        columns = (self.message_ids, self.truthful_bits, self.randomized_bits, *self.payloads)
+        truthful, randomized = self.truthful_bits, self.randomized_bits
+        stride, used = (self.num_bits + 7) // 8, self.num_bits % 8
+        columns = (self.message_ids, truthful, randomized, *self.payloads)
         if not all(type(column) is bytes for column in columns):
             problem = "every column must be bytes"
         elif len(self.message_ids) != MID_BYTES * rows:
             problem = f"{len(self.message_ids)} MID bytes for {rows} rows"
-        elif not len(self.truthful_bits) == len(self.randomized_bits) == rows * self.num_bits:
-            problem = f"bit columns are not {rows} rows of {self.num_bits} bits"
+        elif not len(truthful) == len(randomized) == rows * stride:
+            problem = f"bit columns are not {rows} packed rows of {self.num_bits} bits"
+        elif used and (
+            truthful[stride - 1 :: stride].translate(None, _CLEAN_LAST_BYTES[used])
+            or randomized[stride - 1 :: stride].translate(None, _CLEAN_LAST_BYTES[used])
+        ):
+            problem = "a bit row sets a pad bit"
         elif len(self.payloads) < 2:
             problem = f"{len(self.payloads)} payload column(s), one per proxy needs two or more"
         elif any(len(payload) != rows * self.width for payload in self.payloads):
@@ -171,15 +190,19 @@ class ResponseBlock:
         """Steps II-III for every ``(client, answer)`` of one query, as one block.
 
         Rows keep the order given.  The truthful column is built from the
-        answers' buckets; one :meth:`RandomizedResponder.randomize_vector
+        answers' buckets, unpacked for randomizing and packed for the block
+        in the same pass (one bit set per row); one
+        :meth:`RandomizedResponder.randomize_vector
         <repro.core.randomized_response.RandomizedResponder.randomize_vector>`
         call randomizes all of it — one per run of rows whose responders
         hold equal ``p, q``: the system subscribes every client with the
         query's parameters, so a deployment's block is one run, but
         :meth:`Client.subscribe` can re-tune a single client, and its row
-        then keeps its own rates; :meth:`AnswerCodec.encode_rows
-        <repro.core.encryption.AnswerCodec.encode_rows>` packs every row
-        under one header prefix; :func:`~repro.crypto.xor.split_columns`
+        then keeps its own rates; one conversion packs the randomized
+        column, which is both the block's column and what
+        :meth:`AnswerCodec.encode_rows
+        <repro.core.encryption.AnswerCodec.encode_rows>` puts under one header
+        prefix; :func:`~repro.crypto.xor.split_columns`
         XORs the message column with its key columns; one
         ``secure_random_bytes`` call draws the whole ``MID`` column.  Per row
         are only the PRF reads, under the row's own client key: its
@@ -189,12 +212,15 @@ class ResponseBlock:
             return cls(query_id, epoch, (), b"", 0, b"", b"", 0, (b"",) * num_proxies, late_ids)
         coins = [coin for _, (coin, _) in answers]
         num_bits = coins[0][0].answer_spec.num_buckets
+        stride = (num_bits + 7) // 8
         truthful = bytearray(len(answers) * num_bits)
-        for start, (_, (_, bucket)) in zip(range(0, len(truthful), num_bits), answers):
+        truthful_packed = bytearray(len(answers) * stride)
+        for row, (_, (_, bucket)) in enumerate(answers):
             if bucket is not None:
                 if not 0 <= bucket < num_bits:
                     raise ValueError(f"bucket {bucket} outside a {num_bits}-bit answer")
-                truthful[start + bucket] = 1
+                truthful[row * num_bits + bucket] = 1
+                truthful_packed[row * stride + bucket // 8] = 0x80 >> bucket % 8
         truthful = bytes(truthful)
         draws = [coin[2] for coin in coins]
         runs, start = [], 0
@@ -206,12 +232,13 @@ class ResponseBlock:
                 )
             )
             start = end
-        randomized = b"".join(runs)
+        randomized = _CODEC._pack_bits(b"".join(runs), num_bits)
         messages = _CODEC.encode_rows(
             query_id,
             epoch,
             [participation_token(client._token_secret, query_id, epoch) for client, _ in answers],
             randomized,
+            num_bits,
         )
         keys = _CODEC.pad_columns(messages, num_proxies, draws)
         return cls(
@@ -220,7 +247,7 @@ class ResponseBlock:
             client_ids=tuple([client.config.client_id for client, _ in answers]),
             message_ids=prng.secure_random_bytes(MID_BYTES * len(answers)),
             num_bits=num_bits,
-            truthful_bits=truthful,
+            truthful_bits=bytes(truthful_packed),
             randomized_bits=randomized,
             width=len(messages[0]),
             payloads=tuple(split_columns(b"".join(messages), keys)),
@@ -236,23 +263,21 @@ class ResponseBlock:
 
     def select(self, rows: Sequence[int]) -> "ResponseBlock":
         """The listed rows, in the order given, as a block (no late ids)."""
-        nb, width = self.num_bits, self.width
-        mids = self.message_ids
+
+        def pick(column: bytes, size: int) -> bytes:
+            return b"".join([column[row * size : (row + 1) * size] for row in rows])
+
+        stride, width = (self.num_bits + 7) // 8, self.width
         return ResponseBlock(
             query_id=self.query_id,
             epoch=self.epoch,
             client_ids=tuple([self.client_ids[row] for row in rows]),
-            message_ids=b"".join([mids[row * MID_BYTES : (row + 1) * MID_BYTES] for row in rows]),
-            num_bits=nb,
-            truthful_bits=b"".join([self.truthful_bits[row * nb : (row + 1) * nb] for row in rows]),
-            randomized_bits=b"".join(
-                [self.randomized_bits[row * nb : (row + 1) * nb] for row in rows]
-            ),
+            message_ids=pick(self.message_ids, MID_BYTES),
+            num_bits=self.num_bits,
+            truthful_bits=pick(self.truthful_bits, stride),
+            randomized_bits=pick(self.randomized_bits, stride),
             width=width,
-            payloads=tuple(
-                b"".join([payload[row * width : (row + 1) * width] for row in rows])
-                for payload in self.payloads
-            ),
+            payloads=tuple(pick(payload, width) for payload in self.payloads),
         )
 
     def share_columns(self) -> list[ShareColumn]:
@@ -271,17 +296,22 @@ class ResponseBlock:
             for index, payload in enumerate(self.payloads)
         ]
 
+    def bit_row(self, column: bytes, row: int) -> bytes:
+        """Row ``row`` of a bit column (``truthful_bits`` or
+        ``randomized_bits``), one 0/1 byte per bit."""
+        stride = (self.num_bits + 7) // 8
+        return bytes(_CODEC._unpack_bits(column[row * stride : (row + 1) * stride], self.num_bits))
+
     def response(self, row: int) -> ClientResponse:
-        """Row ``row`` as a value-equal :class:`ClientResponse`."""
-        nb = self.num_bits
+        """Row ``row`` as a value-equal :class:`ClientResponse`, its bits unpacked."""
         shares = self.shares(row)
         return ClientResponse(
             client_id=self.client_ids[row],
             query_id=self.query_id,
             epoch=self.epoch,
             encrypted=EncryptedAnswer(message_id=shares[0].message_id, shares=tuple(shares)),
-            truthful_bits=self.truthful_bits[row * nb : (row + 1) * nb],
-            randomized_bits=self.randomized_bits[row * nb : (row + 1) * nb],
+            truthful_bits=self.bit_row(self.truthful_bits, row),
+            randomized_bits=self.bit_row(self.randomized_bits, row),
         )
 
     @classmethod
@@ -296,7 +326,7 @@ class ResponseBlock:
             client_ids.append(data[offset : offset + length].decode("utf-8"))
             offset += length
         columns = []
-        bits = rows * num_bits
+        bits = rows * ((num_bits + 7) // 8)  # packed rows, as in the block
         for size in (MID_BYTES * rows, bits, bits, *[rows * width] * num_shares):
             columns.append(data[offset : offset + size])
             offset += size
@@ -312,7 +342,8 @@ def pack_blocks(blocks: Sequence[ResponseBlock]) -> list[bytes]:
 
     An entry is the header (:data:`_BLOCK_HEADER`); the client ids as their
     ``>H`` lengths then their UTF-8 bytes; the raw ``MID`` column; the
-    truthful-bit and randomized-bit columns; the payload columns.
+    packed truthful-bit and randomized-bit columns, as the blocks hold them;
+    the payload columns.
     Consecutive non-empty blocks of one shape — within an epoch that is all
     of them — make one entry; a shape change starts a new one, which keeps
     the log order.

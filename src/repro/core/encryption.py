@@ -12,11 +12,11 @@ place that knows how to serialize and parse ``M``, so the client and the
 aggregator cannot drift apart.  Besides the per-answer :meth:`~AnswerCodec.encrypt`
 / :meth:`~AnswerCodec.decode` pair it speaks the column form a shard's block
 uses: a shard's messages to one query are encoded under one header prefix
-and their pad keys read row by row (:meth:`~AnswerCodec.encode_rows`, whose
-one-row case :meth:`~AnswerCodec.encode` uses, and
-:meth:`~AnswerCodec.pad_columns`), and the aggregator reads a decrypted
-column of messages against the header prefix every well-formed answer of
-one query and epoch starts with
+from the block's packed bit column and their pad keys read row by row
+(:meth:`~AnswerCodec.encode_rows`, whose one-row case
+:meth:`~AnswerCodec.encode` uses, and :meth:`~AnswerCodec.pad_columns`), and
+the aggregator reads a decrypted column of messages against the header
+prefix every well-formed answer of one query and epoch starts with
 (:meth:`~AnswerCodec.parse_column`, :meth:`~AnswerCodec.count_packed_bits`).
 """
 
@@ -79,29 +79,32 @@ class AnswerCodec:
 
     def encode_message(self, query_id: str, epoch: int, token: bytes, bits) -> bytes:
         """:meth:`encode` from the answer's fields: the one-row case of
-        :meth:`encode_rows`."""
-        return self.encode_rows(query_id, epoch, [token], bits)[0]
+        :meth:`encode_rows`, its 0/1 ``bits`` packed first."""
+        return self.encode_rows(query_id, epoch, [token], self._pack_bits(bits), len(bits))[0]
 
-    def encode_rows(self, query_id: str, epoch: int, tokens, bits) -> list[bytes]:
-        """Every row's message ``M``, from its token and its row of ``bits``.
+    def encode_rows(
+        self, query_id: str, epoch: int, tokens, packed: bytes, num_bits: int
+    ) -> list[bytes]:
+        """Every row's message ``M``, from its token and its row of packed bits.
 
-        ``bits`` holds ``len(tokens)`` equally long rows of 0/1 values laid
-        end to end.  Message ``i`` is :meth:`prefix` (the header, then the
-        query id), the raw bytes ``tokens[i]``, then row ``i`` packed eight
-        to a byte; the prefix is built once and every row is packed in one
-        conversion.  The tokens must be equally long, so every message has
-        one width.
+        ``packed`` holds ``len(tokens)`` rows of ``num_bits`` bits in
+        :meth:`_pack_bits` layout, ``⌈num_bits / 8⌉`` bytes each, laid end to
+        end: a :class:`~repro.core.client.ResponseBlock` bit column.  Message
+        ``i`` is :meth:`prefix` (the header, then the query id), the raw
+        bytes ``tokens[i]``, then packed row ``i``; the prefix is built once
+        and nothing is packed here.  The tokens must be equally long, so
+        every message has one width.
         """
         if not tokens:
             return []
-        num_bits, extra = divmod(len(bits), len(tokens))
-        if extra:
-            raise ValueError(f"{len(bits)} answer bits are not {len(tokens)} equal rows")
+        stride = (num_bits + 7) // 8
+        if len(packed) != stride * len(tokens):
+            raise ValueError(
+                f"{len(packed)} packed bytes are not {len(tokens)} rows of {num_bits} bits"
+            )
         if len(set(map(len, tokens))) != 1:
             raise ValueError("one column holds messages of one width")
         prefix = self.prefix(query_id, epoch, num_bits, len(tokens[0]))
-        packed = self._pack_bits(bits, num_bits)
-        stride = (num_bits + 7) // 8
         return [
             prefix + token + packed[row * stride : (row + 1) * stride]
             for row, token in enumerate(tokens)

@@ -446,8 +446,8 @@ class PrivApproxSystem:
     def _record_historical(self, query: Query, epoch: int, blocks: Sequence) -> None:
         """Persist one epoch's own responses (not a rescan of the whole log).
 
-        Each row's randomized bits are read off its block's column, under the
-        block's query id and epoch: the messages were already checked at
+        Each row's randomized bits are unpacked off its block's column, under
+        the block's query id and epoch: the messages were already checked at
         ingest and are not decrypted again.
         """
         if self.historical_store is None:
@@ -456,8 +456,7 @@ class PrivApproxSystem:
         for block in blocks:
             if not len(block):
                 continue
-            bits, width = block.randomized_bits, block.num_bits
-            rows = [bits[start : start + width] for start in range(0, len(bits), width)]
+            rows = [block.bit_row(block.randomized_bits, row) for row in range(len(block))]
             self.historical_store.append_rows(block.query_id, block.epoch, rows, timestamp)
 
     def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> bool:

@@ -47,7 +47,7 @@ set (``EpochContext.late``), and the in-process drivers use it to flip only
 those clients' coins instead of building their answers.  ``ShardDelta`` /
 ``ShardBootstrap`` have no field for it, so resident workers still build
 every answer and the parent's gate slices the late rows out of each acked
-block — same bytes, same ledger; the field comes with the wire-v5 codec.
+block — same bytes, same ledger; the field comes with the wire-v6 codec.
 """
 
 from __future__ import annotations

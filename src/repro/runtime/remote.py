@@ -93,10 +93,10 @@ _HELLO_FORMAT = ">4sBB16s"
 _HELLO_SIZE = struct.calcsize(_HELLO_FORMAT)
 _NONCE_SIZE = 16
 
-# The resident triple (bootstrap/delta/ack) exists from wire v3 on, and acks
-# carry response blocks from v4 on; a peer that cannot speak them has
-# nothing to say on this channel.
-MIN_REMOTE_WIRE_VERSION = 4
+# The resident triple (bootstrap/delta/ack) exists from wire v3 on, acks
+# carry response blocks from v4 on and packed bit columns from v5 on; a peer
+# that cannot speak them has nothing to say on this channel.
+MIN_REMOTE_WIRE_VERSION = 5
 
 # Hard ceiling on a declared frame length: a forged 4-byte length field must
 # not be able to make the receiver allocate gigabytes.  Generous enough for

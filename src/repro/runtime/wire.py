@@ -75,7 +75,8 @@ WIRE_MAGIC = b"PAWF"
 # to the retired snapshot-shipping pair and are never reused.
 # Version 4: an ack carries one shape-checked ResponseBlock per query
 # instead of a tuple of per-answer responses.
-WIRE_VERSION = 4
+# Version 5: a block's bit columns are packed eight bits to a byte.
+WIRE_VERSION = 5
 
 _KIND_SHARD_BOOTSTRAP = 3
 _KIND_SHARD_DELTA = 4

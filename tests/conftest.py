@@ -18,6 +18,7 @@ from repro.core import (
     SystemConfig,
 )
 from repro.core.client import ResponseBlock
+from repro.core.encryption import AnswerCodec
 from repro.crypto.prng import secure_random_bytes
 from repro.crypto.xor import MID_BYTES, split_columns
 
@@ -37,19 +38,22 @@ def answer_one(client, query_id: str, epoch: int = 0, scan_cache=None):
 def forge_block(query_id: str, epoch: int, rows, num_proxies: int = 2) -> ResponseBlock:
     """A block of arbitrary rows ``(client id, truthful bits, randomized
     bits, message, pad keys)``, which no client would build: the dataclass,
-    with its payloads from :func:`split_columns` and fresh random ``MID`` s.
-    Every message must have one width and ``num_proxies - 1`` keys."""
+    with its 0/1 bit rows packed into the block's columns by the codec's
+    packer, its payloads from :func:`split_columns` and fresh random
+    ``MID`` s.  Every message must have one width and ``num_proxies - 1``
+    keys."""
     if not rows:
         return ResponseBlock.build(query_id, epoch, [], num_proxies)
     client_ids, truthful, randomized, messages, keys = zip(*rows)
+    num_bits = len(randomized[0])
     return ResponseBlock(
         query_id=query_id,
         epoch=epoch,
         client_ids=client_ids,
         message_ids=secure_random_bytes(MID_BYTES * len(rows)),
-        num_bits=len(randomized[0]),
-        truthful_bits=b"".join(map(bytes, truthful)),
-        randomized_bits=b"".join(map(bytes, randomized)),
+        num_bits=num_bits,
+        truthful_bits=AnswerCodec._pack_bits(b"".join(map(bytes, truthful)), num_bits),
+        randomized_bits=AnswerCodec._pack_bits(b"".join(map(bytes, randomized)), num_bits),
         width=len(messages[0]),
         payloads=tuple(
             split_columns(

@@ -431,7 +431,8 @@ class TestRawTokens:
     def test_a_non_utf8_token_round_trips_and_is_admitted_once(self, loose):
         token = b"\xff" * PARTICIPATION_TOKEN_LENGTH
         codec = AnswerCodec()
-        messages = codec.encode_rows(QUERY_ID, 1, [token, token], (1, 0, 0, 0, 1, 0))
+        packed = codec._pack_bits((1, 0, 0, 0, 1, 0), 3)
+        messages = codec.encode_rows(QUERY_ID, 1, [token, token], packed, 3)
         width = len(messages[0])
         assert codec.parse_column(
             b"".join(messages), width, QUERY_ID, 1, 3, PARTICIPATION_TOKEN_LENGTH

@@ -218,8 +218,10 @@ class TestBlockBuild:
         block = ResponseBlock.build(query.query_id, 6, answers, 2)
         for row, answer in enumerate(answers):
             alone = ResponseBlock.build(query.query_id, 6, [answer], 2)
-            assert block.select([row]).payloads == alone.payloads
-            assert block.response(row).randomized_bits == alone.randomized_bits
+            selected = block.select([row])
+            assert selected.payloads == alone.payloads
+            assert selected.randomized_bits == alone.randomized_bits
+            assert block.response(row).randomized_bits == alone.response(0).randomized_bits
 
     def test_an_empty_block_has_one_empty_column_per_proxy(self):
         block = ResponseBlock.build("q", 3, [], num_proxies=3)

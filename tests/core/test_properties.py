@@ -295,13 +295,18 @@ class TestBlockMatchesPerAnswer:
         rows = [
             (
                 block.client_ids[row],
-                block.truthful_bits[row * num_bits : (row + 1) * num_bits],
-                block.randomized_bits[row * num_bits : (row + 1) * num_bits],
+                block.response(row).truthful_bits,
+                block.response(row).randomized_bits,
                 [payload[row * width : (row + 1) * width] for payload in block.payloads],
             )
             for row in range(num_rows)
         ]
         assert rows == expected_rows
+        # The columns themselves are the rows packed by the per-bit reference.
+        for column, position in ((block.truthful_bits, 1), (block.randomized_bits, 2)):
+            assert column == b"".join(
+                AnswerCodec._pack_bits_scalar(row[position]) for row in expected_rows
+            )
         reading = [row for row, (_, (coin, _)) in enumerate(answers) if coin[2].low_reads]
         for _, ((_, _, draws), _) in answers:
             undecided = sum(1 for u in draws.uniforms if u >> 24 in straddling)

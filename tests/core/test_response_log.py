@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -16,8 +17,9 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
-from repro.core.client import ResponseBlock, ResponseLog, pack_blocks
+from repro.core.client import Client, ClientConfig, ResponseBlock, ResponseLog, pack_blocks
 from repro.core.encryption import AnswerCodec
+from repro.core.query import Query
 from repro.crypto.prng import KeystreamGenerator
 from repro.runtime.scenario import _digest_update_responses
 from tests.conftest import forge_block
@@ -126,6 +128,141 @@ class TestPacking:
         blocks = [make_block(f"c{i}", i % 2, (0, 1, 1)) for i in range(6)]
         packed = ResponseLog(QUERY_ID, pack_blocks(blocks))
         assert digest_of(packed) == digest_of(responses_of(blocks))
+
+
+#: Bit widths around every byte boundary a row can have, and two wide ones.
+BIT_WIDTHS = [1, 7, 8, 9, 13, 128, 192]
+
+
+def built_block(num_bits: int, num_clients: int = 5, epoch: int = 4):
+    """A block built by clients answering a ``num_bits``-bucket query, with
+    each row's bucket (the last client has no rows: bucket ``None``)."""
+    query = Query(
+        query_id=QUERY_ID,
+        sql="SELECT value FROM private_data",
+        answer_spec=AnswerSpec(buckets=RangeBuckets.uniform(0.0, 1.0, num_bits)),
+    )
+    parameters = ExecutionParameters(sampling_fraction=1.0, p=0.5, q=0.5)
+    answers, buckets = [], []
+    for index in range(num_clients):
+        client = Client(ClientConfig(client_id=f"c{index}", seed=index))
+        client.create_table([("value", "REAL")])
+        if index < num_clients - 1:
+            client.ingest([{"value": (0.5 + 7 * index) % num_bits / num_bits}])
+        client.subscribe(query, parameters)
+        (entry,) = client.answer([QUERY_ID], epoch=epoch)
+        answers.append((client, entry))
+        buckets.append(entry[1])
+    return ResponseBlock.build(QUERY_ID, epoch, answers, num_proxies=2), buckets
+
+
+def set_pad_bit(column: bytes, stride: int, row: int) -> bytes:
+    """``column`` with the lowest bit of row ``row``'s last byte set."""
+    at = (row + 1) * stride - 1
+    return column[:at] + bytes([column[at] | 1]) + column[at + 1 :]
+
+
+class TestPackedColumns:
+    """A block's bit columns are the codec's packed rows, one byte form each."""
+
+    @pytest.mark.parametrize("num_bits", BIT_WIDTHS)
+    def test_build_pack_and_read_back_agree_with_the_scalar_reference(self, num_bits):
+        block, buckets = built_block(num_bits)
+        stride = (num_bits + 7) // 8
+        assert len(block.truthful_bits) == len(block.randomized_bits) == len(block) * stride
+        (entry,) = pack_blocks([block])
+        rebuilt = ResponseBlock.from_bytes(entry, QUERY_ID)
+        assert rebuilt == block
+        codec = AnswerCodec()
+        for row, bucket in enumerate(buckets):
+            one_hot = [int(bit == bucket) for bit in range(num_bits)]
+            packed_row = slice(row * stride, (row + 1) * stride)
+            assert block.truthful_bits[packed_row] == AnswerCodec._pack_bits_scalar(one_hot)
+            response = rebuilt.response(row)
+            assert list(response.truthful_bits) == one_hot == AnswerCodec._unpack_bits_scalar(
+                block.truthful_bits[packed_row], num_bits
+            )
+            assert list(response.randomized_bits) == AnswerCodec._unpack_bits_scalar(
+                block.randomized_bits[packed_row], num_bits
+            )
+            # The message carries exactly the column's packed row.
+            assert codec.decrypt(list(response.encrypted.shares)).bits == tuple(
+                response.randomized_bits
+            )
+
+    @pytest.mark.parametrize("num_bits", [1, 7, 9, 13])
+    def test_a_set_pad_bit_is_refused_in_either_column_on_any_row(self, num_bits):
+        block, _ = built_block(num_bits)
+        stride = (num_bits + 7) // 8
+        for column in ("truthful_bits", "randomized_bits"):
+            for row in range(len(block)):
+                forged = set_pad_bit(getattr(block, column), stride, row)
+                with pytest.raises(ValueError, match="sets a pad bit"):
+                    dataclasses.replace(block, **{column: forged})
+
+    @pytest.mark.parametrize("num_bits", [8, 128, 192])
+    def test_whole_byte_rows_have_no_pad_to_refuse(self, num_bits):
+        block, _ = built_block(num_bits)
+        stride = num_bits // 8
+        flipped = set_pad_bit(block.randomized_bits, stride, 0)
+        assert dataclasses.replace(block, randomized_bits=flipped).response(0).randomized_bits[-1]
+
+    def test_unpacked_columns_are_refused(self):
+        """A column at one byte per bit (the layout before packing) is the
+        wrong length for its rows."""
+        block, _ = built_block(13)
+        unpacked = b"".join(
+            block.bit_row(block.randomized_bits, row) for row in range(len(block))
+        )
+        with pytest.raises(ValueError, match="packed rows of 13 bits"):
+            dataclasses.replace(block, randomized_bits=unpacked)
+
+    def test_a_log_entry_is_exactly_the_packed_layout(self):
+        """5 rows of 13 bits to the 5-byte query id ``q-log``, two shares:
+        a 20-byte header, then per row 2 + 2 id bytes, a 16-byte MID, two
+        2-byte bit rows and two 34-byte payloads (11 header + 5 query id +
+        16 token + 2 bits)."""
+        block, _ = built_block(13)
+        assert block.width == 34
+        (entry,) = pack_blocks([block])
+        assert len(entry) == 20 + 5 * (2 + 2 + 16 + 2 * 2 + 2 * 34) == 480
+
+    def test_the_historical_store_keeps_the_logs_randomized_bits(self):
+        config = SystemConfig(num_clients=12, seed=23, keep_historical=True)
+        system = PrivApproxSystem(config)
+        rng = random.Random(23)
+        system.provision_clients([("value", "REAL")], lambda i: [{"value": rng.uniform(0, 8)}])
+        analyst = Analyst("historical-packed")
+        query = analyst.create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(
+                buckets=RangeBuckets.uniform(0.0, 8.0, 4, open_ended=True),
+                value_column="value",
+            ),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        assert query.num_buckets == 5
+        system.submit_query(
+            analyst,
+            query,
+            QueryBudget(),
+            parameters=ExecutionParameters(sampling_fraction=0.8, p=0.6, q=0.5),
+        )
+        system.run_epochs(query.query_id, 3)
+        system.close()
+        logged = []
+        for entry in system._responses_log[query.query_id]:
+            block = ResponseBlock.from_bytes(entry, query.query_id)
+            # Five bits: one packed byte a row.
+            logged.extend(
+                (block.epoch, tuple(AnswerCodec._unpack_bits_scalar(bytes([packed]), 5)))
+                for packed in block.randomized_bits
+            )
+        stored = system.historical_store.read_answers(query.query_id)
+        assert len(stored) == len(system.responses_log(query.query_id)) > 0
+        assert [(answer.epoch, answer.bits) for answer, _ in stored] == logged
 
 
 def build_system(num_queries: int) -> tuple[PrivApproxSystem, list[str]]:

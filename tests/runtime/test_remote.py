@@ -346,7 +346,7 @@ class TestHandshake:
         worker_sock.close()
 
     def test_version_mismatch_rejected(self):
-        """A peer stuck below wire v4 cannot carry resident frames."""
+        """A peer stuck below wire v5 cannot carry resident frames."""
         coordinator_sock, worker_sock = socket.socketpair()
         coordinator_sock.settimeout(5.0)
         worker_sock.settimeout(5.0)
@@ -361,7 +361,7 @@ class TestHandshake:
 
         thread = threading.Thread(target=ancient_worker, daemon=True)
         thread.start()
-        with pytest.raises(RemoteProtocolError, match="requires >= 4"):
+        with pytest.raises(RemoteProtocolError, match="requires >= 5"):
             initiate_session(coordinator_sock, KEY)
         thread.join(timeout=5.0)
         coordinator_sock.close()

@@ -205,7 +205,9 @@ SLOW_SPEC = ScenarioSpec(
 
 def _count_encrypted_answers(monkeypatch) -> list[int]:
     """Count the messages ``AnswerCodec.encode_rows`` encodes in this process
-    (one per answer a client builds), by answer epoch."""
+    (one per answer a client builds), by answer epoch.  It is the one encode
+    entry point: the block builder hands it the packed randomized column,
+    and the one-row ``encode_message`` packs and calls it."""
     epochs: list[int] = []
     encode_rows = AnswerCodec.encode_rows
 

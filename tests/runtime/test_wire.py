@@ -294,7 +294,7 @@ class TestWireV3Framing:
 
 
 class TestVersionNegotiation:
-    """Frames are emitted at v4 and every kind is accepted at v4 only."""
+    """Frames are emitted at v5 and every kind is accepted at v5 only."""
 
     def make_bootstrap_blob(self) -> bytes:
         client = make_client()
@@ -307,9 +307,23 @@ class TestVersionNegotiation:
             )
         )
 
-    def test_frames_are_emitted_at_version_4(self):
+    def test_frames_are_emitted_at_version_5(self):
         blob = self.make_bootstrap_blob()
-        assert blob[4] == WIRE_VERSION == 4
+        assert blob[4] == WIRE_VERSION == 5
+
+    def test_version_4_frames_are_rejected(self):
+        """A v4 ack's blocks held one byte per answer bit: a v4-stamped ack or
+        bootstrap is a WireError naming the version, before anything unpickles."""
+        block = block_of([make_client(seed=seed) for seed in range(4)], epoch=2)
+        ack_blob = encode_shard_ack(ShardAck(shard_index=0, epoch=2, responses=(block,)))
+        for blob, decode in (
+            (ack_blob, decode_shard_ack),
+            (ack_blob, decode_frame),
+            (self.make_bootstrap_blob(), decode_frame),
+        ):
+            with pytest.raises(WireError, match="version 4") as excinfo:
+                decode(blob[:4] + bytes([4]) + blob[5:])
+            assert excinfo.value.offset == 4
 
     def test_version_2_frames_are_rejected(self):
         """No sender stamps v2: a v2-stamped bootstrap or ack is a WireError
@@ -402,6 +416,14 @@ class TestShapeCheckedBlocks:
             pytest.param(lambda b: {"message_ids": b.message_ids[:-16]}, id="short-mid-column"),
             pytest.param(lambda b: {"randomized_bits": b.randomized_bits + b"\x01"},
                          id="long-bit-column"),
+            pytest.param(lambda b: {"randomized_bits": b.randomized_bits[:-1]},
+                         id="short-bit-column"),
+            pytest.param(lambda b: {"randomized_bits": b.randomized_bits[:-1]
+                                    + bytes([b.randomized_bits[-1] | 1])},
+                         id="randomized-pad-bit-set"),
+            pytest.param(lambda b: {"truthful_bits": bytes([b.truthful_bits[0] | 1])
+                                    + b.truthful_bits[1:]},
+                         id="truthful-pad-bit-set"),
         ],
     )
     def test_a_misshapen_block_is_a_wire_error(self, corrupt):
@@ -416,29 +438,42 @@ class TestShapeCheckedBlocks:
         with pytest.raises(WireError, match="one ResponseBlock per query"):
             decode_shard_ack(blob)
 
-    def test_a_v3_peer_is_refused_at_hello(self):
-        """A v3 worker would ack with per-answer tuples: the handshake refuses
-        it before any frame is exchanged."""
+    @staticmethod
+    def assert_refused_at_hello(peer_version: int) -> None:
+        """A worker answering the handshake at ``peer_version`` is refused
+        before any frame is exchanged."""
         key = bytes.fromhex("ab" * 32)
         coordinator_sock, worker_sock = socket.socketpair()
         coordinator_sock.settimeout(5.0)
         worker_sock.settimeout(5.0)
 
-        def v3_worker():
+        def old_worker():
             hello = _recv_exact(worker_sock, struct.calcsize(_HELLO_FORMAT) + 32)
             coordinator_nonce = struct.unpack(_HELLO_FORMAT, hello[:-32])[3]
-            reply = struct.pack(_HELLO_FORMAT, HELLO_MAGIC, DIRECTION_WORKER, 3, b"n" * 16)
+            reply = struct.pack(
+                _HELLO_FORMAT, HELLO_MAGIC, DIRECTION_WORKER, peer_version, b"n" * 16
+            )
             worker_sock.sendall(reply + _hello_mac(key, reply, coordinator_nonce))
 
-        thread = threading.Thread(target=v3_worker, daemon=True)
+        thread = threading.Thread(target=old_worker, daemon=True)
         thread.start()
         try:
-            with pytest.raises(RemoteProtocolError, match="requires >= 4"):
+            with pytest.raises(
+                RemoteProtocolError, match=f"version {peer_version} .*requires >= 5"
+            ):
                 initiate_session(coordinator_sock, key)
         finally:
             thread.join(timeout=5.0)
             coordinator_sock.close()
             worker_sock.close()
+
+    def test_a_v3_peer_is_refused_at_hello(self):
+        """A v3 worker would ack with per-answer tuples."""
+        self.assert_refused_at_hello(3)
+
+    def test_a_v4_peer_is_refused_at_hello(self):
+        """A v4 worker would ack blocks with one byte per answer bit."""
+        self.assert_refused_at_hello(4)
 
 
 class TestSnapshotContents:
