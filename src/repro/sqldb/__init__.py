@@ -18,11 +18,14 @@ is to let the client-side "query answering" module run real SQL over local
 rows, and to let Table 3's "database read" cost be measured on a real code
 path rather than a stub.
 
-SELECTs run on an index-backed columnar fast path by default — typed
-parallel arrays (:mod:`repro.sqldb.columnar`) with one sorted index per
-predicate column, probed by compiled predicates
-(:mod:`repro.sqldb.compile`).  The original row-scan interpreter remains
-the frozen reference; set ``SQLDB_FORCE_SCAN=1`` to pin it.  There is one
+A plain projection — ``SELECT cols FROM name [WHERE predicate]``, every
+column named as declared, the one shape a PrivApprox client asks — runs
+on an index-backed columnar fast path by default: typed parallel arrays
+(:mod:`repro.sqldb.columnar`) with one sorted index per predicate column,
+probed by compiled predicates (:mod:`repro.sqldb.compile`).  The original
+row-scan interpreter remains the frozen reference and answers every other
+statement (aggregates, GROUP BY, ORDER BY, LIMIT); set
+``SQLDB_FORCE_SCAN=1`` to pin it for all of them.  There is one
 columnar layout: a :class:`~repro.sqldb.columnar.ShardArena` concatenates
 every co-schema client in a shard into one :class:`ArenaTable` per table
 so the runtime can answer a whole shard with a single probe

@@ -209,11 +209,10 @@ _EXCLUDED_EMPTY = ("x", None)
 class ArenaTable:
     """One table name concatenated across every member database.
 
-    Duck-types as the *table* (``column_names`` / ``column_index``) and
-    offers the probe surface (``count`` / ``column`` / ``arrays`` /
-    ``index``) the compiled SELECT path reads, so one
-    probe and one result finisher serve a whole shard and a lone database
-    (a one-slot arena) alike.
+    Offers the surface the compiled SELECT path reads (``columns`` /
+    ``count`` / ``column`` / ``arrays`` / ``index``), so one probe and one
+    projection serve a whole shard and a lone database (a one-slot arena)
+    alike.
 
     The schema is *adopted* from the first member that has the table;
     members whose table matches the adopted signature are **included**
@@ -232,7 +231,6 @@ class ArenaTable:
         "_databases",
         "columns",
         "_signature",
-        "_colindex",
         "_vectors",
         "_indexes",
         "_count",
@@ -264,10 +262,7 @@ class ArenaTable:
                 break
         self.columns = None if adopted is None else list(adopted.columns)
         self._signature = None if adopted is None else schema_signature(adopted.columns)
-        names = [] if self.columns is None else [c.name for c in self.columns]
-        types = [] if self.columns is None else [c.sql_type for c in self.columns]
-        self._colindex = {name: i for i, name in enumerate(names)}
-        self._vectors = {n: ColumnVector(t) for n, t in zip(names, types)}
+        self._vectors = {c.name: ColumnVector(c.sql_type) for c in self.columns or ()}
         self.row_slot = array("q")
         self.slot_rows: list = [None] * len(self._databases)
         self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
@@ -401,7 +396,7 @@ class ArenaTable:
             entry[1] = self._count
         return latest, finished
 
-    # -- probe surface (the selecting half of the compiled path) -------------
+    # -- what the compiled path reads ------------------------------------------
 
     @property
     def count(self) -> int:
@@ -411,9 +406,6 @@ class ArenaTable:
     def column(self, name: str) -> ColumnVector:
         """The parallel array of one column (exact name)."""
         return self._vectors[name]
-
-    def has_column(self, name: str) -> bool:
-        return name in self._vectors
 
     def arrays(self) -> dict[str, ColumnVector]:
         """Column name → vector, the namespace compiled closures evaluate in."""
@@ -426,22 +418,6 @@ class ArenaTable:
         if index is None:
             index = self._indexes[name] = SortedIndex(self._vectors[name])
         return index
-
-    # -- table duck-typing (the finishing half of the compiled path) ---------
-
-    @property
-    def column_names(self) -> list[str]:
-        return [] if self.columns is None else [c.name for c in self.columns]
-
-    def column_index(self, name: str) -> int:
-        """Index of a column by name — same resolution (and same error
-        message) as :meth:`repro.sqldb.table.Table.column_index`."""
-        if name in self._colindex:
-            return self._colindex[name]
-        lowered = {k.lower(): v for k, v in self._colindex.items()}
-        if name.lower() in lowered:
-            return lowered[name.lower()]
-        raise SchemaError(f"table {self.name} has no column {name}")
 
     def stats(self) -> dict[str, int]:
         """Observability: the torture suite pins that churn and

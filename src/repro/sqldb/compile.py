@@ -13,6 +13,13 @@ builder (``ResponseBlock.build``, pinned row by row to the per-answer
 the frozen reference, and the differential suite proves the compiled path
 equal row-for-row.
 
+**What compiles.**  A plain projection only: ``SELECT cols FROM t [WHERE
+...]`` with every projected column named exactly as declared — the one
+shape a client asks.  The decision is made once per ``(statement,
+schema)``: anything else raises :class:`CompileFallback` (cached like a
+plan) and runs on the row scan, so the compiled path never mirrors the
+scan's aggregates, grouping, ordering or its projection errors.
+
 **Probe selection.**  The WHERE clause is split into its top-level AND
 conjuncts (the parser builds left-deep trees, so conjunct order equals
 the scan engine's short-circuit evaluation order).  Only the *first*
@@ -235,7 +242,7 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
             value = value_fn(arrays, row_id)
             low = low_fn(arrays, row_id)
             high = high_fn(arrays, row_id)
-            if value is None:
+            if value is None or low is None or high is None:
                 return False
             return low <= value <= high
 
@@ -398,7 +405,12 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
 
 
 class CompiledSelect:
-    """One statement's lowered row-selection plan, bound to a schema.
+    """One plain projection's lowered plan, bound to a schema.
+
+    Any other statement raises :class:`CompileFallback` here (see "What
+    compiles" above).  The plan records the result's column names
+    (:attr:`columns`) and the table columns they read (:attr:`sources`),
+    ``*`` in schema order.
 
     Stateless with respect to any particular table *instance*: the plan
     captures column names and closures only, so every arena sharing the
@@ -407,6 +419,20 @@ class CompiledSelect:
     """
 
     def __init__(self, statement: ast.SelectStatement, schema: _SchemaView):
+        if (
+            statement.group_by
+            or statement.order_by is not None
+            or statement.limit is not None
+            or any(isinstance(item, ast.Aggregate) for item in statement.items)
+        ):
+            raise CompileFallback("not a plain projection")
+        if statement.select_star:
+            self.columns = self.sources = tuple(schema.names)
+        else:
+            self.columns = tuple(item.alias or item.column for item in statement.items)
+            self.sources = tuple(item.column for item in statement.items)
+            if not set(self.sources).issubset(schema.names):
+                raise CompileFallback("a projected column is not named exactly")
         self.statement = statement
         self.schema = schema
         self.probe = None

@@ -3,16 +3,19 @@
 Two SELECT paths share one semantics:
 
 * the **row scan** (:meth:`Database._execute_select_scan`) — the frozen
-  reference, interpreting the WHERE AST per row dict; and
+  reference, interpreting the WHERE AST per row dict, and the only path
+  for aggregates, GROUP BY, ORDER BY and LIMIT; and
 * the **compiled columnar** path (:func:`_select_per_slot`) — index probes
   plus closures from :mod:`repro.sqldb.compile` evaluated over an
   :class:`~repro.sqldb.columnar.ArenaTable`: a whole shard's
   (:func:`arena_select_per_client`) or a lone database's one-slot arena
-  (:meth:`Database.query`).
+  (:meth:`Database.query`).  It answers plain projections only, what a
+  client asks (``SELECT col FROM t [WHERE ...]``), and one routine
+  (:func:`_projection`) builds every result it returns.
 
 The compiled path is the default; ``SQLDB_FORCE_SCAN=1`` in the
 environment (or ``Database.force_scan = True``) pins the reference, and
-statements the compiler cannot lower fall back to it automatically.  The
+statements the compiler does not lower fall back to it automatically.  The
 differential suite in ``tests/sqldb/test_engine_properties.py`` holds the
 two paths row-for-row equal.
 """
@@ -228,8 +231,9 @@ class Database:
             arena = self.arena
             arena.sync()
             outcomes = _select_per_slot(arena, stmt, scan_forced=False)
-            # None: the compiler cannot lower the statement; ARENA_FALLBACK:
-            # a force_scan pin.  Both answer on the row scan.
+            # None: the statement is not a plain projection the compiler
+            # lowers; ARENA_FALLBACK: a force_scan pin.  Both answer on the
+            # row scan.
             if outcomes is not None and outcomes[0] is not ARENA_FALLBACK:
                 (outcome,) = outcomes
                 if isinstance(outcome, BaseException):
@@ -351,7 +355,7 @@ def _evaluate_value(node, row: dict[str, Any]):
         value = _evaluate_value(node.operand, row)
         low = _evaluate_value(node.low, row)
         high = _evaluate_value(node.high, row)
-        if value is None:
+        if value is None or low is None or high is None:
             return False
         return low <= value <= high
     if isinstance(node, ast.InOp):
@@ -404,36 +408,6 @@ def _aggregate_label(item: ast.Aggregate) -> str:
     return f"{item.function.lower()}({argument})"
 
 
-def _compute_aggregate_columnar(item: ast.Aggregate, arena, ids) -> Any:
-    """:func:`_compute_aggregate` over an arena and matching row ids.
-
-    Mirrors the reference exactly: the argument column is read by exact
-    name (``row.get`` semantics — an unknown or case-mismatched column
-    yields ``None`` for every row, so COUNT gives 0 and the rest give
-    ``None``), values are consumed in row order, and AVG is ``sum/len``
-    for float-identical results.
-    """
-    if item.function == "COUNT" and item.argument is None:
-        return len(ids)
-    argument = item.argument
-    if argument is None or not arena.has_column(argument):
-        return 0 if item.function == "COUNT" else None
-    values = [value for value in arena.column(argument).take(ids) if value is not None]
-    if item.function == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if item.function == "SUM":
-        return sum(values)
-    if item.function == "AVG":
-        return sum(values) / len(values)
-    if item.function == "MIN":
-        return min(values)
-    if item.function == "MAX":
-        return max(values)
-    raise ExecutionError(f"unsupported aggregate: {item.function}")
-
-
 def _compute_aggregate(item: ast.Aggregate, rows: list[dict]):
     if item.function == "COUNT":
         if item.argument is None:
@@ -453,124 +427,6 @@ def _compute_aggregate(item: ast.Aggregate, rows: list[dict]):
     raise ExecutionError(f"unsupported aggregate: {item.function}")
 
 
-def _finish_compiled_select(stmt: ast.SelectStatement, arena, ids) -> ResultSet:
-    """Turn matching row ids into a :class:`ResultSet` for a compiled SELECT.
-
-    ``arena`` is the :class:`~repro.sqldb.columnar.ArenaTable` the ids
-    address (a shard's, or a lone database's one-slot arena, whose ids are
-    the table's own row ids).  Every branch mirrors
-    :meth:`Database._execute_select_scan` exactly — including its error
-    behavior: projection and ORDER BY read columns by *exact* name from
-    the row dict (``KeyError`` when absent and rows matched), after
-    case-insensitive validation via ``column_index`` (``SchemaError``
-    takes precedence); aggregates and GROUP BY use ``row.get`` (missing
-    column → ``None``).
-    """
-    if stmt.group_by:
-        return _grouped_compiled(stmt, arena, ids)
-
-    has_aggregate = any(isinstance(item, ast.Aggregate) for item in stmt.items)
-    if has_aggregate:
-        if any(isinstance(item, ast.SelectItem) for item in stmt.items):
-            raise ExecutionError(
-                "mixing plain columns and aggregates requires GROUP BY"
-            )
-        columns = [_aggregate_label(item) for item in stmt.items]
-        values = tuple(
-            _compute_aggregate_columnar(item, arena, ids) for item in stmt.items
-        )
-        return ResultSet(columns=columns, rows=[values])
-
-    if stmt.select_star:
-        out_columns = source_columns = arena.column_names
-    else:
-        out_columns = [item.alias or item.column for item in stmt.items]
-        source_columns = [item.column for item in stmt.items]
-        for column in source_columns:
-            arena.column_index(column)  # validate existence
-    projected = []
-    if ids:
-        for column in source_columns:
-            if not arena.has_column(column):
-                raise KeyError(column)  # exact-name row access, as the scan does
-        # Gathered a column at a time, then zipped into row tuples.
-        columns = [arena.column(column).take(ids) for column in source_columns]
-        projected = list(zip(*columns)) if columns else [()] * len(ids)
-
-    if stmt.order_by is not None:
-        order_column = stmt.order_by.column
-        if stmt.select_star or order_column in out_columns:
-            if projected and not arena.has_column(order_column):
-                raise KeyError(order_column)
-            if projected:
-                order_vector = arena.column(order_column)
-                pairs = sorted(
-                    zip(projected, ids),
-                    key=lambda pair: _sort_key(order_vector[pair[1]]),
-                    reverse=stmt.order_by.descending,
-                )
-                projected = [pair[0] for pair in pairs]
-        else:
-            order_vector = (
-                arena.column(order_column) if arena.has_column(order_column) else None
-            )
-            pairs = sorted(
-                zip(projected, ids),
-                key=lambda pair: _sort_key(
-                    order_vector[pair[1]] if order_vector is not None else None
-                ),
-                reverse=stmt.order_by.descending,
-            )
-            projected = [pair[0] for pair in pairs]
-
-    if stmt.limit is not None:
-        projected = projected[: stmt.limit]
-    return ResultSet(columns=out_columns, rows=projected)
-
-
-def _grouped_compiled(stmt: ast.SelectStatement, arena, ids) -> ResultSet:
-    group_vectors = [
-        arena.column(column) if arena.has_column(column) else None
-        for column in stmt.group_by
-    ]
-    groups: dict[tuple, list[int]] = {}
-    for row_id in ids:
-        key = tuple(
-            vector[row_id] if vector is not None else None
-            for vector in group_vectors
-        )
-        groups.setdefault(key, []).append(row_id)
-
-    out_columns: list[str] = []
-    for item in stmt.items:
-        if isinstance(item, ast.SelectItem):
-            if item.column not in stmt.group_by:
-                raise ExecutionError(
-                    f"column {item.column} must appear in GROUP BY"
-                )
-            out_columns.append(item.alias or item.column)
-        else:
-            out_columns.append(_aggregate_label(item))
-
-    result_rows: list[tuple] = []
-    for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):
-        group_ids = groups[key]
-        values = []
-        for item in stmt.items:
-            if isinstance(item, ast.SelectItem):
-                values.append(key[stmt.group_by.index(item.column)])
-            else:
-                values.append(_compute_aggregate_columnar(item, arena, group_ids))
-        result_rows.append(tuple(values))
-    if stmt.limit is not None:
-        result_rows = result_rows[: stmt.limit]
-    return ResultSet(columns=out_columns, rows=result_rows)
-
-
-#: Lazily-computed shared-empty-outcome marker in :func:`_select_per_slot`.
-_UNSET = object()
-
-
 def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     """Answer one SELECT for every member of a shard in a single pass.
 
@@ -585,8 +441,7 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     * a :class:`ResultSet` — the member's answer, identical (row-for-row
       and error-for-error) to what ``member.query(sql)`` would produce;
     * an :class:`Exception` instance — the error that member's own
-      evaluation would raise (residual-predicate errors are captured per
-      slot; finishing errors likewise);
+      evaluation of WHERE would raise (captured per slot);
     * :data:`ARENA_FALLBACK` — this member must answer itself (its table
       is missing or schema-mismatched against the arena, or the database
       pins ``force_scan``), or it was not asked for.
@@ -596,9 +451,11 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     entry is :data:`ARENA_FALLBACK` and is never finished.
 
     Returns ``None`` for statement-level fallbacks (SQL that does not
-    parse as a SELECT, no member defines the table, or the compiler cannot
-    lower the statement): the caller must let every member answer
-    itself.  Draw-neutral by construction — SQL evaluation consumes no
+    parse as a SELECT, no member defines the table, or the statement is
+    not a plain projection the compiler lowers — an aggregate, GROUP BY,
+    ORDER BY or LIMIT, or a column not named exactly as declared): the
+    caller must let every member answer itself on the row scan.
+    Draw-neutral by construction — SQL evaluation consumes no
     randomness, so hoisting it shard-wide cannot shift any client's RNG
     or keystream state.
 
@@ -606,18 +463,15 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     reads only whether anything matched and the last matching row):
     fallback markers and exceptions are exactly the full form's, and
     every :class:`ResultSet` has the full form's ``columns`` and
-    ``rows == full.rows[-1:]``.  A plain projection (no aggregate, GROUP
-    BY, ORDER BY or LIMIT) is a *standing* answer: the arena table keeps
-    each slot's latest matching row id per plan
+    ``rows == full.rows[-1:]``.  It is a *standing* answer: the arena
+    table keeps each slot's latest matching row id per plan
     (:meth:`ArenaTable.standing_latest
     <repro.sqldb.columnar.ArenaTable.standing_latest>`) and folds in only
-    the rows appended since the last ask, and the statement-level half of
-    the projection runs once.  A slot's one-row outcome is kept with its
-    standing row id and handed out again, the same object, until the id
-    moves; an exception outcome is never kept.  Any other shape runs the
-    full finisher and keeps its last row.  Outcomes are read-only: empty
-    slots share one outcome, one-row outcomes share their column list and
-    outlive the ask.
+    the rows appended since the last ask.  A slot's one-row outcome is
+    kept with its standing row id and handed out again, the same object,
+    until the id moves; an exception outcome is never kept.  Outcomes are
+    read-only: empty slots share one outcome, and the outcomes of one ask
+    share their column list and outlive it.
     """
     try:
         statement = parse_statement_cached(sql)
@@ -644,7 +498,8 @@ def _select_per_slot(
     ``scan_forced`` (the ``SQLDB_FORCE_SCAN`` switch) and a member's own
     ``force_scan`` pin mark slots :data:`ARENA_FALLBACK` before anything is
     probed or a standing answer is built or folded.  Returns ``None`` when
-    no member defines the table or the compiler cannot lower the statement.
+    no member defines the table or the statement is not a plain projection
+    the compiler lowers.
     """
     table = arena.table(statement.table)
     if table is None:
@@ -665,96 +520,55 @@ def _select_per_slot(
     ]
     if not asked:
         return outcomes
-    empty_outcome = _UNSET
-    if latest and _is_plain_projection(statement):
+    if latest:
         standing, finished = table.standing_latest(plan)
-        finish_row = _UNSET
+        project = None  # bound on first use: not when every slot holds a kept outcome
         for slot in asked:
             outcome = finished[slot]
-            if outcome is not None:
-                outcomes[slot] = outcome
-                continue
-            row_id = standing[slot]
-            if row_id is None:
-                continue
-            if isinstance(row_id, BaseException):
-                # Handed out afresh: a raise must not grow a held traceback.
-                outcomes[slot] = row_id.with_traceback(None)
-                continue
-            if row_id < 0:
-                if empty_outcome is _UNSET:
-                    empty_outcome = _finish_outcome(statement, table, ())
-                outcomes[slot] = empty_outcome
-                continue
-            if finish_row is _UNSET:
-                finish_row = _one_row_finisher(statement, table)
-            if finish_row is not None:
-                outcome = finish_row(row_id)
-            else:
-                outcome = _finish_outcome(statement, table, [row_id])
-            if isinstance(outcome, ResultSet):
-                finished[slot] = outcome
+            if outcome is None:
+                row_id = standing[slot]
+                if row_id is None:
+                    continue
+                if isinstance(row_id, BaseException):
+                    # Handed out afresh: a raise must not grow a held traceback.
+                    outcome = row_id.with_traceback(None)
+                else:
+                    project = project or _projection(plan, table)
+                    outcome = project((row_id,) if row_id >= 0 else ())
+                    if row_id >= 0:
+                        finished[slot] = outcome
             outcomes[slot] = outcome
         return outcomes
-
+    project = _projection(plan, table)
     ids_per_slot = plan.matching_ids_per_client(table)
     for slot in asked:
         ids = ids_per_slot[slot]
-        if ids is None:
-            continue
         if isinstance(ids, BaseException):
             outcomes[slot] = ids
-            continue
-        if len(ids) == 0:
-            # The empty-ids outcome is a pure function of (statement,
-            # arena schema): compute it once and share it across every
-            # empty member — decisive at sparse selectivities.
-            if empty_outcome is _UNSET:
-                empty_outcome = _finish_outcome(statement, table, ())
-            outcomes[slot] = empty_outcome
-            continue
-        outcome = _finish_outcome(statement, table, ids)
-        if latest and isinstance(outcome, ResultSet):
-            outcome.rows = outcome.rows[-1:]
-        outcomes[slot] = outcome
+        elif ids is not None:
+            outcomes[slot] = project(ids)
     return outcomes
 
 
-def _is_plain_projection(stmt: ast.SelectStatement) -> bool:
-    """Whether a SELECT's last result row is its last matching table row."""
-    return (
-        not stmt.group_by
-        and stmt.order_by is None
-        and stmt.limit is None
-        and not any(isinstance(item, ast.Aggregate) for item in stmt.items)
-    )
+def _projection(plan, table):
+    """The one routine that builds a compiled :class:`ResultSet`.
 
-
-def _one_row_finisher(stmt: ast.SelectStatement, table):
-    """The statement-level half of finishing a plain projection, done once.
-
-    Returns ``finish(row_id) -> ResultSet`` building a member's one-row
-    result, or ``None`` when a projected column does not resolve by exact
-    name: the error such a statement raises depends on whether the slot
-    matched, so :func:`_finish_compiled_select` keeps deciding it per slot.
+    Returns ``project(ids)``: the plan's result columns over the rows at
+    ``ids`` — a standing slot's latest row, a one-slot database's matched
+    rows — gathered a column at a time and zipped into row tuples.  The
+    outcomes of one call share a column list, and every empty one is the
+    same object (decisive at sparse selectivities).
     """
-    if stmt.select_star:
-        out_columns = table.column_names
-        source_columns = out_columns
-    else:
-        out_columns = [item.alias or item.column for item in stmt.items]
-        source_columns = [item.column for item in stmt.items]
-    if not all(table.has_column(column) for column in source_columns):
-        return None
-    vectors = [table.column(column) for column in source_columns]
-    return lambda row_id: ResultSet(
-        out_columns, [tuple(vector[row_id] for vector in vectors)]
-    )
+    columns = list(plan.columns)
+    vectors = [table.column(name) for name in plan.sources]
+    empty = []
 
+    def project(ids) -> ResultSet:
+        if not len(ids):
+            if not empty:
+                empty.append(ResultSet(columns, []))
+            return empty[0]
+        gathered = [vector.take(ids) for vector in vectors]
+        return ResultSet(columns, list(zip(*gathered)) if gathered else [()] * len(ids))
 
-def _finish_outcome(stmt: ast.SelectStatement, table, ids):
-    """Finish one member's result, capturing the error instead of raising."""
-    try:
-        return _finish_compiled_select(stmt, table, ids)
-    except Exception as exc:  # noqa: BLE001 - outcome parity with per-client
-        return exc
+    return project

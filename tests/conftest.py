@@ -125,17 +125,19 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
 # arena ≡ without).  ``route`` is how ``arena_select_per_client(latest=True)``
 # gets to a member's last matching row:
 #
-# * ``standing``    — a plain projection: the arena table's standing answer,
-#   kept by one matching pass per ask (the first from row 0 through the
-#   index, later ones over only the rows appended since);
-# * ``full-finish`` — not a plain projection: the full finisher runs and its
-#   last row is kept.
+# * ``standing`` — a plain projection, every column named as declared: the
+#   arena table's standing answer, kept by one matching pass per ask (the
+#   first from row 0 through the index, later ones over only the rows
+#   appended since);
+# * ``fallback`` — anything else (an aggregate, GROUP BY, ORDER BY, LIMIT,
+#   or a column named other than as declared): no plan compiles, the arena
+#   answers ``None`` and every member answers on its own row scan.
 
 LATEST_ROW_COLUMNS = [("value", "REAL"), ("zone", "INTEGER"), ("tag", "TEXT")]
 
 _T = "FROM private_data"
 LATEST_ROW_STATEMENTS = (
-    # (sql, CompiledSelect.describe(), route)
+    # (sql, CompiledSelect.describe() or None when nothing compiles, route)
     (f"SELECT value {_T}", "all", "standing"),
     (f"SELECT value {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
     (f"SELECT value {_T} WHERE zone IN (1, 2)", "index-in(zone)", "standing"),
@@ -195,23 +197,20 @@ LATEST_ROW_STATEMENTS = (
     (f"SELECT value AS v, zone {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
     # value_column ("value") absent from the projection: the client reads row[0].
     (f"SELECT zone, tag {_T} WHERE value > 2.0", "index-range(value)", "standing"),
-    # Case-twisted projection: KeyError only for members that matched.
-    (f"SELECT Value {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
+    # Case-twisted projection: the row scan raises KeyError only for
+    # members that matched.
+    (f"SELECT Value {_T} WHERE zone = 1", None, "fallback"),
     # Unknown projection: SchemaError for every member, matched or not.
-    (f"SELECT nope {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
-    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", "index-eq(zone)", "full-finish"),
-    (
-        f"SELECT value {_T} WHERE zone = 1 ORDER BY value DESC",
-        "index-eq(zone)",
-        "full-finish",
-    ),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 0", "index-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 1", "index-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 3", "index-in(zone)", "full-finish"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 99", "index-in(zone)", "full-finish"),
-    (f"SELECT COUNT(*) {_T} WHERE zone = 1", "index-eq(zone)", "full-finish"),
-    (f"SELECT MAX(value) {_T} WHERE value > 2.0", "index-range(value)", "full-finish"),
-    (f"SELECT zone, COUNT(*) {_T} GROUP BY zone", "all", "full-finish"),
+    (f"SELECT nope {_T} WHERE zone = 1", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone = 1 ORDER BY value DESC", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 0", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 1", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 3", None, "fallback"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2) LIMIT 99", None, "fallback"),
+    (f"SELECT COUNT(*) {_T} WHERE zone = 1", None, "fallback"),
+    (f"SELECT MAX(value) {_T} WHERE value > 2.0", None, "fallback"),
+    (f"SELECT zone, COUNT(*) {_T} GROUP BY zone", None, "fallback"),
 )
 
 # One shard's members, by name: (value, zone, tag) rows in insertion order.

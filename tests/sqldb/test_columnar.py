@@ -168,7 +168,7 @@ class TestOneSlotArenaSync:
         db.insert_rows("t", [{"x": "a"}, {"x": "b"}, {"x": "a"}])
         store = _own(db)
         assert store.rebuilds == 2
-        assert store.column_names == ["x"] and store.count == 3
+        assert [c.name for c in store.columns] == ["x"] and store.count == 3
         assert store.stats()["indexes"] == 0
         assert db.query("SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
 
@@ -299,7 +299,7 @@ class TestScanProjection:
 
 
 def _arena_row(arena_table, arena_id):
-    return tuple(arena_table.column(name)[arena_id] for name in arena_table.column_names)
+    return tuple(arena_table.column(c.name)[arena_id] for c in arena_table.columns)
 
 
 class TestShardArena:

@@ -240,12 +240,17 @@ def _fuzz_where(rng: random.Random, schema) -> str:
 
 
 def _fuzz_select(rng: random.Random, schema) -> str:
+    """A random SELECT: 12 % ``*``, 14 % aggregate-only, 10 % GROUP BY, 22 %
+    a projection with maybe ORDER BY and LIMIT, and 42 % a bare projection,
+    the shape a client asks.  Only a ``*`` or projection without ORDER BY or
+    LIMIT, every column named as declared, compiles; the rest exercise the
+    row-scan fallback."""
     aggregates = ("COUNT", "SUM", "AVG", "MIN", "MAX")
     shape = rng.random()
     order_candidates = [name for name, _ in schema]
-    if shape < 0.2:
+    if shape < 0.12:
         items = "*"
-    elif shape < 0.4:  # aggregate-only
+    elif shape < 0.26:  # aggregate-only
         parts = []
         for _ in range(rng.randint(1, 3)):
             function = rng.choice(aggregates)
@@ -255,7 +260,7 @@ def _fuzz_select(rng: random.Random, schema) -> str:
             alias = f" AS agg{rng.randrange(10)}" if rng.random() < 0.3 else ""
             parts.append(f"{function}({argument}){alias}")
         items = ", ".join(parts)
-    elif shape < 0.55:  # GROUP BY
+    elif shape < 0.36:  # GROUP BY
         group_columns = [
             schema[i][0]
             for i in rng.sample(range(len(schema)), rng.randint(1, min(2, len(schema))))
@@ -286,7 +291,9 @@ def _fuzz_select(rng: random.Random, schema) -> str:
                 parts.append(column)
         items = ", ".join(parts)
     sql = f"SELECT {items} FROM t{_fuzz_where(rng, schema)}"
-    if shape >= 0.4 and rng.random() < 0.45:
+    if shape >= 0.58:  # a bare projection
+        return sql
+    if shape >= 0.36 and rng.random() < 0.45:
         column = rng.choice(order_candidates)
         if rng.random() < 0.1:
             column = column.upper()

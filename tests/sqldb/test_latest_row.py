@@ -3,8 +3,10 @@
 ``arena_select_per_client(arena, sql, latest=True)`` is what the epoch
 runtime asks for: per member, the full form's error or fallback marker,
 else the full form's columns over only its last row.  These tests pin
-which route each statement shape takes, that every route equals the
-row-scan reference's ``rows[-1:]``, that the one matching pass evaluates
+which route each statement shape takes (a plain projection's standing
+answer, or ``None`` for everything else, which the members answer on the
+row scan), that the standing answer equals the row-scan reference's
+``rows[-1:]``, that the one matching pass evaluates
 every candidate in row order, and that a standing answer filled at once
 equals one folded forward over tail appends (the differential fuzzer in
 ``test_engine_properties.py`` carries the same comparison over random
@@ -16,12 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.sqldb import (
     ARENA_FALLBACK,
+    CompileFallback,
     Database,
     ShardArena,
     arena_select_per_client,
     plan_for,
 )
-from repro.sqldb.engine import ResultSet, _is_plain_projection
+from repro.sqldb.engine import ResultSet
 from repro.sqldb.parser import parse_statement
 from tests.conftest import LATEST_ROW_COLUMNS, LATEST_ROW_MEMBERS, LATEST_ROW_STATEMENTS
 
@@ -43,12 +46,12 @@ def _shard(columns, members):
     return databases, references
 
 
-def _reference_outcome(reference: Database, sql: str):
+def _reference_outcome(reference: Database, sql: str, latest: bool = True):
     try:
         result = reference.query(sql)
     except Exception as exc:  # noqa: BLE001 — parity includes error behavior
         return ("error", type(exc).__name__, str(exc))
-    return ("rows", result.columns, result.rows[-1:])
+    return ("rows", result.columns, result.rows[-1:] if latest else result.rows)
 
 
 def _arena_outcome(entry):
@@ -57,12 +60,13 @@ def _arena_outcome(entry):
     return ("rows", entry.columns, entry.rows)
 
 
-def _route(sql: str, columns) -> tuple[str, str]:
+def _route(sql: str, columns) -> tuple[str | None, str]:
     """(plan shape, route) as the latest-row form dispatches on them."""
-    statement = parse_statement(sql)
-    plan = plan_for(statement, columns)
-    route = "standing" if _is_plain_projection(statement) else "full-finish"
-    return plan.describe(), route
+    try:
+        plan = plan_for(parse_statement(sql), columns)
+    except CompileFallback:
+        return None, "fallback"
+    return plan.describe(), "standing"
 
 
 class TestRouteTable:
@@ -72,14 +76,34 @@ class TestRouteTable:
         got = [(sql, *_route(sql, schema)) for sql, _, _ in statements]
         assert got == list(statements)
         routes = {route for _, _, route in statements}
-        assert routes == {"standing", "full-finish"}
+        assert routes == {"standing", "fallback"}
+
+    def test_a_fallback_statement_is_asked_of_no_arena(self, latest_row_cases):
+        """An arena, a shard's or a database's own, answers a statement that
+        does not compile with ``None`` in both forms, and asking builds no
+        index and no standing answer: each member answers on the row scan."""
+        columns, statements, members = latest_row_cases
+        databases, references = _shard(columns, members)
+        arena = ShardArena(databases)
+        fallbacks = [sql for sql, _, route in statements if route == "fallback"]
+        for sql in fallbacks:
+            for asked in (arena, *(db.arena for db in databases)):
+                assert arena_select_per_client(asked, sql) is None, sql
+                assert arena_select_per_client(asked, sql, latest=True) is None, sql
+            for db, reference in zip(databases, references):
+                assert _reference_outcome(db, sql) == _reference_outcome(reference, sql)
+        for asked in (arena, *(db.arena for db in databases)):
+            stats = asked.arena_stats()[TABLE]
+            assert (stats["indexes"], stats["standing_plans"]) == (0, 0)
 
     def test_latest_row_equals_scan_reference_last_row(self, latest_row_cases):
         columns, statements, members = latest_row_cases
         databases, references = _shard(columns, members)
         arena = ShardArena(databases)
         raised = set()
-        for sql, _, _ in statements:
+        for sql, _, route in statements:
+            if route == "fallback":
+                continue
             outcomes = arena_select_per_client(arena, sql, latest=True)
             full = arena_select_per_client(arena, sql)
             assert len(outcomes) == len(databases)
@@ -115,9 +139,12 @@ class TestRouteTable:
         pinned = _database(columns, members["plain"], force_scan=True)
         shard = [databases[0], odd, pinned, *databases[1:]]
         arena = ShardArena(shard)
-        for sql, _, _ in statements:
+        for sql, _, route in statements:
             outcomes = arena_select_per_client(arena, sql, latest=True)
             full = arena_select_per_client(arena, sql)
+            if route == "fallback":
+                assert outcomes is full is None
+                continue
             assert [o is ARENA_FALLBACK for o in outcomes] == [
                 o is ARENA_FALLBACK for o in full
             ]
@@ -169,7 +196,9 @@ class TestTailAppends:
 
 def _residual_statements():
     return [
-        sql for sql, shape, _ in LATEST_ROW_STATEMENTS if shape.endswith("residual")
+        sql
+        for sql, shape, route in LATEST_ROW_STATEMENTS
+        if route == "standing" and shape.endswith("residual")
     ]
 
 
@@ -264,7 +293,7 @@ class TestWorkPerSlot:
 
 def _plain_statements(statements):
     """The statements the standing answer serves: latest-row plain projections."""
-    return [sql for sql, _, route in statements if route != "full-finish"]
+    return [sql for sql, _, route in statements if route == "standing"]
 
 
 def _outcome(entry):
@@ -327,19 +356,18 @@ class TestStandingAnswers:
         assert stats["rebuilds"] == 1
         assert stats["standing_plans"] == len(plain)
 
-    def test_a_standing_fold_builds_no_index_and_a_full_finish_rebuilds_it(
+    def test_a_standing_fold_builds_no_index_and_a_full_ask_rebuilds_it(
         self, monkeypatch, latest_row_cases
     ):
         """What a stream of appends saves: an append drops the arena's
         indexes instead of maintaining them, the standing answers fold the
-        tail rows in without building one, and only a full-finish ask sorts
+        tail rows in without building one, and only a full-form ask sorts
         a column again — answering as the forced row scan does."""
         columns, statements, members = latest_row_cases
         databases, _ = _shard(columns, members)
         arena = ShardArena(databases)
         plain = _plain_statements(statements)
-        full = [sql for sql, _, route in statements if route == "full-finish"]
-        for sql in plain + full:
+        for sql in plain:
             arena_select_per_client(arena, sql, latest=True)
         table = arena.table(TABLE)
         assert table.stats()["indexes"] > 0
@@ -350,13 +378,13 @@ class TestStandingAnswers:
         for sql in plain:
             arena_select_per_client(arena, sql, latest=True)
         assert table.stats()["indexes"] == 0
-        answers = {sql: arena_select_per_client(arena, sql, latest=True) for sql in full}
+        answers = {sql: arena_select_per_client(arena, sql) for sql in plain}
         assert table.stats()["indexes"] > 0
         assert table.stats()["rebuilds"] == 1
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         for sql, outcomes in answers.items():
             for db, entry in zip(databases, outcomes):
-                assert _arena_outcome(entry) == _reference_outcome(db, sql), sql
+                assert _arena_outcome(entry) == _reference_outcome(db, sql, False), sql
 
     def test_a_rebuild_drops_every_standing_answer(self, latest_row_cases):
         columns, statements, members = latest_row_cases
@@ -429,18 +457,18 @@ class TestStandingAnswers:
         databases, _ = _shard(columns, members)
         arena = ShardArena(databases)
         finished = []
-        finish = engine._one_row_finisher
+        projection = engine._projection
 
-        def counting_finisher(stmt, table):
-            inner = finish(stmt, table)
+        def counting_projection(plan, table):
+            project = projection(plan, table)
 
-            def finish_row(row_id):
-                finished.append(row_id)
-                return inner(row_id)
+            def counted(ids):
+                finished.extend(ids)
+                return project(ids)
 
-            return finish_row
+            return counted
 
-        monkeypatch.setattr(engine, "_one_row_finisher", counting_finisher)
+        monkeypatch.setattr(engine, "_projection", counting_projection)
         sql = f"SELECT value FROM {TABLE}"
         outcomes = arena_select_per_client(arena, sql, latest=True, slots=[1])
         assert [o is ARENA_FALLBACK for o in outcomes] == [
@@ -508,13 +536,9 @@ class TestStandingOutcomes:
 
     @pytest.mark.parametrize(
         "sql",
-        [
-            # The residual raises on "text-tag"'s rows: a standing error.
-            f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
-            # Resolves only case-insensitively: finishing a matched slot raises.
-            f"SELECT VALUE FROM {TABLE} WHERE zone = 1",
-        ],
-        ids=["standing-error", "finish-error"],
+        # The residual raises on "text-tag"'s rows: a standing error.
+        [f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)"],
+        ids=["standing-error"],
     )
     def test_an_erroring_slot_is_never_cached(self, latest_row_cases, sql):
         _, arena = self._arena(latest_row_cases)

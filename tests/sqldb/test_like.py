@@ -1,18 +1,19 @@
-"""``LIKE`` is SQLite's ``LIKE``, on the row scan and the compiled path alike.
+"""``LIKE`` is SQLite's ``LIKE``, on the row scan, the compiled path and a
+shard arena alike.
 
 Only ``%`` and ``_`` are wildcards, and ASCII letters match either case
-(SQLite's default, whatever the platform).  Both paths are checked against
-stdlib ``sqlite3`` over the same rows, NULL included: the two paths share
-one matcher, so comparing them with each other alone could not catch a
-wrong one.
+(SQLite's default, whatever the platform).  Every path is checked against
+stdlib ``sqlite3`` over the same rows, NULL included: the paths share one
+matcher, so comparing them with each other alone could not catch a wrong
+one.
 """
 
 import sqlite3
 
 import pytest
 
-from repro.sqldb import Database
 from repro.sqldb.compile import like_matcher, like_text
+from tests.sqldb.sqlite_reference import PATHS, answers, assert_matches_sqlite, sqlite_rows
 
 NAMES = [
     "abc",
@@ -53,51 +54,35 @@ PATTERNS = [
 ]
 
 
-def _sqlite_matches(pattern: str) -> list:
-    connection = sqlite3.connect(":memory:")
-    try:
-        connection.execute("CREATE TABLE t (id INTEGER, name TEXT)")
-        connection.executemany("INSERT INTO t VALUES (?, ?)", list(enumerate(NAMES)))
-        rows = connection.execute(
-            "SELECT id FROM t WHERE name LIKE ? ORDER BY id", (pattern,)
-        ).fetchall()
-    finally:
-        connection.close()
-    return [row[0] for row in rows]
+SCHEMA = [("id", "INTEGER"), ("name", "TEXT")]
+ROWS = list(enumerate(NAMES))
 
 
-def _database(force_scan: bool) -> Database:
-    db = Database()
-    db.force_scan = force_scan
-    db.create_table("t", [("id", "INTEGER"), ("name", "TEXT")])
-    db.insert_rows("t", [{"id": i, "name": name} for i, name in enumerate(NAMES)])
-    return db
+def _like(pattern: str, column: str = "name") -> str:
+    return f"SELECT id FROM t WHERE {column} LIKE '{pattern}'"
 
 
-@pytest.mark.parametrize("force_scan", [True, False], ids=["row-scan", "compiled"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("pattern", PATTERNS)
-def test_like_matches_sqlite(pattern, force_scan):
-    db = _database(force_scan)
-    result = db.query(f"SELECT id FROM t WHERE name LIKE '{pattern}'")
-    assert [row[0] for row in result.rows] == _sqlite_matches(pattern), pattern
+def test_like_matches_sqlite(pattern, path):
+    assert_matches_sqlite(SCHEMA, ROWS, _like(pattern), path)
 
 
 def test_glob_characters_are_literals():
     """The cases the old translation got wrong: a glob-style pattern matched
     ``abc``, ``a?c`` and ``a[b]c``, and ``%C`` matched nothing on POSIX."""
-    assert _sqlite_matches("a*c") == [NAMES.index("a*c")]
-    assert _sqlite_matches("%C") == [
-        index for index, name in enumerate(NAMES) if name and name[-1] in "cC"
+    assert sqlite_rows(SCHEMA, ROWS, _like("a*c")) == [(NAMES.index("a*c"),)]
+    assert sqlite_rows(SCHEMA, ROWS, _like("%C")) == [
+        (index,) for index, name in enumerate(NAMES) if name and name[-1] in "cC"
     ]
     match = like_matcher("a*c")
     assert [name for name in NAMES if name and match(name)] == ["a*c"]
 
 
 def test_null_never_matches():
-    for force_scan in (True, False):
-        db = _database(force_scan)
-        result = db.query("SELECT id FROM t WHERE name LIKE '%'")
-        assert NAMES.index(None) not in [row[0] for row in result.rows]
+    for path in PATHS:
+        for member in answers(SCHEMA, ROWS, _like("%"), path):
+            assert (NAMES.index(None),) not in member
 
 
 # -- non-TEXT values: LIKE reads SQLite's text form of the value ---------------
@@ -139,40 +124,15 @@ TYPED_PATTERNS = [
 ]
 
 
-def _sqlite_typed_matches(column: str, pattern: str) -> list:
-    connection = sqlite3.connect(":memory:")
-    try:
-        connection.execute("CREATE TABLE t (id INTEGER, flag BOOLEAN, n INTEGER, x REAL)")
-        connection.executemany(
-            "INSERT INTO t VALUES (?, ?, ?, ?)",
-            [(i, *row) for i, row in enumerate(TYPED_ROWS)],
-        )
-        rows = connection.execute(
-            f"SELECT id FROM t WHERE {column} LIKE ? ORDER BY id", (pattern,)
-        ).fetchall()
-    finally:
-        connection.close()
-    return [row[0] for row in rows]
+TYPED_SCHEMA = [("id", "INTEGER"), ("flag", "BOOLEAN"), ("n", "INTEGER"), ("x", "REAL")]
 
 
-@pytest.mark.parametrize("force_scan", [True, False], ids=["row-scan", "compiled"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("column", ["flag", "n", "x"])
 @pytest.mark.parametrize("pattern", TYPED_PATTERNS)
-def test_like_over_non_text_matches_sqlite(pattern, column, force_scan):
-    db = Database()
-    db.force_scan = force_scan
-    db.create_table(
-        "t", [("id", "INTEGER"), ("flag", "BOOLEAN"), ("n", "INTEGER"), ("x", "REAL")]
-    )
-    db.insert_rows(
-        "t",
-        [
-            {"id": i, "flag": flag, "n": n, "x": x}
-            for i, (flag, n, x) in enumerate(TYPED_ROWS)
-        ],
-    )
-    result = db.query(f"SELECT id FROM t WHERE {column} LIKE '{pattern}'")
-    assert [row[0] for row in result.rows] == _sqlite_typed_matches(column, pattern)
+def test_like_over_non_text_matches_sqlite(pattern, column, path):
+    rows = [(i, *row) for i, row in enumerate(TYPED_ROWS)]
+    assert_matches_sqlite(TYPED_SCHEMA, rows, _like(pattern, column), path)
 
 
 def test_like_text_is_sqlites_text_form():
