@@ -1,18 +1,18 @@
 """Answer-stage timing: compiled columnar path vs the row-scan reference.
 
-The acceptance benchmark for the index-backed answer path
+The acceptance benchmark for the compiled columnar answer path
 (``repro.sqldb.columnar`` / ``repro.sqldb.compile``): 1000 client
 databases of 256 rows each answer the same analyst SELECT, once with
 ``force_scan`` pinning the frozen row-scan interpreter and once on the
 default compiled path, across a selectivity sweep (~1%, 10%, 50%, 100% of
 rows matching).  The claim under test: **>= 3x speedup on the selective
-predicate** (the sorted index's range probe bisects to a handful of rows
+predicate** (the range probe is one comprehension over a typed column
 instead of interpreting the WHERE AST over 256 row dicts per client), with
 results byte-identical to the scan on every database.
 
 Steady-state is what matters — a deployment builds each client's columnar
 store once, then reuses it across every epoch — so the compiled path is
-timed after a warm-up pass; the cold first pass (store + index build) is
+timed after a warm-up pass; the cold first pass (store build) is
 reported separately in the JSON artifact.  Timings are best-of-N to keep a
 loaded CI runner from failing the suite; all rows land in
 ``results/BENCH_answer_path.json`` for the non-blocking benchmarks job to
@@ -88,7 +88,7 @@ def _time_pass(databases: list[Database], sql: str) -> float:
 def test_answer_path_speedup(report):
     databases = _build_population()
 
-    # Cold pass: first compiled query pays the columnar store + index build.
+    # Cold pass: first compiled query pays the columnar store build.
     cold_start = time.perf_counter()
     _answer_pass(databases, SELECTIVITY_SWEEP[0][1])
     cold_seconds = time.perf_counter() - cold_start
@@ -149,7 +149,7 @@ def test_answer_path_speedup(report):
             for row in json_rows
         ],
     )
-    report.note(f"cold store+index build pass: {cold_seconds * 1e3:.1f} ms")
+    report.note(f"cold store build pass: {cold_seconds * 1e3:.1f} ms")
 
     assert speedups[SELECTIVE_LABEL] >= SPEEDUP_FLOOR, (
         f"selective predicate speedup {speedups[SELECTIVE_LABEL]:.2f}x "
@@ -217,7 +217,7 @@ def test_arena_vs_per_client_sweep(report):
         databases = _build_shard(num_clients)
         arena = ShardArena(databases)
 
-        # Warm both paths: one-slot arenas+indexes and the shard arena+indexes.
+        # Warm both paths: the one-slot arenas and the shard arena.
         per_client_results = [db.query(ARENA_SQL).rows for db in databases]
         arena_build_start = time.perf_counter()
         arena_results = arena_select_per_client(arena, ARENA_SQL)

@@ -47,7 +47,7 @@ from repro.core.seeding import (
 )
 from repro.crypto import prng
 from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns
-from repro.sqldb import Database
+from repro.sqldb import ARENA_FALLBACK, Database, arena_select_per_client
 
 _CODEC = AnswerCodec()
 
@@ -473,7 +473,7 @@ class Client:
         reference (``repro.runtime.wire`` frames these snapshots into shard
         bootstraps).
 
-        The database's one-slot columnar arena and its sorted indexes
+        The database's one-slot columnar arena and its standing answers
         are deliberately *not* shipped: they are derived state, lazily
         rebuilt from raw rows on the restored side and grown by appends
         from then on — and the differential suite asserts the rebuilt and
@@ -703,23 +703,38 @@ class Client:
         return query.encode_value(self._latest_value(query))
 
     def _query_outcome(self, query: Query, scan_cache: dict[str, Any] | None):
-        """This client's result set for the analyst's SQL, raising what it raises.
+        """The latest-row form of this client's result set for the analyst's
+        SQL, raising what it raises.
 
         ``scan_cache`` (keyed by SQL text) deduplicates the database pass
         when several co-subscribed queries in a multi-query epoch run the
         same statement, and may arrive pre-seeded by the shard arena with the
         latest-row form of the result or the exception to raise.
+
+        A statement not in the cache is a standing answer too: the same
+        :func:`~repro.sqldb.engine.arena_select_per_client` call with
+        ``latest=True`` the shard pass makes, over the database's one-slot
+        arena, so an unchanged table is read once and an appended one only
+        in its tail.  The row scan (``Database.query``) answers only what
+        the arena does not: a compiler fallback, a missing table or a
+        ``force_scan`` / ``SQLDB_FORCE_SCAN`` pin.
         """
-        if scan_cache is not None and query.sql in scan_cache:
-            result = scan_cache[query.sql]
-            if isinstance(result, BaseException):
-                # Arena-precomputed outcome parity: raise exactly what this
-                # client's own evaluation would have raised.
-                raise result
-            return result
-        result = self.database.query(query.sql)
-        if scan_cache is not None:
-            scan_cache[query.sql] = result
+        sql = query.sql
+        if scan_cache is not None and sql in scan_cache:
+            result = scan_cache[sql]
+        else:
+            arena = self.database.arena
+            arena.sync()
+            outcomes = arena_select_per_client(arena, sql, latest=True)
+            if outcomes is None or outcomes[0] is ARENA_FALLBACK:
+                result = self.database.query(sql)
+            else:
+                result = outcomes[0]
+            if scan_cache is not None and not isinstance(result, BaseException):
+                scan_cache[sql] = result
+        if isinstance(result, BaseException):
+            # Raise exactly what this client's own evaluation raises.
+            raise result
         return result
 
     def _latest_value(self, query: Query, scan_cache: dict[str, Any] | None = None) -> Any:
@@ -733,8 +748,8 @@ class Client:
         still gets randomized, so non-matching clients are
         indistinguishable from matching ones.  Only ``len(result) > 0``,
         ``result.columns`` and ``result.rows[-1]`` of :meth:`_query_outcome`'s
-        result are read, which is why an arena-seeded entry may hold just
-        the last row of what ``database.query`` would return.
+        result are read, which is why it may hold just the last row of what
+        ``database.query`` would return.
         """
         result = self._query_outcome(query, scan_cache)
         if len(result) == 0:

@@ -22,6 +22,7 @@ prefix every well-formed answer of one query and epoch starts with
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -33,9 +34,21 @@ _MAGIC = b"PA"
 # magic, qid length, epoch, number of answer bits, participation-token length
 _HEADER_FORMAT = ">2sHIHB"
 _HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
-# Bit values <-> the ASCII digits int(..., 2) / format(..., "b") speak.
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Bit values <-> the ASCII digits int(..., 2) / format(..., "b") speak.  Any
+# byte but 0 and 1 becomes "2", a digit base 2 refuses: the packer's check.
+_BITS_TO_DIGITS = bytes(b"01"[byte] if byte < 2 else ord("2") for byte in range(256))
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=256)
+def _row_padder(num_bits: int, rows: int) -> tuple:
+    """``(split, pad)``: ``rows`` rows of ``num_bits`` bytes apart, and
+    packed back together with zero bytes up to a whole number of bytes per
+    row (``struct``'s ``x`` pad), each in one C call."""
+    return (
+        struct.Struct(f"{num_bits}s" * rows).unpack,
+        struct.Struct(f"{num_bits}s{-num_bits % 8}x" * rows).pack,
+    )
 
 
 @dataclass(frozen=True)
@@ -264,10 +277,13 @@ class AnswerCodec:
         """Pack rows of ``num_bits`` 0/1 values eight to a byte, first bit in
         the high position, each row padded to a whole byte.
 
-        ``num_bits`` defaults to all of ``bits`` as one row.  Every row goes
-        through one big-integer conversion instead of one shift per bit;
-        :meth:`_pack_bits_scalar` is the per-bit reference and takes over
-        for a row ``bytes()`` cannot represent one byte per bit (``None``,
+        ``num_bits`` defaults to all of ``bits`` as one row; ``bits`` must
+        hold whole rows.  The whole column is three C calls instead of one
+        shift per bit: one ``struct`` round trip pads every row with zero
+        bytes, one ``translate`` maps the bytes to ASCII digits (any byte
+        but 0 and 1 to a digit base 2 refuses, which is the 0/1 check) and
+        one big-integer conversion packs them.  :meth:`_pack_bits_scalar`
+        is the per-bit reference and takes over for a row ``bytes()`` cannot represent one byte per bit (``None``,
         ``-1``, ``256``, floats, a string, a wide buffer), so both accept and
         reject exactly the same inputs.
         """
@@ -281,17 +297,19 @@ class AnswerCodec:
             if num_bits != len(bits):
                 raise ValueError("rows of answer bits must be bytes-like")
             return AnswerCodec._pack_bits_scalar(bits)
-        if raw.translate(None, b"\x00\x01"):
-            raise ValueError("answer bits must be 0 or 1")
         if not raw:
             return b""
+        if num_bits <= 0 or len(raw) % num_bits:
+            raise ValueError("rows of answer bits must be whole")
+        if num_bits % 8:
+            split, pad = _row_padder(num_bits, len(raw) // num_bits)
+            raw = pad(*split(raw))
         digits = raw.translate(_BITS_TO_DIGITS)
-        padding = b"0" * (-num_bits % 8)
-        if padding:
-            digits = padding.join(
-                [digits[start : start + num_bits] for start in range(0, len(digits), num_bits)]
-            ) + padding
-        return int(digits, 2).to_bytes(len(digits) // 8, "big")
+        try:
+            value = int(digits, 2)
+        except ValueError:
+            raise ValueError("answer bits must be 0 or 1") from None
+        return value.to_bytes(len(digits) // 8, "big")
 
     @staticmethod
     def _unpack_bits(packed: bytes, num_bits: int) -> list[int]:

@@ -20,9 +20,9 @@ path rather than a stub.
 
 A plain projection — ``SELECT cols FROM name [WHERE predicate]``, every
 column named as declared, the one shape a PrivApprox client asks — runs
-on an index-backed columnar fast path by default: typed parallel arrays
-(:mod:`repro.sqldb.columnar`) with one sorted index per predicate column,
-probed by compiled predicates (:mod:`repro.sqldb.compile`).  The original
+on a columnar fast path by default: typed parallel arrays
+(:mod:`repro.sqldb.columnar`), each probe one pass over its column,
+filtered by compiled predicates (:mod:`repro.sqldb.compile`).  The original
 row-scan interpreter remains the frozen reference and answers every other
 statement (aggregates, GROUP BY, ORDER BY, LIMIT); set
 ``SQLDB_FORCE_SCAN=1`` to pin it for all of them.  There is one
@@ -34,13 +34,15 @@ answering on its own does the same over its one-slot arena
 (:attr:`Database.arena`).  ``SQLDB_FORCE_PER_CLIENT=1`` turns shard
 arenas off — every client answers on its one-slot arena — as the middle
 rung of the differential ladder.  A PrivApprox client answers
-with its *latest* matching reading, so the runtime asks that function
-for the latest-row form (``latest=True``): per member, the same error or
-the same columns over at most the last row of ``member.query(sql)`` —
-found without materialising the rows before it.
+with its *latest* matching reading, so every client read asks that
+function for the latest-row form (``latest=True``) — a shard pass over
+the shard's arena, a client answering alone over its one-slot arena: per
+member, the same error or the same columns over at most the last row of
+``member.query(sql)`` — found without materialising the rows before it,
+and kept as a standing answer that later asks fold tail appends into.
 """
 
-from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena, SortedIndex
+from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena
 from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
 from repro.sqldb.engine import (
     ARENA_FALLBACK,
@@ -65,7 +67,6 @@ __all__ = [
     "arena_answering_enabled",
     "cached_shard_arena",
     "per_client_forced",
-    "SortedIndex",
     "CompiledSelect",
     "CompileFallback",
     "plan_for",

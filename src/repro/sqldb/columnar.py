@@ -4,8 +4,8 @@ The row-scan engine materializes one dict per row per query
 (:meth:`repro.sqldb.table.Table.scan`); at 10⁵–10⁶ clients × multi-query
 epochs that dict churn dominates the answer stage.  An
 :class:`ArenaTable` keeps one table name as typed parallel arrays — one
-:class:`ColumnVector` per column — plus one on-demand
-:class:`SortedIndex` per predicate column.
+:class:`ColumnVector` per column — that a compiled probe reads in one
+pass over one column.
 
 **One layout for a shard and for a client.**  A PrivApprox shard holds
 many co-schema clients answering the *same* statements, so probing 10⁴
@@ -13,11 +13,12 @@ tiny per-client copies would run 10⁴ identical probes.  A
 :class:`ShardArena` therefore concatenates one table name across every
 member database into a single :class:`ArenaTable`, with a ``row_slot``
 column (arena row id → member slot) and a per-slot row-span table
-(``slot_rows``), and builds each column's sorted index once per shard;
+(``slot_rows``);
 :meth:`CompiledSelect.matching_ids_per_client
 <repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` probes the
 arena once and splits the matches back per client.  A database answering
-on its own (:meth:`repro.sqldb.engine.Database.query`) is the same
+on its own (:meth:`repro.sqldb.engine.Database.query`, and a client's
+lone answer, :meth:`repro.core.client.Client.answer`) is the same
 structure with one slot: its lazily built one-slot :class:`ShardArena`,
 where arena row ids are the table's own row ids.  Members whose table is
 missing or whose schema differs from the adopted signature are
@@ -27,25 +28,22 @@ missing or whose schema differs from the adopted signature are
 table object, its row list (by identity), the list's in-place mutation
 counter (``Table.rows`` is a ``_RowList`` that counts every non-append
 edit) and how many rows it was built from.  :meth:`ArenaTable.sync` is
-O(members) when nothing changed, appends only the new tails when rows
-were appended (the only mutation the streaming ingest and the resident
-runtime's :class:`~repro.runtime.wire.ShardDelta` frames ever perform),
-and rebuilds from scratch when a row list shrank, was rebound,
-had existing rows edited in place, or its table was dropped and
-recreated.  Both grow a column at a time: the new rows are transposed
-once and each vector takes one :meth:`ColumnVector.extend`.  Indexes are
-not maintained: any change to the rows, an append as well as a rebuild,
-drops them, and the next probe sorts the grown column afresh.  The
-traffic that probes again and again is a full pass over static tables;
-a standing answer probes once and then folds in tail rows without the
-index.  Standing answers ride along the arena: each table
-keeps, per compiled plan, every slot's latest matching row id, the row
-count it covers and the finished one-row outcome built for that id
-(:meth:`ArenaTable.standing_latest`) — the latest-row answer a standing
-query asks for every epoch.  Every ask runs one matching
-pass from that count: the first from row 0 through the index, later ones
-over only the rows appended since.  A rebuild drops the answers, and the
-next ask fills them afresh.  An LRU at the plan cache's size bounds them.
+O(1) when no table changed anywhere since it last ran (the change clock,
+:func:`repro.sqldb.table.change_clock`, reads the same tick), appends only
+the new tails when rows were appended (the only mutation the streaming
+ingest and the resident runtime's :class:`~repro.runtime.wire.ShardDelta`
+frames ever perform), and rebuilds from scratch when a row list shrank,
+was rebound, had existing rows edited in place, or its table was dropped
+and recreated.  Both grow a column at a time: the new rows are transposed
+once and each vector takes one :meth:`ColumnVector.extend`.  Standing
+answers ride along the arena: each table keeps, per compiled plan, every
+slot's latest matching row id, the row count it covers and the finished
+one-row outcome built for that id (:meth:`ArenaTable.standing_latest`) —
+the latest-row answer a standing query asks for every epoch.  Every ask
+runs one matching pass from that count: the first from row 0, later ones
+over only the rows appended since, so a probe reads each row once.  A
+rebuild drops the answers, and the next ask fills them afresh.  An LRU at
+the plan cache's size bounds them.
 
 **Typed arrays.**  INTEGER columns live in ``array('q')`` and REAL
 columns in ``array('d')`` while their values fit (no NULLs, no
@@ -59,12 +57,12 @@ and ``array('q')`` any 64-bit int — which the differential suite
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Any, Iterator, Sequence
 
 from repro.sqldb.compile import _PLAN_CACHE_MAX, schema_signature
 from repro.sqldb.errors import SchemaError
+from repro.sqldb.table import change_clock
 
 # SQL type → array.array typecode for the native fast path.  TEXT and
 # BOOLEAN stay as lists: strings have no fixed-width typecode, and a
@@ -146,62 +144,6 @@ class ColumnVector:
         return len(self._data)
 
 
-class SortedIndex:
-    """One column's row ids sorted stably by value; every probe is a bisect.
-
-    ``keys`` holds the column's values ascending and ``ids`` their row ids
-    in the same order.  The sort is stable, so equal keys (``1``, ``1.0``
-    and ``True`` among them) keep row order.  NULL rows sit apart in
-    ``nulls``: no comparison matches them, but ``IN (NULL, ...)`` does
-    under the scan engine's ``value in choices``.  NaN rows appear nowhere,
-    since NaN satisfies no comparison and would break the order.  Probes
-    assume the bound orders against the column's values without a
-    ``TypeError``; the compiler probes only when the column's declared type
-    guarantees it (:func:`repro.sqldb.compile._literal_comparable`).
-    """
-
-    __slots__ = ("keys", "ids", "nulls")
-
-    def __init__(self, values: Sequence[Any]):
-        data = list(values)
-        ordered = [
-            row_id
-            for row_id, key in enumerate(data)
-            if key is not None and key == key  # noqa: PLR0124 — NaN is not self-equal
-        ]
-        self.nulls = (
-            [row_id for row_id, key in enumerate(data) if key is None]
-            if len(ordered) < len(data)
-            else []
-        )
-        ordered.sort(key=data.__getitem__)
-        self.ids = ordered
-        self.keys = [data[row_id] for row_id in ordered]
-
-    def range_ids(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> list[int]:
-        """Row ids with ``low (<|<=) key (<|<=) high``, ascending.
-
-        ``None`` bounds are open ends; a point probe is ``low == high``,
-        both inclusive.
-        """
-        keys = self.keys
-        start = 0
-        if low is not None:
-            start = (bisect_left if low_inclusive else bisect_right)(keys, low)
-        stop = len(keys)
-        if high is not None:
-            stop = (bisect_right if high_inclusive else bisect_left)(keys, high, start)
-        ids = self.ids[start:stop]
-        ids.sort()
-        return ids
-
-
 # Excluded-slot source sentinel: the slot had no table when last examined.
 _EXCLUDED_EMPTY = ("x", None)
 
@@ -210,7 +152,7 @@ class ArenaTable:
     """One table name concatenated across every member database.
 
     Offers the surface the compiled SELECT path reads (``columns`` /
-    ``count`` / ``column`` / ``arrays`` / ``index``), so one probe and one
+    ``count`` / ``column`` / ``arrays``), so one probe and one
     projection serve a whole shard and a lone database (a one-slot arena)
     alike.
 
@@ -222,8 +164,7 @@ class ArenaTable:
     (the only mutation ``ShardDelta`` frames perform) extend the vectors
     and the span table in place; everything else — a replaced or mutated
     row list, a dropped/recreated table, a table appearing on a previously
-    excluded member — rebuilds the whole arena.  Either drops the indexes,
-    to be built again by the next probe.
+    excluded member — rebuilds the whole arena.
     """
 
     __slots__ = (
@@ -232,12 +173,12 @@ class ArenaTable:
         "columns",
         "_signature",
         "_vectors",
-        "_indexes",
         "_count",
         "row_slot",
         "slot_rows",
         "_sources",
         "_standing",
+        "_synced_at",
         "rebuilds",
         "appended_rows",
     )
@@ -254,6 +195,7 @@ class ArenaTable:
     # -- maintenance ---------------------------------------------------------
 
     def _rebuild(self) -> None:
+        self._synced_at = change_clock()
         adopted = None
         for db in self._databases:
             table = db.get_table(self.name)
@@ -266,7 +208,6 @@ class ArenaTable:
         self.row_slot = array("q")
         self.slot_rows: list = [None] * len(self._databases)
         self._sources: list = [_EXCLUDED_EMPTY] * len(self._databases)
-        self._indexes: dict[str, SortedIndex] = {}
         self._standing: OrderedDict = OrderedDict()
         self._count = 0
         self.rebuilds += 1
@@ -287,13 +228,18 @@ class ArenaTable:
     def sync(self) -> None:
         """Bring the arena up to date with every member's table.
 
-        One pass over the members detects any structural change — a
-        member's table replaced, its row list rebound/shrunk/edited in
-        place, or a table with the adopted signature appearing on an
-        excluded member — and rebuilds the whole arena; only when no member
-        changed structurally are the grown members' tail appends folded in
-        incrementally.
+        O(1) when no table changed anywhere since the last sync: the change
+        clock (:func:`repro.sqldb.table.change_clock`) still reads the tick
+        it read then.  Otherwise one pass over the members detects any
+        structural change — a member's table replaced, its row list
+        rebound/shrunk/edited in place, or a table with the adopted
+        signature appearing on an excluded member — and rebuilds the whole
+        arena; only when no member changed structurally are the grown
+        members' tail appends folded in incrementally.
         """
+        clock = change_clock()
+        if clock == self._synced_at:
+            return
         name = self.name
         grown = []
         for slot, (db, source) in enumerate(zip(self._databases, self._sources)):
@@ -322,11 +268,10 @@ class ArenaTable:
                     self._rebuild()
                     return
                 self._sources[slot] = ("x", table)
-        if grown:
-            self._indexes.clear()
         for slot in grown:
             source = self._sources[slot]
             self._append_slot(slot, source[1], source[3])
+        self._synced_at = clock
 
     def _append_slot(self, slot: int, rows: list, start: int) -> None:
         """Append a member's rows from ``start`` on, a column at a time.
@@ -361,7 +306,7 @@ class ArenaTable:
         covers, and each ask folds in one
         :meth:`~repro.sqldb.compile.CompiledSelect.matching_ids_per_client`
         pass started from that count: the first ask starts at 0 (through
-        the index when the plan has a probe), later asks read only the rows
+        the plan's probe, when it has one), later asks read only the rows
         appended since, so a standing query over unchanged tables costs
         nothing per ask.  Arena ids ascend within a slot, so a slot's last
         new match is its latest; a slot's error stays, since the first error
@@ -411,26 +356,15 @@ class ArenaTable:
         """Column name → vector, the namespace compiled closures evaluate in."""
         return self._vectors
 
-    def index(self, name: str) -> SortedIndex:
-        """The column's sorted index, built from its vector on first use
-        after the last change to the rows."""
-        index = self._indexes.get(name)
-        if index is None:
-            index = self._indexes[name] = SortedIndex(self._vectors[name])
-        return index
-
     def stats(self) -> dict[str, int]:
         """Observability: the torture suite pins that churn and
-        ``ShardDelta`` append streams never trigger spurious rebuilds;
-        ``indexes`` counts the live sorted indexes, which any change to the
-        rows drops."""
+        ``ShardDelta`` append streams never trigger spurious rebuilds."""
         return {
             "rebuilds": self.rebuilds,
             "appended_rows": self.appended_rows,
             "span_rows": self._count,
             "included_slots": sum(1 for ids in self.slot_rows if ids is not None),
             "standing_plans": len(self._standing),
-            "indexes": len(self._indexes),
         }
 
 

@@ -4,7 +4,7 @@ The row-scan engine re-walks the WHERE AST per row per query per client
 (:func:`repro.sqldb.engine._evaluate`); a deployment answering N clients
 × Q queries per epoch pays that interpretation N×Q times for the same
 statement.  This module lowers each statement *once* into a
-:class:`CompiledSelect` — an index probe plan plus a residual closure —
+:class:`CompiledSelect` — a column probe plus a residual closure —
 cached globally by ``(statement, schema)``, so every client sharing a
 schema (all of them, in a PrivApprox deployment) reuses one compilation.
 This is the same batch-vs-scalar-reference discipline used for the block
@@ -23,24 +23,27 @@ scan's aggregates, grouping, ordering or its projection errors.
 **Probe selection.**  The WHERE clause is split into its top-level AND
 conjuncts (the parser builds left-deep trees, so conjunct order equals
 the scan engine's short-circuit evaluation order).  Only the *first*
-conjunct may become an index probe: the scan engine stops evaluating a
+conjunct may become a probe: the scan engine stops evaluating a
 row at its first false conjunct, so skipping later conjuncts for rows
 the probe rejects is exactly what the reference does — whereas probing a
 *later* conjunct would skip evaluations the reference performs (and
-with them any per-row errors it would raise).  Every probe reads the
-column's :class:`~repro.sqldb.columnar.SortedIndex`:
+with them any per-row errors it would raise).  A probe is one
+comprehension over the column's
+:class:`~repro.sqldb.columnar.ColumnVector` that skips NULL, compares
+with the literal and returns the matching row ids in ascending order:
 
-* ``col = literal`` / ``literal = col`` → a point range
-* ``col IN (...)`` → point ranges unioned (``NULL`` choices match NULL
-  rows, as ``value in choices`` does under the scan engine)
+* ``col = literal`` / ``literal = col`` → a point
+* ``col IN (...)`` → ``value in choices``, as under the scan engine
+  (``NULL`` choices match NULL rows)
 * ``col < | <= | > | >= literal`` and ``col BETWEEN lit AND lit`` → a
   range
 
-A probe bisects the column's ordered values, so it is compiled only when
-every literal orders against the column's declared type.  A mismatched
-literal falls through to the residual closure, which returns what the
-reference returns: no rows for ``=`` and ``IN``, and the same
-``TypeError`` for an ordering.
+A probe is compiled only when every literal orders against the column's
+declared type.  A mismatched literal falls through to the residual
+closure, which returns what the reference returns: no rows for ``=`` and
+``IN``, and the same ``TypeError`` for an ordering.  A column whose rows
+skipped ingest coercion may still raise ``TypeError`` inside the probe;
+the pass then tests the probe conjunct row by row instead.
 
 Everything else — the remaining conjuncts, or the whole clause when the
 first conjunct is not probeable — compiles to nested closures over the
@@ -163,11 +166,11 @@ class _SchemaView:
 def _literal_comparable(sql_type: str, value: Any) -> bool:
     """Whether ``value`` orders against every value of the column.
 
-    The one gate for every probe: a probe bisects the column's sorted
-    values with the literal, and skips the scan engine's per-row
-    evaluation, so the column's declared type and the literal must order
-    under Python without a ``TypeError``.  NaN literals cannot be produced
-    by the SQL lexer.
+    The one gate for every probe: a probe compares the column's values
+    with the literal in one comprehension, in place of the scan engine's
+    per-row evaluation, so the column's declared type and the literal must
+    order under Python without a ``TypeError``.  NaN literals cannot be
+    produced by the SQL lexer.
     """
     if sql_type in _NUMERIC_TYPES:
         return isinstance(value, (int, float))
@@ -270,7 +273,7 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
     raise CompileFallback(f"unsupported expression node: {type(node).__name__}")
 
 
-# -- index probes -------------------------------------------------------------
+# -- column probes ------------------------------------------------------------
 
 
 class _EmptyProbe:
@@ -284,43 +287,59 @@ class _EmptyProbe:
 
 
 class _InProbe:
-    """``col IN (...)``: the choices' point ranges unioned, plus the NULL
-    rows when a choice is ``NULL``."""
+    """``col IN (...)``: the rows whose value is in the choices, as the scan
+    engine's ``value in choices`` selects them (a ``NULL`` choice matches
+    the NULL rows)."""
 
     def __init__(self, column: str, choices: tuple):
         self.column = column
-        self.keys = [choice for choice in choices if choice is not None]
-        self.nulls = len(self.keys) < len(choices)
+        self.choices = choices
 
     def ids(self, arena: "ArenaTable") -> list[int]:
-        index = arena.index(self.column)
-        matched = set(index.nulls) if self.nulls else set()
-        for key in self.keys:
-            matched.update(index.range_ids(key, key))
-        return sorted(matched)
+        choices = self.choices
+        return [
+            row_id
+            for row_id, value in enumerate(arena.column(self.column))
+            if value in choices
+        ]
 
     def describe(self) -> str:
-        return f"index-in({self.column})"
+        return f"probe-in({self.column})"
 
 
 class _RangeProbe:
-    """A comparison, ``BETWEEN`` or ``=`` (a point) on the column's index."""
+    """``col op literal`` (``=``, ``<``, ``<=``, ``>``, ``>=``) or ``col
+    BETWEEN low AND high``.
 
-    def __init__(self, column, low, high, low_inclusive, high_inclusive):
+    NULL rows never match, and NaN rows fail every comparison, as under the
+    scan engine.
+    """
+
+    def __init__(self, column: str, op: str, low: Any, high: Any = None):
         self.column = column
+        self.op = op
         self.low = low
         self.high = high
-        self.low_inclusive = low_inclusive
-        self.high_inclusive = high_inclusive
 
     def ids(self, arena: "ArenaTable") -> list[int]:
-        return arena.index(self.column).range_ids(
-            self.low, self.high, self.low_inclusive, self.high_inclusive
-        )
+        values = enumerate(arena.column(self.column))
+        op, low = self.op, self.low
+        if op == "=":
+            return [i for i, v in values if v is not None and v == low]
+        if op == "<":
+            return [i for i, v in values if v is not None and v < low]
+        if op == "<=":
+            return [i for i, v in values if v is not None and v <= low]
+        if op == ">":
+            return [i for i, v in values if v is not None and v > low]
+        if op == ">=":
+            return [i for i, v in values if v is not None and v >= low]
+        high = self.high
+        return [i for i, v in values if v is not None and low <= v <= high]
 
     def describe(self) -> str:
-        kind = "eq" if self.low == self.high else "range"
-        return f"index-{kind}({self.column})"
+        kind = "eq" if self.op == "=" else "range"
+        return f"probe-{kind}({self.column})"
 
 
 def _split_conjuncts(node: Any) -> list:
@@ -344,12 +363,12 @@ def _column_and_literal(node: ast.Comparison, schema: _SchemaView):
 
 
 def _probe_for(conjunct: Any, schema: _SchemaView):
-    """An index probe equivalent to the conjunct, or None.
+    """A column probe equivalent to the conjunct, or None.
 
     Soundness bar: the probe must select *exactly* the rows on which the
-    scan engine evaluates the conjunct truthy, and the scan evaluation
-    of this conjunct must be provably exception-free on every row (the
-    probe never evaluates it).
+    scan engine evaluates the conjunct truthy, and the scan evaluation of
+    this conjunct must be exception-free on every coerced row (a probe
+    that raises ``TypeError`` hands the rows back to that evaluation).
     """
     if isinstance(conjunct, ast.Comparison):
         match = _column_and_literal(conjunct, schema)
@@ -360,13 +379,9 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
             return _EmptyProbe()  # NULL = NULL is false under _compare
         if not _literal_comparable(schema.sql_type(column), value):
             return None
-        if op == "=":
-            return _RangeProbe(column, value, value, True, True)
-        if op in ("<", "<="):
-            return _RangeProbe(column, None, value, True, op == "<=")
-        if op in (">", ">="):
-            return _RangeProbe(column, value, None, op == ">=", True)
-        return None  # != benefits nothing from an index
+        if op in ("!=", "<>"):
+            return None  # matches nearly every row: nothing to narrow
+        return _RangeProbe(column, op, value)
     if isinstance(conjunct, ast.BetweenOp):
         if not (
             isinstance(conjunct.operand, ast.ColumnRef)
@@ -383,7 +398,10 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
             _literal_comparable(sql_type, low) and _literal_comparable(sql_type, high)
         ):
             return None
-        return _RangeProbe(storage, low, high, True, True)
+        # Equal bounds make a point, probed like ``=``.
+        if low == high:
+            return _RangeProbe(storage, "=", low)
+        return _RangeProbe(storage, "between", low, high)
     if isinstance(conjunct, ast.InOp):
         if not isinstance(conjunct.operand, ast.ColumnRef):
             return None
@@ -437,8 +455,8 @@ class CompiledSelect:
         self.schema = schema
         self.probe = None
         # The probe's conjunct as a row predicate: selects among the rows a
-        # standing answer folds in (matching_ids_per_client's ``start``)
-        # without probing the index.
+        # standing answer folds in (matching_ids_per_client's ``start``),
+        # and every row when the probe raises ``TypeError``.
         self.probe_row: ValueFn | None = None
         self.residual: ValueFn | None = None
         where = statement.where
@@ -490,7 +508,7 @@ class CompiledSelect:
         (:meth:`ArenaTable.standing_latest
         <repro.sqldb.columnar.ArenaTable.standing_latest>`).  Those rows
         are tested with the probe conjunct as a row predicate
-        (:attr:`probe_row`) instead of the index, then the residual runs on
+        (:attr:`probe_row`) instead of the probe, then the residual runs on
         them exactly as above.
         """
         slot_rows = arena.slot_rows
@@ -504,8 +522,9 @@ class CompiledSelect:
                 probed = self.probe.ids(arena)
             except TypeError:
                 # Rows that skipped ingest coercion (``Table.append_rows``
-                # takes them as given) can leave a column with no order to
-                # bisect: test the probe conjunct row by row, as the scan does.
+                # takes them as given) can leave values that do not order
+                # against the literal: test the probe conjunct row by row, as
+                # the scan does, so the error stays with its own member.
                 pass
         if probed is not None:
             if len(slot_rows) == 1:  # a one-slot arena: every probed id is its own

@@ -5,7 +5,7 @@ Two SELECT paths share one semantics:
 * the **row scan** (:meth:`Database._execute_select_scan`) — the frozen
   reference, interpreting the WHERE AST per row dict, and the only path
   for aggregates, GROUP BY, ORDER BY and LIMIT; and
-* the **compiled columnar** path (:func:`_select_per_slot`) — index probes
+* the **compiled columnar** path (:func:`_select_per_slot`) — column probes
   plus closures from :mod:`repro.sqldb.compile` evaluated over an
   :class:`~repro.sqldb.columnar.ArenaTable`: a whole shard's
   (:func:`arena_select_per_client`) or a lone database's one-slot arena
@@ -31,7 +31,7 @@ from repro.sqldb.columnar import ShardArena
 from repro.sqldb.compile import CompileFallback, like_matcher, like_text, plan_for
 from repro.sqldb.errors import ExecutionError, SchemaError
 from repro.sqldb.parser import parse_statement, parse_statement_cached
-from repro.sqldb.table import Column, Table
+from repro.sqldb.table import Column, Table, tick
 
 
 def _env_flag(name: str) -> bool:
@@ -135,12 +135,14 @@ class Database:
             raise SchemaError(f"table {name} already exists")
         table = Table(name=name, columns=[Column(n, t) for n, t in columns])
         self._tables[name] = table
+        tick()
         return table
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise SchemaError(f"table {name} does not exist")
         del self._tables[name]
+        tick()
 
     def table(self, name: str) -> Table:
         if name not in self._tables:

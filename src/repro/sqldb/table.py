@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -39,51 +40,96 @@ class Column:
         )
 
 
-class _RowList(list):
-    """Row storage that makes in-place edits visible to the columnar copy.
+# The change clock: every change to a table's rows (append, in-place
+# edit, rebinding ``Table.rows``) or to which tables a database holds sets
+# it to a fresh tick *after* the change, so a columnar copy that reads the
+# tick it read before its last sync has seen every change
+# (:meth:`~repro.sqldb.columnar.ArenaTable.sync`).  Ticks are unique, so
+# two changes racing to set it cannot leave a tick an earlier reader holds.
+_TICKS = itertools.count(1)
+_clock = next(_TICKS)
 
-    Pure appends (``append``/``extend``/``+=``) stay at C speed — growth
-    is detectable from the length alone — but any operation that edits,
-    reorders, or removes existing rows bumps ``mutations``, which
+
+def change_clock() -> int:
+    """The current tick."""
+    return _clock
+
+
+def tick() -> None:
+    """Record that a table's rows, or a database's tables, just changed."""
+    global _clock
+    _clock = next(_TICKS)
+
+
+class _RowList(list):
+    """Row storage that makes every change visible to the columnar copy.
+
+    Every change ticks the change clock (:func:`tick`).  Pure appends
+    (``append``/``extend``/``+=``) are told apart from the rest by the
+    length alone; any operation that edits, reorders, or removes existing
+    rows also bumps ``mutations``, which
     :meth:`~repro.sqldb.columnar.ArenaTable.sync` reads to know its
-    arrays and indexes are stale and must rebuild.
+    arrays are stale and must rebuild.
     """
 
     def __init__(self, iterable=()):
         super().__init__(iterable)
         self.mutations = 0
 
-    def __setitem__(self, index, value):
+    def _edited(self) -> None:
         self.mutations += 1
+        tick()
+
+    def append(self, value):
+        super().append(value)
+        tick()
+
+    def extend(self, values):
+        super().extend(values)
+        tick()
+
+    def __iadd__(self, values):
+        super().__iadd__(values)
+        tick()
+        return self
+
+    def __imul__(self, count):
+        super().__imul__(count)
+        self._edited()  # an in-place repeat, or a clear at count <= 0
+        return self
+
+    def __setitem__(self, index, value):
         super().__setitem__(index, value)
+        self._edited()
 
     def __delitem__(self, index):
-        self.mutations += 1
         super().__delitem__(index)
+        self._edited()
 
     def insert(self, index, value):
-        self.mutations += 1
         super().insert(index, value)
+        self._edited()
 
     def pop(self, index=-1):
-        self.mutations += 1
-        return super().pop(index)
+        value = super().pop(index)
+        self._edited()
+        return value
 
     def remove(self, value):
-        self.mutations += 1
         super().remove(value)
+        self._edited()
 
     def sort(self, **kwargs):
-        self.mutations += 1
         super().sort(**kwargs)
+        self._edited()
 
     def reverse(self):
-        self.mutations += 1
         super().reverse()
+        self._edited()
 
     def clear(self):
-        self.mutations += 1
         super().clear()
+        self._edited()
 
 
 @dataclass
@@ -101,6 +147,8 @@ class Table:
         if name == "rows" and not isinstance(value, _RowList):
             value = _RowList(value)
         super().__setattr__(name, value)
+        if name == "rows":
+            tick()
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]

@@ -127,7 +127,7 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
 #
 # * ``standing`` — a plain projection, every column named as declared: the
 #   arena table's standing answer, kept by one matching pass per ask (the
-#   first from row 0 through the index, later ones over only the rows
+#   first from row 0 through the probe, later ones over only the rows
 #   appended since);
 # * ``fallback`` — anything else (an aggregate, GROUP BY, ORDER BY, LIMIT,
 #   or a column named other than as declared): no plan compiles, the arena
@@ -139,33 +139,33 @@ _T = "FROM private_data"
 LATEST_ROW_STATEMENTS = (
     # (sql, CompiledSelect.describe() or None when nothing compiles, route)
     (f"SELECT value {_T}", "all", "standing"),
-    (f"SELECT value {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
-    (f"SELECT value {_T} WHERE zone IN (1, 2)", "index-in(zone)", "standing"),
-    (f"SELECT value {_T} WHERE value > 2.0", "index-range(value)", "standing"),
+    (f"SELECT value {_T} WHERE zone = 1", "probe-eq(zone)", "standing"),
+    (f"SELECT value {_T} WHERE zone IN (1, 2)", "probe-in(zone)", "standing"),
+    (f"SELECT value {_T} WHERE value > 2.0", "probe-range(value)", "standing"),
     (
         f"SELECT value {_T} WHERE value BETWEEN 1.0 AND 3.0",
-        "index-range(value)",
+        "probe-range(value)",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone IN (1, 2) AND value < 1.0",
-        "index-in(zone)+residual",
+        "probe-in(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value BETWEEN 0.5 AND 4.0"
         " AND tag IN ('a', 'b')",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND value != 2.0",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag LIKE 'a%'",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     # Raises only where a zone-1 row with value <= 3.0 holds a non-NULL tag —
@@ -173,17 +173,17 @@ LATEST_ROW_STATEMENTS = (
     # return a row where the reference raises.
     (
         f"SELECT value {_T} WHERE zone = 1 AND (value > 3.0 OR tag < 5)",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND tag < 5",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     (
         f"SELECT value {_T} WHERE zone = 1 AND nope = 1",
-        "index-eq(zone)+residual",
+        "probe-eq(zone)+residual",
         "standing",
     ),
     (f"SELECT value {_T} WHERE value != 2.0", "residual", "standing"),
@@ -193,10 +193,10 @@ LATEST_ROW_STATEMENTS = (
         "residual",
         "standing",
     ),
-    (f"SELECT * {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
-    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "index-eq(zone)", "standing"),
+    (f"SELECT * {_T} WHERE zone = 1", "probe-eq(zone)", "standing"),
+    (f"SELECT value AS v, zone {_T} WHERE zone = 1", "probe-eq(zone)", "standing"),
     # value_column ("value") absent from the projection: the client reads row[0].
-    (f"SELECT zone, tag {_T} WHERE value > 2.0", "index-range(value)", "standing"),
+    (f"SELECT zone, tag {_T} WHERE value > 2.0", "probe-range(value)", "standing"),
     # Case-twisted projection: the row scan raises KeyError only for
     # members that matched.
     (f"SELECT Value {_T} WHERE zone = 1", None, "fallback"),

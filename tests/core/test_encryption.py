@@ -1,6 +1,7 @@
 """Tests for answer encoding and XOR share splitting (Step III)."""
 
 import math
+import random
 from array import array
 
 import pytest
@@ -195,6 +196,22 @@ class TestBitPackingMatchesScalarReference:
         assert _outcome(AnswerCodec._pack_bits, bits) == _outcome(
             AnswerCodec._pack_bits_scalar, bits
         )
+
+    @pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 16, 129])
+    def test_rows_pack_as_the_scalar_loop_row_by_row(self, num_bits):
+        """A column of rows packs as each row alone, padded to whole bytes;
+        a partial row and a byte other than 0 or 1 are refused."""
+        rng = random.Random(num_bits)
+        rows = [[rng.randint(0, 1) for _ in range(num_bits)] for _ in range(30)]
+        flat = bytes(bit for row in rows for bit in row)
+        assert AnswerCodec._pack_bits(flat, num_bits) == b"".join(
+            AnswerCodec._pack_bits_scalar(row) for row in rows
+        )
+        if num_bits > 1:
+            with pytest.raises(ValueError, match="whole"):
+                AnswerCodec._pack_bits(flat[:-1], num_bits)
+        with pytest.raises(ValueError, match="0 or 1"):
+            AnswerCodec._pack_bits(flat[:-1] + b"\x02", num_bits)
 
     @pytest.mark.parametrize("num_bits", [1, 8, 9, 192, 193])
     def test_short_payload_rejected_alike(self, num_bits):

@@ -543,3 +543,79 @@ class TestWindowsAreScaledByTheirOwnRoster:
         assert closed_in_epoch_2.window.start == 60.0
         assert closed_in_epoch_2.population == 2
         assert first.num_participants == 2 and second.num_participants == 8
+
+
+def _counting_passes(monkeypatch) -> list[int]:
+    """Every ``CompiledSelect.matching_ids_per_client`` pass's ``start``."""
+    from repro.sqldb.compile import CompiledSelect
+
+    starts: list[int] = []
+    matching = CompiledSelect.matching_ids_per_client
+
+    def counting_pass(self, table, start=0):
+        starts.append(start)
+        return matching(self, table, start)
+
+    monkeypatch.setattr(CompiledSelect, "matching_ids_per_client", counting_pass)
+    return starts
+
+
+class TestLoneAnswersAreStanding:
+    """A client answering alone — serial, ``SQLDB_FORCE_PER_CLIENT`` and the
+    ground truth — asks its one-slot arena for the standing latest-row
+    answer, as the shard pass does: over unchanged tables a second epoch
+    and a second ``exact_bucket_counts`` run no matching pass, and an
+    appended row is folded in from where the answer stopped."""
+
+    @pytest.mark.parametrize(
+        "executor, per_client", [("serial", "0"), ("inline/in-process", "1")]
+    )
+    def test_unchanged_tables_are_read_once(self, monkeypatch, executor, per_client):
+        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", per_client)
+        system = PrivApproxSystem(
+            SystemConfig(num_clients=30, seed=11, executor=executor, executor_shards=2)
+        )
+        rng = random.Random(11)
+        system.provision_clients(
+            [("speed", "REAL"), ("location", "TEXT")],
+            lambda i: [
+                {"speed": rng.uniform(0.0, 80.0), "location": rng.choice(["SF", "LA"])}
+                for _ in range(3)
+            ],
+        )
+        analyst = Analyst("standing")
+        query = analyst.create_query(
+            "SELECT speed FROM private_data WHERE location = 'SF'",
+            AnswerSpec(buckets=RangeBuckets(boundaries=(0.0, 40.0, 80.0)), value_column="speed"),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        system.submit_query(
+            analyst,
+            query,
+            QueryBudget(),
+            parameters=ExecutionParameters(sampling_fraction=0.6, p=0.9, q=0.5),
+        )
+        query_id = query.query_id
+        starts = _counting_passes(monkeypatch)
+        system.run_epoch(query_id, 0)
+        assert starts and set(starts) == {0}
+        truth = system.exact_bucket_counts(query_id)
+        # Every client has answered (an epoch or the ground truth) once.
+        assert len(starts) == 30 and set(starts) == {0}
+        system.run_epoch(query_id, 1)
+        assert system.exact_bucket_counts(query_id) == truth
+        assert len(starts) == 30
+        system.clients[4].ingest([{"speed": 79.0, "location": "SF"}])
+        system.run_epoch(query_id, 2)
+        system.exact_bucket_counts(query_id)
+        assert starts[30:] == [3]  # one fold, over the appended tail only
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
+        scanned = system.exact_bucket_counts(query_id)
+        assert len(starts) == 31
+        monkeypatch.delenv("SQLDB_FORCE_SCAN")
+        assert system.exact_bucket_counts(query_id) == scanned
+        assert sum(scanned) == sum(
+            1 for client in system.clients if client.truthful_answer(query_id) != [0, 0]
+        )

@@ -6,12 +6,13 @@ compiled path and a shard arena against stdlib ``sqlite3``; a NULL bound
 used to raise ``TypeError`` on the first two.  The bounds are literals or
 columns, the BETWEEN leads (a probe unless a bound is NULL) or follows a
 probe (the residual), and the rows hold NULLs too.  ``NOT BETWEEN`` is left
-out: the engine's ``NOT`` is two-valued, SQLite's is not.
+out of that comparison: the engine's ``NOT`` is two-valued, SQLite's is
+not — a deliberate deviation (``docs/ARCHITECTURE.md``), pinned below.
 """
 
 import pytest
 
-from tests.sqldb.sqlite_reference import PATHS, assert_matches_sqlite
+from tests.sqldb.sqlite_reference import PATHS, answers, assert_matches_sqlite, sqlite_rows
 
 SCHEMA = [("id", "INTEGER"), ("x", "REAL"), ("lo", "REAL"), ("hi", "INTEGER")]
 ROWS = [
@@ -39,3 +40,16 @@ STATEMENTS = [
 @pytest.mark.parametrize("sql", STATEMENTS)
 def test_between_matches_sqlite(sql, path):
     assert_matches_sqlite(SCHEMA, ROWS, sql, path)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_not_is_two_valued_unlike_sqlite(path):
+    """``NOT`` of a NULL predicate is true here and NULL in SQLite: over
+    rows ``(0, 1.0), (1, NULL), (2, 7.0)`` every path returns ids 0, 1 and
+    2, where ``sqlite3`` returns id 2 only."""
+    schema = [("id", "INTEGER"), ("x", "REAL")]
+    rows = [(0, 1.0), (1, None), (2, 7.0)]
+    sql = "SELECT id FROM t WHERE NOT x BETWEEN NULL AND 5"
+    got = answers(schema, rows, sql, path)
+    assert [row for member in got for row in member] == [(0,), (1,), (2,)]
+    assert sqlite_rows(schema, rows, sql) == [(2,)]

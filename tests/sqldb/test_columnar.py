@@ -1,11 +1,12 @@
 """Unit tests for the columnar layout: typed vectors, one-slot and
-shard-wide arena sync, the index lifecycle, and the Table.scan projection
-fast path."""
+shard-wide arena sync, the change clock that makes a clean sync O(1), and
+the Table.scan projection fast path."""
 
 import pytest
 
-from repro.sqldb import ColumnVector, Database
+from repro.sqldb import ARENA_FALLBACK, ColumnVector, Database, arena_select_per_client
 from repro.sqldb.errors import SchemaError
+from repro.sqldb.table import change_clock
 
 
 def _make_db(rows=200):
@@ -93,6 +94,22 @@ def _own(db, name="t"):
     return db.arena.table(name)
 
 
+def _latest(arena, sql):
+    """The latest-row rows of every slot (an error as its type), or
+    ``None`` when the arena does not answer the statement."""
+    outcomes = arena_select_per_client(arena, sql, latest=True)
+    if outcomes is None:
+        return None
+    return [
+        "fallback"
+        if outcome is ARENA_FALLBACK
+        else type(outcome)
+        if isinstance(outcome, Exception)
+        else outcome.rows
+        for outcome in outcomes
+    ]
+
+
 def _synced(arena, name="t"):
     """A shard arena's table after the one sync an answer pass runs first."""
     arena.sync()
@@ -136,17 +153,18 @@ class TestOneSlotArenaSync:
     def test_in_place_row_edit_triggers_rebuild(self):
         """Regression: a same-length in-place edit (``rows[0] = ...``, as the
         resident runtime's parent-side mutation tests perform between epochs)
-        must not be answered from stale columnar arrays or indexes."""
+        must not be answered from stale columnar arrays or standing answers."""
         db = _make_db()
         table = db.table("t")
         store = _own(db)
-        store.index("x")
+        assert _latest(db.arena, "SELECT tag FROM t WHERE x = 9") == [[("odd",)]]
         table.rows[0] = (999, -1.0, "edited")
+        table.rows[199] = (9, -2.0, "last")
         store = _own(db)
         assert store.rebuilds == 2
         assert store.column("x")[0] == 999
-        assert store.stats()["indexes"] == 0  # stale indexes dropped
-        assert store.index("x").range_ids(999, 999) == [0]
+        assert store.stats()["standing_plans"] == 0  # stale answers dropped
+        assert _latest(db.arena, "SELECT tag FROM t WHERE x = 9") == [[("last",)]]
         assert db.query("SELECT tag FROM t WHERE x = 999").rows == [("edited",)]
 
     def test_row_removal_triggers_rebuild(self):
@@ -162,41 +180,42 @@ class TestOneSlotArenaSync:
     def test_drop_and_recreate_rebuilds_on_the_new_schema(self):
         db = _make_db()
         store = _own(db)
-        store.index("x")
+        assert _latest(db.arena, "SELECT x FROM t WHERE x >= 5") == [[(9,)]]
         db.drop_table("t")
         db.create_table("t", [("x", "TEXT")])
         db.insert_rows("t", [{"x": "a"}, {"x": "b"}, {"x": "a"}])
         store = _own(db)
         assert store.rebuilds == 2
         assert [c.name for c in store.columns] == ["x"] and store.count == 3
-        assert store.stats()["indexes"] == 0
+        assert store.stats()["standing_plans"] == 0
         assert db.query("SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
+        assert db.query("SELECT x FROM t WHERE x >= 'b'").rows == [("b",)]
 
-    def test_append_drops_the_index_and_the_next_probe_sees_the_grown_column(self):
+    def test_the_next_probe_and_the_standing_fold_see_an_append(self):
         db = _make_db()
         table = db.table("t")
         store = _own(db)
-        index = store.index("x")
-        hits_before = len(index.range_ids(3, 3))
-        table.append_rows([(3, 0.0, "a")])
+        sql = "SELECT y FROM t WHERE x = 3"
+        hits_before = len(db.query(sql).rows)
+        assert _latest(db.arena, sql) == [[(193.0,)]]
+        table.append_rows([(3, 0.5, "a")])
         db.sync_columnar()
-        assert store.stats()["indexes"] == 0  # dropped, not maintained
         assert store.rebuilds == 1
-        rebuilt = store.index("x")
-        assert rebuilt is not index
-        assert len(rebuilt.range_ids(3, 3)) == hits_before + 1
-        assert rebuilt.range_ids(3, 3)[-1] == 200
+        assert _latest(db.arena, sql) == [[(0.5,)]]  # folded in, not rebuilt
+        rows = db.query(sql).rows  # a full probe reads the grown column
+        assert len(rows) == hits_before + 1 and rows[-1] == (0.5,)
 
-    def test_rebuild_drops_indexes(self):
+    def test_rebuild_drops_standing_answers(self):
         db = _make_db()
         store = _own(db)
-        store.index("x")
-        assert store.stats()["indexes"] == 1
+        assert _latest(db.arena, "SELECT y FROM t WHERE x = 0") == [[(190.0,)]]
+        assert store.stats()["standing_plans"] == 1
         table = db.table("t")
         table.rows = [row for row in table.rows if row[0] != 0]
         db.sync_columnar()
-        assert store.stats()["indexes"] == 0  # built again on the next probe
-        assert store.index("x").range_ids(0, 0) == []
+        assert store.stats()["standing_plans"] == 0  # filled again on the next ask
+        assert _latest(db.arena, "SELECT y FROM t WHERE x = 0") == [[]]
+        assert db.query("SELECT y FROM t WHERE x = 0").rows == []
 
     @pytest.mark.parametrize("force_scan", ["0", "1"])
     def test_short_row_is_refused_before_anything_grows(self, force_scan, monkeypatch):
@@ -210,14 +229,16 @@ class TestOneSlotArenaSync:
         db.insert_rows("t", [{"value": float(i), "zone": i % 3} for i in range(9)])
         table = db.table("t")
         store = _own(db)
-        store.index("zone")  # live: a refused append must leave it answering
         sql = "SELECT value FROM t WHERE zone = 1"
+        # Live: a refused append must leave the standing answer answering.
+        assert _latest(db.arena, sql) == ([[(7.0,)]] if force_scan == "0" else ["fallback"])
         before = db.query(sql).rows
         with pytest.raises(SchemaError, match="expects 2 values, got 1"):
             table.append_rows([(9.0, 1), (5.0,)])
         assert len(table.rows) == 9 and table.rows.mutations == 0
         assert db.query(sql).rows == before == [(1.0,), (4.0,), (7.0,)]
         assert _own(db) is store
+        assert _latest(db.arena, sql) == ([[(7.0,)]] if force_scan == "0" else ["fallback"])
         assert (store.count, store.rebuilds, store.appended_rows) == (9, 1, 9)
         assert [len(store.column(name)) for name in ("value", "zone")] == [9, 9]
 
@@ -341,16 +362,20 @@ class TestShardArena:
         assert table.row_slot[-1] == 1
         assert _arena_row(table, 10) == (77, 7.0, "odd")
 
-    def test_append_drops_the_shard_indexes(self):
+    def test_the_next_shard_probe_reads_the_appended_rows(self):
         members, arena = self._shard()
-        table = arena.table("t")
-        table.index("x")
-        table.index("y")
+        arena.table("t")
+        full = "SELECT y FROM t WHERE x = 0"
+        assert [o.rows for o in arena_select_per_client(arena, full)] == [[(0.0,)]] * 3
+        assert _latest(arena, "SELECT y FROM t WHERE y BETWEEN 99 AND 100") == [[], [], []]
         members[2].insert_rows("t", [{"x": 0, "y": 99.5, "tag": "even"}])
         synced = _synced(arena)
-        assert synced.stats()["indexes"] == 0  # dropped, not maintained
-        assert 10 in synced.index("x").range_ids(0, 0)
-        assert synced.index("y").range_ids(99.0, 100.0) == [10]
+        assert [o.rows for o in arena_select_per_client(arena, full)] == [
+            [(0.0,)],
+            [(0.0,)],
+            [(0.0,), (99.5,)],
+        ]
+        assert _latest(arena, "SELECT y FROM t WHERE y BETWEEN 99 AND 100") == [[], [], [(99.5,)]]
         assert synced.stats()["rebuilds"] == 1
 
     def test_in_place_member_edit_triggers_rebuild(self):
@@ -403,3 +428,122 @@ class TestShardArena:
         stats = arena.arena_stats()
         assert "t" in stats
         assert stats["t"]["rebuilds"] == 1
+
+
+def _rebind(table):
+    table.rows = list(table.rows)[1:]
+
+
+def _iadd(table):
+    rows = table.rows
+    rows += [(4, 4.5, "odd")]
+
+
+def _imul(table):
+    rows = table.rows
+    rows *= 2
+
+
+def _drop_and_recreate(db):
+    db.drop_table("t")
+    db.create_table("t", [("x", "INTEGER"), ("y", "REAL"), ("tag", "TEXT")])
+    db.insert_rows("t", [{"x": 7, "y": 0.25, "tag": "new"}])
+
+
+# Every route that changes a table's rows, or which tables a database holds.
+_ROUTES = {
+    "append": lambda db, t: t.rows.append((4, 4.5, "odd")),
+    "extend": lambda db, t: t.rows.extend([(4, 4.5, "odd")]),
+    "iadd": lambda db, t: _iadd(t),
+    "append_rows": lambda db, t: t.append_rows([(4, 4.5, "odd")]),
+    "insert_records": lambda db, t: db.insert_rows("t", [{"x": 4, "y": 4.5, "tag": "odd"}]),
+    "setitem": lambda db, t: t.rows.__setitem__(-1, (4, 4.5, "edited")),
+    "setslice": lambda db, t: t.rows.__setitem__(slice(0, 2), [(4, 4.5, "a")]),
+    "delitem": lambda db, t: t.rows.__delitem__(-1),
+    "insert": lambda db, t: t.rows.insert(3, (4, 4.5, "odd")),
+    "pop": lambda db, t: t.rows.pop(),
+    "remove": lambda db, t: t.rows.remove(t.rows[-1]),
+    "sort": lambda db, t: t.rows.sort(key=lambda row: row[1], reverse=True),
+    "reverse": lambda db, t: t.rows.reverse(),
+    "clear": lambda db, t: t.rows.clear(),
+    "imul": lambda db, t: _imul(t),
+    "rebind": lambda db, t: _rebind(t),
+    "drop": lambda db, t: db.drop_table("t"),
+    "drop_and_create": lambda db, t: _drop_and_recreate(db),
+    "create": lambda db, t: db.create_table("u", [("x", "INTEGER")]),
+}
+_CLOCK_STATEMENTS = (
+    "SELECT y, tag FROM t WHERE x = 4",
+    "SELECT tag FROM t WHERE y > 10.0",
+    "SELECT x FROM t",
+)
+
+
+def _answers(db, latest):
+    """Each statement's rows on the compiled path, or the error's type."""
+    out = []
+    for sql in _CLOCK_STATEMENTS:
+        try:
+            if latest:
+                out.append(_latest(db.arena, sql))
+            else:
+                out.append(db.query(sql).rows)
+        except Exception as exc:  # noqa: BLE001 — a dropped table's error is an answer
+            out.append(type(exc))
+    return out
+
+
+def _scan_answers(db):
+    db.force_scan = True
+    try:
+        return _answers(db, latest=False)
+    finally:
+        db.force_scan = False
+
+
+class TestChangeClock:
+    """A clean sync reads the change clock and nothing else; every route
+    that changes a table, or which tables a database holds, ticks it, so
+    the next sync walks the members and sees the change."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_every_route_ticks_and_a_clean_sync_walks_nothing(self, route, monkeypatch):
+        db = _make_db(rows=30)
+        db.arena.table("u")  # asked before it exists: the "create" route adds it
+        before = _answers(db, latest=True)
+        assert before == [[[(24.0, "even")]], [[("odd",)]], [[(9,)]]]
+        walked = []
+        get_table = Database.get_table
+
+        def counting_get_table(self, name):
+            walked.append(name)
+            return get_table(self, name)
+
+        monkeypatch.setattr(Database, "get_table", counting_get_table)
+        db.sync_columnar()
+        assert walked == []  # clean: O(1), no member visited
+        clock = change_clock()
+        _ROUTES[route](db, db.get_table("t"))
+        assert change_clock() != clock
+        walked.clear()
+        db.sync_columnar()
+        assert sorted(set(walked)) == ["t", "u"]  # the tick makes the sync walk
+        expected = _scan_answers(db)
+        assert _answers(db, latest=False) == expected, route
+        # The standing answers kept from before the change answer as the scan.
+        latest = _answers(db, latest=True)
+        for got, want in zip(latest, expected):
+            assert got == (None if want is SchemaError else [want[-1:]]), route
+        if route == "create":
+            assert db.arena.table("u") is not None
+        walked.clear()
+        db.sync_columnar()
+        assert walked == []
+
+    def test_a_read_ticks_nothing(self):
+        db = _make_db(rows=30)
+        clock = change_clock()
+        _answers(db, latest=True)
+        _answers(db, latest=False)
+        db.table("t").scan()
+        assert change_clock() == clock

@@ -34,14 +34,14 @@ class TestProbeSelection:
         ("sql", "expected"),
         [
             ("SELECT * FROM t", "all"),
-            ("SELECT * FROM t WHERE x = 2", "index-eq(x)"),
-            ("SELECT * FROM t WHERE 2 = x", "index-eq(x)"),
-            ("SELECT * FROM t WHERE tag IN ('a', 'bb')", "index-in(tag)"),
-            ("SELECT * FROM t WHERE x BETWEEN 1 AND 5", "index-range(x)"),
-            ("SELECT * FROM t WHERE x > 3", "index-range(x)"),
-            ("SELECT * FROM t WHERE 3 > x", "index-range(x)"),
-            ("SELECT * FROM t WHERE tag < 'm'", "index-range(tag)"),
-            ("SELECT * FROM t WHERE x = 2 AND y > 0", "index-eq(x)+residual"),
+            ("SELECT * FROM t WHERE x = 2", "probe-eq(x)"),
+            ("SELECT * FROM t WHERE 2 = x", "probe-eq(x)"),
+            ("SELECT * FROM t WHERE tag IN ('a', 'bb')", "probe-in(tag)"),
+            ("SELECT * FROM t WHERE x BETWEEN 1 AND 5", "probe-range(x)"),
+            ("SELECT * FROM t WHERE x > 3", "probe-range(x)"),
+            ("SELECT * FROM t WHERE 3 > x", "probe-range(x)"),
+            ("SELECT * FROM t WHERE tag < 'm'", "probe-range(tag)"),
+            ("SELECT * FROM t WHERE x = 2 AND y > 0", "probe-eq(x)+residual"),
             ("SELECT * FROM t WHERE x != 2", "residual"),
             ("SELECT * FROM t WHERE x IS NULL", "residual"),
             ("SELECT * FROM t WHERE x = NULL", "empty"),
@@ -59,7 +59,7 @@ class TestProbeSelection:
             "residual"
         )
         assert _plan(db, "SELECT * FROM t WHERE x = 2 AND y IS NULL").describe() == (
-            "index-eq(x)+residual"
+            "probe-eq(x)+residual"
         )
 
     def test_every_probe_requires_type_compatible_literal(self):
@@ -68,12 +68,12 @@ class TestProbeSelection:
         db = _db()
         assert _plan(db, "SELECT * FROM t WHERE tag < 5").describe() == "residual"
         assert _plan(db, "SELECT * FROM t WHERE x < 'm'").describe() == "residual"
-        # Equality and IN never raise, but the sorted index would have to
-        # order 'm' against ints to find it, so they fall to the residual
-        # too, which matches nothing as the scan does.
+        # Equality and IN never raise, but the one probe gate admits only
+        # literals that order against the column's type, so they fall to
+        # the residual too, which matches nothing as the scan does.
         assert _plan(db, "SELECT * FROM t WHERE x = 'm'").describe() == "residual"
         assert _plan(db, "SELECT * FROM t WHERE x IN (1, 'm')").describe() == "residual"
-        assert _plan(db, "SELECT * FROM t WHERE x IN (1, NULL)").describe() == "index-in(x)"
+        assert _plan(db, "SELECT * FROM t WHERE x IN (1, NULL)").describe() == "probe-in(x)"
         assert db.query("SELECT x FROM t WHERE x = 'm'").rows == []
         assert db.query("SELECT x FROM t WHERE x IN (2, 'm')").rows == [(2,), (2,)]
 
@@ -81,7 +81,7 @@ class TestProbeSelection:
         assert _plan(_db(), "SELECT * FROM t WHERE nope = 1").describe() == "residual"
 
     def test_case_insensitive_probe_column(self):
-        assert _plan(_db(), "SELECT * FROM t WHERE X = 2").describe() == "index-eq(x)"
+        assert _plan(_db(), "SELECT * FROM t WHERE X = 2").describe() == "probe-eq(x)"
 
 
 class TestProbeResults:

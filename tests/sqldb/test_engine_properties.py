@@ -120,8 +120,8 @@ def _fuzz_value(rng: random.Random, sql_type: str):
     """A random typed value (or NULL).  NaN is deliberately excluded: its
     identity-sensitive behavior in dict keys and ``in`` makes any two ways
     of materializing the same row diverge, so it is outside the engine
-    contract (the sorted index still keeps it out defensively; see
-    tests/sqldb/test_sorted_index.py)."""
+    contract (the probes' NaN handling is pinned on its own in
+    tests/sqldb/test_probe_scan.py)."""
     if rng.random() < 0.15:
         return None
     if sql_type == "INTEGER":
@@ -214,7 +214,7 @@ def _fuzz_where(rng: random.Random, schema) -> str:
     if rng.random() < 0.12:
         return ""
     # Half the time lead with a probe-shaped conjunct (column op literal)
-    # so the fuzzer actually walks the index probes.
+    # so the fuzzer actually walks the column probes.
     if rng.random() < 0.5:
         column, sql_type = schema[rng.randrange(len(schema))]
         kind = rng.random()
@@ -375,7 +375,7 @@ class TestDifferentialFuzz:
         rows."""
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
         incremental = _make_db(schema, rows, force_scan=False)
-        for sql in queries:  # builds the arena + indexes over the initial rows
+        for sql in queries:  # builds the arena over the initial rows
             _outcome(incremental, sql)
         store = incremental.arena.table("t")
         rebuilds_before = store.rebuilds
@@ -391,11 +391,11 @@ class TestDifferentialFuzz:
         # Appends must have been folded in place, never via rebuild.
         assert store.rebuilds == rebuilds_before
 
-    def test_fuzzer_exercises_index_probes(self):
+    def test_fuzzer_exercises_column_probes(self):
         """Guard the generator itself: a healthy share of fuzzed queries must
-        compile to index probes, or the differential suite would be
+        compile to column probes, or the differential suite would be
         silently testing only the residual path."""
-        probe_kinds = {"index-eq": 0, "index-in": 0, "index-range": 0, "other": 0}
+        probe_kinds = {"probe-eq": 0, "probe-in": 0, "probe-range": 0, "other": 0}
         total = 0
         for case_seed in range(FUZZ_CASES):
             schema, _, queries, _, post_queries = _fuzz_case(case_seed)
@@ -407,16 +407,16 @@ class TestDifferentialFuzz:
                     continue
                 total += 1
                 description = plan.describe()
-                for kind in ("index-eq", "index-in", "index-range"):
+                for kind in ("probe-eq", "probe-in", "probe-range"):
                     if kind in description:
                         probe_kinds[kind] += 1
                         break
                 else:
                     probe_kinds["other"] += 1
         assert total >= 200, "fuzzer should generate at least 200 compilable queries"
-        assert probe_kinds["index-eq"] >= 20
-        assert probe_kinds["index-in"] >= 10
-        assert probe_kinds["index-range"] >= 20
+        assert probe_kinds["probe-eq"] >= 20
+        assert probe_kinds["probe-in"] >= 10
+        assert probe_kinds["probe-range"] >= 20
 
 
 # -- shard-arena differential axis --------------------------------------------

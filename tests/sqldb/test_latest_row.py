@@ -78,13 +78,26 @@ class TestRouteTable:
         routes = {route for _, _, route in statements}
         assert routes == {"standing", "fallback"}
 
-    def test_a_fallback_statement_is_asked_of_no_arena(self, latest_row_cases):
+    def test_a_fallback_statement_is_asked_of_no_arena(self, monkeypatch, latest_row_cases):
         """An arena, a shard's or a database's own, answers a statement that
-        does not compile with ``None`` in both forms, and asking builds no
-        index and no standing answer: each member answers on the row scan."""
+        does not compile with ``None`` in both forms, and asking runs no
+        matching pass and builds no standing answer: each member answers on
+        the row scan."""
+        from repro.sqldb import compile as compile_module
+
         columns, statements, members = latest_row_cases
         databases, references = _shard(columns, members)
         arena = ShardArena(databases)
+        passes = []
+        matching = compile_module.CompiledSelect.matching_ids_per_client
+
+        def counting_pass(self, table, start=0):
+            passes.append(start)
+            return matching(self, table, start)
+
+        monkeypatch.setattr(
+            compile_module.CompiledSelect, "matching_ids_per_client", counting_pass
+        )
         fallbacks = [sql for sql, _, route in statements if route == "fallback"]
         for sql in fallbacks:
             for asked in (arena, *(db.arena for db in databases)):
@@ -93,8 +106,8 @@ class TestRouteTable:
             for db, reference in zip(databases, references):
                 assert _reference_outcome(db, sql) == _reference_outcome(reference, sql)
         for asked in (arena, *(db.arena for db in databases)):
-            stats = asked.arena_stats()[TABLE]
-            assert (stats["indexes"], stats["standing_plans"]) == (0, 0)
+            assert asked.arena_stats()[TABLE]["standing_plans"] == 0
+        assert passes == []
 
     def test_latest_row_equals_scan_reference_last_row(self, latest_row_cases):
         columns, statements, members = latest_row_cases
@@ -213,7 +226,7 @@ class TestWorkPerSlot:
     ):
         """No early exit, total residual or not: per slot the residual runs
         on each candidate in row order up to the slot's first error, from
-        the index probe at ``start=0`` and from the probe conjunct as a row
+        the column probe at ``start=0`` and from the probe conjunct as a row
         predicate over rows ``start..`` otherwise."""
         columns, _, members = latest_row_cases
         databases, _ = _shard(columns, members)
@@ -349,37 +362,49 @@ class TestStandingAnswers:
                     name,
                 )
         # Every fold is one pass from the count the answer covered; none
-        # touches an index.
+        # runs a column probe.
         assert probes == []
         assert starts == [covered] * len(plain)
         stats = arena.arena_stats()[TABLE]
         assert stats["rebuilds"] == 1
         assert stats["standing_plans"] == len(plain)
 
-    def test_a_standing_fold_builds_no_index_and_a_full_ask_rebuilds_it(
+    def test_a_standing_fold_probes_nothing_and_a_full_ask_probes_the_grown_column(
         self, monkeypatch, latest_row_cases
     ):
-        """What a stream of appends saves: an append drops the arena's
-        indexes instead of maintaining them, the standing answers fold the
-        tail rows in without building one, and only a full-form ask sorts
-        a column again — answering as the forced row scan does."""
+        """What a stream of appends costs: the first standing ask probes each
+        plan's column once, the standing answers fold the tail rows in
+        without probing again, and only a full-form ask probes the whole
+        grown column — answering as the forced row scan does."""
+        from repro.sqldb import compile as compile_module
+
         columns, statements, members = latest_row_cases
         databases, _ = _shard(columns, members)
         arena = ShardArena(databases)
         plain = _plain_statements(statements)
+        probes = []
+        for probe_class in (compile_module._InProbe, compile_module._RangeProbe):
+
+            def counting_ids(self, table, ids=probe_class.ids):
+                probes.append(table.count)
+                return ids(self, table)
+
+            monkeypatch.setattr(probe_class, "ids", counting_ids)
         for sql in plain:
             arena_select_per_client(arena, sql, latest=True)
         table = arena.table(TABLE)
-        assert table.stats()["indexes"] > 0
+        covered = table.count
+        assert probes and set(probes) == {covered}
+        probed_plans = len(probes)
         for db in databases:
             db.table(TABLE).append_rows([(2.8, 1, None), (1.5, 2, "abc")])
         arena.sync()
-        assert table.stats()["indexes"] == 0
         for sql in plain:
             arena_select_per_client(arena, sql, latest=True)
-        assert table.stats()["indexes"] == 0
+        assert len(probes) == probed_plans
         answers = {sql: arena_select_per_client(arena, sql) for sql in plain}
-        assert table.stats()["indexes"] > 0
+        assert probes[probed_plans:] == [table.count] * probed_plans
+        assert table.count == covered + 2 * len(databases)
         assert table.stats()["rebuilds"] == 1
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         for sql, outcomes in answers.items():
