@@ -712,12 +712,12 @@ class Client:
         latest-row form of the result or the exception to raise.
 
         A statement not in the cache is a standing answer too: the same
-        :func:`~repro.sqldb.engine.arena_select_per_client` call with
-        ``latest=True`` the shard pass makes, over the database's one-slot
-        arena, so an unchanged table is read once and an appended one only
-        in its tail.  The row scan (``Database.query``) answers only what
-        the arena does not: a compiler fallback, a missing table or a
-        ``force_scan`` / ``SQLDB_FORCE_SCAN`` pin.
+        :func:`~repro.sqldb.engine.arena_select_per_client` call the shard
+        pass makes, over the database's one-slot arena, so an unchanged
+        table is read once and an appended one only in its tail.  The row
+        scan (``Database.query``) answers only what the arena does not: a
+        compiler fallback, a missing table, or any statement under
+        ``SQLDB_FORCE_SCAN``.
         """
         sql = query.sql
         if scan_cache is not None and sql in scan_cache:
@@ -725,7 +725,7 @@ class Client:
         else:
             arena = self.database.arena
             arena.sync()
-            outcomes = arena_select_per_client(arena, sql, latest=True)
+            outcomes = arena_select_per_client(arena, sql)
             if outcomes is None or outcomes[0] is ARENA_FALLBACK:
                 result = self.database.query(sql)
             else:

@@ -167,12 +167,10 @@ def shard_scan_caches(
     <repro.sqldb.columnar.ShardArena.sync>`): client SQL only reads, so
     nothing changes a member's tables between two asks of one pass.  Each
     statement is asked once, for the slots of every client with a
-    participating coin on a query that runs it; an outcome is the
-    exception that client's own evaluation would raise, or the
-    *latest-row form* of its result set
-    (:func:`~repro.sqldb.engine.arena_select_per_client` with
-    ``latest=True``): the columns of ``client.database.query(sql)`` and at
-    most its last row — all :meth:`Client.answer
+    participating coin on a query that runs it; an outcome is that
+    client's standing answer (:func:`~repro.sqldb.engine.arena_select_per_client`):
+    the exception ``client.database.query(sql)`` raises, or its columns
+    over at most its last row — all :meth:`Client.answer
     <repro.core.client.Client.answer>` reads.  Statements that fall
     back (unparsable, non-SELECT, missing table, compiler fallback) are
     simply absent from every cache; members flagged :data:`ARENA_FALLBACK`
@@ -194,7 +192,7 @@ def shard_scan_caches(
     if slots_per_sql:
         arena.sync()
     for sql, slots in slots_per_sql.items():
-        outcomes = arena_select_per_client(arena, sql, latest=True, slots=slots)
+        outcomes = arena_select_per_client(arena, sql, slots=slots)
         if outcomes is None:
             continue
         for slot in slots:

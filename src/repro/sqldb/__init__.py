@@ -18,28 +18,27 @@ is to let the client-side "query answering" module run real SQL over local
 rows, and to let Table 3's "database read" cost be measured on a real code
 path rather than a stub.
 
-A plain projection — ``SELECT cols FROM name [WHERE predicate]``, every
-column named as declared, the one shape a PrivApprox client asks — runs
-on a columnar fast path by default: typed parallel arrays
-(:mod:`repro.sqldb.columnar`), each probe one pass over its column,
-filtered by compiled predicates (:mod:`repro.sqldb.compile`).  The original
-row-scan interpreter remains the frozen reference and answers every other
-statement (aggregates, GROUP BY, ORDER BY, LIMIT); set
-``SQLDB_FORCE_SCAN=1`` to pin it for all of them.  There is one
-columnar layout: a :class:`~repro.sqldb.columnar.ShardArena` concatenates
-every co-schema client in a shard into one :class:`ArenaTable` per table
-so the runtime can answer a whole shard with a single probe
-(:func:`~repro.sqldb.engine.arena_select_per_client`), and a database
-answering on its own does the same over its one-slot arena
-(:attr:`Database.arena`).  ``SQLDB_FORCE_PER_CLIENT=1`` turns shard
-arenas off — every client answers on its one-slot arena — as the middle
-rung of the differential ladder.  A PrivApprox client answers
-with its *latest* matching reading, so every client read asks that
-function for the latest-row form (``latest=True``) — a shard pass over
-the shard's arena, a client answering alone over its one-slot arena: per
-member, the same error or the same columns over at most the last row of
-``member.query(sql)`` — found without materialising the rows before it,
-and kept as a standing answer that later asks fold tail appends into.
+:meth:`Database.query` is the row-scan interpreter, the frozen reference
+that answers every statement.  A PrivApprox client answers with its
+*latest* matching reading, so it reads through the one compiled answer,
+:func:`~repro.sqldb.engine.arena_select_per_client`: for a plain
+projection — ``SELECT cols FROM name [WHERE predicate]``, every column
+named as declared, the one shape a client asks — each asked member's
+standing latest row, per member the same error as ``member.query(sql)``
+or its columns over at most its last row.  It runs on typed parallel
+arrays (:mod:`repro.sqldb.columnar`), each probe one pass over its column,
+filtered by compiled predicates (:mod:`repro.sqldb.compile`), and keeps the
+answer standing, so later asks fold in only the rows appended since.
+There is one columnar layout: a :class:`~repro.sqldb.columnar.ShardArena`
+concatenates every co-schema client in a shard into one
+:class:`ArenaTable` per table so the runtime answers a whole shard with a
+single probe, and a client answering on its own asks its database's
+one-slot arena (:attr:`Database.arena`).  Every other statement
+(aggregates, GROUP BY, ORDER BY, LIMIT) is answered by ``Database.query``.
+``SQLDB_FORCE_PER_CLIENT=1`` turns shard arenas off — every client answers
+on its one-slot arena — as the middle rung of the differential ladder;
+``SQLDB_FORCE_SCAN=1`` turns the compiled answer off, so every client
+answers on the row scan.
 """
 
 from repro.sqldb.columnar import ArenaTable, ColumnVector, ShardArena

@@ -16,13 +16,14 @@ column (arena row id → member slot) and a per-slot row-span table
 (``slot_rows``);
 :meth:`CompiledSelect.matching_ids_per_client
 <repro.sqldb.compile.CompiledSelect.matching_ids_per_client>` probes the
-arena once and splits the matches back per client.  A database answering
-on its own (:meth:`repro.sqldb.engine.Database.query`, and a client's
-lone answer, :meth:`repro.core.client.Client.answer`) is the same
-structure with one slot: its lazily built one-slot :class:`ShardArena`,
-where arena row ids are the table's own row ids.  Members whose table is
-missing or whose schema differs from the adopted signature are
-*excluded* (their span is ``None``) and answer per-client.
+arena once and splits the matches back per client.  A client answering
+on its own (:meth:`repro.core.client.Client.answer`) reads the same
+structure with one slot: its database's lazily built one-slot
+:class:`ShardArena` (:attr:`repro.sqldb.engine.Database.arena`), where
+arena row ids are the table's own row ids.  :meth:`Database.query
+<repro.sqldb.engine.Database.query>` is the row scan and reads no arena.
+Members whose table is missing or whose schema differs from the adopted
+signature are *excluded* (their span is ``None``) and answer per-client.
 
 **Incremental by construction.**  Per member, the arena records the
 table object, its row list (by identity), the list's in-place mutation
@@ -131,11 +132,6 @@ class ColumnVector:
 
     def __getitem__(self, index: int) -> Any:
         return self._data[index]
-
-    def take(self, row_ids) -> list:
-        """The values at ``row_ids``, in that order."""
-        data = self._data
-        return [data[row_id] for row_id in row_ids]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._data)
@@ -377,8 +373,8 @@ class ShardArena:
     built lazily on first use and synced incrementally by :meth:`sync`,
     which the owner calls once before a pass of asks: the shard answer pass
     once per shard per epoch
-    (:func:`~repro.runtime.engine.shard_scan_caches`), a lone database
-    once per statement.  Asking reads the arena as last synced — client
+    (:func:`~repro.runtime.engine.shard_scan_caches`), a client answering
+    alone once per statement.  Asking reads the arena as last synced — client
     SQL only reads, so nothing changes a member's tables within one pass.
     A database answering on its own holds a one-slot arena over itself
     (:attr:`repro.sqldb.engine.Database.arena`).

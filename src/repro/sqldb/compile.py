@@ -33,8 +33,8 @@ comprehension over the column's
 with the literal and returns the matching row ids in ascending order:
 
 * ``col = literal`` / ``literal = col`` → a point
-* ``col IN (...)`` → ``value in choices``, as under the scan engine
-  (``NULL`` choices match NULL rows)
+* ``col IN (...)`` → a non-NULL ``value in choices``, as under the scan
+  engine (a NULL row never matches)
 * ``col < | <= | > | >= literal`` and ``col BETWEEN lit AND lit`` → a
   range
 
@@ -253,7 +253,12 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
     if isinstance(node, ast.InOp):
         value_fn = _compile_value(node.operand, schema)
         choices = node.choices
-        return lambda arrays, row_id: value_fn(arrays, row_id) in choices
+
+        def compiled_in(arrays: dict, row_id: int) -> bool:
+            value = value_fn(arrays, row_id)
+            return value is not None and value in choices
+
+        return compiled_in
     if isinstance(node, ast.IsNullOp):
         value_fn = _compile_value(node.operand, schema)
         if node.negated:
@@ -287,9 +292,9 @@ class _EmptyProbe:
 
 
 class _InProbe:
-    """``col IN (...)``: the rows whose value is in the choices, as the scan
-    engine's ``value in choices`` selects them (a ``NULL`` choice matches
-    the NULL rows)."""
+    """``col IN (...)``: the rows whose non-NULL value is in the choices, as
+    the scan engine selects them (a NULL row never matches, a ``NULL``
+    choice matches nothing)."""
 
     def __init__(self, column: str, choices: tuple):
         self.column = column
@@ -300,7 +305,7 @@ class _InProbe:
         return [
             row_id
             for row_id, value in enumerate(arena.column(self.column))
-            if value in choices
+            if value is not None and value in choices
         ]
 
     def describe(self) -> str:

@@ -2,22 +2,22 @@
 
 Two SELECT paths share one semantics:
 
-* the **row scan** (:meth:`Database._execute_select_scan`) — the frozen
-  reference, interpreting the WHERE AST per row dict, and the only path
-  for aggregates, GROUP BY, ORDER BY and LIMIT; and
-* the **compiled columnar** path (:func:`_select_per_slot`) — column probes
-  plus closures from :mod:`repro.sqldb.compile` evaluated over an
-  :class:`~repro.sqldb.columnar.ArenaTable`: a whole shard's
-  (:func:`arena_select_per_client`) or a lone database's one-slot arena
-  (:meth:`Database.query`).  It answers plain projections only, what a
-  client asks (``SELECT col FROM t [WHERE ...]``), and one routine
+* the **row scan** (:meth:`Database.query`) — the frozen reference,
+  interpreting the WHERE AST per row dict and answering every statement,
+  aggregates, GROUP BY, ORDER BY and LIMIT included; and
+* the **compiled columnar** path (:func:`arena_select_per_client`) — column
+  probes plus closures from :mod:`repro.sqldb.compile` evaluated over an
+  :class:`~repro.sqldb.columnar.ArenaTable`, a whole shard's or a lone
+  database's one-slot arena.  It answers one question, the one a client
+  asks: each asked slot's standing latest row of a plain projection
+  (``SELECT col FROM t [WHERE ...]``), and one routine
   (:func:`_projection`) builds every result it returns.
 
-The compiled path is the default; ``SQLDB_FORCE_SCAN=1`` in the
-environment (or ``Database.force_scan = True``) pins the reference, and
-statements the compiler does not lower fall back to it automatically.  The
-differential suite in ``tests/sqldb/test_engine_properties.py`` holds the
-two paths row-for-row equal.
+A client reads through the compiled path and goes to the row scan for what
+it does not answer; ``SQLDB_FORCE_SCAN=1`` in the environment makes it
+answer nothing, which pins the reference.  The differential suite in
+``tests/sqldb/test_engine_properties.py`` holds the compiled path's match
+set to the row scan's rows and its standing answer to their last row.
 """
 
 from __future__ import annotations
@@ -78,13 +78,14 @@ def cached_shard_arena(
 
 
 #: Slot-level fallback marker from :func:`arena_select_per_client`: this
-#: member must answer the statement itself (missing table, mixed schema,
-#: or a per-database ``force_scan`` pin).
+#: member must answer the statement itself (missing table or mixed schema).
 ARENA_FALLBACK = object()
 
 
 class ResultSet:
     """Result of a SELECT: ordered column names plus a list of row tuples."""
+
+    __slots__ = ("columns", "rows")
 
     def __init__(self, columns: list[str], rows: list[tuple]):
         self.columns = columns
@@ -122,9 +123,6 @@ class Database:
     def __init__(self, name: str = "local"):
         self.name = name
         self._tables: dict[str, Table] = {}
-        # Pins the row-scan reference path for this database regardless of
-        # the SQLDB_FORCE_SCAN environment switch.
-        self.force_scan = False
         self._arena: ShardArena | None = None
 
     # -- schema management ---------------------------------------------------
@@ -176,8 +174,9 @@ class Database:
 
     @property
     def arena(self) -> ShardArena:
-        """This database's one-slot arena, the columnar copy its compiled
-        SELECTs read (built on first use; its tables build on first query).
+        """This database's one-slot arena, the columnar copy a client's
+        standing answers read (built on first use; its tables build on
+        first ask).  :meth:`query` never touches it.
 
         The arena holds a weak proxy of the database, so the two form no
         reference cycle and a dropped database is freed at once.
@@ -189,66 +188,52 @@ class Database:
     def sync_columnar(self) -> None:
         """Incrementally sync every columnar table already built.
 
-        Tables never queried are skipped — they stay lazy until first
-        queried.  :meth:`query` syncs before it asks, so no caller needs
-        this to get a fresh answer; it stays as the one entry point a test
-        or a profiler (``benchmarks/epoch_profile/tracer.py`` traces it as
-        ``sqldb.columnar.sync``) calls to sync a database on its own.
+        Tables never asked for are skipped — they stay lazy until first
+        asked.  A client syncs its arena itself before it asks
+        (:meth:`repro.core.client.Client.answer`); this stays as the one
+        entry point a test or a profiler (``benchmarks/epoch_profile/tracer.py``
+        traces it as ``sqldb.columnar.sync``) calls to sync a database on
+        its own.
         """
         if self._arena is not None:
             self._arena.sync()
 
-    def _scan_forced(self) -> bool:
-        """Whether the row-scan reference path is pinned.
-
-        Checked per statement (not cached) so tests and operators can
-        flip ``SQLDB_FORCE_SCAN`` mid-process; any value other than
-        empty/``0``/``false`` pins the scan.
-        """
-        if self.force_scan:
-            return True
-        return _env_flag("SQLDB_FORCE_SCAN")
-
     # -- statement execution ---------------------------------------------------
 
     def query(self, sql: str) -> ResultSet:
-        """Run one SELECT and return its result set.
+        """Run one SELECT on the row scan and return its result set.
 
         The parser accepts nothing but a SELECT, so any other statement
         raises :class:`~repro.sqldb.errors.ParseError` before a table is
-        touched.
+        touched.  The parse is cached unless ``SQLDB_FORCE_SCAN`` is set.
+        No arena is built, synced or asked.
         """
-        scan_forced = self._scan_forced()
-        if scan_forced:
+        if _env_flag("SQLDB_FORCE_SCAN"):
             statement = parse_statement(sql)
         else:
             statement = parse_statement_cached(sql)
-        return self._execute_select(statement, scan_forced)
+        return self._execute_select(statement)
 
     # -- SELECT ------------------------------------------------------------------
 
-    def _execute_select(self, stmt: ast.SelectStatement, scan_forced: bool) -> ResultSet:
-        table = self.table(stmt.table)
-        if not scan_forced:
-            arena = self.arena
-            arena.sync()
-            outcomes = _select_per_slot(arena, stmt, scan_forced=False)
-            # None: the statement is not a plain projection the compiler
-            # lowers; ARENA_FALLBACK: a force_scan pin.  Both answer on the
-            # row scan.
-            if outcomes is not None and outcomes[0] is not ARENA_FALLBACK:
-                (outcome,) = outcomes
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                return outcome
-        return self._execute_select_scan(stmt, table)
+    def _execute_select(self, stmt: ast.SelectStatement) -> ResultSet:
+        """The frozen row-scan reference: one dict per row, AST walked per row.
 
-    def _execute_select_scan(self, stmt: ast.SelectStatement, table: Table) -> ResultSet:
-        """The frozen row-scan reference: one dict per row, AST walked per row."""
+        Every name outside WHERE — projected, grouped, ordered on or
+        aggregated — resolves once per statement through
+        :meth:`Table.column_index`, case-insensitively, as WHERE's names and
+        SQLite's do; an unknown one raises
+        :class:`~repro.sqldb.errors.SchemaError`.
+        """
+        table = self.table(stmt.table)
         rows = [row for row in table.scan() if _evaluate(stmt.where, row)]
+        names = table.column_names
+
+        def resolve(name: str) -> str:
+            return names[table.column_index(name)]
 
         if stmt.group_by:
-            return self._execute_grouped(stmt, rows)
+            return self._execute_grouped(stmt, rows, resolve)
 
         has_aggregate = any(isinstance(item, ast.Aggregate) for item in stmt.items)
         if has_aggregate:
@@ -257,67 +242,58 @@ class Database:
                     "mixing plain columns and aggregates requires GROUP BY"
                 )
             columns = [_aggregate_label(item) for item in stmt.items]
-            values = tuple(_compute_aggregate(item, rows) for item in stmt.items)
+            values = tuple(_compute_aggregate(item, resolve, rows) for item in stmt.items)
             return ResultSet(columns=columns, rows=[values])
 
         if stmt.select_star:
-            out_columns = table.column_names
-            projected = [tuple(row[c] for c in out_columns) for row in rows]
+            out_columns = sources = names
         else:
             out_columns = [item.alias or item.column for item in stmt.items]
-            source_columns = [item.column for item in stmt.items]
-            for column in source_columns:
-                table.column_index(column)  # validate existence
-            projected = [tuple(row[c] for c in source_columns) for row in rows]
-
+            sources = [resolve(item.column) for item in stmt.items]
         if stmt.order_by is not None:
-            order_column = stmt.order_by.column
-            if stmt.select_star or order_column in out_columns:
-                sort_key_rows = list(zip(projected, rows))
-                sort_key_rows.sort(
-                    key=lambda pair: _sort_key(pair[1][order_column]),
-                    reverse=stmt.order_by.descending,
-                )
-                projected = [pair[0] for pair in sort_key_rows]
-            else:
-                pairs = sorted(
-                    zip(projected, rows),
-                    key=lambda pair: _sort_key(pair[1].get(order_column)),
-                    reverse=stmt.order_by.descending,
-                )
-                projected = [pair[0] for pair in pairs]
-
+            order_key = resolve(stmt.order_by.column)
+            rows.sort(
+                key=lambda row: _sort_key(row[order_key]),
+                reverse=stmt.order_by.descending,
+            )
+        projected = [tuple(row[c] for c in sources) for row in rows]
         if stmt.limit is not None:
             projected = projected[: stmt.limit]
         return ResultSet(columns=out_columns, rows=projected)
 
-    def _execute_grouped(self, stmt: ast.SelectStatement, rows: list[dict]) -> ResultSet:
+    def _execute_grouped(self, stmt: ast.SelectStatement, rows: list[dict], resolve) -> ResultSet:
+        keys = [resolve(col) for col in stmt.group_by]
         groups: dict[tuple, list[dict]] = {}
         for row in rows:
-            key = tuple(row.get(col) for col in stmt.group_by)
+            key = tuple(row[col] for col in keys)
             groups.setdefault(key, []).append(row)
 
         out_columns: list[str] = []
+        key_positions: list[int | None] = []
         for item in stmt.items:
             if isinstance(item, ast.SelectItem):
-                if item.column not in stmt.group_by:
+                column = resolve(item.column)
+                if column not in keys:
                     raise ExecutionError(
                         f"column {item.column} must appear in GROUP BY"
                     )
                 out_columns.append(item.alias or item.column)
+                key_positions.append(keys.index(column))
             else:
                 out_columns.append(_aggregate_label(item))
+                key_positions.append(None)
 
         result_rows: list[tuple] = []
         for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):
             group_rows = groups[key]
-            values = []
-            for item in stmt.items:
-                if isinstance(item, ast.SelectItem):
-                    values.append(key[stmt.group_by.index(item.column)])
-                else:
-                    values.append(_compute_aggregate(item, group_rows))
-            result_rows.append(tuple(values))
+            result_rows.append(
+                tuple(
+                    _compute_aggregate(item, resolve, group_rows)
+                    if position is None
+                    else key[position]
+                    for item, position in zip(stmt.items, key_positions)
+                )
+            )
         if stmt.limit is not None:
             result_rows = result_rows[: stmt.limit]
         return ResultSet(columns=out_columns, rows=result_rows)
@@ -362,7 +338,7 @@ def _evaluate_value(node, row: dict[str, Any]):
         return low <= value <= high
     if isinstance(node, ast.InOp):
         value = _evaluate_value(node.operand, row)
-        return value in node.choices
+        return value is not None and value in node.choices
     if isinstance(node, ast.IsNullOp):
         value = _evaluate_value(node.operand, row)
         return (value is not None) if node.negated else (value is None)
@@ -410,12 +386,13 @@ def _aggregate_label(item: ast.Aggregate) -> str:
     return f"{item.function.lower()}({argument})"
 
 
-def _compute_aggregate(item: ast.Aggregate, rows: list[dict]):
+def _compute_aggregate(item: ast.Aggregate, resolve, rows: list[dict]):
+    if item.argument is None:  # COUNT(*)
+        return len(rows)
+    column = resolve(item.argument)
+    values = [row[column] for row in rows if row[column] is not None]
     if item.function == "COUNT":
-        if item.argument is None:
-            return len(rows)
-        return sum(1 for row in rows if row.get(item.argument) is not None)
-    values = [row.get(item.argument) for row in rows if row.get(item.argument) is not None]
+        return len(values)
     if not values:
         return None
     if item.function == "SUM":
@@ -429,24 +406,26 @@ def _compute_aggregate(item: ast.Aggregate, rows: list[dict]):
     raise ExecutionError(f"unsupported aggregate: {item.function}")
 
 
-def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
-    """Answer one SELECT for every member of a shard in a single pass.
+def arena_select_per_client(arena, sql: str, slots=None):
+    """Each asked member's standing latest row for one SELECT, in one pass.
 
-    Probes the shard's :class:`~repro.sqldb.columnar.ShardArena` once and
-    splits the matching arena row ids back into per-member outcomes via
-    the span table.  It reads the arena as last synced: a caller whose
-    members' tables changed calls :meth:`ShardArena.sync
+    The one compiled answer, and what every client read asks: a shard's
+    answer pass over the shard's :class:`~repro.sqldb.columnar.ShardArena`,
+    a client answering alone over its database's one-slot arena
+    (:attr:`Database.arena`).  It reads the arena as last synced: a caller
+    whose members' tables changed calls :meth:`ShardArena.sync
     <repro.sqldb.columnar.ShardArena.sync>` first, once for any number of
-    asks.  Returns a list aligned with ``arena.databases``
-    where each entry is one of:
+    asks.  Returns a list aligned with ``arena.databases`` where each entry
+    is one of:
 
-    * a :class:`ResultSet` — the member's answer, identical (row-for-row
-      and error-for-error) to what ``member.query(sql)`` would produce;
-    * an :class:`Exception` instance — the error that member's own
-      evaluation of WHERE would raise (captured per slot);
+    * a :class:`ResultSet` — the columns of ``member.query(sql)`` over at
+      most its last row (``rows == member.query(sql).rows[-1:]``), all a
+      client reads of its result (the paper's "latest reading");
+    * an :class:`Exception` instance — the error ``member.query(sql)``
+      raises (equal by type and message);
     * :data:`ARENA_FALLBACK` — this member must answer itself (its table
-      is missing or schema-mismatched against the arena, or the database
-      pins ``force_scan``), or it was not asked for.
+      is missing or schema-mismatched against the arena), or it was not
+      asked for, or ``SQLDB_FORCE_SCAN`` is set.
 
     ``slots`` (an iterable of slot indices, ascending) restricts the
     answer to those members — the epoch's participants: every other
@@ -461,13 +440,8 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
     randomness, so hoisting it shard-wide cannot shift any client's RNG
     or keystream state.
 
-    ``latest=True`` is what the epoch's answer pass asks for (a client
-    reads only whether anything matched and the last matching row):
-    fallback markers and exceptions are exactly the full form's, and
-    every :class:`ResultSet` has the full form's ``columns`` and
-    ``rows == full.rows[-1:]``.  It is a *standing* answer: the arena
-    table keeps each slot's latest matching row id per plan
-    (:meth:`ArenaTable.standing_latest
+    It is a *standing* answer: the arena table keeps each slot's latest
+    matching row id per plan (:meth:`ArenaTable.standing_latest
     <repro.sqldb.columnar.ArenaTable.standing_latest>`) and folds in only
     the rows appended since the last ask.  A slot's one-row outcome is
     kept with its standing row id and handed out again, the same object,
@@ -479,30 +453,6 @@ def arena_select_per_client(arena, sql: str, latest: bool = False, slots=None):
         statement = parse_statement_cached(sql)
     except Exception:  # noqa: BLE001 - parse errors fall back per client
         return None
-    # The switch is read once per statement (never cached across statements).
-    return _select_per_slot(
-        arena, statement, _env_flag("SQLDB_FORCE_SCAN"), latest, slots
-    )
-
-
-def _select_per_slot(
-    arena,
-    statement: ast.SelectStatement,
-    scan_forced: bool,
-    latest: bool = False,
-    slots=None,
-):
-    """:func:`arena_select_per_client` after parsing: one compiled SELECT
-    over a :class:`~repro.sqldb.columnar.ShardArena`, one outcome per slot.
-
-    The one compiled dispatcher: a shard answers through it, and so does a
-    lone database over its one-slot arena (:meth:`Database.query`).
-    ``scan_forced`` (the ``SQLDB_FORCE_SCAN`` switch) and a member's own
-    ``force_scan`` pin mark slots :data:`ARENA_FALLBACK` before anything is
-    probed or a standing answer is built or folded.  Returns ``None`` when
-    no member defines the table or the statement is not a plain projection
-    the compiler lowers.
-    """
     table = arena.table(statement.table)
     if table is None:
         return None
@@ -510,67 +460,49 @@ def _select_per_slot(
         plan = plan_for(statement, table.columns)
     except CompileFallback:
         return None
-
-    databases = arena.databases
-    outcomes: list = [ARENA_FALLBACK] * len(databases)
-    if scan_forced:
+    outcomes: list = [ARENA_FALLBACK] * len(arena.databases)
+    # The switch is read once per statement (never cached across statements),
+    # before a standing answer is built or folded.
+    if _env_flag("SQLDB_FORCE_SCAN"):
         return outcomes
-    asked = [
-        slot
-        for slot in (range(len(databases)) if slots is None else slots)
-        if not databases[slot].force_scan
-    ]
+    asked = range(len(outcomes)) if slots is None else slots
     if not asked:
         return outcomes
-    if latest:
-        standing, finished = table.standing_latest(plan)
-        project = None  # bound on first use: not when every slot holds a kept outcome
-        for slot in asked:
-            outcome = finished[slot]
-            if outcome is None:
-                row_id = standing[slot]
-                if row_id is None:
-                    continue
-                if isinstance(row_id, BaseException):
-                    # Handed out afresh: a raise must not grow a held traceback.
-                    outcome = row_id.with_traceback(None)
-                else:
-                    project = project or _projection(plan, table)
-                    outcome = project((row_id,) if row_id >= 0 else ())
-                    if row_id >= 0:
-                        finished[slot] = outcome
-            outcomes[slot] = outcome
-        return outcomes
-    project = _projection(plan, table)
-    ids_per_slot = plan.matching_ids_per_client(table)
+    standing, finished = table.standing_latest(plan)
+    project = None  # bound on first use: not when every slot holds a kept outcome
     for slot in asked:
-        ids = ids_per_slot[slot]
-        if isinstance(ids, BaseException):
-            outcomes[slot] = ids
-        elif ids is not None:
-            outcomes[slot] = project(ids)
+        outcome = finished[slot]
+        if outcome is None:
+            row_id = standing[slot]
+            if row_id is None:
+                continue
+            if isinstance(row_id, BaseException):
+                # Handed out afresh: a raise must not grow a held traceback.
+                outcome = row_id.with_traceback(None)
+            else:
+                project = project or _projection(plan, table)
+                outcome = project(row_id)
+                if row_id >= 0:
+                    finished[slot] = outcome
+        outcomes[slot] = outcome
     return outcomes
 
 
 def _projection(plan, table):
     """The one routine that builds a compiled :class:`ResultSet`.
 
-    Returns ``project(ids)``: the plan's result columns over the rows at
-    ``ids`` — a standing slot's latest row, a one-slot database's matched
-    rows — gathered a column at a time and zipped into row tuples.  The
-    outcomes of one call share a column list, and every empty one is the
-    same object (decisive at sparse selectivities).
+    Returns ``project(row_id)``: the plan's result columns over the arena
+    row at ``row_id`` — a standing slot's latest row — or, for ``-1``, the
+    empty outcome every non-matching slot of one ask shares.  The outcomes
+    of one call share a column list.
     """
     columns = list(plan.columns)
     vectors = [table.column(name) for name in plan.sources]
-    empty = []
+    empty = ResultSet(columns, [])
 
-    def project(ids) -> ResultSet:
-        if not len(ids):
-            if not empty:
-                empty.append(ResultSet(columns, []))
-            return empty[0]
-        gathered = [vector.take(ids) for vector in vectors]
-        return ResultSet(columns, list(zip(*gathered)) if gathered else [()] * len(ids))
+    def project(row_id: int) -> ResultSet:
+        if row_id < 0:
+            return empty
+        return ResultSet(columns, [tuple(vector[row_id] for vector in vectors)])
 
     return project

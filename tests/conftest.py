@@ -122,8 +122,8 @@ def small_system() -> tuple[PrivApproxSystem, Analyst, str]:
 #
 # Shared by tests/sqldb/test_latest_row.py (arena outcome ≡ row-scan
 # ``rows[-1:]``) and tests/runtime/test_torture.py (``answer_shard`` with an
-# arena ≡ without).  ``route`` is how ``arena_select_per_client(latest=True)``
-# gets to a member's last matching row:
+# arena ≡ without).  ``route`` is how ``arena_select_per_client`` gets to a
+# member's last matching row:
 #
 # * ``standing`` — a plain projection, every column named as declared: the
 #   arena table's standing answer, kept by one matching pass per ask (the
@@ -197,8 +197,9 @@ LATEST_ROW_STATEMENTS = (
     (f"SELECT value AS v, zone {_T} WHERE zone = 1", "probe-eq(zone)", "standing"),
     # value_column ("value") absent from the projection: the client reads row[0].
     (f"SELECT zone, tag {_T} WHERE value > 2.0", "probe-range(value)", "standing"),
-    # Case-twisted projection: the row scan raises KeyError only for
-    # members that matched.
+    # Case-twisted projection: not named as declared, so nothing compiles;
+    # the row scan resolves it case-insensitively, as SQLite does, and
+    # answers every member like ``SELECT value`` (no member raises).
     (f"SELECT Value {_T} WHERE zone = 1", None, "fallback"),
     # Unknown projection: SchemaError for every member, matched or not.
     (f"SELECT nope {_T} WHERE zone = 1", None, "fallback"),

@@ -629,8 +629,8 @@ class TestStageMetrics:
         asked = []
         select = engine.arena_select_per_client
 
-        def recording(arena, sql, latest=False, slots=None):
-            outcomes = select(arena, sql, latest, slots)
+        def recording(arena, sql, slots=None):
+            outcomes = select(arena, sql, slots)
             asked.append((arena.databases, list(slots), outcomes))
             return outcomes
 
@@ -803,12 +803,12 @@ def test_every_traced_name_still_resolves():
     assert ("CompiledSelect", "matching_ids_per_client") in patched
 
     members = []
-    for rows in ([(1.0,), (3.0,)], [(2.0,)], []):
+    for rows in ([(1.0,), (3.0,)], None, []):
         db = Database()
-        db.create_table("t", [("x", "REAL")])
-        db.table("t").append_rows(rows)
+        if rows is not None:  # the middle member has no table: the arena's fallback
+            db.create_table("t", [("x", "REAL")])
+            db.table("t").append_rows(rows)
         members.append(db)
-    members[1].force_scan = True
     arena = ShardArena(members)
     outcomes = engine.arena_select_per_client(arena, "SELECT x FROM t WHERE x > 0.5")
     assert isinstance(outcomes, list) and len(outcomes) == len(arena.databases)

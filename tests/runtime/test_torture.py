@@ -510,9 +510,9 @@ def test_rebootstrap_replaces_the_arena_with_the_clients():
 
 
 def _latest_row_shard(columns, statements, members):
-    """One client per route-table member — plus a mixed-schema member and a
-    ``force_scan`` member, which the arena flags for per-client fallback —
-    each subscribed to one query per statement."""
+    """One client per route-table member — plus a mixed-schema member, which
+    the arena flags for per-client fallback — each subscribed to one query
+    per statement."""
     analyst = Analyst("latest-row")
     params = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
     queries = [
@@ -530,13 +530,11 @@ def _latest_row_shard(columns, statements, members):
     ]
     shard = [(name, columns, rows) for name, rows in members.items()]
     shard.insert(1, ("mixed-schema", [*columns, ("extra", "REAL")], [(4.0, 1, None, 0.5)]))
-    shard.insert(3, ("force-scan", columns, members["plain"]))
     clients = []
     for index, (name, schema, rows) in enumerate(shard):
         client = Client(ClientConfig(client_id=name, num_proxies=2, seed=700 + index))
         client.create_table(list(schema))
         client.database.table("private_data").append_rows(rows)
-        client.database.force_scan = name == "force-scan"
         for query in queries:
             client.subscribe(query, params)
         clients.append(client)
@@ -563,9 +561,10 @@ def _shard_outcome(clients, query_id, epoch, arena):
 
 
 def test_latest_row_arena_answers_equal_per_client_answers(latest_row_cases):
-    """``answer_shard`` with an arena (latest-row outcomes in the scan cache)
-    ≡ without one (every client runs ``Database.query``), response for
-    response — truthful bits included — over the whole route table."""
+    """``answer_shard`` with an arena (standing answers in the scan cache)
+    ≡ without one (every client asks its own one-slot arena, and the row
+    scan for what that does not answer), response for response — truthful
+    bits included — over the whole route table."""
     columns, statements, members = latest_row_cases
     with_arena, query_ids = _latest_row_shard(columns, statements, members)
     without, _ = _latest_row_shard(columns, statements, members)

@@ -4,12 +4,15 @@
 ``sqlite3`` and on one of the paths a SELECT can take here, and asserts
 the two answer alike, row for row:
 
-* ``"row-scan"`` — a lone database pinned to the row-scan reference;
-* ``"compiled"`` — a lone database on its default path (its one-slot
-  arena for a plain projection, the row scan for anything else);
+* ``"row-scan"`` — ``Database.query`` on a lone database;
+* ``"compiled"`` — a lone database's one-slot arena, as a client answering
+  alone reads it (:func:`~tests.sqldb.compiled_path.compiled_query`: the
+  matching pass's rows, its standing answer checked to be their last), the
+  row scan for a statement the arena does not answer;
 * ``"shard-arena"`` — a shard of two members (the rows split in half)
   answering as the runtime asks them: one :func:`arena_select_per_client`
-  pass, every member the arena does not answer running ``Database.query``.
+  pass (:func:`~tests.sqldb.compiled_path.compiled_outcomes`), every
+  member the arena does not answer running ``Database.query``.
 
 Rows go in through :meth:`Database.insert_rows`, so a ``NaN`` is stored as
 NULL on both sides.  The table is ``t``.
@@ -18,7 +21,8 @@ NULL on both sides.  The table is ``t``.
 import math
 import sqlite3
 
-from repro.sqldb import ARENA_FALLBACK, Database, ShardArena, arena_select_per_client
+from repro.sqldb import ARENA_FALLBACK, Database, ShardArena
+from tests.sqldb.compiled_path import compiled_outcomes, compiled_query
 
 PATHS = ("row-scan", "compiled", "shard-arena")
 
@@ -36,9 +40,8 @@ def sqlite_rows(schema, rows, sql: str) -> list[tuple]:
         connection.close()
 
 
-def database(schema, rows, force_scan: bool = False) -> Database:
+def database(schema, rows) -> Database:
     db = Database()
-    db.force_scan = force_scan
     db.create_table("t", list(schema))
     names = [name for name, _ in schema]
     db.insert_rows("t", [dict(zip(names, row)) for row in rows])
@@ -55,10 +58,12 @@ def members_of(rows, path: str) -> list[list]:
 
 def answers(schema, rows, sql: str, path: str) -> list[list[tuple]]:
     """Each member's result rows for ``sql`` on ``path``."""
-    members = [database(schema, m, path == "row-scan") for m in members_of(rows, path)]
-    if path != "shard-arena":
+    members = [database(schema, m) for m in members_of(rows, path)]
+    if path == "row-scan":
         return [members[0].query(sql).rows]
-    outcomes = arena_select_per_client(ShardArena(members), sql)
+    if path == "compiled":
+        return [compiled_query(members[0], sql).rows]
+    outcomes = compiled_outcomes(ShardArena(members), sql)
     if outcomes is None:  # not compiled: every member answers itself
         outcomes = [ARENA_FALLBACK] * len(members)
     results = []

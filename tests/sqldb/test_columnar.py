@@ -7,6 +7,7 @@ import pytest
 from repro.sqldb import ARENA_FALLBACK, ColumnVector, Database, arena_select_per_client
 from repro.sqldb.errors import SchemaError
 from repro.sqldb.table import change_clock
+from tests.sqldb.compiled_path import compiled_outcomes, compiled_query
 
 
 def _make_db(rows=200):
@@ -97,7 +98,7 @@ def _own(db, name="t"):
 def _latest(arena, sql):
     """The latest-row rows of every slot (an error as its type), or
     ``None`` when the arena does not answer the statement."""
-    outcomes = arena_select_per_client(arena, sql, latest=True)
+    outcomes = arena_select_per_client(arena, sql)
     if outcomes is None:
         return None
     return [
@@ -165,7 +166,7 @@ class TestOneSlotArenaSync:
         assert store.column("x")[0] == 999
         assert store.stats()["standing_plans"] == 0  # stale answers dropped
         assert _latest(db.arena, "SELECT tag FROM t WHERE x = 9") == [[("last",)]]
-        assert db.query("SELECT tag FROM t WHERE x = 999").rows == [("edited",)]
+        assert compiled_query(db, "SELECT tag FROM t WHERE x = 999").rows == [("edited",)]
 
     def test_row_removal_triggers_rebuild(self):
         db = _make_db()
@@ -188,21 +189,21 @@ class TestOneSlotArenaSync:
         assert store.rebuilds == 2
         assert [c.name for c in store.columns] == ["x"] and store.count == 3
         assert store.stats()["standing_plans"] == 0
-        assert db.query("SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
-        assert db.query("SELECT x FROM t WHERE x >= 'b'").rows == [("b",)]
+        assert compiled_query(db, "SELECT COUNT(*) FROM t WHERE x = 'a'").scalar() == 2
+        assert compiled_query(db, "SELECT x FROM t WHERE x >= 'b'").rows == [("b",)]
 
     def test_the_next_probe_and_the_standing_fold_see_an_append(self):
         db = _make_db()
         table = db.table("t")
         store = _own(db)
         sql = "SELECT y FROM t WHERE x = 3"
-        hits_before = len(db.query(sql).rows)
+        hits_before = len(compiled_query(db, sql).rows)
         assert _latest(db.arena, sql) == [[(193.0,)]]
         table.append_rows([(3, 0.5, "a")])
         db.sync_columnar()
         assert store.rebuilds == 1
         assert _latest(db.arena, sql) == [[(0.5,)]]  # folded in, not rebuilt
-        rows = db.query(sql).rows  # a full probe reads the grown column
+        rows = compiled_query(db, sql).rows  # a full probe reads the grown column
         assert len(rows) == hits_before + 1 and rows[-1] == (0.5,)
 
     def test_rebuild_drops_standing_answers(self):
@@ -215,7 +216,7 @@ class TestOneSlotArenaSync:
         db.sync_columnar()
         assert store.stats()["standing_plans"] == 0  # filled again on the next ask
         assert _latest(db.arena, "SELECT y FROM t WHERE x = 0") == [[]]
-        assert db.query("SELECT y FROM t WHERE x = 0").rows == []
+        assert compiled_query(db, "SELECT y FROM t WHERE x = 0").rows == []
 
     @pytest.mark.parametrize("force_scan", ["0", "1"])
     def test_short_row_is_refused_before_anything_grows(self, force_scan, monkeypatch):
@@ -232,11 +233,11 @@ class TestOneSlotArenaSync:
         sql = "SELECT value FROM t WHERE zone = 1"
         # Live: a refused append must leave the standing answer answering.
         assert _latest(db.arena, sql) == ([[(7.0,)]] if force_scan == "0" else ["fallback"])
-        before = db.query(sql).rows
+        before = compiled_query(db, sql).rows
         with pytest.raises(SchemaError, match="expects 2 values, got 1"):
             table.append_rows([(9.0, 1), (5.0,)])
         assert len(table.rows) == 9 and table.rows.mutations == 0
-        assert db.query(sql).rows == before == [(1.0,), (4.0,), (7.0,)]
+        assert compiled_query(db, sql).rows == before == [(1.0,), (4.0,), (7.0,)]
         assert _own(db) is store
         assert _latest(db.arena, sql) == ([[(7.0,)]] if force_scan == "0" else ["fallback"])
         assert (store.count, store.rebuilds, store.appended_rows) == (9, 1, 9)
@@ -270,7 +271,7 @@ class TestOneSlotArenaSync:
         import weakref
 
         db = _make_db(rows=8)
-        db.query("SELECT x FROM t WHERE x = 3")
+        compiled_query(db, "SELECT x FROM t WHERE x = 3")
         alive = weakref.ref(db)
         gc.disable()
         try:
@@ -366,11 +367,11 @@ class TestShardArena:
         members, arena = self._shard()
         arena.table("t")
         full = "SELECT y FROM t WHERE x = 0"
-        assert [o.rows for o in arena_select_per_client(arena, full)] == [[(0.0,)]] * 3
+        assert [o.rows for o in compiled_outcomes(arena, full)] == [[(0.0,)]] * 3
         assert _latest(arena, "SELECT y FROM t WHERE y BETWEEN 99 AND 100") == [[], [], []]
         members[2].insert_rows("t", [{"x": 0, "y": 99.5, "tag": "even"}])
         synced = _synced(arena)
-        assert [o.rows for o in arena_select_per_client(arena, full)] == [
+        assert [o.rows for o in compiled_outcomes(arena, full)] == [
             [(0.0,)],
             [(0.0,)],
             [(0.0,), (99.5,)],
@@ -480,25 +481,28 @@ _CLOCK_STATEMENTS = (
 
 
 def _answers(db, latest):
-    """Each statement's rows on the compiled path, or the error's type."""
+    """Each statement's standing answers (``latest``) or its full rows on the
+    compiled path, or the error's type."""
     out = []
     for sql in _CLOCK_STATEMENTS:
         try:
             if latest:
                 out.append(_latest(db.arena, sql))
             else:
-                out.append(db.query(sql).rows)
+                out.append(compiled_query(db, sql).rows)
         except Exception as exc:  # noqa: BLE001 — a dropped table's error is an answer
             out.append(type(exc))
     return out
 
 
 def _scan_answers(db):
-    db.force_scan = True
-    try:
-        return _answers(db, latest=False)
-    finally:
-        db.force_scan = False
+    out = []
+    for sql in _CLOCK_STATEMENTS:
+        try:
+            out.append(db.query(sql).rows)
+        except Exception as exc:  # noqa: BLE001 — a dropped table's error is an answer
+            out.append(type(exc))
+    return out
 
 
 class TestChangeClock:

@@ -3,9 +3,10 @@ gates, plan caching, and the SQLDB_FORCE_SCAN escape hatch."""
 
 import pytest
 
-from repro.sqldb import CompileFallback, Database, plan_for
+from repro.sqldb import ARENA_FALLBACK, CompileFallback, Database, arena_select_per_client, plan_for
 from repro.sqldb import ast
 from repro.sqldb.parser import parse_statement
+from tests.sqldb.compiled_path import compiled_query
 
 
 def _db():
@@ -74,8 +75,8 @@ class TestProbeSelection:
         assert _plan(db, "SELECT * FROM t WHERE x = 'm'").describe() == "residual"
         assert _plan(db, "SELECT * FROM t WHERE x IN (1, 'm')").describe() == "residual"
         assert _plan(db, "SELECT * FROM t WHERE x IN (1, NULL)").describe() == "probe-in(x)"
-        assert db.query("SELECT x FROM t WHERE x = 'm'").rows == []
-        assert db.query("SELECT x FROM t WHERE x IN (2, 'm')").rows == [(2,), (2,)]
+        assert compiled_query(db, "SELECT x FROM t WHERE x = 'm'").rows == []
+        assert compiled_query(db, "SELECT x FROM t WHERE x IN (2, 'm')").rows == [(2,), (2,)]
 
     def test_unknown_probe_column_falls_to_residual(self):
         assert _plan(_db(), "SELECT * FROM t WHERE nope = 1").describe() == "residual"
@@ -89,11 +90,12 @@ class TestProbeResults:
         db = _db()
         assert db.query("SELECT COUNT(*) FROM t WHERE tag = NULL").scalar() == 0
 
-    def test_in_with_null_choice_matches_null_rows(self):
-        # value in (None, ...) is True for NULL rows under the scan engine.
+    def test_in_with_null_choice_matches_no_null_row(self):
+        # A NULL operand is never IN the choices, a NULL choice included.
         db = _db()
-        result = db.query("SELECT x FROM t WHERE tag IN (NULL, 'a')")
-        assert result.column("x") == [1, 2]
+        for answer in (compiled_query, Database.query):
+            result = answer(db, "SELECT x FROM t WHERE tag IN (NULL, 'a')")
+            assert result.column("x") == [1]
 
     def test_matching_ids_are_row_ordered(self):
         db = _db()
@@ -226,32 +228,42 @@ class TestPlanCacheLRU:
 
 
 class TestForceScan:
+    SQL = "SELECT x FROM t WHERE x = 2"
+
     def test_env_var_pins_the_scan_path(self, monkeypatch):
         db = _db()
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
-        assert db._scan_forced()
-        assert db.query("SELECT x FROM t WHERE x = 2").column("x") == [2, 2]
-        # The reference path must not have built a columnar copy.
+        assert db.query(self.SQL).column("x") == [2, 2]
+        # The reference path must not have built a columnar copy...
         assert db._arena is None
+        # ...and the compiled answer leaves every member to it.
+        assert arena_select_per_client(db.arena, self.SQL) == [ARENA_FALLBACK]
 
     @pytest.mark.parametrize("value", ["", "0", "false", "False"])
     def test_falsey_env_values_keep_the_compiled_path(self, value, monkeypatch):
         db = _db()
         monkeypatch.setenv("SQLDB_FORCE_SCAN", value)
-        assert not db._scan_forced()
+        (outcome,) = arena_select_per_client(db.arena, self.SQL)
+        assert outcome is not ARENA_FALLBACK and outcome.rows == [(2,)]
 
-    def test_attribute_pins_per_database(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sql", [SQL, "SELECT COUNT(*) FROM t", "SELECT x FROM t WHERE x = 2 ORDER BY y"]
+    )
+    def test_query_never_builds_syncs_or_asks_an_arena(self, sql, monkeypatch):
         monkeypatch.delenv("SQLDB_FORCE_SCAN", raising=False)
         db = _db()
-        db.force_scan = True
-        assert db._scan_forced()
-        db.query("SELECT x FROM t WHERE x = 2")
+        db.query(sql)
         assert db._arena is None
+        arena = db.arena  # built by hand: a query still leaves it untouched
+        db.insert_rows("t", [{"x": 2}])
+        assert db.query(sql).rows
+        assert arena.arena_stats() == {}
 
     def test_both_paths_agree_mid_process_flip(self, monkeypatch):
         db = _db()
-        monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
-        scanned = db.query("SELECT * FROM t WHERE x >= 2 ORDER BY x DESC").rows
-        monkeypatch.setenv("SQLDB_FORCE_SCAN", "0")
-        compiled = db.query("SELECT * FROM t WHERE x >= 2 ORDER BY x DESC").rows
-        assert scanned == compiled
+        for sql in ("SELECT * FROM t WHERE x >= 2", "SELECT * FROM t WHERE x >= 2 ORDER BY x DESC"):
+            monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
+            scanned = compiled_query(db, sql).rows
+            monkeypatch.setenv("SQLDB_FORCE_SCAN", "0")
+            compiled = compiled_query(db, sql).rows
+            assert scanned == compiled

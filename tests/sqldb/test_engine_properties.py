@@ -6,8 +6,9 @@ Two harnesses live here:
   suite), and
 * the seeded differential fuzzer (``TestDifferentialFuzz``) that
   generates random schemas, tables, append streams and queries and holds
-  the compiled columnar path (:mod:`repro.sqldb.compile`) equal to the
-  frozen row-scan reference — result rows *and* raised errors — plus an
+  the compiled columnar path (:mod:`repro.sqldb.compile`) to the frozen
+  row-scan reference — its matching pass to the scan's rows and its
+  standing answer to their last row, raised errors included — plus an
   arena grown by appends answering like one rebuilt from scratch.
 """
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database, plan_for
 from repro.sqldb.parser import parse_statement
+from tests.sqldb.compiled_path import compiled_outcomes, compiled_query
 
 
 def _fresh_db(values):
@@ -324,9 +326,8 @@ def _fuzz_case(case_seed: int):
     return schema, rows, queries, batches, post_queries
 
 
-def _make_db(schema, rows, force_scan: bool) -> Database:
+def _make_db(schema, rows) -> Database:
     db = Database()
-    db.force_scan = force_scan
     db.create_table("t", list(schema))
     db.insert_rows("t", rows)
     return db
@@ -340,10 +341,12 @@ def _normalize(value):
     return value
 
 
-def _outcome(db: Database, sql: str):
-    """A comparable result: (columns, rows) or the raised error, verbatim."""
+def _outcome(db: Database, sql: str, answer=Database.query):
+    """A comparable result: (columns, rows) or the raised error, verbatim.
+    ``answer`` is the row scan, or :func:`compiled_query` for what a lone
+    database's one-slot arena computes."""
     try:
-        result = db.query(sql)
+        result = answer(db, sql)
     except Exception as exc:  # noqa: BLE001 — parity includes error behavior
         return ("error", type(exc).__name__, str(exc))
     rows = tuple(tuple(_normalize(value) for value in row) for row in result.rows)
@@ -356,17 +359,21 @@ class TestDifferentialFuzz:
     @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
     def test_compiled_matches_scan(self, case_seed):
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
-        reference = _make_db(schema, rows, force_scan=True)
-        compiled = _make_db(schema, rows, force_scan=False)
+        reference = _make_db(schema, rows)
+        compiled = _make_db(schema, rows)
+
+        def check(sql):
+            assert _outcome(reference, sql) == _outcome(compiled, sql, compiled_query), sql
+
         for sql in queries:
-            assert _outcome(reference, sql) == _outcome(compiled, sql), sql
+            check(sql)
         for batch in batches:
             reference.insert_rows("t", batch)
             compiled.insert_rows("t", batch)
             for sql in queries[:2]:
-                assert _outcome(reference, sql) == _outcome(compiled, sql), sql
+                check(sql)
         for sql in post_queries:
-            assert _outcome(reference, sql) == _outcome(compiled, sql), sql
+            check(sql)
 
     @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
     def test_incremental_arena_equals_rebuilt(self, case_seed):
@@ -374,20 +381,22 @@ class TestDifferentialFuzz:
         every statement exactly like one rebuilt from scratch over the final
         rows."""
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
-        incremental = _make_db(schema, rows, force_scan=False)
+        incremental = _make_db(schema, rows)
         for sql in queries:  # builds the arena over the initial rows
-            _outcome(incremental, sql)
+            _outcome(incremental, sql, compiled_query)
         store = incremental.arena.table("t")
         rebuilds_before = store.rebuilds
         for batch in batches:
             incremental.insert_rows("t", batch)
             for sql in queries[:3]:
-                _outcome(incremental, sql)
-        rebuilt = _make_db(schema, rows, force_scan=False)
+                _outcome(incremental, sql, compiled_query)
+        rebuilt = _make_db(schema, rows)
         for batch in batches:
             rebuilt.insert_rows("t", batch)
         for sql in queries + post_queries:
-            assert _outcome(incremental, sql) == _outcome(rebuilt, sql), sql
+            assert _outcome(incremental, sql, compiled_query) == _outcome(
+                rebuilt, sql, compiled_query
+            ), sql
         # Appends must have been folded in place, never via rebuild.
         assert store.rebuilds == rebuilds_before
 
@@ -399,7 +408,7 @@ class TestDifferentialFuzz:
         total = 0
         for case_seed in range(FUZZ_CASES):
             schema, _, queries, _, post_queries = _fuzz_case(case_seed)
-            columns = _make_db(schema, [], force_scan=False).table("t").columns
+            columns = _make_db(schema, []).table("t").columns
             for sql in queries + post_queries:
                 try:
                     plan = plan_for(parse_statement(sql), columns)
@@ -422,7 +431,8 @@ class TestDifferentialFuzz:
 # -- shard-arena differential axis --------------------------------------------
 #
 # Arena ≡ per-client-columnar ≡ row-scan, member for member, including
-# errors, across append streams and membership replacement.  Mixed-schema
+# errors, across append streams and membership replacement: the matching
+# pass selects the scan's rows, the standing answer is their last.  Mixed-schema
 # members must be flagged for per-client fallback, never silently answered.
 
 from repro.sqldb import ARENA_FALLBACK, ShardArena, arena_select_per_client  # noqa: E402
@@ -434,7 +444,7 @@ def _arena_outcome(entry, member: Database, sql: str):
     """One member's arena outcome in `_outcome` form; fallback markers mean
     the member answers itself on its own compiled path."""
     if entry is ARENA_FALLBACK:
-        return _outcome(member, sql)
+        return _outcome(member, sql, compiled_query)
     if isinstance(entry, BaseException):
         return ("error", type(entry).__name__, str(entry))
     rows = tuple(tuple(_normalize(value) for value in row) for row in entry.rows)
@@ -449,7 +459,7 @@ def _member_row_subsets(rows, case_seed: int, purpose: str):
 
 
 def _latest_of(outcome):
-    """What the latest-row form owes for a full `_outcome`: the same error,
+    """What the standing answer owes for a full `_outcome`: the same error,
     or the same columns over only the last row."""
     if outcome[0] == "error":
         return outcome
@@ -457,9 +467,10 @@ def _latest_of(outcome):
 
 
 def _assert_latest_row_form(arena, members, sql, full_outcomes, expected):
-    """The latest-row axis: fallback markers identical to the full form's,
-    and every other slot equal to `_latest_of` its expected full outcome."""
-    latest = arena_select_per_client(arena, sql, latest=True)
+    """The standing answer against the row scan: fallback markers where the
+    matching pass has them, and every other slot equal to `_latest_of` its
+    expected full outcome."""
+    latest = arena_select_per_client(arena, sql)
     if full_outcomes is None:
         assert latest is None, sql
         return
@@ -476,11 +487,11 @@ class TestArenaDifferentialFuzz:
     """Shard-wide arena answering against both frozen oracles."""
 
     def _check(self, arena, members, references, sql):
-        outcomes = arena_select_per_client(arena, sql)
+        outcomes = compiled_outcomes(arena, sql)
         scanned = []
         for index, (member, reference) in enumerate(zip(members, references)):
             expected = _outcome(reference, sql)  # row-scan oracle
-            assert _outcome(member, sql) == expected, sql  # per-client oracle
+            assert _outcome(member, sql, compiled_query) == expected, sql  # per-client
             if outcomes is None:  # statement-level fallback: answer locally
                 got = _outcome(member, sql)
             else:
@@ -493,8 +504,8 @@ class TestArenaDifferentialFuzz:
     def test_arena_matches_per_client_and_scan(self, case_seed):
         schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
         subsets = _member_row_subsets(rows, case_seed, "members")
-        members = [_make_db(schema, subset, force_scan=False) for subset in subsets]
-        references = [_make_db(schema, subset, force_scan=True) for subset in subsets]
+        members = [_make_db(schema, subset) for subset in subsets]
+        references = [_make_db(schema, subset) for subset in subsets]
         arena = ShardArena(members)
         for sql in queries:
             self._check(arena, members, references, sql)
@@ -519,13 +530,13 @@ class TestArenaDifferentialFuzz:
         fresh arena over the new membership answers correctly again."""
         schema, rows, queries, _, _ = _fuzz_case(case_seed)
         subsets = _member_row_subsets(rows, case_seed, "members")
-        members = [_make_db(schema, subset, force_scan=False) for subset in subsets]
-        references = [_make_db(schema, subset, force_scan=True) for subset in subsets]
+        members = [_make_db(schema, subset) for subset in subsets]
+        references = [_make_db(schema, subset) for subset in subsets]
         arena = ShardArena(members)
         assert arena.matches(members)
         replacement_rows = subsets[1] + subsets[0][:2]
-        members[1] = _make_db(schema, replacement_rows, force_scan=False)
-        references[1] = _make_db(schema, replacement_rows, force_scan=True)
+        members[1] = _make_db(schema, replacement_rows)
+        references[1] = _make_db(schema, replacement_rows)
         assert not arena.matches(members)
         rebuilt = ShardArena(members)
         for sql in queries[:4]:
@@ -536,7 +547,7 @@ class TestArenaDifferentialFuzz:
         ARENA_FALLBACK — and stay flagged when its schema changes later —
         while co-shard members keep shard-wide answers."""
         matching = [
-            _make_db([("x", "INTEGER"), ("tag", "TEXT")], rows, force_scan=False)
+            _make_db([("x", "INTEGER"), ("tag", "TEXT")], rows)
             for rows in (
                 [{"x": 1, "tag": "a"}, {"x": 2, "tag": "bb"}],
                 [{"x": 2, "tag": "ccc"}],
@@ -548,7 +559,7 @@ class TestArenaDifferentialFuzz:
         members = [matching[0], odd, matching[1]]
         arena = ShardArena(members)
         sql = "SELECT x FROM t WHERE x = 2"
-        outcomes = arena_select_per_client(arena, sql)
+        outcomes = compiled_outcomes(arena, sql)
         assert outcomes is not None
         assert outcomes[1] is ARENA_FALLBACK
         for index in (0, 2):
@@ -560,36 +571,21 @@ class TestArenaDifferentialFuzz:
             arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
         )
         # The fallback is an answer-it-yourself marker, not a wrong answer.
-        assert _arena_outcome(outcomes[1], odd, sql) == _outcome(odd, sql)
+        assert _arena_outcome(outcomes[1], odd, sql) == _outcome(odd, sql, compiled_query)
         # Excluded members don't poison incremental maintenance either.
         odd.insert_rows("t", [{"x": "9", "extra": 0.0}])
         matching[0].insert_rows("t", [{"x": 2, "tag": "zz"}])
         arena.sync()
-        outcomes = arena_select_per_client(arena, sql)
+        outcomes = compiled_outcomes(arena, sql)
         assert outcomes[1] is ARENA_FALLBACK
         assert _arena_outcome(outcomes[0], members[0], sql) == _outcome(
-            members[0], sql
+            members[0], sql, compiled_query
         )
         _assert_latest_row_form(
             arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
         )
 
     def test_missing_table_everywhere_is_statement_level_fallback(self):
-        members = [_make_db([("x", "INTEGER")], [{"x": 1}], force_scan=False)]
+        members = [_make_db([("x", "INTEGER")], [{"x": 1}])]
         arena = ShardArena(members)
         assert arena_select_per_client(arena, "SELECT x FROM nope") is None
-        assert arena_select_per_client(arena, "SELECT x FROM nope", latest=True) is None
-
-    def test_per_database_force_scan_pins_that_member_only(self):
-        subsets = [[{"x": 1}], [{"x": 2}], [{"x": 1}]]
-        members = [_make_db([("x", "INTEGER")], s, force_scan=False) for s in subsets]
-        members[1].force_scan = True
-        arena = ShardArena(members)
-        sql = "SELECT x FROM t WHERE x = 1"
-        outcomes = arena_select_per_client(arena, sql)
-        assert outcomes[1] is ARENA_FALLBACK
-        assert outcomes[0] is not ARENA_FALLBACK
-        assert outcomes[2] is not ARENA_FALLBACK
-        _assert_latest_row_form(
-            arena, members, sql, outcomes, [_outcome(m, sql) for m in members]
-        )

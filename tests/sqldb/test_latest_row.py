@@ -1,8 +1,9 @@
-"""The latest-row form of the shard-wide answer pass.
+"""The standing answer, the one thing the compiled path computes.
 
-``arena_select_per_client(arena, sql, latest=True)`` is what the epoch
-runtime asks for: per member, the full form's error or fallback marker,
-else the full form's columns over only its last row.  These tests pin
+``arena_select_per_client(arena, sql)`` is what every client read asks
+for: per member, the row scan's error, or the columns of
+``member.query(sql)`` over only its last row, or a fallback marker for a
+member the arena does not answer.  These tests pin
 which route each statement shape takes (a plain projection's standing
 answer, or ``None`` for everything else, which the members answer on the
 row scan), that the standing answer equals the row-scan reference's
@@ -27,13 +28,13 @@ from repro.sqldb import (
 from repro.sqldb.engine import ResultSet
 from repro.sqldb.parser import parse_statement
 from tests.conftest import LATEST_ROW_COLUMNS, LATEST_ROW_MEMBERS, LATEST_ROW_STATEMENTS
+from tests.sqldb.compiled_path import compiled_outcomes
 
 TABLE = "private_data"
 
 
-def _database(columns, rows, force_scan=False) -> Database:
+def _database(columns, rows) -> Database:
     db = Database()
-    db.force_scan = force_scan
     db.create_table(TABLE, list(columns))
     db.table(TABLE).append_rows(rows)
     return db
@@ -42,7 +43,7 @@ def _database(columns, rows, force_scan=False) -> Database:
 def _shard(columns, members):
     """Arena members in table order, plus a row-scan twin of each."""
     databases = [_database(columns, rows) for rows in members.values()]
-    references = [_database(columns, rows, force_scan=True) for rows in members.values()]
+    references = [_database(columns, rows) for rows in members.values()]
     return databases, references
 
 
@@ -61,7 +62,7 @@ def _arena_outcome(entry):
 
 
 def _route(sql: str, columns) -> tuple[str | None, str]:
-    """(plan shape, route) as the latest-row form dispatches on them."""
+    """(plan shape, route) as the standing answer dispatches on them."""
     try:
         plan = plan_for(parse_statement(sql), columns)
     except CompileFallback:
@@ -80,9 +81,8 @@ class TestRouteTable:
 
     def test_a_fallback_statement_is_asked_of_no_arena(self, monkeypatch, latest_row_cases):
         """An arena, a shard's or a database's own, answers a statement that
-        does not compile with ``None`` in both forms, and asking runs no
-        matching pass and builds no standing answer: each member answers on
-        the row scan."""
+        does not compile with ``None``, and asking runs no matching pass and
+        builds no standing answer: each member answers on the row scan."""
         from repro.sqldb import compile as compile_module
 
         columns, statements, members = latest_row_cases
@@ -102,12 +102,24 @@ class TestRouteTable:
         for sql in fallbacks:
             for asked in (arena, *(db.arena for db in databases)):
                 assert arena_select_per_client(asked, sql) is None, sql
-                assert arena_select_per_client(asked, sql, latest=True) is None, sql
             for db, reference in zip(databases, references):
                 assert _reference_outcome(db, sql) == _reference_outcome(reference, sql)
         for asked in (arena, *(db.arena for db in databases)):
             assert asked.arena_stats()[TABLE]["standing_plans"] == 0
         assert passes == []
+
+    def test_a_case_twisted_projection_answers_on_the_scan(self, latest_row_cases):
+        """``SELECT Value`` is not named as declared, so nothing compiles; the
+        row scan resolves the name as SQLite does and answers every member
+        like ``SELECT value``, matched or not."""
+        columns, _, members = latest_row_cases
+        databases, _ = _shard(columns, members)
+        twisted = f"SELECT Value FROM {TABLE} WHERE zone = 1"
+        declared = f"SELECT value FROM {TABLE} WHERE zone = 1"
+        assert (twisted, None, "fallback") in LATEST_ROW_STATEMENTS
+        assert arena_select_per_client(ShardArena(databases), twisted) is None
+        for db in databases:
+            assert db.query(twisted).rows == db.query(declared).rows
 
     def test_latest_row_equals_scan_reference_last_row(self, latest_row_cases):
         columns, statements, members = latest_row_cases
@@ -117,8 +129,8 @@ class TestRouteTable:
         for sql, _, route in statements:
             if route == "fallback":
                 continue
-            outcomes = arena_select_per_client(arena, sql, latest=True)
-            full = arena_select_per_client(arena, sql)
+            outcomes = arena_select_per_client(arena, sql)
+            full = compiled_outcomes(arena, sql)
             assert len(outcomes) == len(databases)
             for name, entry, full_entry, reference in zip(
                 members, outcomes, full, references
@@ -128,7 +140,7 @@ class TestRouteTable:
                 assert _arena_outcome(entry) == expected, (sql, name)
                 if expected[0] == "error":
                     raised.add((sql, name))
-                    # ...and it is the full form's error, not merely a similar one.
+                    # ...and it is the matching pass's error, not merely a similar one.
                     assert _arena_outcome(full_entry)[:1] == ("error",)
                 else:
                     assert len(entry.rows) <= 1
@@ -149,12 +161,11 @@ class TestRouteTable:
         columns, statements, members = latest_row_cases
         databases, _ = _shard(columns, members)
         odd = _database([*columns, ("extra", "REAL")], [(1.0, 1, None, 2.0)])
-        pinned = _database(columns, members["plain"], force_scan=True)
-        shard = [databases[0], odd, pinned, *databases[1:]]
+        shard = [databases[0], odd, Database(), *databases[1:]]  # mixed schema, no table
         arena = ShardArena(shard)
         for sql, _, route in statements:
-            outcomes = arena_select_per_client(arena, sql, latest=True)
-            full = arena_select_per_client(arena, sql)
+            outcomes = arena_select_per_client(arena, sql)
+            full = compiled_outcomes(arena, sql)
             if route == "fallback":
                 assert outcomes is full is None
                 continue
@@ -192,12 +203,12 @@ class TestTailAppends:
         else:
             arena = ShardArena(databases)
         sql = f"SELECT value, tag FROM {TABLE}{where}"
-        before = arena_select_per_client(arena, sql, latest=True)
+        before = arena_select_per_client(arena, sql)
         assert before[0].rows != [(7.5, "new")]
         # Slot 0's new row lands at the arena tail, past every other slot's ids.
         databases[0].table(TABLE).append_rows([(7.5, 1, "new")])
         arena.sync()
-        after = arena_select_per_client(arena, sql, latest=True)
+        after = arena_select_per_client(arena, sql)
         assert after[0].rows == [(7.5, "new")]
         for slot in range(1, len(databases)):
             assert _arena_outcome(after[slot]) == _arena_outcome(before[slot])
@@ -292,11 +303,11 @@ class TestWorkPerSlot:
                 return super().get(key, default)
 
         monkeypatch.setattr(os, "environ", CountingEnviron(os.environ))
-        outcomes = arena_select_per_client(arena, sql, latest=True)
+        outcomes = arena_select_per_client(arena, sql)
         assert reads.count("SQLDB_FORCE_SCAN") == 1
         assert all(o is not ARENA_FALLBACK for o in outcomes)
         os.environ["SQLDB_FORCE_SCAN"] = "1"
-        outcomes = arena_select_per_client(arena, sql, latest=True)
+        outcomes = arena_select_per_client(arena, sql)
         assert all(o is ARENA_FALLBACK for o in outcomes)
         assert reads.count("SQLDB_FORCE_SCAN") == 2
 
@@ -316,7 +327,7 @@ def _outcome(entry):
 
 
 class TestStandingAnswers:
-    """``latest=True`` on a plain projection answers from state the arena
+    """A plain projection's standing answer comes from state the arena
     table keeps per plan: filled once, folded forward on tail appends."""
 
     def test_tail_appends_fold_without_a_probe(self, monkeypatch, latest_row_cases):
@@ -327,7 +338,7 @@ class TestStandingAnswers:
         arena = ShardArena(databases)
         plain = _plain_statements(statements)
         for sql in plain:
-            arena_select_per_client(arena, sql, latest=True)
+            arena_select_per_client(arena, sql)
         covered = arena.table(TABLE).count
         probes, starts = [], []
         for probe_class in (
@@ -355,7 +366,7 @@ class TestStandingAnswers:
                 db.table(TABLE).append_rows([(2.8, 1, None), (6.0, 1, None), (1.5, 2, "abc")])
         arena.sync()
         for sql in plain:
-            outcomes = arena_select_per_client(arena, sql, latest=True)
+            outcomes = arena_select_per_client(arena, sql)
             for name, entry, reference in zip(members, outcomes, references):
                 assert _arena_outcome(entry) == _reference_outcome(reference, sql), (
                     sql,
@@ -374,8 +385,8 @@ class TestStandingAnswers:
     ):
         """What a stream of appends costs: the first standing ask probes each
         plan's column once, the standing answers fold the tail rows in
-        without probing again, and only a full-form ask probes the whole
-        grown column — answering as the forced row scan does."""
+        without probing again, and only a matching pass from row 0 probes
+        the whole grown column — selecting the row scan's rows."""
         from repro.sqldb import compile as compile_module
 
         columns, statements, members = latest_row_cases
@@ -391,7 +402,7 @@ class TestStandingAnswers:
 
             monkeypatch.setattr(probe_class, "ids", counting_ids)
         for sql in plain:
-            arena_select_per_client(arena, sql, latest=True)
+            arena_select_per_client(arena, sql)
         table = arena.table(TABLE)
         covered = table.count
         assert probes and set(probes) == {covered}
@@ -400,9 +411,9 @@ class TestStandingAnswers:
             db.table(TABLE).append_rows([(2.8, 1, None), (1.5, 2, "abc")])
         arena.sync()
         for sql in plain:
-            arena_select_per_client(arena, sql, latest=True)
+            arena_select_per_client(arena, sql)
         assert len(probes) == probed_plans
-        answers = {sql: arena_select_per_client(arena, sql) for sql in plain}
+        answers = {sql: compiled_outcomes(arena, sql) for sql in plain}
         assert probes[probed_plans:] == [table.count] * probed_plans
         assert table.count == covered + 2 * len(databases)
         assert table.stats()["rebuilds"] == 1
@@ -417,13 +428,13 @@ class TestStandingAnswers:
         arena = ShardArena(databases)
         plain = _plain_statements(statements)
         for sql in plain:
-            arena_select_per_client(arena, sql, latest=True)
+            arena_select_per_client(arena, sql)
         assert arena.arena_stats()[TABLE]["standing_plans"] == len(plain)
         for db in (databases[2], references[2]):
             db.table(TABLE).rows[0] = (9.9, 1, None)  # an in-place edit
         arena.sync()
         sql = plain[1]
-        outcomes = arena_select_per_client(arena, sql, latest=True)
+        outcomes = arena_select_per_client(arena, sql)
         stats = arena.arena_stats()[TABLE]
         assert (stats["rebuilds"], stats["standing_plans"]) == (2, 1)
         assert [_arena_outcome(o) for o in outcomes] == [
@@ -442,10 +453,10 @@ class TestStandingAnswers:
         table = arena.table(TABLE)
         for i in range(_PLAN_CACHE_MAX + 40):
             (cold,) = arena_select_per_client(
-                arena, f"SELECT value FROM {TABLE} WHERE value > {i}.5", latest=True
+                arena, f"SELECT value FROM {TABLE} WHERE value > {i}.5"
             )
             assert cold.rows == ([(7.0,)] if i < 7 else [])
-            (warm,) = arena_select_per_client(arena, hot, latest=True)
+            (warm,) = arena_select_per_client(arena, hot)
             assert warm.rows == [(2.0,)]
             assert table.stats()["standing_plans"] <= _PLAN_CACHE_MAX
         assert table.stats()["standing_plans"] == _PLAN_CACHE_MAX
@@ -459,17 +470,16 @@ class TestStandingAnswers:
         plain = _plain_statements(statements)
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         for sql in plain:
-            outcomes = arena_select_per_client(arena, sql, latest=True)
+            outcomes = arena_select_per_client(arena, sql)
             assert all(o is ARENA_FALLBACK for o in outcomes)
         assert arena.arena_stats()[TABLE]["standing_plans"] == 0
         monkeypatch.delenv("SQLDB_FORCE_SCAN")
-        # Asking only members that pin the row scan builds nothing either.
-        databases[0].force_scan = databases[2].force_scan = True
+        # Asking no member builds nothing either.
         for sql in plain:
-            outcomes = arena_select_per_client(arena, sql, latest=True, slots=[0, 2])
+            outcomes = arena_select_per_client(arena, sql, slots=[])
             assert all(o is ARENA_FALLBACK for o in outcomes)
         assert arena.arena_stats()[TABLE]["standing_plans"] == 0
-        outcomes = arena_select_per_client(arena, plain[0], latest=True, slots=[0, 1])
+        outcomes = arena_select_per_client(arena, plain[0], slots=[1])
         assert [o is ARENA_FALLBACK for o in outcomes] == [True, False] + [True] * (
             len(databases) - 2
         )
@@ -487,15 +497,15 @@ class TestStandingAnswers:
         def counting_projection(plan, table):
             project = projection(plan, table)
 
-            def counted(ids):
-                finished.extend(ids)
-                return project(ids)
+            def counted(row_id):
+                finished.append(row_id)
+                return project(row_id)
 
             return counted
 
         monkeypatch.setattr(engine, "_projection", counting_projection)
         sql = f"SELECT value FROM {TABLE}"
-        outcomes = arena_select_per_client(arena, sql, latest=True, slots=[1])
+        outcomes = arena_select_per_client(arena, sql, slots=[1])
         assert [o is ARENA_FALLBACK for o in outcomes] == [
             slot != 1 for slot in range(len(databases))
         ]
@@ -511,7 +521,7 @@ class TestStandingOutcomes:
 
     def _ask(self, arena, sql=SQL):
         arena.sync()  # once per pass, as the shard answer pass does
-        return arena_select_per_client(arena, sql, latest=True)
+        return arena_select_per_client(arena, sql)
 
     def _arena(self, latest_row_cases):
         columns, _, members = latest_row_cases
@@ -592,13 +602,13 @@ def test_fill_and_fold_agree(sql, batch):
     whole, references = _shard(columns, members)
     batched = [_database(columns, []) for _ in members]
     whole_arena, batched_arena = ShardArena(whole), ShardArena(batched)
-    filled = arena_select_per_client(whole_arena, sql, latest=True)
+    filled = arena_select_per_client(whole_arena, sql)
     longest = max(len(rows) for rows in members.values())
     for first in range(0, longest, batch):
         for db, rows in zip(batched, members.values()):
             db.table(TABLE).append_rows(rows[first : first + batch])
         batched_arena.sync()
-        folded = arena_select_per_client(batched_arena, sql, latest=True)
+        folded = arena_select_per_client(batched_arena, sql)
     assert [_arena_outcome(o) for o in folded] == [_arena_outcome(o) for o in filled]
     assert [_arena_outcome(o) for o in folded] == [
         _reference_outcome(reference, sql) for reference in references
@@ -607,9 +617,9 @@ def test_fill_and_fold_agree(sql, batch):
     assert (stats["rebuilds"], stats["standing_plans"]) == (1, 1)
 
 
-# The fold property's inputs.  Members are LATEST_ROW_MEMBERS' six, then one
-# pinned to the row scan, one with a mismatched schema and one without the
-# table.  ``tag`` holds text, so ordering it against a number raises; NULLs
+# The fold property's inputs.  Members are LATEST_ROW_MEMBERS' six, then a
+# seventh that starts with one row, one with a mismatched schema and one
+# without the table.  ``tag`` holds text, so ordering it against a number raises; NULLs
 # sit in every column.
 _PLAIN = _plain_statements(LATEST_ROW_STATEMENTS)
 _GATE = _PLAIN.index(f"SELECT value FROM {TABLE} WHERE zone = 1 AND (value > 3.0 OR tag < 5)")
@@ -621,7 +631,7 @@ _ROWS = st.tuples(
 _STEPS = st.lists(
     st.tuples(
         st.sampled_from(["append", "append", "append", "edit", "none"]),
-        st.integers(min_value=0, max_value=7),  # appended/edited: a member or the pinned/odd one
+        st.integers(min_value=0, max_value=7),  # appended/edited: a member or the odd one
         st.lists(_ROWS, min_size=1, max_size=4),
         st.sets(st.integers(min_value=0, max_value=len(_PLAIN) - 1)),  # asked statements
         st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=8))),  # slots
@@ -635,7 +645,8 @@ class TestStandingFoldProperty:
     """Random interleavings of asks and tail appends: after every step each
     standing answer asked equals a fresh arena's and the row scan's
     ``rows[-1:]``, error for error, and the participant-restricted form is
-    the full form on the asked slots and a fallback marker elsewhere."""
+    the unrestricted answer on the asked slots and a fallback marker
+    elsewhere."""
 
     @given(steps=_STEPS)
     # "text-tag" raises on the gate statement; a later row that matches it
@@ -651,10 +662,10 @@ class TestStandingFoldProperty:
         columns = LATEST_ROW_COLUMNS
         plain = _PLAIN
         databases = [_database(columns, rows) for rows in LATEST_ROW_MEMBERS.values()]
-        pinned = _database(columns, [(1.0, 1, None)], force_scan=True)
+        seventh = _database(columns, [(1.0, 1, None)])
         odd = _database([*columns, ("extra", "REAL")], [(1.0, 1, None, 2.0)])
-        databases += [pinned, odd, Database()]  # pinned, mismatched, no table
-        # Appends go to the six members, the pinned one, or the mismatched one.
+        databases += [seventh, odd, Database()]  # one more, mismatched, no table
+        # Appends go to the seven members or the mismatched one.
         targets = [*range(6), 6, 7]
         arena = ShardArena(databases)
         for op, member, rows, asked, slots in steps:
@@ -671,15 +682,15 @@ class TestStandingFoldProperty:
                 sql = plain[index]
                 if slots is not None:
                     restricted = arena_select_per_client(
-                        arena, sql, latest=True, slots=sorted(slots)
+                        arena, sql, slots=sorted(slots)
                     )
-                outcomes = arena_select_per_client(arena, sql, latest=True)
-                expected = arena_select_per_client(fresh, sql, latest=True)
+                outcomes = arena_select_per_client(arena, sql)
+                expected = arena_select_per_client(fresh, sql)
                 assert [_outcome(o) for o in outcomes] == [_outcome(o) for o in expected]
                 for slot, entry in enumerate(outcomes):
                     if entry is ARENA_FALLBACK:
                         continue
-                    reference = _reference_outcome(_pinned_twin(databases[slot]), sql)
+                    reference = _reference_outcome(_twin(databases[slot]), sql)
                     assert _arena_outcome(entry) == reference, (sql, slot)
                 if slots is not None:
                     assert [_outcome(o) for o in restricted] == [
@@ -690,7 +701,7 @@ class TestStandingFoldProperty:
             assert stats["standing_plans"] <= len(plain)
 
 
-def _pinned_twin(db: Database) -> Database:
-    """A row-scan copy of ``db``'s table (the reference answer)."""
+def _twin(db: Database) -> Database:
+    """A copy of ``db``'s table, whose row scan is the reference answer."""
     table = db.table(TABLE)
-    return _database([(c.name, c.sql_type) for c in table.columns], list(table.rows), True)
+    return _database([(c.name, c.sql_type) for c in table.columns], list(table.rows))

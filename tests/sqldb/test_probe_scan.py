@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import ColumnVector, Database, ShardArena, arena_select_per_client, plan_for
 from repro.sqldb.compile import _InProbe, _RangeProbe
-from repro.sqldb.engine import _compare
+from repro.sqldb import ast
+from repro.sqldb.engine import _compare, _evaluate_value
 from repro.sqldb.parser import parse_statement
+from tests.sqldb.compiled_path import compiled_outcomes, compiled_query
 from tests.sqldb.sqlite_reference import PATHS, assert_matches_sqlite
 
 SEED = "sqldb-probe-scan-20261019"
@@ -100,7 +102,7 @@ class TestRangeProbe:
             for op in _COMPARISONS:
                 assert _RangeProbe("x", op, 1).ids(column) == []
             assert _RangeProbe("x", "between", 0, 9).ids(column) == []
-        assert _InProbe("x", (None, 1)).ids(_OneColumn([None, math.nan, None])) == [0, 2]
+        assert _InProbe("x", (None, 1)).ids(_OneColumn([None, math.nan, None])) == []
 
     def test_point_probe_keeps_row_order_across_equal_keys(self):
         # 1, 1.0 and True are equal under ==, as the scan engine compares,
@@ -135,8 +137,8 @@ class TestRangeProbe:
         assert _RangeProbe("x", "=", 2.0).ids(column) == [2]
         assert _RangeProbe("x", "<=", 0.0).ids(column) == [4]
         assert _RangeProbe("x", "between", -math.inf, math.inf).ids(column) == [2, 4, 5]
-        # Only IN (NULL, ...) selects the NULL rows, as ``value in choices``.
-        assert _InProbe("x", (None,)).ids(column) == [0, 3]
+        # Not even IN (NULL, ...) selects a NULL row, as in SQLite.
+        assert _InProbe("x", (None, 2.0)).ids(column) == [2]
 
     @pytest.mark.parametrize("with_nulls", [False, True], ids=["dense", "null-nan"])
     @pytest.mark.parametrize("kind", sorted(_DRAWS))
@@ -160,8 +162,8 @@ class TestRangeProbe:
 class TestInProbe:
     @pytest.mark.parametrize("kind", sorted(_DRAWS))
     def test_in_probe_matches_value_in_choices(self, kind):
-        """The compiler's ``IN`` probe selects what the scan engine's
-        ``value in choices`` selects, NULL choices included."""
+        """The compiler's ``IN`` probe selects what the scan engine's own
+        ``IN`` selects, NULL choices included."""
         rng = random.Random(f"{SEED}-in-{kind}")
         values = _column(rng, kind, with_nulls=True)
         column = _OneColumn(values, _SQL_TYPES[kind])
@@ -170,7 +172,12 @@ class TestInProbe:
                 None if rng.random() < 0.2 else _DRAWS[kind](rng)
                 for _ in range(rng.randint(1, 4))
             )
-            expected = [row_id for row_id, value in enumerate(values) if value in choices]
+            node = ast.InOp(operand=ast.ColumnRef("x"), choices=choices)
+            expected = [
+                row_id
+                for row_id, value in enumerate(values)
+                if _evaluate_value(node, {"x": value})
+            ]
             assert _InProbe("x", choices).ids(column) == expected, choices
 
 
@@ -189,7 +196,7 @@ def test_probe_gate_answers_as_the_scan(sql_type, literal):
     """One gate for every probe: a literal that orders against the column's
     declared type is probed, any other falls to the residual — and either
     way ``=``, ``IN``, ``<`` and ``BETWEEN`` answer (or raise) exactly as
-    the forced row scan does."""
+    the row scan does."""
     values = _TYPES[sql_type]
     text = _LITERALS[literal]
     comparable = literal != "null" and (literal == "text") == (sql_type == "TEXT")
@@ -202,20 +209,19 @@ def test_probe_gate_answers_as_the_scan(sql_type, literal):
         f"c BETWEEN {text} AND {text}": probed or "probe-eq(c)",
     }
     outcomes = {}
-    for force_scan in (False, True):
-        db = Database()
-        db.force_scan = force_scan
-        db.create_table("t", [("c", sql_type), ("n", "INTEGER")])
-        db.insert_rows("t", [{"c": value, "n": i} for i, value in enumerate(values)])
+    db = Database()
+    db.create_table("t", [("c", sql_type), ("n", "INTEGER")])
+    db.insert_rows("t", [{"c": value, "n": i} for i, value in enumerate(values)])
+    for answer in (compiled_query, Database.query):
         for where, shape in shapes.items():
             sql = f"SELECT n FROM t WHERE {where}"
             assert _plan(db, sql).describe() == shape, sql
             try:
-                outcomes[force_scan, where] = db.query(sql).rows
+                outcomes[answer, where] = answer(db, sql).rows
             except TypeError as exc:
-                outcomes[force_scan, where] = ("TypeError", str(exc))
+                outcomes[answer, where] = ("TypeError", str(exc))
     for where in shapes:
-        assert outcomes[False, where] == outcomes[True, where], where
+        assert outcomes[compiled_query, where] == outcomes[Database.query, where], where
 
 
 def _database(schema):
@@ -257,6 +263,23 @@ def test_probed_statements_match_sqlite(kind, path):
         if path == "compiled":
             assert _plan(_database(schema), sql).describe().startswith("probe-"), sql
         assert_matches_sqlite(schema, rows, sql, path)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_in_never_matches_a_null_operand(path):
+    """``x IN (...)`` on a NULL ``x`` is NULL in SQLite, so the row does not
+    match, whatever the choices — as ``x = NULL`` does not here.  Probed
+    (first conjunct), in the residual and under ``OR``, on every path."""
+    schema = [("id", "INTEGER"), ("x", "REAL")]
+    rows = [(0, 1.0), (1, None), (2, 2.0), (3, None), (4, 1.0)]
+    for where in (
+        "x IN (1.0, NULL)",
+        "x IN (NULL)",
+        "x IN (2.0)",
+        "id >= 0 AND x IN (1.0, NULL)",
+        "x IN (NULL) OR id = 0",
+    ):
+        assert_matches_sqlite(schema, rows, f"SELECT id FROM t WHERE {where}", path)
 
 
 # A column's keys: numbers (ints and floats that collide, signed zeros,
@@ -301,11 +324,10 @@ def test_uncoerced_rows_fall_back_to_the_probe_conjunct():
     then, and the pass tests the probe conjunct row by row, as the scan
     does: ``=``, ``IN`` and an ordering answer exactly as the scan."""
     outcomes = []
-    for force_scan in (False, True):
-        db = Database()
-        db.force_scan = force_scan
-        db.create_table("t", [("x", "INTEGER"), ("n", "INTEGER")])
-        db.table("t").append_rows([(1, 0), ("a", 1), (1, 2), (None, 3)])
+    db = Database()
+    db.create_table("t", [("x", "INTEGER"), ("n", "INTEGER")])
+    db.table("t").append_rows([(1, 0), ("a", 1), (1, 2), (None, 3)])
+    for answer in (compiled_query, Database.query):
         results = []
         for sql in (
             "SELECT n FROM t WHERE x = 1",
@@ -314,12 +336,12 @@ def test_uncoerced_rows_fall_back_to_the_probe_conjunct():
             "SELECT n FROM t WHERE x > 0",
         ):
             try:
-                results.append(db.query(sql).rows)
+                results.append(answer(db, sql).rows)
             except TypeError as exc:
                 results.append(("TypeError", str(exc)))
         outcomes.append(results)
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:3] == [[(0,), (2,)], [(0,), (2,), (3,)], [(2,)]]
+    assert outcomes[0][:3] == [[(0,), (2,)], [(0,), (2,)], [(2,)]]
     assert outcomes[0][3][0] == "TypeError"
 
 
@@ -330,9 +352,8 @@ _UNCOERCED_STATEMENTS = (
 )
 
 
-def _uncoerced_database(rows, force_scan=False):
+def _uncoerced_database(rows):
     db = Database()
-    db.force_scan = force_scan
     db.create_table("t", [("x", "INTEGER"), ("n", "INTEGER")])
     db.table("t").append_rows(rows)
     return db
@@ -346,7 +367,7 @@ def _comparable(outcome, latest):
 
 def _own_scan(rows, sql, latest):
     try:
-        return _comparable(_uncoerced_database(rows, force_scan=True).query(sql), latest)
+        return _comparable(_uncoerced_database(rows).query(sql), latest)
     except Exception as exc:  # noqa: BLE001 — the member's own error is the expectation
         return _comparable(exc, latest)
 
@@ -355,12 +376,16 @@ def _own_scan(rows, sql, latest):
 def test_an_uncoerced_member_raises_only_for_itself(latest):
     """When the probe raises, the row-by-row fallback keeps errors per
     slot: a member whose own scan raises gets that error, and its
-    neighbours still get their rows."""
+    neighbours still get their rows — in the matching pass and in the
+    standing answer taken from it."""
     members = [[(1, "b"), ("a", 0)], [(2, 1), (3, 9)], [("a", 0), (1, 0)]]
     arena = ShardArena([_uncoerced_database(rows) for rows in members])
     neighbour = {_UNCOERCED_STATEMENTS[0]: [(2,), (3,)], _UNCOERCED_STATEMENTS[1]: [(2,)]}
     for sql in _UNCOERCED_STATEMENTS:
-        outcomes = arena_select_per_client(arena, sql, latest=latest)
+        if latest:
+            outcomes = arena_select_per_client(arena, sql)
+        else:
+            outcomes = compiled_outcomes(arena, sql)
         expected = [_own_scan(rows, sql, latest) for rows in members]
         assert [_comparable(o, latest) for o in outcomes] == expected, sql
         assert expected[1] == (neighbour[sql][-1:] if latest else neighbour[sql])
@@ -373,7 +398,7 @@ def test_a_standing_fold_over_an_uncoerced_append_raises_only_for_its_member():
     databases = [_uncoerced_database(rows) for rows in members]
     arena = ShardArena(databases)
     for sql in _UNCOERCED_STATEMENTS:
-        assert [o.rows for o in arena_select_per_client(arena, sql, latest=True)] == [
+        assert [o.rows for o in arena_select_per_client(arena, sql)] == [
             [(1,)],
             [(2,)],
         ]
@@ -383,7 +408,7 @@ def test_a_standing_fold_over_an_uncoerced_append_raises_only_for_its_member():
         rows.extend(tail)
     arena.sync()
     for sql in _UNCOERCED_STATEMENTS:
-        outcomes = arena_select_per_client(arena, sql, latest=True)
+        outcomes = arena_select_per_client(arena, sql)
         expected = [_own_scan(rows, sql, True) for rows in members]
         assert [_comparable(o, True) for o in outcomes] == expected, sql
         newest = {_UNCOERCED_STATEMENTS[0]: [(4,)], _UNCOERCED_STATEMENTS[1]: [(3,)]}
