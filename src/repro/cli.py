@@ -324,10 +324,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             system.run_epoch_all(epoch)
     for query in queries:
         system.flush(query.query_id)
+    # The ground truth reads the executor's arenas: ask it before closing.
+    exact_counts = [system.exact_bucket_counts(query.query_id) for query in queries]
     system.close()
-    for index, query in enumerate(queries):
+    for index, (query, exact) in enumerate(zip(queries, exact_counts)):
         results = analyst.results_for(query.query_id)
-        exact = system.exact_bucket_counts(query.query_id)
         last = results[-1]
         if args.queries > 1:
             print(f"--- query {index + 1}/{args.queries} ({query.query_id}) ---")
@@ -363,8 +364,8 @@ def _run_case_study(args: argparse.Namespace, generator, buckets, sql, value_col
     system.submit_query(analyst, query, QueryBudget(), parameters=params)
     system.run_epoch(query.query_id, 0)
     result = system.flush(query.query_id)[0]
-    system.close()
     exact = system.exact_bucket_counts(query.query_id)
+    system.close()
     _print_histogram(result.histogram.labels(), result.histogram.estimates(),
                      result.histogram.error_bounds(), exact)
     loss = histogram_accuracy_loss(exact, result.histogram.estimates())

@@ -691,16 +691,21 @@ class Client:
             answers.append((coin, query.answer_spec.buckets.bucket_of(value)))
         return answers
 
-    def truthful_answer(self, query_id: str) -> list[int]:
+    def truthful_answer(
+        self, query_id: str, scan_cache: dict[str, Any] | None = None
+    ) -> list[int]:
         """The truthful (pre-randomization) answer vector.
 
         Used only by experiments to compute the exact baseline; a deployment
-        would never expose this outside the device.
+        would never expose this outside the device.  ``scan_cache`` is read
+        as :meth:`answer` reads it: the ground truth seeds it with this
+        client's outcome off the executor's shard arena, and a statement it
+        does not hold is answered here alone.
         """
         if query_id not in self._subscriptions:
             raise KeyError(f"client is not subscribed to query {query_id}")
         query, _ = self._subscriptions[query_id]
-        return query.encode_value(self._latest_value(query))
+        return query.encode_value(self._latest_value(query, scan_cache))
 
     def _query_outcome(self, query: Query, scan_cache: dict[str, Any] | None):
         """The latest-row form of this client's result set for the analyst's

@@ -421,13 +421,22 @@ class PrivApproxSystem:
         the simulation, not in a real deployment.  Clients churned out via
         :meth:`set_active_clients` hold no subscription and are skipped — the
         ground truth tracks who could actually have answered.
+
+        It reads what the answer pass reads: the executor's
+        ``truth_scan_caches`` hands each client its outcome off the shard
+        arena the engine answers from, so no table is mirrored a second
+        time; a client the arena does not answer (and every client under
+        serial) answers from its own one-slot arena or the row scan.
         """
         query = self._queries[query_id]
         counts = [0] * query.num_buckets
-        for client in self.clients:
+        caches = self.executor.truth_scan_caches(self.clients, query)
+        if caches is None:
+            caches = [None] * len(self.clients)
+        for client, scan_cache in zip(self.clients, caches, strict=True):
             if not client.is_subscribed(query_id):
                 continue
-            bits = client.truthful_answer(query_id)
+            bits = client.truthful_answer(query_id, scan_cache)
             for index, bit in enumerate(bits):
                 counts[index] += bit
         return counts

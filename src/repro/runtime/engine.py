@@ -77,6 +77,7 @@ from repro.sqldb import (
 
 if TYPE_CHECKING:
     from repro.core.client import Client, ResponseBlock
+    from repro.core.query import Query
     from repro.pubsub import Consumer
 
 
@@ -388,11 +389,41 @@ class StagedEpochEngine(EpochExecutor):
         """The shard's cached arena (:func:`~repro.sqldb.cached_shard_arena`).
 
         Call only on the epoch caller thread (shards are disjoint, so the
-        per-shard arenas themselves may then be used concurrently).
+        per-shard arenas themselves may then be used concurrently).  The
+        in-process drivers call it there while an epoch runs, and
+        :meth:`truth_scan_caches` (the ground truth) calls it there
+        between epochs.
         """
         return cached_shard_arena(
             self._arenas, shard_index, [client.database for client in clients]
         )
+
+    def truth_scan_caches(
+        self, clients: list["Client"], query: "Query"
+    ) -> list[dict | None]:
+        """The ground truth's scan caches, read off this engine's shard arenas.
+
+        Walks the epoch's shards (``plan_shards`` over ``clients``) and asks
+        each shard's arena once, through :func:`shard_scan_caches`, for the
+        members subscribed to ``query``: each one's coin list is
+        ``[(query,)]`` and every other member's ``[None]``, so no coin is
+        flipped and nothing is drawn.  A shard with no arena (pinned by
+        ``SQLDB_FORCE_PER_CLIENT`` or ``SQLDB_FORCE_SCAN``) gives its members
+        ``None``, and a slot the arena does not answer is absent from its
+        cache: those clients answer alone, as under serial.
+        """
+        caches: list[dict | None] = []
+        for shard in plan_shards(len(clients), self.num_shards):
+            members = clients[shard.as_slice()]
+            coins = [
+                [(query,)] if client.is_subscribed(query.query_id) else [None]
+                for client in members
+            ]
+            shard_caches = shard_scan_caches(
+                members, coins, self.arena_for(shard.index, members)
+            )
+            caches.extend(shard_caches or [None] * len(members))
+        return caches
 
     # -- accounting -----------------------------------------------------------
 

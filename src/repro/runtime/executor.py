@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # imported lazily to keep repro.core <-> repro.runtime acycli
     from repro.core.aggregator import Aggregator
     from repro.core.client import Client
     from repro.core.proxy import ProxyNetwork
+    from repro.core.query import Query
     from repro.pubsub import Consumer
     from repro.runtime.engine import StageDriver
 
@@ -263,6 +264,19 @@ class EpochExecutor:
     def run_epoch(self, context: EpochContext, epoch: int) -> EpochOutcome:
         """Answer, transmit and ingest one epoch; return the merged outcome."""
         raise NotImplementedError
+
+    def truth_scan_caches(
+        self, clients: list["Client"], query: "Query"
+    ) -> list[dict | None] | None:
+        """Per-client scan caches for the ground truth of one query.
+
+        One entry per client, aligned with ``clients``: the ``scan_cache``
+        its :meth:`Client.truthful_answer
+        <repro.core.client.Client.truthful_answer>` reads, read off the
+        arenas this executor answers from.  ``None`` here: a client
+        answering alone already answers from its own one-slot arena.
+        """
+        return None
 
     def close(self) -> None:
         """Release worker pools or other resources (idempotent no-op here)."""

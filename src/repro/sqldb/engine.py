@@ -223,7 +223,8 @@ class Database:
         aggregated — resolves once per statement through
         :meth:`Table.column_index`, case-insensitively, as WHERE's names and
         SQLite's do; an unknown one raises
-        :class:`~repro.sqldb.errors.SchemaError`.
+        :class:`~repro.sqldb.errors.SchemaError`.  An ``ORDER BY`` name
+        matches the output aliases first (:func:`_order_source`).
         """
         table = self.table(stmt.table)
         rows = [row for row in table.scan() if _evaluate(stmt.where, row)]
@@ -251,7 +252,7 @@ class Database:
             out_columns = [item.alias or item.column for item in stmt.items]
             sources = [resolve(item.column) for item in stmt.items]
         if stmt.order_by is not None:
-            order_key = resolve(stmt.order_by.column)
+            order_key = _order_source(stmt, sources, resolve)
             rows.sort(
                 key=lambda row: _sort_key(row[order_key]),
                 reverse=stmt.order_by.descending,
@@ -297,6 +298,22 @@ class Database:
         if stmt.limit is not None:
             result_rows = result_rows[: stmt.limit]
         return ResultSet(columns=out_columns, rows=result_rows)
+
+
+def _order_source(stmt: ast.SelectStatement, sources: list[str], resolve) -> str:
+    """The column an ungrouped ``ORDER BY`` sorts on, resolved as SQLite does.
+
+    The name is matched against the output aliases first, case-insensitively
+    and the first alias winning, and only then against the table's columns:
+    in ``SELECT x AS id, id AS x FROM t ORDER BY x`` it names the output
+    column ``x``, whose source is ``id``.
+    """
+    name = stmt.order_by.column.lower()
+    if not stmt.select_star:
+        for item, source in zip(stmt.items, sources):
+            if item.alias is not None and item.alias.lower() == name:
+                return source
+    return resolve(stmt.order_by.column)
 
 
 # -- expression evaluation ------------------------------------------------------

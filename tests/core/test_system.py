@@ -561,17 +561,30 @@ def _counting_passes(monkeypatch) -> list[int]:
 
 
 class TestLoneAnswersAreStanding:
-    """A client answering alone — serial, ``SQLDB_FORCE_PER_CLIENT`` and the
-    ground truth — asks its one-slot arena for the standing latest-row
-    answer, as the shard pass does: over unchanged tables a second epoch
-    and a second ``exact_bucket_counts`` run no matching pass, and an
-    appended row is folded in from where the answer stopped."""
+    """Every ground truth and every answer is a standing latest-row answer.
+
+    A client answering alone — serial and ``SQLDB_FORCE_PER_CLIENT`` — asks
+    its one-slot arena, as the shard pass asks the shard's: over unchanged
+    tables a second epoch and a second ``exact_bucket_counts`` run no
+    matching pass, and an appended row is folded in from where the answer
+    stopped.  On the in-process engine the ground truth asks the shard
+    arenas the epoch answered from: after an epoch it runs no matching
+    pass at all and builds no client a one-slot arena."""
 
     @pytest.mark.parametrize(
-        "executor, per_client", [("serial", "0"), ("inline/in-process", "1")]
+        "executor, per_client, passes_per_read, tail_start",
+        [
+            ("serial", "0", 30, 3),
+            ("inline/in-process", "1", 30, 3),
+            # Two shards of 15 clients × 3 rows: one pass per shard arena.
+            ("inline/in-process", "0", 2, 45),
+        ],
     )
-    def test_unchanged_tables_are_read_once(self, monkeypatch, executor, per_client):
+    def test_unchanged_tables_are_read_once(
+        self, monkeypatch, executor, per_client, passes_per_read, tail_start
+    ):
         monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", per_client)
+        lone = passes_per_read == 30
         system = PrivApproxSystem(
             SystemConfig(num_clients=30, seed=11, executor=executor, executor_shards=2)
         )
@@ -602,20 +615,141 @@ class TestLoneAnswersAreStanding:
         system.run_epoch(query_id, 0)
         assert starts and set(starts) == {0}
         truth = system.exact_bucket_counts(query_id)
-        # Every client has answered (an epoch or the ground truth) once.
-        assert len(starts) == 30 and set(starts) == {0}
+        # Every client has been read (by an epoch or the ground truth) once.
+        assert len(starts) == passes_per_read and set(starts) == {0}
         system.run_epoch(query_id, 1)
         assert system.exact_bucket_counts(query_id) == truth
-        assert len(starts) == 30
+        assert len(starts) == passes_per_read
         system.clients[4].ingest([{"speed": 79.0, "location": "SF"}])
         system.run_epoch(query_id, 2)
         system.exact_bucket_counts(query_id)
-        assert starts[30:] == [3]  # one fold, over the appended tail only
+        # One fold, over the appended tail only.
+        assert starts[passes_per_read:] == [tail_start]
+        assert {client.database._arena is None for client in system.clients} == {not lone}
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
         scanned = system.exact_bucket_counts(query_id)
-        assert len(starts) == 31
+        assert len(starts) == passes_per_read + 1
         monkeypatch.delenv("SQLDB_FORCE_SCAN")
         assert system.exact_bucket_counts(query_id) == scanned
         assert sum(scanned) == sum(
             1 for client in system.clients if client.truthful_answer(query_id) != [0, 0]
         )
+
+
+#: The ground-truth statements: a probe the arenas answer, an aggregate the
+#: compiler leaves to the row scan, and one that raises for one client only.
+GROUND_TRUTH_SQL = {
+    "probe": "SELECT speed FROM private_data WHERE zone = 1",
+    "aggregate": "SELECT MAX(speed) FROM private_data WHERE zone = 1",
+    "raises": "SELECT speed FROM private_data WHERE tag < 5",
+}
+
+
+def ground_truth_trace(executor: str) -> list[tuple]:
+    """Every ground truth of one deployment, in order: a query's counts, or
+    the type and message of the error it raised.
+
+    The deployment has churn, appended rows, one member with a mixed schema
+    (no arena answers it) and one whose ``tag`` makes ``tag < 5`` raise.
+    """
+    system = PrivApproxSystem(
+        SystemConfig(
+            num_clients=24, seed=13, executor=executor, executor_workers=2, executor_shards=3
+        )
+    )
+    rng = random.Random(13)
+    columns = [("speed", "REAL"), ("zone", "INTEGER"), ("tag", "TEXT")]
+
+    def rows(count):
+        return [
+            {"speed": rng.uniform(0.0, 80.0), "zone": rng.choice([1, 2])} for _ in range(count)
+        ]
+
+    trace: list[tuple] = []
+    try:
+        system.provision_clients(columns, lambda i: rows(3))
+        mixed = system.clients[4].database
+        mixed.drop_table("private_data")
+        mixed.create_table("private_data", [*columns, ("extra", "REAL")])
+        mixed.insert_rows("private_data", rows(2))
+        system.clients[17].ingest([{"speed": 10.0, "zone": 1, "tag": "late"}])
+        analyst = Analyst("truth")
+        query_ids = []
+        for sql in GROUND_TRUTH_SQL.values():
+            query = analyst.create_query(
+                sql,
+                AnswerSpec(
+                    buckets=RangeBuckets(boundaries=(0.0, 40.0, 80.0)), value_column="speed"
+                ),
+                frequency_seconds=60.0,
+                window_seconds=60.0,
+                slide_seconds=60.0,
+            )
+            system.submit_query(
+                analyst,
+                query,
+                QueryBudget(),
+                parameters=ExecutionParameters(sampling_fraction=0.6, p=0.9, q=0.5),
+            )
+            query_ids.append(query.query_id)
+
+        def record():
+            for query_id in query_ids:
+                try:
+                    trace.append((system.exact_bucket_counts(query_id),))
+                except Exception as exc:  # the error is what the ground truth answers
+                    trace.append((type(exc), str(exc)))
+
+        probe = query_ids[0]
+        record()
+        system.run_epoch(probe, 0)
+        record()
+        system.set_active_clients(range(0, 24, 2))  # client 17 churns out
+        system.run_epoch(probe, 1)
+        record()
+        for client in system.clients[::5]:
+            client.ingest(rows(1))
+        system.run_epoch(probe, 2)
+        record()
+        system.set_active_clients(range(24))
+        record()
+    finally:
+        system.close()
+    return trace
+
+
+class TestGroundTruthReadsTheAnswerArenas:
+    """``exact_bucket_counts`` reads the arenas the executor answers from, and
+    a slot they do not answer answers alone: every executor and every oracle
+    switch counts alike, raises alike, and a closed system still counts."""
+
+    @pytest.mark.parametrize(
+        "executor, switch",
+        [
+            ("inline/in-process", None),
+            ("pipelined-overlap/in-process", None),
+            ("pinned-worker/framed-wire-local", None),
+            ("inline/in-process", "SQLDB_FORCE_SCAN"),
+            ("inline/in-process", "SQLDB_FORCE_PER_CLIENT"),
+        ],
+    )
+    def test_every_executor_counts_alike(self, monkeypatch, executor, switch):
+        reference = ground_truth_trace("serial")
+        raised = [entry for entry in reference if len(entry) == 2]
+        # Client 17 raises in three of the five rounds: not while churned out.
+        assert len(raised) == 3 and raised[0][0] is TypeError
+        counted = [entry for index, entry in enumerate(reference) if index % 3 != 2]
+        assert all(sum(entry[0]) > 0 for entry in counted)  # the probe and the aggregate
+        if switch is not None:
+            monkeypatch.setenv(switch, "1")
+        assert ground_truth_trace(executor) == reference
+
+    @pytest.mark.parametrize("executor", cli_smoke_matrix())
+    def test_a_closed_system_counts_alike(self, executor):
+        system, _, query_id = quickstart_deployment(executor)
+        try:
+            system.run_epochs(query_id, 2)
+            counts = system.exact_bucket_counts(query_id)
+        finally:
+            system.close()
+        assert system.exact_bucket_counts(query_id) == counts

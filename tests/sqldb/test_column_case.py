@@ -36,6 +36,23 @@ def test_column_names_resolve_as_in_sqlite(sql, path):
     assert_matches_sqlite(SCHEMA, ROWS, sql, path)
 
 
+# ORDER BY names an output alias before a table column, as in SQLite: the
+# second statement's ``x`` is the alias of ``id``, not the column ``x``.
+ORDER_BY_ALIAS = [
+    "SELECT x AS v FROM t ORDER BY v",
+    "SELECT x AS id, id AS x FROM t ORDER BY x",
+    "SELECT x AS v FROM t ORDER BY V DESC",
+    "SELECT id AS v, x AS v FROM t ORDER BY v",
+    "SELECT id AS X FROM t ORDER BY x LIMIT 2",
+]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("sql", ORDER_BY_ALIAS)
+def test_order_by_reads_the_output_aliases_first(sql, path):
+    assert_matches_sqlite(SCHEMA, ROWS, sql, path)
+
+
 @pytest.mark.parametrize(
     "sql",
     [

@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Memory soak: the coordinator's retained state must not grow per answer.
 
-Runs one 500-client query for 200 epochs on the serial reference and on
-``pinned-worker/framed-wire-local``.  At epochs 50 and 200 it collects
-garbage and prints the number of GC-tracked objects and the ``tracemalloc``
-traced size, then the retained KB per epoch between the two.
+Runs one 500-client query for 200 epochs on the serial reference,
+``inline/in-process`` and ``pinned-worker/framed-wire-local``, and asks the
+ground truth (``exact_bucket_counts``) after every epoch, as the benchmark's
+churn and append workloads do.  At epochs 50 and 200 it collects garbage and
+prints the number of GC-tracked objects and the ``tracemalloc`` traced size,
+then the retained KB per epoch between the two.
 
 It fails when tracked objects grow by more than ``MAX_GROWTH`` between
 epochs 50 and 200 — an object count is deterministic, so this never depends
 on timing or on the host.  What may still grow is a few objects per epoch:
 the analyst's window results and the engine's per-epoch stage metrics.  A
 response log or relay partition that kept its records would add several
-objects per answer, thousands per epoch.
+objects per answer, thousands per epoch, and a ground truth that kept
+state per ask would add some every epoch.
 
 It also prints the response log's bytes per answer and fails when the log
 holds more bytes than the packed layout (``core.client.pack_blocks``) needs
@@ -47,7 +50,7 @@ from repro.core.admission import PARTICIPATION_TOKEN_LENGTH  # noqa: E402
 from repro.core.client import _BLOCK_HEADER  # noqa: E402
 from repro.crypto.xor import MID_BYTES  # noqa: E402
 
-DEFAULT_EXECUTORS = ["serial", "pinned-worker/framed-wire-local"]
+DEFAULT_EXECUTORS = ["serial", "inline/in-process", "pinned-worker/framed-wire-local"]
 NUM_CLIENTS = 500
 NUM_PROXIES = 2
 NUM_BITS = 9  # 8 buckets on [0, 8) and the open-ended one
@@ -115,6 +118,7 @@ def soak(executor: str) -> bool:
     try:
         for epoch in range(1, CHECKPOINTS[-1] + 1):
             system.run_epoch_all(epoch)
+            system.exact_bucket_counts(query_id)
             if epoch in CHECKPOINTS:
                 gc.collect()
                 readings[epoch] = (len(gc.get_objects()), tracemalloc.get_traced_memory()[0])
