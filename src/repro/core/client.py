@@ -47,7 +47,7 @@ from repro.core.seeding import (
 )
 from repro.crypto import prng
 from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, split_columns
-from repro.sqldb import ARENA_FALLBACK, Database, arena_select_per_client
+from repro.sqldb import ARENA_FALLBACK, Database, arena_select_per_client, scan_forced
 
 _CODEC = AnswerCodec()
 
@@ -721,16 +721,18 @@ class Client:
         pass makes, over the database's one-slot arena, so an unchanged
         table is read once and an appended one only in its tail.  The row
         scan (``Database.query``) answers only what the arena does not: a
-        compiler fallback, a missing table, or any statement under
-        ``SQLDB_FORCE_SCAN``.
+        refused statement, a missing table or projected column, or, with no
+        arena built, any statement under ``SQLDB_FORCE_SCAN``.
         """
         sql = query.sql
         if scan_cache is not None and sql in scan_cache:
             result = scan_cache[sql]
         else:
-            arena = self.database.arena
-            arena.sync()
-            outcomes = arena_select_per_client(arena, sql)
+            outcomes = None
+            if not scan_forced():
+                arena = self.database.arena
+                arena.sync()
+                outcomes = arena_select_per_client(arena, sql)
             if outcomes is None or outcomes[0] is ARENA_FALLBACK:
                 result = self.database.query(sql)
             else:

@@ -173,9 +173,10 @@ def shard_scan_caches(
     the exception ``client.database.query(sql)`` raises, or its columns
     over at most its last row — all :meth:`Client.answer
     <repro.core.client.Client.answer>` reads.  Statements that fall
-    back (unparsable, non-SELECT, missing table, compiler fallback) are
-    simply absent from every cache; members flagged :data:`ARENA_FALLBACK`
-    (and non-participants) are absent from that member's cache only.
+    back (refused by the parser, missing table, unknown projected column)
+    are simply absent from every cache; members flagged
+    :data:`ARENA_FALLBACK` (and non-participants) are absent from that
+    member's cache only.
     """
     if arena is None or not clients:
         return None

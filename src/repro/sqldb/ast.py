@@ -83,15 +83,6 @@ Expression = Any  # union of the node classes above
 
 
 @dataclass(frozen=True)
-class Aggregate:
-    """An aggregate select item: COUNT/SUM/AVG/MIN/MAX over a column or *."""
-
-    function: str
-    argument: str | None  # None means '*', only valid for COUNT
-    alias: str | None = None
-
-
-@dataclass(frozen=True)
 class SelectItem:
     """A plain projected column, optionally aliased."""
 
@@ -100,19 +91,10 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class OrderBy:
-    column: str
-    descending: bool = False
-
-
-@dataclass(frozen=True)
 class SelectStatement:
-    """Parsed SELECT statement."""
+    """Parsed ``SELECT cols | * FROM table [WHERE predicate]``."""
 
     table: str
-    items: tuple  # of SelectItem | Aggregate, or ('*',)
+    items: tuple  # of SelectItem; empty for ``*``
     where: Expression | None = None
-    group_by: tuple = ()
-    order_by: OrderBy | None = None
-    limit: int | None = None
     select_star: bool = False

@@ -13,12 +13,14 @@ builder (``ResponseBlock.build``, pinned row by row to the per-answer
 the frozen reference, and the differential suite proves the compiled path
 equal row-for-row.
 
-**What compiles.**  A plain projection only: ``SELECT cols FROM t [WHERE
-...]`` with every projected column named exactly as declared — the one
-shape a client asks.  The decision is made once per ``(statement,
-schema)``: anything else raises :class:`CompileFallback` (cached like a
-plan) and runs on the row scan, so the compiled path never mirrors the
-scan's aggregates, grouping, ordering or its projection errors.
+**What compiles.**  Every statement the parser accepts — ``SELECT cols |
+* FROM t [WHERE ...]``, the one shape a client asks — whose projected
+names the schema holds.  A projected name resolves case-insensitively,
+as WHERE's names do (:class:`_SchemaView`), and the output column keeps
+the name as written.  A name the schema lacks raises
+:class:`CompileFallback` (cached like a plan, once per ``(statement,
+schema)``) and the row scan raises its ``SchemaError``, so the compiled
+path never mirrors the scan's projection errors.
 
 **Probe selection.**  The WHERE clause is split into its top-level AND
 conjuncts (the parser builds left-deep trees, so conjunct order equals
@@ -154,7 +156,7 @@ class _SchemaView:
         self._lowered = {name.lower(): name for name in self.names}
 
     def resolve(self, name: str) -> str | None:
-        """Storage name for a ColumnRef, or None when unknown."""
+        """Storage name for a projected or WHERE name, or None when unknown."""
         if name in self._exact:
             return name
         return self._lowered.get(name.lower())
@@ -428,12 +430,12 @@ def _probe_for(conjunct: Any, schema: _SchemaView):
 
 
 class CompiledSelect:
-    """One plain projection's lowered plan, bound to a schema.
+    """One statement's lowered plan, bound to a schema.
 
-    Any other statement raises :class:`CompileFallback` here (see "What
-    compiles" above).  The plan records the result's column names
-    (:attr:`columns`) and the table columns they read (:attr:`sources`),
-    ``*`` in schema order.
+    A projected name the schema lacks raises :class:`CompileFallback` here
+    (see "What compiles" above).  The plan records the result's column
+    names (:attr:`columns`, as written) and the table columns they read
+    (:attr:`sources`, resolved), ``*`` in schema order.
 
     Stateless with respect to any particular table *instance*: the plan
     captures column names and closures only, so every arena sharing the
@@ -442,20 +444,13 @@ class CompiledSelect:
     """
 
     def __init__(self, statement: ast.SelectStatement, schema: _SchemaView):
-        if (
-            statement.group_by
-            or statement.order_by is not None
-            or statement.limit is not None
-            or any(isinstance(item, ast.Aggregate) for item in statement.items)
-        ):
-            raise CompileFallback("not a plain projection")
         if statement.select_star:
             self.columns = self.sources = tuple(schema.names)
         else:
             self.columns = tuple(item.alias or item.column for item in statement.items)
-            self.sources = tuple(item.column for item in statement.items)
-            if not set(self.sources).issubset(schema.names):
-                raise CompileFallback("a projected column is not named exactly")
+            self.sources = tuple(schema.resolve(item.column) for item in statement.items)
+            if None in self.sources:
+                raise CompileFallback("a projected column is not in the schema")
         self.statement = statement
         self.schema = schema
         self.probe = None

@@ -1,21 +1,21 @@
 """Execution engine for the mini SQL database.
 
-Two SELECT paths share one semantics:
+The one statement is ``SELECT cols | * FROM t [WHERE predicate]``, and two
+paths share its semantics:
 
-* the **row scan** (:meth:`Database.query`) — the frozen reference,
-  interpreting the WHERE AST per row dict and answering every statement,
-  aggregates, GROUP BY, ORDER BY and LIMIT included; and
+* the **row scan** (:meth:`Database.query`) — the frozen reference: the
+  WHERE AST interpreted per row dict, then the projection; and
 * the **compiled columnar** path (:func:`arena_select_per_client`) — column
   probes plus closures from :mod:`repro.sqldb.compile` evaluated over an
   :class:`~repro.sqldb.columnar.ArenaTable`, a whole shard's or a lone
   database's one-slot arena.  It answers one question, the one a client
-  asks: each asked slot's standing latest row of a plain projection
-  (``SELECT col FROM t [WHERE ...]``), and one routine
+  asks: each asked slot's standing latest row, and one routine
   (:func:`_projection`) builds every result it returns.
 
 A client reads through the compiled path and goes to the row scan for what
-it does not answer; ``SQLDB_FORCE_SCAN=1`` in the environment makes it
-answer nothing, which pins the reference.  The differential suite in
+it does not answer (a missing table or projected column);
+``SQLDB_FORCE_SCAN=1`` in the environment sends it straight to the row
+scan, which pins the reference.  The differential suite in
 ``tests/sqldb/test_engine_properties.py`` holds the compiled path's match
 set to the row scan's rows and its standing answer to their last row.
 """
@@ -51,9 +51,15 @@ def per_client_forced() -> bool:
     return _env_flag("SQLDB_FORCE_PER_CLIENT")
 
 
+def scan_forced() -> bool:
+    """Whether ``SQLDB_FORCE_SCAN`` pins the row-scan reference: no arena is
+    built or asked, and every client answers on :meth:`Database.query`."""
+    return _env_flag("SQLDB_FORCE_SCAN")
+
+
 def arena_answering_enabled() -> bool:
     """Whether the shard-wide arena answer path may be used at all."""
-    return not per_client_forced() and not _env_flag("SQLDB_FORCE_SCAN")
+    return not per_client_forced() and not scan_forced()
 
 
 def cached_shard_arena(
@@ -94,14 +100,6 @@ class ResultSet:
     def as_dicts(self) -> list[dict[str, Any]]:
         """Rows as dictionaries keyed by column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def scalar(self) -> Any:
-        """The single value of a one-row one-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise ExecutionError(
-                f"scalar() requires a 1x1 result, got {len(self.rows)}x{len(self.columns)}"
-            )
-        return self.rows[0][0]
 
     def column(self, name: str) -> list[Any]:
         """All values of one column, in row order."""
@@ -208,7 +206,7 @@ class Database:
         touched.  The parse is cached unless ``SQLDB_FORCE_SCAN`` is set.
         No arena is built, synced or asked.
         """
-        if _env_flag("SQLDB_FORCE_SCAN"):
+        if scan_forced():
             statement = parse_statement(sql)
         else:
             statement = parse_statement_cached(sql)
@@ -219,101 +217,24 @@ class Database:
     def _execute_select(self, stmt: ast.SelectStatement) -> ResultSet:
         """The frozen row-scan reference: one dict per row, AST walked per row.
 
-        Every name outside WHERE — projected, grouped, ordered on or
-        aggregated — resolves once per statement through
-        :meth:`Table.column_index`, case-insensitively, as WHERE's names and
-        SQLite's do; an unknown one raises
-        :class:`~repro.sqldb.errors.SchemaError`.  An ``ORDER BY`` name
-        matches the output aliases first (:func:`_order_source`).
+        The WHERE filter runs first, then every projected name resolves once
+        through :meth:`Table.column_index`, case-insensitively, as WHERE's
+        names and SQLite's do (an unknown one raises
+        :class:`~repro.sqldb.errors.SchemaError`, matched rows or not), and
+        the matching rows are projected in table order.  An output column
+        keeps its name as written, or its alias.
         """
         table = self.table(stmt.table)
         rows = [row for row in table.scan() if _evaluate(stmt.where, row)]
         names = table.column_names
-
-        def resolve(name: str) -> str:
-            return names[table.column_index(name)]
-
-        if stmt.group_by:
-            return self._execute_grouped(stmt, rows, resolve)
-
-        has_aggregate = any(isinstance(item, ast.Aggregate) for item in stmt.items)
-        if has_aggregate:
-            if any(isinstance(item, ast.SelectItem) for item in stmt.items):
-                raise ExecutionError(
-                    "mixing plain columns and aggregates requires GROUP BY"
-                )
-            columns = [_aggregate_label(item) for item in stmt.items]
-            values = tuple(_compute_aggregate(item, resolve, rows) for item in stmt.items)
-            return ResultSet(columns=columns, rows=[values])
-
         if stmt.select_star:
             out_columns = sources = names
         else:
             out_columns = [item.alias or item.column for item in stmt.items]
-            sources = [resolve(item.column) for item in stmt.items]
-        if stmt.order_by is not None:
-            order_key = _order_source(stmt, sources, resolve)
-            rows.sort(
-                key=lambda row: _sort_key(row[order_key]),
-                reverse=stmt.order_by.descending,
-            )
-        projected = [tuple(row[c] for c in sources) for row in rows]
-        if stmt.limit is not None:
-            projected = projected[: stmt.limit]
-        return ResultSet(columns=out_columns, rows=projected)
-
-    def _execute_grouped(self, stmt: ast.SelectStatement, rows: list[dict], resolve) -> ResultSet:
-        keys = [resolve(col) for col in stmt.group_by]
-        groups: dict[tuple, list[dict]] = {}
-        for row in rows:
-            key = tuple(row[col] for col in keys)
-            groups.setdefault(key, []).append(row)
-
-        out_columns: list[str] = []
-        key_positions: list[int | None] = []
-        for item in stmt.items:
-            if isinstance(item, ast.SelectItem):
-                column = resolve(item.column)
-                if column not in keys:
-                    raise ExecutionError(
-                        f"column {item.column} must appear in GROUP BY"
-                    )
-                out_columns.append(item.alias or item.column)
-                key_positions.append(keys.index(column))
-            else:
-                out_columns.append(_aggregate_label(item))
-                key_positions.append(None)
-
-        result_rows: list[tuple] = []
-        for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):
-            group_rows = groups[key]
-            result_rows.append(
-                tuple(
-                    _compute_aggregate(item, resolve, group_rows)
-                    if position is None
-                    else key[position]
-                    for item, position in zip(stmt.items, key_positions)
-                )
-            )
-        if stmt.limit is not None:
-            result_rows = result_rows[: stmt.limit]
-        return ResultSet(columns=out_columns, rows=result_rows)
-
-
-def _order_source(stmt: ast.SelectStatement, sources: list[str], resolve) -> str:
-    """The column an ungrouped ``ORDER BY`` sorts on, resolved as SQLite does.
-
-    The name is matched against the output aliases first, case-insensitively
-    and the first alias winning, and only then against the table's columns:
-    in ``SELECT x AS id, id AS x FROM t ORDER BY x`` it names the output
-    column ``x``, whose source is ``id``.
-    """
-    name = stmt.order_by.column.lower()
-    if not stmt.select_star:
-        for item, source in zip(stmt.items, sources):
-            if item.alias is not None and item.alias.lower() == name:
-                return source
-    return resolve(stmt.order_by.column)
+            sources = [names[table.column_index(item.column)] for item in stmt.items]
+        return ResultSet(
+            columns=out_columns, rows=[tuple(row[c] for c in sources) for row in rows]
+        )
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -385,44 +306,6 @@ def _compare(left, operator: str, right) -> bool:
     raise ExecutionError(f"unsupported comparison operator: {operator}")
 
 
-def _sort_key(value):
-    """Ordering key that tolerates None and mixed numeric values."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
-
-
-def _aggregate_label(item: ast.Aggregate) -> str:
-    if item.alias:
-        return item.alias
-    argument = item.argument if item.argument is not None else "*"
-    return f"{item.function.lower()}({argument})"
-
-
-def _compute_aggregate(item: ast.Aggregate, resolve, rows: list[dict]):
-    if item.argument is None:  # COUNT(*)
-        return len(rows)
-    column = resolve(item.argument)
-    values = [row[column] for row in rows if row[column] is not None]
-    if item.function == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if item.function == "SUM":
-        return sum(values)
-    if item.function == "AVG":
-        return sum(values) / len(values)
-    if item.function == "MIN":
-        return min(values)
-    if item.function == "MAX":
-        return max(values)
-    raise ExecutionError(f"unsupported aggregate: {item.function}")
-
-
 def arena_select_per_client(arena, sql: str, slots=None):
     """Each asked member's standing latest row for one SELECT, in one pass.
 
@@ -442,17 +325,17 @@ def arena_select_per_client(arena, sql: str, slots=None):
       raises (equal by type and message);
     * :data:`ARENA_FALLBACK` — this member must answer itself (its table
       is missing or schema-mismatched against the arena), or it was not
-      asked for, or ``SQLDB_FORCE_SCAN`` is set.
+      asked for, or ``SQLDB_FORCE_SCAN`` is set (read before any arena
+      table is built, so the oracle mirrors nothing).
 
     ``slots`` (an iterable of slot indices, ascending) restricts the
     answer to those members — the epoch's participants: every other
     entry is :data:`ARENA_FALLBACK` and is never finished.
 
-    Returns ``None`` for statement-level fallbacks (SQL that does not
-    parse as a SELECT, no member defines the table, or the statement is
-    not a plain projection the compiler lowers — an aggregate, GROUP BY,
-    ORDER BY or LIMIT, or a column not named exactly as declared): the
-    caller must let every member answer itself on the row scan.
+    Returns ``None`` for statement-level fallbacks (SQL that the parser
+    refuses, no member defines the table, or a projected name the
+    schema lacks): the caller must let every member answer itself on the
+    row scan, which raises the error.
     Draw-neutral by construction — SQL evaluation consumes no
     randomness, so hoisting it shard-wide cannot shift any client's RNG
     or keystream state.
@@ -470,6 +353,11 @@ def arena_select_per_client(arena, sql: str, slots=None):
         statement = parse_statement_cached(sql)
     except Exception:  # noqa: BLE001 - parse errors fall back per client
         return None
+    outcomes: list = [ARENA_FALLBACK] * len(arena.databases)
+    # The switch is read once per statement (never cached across statements),
+    # before an arena table or a standing answer is built or folded.
+    if scan_forced():
+        return outcomes
     table = arena.table(statement.table)
     if table is None:
         return None
@@ -477,11 +365,6 @@ def arena_select_per_client(arena, sql: str, slots=None):
         plan = plan_for(statement, table.columns)
     except CompileFallback:
         return None
-    outcomes: list = [ARENA_FALLBACK] * len(arena.databases)
-    # The switch is read once per statement (never cached across statements),
-    # before a standing answer is built or folded.
-    if _env_flag("SQLDB_FORCE_SCAN"):
-        return outcomes
     asked = range(len(outcomes)) if slots is None else slots
     if not asked:
         return outcomes

@@ -7,9 +7,10 @@ from enum import Enum, auto
 
 from repro.sqldb.errors import ParseError
 
-# The parser only accepts SELECT; the other statements' keywords stay
-# reserved so that every SELECT tokenizes as before (a column named
-# ``drop`` is still refused).
+# The parser only accepts the client dialect's SELECT; the keywords of the
+# other statements and of the refused items and clauses (aggregates, GROUP
+# BY, ORDER BY, LIMIT) stay reserved so that every kept SELECT tokenizes as
+# before (a column named ``drop`` or ``limit`` is still refused).
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO", "VALUES",
     "CREATE", "TABLE", "ORDER", "BY", "ASC", "DESC", "LIMIT", "GROUP",

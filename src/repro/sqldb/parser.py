@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NoReturn
 
 from repro.sqldb import ast
 from repro.sqldb.errors import ParseError
 from repro.sqldb.lexer import Token, TokenType, tokenize
 
+# The dialect is what a client reads: ``SELECT cols | * FROM t [WHERE
+# predicate]``.  An aggregate item or a clause that groups, orders or cuts
+# the rows is refused by name (the lexer still reserves their keywords).
 _AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+_REFUSED_CLAUSES = {"GROUP": "GROUP BY", "ORDER": "ORDER BY", "LIMIT": "LIMIT"}
 
 
 class Parser:
-    """Parses a single SELECT statement into an AST node."""
+    """Parses a single ``SELECT cols | * FROM t [WHERE predicate]`` into an
+    AST node."""
 
     def __init__(self, sql: str):
         self._sql = sql
@@ -94,56 +100,25 @@ class Parser:
         where = None
         if self._accept_keyword("WHERE"):
             where = self._parse_expression()
-        group_by: list[str] = []
-        if self._accept_keyword("GROUP"):
-            self._expect_keyword("BY")
-            group_by.append(self._expect_identifier())
-            while self._accept_punct(","):
-                group_by.append(self._expect_identifier())
-        order_by = None
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            column = self._expect_identifier()
-            descending = False
-            if self._accept_keyword("DESC"):
-                descending = True
-            else:
-                self._accept_keyword("ASC")
-            order_by = ast.OrderBy(column=column, descending=descending)
-        limit = None
-        if self._accept_keyword("LIMIT"):
-            token = self._advance()
-            if token.type is not TokenType.NUMBER:
-                raise ParseError(f"LIMIT expects a number, got {token.value!r}")
-            limit = int(float(token.value))
+        token = self._peek()
+        if token.type is TokenType.KEYWORD and token.value in _REFUSED_CLAUSES:
+            self._refuse(_REFUSED_CLAUSES[token.value])
         return ast.SelectStatement(
-            table=table,
-            items=tuple(items),
-            where=where,
-            group_by=tuple(group_by),
-            order_by=order_by,
-            limit=limit,
-            select_star=select_star,
+            table=table, items=tuple(items), where=where, select_star=select_star
         )
 
-    def _parse_select_item(self):
+    def _parse_select_item(self) -> ast.SelectItem:
         token = self._peek()
         if token.type is TokenType.KEYWORD and token.value in _AGGREGATE_FUNCTIONS:
-            function = self._advance().value
-            self._expect_punct("(")
-            if self._peek().type is TokenType.STAR:
-                self._advance()
-                argument = None
-                if function != "COUNT":
-                    raise ParseError(f"{function}(*) is not supported")
-            else:
-                argument = self._expect_identifier()
-            self._expect_punct(")")
-            alias = self._parse_optional_alias()
-            return ast.Aggregate(function=function, argument=argument, alias=alias)
+            self._refuse(f"aggregate {token.value}()")
         column = self._expect_identifier()
         alias = self._parse_optional_alias()
         return ast.SelectItem(column=column, alias=alias)
+
+    def _refuse(self, clause: str) -> NoReturn:
+        raise ParseError(
+            f"{clause} is not supported: a client reads its matching rows, in: {self._sql}"
+        )
 
     def _parse_optional_alias(self) -> str | None:
         if self._accept_keyword("AS"):

@@ -110,7 +110,7 @@ class TestClientDelivery:
         QueryDistributor.deliver_to_client(
             client, distributor.poll_announcements(), {"acme": analyst.signing_key}
         )
-        second = analyst.create_query("SELECT value FROM private_data LIMIT 1", SPEC)
+        second = analyst.create_query("SELECT value AS v1 FROM private_data", SPEC)
         distributor.publish(second, QueryBudget())
         accepted = QueryDistributor.deliver_to_client(
             client, distributor.poll_announcements(), {"acme": analyst.signing_key}
@@ -146,8 +146,8 @@ class TestEveryClientVerifies:
     def test_a_bad_announcement_between_two_valid_ones(self, distributor, analyst, forge):
         keys = {"acme": analyst.signing_key}
         first = analyst.create_query("SELECT value FROM private_data", SPEC)
-        victim = analyst.create_query("SELECT value FROM private_data LIMIT 1", SPEC)
-        second = analyst.create_query("SELECT value FROM private_data LIMIT 2", SPEC)
+        victim = analyst.create_query("SELECT value AS v1 FROM private_data", SPEC)
+        second = analyst.create_query("SELECT value AS v2 FROM private_data", SPEC)
         # The victim's canonical form is memoized before it is copied: a copy
         # must not inherit it.
         assert victim.verify_signature(analyst.signing_key)
@@ -215,7 +215,7 @@ class TestSystemIntegration:
         system.provision_clients([("value", "REAL")], lambda i: [{"value": 0.5}])
         analyst = Analyst("acme", signing_key=b"k")
         queries = [
-            analyst.create_query(f"SELECT value FROM private_data LIMIT {n + 1}", SPEC)
+            analyst.create_query(f"SELECT value AS v{n + 1} FROM private_data", SPEC)
             for n in range(submits)
         ]
         verified: list[int] = []

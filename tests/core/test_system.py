@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.estimation import estimate_histogram
 from repro.runtime import cli_smoke_matrix
+from repro.sqldb import SchemaError
 
 
 class TestSystemConfig:
@@ -636,11 +637,14 @@ class TestLoneAnswersAreStanding:
         )
 
 
-#: The ground-truth statements: a probe the arenas answer, an aggregate the
-#: compiler leaves to the row scan, and one that raises for one client only.
+#: The ground-truth statements: a probe the arenas answer, the same probe
+#: with its projected name case-twisted (it compiles too), an unknown
+#: projection every member answers on the row scan (a ``SchemaError``), and
+#: one that raises for one client only.
 GROUND_TRUTH_SQL = {
     "probe": "SELECT speed FROM private_data WHERE zone = 1",
-    "aggregate": "SELECT MAX(speed) FROM private_data WHERE zone = 1",
+    "twisted": "SELECT Speed FROM private_data WHERE zone = 1",
+    "unknown": "SELECT nope FROM private_data WHERE zone = 1",
     "raises": "SELECT speed FROM private_data WHERE tag < 5",
 }
 
@@ -735,11 +739,16 @@ class TestGroundTruthReadsTheAnswerArenas:
     )
     def test_every_executor_counts_alike(self, monkeypatch, executor, switch):
         reference = ground_truth_trace("serial")
-        raised = [entry for entry in reference if len(entry) == 2]
+        rounds = {
+            name: reference[index :: len(GROUND_TRUTH_SQL)]
+            for index, name in enumerate(GROUND_TRUTH_SQL)
+        }
+        assert all(sum(entry[0]) > 0 for entry in rounds["probe"])
+        assert rounds["twisted"] == rounds["probe"]
+        assert {entry[0] for entry in rounds["unknown"]} == {SchemaError}
         # Client 17 raises in three of the five rounds: not while churned out.
+        raised = [entry for entry in rounds["raises"] if len(entry) == 2]
         assert len(raised) == 3 and raised[0][0] is TypeError
-        counted = [entry for index, entry in enumerate(reference) if index % 3 != 2]
-        assert all(sum(entry[0]) > 0 for entry in counted)  # the probe and the aggregate
         if switch is not None:
             monkeypatch.setenv(switch, "1")
         assert ground_truth_trace(executor) == reference
@@ -753,3 +762,17 @@ class TestGroundTruthReadsTheAnswerArenas:
         finally:
             system.close()
         assert system.exact_bucket_counts(query_id) == counts
+
+    @pytest.mark.parametrize("executor", ["serial", "inline/in-process"])
+    def test_the_scan_oracle_mirrors_no_table(self, monkeypatch, executor):
+        """Under ``SQLDB_FORCE_SCAN`` every client answers and counts on the
+        row scan, so no client database builds a one-slot arena: not by
+        answering an epoch, and not for the ground truth."""
+        monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
+        system, _, query_id = quickstart_deployment(executor)
+        try:
+            system.run_epochs(query_id, 2)
+            assert sum(system.exact_bucket_counts(query_id)) > 0
+        finally:
+            system.close()
+        assert all(client.database._arena is None for client in system.clients)

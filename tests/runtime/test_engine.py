@@ -446,21 +446,25 @@ class TestErrorOrder:
 
 class TestAnalystSqlIsReadOnly:
     """A client runs the analyst's signed SQL against its private tables.
-    A statement other than SELECT fails the epoch on every executor as it
-    does under serial, and no client's tables change: the SQL is parsed as
-    a SELECT before any table is touched."""
+    A statement outside the client dialect — a write, or an aggregate no
+    client answer reads — fails the epoch on every executor as it does
+    under serial, and no client's tables change: the SQL is parsed as the
+    dialect's SELECT before any table is touched."""
 
     @pytest.mark.parametrize(
-        "sql",
+        "sql, refusal",
         [
-            "DELETE FROM private_data",
-            "DROP TABLE private_data",
-            "INSERT INTO private_data VALUES (9.0)",
+            ("DELETE FROM private_data", "unsupported statement"),
+            ("DROP TABLE private_data", "unsupported statement"),
+            ("INSERT INTO private_data VALUES (9.0)", "unsupported statement"),
+            ("SELECT COUNT(*) FROM private_data", "aggregate COUNT() is not supported"),
         ],
-        ids=["delete", "drop", "insert"],
+        ids=["delete", "drop", "insert", "aggregate"],
     )
     @pytest.mark.parametrize("executor", cli_smoke_matrix())
-    def test_a_write_raises_what_serial_raises_and_changes_no_table(self, executor, sql):
+    def test_a_write_raises_what_serial_raises_and_changes_no_table(
+        self, executor, sql, refusal
+    ):
         raised = {}
         for name in ("serial", executor):
             system, _ = build_system(name, num_clients=4, sql=sql)
@@ -476,7 +480,7 @@ class TestAnalystSqlIsReadOnly:
             assert [client.local_row_count() for client in system.clients] == [2, 2, 2, 2]
             raised[name] = error.value
         expected, got = raised["serial"], raised[executor]
-        assert isinstance(expected, ParseError) and "unsupported statement" in str(expected)
+        assert isinstance(expected, ParseError) and refusal in str(expected)
         # A pinned worker's error comes back as "ParseError: <message>".
         assert type(got) is ParseError or str(got).startswith("ParseError: ")
         assert str(expected) in str(got)

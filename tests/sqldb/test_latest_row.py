@@ -4,9 +4,9 @@
 for: per member, the row scan's error, or the columns of
 ``member.query(sql)`` over only its last row, or a fallback marker for a
 member the arena does not answer.  These tests pin
-which route each statement shape takes (a plain projection's standing
-answer, or ``None`` for everything else, which the members answer on the
-row scan), that the standing answer equals the row-scan reference's
+which route each statement takes (the standing answer for every one whose
+projected names the schema holds, or ``None`` for one it lacks, whose
+members' row scans raise), that the standing answer equals the row-scan reference's
 ``rows[-1:]``, that the one matching pass evaluates
 every candidate in row order, and that a standing answer filled at once
 equals one folded forward over tail appends (the differential fuzzer in
@@ -108,18 +108,22 @@ class TestRouteTable:
             assert asked.arena_stats()[TABLE]["standing_plans"] == 0
         assert passes == []
 
-    def test_a_case_twisted_projection_answers_on_the_scan(self, latest_row_cases):
-        """``SELECT Value`` is not named as declared, so nothing compiles; the
-        row scan resolves the name as SQLite does and answers every member
-        like ``SELECT value``, matched or not."""
+    def test_a_case_twisted_projection_answers_on_the_arena(self, latest_row_cases):
+        """``SELECT Value`` resolves as WHERE's names do, so it compiles and
+        the arena answers every member like ``SELECT value``, matched or not,
+        under the name as written, as the row scan does."""
         columns, _, members = latest_row_cases
         databases, _ = _shard(columns, members)
         twisted = f"SELECT Value FROM {TABLE} WHERE zone = 1"
         declared = f"SELECT value FROM {TABLE} WHERE zone = 1"
-        assert (twisted, None, "fallback") in LATEST_ROW_STATEMENTS
-        assert arena_select_per_client(ShardArena(databases), twisted) is None
-        for db in databases:
-            assert db.query(twisted).rows == db.query(declared).rows
+        assert (twisted, "probe-eq(zone)", "standing") in LATEST_ROW_STATEMENTS
+        arena = ShardArena(databases)
+        outcomes = arena_select_per_client(arena, twisted)
+        for db, outcome, same in zip(
+            databases, outcomes, arena_select_per_client(arena, declared)
+        ):
+            assert outcome.columns == db.query(twisted).columns == ["Value"]
+            assert outcome.rows == same.rows == db.query(declared).rows[-1:]
 
     def test_latest_row_equals_scan_reference_last_row(self, latest_row_cases):
         columns, statements, members = latest_row_cases
@@ -316,7 +320,7 @@ class TestWorkPerSlot:
 
 
 def _plain_statements(statements):
-    """The statements the standing answer serves: latest-row plain projections."""
+    """The statements the standing answer serves: every one that compiles."""
     return [sql for sql, _, route in statements if route == "standing"]
 
 
@@ -327,7 +331,7 @@ def _outcome(entry):
 
 
 class TestStandingAnswers:
-    """A plain projection's standing answer comes from state the arena
+    """A compiled statement's standing answer comes from state the arena
     table keeps per plan: filled once, folded forward on tail appends."""
 
     def test_tail_appends_fold_without_a_probe(self, monkeypatch, latest_row_cases):
@@ -472,7 +476,7 @@ class TestStandingAnswers:
         for sql in plain:
             outcomes = arena_select_per_client(arena, sql)
             assert all(o is ARENA_FALLBACK for o in outcomes)
-        assert arena.arena_stats()[TABLE]["standing_plans"] == 0
+        assert arena.arena_stats() == {}  # no arena table is even built
         monkeypatch.delenv("SQLDB_FORCE_SCAN")
         # Asking no member builds nothing either.
         for sql in plain:

@@ -72,38 +72,6 @@ class TestSelectParsing:
         assert isinstance(stmt.where, ast.LikeOp)
         assert stmt.where.pattern == "taxi-%"
 
-    def test_aggregates(self):
-        stmt = parse_statement("SELECT COUNT(*), SUM(fare), AVG(distance) FROM rides")
-        functions = [item.function for item in stmt.items]
-        assert functions == ["COUNT", "SUM", "AVG"]
-        assert stmt.items[0].argument is None
-        assert stmt.items[1].argument == "fare"
-
-    def test_aggregate_star_only_for_count(self):
-        with pytest.raises(ParseError):
-            parse_statement("SELECT SUM(*) FROM rides")
-
-    def test_group_by(self):
-        stmt = parse_statement("SELECT borough, COUNT(*) FROM rides GROUP BY borough")
-        assert stmt.group_by == ("borough",)
-
-    def test_order_by_desc(self):
-        stmt = parse_statement("SELECT a FROM t ORDER BY a DESC")
-        assert stmt.order_by.column == "a"
-        assert stmt.order_by.descending
-
-    def test_order_by_asc_default(self):
-        stmt = parse_statement("SELECT a FROM t ORDER BY a")
-        assert not stmt.order_by.descending
-
-    def test_limit(self):
-        stmt = parse_statement("SELECT a FROM t LIMIT 10")
-        assert stmt.limit == 10
-
-    def test_limit_requires_number(self):
-        with pytest.raises(ParseError):
-            parse_statement("SELECT a FROM t LIMIT x")
-
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_statement("SELECT a FROM t extra tokens")

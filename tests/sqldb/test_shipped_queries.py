@@ -1,12 +1,15 @@
-"""Every statement the shipped code asks compiles.
+"""Every statement the shipped code asks is in the dialect and compiles.
 
-A client answers the analyst's query over its own rows, and the code that
-ships only ever asks a plain projection: the case studies' queries, the
-CLI's and ``run_scenario``'s ``SELECT value FROM private_data``, the
-examples' and the ``epoch_profile`` workloads' queries.  Each must lower to
-a :class:`~repro.sqldb.CompiledSelect` against the schema its clients are
-provisioned with.  A statement that leaves the compiled path still answers,
-on the row scan, only slower — this is where that shows.
+A client answers the analyst's query with its latest matching row, and the
+dialect is that read, ``SELECT cols | * FROM t [WHERE pred]``
+(``tests/sqldb/test_dialect.py``).  The code that ships asks: the case
+studies' queries, the CLI's and ``run_scenario``'s ``SELECT value FROM
+private_data``, the examples' and the ``epoch_profile`` workloads' queries.
+Each must parse and lower to a :class:`~repro.sqldb.CompiledSelect`
+against the schema its clients are provisioned with: a clause outside the
+dialect fails to parse, and a projected name the schema lacks leaves the
+compiled path for the row scan's ``SchemaError`` — this is where either
+shows.
 
 The statements and schemas are read from the source (string literals and
 ``provision_clients`` column lists), so a new or changed query is checked
