@@ -25,6 +25,9 @@ STATEMENTS = [
     "SELECT Id AS v, X FROM t WHERE ID >= 1",
     "SELECT x AS id, ID AS x FROM t WHERE X < 2.5",
     "SELECT * FROM t WHERE X < 2",
+    "SELECT X, x, ID FROM t WHERE Id IN (1, 3)",
+    "SELECT iD AS ID FROM t WHERE x BETWEEN 1 AND 3",
+    "SELECT * FROM t WHERE NOT X >= 1",
 ]
 
 

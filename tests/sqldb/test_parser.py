@@ -22,6 +22,25 @@ class TestSelectParsing:
         stmt = parse_statement("SELECT distance AS miles FROM rides")
         assert stmt.items[0].alias == "miles"
 
+    def test_aliases_on_some_items(self):
+        stmt = parse_statement("SELECT a AS x, b, c AS y FROM t")
+        assert [(item.column, item.alias) for item in stmt.items] == [
+            ("a", "x"),
+            ("b", None),
+            ("c", "y"),
+        ]
+
+    def test_keywords_are_case_insensitive(self):
+        stmt = parse_statement("select a as b from t where x is not null")
+        assert stmt.items[0].alias == "b"
+        assert stmt.where.negated
+
+    @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
+    def test_comparison_operators(self, op):
+        stmt = parse_statement(f"SELECT a FROM t WHERE x {op} 1")
+        assert stmt.where.operator == op
+        assert stmt.where.right.value == 1
+
     def test_where_comparison(self):
         stmt = parse_statement("SELECT speed FROM vehicle WHERE location = 'SF'")
         assert isinstance(stmt.where, ast.Comparison)
@@ -71,6 +90,19 @@ class TestSelectParsing:
         stmt = parse_statement("SELECT a FROM t WHERE name LIKE 'taxi-%'")
         assert isinstance(stmt.where, ast.LikeOp)
         assert stmt.where.pattern == "taxi-%"
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT a FROM t WHERE", "expected a literal"),
+            ("SELECT a FROM t WHERE x LIKE 5", "LIKE expects a string pattern"),
+            ("SELECT a FROM t WHERE x IN (y)", "expected a literal"),
+        ],
+        ids=["empty-where", "like-non-string", "in-column"],
+    )
+    def test_malformed_predicate_rejected(self, sql, message):
+        with pytest.raises(ParseError, match=message):
+            parse_statement(sql)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
