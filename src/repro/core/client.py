@@ -10,8 +10,10 @@ to queries.  In every answering epoch a client (Section 3.2):
 4. encodes ``<QID, randomized answer>`` and reads the pad keys that split it
    into XOR shares, one per proxy (Step III).
 
-Steps 1-2 are per client: :meth:`Client.answer` gives each participating
-query's coin and bucket.  Steps 3-4 run a column at a time:
+Steps 1-2 give each participating query's coin and bucket: a column at a
+time over a shard in the engine's answer pass (:func:`coin_columns` and
+:func:`answer_value`, the rules it shares with the client), and per client
+in :meth:`Client.answer`, serial's path.  Steps 3-4 run a column at a time:
 :meth:`ResponseBlock.build` turns a shard's participants in one query into
 one :class:`ResponseBlock` — one truthful column from their buckets, one
 randomization call, one packing, one header prefix, one XOR split — and only
@@ -24,6 +26,7 @@ only the randomized, encrypted shares leave the device.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import struct
 from collections.abc import Iterator, Sequence
@@ -41,7 +44,7 @@ from repro.core.seeding import (
     EpochDraws,
     client_key,
     coin_uniform,
-    first_block_reader,
+    first_block_coordinates,
     query_prefix,
     token_secret,
 )
@@ -590,99 +593,37 @@ class Client:
         """Flip every query's sampling coin for ``epoch`` (Step I), in order.
 
         One entry per query id: ``None`` for a non-participant or an unknown
-        query, otherwise its :data:`Participation`.  A coin is a pure
-        function of ``(key, query, epoch)``, so flipping it before, or apart
-        from, answering changes nothing: the shard answer pass flips a whole
-        shard's coins first and asks the arena only for the participants'
-        SQL outcomes.
-
-        A coin is one hash: the query's :data:`~repro.core.seeding.MAIN`
-        block 0, whose first four bytes are the coin.  Only a participant
-        gets an :class:`~repro.core.seeding.EpochDraws`, seeded with that
-        block, so its randomized-response reads never hash it again.
+        query, otherwise its :data:`Participation`.  The one-member case of
+        :func:`coin_columns`, the shard answer pass's coin pass.
         """
-        subscriptions = self._subscriptions
-        mechanisms = self._mechanisms
-        first_block_of = first_block_reader(epoch)
-        coins: list[Participation | None] = []
-        for query_id in query_ids:
-            subscription = subscriptions.get(query_id)
-            if subscription is None:
-                coins.append(None)
-                continue
-            query, parameters = subscription
-            cached = mechanisms.get(query_id)
-            if cached is None or cached[0] is not parameters:
-                cached = mechanisms[query_id] = (
-                    parameters,
-                    SimpleRandomSampler(parameters.sampling_fraction, rng=None),
-                    RandomizedResponder(p=parameters.p, q=parameters.q, rng=None),
-                    query_prefix(self._key, query_id),
-                )
-            _, sampler, responder, prefix = cached
-            first_block = first_block_of(prefix)
-            if sampler.should_participate(coin_uniform(first_block)):
-                coins.append((query, responder, EpochDraws(prefix, epoch, first_block)))
-            else:
-                coins.append(None)
-        return coins
+        return [column[0] for column in coin_columns([self], query_ids, epoch)]
 
     def answer(
         self,
         query_ids: Sequence[str],
         epoch: int = 0,
         scan_cache: dict[str, Any] | None = None,
-        *,
-        late: bool = False,
-        coins: Sequence[Participation | None] | None = None,
-    ) -> list[Answer | str | None]:
+    ) -> list[Answer | None]:
         """Step I and the SQL read for many subscribed queries in one pass.
 
+        Serial's per-client path, and the reference the shard answer pass
+        (:func:`~repro.runtime.engine.answer_shard`) is tested against.
         Returns one entry per query id: ``None`` where the query's sampling
         coin said not to participate (or the query is unknown), otherwise
         the participant's :data:`Answer` — its coin and the bucket of its
         latest matching value — for :meth:`ResponseBlock.build` to turn into
-        a row.  The local table scan is shared: queries with the same SQL
-        reuse a single database pass, which is what makes a multi-query epoch
-        cheaper than answering each query in its own full pass.  Every draw
-        is addressed by ``(query, epoch)`` (:mod:`repro.core.seeding`), so
-        the rows built from these answers — pad keys included — are
-        byte-identical to answering each query alone.  Every participant's
-        SQL outcome is read here, query by query, so the first statement
-        that raises for this client raises before anything is built.
-
-        ``coins`` is :meth:`flip_coins` for the same ``query_ids`` and
-        ``epoch``, when the caller already flipped them; by default the
-        coins are flipped here.
-
-        ``scan_cache`` may be pre-seeded by the shard-wide arena path with
-        this client's per-SQL outcome: the exception its own evaluation
-        would raise, or the latest-row form of its result set (the same
-        columns, at most the last row — answering reads only emptiness and
-        that row, see :meth:`_latest_value`).  Entries are consumed only for
-        queries whose sampling coin says participate, exactly as a local
-        pass would be.
-
-        ``late=True`` is for a caller that already knows this client is in the
-        epoch's late set, so whatever it produces is dropped: each query flips
-        only its coin, a participating one reads its SQL outcome (so a
-        statement that raises for this client still raises) and comes back
-        as the client id — all the engine's gate needs to ledger the drop —
-        instead of an answer.
+        a row.  Queries with the same SQL share one read of it
+        (``scan_cache``, keyed by SQL text).  Every draw is addressed by
+        ``(query, epoch)`` (:mod:`repro.core.seeding`), so the rows built
+        from these answers — pad keys included — are byte-identical to
+        answering each query alone.  Every participant's SQL outcome is
+        read here, query by query, so the first statement that raises for
+        this client raises before anything is built.
         """
         if scan_cache is None:
             scan_cache = {}
-        if coins is None:
-            coins = self.flip_coins(query_ids, epoch)
-        if late:
-            entries = []
-            for coin in coins:
-                if coin is not None:
-                    self._query_outcome(coin[0], scan_cache)
-                entries.append(None if coin is None else self.config.client_id)
-            return entries
         answers: list[Answer | None] = []
-        for coin in coins:
+        for coin in self.flip_coins(query_ids, epoch):
             if coin is None:
                 answers.append(None)
                 continue
@@ -713,8 +654,9 @@ class Client:
 
         ``scan_cache`` (keyed by SQL text) deduplicates the database pass
         when several co-subscribed queries in a multi-query epoch run the
-        same statement, and may arrive pre-seeded by the shard arena with the
-        latest-row form of the result or the exception to raise.
+        same statement, and may arrive pre-seeded by the ground truth off the
+        engine's shard arena with the latest-row form of the result or the
+        exception to raise.
 
         A statement not in the cache is a standing answer too: the same
         :func:`~repro.sqldb.engine.arena_select_per_client` call the shard
@@ -746,23 +688,92 @@ class Client:
 
     def _latest_value(self, query: Query, scan_cache: dict[str, Any] | None = None) -> Any:
         """The value the client answers with: the analyst's SQL on the local
-        database, the answer column of its last row.
+        database, the answer column of its last row (:func:`answer_value`).
 
         The client answers with the most recent matching row (the paper's
         examples — current driving speed, last ride distance, current power
         draw — are all "latest value" readings).  A client with no matching
         rows answers ``None``, which no bucket holds: its all-zero vector
         still gets randomized, so non-matching clients are
-        indistinguishable from matching ones.  Only ``len(result) > 0``,
-        ``result.columns`` and ``result.rows[-1]`` of :meth:`_query_outcome`'s
-        result are read, which is why it may hold just the last row of what
-        ``database.query`` would return.
+        indistinguishable from matching ones.
         """
-        result = self._query_outcome(query, scan_cache)
-        if len(result) == 0:
-            return None
-        column = query.answer_spec.value_column
-        row = result.rows[-1]
-        if column is not None and column in result.columns:
-            return row[result.columns.index(column)]
-        return row[0]
+        return answer_value(self._query_outcome(query, scan_cache), query.answer_spec.value_column)
+
+
+def coin_columns(
+    clients: Sequence[Client], query_ids: Sequence[str], epoch: int
+) -> list[list[Participation | None]]:
+    """Step I for a shard: one column of coins per query, one entry per client.
+
+    An entry is ``None`` for a non-participant or a client not subscribed
+    to the query, otherwise the client's :data:`Participation`.  A coin is a
+    pure function of ``(key, query, epoch)``, so flipping a shard's coins
+    before, or apart from, answering changes nothing: the shard answer pass
+    flips them all first and asks the arena only for the participants'
+    SQL outcomes.
+
+    A coin is one hash: the query's :data:`~repro.core.seeding.MAIN` block
+    0, read from the client's cached query prefix, whose first four bytes
+    are the coin.  Every subscribed (client, query) goes through
+    :meth:`SimpleRandomSampler.should_participate
+    <repro.core.sampling.SimpleRandomSampler.should_participate>` once.
+    Only a participant gets an :class:`~repro.core.seeding.EpochDraws`,
+    seeded with that block, so its randomized-response reads never hash it
+    again.
+    """
+    coordinates = first_block_coordinates(epoch)
+    blake2b = hashlib.blake2b
+    columns = []
+    for query_id in query_ids:
+        column: list[Participation | None] = []
+        for client in clients:
+            subscription = client._subscriptions.get(query_id)
+            if subscription is None:
+                column.append(None)
+                continue
+            query, parameters = subscription
+            cached = client._mechanisms.get(query_id)
+            if cached is None or cached[0] is not parameters:
+                # The sampler and responder hold only the s, p, q constants.
+                cached = client._mechanisms[query_id] = (
+                    parameters,
+                    SimpleRandomSampler(parameters.sampling_fraction, rng=None),
+                    RandomizedResponder(p=parameters.p, q=parameters.q, rng=None),
+                    query_prefix(client._key, query_id),
+                )
+            _, sampler, responder, prefix = cached
+            first_block = blake2b(prefix + coordinates).digest()
+            if sampler.should_participate(coin_uniform(first_block)):
+                column.append((query, responder, EpochDraws(prefix, epoch, first_block)))
+            else:
+                column.append(None)
+        columns.append(column)
+    return columns
+
+
+def answer_value(result, value_column: str | None) -> Any:
+    """The value an outcome answers with: the value column of its last row.
+
+    ``None`` for an empty result.  Only emptiness, ``result.columns`` and
+    ``result.rows[-1]`` are read, which is why an outcome may hold just the
+    last row of what ``database.query`` would return.  ``value_column``
+    resolves against the result's column names as
+    :meth:`Table.column_index <repro.sqldb.table.Table.column_index>`
+    resolves a table's: an exact match first, then the first
+    case-insensitive one; a result without it (or a query naming none)
+    answers with its first column.
+    """
+    rows = result.rows
+    if not rows:
+        return None
+    columns = result.columns
+    index = 0
+    if value_column is not None:
+        if value_column in columns:
+            index = columns.index(value_column)
+        else:
+            lowered = value_column.lower()
+            index = next(
+                (position for position, name in enumerate(columns) if name.lower() == lowered), 0
+            )
+    return rows[-1][index]

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable
-
 from repro.crypto.prng import secure_random_bytes
 
 KEY_BYTES = 32
@@ -80,13 +78,15 @@ def query_prefix(key: bytes, query_id: str) -> bytes:
     return key + len(encoded).to_bytes(4, "big") + encoded
 
 
-def first_block_reader(epoch: int) -> Callable[[bytes], bytes]:
-    """A query prefix's :data:`MAIN` block 0 at ``epoch``, the block the
-    coin is read from, with the coordinates packed once: what flipping many
-    coins at one epoch calls, one hash per coin."""
-    coordinates = _COORDINATES.pack(MAIN, epoch, 0)
-    blake2b = hashlib.blake2b
-    return lambda prefix: blake2b(prefix + coordinates).digest()
+def first_block_coordinates(epoch: int) -> bytes:
+    """The packed coordinates of :data:`MAIN` block 0 at ``epoch``.
+
+    A query prefix's block 0, the block the coin is read from, is
+    ``blake2b(prefix + first_block_coordinates(epoch)).digest()``, what
+    :class:`EpochDraws` computes as its block 0: flipping many coins at one
+    epoch packs the coordinates once and hashes once per coin.
+    """
+    return _COORDINATES.pack(MAIN, epoch, 0)
 
 
 def coin_uniform(first_block: bytes) -> float:
@@ -101,7 +101,7 @@ class EpochDraws:
     The :data:`MAIN` stream is computed a block at a time and kept: its
     first block (the coin, the high bytes of the first 60 answer bits)
     on construction — or handed in as ``first_block`` by a client that
-    already hashed it to flip the coin (:func:`first_block_reader`), so a
+    already hashed it to flip the coin (:func:`first_block_coordinates`), so a
     participant hashes it once — and later blocks when a read reaches
     them.
     """

@@ -90,117 +90,146 @@ def answer_shard(
 ) -> list["ResponseBlock"]:
     """Answer one shard of clients for one epoch (every driver's shard task).
 
-    Every client answers all of ``query_ids`` in one pass; the return value
-    holds one :class:`~repro.core.client.ResponseBlock` per query, its rows
-    the participants in client order (empty when nobody in the shard
-    participates).  Each client's :meth:`Client.answer
-    <repro.core.client.Client.answer>` gives its participating queries'
-    coins and buckets, and each query's block is then built a column at a
-    time — randomized, encoded and XOR-split for all of its rows at once
-    (:meth:`ResponseBlock.build <repro.core.client.ResponseBlock.build>`).
-    Every member answers before any block is built, so the first
-    ``(client, query)`` whose statement raises raises first, as under
-    serial.
+    The return value holds one :class:`~repro.core.client.ResponseBlock` per
+    query, its rows the participants in client order (empty when nobody in
+    the shard participates).  Each query is answered as a column over the
+    shard:
 
-    Coins first: every member's coins for every query are flipped before
-    any SQL runs (:meth:`Client.flip_coins
-    <repro.core.client.Client.flip_coins>`; a coin is a pure function of
-    ``(key, query, epoch)``, so this is draw-neutral).  With a
-    :class:`~repro.sqldb.columnar.ShardArena` over these clients'
-    databases, each statement is then answered once shard-wide for its
-    participants only (:func:`shard_scan_caches`) and each participant's
-    outcome is injected through its ``scan_cache`` — draw-neutral too (SQL
-    consumes no randomness), so responses are byte-identical to
-    per-client evaluation.  Members flagged for fallback simply keep an
-    empty cache and answer themselves.
+    1. **Coins.**  Every member's coin for every query is flipped before any
+       SQL runs, one pass per query (:func:`~repro.core.client.coin_columns`;
+       a coin is a pure function of ``(key, query, epoch)``, so this is
+       draw-neutral).
+    2. **Arena asks.**  With a :class:`~repro.sqldb.columnar.ShardArena`
+       over these clients' databases, each statement is asked once, for the
+       slots of its participants only (:func:`shard_outcomes`) — draw-neutral
+       too, since SQL consumes no randomness.
+    3. **Buckets.**  A participant's bucket is read off the arena's
+       standing-bucket memo (``arena.memo``: query id → one
+       ``(outcome, query, bucket)`` per slot).  A hit needs the same outcome
+       object and the same :class:`~repro.core.query.Query` object as the
+       last ask; the arena hands out a kept outcome as the same object until
+       the slot's latest row moves, so an unchanged table never buckets its
+       value again.  Exceptions and fallbacks are never memoised.  Members
+       the arena does not answer — flagged
+       :data:`~repro.sqldb.ARENA_FALLBACK`, a statement that falls back for
+       the whole shard, or every member when there is no arena — read their
+       outcome themselves (:meth:`Client._query_outcome
+       <repro.core.client.Client._query_outcome>`).
+    4. **Blocks.**  Each query's ``(client, (coin, bucket))`` rows become one
+       block a column at a time — randomized, encoded and XOR-split for all
+       of its rows at once (:meth:`ResponseBlock.build
+       <repro.core.client.ResponseBlock.build>`).
 
-    ``late`` is the epoch's late set (``EpochContext.late``): those members
-    flip only their coins (``Client.answer(late=True)``) and each
-    participating query names the client in its block's ``late_ids``
-    instead of holding a row, for the engine's gate to record.  A late
-    participant still reads its SQL outcome, so it stays in the arena's
-    slot set.
+    Every participant's outcome is read before any block is built, and when
+    several ``(client, query)`` statements raise, the first in client-major
+    order raises, as under serial.
+
+    ``late`` is the epoch's late set (``EpochContext.late``): a late
+    participant reads its outcome (so a statement that raises for it still
+    raises) and is named in its query's block's ``late_ids`` instead of
+    holding a row, for the engine's gate to record; nothing is built for
+    it.  It stays in the arena's slot set.
     """
     # Imported here: repro.core imports repro.runtime at package level.
-    from repro.core.client import ResponseBlock
+    from repro.core.client import ResponseBlock, answer_value, coin_columns
 
-    coins = [client.flip_coins(query_ids, epoch) for client in clients]
-    caches = shard_scan_caches(clients, coins, arena)
-    answers_per_query: list[list] = [[] for _ in query_ids]
-    late_per_query: list[list[str]] = [[] for _ in query_ids]
-    for slot, client in enumerate(clients):
-        scan_cache = None if caches is None else caches[slot]
-        entries = client.answer(
-            query_ids,
-            epoch=epoch,
-            scan_cache=scan_cache,
-            late=client.config.client_id in late,
-            coins=coins[slot],
-        )
-        for index, entry in enumerate(entries):
-            if entry is None:
+    columns = coin_columns(clients, query_ids, epoch)
+    slots_per_sql: dict[str, set[int]] = {}
+    for coins in columns:
+        for slot, coin in enumerate(coins):
+            if coin is not None:
+                slots = slots_per_sql.get(coin[0].sql)
+                if slots is None:
+                    slots = slots_per_sql[coin[0].sql] = set()
+                slots.add(slot)
+    asked = shard_outcomes(
+        clients, arena, {sql: sorted(slots) for sql, slots in slots_per_sql.items()}
+    )
+    memo = None
+    if asked is not None:
+        memo = arena.memo
+        for stale in memo.keys() - set(query_ids):  # a query no longer asked keeps nothing
+            del memo[stale]
+    own_caches: dict[int, dict] = {}  # members answering alone, one cache each
+    errors: list[tuple[int, int, Exception]] = []
+    blocks_rows: list[tuple[list, list[str]]] = []
+    for index, (query_id, coins) in enumerate(zip(query_ids, columns)):
+        rows: list = []
+        late_ids: list[str] = []
+        blocks_rows.append((rows, late_ids))
+        kept = None if memo is None else memo.setdefault(query_id, [None] * len(clients))
+        for slot, coin in enumerate(coins):
+            if coin is None:
                 continue
-            if isinstance(entry, str):
-                late_per_query[index].append(entry)
+            query, client = coin[0], clients[slot]
+            outcomes = None if asked is None else asked.get(query.sql)
+            outcome = ARENA_FALLBACK if outcomes is None else outcomes[slot]
+            from_arena = outcome is not ARENA_FALLBACK
+            if not from_arena:
+                try:
+                    outcome = client._query_outcome(query, own_caches.setdefault(slot, {}))
+                except Exception as exc:  # noqa: BLE001 - raised below, in serial's order
+                    errors.append((slot, index, exc))
+                    continue
+            elif isinstance(outcome, BaseException):
+                errors.append((slot, index, outcome))
+                continue
+            if late and client.config.client_id in late:
+                late_ids.append(client.config.client_id)
+                continue
+            entry = kept[slot] if from_arena else None
+            if entry is not None and entry[0] is outcome and entry[1] is query:
+                bucket = entry[2]
             else:
-                answers_per_query[index].append((client, entry))
+                spec = query.answer_spec
+                bucket = spec.buckets.bucket_of(answer_value(outcome, spec.value_column))
+                if from_arena:
+                    kept[slot] = (outcome, query, bucket)
+            rows.append((client, (coin, bucket)))
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
     num_proxies = clients[0].config.num_proxies if clients else 2
     return [
-        ResponseBlock.build(query_id, epoch, answers, num_proxies, late_ids=tuple(late_ids))
-        for query_id, answers, late_ids in zip(query_ids, answers_per_query, late_per_query)
+        ResponseBlock.build(query_id, epoch, rows, num_proxies, late_ids=tuple(late_ids))
+        for query_id, (rows, late_ids) in zip(query_ids, blocks_rows)
     ]
 
 
-def shard_scan_caches(
+def shard_outcomes(
     clients: list["Client"],
-    coins: list[list],
     arena: ShardArena | None,
-) -> list[dict] | None:
-    """Pre-compute the participants' scan caches for one epoch via the arena.
+    slots_per_sql: dict[str, list[int]],
+) -> dict[str, list | None] | None:
+    """Ask the shard's arena once per statement, for the listed slots.
 
-    ``coins`` holds each client's :meth:`Client.flip_coins
-    <repro.core.client.Client.flip_coins>` for the epoch's queries.
-    Returns one ``{sql: outcome}`` dict per client, or ``None`` when the
-    arena is absent or no longer matches the shard's databases (churn
-    replaced a member — the caller answers per-client and the arena owner
-    rebuilds on the next sync).  The arena is synced once, before the
-    first ask (:meth:`ShardArena.sync
+    ``slots_per_sql`` maps each statement to the ascending slots that read
+    it.  Returns ``{sql: outcomes}`` — each list aligned with ``clients``,
+    :func:`~repro.sqldb.engine.arena_select_per_client`'s answer: a member's
+    standing outcome (its result's columns over at most its last row, or
+    the exception ``client.database.query(sql)`` raises), or
+    :data:`ARENA_FALLBACK` for a slot not asked or one the arena excludes;
+    ``None`` for a statement that falls back for every member (refused by
+    the parser, missing table, unknown projected column).  Returns ``None``
+    when the arena is absent or no longer matches the shard's databases
+    (churn replaced a member — the caller answers per-client and the arena
+    owner rebuilds on the next fetch).
+
+    The arena is synced once, before the first ask (:meth:`ShardArena.sync
     <repro.sqldb.columnar.ShardArena.sync>`): client SQL only reads, so
-    nothing changes a member's tables between two asks of one pass.  Each
-    statement is asked once, for the slots of every client with a
-    participating coin on a query that runs it; an outcome is that
-    client's standing answer (:func:`~repro.sqldb.engine.arena_select_per_client`):
-    the exception ``client.database.query(sql)`` raises, or its columns
-    over at most its last row — all :meth:`Client.answer
-    <repro.core.client.Client.answer>` reads.  Statements that fall
-    back (refused by the parser, missing table, unknown projected column)
-    are simply absent from every cache; members flagged
-    :data:`ARENA_FALLBACK` (and non-participants) are absent from that
-    member's cache only.
+    nothing changes a member's tables between two asks of one pass.  The
+    answer pass and the ground truth
+    (:meth:`StagedEpochEngine.truth_scan_caches`) both ask through here.
     """
     if arena is None or not clients:
         return None
     if not arena.matches([client.database for client in clients]):
         return None
-    slots_per_sql: dict[str, list[int]] = {}
-    for slot, flipped in enumerate(coins):
-        for coin in flipped:
-            if coin is None:
-                continue
-            slots = slots_per_sql.setdefault(coin[0].sql, [])
-            if not slots or slots[-1] != slot:
-                slots.append(slot)
-    caches: list[dict] = [{} for _ in clients]
     if slots_per_sql:
         arena.sync()
-    for sql, slots in slots_per_sql.items():
-        outcomes = arena_select_per_client(arena, sql, slots=slots)
-        if outcomes is None:
-            continue
-        for slot in slots:
-            if outcomes[slot] is not ARENA_FALLBACK:
-                caches[slot][sql] = outcomes[slot]
-    return caches
+    return {
+        sql: arena_select_per_client(arena, sql, slots=slots)
+        for sql, slots in slots_per_sql.items()
+    }
 
 
 def _timed_answer_shard(
@@ -379,8 +408,9 @@ class StagedEpochEngine(EpochExecutor):
         self.transport = driver.transport
         #: Per-epoch StageMetrics, success and failure alike.
         self.stage_metrics: dict[int, StageMetrics] = {}
-        #: Shard index → ShardArena for the in-process drivers; reused across
-        #: epochs while the shard's member databases are identical objects.
+        #: Shard index → ShardArena for the in-process drivers, with the
+        #: answer pass's standing-bucket memo on it; reused across epochs
+        #: while the shard's member databases are identical objects.
         self._arenas: dict[int, ShardArena] = {}
         driver.bind(self)
 
@@ -405,25 +435,34 @@ class StagedEpochEngine(EpochExecutor):
         """The ground truth's scan caches, read off this engine's shard arenas.
 
         Walks the epoch's shards (``plan_shards`` over ``clients``) and asks
-        each shard's arena once, through :func:`shard_scan_caches`, for the
-        members subscribed to ``query``: each one's coin list is
-        ``[(query,)]`` and every other member's ``[None]``, so no coin is
-        flipped and nothing is drawn.  A shard with no arena (pinned by
+        each shard's arena once, through :func:`shard_outcomes`, for the
+        members subscribed to ``query``, so no coin is flipped and nothing
+        is drawn.  A shard with no arena (pinned by
         ``SQLDB_FORCE_PER_CLIENT`` or ``SQLDB_FORCE_SCAN``) gives its members
-        ``None``, and a slot the arena does not answer is absent from its
-        cache: those clients answer alone, as under serial.
+        ``None``, and a slot the arena does not answer gets an empty cache:
+        those clients answer alone, as under serial.
         """
         caches: list[dict | None] = []
         for shard in plan_shards(len(clients), self.num_shards):
             members = clients[shard.as_slice()]
-            coins = [
-                [(query,)] if client.is_subscribed(query.query_id) else [None]
-                for client in members
+            slots = [
+                slot
+                for slot, client in enumerate(members)
+                if client.is_subscribed(query.query_id)
             ]
-            shard_caches = shard_scan_caches(
-                members, coins, self.arena_for(shard.index, members)
+            asked = shard_outcomes(
+                members,
+                self.arena_for(shard.index, members),
+                {query.sql: slots} if slots else {},
             )
-            caches.extend(shard_caches or [None] * len(members))
+            if asked is None:
+                caches.extend([None] * len(members))
+                continue
+            outcomes = asked.get(query.sql) or [ARENA_FALLBACK] * len(members)
+            caches.extend(
+                {} if outcome is ARENA_FALLBACK else {query.sql: outcome}
+                for outcome in outcomes
+            )
         return caches
 
     # -- accounting -----------------------------------------------------------
@@ -696,9 +735,10 @@ class OverlapThreadDriver(StageDriver):
                 max_workers=self.engine.num_workers,
                 thread_name_prefix="privapprox-pipeline",
             )
-        # Every arena is fetched (replaced when its members changed) on the
-        # caller thread before the first task starts; each task then syncs
-        # and asks its own shard's arena, and the shards are disjoint.
+        # Every arena (and the memo it carries) is fetched, replaced when its
+        # members changed, on the caller thread before the first task starts;
+        # each task then syncs and asks its own shard's arena, and the shards
+        # are disjoint.
         tasks = []
         for shard in handle.occupied:
             clients = handle.context.clients[shard.as_slice()]

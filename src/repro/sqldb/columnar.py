@@ -373,7 +373,7 @@ class ShardArena:
     built lazily on first use and synced incrementally by :meth:`sync`,
     which the owner calls once before a pass of asks: the shard answer pass
     once per shard per epoch
-    (:func:`~repro.runtime.engine.shard_scan_caches`), a client answering
+    (:func:`~repro.runtime.engine.shard_outcomes`), a client answering
     alone once per statement.  Asking reads the arena as last synced — client
     SQL only reads, so nothing changes a member's tables within one pass.
     A database answering on its own holds a one-slot arena over itself
@@ -383,6 +383,10 @@ class ShardArena:
     def __init__(self, databases: list):
         self._databases = list(databases)
         self._tables: dict[str, ArenaTable] = {}
+        #: The owner's state derived from this arena's outcomes, which lives
+        #: and dies with the arena: the shard answer pass keeps each slot's
+        #: standing bucket here (:func:`~repro.runtime.engine.answer_shard`).
+        self.memo: dict = {}
 
     @property
     def databases(self) -> list:

@@ -208,9 +208,7 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
             return _unknown_column(node.name)
         return lambda arrays, row_id: arrays[storage][row_id]
     if isinstance(node, ast.Comparison):
-        compare = _COMPARISONS.get(node.operator)
-        if compare is None:
-            raise CompileFallback(f"unsupported comparison operator: {node.operator}")
+        compare = _COMPARISONS[node.operator]
         left = _compile_value(node.left, schema)
         right = _compile_value(node.right, schema)
 
@@ -266,18 +264,17 @@ def _compile_value(node: Any, schema: _SchemaView) -> ValueFn:
         if node.negated:
             return lambda arrays, row_id: value_fn(arrays, row_id) is not None
         return lambda arrays, row_id: value_fn(arrays, row_id) is None
-    if isinstance(node, ast.LikeOp):
-        value_fn = _compile_value(node.operand, schema)
-        match = like_matcher(node.pattern)
+    # The parser makes no other node: what is left is LIKE.
+    value_fn = _compile_value(node.operand, schema)
+    match = like_matcher(node.pattern)
 
-        def compiled_like(arrays: dict, row_id: int) -> bool:
-            value = value_fn(arrays, row_id)
-            if value is None:
-                return False
-            return match(like_text(value)) is not None
+    def compiled_like(arrays: dict, row_id: int) -> bool:
+        value = value_fn(arrays, row_id)
+        if value is None:
+            return False
+        return match(like_text(value)) is not None
 
-        return compiled_like
-    raise CompileFallback(f"unsupported expression node: {type(node).__name__}")
+    return compiled_like
 
 
 # -- column probes ------------------------------------------------------------

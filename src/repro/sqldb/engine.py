@@ -97,17 +97,6 @@ class ResultSet:
         self.columns = columns
         self.rows = rows
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise ExecutionError(f"result has no column {name}")
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -6,6 +6,7 @@ from repro.core import AnswerSpec, Client, ClientConfig, ExecutionParameters, Ra
 from repro.core.client import ResponseBlock
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query
+from repro.runtime import answer_shard
 from tests.conftest import answer_one
 
 
@@ -46,8 +47,8 @@ class TestClientLocalData:
         """Ingested raw values are only in the client's own database."""
         client = make_client()
         client.ingest([{"speed": 33.3, "location": "San Francisco"}])
-        rows = client.database.query("SELECT speed FROM private_data").column("speed")
-        assert rows == [33.3]
+        result = client.database.query("SELECT speed FROM private_data")
+        assert result.rows == [(33.3,)]
 
 
 class TestSubscription:
@@ -231,7 +232,8 @@ class TestBlockBuild:
 
 
 class TestLatePath:
-    """``answer(late=True)``: the coin and the SQL outcome, nothing built."""
+    """A late participant in the shard answer pass (``answer_shard``'s
+    ``late``): the coin and the SQL outcome, nothing built."""
 
     def _subscribed(self, seed: int = 5) -> tuple[Client, Query]:
         client = make_client(seed=seed)
@@ -242,22 +244,34 @@ class TestLatePath:
 
     def test_late_answer_is_the_client_id_after_reading_its_sql_outcome(self):
         client, query = self._subscribed()
-        scan_cache: dict = {}
-        entry, unknown = client.answer(
-            [query.query_id, "unknown"], epoch=7, scan_cache=scan_cache, late=True
+        read = []
+        outcome = client._query_outcome
+
+        def reading(query, scan_cache):
+            read.append(query.sql)
+            return outcome(query, scan_cache)
+
+        client._query_outcome = reading  # no arena: the member reads alone
+        block, unknown = answer_shard(
+            [client], [query.query_id, "unknown"], 7, late=frozenset({"c-1"})
         )
-        assert entry == "c-1"
-        assert unknown is None
-        assert list(scan_cache) == [query.sql]  # read, as a built answer reads it
+        assert block.late_ids == ("c-1",) and len(block) == 0
+        assert unknown.late_ids == () and len(unknown) == 0
+        assert read == [query.sql]  # read, as a built answer reads it
 
     def test_late_answer_raises_what_a_built_answer_raises(self):
         client, query = self._subscribed()
         twin, _ = self._subscribed()
         boom = RuntimeError("this client's statement fails")
+
+        def raising(*args):
+            raise boom
+
+        client._query_outcome = twin._query_outcome = raising
         with pytest.raises(RuntimeError) as built:
-            client.answer([query.query_id], scan_cache={query.sql: boom})
+            answer_shard([client], [query.query_id], 0)
         with pytest.raises(RuntimeError) as late:
-            twin.answer([query.query_id], scan_cache={query.sql: boom}, late=True)
+            answer_shard([twin], [query.query_id], 0, late=frozenset({"c-1"}))
         assert built.value is late.value is boom
 
     def test_late_answer_flips_only_the_coin(self, monkeypatch):
@@ -284,7 +298,9 @@ class TestLatePath:
         monkeypatch.setattr(RandomizedResponder, "randomize_vector", forbidden("randomize"))
         monkeypatch.setattr(AnswerCodec, "encrypt", forbidden("encrypt"))
         monkeypatch.setattr(client_module, "participation_token", forbidden("token"))
-        assert client.answer([query.query_id], epoch=2, late=True) == ["c-1"]
+        monkeypatch.setattr(client_module, "answer_value", forbidden("answer_value"))
+        (block,) = answer_shard([client], [query.query_id], 2, late=frozenset({"c-1"}))
+        assert block.late_ids == ("c-1",)
         assert calls == ["coin"]
 
 

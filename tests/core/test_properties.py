@@ -18,6 +18,7 @@ from repro.core.encryption import AnswerCodec
 from repro.core.query import Query, QueryAnswer
 from repro.core.sampling import estimate_sum
 from repro.crypto.prng import KeystreamGenerator
+from repro.runtime import answer_shard
 from tests.core.test_randomized_response import _Uniforms
 
 
@@ -201,12 +202,14 @@ class TestEpochAddressedDraws:
         expected = _answer_bytes(make_client(), query_ids, epoch)
         used = make_client()
         for index, earlier in enumerate(history):
-            used.answer(query_ids, epoch=earlier, late=index % 2 == 1)
+            answer_shard([used], query_ids, earlier, late=frozenset({"c"} if index % 2 else ()))
         restored = Client.from_state(used.export_state())
         assert _answer_bytes(used, query_ids, epoch) == expected
         assert _answer_bytes(restored, query_ids, epoch) == expected
-        late = used.answer(query_ids, epoch=epoch, late=True)
-        assert late == [None if row is None else "c" for row in expected]
+        late = answer_shard([used], query_ids, epoch, late=frozenset({"c"}))
+        assert [block.late_ids for block in late] == [
+            () if row is None else ("c",) for row in expected
+        ]
 
 
 class _ChosenUniforms(_Uniforms):

@@ -182,14 +182,19 @@ class TestPopulationEdges:
 
 
 class TestFailureSurfacing:
-    def test_worker_exception_surfaces(self):
+    # The faults below go into a member's own read of its SQL outcome,
+    # ``Client._query_outcome``: with shard arenas pinned off
+    # (``SQLDB_FORCE_PER_CLIENT``) every participant reads through it.
+
+    def test_worker_exception_surfaces(self, monkeypatch):
         """A client that blows up mid-answer fails the epoch, promptly."""
+        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=24, shards=4)
 
         def explode(*args, **kwargs):
             raise RuntimeError("client device on fire")
 
-        system.clients[13].answer = explode
+        system.clients[13]._query_outcome = explode
         with pytest.raises(RuntimeError, match="client device on fire"):
             system.run_epoch(query_id, 0)
         system.close()
@@ -245,31 +250,32 @@ class TestFailureSurfacing:
         assert aggregator.shares_received - before == 12 * 2
         system.close()
 
-    def test_executor_survives_for_the_next_epoch(self):
+    def test_executor_survives_for_the_next_epoch(self, monkeypatch):
         """After a failed epoch the pool is intact and can run again."""
+        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=12, shards=3)
-        original = system.clients[5].answer
 
         def explode(*args, **kwargs):
             raise RuntimeError("transient fault")
 
-        system.clients[5].answer = explode
+        system.clients[5]._query_outcome = explode
         with pytest.raises(RuntimeError, match="transient fault"):
             system.run_epoch(query_id, 0)
-        system.clients[5].answer = original
+        del system.clients[5]._query_outcome
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 12
         system.close()
 
-    def test_a_failed_epoch_waits_for_every_answer_task(self):
+    def test_a_failed_epoch_waits_for_every_answer_task(self, monkeypatch):
         """Shard 0 raises while shard 1 is still answering on a pool thread:
         ``run_epoch`` re-raises only after shard 1's task has finished, so no
         task keeps advancing the live clients after the epoch has failed."""
+        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=8, shards=2)
         in_flight, release = threading.Event(), threading.Event()
         finished = []
         blocked = system.clients[4]  # shard 1 = clients 4-7
-        answer = blocked.answer
+        answer = blocked._query_outcome
 
         def explode(*args, **kwargs):
             in_flight.wait(5)
@@ -281,8 +287,8 @@ class TestFailureSurfacing:
             finished.append(True)
             return answer(*args, **kwargs)
 
-        system.clients[0].answer = explode
-        blocked.answer = block
+        system.clients[0]._query_outcome = explode
+        blocked._query_outcome = block
         raised = []
 
         def run():

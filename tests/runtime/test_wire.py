@@ -493,7 +493,10 @@ class TestSnapshotContents:
         before = pickle.dumps(client.export_state())
         for epoch in range(1, 6):
             client.answer(client.subscribed_query_ids, epoch=epoch)
-            client.answer(client.subscribed_query_ids, epoch=epoch, late=True)
+            answer_shard(
+                [client], client.subscribed_query_ids, epoch,
+                late=frozenset({client.config.client_id}),
+            )
         assert pickle.dumps(client.export_state()) == before
 
     def test_unseeded_clients_draw_a_random_key(self):

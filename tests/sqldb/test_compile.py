@@ -4,7 +4,6 @@ gates, plan caching, and the SQLDB_FORCE_SCAN escape hatch."""
 import pytest
 
 from repro.sqldb import ARENA_FALLBACK, CompileFallback, Database, arena_select_per_client, plan_for
-from repro.sqldb import ast
 from repro.sqldb.parser import parse_statement
 from tests.sqldb.compiled_path import compiled_query
 
@@ -96,7 +95,7 @@ class TestProbeResults:
         db = _db()
         for answer in (compiled_query, Database.query):
             result = answer(db, "SELECT x FROM t WHERE tag IN (NULL, 'a')")
-            assert result.column("x") == [1]
+            assert [value for (value,) in result.rows] == [1]
 
     def test_matching_ids_are_row_ordered(self):
         db = _db()
@@ -122,15 +121,8 @@ class TestPlanCache:
         )
 
     def test_fallback_is_raised_and_cached(self):
-        statement = ast.SelectStatement(
-            table="t",
-            items=(ast.SelectItem(column="x"),),
-            where=ast.Comparison(
-                left=ast.ColumnRef(name="x"),
-                operator="LOLWUT",
-                right=ast.Literal(value=1),
-            ),
-        )
+        # A projected name the schema lacks is the one statement that falls back.
+        statement = parse_statement("SELECT missing FROM t WHERE x = 1")
         columns = _db().table("t").columns
         for _ in range(2):  # second hit comes from the cached fallback
             with pytest.raises(CompileFallback):
@@ -176,15 +168,7 @@ class TestPlanCacheLRU:
     def test_fallback_entries_survive_as_lru_citizens(self):
         # A cached negative entry must behave like any other: re-raised on
         # hit, evictable under pressure without corrupting the cache.
-        statement = ast.SelectStatement(
-            table="t",
-            items=(ast.SelectItem(column="x"),),
-            where=ast.Comparison(
-                left=ast.ColumnRef(name="x"),
-                operator="LOLWUT",
-                right=ast.Literal(value=1),
-            ),
-        )
+        statement = parse_statement("SELECT missing FROM t WHERE x = 1")
         db = _db()
         columns = db.table("t").columns
         with pytest.raises(CompileFallback):
@@ -234,7 +218,7 @@ class TestForceScan:
     def test_env_var_pins_the_scan_path(self, monkeypatch):
         db = _db()
         monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
-        assert db.query(self.SQL).column("x") == [2, 2]
+        assert [value for (value,) in db.query(self.SQL).rows] == [2, 2]
         # The reference path must not have built a columnar copy...
         assert db._arena is None
         # ...and the compiled answer leaves every member to it.

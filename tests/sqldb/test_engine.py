@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sqldb import Database, ExecutionError, ParseError, SchemaError
+from repro.sqldb import Database, ParseError, SchemaError
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ class TestSelect:
     def test_projection(self, rides_db):
         result = rides_db.query("SELECT distance FROM rides")
         assert result.columns == ["distance"]
-        assert len(result.column("distance")) == 6
+        assert len(result.rows) == 6
 
     def test_where_equality(self, rides_db):
         result = rides_db.query("SELECT distance FROM rides WHERE city = 'New York'")
@@ -131,7 +131,7 @@ class TestSelect:
 
     def test_where_numeric_comparison(self, rides_db):
         result = rides_db.query("SELECT distance FROM rides WHERE distance >= 2.4")
-        assert sorted(result.column("distance")) == [2.4, 3.1, 5.9, 12.3]
+        assert sorted(value for (value,) in result.rows) == [2.4, 3.1, 5.9, 12.3]
 
     def test_where_and(self, rides_db):
         result = rides_db.query(
@@ -151,7 +151,7 @@ class TestSelect:
 
     def test_where_between(self, rides_db):
         result = rides_db.query("SELECT distance FROM rides WHERE distance BETWEEN 1 AND 3")
-        assert sorted(result.column("distance")) == [1.5, 2.4]
+        assert sorted(value for (value,) in result.rows) == [1.5, 2.4]
 
     def test_where_in(self, rides_db):
         result = rides_db.query("SELECT fare FROM rides WHERE borough IN ('Bronx', 'Queens')")
@@ -171,10 +171,6 @@ class TestSelect:
 
 
 class TestResultSet:
-    def test_as_dicts(self, rides_db):
-        dicts = rides_db.query("SELECT borough FROM rides WHERE fare < 10").as_dicts()
-        assert dicts == [{"borough": "Manhattan"}, {"borough": "Brooklyn"}]
-
-    def test_unknown_column_access_rejected(self, rides_db):
-        with pytest.raises(ExecutionError):
-            rides_db.query("SELECT distance FROM rides").column("missing")
+    def test_rows_are_tuples_in_table_order(self, rides_db):
+        result = rides_db.query("SELECT borough FROM rides WHERE fare < 10")
+        assert result.rows == [("Manhattan",), ("Brooklyn",)]
