@@ -120,10 +120,9 @@ class ResidentShardCache:
     def __init__(self) -> None:
         self._clients: dict[int, list["Client"]] = {}
         self._tokens: dict[int, bytes] = {}
-        # Shard id → ShardArena over the resident clients' databases, with
-        # the answer pass's standing-bucket memo on it; lives and dies with
-        # the residency (bootstrap replaces it, invalidate drops it) and
-        # syncs incrementally under ShardDelta traffic.
+        # Shard id → ShardArena over the resident clients' databases; lives
+        # and dies with the residency (bootstrap replaces it, invalidate
+        # drops it) and syncs incrementally under ShardDelta traffic.
         self._arenas: dict[int, ShardArena] = {}
 
     def install(self, shard_index: int, clients: list["Client"]) -> None:

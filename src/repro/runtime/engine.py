@@ -103,13 +103,8 @@ def answer_shard(
        over these clients' databases, each statement is asked once, for the
        slots of its participants only (:func:`shard_outcomes`) — draw-neutral
        too, since SQL consumes no randomness.
-    3. **Buckets.**  A participant's bucket is read off the arena's
-       standing-bucket memo (``arena.memo``: query id → one
-       ``(outcome, query, bucket)`` per slot).  A hit needs the same outcome
-       object and the same :class:`~repro.core.query.Query` object as the
-       last ask; the arena hands out a kept outcome as the same object until
-       the slot's latest row moves, so an unchanged table never buckets its
-       value again.  Exceptions and fallbacks are never memoised.  Members
+    3. **Buckets.**  Each participant's bucket is the bucket of its
+       outcome's value (:func:`~repro.core.client.answer_value`).  Members
        the arena does not answer — flagged
        :data:`~repro.sqldb.ARENA_FALLBACK`, a statement that falls back for
        the whole shard, or every member when there is no arena — read their
@@ -120,9 +115,10 @@ def answer_shard(
        of its rows at once (:meth:`ResponseBlock.build
        <repro.core.client.ResponseBlock.build>`).
 
-    Every participant's outcome is read before any block is built, and when
-    several ``(client, query)`` statements raise, the first in client-major
-    order raises, as under serial.
+    Every participant's outcome is read and bucketed before any block is
+    built, and when several ``(client, query)`` pairs raise — reading the
+    statement or bucketing its value — the first in client-major order
+    raises, as under serial.
 
     ``late`` is the epoch's late set (``EpochContext.late``): a late
     participant reads its outcome (so a statement that raises for it still
@@ -145,46 +141,33 @@ def answer_shard(
     asked = shard_outcomes(
         clients, arena, {sql: sorted(slots) for sql, slots in slots_per_sql.items()}
     )
-    memo = None
-    if asked is not None:
-        memo = arena.memo
-        for stale in memo.keys() - set(query_ids):  # a query no longer asked keeps nothing
-            del memo[stale]
     own_caches: dict[int, dict] = {}  # members answering alone, one cache each
     errors: list[tuple[int, int, Exception]] = []
     blocks_rows: list[tuple[list, list[str]]] = []
-    for index, (query_id, coins) in enumerate(zip(query_ids, columns)):
+    for index, coins in enumerate(columns):
         rows: list = []
         late_ids: list[str] = []
         blocks_rows.append((rows, late_ids))
-        kept = None if memo is None else memo.setdefault(query_id, [None] * len(clients))
         for slot, coin in enumerate(coins):
             if coin is None:
                 continue
             query, client = coin[0], clients[slot]
             outcomes = None if asked is None else asked.get(query.sql)
             outcome = ARENA_FALLBACK if outcomes is None else outcomes[slot]
-            from_arena = outcome is not ARENA_FALLBACK
-            if not from_arena:
-                try:
+            try:
+                if outcome is ARENA_FALLBACK:
                     outcome = client._query_outcome(query, own_caches.setdefault(slot, {}))
-                except Exception as exc:  # noqa: BLE001 - raised below, in serial's order
-                    errors.append((slot, index, exc))
+                elif isinstance(outcome, BaseException):
+                    errors.append((slot, index, outcome))
                     continue
-            elif isinstance(outcome, BaseException):
-                errors.append((slot, index, outcome))
-                continue
-            if late and client.config.client_id in late:
-                late_ids.append(client.config.client_id)
-                continue
-            entry = kept[slot] if from_arena else None
-            if entry is not None and entry[0] is outcome and entry[1] is query:
-                bucket = entry[2]
-            else:
+                if late and client.config.client_id in late:
+                    late_ids.append(client.config.client_id)
+                    continue
                 spec = query.answer_spec
                 bucket = spec.buckets.bucket_of(answer_value(outcome, spec.value_column))
-                if from_arena:
-                    kept[slot] = (outcome, query, bucket)
+            except Exception as exc:  # noqa: BLE001 - raised below, in serial's order
+                errors.append((slot, index, exc))
+                continue
             rows.append((client, (coin, bucket)))
     if errors:
         raise min(errors, key=lambda error: error[:2])[2]
@@ -408,9 +391,8 @@ class StagedEpochEngine(EpochExecutor):
         self.transport = driver.transport
         #: Per-epoch StageMetrics, success and failure alike.
         self.stage_metrics: dict[int, StageMetrics] = {}
-        #: Shard index → ShardArena for the in-process drivers, with the
-        #: answer pass's standing-bucket memo on it; reused across epochs
-        #: while the shard's member databases are identical objects.
+        #: Shard index → ShardArena for the in-process drivers; reused across
+        #: epochs while the shard's member databases are identical objects.
         self._arenas: dict[int, ShardArena] = {}
         driver.bind(self)
 
@@ -735,10 +717,9 @@ class OverlapThreadDriver(StageDriver):
                 max_workers=self.engine.num_workers,
                 thread_name_prefix="privapprox-pipeline",
             )
-        # Every arena (and the memo it carries) is fetched, replaced when its
-        # members changed, on the caller thread before the first task starts;
-        # each task then syncs and asks its own shard's arena, and the shards
-        # are disjoint.
+        # Every arena is fetched (replaced when its members changed) on the
+        # caller thread before the first task starts; each task then syncs
+        # and asks its own shard's arena, and the shards are disjoint.
         tasks = []
         for shard in handle.occupied:
             clients = handle.context.clients[shard.as_slice()]

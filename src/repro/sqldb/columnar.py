@@ -383,10 +383,6 @@ class ShardArena:
     def __init__(self, databases: list):
         self._databases = list(databases)
         self._tables: dict[str, ArenaTable] = {}
-        #: The owner's state derived from this arena's outcomes, which lives
-        #: and dies with the arena: the shard answer pass keeps each slot's
-        #: standing bucket here (:func:`~repro.runtime.engine.answer_shard`).
-        self.memo: dict = {}
 
     @property
     def databases(self) -> list:

@@ -40,6 +40,7 @@ from repro.runtime import (
     engine,
     make_executor,
 )
+from repro.sqldb import ARENA_FALLBACK
 
 PIPELINED = "pipelined-overlap/in-process"
 INLINE = "inline/in-process"
@@ -62,6 +63,49 @@ RESPAWNED_WORKERS = pytest.param(
     RESIDENT, marks=pytest.mark.respawned_workers, id=f"{RESIDENT}+respawned-workers"
 )
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
+
+
+class ReadHooks:
+    """Route chosen members' SQL reads through hooks on the shard pass.
+
+    A hooked member's outcome in the shard pass's arena ask
+    (``engine.arena_select_per_client``, on the pool threads) becomes what
+    its hook returns, or the exception it raises as an exception outcome,
+    which the pass raises after reading the rest of the shard.  A hook
+    takes ``read``, which returns the real outcome.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self._hooks: dict[int, object] = {}  # id(client.database) -> hook
+        real = engine.arena_select_per_client
+
+        def hooked(arena, sql, slots=None):
+            outcomes = real(arena, sql, slots=slots)
+            if outcomes is None:
+                return outcomes
+            outcomes = list(outcomes)
+            for slot, database in enumerate(arena.databases):
+                hook = self._hooks.get(id(database))
+                if hook is None or outcomes[slot] is ARENA_FALLBACK:
+                    continue
+                try:
+                    outcomes[slot] = hook(lambda: outcomes[slot])
+                except Exception as exc:  # noqa: BLE001 - an exception outcome
+                    outcomes[slot] = exc
+            return outcomes
+
+        monkeypatch.setattr(engine, "arena_select_per_client", hooked)
+
+    def install(self, client, hook) -> None:
+        self._hooks[id(client.database)] = hook
+
+    def remove(self, client) -> None:
+        del self._hooks[id(client.database)]
+
+
+@pytest.fixture
+def read_hooks(monkeypatch) -> ReadHooks:
+    return ReadHooks(monkeypatch)
 
 
 def make_context(num_clients: int) -> EpochContext:
@@ -182,19 +226,14 @@ class TestPopulationEdges:
 
 
 class TestFailureSurfacing:
-    # The faults below go into a member's own read of its SQL outcome,
-    # ``Client._query_outcome``: with shard arenas pinned off
-    # (``SQLDB_FORCE_PER_CLIENT``) every participant reads through it.
-
-    def test_worker_exception_surfaces(self, monkeypatch):
+    def test_worker_exception_surfaces(self, read_hooks):
         """A client that blows up mid-answer fails the epoch, promptly."""
-        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=24, shards=4)
 
-        def explode(*args, **kwargs):
+        def explode(read):
             raise RuntimeError("client device on fire")
 
-        system.clients[13]._query_outcome = explode
+        read_hooks.install(system.clients[13], explode)
         with pytest.raises(RuntimeError, match="client device on fire"):
             system.run_epoch(query_id, 0)
         system.close()
@@ -250,45 +289,42 @@ class TestFailureSurfacing:
         assert aggregator.shares_received - before == 12 * 2
         system.close()
 
-    def test_executor_survives_for_the_next_epoch(self, monkeypatch):
+    def test_executor_survives_for_the_next_epoch(self, read_hooks):
         """After a failed epoch the pool is intact and can run again."""
-        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=12, shards=3)
 
-        def explode(*args, **kwargs):
+        def explode(read):
             raise RuntimeError("transient fault")
 
-        system.clients[5]._query_outcome = explode
+        read_hooks.install(system.clients[5], explode)
         with pytest.raises(RuntimeError, match="transient fault"):
             system.run_epoch(query_id, 0)
-        del system.clients[5]._query_outcome
+        read_hooks.remove(system.clients[5])
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 12
         system.close()
 
-    def test_a_failed_epoch_waits_for_every_answer_task(self, monkeypatch):
+    def test_a_failed_epoch_waits_for_every_answer_task(self, read_hooks):
         """Shard 0 raises while shard 1 is still answering on a pool thread:
         ``run_epoch`` re-raises only after shard 1's task has finished, so no
         task keeps advancing the live clients after the epoch has failed."""
-        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
         system, query_id = make_system(num_clients=8, shards=2)
         in_flight, release = threading.Event(), threading.Event()
         finished = []
         blocked = system.clients[4]  # shard 1 = clients 4-7
-        answer = blocked._query_outcome
 
-        def explode(*args, **kwargs):
+        def explode(read):
             in_flight.wait(5)
             raise RuntimeError("shard 0 on fire")
 
-        def block(*args, **kwargs):
+        def block(read):
             in_flight.set()
             release.wait(5)
             finished.append(True)
-            return answer(*args, **kwargs)
+            return read()
 
-        system.clients[0]._query_outcome = explode
-        blocked._query_outcome = block
+        read_hooks.install(system.clients[0], explode)
+        read_hooks.install(blocked, block)
         raised = []
 
         def run():

@@ -1,11 +1,11 @@
 """The shard answer pass against the per-client reference.
 
 ``answer_shard`` answers each query as a column over its shard: one coin
-pass, one arena ask per statement, and each participant's bucket read off
-the arena's standing-bucket memo.  The reference is what serial does:
-``Client.answer`` per member, then ``ResponseBlock.build`` per query.  Every
-block column must match except ``message_ids`` (random), and a shard whose
-statements raise must raise what serial raises.
+pass, then one arena ask per statement for the participants, whose values
+are bucketed.  The reference is what serial does: ``Client.answer`` per
+member, then ``ResponseBlock.build`` per query.  Every block column must
+match except ``message_ids`` (random), and a shard whose statements or
+bucket rules raise must raise what serial raises.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from repro.core import (
     PrivApproxSystem,
     QueryBudget,
     RangeBuckets,
+    RuleBuckets,
     SystemConfig,
 )
-from repro.core import client as client_module
 from repro.core.client import Client, ClientConfig, ResponseBlock
 from repro.runtime.engine import answer_shard
 from repro.sqldb import cached_shard_arena
@@ -152,32 +152,45 @@ class TestMixedShard:
                 if client is not clients[6]:
                     client.ingest(_rows(rng, 1))
 
-    def test_static_tables_bucket_nothing_twice(self, monkeypatch):
-        """A second ask of unchanged tables reads every arena member's bucket
-        off the memo: only the mixed-schema member (answering alone) buckets
-        a value again."""
+    def test_a_raising_bucket_rule_raises_in_client_major_order(self):
+        """A bucket rule that raises (a callable ``RuleBuckets`` rule that
+        expects TEXT, given a REAL) fails its (client, query) pair like a
+        statement that raises: when member 8's rule raises on the first
+        query, member 7's read error (no table) on it raises, as serial's
+        client-major order has it; once member 7 has a table, its own rule
+        error does."""
         clients, queries, late = _mixed_shard()
-        clients[7].create_table(SCHEMA)
         clients[6].unsubscribe(queries[1].query_id)
-        query_ids = [query.query_id for query in queries]
-        arena = self._arena({}, clients)
-        answer_shard(clients, query_ids, 0, arena)
-        seen = []
-        value_of = client_module.answer_value
+        textual = Analyst("shard-pass-rules").create_query(
+            "SELECT value FROM private_data",
+            AnswerSpec(
+                buckets=RuleBuckets(rules=(("three", lambda value: value.startswith("3")),)),
+                value_column="value",
+            ),
+            frequency_seconds=60.0,
+            window_seconds=60.0,
+            slide_seconds=60.0,
+        )
+        for index in (6, 7, 8):  # 6 holds TEXT, so its rule answers
+            clients[index].subscribe(textual, ALWAYS)
+        query_ids = [textual.query_id] + [query.query_id for query in queries]
+        cache: dict = {}
+        raised = self._check(cache, clients, query_ids, 0, late)
+        assert raised[0].__name__ == "SchemaError"
+        clients[7].create_table(SCHEMA)
+        clients[7].ingest([{"value": 1.0, "zone": 1}])
+        raised = self._check(cache, clients, query_ids, 1, late)
+        assert raised[0] is AttributeError
+        clients[7].unsubscribe(textual.query_id)
+        clients[8].unsubscribe(textual.query_id)
+        blocks = self._check(cache, clients, query_ids, 2, late)
+        assert blocks[0][2] == ("member-6",)  # client_ids: the rule's one answer
 
-        def recording(result, value_column):
-            seen.append(len(result))
-            return value_of(result, value_column)
-
-        monkeypatch.setattr(client_module, "answer_value", recording)
-        answer_shard(clients, query_ids, 0, arena)
-        coins = clients[6].flip_coins(query_ids, 0)
-        assert sum(seen) == sum(coin is not None for coin in coins) == 2
-
-    def test_each_change_misses_the_memo(self):
+    def test_each_change_answers_like_the_reference(self):
         """A tail append, a re-submitted query, an unsubscribe then a
         resubscribe, and a replaced member: the pass answers like the
-        reference after each, where a stale bucket would differ."""
+        reference after each, where a stale outcome or bucket would
+        differ."""
         clients, queries, late = _mixed_shard()
         clients[7].create_table(SCHEMA)
         clients[7].ingest([{"value": 1.0, "zone": 1}])
@@ -221,7 +234,7 @@ class TestMixedShard:
         member.ingest([{"value": 0.5, "zone": 1}])
         member.subscribe(resubmitted, parameters)
         check()
-        # A replaced member rebuilds the arena, and its memo with it.
+        # A replaced member rebuilds the arena.
         stale = self._arena(cache, clients)
         replacement = Client(ClientConfig(client_id="member-1", seed=701))
         replacement.create_table(SCHEMA)
