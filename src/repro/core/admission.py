@@ -35,16 +35,29 @@ def participation_token(client_secret: bytes, query_id: str, epoch: int) -> byte
     client draw (:mod:`repro.core.seeding`): stable for one epoch (so
     duplicates collide), but different and unlinkable across epochs and
     queries (so the aggregator cannot track a client over time).  It is the
-    raw 16-byte digest, the form the message ``M`` carries it in.
+    raw 16-byte digest, the form the message ``M`` carries it in.  The
+    one-row case of :func:`participation_tokens`.
     """
-    if not client_secret:
+    return participation_tokens([client_secret], query_id, epoch)[0]
+
+
+def participation_tokens(client_secrets, query_id: str, epoch: int) -> list[bytes]:
+    """Each client secret's :func:`participation_token` for one query and epoch.
+
+    The column form a shard's block takes its tokens in: the inputs are
+    checked once, ``f"{query_id}|{epoch}"`` is encoded once, then one keyed
+    BLAKE2b runs per secret.
+    """
+    if not all(client_secrets):
         raise ValueError("client secret must not be empty")
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     message = f"{query_id}|{epoch}".encode("utf-8")
-    return hashlib.blake2b(
-        message, key=client_secret, digest_size=PARTICIPATION_TOKEN_LENGTH
-    ).digest()
+    blake2b = hashlib.blake2b
+    return [
+        blake2b(message, key=secret, digest_size=PARTICIPATION_TOKEN_LENGTH).digest()
+        for secret in client_secrets
+    ]
 
 
 @dataclass(frozen=True)
@@ -99,13 +112,31 @@ class AnswerAdmissionController:
         """Admit many ``(epoch, token)`` answers in arrival order.
 
         Decision-for-decision and counter-for-counter identical to calling
-        :meth:`admit` once per item, but the per-epoch seen-set and admitted
-        count are resolved once per distinct epoch instead of once per answer
-        and no :class:`AdmissionDecision` is allocated.  The aggregator's one
+        :meth:`admit` once per item, without an :class:`AdmissionDecision`
+        per answer.  A batch whose tokens are all for one epoch, non-empty,
+        distinct, none seen before and within the cap — a block of honest
+        answers — is admitted as a column: one ``set.update``.  Any other
+        batch is decided item by item, the per-epoch seen-set and admitted
+        count resolved once per distinct epoch.  The aggregator's one
         ingest path admits through this; :meth:`admit` stays as the
         per-answer reference the tests compare it against.
         """
+        if not items:
+            return []
         max_answers = self.max_answers_per_epoch
+        epochs, tokens = zip(*items)
+        if epochs.count(epochs[0]) == len(epochs) and all(tokens):
+            key = (query_id, epochs[0])
+            batch = set(tokens)
+            count = self._admitted_counts.get(key, 0) + len(tokens)
+            if (
+                len(batch) == len(tokens)
+                and (max_answers is None or count <= max_answers)
+                and batch.isdisjoint(self._seen.get(key, ()))
+            ):
+                self._seen.setdefault(key, set()).update(batch)
+                self._admitted_counts[key] = count
+                return [True] * len(tokens)
         seen_cache: dict[tuple[str, int], set[bytes]] = {}
         count_cache: dict[tuple[str, int], int] = {}
         verdicts = []

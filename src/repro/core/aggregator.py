@@ -24,9 +24,10 @@ reach the window-aggregate operator as per-bucket counts
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from repro.analytics.histogram import HistogramResult
@@ -36,7 +37,7 @@ from repro.core.encryption import AnswerCodec
 from repro.core.estimation import count_answer_bits, estimate_histogram
 from repro.core.query import Query, QueryAnswer
 from repro.core.validation import AnswerValidator
-from repro.crypto.xor import MessageShare, ShareColumn, join_shares_batch, xor_many
+from repro.crypto.xor import MID_BYTES, MessageShare, ShareColumn, join_shares_batch, xor_many
 from repro.streaming.operators import KeyedJoinOperator, WindowAggregateOperator
 from repro.streaming.records import StreamRecord
 from repro.streaming.windows import SlidingWindowAssigner, Window
@@ -205,19 +206,19 @@ class Aggregator:
                 loose_ids.add(item.message_id)
         # MID column -> the rows that must take the keyed join instead.
         keyed_rows: dict[bytes, Sequence[int]] = {}
+        # The raw MIDs a block row can clash with: the loose shares' and
+        # those pending in the join (read only when a block needs them).
+        taken: set[bytes] | None = None
         for mids, columns in blocks.items():
             rows = columns[0].rows
             if len(columns) != self.num_proxies or len({c.width for c in columns}) != 1:
                 keyed_rows[mids] = range(rows)
             elif loose_ids or self._join.pending_keys():
-                clashes = [
-                    row
-                    for row in range(rows)
-                    if (mid := columns[0].message_id(row)) in loose_ids
-                    or self._join.has_pending(mid)
-                ]
-                if clashes:
-                    keyed_rows[mids] = clashes
+                if taken is None:
+                    taken = _raw_message_ids(loose_ids) | _raw_message_ids(self._join.waiting_keys())
+                row_mids = [mids[at : at + MID_BYTES] for at in range(0, len(mids), MID_BYTES)]
+                if not taken.isdisjoint(row_mids):
+                    keyed_rows[mids] = [row for row, mid in enumerate(row_mids) if mid in taken]
         loose: list[MessageShare] = []
         for item in items:
             if not isinstance(item, ShareColumn):
@@ -242,63 +243,75 @@ class Aggregator:
     ) -> None:
         """Decrypt, check, admit and count one block's rows (but ``skip``).
 
-        The payload columns XOR into the column of messages in one pass.  A
-        row that starts with the header prefix of this query at this epoch,
-        with its bit count and a participation token's length
-        (:meth:`AnswerCodec.parse_column`), is well formed by construction:
-        its token goes to admission and its packed bits to the count as
-        they are.  Any other row is decoded and validated like a loose
+        The payload columns XOR into the column of messages in one pass,
+        and :meth:`AnswerCodec.parse_column` splits it in one more: a row
+        that starts with the header prefix of this query at this epoch,
+        with its bit count and a participation token's length, is well
+        formed by construction, so the tokens go to admission and the
+        packed bits to the count as columns (one uniform validation, one
+        :meth:`~repro.core.admission.AnswerAdmissionController.admit_batch`,
+        one count).  Any other row is decoded and validated like a loose
         answer.  Admission sees the rows in block order.
         """
         width = columns[0].width
         plain = xor_many([column.payload for column in columns])
         query_id, num_bits = self.query.query_id, self.query.num_buckets
-        parsed = self._codec.parse_column(
+        tokens, packed, odd_rows = self._codec.parse_column(
             plain, width, query_id, epoch, num_bits, PARTICIPATION_TOKEN_LENGTH
         )
-        fast: list[tuple[int, bytes, bytes]] = []
         slow: list[tuple[int, QueryAnswer]] = []
-        for row, fields in enumerate(parsed):
-            if row in skip:
-                continue
-            if fields is not None:
-                fast.append((row, *fields))
-                continue
-            try:
-                slow.append((row, self._codec.decode(plain[row * width : (row + 1) * width])))
-            except ValueError:
-                self.malformed_messages += 1
+        if odd_rows or skip:
+            # The rows behind ``tokens`` / ``packed``, then both without ``skip``.
+            odd = frozenset(odd_rows)
+            fast = [row for row in range(columns[0].rows) if row not in odd]
+            kept = [index for index, row in enumerate(fast) if row not in skip]
+            fast = [fast[index] for index in kept]
+            tokens = [tokens[index] for index in kept]
+            packed = [packed[index] for index in kept]
+            for row in odd_rows:
+                if row in skip:
+                    continue
+                try:
+                    slow.append((row, self._codec.decode(plain[row * width : (row + 1) * width])))
+                except ValueError:
+                    self.malformed_messages += 1
         if self.validator is not None:
-            fast_ok = self.validator.validate_uniform(
-                query_id, num_bits, epoch, epoch, [bits for _, _, bits in fast]
-            )
+            fast_ok = self.validator.validate_uniform(query_id, num_bits, epoch, epoch, packed)
             slow_ok = self.validator.validate_batch([answer for _, answer in slow], epoch)
             self.invalid_answers += fast_ok.count(False) + slow_ok.count(False)
             if False in fast_ok:
-                fast = [entry for entry, ok in zip(fast, fast_ok) if ok]
+                fast = [row for row, ok in zip(fast, fast_ok) if ok]
+                tokens = [token for token, ok in zip(tokens, fast_ok) if ok]
+                packed = [bits for bits, ok in zip(packed, fast_ok) if ok]
             slow = [entry for entry, ok in zip(slow, slow_ok) if ok]
-        # (row, epoch, token, packed bits or the decoded answer), block order.
-        candidates = [(row, epoch, token, bits) for row, token, bits in fast]
+        # (epoch, token) per candidate and what it counts with: its packed
+        # bits or its decoded answer, in block order.
+        keys = list(zip(itertools.repeat(epoch), tokens))
+        values = packed
         if slow:
-            candidates.extend((row, a.epoch, a.token, a) for row, a in slow)
-            candidates.sort(key=lambda candidate: candidate[0])
-        if self.admission is not None:
-            verdicts = self.admission.admit_batch(
-                query_id, [(answer_epoch, token) for _, answer_epoch, token, _ in candidates]
+            merged = sorted(
+                [
+                    *zip(fast, keys, packed),
+                    *((row, (answer.epoch, answer.token), answer) for row, answer in slow),
+                ],
+                key=itemgetter(0),
             )
-            self.rejected_duplicates += verdicts.count(False)
+            keys = [key for _, key, _ in merged]
+            values = [value for _, _, value in merged]
+        if self.admission is not None and keys:
+            verdicts = self.admission.admit_batch(query_id, keys)
             if False in verdicts:
-                candidates = [entry for entry, ok in zip(candidates, verdicts) if ok]
-        packed = [entry[3] for entry in candidates if type(entry[3]) is bytes]
-        if packed:
+                self.rejected_duplicates += verdicts.count(False)
+                values = [value for value, ok in zip(values, verdicts) if ok]
+        answers = [value for value in values if type(value) is not bytes] if slow else ()
+        if len(answers) < len(values):
+            bits = [value for value in values if type(value) is bytes] if answers else values
             tally.add_counts(
-                timestamp, self._codec.count_packed_bits(b"".join(packed), num_bits),
-                len(packed), epoch,
+                timestamp, self._codec.count_packed_bits(b"".join(bits), num_bits),
+                len(bits), epoch,
             )
-        if len(packed) < len(candidates):
-            tally.add_answers(
-                timestamp, [entry[3] for entry in candidates if type(entry[3]) is not bytes]
-            )
+        if answers:
+            tally.add_answers(timestamp, answers)
 
     def _join_grouped(
         self, shares: list[MessageShare], timestamp: float
@@ -436,6 +449,21 @@ class Aggregator:
             confidence_level=self.confidence_level,
             window=(window.start, window.end),
         )
+
+
+def _raw_message_ids(message_ids) -> set[bytes]:
+    """The 16 raw bytes behind each ``MID`` that is the hex form a block
+    row's ``MID`` takes as a loose share; any other key clashes with no
+    block row and is left out."""
+    raw = set()
+    for message_id in message_ids:
+        try:
+            mid = bytes.fromhex(message_id)
+        except (TypeError, ValueError):
+            continue
+        if len(mid) == MID_BYTES and mid.hex() == message_id:
+            raw.add(mid)
+    return raw
 
 
 class WindowPartial(NamedTuple):

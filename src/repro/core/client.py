@@ -34,7 +34,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any
 
-from repro.core.admission import participation_token
+# ``participation_token`` stays importable here: the epoch profile's token
+# span is patched on this module's name.
+from repro.core.admission import participation_token, participation_tokens  # noqa: F401
 from repro.core.budget import ExecutionParameters
 from repro.core.encryption import AnswerCodec, EncryptedAnswer
 from repro.core.query import Query
@@ -192,63 +194,72 @@ class ResponseBlock:
     ) -> "ResponseBlock":
         """Steps II-III for every ``(client, answer)`` of one query, as one block.
 
-        Rows keep the order given.  The truthful column is built from the
-        answers' buckets, unpacked for randomizing and packed for the block
-        in the same pass (one bit set per row); one
+        Rows keep the order given.  One loop over the rows collects the
+        client ids, token secrets, responders' tables and draws and sets
+        the truthful column's bits, unpacked for randomizing and packed for
+        the block (one bit set per row).  One
         :meth:`RandomizedResponder.randomize_vector
         <repro.core.randomized_response.RandomizedResponder.randomize_vector>`
         call randomizes all of it — one per run of rows whose responders
-        hold equal ``p, q``: the system subscribes every client with the
-        query's parameters, so a deployment's block is one run, but
-        :meth:`Client.subscribe` can re-tune a single client, and its row
-        then keeps its own rates; one conversion packs the randomized
-        column, which is both the block's column and what
-        :meth:`AnswerCodec.encode_rows
-        <repro.core.encryption.AnswerCodec.encode_rows>` puts under one header
-        prefix; :func:`~repro.crypto.xor.split_columns`
-        XORs the message column with its key columns; one
-        ``secure_random_bytes`` call draws the whole ``MID`` column.  Per row
-        are only the PRF reads, under the row's own client key: its
-        randomized-response bytes, its participation token and its pad.
+        hold equal threshold tables (one cached object per ``p, q``): the
+        system subscribes every client with the query's parameters, so a
+        deployment's block is one run, but :meth:`Client.subscribe` can
+        re-tune a single client, and its row then keeps its own rates.  One
+        conversion packs the randomized column, which is both the block's
+        column and what :meth:`AnswerCodec.encode_rows
+        <repro.core.encryption.AnswerCodec.encode_rows>` puts under one
+        header prefix; :func:`~repro.core.admission.participation_tokens`
+        hashes the token column, :meth:`AnswerCodec.pad_columns
+        <repro.core.encryption.AnswerCodec.pad_columns>` reads the pad
+        column, :func:`~repro.crypto.xor.split_columns` XORs the message
+        column with its key columns and one ``secure_random_bytes`` call
+        draws the whole ``MID`` column.  Every PRF read is keyed by the
+        row's own client and read as a column: the high randomized-response
+        bytes, the tokens and the pads; a row reads low bytes only for the
+        bits its high bytes did not decide.
         """
         if not answers:
             return cls(query_id, epoch, (), b"", 0, b"", b"", 0, (b"",) * num_proxies, late_ids)
-        coins = [coin for _, (coin, _) in answers]
-        num_bits = coins[0][0].answer_spec.num_buckets
+        num_bits = answers[0][1][0][0].answer_spec.num_buckets
         stride = (num_bits + 7) // 8
-        truthful = bytearray(len(answers) * num_bits)
-        truthful_packed = bytearray(len(answers) * stride)
-        for row, (_, (_, bucket)) in enumerate(answers):
+        rows = len(answers)
+        truthful = bytearray(rows * num_bits)
+        truthful_packed = bytearray(rows * stride)
+        client_ids, secrets, tables, draws = [], [], [], []
+        for row, (client, ((_, responder, row_draws), bucket)) in enumerate(answers):
+            client_ids.append(client.config.client_id)
+            secrets.append(client._token_secret)
+            tables.append(responder._tables)
+            draws.append(row_draws)
             if bucket is not None:
                 if not 0 <= bucket < num_bits:
                     raise ValueError(f"bucket {bucket} outside a {num_bits}-bit answer")
                 truthful[row * num_bits + bucket] = 1
                 truthful_packed[row * stride + bucket // 8] = 0x80 >> bucket % 8
         truthful = bytes(truthful)
-        draws = [coin[2] for coin in coins]
-        runs, start = [], 0
-        for _, run in itertools.groupby(coins, key=lambda coin: (coin[1].p, coin[1].q)):
-            end = start + len(list(run))
-            runs.append(
-                coins[start][1].randomize_vector(
-                    truthful[start * num_bits : end * num_bits], draws[start:end]
+        if tables.count(tables[0]) == rows:
+            randomized = answers[0][1][0][1].randomize_vector(truthful, draws)
+        else:
+            runs, start = [], 0
+            for _, run in itertools.groupby(tables):
+                end = start + len(list(run))
+                runs.append(
+                    answers[start][1][0][1].randomize_vector(
+                        truthful[start * num_bits : end * num_bits], draws[start:end]
+                    )
                 )
-            )
-            start = end
-        randomized = _CODEC._pack_bits(b"".join(runs), num_bits)
+                start = end
+            randomized = b"".join(runs)
+        randomized = _CODEC._pack_bits(randomized, num_bits)
         messages = _CODEC.encode_rows(
-            query_id,
-            epoch,
-            [participation_token(client._token_secret, query_id, epoch) for client, _ in answers],
-            randomized,
-            num_bits,
+            query_id, epoch, participation_tokens(secrets, query_id, epoch), randomized, num_bits
         )
         keys = _CODEC.pad_columns(messages, num_proxies, draws)
         return cls(
             query_id=query_id,
             epoch=epoch,
-            client_ids=tuple([client.config.client_id for client, _ in answers]),
-            message_ids=prng.secure_random_bytes(MID_BYTES * len(answers)),
+            client_ids=tuple(client_ids),
+            message_ids=prng.secure_random_bytes(MID_BYTES * rows),
             num_bits=num_bits,
             truthful_bits=bytes(truthful_packed),
             randomized_bits=randomized,

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.query import QueryAnswer
+from repro.core.seeding import pad_seeds
 from repro.crypto.prng import KeystreamGenerator, keystreams
 from repro.crypto.xor import MessageShare, join_shares, split_message
 
@@ -38,6 +40,13 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
 # byte but 0 and 1 becomes "2", a digit base 2 refuses: the packer's check.
 _BITS_TO_DIGITS = bytes(b"01"[byte] if byte < 2 else ord("2") for byte in range(256))
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=64)
+def _message_splitter(prefix_length: int, token_length: int, stride: int) -> struct.Struct:
+    """A message's head (header and query id), token and packed bits, as
+    one layout per message shape, whatever the row count."""
+    return struct.Struct(f"{prefix_length}s{token_length}s{stride}s")
 
 
 @functools.lru_cache(maxsize=256)
@@ -147,18 +156,21 @@ class AnswerCodec:
         ``messages`` are equally wide and ``draws[i]`` is message ``i``'s
         :class:`~repro.core.seeding.EpochDraws`.  Row ``i`` of every column
         is read off the keystream :meth:`encrypt` seeds from ``draws[i]``
-        and message ``i`` (every row's stream in one
-        :func:`~repro.crypto.prng.keystreams` call), so splitting the
+        and message ``i``: the seeds come from one
+        :func:`~repro.core.seeding.pad_seeds` pass (the :data:`PAD
+        <repro.core.seeding.PAD>` coordinates packed once per epoch) and
+        every row's stream from one :func:`~repro.crypto.prng.keystreams`
+        call.  With two proxies the streams are the one key column as they
+        are; more proxies cut each stream into its columns.  Splitting the
         message column with these keys (:func:`~repro.crypto.xor.split_columns`)
         gives exactly the payloads :meth:`encrypt` gives each message.
         """
         if not messages:
             return [b""] * (num_proxies - 1)
         width = len(messages[0])
-        streams = keystreams(
-            [row_draws.pad_seed(message) for message, row_draws in zip(messages, draws)],
-            width * (num_proxies - 1),
-        )
+        streams = keystreams(pad_seeds(draws, messages), width * (num_proxies - 1))
+        if num_proxies == 2:
+            return [b"".join(streams)]
         return [
             b"".join([stream[start : start + width] for stream in streams])
             for start in range(0, width * (num_proxies - 1), width)
@@ -172,30 +184,38 @@ class AnswerCodec:
         epoch: int,
         num_bits: int,
         token_length: int,
-    ) -> list[tuple[bytes, bytes] | None]:
-        """Read a column of ``width``-byte decrypted messages, row by row.
+    ) -> tuple[Sequence[bytes], Sequence[bytes], list[int]]:
+        """Split a column of ``width``-byte decrypted messages into
+        ``(tokens, packed, odd_rows)``.
 
         A row that is a well-formed answer to ``query_id`` at ``epoch`` with
         ``num_bits`` bits and a ``token_length``-byte token — it starts with
-        :meth:`prefix` and is exactly as long as such a message — reads as
-        ``(raw token, packed bits)``; every other row reads as ``None``, for
-        the caller to :meth:`decode` (which parses it, or says why it cannot).
+        :meth:`prefix` and is exactly as long as such a message — gives its
+        raw token to ``tokens`` and its packed bits to ``packed``, in row
+        order; every other row is listed in ``odd_rows``, for the caller to
+        :meth:`decode` (which parses it, or says why it cannot).  One cached
+        ``struct`` layout splits every row into head, token and bits in one
+        ``iter_unpack``, and one ``count`` of the prefix among the heads
+        vouches for a whole well-formed column.
         """
         rows = len(column) // width if width else 0
         try:
             prefix = self.prefix(query_id, epoch, num_bits, token_length)
         except ValueError:
-            return [None] * rows
-        token_start = len(prefix)
-        bits_start = token_start + token_length
-        if width != bits_start + (num_bits + 7) // 8:
-            return [None] * rows
-        return [
-            (column[at + token_start : at + bits_start], column[at + bits_start : at + width])
-            if column.startswith(prefix, at)
-            else None
-            for at in range(0, rows * width, width)
-        ]
+            return [], [], list(range(rows))
+        stride = (num_bits + 7) // 8
+        if not rows or width != len(prefix) + token_length + stride:
+            return [], [], list(range(rows))
+        heads, tokens, packed = zip(
+            *_message_splitter(len(prefix), token_length, stride).iter_unpack(
+                column[: rows * width]
+            )
+        )
+        if heads.count(prefix) == rows:
+            return tokens, packed, []
+        well = [row for row, head in enumerate(heads) if head == prefix]
+        odd_rows = [row for row, head in enumerate(heads) if head != prefix]
+        return [tokens[row] for row in well], [packed[row] for row in well], odd_rows
 
     @staticmethod
     def count_packed_bits(packed: bytes, num_bits: int) -> list[int]:
@@ -214,12 +234,15 @@ class AnswerCodec:
             bits = digits.encode("ascii").translate(_DIGITS_TO_BITS)
             # Each row's bits as one integer with a byte per bit: adding up
             # to 255 rows carries nothing across bytes, so each byte of the
-            # sum is that bit's count.
+            # sum is that bit's count.  A chunk of rows is summed by folding
+            # its integer in halves, one big-integer add per halving.
             for chunk in range(0, len(bits), 255 * stride):
-                total = sum(
-                    int.from_bytes(bits[start : start + stride], "little")
-                    for start in range(chunk, min(len(bits), chunk + 255 * stride), stride)
-                )
+                part = bits[chunk : chunk + 255 * stride]
+                total, rows = int.from_bytes(part, "little"), len(part) // stride
+                while rows > 1:
+                    rows = (rows + 1) // 2
+                    shift = 8 * stride * rows
+                    total = (total & ((1 << shift) - 1)) + (total >> shift)
                 counts = [a + b for a, b in zip(counts, total.to_bytes(stride, "little"))]
         return counts[:num_bits]
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analytics.metrics import accuracy_loss
+from repro.core.seeding import rr_high_column
 
 # Below this many answers the per-bit loop is cheap enough that spinning up a
 # numpy generator is not worth it (and the loop doubles as the reference).
@@ -128,9 +129,10 @@ class RandomizedResponder:
         Each bit ``i`` has one 32-bit uniform ``u``: ``u < p`` (scaled to
         ``2**32``) keeps the truthful bit, else ``u < p + (1 - p) q`` answers
         1, else 0 — the two coins of Section 3.2.2 read off one draw.  The
-        high bytes of a row's ``u`` come in one read (``draws.rr_high``);
-        laid end to end, every row's high bytes decide almost every bit at C
-        speed through one ``bytes.translate`` and one big-integer AND/OR.
+        high bytes of every row's ``u`` come in one column read
+        (:func:`~repro.core.seeding.rr_high_column`); laid end to end, they
+        decide almost every bit at C speed through one ``bytes.translate``
+        and one big-integer AND/OR.
         Only the bits whose high byte straddles a threshold (at most 2 of
         256 values) need their low 24 bits, read for all of one row's at
         once (``draws.rr_low``), and only rows holding such a bit read them.
@@ -149,7 +151,7 @@ class RandomizedResponder:
         if extra:
             raise ValueError(f"{len(truthful)} truthful bits are not {len(rows)} equal rows")
         keep_below, one_below, keep, one, undecided = self._tables
-        high = b"".join([row.rr_high(num_bits) for row in rows])
+        high = rr_high_column(rows, num_bits)
         decided = (
             int.from_bytes(truthful, "little") & int.from_bytes(high.translate(keep), "little")
             | int.from_bytes(high.translate(one), "little")

@@ -32,8 +32,11 @@ all of a client's randomness that ever needs to travel.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
+from collections.abc import Sequence
+
 from repro.crypto.prng import secure_random_bytes
 
 KEY_BYTES = 32
@@ -89,6 +92,14 @@ def first_block_coordinates(epoch: int) -> bytes:
     return _COORDINATES.pack(MAIN, epoch, 0)
 
 
+@functools.lru_cache(maxsize=32)
+def _coordinates(stream: int, epoch: int, blocks: int) -> tuple[bytes, ...]:
+    """The packed coordinates of ``stream``'s blocks ``0 .. blocks - 1`` at
+    ``epoch``: packed once per block index per epoch, however many rows
+    read them."""
+    return tuple(_COORDINATES.pack(stream, epoch, index) for index in range(blocks))
+
+
 def coin_uniform(first_block: bytes) -> float:
     """The sampling coin's uniform in ``[0, 1)`` read off :data:`MAIN` block
     0, on a grid of ``2**-32``."""
@@ -138,8 +149,9 @@ class EpochDraws:
         return coin_uniform(self._main)
 
     def rr_high(self, num_bits: int) -> bytes:
-        """The high byte of each answer bit's randomized-response uniform."""
-        return self.read(num_bits, 4)
+        """The high byte of each answer bit's randomized-response uniform:
+        the one-row case of :func:`rr_high_column`."""
+        return rr_high_column([self], num_bits)
 
     def rr_low(self, num_bits: int, count: int) -> bytes:
         """The low 24 bits of the ``count`` undecided bits' uniforms, 3 bytes
@@ -149,5 +161,57 @@ class EpochDraws:
     def pad_seed(self, message: bytes) -> bytes:
         """The keystream seed of the XOR pad for ``message``: the PRF input
         of the :data:`PAD` stream, message included (the keystream hashes
-        it with a block counter)."""
-        return self._prefix + _COORDINATES.pack(PAD, self._epoch, 0) + message
+        it with a block counter).  The one-row case of :func:`pad_seeds`."""
+        return pad_seeds([self], [message])[0]
+
+
+def rr_high_column(draws: Sequence, num_bits: int) -> bytes:
+    """Every row's :meth:`EpochDraws.rr_high`, laid end to end, in one read.
+
+    An :class:`EpochDraws` row's high bytes are bytes ``4 .. 4 + num_bits``
+    of its :data:`MAIN` stream.  Block 0 is held since the coin; an answer
+    of more than 60 bits reaches blocks ``1..``, which are hashed here
+    straight from the row's prefix, their coordinates packed once per
+    block index per epoch, and kept on the row for its low-byte reads.  Any
+    other draws object (a responder's own ``rng``, a test's chosen
+    uniforms) reads its own ``rr_high``.
+    """
+    end = 4 + num_bits
+    if end > BLOCK_BYTES:
+        blocks = -(-end // BLOCK_BYTES)
+        blake2b = hashlib.blake2b
+        for row in draws:
+            if type(row) is EpochDraws and len(row._main) < blocks * BLOCK_BYTES:
+                prefix = row._prefix
+                row._main += b"".join(
+                    [
+                        blake2b(prefix + coordinates).digest()
+                        for coordinates in _coordinates(MAIN, row._epoch, blocks)[
+                            len(row._main) // BLOCK_BYTES :
+                        ]
+                    ]
+                )
+    return b"".join(
+        [
+            row._main[4:end] if type(row) is EpochDraws else row.rr_high(num_bits)
+            for row in draws
+        ]
+    )
+
+
+def pad_seeds(draws: Sequence, messages: Sequence[bytes]) -> list[bytes]:
+    """Every row's :meth:`EpochDraws.pad_seed` for its message, in one pass.
+
+    Row ``i`` is ``draws[i]``'s prefix, the :data:`PAD` coordinates and
+    ``messages[i]``, joined in one call; the coordinates are packed once,
+    at the first row's epoch (a block's rows share it).  A row of another
+    epoch, or any other draws object, reads its own ``pad_seed``.
+    """
+    epoch = draws[0]._epoch if draws and type(draws[0]) is EpochDraws else None
+    pad = b"" if epoch is None else _COORDINATES.pack(PAD, epoch, 0)
+    return [
+        b"".join((row._prefix, pad, message))
+        if type(row) is EpochDraws and row._epoch == epoch
+        else row.pad_seed(message)
+        for row, message in zip(draws, messages)
+    ]

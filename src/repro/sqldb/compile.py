@@ -140,25 +140,17 @@ ValueFn = Callable[[dict, int], Any]
 
 
 class _SchemaView:
-    """Column resolution for one schema, mirroring the scan engine's rules.
-
-    A row dict's keys are the exact column names; ``ColumnRef`` lookup
-    tries the exact name first, then a lowercased map where the *last*
-    declaration wins (``{k.lower(): v for k, v in row.items()}`` keeps
-    the final duplicate) — both reproduced here so compiled resolution
-    agrees with the reference on every edge.
-    """
+    """Column resolution for one schema, mirroring the scan engine's rules:
+    a name resolves case-insensitively (a table's names are unique that
+    way, as in SQLite) to the column's declared name."""
 
     def __init__(self, schema: Sequence[tuple[str, str]]):
         self.names = [name for name, _ in schema]
         self.types = {name: sql_type for name, sql_type in schema}
-        self._exact = set(self.names)
         self._lowered = {name.lower(): name for name in self.names}
 
     def resolve(self, name: str) -> str | None:
         """Storage name for a projected or WHERE name, or None when unknown."""
-        if name in self._exact:
-            return name
         return self._lowered.get(name.lower())
 
     def sql_type(self, storage_name: str) -> str:

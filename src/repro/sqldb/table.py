@@ -151,9 +151,14 @@ class Table:
             tick()
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate column names in table {self.name}")
+        # Names are unique case-insensitively, as in SQLite: a name then
+        # resolves to one column whichever case it is written in.
+        self._lowered: dict[str, int] = {}
+        for index, column in enumerate(self.columns):
+            if self._lowered.setdefault(column.name.lower(), index) != index:
+                raise SchemaError(
+                    f"duplicate column name in table {self.name}: {column.name}"
+                )
         self._index = {c.name: i for i, c in enumerate(self.columns)}
 
     @property
@@ -162,12 +167,10 @@ class Table:
 
     def column_index(self, name: str) -> int:
         """Index of a column by name (case-insensitive)."""
-        if name in self._index:
-            return self._index[name]
-        lowered = {k.lower(): v for k, v in self._index.items()}
-        if name.lower() in lowered:
-            return lowered[name.lower()]
-        raise SchemaError(f"table {self.name} has no column {name}")
+        index = self._lowered.get(name.lower())
+        if index is None:
+            raise SchemaError(f"table {self.name} has no column {name}")
+        return index
 
     def insert_records(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Insert one row per column-name → value mapping, in order.

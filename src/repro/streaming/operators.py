@@ -10,6 +10,7 @@ stream.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -58,6 +59,10 @@ class KeyedJoinOperator:
     def has_pending(self, key: Any) -> bool:
         """Whether earlier records for ``key`` are buffered awaiting a join."""
         return key in self._buffer
+
+    def waiting_keys(self) -> KeysView:
+        """The keys still waiting for their remaining records (a live view)."""
+        return self._buffer.keys()
 
 
 @dataclass

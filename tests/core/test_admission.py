@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AnswerAdmissionController, participation_token
-from repro.core.admission import PARTICIPATION_TOKEN_LENGTH
+from repro.core.admission import PARTICIPATION_TOKEN_LENGTH, participation_tokens
 from repro.core.aggregator import ADMISSION_RETENTION_EPOCHS
 
 
@@ -44,6 +44,17 @@ class TestParticipationToken:
         assert participation_token(secret, "q1", 5) == expected
         with pytest.raises(ValueError):
             participation_token(b"k" * 65, "q1", 5)
+
+    def test_the_column_is_the_token_of_each_secret(self):
+        secrets = [b"a", b"k" * 64, b"\x00" * 16, b"a"]
+        assert participation_tokens(secrets, "q1", 5) == [
+            participation_token(secret, "q1", 5) for secret in secrets
+        ]
+        assert participation_tokens([], "q1", 5) == []
+        with pytest.raises(ValueError, match="secret must not be empty"):
+            participation_tokens([b"a", b""], "q1", 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            participation_tokens([b"a"], "q1", -1)
 
     @given(
         secret=st.binary(min_size=1, max_size=32),
@@ -288,3 +299,64 @@ class TestAdmitBatch:
     def test_empty_batch(self):
         controller = AnswerAdmissionController()
         assert controller.admit_batch("q", []) == []
+
+
+_TOKENS = st.sampled_from([b"", b"t0", b"t1", b"t2", b"t3", b"t4", b"t5"])
+
+
+@st.composite
+def _batch(draw):
+    """A batch of ``(epoch, token)`` answers: a clean column (one epoch,
+    distinct non-empty tokens: the set-update path when none was seen and
+    the cap holds) or any mix (duplicates within the batch, empty tokens,
+    mixed epochs)."""
+    if draw(st.booleans()):
+        epoch = draw(st.integers(min_value=0, max_value=2))
+        tokens = draw(st.lists(_TOKENS.filter(bool), unique=True, max_size=6))
+        return [(epoch, token) for token in tokens]
+    return draw(
+        st.lists(st.tuples(st.integers(min_value=0, max_value=2), _TOKENS), max_size=8)
+    )
+
+
+class TestAdmitBatchColumnPath:
+    """A batch of clean rows is admitted as a column; every batch decides
+    and counts exactly as :meth:`admit` once per item, across calls."""
+
+    @given(
+        cap=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        batches=st.lists(_batch(), min_size=1, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_batch_equals_admit_per_item(self, cap, batches):
+        batched = AnswerAdmissionController(max_answers_per_epoch=cap)
+        reference = AnswerAdmissionController(max_answers_per_epoch=cap)
+        for items in batches:
+            verdicts = batched.admit_batch("q", items)
+            assert verdicts == [reference.admit("q", e, t).admitted for e, t in items]
+            assert batched.metrics() == reference.metrics()
+            for epoch in range(3):
+                assert batched.admitted_count("q", epoch) == reference.admitted_count("q", epoch)
+
+    @pytest.mark.parametrize(
+        "earlier, batch, expected",
+        [
+            ([], [(0, b"a"), (0, b"b"), (0, b"c")], [True, True, True]),
+            ([(0, b"b")], [(0, b"a"), (0, b"b")], [True, False]),  # seen in an earlier call
+            ([(1, b"b")], [(0, b"a"), (0, b"b")], [True, True]),  # seen at another epoch
+            ([(0, b"x")], [(0, b"a"), (0, b"b"), (0, b"c")], [True, True, False]),  # cap mid-batch
+            ([], [(0, b"a"), (0, b"a")], [True, False]),
+            ([], [(0, b"a"), (0, b"")], [True, False]),
+            ([], [(0, b"a"), (1, b"a")], [True, True]),
+        ],
+        ids=["clean", "seen", "other-epoch", "cap", "in-batch", "empty", "mixed-epochs"],
+    )
+    def test_each_case_decides_as_admit(self, earlier, batch, expected):
+        batched = AnswerAdmissionController(max_answers_per_epoch=3)
+        reference = AnswerAdmissionController(max_answers_per_epoch=3)
+        for epoch, token in earlier:
+            batched.admit("q", epoch, token)
+            reference.admit("q", epoch, token)
+        assert batched.admit_batch("q", batch) == expected
+        assert [reference.admit("q", e, t).admitted for e, t in batch] == expected
+        assert batched.metrics() == reference.metrics()

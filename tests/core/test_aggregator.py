@@ -436,7 +436,7 @@ class TestRawTokens:
         width = len(messages[0])
         assert codec.parse_column(
             b"".join(messages), width, QUERY_ID, 1, 3, PARTICIPATION_TOKEN_LENGTH
-        ) == [(token, codec._pack_bits((1, 0, 0))), (token, codec._pack_bits((0, 1, 0)))]
+        ) == ((token, token), (codec._pack_bits((1, 0, 0)), codec._pack_bits((0, 1, 0))), [])
         assert codec.decode(messages[1]) == QueryAnswer(QUERY_ID, (0, 1, 0), epoch=1, token=token)
 
         counters, windows = run_hostile(
@@ -505,3 +505,102 @@ class TestPendingClashAcrossCalls:
         assert skipped == [[2]]
         # The garbage join of row 2; rows 0 and 1 are read off the prefix.
         assert len(decoded) == 1
+
+
+#: What ``_ingest_block`` counts for :class:`TestMixedBlockWithSkips`'s
+#: block, and what the per-share join counts for its unskipped rows.
+MIXED_BLOCK_COUNTERS = {
+    "answers_processed": 4,
+    "malformed_messages": 1,
+    "invalid_answers": 1,
+    "rejected_by_reason": {"epoch drift": 1},
+    "rejected_duplicates": 1,
+    "pending_joins": 0,
+    "late_answers_dropped": 0,
+}
+#: One window at the arrival epoch: rows 0, 1, 3 and 5, over epochs 0 and 1.
+MIXED_BLOCK_WINDOWS = [(60.0, 4, (5.0, 5.0, 10.0))]
+
+
+class TestMixedBlockWithSkips:
+    """``_ingest_block`` over one block that mixes well-formed rows with a
+    bad magic, a wrong epoch (within drift, then beyond it) and a duplicate
+    token, two of its rows skipped (as rows clashing with a loose ``MID``
+    are): the well-formed rows are read as columns, the odd ones decoded,
+    the skipped ones never read, and the counters and windows are those of
+    the per-share join over the unskipped rows."""
+
+    SKIP = frozenset({6, 7})
+
+    @staticmethod
+    def rows() -> list[bytes]:
+        return [
+            hostile_message([1, 0, 0], 1, 0),
+            hostile_message([0, 1, 0], 1, 1),
+            b"XX" + hostile_message([1, 0, 0], 1, 2)[2:],  # bad magic
+            hostile_message([0, 0, 1], 0, 3),  # another epoch, within drift
+            hostile_message([0, 0, 1], 1, 0),  # row 0's token again
+            hostile_message([0, 0, 1], 1, 5),
+            b"XX" + hostile_message([1, 0, 0], 1, 6)[2:],  # skipped
+            hostile_message([1, 1, 1], 1, 7),  # skipped
+            hostile_message([0, 1, 0], 5, 8),  # another epoch, beyond drift
+        ]
+
+    @staticmethod
+    def _aggregator() -> Aggregator:
+        query = make_query()
+        return Aggregator(
+            query=query,
+            parameters=NOISELESS,
+            total_clients=10,
+            validator=AnswerValidator(query),
+            admission=AnswerAdmissionController(),
+        )
+
+    @staticmethod
+    def _outcome(aggregator, results):
+        counters = {
+            "answers_processed": aggregator.answers_processed,
+            "malformed_messages": aggregator.malformed_messages,
+            "invalid_answers": aggregator.invalid_answers,
+            "rejected_by_reason": aggregator.validator.rejected_by_reason,
+            "rejected_duplicates": aggregator.rejected_duplicates,
+            "pending_joins": aggregator.pending_joins(),
+            "late_answers_dropped": aggregator.late_answers_dropped,
+        }
+        windows = [
+            (r.window.start, r.num_answers, tuple(b.estimate for b in r.histogram.buckets))
+            for r in results
+        ]
+        return counters, windows
+
+    def test_the_block_counts_what_the_per_share_join_counts(self, monkeypatch):
+        from repro.core.aggregator import _Tally
+
+        rows = self.rows()
+        columns = hostile_block(rows, range(len(rows)), b"mixed")
+        decoded = []
+        decode = AnswerCodec.decode
+
+        def counting(self, message):
+            decoded.append(message)
+            return decode(self, message)
+
+        monkeypatch.setattr(AnswerCodec, "decode", counting)
+        aggregator = self._aggregator()
+        tally = _Tally(3)
+        aggregator._ingest_block(columns, self.SKIP, 1, 60.0, tally)
+        aggregator.answers_processed += tally.num_answers
+        results = aggregator._window_op.process(tally.records())
+        results = [aggregator._to_window_result(r) for r in results]
+        results += aggregator.flush()
+        assert self._outcome(aggregator, results) == (MIXED_BLOCK_COUNTERS, MIXED_BLOCK_WINDOWS)
+        # Only the odd unskipped rows are decoded: the bad magic and the two
+        # other epochs.
+        assert decoded == [rows[2], rows[3], rows[8]]
+
+        reference = self._aggregator()
+        kept = [row for row in range(len(rows)) if row not in self.SKIP]
+        loose = [share for column in columns for share in column.shares(kept)]
+        results = reference.ingest_shares(loose, 1) + reference.flush()
+        assert self._outcome(reference, results) == (MIXED_BLOCK_COUNTERS, MIXED_BLOCK_WINDOWS)

@@ -298,6 +298,7 @@ class TestLatePath:
         monkeypatch.setattr(RandomizedResponder, "randomize_vector", forbidden("randomize"))
         monkeypatch.setattr(AnswerCodec, "encrypt", forbidden("encrypt"))
         monkeypatch.setattr(client_module, "participation_token", forbidden("token"))
+        monkeypatch.setattr(client_module, "participation_tokens", forbidden("tokens"))
         monkeypatch.setattr(client_module, "answer_value", forbidden("answer_value"))
         (block,) = answer_shard([client], [query.query_id], 2, late=frozenset({"c-1"}))
         assert block.late_ids == ("c-1",)

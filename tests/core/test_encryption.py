@@ -242,11 +242,18 @@ class TestColumnForm:
         good = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=4, token=b"t" * 16))
         other_epoch = codec.encode(QueryAnswer("q-1", (1, 0, 1), epoch=5, token=b"u" * 16))
         other_query = codec.encode(QueryAnswer("q-2", (1, 0, 1), epoch=4, token=b"v" * 16))
-        column = good + other_epoch + other_query
-        parsed = codec.parse_column(column, len(good), "q-1", 4, 3, 16)
-        assert parsed == [(b"t" * 16, codec._pack_bits((1, 0, 1))), None, None]
+        column = good + other_epoch + other_query + good
+        tokens, packed, odd_rows = codec.parse_column(column, len(good), "q-1", 4, 3, 16)
+        assert list(tokens) == [b"t" * 16] * 2
+        assert list(packed) == [codec._pack_bits((1, 0, 1))] * 2
+        assert odd_rows == [1, 2]
+        # A whole well-formed column reads in one split.
+        assert codec.parse_column(good * 3, len(good), "q-1", 4, 3, 16) == (
+            (b"t" * 16,) * 3, (codec._pack_bits((1, 0, 1)),) * 3, []
+        )
         # A width that cannot be this query's answer: every row is decoded.
-        assert codec.parse_column(column, len(good), "q-1", 4, 9, 16) == [None] * 3
+        assert codec.parse_column(column, len(good), "q-1", 4, 9, 16) == ([], [], [0, 1, 2, 3])
+        assert codec.parse_column(b"", len(good), "q-1", 4, 3, 16) == ([], [], [])
 
     def test_encode_message_is_encode(self):
         codec = AnswerCodec()

@@ -15,7 +15,15 @@ from scipy import stats
 
 from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
-from repro.core.seeding import EpochDraws, client_key, query_prefix, token_secret
+from repro.core.seeding import (
+    PAD,
+    EpochDraws,
+    client_key,
+    pad_seeds,
+    query_prefix,
+    rr_high_column,
+    token_secret,
+)
 
 ALPHA = 1e-3
 QUERY = "analyst-00000001"
@@ -93,6 +101,49 @@ class TestEpochDraws:
         assert d.rr_high(200) == d.read(200, 4)
         assert d.rr_low(200, 3) == d.read(9, 204)
         assert d.rr_high(8) + d.rr_low(8, 2) == d.read(14, 4)
+
+
+class TestColumnReads:
+    """A column read is each row's own read, laid end to end."""
+
+    @pytest.mark.parametrize("num_bits", [1, 60, 61, 124, 125, 300])
+    def test_the_high_byte_column_is_each_rows_read(self, num_bits):
+        coordinates = [(1, 0), (2, 0), (3, 5), (4, 0)]
+        rows = [draws(seed, QUERY, epoch) for seed, epoch in coordinates]
+        fresh = [draws(seed, QUERY, epoch) for seed, epoch in coordinates]
+        rows[1].read(100, 300)  # a row whose stream already reaches further
+        assert rr_high_column(rows, num_bits) == b"".join(f.read(num_bits, 4) for f in fresh)
+        # Blocks hashed for the column are the row's stream: its low bytes
+        # read on from them.
+        assert [row.rr_low(num_bits, 5) for row in rows] == [
+            f.read(15, 4 + num_bits) for f in fresh
+        ]
+        assert rr_high_column([], num_bits) == b""
+
+    def test_the_pad_seed_column_is_each_rows_seed(self):
+        import struct
+
+        rows = [draws(1, QUERY, 3), draws(2, QUERY, 3), draws(3, QUERY, 4)]
+        messages = [b"m-0", b"m-1", b"m-2"]
+        assert pad_seeds(rows, messages) == [
+            row._prefix + struct.pack(">BQI", PAD, row._epoch, 0) + message
+            for row, message in zip(rows, messages)
+        ]
+        assert [row.pad_seed(m) for row, m in zip(rows, messages)] == pad_seeds(rows, messages)
+
+    def test_other_draws_read_themselves(self):
+        class Fixed:
+            def rr_high(self, num_bits):
+                return b"\x07" * num_bits
+
+            def pad_seed(self, message):
+                return b"seed-" + message
+
+        rows = [draws(1, QUERY, 3), Fixed()]
+        assert rr_high_column(rows, 70) == draws(1, QUERY, 3).read(70, 4) + b"\x07" * 70
+        assert pad_seeds(rows[::-1], [b"a", b"b"]) == [
+            b"seed-a", draws(1, QUERY, 3).pad_seed(b"b")
+        ]
 
 
 class TestCoinRate:

@@ -3,7 +3,8 @@
 WHERE always did; a projected name resolves the same way, on the row scan
 once per statement through ``Table.column_index`` and on the compiled
 paths through the plan's schema view, and the output column keeps the name
-as written.  An unknown projected name is refused with ``SchemaError``.
+as written.  An unknown projected name is refused with ``SchemaError``, and
+so is a table whose names differ only in case.
 Each statement runs on every path and is checked against stdlib
 ``sqlite3`` over the same rows, column names included (a shard arena
 splits them into two members).
@@ -14,7 +15,13 @@ import sqlite3
 import pytest
 
 from repro.sqldb.errors import SchemaError
-from tests.sqldb.sqlite_reference import PATHS, assert_matches_sqlite, results
+from tests.sqldb.sqlite_reference import (
+    PATHS,
+    assert_matches_sqlite,
+    database,
+    results,
+    sqlite_result,
+)
 
 SCHEMA = [("id", "INTEGER"), ("x", "REAL")]
 ROWS = [(0, 3.0), (1, 1.0), (2, 2.0), (3, 0.5)]
@@ -60,3 +67,27 @@ def test_an_unknown_name_is_refused_as_in_sqlite(sql, path):
             connection.execute(sql)
     finally:
         connection.close()
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        [("Ab", "REAL"), ("aB", "REAL")],
+        [("id", "INTEGER"), ("x", "REAL"), ("X", "INTEGER")],
+        [("id", "INTEGER"), ("id", "INTEGER")],
+    ],
+    ids=["mixed-case", "third-column", "exact"],
+)
+def test_names_differing_only_in_case_are_refused_as_in_sqlite(schema):
+    """A name resolves case-insensitively, so two columns it could name are
+    one name declared twice: refused, as ``sqlite3`` refuses the table."""
+    with pytest.raises(sqlite3.OperationalError, match="duplicate column name"):
+        sqlite_result(schema, [], "SELECT * FROM t")
+    with pytest.raises(SchemaError, match=f"duplicate column name in table t: {schema[-1][0]}"):
+        database(schema, [])
+
+
+def test_distinct_names_still_make_a_table():
+    schema = [("ab", "REAL"), ("abc", "REAL")]
+    assert sqlite_result(schema, [(1.0, 2.0)], "SELECT AB, ABC FROM t")[1] == [(1.0, 2.0)]
+    assert database(schema, [(1.0, 2.0)]).query("SELECT AB, ABC FROM t").rows == [(1.0, 2.0)]
