@@ -11,9 +11,11 @@ bucket (the closed-form sampling + randomization variance), and emits
 The engine relays a shard's answers to a query as one block: each proxy's
 :class:`~repro.crypto.xor.ShareColumn` (the block's ``MID`` column plus that
 proxy's payload column).  The aggregator pairs the columns that carry one
-``MID`` column, XORs each payload column once, reads every row against the
-header prefix of a well-formed answer and counts the admitted rows' bits
-without building a per-answer object.  Loose shares — serial's one-answer
+``MID`` column, XORs each payload column once, splits the message column
+into heads, tokens and packed bits in one pass, vouches for every row whose
+head is the header prefix of a well-formed answer, admits the tokens as a
+column and counts the admitted rows' bits without building a per-answer
+object.  Loose shares — serial's one-answer
 records, forged ones — and whatever a block cannot vouch for are grouped by
 ``MID``: a complete group joins at once, anything else goes through the
 streaming substrate's keyed join operator.  Every executor ingests through
@@ -259,13 +261,14 @@ class Aggregator:
         tokens, packed, odd_rows = self._codec.parse_column(
             plain, width, query_id, epoch, num_bits, PARTICIPATION_TOKEN_LENGTH
         )
+        # The rows behind ``tokens`` / ``packed``, and the decoded odd rows.
+        fast: Sequence[int] = range(len(tokens))
         slow: list[tuple[int, QueryAnswer]] = []
         if odd_rows or skip:
-            # The rows behind ``tokens`` / ``packed``, then both without ``skip``.
             odd = frozenset(odd_rows)
-            fast = [row for row in range(columns[0].rows) if row not in odd]
-            kept = [index for index, row in enumerate(fast) if row not in skip]
-            fast = [fast[index] for index in kept]
+            well = [row for row in range(columns[0].rows) if row not in odd]
+            kept = [index for index, row in enumerate(well) if row not in skip]
+            fast = [well[index] for index in kept]
             tokens = [tokens[index] for index in kept]
             packed = [packed[index] for index in kept]
             for row in odd_rows:
@@ -303,15 +306,14 @@ class Aggregator:
             if False in verdicts:
                 self.rejected_duplicates += verdicts.count(False)
                 values = [value for value, ok in zip(values, verdicts) if ok]
-        answers = [value for value in values if type(value) is not bytes] if slow else ()
-        if len(answers) < len(values):
-            bits = [value for value in values if type(value) is bytes] if answers else values
+        bits = [value for value in values if type(value) is bytes] if slow else values
+        if bits:
             tally.add_counts(
                 timestamp, self._codec.count_packed_bits(b"".join(bits), num_bits),
                 len(bits), epoch,
             )
-        if answers:
-            tally.add_answers(timestamp, answers)
+        if len(bits) < len(values):
+            tally.add_answers(timestamp, [value for value in values if type(value) is not bytes])
 
     def _join_grouped(
         self, shares: list[MessageShare], timestamp: float

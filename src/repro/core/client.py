@@ -16,11 +16,13 @@ time over a shard in the engine's answer pass (:func:`coin_columns` and
 in :meth:`Client.answer`, serial's path.  Steps 3-4 run a column at a time:
 :meth:`ResponseBlock.build` turns a shard's participants in one query into
 one :class:`ResponseBlock` — one truthful column from their buckets, one
-randomization call, one packing, one header prefix, one XOR split — and only
-the PRF reads (the randomized-response bytes, the token, the pad) stay per
-row, each keyed by the row's own client.  The block is what the runtime
-relays, ships and logs.  The client never transmits its truthful answer:
-only the randomized, encrypted shares leave the device.
+randomization call, one packing, one header prefix, one XOR split — and the
+PRF reads are columns too: every row's randomized-response high bytes in
+one read, the tokens in one pass, the pad seeds in one pass, each row still
+keyed by its own client; only the hashes and a row's low bytes for the
+bits its high bytes left undecided stay per row.  The block is what the
+runtime relays, ships and logs.  The client never transmits its truthful
+answer: only the randomized, encrypted shares leave the device.
 """
 
 from __future__ import annotations
@@ -237,20 +239,16 @@ class ResponseBlock:
                 truthful[row * num_bits + bucket] = 1
                 truthful_packed[row * stride + bucket // 8] = 0x80 >> bucket % 8
         truthful = bytes(truthful)
-        if tables.count(tables[0]) == rows:
-            randomized = answers[0][1][0][1].randomize_vector(truthful, draws)
-        else:
-            runs, start = [], 0
-            for _, run in itertools.groupby(tables):
-                end = start + len(list(run))
-                runs.append(
-                    answers[start][1][0][1].randomize_vector(
-                        truthful[start * num_bits : end * num_bits], draws[start:end]
-                    )
+        runs, start = [], 0
+        for _, run in itertools.groupby(tables):
+            end = start + len(list(run))
+            runs.append(
+                answers[start][1][0][1].randomize_vector(
+                    truthful[start * num_bits : end * num_bits], draws[start:end]
                 )
-                start = end
-            randomized = b"".join(runs)
-        randomized = _CODEC._pack_bits(randomized, num_bits)
+            )
+            start = end
+        randomized = _CODEC._pack_bits(b"".join(runs), num_bits)
         messages = _CODEC.encode_rows(
             query_id, epoch, participation_tokens(secrets, query_id, epoch), randomized, num_bits
         )
@@ -768,11 +766,10 @@ def answer_value(result, value_column: str | None) -> Any:
     ``None`` for an empty result.  Only emptiness, ``result.columns`` and
     ``result.rows[-1]`` are read, which is why an outcome may hold just the
     last row of what ``database.query`` would return.  ``value_column``
-    resolves against the result's column names as
-    :meth:`Table.column_index <repro.sqldb.table.Table.column_index>`
-    resolves a table's: an exact match first, then the first
-    case-insensitive one; a result without it (or a query naming none)
-    answers with its first column.
+    resolves against the result's column names: an exact match first, then
+    the first case-insensitive one (a result may name one column twice in
+    two cases); a result without it (or a query naming none) answers with
+    its first column.
     """
     rows = result.rows
     if not rows:

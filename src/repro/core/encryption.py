@@ -12,12 +12,13 @@ place that knows how to serialize and parse ``M``, so the client and the
 aggregator cannot drift apart.  Besides the per-answer :meth:`~AnswerCodec.encrypt`
 / :meth:`~AnswerCodec.decode` pair it speaks the column form a shard's block
 uses: a shard's messages to one query are encoded under one header prefix
-from the block's packed bit column and their pad keys read row by row
+from the block's packed bit column and their pad keys read as columns
 (:meth:`~AnswerCodec.encode_rows`, whose one-row case
 :meth:`~AnswerCodec.encode` uses, and :meth:`~AnswerCodec.pad_columns`), and
-the aggregator reads a decrypted column of messages against the header
-prefix every well-formed answer of one query and epoch starts with
-(:meth:`~AnswerCodec.parse_column`, :meth:`~AnswerCodec.count_packed_bits`).
+the aggregator splits a decrypted column of messages in one pass and checks
+it against the header prefix every well-formed answer of one query and
+epoch starts with (:meth:`~AnswerCodec.parse_column`,
+:meth:`~AnswerCodec.count_packed_bits`).
 """
 
 from __future__ import annotations

@@ -547,13 +547,13 @@ class TestMixedBlockWithSkips:
         ]
 
     @staticmethod
-    def _aggregator() -> Aggregator:
+    def _aggregator(max_set_bits=None) -> Aggregator:
         query = make_query()
         return Aggregator(
             query=query,
             parameters=NOISELESS,
             total_clients=10,
-            validator=AnswerValidator(query),
+            validator=AnswerValidator(query, max_set_bits=max_set_bits),
             admission=AnswerAdmissionController(),
         )
 
@@ -604,3 +604,25 @@ class TestMixedBlockWithSkips:
         loose = [share for column in columns for share in column.shares(kept)]
         results = reference.ingest_shares(loose, 1) + reference.flush()
         assert self._outcome(reference, results) == (MIXED_BLOCK_COUNTERS, MIXED_BLOCK_WINDOWS)
+
+    def test_a_clean_block_under_a_set_bit_cap_counts_what_the_per_share_join_counts(self):
+        """Every row well formed and none skipped, the cap refusing two of
+        them: the column path filters its rows by the uniform verdicts."""
+        rows = [
+            hostile_message([1, 0, 0], 1, 0),
+            hostile_message([1, 1, 0], 1, 1),
+            hostile_message([0, 0, 1], 1, 2),
+            hostile_message([1, 1, 1], 1, 3),
+            hostile_message([0, 1, 0], 1, 0),  # row 0's token again
+        ]
+        columns = hostile_block(rows, range(len(rows)), b"capped")
+        outcomes = []
+        for loose in (False, True):
+            aggregator = self._aggregator(max_set_bits=1)
+            items = explode(columns) if loose else columns
+            results = aggregator.ingest_shares(items, 1) + aggregator.flush()
+            outcomes.append(self._outcome(aggregator, results))
+        counters, windows = outcomes[0]
+        assert outcomes[0] == outcomes[1]
+        assert counters["invalid_answers"] == 2 and counters["rejected_duplicates"] == 1
+        assert windows == [(60.0, 2, (5.0, 0.0, 5.0))]
