@@ -122,23 +122,26 @@ class EpochDraws:
     def __init__(self, prefix: bytes, epoch: int, first_block: bytes | None = None):
         self._prefix = prefix
         self._epoch = epoch
-        self._main = self._block(0) if first_block is None else first_block
-
-    def _block(self, index: int) -> bytes:
-        """Block ``index`` of the :data:`MAIN` stream."""
-        return hashlib.blake2b(
-            self._prefix + _COORDINATES.pack(MAIN, self._epoch, index)
-        ).digest()
+        if first_block is None:
+            first_block = hashlib.blake2b(prefix + first_block_coordinates(epoch)).digest()
+        self._main = first_block
 
     def read(self, length: int, start: int = 0) -> bytes:
-        """``length`` bytes of the :data:`MAIN` stream from byte ``start`` on."""
+        """``length`` bytes of the :data:`MAIN` stream from byte ``start`` on.
+
+        The blocks it lacks are hashed from the prefix, their coordinates
+        packed once per block index per epoch, and kept.
+        """
         end = start + length
         main = self._main
         if end > len(main):
+            prefix, blake2b = self._prefix, hashlib.blake2b
             main += b"".join(
                 [
-                    self._block(index)
-                    for index in range(len(main) // BLOCK_BYTES, -(-end // BLOCK_BYTES))
+                    blake2b(prefix + coordinates).digest()
+                    for coordinates in _coordinates(MAIN, self._epoch, -(-end // BLOCK_BYTES))[
+                        len(main) // BLOCK_BYTES :
+                    ]
                 ]
             )
             self._main = main
@@ -169,33 +172,19 @@ def rr_high_column(draws: Sequence, num_bits: int) -> bytes:
     """Every row's :meth:`EpochDraws.rr_high`, laid end to end, in one read.
 
     An :class:`EpochDraws` row's high bytes are bytes ``4 .. 4 + num_bits``
-    of its :data:`MAIN` stream.  Block 0 is held since the coin; an answer
-    of more than 60 bits reaches blocks ``1..``, which are hashed here
-    straight from the row's prefix, their coordinates packed once per
-    block index per epoch, and kept on the row for its low-byte reads.  Any
+    of its :data:`MAIN` stream: up to 60 bits they are a slice of block 0,
+    held since the coin; a wider answer reads on (:meth:`EpochDraws.read`),
+    and the blocks it hashes stay on the row for its low-byte reads.  Any
     other draws object (a responder's own ``rng``, a test's chosen
     uniforms) reads its own ``rr_high``.
     """
     end = 4 + num_bits
-    if end > BLOCK_BYTES:
-        blocks = -(-end // BLOCK_BYTES)
-        blake2b = hashlib.blake2b
-        for row in draws:
-            if type(row) is EpochDraws and len(row._main) < blocks * BLOCK_BYTES:
-                prefix = row._prefix
-                row._main += b"".join(
-                    [
-                        blake2b(prefix + coordinates).digest()
-                        for coordinates in _coordinates(MAIN, row._epoch, blocks)[
-                            len(row._main) // BLOCK_BYTES :
-                        ]
-                    ]
-                )
+    if end <= BLOCK_BYTES:
+        return b"".join(
+            [row._main[4:end] if type(row) is EpochDraws else row.rr_high(num_bits) for row in draws]
+        )
     return b"".join(
-        [
-            row._main[4:end] if type(row) is EpochDraws else row.rr_high(num_bits)
-            for row in draws
-        ]
+        [row.read(num_bits, 4) if type(row) is EpochDraws else row.rr_high(num_bits) for row in draws]
     )
 
 
