@@ -217,7 +217,8 @@ class Aggregator:
                 keyed_rows[mids] = range(rows)
             elif loose_ids or self._join.pending_keys():
                 if taken is None:
-                    taken = _raw_message_ids(loose_ids) | _raw_message_ids(self._join.waiting_keys())
+                    taken = _raw_message_ids(loose_ids)
+                    taken |= _raw_message_ids(self._join.waiting_keys())
                 row_mids = [mids[at : at + MID_BYTES] for at in range(0, len(mids), MID_BYTES)]
                 if not taken.isdisjoint(row_mids):
                     keyed_rows[mids] = [row for row, mid in enumerate(row_mids) if mid in taken]

@@ -181,10 +181,16 @@ def rr_high_column(draws: Sequence, num_bits: int) -> bytes:
     end = 4 + num_bits
     if end <= BLOCK_BYTES:
         return b"".join(
-            [row._main[4:end] if type(row) is EpochDraws else row.rr_high(num_bits) for row in draws]
+            [
+                row._main[4:end] if type(row) is EpochDraws else row.rr_high(num_bits)
+                for row in draws
+            ]
         )
     return b"".join(
-        [row.read(num_bits, 4) if type(row) is EpochDraws else row.rr_high(num_bits) for row in draws]
+        [
+            row.read(num_bits, 4) if type(row) is EpochDraws else row.rr_high(num_bits)
+            for row in draws
+        ]
     )
 
 
