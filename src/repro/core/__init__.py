@@ -63,7 +63,7 @@ from repro.core.estimation import (
     ErrorEstimator,
 )
 from repro.core.encryption import AnswerCodec, EncryptedAnswer
-from repro.core.client import Client, ClientConfig, ClientResponse
+from repro.core.client import Client, ClientConfig
 from repro.core.proxy import Proxy, ProxyNetwork
 from repro.core.aggregator import Aggregator, WindowResult
 from repro.core.analyst import Analyst
@@ -102,7 +102,6 @@ __all__ = [
     "EncryptedAnswer",
     "Client",
     "ClientConfig",
-    "ClientResponse",
     "Proxy",
     "ProxyNetwork",
     "Aggregator",

@@ -27,11 +27,10 @@ answer: only the randomized, encrypted shares leave the device.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any
@@ -40,7 +39,7 @@ from typing import Any
 # span is patched on this module's name.
 from repro.core.admission import participation_token, participation_tokens  # noqa: F401
 from repro.core.budget import ExecutionParameters
-from repro.core.encryption import AnswerCodec, EncryptedAnswer
+from repro.core.encryption import AnswerCodec
 from repro.core.query import Query
 from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
@@ -71,26 +70,6 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.num_proxies < 2:
             raise ValueError("PrivApprox requires at least two proxies")
-
-
-@dataclass(frozen=True)
-class ClientResponse:
-    """One participant's response as an object: a row of a :class:`ResponseBlock`.
-
-    ``encrypted`` carries the shares.  ``truthful_bits`` and
-    ``randomized_bits`` are ``bytes`` holding one 0/1 byte per answer bit.
-    ``truthful_bits`` is kept *only* for evaluation purposes (computing exact
-    baselines in experiments); it is never placed on the wire.  The runtime
-    never builds these: they are the per-answer view
-    (:meth:`ResponseBlock.response`) that :class:`ResponseLog` hands out.
-    """
-
-    client_id: str
-    query_id: str
-    epoch: int
-    encrypted: EncryptedAnswer
-    truthful_bits: bytes
-    randomized_bits: bytes
 
 
 #: A participating coin for one query and epoch (:meth:`Client.flip_coins`):
@@ -128,16 +107,16 @@ class ResponseBlock:
     others the key strings.  The two bit columns hold their rows in the
     message's packed layout (:meth:`AnswerCodec._pack_bits
     <repro.core.encryption.AnswerCodec._pack_bits>`): ``⌈num_bits / 8⌉``
-    bytes a row, first bit high, pad bits clear.  Only the per-answer view
-    unpacks them (:meth:`bit_row`, :meth:`response`).  A proxy relays its
+    bytes a row, first bit high, pad bits clear.  Only the evaluation
+    readers unpack them (:meth:`bit_rows`).  A proxy relays its
     payload column with the ``MID`` column as one
     :class:`~repro.crypto.xor.ShareColumn` (:meth:`share_columns`).
 
-    ``truthful_bits`` is evaluation-only, as it was on
-    :class:`ClientResponse`: no proxy ever sees it.  ``late_ids`` names
-    participants the answering side already knew were late: they flipped
-    their coins and built nothing, and the engine's gate ledgers and clears
-    them.
+    ``truthful_bits`` is evaluation-only (the exact baselines of
+    experiments): it is never placed on the wire and no proxy ever sees it.
+    ``late_ids`` names participants the answering side already knew were
+    late: they flipped their coins and built nothing, and the engine's gate
+    ledgers and clears them.
 
     The shape is checked whenever a block is built, unpickling included:
     one ``MID`` and one packed bit row per client id, no pad bit set (so a
@@ -308,23 +287,13 @@ class ResponseBlock:
             for index, payload in enumerate(self.payloads)
         ]
 
-    def bit_row(self, column: bytes, row: int) -> bytes:
-        """Row ``row`` of a bit column (``truthful_bits`` or
-        ``randomized_bits``), one 0/1 byte per bit."""
-        stride = (self.num_bits + 7) // 8
-        return bytes(_CODEC._unpack_bits(column[row * stride : (row + 1) * stride], self.num_bits))
-
-    def response(self, row: int) -> ClientResponse:
-        """Row ``row`` as a value-equal :class:`ClientResponse`, its bits unpacked."""
-        shares = self.shares(row)
-        return ClientResponse(
-            client_id=self.client_ids[row],
-            query_id=self.query_id,
-            epoch=self.epoch,
-            encrypted=EncryptedAnswer(message_id=shares[0].message_id, shares=tuple(shares)),
-            truthful_bits=self.bit_row(self.truthful_bits, row),
-            randomized_bits=self.bit_row(self.randomized_bits, row),
-        )
+    def bit_rows(self, column: bytes) -> list[bytes]:
+        """Every row of a bit column (``truthful_bits`` or
+        ``randomized_bits``), one 0/1 byte per bit: one unpacking of the
+        whole column, then each row's ``num_bits`` off its stride."""
+        bits = bytes(_CODEC._unpack_bits(column, 8 * len(column)))
+        step, num_bits = 8 * ((self.num_bits + 7) // 8), self.num_bits
+        return [bits[row * step : row * step + num_bits] for row in range(len(self))]
 
     @classmethod
     def from_bytes(cls, data: bytes, query_id: str) -> "ResponseBlock":
@@ -381,67 +350,6 @@ def pack_blocks(blocks: Sequence[ResponseBlock]) -> list[bytes]:
             )
         )
     return entries
-
-
-class ResponseLog(Sequence):
-    """A read-only sequence over one query's response blocks.
-
-    Evaluation only: it is what :meth:`PrivApproxSystem.responses_log` (over
-    the packed log, :func:`pack_blocks`) and
-    :attr:`QueryEpochOutcome.responses
-    <repro.runtime.executor.QueryEpochOutcome.responses>` (over an epoch's
-    blocks) hand out.  Indexing and iteration rebuild value-equal
-    :class:`ClientResponse` objects one at a time, so reading the log never
-    holds all of it as objects.  It compares equal to any sequence of equal
-    responses (``log == []`` included).
-    """
-
-    def __init__(self, query_id: str, blocks: Sequence[bytes | ResponseBlock]):
-        self._query_id = query_id
-        self._blocks = tuple(blocks)
-        self._ends = list(
-            itertools.accumulate(
-                len(block) if isinstance(block, ResponseBlock)
-                else _BLOCK_HEADER.unpack_from(block)[0]
-                for block in self._blocks
-            )
-        )
-
-    def _block(self, index: int) -> ResponseBlock:
-        block = self._blocks[index]
-        if isinstance(block, ResponseBlock):
-            return block
-        return ResponseBlock.from_bytes(block, self._query_id)
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __iter__(self) -> Iterator[ClientResponse]:
-        for index in range(len(self._blocks)):
-            block = self._block(index)
-            for row in range(len(block)):
-                yield block.response(row)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position] for position in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("response log index out of range")
-        block = bisect.bisect_right(self._ends, index)
-        first = self._ends[block - 1] if block else 0
-        return self._block(block).response(index - first)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ResponseLog({self._query_id!r}, {len(self)} responses)"
 
 
 class Client:

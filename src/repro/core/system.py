@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.admission import AnswerAdmissionController
 from repro.core.aggregator import Aggregator, WindowResult
 from repro.core.analyst import Analyst
 from repro.core.budget import BudgetPlanner, ExecutionParameters, QueryBudget
-from repro.core.client import Client, ClientConfig, ResponseLog, pack_blocks
+from repro.core.client import Client, ClientConfig, ResponseBlock, pack_blocks
 from repro.core.distribution import QueryDistributor
 from repro.core.historical import HistoricalStore
 from repro.core.proxy import ProxyNetwork
@@ -441,14 +441,16 @@ class PrivApproxSystem:
                 counts[index] += bit
         return counts
 
-    def responses_log(self, query_id: str) -> ResponseLog:
-        """All responses produced so far, in order (evaluation only).
+    def responses_log(self, query_id: str) -> Iterator[ResponseBlock]:
+        """All responses produced so far, in order, as blocks (evaluation only).
 
-        A read-only snapshot over the packed log: it rebuilds value-equal
-        :class:`~repro.core.client.ClientResponse` objects (bits as
-        ``bytes``) one at a time and does not see later epochs.
+        One pass over a snapshot of the packed log: it does not see later
+        epochs, and it rebuilds one :class:`~repro.core.client.ResponseBlock`
+        per entry (:meth:`~repro.core.client.ResponseBlock.from_bytes`) as it
+        is read, so reading the log never holds all of it twice.
         """
-        return ResponseLog(query_id, self._responses_log.get(query_id, ()))
+        entries = tuple(self._responses_log.get(query_id, ()))
+        return (ResponseBlock.from_bytes(entry, query_id) for entry in entries)
 
     # -- internals ------------------------------------------------------------
 
@@ -465,7 +467,7 @@ class PrivApproxSystem:
         for block in blocks:
             if not len(block):
                 continue
-            rows = [block.bit_row(block.randomized_bits, row) for row in range(len(block))]
+            rows = block.bit_rows(block.randomized_bits)
             self.historical_store.append_rows(block.query_id, block.epoch, rows, timestamp)
 
     def _deliver_and_retune(self, query_id: str, window_results: list[WindowResult]) -> bool:

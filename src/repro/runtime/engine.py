@@ -419,10 +419,9 @@ class StagedEpochEngine(EpochExecutor):
         Walks the epoch's shards (``plan_shards`` over ``clients``) and asks
         each shard's arena once, through :func:`shard_outcomes`, for the
         members subscribed to ``query``, so no coin is flipped and nothing
-        is drawn.  A shard with no arena (pinned by
-        ``SQLDB_FORCE_PER_CLIENT`` or ``SQLDB_FORCE_SCAN``) gives its members
-        ``None``, and a slot the arena does not answer gets an empty cache:
-        those clients answer alone, as under serial.
+        is drawn.  A shard with no arena (pinned by ``SQLDB_FORCE_SCAN``)
+        gives its members ``None``, and a slot the arena does not answer gets
+        an empty cache: those clients answer alone, as under serial.
         """
         caches: list[dict | None] = []
         for shard in plan_shards(len(clients), self.num_shards):

@@ -130,14 +130,6 @@ class QueryEpochOutcome:
     def num_participants(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    @property
-    def responses(self):
-        """The blocks' rows as a lazy sequence of ``ClientResponse`` views
-        (:class:`~repro.core.client.ResponseLog`), for evaluation."""
-        from repro.core.client import ResponseLog
-
-        return ResponseLog(self.query_id, self.blocks)
-
 
 @dataclass(frozen=True)
 class EpochOutcome:

@@ -430,14 +430,27 @@ def _serialize_window_results(results) -> bytes:
     return bytes(out)
 
 
-def _digest_update_responses(digest, responses) -> None:
-    for response in responses:
-        digest.update(response.client_id.encode("utf-8"))
-        digest.update(struct.pack(">q", response.epoch))
-        digest.update(bytes(response.truthful_bits))
-        digest.update(bytes(response.randomized_bits))
-        for share in response.encrypted.shares:
-            digest.update(share.payload)
+def _digest_update_responses(digest, blocks) -> None:
+    """Hash response blocks (a system's ``responses_log``, or an outcome's
+    ``blocks``) row by row, in order.
+
+    A row's bytes are its UTF-8 client id, its ``>q`` epoch, its truthful
+    then its randomized bits as 0/1 bytes, then its slice of each payload
+    column.  Each bit column is unpacked once per block, and a block's
+    stream goes to the hash in one update.
+    """
+    for block in blocks:
+        epoch, width, payloads = struct.pack(">q", block.epoch), block.width, block.payloads
+        rows = zip(
+            block.client_ids,
+            block.bit_rows(block.truthful_bits),
+            block.bit_rows(block.randomized_bits),
+        )
+        stream = []
+        for row, (client_id, truthful, randomized) in enumerate(rows):
+            stream += (client_id.encode("utf-8"), epoch, truthful, randomized)
+            stream += [payload[row * width : (row + 1) * width] for payload in payloads]
+        digest.update(b"".join(stream))
 
 
 def _inject_byzantine_answers(system, plan: ScenarioPlan, epoch_plan: EpochPlan) -> None:

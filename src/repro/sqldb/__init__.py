@@ -35,9 +35,7 @@ concatenates every co-schema client in a shard into one
 single probe, and a client answering on its own asks its database's
 one-slot arena (:attr:`Database.arena`).  A statement naming a table or a
 projected column the arena lacks is answered by ``Database.query``, which
-raises the error.  ``SQLDB_FORCE_PER_CLIENT=1`` turns shard arenas off —
-every client answers on its one-slot arena — as the middle rung of the
-differential ladder; ``SQLDB_FORCE_SCAN=1`` turns the compiled answer off,
+raises the error.  ``SQLDB_FORCE_SCAN=1`` turns the compiled answer off,
 so every client answers on the row scan and no arena is built.
 """
 
@@ -46,10 +44,8 @@ from repro.sqldb.compile import CompiledSelect, CompileFallback, plan_for
 from repro.sqldb.engine import (
     ARENA_FALLBACK,
     Database,
-    arena_answering_enabled,
     arena_select_per_client,
     cached_shard_arena,
-    per_client_forced,
     scan_forced,
 )
 from repro.sqldb.errors import ExecutionError, ParseError, SchemaError, SqlError
@@ -64,9 +60,7 @@ __all__ = [
     "ShardArena",
     "ARENA_FALLBACK",
     "arena_select_per_client",
-    "arena_answering_enabled",
     "cached_shard_arena",
-    "per_client_forced",
     "scan_forced",
     "CompiledSelect",
     "CompileFallback",

@@ -34,32 +34,14 @@ from repro.sqldb.parser import parse_statement, parse_statement_cached
 from repro.sqldb.table import Column, Table, tick
 
 
-def _env_flag(name: str) -> bool:
-    """Whether an environment switch is set (checked per call, never cached,
-    so tests and operators can flip it mid-process)."""
-    return os.environ.get(name, "") not in ("", "0", "false", "False")
-
-
-def per_client_forced() -> bool:
-    """Whether ``SQLDB_FORCE_PER_CLIENT`` pins the per-client compiled path.
-
-    The middle oracle of the differential ladder: shard arenas are
-    disabled, but each client still answers on the compiled columnar path,
-    over its own one-slot arena (``SQLDB_FORCE_SCAN`` pins the row-scan
-    reference below both).
-    """
-    return _env_flag("SQLDB_FORCE_PER_CLIENT")
-
-
 def scan_forced() -> bool:
     """Whether ``SQLDB_FORCE_SCAN`` pins the row-scan reference: no arena is
-    built or asked, and every client answers on :meth:`Database.query`."""
-    return _env_flag("SQLDB_FORCE_SCAN")
+    built or asked, and every client answers on :meth:`Database.query`.
 
-
-def arena_answering_enabled() -> bool:
-    """Whether the shard-wide arena answer path may be used at all."""
-    return not per_client_forced() and not scan_forced()
+    Checked per call, never cached, so tests and operators can flip it
+    mid-process.
+    """
+    return os.environ.get("SQLDB_FORCE_SCAN", "") not in ("", "0", "false", "False")
 
 
 def cached_shard_arena(
@@ -67,13 +49,13 @@ def cached_shard_arena(
 ) -> ShardArena | None:
     """The arena ``cache`` holds for one shard, rebuilt when it went stale.
 
-    The one arena cache rule: when arena answering is disabled or the shard
+    The one arena cache rule: under ``SQLDB_FORCE_SCAN`` or when the shard
     has no databases, the cached arena is dropped and ``None`` returned;
     otherwise the cached arena is reused while it ``matches`` the databases
     (member identity — a new deployment or a replaced member rebuilds) and
     keeps syncing incrementally as rows are appended.
     """
-    if not databases or not arena_answering_enabled():
+    if not databases or scan_forced():
         cache.pop(shard_index, None)
         return None
     arena = cache.get(shard_index)

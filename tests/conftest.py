@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import random
+import struct
 from unittest import mock
 
 import pytest
@@ -26,13 +28,42 @@ from repro.crypto.xor import MID_BYTES, split_columns
 
 
 def answer_one(client, query_id: str, epoch: int = 0, scan_cache=None):
-    """``client``'s answer to one query as a :class:`ClientResponse`, or
-    ``None`` for a non-participant: the one-row case of the block builder."""
+    """``client``'s answer to one query as its one-row :class:`ResponseBlock`,
+    or ``None`` for a non-participant."""
     (entry,) = client.answer([query_id], epoch=epoch, scan_cache=scan_cache)
     if entry is None:
         return None
-    block = ResponseBlock.build(query_id, epoch, [(client, entry)], client.config.num_proxies)
-    return block.response(0)
+    return ResponseBlock.build(query_id, epoch, [(client, entry)], client.config.num_proxies)
+
+
+def logged_rows(blocks):
+    """Every row of some response blocks, in order, as ``(client id, epoch,
+    truthful bits, randomized bits, payloads)``: each bit row unpacked on
+    its own as 0/1 bytes, each payload off :meth:`ResponseBlock.shares`.
+    The per-row reference the column readers are held to."""
+    for block in blocks:
+        num_bits, stride = block.num_bits, (block.num_bits + 7) // 8
+        for row, client_id in enumerate(block.client_ids):
+            truthful, randomized = (
+                bytes(AnswerCodec._unpack_bits(column[row * stride : (row + 1) * stride], num_bits))
+                for column in (block.truthful_bits, block.randomized_bits)
+            )
+            payloads = tuple(share.payload for share in block.shares(row))
+            yield client_id, block.epoch, truthful, randomized, payloads
+
+
+def reference_digest(blocks) -> str:
+    """The run digest's response stream, hashed one row and one field at a
+    time off :func:`logged_rows`."""
+    digest = hashlib.sha256()
+    for client_id, epoch, truthful, randomized, payloads in logged_rows(blocks):
+        digest.update(client_id.encode("utf-8"))
+        digest.update(struct.pack(">q", epoch))
+        digest.update(truthful)
+        digest.update(randomized)
+        for payload in payloads:
+            digest.update(payload)
+    return digest.hexdigest()
 
 
 def forge_block(query_id: str, epoch: int, rows, num_proxies: int = 2) -> ResponseBlock:

@@ -99,10 +99,10 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = answer_one(client, query.query_id, epoch=0)
-        assert response is not None
-        assert response.randomized_bits == bytes([0, 1, 0, 0])
-        assert response.truthful_bits == bytes([0, 1, 0, 0])
+        block = answer_one(client, query.query_id, epoch=0)
+        assert block is not None
+        assert block.bit_rows(block.randomized_bits) == [bytes([0, 1, 0, 0])]
+        assert block.bit_rows(block.truthful_bits) == [bytes([0, 1, 0, 0])]
 
     def test_zero_sampling_never_participates(self):
         client = make_client()
@@ -130,9 +130,9 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = answer_one(client, query.query_id, epoch=4)
-        decoded = AnswerCodec().decrypt(list(response.encrypted.shares))
-        assert bytes(decoded.bits) == response.randomized_bits
+        block = answer_one(client, query.query_id, epoch=4)
+        decoded = AnswerCodec().decrypt(block.shares(0))
+        assert [bytes(decoded.bits)] == block.bit_rows(block.randomized_bits)
         assert decoded.query_id == query.query_id
         assert decoded.epoch == 4
 
@@ -142,8 +142,8 @@ class TestAnswering:
         client.ingest([{"speed": 12.0, "location": "San Francisco"}])
         query = make_query()
         client.subscribe(query, ALWAYS)
-        response = answer_one(client, query.query_id)
-        assert response.encrypted.num_shares == 3
+        block = answer_one(client, query.query_id)
+        assert len(block) == 1 and block.num_shares == len(block.shares(0)) == 3
 
     def test_cosubscription_does_not_perturb_other_queries(self):
         """Per-query RNG *and* keystream isolation, encrypted bytes included.
@@ -195,8 +195,8 @@ class TestAnswering:
         client.subscribe(query, ExecutionParameters(sampling_fraction=1.0, p=0.1, q=0.5))
         different = 0
         for epoch in range(50):
-            response = answer_one(client, query.query_id, epoch=epoch)
-            if response.randomized_bits != response.truthful_bits:
+            block = answer_one(client, query.query_id, epoch=epoch)
+            if block.randomized_bits != block.truthful_bits:
                 different += 1
         assert different > 10
 
@@ -222,7 +222,9 @@ class TestBlockBuild:
             selected = block.select([row])
             assert selected.payloads == alone.payloads
             assert selected.randomized_bits == alone.randomized_bits
-            assert block.response(row).randomized_bits == alone.response(0).randomized_bits
+            assert block.bit_rows(block.randomized_bits)[row] == alone.bit_rows(
+                alone.randomized_bits
+            )[0]
 
     def test_an_empty_block_has_one_empty_column_per_proxy(self):
         block = ResponseBlock.build("q", 3, [], num_proxies=3)
@@ -376,19 +378,14 @@ class TestPadDerivation:
 
         first, second = self._answer_over(12.0), self._answer_over(25.0)
         codec = AnswerCodec()
-        messages = [
-            codec.encode(codec.decrypt(list(response.encrypted.shares)))
-            for response in (first, second)
-        ]
+        messages = [codec.encode(codec.decrypt(block.shares(0))) for block in (first, second)]
         assert messages[0] != messages[1]
-        encrypted = [response.encrypted.shares[0].payload for response in (first, second)]
+        encrypted = [block.payloads[0] for block in (first, second)]
         # With a reused pad, ME1 ^ ME2 == M1 ^ M2 would hand a proxy the XOR
         # of the two plaintexts.
         assert xor_bytes(*encrypted) != xor_bytes(*messages)
-        assert first.encrypted.shares[1].payload != second.encrypted.shares[1].payload
+        assert first.payloads[1] != second.payloads[1]
 
     def test_answering_twice_over_the_same_rows_gives_identical_shares(self):
         first, second = self._answer_over(12.0), self._answer_over(12.0)
-        assert [share.payload for share in first.encrypted.shares] == [
-            share.payload for share in second.encrypted.shares
-        ]
+        assert first.payloads == second.payloads

@@ -257,8 +257,9 @@ class TestSharedHistogramRoutine:
         systems[0].run_epoch(query.query_id, 0)
         shares = [
             share
-            for response in systems[0].responses_log(query.query_id)
-            for share in response.encrypted.shares
+            for block in systems[0].responses_log(query.query_id)
+            for row in range(len(block))
+            for share in block.shares(row)
         ]
         replica = systems[1].aggregator_for(query.query_id)
         replica.ingest_shares(shares, epoch=0)

@@ -295,11 +295,13 @@ class TestBlockMatchesPerAnswer:
 
         assert len(block) == num_rows and block.num_shares == num_proxies
         width = block.width
+        truthful_rows = block.bit_rows(block.truthful_bits)
+        randomized_rows = block.bit_rows(block.randomized_bits)
         rows = [
             (
                 block.client_ids[row],
-                block.response(row).truthful_bits,
-                block.response(row).randomized_bits,
+                truthful_rows[row],
+                randomized_rows[row],
                 [payload[row * width : (row + 1) * width] for payload in block.payloads],
             )
             for row in range(num_rows)

@@ -1,4 +1,5 @@
-"""The packed response log rebuilds exactly the responses it was given."""
+"""The packed response log rebuilds exactly the blocks it was given, and the
+run digest reads them as columns."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 
 import pytest
 
+import repro.core
 from repro.core import (
     Analyst,
     AnswerSpec,
@@ -17,12 +19,12 @@ from repro.core import (
     RangeBuckets,
     SystemConfig,
 )
-from repro.core.client import Client, ClientConfig, ResponseBlock, ResponseLog, pack_blocks
+from repro.core.client import Client, ClientConfig, ResponseBlock, pack_blocks
 from repro.core.encryption import AnswerCodec
 from repro.core.query import Query
 from repro.crypto.prng import KeystreamGenerator
-from repro.runtime.scenario import _digest_update_responses
-from tests.conftest import forge_block
+from repro.runtime.scenario import _digest_update_responses, run_scenario, scenario_grid
+from tests.conftest import forge_block, logged_rows, reference_digest
 
 QUERY_ID = "q-log"
 
@@ -42,29 +44,14 @@ def make_block(client_id: str, epoch: int, bits: tuple, num_proxies: int = 2):
     return forge_block(QUERY_ID, epoch, [row], num_proxies)
 
 
-def responses_of(blocks):
-    return [block.response(row) for block in blocks for row in range(len(block))]
+def from_entries(entries) -> list[ResponseBlock]:
+    return [ResponseBlock.from_bytes(entry, QUERY_ID) for entry in entries]
 
 
-def digest_of(responses) -> str:
+def digest_of(blocks) -> str:
     digest = hashlib.sha256()
-    _digest_update_responses(digest, responses)
+    _digest_update_responses(digest, blocks)
     return digest.hexdigest()
-
-
-def assert_same_fields(rebuilt, original) -> None:
-    assert rebuilt.client_id == original.client_id
-    assert rebuilt.query_id == original.query_id
-    assert rebuilt.epoch == original.epoch
-    assert rebuilt.truthful_bits == original.truthful_bits
-    assert rebuilt.randomized_bits == original.randomized_bits
-    assert rebuilt.encrypted.message_id == original.encrypted.message_id
-    assert [
-        (share.message_id, share.payload, share.index) for share in rebuilt.encrypted.shares
-    ] == [
-        (share.message_id, share.payload, share.index) for share in original.encrypted.shares
-    ]
-    assert rebuilt == original
 
 
 class TestPacking:
@@ -72,9 +59,7 @@ class TestPacking:
         blocks = [make_block(f"c{i}", 3, (0, 1, 0, 0)) for i in range(5)]
         (entry,) = pack_blocks(blocks)
         assert isinstance(entry, bytes)
-        log = ResponseLog(QUERY_ID, [entry])
-        for rebuilt, original in zip(log, responses_of(blocks), strict=True):
-            assert_same_fields(rebuilt, original)
+        assert list(logged_rows(from_entries([entry]))) == list(logged_rows(blocks))
 
     def test_a_width_change_starts_a_new_block_and_keeps_order(self):
         blocks = [
@@ -86,48 +71,80 @@ class TestPacking:
         ]
         entries = pack_blocks(blocks)
         assert len(entries) == 4
-        log = ResponseLog(QUERY_ID, entries)
-        assert [response.client_id for response in log] == ["a", "b", "wide", "c", "three-way"]
-        for rebuilt, original in zip(log, responses_of(blocks), strict=True):
-            assert_same_fields(rebuilt, original)
+        rows = list(logged_rows(from_entries(entries)))
+        assert [row[0] for row in rows] == ["a", "b", "wide", "c", "three-way"]
+        assert rows == list(logged_rows(blocks))
 
     def test_an_empty_epoch_packs_to_nothing(self):
         empty = ResponseBlock.build(QUERY_ID, 0, [], num_proxies=2)
         assert pack_blocks([]) == pack_blocks([empty]) == []
-        assert ResponseLog(QUERY_ID, pack_blocks([])) == []
-
-    def test_a_log_over_blocks_reads_like_one_over_bytes(self):
-        blocks = [make_block(f"c{i}", 2, (1, 1, 0)) for i in range(3)]
-        assert ResponseLog(QUERY_ID, blocks) == ResponseLog(QUERY_ID, pack_blocks(blocks))
-
-    def test_len_indexing_and_slicing_cross_blocks(self):
-        first = [make_block(f"e0-{i}", 0, (1, 0, 0)) for i in range(3)]
-        second = [make_block(f"e1-{i}", 1, (0, 1, 0)) for i in range(4)]
-        log = ResponseLog(QUERY_ID, pack_blocks(first) + pack_blocks(second))
-        everything = responses_of(first + second)
-        assert len(log) == 7
-        for index in range(-7, 7):
-            assert_same_fields(log[index], everything[index])
-        assert log[2:5] == everything[2:5]
-        assert log[::-1] == everything[::-1]
-        with pytest.raises(IndexError):
-            log[7]
-        with pytest.raises(IndexError):
-            log[-8]
-
-    def test_equality_with_sequences(self):
-        blocks = [make_block(f"c{i}", 0, (0, 1)) for i in range(3)]
-        responses = responses_of(blocks)
-        log = ResponseLog(QUERY_ID, pack_blocks(blocks))
-        assert log == responses and log == tuple(responses)
-        assert log != responses[:2] and log != []
-        assert ResponseLog(QUERY_ID, []) == []
-        assert log != "not a log"
 
     def test_the_digest_is_the_same_over_both_forms(self):
         blocks = [make_block(f"c{i}", i % 2, (0, 1, 1)) for i in range(6)]
-        packed = ResponseLog(QUERY_ID, pack_blocks(blocks))
-        assert digest_of(packed) == digest_of(responses_of(blocks))
+        assert digest_of(from_entries(pack_blocks(blocks))) == digest_of(blocks)
+
+
+def forged_block(num_bits: int, client_ids, epoch: int = 5) -> ResponseBlock:
+    """One row of random ``num_bits``-bit answers per client id."""
+    rng = random.Random(num_bits * 1000 + len(client_ids))
+    forged = []
+    for client_id in client_ids:
+        truthful = tuple(rng.getrandbits(1) for _ in range(num_bits))
+        randomized = tuple(rng.getrandbits(1) for _ in range(num_bits))
+        message = AnswerCodec().encode_message(QUERY_ID, epoch, b"t" * 32, randomized)
+        key = bytes(rng.getrandbits(8) for _ in message)
+        forged.append((client_id, truthful, randomized, message, (key,)))
+    return forge_block(QUERY_ID, epoch, forged)
+
+
+class TestColumnDigest:
+    """The run digest reads each block's columns once, and feeds the hash
+    exactly the stream a per-row, per-field reference feeds it."""
+
+    @pytest.mark.parametrize("num_bits", [1, 3, 8, 16, 129])
+    def test_forged_blocks_of_any_width(self, num_bits):
+        blocks = [
+            forged_block(num_bits, [f"f{num_bits}-{row}" for row in range(rows)])
+            for rows in (1, 3, 17)
+        ]
+        assert digest_of(blocks) == reference_digest(blocks)
+        assert digest_of(from_entries(pack_blocks(blocks))) == reference_digest(blocks)
+
+    def test_non_ascii_client_ids(self):
+        block = forged_block(5, ["é", "клиент", "客户-7", "\U0001f512"])
+        assert digest_of([block]) == reference_digest([block])
+        assert digest_of(from_entries(pack_blocks([block]))) == reference_digest([block])
+
+    def test_an_epoch_of_two_widths_is_two_entries(self):
+        blocks = [forged_block(4, ["a", "b", "c"], epoch=2), forged_block(12, ["d", "e"], epoch=2)]
+        entries = pack_blocks(blocks)
+        assert len(entries) == 2
+        assert digest_of(from_entries(entries)) == reference_digest(blocks)
+
+    def test_an_empty_log_hashes_nothing(self):
+        system, (query_id,) = build_system(num_queries=1)
+        system.close()
+        nothing = hashlib.sha256().hexdigest()
+        assert digest_of(system.responses_log(query_id)) == nothing == reference_digest([])
+        assert digest_of(system.responses_log("no-such-query")) == nothing
+
+    @pytest.mark.parametrize("spec", scenario_grid("smoke"), ids=lambda spec: spec.name)
+    def test_every_smoke_scenario_log(self, spec, monkeypatch):
+        systems = []
+
+        class RecordingSystem(PrivApproxSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                systems.append(self)
+
+        monkeypatch.setattr(repro.core, "PrivApproxSystem", RecordingSystem)
+        run_scenario(spec)
+        (system,) = systems
+        for query_id in system.query_ids():
+            assert sum(len(block) for block in system.responses_log(query_id)) > 0
+            assert digest_of(system.responses_log(query_id)) == reference_digest(
+                system.responses_log(query_id)
+            )
 
 
 #: Bit widths around every byte boundary a row can have, and two wide ones.
@@ -174,21 +191,20 @@ class TestPackedColumns:
         rebuilt = ResponseBlock.from_bytes(entry, QUERY_ID)
         assert rebuilt == block
         codec = AnswerCodec()
+        truthful_rows = rebuilt.bit_rows(rebuilt.truthful_bits)
+        randomized_rows = rebuilt.bit_rows(rebuilt.randomized_bits)
         for row, bucket in enumerate(buckets):
             one_hot = [int(bit == bucket) for bit in range(num_bits)]
             packed_row = slice(row * stride, (row + 1) * stride)
             assert block.truthful_bits[packed_row] == AnswerCodec._pack_bits_scalar(one_hot)
-            response = rebuilt.response(row)
-            assert list(response.truthful_bits) == one_hot == AnswerCodec._unpack_bits_scalar(
+            assert list(truthful_rows[row]) == one_hot == AnswerCodec._unpack_bits_scalar(
                 block.truthful_bits[packed_row], num_bits
             )
-            assert list(response.randomized_bits) == AnswerCodec._unpack_bits_scalar(
+            assert list(randomized_rows[row]) == AnswerCodec._unpack_bits_scalar(
                 block.randomized_bits[packed_row], num_bits
             )
             # The message carries exactly the column's packed row.
-            assert codec.decrypt(list(response.encrypted.shares)).bits == tuple(
-                response.randomized_bits
-            )
+            assert codec.decrypt(rebuilt.shares(row)).bits == tuple(randomized_rows[row])
 
     @pytest.mark.parametrize("num_bits", [1, 7, 9, 13])
     def test_a_set_pad_bit_is_refused_in_either_column_on_any_row(self, num_bits):
@@ -205,15 +221,14 @@ class TestPackedColumns:
         block, _ = built_block(num_bits)
         stride = num_bits // 8
         flipped = set_pad_bit(block.randomized_bits, stride, 0)
-        assert dataclasses.replace(block, randomized_bits=flipped).response(0).randomized_bits[-1]
+        flipped_block = dataclasses.replace(block, randomized_bits=flipped)
+        assert flipped_block.bit_rows(flipped)[0][-1]
 
     def test_unpacked_columns_are_refused(self):
         """A column at one byte per bit (the layout before packing) is the
         wrong length for its rows."""
         block, _ = built_block(13)
-        unpacked = b"".join(
-            block.bit_row(block.randomized_bits, row) for row in range(len(block))
-        )
+        unpacked = b"".join(block.bit_rows(block.randomized_bits))
         with pytest.raises(ValueError, match="packed rows of 13 bits"):
             dataclasses.replace(block, randomized_bits=unpacked)
 
@@ -261,7 +276,7 @@ class TestPackedColumns:
                 for packed in block.randomized_bits
             )
         stored = system.historical_store.read_answers(query.query_id)
-        assert len(stored) == len(system.responses_log(query.query_id)) > 0
+        assert len(stored) == sum(map(len, system.responses_log(query.query_id))) > 0
         assert [(answer.epoch, answer.bits) for answer, _ in stored] == logged
 
 
@@ -295,14 +310,14 @@ def build_system(num_queries: int) -> tuple[PrivApproxSystem, list[str]]:
 
 
 class TestSystemLog:
-    def test_the_log_rebuilds_every_logged_response(self, monkeypatch):
-        """Capture each epoch's responses as the executor produced them and
-        compare the packed log against them field for field."""
+    def test_the_log_rebuilds_every_logged_block(self, monkeypatch):
+        """Capture each epoch's blocks as the executor produced them and
+        compare the packed log against them row for row."""
         produced: dict[str, list] = {}
         finish = PrivApproxSystem._finish_query_epoch
 
         def capture(self, query_id, epoch, outcome):
-            produced.setdefault(query_id, []).extend(outcome.responses)
+            produced.setdefault(query_id, []).extend(outcome.blocks)
             return finish(self, query_id, epoch, outcome)
 
         monkeypatch.setattr(PrivApproxSystem, "_finish_query_epoch", capture)
@@ -313,11 +328,11 @@ class TestSystemLog:
             system.run_epoch_all(epoch)
         system.close()
         for query_id in query_ids:
-            log = system.responses_log(query_id)
-            assert len(log) == len(produced[query_id]) > 0
-            assert {response.epoch for response in log} == {0, 2, 3}
-            for rebuilt, original in zip(log, produced[query_id], strict=True):
-                assert_same_fields(rebuilt, original)
+            log = list(system.responses_log(query_id))
+            assert {block.epoch for block in log} == {0, 2, 3}
+            rows = list(logged_rows(log))
+            assert rows == list(logged_rows(produced[query_id]))
+            assert len(rows) > 0
             assert digest_of(log) == digest_of(produced[query_id])
 
     def test_a_query_with_zero_participants_logs_nothing(self):
@@ -326,17 +341,20 @@ class TestSystemLog:
         for epoch in range(3):
             system.run_epoch_all(epoch)
         system.close()
-        assert system.responses_log(silent) == []
-        assert len(system.responses_log(silent)) == 0
-        assert len(system.responses_log(kept)) > 0
-        assert system.responses_log("no-such-query") == []
+        assert list(system.responses_log(silent)) == []
+        assert sum(map(len, system.responses_log(kept))) > 0
+        assert list(system.responses_log("no-such-query")) == []
 
     def test_a_log_is_a_snapshot(self):
+        """A log handed out before an epoch runs does not see it, even when
+        it is read after."""
         system, (query_id,) = build_system(num_queries=1)
         system.run_epoch(query_id, 0)
         before = system.responses_log(query_id)
         system.run_epoch(query_id, 1)
-        after = system.responses_log(query_id)
+        after = list(system.responses_log(query_id))
         system.close()
-        assert len(before) < len(after)
-        assert after[: len(before)] == before
+        before = list(before)
+        assert {block.epoch for block in before} == {0}
+        assert {block.epoch for block in after} == {0, 1}
+        assert list(logged_rows(after[: len(before)])) == list(logged_rows(before))

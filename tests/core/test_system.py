@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.estimation import estimate_histogram
 from repro.runtime import cli_smoke_matrix
 from repro.sqldb import SchemaError
+from tests.conftest import logged_rows
 
 
 class TestSystemConfig:
@@ -127,8 +128,8 @@ class TestEpochExecution:
     def test_responses_log_only_contains_participants(self, small_system):
         system, _, query_id = small_system
         report = system.run_epoch(query_id, 0)
-        log = system.responses_log(query_id)
-        assert len(log) == report.num_participants
+        log = list(system.responses_log(query_id))
+        assert sum(len(block) for block in log) == report.num_participants
 
     def test_epoch_report_fields(self, small_system):
         system, _, query_id = small_system
@@ -184,7 +185,7 @@ class TestMultiQueryEpochs:
         system, analyst, query_ids = self._build()
         reports = system.run_epoch_all(0)
         for index, query_id in enumerate(query_ids):
-            assert len(system.responses_log(query_id)) == (
+            assert sum(len(block) for block in system.responses_log(query_id)) == (
                 reports[query_id].num_participants
             )
             system.flush(query_id)
@@ -200,7 +201,7 @@ class TestMultiQueryEpochs:
         system, _, query_ids = self._build()
         reports = system.run_epoch_all(0, query_ids[:2])
         assert list(reports) == query_ids[:2]
-        assert system.responses_log(query_ids[2]) == []
+        assert list(system.responses_log(query_ids[2])) == []
         system.close()
 
     def test_unknown_query_rejected(self):
@@ -304,15 +305,15 @@ class TestHistoricalIntegration:
             participants.append(report.num_participants)
         system.close()
         stored = system.historical_store.read_answers(query.query_id)
-        log = system.responses_log(query.query_id)
+        log = list(logged_rows(system.responses_log(query.query_id)))
         assert len(stored) == len(log) == sum(participants)
         assert [answer.bits for answer, _ in stored] == [
-            tuple(response.randomized_bits) for response in log
+            tuple(randomized) for _, _, _, randomized, _ in log
         ]
         assert [(answer.query_id, answer.epoch, timestamp) for answer, timestamp in stored] == [
-            (query.query_id, response.epoch, response.epoch * 60.0) for response in log
+            (query.query_id, epoch, epoch * 60.0) for _, epoch, _, _, _ in log
         ]
-        assert [response.epoch for response in log] == [
+        assert [epoch for _, epoch, _, _, _ in log] == [
             epoch for epoch, count in zip((0, 1, 2, 2), participants) for _ in range(count)
         ]
 
@@ -386,9 +387,14 @@ def quickstart_deployment(executor="serial", budget=None):
 
 def observed_counts(system, query_id, epoch):
     """Per-bucket Yes counts and answer count of one epoch's responses."""
-    responses = [r for r in system.responses_log(query_id) if r.epoch == epoch]
-    counts = [sum(column) for column in zip(*(r.randomized_bits for r in responses))]
-    return counts, len(responses)
+    rows = [
+        randomized
+        for block in system.responses_log(query_id)
+        if block.epoch == epoch
+        for randomized in block.bit_rows(block.randomized_bits)
+    ]
+    counts = [sum(column) for column in zip(*rows)]
+    return counts, len(rows)
 
 
 class TestPrivacyBudgetAcrossEpochs:
@@ -564,27 +570,25 @@ def _counting_passes(monkeypatch) -> list[int]:
 class TestLoneAnswersAreStanding:
     """Every ground truth and every answer is a standing latest-row answer.
 
-    A client answering alone — serial and ``SQLDB_FORCE_PER_CLIENT`` — asks
-    its one-slot arena, as the shard pass asks the shard's: over unchanged
-    tables a second epoch and a second ``exact_bucket_counts`` run no
-    matching pass, and an appended row is folded in from where the answer
-    stopped.  On the in-process engine the ground truth asks the shard
-    arenas the epoch answered from: after an epoch it runs no matching
-    pass at all and builds no client a one-slot arena."""
+    A client answering alone — every client under serial — asks its one-slot
+    arena, as the shard pass asks the shard's: over unchanged tables a
+    second epoch and a second ``exact_bucket_counts`` run no matching pass,
+    and an appended row is folded in from where the answer stopped.  On the
+    in-process engine the ground truth asks the shard arenas the epoch
+    answered from: after an epoch it runs no matching pass at all and
+    builds no client a one-slot arena."""
 
     @pytest.mark.parametrize(
-        "executor, per_client, passes_per_read, tail_start",
+        "executor, passes_per_read, tail_start",
         [
-            ("serial", "0", 30, 3),
-            ("inline/in-process", "1", 30, 3),
+            ("serial", 30, 3),
             # Two shards of 15 clients × 3 rows: one pass per shard arena.
-            ("inline/in-process", "0", 2, 45),
+            ("inline/in-process", 2, 45),
         ],
     )
     def test_unchanged_tables_are_read_once(
-        self, monkeypatch, executor, per_client, passes_per_read, tail_start
+        self, monkeypatch, executor, passes_per_read, tail_start
     ):
-        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", per_client)
         lone = passes_per_read == 30
         system = PrivApproxSystem(
             SystemConfig(num_clients=30, seed=11, executor=executor, executor_shards=2)
@@ -734,7 +738,7 @@ class TestGroundTruthReadsTheAnswerArenas:
             ("pipelined-overlap/in-process", None),
             ("pinned-worker/framed-wire-local", None),
             ("inline/in-process", "SQLDB_FORCE_SCAN"),
-            ("inline/in-process", "SQLDB_FORCE_PER_CLIENT"),
+            ("serial", "SQLDB_FORCE_SCAN"),
         ],
     )
     def test_every_executor_counts_alike(self, monkeypatch, executor, switch):

@@ -18,6 +18,7 @@ its contracts:
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 
@@ -238,11 +239,12 @@ def build_system(
 
 class TestNoPerAnswerObjects:
     """A count guard, not a timer: an engine epoch moves every real answer
-    as a block, from the client's row to the window's counts."""
+    as a block, from the client's row to the window's counts, and the
+    response log is read and hashed as blocks too."""
 
-    @pytest.mark.parametrize("executor", [e for e in cli_smoke_matrix() if e != "serial"])
-    def test_an_engine_epoch_builds_no_per_answer_object(self, executor, monkeypatch):
-        from repro.core.client import ClientResponse
+    @staticmethod
+    def count_builds(monkeypatch) -> dict[str, int]:
+        """From now on, how many of each per-answer class get built."""
         from repro.core.encryption import EncryptedAnswer
         from repro.core.query import QueryAnswer
         from repro.crypto.xor import MessageShare
@@ -258,6 +260,12 @@ class TestNoPerAnswerObjects:
 
             return counted
 
+        for cls in (MessageShare, EncryptedAnswer, QueryAnswer):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        return built
+
+    @pytest.mark.parametrize("executor", [e for e in cli_smoke_matrix() if e != "serial"])
+    def test_an_engine_epoch_builds_no_per_answer_object(self, executor, monkeypatch):
         system, query_id = build_system(executor)
         try:
             # Late clients too: the in-process drivers skip their rows, the
@@ -265,14 +273,28 @@ class TestNoPerAnswerObjects:
             system.late_clients = frozenset(
                 client.config.client_id for client in system.clients[::4]
             )
-            for cls in (MessageShare, EncryptedAnswer, ClientResponse, QueryAnswer):
-                monkeypatch.setattr(cls, "__init__", counting(cls))
+            built = self.count_builds(monkeypatch)
             report = system.run_epoch(query_id, 0)
         finally:
             system.close()
         assert report.num_participants == 12 and len(report.late_drops) == 4
         assert system.aggregator_for(query_id).answers_processed == 12
         assert built == {}
+
+    def test_reading_and_hashing_the_log_builds_no_per_answer_object(self, monkeypatch):
+        """Serial relays loose shares while it runs; reading its log back
+        and hashing it as the run digest does builds nothing per answer."""
+        from repro.runtime.scenario import _digest_update_responses
+
+        system, query_id = build_system("serial")
+        try:
+            system.run_epochs(query_id, 2)
+        finally:
+            system.close()
+        built = self.count_builds(monkeypatch)
+        _digest_update_responses(hashlib.sha256(), system.responses_log(query_id))
+        assert built == {}
+        assert sum(len(block) for block in system.responses_log(query_id)) == 32
 
     @pytest.mark.parametrize("num_clients", [1, 7, 50])
     def test_each_block_randomizes_and_builds_its_prefix_once(self, num_clients, monkeypatch):

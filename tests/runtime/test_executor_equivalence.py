@@ -36,6 +36,7 @@ from repro.core import (
     SystemConfig,
 )
 from repro.runtime import cli_smoke_matrix
+from tests.conftest import logged_rows
 
 SEED = 20260727
 #: Every driver combination that runs without separately launched TCP
@@ -108,7 +109,7 @@ def run_deployment(
     system.flush(query.query_id)
     system.close()
     results = analyst.results_for(query.query_id)
-    responses = system.responses_log(query.query_id)
+    responses = list(system.responses_log(query.query_id))
     return reports, results, responses
 
 
@@ -125,11 +126,11 @@ def serialize_results(results) -> bytes:
     return bytes(out)
 
 
-def serialize_responses(responses) -> list[tuple]:
+def serialize_responses(blocks) -> list[tuple]:
     # Bits as tuples: the golden digest below hashes this list's repr.
     return [
-        (r.client_id, r.epoch, tuple(r.truthful_bits), tuple(r.randomized_bits))
-        for r in responses
+        (client_id, epoch, tuple(truthful), tuple(randomized))
+        for client_id, epoch, truthful, randomized, _ in logged_rows(blocks)
     ]
 
 
@@ -177,7 +178,7 @@ class TestParallelExecutorsMatchSerial:
         )
         # With s=0.05 over 20 clients most of the 10 shards are empty of
         # participants every epoch; results must still line up exactly.
-        assert len(serial_responses) < 20 * 3
+        assert sum(len(block) for block in serial_responses) < 20 * 3
         assert serialize_responses(serial_responses) == serialize_responses(
             parallel_responses
         )
@@ -546,9 +547,10 @@ def test_each_query_ledgers_only_its_own_late_participants(executor):
         assert reports[second].late_drops == (late_ids[0],)
         assert reports[first].num_participants == reports[second].num_participants == 10
         logged = {
-            response.client_id
+            client_id
             for query_id in query_ids
-            for response in system.responses_log(query_id)
+            for block in system.responses_log(query_id)
+            for client_id in block.client_ids
         }
         assert logged.isdisjoint(system.late_clients)
         if executor != "serial":

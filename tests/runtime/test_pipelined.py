@@ -41,6 +41,7 @@ from repro.runtime import (
     make_executor,
 )
 from repro.sqldb import ARENA_FALLBACK
+from tests.conftest import logged_rows
 
 PIPELINED = "pipelined-overlap/in-process"
 INLINE = "inline/in-process"
@@ -195,7 +196,7 @@ class TestPopulationEdges:
         finally:
             serial.close()
             pipelined.close()
-        assert serial_outcome.responses == pipelined_outcome.responses == ()
+        assert serial_outcome.num_participants == pipelined_outcome.num_participants == 0
         assert serial_outcome.window_results == pipelined_outcome.window_results == ()
 
     def test_fewer_clients_than_shards(self):
@@ -206,7 +207,7 @@ class TestPopulationEdges:
         finally:
             executor.close()
         assert outcome.num_participants == 3  # s = 1.0: everyone participates
-        assert [r.client_id for r in outcome.responses] == [
+        assert [c for block in outcome.blocks for c in block.client_ids] == [
             "edge-000",
             "edge-001",
             "edge-002",
@@ -220,7 +221,7 @@ class TestPopulationEdges:
         finally:
             executor.close()
         assert outcome.num_participants == 5
-        assert [r.client_id for r in outcome.responses] == [
+        assert [c for block in outcome.blocks for c in block.client_ids] == [
             f"edge-{i:03d}" for i in range(5)
         ]
 
@@ -410,18 +411,9 @@ class _MisbehavingDriver(InlineDriver):
         super().collect(handle)
 
 
-def answer_bytes(responses) -> list[tuple]:
-    """Everything seeded in a response log (MIDs are OS entropy)."""
-    return [
-        (
-            r.client_id,
-            r.epoch,
-            r.truthful_bits,
-            r.randomized_bits,
-            tuple(share.payload for share in r.encrypted.shares),
-        )
-        for r in responses
-    ]
+def answer_bytes(blocks) -> list[tuple]:
+    """Everything seeded in response blocks (MIDs are OS entropy)."""
+    return list(logged_rows(blocks))
 
 
 class TestExecutorReuse:
@@ -450,7 +442,7 @@ class TestExecutorReuse:
         assert context_b.queries[0].aggregator.shares_received == 6 * 2
         reference = make_context(6)
         expected = SerialExecutor().run_epoch(reference, epoch=0).per_query[0]
-        assert answer_bytes(outcome.responses) == answer_bytes(expected.responses)
+        assert answer_bytes(outcome.blocks) == answer_bytes(expected.blocks)
         assert outcome.window_results == expected.window_results
         assert [client.export_state() for client in context_a.clients] == [
             client.export_state() for client in reference.clients

@@ -45,6 +45,7 @@ from repro.runtime import (
     plan_shards,
     shard_span,
 )
+from tests.conftest import logged_rows
 
 RESIDENT = "pinned-worker/framed-wire-local"
 PARAMS = ExecutionParameters(sampling_fraction=1.0, p=0.9, q=0.5)
@@ -135,7 +136,7 @@ class TestPopulationEdges:
         finally:
             serial.close()
             process.close()
-        assert serial_outcome.responses == process_outcome.responses == ()
+        assert serial_outcome.num_participants == process_outcome.num_participants == 0
         assert serial_outcome.window_results == process_outcome.window_results == ()
 
     def test_fewer_clients_than_shards(self):
@@ -146,7 +147,7 @@ class TestPopulationEdges:
         finally:
             executor.close()
         assert outcome.num_participants == 3  # s = 1.0: everyone participates
-        assert [r.client_id for r in outcome.responses] == [
+        assert [c for block in outcome.blocks for c in block.client_ids] == [
             "edge-000",
             "edge-001",
             "edge-002",
@@ -356,17 +357,8 @@ def run_serial_twin(
     return out
 
 
-def serialize_responses(responses) -> list[tuple]:
-    return [
-        (
-            r.client_id,
-            r.epoch,
-            r.truthful_bits,
-            r.randomized_bits,
-            tuple(share.payload for share in r.encrypted.shares),
-        )
-        for r in responses
-    ]
+def serialize_responses(blocks) -> list[tuple]:
+    return list(logged_rows(blocks))
 
 
 def client_states(clients) -> list[bytes]:

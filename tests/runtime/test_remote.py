@@ -66,6 +66,7 @@ from repro.runtime.remote import (
 )
 from repro.runtime.scenario import ScenarioSpec
 from repro.runtime.wire import WIRE_VERSION
+from tests.conftest import logged_rows
 
 REMOTE_RESIDENT = "pinned-worker/sealed-tcp-remote"
 
@@ -614,17 +615,8 @@ def run_serial_twin(num_clients: int, num_epochs: int) -> list:
     return out
 
 
-def serialize_responses(responses) -> list[tuple]:
-    return [
-        (
-            r.client_id,
-            r.epoch,
-            r.truthful_bits,
-            r.randomized_bits,
-            tuple(share.payload for share in r.encrypted.shares),
-        )
-        for r in responses
-    ]
+def serialize_responses(blocks) -> list[tuple]:
+    return list(logged_rows(blocks))
 
 
 class TestRemoteEndToEnd:

@@ -291,8 +291,11 @@ def test_a_case_twisted_value_column_answers_with_that_column(executor, scan, mo
     system, query_id = _case_twisted_system(executor)
     try:
         system.run_epoch(query_id, 0)
-        log = system.responses_log(query_id)
-        assert [sum(bits) for bits in zip(*(r.truthful_bits for r in log))] == [0, 4, 0]
+        rows = [
+            bits for block in system.responses_log(query_id)
+            for bits in block.bit_rows(block.truthful_bits)
+        ]
+        assert [sum(bits) for bits in zip(*rows)] == [0, 4, 0]
         assert system.exact_bucket_counts(query_id) == [0, 4, 0]
     finally:
         system.close()

@@ -32,6 +32,7 @@ from repro.core import (
     SystemConfig,
 )
 from repro.runtime import cli_smoke_matrix
+from tests.conftest import logged_rows
 
 INLINE = "inline/in-process"
 PIPELINED = "pipelined-overlap/in-process"
@@ -123,17 +124,8 @@ def serialize_results(results) -> bytes:
     return bytes(out)
 
 
-def serialize_responses(responses) -> list[tuple]:
-    return [
-        (
-            r.client_id,
-            r.epoch,
-            r.truthful_bits,
-            r.randomized_bits,
-            tuple(share.payload for share in r.encrypted.shares),
-        )
-        for r in responses
-    ]
+def serialize_responses(blocks) -> list[tuple]:
+    return list(logged_rows(blocks))
 
 
 def run_scenario(scenario: Scenario, as_serial: bool) -> dict:
@@ -233,7 +225,6 @@ def test_scenario_generation_is_deterministic():
 import dataclasses  # noqa: E402
 
 import repro.core  # noqa: E402
-from repro.core.client import ClientResponse  # noqa: E402
 from repro.runtime.scenario import run_scenario as run_env_scenario  # noqa: E402
 from repro.runtime.scenario import scenario_grid  # noqa: E402
 
@@ -272,32 +263,41 @@ def _run_churn_ledger(monkeypatch, spec, **executor_options) -> dict:
     form: the per-epoch per-query ``late_drops``, the engine's
     ``StageMetrics.late_drops`` (``None`` under serial, which has no stage
     ledger) and the response log.  ``run_scenario`` builds and closes its
-    own system, so a recording subclass keeps hold of it.
+    own system, so a recording subclass keeps hold of it, of each epoch's
+    late set and of the blocks every epoch hands the system.
     """
     systems = []
 
     class RecordingSystem(PrivApproxSystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.reports = []
+            self.reports, self.late_by_epoch, self.outcome_blocks = [], {}, []
             systems.append(self)
 
         def run_epoch_all(self, epoch):
+            self.late_by_epoch[epoch] = self.late_clients
             reports = super().run_epoch_all(epoch)
             self.reports.append(reports)
             return reports
+
+        def _finish_query_epoch(self, query_id, epoch, outcome):
+            self.outcome_blocks.extend(outcome.blocks)
+            return super()._finish_query_epoch(query_id, epoch, outcome)
 
     monkeypatch.setattr(repro.core, "PrivApproxSystem", RecordingSystem)
     run = run_env_scenario(spec, **executor_options)
     (system,) = systems
     stage_metrics = getattr(system.executor, "stage_metrics", None)
-    responses = [
-        response
+    blocks = [
+        (query_id, block)
         for query_id in system.query_ids()
-        for response in system.responses_log(query_id)
+        for block in system.responses_log(query_id)
     ]
-    # A late marker must never outlive the gate.
-    assert all(type(response) is ClientResponse for response in responses)
+    # A late marker must never outlive the gate: no logged row names a
+    # client late in its epoch, and no block the system logs carries one.
+    for _, block in blocks:
+        assert not system.late_by_epoch[block.epoch] & set(block.client_ids)
+    assert all(block.late_ids == () for block in system.outcome_blocks)
     return {
         "label": run.executor_label,
         "digest": run.digest,
@@ -309,15 +309,7 @@ def _run_churn_ledger(monkeypatch, spec, **executor_options) -> dict:
         if stage_metrics is None
         else [stage_metrics[epoch].late_drops for epoch in range(spec.num_epochs)],
         "responses": [
-            (
-                r.client_id,
-                r.query_id,
-                r.epoch,
-                r.truthful_bits,
-                r.randomized_bits,
-                tuple(share.payload for share in r.encrypted.shares),
-            )
-            for r in responses
+            (query_id, *row) for query_id, block in blocks for row in logged_rows([block])
         ],
     }
 
@@ -372,24 +364,18 @@ def test_churn_scenario_matches_serial_reference(spec, executor, monkeypatch):
 # pipeline, not just the SELECT, must be unable to tell the paths apart.
 
 @pytest.mark.parametrize(
-    "mode", ["arena", "per-client"], ids=["arena", "per-client"]
-)
-@pytest.mark.parametrize(
     "executor", [*cli_smoke_matrix(), *REVERSED_EMITS, RESPAWNED_WORKERS]
 )
-def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch):
-    """The full differential ladder over one hostile scenario: shard-wide
-    arena answering (the default) and the per-client compiled path
-    (``SQLDB_FORCE_PER_CLIENT=1``) must both match serial + forced row scan
-    digest-for-digest — the whole pipeline, not just the SELECT, must be
-    unable to tell the three paths apart."""
+def test_indexed_answer_path_matches_scan_reference(executor, monkeypatch):
+    """The differential ladder over one hostile scenario: the compiled
+    answer path — shard-wide arenas, and under serial every client's own
+    one-slot arena — must match serial + forced row scan digest for digest:
+    the whole pipeline, not just the SELECT, must be unable to tell the
+    paths apart."""
     spec = next(s for s in scenario_grid("full") if s.name == "kitchen-sink")
     monkeypatch.setenv("SQLDB_FORCE_SCAN", "1")
     reference_digest = run_env_scenario(spec, executor="serial").digest
     monkeypatch.setenv("SQLDB_FORCE_SCAN", "0")
-    monkeypatch.setenv(
-        "SQLDB_FORCE_PER_CLIENT", "1" if mode == "per-client" else "0"
-    )
     run = run_env_scenario(
         spec,
         executor=executor,
@@ -397,7 +383,7 @@ def test_indexed_answer_path_matches_scan_reference(executor, mode, monkeypatch)
         shards=3,
     )
     assert run.digest == reference_digest, (
-        f"{mode} path on {run.executor_label} diverged from serial+scan"
+        f"compiled path on {run.executor_label} diverged from serial+scan"
     )
 
 
@@ -547,17 +533,7 @@ def _shard_outcome(clients, query_id, epoch, arena):
         (block,) = answer_shard(clients, [query_id], epoch, arena=arena)
     except Exception as exc:  # noqa: BLE001 — parity includes error behavior
         return ("error", type(exc).__name__, str(exc))
-    return [
-        (
-            r.client_id,
-            r.query_id,
-            r.epoch,
-            r.truthful_bits,
-            r.randomized_bits,
-            tuple(share.payload for share in r.encrypted.shares),
-        )
-        for r in map(block.response, range(len(block)))
-    ]
+    return list(logged_rows([block]))
 
 
 def test_latest_row_arena_answers_equal_per_client_answers(latest_row_cases):

@@ -51,7 +51,7 @@ from repro.runtime.remote import (
     initiate_session,
 )
 from repro.runtime.wire import WIRE_VERSION
-from tests.conftest import answer_one
+from tests.conftest import answer_one, logged_rows
 
 PARAMS = ExecutionParameters(sampling_fraction=0.8, p=0.9, q=0.5)
 
@@ -105,9 +105,7 @@ class TestClientSnapshot:
             assert trav is not None
             assert trav.truthful_bits == ref.truthful_bits
             assert trav.randomized_bits == ref.randomized_bits
-            assert [s.payload for s in trav.encrypted.shares] == [
-                s.payload for s in ref.encrypted.shares
-            ]
+            assert trav.payloads == ref.payloads
 
     def test_snapshot_preserves_local_data_and_subscriptions(self):
         client = make_client()
@@ -572,21 +570,12 @@ class TestResidentWorkerCache:
             assert ack.error is None and not ack.bootstrap_required
             token = ack.fingerprint
         expected = [
-            response
+            block
             for client in parents
-            if (response := answer_one(client, query_id, epoch=4)) is not None
+            if (block := answer_one(client, query_id, epoch=4)) is not None
         ]
         (served,) = ack.responses
-
-        def answer_bytes(responses):
-            return [
-                (r.client_id, r.truthful_bits, r.randomized_bits)
-                + tuple(s.payload for s in r.encrypted.shares)
-                for r in responses
-            ]
-
-        served = [served.response(row) for row in range(len(served))]
-        assert answer_bytes(served) == answer_bytes(expected)
+        assert list(logged_rows([served])) == list(logged_rows(expected))
 
     def test_no_ack_walks_the_clients(self, monkeypatch):
         """The per-client pass cannot return unnoticed: an ack is

@@ -136,7 +136,7 @@ def soak(executor: str) -> bool:
     print(f"{executor:34s} retained per epoch: {growth / epochs:.1f} objects, "
           f"{(last_traced - first_traced) / 1024 / epochs:.1f} KB "
           f"(object growth {growth}, allowed {MAX_GROWTH})")
-    answers = len(system.responses_log(query_id))
+    answers = sum(len(block) for block in system.responses_log(query_id))
     logged = sum(map(len, system._responses_log[query_id]))
     packed = packed_log_bytes(system, query_id, CHECKPOINTS[-1])
     print(f"{executor:34s} response log: {logged / answers:.2f} B per answer "
